@@ -98,23 +98,6 @@ fn bench_log_append(rep: &mut Reporter) {
     });
 }
 
-fn bench_bal_rewrite(rep: &mut Reporter) {
-    let mut log = Log::new();
-    for i in 0..1000u64 {
-        log.append(Entry {
-            term: Term(1),
-            bal: Term(1),
-            cmd: Command::put(CmdId { client: 1, seq: i }, i, vec![0; 8]),
-        });
-    }
-    let mut t = 2u64;
-    bench(rep, "raftstar_bal_rewrite_1k", 10, 100, || {
-        t += 1;
-        log.set_bal_upto(Slot(1000), Term(t));
-        black_box(log.last_term());
-    });
-}
-
 fn bench_replicator(rep: &mut Reporter) {
     bench(rep, "replicator_ack_commit_track", 10, 50, || {
         let mut r = Replicator::new(5);
@@ -207,7 +190,7 @@ fn bench_cluster_commit(rep: &mut Reporter) {
             cluster
                 .submit_and_wait(Op::Put {
                     key: k,
-                    value: vec![0; 8],
+                    value: vec![0; 8].into(),
                 })
                 .expect("commit");
         }
@@ -561,7 +544,6 @@ fn main() {
     let rep = &mut rep;
     println!("{:<40} {:>14}", "benchmark", "median");
     bench_log_append(rep);
-    bench_bal_rewrite(rep);
     bench_replicator(rep);
     bench_lease_check(rep);
     bench_sim_event_loop(rep);

@@ -28,7 +28,7 @@ fn main() {
         cluster
             .submit_and_wait(Op::Put {
                 key: 1,
-                value: vec![1; 8],
+                value: vec![1; 8].into(),
             })
             .expect("baseline write");
         // Crash a follower leaseholder, then time the next write.
@@ -41,7 +41,7 @@ fn main() {
         cluster
             .submit_and_wait(Op::Put {
                 key: 2,
-                value: vec![2; 8],
+                value: vec![2; 8].into(),
             })
             .expect("write completes after the grant expires");
         let stall = cluster.sim.now().since(t0).as_millis_f64();

@@ -1,7 +1,9 @@
 //! # paxraft-bench
 //!
 //! The benchmark harness that regenerates every evaluation artifact of
-//! the paper (see DESIGN.md's experiment index):
+//! the paper (the root README's Quickstart lists how to run them; the
+//! one benchmark that gates changes is `src/bin/ledger/`, see its
+//! README):
 //!
 //! - `fig9` — Raft*-PQL vs LL vs Raft vs Raft* (Figures 9a–9d),
 //! - `fig10` — Raft*-Mencius vs Raft (Figures 10a–10d),
@@ -77,7 +79,7 @@ impl Figure {
         out
     }
 
-    /// Serializes to JSON (for EXPERIMENTS.md regeneration diffs).
+    /// Serializes to JSON (for regeneration diffs between two runs).
     /// Non-finite measurements (a degenerate run dividing by zero ops)
     /// serialize as `null`, and control characters are escaped, so the
     /// output always parses.

@@ -8,12 +8,14 @@
 //! crash failover, partition heal via snapshot transfer,
 //! duplicate-request dedup, batch-timer discipline, pipelined
 //! replication under loss and leader crash, forwarding discipline, and
-//! seed-for-seed determinism of the full measurement harness.
+//! seed-for-seed determinism of the full measurement harness. One row
+//! per `Log`-backed Raft* configuration pins the outcome of leader
+//! changes that go through the vote-extras safe-value pick.
 
 use paxraft_sim::sim::{Actor, ActorId, Simulation};
 use paxraft_sim::time::{SimDuration, SimTime};
 
-use crate::config::{DurabilityConfig, ReplicaConfig};
+use crate::config::{DurabilityConfig, ReadMode, ReplicaConfig};
 use crate::engine::{PipelineConfig, ProtocolRules, ReplicaEngine};
 use crate::harness::{Cluster, ProtocolKind};
 use crate::mencius::MenciusReplica;
@@ -142,6 +144,9 @@ fn every_protocol_heals_a_partitioned_replica_via_snapshot() {
         );
         sim.heal_at(sim.now() + SimDuration::from_millis(1));
         sim.run_for(SimDuration::from_secs(20));
+        for &r in &replicas {
+            assert_ballot_mark_in_log(name, sim.actor::<ReplicaEngine<P>>(r));
+        }
         let lagger = sim.actor::<ReplicaEngine<P>>(replicas[2]);
         assert!(
             lagger.snap_stats().snapshots_installed >= 1,
@@ -997,6 +1002,158 @@ fn crash_while_batch_timer_armed_recovers_cleanly() {
     for_all_protocols!(scenario);
 }
 
+/// The Raft* ballot mark is only ever observable through the effective
+/// ballots the log hands out; wherever entries are dropped (crash
+/// truncation, snapshot install) it must have been pulled back with
+/// them. Checked on whatever `P` is a Raft* replica.
+fn assert_ballot_mark_in_log<P: ProtocolRules>(name: &str, rep: &ReplicaEngine<P>) {
+    if let Some(star) = (rep as &dyn std::any::Any).downcast_ref::<RaftStarReplica>() {
+        let log = star.log();
+        assert!(
+            log.bal_mark().0 <= log.last_index(),
+            "{name}: ballot mark {:?} past the log's end {}",
+            log.bal_mark(),
+            log.last_index()
+        );
+    }
+}
+
+/// Leader changes that go through Raft*'s safe-value pick, for each
+/// `Log`-backed Raft* configuration. Node 2 is cut off while writes
+/// commit on {0, 1} and burns through several terms campaigning alone;
+/// the leader then dies, the partition heals, and node 2 — the shortest
+/// log, the highest term — wins and must complete its log from node 1's
+/// vote extras, whose ballots are whatever `Log::suffix_from` says they
+/// are. A second change (node 2 dies, the restarted node 0 and node 1
+/// elect) follows. The fingerprint covers every replica's term, commit
+/// and applied index, every retained `(slot, term, ballot, command)` and
+/// the applied store; the pinned values were computed at the commit
+/// before the ballot mark replaced the eager rewrite loop, so the mark
+/// picks the same safe values and applies the same state.
+#[test]
+fn raftstar_leader_changes_pick_the_pinned_safe_values() {
+    fn star(sim: &Simulation<Msg>, id: ActorId) -> &RaftStarReplica {
+        sim.actor(id)
+    }
+    fn scenario(name: &str, mode: ReadMode) -> u64 {
+        let (mut sim, replicas, client) = cluster_with(3, |mut cfg| {
+            cfg.initial_leader = Some(NodeId(0));
+            cfg.read_mode = mode;
+            // Node 2 times out an order of magnitude sooner than the rest.
+            let ms = if cfg.id == NodeId(2) { 400 } else { 4_000 };
+            cfg.election_min = SimDuration::from_millis(ms);
+            cfg.election_max = SimDuration::from_millis(ms + ms / 4);
+            Box::new(RaftStarReplica::new(cfg))
+        });
+        let replies = |sim: &Simulation<Msg>| sim.actor::<TestClient>(client).replies.len();
+        sim.actor_mut::<TestClient>(client).enqueue_put(1);
+        assert!(
+            drive_until(&mut sim, SimTime::from_secs(10), |sim| replies(sim) == 1),
+            "{name}: first write"
+        );
+        sim.run_for(SimDuration::from_millis(400)); // heartbeat reaches 2
+        sim.partition_at(vec![0, 0, 1, 0], sim.now() + SimDuration::from_millis(1));
+        sim.actor_mut::<TestClient>(client).enqueue_put(2);
+        sim.actor_mut::<TestClient>(client).enqueue_put(3);
+        assert!(
+            drive_until(&mut sim, SimTime::from_secs(30), |sim| replies(sim) == 3),
+            "{name}: majority side commits without node 2"
+        );
+        sim.run_for(SimDuration::from_secs(2)); // node 2 keeps campaigning
+        let lagger_last = star(&sim, replicas[2]).log().last_index();
+        assert!(
+            lagger_last < star(&sim, replicas[1]).log().last_index()
+                && star(&sim, replicas[2]).current_term() > star(&sim, replicas[1]).current_term(),
+            "{name}: node 2 is behind in log and ahead in term"
+        );
+        let now = sim.now();
+        sim.crash_at(replicas[0], now + SimDuration::from_millis(1));
+        sim.heal_at(now + SimDuration::from_millis(2));
+        assert!(
+            drive_until(&mut sim, now + SimDuration::from_secs(20), |sim| {
+                star(sim, replicas[2]).is_leader()
+            }),
+            "{name}: the lagging candidate wins"
+        );
+        assert!(
+            star(&sim, replicas[2]).log().last_index() > lagger_last,
+            "{name}: its log was completed from vote extras"
+        );
+        sim.restart_at(replicas[0], sim.now() + SimDuration::from_millis(10));
+        sim.actor_mut::<TestClient>(client).target = replicas[2];
+        sim.actor_mut::<TestClient>(client).enqueue_put(4);
+        sim.actor_mut::<TestClient>(client).enqueue_get(2);
+        let deadline = sim.now() + SimDuration::from_secs(30);
+        assert!(
+            drive_until(&mut sim, deadline, |sim| replies(sim) == 5),
+            "{name}: new leader serves"
+        );
+        sim.crash_at(replicas[2], sim.now() + SimDuration::from_millis(1));
+        sim.actor_mut::<TestClient>(client).target = replicas[1];
+        sim.actor_mut::<TestClient>(client).enqueue_put(5);
+        sim.actor_mut::<TestClient>(client).enqueue_get(3);
+        sim.actor_mut::<TestClient>(client).enqueue_get(5);
+        let deadline = sim.now() + SimDuration::from_secs(60);
+        assert!(
+            drive_until(&mut sim, deadline, |sim| replies(sim) == 8),
+            "{name}: second leader change serves"
+        );
+        sim.run_for(SimDuration::from_secs(3));
+        let c = sim.actor::<TestClient>(client);
+        for (reply, put) in [(4, 1), (6, 2), (7, 5)] {
+            assert_eq!(
+                c.replies[reply].1.value_id(),
+                Some(c.sent[put].id.as_value_id()),
+                "{name}: reply {reply} reads write {put}"
+            );
+        }
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut mix = |x: u64| {
+            for b in x.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for &r in &replicas {
+            let rep = star(&sim, r);
+            assert_ballot_mark_in_log(name, rep);
+            for x in [
+                rep.current_term().0,
+                rep.commit_index().0,
+                rep.applied_index().0,
+            ] {
+                mix(x);
+            }
+            for (s, bal, e) in rep.log().iter() {
+                // LogBallotInv (Appendix B.2).
+                assert_eq!(bal, rep.log().last_term(), "{name}: uniform ballot at {s}");
+                for x in [
+                    s.0,
+                    e.term.0,
+                    bal.0,
+                    u64::from(e.cmd.id.client),
+                    e.cmd.id.seq,
+                ] {
+                    mix(x);
+                }
+            }
+            for (k, v) in rep.kv().export_range(0, u64::MAX) {
+                mix(k);
+                v.iter().for_each(|b| mix(u64::from(*b)));
+            }
+            mix(rep.kv().applied_ops());
+        }
+        h
+    }
+    for (name, mode, pinned) in [
+        ("Raft*", ReadMode::LogRead, 0xc2e9_1a1f_ab74_b9c0u64),
+        ("Raft*-PQL", ReadMode::QuorumLease, 0x639c_ba46_6776_82ed),
+        ("Raft*-LL", ReadMode::LeaderLease, 0xb995_28e8_a1ce_4bb2),
+    ] {
+        let got = scenario(name, mode);
+        assert_eq!(got, pinned, "{name}: fingerprint {got:#x}");
+    }
+}
+
 /// Group-commit durability for the conformance scenarios: a 1 ms fsync
 /// device with batched flushes, slow enough that a crash injected right
 /// after an append reliably lands inside the fsync window.
@@ -1081,6 +1238,7 @@ fn crash_with_unsynced_suffix_recovers_to_fsynced_prefix() {
                 dur.synced_seq(),
                 "{name}: restart rewound the write sequence to the fsynced prefix"
             );
+            assert_ballot_mark_in_log(name, sim.actor::<ReplicaEngine<P>>(replicas[0]));
         }
         // Fail over and finish: new work commits, and the acked warm-up
         // write is still readable.
@@ -1142,6 +1300,7 @@ fn crash_with_unsynced_suffix_recovers_to_fsynced_prefix() {
         with_trace_dump(&mut sim, |sim| {
             for &r in &replicas {
                 let rep = sim.actor::<ReplicaEngine<P>>(r);
+                assert_ballot_mark_in_log(name, rep);
                 for k in [1u64, 2] {
                     assert_eq!(
                         rep.kv().read_local(k).value_id(),

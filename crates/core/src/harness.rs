@@ -882,7 +882,7 @@ mod tests {
         let r = cluster
             .submit_and_wait(Op::Put {
                 key: 1,
-                value: vec![7; 16],
+                value: vec![7; 16].into(),
             })
             .expect("put succeeds");
         assert_eq!(r, Reply::Done);

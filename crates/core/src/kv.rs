@@ -5,13 +5,24 @@
 //! deduplicate retried requests (exactly-once apply) and so the
 //! linearizability checker can match writes to reads: every written value
 //! embeds its command id in the first 8 bytes.
+//!
+//! Value bytes are immutable once the client built the command, so they
+//! are held as [`Value`] (`Arc<[u8]>`): allocated once in
+//! [`Command::put`], then shared by every message copy, log entry,
+//! store record, snapshot and reply in the process. Cloning a command
+//! bumps a reference count; the modeled sizes (`size_bytes`) still
+//! count every byte on every hop.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use crate::shard::migration::{self, KeyOwnership, RangeExport, RouterVersion, ShardState};
 
 /// A record key.
 pub type Key = u64;
+
+/// A written value's bytes: immutable and shared (module docs).
+pub type Value = Arc<[u8]>;
 
 /// Unique command identifier: issuing client and per-client sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -40,7 +51,7 @@ pub enum Op {
         /// Target record.
         key: Key,
         /// Value bytes; first 8 bytes hold [`CmdId::as_value_id`].
-        value: Vec<u8>,
+        value: Value,
     },
     /// Read `key`.
     Get {
@@ -139,7 +150,10 @@ impl Command {
         value[..8].copy_from_slice(&id.as_value_id().to_le_bytes());
         Command {
             id,
-            op: Op::Put { key, value },
+            op: Op::Put {
+                key,
+                value: value.into(),
+            },
         }
     }
 
@@ -174,7 +188,7 @@ pub enum Reply {
     /// A `Put` or `Noop` completed.
     Done,
     /// A `Get` returned the stored value (or `None` if unset).
-    Value(Option<Vec<u8>>),
+    Value(Option<Value>),
     /// The command's key is owned by another replica group (sharded
     /// clusters only): the client should retry against the named group.
     /// Never enters a session table — it is sent before replication for
@@ -220,7 +234,7 @@ impl Reply {
 /// The key-value store with client sessions for exactly-once apply.
 #[derive(Debug, Default)]
 pub struct KvStore {
-    table: HashMap<Key, Vec<u8>>,
+    table: HashMap<Key, Value>,
     /// Per-client `(last applied seq, last reply)` for dedup on retry.
     sessions: HashMap<u32, (u64, Reply)>,
     applied_ops: u64,
@@ -401,8 +415,8 @@ impl KvStore {
 
     /// The records in `[lo, hi)`, ordered by key (the source leader's
     /// export path).
-    pub fn export_range(&self, lo: Key, hi: Key) -> Vec<(Key, Vec<u8>)> {
-        let mut out: Vec<(Key, Vec<u8>)> = self
+    pub fn export_range(&self, lo: Key, hi: Key) -> Vec<(Key, Value)> {
+        let mut out: Vec<(Key, Value)> = self
             .table
             .iter()
             .filter(|(k, _)| (lo..hi).contains(*k))
@@ -477,7 +491,7 @@ impl KvStore {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct KvSnapshot {
     /// Stored records, ordered by key.
-    pub table: BTreeMap<Key, Vec<u8>>,
+    pub table: BTreeMap<Key, Value>,
     /// Per-client `(last applied seq, cached reply)` sessions.
     pub sessions: BTreeMap<u32, (u64, Reply)>,
     /// Apply counter carried across restore.
@@ -643,6 +657,40 @@ mod tests {
         );
     }
 
+    /// Value bytes are shared, never mutated in place: overwriting a key
+    /// swaps the store's pointer, so a snapshot, a restored copy and an
+    /// export taken earlier keep decoding the bytes they captured.
+    #[test]
+    fn shared_value_bytes_are_not_aliased_by_a_later_overwrite() {
+        let mut kv = KvStore::new();
+        let first = Command::put(id(1, 1), 5, vec![0xAA; 32]);
+        let Op::Put { value: sent, .. } = &first.op else {
+            unreachable!()
+        };
+        kv.apply(&first);
+        let snap = kv.snapshot();
+        let export = kv.export_range(0, 10);
+        let mut restored = KvStore::new();
+        restored.restore(&snap);
+        assert!(
+            Arc::ptr_eq(&snap.table[&5], sent) && Arc::ptr_eq(&export[0].1, sent),
+            "one allocation from the client's command to every copy"
+        );
+
+        kv.apply(&Command::put(id(1, 2), 5, vec![0xBB; 32]));
+        assert_eq!(kv.read_local(5).value_id(), Some(id(1, 2).as_value_id()));
+        let old = Reply::Value(Some(sent.clone()));
+        assert_eq!(old.value_id(), Some(id(1, 1).as_value_id()));
+        assert_eq!(
+            snap.table[&5][8..],
+            [0xAA; 24],
+            "snapshot keeps the old bytes"
+        );
+        assert_eq!(export, vec![(5, sent.clone())], "so does the export");
+        assert_eq!(restored.read_local(5), old, "and the restored store");
+        assert_eq!(restored.export_range(0, 10), export);
+    }
+
     #[test]
     fn snapshot_size_scales_with_payload() {
         let mut kv = KvStore::new();
@@ -705,15 +753,15 @@ mod tests {
                 from_group: 0,
                 to_group: 1,
                 coord,
-                records: vec![(lo, vec![version as u8; 8])],
+                records: vec![(lo, vec![version as u8; 8].into())],
                 sessions: vec![],
             }),
         };
         assert_eq!(kv.apply(&export(2, 20, 30)), Reply::Done);
         assert_eq!(kv.apply(&export(1, 10, 20)), Reply::Done);
         assert_eq!(kv.shard_state().absorbed.len(), 2, "both installs");
-        assert_eq!(kv.read_local(10), Reply::Value(Some(vec![1; 8])));
-        assert_eq!(kv.read_local(20), Reply::Value(Some(vec![2; 8])));
+        assert_eq!(kv.read_local(10), Reply::Value(Some(vec![1; 8].into())));
+        assert_eq!(kv.read_local(20), Reply::Value(Some(vec![2; 8].into())));
         let ops = kv.applied_ops();
         assert_eq!(kv.apply(&export(1, 10, 20)), Reply::Done);
         assert_eq!(kv.applied_ops(), ops, "duplicate install is a no-op");

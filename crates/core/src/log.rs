@@ -6,6 +6,31 @@
 //! entry, Raft* will change all entries' ballot to be the new entry's
 //! term").
 //!
+//! # The ballot mark
+//!
+//! Figure 2's sentence specifies *state*, not a loop: after an append at
+//! term `t` covering slots `..= upto`, `log[i].bal = t` for every
+//! `i ≤ upto`. The log holds exactly that state as a mark
+//! `(bal_upto, bal_term)`: the **effective** ballot of a retained slot
+//! `s` is `bal_term` when `s ≤ bal_upto` and the entry's stored `bal`
+//! otherwise. [`Log::set_bal_upto`] is therefore two stores, whatever
+//! the length of the log, and the mark *is* Figure 2's "all ballots
+//! become the new term" — the refinement mapping `entry.bal ↔
+//! instance.bal` reads the effective ballot and is unchanged (the
+//! `crates/spec` Raft* spec and its refinement proof are untouched).
+//!
+//! Every way out of the log yields effective ballots: [`Log::bal_at`],
+//! [`Log::iter`] and the entries cloned by [`Log::suffix_from`] (what
+//! Raft* vote replies and appends carry). [`Log::get`] hands out the
+//! stored entry for its `term` and `cmd`; its `bal` field is the
+//! effective ballot only past the mark, so ballot readers go through
+//! the three accessors above. Whatever removes or replaces entries
+//! ([`Log::truncate_from`], [`Log::replace_suffix`], [`Log::reset_to`])
+//! pulls the mark back with them, so it never exceeds
+//! [`Log::last_index`] and never covers an entry written after it.
+//! [`Log::compact_to`] leaves it alone: whatever part of the mark falls
+//! at or below the new boundary covers nothing retained.
+//!
 //! Standard Raft uses [`Log::truncate_from`] to erase conflicting
 //! suffixes; Raft* never truncates — it uses [`Log::replace_suffix`],
 //! which only ever overwrites or extends (the "no erasing" restriction
@@ -32,7 +57,10 @@ use crate::types::{Slot, Term};
 pub struct Entry {
     /// Raft entry term (Figure 2's `log[i].term`).
     pub term: Term,
-    /// Paxos-style accepted ballot (Figure 2's `log[i].bal`, added by Raft*).
+    /// Paxos-style accepted ballot (Figure 2's `log[i].bal`, added by
+    /// Raft*). Inside a [`Log`] this is the *stored* ballot, superseded
+    /// by the log's ballot mark for covered slots — read
+    /// [`Log::bal_at`], not this field, for an entry still in a log.
     pub bal: Term,
     /// The replicated command.
     pub cmd: Command,
@@ -56,6 +84,11 @@ pub struct Log {
     /// Term of the entry at `start` (the paper's `log[-1].term` once the
     /// prefix is gone); [`Term::ZERO`] when never compacted.
     start_term: Term,
+    /// The ballot mark (module docs): every retained slot at or below
+    /// `bal_upto` has effective ballot `bal_term`. Never exceeds
+    /// `last_index()`.
+    bal_upto: Slot,
+    bal_term: Term,
     /// Retained payload bytes (sum of entry sizes).
     bytes: usize,
     /// High-water mark of retained entries (for compaction metrics).
@@ -93,7 +126,8 @@ impl Log {
         (self.start, self.start_term)
     }
 
-    /// The entry at `slot`, if retained.
+    /// The entry at `slot`, if retained — for its `term` and `cmd`; the
+    /// ballot is [`Log::bal_at`]'s to answer.
     pub fn get(&self, slot: Slot) -> Option<&Entry> {
         if slot <= self.start {
             return None;
@@ -112,6 +146,21 @@ impl Log {
             Some(self.start_term)
         } else {
             self.get(slot).map(|e| e.term)
+        }
+    }
+
+    /// Effective ballot at `slot` (Figure 2's `log[slot].bal`), if
+    /// retained: the mark's term for covered slots, the stored ballot
+    /// past it.
+    pub fn bal_at(&self, slot: Slot) -> Option<Term> {
+        self.get(slot).map(|e| self.effective_bal(slot, e))
+    }
+
+    fn effective_bal(&self, slot: Slot, e: &Entry) -> Term {
+        if slot <= self.bal_upto {
+            self.bal_term
+        } else {
+            e.bal
         }
     }
 
@@ -152,6 +201,7 @@ impl Log {
             self.bytes -= e.size_bytes();
         }
         self.entries.truncate(keep);
+        self.bal_upto = self.bal_upto.min(slot.prev());
     }
 
     /// **Raft\*.** Replaces the entries after `prev` with `entries`.
@@ -182,6 +232,8 @@ impl Log {
             self.bytes -= e.size_bytes();
         }
         self.entries.truncate(keep);
+        // The replacement carries its own ballots.
+        self.bal_upto = self.bal_upto.min(prev);
         for e in &entries {
             self.bytes += e.size_bytes();
         }
@@ -189,33 +241,54 @@ impl Log {
         self.note_peak();
     }
 
-    /// **Raft\*.** Sets `bal = term` on every entry up to and including
-    /// `upto` (Figure 2's "change all entries' ballot to be the new
-    /// entry's term"). Compacted entries are untouched (they are applied;
-    /// their ballots no longer matter).
+    /// **Raft\*.** Sets the ballot of every entry up to and including
+    /// `upto` to `term` (Figure 2's "change all entries' ballot to be the
+    /// new entry's term") by moving the ballot mark: O(1) for the calls
+    /// the protocol makes, whose `upto` never falls. A call that pulls
+    /// the mark *back* first writes the old mark's term into the slots
+    /// the new mark no longer covers. Compacted entries are untouched
+    /// (they are applied; their ballots no longer matter).
     pub fn set_bal_upto(&mut self, upto: Slot, term: Term) {
-        let n = (upto.0.saturating_sub(self.start.0) as usize).min(self.entries.len());
-        for e in &mut self.entries[..n] {
-            e.bal = term;
+        let upto = upto.min(self.last_index());
+        if upto < self.bal_upto {
+            let gap = self.retained_after(upto)..self.retained_after(self.bal_upto);
+            for e in &mut self.entries[gap] {
+                e.bal = self.bal_term;
+            }
         }
+        self.bal_upto = upto;
+        self.bal_term = term;
+    }
+
+    /// The ballot mark `(bal_upto, bal_term)`, for the invariant tests.
+    #[cfg(test)]
+    pub(crate) fn bal_mark(&self) -> (Slot, Term) {
+        (self.bal_upto, self.bal_term)
     }
 
     /// Clones the retained entries strictly after `prev` (for
-    /// AppendEntries payloads and Raft* vote-reply extras). A `prev`
-    /// inside the compacted prefix yields everything retained — callers
-    /// wanting the discarded part must ship a snapshot instead.
+    /// AppendEntries payloads and Raft* vote-reply extras), each with
+    /// its effective ballot in `bal`. A `prev` inside the compacted
+    /// prefix yields everything retained — callers wanting the
+    /// discarded part must ship a snapshot instead.
     pub fn suffix_from(&self, prev: Slot) -> Vec<Entry> {
-        let from = (prev.0.saturating_sub(self.start.0) as usize).min(self.entries.len());
-        self.entries[from..].to_vec()
+        let from = self.retained_after(prev);
+        let mut out = self.entries[from..].to_vec();
+        let covered = self.retained_after(self.bal_upto).saturating_sub(from);
+        for e in &mut out[..covered] {
+            e.bal = self.bal_term;
+        }
+        out
     }
 
-    /// Iterates retained entries with their (global) slots.
-    pub fn iter(&self) -> impl Iterator<Item = (Slot, &Entry)> {
+    /// Iterates retained entries as `(global slot, effective ballot,
+    /// entry)`.
+    pub fn iter(&self) -> impl Iterator<Item = (Slot, Term, &Entry)> {
         let start = self.start.0;
-        self.entries
-            .iter()
-            .enumerate()
-            .map(move |(i, e)| (Slot(start + i as u64 + 1), e))
+        self.entries.iter().enumerate().map(move |(i, e)| {
+            let slot = Slot(start + i as u64 + 1);
+            (slot, self.effective_bal(slot, e), e)
+        })
     }
 
     /// Number of retained entries.
@@ -274,6 +347,13 @@ impl Log {
         self.bytes = 0;
         self.start = slot;
         self.start_term = term;
+        self.bal_upto = self.bal_upto.min(slot);
+    }
+
+    /// Index into `entries` of the first retained entry after `slot`
+    /// (0 inside the compacted prefix, `len` at or past the end).
+    fn retained_after(&self, slot: Slot) -> usize {
+        (slot.0.saturating_sub(self.start.0) as usize).min(self.entries.len())
     }
 
     fn note_peak(&mut self) {
@@ -375,13 +455,10 @@ mod tests {
         log.append(entry(2, 2));
         log.append(entry(2, 3));
         log.set_bal_upto(Slot(2), Term(7));
-        assert_eq!(log.get(Slot(1)).unwrap().bal, Term(7));
-        assert_eq!(log.get(Slot(2)).unwrap().bal, Term(7));
-        assert_eq!(
-            log.get(Slot(3)).unwrap().bal,
-            Term(2),
-            "beyond upto untouched"
-        );
+        assert_eq!(log.bal_at(Slot(1)), Some(Term(7)));
+        assert_eq!(log.bal_at(Slot(2)), Some(Term(7)));
+        assert_eq!(log.bal_at(Slot(3)), Some(Term(2)), "beyond upto untouched");
+        assert_eq!(log.bal_at(Slot(4)), None);
         // Terms are never rewritten by bal updates.
         assert_eq!(log.get(Slot(1)).unwrap().term, Term(1));
     }
@@ -404,8 +481,101 @@ mod tests {
         let mut log = Log::new();
         log.append(entry(1, 5));
         log.append(entry(1, 6));
-        let slots: Vec<Slot> = log.iter().map(|(s, _)| s).collect();
+        let slots: Vec<Slot> = log.iter().map(|(s, _, _)| s).collect();
         assert_eq!(slots, vec![Slot(1), Slot(2)]);
+    }
+
+    /// The ballot mark against Figure 2 executed literally: an eager
+    /// reference log (a plain `Vec` plus a compaction offset) that
+    /// rewrites every covered `bal` in a loop, driven through random
+    /// interleavings of every mutator. After each step the effective
+    /// ballots out of `bal_at`, `iter` and `suffix_from` must equal the
+    /// reference's stored ones, and the mark must not pass the end.
+    #[test]
+    fn ballot_mark_matches_eager_rewrite() {
+        use paxraft_sim::rng::SimRng;
+
+        let mut rng = SimRng::new(0xBA1);
+        for case in 0..200 {
+            let mut log = Log::new();
+            // Reference: entries after `start`, ballots rewritten eagerly.
+            let mut start = 0u64;
+            let mut eager: Vec<Entry> = Vec::new();
+            let mut term = 1u64;
+            for step in 0..60 {
+                let last = start + eager.len() as u64;
+                match rng.gen_range(8) {
+                    0 | 1 => {
+                        let e = entry(term, step);
+                        eager.push(e.clone());
+                        log.append(e);
+                    }
+                    2 => {
+                        // Overwrite or extend, never shorten.
+                        let prev = start + rng.gen_range(eager.len() as u64 + 1);
+                        let min = (last - prev) as usize;
+                        term += 1;
+                        let ents: Vec<Entry> = (0..min + rng.gen_range(3) as usize)
+                            .map(|i| entry(term, 100 + i as u64))
+                            .collect();
+                        eager.truncate((prev - start) as usize);
+                        eager.extend(ents.iter().cloned());
+                        log.replace_suffix(Slot(prev), ents);
+                    }
+                    3 if !eager.is_empty() => {
+                        let slot = start + 1 + rng.gen_range(eager.len() as u64);
+                        eager.truncate((slot - start - 1) as usize);
+                        log.truncate_from(Slot(slot));
+                    }
+                    4 | 5 => {
+                        // Monotone (the protocol's call) or anywhere,
+                        // including the compacted prefix and past the end.
+                        let upto = if rng.gen_bool(0.5) {
+                            last
+                        } else {
+                            rng.gen_range(last + 3)
+                        };
+                        term += rng.gen_range(2);
+                        let n = (upto.saturating_sub(start) as usize).min(eager.len());
+                        for e in &mut eager[..n] {
+                            e.bal = Term(term);
+                        }
+                        log.set_bal_upto(Slot(upto), Term(term));
+                    }
+                    6 => {
+                        let upto = rng.gen_range(last + 2).min(last);
+                        if upto > start {
+                            eager.drain(..(upto - start) as usize);
+                            start = upto;
+                        }
+                        log.compact_to(Slot(upto));
+                    }
+                    7 if rng.gen_bool(0.2) => {
+                        start = rng.gen_range(last + 5);
+                        eager.clear();
+                        log.reset_to(Slot(start), Term(term));
+                    }
+                    _ => {}
+                }
+                let ctx = format!("case {case} step {step}");
+                assert_eq!(log.last_index().0, start + eager.len() as u64, "{ctx}");
+                assert!(log.bal_mark().0 <= log.last_index(), "{ctx}");
+                for (i, e) in eager.iter().enumerate() {
+                    let s = Slot(start + 1 + i as u64);
+                    assert_eq!(log.bal_at(s), Some(e.bal), "{ctx} slot {s}");
+                }
+                assert_eq!(log.bal_at(Slot(start)), None, "{ctx}");
+                assert_eq!(log.bal_at(log.last_index().next()), None, "{ctx}");
+                let via_iter: Vec<Entry> = log
+                    .iter()
+                    .map(|(_, bal, e)| Entry { bal, ..e.clone() })
+                    .collect();
+                assert_eq!(via_iter, eager, "{ctx}");
+                let prev = rng.gen_range(log.last_index().0 + 2);
+                let from = (prev.saturating_sub(start) as usize).min(eager.len());
+                assert_eq!(log.suffix_from(Slot(prev)), eager[from..], "{ctx}");
+            }
+        }
     }
 
     // ── compaction ──────────────────────────────────────────────────

@@ -503,7 +503,7 @@ mod tests {
         });
         let val = Msg::Client(ClientMsg::Response {
             id: CmdId { client: 1, seq: 1 },
-            reply: Reply::Value(Some(vec![0; 4096])),
+            reply: Reply::Value(Some(vec![0; 4096].into())),
         });
         assert!(val.size_bytes() > done.size_bytes() + 4000);
     }

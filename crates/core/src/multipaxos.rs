@@ -663,11 +663,19 @@ impl PaxosRules {
                     // there: their value agrees with the chosen one by
                     // the phase-1 safety argument. Stale-ballot values
                     // may differ from what was chosen, so they must
-                    // wait for a Learn or checkpoint instead.
-                    for (&s, inst) in self.instances.range_mut(..=exec.0) {
-                        if !inst.committed && inst.cmd.is_some() && inst.bal == self.ballot {
-                            inst.committed = true;
-                            chosen.push(Slot(s));
+                    // wait for a Learn or checkpoint instead. Only
+                    // `(exec_index, exec]` can hold such an instance:
+                    // `try_execute` and checkpoint install leave nothing
+                    // uncommitted at or below our own `exec_index`. An
+                    // ack whose `exec` trails it (the common case) has
+                    // nothing to teach — and an inverted range panics.
+                    if exec > self.exec_index {
+                        let ahead = self.exec_index.next().0..=exec.0;
+                        for (&s, inst) in self.instances.range_mut(ahead) {
+                            if !inst.committed && inst.cmd.is_some() && inst.bal == self.ballot {
+                                inst.committed = true;
+                                chosen.push(Slot(s));
+                            }
                         }
                     }
                     if !chosen.is_empty() {
@@ -1004,6 +1012,95 @@ mod tests {
             cfg.initial_leader = Some(NodeId(0));
             Box::new(MultiPaxosReplica::new(cfg))
         })
+    }
+
+    /// A scripted acceptor: promises every `Prepare` and, when `accepts`,
+    /// acknowledges every `Accept` reporting `exec` as its executed
+    /// prefix.
+    struct PuppetAcceptor {
+        accepts: bool,
+        exec: Slot,
+    }
+
+    impl paxraft_sim::sim::Actor<Msg> for PuppetAcceptor {
+        fn on_message(&mut self, ctx: &mut Ctx<Msg>, from: ActorId, msg: Msg) {
+            let reply = match msg {
+                Msg::Paxos(PaxosMsg::Prepare { ballot, .. }) => PaxosMsg::PrepareOk {
+                    ballot,
+                    entries: Vec::new(),
+                    log_tail: Slot::NONE,
+                    floor: Slot::NONE,
+                },
+                Msg::Paxos(PaxosMsg::Accept { ballot, items, .. })
+                    if self.accepts && !items.is_empty() =>
+                {
+                    PaxosMsg::AcceptOk {
+                        ballot,
+                        slots: items.iter().map(|(s, _)| *s).collect(),
+                        exec: self.exec,
+                    }
+                }
+                _ => return,
+            };
+            ctx.send(from, Msg::Paxos(reply));
+        }
+
+        paxraft_sim::impl_actor_any!();
+    }
+
+    /// One real proposer (node 0) among `n - 1` puppets, the first
+    /// `accepting` of which acknowledge Accepts, reporting `exec`.
+    fn proposer_among_puppets(
+        n: usize,
+        accepting: u32,
+        exec: Slot,
+    ) -> (Simulation<Msg>, ActorId, ActorId) {
+        let (sim, replicas, client) = cluster_with(n, |mut cfg| {
+            cfg.initial_leader = Some(NodeId(0));
+            if cfg.id == NodeId(0) {
+                Box::new(MultiPaxosReplica::new(cfg))
+            } else {
+                let accepts = cfg.id.0 <= accepting;
+                Box::new(PuppetAcceptor { accepts, exec })
+            }
+        });
+        (sim, replicas[0], client)
+    }
+
+    /// The bounded learn scan covers `(exec_index, exec]`. The common
+    /// ack has `exec` *behind* the proposer's own `exec_index` — here
+    /// the second `AcceptOk` of every instance, arriving after the first
+    /// one completed the quorum and the instance executed — and must be
+    /// a no-op rather than an inverted `range_mut`.
+    #[test]
+    fn accept_ok_trailing_the_proposers_exec_index_is_a_noop() {
+        let (mut sim, proposer, client) = proposer_among_puppets(3, 2, Slot::NONE);
+        for k in 0..5 {
+            sim.actor_mut::<TestClient>(client).enqueue_put(k);
+        }
+        assert!(drive_until(&mut sim, SimTime::from_secs(10), |sim| {
+            sim.actor::<TestClient>(client).replies.len() == 5
+        }));
+        // Let the slower puppet's acks (exec 0 < exec_index) land too.
+        sim.run_for(SimDuration::from_secs(1));
+        let rep = sim.actor::<MultiPaxosReplica>(proposer);
+        assert!(rep.exec_index() >= Slot(5), "executed {}", rep.exec_index());
+    }
+
+    /// The scan still does its job when the ack is *ahead*: with five
+    /// replicas and one acknowledging acceptor no quorum ever forms
+    /// (self + 1 < 3), but that acceptor reporting the instance inside
+    /// its executed prefix proves it chosen, so the proposer commits.
+    #[test]
+    fn accept_ok_ahead_of_the_proposer_commits_without_a_quorum() {
+        let (mut sim, proposer, client) = proposer_among_puppets(5, 1, Slot(1_000));
+        sim.actor_mut::<TestClient>(client).enqueue_put(1);
+        assert!(drive_until(&mut sim, SimTime::from_secs(10), |sim| {
+            sim.actor::<TestClient>(client).replies.len() == 1
+        }));
+        let inst = &sim.actor::<MultiPaxosReplica>(proposer).rules.instances[&1];
+        assert!(inst.committed);
+        assert_eq!(inst.acks.count_ones(), 2, "no quorum of acks");
     }
 
     #[test]

@@ -474,14 +474,14 @@ mod tests {
             .actor::<RaftReplica>(replicas[0])
             .log()
             .iter()
-            .map(|(s, e)| (s, e.term, e.cmd.id))
+            .map(|(s, _, e)| (s, e.term, e.cmd.id))
             .collect();
         for &r in &replicas[1..] {
             let lr: Vec<_> = sim
                 .actor::<RaftReplica>(r)
                 .log()
                 .iter()
-                .map(|(s, e)| (s, e.term, e.cmd.id))
+                .map(|(s, _, e)| (s, e.term, e.cmd.id))
                 .collect();
             assert_eq!(lr, log0, "log matching across replicas");
         }
@@ -519,13 +519,13 @@ mod tests {
             .actor::<RaftReplica>(replicas[0])
             .log()
             .iter()
-            .map(|(s, e)| (s, e.term, e.cmd.id))
+            .map(|(s, _, e)| (s, e.term, e.cmd.id))
             .collect();
         let log1: Vec<_> = sim
             .actor::<RaftReplica>(replicas[1])
             .log()
             .iter()
-            .map(|(s, e)| (s, e.term, e.cmd.id))
+            .map(|(s, _, e)| (s, e.term, e.cmd.id))
             .collect();
         assert_eq!(log0, log1, "rejoined leader truncated and converged");
         let _ = old_leader_log_len;

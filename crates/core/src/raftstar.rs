@@ -13,11 +13,17 @@
 //!    logs are only ever overwritten or extended — the state transition
 //!    maps onto Paxos `Accept`, never onto an impossible "un-accept".
 //! 2. **Ballot rewriting.** Every entry carries a `bal` field; each
-//!    accepted append rewrites `bal = term` for the whole covered prefix,
+//!    accepted append makes `bal = term` for the whole covered prefix,
 //!    so an `appendOK` at term `t` is a Paxos `acceptOK` at ballot `t`
 //!    for every covered instance. This removes Raft's Section-5.4.2
 //!    commit restriction: Raft*'s `LeaderLearn` commits the f-th largest
-//!    follower match with **no entry-term check**.
+//!    follower match with **no entry-term check**. The rewrite is the
+//!    [`Log`]'s ballot mark — [`Log::set_bal_upto`] records "every slot
+//!    `≤ upto` has ballot `t`" in two words instead of looping over the
+//!    log, which is the same state Figure 2 specifies and the same
+//!    refinement mapping (`log.rs` module docs). The ballots this file
+//!    *reads* — the safe-value pick over vote-reply extras — arrive
+//!    through [`Log::suffix_from`], which hands out effective ballots.
 //!
 //! The `[PQL]`-marked blocks are the mechanical port of Paxos Quorum
 //! Lease under the refinement mapping (Figure 8): `Phase2b`'s holder
@@ -178,6 +184,8 @@ impl RaftStarRules {
             for (start, ents) in self.vote_extras.values() {
                 if idx.0 >= start.0 {
                     if let Some(e) = ents.get((idx.0 - start.0) as usize) {
+                        // Extras left the voter through `suffix_from`:
+                        // `bal` is the voter's effective ballot.
                         if best.map(|b| e.bal > b.bal).unwrap_or(true) {
                             best = Some(e);
                         }
@@ -853,22 +861,22 @@ mod tests {
             let last_term = rep.log().last_term();
             // LogBallotInv (Appendix B.2): every entry's ballot equals the
             // term of the last accepted append.
-            for (s, e) in rep.log().iter() {
-                assert_eq!(e.bal, last_term, "uniform ballot at {s}");
+            for (s, bal, _) in rep.log().iter() {
+                assert_eq!(bal, last_term, "uniform ballot at {s}");
             }
         }
         let log0: Vec<_> = sim
             .actor::<RaftStarReplica>(replicas[0])
             .log()
             .iter()
-            .map(|(s, e)| (s, e.cmd.id))
+            .map(|(s, _, e)| (s, e.cmd.id))
             .collect();
         for &r in &replicas[1..] {
             let lr: Vec<_> = sim
                 .actor::<RaftStarReplica>(r)
                 .log()
                 .iter()
-                .map(|(s, e)| (s, e.cmd.id))
+                .map(|(s, _, e)| (s, e.cmd.id))
                 .collect();
             assert_eq!(lr, log0);
         }

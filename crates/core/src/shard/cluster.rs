@@ -942,7 +942,7 @@ mod tests {
                 cluster
                     .submit_and_wait(Op::Put {
                         key,
-                        value: vec![0; 8],
+                        value: vec![0; 8].into(),
                     })
                     .unwrap_or_else(|e| panic!("{}: pre-crash put({key}): {e}", p.name()));
             }
@@ -975,7 +975,7 @@ mod tests {
             cluster
                 .submit_and_wait(Op::Put {
                     key: g0_lo,
-                    value: vec![1; 8],
+                    value: vec![1; 8].into(),
                 })
                 .unwrap_or_else(|e| panic!("{}: group 0 post-crash put: {e}", p.name()));
         }
@@ -1074,7 +1074,7 @@ mod tests {
         cluster
             .submit_and_wait(Op::Put {
                 key: g0_lo,
-                value: vec![0; 8],
+                value: vec![0; 8].into(),
             })
             .expect("warm-up put");
         // Cut off group 0's replica on node 2 only; node 2's group-1
@@ -1092,7 +1092,7 @@ mod tests {
                 cluster
                     .submit_and_wait(Op::Put {
                         key,
-                        value: vec![0; 8],
+                        value: vec![0; 8].into(),
                     })
                     .expect("puts commit under the single-actor partition");
             }

@@ -31,7 +31,7 @@ use std::collections::BTreeMap;
 
 use paxraft_sim::time::SimDuration;
 
-use crate::kv::{CmdId, Key, Reply};
+use crate::kv::{CmdId, Key, Reply, Value};
 use crate::snapshot::Reader;
 
 /// A partition-map version. Every migration bumps it by one; `0` is the
@@ -229,7 +229,7 @@ pub struct RangeExport {
     /// there).
     pub coord: u32,
     /// The records of the range, ordered by key.
-    pub records: Vec<(Key, Vec<u8>)>,
+    pub records: Vec<(Key, Value)>,
     /// Source client sessions `(client, last seq, cached reply)`,
     /// ordered by client; merged max-seq-wins at the destination.
     pub sessions: Vec<(u32, u64, Reply)>,
@@ -302,7 +302,7 @@ impl RangeExport {
         for _ in 0..nrec {
             let k = r.u64()?;
             let len = r.u32()? as usize;
-            records.push((k, r.take(len)?.to_vec()));
+            records.push((k, r.take(len)?.into()));
         }
         let nsess = r.u64()?;
         let mut sessions = Vec::new();
@@ -314,7 +314,7 @@ impl RangeExport {
                 1 => Reply::Value(None),
                 2 => {
                     let len = r.u32()? as usize;
-                    Reply::Value(Some(r.take(len)?.to_vec()))
+                    Reply::Value(Some(r.take(len)?.into()))
                 }
                 _ => return None,
             };
@@ -416,10 +416,10 @@ mod tests {
             from_group: 0,
             to_group: 1,
             coord: 9,
-            records: vec![(100, vec![1; 16]), (150, vec![2; 32])],
+            records: vec![(100, vec![1; 16].into()), (150, vec![2; 32].into())],
             sessions: vec![
                 (1, 5, Reply::Done),
-                (2, 7, Reply::Value(Some(vec![3; 8]))),
+                (2, 7, Reply::Value(Some(vec![3; 8].into()))),
                 (3, 1, Reply::Value(None)),
             ],
         }

@@ -468,7 +468,7 @@ mod tests {
             let r = cluster
                 .submit_and_wait(Op::Put {
                     key,
-                    value: vec![7; 16],
+                    value: vec![7; 16].into(),
                 })
                 .expect("pre-migration put");
             assert_eq!(r, Reply::Done);
@@ -506,7 +506,7 @@ mod tests {
         let r = cluster
             .submit_and_wait(Op::Put {
                 key: moving,
-                value: vec![9; 16],
+                value: vec![9; 16].into(),
             })
             .expect("post-migration put to the moved range");
         assert_eq!(r, Reply::Done, "{name}: moved range accepts writes");
@@ -877,7 +877,7 @@ mod tests {
                 let r = cluster
                     .submit_and_wait(Op::Put {
                         key,
-                        value: vec![7; 16],
+                        value: vec![7; 16].into(),
                     })
                     .expect("pre-migration put");
                 assert_eq!(r, Reply::Done, "{name}");
@@ -973,7 +973,7 @@ mod tests {
             let r = cluster
                 .submit_and_wait(Op::Put {
                     key,
-                    value: vec![3; 16],
+                    value: vec![3; 16].into(),
                 })
                 .expect("pre-migration put");
             assert_eq!(r, Reply::Done);

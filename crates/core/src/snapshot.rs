@@ -169,7 +169,7 @@ impl Snapshot {
         for _ in 0..records {
             let k = r.u64()?;
             let len = r.u32()? as usize;
-            kv.table.insert(k, r.take(len)?.to_vec());
+            kv.table.insert(k, r.take(len)?.into());
         }
         let sessions = r.u64()?;
         for _ in 0..sessions {
@@ -180,7 +180,7 @@ impl Snapshot {
                 1 => Reply::Value(None),
                 2 => {
                     let len = r.u32()? as usize;
-                    Reply::Value(Some(r.take(len)?.to_vec()))
+                    Reply::Value(Some(r.take(len)?.into()))
                 }
                 _ => return None,
             };

@@ -346,7 +346,8 @@ mod tests {
 
     #[test]
     fn ported_coorraft_refines_both_parents() {
-        // R3 in DESIGN.md.
+        // Paper Appendix A.4: the generated Raft*-Mencius refines both
+        // parents.
         let c = cfg();
         let mp = multipaxos::spec(&c);
         let rs = raftstar::spec(&c);

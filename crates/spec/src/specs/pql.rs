@@ -373,7 +373,8 @@ mod tests {
 
     #[test]
     fn ported_rql_refines_pql_and_raftstar() {
-        // R2 in DESIGN.md: the generated Raft*-PQL refines both parents.
+        // Paper Section 4, Figure 8 (`examples/port_optimization.rs` runs
+        // the same port): the generated Raft*-PQL refines both parents.
         let c = cfg();
         let mp = multipaxos::spec(&c);
         let rs = raftstar::spec(&c);

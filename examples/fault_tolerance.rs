@@ -15,7 +15,7 @@ fn main() {
     cluster
         .submit_and_wait(Op::Put {
             key: 7,
-            value: b"before-crash".to_vec(),
+            value: b"before-crash".to_vec().into(),
         })
         .expect("first put");
     println!("committed a write under the initial leader (node 0, Oregon)");

@@ -16,7 +16,7 @@ fn main() {
         cluster
             .submit_and_wait(Op::Put {
                 key,
-                value: format!("value-{key}").into_bytes(),
+                value: format!("value-{key}").into_bytes().into(),
             })
             .expect("put commits");
         println!("put key={key} committed in {}", cluster.sim.now() - t0);

@@ -38,7 +38,7 @@ fn main() {
         cluster
             .submit_and_wait(Op::Put {
                 key,
-                value: format!("group-{g}").into_bytes(),
+                value: format!("group-{g}").into_bytes().into(),
             })
             .expect("put commits");
         println!(

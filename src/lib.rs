@@ -28,7 +28,7 @@
 //!
 //! let mut cluster = Cluster::builder(ProtocolKind::RaftStar).seed(7).build();
 //! cluster.elect_leader();
-//! let v = cluster.submit_and_wait(Op::Put { key: 1, value: b"hello".to_vec() });
+//! let v = cluster.submit_and_wait(Op::Put { key: 1, value: b"hello".to_vec().into() });
 //! assert!(v.is_ok());
 //! ```
 pub use paxraft_core as core;

@@ -89,7 +89,7 @@ fn raftstar_leader_crash_preserves_committed_writes() {
         cluster
             .submit_and_wait(Op::Put {
                 key: k,
-                value: vec![k as u8; 16],
+                value: vec![k as u8; 16].into(),
             })
             .expect("put commits");
     }
@@ -121,7 +121,7 @@ fn minority_partition_does_not_block_majority() {
     cluster
         .submit_and_wait(Op::Put {
             key: 1,
-            value: vec![7; 8],
+            value: vec![7; 8].into(),
         })
         .expect("pre-partition put");
     // Partition replicas 3 and 4 away from {0, 1, 2} + clients + probe.
@@ -136,7 +136,7 @@ fn minority_partition_does_not_block_majority() {
     cluster
         .submit_and_wait(Op::Put {
             key: 2,
-            value: vec![8; 8],
+            value: vec![8; 8].into(),
         })
         .expect("majority commits during minority partition");
     // Heal; the minority catches up and the data is still there.
@@ -392,7 +392,7 @@ fn majority_partition_blocks_commits_until_heal() {
     cluster.sim.run_for(SimDuration::from_millis(10));
     let err = cluster.submit_and_wait(Op::Put {
         key: 9,
-        value: vec![1; 8],
+        value: vec![1; 8].into(),
     });
     assert!(err.is_err(), "no quorum on the leader's side: {err:?}");
     // After healing, the same write goes through (possibly via a new
@@ -404,7 +404,7 @@ fn majority_partition_blocks_commits_until_heal() {
     cluster
         .submit_and_wait(Op::Put {
             key: 9,
-            value: vec![1; 8],
+            value: vec![1; 8].into(),
         })
         .expect("commit succeeds after heal");
 }

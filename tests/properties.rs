@@ -72,13 +72,14 @@ fn bal_rewrite_covers_exactly_prefix() {
         for i in 0..len {
             log.append(entry(1 + (i as u64 % 2), i as u64));
         }
-        let terms: Vec<_> = log.iter().map(|(_, e)| e.term).collect();
+        let terms: Vec<_> = log.iter().map(|(_, _, e)| e.term).collect();
         log.set_bal_upto(Slot(upto), Term(t));
-        for (s, e) in log.iter() {
+        for (s, bal, e) in log.iter() {
+            assert_eq!(log.bal_at(s), Some(bal), "case {case}");
             if s.0 <= upto {
-                assert_eq!(e.bal, Term(t), "case {case}");
+                assert_eq!(bal, Term(t), "case {case}");
             } else {
-                assert!(e.bal != Term(t) || t <= 2, "case {case}");
+                assert!(bal != Term(t) || t <= 2, "case {case}");
             }
             assert_eq!(
                 e.term,

@@ -23,7 +23,7 @@ fn every_protocol_commits_and_reads_back() {
         cluster
             .submit_and_wait(Op::Put {
                 key: 5,
-                value: vec![1; 16],
+                value: vec![1; 16].into(),
             })
             .unwrap_or_else(|e| panic!("{}: put failed: {e}", p.name()));
         let r = cluster
