@@ -84,7 +84,7 @@ pub enum FsyncPolicy {
 /// The default (`policy: None`) is the pre-durability model — appends
 /// are instantly durable, nothing touches the disk model, and the event
 /// schedule is bit-for-bit identical to builds that predate it (pinned
-/// by `PARITY_pr5.txt`).
+/// by `PARITY_pr13.txt`).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DurabilityConfig {
     /// Fsync scheduling policy; `None` disables the durability model.

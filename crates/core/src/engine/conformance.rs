@@ -25,7 +25,7 @@ use crate::raft::RaftReplica;
 use crate::raftstar::RaftStarReplica;
 use crate::snapshot::SnapshotConfig;
 use crate::telemetry::TelemetryConfig;
-use crate::testutil::{cluster_with, drive_until, with_trace_dump, TestClient};
+use crate::testutil::{cluster_with, cluster_with_seed, drive_until, with_trace_dump, TestClient};
 use crate::types::NodeId;
 
 /// Builds an `n`-replica cluster of one protocol plus a scripted client
@@ -36,13 +36,60 @@ fn conformance_cluster<P: ProtocolRules>(
     snapshot: Option<SnapshotConfig>,
     make: impl Fn(ReplicaConfig) -> ReplicaEngine<P>,
 ) -> (Simulation<Msg>, Vec<ActorId>, ActorId) {
-    cluster_with(n, |mut cfg| {
+    seeded_conformance_cluster(n, 7, snapshot, make)
+}
+
+fn seeded_conformance_cluster<P: ProtocolRules>(
+    n: usize,
+    seed: u64,
+    snapshot: Option<SnapshotConfig>,
+    make: impl Fn(ReplicaConfig) -> ReplicaEngine<P>,
+) -> (Simulation<Msg>, Vec<ActorId>, ActorId) {
+    cluster_with_seed(n, seed, |mut cfg| {
         cfg.initial_leader = Some(NodeId(0));
         cfg.mencius.revoke_timeout = SimDuration::from_secs(2);
         if let Some(s) = &snapshot {
             cfg.snapshot = s.clone();
         }
         Box::new(make(cfg))
+    })
+}
+
+/// Every replica applied the same number of operations and reads back
+/// the same value at every key in `0..keys`, none of them missing.
+/// Returns the common `(key, value id)` digest. A divergence dumps the
+/// flight-recorder tail (who sent, dropped, applied what, when)
+/// alongside the assertion.
+fn assert_replicas_agree<P: ProtocolRules>(
+    name: &str,
+    sim: &mut Simulation<Msg>,
+    replicas: &[ActorId],
+    keys: u64,
+) -> Vec<(u64, Option<u64>)> {
+    with_trace_dump(sim, |sim| {
+        let first = sim.actor::<ReplicaEngine<P>>(replicas[0]);
+        let digest: Vec<(u64, Option<u64>)> = (0..keys)
+            .map(|k| (k, first.kv().read_local(k).value_id()))
+            .collect();
+        for &(k, v) in &digest {
+            assert!(v.is_some(), "{name}: committed write to key {k} applied");
+        }
+        for &r in replicas {
+            let rep = sim.actor::<ReplicaEngine<P>>(r);
+            assert_eq!(
+                rep.kv().applied_ops(),
+                first.kv().applied_ops(),
+                "{name}: replica {r:?} applied every operation exactly once"
+            );
+            for &(k, v) in &digest {
+                assert_eq!(
+                    rep.kv().read_local(k).value_id(),
+                    v,
+                    "{name}: replica {r:?} agrees at key {k}"
+                );
+            }
+        }
+        digest
     })
 }
 
@@ -331,7 +378,7 @@ fn fixed_seed_runs_are_deterministic_for_every_protocol() {
 /// same counters, same final clock) as the default telemetry-off run —
 /// the recorder never draws from the RNG and the sampler only reads
 /// state between simulation steps. This is what keeps the pinned
-/// `PARITY_pr5.txt` fingerprints valid regardless of observability
+/// `PARITY_pr13.txt` fingerprints valid regardless of observability
 /// settings.
 ///
 /// [`RunReport`]: crate::harness::RunReport
@@ -393,7 +440,7 @@ fn telemetry_enabled_runs_are_bit_for_bit_identical_to_disabled() {
 /// clock) as the default spans-off run for all four rule sets. The
 /// instrumentation sits on the hot path of every send/enqueue/commit,
 /// so this is the test that pins "one branch when disabled, no RNG
-/// draws" — and what keeps `PARITY_pr5.txt` valid at the default
+/// draws" — and what keeps `PARITY_pr13.txt` valid at the default
 /// configuration.
 ///
 /// [`RunReport`]: crate::harness::RunReport
@@ -596,40 +643,9 @@ fn every_protocol_converges_under_loss_with_pipelining() {
         );
         sim.set_drop_rate_at(0.0, sim.now() + SimDuration::from_millis(1));
         sim.run_for(SimDuration::from_secs(5));
-        // Every replica converges to the same state machine. A
-        // divergence here dumps the flight-recorder tail (who sent,
-        // dropped, applied what, when) alongside the assertion.
-        with_trace_dump(&mut sim, |sim| {
-            let digest: Vec<(u64, Option<u64>)> = (0..20)
-                .map(|k| {
-                    (
-                        k,
-                        sim.actor::<ReplicaEngine<P>>(replicas[0])
-                            .kv()
-                            .read_local(k)
-                            .value_id(),
-                    )
-                })
-                .collect();
-            for &r in &replicas {
-                let rep = sim.actor::<ReplicaEngine<P>>(r);
-                assert_eq!(
-                    rep.kv().applied_ops(),
-                    sim.actor::<ReplicaEngine<P>>(replicas[0])
-                        .kv()
-                        .applied_ops(),
-                    "{name}: duplicate retransmissions were deduplicated everywhere"
-                );
-                for &(k, v) in &digest {
-                    assert_eq!(
-                        rep.kv().read_local(k).value_id(),
-                        v,
-                        "{name}: replica {r:?} agrees at key {k}"
-                    );
-                }
-            }
-            digest
-        })
+        // Every replica converges to the same state machine, duplicate
+        // retransmissions deduplicated everywhere.
+        assert_replicas_agree::<P>(name, &mut sim, &replicas, 20)
     }
     let raft = scenario("Raft", RaftReplica::new);
     let raftstar = scenario("Raft*", RaftStarReplica::new);
@@ -639,6 +655,60 @@ fn every_protocol_converges_under_loss_with_pipelining() {
     assert_eq!(raft, raftstar, "Raft vs Raft* final state");
     assert_eq!(raft, paxos, "Raft vs MultiPaxos final state");
     assert_eq!(raft, mencius, "Raft vs Mencius final state");
+}
+
+/// A replica cut off from the first message on, for longer than a few
+/// round trips and with compaction *off* (no snapshot to fall back on),
+/// must catch up on the writes it missed from the other replicas' logs
+/// once the partition heals — a watermark or commit index that passed
+/// the lost messages must never stand in for them.
+#[test]
+fn every_protocol_heals_a_partitioned_replica_without_a_snapshot() {
+    fn scenario<P: ProtocolRules>(name: &str, make: fn(ReplicaConfig) -> ReplicaEngine<P>) {
+        let (mut sim, replicas, client) = conformance_cluster(3, None, make);
+        let healed = SimTime::from_secs(6);
+        sim.partition_at(vec![0, 0, 1, 0], SimTime::from_millis(1));
+        sim.heal_at(healed);
+        for k in 0..20 {
+            sim.actor_mut::<TestClient>(client).enqueue_put(k);
+        }
+        assert!(
+            drive_until(&mut sim, SimTime::from_secs(60), |sim| {
+                sim.actor::<TestClient>(client).replies.len() == 20
+            }),
+            "{name}: majority side kept committing under the partition"
+        );
+        sim.run_until(healed + SimDuration::from_secs(10));
+        assert_replicas_agree::<P>(name, &mut sim, &replicas, 20);
+    }
+    for_all_protocols!(scenario);
+}
+
+/// Forty sequential writes under 20% uniform message loss, over a sweep
+/// of simulation seeds: whichever single messages the seed drops, every
+/// replica ends with every write applied exactly once.
+#[test]
+fn every_protocol_agrees_after_heavy_loss_on_every_seed() {
+    fn scenario<P: ProtocolRules>(name: &str, make: fn(ReplicaConfig) -> ReplicaEngine<P>) {
+        for seed in [1, 4, 5, 7, 9, 10, 24, 25, 28, 31, 35, 43] {
+            let name = format!("{name} seed {seed}");
+            let (mut sim, replicas, client) = seeded_conformance_cluster(3, seed, None, make);
+            sim.set_drop_rate_at(0.20, SimTime::from_millis(1));
+            for k in 0..40 {
+                sim.actor_mut::<TestClient>(client).enqueue_put(k);
+            }
+            assert!(
+                drive_until(&mut sim, SimTime::from_secs(600), |sim| {
+                    sim.actor::<TestClient>(client).replies.len() == 40
+                }),
+                "{name}: all writes committed despite 20% loss"
+            );
+            sim.set_drop_rate_at(0.0, sim.now() + SimDuration::from_millis(1));
+            sim.run_for(SimDuration::from_secs(10));
+            assert_replicas_agree::<P>(&name, &mut sim, &replicas, 40);
+        }
+    }
+    for_all_protocols!(scenario);
 }
 
 /// Leader crash with a full pipeline in flight: the client's pending

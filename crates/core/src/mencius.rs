@@ -7,17 +7,65 @@
 //! which proposes them in its own slots (`Suggest`, the `isDefault`
 //! append) — under the engine, Mencius is simply the protocol whose
 //! `can_propose` is always true, so client batches are never forwarded.
-//! Replicas that fall behind *skip* their unused slots — a watermark
-//! piggybacked on every `SuggestOk` and broadcast as `SkipNotice` ("each
-//! replica keeps committing skip to keep the system moving forward"). A
-//! skipped slot is a no-op from the default leader, so by the
-//! coordinated-Paxos property it is executable without waiting for a
-//! commit round.
+//! Replicas that fall behind *skip* their unused slots ("each replica
+//! keeps committing skip to keep the system moving forward"). A skipped
+//! slot is a no-op from the default leader, so by the coordinated-Paxos
+//! property it is executable without waiting for a commit round.
 //!
-//! Watermark safety relies on FIFO links (the simulator models TCP): all
-//! of an owner's suggestions reach a peer before any watermark that
-//! passes them, so "no suggestion seen below the watermark" really means
-//! "skipped".
+//! # Per-peer streams
+//!
+//! Everything an owner has to tell a peer about its *own* slots — which
+//! are skipped, which committed, how far it has executed — travels as one
+//! stream per peer, and every regular message to that peer (`Suggest`,
+//! `SuggestOk`, `SkipNotice`) is an element of it, carrying a
+//! [`Coord`]. Raft's `Append` has always carried `commit`; a `Commit`
+//! message of its own is the same fact spelled as a separate learn
+//! message, and this is that optimisation ported across the mapping.
+//!
+//! **The stream.** `from` is the watermark last sent *to that peer*,
+//! `watermark` the current one: the element accounts for every owner
+//! slot in `[from, watermark)` — suggested in this very message, or a
+//! no-op. Values only ever leave in the `Suggest` whose range covers
+//! them, so any later message may carry the next element.
+//!
+//! **The gap rule.** The simulator's links keep order but lose messages
+//! (`drop_rate`, partitions), so a watermark alone proves nothing: a
+//! lost `Suggest` followed by any later watermark would turn a committed
+//! write into a no-op at that replica. A receiver therefore advances
+//! `known_upto[owner]` only when the element joins what it already knows
+//! (`MenciusRules::note_known`, the one place the bound moves). A gap
+//! leaves it where it is and execution blocks on the first unknown slot
+//! instead of diverging; what arrives beyond the gap is kept as one run
+//! of elements continuing each other. The owner, seeing that peer's
+//! executed prefix stall, replays its decided values above that prefix
+//! under a range that starts right there and ends at its first value
+//! still in flight (`MenciusRules::replay_to_stalled_peers`) — complete
+//! for the range it claims, and once it reaches the kept run the whole
+//! gap is healed. Whoever else vouches for a range (a revocation's
+//! decision, an installed checkpoint) goes through the same check, and
+//! a slot this replica refuses is not accounted for. A value the owner
+//! reports decided is stored even against a local revocation promise:
+//! learning is not accepting.
+//!
+//! **The carrier rule.** A commit decision is queued per peer and leaves
+//! on the next message to it. It gets a `Commit` of its own only when
+//! the link is idle at the deployment's own timescale: nothing sent to
+//! that peer for longer than one eighth of the slot's own
+//! suggest-to-commit time — a fraction of a round trip the slot has just
+//! paid, so the wait is never the larger part of anybody's latency
+//! (15-35 ms on the paper's WAN, well under a millisecond in one
+//! datacentre), where a fixed bound would be wrong for one of them. The
+//! check runs when the decision is queued and at the end of every later
+//! handler; a timer per decision would cost two events even when a
+//! carrier made it stale, and the coordination tick alone (50 ms) is too
+//! coarse for low-load reads. The tick sends a `SkipNotice` only to
+//! peers the data path sent nothing since the previous one.
+//!
+//! An ack held back by the fsync gate would leave out of stream order,
+//! so it is not a stream element: it claims nothing, and the skip goes
+//! to that peer in a notice like to everybody else.
+//!
+//! # Responses and recovery
 //!
 //! Responses follow the paper's two regimes (Section 5.2):
 //! - **commutative (low conflict)**: a write is acknowledged once its
@@ -31,7 +79,14 @@
 //! Crashed owners are handled by *revocation*: after a silence timeout a
 //! peer raises a ballot above the owner's, collects accepted values for
 //! the owner's undecided range (phase-1), re-proposes what was accepted
-//! and no-ops the rest (Appendix A.3's recovery leader).
+//! and no-ops the rest (Appendix A.3's recovery leader). A partitioned
+//! replica suspects owners that are alive, so an owner can find its
+//! suggestion refused (`SuggestReject`) by an acceptor that promised the
+//! slot away. The refusal decides nothing — the rest of the quorum may
+//! still accept, or the revocation decides the slot, possibly as the
+//! very value suggested — so the owner leaves the slot alone; a refusing
+//! acceptor that already holds the decision sends it along, and an owner
+//! that promised its own range away proposes above it.
 //!
 //! # Durability (group commit)
 //!
@@ -73,7 +128,7 @@ use crate::config::ReplicaConfig;
 use crate::costs::CostModel;
 use crate::engine::{self, EngineCore, ProtocolRules, ReplicaEngine, T_COORD};
 use crate::kv::{Command, Key, Op};
-use crate::msg::{EngineMsg, MenciusMsg, Msg};
+use crate::msg::{Coord, EngineMsg, MenciusMsg, Msg};
 use crate::snapshot::Snapshot;
 use crate::types::{max_failures, NodeId, Slot, Term};
 
@@ -114,6 +169,42 @@ struct RevokeOp {
     accepted: BTreeMap<u64, (Term, Command)>,
 }
 
+/// My outgoing stream to one peer (module docs, "Per-peer streams").
+#[derive(Debug)]
+struct PeerStream {
+    /// The watermark last sent to this peer: the `from` of the next
+    /// stream element.
+    sent_upto: Slot,
+    /// When anything was last sent on this link.
+    last_sent: SimTime,
+    /// Commit decisions for my slots waiting for a carrier.
+    decisions: Vec<Slot>,
+    /// How long `decisions` may wait for one: an eighth of the
+    /// suggest-to-commit time of the quickest slot among them.
+    patience: SimDuration,
+}
+
+impl PeerStream {
+    /// A stream that has claimed nothing below `at`.
+    fn starting_at(at: Slot) -> Self {
+        PeerStream {
+            sent_upto: at,
+            last_sent: SimTime::ZERO,
+            decisions: Vec::new(),
+            patience: SimDuration::ZERO,
+        }
+    }
+}
+
+/// The first slot owned by `owner` at or after `x`.
+fn owned_at_or_after(owner: NodeId, x: Slot, n: usize) -> Slot {
+    let n = n as u64;
+    let x = x.0.max(1);
+    // Smallest s >= x with (s - 1) % n == owner.
+    let delta = (owner.0 as u64 + n - (x - 1) % n) % n;
+    Slot(x + delta)
+}
+
 /// A Raft*-Mencius replica: the shared engine running [`MenciusRules`].
 pub type MenciusReplica = ReplicaEngine<MenciusRules>;
 
@@ -125,8 +216,17 @@ pub struct MenciusRules {
     /// My next unused owned slot; doubles as my skip watermark.
     next_own: Slot,
     /// Exclusive bound of *known* slots per peer owner: every slot of
-    /// theirs below this is suggested-or-skipped.
+    /// theirs below this is suggested-or-skipped. Moves only through
+    /// [`MenciusRules::note_known`].
     known_upto: Vec<Slot>,
+    /// Per peer owner: the run `[from, upto)` of its stream heard beyond
+    /// a gap, waiting for a repair to reach it.
+    beyond_gap: Vec<Option<(Slot, Slot)>>,
+    /// My outgoing stream per peer (my own entry is unused).
+    out: Vec<PeerStream>,
+    /// When the coordination tick last ran: peers sent nothing since get
+    /// a keepalive `SkipNotice`.
+    last_tick: SimTime,
     /// Applied prefix.
     exec_index: Slot,
     /// Slots (of any owner) decided but whose value never arrived
@@ -136,10 +236,12 @@ pub struct MenciusRules {
     key_slots: HashMap<Key, BTreeSet<u64>>,
     /// Own committed slots waiting for the respond condition.
     await_respond: Vec<Slot>,
+    /// Own slots committed in this handler, not yet queued per peer.
     commit_buf: Vec<Slot>,
     last_heard: Vec<SimTime>,
-    /// Executed prefix each peer last reported via `SkipNotice` — the
-    /// Mencius spelling of MultiPaxos's piggybacked `exec` report.
+    /// Executed prefix each peer last reported (every stream element
+    /// carries it) — the Mencius spelling of MultiPaxos's piggybacked
+    /// `exec` report.
     peer_exec: Vec<Slot>,
     /// `peer_exec` as of the previous coordination tick: a report that
     /// did not move between ticks marks a *stalled* peer (a lost
@@ -160,7 +262,8 @@ pub struct MenciusRules {
     /// fsync, as (write seq, term, slots). Drained by `on_durable`.
     pending_self: Vec<(u64, Term, Vec<Slot>)>,
     /// Durability: own slots whose unsynced value a crash dropped.
-    /// Membership suppresses the skip inference in `decided_at` (the
+    /// The stalled-peer replay stops its range claim short of them;
+    /// membership suppresses the skip inference in `decided_at` (the
     /// empty slot must not read as a decided no-op — a revocation
     /// during our downtime may have decided the original value from
     /// the peers' copies), and `on_start` re-decides the range with a
@@ -184,6 +287,11 @@ impl MenciusReplica {
                 current_term: Term::encode(1, me, n),
                 next_own: Slot(me.0 as u64 + 1),
                 known_upto: vec![Slot(1); n],
+                beyond_gap: vec![None; n],
+                out: (0..n)
+                    .map(|_| PeerStream::starting_at(Slot(me.0 as u64 + 1)))
+                    .collect(),
+                last_tick: SimTime::ZERO,
                 slots: BTreeMap::new(),
                 exec_index: Slot::NONE,
                 committed_no_value: BTreeSet::new(),
@@ -274,15 +382,47 @@ impl MenciusRules {
         }
     }
 
-    /// My next owned slot at or after `x`.
-    fn own_slot_at_or_after(&self, core: &EngineCore, x: Slot) -> Slot {
-        let n = core.cfg.n as u64;
-        let me = core.cfg.id.0 as u64;
-        let x = x.0.max(1);
-        // Smallest s >= x with (s - 1) % n == me.
-        let rem = (x - 1) % n;
-        let delta = (me + n - rem) % n;
-        Slot(x + delta)
+    /// The next element of my stream to `peer`: accounts for my slots
+    /// since the previous one and takes the queued decisions along.
+    fn stamp(&mut self, peer: NodeId, now: SimTime) -> Coord {
+        let st = &mut self.out[peer.0 as usize];
+        st.last_sent = now;
+        Coord {
+            from: std::mem::replace(&mut st.sent_upto, self.next_own),
+            watermark: self.next_own,
+            commits: std::mem::take(&mut st.decisions),
+            exec: self.exec_index,
+        }
+    }
+
+    fn send_skip_notice(&mut self, core: &EngineCore, ctx: &mut Ctx<Msg>, peer: NodeId) {
+        let coord = self.stamp(peer, ctx.now());
+        ctx.send(
+            core.cfg.peer(peer),
+            Msg::Mencius(MenciusMsg::SkipNotice { coord }),
+        );
+    }
+
+    /// Suggests `items` (my own slots, at `term`) to every peer, each
+    /// copy carrying that peer's stream element.
+    fn send_suggest(
+        &mut self,
+        core: &EngineCore,
+        ctx: &mut Ctx<Msg>,
+        term: Term,
+        items: Vec<(Slot, Command)>,
+    ) {
+        for peer in core.cfg.others() {
+            let coord = self.stamp(peer, ctx.now());
+            ctx.send(
+                core.cfg.peer(peer),
+                Msg::Mencius(MenciusMsg::Suggest {
+                    term,
+                    items: items.clone(),
+                    coord,
+                }),
+            );
+        }
     }
 
     /// Stores an accepted value and indexes its key. Returns `false`
@@ -371,13 +511,14 @@ impl MenciusRules {
         }
     }
 
-    /// Advances my own watermark to cover everything below `target`
-    /// (skipping unused own slots), broadcasting the skip if it moved.
-    fn maybe_skip_to(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, target: Slot) {
+    /// Advances my own watermark to cover everything below `target`,
+    /// skipping unused own slots. Returns whether it moved (the peers
+    /// then need a stream element).
+    fn skip_to(&mut self, core: &EngineCore, target: Slot) -> bool {
         if target <= self.next_own {
-            return;
+            return false;
         }
-        let new_own = self.own_slot_at_or_after(core, target);
+        let new_own = owned_at_or_after(core.cfg.id, target, core.cfg.n);
         let mut s = self.next_own;
         while s < new_own {
             let slot = self.slots.entry(s.0).or_default();
@@ -388,23 +529,68 @@ impl MenciusRules {
             s = Slot(s.0 + core.cfg.n as u64);
         }
         self.next_own = new_own;
-        self.broadcast(
-            core,
-            ctx,
-            MenciusMsg::SkipNotice {
-                watermark: self.next_own,
-                exec: self.exec_index,
-            },
-        );
+        true
     }
 
-    fn note_known(&mut self, core: &EngineCore, owner: NodeId, upto_exclusive: Slot) {
+    /// The one place `known_upto` moves. The caller vouches that every
+    /// slot of `owner` in `[from, upto)` is accounted for (its value
+    /// stored here, or a no-op); the bound advances only when that range
+    /// joins what is already known — the old bound or the executed
+    /// prefix, whichever reaches further — i.e. no slot of `owner` lies
+    /// between that and `from`. A gap means a message was lost: the
+    /// bound stays, execution blocks on the first unknown slot, and the
+    /// owner's stalled-peer replay (which starts its claim right above
+    /// the executed prefix we report) repairs it. What was heard beyond
+    /// the gap is kept as one run of elements continuing each other, so
+    /// a repair that reaches the run heals all of it.
+    fn note_known(&mut self, core: &EngineCore, owner: NodeId, from: Slot, upto: Slot) {
         if owner == core.cfg.id {
             return;
         }
-        let k = &mut self.known_upto[owner.0 as usize];
-        if upto_exclusive > *k {
-            *k = upto_exclusive;
+        let i = owner.0 as usize;
+        // `[reach, from)` holds no slot of `owner`.
+        let joins = |reach: Slot, from: Slot| owned_at_or_after(owner, reach, core.cfg.n) >= from;
+        let settled = self.known_upto[i].max(self.exec_index.next());
+        if !joins(settled, from) {
+            self.beyond_gap[i] = match self.beyond_gap[i] {
+                Some((start, end)) if joins(end, from) => Some((start, end.max(upto))),
+                _ => Some((from, upto)),
+            };
+            return;
+        }
+        let mut reach = self.known_upto[i].max(upto);
+        if let Some((start, end)) = self.beyond_gap[i] {
+            if joins(reach, start) {
+                reach = reach.max(end);
+                self.beyond_gap[i] = None;
+            }
+        }
+        self.known_upto[i] = reach;
+    }
+
+    /// Takes in a peer's stream element: the range of its own slots the
+    /// message accounted for, its carried commit decisions, its executed
+    /// prefix. Called after the message's values are stored.
+    fn absorb(&mut self, core: &EngineCore, peer: NodeId, coord: Coord) {
+        self.note_known(core, peer, coord.from, coord.watermark);
+        self.learn_commits(coord.commits);
+        let e = &mut self.peer_exec[peer.0 as usize];
+        *e = (*e).max(coord.exec);
+    }
+
+    /// Marks slots decided on their owner's word. A decision says nothing
+    /// about the owner's other slots.
+    fn learn_commits(&mut self, slots: Vec<Slot>) {
+        for s in slots {
+            if s <= self.compacted_through {
+                continue; // already executed and checkpointed
+            }
+            match self.slots.get_mut(&s.0) {
+                Some(slot) if slot.cmd.is_some() => slot.committed = true,
+                _ => {
+                    self.committed_no_value.insert(s.0);
+                }
+            }
         }
     }
 
@@ -552,10 +738,52 @@ impl MenciusRules {
         self.lost_own = self.lost_own.split_off(&(upto.0 + 1));
     }
 
-    fn flush_commits(&mut self, core: &EngineCore, ctx: &mut Ctx<Msg>) {
-        if !self.commit_buf.is_empty() {
-            let slots = std::mem::take(&mut self.commit_buf);
-            self.broadcast(core, ctx, MenciusMsg::Commit { slots });
+    /// Queues the decisions made in this handler on every peer's stream:
+    /// they leave on the next message to that peer, or — at the end of
+    /// this handler already — in a `Commit` of their own where the link
+    /// is idle ([`MenciusRules::flush_idle_links`]).
+    fn queue_decisions(&mut self, core: &EngineCore, now: SimTime) {
+        if self.commit_buf.is_empty() {
+            return;
+        }
+        let slots = std::mem::take(&mut self.commit_buf);
+        let quickest = slots
+            .iter()
+            .filter_map(|s| self.slots.get(&s.0))
+            .map(|slot| now.since(slot.suggested_at.min(now)))
+            .min()
+            .unwrap_or(SimDuration::ZERO);
+        let patience = quickest / 8;
+        for peer in core.cfg.others() {
+            let st = &mut self.out[peer.0 as usize];
+            st.patience = if st.decisions.is_empty() {
+                patience
+            } else {
+                st.patience.min(patience)
+            };
+            st.decisions.extend_from_slice(&slots);
+        }
+    }
+
+    /// Sends queued decisions in a `Commit` of their own on every link
+    /// that has carried nothing for longer than they may wait. Run at
+    /// the end of every handler, the one that queued them included — no
+    /// timer per decision (two events each, even when stale), and not
+    /// left to the coordination tick (which costs low-load reads its
+    /// full period).
+    fn flush_idle_links(&mut self, core: &EngineCore, ctx: &mut Ctx<Msg>) {
+        let now = ctx.now();
+        for peer in core.cfg.others() {
+            let st = &mut self.out[peer.0 as usize];
+            if st.decisions.is_empty() || now.since(st.last_sent.min(now)) <= st.patience {
+                continue;
+            }
+            st.last_sent = now;
+            let slots = std::mem::take(&mut st.decisions);
+            ctx.send(
+                core.cfg.peer(peer),
+                Msg::Mencius(MenciusMsg::Commit { slots }),
+            );
         }
     }
 
@@ -603,75 +831,101 @@ impl MenciusRules {
             by_term.entry(slot.bal).or_default().push((Slot(s), cmd));
             taken += 1;
         }
-        for (term, items) in by_term {
-            self.broadcast(
-                core,
-                ctx,
-                MenciusMsg::Suggest {
-                    term,
-                    items,
-                    watermark: self.next_own,
-                },
-            );
+        // The retransmitted slots are a subset by age, so these copies
+        // claim nothing about them: each is an ordinary stream element
+        // (the range since the last one holds no values — those left in
+        // their own `Suggest`). The decisions ride along.
+        for peer in core.cfg.others() {
+            self.out[peer.0 as usize]
+                .decisions
+                .extend_from_slice(&committed);
         }
-        if !committed.is_empty() {
-            self.broadcast(core, ctx, MenciusMsg::Commit { slots: committed });
+        for (term, items) in by_term {
+            self.send_suggest(core, ctx, term, items);
         }
     }
 
     /// Per-peer catch-up: the MultiPaxos stall-gated replay ported to the
-    /// Mencius spelling. A suggestion lost on the wire leaves the peer a
-    /// committed-without-value gap it can never fill itself (unlike a
-    /// crashed owner's slots, a live owner's slots are never revoked), so
-    /// each owner re-suggests its *own* decided slots to peers whose
-    /// executed prefix stalled between two coordination ticks — 64 slots
-    /// per round to bound the burst, by state transfer once the gap is
-    /// below the checkpoint floor (handled on `SkipNotice` receipt).
+    /// Mencius spelling. A message lost on the wire leaves the peer a gap
+    /// in my stream it can never fill itself (unlike a crashed owner's
+    /// slots, a live owner's slots are never revoked), so each owner
+    /// replays its *own* decided slots to peers whose executed prefix
+    /// stalled between two coordination ticks: the values above that
+    /// prefix, with their decisions, under a range claim that starts
+    /// right there — so it joins whatever the peer already knows — and
+    /// ends at the first value still uncommitted (or the 64th, to bound
+    /// the burst), so the replay is complete for the range it claims.
+    /// An in-flight value is not re-sent on a mere stall (prefixes trail
+    /// a far owner's commits all the time); what the peer heard beyond
+    /// the gap it kept, so reaching that is enough. A peer below the
+    /// checkpoint floor gets the state instead.
     fn replay_to_stalled_peers(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
         let peers: Vec<NodeId> = core.cfg.others().collect();
+        let (me, n) = (core.cfg.id, core.cfg.n);
         for peer in peers {
             let i = peer.0 as usize;
             let fexec = self.peer_exec[i];
             let stalled = fexec == self.peer_exec_prev[i];
             self.peer_exec_prev[i] = fexec;
-            if fexec >= self.exec_index || !stalled || fexec < self.compacted_through {
+            if fexec >= self.exec_index || !stalled {
                 continue;
             }
-            // Replay each slot at the term it was accepted at (see
-            // `retransmit_own_unexecuted` for why `current_term` would
-            // be wrong), grouped into per-term rounds.
-            let mut by_term: BTreeMap<Term, Vec<(Slot, Command)>> = BTreeMap::new();
-            let mut slots = Vec::new();
-            for (&s, slot) in self.slots.range(fexec.next().0..) {
-                if slots.len() >= 64 {
-                    break;
-                }
-                if MenciusReplica::owner_of(Slot(s), core.cfg.n) != core.cfg.id || !slot.committed {
+            if fexec < self.compacted_through {
+                // It can never learn the dropped decisions from us.
+                engine::ship_snapshot(core, ctx, peer, (self.exec_index, Term::ZERO), Term::ZERO);
+                continue;
+            }
+            // The claim stops at my watermark, and short of a value a
+            // crash dropped (`lost_own`): that slot is not mine to call
+            // a no-op.
+            let from = fexec.next();
+            let mut upto = match self.lost_own.range(from.0..).next() {
+                Some(&lost) => Slot(lost).min(self.next_own),
+                None => self.next_own,
+            };
+            if from >= upto {
+                continue;
+            }
+            // Each slot goes at the term it was accepted at (see
+            // `retransmit_own_unexecuted`), so a term change ends the
+            // round like an uncommitted value or the 64th one does: the
+            // claim stops there and the next round continues.
+            let mut term = None;
+            let mut items = Vec::new();
+            for (&s, slot) in self.slots.range(from.0..upto.0) {
+                if MenciusReplica::owner_of(Slot(s), n) != me {
                     continue;
                 }
                 let Some(cmd) = slot.cmd.clone() else {
                     continue;
                 };
-                by_term.entry(slot.bal).or_default().push((Slot(s), cmd));
-                slots.push(Slot(s));
+                if !slot.committed || items.len() == 64 || term.is_some_and(|t| t != slot.bal) {
+                    upto = Slot(s);
+                    break;
+                }
+                term = Some(slot.bal);
+                items.push((Slot(s), cmd));
             }
-            if slots.is_empty() {
+            // A claim without values helps only a peer stuck on a slot
+            // of mine (one I skipped, and the notice was lost).
+            if from >= upto || items.is_empty() && MenciusReplica::owner_of(from, n) != me {
                 continue;
             }
-            for (term, items) in by_term {
-                ctx.send(
-                    core.cfg.peer(peer),
-                    Msg::Mencius(MenciusMsg::Suggest {
-                        term,
-                        items,
-                        watermark: self.next_own,
-                    }),
-                );
-            }
-            ctx.send(
-                core.cfg.peer(peer),
-                Msg::Mencius(MenciusMsg::Commit { slots }),
-            );
+            let st = &mut self.out[i];
+            st.last_sent = ctx.now();
+            let mut commits = std::mem::take(&mut st.decisions);
+            commits.extend(items.iter().map(|(s, _)| *s));
+            let coord = Coord {
+                from,
+                watermark: upto,
+                commits,
+                exec: self.exec_index,
+            };
+            let msg = match term {
+                Some(term) => MenciusMsg::Suggest { term, items, coord },
+                None => MenciusMsg::SkipNotice { coord },
+            };
+            ctx.send(core.cfg.peer(peer), Msg::Mencius(msg));
         }
     }
 
@@ -798,19 +1052,13 @@ impl MenciusRules {
         through: Slot,
         term: Term,
     ) {
-        let n = core.cfg.n as u64;
-        let mut s = {
-            // First slot of `owner` at or after `from`.
-            let rem = (from.0.max(1) - 1) % n;
-            let delta = (owner.0 as u64 + n - rem) % n;
-            Slot(from.0.max(1) + delta)
-        };
+        let mut s = owned_at_or_after(owner, from, core.cfg.n);
         while s <= through {
             let slot = self.slots.entry(s.0).or_default();
             if term > slot.bal {
                 slot.bal = term;
             }
-            s = Slot(s.0 + n);
+            s = Slot(s.0 + core.cfg.n as u64);
         }
     }
 
@@ -827,7 +1075,7 @@ impl MenciusRules {
             MenciusMsg::Suggest {
                 term,
                 items,
-                watermark,
+                mut coord,
             } => {
                 let bytes: usize = items.iter().map(|(_, c)| c.size_bytes()).sum();
                 ctx.charge(
@@ -838,6 +1086,7 @@ impl MenciusRules {
                 );
                 let mut acked = Vec::new();
                 let mut rejected = Vec::new();
+                let mut revoked = Vec::new();
                 let mut reject_term = Term::ZERO;
                 let mut max_slot = Slot::NONE;
                 let mut written = Vec::new();
@@ -849,13 +1098,22 @@ impl MenciusRules {
                         continue;
                     }
                     let bal = self.slots.get(&s.0).map(|x| x.bal).unwrap_or(Term::ZERO);
-                    if term >= bal {
-                        // Already committed with a value: a duplicate,
-                        // nothing new reaches the disk.
+                    // A value the owner reports decided is learnt, not
+                    // accepted, and no promise stands against learning:
+                    // at a slot its owner committed, the owner's value
+                    // is the only one any ballot can decide.
+                    let decided =
+                        coord.commits.contains(&s) || self.committed_no_value.contains(&s.0);
+                    if term >= bal || decided {
+                        // Already holds the value — committed, or
+                        // accepted at this very term (an owner suggests
+                        // one value per slot and term): a duplicate from
+                        // a retransmission or replay, nothing new
+                        // reaches the disk.
                         let already = self
                             .slots
                             .get(&s.0)
-                            .is_some_and(|x| x.committed && x.cmd.is_some());
+                            .is_some_and(|x| x.cmd.is_some() && (x.committed || x.bal == term));
                         let sz = cmd.size_bytes();
                         self.accept_value(core, s, term, cmd);
                         if !already {
@@ -869,23 +1127,48 @@ impl MenciusRules {
                     } else {
                         rejected.push(s);
                         reject_term = reject_term.max(bal);
+                        // Decided here already (a revocation the owner
+                        // missed): the refusal carries the decision.
+                        if let Some(x) = self.slots.get(&s.0).filter(|x| x.committed) {
+                            revoked.extend(x.cmd.clone().map(|c| (s, c)));
+                        }
                     }
                 }
                 self.note_values_durable(core, ctx, &written, written_bytes);
-                self.note_known(core, peer, watermark.max(max_slot.next()));
-                // Skip my own unused slots below the suggestion (the
-                // piggybacked skip of Appendix A.3).
-                self.maybe_skip_to(core, ctx, max_slot);
+                // A refused slot is not accounted for here: the claim
+                // stops short of it.
+                if let Some(&refused) = rejected.iter().min() {
+                    coord.watermark = coord.watermark.min(refused);
+                }
+                self.absorb(core, peer, coord);
+                // The ack is the acceptor's promise that these values
+                // survive a crash: it leaves only after the covering
+                // fsync (group commit batches it; see the module docs).
+                // A held ack would leave out of stream order, so it is
+                // not a stream element.
+                let held = core.dur.write_seq() > core.dur.synced_seq();
+                let carrier = (!acked.is_empty() && !held).then_some(peer);
+                // Skip my own unused slots below the suggestion. The
+                // suggester's copy rides on the ack (the piggybacked
+                // skip of Appendix A.3), which is on its commit path and
+                // leaves first; everyone else gets a notice.
+                let skipped = self.skip_to(core, max_slot);
                 if !acked.is_empty() {
-                    // The acceptor's promise that these values survive a
-                    // crash: sent only after the covering fsync (group
-                    // commit batches it; see the module docs).
+                    let coord = match carrier {
+                        Some(_) => self.stamp(peer, ctx.now()),
+                        None => Coord::empty(self.next_own, self.exec_index),
+                    };
                     let ok = Msg::Mencius(MenciusMsg::SuggestOk {
                         term,
                         slots: acked,
-                        watermark: self.next_own,
+                        coord,
                     });
                     core.ack_after_sync(ctx, from, ok);
+                }
+                if skipped {
+                    for p in core.cfg.others().filter(|&p| Some(p) != carrier) {
+                        self.send_skip_notice(core, ctx, p);
+                    }
                 }
                 if !rejected.is_empty() {
                     ctx.send(
@@ -896,26 +1179,35 @@ impl MenciusRules {
                         }),
                     );
                 }
+                if !revoked.is_empty() {
+                    ctx.send(
+                        from,
+                        Msg::Mencius(MenciusMsg::RevokeCommit {
+                            term: reject_term,
+                            items: revoked,
+                        }),
+                    );
+                }
                 self.try_execute(core, ctx);
             }
-            MenciusMsg::SuggestOk {
-                term,
-                slots,
-                watermark,
-            } => {
+            MenciusMsg::SuggestOk { term, slots, coord } => {
                 ctx.charge(core.cfg.costs.ack_process);
-                self.note_known(core, peer, watermark);
+                self.absorb(core, peer, coord);
                 if let Some(&upto) = slots.iter().max() {
                     core.pipe.on_ack(peer, upto);
                 }
                 let bit = 1u64 << peer.0;
                 self.tally_own(core, &slots, term, bit);
-                self.flush_commits(core, ctx);
+                self.queue_decisions(core, ctx.now());
                 self.try_execute(core, ctx);
             }
-            MenciusMsg::SuggestReject { slots, term } => {
-                // Our slots were revoked: re-propose the commands in
-                // fresh slots above the revoked range. In-flight rounds
+            MenciusMsg::SuggestReject { term, .. } => {
+                // One acceptor promised these slots to a revocation.
+                // That decides nothing: the other acceptors may still
+                // complete the quorum, or the revocation decides the
+                // slots — as no-ops or as the very values we suggested —
+                // and its `RevokeCommit` re-proposes what it no-oped. So
+                // the slots stay as they are; only the in-flight rounds
                 // toward the rejecting peer are dead.
                 core.pipe.on_regress(peer);
                 if term > self.current_term {
@@ -924,56 +1216,15 @@ impl MenciusRules {
                         self.current_term = self.current_term.next_for(core.cfg.id, core.cfg.n);
                     }
                 }
-                for s in slots {
-                    let Some(slot) = self.slots.get_mut(&s.0) else {
-                        continue;
-                    };
-                    if slot.committed || slot.responded {
-                        continue;
-                    }
-                    if let Some(cmd) = slot.cmd.take() {
-                        slot.skipped = true; // treat as noop locally
-                        core.pending.push(cmd);
-                    }
-                }
-                if !core.pending.is_empty() {
-                    core.arm_batch(ctx);
-                }
             }
-            MenciusMsg::SkipNotice { watermark, exec } => {
+            MenciusMsg::SkipNotice { coord } => {
                 ctx.charge(core.cfg.costs.coord_msg);
-                self.note_known(core, peer, watermark);
-                if exec > self.peer_exec[peer.0 as usize] {
-                    self.peer_exec[peer.0 as usize] = exec;
-                }
-                // A peer whose executed prefix fell below our checkpoint
-                // floor can never learn the dropped commit decisions
-                // from us: ship it the state instead.
-                if exec < self.compacted_through {
-                    crate::engine::ship_snapshot(
-                        core,
-                        ctx,
-                        peer,
-                        (self.exec_index, Term::ZERO),
-                        Term::ZERO,
-                    );
-                }
+                self.absorb(core, peer, coord);
                 self.try_execute(core, ctx);
             }
             MenciusMsg::Commit { slots } => {
                 ctx.charge(core.cfg.costs.coord_msg);
-                for s in slots {
-                    if s <= self.compacted_through {
-                        continue; // already executed and checkpointed
-                    }
-                    match self.slots.get_mut(&s.0) {
-                        Some(slot) if slot.cmd.is_some() => slot.committed = true,
-                        _ => {
-                            self.committed_no_value.insert(s.0);
-                        }
-                    }
-                    self.note_known(core, peer, Slot(s.0 + 1));
-                }
+                self.learn_commits(slots);
                 self.try_execute(core, ctx);
             }
             MenciusMsg::Revoke {
@@ -990,6 +1241,12 @@ impl MenciusRules {
                         .map(|(s, (b, c))| (Slot(s), b, c))
                         .collect();
                     self.promise_range(core, owner, rfrom, through, term);
+                    if owner == core.cfg.id {
+                        // Having promised my own range away, I must not
+                        // suggest in it: my proposals clear the range.
+                        let above = owned_at_or_after(owner, through.next(), core.cfg.n);
+                        self.next_own = self.next_own.max(above);
+                    }
                     ctx.send(
                         from,
                         Msg::Mencius(MenciusMsg::RevokeOk {
@@ -1025,13 +1282,8 @@ impl MenciusRules {
                 };
                 if finished {
                     let op = self.revoke.take().expect("checked");
-                    let n = core.cfg.n as u64;
                     let mut items = Vec::new();
-                    let mut s = {
-                        let rem = (op.from.0.max(1) - 1) % n;
-                        let delta = (op.owner.0 as u64 + n - rem) % n;
-                        Slot(op.from.0.max(1) + delta)
-                    };
+                    let mut s = owned_at_or_after(op.owner, op.from, core.cfg.n);
                     while s <= op.through {
                         let cmd = op
                             .accepted
@@ -1039,7 +1291,7 @@ impl MenciusRules {
                             .map(|(_, c)| c.clone())
                             .unwrap_or_else(Command::noop);
                         items.push((s, cmd));
-                        s = Slot(s.0 + n);
+                        s = Slot(s.0 + core.cfg.n as u64);
                     }
                     // Decide locally and broadcast. The decided values
                     // are a local disk write too; if a crash drops them
@@ -1058,7 +1310,9 @@ impl MenciusRules {
                         }
                     }
                     self.note_values_durable(core, ctx, &written, written_bytes);
-                    self.note_known(core, op.owner, Slot(op.through.0 + 1));
+                    // The decision covers every slot of the owner in
+                    // `[op.from, op.through]`, and nothing below it.
+                    self.note_known(core, op.owner, op.from, op.through.next());
                     self.broadcast(
                         core,
                         ctx,
@@ -1071,6 +1325,12 @@ impl MenciusRules {
                 }
             }
             MenciusMsg::RevokeCommit { term, items } => {
+                // The items are every slot of one owner in a range: a
+                // claim about exactly that range, noted once the values
+                // are stored.
+                let decided = items
+                    .first()
+                    .map(|(first, _)| (*first, items[items.len() - 1].0.next()));
                 let mut reproposed = false;
                 let mut written = Vec::new();
                 let mut written_bytes = 0usize;
@@ -1084,7 +1344,7 @@ impl MenciusRules {
                         if let Some(slot) = self.slots.get(&s.0) {
                             if !slot.responded {
                                 if let Some(mine) = &slot.cmd {
-                                    if *mine != cmd {
+                                    if *mine != cmd && !matches!(mine.op, Op::Noop) {
                                         core.pending.push(mine.clone());
                                         reproposed = true;
                                     }
@@ -1092,7 +1352,7 @@ impl MenciusRules {
                             }
                         }
                         // Our future proposals must clear the range.
-                        let above = self.own_slot_at_or_after(core, s.next());
+                        let above = owned_at_or_after(owner, s.next(), core.cfg.n);
                         if above > self.next_own {
                             self.next_own = above;
                         }
@@ -1106,9 +1366,12 @@ impl MenciusRules {
                         written.push(s);
                         written_bytes += sz;
                     }
-                    self.note_known(core, owner, s.next());
                 }
                 self.note_values_durable(core, ctx, &written, written_bytes);
+                if let Some((from, upto)) = decided {
+                    let owner = MenciusReplica::owner_of(from, core.cfg.n);
+                    self.note_known(core, owner, from, upto);
+                }
                 if reproposed {
                     core.arm_batch(ctx);
                 }
@@ -1134,8 +1397,8 @@ impl ProtocolRules for MenciusRules {
     }
 
     /// Proposes the batch into my own slots (`Suggest`) — one pipelined
-    /// round over this owner's slot range. The suggestion always reaches
-    /// every peer (watermark safety and commit learning require it), so
+    /// round over this owner's slot range. The suggestion always goes to
+    /// every peer (each peer's stream must account for these slots), so
     /// unlike the single-leader protocols the send is not gated; the
     /// per-peer window still tracks in-flight rounds so the engine's
     /// batch cutter can pace this owner's range.
@@ -1167,15 +1430,7 @@ impl ProtocolRules for MenciusRules {
                 core.pipe.on_sent(peer, upto, ctx.now());
             }
         }
-        self.broadcast(
-            core,
-            ctx,
-            MenciusMsg::Suggest {
-                term: self.current_term,
-                items,
-                watermark: self.next_own,
-            },
-        );
+        self.send_suggest(core, ctx, self.current_term, items);
         self.try_execute(core, ctx);
     }
 
@@ -1197,30 +1452,30 @@ impl ProtocolRules for MenciusRules {
         if kind != T_COORD {
             return;
         }
-        // Rounds whose acks never came are presumed lost (the commit
-        // broadcast and watermarks re-cover them); don't let them pin
-        // the window shut.
+        // Rounds whose acks never came are presumed lost (the
+        // retransmission re-covers them); don't let them pin the window
+        // shut.
         core.pipe.expire_stale(ctx.now(), core.cfg.retry_interval);
-        // Keepalive watermark, commit flush, revocation check.
-        self.broadcast(
-            core,
-            ctx,
-            MenciusMsg::SkipNotice {
-                watermark: self.next_own,
-                exec: self.exec_index,
-            },
-        );
-        self.flush_commits(core, ctx);
+        // Keepalive stream element (watermark, queued decisions, exec)
+        // to every peer the data path sent nothing since the last tick.
+        for peer in core.cfg.others() {
+            if self.out[peer.0 as usize].last_sent <= self.last_tick {
+                self.send_skip_notice(core, ctx, peer);
+            }
+        }
+        self.last_tick = ctx.now();
         self.retransmit_own_unexecuted(core, ctx);
         self.replay_to_stalled_peers(core, ctx);
         self.maybe_revoke(core, ctx);
         self.try_execute(core, ctx);
+        self.flush_idle_links(core, ctx);
         ctx.set_timer(core.cfg.mencius.skip_heartbeat, T_COORD);
     }
 
     fn on_msg(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, from: ActorId, msg: Msg) {
         if let Msg::Mencius(m) = msg {
             self.on_mencius(core, ctx, from, m);
+            self.flush_idle_links(core, ctx);
         }
     }
 
@@ -1248,8 +1503,9 @@ impl ProtocolRules for MenciusRules {
         for (term, slots) in ready {
             self.tally_own(core, &slots, term, me);
         }
-        self.flush_commits(core, ctx);
+        self.queue_decisions(core, ctx.now());
         self.try_execute(core, ctx);
+        self.flush_idle_links(core, ctx);
     }
 
     fn snapshot_chunk_fixed_cost(&self, costs: &CostModel) -> SimDuration {
@@ -1296,14 +1552,11 @@ impl ProtocolRules for MenciusRules {
             self.exec_index = snap.last_slot;
             self.discard_through(core, snap.last_slot);
             self.compacted_through = self.compacted_through.max(snap.last_slot);
-            // Everything covered is decided at every owner.
+            // The state covers every owner's slots from the first one.
             for o in 0..core.cfg.n as u32 {
-                let k = &mut self.known_upto[o as usize];
-                if snap.last_slot.next() > *k {
-                    *k = snap.last_slot.next();
-                }
+                self.note_known(core, NodeId(o), Slot(1), snap.last_slot.next());
             }
-            let above = self.own_slot_at_or_after(core, snap.last_slot.next());
+            let above = owned_at_or_after(core.cfg.id, snap.last_slot.next(), core.cfg.n);
             if above > self.next_own {
                 self.next_own = above;
             }
@@ -1335,7 +1588,10 @@ impl ProtocolRules for MenciusRules {
         let peer = core.cfg.node_of(from);
         self.last_heard[peer.0 as usize] = ctx.now();
         core.snap_send.finish(peer.0 as usize);
-        self.note_known(core, peer, upto.next());
+        // The peer executed through `upto`; that accounts for its own
+        // slots only as far as this replica executed too (a peer that
+        // was ahead answers with a prefix we have not seen).
+        self.note_known(core, peer, Slot(1), upto.min(self.exec_index).next());
     }
 
     fn on_crash(&mut self, core: &mut EngineCore) {
@@ -1386,6 +1642,13 @@ impl ProtocolRules for MenciusRules {
         }
         self.await_respond.clear();
         self.commit_buf.clear();
+        // The streams restart claiming nothing they did not send in this
+        // incarnation; queued decisions die with the queue (the
+        // retransmission re-covers them).
+        for st in &mut self.out {
+            *st = PeerStream::starting_at(self.next_own);
+        }
+        self.beyond_gap.fill(None);
         self.revoke = None;
         for e in &mut self.peer_exec {
             *e = Slot::NONE;
@@ -1568,5 +1831,354 @@ mod tests {
             sim.actor::<TestClient>(clients[0]).replies.len() == 1
                 && sim.actor::<TestClient>(clients[1]).replies.len() == 1
         }));
+    }
+
+    /// A scripted peer among real replicas: records what replica 0 sends
+    /// it, acknowledges the first `acks` suggestions (every ack carrying
+    /// `ack_coord`), and plays `script` — messages for replica 0, each
+    /// sent a given time after the first suggestion arrives (zero delay:
+    /// in that handler, ahead of the ack).
+    struct Puppet {
+        acks: usize,
+        ack_coord: Coord,
+        script: Vec<(SimDuration, MenciusMsg)>,
+        seen: Vec<(SimTime, MenciusMsg)>,
+    }
+
+    impl Puppet {
+        fn new(acks: usize, ack_coord: Coord, script: Vec<(SimDuration, MenciusMsg)>) -> Self {
+            Puppet {
+                acks,
+                ack_coord,
+                script,
+                seen: Vec::new(),
+            }
+        }
+
+        fn suggests_seen(&self) -> impl Iterator<Item = (&[(Slot, Command)], &Coord)> {
+            self.seen.iter().filter_map(|(_, m)| match m {
+                MenciusMsg::Suggest { items, coord, .. } => Some((&items[..], coord)),
+                _ => None,
+            })
+        }
+    }
+
+    impl paxraft_sim::sim::Actor<Msg> for Puppet {
+        fn on_message(&mut self, ctx: &mut Ctx<Msg>, from: ActorId, msg: Msg) {
+            let Msg::Mencius(m) = msg else { return };
+            self.seen.push((ctx.now(), m.clone()));
+            let MenciusMsg::Suggest { term, items, .. } = m else {
+                return;
+            };
+            let first = self.suggests_seen().count() == 1;
+            for (i, (delay, msg)) in self.script.iter().enumerate().filter(|_| first) {
+                if *delay == SimDuration::ZERO {
+                    ctx.send(from, Msg::Mencius(msg.clone()));
+                } else {
+                    ctx.set_timer(*delay, i as u64);
+                }
+            }
+            if self.acks > 0 {
+                self.acks -= 1;
+                let ok = MenciusMsg::SuggestOk {
+                    term,
+                    slots: items.iter().map(|(s, _)| *s).collect(),
+                    coord: self.ack_coord.clone(),
+                };
+                ctx.send(from, Msg::Mencius(ok));
+            }
+        }
+
+        fn on_timer(&mut self, ctx: &mut Ctx<Msg>, token: u64) {
+            let msg = self.script[token as usize].1.clone();
+            ctx.send(ActorId(0), Msg::Mencius(msg));
+        }
+
+        paxraft_sim::impl_actor_any!();
+    }
+
+    /// Replica 0 for real, `p1` and `p2` as replicas 1 (Ohio) and 2
+    /// (Ireland), and a client of replica 0.
+    fn replica_among_puppets(p1: Puppet, p2: Puppet) -> (Simulation<Msg>, ActorId) {
+        let mut puppets = vec![p2, p1];
+        let (sim, _, client) = crate::testutil::cluster_with(3, |cfg| match cfg.id {
+            NodeId(0) => Box::new(MenciusReplica::new(cfg)),
+            _ => Box::new(puppets.pop().expect("two puppets")),
+        });
+        (sim, client)
+    }
+
+    /// A header claiming that every sender-owned slot below `upto` not
+    /// suggested so far is a no-op.
+    fn skipped_below(upto: u64) -> Coord {
+        Coord {
+            from: Slot(1),
+            watermark: Slot(upto),
+            commits: Vec::new(),
+            exec: Slot::NONE,
+        }
+    }
+
+    fn suggest_from(owner: u32, slots: &[u64], coord: Coord) -> MenciusMsg {
+        let put = |s: u64| {
+            let id = crate::kv::CmdId { client: 9, seq: s };
+            (Slot(s), Command::put(id, 100 + s, vec![0; 8]))
+        };
+        MenciusMsg::Suggest {
+            term: Term::encode(1, NodeId(owner), 3),
+            items: slots.iter().map(|&s| put(s)).collect(),
+            coord,
+        }
+    }
+
+    /// The suggestion for slot 2 never arrives; the one for slot 5 says
+    /// its range starts at 5. The receiver keeps slot 5's value but must
+    /// not read slot 2 as skipped — execution blocks there — until a
+    /// replay whose range starts at or below what it knows brings it.
+    /// The replay need only reach what was heard beyond the gap: it ends
+    /// at slot 5 (still uncommitted at its owner), and the bound moves
+    /// to where the kept element ends.
+    #[test]
+    fn a_gap_in_a_peers_stream_infers_no_skip_and_the_replay_heals_it() {
+        let later = Coord {
+            from: Slot(5),
+            ..skipped_below(8)
+        };
+        let replay = Coord {
+            commits: vec![Slot(2)],
+            ..skipped_below(5)
+        };
+        let decision = MenciusMsg::SkipNotice {
+            coord: Coord {
+                from: Slot(8),
+                commits: vec![Slot(5)],
+                ..skipped_below(8)
+            },
+        };
+        let p1 = Puppet::new(
+            0,
+            Coord::empty(Slot(2), Slot::NONE),
+            vec![
+                (SimDuration::ZERO, suggest_from(1, &[5], later)),
+                (SimDuration::from_millis(300), suggest_from(1, &[2], replay)),
+                (SimDuration::from_millis(500), decision),
+            ],
+        );
+        let p2 = Puppet::new(usize::MAX, skipped_below(9), Vec::new());
+        let (mut sim, client) = replica_among_puppets(p1, p2);
+        sim.actor_mut::<TestClient>(client).enqueue_put(1);
+        sim.run_until(SimTime::from_millis(300));
+        let rep = sim.actor::<MenciusReplica>(ActorId(0));
+        assert!(rep.rules.slots[&5].cmd.is_some(), "slot 5's value stored");
+        assert_eq!(rep.rules.known_upto[1], Slot(1), "the gap moved nothing");
+        assert_eq!(rep.decided_at(Slot(2)), None, "no skip inferred");
+        assert_eq!(rep.exec_index(), Slot(1), "execution blocks at the gap");
+        // The replay leaves Ohio 300 ms after the first suggestion.
+        sim.run_until(SimTime::from_millis(500));
+        let rep = sim.actor::<MenciusReplica>(ActorId(0));
+        assert_eq!(rep.rules.known_upto[1], Slot(8), "joined what it kept");
+        assert_eq!(rep.exec_index(), Slot(4), "slot 5 awaits its decision");
+        sim.run_until(SimTime::from_millis(700));
+        let rep = sim.actor::<MenciusReplica>(ActorId(0));
+        assert_eq!(rep.exec_index(), Slot(6), "own slot 7 is still open");
+        assert!(rep.kv().read_local(102).value_id().is_some());
+        assert!(rep.kv().read_local(105).value_id().is_some());
+    }
+
+    /// What the owner sends a peer whose executed prefix stalled: its
+    /// decided values above that prefix, with their decisions, under a
+    /// range that starts right there and ends at its first uncommitted
+    /// value — while the retransmission of that value, a subset by age,
+    /// claims no range at all.
+    #[test]
+    fn replay_to_a_stalled_peer_claims_a_complete_range() {
+        // Replica 1 acknowledges two suggestions, then falls silent;
+        // replica 2 never does and reports an executed prefix of 0.
+        let p1 = Puppet::new(2, skipped_below(1000), Vec::new());
+        let hello = MenciusMsg::SkipNotice {
+            coord: skipped_below(1000),
+        };
+        let p2 = Puppet::new(
+            0,
+            Coord::empty(Slot(3), Slot::NONE),
+            vec![(SimDuration::ZERO, hello)],
+        );
+        let (mut sim, client) = replica_among_puppets(p1, p2);
+        for k in 0..3 {
+            sim.actor_mut::<TestClient>(client).enqueue_put(k);
+        }
+        sim.run_until(SimTime::from_millis(1500));
+        let rep = sim.actor::<MenciusReplica>(ActorId(0));
+        assert_eq!(rep.exec_index(), Slot(6), "slots 1 and 4 ran, 7 is open");
+        let p2 = sim.actor::<Puppet>(ActorId(2));
+        let (items, coord) = p2
+            .suggests_seen()
+            .filter(|(_, c)| c.from == Slot(1))
+            .last()
+            .expect("replayed");
+        let slots: Vec<Slot> = items.iter().map(|(s, _)| *s).collect();
+        assert_eq!(slots, [Slot(1), Slot(4)], "every decided value it holds");
+        assert_eq!(coord.commits, slots, "with its decision");
+        assert_eq!(coord.watermark, Slot(7), "up to the uncommitted one");
+        let retransmitted = p2
+            .suggests_seen()
+            .filter(|(items, _)| items[0].0 == Slot(7))
+            .collect::<Vec<_>>();
+        assert!(retransmitted.len() >= 2, "original + retransmission");
+        let (_, again) = retransmitted.last().expect("checked");
+        assert_eq!(again.from, again.watermark, "claims no range");
+    }
+
+    /// A decision queued on a link that carried something a moment ago
+    /// leaves on the next message to that peer; on a link idle for
+    /// longer than an eighth of the slot's own commit time it leaves at
+    /// once, in a `Commit` of its own.
+    #[test]
+    fn decisions_ride_a_busy_link_and_leave_an_idle_one_at_once() {
+        // Replica 1 suggests in its own slot 2 just ahead of its ack, so
+        // replica 0 has just answered it when slot 1 commits, and again
+        // in slot 5 three milliseconds later.
+        let own = |from: u64, upto: u64| Coord {
+            from: Slot(from),
+            ..skipped_below(upto)
+        };
+        let p1 = Puppet::new(
+            usize::MAX,
+            Coord::empty(Slot(2), Slot::NONE),
+            vec![
+                (SimDuration::ZERO, suggest_from(1, &[2], own(2, 5))),
+                (
+                    SimDuration::from_millis(3),
+                    suggest_from(1, &[5], own(5, 8)),
+                ),
+            ],
+        );
+        let p2 = Puppet::new(usize::MAX, Coord::empty(Slot(3), Slot::NONE), Vec::new());
+        let (mut sim, client) = replica_among_puppets(p1, p2);
+        sim.actor_mut::<TestClient>(client).enqueue_put(1);
+        sim.run_until(SimTime::from_millis(140));
+        let acks_to_p1: Vec<(Vec<Slot>, Vec<Slot>)> = sim
+            .actor::<Puppet>(ActorId(1))
+            .seen
+            .iter()
+            .filter_map(|(_, m)| match m {
+                MenciusMsg::SuggestOk { slots, coord, .. } => {
+                    Some((slots.clone(), coord.commits.clone()))
+                }
+                MenciusMsg::Commit { .. } => panic!("busy link got a Commit of its own"),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            acks_to_p1,
+            [(vec![Slot(2)], vec![]), (vec![Slot(5)], vec![Slot(1)])],
+            "the decision rode the next ack"
+        );
+        let p2 = sim.actor::<Puppet>(ActorId(2));
+        let commit_at = p2.seen.iter().find_map(|(at, m)| match m {
+            MenciusMsg::Commit { slots } if slots == &[Slot(1)] => Some(*at),
+            _ => None,
+        });
+        let ack_carrier_at = sim.actor::<Puppet>(ActorId(1)).seen[2].0;
+        let commit_at = commit_at.expect("idle link got the decision on its own");
+        // Sent about 3 ms before the carrier, but Ireland is 40 ms
+        // further from Oregon than Ohio is.
+        assert!(commit_at < ack_carrier_at + SimDuration::from_millis(40));
+    }
+
+    /// Every message inside a 20 ms window is lost — among them the
+    /// owner's commit decision for slot 1, on whatever it rode. The
+    /// peers hold the value, cannot execute it, report a stalled prefix,
+    /// and the owner's replay brings the decision again.
+    #[test]
+    fn a_dropped_decision_is_recovered_by_the_stalled_peer_replay() {
+        let (mut sim, replicas, clients) = mencius_cluster(3);
+        sim.actor_mut::<TestClient>(clients[0]).enqueue_put(7);
+        // The first ack (Ohio) reaches replica 0 at about 63 ms.
+        sim.set_drop_rate_at(1.0, SimTime::from_millis(55));
+        sim.set_drop_rate_at(0.0, SimTime::from_millis(75));
+        sim.run_until(SimTime::from_millis(95));
+        let owner = sim.actor::<MenciusReplica>(replicas[0]);
+        assert_eq!(owner.decided_at(Slot(1)).map(|c| c.id.seq), Some(1));
+        for &r in &replicas[1..] {
+            let rep = sim.actor::<MenciusReplica>(r);
+            assert!(rep.rules.slots[&1].cmd.is_some(), "value arrived");
+            assert_eq!(rep.decided_at(Slot(1)), None, "decision was lost");
+        }
+        sim.run_until(SimTime::from_millis(600));
+        for &r in &replicas {
+            let rep = sim.actor::<MenciusReplica>(r);
+            assert!(rep.exec_index() >= Slot(1), "replica {r:?} executed");
+            assert!(rep.kv().read_local(7).value_id().is_some());
+        }
+    }
+
+    /// One acceptor refusing a suggestion (it promised the slot to a
+    /// revocation that never completed) decides nothing: the slot stays
+    /// proposed and commits, with its value, through the rest of the
+    /// quorum.
+    #[test]
+    fn a_refused_suggestion_still_commits_through_the_rest_of_the_quorum() {
+        let refusal = MenciusMsg::SuggestReject {
+            slots: vec![Slot(1)],
+            term: Term::encode(2, NodeId(1), 3),
+        };
+        let idle = MenciusMsg::SkipNotice {
+            coord: skipped_below(1000),
+        };
+        let p1 = Puppet::new(
+            0,
+            Coord::empty(Slot(2), Slot::NONE),
+            vec![(SimDuration::ZERO, refusal), (SimDuration::ZERO, idle)],
+        );
+        let p2 = Puppet::new(usize::MAX, skipped_below(1000), Vec::new());
+        let (mut sim, client) = replica_among_puppets(p1, p2);
+        sim.actor_mut::<TestClient>(client).enqueue_put(1);
+        sim.run_until(SimTime::from_millis(400));
+        let rep = sim.actor::<MenciusReplica>(ActorId(0));
+        let decided = rep.decided_at(Slot(1)).expect("decided");
+        assert_eq!(decided.id.seq, 1, "the suggested value, not a no-op");
+        assert!(rep.exec_index() >= Slot(1));
+        assert_eq!(sim.actor::<TestClient>(client).replies.len(), 1);
+    }
+
+    /// An owner that missed the revocation of its slot suggests in it;
+    /// the acceptor holding the decision refuses — and tells it.
+    #[test]
+    fn a_refusal_of_a_decided_slot_carries_the_decision() {
+        let revoked = MenciusMsg::RevokeCommit {
+            term: Term::encode(3, NodeId(2), 3),
+            items: vec![(Slot(2), Command::noop())],
+        };
+        let late = Coord {
+            from: Slot(2),
+            ..skipped_below(5)
+        };
+        let p1 = Puppet::new(
+            0,
+            Coord::empty(Slot(2), Slot::NONE),
+            vec![(SimDuration::from_millis(100), suggest_from(1, &[2], late))],
+        );
+        let p2 = Puppet::new(
+            0,
+            Coord::empty(Slot(3), Slot::NONE),
+            vec![(SimDuration::ZERO, revoked)],
+        );
+        let (mut sim, client) = replica_among_puppets(p1, p2);
+        sim.actor_mut::<TestClient>(client).enqueue_put(1);
+        sim.run_until(SimTime::from_millis(300));
+        let told = sim
+            .actor::<Puppet>(ActorId(1))
+            .seen
+            .iter()
+            .any(|(_, m)| match m {
+                MenciusMsg::RevokeCommit { items, .. } => {
+                    items.len() == 1 && items[0].0 == Slot(2) && items[0].1 == Command::noop()
+                }
+                _ => false,
+            });
+        assert!(told, "the owner learns its slot was decided a no-op");
+        let rep = sim.actor::<MenciusReplica>(ActorId(0));
+        assert_eq!(rep.decided_at(Slot(2)), Some(Command::noop()));
     }
 }

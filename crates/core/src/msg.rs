@@ -303,6 +303,50 @@ pub enum LeaseMsg {
     },
 }
 
+/// What every regular Mencius message (`Suggest`, `SuggestOk`,
+/// `SkipNotice`) carries about its sender's *own* slots: one element of
+/// the sender's per-peer stream. The coordination that used to travel in
+/// messages of its own — skips, commit decisions, the executed-prefix
+/// report — rides the data path instead (the Raft `Append` already
+/// carries `commit`; this is the same fact ported across the mapping).
+#[derive(Debug, Clone)]
+pub struct Coord {
+    /// Start of the range this message accounts for: the watermark the
+    /// sender last sent *to this receiver*. A receiver whose knowledge of
+    /// the sender's slots ends below `from` missed a message and must not
+    /// advance (links are ordered but lossy).
+    pub from: Slot,
+    /// Sender's skip watermark: every sender-owned slot in
+    /// `[from, watermark)` is either suggested in this very message or a
+    /// no-op.
+    pub watermark: Slot,
+    /// Commit decisions for sender-owned slots, queued for this receiver
+    /// since the last message to it.
+    pub commits: Vec<Slot>,
+    /// Sender's executed prefix, so peers can spot a replica that stalled
+    /// on a lost message (replay) or fell below their checkpoint floor
+    /// (state transfer).
+    pub exec: Slot,
+}
+
+impl Coord {
+    /// A header that claims nothing: for messages that may leave out of
+    /// stream order (an ack held back by the fsync gate).
+    pub fn empty(at: Slot, exec: Slot) -> Self {
+        Coord {
+            from: at,
+            watermark: at,
+            commits: Vec::new(),
+            exec,
+        }
+    }
+
+    /// Wire size: `from`, `watermark`, `exec`, 8 B per carried decision.
+    fn size_bytes(&self) -> usize {
+        24 + 8 * self.commits.len()
+    }
+}
+
 /// Raft*-Mencius messages (Appendix A.4). One replica is the *default
 /// leader* of each slot (round-robin); `Suggest` is an Append for owned
 /// slots with `isDefault = true`, and skips propagate watermarks.
@@ -314,9 +358,8 @@ pub enum MenciusMsg {
         term: Term,
         /// `(slot, command)` pairs; slots are the owner's (spaced `n`).
         items: Vec<(Slot, Command)>,
-        /// Owner's skip watermark: every owner slot `< watermark` without
-        /// a suggestion is a no-op.
-        watermark: Slot,
+        /// The owner's stream element; its range covers `items`.
+        coord: Coord,
     },
     /// Acknowledgement of a `Suggest`.
     SuggestOk {
@@ -324,22 +367,19 @@ pub enum MenciusMsg {
         term: Term,
         /// Slots accepted.
         slots: Vec<Slot>,
-        /// Responder's own skip watermark (piggybacked skip, Appendix
-        /// A.3: "it piggybacks a skip message in its reply").
-        watermark: Slot,
+        /// The responder's stream element (the piggybacked skip of
+        /// Appendix A.3: "it piggybacks a skip message in its reply").
+        coord: Coord,
     },
-    /// Direct watermark broadcast ("keep committing skip to keep the
-    /// system moving forward"). Only meaningful from the owner itself;
-    /// FIFO links make the watermark safe.
+    /// A stream element with nothing to ride on ("keep committing skip to
+    /// keep the system moving forward"): sent when the watermark moves
+    /// and as a keepalive to peers that were sent nothing for a tick.
     SkipNotice {
-        /// Sender's own skip watermark.
-        watermark: Slot,
-        /// Sender's executed prefix, piggybacked so peers can spot a
-        /// replica that fell behind their checkpoint floor and ship it
-        /// a [`MenciusMsg::Checkpoint`].
-        exec: Slot,
+        /// The sender's stream element.
+        coord: Coord,
     },
-    /// Commit decisions for the sender's owned slots.
+    /// Commit decisions for the sender's owned slots, on their own: only
+    /// when no carrier is about to leave on that link.
     Commit {
         /// Slots now committed.
         slots: Vec<Slot>,
@@ -435,12 +475,15 @@ impl Payload for Msg {
             Msg::Lease(LeaseMsg::Grant { .. }) => 24,
             Msg::Lease(LeaseMsg::GrantAck { .. }) => 16,
             Msg::Mencius(m) => match m {
-                MenciusMsg::Suggest { items, .. } => {
-                    32 + items.iter().map(|(_, c)| 8 + c.size_bytes()).sum::<usize>()
+                MenciusMsg::Suggest { items, coord, .. } => {
+                    24 + coord.size_bytes()
+                        + items.iter().map(|(_, c)| 8 + c.size_bytes()).sum::<usize>()
                 }
-                MenciusMsg::SuggestOk { slots, .. } => 24 + 8 * slots.len(),
+                MenciusMsg::SuggestOk { slots, coord, .. } => {
+                    16 + coord.size_bytes() + 8 * slots.len()
+                }
                 MenciusMsg::SuggestReject { slots, .. } => 16 + 8 * slots.len(),
-                MenciusMsg::SkipNotice { .. } => 24,
+                MenciusMsg::SkipNotice { coord } => 8 + coord.size_bytes(),
                 MenciusMsg::Commit { slots } => 8 + 8 * slots.len(),
                 MenciusMsg::Revoke { .. } => 40,
                 MenciusMsg::RevokeOk { accepted, .. } => {
@@ -520,8 +563,7 @@ mod tests {
         );
         assert!(
             Msg::Mencius(MenciusMsg::SkipNotice {
-                watermark: Slot(10),
-                exec: Slot(3)
+                coord: Coord::empty(Slot(10), Slot(3))
             })
             .size_bytes()
                 < 64
@@ -535,6 +577,49 @@ mod tests {
             .size_bytes()
                 < 64
         );
+    }
+
+    /// The Mencius carriers pay for what they carry: 8 B for `from`
+    /// (and for `exec` where it is new), 8 B per carried decision —
+    /// against the 16 B+ message (and its framing) a lone `Commit` costs.
+    #[test]
+    fn mencius_carriers_pay_for_what_they_carry() {
+        let coord = |decisions: usize| Coord {
+            from: Slot(1),
+            watermark: Slot(7),
+            commits: vec![Slot(1); decisions],
+            exec: Slot(0),
+        };
+        let notice = |d| Msg::Mencius(MenciusMsg::SkipNotice { coord: coord(d) }).size_bytes();
+        let ok = |d| {
+            Msg::Mencius(MenciusMsg::SuggestOk {
+                term: Term(1),
+                slots: vec![Slot(4)],
+                coord: coord(d),
+            })
+            .size_bytes()
+        };
+        let suggest = |d| {
+            Msg::Mencius(MenciusMsg::Suggest {
+                term: Term(1),
+                items: vec![(Slot(4), cmd(8))],
+                coord: coord(d),
+            })
+            .size_bytes()
+        };
+        // Header + from + watermark + exec; term and the per-slot words
+        // on top for the other two.
+        assert_eq!(notice(0), 32);
+        assert_eq!(ok(0), 48);
+        assert_eq!(suggest(0), 56 + cmd(8).size_bytes());
+        for carrier in [&notice as &dyn Fn(usize) -> usize, &ok, &suggest] {
+            assert_eq!(carrier(3) - carrier(0), 24, "8 B per decision");
+        }
+        let alone = Msg::Mencius(MenciusMsg::Commit {
+            slots: vec![Slot(1)],
+        })
+        .size_bytes();
+        assert!(notice(1) - notice(0) < alone);
     }
 
     #[test]

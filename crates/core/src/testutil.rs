@@ -124,9 +124,18 @@ pub fn region_of(i: usize) -> Region {
 /// into the protocol actor under test.
 pub fn cluster_with(
     n: usize,
+    make: impl FnMut(ReplicaConfig) -> Box<dyn Actor<Msg>>,
+) -> (Simulation<Msg>, Vec<ActorId>, ActorId) {
+    cluster_with_seed(n, 7, make)
+}
+
+/// [`cluster_with`] on a chosen simulation seed (loss sweeps).
+pub fn cluster_with_seed(
+    n: usize,
+    seed: u64,
     mut make: impl FnMut(ReplicaConfig) -> Box<dyn Actor<Msg>>,
 ) -> (Simulation<Msg>, Vec<ActorId>, ActorId) {
-    let mut sim = Simulation::new(NetConfig::default(), 7);
+    let mut sim = Simulation::new(NetConfig::default(), seed);
     // Flight recorder on for every protocol test: recording never
     // perturbs the schedule (pinned by the sim crate's parity test),
     // and a failing scenario dumps the tail for post-mortem context.
