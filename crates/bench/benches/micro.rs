@@ -169,6 +169,58 @@ fn bench_sim_event_loop(rep: &mut Reporter) {
     });
 }
 
+/// A message as wide as the protocols' own (`Msg` is 104 bytes).
+#[derive(Debug, Clone)]
+struct Wide([u64; 13]);
+impl Payload for Wide {
+    fn size_bytes(&self) -> usize {
+        std::mem::size_of_val(&self.0)
+    }
+}
+
+/// Starts `volley` messages round-robin to its four peers and bounces
+/// back whatever arrives until `left` runs out.
+struct Fan {
+    volley: usize,
+    left: u32,
+}
+impl Actor<Wide> for Fan {
+    fn on_start(&mut self, ctx: &mut Ctx<Wide>) {
+        let me = ctx.self_id().0;
+        for k in 0..self.volley {
+            ctx.send(ActorId((me + 1 + k % 4) % 5), Wide([k as u64; 13]));
+        }
+    }
+    fn on_message(&mut self, ctx: &mut Ctx<Wide>, from: ActorId, msg: Wide) {
+        if self.left > 0 {
+            self.left -= 1;
+            ctx.send(from, msg);
+        }
+    }
+    paxraft_sim::impl_actor_any!();
+}
+
+/// The sim core at the depth and width the real cells run it at: five
+/// actors, one per region of the default WAN matrix, 104-byte messages,
+/// about 4,096 of them in flight at any moment (500,000 deliveries,
+/// three heap events each). `sim_10k_message_events` keeps at most two
+/// events queued and carries 16 bytes, so what the heap sifts and what a
+/// push copies do not show there.
+fn bench_sim_deep_queue(rep: &mut Reporter) {
+    bench(rep, "sim_msg104_4k_in_flight", 5, 1, || {
+        let mut sim = Simulation::new(NetConfig::default(), 7);
+        for region in Region::ALL {
+            let fan = Fan {
+                volley: 4096 / 5,
+                left: 100_000,
+            };
+            sim.add_actor(region, Box::new(fan));
+        }
+        sim.run_to_quiescence(SimTime::from_secs(3600));
+        black_box(sim.stats.deliveries);
+    });
+}
+
 fn bench_model_check_small(rep: &mut Reporter) {
     use paxraft_spec::check::{explore, Limits};
     use paxraft_spec::specs::multipaxos::{self, MpConfig};
@@ -547,6 +599,7 @@ fn main() {
     bench_replicator(rep);
     bench_lease_check(rep);
     bench_sim_event_loop(rep);
+    bench_sim_deep_queue(rep);
     bench_model_check_small(rep);
     bench_cluster_commit(rep);
     bench_pipeline_sweep(rep);

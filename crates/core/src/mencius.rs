@@ -76,6 +76,29 @@
 //!   other servers' commit decisions on previous entries — the extra
 //!   latency Figure 10c/d shows for Mencius-100%.
 //!
+//! **The respond pass** (`MenciusRules::try_respond`) runs at the end of
+//! every execute step, i.e. on nearly every message, so what it costs
+//! must not grow with what is waiting. The coverage part is one number
+//! for all waiting slots — the smallest `known_upto` among the peers —
+//! and the pass depends on nothing but that *cover*, on `exec_index`,
+//! and on which slots are queued: when none of the three changed since
+//! the last pass, no waiting slot can have become ready, and it returns
+//! at once. When it does run, a slot above the cover is passed over on
+//! that one comparison, before its table entry is even looked up.
+//!
+//! **The conflict index** is one ordered set of `(key, slot)` for the
+//! retained writes *above the executed prefix*, and the rule reads
+//! "no indexed write to this key in `(exec_index, s)`". Entries leave
+//! the set when their slot executes, is discarded, loses its value to a
+//! crash or has it replaced; that is garbage collection, never what
+//! makes a later slot ready — the range in the rule already ignores an
+//! executed entry — with one exception: a *replaced* value (a
+//! revocation deciding a no-op over a `Put k`) is a write that will
+//! never apply, so it must leave the index or it would hold back every
+//! later writer of `k` for as long as it stayed, and the writers it held
+//! get a fresh pass. A crash re-executes from the checkpoint, so
+//! `on_crash` rebuilds the set from the retained slots above it.
+//!
 //! Crashed owners are handled by *revocation*: after a silence timeout a
 //! peer raises a ballot above the owner's, collects accepted values for
 //! the owner's undecided range (phase-1), re-proposes what was accepted
@@ -119,7 +142,7 @@
 //! a promise only ever *restricts* what the acceptor may later accept,
 //! so it can never manufacture a quorum for lost state.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use paxraft_sim::sim::{ActorId, Ctx};
 use paxraft_sim::time::{SimDuration, SimTime};
@@ -196,6 +219,14 @@ impl PeerStream {
     }
 }
 
+/// The key `cmd` writes, if it is a write.
+fn write_key(cmd: &Command) -> Option<Key> {
+    match &cmd.op {
+        Op::Put { key, .. } => Some(*key),
+        _ => None,
+    }
+}
+
 /// The first slot owned by `owner` at or after `x`.
 fn owned_at_or_after(owner: NodeId, x: Slot, n: usize) -> Slot {
     let n = n as u64;
@@ -232,10 +263,20 @@ pub struct MenciusRules {
     /// Slots (of any owner) decided but whose value never arrived
     /// (reordered revocation); re-checked as values land.
     committed_no_value: BTreeSet<u64>,
-    /// Put slots per key, for the conflicting-response rule.
-    key_slots: HashMap<Key, BTreeSet<u64>>,
+    /// The write-conflict index: `(key, slot)` of every retained `Put`
+    /// above the executed prefix (module docs, "The conflict index").
+    key_slots: BTreeSet<(Key, u64)>,
     /// Own committed slots waiting for the respond condition.
     await_respond: Vec<Slot>,
+    /// The `(cover, exec_index)` the last respond pass ran with; `None`
+    /// when something else it depends on changed since (a slot queued, an
+    /// indexed write replaced), so the next pass must run.
+    respond_seen: Option<(Slot, Slot)>,
+    /// Tests: when set, every respond pass is checked against
+    /// [`MenciusRules::oracle_ready`]; counts the passes checked and the
+    /// slots they answered.
+    #[cfg(test)]
+    oracle_checked: Option<(u64, u64)>,
     /// Own slots committed in this handler, not yet queued per peer.
     commit_buf: Vec<Slot>,
     last_heard: Vec<SimTime>,
@@ -295,8 +336,11 @@ impl MenciusReplica {
                 slots: BTreeMap::new(),
                 exec_index: Slot::NONE,
                 committed_no_value: BTreeSet::new(),
-                key_slots: HashMap::new(),
+                key_slots: BTreeSet::new(),
                 await_respond: Vec::new(),
+                respond_seen: None,
+                #[cfg(test)]
+                oracle_checked: None,
                 commit_buf: Vec::new(),
                 last_heard: vec![SimTime::ZERO; n],
                 peer_exec: vec![Slot::NONE; n],
@@ -444,12 +488,23 @@ impl MenciusRules {
         {
             return true;
         }
-        if let Op::Put { key, .. } = &cmd.op {
-            self.key_slots.entry(*key).or_default().insert(s.0);
-        }
         let slot = self.slots.entry(s.0).or_default();
+        let indexed = write_key(&cmd).filter(|_| s > self.exec_index);
         self.slot_bytes += cmd.size_bytes();
-        self.slot_bytes -= slot.cmd.replace(cmd).map_or(0, |c| c.size_bytes());
+        if let Some(old) = slot.cmd.replace(cmd) {
+            self.slot_bytes -= old.size_bytes();
+            // A value replaced (a revocation deciding a no-op over a
+            // `Put k`) leaves the index with it, or every later writer of
+            // `k` would wait on a write that is never applied; the
+            // writers it held back get a fresh look.
+            let stale = write_key(&old).filter(|k| Some(*k) != indexed);
+            if stale.is_some_and(|k| self.key_slots.remove(&(k, s.0))) {
+                self.respond_seen = None;
+            }
+        }
+        if let Some(key) = indexed {
+            self.key_slots.insert((key, s.0));
+        }
         if term > slot.bal {
             slot.bal = term;
         }
@@ -507,6 +562,7 @@ impl MenciusRules {
                 slot.committed = true;
                 self.commit_buf.push(*s);
                 self.await_respond.push(*s);
+                self.respond_seen = None;
             }
         }
     }
@@ -595,63 +651,103 @@ impl MenciusRules {
     }
 
     /// The respond condition's coverage part: every other owner's slots
-    /// below `s` are known (suggested or skipped).
-    fn covered(&self, core: &EngineCore, s: Slot) -> bool {
+    /// below `s` are known (suggested or skipped) for every `s` up to
+    /// this bound.
+    fn cover(&self, core: &EngineCore) -> Slot {
         core.cfg
             .others()
-            .all(|o| self.known_upto[o.0 as usize] >= s)
+            .map(|o| self.known_upto[o.0 as usize])
+            .min()
+            .unwrap_or(Slot(u64::MAX))
     }
 
-    /// The respond condition's conflict part: every earlier write to the
-    /// same key has applied.
-    fn conflicts_applied(&self, s: Slot, cmd: &Command) -> bool {
-        let Some(key) = cmd.op.key() else { return true };
-        let Some(slots) = self.key_slots.get(&key) else {
-            return true;
-        };
-        match slots.range(..s.0).next_back() {
-            Some(&c) => self.exec_index.0 >= c,
-            None => true,
-        }
+    /// The respond condition's conflict part: every earlier write to
+    /// `key` has applied — no indexed write to it in `(exec_index, s)`.
+    fn conflicts_applied(&self, s: Slot, key: Key) -> bool {
+        let unapplied = (key, self.exec_index.0 + 1)..(key, s.0);
+        self.exec_index >= s || self.key_slots.range(unapplied).next().is_none()
     }
 
-    /// Answers clients for own slots whose respond condition now holds.
+    /// Answers clients for own slots whose respond condition now holds
+    /// (module docs, "The respond pass").
     fn try_respond(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
-        let mut still = Vec::new();
-        let await_list = std::mem::take(&mut self.await_respond);
-        for s in await_list {
-            let Some(slot) = self.slots.get(&s.0) else {
-                continue;
-            };
-            if slot.responded || slot.cmd.is_none() {
-                continue;
-            }
-            let cmd = slot.cmd.clone().expect("checked");
-            let is_get = matches!(cmd.op, Op::Get { .. });
-            let ready = slot.committed
-                && self.covered(core, s)
-                && if is_get {
-                    // Reads need the value: wait for in-order apply.
-                    self.exec_index >= s
-                } else {
-                    self.conflicts_applied(s, &cmd)
-                };
-            if ready {
-                let reply = if is_get {
-                    let Op::Get { key } = cmd.op else {
-                        unreachable!()
-                    };
-                    core.kv.read_local(key)
-                } else {
-                    crate::kv::Reply::Done
-                };
-                core.respond(ctx, cmd.id, reply);
-                self.slots.get_mut(&s.0).expect("exists").responded = true;
-            } else {
-                still.push(s);
-            }
+        let cover = self.cover(core);
+        let seen = Some((cover, self.exec_index));
+        #[cfg(test)]
+        let oracle = self
+            .oracle_checked
+            .map(|_| (self.await_respond.clone(), self.oracle_ready(core)));
+        if self.respond_seen != seen {
+            self.respond_seen = seen;
+            let mut waiting = std::mem::take(&mut self.await_respond);
+            waiting.retain(|&s| s > cover || self.still_waits(core, ctx, s));
+            self.await_respond = waiting;
         }
-        self.await_respond = still;
+        #[cfg(test)]
+        if let Some((queued, ready)) = oracle {
+            let left = |s: &Slot| !self.await_respond.contains(s);
+            let answered: Vec<Slot> = queued.into_iter().filter(left).collect();
+            assert_eq!(answered, ready, "respond pass at {:?}", ctx.now());
+            let (passes, slots) = self.oracle_checked.get_or_insert_default();
+            *passes += 1;
+            *slots += answered.len() as u64;
+        }
+    }
+
+    /// One covered slot of the respond pass: answers its client if the
+    /// rest of the condition holds. Returns whether the slot stays queued.
+    fn still_waits(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, s: Slot) -> bool {
+        let Some(slot) = self.slots.get(&s.0) else {
+            return false;
+        };
+        let Some(cmd) = slot.cmd.as_ref().filter(|_| !slot.responded) else {
+            return false;
+        };
+        if !slot.committed {
+            return true;
+        }
+        let reply = match cmd.op {
+            // Reads need the value: wait for in-order apply.
+            Op::Get { key } if self.exec_index >= s => core.kv.read_local(key),
+            Op::Get { .. } => return true,
+            Op::Put { key, .. } if !self.conflicts_applied(s, key) => return true,
+            _ => crate::kv::Reply::Done,
+        };
+        core.respond(ctx, cmd.id, reply);
+        self.slots.get_mut(&s.0).expect("exists").responded = true;
+        false
+    }
+
+    /// Tests: the slots a respond pass must answer, by the rule as it was
+    /// first written — coverage asked of every peer for every slot, and
+    /// the conflict part read off the whole retained history instead of
+    /// an index: the latest earlier write to the key has applied.
+    #[cfg(test)]
+    fn oracle_ready(&self, core: &EngineCore) -> Vec<Slot> {
+        let ready = |s: &Slot| {
+            let Some(slot) = self.slots.get(&s.0) else {
+                return false;
+            };
+            let Some(cmd) = slot.cmd.as_ref().filter(|_| !slot.responded) else {
+                return false;
+            };
+            let covered = core
+                .cfg
+                .others()
+                .all(|o| self.known_upto[o.0 as usize] >= *s);
+            let applied = match cmd.op {
+                Op::Get { .. } => self.exec_index >= *s,
+                Op::Put { key, .. } => self
+                    .slots
+                    .range(..s.0)
+                    .rev()
+                    .find(|(_, x)| x.cmd.as_ref().and_then(write_key) == Some(key))
+                    .is_none_or(|(&c, _)| self.exec_index.0 >= c),
+                _ => true,
+            };
+            slot.committed && covered && applied
+        };
+        self.await_respond.iter().copied().filter(ready).collect()
     }
 
     /// Applies the decided prefix in slot order.
@@ -669,6 +765,9 @@ impl MenciusRules {
                 engine::apply_command(core, ctx, &cmd, mine);
             }
             self.exec_index = next;
+            if let Some(key) = write_key(&cmd) {
+                self.key_slots.remove(&(key, next.0));
+            }
         }
         self.try_respond(core, ctx);
         self.maybe_compact(core, ctx);
@@ -724,13 +823,8 @@ impl MenciusRules {
         for (s, slot) in std::mem::replace(&mut self.slots, retained) {
             if let Some(cmd) = slot.cmd {
                 self.slot_bytes -= cmd.size_bytes();
-                if let Some(key) = cmd.op.key() {
-                    if let Some(set) = self.key_slots.get_mut(&key) {
-                        set.remove(&s);
-                        if set.is_empty() {
-                            self.key_slots.remove(&key);
-                        }
-                    }
+                if let Some(key) = write_key(&cmd) {
+                    self.key_slots.remove(&(key, s));
                 }
             }
         }
@@ -1618,14 +1712,6 @@ impl ProtocolRules for MenciusRules {
                 if slot.wseq > synced && slot.cmd.is_some() {
                     let cmd = slot.cmd.take().expect("checked");
                     self.slot_bytes -= cmd.size_bytes();
-                    if let Some(key) = cmd.op.key() {
-                        if let Some(set) = self.key_slots.get_mut(&key) {
-                            set.remove(&s);
-                            if set.is_empty() {
-                                self.key_slots.remove(&key);
-                            }
-                        }
-                    }
                     slot.acks = 0;
                     slot.wseq = 0;
                     if slot.committed {
@@ -1641,6 +1727,7 @@ impl ProtocolRules for MenciusRules {
             self.pending_self.clear();
         }
         self.await_respond.clear();
+        self.respond_seen = None;
         self.commit_buf.clear();
         // The streams restart claiming nothing they did not send in this
         // incarnation; queued decisions die with the queue (the
@@ -1662,6 +1749,12 @@ impl ProtocolRules for MenciusRules {
             core.kv.restore(&snap.kv);
             self.exec_index = snap.last_slot;
         }
+        // The retained writes above the restored prefix run again, and
+        // hold back their successors on the same key until they have.
+        let unexecuted = self.slots.range(self.exec_index.0 + 1..);
+        self.key_slots = unexecuted
+            .filter_map(|(&s, slot)| Some((write_key(slot.cmd.as_ref()?)?, s)))
+            .collect();
     }
 }
 
@@ -1841,18 +1934,25 @@ mod tests {
     struct Puppet {
         acks: usize,
         ack_coord: Coord,
-        script: Vec<(SimDuration, MenciusMsg)>,
+        script: Vec<(SimDuration, Msg)>,
         seen: Vec<(SimTime, MenciusMsg)>,
     }
 
     impl Puppet {
         fn new(acks: usize, ack_coord: Coord, script: Vec<(SimDuration, MenciusMsg)>) -> Self {
+            let script = script.into_iter().map(|(at, m)| (at, Msg::Mencius(m)));
             Puppet {
                 acks,
                 ack_coord,
-                script,
+                script: script.collect(),
                 seen: Vec::new(),
             }
+        }
+
+        /// Adds an engine-level message (a checkpoint chunk) to the script.
+        fn also(mut self, delay: SimDuration, msg: EngineMsg) -> Self {
+            self.script.push((delay, Msg::Engine(msg)));
+            self
         }
 
         fn suggests_seen(&self) -> impl Iterator<Item = (&[(Slot, Command)], &Coord)> {
@@ -1873,7 +1973,7 @@ mod tests {
             let first = self.suggests_seen().count() == 1;
             for (i, (delay, msg)) in self.script.iter().enumerate().filter(|_| first) {
                 if *delay == SimDuration::ZERO {
-                    ctx.send(from, Msg::Mencius(msg.clone()));
+                    ctx.send(from, msg.clone());
                 } else {
                     ctx.set_timer(*delay, i as u64);
                 }
@@ -1891,20 +1991,36 @@ mod tests {
 
         fn on_timer(&mut self, ctx: &mut Ctx<Msg>, token: u64) {
             let msg = self.script[token as usize].1.clone();
-            ctx.send(ActorId(0), Msg::Mencius(msg));
+            ctx.send(ActorId(0), msg);
         }
 
         paxraft_sim::impl_actor_any!();
     }
 
     /// Replica 0 for real, `p1` and `p2` as replicas 1 (Ohio) and 2
-    /// (Ireland), and a client of replica 0.
+    /// (Ireland), and a client of replica 0. Every respond pass of
+    /// replica 0 is checked against the oracle.
     fn replica_among_puppets(p1: Puppet, p2: Puppet) -> (Simulation<Msg>, ActorId) {
+        replica_among_puppets_with(p1, p2, |_| ())
+    }
+
+    /// The same with replica 0's configuration adjusted.
+    fn replica_among_puppets_with(
+        p1: Puppet,
+        p2: Puppet,
+        adjust: impl Fn(&mut ReplicaConfig),
+    ) -> (Simulation<Msg>, ActorId) {
         let mut puppets = vec![p2, p1];
-        let (sim, _, client) = crate::testutil::cluster_with(3, |cfg| match cfg.id {
-            NodeId(0) => Box::new(MenciusReplica::new(cfg)),
+        let (mut sim, _, client) = crate::testutil::cluster_with(3, |mut cfg| match cfg.id {
+            NodeId(0) => {
+                adjust(&mut cfg);
+                Box::new(MenciusReplica::new(cfg))
+            }
             _ => Box::new(puppets.pop().expect("two puppets")),
         });
+        sim.actor_mut::<MenciusReplica>(ActorId(0))
+            .rules
+            .oracle_checked = Some((0, 0));
         (sim, client)
     }
 
@@ -2180,5 +2296,244 @@ mod tests {
         assert!(told, "the owner learns its slot was decided a no-op");
         let rep = sim.actor::<MenciusReplica>(ActorId(0));
         assert_eq!(rep.decided_at(Slot(2)), Some(Command::noop()));
+    }
+
+    fn notice(from: u64, upto: u64, commits: &[u64]) -> MenciusMsg {
+        MenciusMsg::SkipNotice {
+            coord: Coord {
+                from: Slot(from),
+                commits: commits.iter().map(|&s| Slot(s)).collect(),
+                ..skipped_below(upto)
+            },
+        }
+    }
+
+    /// Five replicas, a client each hammering three keys with writes and
+    /// reads, 10 % of all messages lost, checkpoints every 64 slots, group
+    /// commit on a 1 ms device and a crash-restart in the middle: at every
+    /// respond pass of every replica — the ones that return at once
+    /// included — the slots answered are exactly the ones the rule as
+    /// first written (coverage per peer per slot, conflicts read off the
+    /// whole retained history) says are ready, in the same order.
+    #[test]
+    fn every_respond_pass_answers_what_the_full_history_rule_would() {
+        const OPS: usize = 40;
+        let durability = crate::config::DurabilityConfig::group_commit(
+            SimDuration::from_millis(1),
+            8,
+            SimDuration::from_millis(2),
+        );
+        let (mut sim, replicas, client) = crate::testutil::cluster_with_seed(5, 23, |mut cfg| {
+            cfg.mencius.revoke_timeout = SimDuration::from_secs(2);
+            cfg.snapshot = crate::snapshot::SnapshotConfig::every(64);
+            cfg.durability = durability.clone();
+            Box::new(MenciusReplica::new(cfg))
+        });
+        sim.set_disk_config(durability.disk_config());
+        let mut clients = vec![client];
+        for i in 1..5 {
+            let c = TestClient::new(i as u32, replicas[i]);
+            clients.push(sim.add_actor(region_of(i), Box::new(c)));
+        }
+        for (i, &c) in clients.iter().enumerate() {
+            let script = sim.actor_mut::<TestClient>(c);
+            for op in 0..OPS {
+                match (op + i) % 3 {
+                    0 => script.enqueue_get((op % 3) as u64),
+                    _ => script.enqueue_put((op % 3) as u64),
+                }
+            }
+        }
+        for &r in &replicas {
+            sim.actor_mut::<MenciusReplica>(r).rules.oracle_checked = Some((0, 0));
+        }
+        sim.set_drop_rate_at(0.1, SimTime::ZERO);
+        sim.crash_at(replicas[2], SimTime::from_secs(5));
+        sim.restart_at(replicas[2], SimTime::from_secs(6));
+        let done = drive_until(&mut sim, SimTime::from_secs(900), |sim| {
+            let replies = |&c| sim.actor::<TestClient>(c).replies.len();
+            clients.iter().map(replies).sum::<usize>() == 5 * OPS
+        });
+        assert!(done, "every client was answered every operation");
+        for &r in &replicas {
+            let rep = sim.actor::<MenciusReplica>(r);
+            let (passes, answered) = rep.rules.oracle_checked.expect("set above");
+            assert!(
+                passes > 500 && answered >= OPS as u64,
+                "replica {r:?}: {passes} passes checked, {answered} slots answered"
+            );
+            assert!(rep.core.snap_stats.compactions > 0, "{r:?} checkpointed");
+        }
+    }
+
+    /// A revocation decides a no-op over a slot that held `Put k` here.
+    /// The slot leaves the conflict index right then — execution is still
+    /// blocked below it — and a later own write to `k` is answered once
+    /// the no-op has executed.
+    #[test]
+    fn a_value_replaced_by_a_revocation_leaves_the_conflict_index() {
+        // Replica 1's suggestion for its slot 5 arrives beyond a gap (its
+        // slot 2 is unaccounted for) and moves replica 0's next own slot
+        // to 7, where the client's write to the same key lands.
+        let beyond_gap = Coord {
+            from: Slot(5),
+            ..skipped_below(8)
+        };
+        let revoked = MenciusMsg::RevokeCommit {
+            term: Term::encode(3, NodeId(2), 3),
+            items: vec![(Slot(5), Command::noop())],
+        };
+        let p1 = Puppet::new(
+            usize::MAX,
+            Coord::empty(Slot(2), Slot::NONE),
+            vec![
+                (SimDuration::ZERO, suggest_from(1, &[5], beyond_gap)),
+                (SimDuration::from_millis(600), notice(1, 5, &[])),
+            ],
+        );
+        let p2 = Puppet::new(
+            usize::MAX,
+            skipped_below(1000),
+            vec![(SimDuration::from_millis(400), revoked)],
+        );
+        let (mut sim, client) = replica_among_puppets(p1, p2);
+        sim.actor_mut::<TestClient>(client).enqueue_put(1);
+        sim.actor_mut::<TestClient>(client).enqueue_put(105);
+        sim.run_until(SimTime::from_millis(350));
+        let rep = sim.actor::<MenciusReplica>(ActorId(0));
+        assert_eq!(sim.actor::<TestClient>(client).replies.len(), 1);
+        assert!(rep.rules.slots[&7].committed, "the write to 105 is decided");
+        assert!(rep.rules.key_slots.contains(&(105, 5)));
+        assert!(rep.rules.key_slots.contains(&(105, 7)));
+        // The revocation's decision reaches replica 0 (Ireland is 62 ms
+        // away; the script clock started when its first suggestion landed).
+        sim.run_until(SimTime::from_millis(600));
+        let rep = sim.actor::<MenciusReplica>(ActorId(0));
+        assert_eq!(rep.decided_at(Slot(5)), Some(Command::noop()));
+        assert_eq!(rep.exec_index(), Slot(1), "slot 2 still blocks execution");
+        assert!(!rep.rules.key_slots.contains(&(105, 5)), "un-indexed");
+        assert!(rep.rules.key_slots.contains(&(105, 7)));
+        assert_eq!(sim.actor::<TestClient>(client).replies.len(), 1);
+        // Replica 1 accounts for its slot 2: the prefix runs through the
+        // no-op and the write behind it.
+        sim.run_until(SimTime::from_millis(900));
+        let rep = sim.actor::<MenciusReplica>(ActorId(0));
+        assert_eq!(rep.exec_index(), Slot(7));
+        assert_eq!(sim.actor::<TestClient>(client).replies.len(), 2);
+        assert!(rep.rules.key_slots.is_empty(), "nothing above the prefix");
+    }
+
+    /// Replica 0 checkpoints, accepts replica 1's uncommitted write to a
+    /// key in slot 11, commits its own write to that key behind it, and
+    /// crashes. Restored from the checkpoint it re-executes, and the
+    /// client's retry — a new own slot — is still held back by slot 11
+    /// until that applies: `on_crash` rebuilt the index from what it kept.
+    #[test]
+    fn a_write_above_a_restored_checkpoint_still_holds_back_its_successor() {
+        let held_back = Coord {
+            from: Slot(11),
+            ..skipped_below(14)
+        };
+        let p1 = Puppet::new(
+            usize::MAX,
+            skipped_below(11),
+            vec![
+                (SimDuration::from_secs(1), suggest_from(1, &[11], held_back)),
+                (SimDuration::from_secs(7), notice(14, 20, &[])),
+                (SimDuration::from_secs(9), notice(20, 20, &[11])),
+            ],
+        );
+        let p2 = Puppet::new(usize::MAX, skipped_below(1000), Vec::new());
+        let (mut sim, client) = replica_among_puppets_with(p1, p2, |cfg| {
+            cfg.snapshot = crate::snapshot::SnapshotConfig::every(4);
+            cfg.mencius.revoke_timeout = SimDuration::from_secs(60);
+        });
+        for key in 1..=4 {
+            sim.actor_mut::<TestClient>(client).enqueue_put(key);
+        }
+        sim.run_until(SimTime::from_millis(1200));
+        assert_eq!(sim.actor::<TestClient>(client).replies.len(), 4);
+        // Slot 11 holds `Put 111`; the client writes the same key.
+        sim.actor_mut::<TestClient>(client).enqueue_put(111);
+        sim.run_until(SimTime::from_secs(2));
+        let rep = sim.actor::<MenciusReplica>(ActorId(0));
+        let floor = rep.core.stable_snap.as_ref().expect("checkpointed");
+        assert!(floor.last_slot < Slot(11));
+        assert_eq!(rep.exec_index(), Slot(10));
+        assert!(rep.rules.slots[&13].committed && !rep.rules.slots[&13].responded);
+        sim.crash_at(ActorId(0), SimTime::from_millis(2000));
+        sim.restart_at(ActorId(0), SimTime::from_millis(2100));
+        // The client retries after 5 s; the retry lands in slot 16, is
+        // decided, and replica 1 has accounted for everything below 20.
+        sim.run_until(SimTime::from_secs(8));
+        let rep = sim.actor::<MenciusReplica>(ActorId(0));
+        assert_eq!(rep.exec_index(), Slot(10), "restored and re-executed");
+        assert!(rep.rules.slots[&16].committed, "the retry is decided");
+        assert!(rep.rules.cover(&rep.core) >= Slot(16), "and covered");
+        assert_eq!(
+            sim.actor::<TestClient>(client).replies.len(),
+            4,
+            "but slot 11's write to the key has not applied"
+        );
+        // Slot 11's decision arrives.
+        sim.run_until(SimTime::from_secs(10));
+        assert!(sim.actor::<MenciusReplica>(ActorId(0)).exec_index() >= Slot(16));
+        assert_eq!(sim.actor::<TestClient>(client).replies.len(), 5);
+    }
+
+    /// Two own slots wait (replica 1 has accounted for nothing) when a
+    /// checkpoint covering the first arrives. The first is dropped from
+    /// the respond queue — it was decided without us; its client
+    /// re-submits — and the second is answered by the pass that follows
+    /// replica 1's next notice, which must not be skipped.
+    #[test]
+    fn a_checkpoint_installed_past_a_waiting_slot_keeps_the_respond_pass_honest() {
+        let checkpoint = Snapshot {
+            last_slot: Slot(5),
+            last_term: Term::ZERO,
+            kv: Default::default(),
+        };
+        let data = checkpoint.encode();
+        let chunk = EngineMsg::SnapshotChunk {
+            group: 0,
+            seal: Term::ZERO,
+            last_slot: checkpoint.last_slot,
+            last_term: Term::ZERO,
+            offset: 0,
+            total: data.len(),
+            header_bytes: 0,
+            data,
+        };
+        let p1 = Puppet::new(
+            usize::MAX,
+            Coord::empty(Slot(2), Slot::NONE),
+            vec![(SimDuration::from_millis(700), notice(6, 9, &[]))],
+        );
+        let p2 = Puppet::new(usize::MAX, skipped_below(1000), Vec::new())
+            .also(SimDuration::from_millis(400), chunk);
+        let (mut sim, first) = replica_among_puppets(p1, p2);
+        let second = sim.add_actor(region_of(0), Box::new(TestClient::new(1, ActorId(0))));
+        sim.actor_mut::<TestClient>(first).enqueue_put(1);
+        sim.actor_mut::<TestClient>(first).enqueue_put(2);
+        sim.actor_mut::<TestClient>(second).enqueue_put(3);
+        let replies = |sim: &Simulation<Msg>| {
+            let of = |c| sim.actor::<TestClient>(c).replies.len();
+            of(first) + of(second)
+        };
+        // Slot 1 is answered (nothing of replica 1's lies below it);
+        // slots 4 and 7 are decided and wait for coverage.
+        sim.run_until(SimTime::from_millis(400));
+        let rep = sim.actor::<MenciusReplica>(ActorId(0));
+        assert_eq!(rep.rules.await_respond, [Slot(4), Slot(7)]);
+        assert_eq!((rep.exec_index(), replies(&sim)), (Slot(1), 1));
+        sim.run_until(SimTime::from_millis(650));
+        let rep = sim.actor::<MenciusReplica>(ActorId(0));
+        assert_eq!(rep.core.snap_stats.snapshots_installed, 1);
+        assert_eq!(rep.rules.await_respond, [Slot(7)]);
+        assert_eq!((rep.exec_index(), replies(&sim)), (Slot(7), 1));
+        sim.run_until(SimTime::from_millis(900));
+        let rep = sim.actor::<MenciusReplica>(ActorId(0));
+        assert!(rep.rules.await_respond.is_empty());
+        assert_eq!(replies(&sim), 2, "slot 7's client has its answer");
     }
 }

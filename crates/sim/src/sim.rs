@@ -14,6 +14,41 @@
 //! CPU is busy until then. This gives M/G/1-style queueing per node, which
 //! is what makes "the leader's CPU is the bottleneck" (Figure 9c/10a)
 //! reproducible in simulation.
+//!
+//! # The event queue
+//!
+//! A real cell keeps thousands of events in flight and its messages are
+//! ~100 bytes, so what the heap sifts matters more than anything a
+//! handler-free probe can see. The queue ([`EventQueue`]) is therefore a
+//! `BinaryHeap` of 24-byte keys `(at, seq, slot)` over a slab of
+//! payloads: a push writes the payload once into a free slab slot and
+//! sifts only the key; a pop returns the key and leaves the payload
+//! where it is. The slab reuses freed slots through a free list, so it
+//! is as long as the peak number of events in flight, never as long as
+//! the run.
+//!
+//! A payload stays in its slot for its whole life. A remote message is
+//! three heap events (`Arrive`, `Arrive` again once the receiver's NIC
+//! has taken it in, then the node's `Process` turn): the second is the
+//! same slot with its `charged` flag flipped and a fresh key, the inbox
+//! holds slot numbers, and a node's `Process` payload never leaves its
+//! slot at all — only keys for it come and go. The message is read out
+//! exactly once, by the handler, and its size is computed exactly once,
+//! at send.
+//!
+//! **`seq` assignment *is* the schedule.** Events at one timestamp pop
+//! in the order they were pushed, and `seq` is what says so: one number
+//! per push, the receiver-NIC re-queue included. Every tie between two
+//! deliveries, every RNG draw that follows from one, and
+//! [`SimStats::events`] depend on those numbers and on nothing else
+//! about the queue, so a change that hands out the same `seq` at the
+//! same points leaves every run bit-for-bit what it was. `slot` is in
+//! the key only to find the payload; `seq` is unique, so it never
+//! decides an order.
+//!
+//! Handler outputs go to one buffer the simulation owns
+//! ([`Ctx::send`] and friends push to it; it is drained when the handler
+//! returns), so a handler call allocates nothing of its own.
 
 use std::any::Any;
 use std::cmp::Reverse;
@@ -88,7 +123,7 @@ pub struct Ctx<'a, M> {
     self_id: ActorId,
     rng: &'a mut SimRng,
     trace: &'a mut FlightRecorder,
-    outputs: Vec<Output<M>>,
+    outputs: &'a mut Vec<Output<M>>,
     charge: SimDuration,
     nic_backlog: SimDuration,
     disk_backlog: SimDuration,
@@ -194,19 +229,15 @@ impl<'a, M> Ctx<'a, M> {
 }
 
 #[derive(Debug)]
-enum Incoming<M> {
-    Msg { from: ActorId, msg: M },
-    Timer { token: u64, epoch: u64 },
-}
-
-#[derive(Debug)]
 enum EvKind<M> {
-    /// A message finishes propagation and joins `dst`'s inbox. `charged`
-    /// records whether receiver-NIC serialization was already applied.
+    /// A message finishes propagation at `dst`. Not yet `charged`, it
+    /// still owes receiver-NIC serialization of its `bytes` and is
+    /// re-queued for when that completes; `charged`, it joins the inbox.
     Arrive {
         dst: usize,
         from: ActorId,
         msg: M,
+        bytes: usize,
         charged: bool,
     },
     /// A timer matures and joins `dst`'s inbox.
@@ -226,26 +257,90 @@ enum Control {
     DropRate(f64),
 }
 
-struct Ev<M> {
+/// What the heap orders: 24 bytes, whatever the payload (module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct EvKey {
     at: SimTime,
     seq: u64,
-    kind: EvKind<M>,
+    slot: usize,
 }
 
-impl<M> PartialEq for Ev<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
+/// The event queue: a heap of [`EvKey`]s over a slab of payloads with a
+/// free list (module docs, "The event queue").
+struct EventQueue<T> {
+    seq: u64,
+    heap: BinaryHeap<Reverse<EvKey>>,
+    slab: Vec<Option<T>>,
+    free: Vec<usize>,
 }
-impl<M> Eq for Ev<M> {}
-impl<M> PartialOrd for Ev<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+
+impl<T> EventQueue<T> {
+    fn new() -> Self {
+        EventQueue {
+            seq: 0,
+            heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
+        }
     }
-}
-impl<M> Ord for Ev<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+
+    /// Queues `payload` for time `at`, behind everything already queued
+    /// for that time.
+    fn push(&mut self, at: SimTime, payload: T) {
+        let slot = self.insert(payload);
+        self.schedule(at, slot);
+    }
+
+    /// Puts `payload` in a slab slot without queueing it.
+    fn insert(&mut self, payload: T) -> usize {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot] = Some(payload);
+                slot
+            }
+            None => {
+                self.slab.push(Some(payload));
+                self.slab.len() - 1
+            }
+        }
+    }
+
+    /// Queues a key for the payload in `slot` at time `at`, under a fresh
+    /// `seq` — exactly as a push of that payload would.
+    fn schedule(&mut self, at: SimTime, slot: usize) {
+        self.seq += 1;
+        self.heap.push(Reverse(EvKey {
+            at,
+            seq: self.seq,
+            slot,
+        }));
+    }
+
+    /// Pops the head event if it is due at or before `limit`: its time
+    /// and its slot, whose payload stays put until [`EventQueue::take`].
+    fn pop_due(&mut self, limit: SimTime) -> Option<(SimTime, usize)> {
+        if self.heap.peek()?.0.at > limit {
+            return None;
+        }
+        let Reverse(key) = self.heap.pop()?;
+        Some((key.at, key.slot))
+    }
+
+    fn payload_mut(&mut self, slot: usize) -> &mut T {
+        self.slab[slot].as_mut().expect("slot holds a payload")
+    }
+
+    /// Reads the payload out and frees its slot.
+    fn take(&mut self, slot: usize) -> T {
+        let payload = self.slab[slot].take().expect("slot holds a payload");
+        self.free.push(slot);
+        payload
+    }
+
+    /// Payloads currently held (queued, or waiting in an inbox).
+    #[cfg(test)]
+    fn live(&self) -> usize {
+        self.slab.len() - self.free.len()
     }
 }
 
@@ -265,15 +360,23 @@ pub struct SimStats {
 /// The deterministic discrete-event simulator.
 pub struct Simulation<M: Payload> {
     now: SimTime,
-    seq: u64,
-    queue: BinaryHeap<Reverse<Ev<M>>>,
+    queue: EventQueue<EvKind<M>>,
+    /// The one handler-output buffer: lent to each [`Ctx`], drained and
+    /// kept (with its capacity) when the handler returns.
+    outputs: Vec<Output<M>>,
     actors: Vec<Box<dyn Actor<M>>>,
     regions: Vec<Region>,
     net: Network,
     rng: SimRng,
     crashed: Vec<bool>,
     cpu_free: Vec<SimTime>,
-    inbox: Vec<VecDeque<Incoming<M>>>,
+    /// Per node, the queue slots of its pending deliveries (`Arrive` and
+    /// `TimerFire` payloads), in arrival order.
+    inbox: Vec<VecDeque<usize>>,
+    /// Per node, the slot of its `Process` payload. At most one is ever
+    /// pending per node, so the payload is written once, when the actor
+    /// is added, and each scheduling only queues a key for it.
+    process_slot: Vec<usize>,
     process_scheduled: Vec<bool>,
     timer_epoch: Vec<u64>,
     started: bool,
@@ -289,8 +392,8 @@ impl<M: Payload> Simulation<M> {
     pub fn new(config: NetConfig, seed: u64) -> Self {
         Simulation {
             now: SimTime::ZERO,
-            seq: 0,
-            queue: BinaryHeap::new(),
+            queue: EventQueue::new(),
+            outputs: Vec::new(),
             actors: Vec::new(),
             regions: Vec::new(),
             net: Network::new(config, Vec::new()),
@@ -298,6 +401,7 @@ impl<M: Payload> Simulation<M> {
             crashed: Vec::new(),
             cpu_free: Vec::new(),
             inbox: Vec::new(),
+            process_slot: Vec::new(),
             process_scheduled: Vec::new(),
             timer_epoch: Vec::new(),
             started: false,
@@ -380,6 +484,8 @@ impl<M: Payload> Simulation<M> {
         self.process_scheduled.push(false);
         self.timer_epoch.push(0);
         self.disk_of.push(id.0);
+        self.process_slot
+            .push(self.queue.insert(EvKind::Process { dst: id.0 }));
         if self.started {
             self.net.add_node(region);
             self.run_handler(id.0, |actor, ctx| actor.on_start(ctx));
@@ -446,25 +552,17 @@ impl<M: Payload> Simulation<M> {
         }
     }
 
-    fn push(&mut self, at: SimTime, kind: EvKind<M>) {
-        self.seq += 1;
-        self.queue.push(Reverse(Ev {
-            at,
-            seq: self.seq,
-            kind,
-        }));
-    }
-
     /// Injects a message from [`ActorId::EXTERNAL`] arriving after `delay`
     /// (no NIC charges apply to external injections).
     pub fn send_external(&mut self, to: ActorId, msg: M, delay: SimDuration) {
         let at = self.now + delay;
-        self.push(
+        self.queue.push(
             at,
             EvKind::Arrive {
                 dst: to.0,
                 from: ActorId::EXTERNAL,
                 msg,
+                bytes: 0,
                 charged: true,
             },
         );
@@ -472,27 +570,29 @@ impl<M: Payload> Simulation<M> {
 
     /// Schedules a crash of `node` at absolute time `at`.
     pub fn crash_at(&mut self, node: ActorId, at: SimTime) {
-        self.push(at, EvKind::Control(Control::Crash(node.0)));
+        self.queue.push(at, EvKind::Control(Control::Crash(node.0)));
     }
 
     /// Schedules a restart of `node` at absolute time `at`.
     pub fn restart_at(&mut self, node: ActorId, at: SimTime) {
-        self.push(at, EvKind::Control(Control::Restart(node.0)));
+        self.queue
+            .push(at, EvKind::Control(Control::Restart(node.0)));
     }
 
     /// Schedules a network partition (group ids per node) at time `at`.
     pub fn partition_at(&mut self, groups: Vec<u32>, at: SimTime) {
-        self.push(at, EvKind::Control(Control::Partition(groups)));
+        self.queue
+            .push(at, EvKind::Control(Control::Partition(groups)));
     }
 
     /// Schedules healing of any partition at time `at`.
     pub fn heal_at(&mut self, at: SimTime) {
-        self.push(at, EvKind::Control(Control::Heal));
+        self.queue.push(at, EvKind::Control(Control::Heal));
     }
 
     /// Schedules a change of the uniform drop rate at time `at`.
     pub fn set_drop_rate_at(&mut self, p: f64, at: SimTime) {
-        self.push(at, EvKind::Control(Control::DropRate(p)));
+        self.queue.push(at, EvKind::Control(Control::DropRate(p)));
     }
 
     /// Whether `node` is currently crashed.
@@ -502,7 +602,8 @@ impl<M: Payload> Simulation<M> {
 
     /// Runs one handler on node `i` with a fresh context, then applies its
     /// outputs (sends and timers) at `start + charge` and advances the
-    /// node's CPU horizon.
+    /// node's CPU horizon. The output buffer is empty on entry and on
+    /// return.
     fn run_handler(&mut self, i: usize, f: impl FnOnce(&mut dyn Actor<M>, &mut Ctx<M>)) {
         let start = self.now.max(self.cpu_free[i]);
         let nic_free = self.net.nic_free_at(i);
@@ -511,7 +612,7 @@ impl<M: Payload> Simulation<M> {
             self_id: ActorId(i),
             rng: &mut self.rng,
             trace: &mut self.trace,
-            outputs: Vec::new(),
+            outputs: &mut self.outputs,
             charge: SimDuration::ZERO,
             nic_backlog: if nic_free > start {
                 nic_free - start
@@ -521,12 +622,10 @@ impl<M: Payload> Simulation<M> {
             disk_backlog: self.disks.backlog(start, self.disk_of[i]),
         };
         f(self.actors[i].as_mut(), &mut ctx);
-        let charge = ctx.charge;
-        let outputs = std::mem::take(&mut ctx.outputs);
-        drop(ctx);
-        let done = start + charge;
+        let done = start + ctx.charge;
         self.cpu_free[i] = self.cpu_free[i].max(done);
-        for out in outputs {
+        let mut outputs = std::mem::take(&mut self.outputs);
+        for out in outputs.drain(..) {
             match out {
                 Output::Send { to, msg } => {
                     if to == ActorId::EXTERNAL {
@@ -546,12 +645,13 @@ impl<M: Payload> Simulation<M> {
                             );
                             // Loopback sends skip the NIC entirely.
                             let charged = i == to.0;
-                            self.push(
+                            self.queue.push(
                                 at,
                                 EvKind::Arrive {
                                     dst: to.0,
                                     from: ActorId(i),
                                     msg,
+                                    bytes,
                                     charged,
                                 },
                             );
@@ -572,7 +672,7 @@ impl<M: Payload> Simulation<M> {
                 }
                 Output::Timer { delay, token } => {
                     let epoch = self.timer_epoch[i];
-                    self.push(
+                    self.queue.push(
                         done + delay,
                         EvKind::TimerFire {
                             dst: i,
@@ -591,7 +691,7 @@ impl<M: Payload> Simulation<M> {
                     // is exactly "the fsync never happened" semantics.
                     let at = self.disks.fsync(done, self.disk_of[i]);
                     let epoch = self.timer_epoch[i];
-                    self.push(
+                    self.queue.push(
                         at,
                         EvKind::TimerFire {
                             dst: i,
@@ -602,6 +702,7 @@ impl<M: Payload> Simulation<M> {
                 }
             }
         }
+        self.outputs = outputs;
     }
 
     /// Ensures a `Process` event is pending for node `i`.
@@ -609,85 +710,95 @@ impl<M: Payload> Simulation<M> {
         if !self.process_scheduled[i] && !self.inbox[i].is_empty() {
             self.process_scheduled[i] = true;
             let at = self.now.max(self.cpu_free[i]);
-            self.push(at, EvKind::Process { dst: i });
+            self.queue.schedule(at, self.process_slot[i]);
         }
     }
 
     /// Processes a single event if one is pending at or before `limit`.
     /// Returns `false` when the queue has no such event.
     fn step_until(&mut self, limit: SimTime) -> bool {
-        let Some(Reverse(head)) = self.queue.peek() else {
+        let Some((at, slot)) = self.queue.pop_due(limit) else {
             return false;
         };
-        if head.at > limit {
-            return false;
-        }
-        let Reverse(ev) = self.queue.pop().expect("peeked");
-        self.now = ev.at;
+        self.now = at;
         self.stats.events += 1;
-        match ev.kind {
+        // A delivery keeps its slot until a handler (or a crash) takes it.
+        match self.queue.payload_mut(slot) {
             EvKind::Arrive {
                 dst,
-                from,
-                msg,
+                bytes,
                 charged,
+                ..
             } => {
+                let dst = *dst;
                 if self.crashed[dst] {
                     self.stats.lost += 1;
-                } else if !charged {
+                    self.queue.take(slot);
+                } else if !*charged {
                     // Charge receiver-side NIC serialization in arrival
                     // order, then re-deliver when fully received.
-                    let at = self.net.rx_admit(self.now, dst, msg.size_bytes());
-                    self.push(
-                        at,
-                        EvKind::Arrive {
-                            dst,
-                            from,
-                            msg,
-                            charged: true,
-                        },
-                    );
+                    *charged = true;
+                    let at = self.net.rx_admit(at, dst, *bytes);
+                    self.queue.schedule(at, slot);
                 } else {
-                    self.inbox[dst].push_back(Incoming::Msg { from, msg });
-                    self.schedule_process(dst);
+                    self.admit(dst, slot);
                 }
             }
-            EvKind::TimerFire { dst, token, epoch } => {
-                if !self.crashed[dst] && epoch == self.timer_epoch[dst] {
-                    self.inbox[dst].push_back(Incoming::Timer { token, epoch });
-                    self.schedule_process(dst);
+            EvKind::TimerFire { dst, epoch, .. } => {
+                let dst = *dst;
+                if !self.crashed[dst] && *epoch == self.timer_epoch[dst] {
+                    self.admit(dst, slot);
+                } else {
+                    self.queue.take(slot);
                 }
             }
             EvKind::Process { dst } => {
-                self.process_scheduled[dst] = false;
-                if self.crashed[dst] {
-                    self.inbox[dst].clear();
-                } else if let Some(item) = self.inbox[dst].pop_front() {
-                    match item {
-                        Incoming::Msg { from, msg } => {
-                            self.stats.deliveries += 1;
-                            self.trace
-                                .record(self.now, ActorId(dst), TraceKind::Recv { from });
-                            self.run_handler(dst, |a, ctx| a.on_message(ctx, from, msg));
-                        }
-                        Incoming::Timer { token, epoch } => {
-                            if epoch == self.timer_epoch[dst] {
-                                self.stats.timer_fires += 1;
-                                self.trace.record(
-                                    self.now,
-                                    ActorId(dst),
-                                    TraceKind::TimerFire { token },
-                                );
-                                self.run_handler(dst, |a, ctx| a.on_timer(ctx, token));
-                            }
-                        }
-                    }
-                    self.schedule_process(dst);
+                let dst = *dst;
+                self.process_next(dst);
+            }
+            EvKind::Control(_) => {
+                if let EvKind::Control(op) = self.queue.take(slot) {
+                    self.apply_control(op);
                 }
             }
-            EvKind::Control(op) => self.apply_control(op),
         }
         true
+    }
+
+    /// The delivery in `slot` joins `dst`'s inbox.
+    fn admit(&mut self, dst: usize, slot: usize) {
+        self.inbox[dst].push_back(slot);
+        self.schedule_process(dst);
+    }
+
+    /// Node `dst`'s CPU is free: hands the head of its inbox to the actor.
+    /// The inbox of a crashed node is empty (the crash dropped it, and
+    /// nothing is admitted while it is down).
+    fn process_next(&mut self, dst: usize) {
+        self.process_scheduled[dst] = false;
+        let Some(slot) = self.inbox[dst].pop_front() else {
+            return;
+        };
+        match self.queue.take(slot) {
+            EvKind::Arrive { from, msg, .. } => {
+                self.stats.deliveries += 1;
+                self.trace
+                    .record(self.now, ActorId(dst), TraceKind::Recv { from });
+                self.run_handler(dst, |a, ctx| a.on_message(ctx, from, msg));
+            }
+            EvKind::TimerFire { token, epoch, .. } => {
+                if epoch == self.timer_epoch[dst] {
+                    self.stats.timer_fires += 1;
+                    self.trace
+                        .record(self.now, ActorId(dst), TraceKind::TimerFire { token });
+                    self.run_handler(dst, |a, ctx| a.on_timer(ctx, token));
+                }
+            }
+            EvKind::Process { .. } | EvKind::Control(_) => {
+                unreachable!("only deliveries join an inbox")
+            }
+        }
+        self.schedule_process(dst);
     }
 
     fn apply_control(&mut self, op: Control) {
@@ -696,9 +807,10 @@ impl<M: Payload> Simulation<M> {
                 if !self.crashed[i] {
                     self.crashed[i] = true;
                     self.timer_epoch[i] += 1;
-                    let lost = self.inbox[i].len() as u64;
-                    self.stats.lost += lost;
-                    self.inbox[i].clear();
+                    self.stats.lost += self.inbox[i].len() as u64;
+                    for slot in self.inbox[i].drain(..) {
+                        self.queue.take(slot);
+                    }
                     self.trace.record(self.now, ActorId(i), TraceKind::Crash);
                     self.actors[i].on_crash();
                 }
@@ -1209,6 +1321,197 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(false), run(true));
+    }
+
+    /// The queue against a reference that is obviously right — a `Vec`
+    /// kept sorted by `(at, seq)` — under one random script of pushes,
+    /// pops, re-queues and frees. Times are drawn from a handful of
+    /// values so most pops break a tie, and freed slots are reused by
+    /// later pushes at the same timestamp: the slot number must never
+    /// decide an order.
+    #[test]
+    fn queue_pops_what_a_sorted_vec_pops() {
+        let mut rng = SimRng::new(0x51ab);
+        let mut queue: EventQueue<u64> = EventQueue::new();
+        let mut reference: Vec<(SimTime, u64, u64)> = Vec::new();
+        let (mut ref_seq, mut next_id, mut now) = (0u64, 0u64, SimTime::ZERO);
+        let (mut pops, mut ties, mut reused) = (0u32, 0u32, 0u32);
+        let mut ref_push = |reference: &mut Vec<(SimTime, u64, u64)>, at: SimTime, id: u64| {
+            ref_seq += 1;
+            let key = (at, ref_seq);
+            let sorted_pos = reference.partition_point(|&(at, seq, _)| (at, seq) < key);
+            reference.insert(sorted_pos, (at, ref_seq, id));
+        };
+        for _ in 0..50_000 {
+            if rng.gen_bool(0.55) {
+                let at = now + SimDuration::from_micros(rng.gen_range(4));
+                reused += u32::from(!queue.free.is_empty());
+                queue.push(at, next_id);
+                ref_push(&mut reference, at, next_id);
+                next_id += 1;
+                continue;
+            }
+            let limit = now + SimDuration::from_micros(rng.gen_range(3));
+            let due = reference.first().filter(|head| head.0 <= limit).copied();
+            let popped = queue.pop_due(limit);
+            assert_eq!(popped.map(|(at, _)| at), due.map(|(at, _, _)| at));
+            let (Some((at, slot)), Some((_, _, id))) = (popped, due) else {
+                continue;
+            };
+            reference.remove(0);
+            pops += 1;
+            ties += u32::from(reference.first().is_some_and(|next| next.0 == at));
+            now = at;
+            if rng.gen_bool(0.3) {
+                // The receiver-NIC hop: same payload, same slot, new key.
+                assert_eq!(*queue.payload_mut(slot), id);
+                let later = at + SimDuration::from_micros(rng.gen_range(3));
+                queue.schedule(later, slot);
+                ref_push(&mut reference, later, id);
+            } else {
+                assert_eq!(queue.take(slot), id);
+            }
+        }
+        assert_eq!(queue.live(), reference.len());
+        assert!(
+            pops > 10_000 && ties > 1_000 && reused > 1_000,
+            "the script exercised ties and slot reuse: {pops} pops, {ties} ties, {reused} reuses"
+        );
+    }
+
+    /// Keeps `volley` messages bouncing off its peer until `left` runs out.
+    struct Bouncer {
+        peer: ActorId,
+        volley: u32,
+        left: u64,
+    }
+    impl Actor<Ping> for Bouncer {
+        fn on_start(&mut self, ctx: &mut Ctx<Ping>) {
+            for k in 0..self.volley {
+                ctx.send(self.peer, Ping(k));
+            }
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<Ping>, from: ActorId, msg: Ping) {
+            if self.left > 0 {
+                self.left -= 1;
+                ctx.send(from, msg);
+            }
+        }
+        impl_actor_any!();
+    }
+
+    #[test]
+    fn slab_is_as_long_as_the_peak_in_flight_not_as_the_run() {
+        let mut sim = Simulation::new(NetConfig::default(), 5);
+        let bouncer = |peer, volley| Bouncer {
+            peer: ActorId(peer),
+            volley,
+            left: 500_000,
+        };
+        sim.add_actor(Region::Oregon, Box::new(bouncer(1, 6)));
+        sim.add_actor(Region::Ohio, Box::new(bouncer(0, 3)));
+        sim.start();
+        let mut peak = sim.queue.live();
+        while sim.step_until(SimTime::from_secs(36_000)) {
+            // Every step frees before it pushes, so the count between
+            // steps is the most any instant held.
+            peak = peak.max(sim.queue.live());
+        }
+        assert_eq!(sim.stats.deliveries, 1_000_000 + 9);
+        assert_eq!(
+            sim.queue.live(),
+            2,
+            "drained, but for each node's Process payload"
+        );
+        assert!(peak <= 9 + 2, "nine messages, a Process payload per node");
+        assert!(
+            sim.queue.slab.len() <= peak,
+            "slab of {} for a peak of {peak} in flight",
+            sim.queue.slab.len()
+        );
+    }
+
+    #[test]
+    fn arrival_at_a_crashed_node_is_lost_once_and_frees_its_slot() {
+        let mut sim = Simulation::new(NetConfig::default(), 1);
+        sim.add_actor(
+            Region::Oregon,
+            Box::new(Starter {
+                peer: ActorId(1),
+                got: Vec::new(),
+            }),
+        );
+        let b = sim.add_actor(Region::Ohio, Box::new(Echo::new(0, true)));
+        // The ping is on the wire (26 ms one way) when `b` goes down: it
+        // arrives un-charged, before any receiver-NIC hop.
+        sim.crash_at(b, SimTime::from_millis(1));
+        sim.run_until(SimTime::from_millis(100));
+        assert_eq!(sim.stats.lost, 1);
+        assert_eq!(sim.stats.events, 2, "the crash and the one arrival");
+        assert_eq!(sim.queue.live(), 2, "each node's Process payload");
+        assert!(sim.actor::<Echo>(b).received.is_empty());
+    }
+
+    #[test]
+    fn crash_frees_the_slots_of_the_inbox_it_drops() {
+        let mut sim = Simulation::new(NetConfig::default(), 1);
+        let n = sim.add_actor(Region::Oregon, Box::new(Echo::new(10_000, false)));
+        sim.start();
+        for k in 0..3 {
+            sim.send_external(n, Ping(k), SimDuration::ZERO);
+        }
+        // The first is being served (10 ms) when the node goes down at
+        // 5 ms with the other two in its inbox.
+        sim.crash_at(n, SimTime::from_millis(5));
+        sim.run_until(SimTime::from_millis(6));
+        assert_eq!(sim.actor::<Echo>(n).received.len(), 1);
+        assert_eq!(sim.stats.lost, 2);
+        assert_eq!(sim.queue.live(), 1, "only the node's Process payload");
+        sim.run_until(SimTime::from_millis(50));
+        assert_eq!(sim.actor::<Echo>(n).received.len(), 1);
+    }
+
+    /// Sends `Ping(k)` copies of what it receives to `sink`: `k` of them.
+    struct Burst {
+        sink: ActorId,
+    }
+    impl Actor<Ping> for Burst {
+        fn on_message(&mut self, ctx: &mut Ctx<Ping>, _from: ActorId, msg: Ping) {
+            for _ in 0..msg.0 {
+                ctx.send(self.sink, msg.clone());
+            }
+        }
+        impl_actor_any!();
+    }
+
+    #[test]
+    fn no_output_leaks_from_one_handler_into_the_next() {
+        let mut sim = Simulation::new(NetConfig::default(), 1);
+        let sink = sim.add_actor(Region::Oregon, Box::new(Echo::new(0, false)));
+        let burst = sim.add_actor(Region::Oregon, Box::new(Burst { sink }));
+        sim.start();
+        // Nothing, then a thousand, then nothing again.
+        for (ms, k) in [(0, 0), (1, 1000), (2, 0)] {
+            sim.send_external(burst, Ping(k), SimDuration::from_millis(ms));
+        }
+        sim.run_until(SimTime::from_millis(100));
+        assert_eq!(sim.actor::<Echo>(sink).received.len(), 1000);
+        assert!(sim.outputs.is_empty() && sim.outputs.capacity() >= 1000);
+        // An actor added after `start` runs its `on_start` through the
+        // same buffer: its one ping, and none of the thousand.
+        let late = sim.add_actor(
+            Region::Oregon,
+            Box::new(Starter {
+                peer: sink,
+                got: Vec::new(),
+            }),
+        );
+        sim.send_external(burst, Ping(0), SimDuration::ZERO);
+        sim.run_until(SimTime::from_millis(200));
+        let received = &sim.actor::<Echo>(sink).received;
+        assert_eq!(received.len(), 1001);
+        assert_eq!((received[1000].0, received[1000].1), (late, 1));
+        assert!(sim.outputs.is_empty());
     }
 
     #[test]
