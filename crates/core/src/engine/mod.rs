@@ -51,6 +51,7 @@ use crate::kv::{CmdId, Command, KvStore, Op, Reply};
 use crate::msg::{ClientMsg, EngineMsg, Msg};
 use crate::shard::migration::{install_cmd_id, KeyOwnership, RangeExport, RouterVersion};
 use crate::snapshot::{ChunkAssembler, Snapshot, SnapshotAssembler, SnapshotSender, SnapshotStats};
+use crate::telemetry::MetricSample;
 use crate::types::{self, NodeId, Slot, Term};
 
 /// Timer token kinds (upper 16 bits); generation counters live in the
@@ -677,6 +678,53 @@ impl<P: ProtocolRules> ReplicaEngine<P> {
         }
         self.core.pending.push(cmd);
         cut_batch(&mut self.rules, &mut self.core, ctx);
+    }
+}
+
+/// What anything *around* the replicas may read off one, whichever
+/// rules file it runs: the object-safe face of [`ReplicaEngine`]'s
+/// observers. [`crate::harness::replica`] is the one place that names
+/// the concrete replica types to hand this out.
+pub trait ReplicaHandle {
+    /// Whether this replica currently counts as the leader (always true
+    /// under Mencius, where every replica leads its own slots).
+    fn is_leader(&self) -> bool;
+    /// The applied prefix (Raft `lastApplied` / Paxos executed index).
+    fn applied_index(&self) -> Slot;
+    /// Read-only state machine access.
+    fn kv(&self) -> &KvStore;
+    /// The named counters and gauges the sampler and the end-of-run
+    /// group aggregates read.
+    fn metric_sample(&self) -> MetricSample;
+    /// Compaction / snapshot-transfer counters, peaks included.
+    fn snap_stats(&self) -> SnapshotStats;
+    /// Pipeline occupancy and adaptive-batching counters.
+    fn pipeline_stats(&self) -> PipelineStats;
+    /// Fsync / deferred-ack counters (durability model).
+    fn durability_stats(&self) -> DurabilityStats;
+}
+
+impl<P: ProtocolRules> ReplicaHandle for ReplicaEngine<P> {
+    fn is_leader(&self) -> bool {
+        ReplicaEngine::is_leader(self)
+    }
+    fn applied_index(&self) -> Slot {
+        ReplicaEngine::applied_index(self)
+    }
+    fn kv(&self) -> &KvStore {
+        ReplicaEngine::kv(self)
+    }
+    fn metric_sample(&self) -> MetricSample {
+        ReplicaEngine::metric_sample(self)
+    }
+    fn snap_stats(&self) -> SnapshotStats {
+        ReplicaEngine::snap_stats(self)
+    }
+    fn pipeline_stats(&self) -> PipelineStats {
+        ReplicaEngine::pipeline_stats(self)
+    }
+    fn durability_stats(&self) -> DurabilityStats {
+        ReplicaEngine::durability_stats(self)
     }
 }
 

@@ -1,30 +1,30 @@
-//! Cluster harness: builds a geo-replicated cluster of any protocol,
-//! attaches closed-loop clients per region, runs a measured interval with
-//! warm-up/cool-down trimming, and reports the paper's metrics
-//! (throughput; p50/p90/p99 latency split into leader-region and
-//! follower-region clients, read vs write).
+//! Cluster harness: the builder for a geo-replicated cluster of any
+//! protocol with closed-loop clients per region, the one dispatch from a
+//! [`ProtocolKind`] to a replica's [`ReplicaHandle`], the sampler's
+//! recording helpers and the report of a measured interval (throughput;
+//! p50/p90/p99 latency split into leader-region and follower-region
+//! clients, read vs write). The cluster itself — one type for any group
+//! count — lives in [`crate::shard`].
 
 use paxraft_sim::net::{NetConfig, Region};
 use paxraft_sim::sim::{ActorId, Simulation};
 use paxraft_sim::time::SimDuration;
-use paxraft_workload::generator::{Generator, OpKind, WorkloadConfig};
+use paxraft_workload::generator::WorkloadConfig;
 use paxraft_workload::linearize::OpRecord;
-use paxraft_workload::metrics::{LatencyRecorder, LatencyTriple};
+use paxraft_workload::metrics::LatencyTriple;
 
-use crate::client::WorkloadClient;
 use crate::config::{DurabilityConfig, LeaseConfig, ReadMode, ReplicaConfig};
 use crate::costs::CostModel;
-use crate::engine::{DurabilityStats, PipelineConfig, PipelineStats};
-use crate::kv::{CmdId, Command, Key, Op, Reply};
+use crate::engine::{DurabilityStats, PipelineConfig, PipelineStats, ReplicaHandle};
+use crate::kv::Key;
 use crate::mencius::MenciusReplica;
-use crate::msg::{ClientMsg, Msg};
+use crate::msg::Msg;
 use crate::multipaxos::MultiPaxosReplica;
 use crate::raft::RaftReplica;
 use crate::raftstar::RaftStarReplica;
 use crate::snapshot::{SnapshotConfig, SnapshotStats};
 use crate::telemetry::{
-    HistogramSeries, LatencyHistogram, MetricRegistry, MetricSample, SpanAssembler, SpanReport,
-    TelemetryConfig, TimeSeries,
+    HistogramSeries, MetricRegistry, MetricSample, SpanReport, TelemetryConfig, TimeSeries,
 };
 use crate::types::NodeId;
 
@@ -59,9 +59,7 @@ impl ProtocolKind {
     }
 }
 
-/// Builder for [`Cluster`] (and, via
-/// [`ClusterBuilder::build_sharded`], for
-/// [`crate::shard::ShardedCluster`]).
+/// Builder for [`Cluster`].
 #[derive(Debug, Clone)]
 pub struct ClusterBuilder {
     pub(crate) protocol: ProtocolKind,
@@ -156,28 +154,24 @@ impl ClusterBuilder {
         self
     }
 
-    /// Sharding parameters: how many replica groups to run and where
-    /// their leaders bootstrap. Only [`ClusterBuilder::build_sharded`]
-    /// consumes this; the unsharded [`ClusterBuilder::build`] refuses a
-    /// multi-group configuration.
+    /// Sharding parameters: how many replica groups to run (default 1)
+    /// and where their leaders bootstrap.
     pub fn shard_config(mut self, shard: crate::shard::ShardConfig) -> Self {
         self.shard = shard;
         self
     }
 
     /// Scripted live rebalancing: key-range migrations the coordinator
-    /// runs at the given virtual times. Only
-    /// [`ClusterBuilder::build_sharded`] consumes this; an empty plan
-    /// (the default) creates no coordinator actor, keeping the cluster
-    /// bit-for-bit the non-rebalancing cluster.
+    /// runs at the given virtual times. An empty plan (the default)
+    /// creates no coordinator actor, keeping the cluster bit-for-bit the
+    /// non-rebalancing cluster.
     pub fn rebalance_config(mut self, rebalance: crate::shard::RebalanceConfig) -> Self {
         self.rebalance = rebalance;
         self
     }
 
     /// Closed-loop auto-rebalancing: a policy engine that watches live
-    /// per-group telemetry and issues migrations itself. Only
-    /// [`ClusterBuilder::build_sharded`] consumes this; the disabled
+    /// per-group telemetry and issues migrations itself. The disabled
     /// default creates no policy (and no coordinator actor unless a
     /// scripted plan asks for one), keeping the cluster bit-for-bit
     /// the plain sharded cluster. Enabling it requires telemetry
@@ -230,72 +224,19 @@ impl ClusterBuilder {
         self
     }
 
-    /// Constructs the cluster.
+    /// Constructs the cluster ([`ClusterBuilder::build_sharded`] under
+    /// its single-group name).
     ///
     /// # Panics
     ///
     /// Panics if region placement does not match the replica count.
     pub fn build(self) -> Cluster {
-        assert_eq!(self.regions.len(), self.replicas, "one region per replica");
-        assert!(
-            self.shard.groups <= 1,
-            "multi-group configs need build_sharded()"
-        );
-        let mut sim = Simulation::new(self.net.clone(), self.seed);
-        if self.telemetry.trace_capacity > 0 {
-            sim.enable_trace(self.telemetry.trace_capacity);
-        }
-        if self.telemetry.trace_spans {
-            sim.enable_spans();
-        }
-        // Provision the disks (the default actor→disk mapping gives each
-        // replica its own device, which is exactly one disk per node in
-        // the unsharded layout).
-        let disk = self.durability.disk_config();
-        if !disk.is_zero_cost() {
-            sim.set_disk_config(disk);
-        }
-        let peers: Vec<ActorId> = (0..self.replicas).map(ActorId).collect();
-        let client_base = self.replicas;
-        let mut replicas = Vec::new();
-        for i in 0..self.replicas {
-            let cfg = self.replica_config(NodeId(i as u32), peers.clone(), client_base, None);
-            replicas.push(sim.add_actor(self.regions[i], make_replica(self.protocol, cfg)));
-        }
-        // One workload client group per region, targeting that region's
-        // replica (clients in regions without a replica would target the
-        // nearest; with the default 1:1 placement this is exact).
-        let mut clients = Vec::new();
-        let mut rng = paxraft_sim::rng::SimRng::new(self.seed ^ 0xC11E57);
-        let mut workload = self.workload.clone();
-        workload.partitions = self.regions.len();
-        for (ri, &region) in self.regions.iter().enumerate() {
-            for _ in 0..self.clients_per_region {
-                let cid = clients.len() as u32;
-                let gen = Generator::new(workload.clone(), ri, rng.fork(cid as u64));
-                let mut wc = WorkloadClient::new(cid, replicas[ri], gen);
-                wc.history_key = self.record_history_key;
-                let id = sim.add_actor(region, Box::new(wc));
-                clients.push(id);
-            }
-        }
-        Cluster {
-            sim,
-            protocol: self.protocol,
-            replicas,
-            clients,
-            regions: self.regions,
-            leader: self.leader,
-            probe: None,
-            probe_seq: 0,
-            metrics: MetricRegistry::new(&self.telemetry),
-            per_replica: self.telemetry.per_replica,
-        }
+        self.build_sharded()
     }
 
-    /// One replica's configuration under this builder's knobs. Shared by
-    /// the unsharded build and the sharded build (which passes each
-    /// group's peer table and membership).
+    /// One replica's configuration under this builder's knobs, given its
+    /// group's peer table and membership (`None` when `groups == 1`: no
+    /// group header on the wire, no redirect checks).
     pub(crate) fn replica_config(
         &self,
         id: NodeId,
@@ -340,104 +281,17 @@ pub(crate) fn make_replica(
     }
 }
 
-/// Whether the replica actor currently claims leadership (Mencius is
-/// always "led": every replica leads its own slots).
-pub(crate) fn replica_is_leader(
-    sim: &paxraft_sim::sim::Simulation<Msg>,
-    protocol: ProtocolKind,
-    id: ActorId,
-) -> bool {
+/// The replica actor behind its protocol-agnostic handle — the one
+/// place outside the rules files that names the concrete replica types
+/// to read from them.
+pub fn replica(sim: &Simulation<Msg>, protocol: ProtocolKind, id: ActorId) -> &dyn ReplicaHandle {
     match protocol {
-        ProtocolKind::MultiPaxos => sim.actor::<MultiPaxosReplica>(id).is_leader(),
-        ProtocolKind::Raft => sim.actor::<RaftReplica>(id).is_leader(),
+        ProtocolKind::MultiPaxos => sim.actor::<MultiPaxosReplica>(id),
+        ProtocolKind::Raft => sim.actor::<RaftReplica>(id),
         ProtocolKind::RaftStar | ProtocolKind::RaftStarPql | ProtocolKind::LeaderLease => {
-            sim.actor::<RaftStarReplica>(id).is_leader()
+            sim.actor::<RaftStarReplica>(id)
         }
-        ProtocolKind::RaftStarMencius => true,
-    }
-}
-
-/// The replica actor's snapshot/compaction counters.
-pub(crate) fn replica_snap_stats(
-    sim: &paxraft_sim::sim::Simulation<Msg>,
-    protocol: ProtocolKind,
-    id: ActorId,
-) -> SnapshotStats {
-    match protocol {
-        ProtocolKind::MultiPaxos => sim.actor::<MultiPaxosReplica>(id).snap_stats(),
-        ProtocolKind::Raft => sim.actor::<RaftReplica>(id).snap_stats(),
-        ProtocolKind::RaftStar | ProtocolKind::RaftStarPql | ProtocolKind::LeaderLease => {
-            sim.actor::<RaftStarReplica>(id).snap_stats()
-        }
-        ProtocolKind::RaftStarMencius => sim.actor::<MenciusReplica>(id).snap_stats(),
-    }
-}
-
-/// The replica actor's pipeline occupancy counters.
-pub(crate) fn replica_pipeline_stats(
-    sim: &paxraft_sim::sim::Simulation<Msg>,
-    protocol: ProtocolKind,
-    id: ActorId,
-) -> PipelineStats {
-    match protocol {
-        ProtocolKind::MultiPaxos => sim.actor::<MultiPaxosReplica>(id).pipeline_stats(),
-        ProtocolKind::Raft => sim.actor::<RaftReplica>(id).pipeline_stats(),
-        ProtocolKind::RaftStar | ProtocolKind::RaftStarPql | ProtocolKind::LeaderLease => {
-            sim.actor::<RaftStarReplica>(id).pipeline_stats()
-        }
-        ProtocolKind::RaftStarMencius => sim.actor::<MenciusReplica>(id).pipeline_stats(),
-    }
-}
-
-/// The replica actor's fsync / deferred-ack counters.
-pub(crate) fn replica_durability_stats(
-    sim: &paxraft_sim::sim::Simulation<Msg>,
-    protocol: ProtocolKind,
-    id: ActorId,
-) -> DurabilityStats {
-    match protocol {
-        ProtocolKind::MultiPaxos => sim.actor::<MultiPaxosReplica>(id).durability_stats(),
-        ProtocolKind::Raft => sim.actor::<RaftReplica>(id).durability_stats(),
-        ProtocolKind::RaftStar | ProtocolKind::RaftStarPql | ProtocolKind::LeaderLease => {
-            sim.actor::<RaftStarReplica>(id).durability_stats()
-        }
-        ProtocolKind::RaftStarMencius => sim.actor::<MenciusReplica>(id).durability_stats(),
-    }
-}
-
-/// The replica actor's state machine (tests: cross-group exclusivity
-/// assertions).
-#[cfg(test)]
-pub(crate) fn replica_kv(
-    sim: &paxraft_sim::sim::Simulation<Msg>,
-    protocol: ProtocolKind,
-    id: ActorId,
-) -> &crate::kv::KvStore {
-    match protocol {
-        ProtocolKind::MultiPaxos => sim.actor::<MultiPaxosReplica>(id).kv(),
-        ProtocolKind::Raft => sim.actor::<RaftReplica>(id).kv(),
-        ProtocolKind::RaftStar | ProtocolKind::RaftStarPql | ProtocolKind::LeaderLease => {
-            sim.actor::<RaftStarReplica>(id).kv()
-        }
-        ProtocolKind::RaftStarMencius => sim.actor::<MenciusReplica>(id).kv(),
-    }
-}
-
-/// The replica actor's registered metric sample (named counters and
-/// gauges) — the single source the sampler and the end-of-run group
-/// aggregates read.
-pub(crate) fn replica_metrics(
-    sim: &paxraft_sim::sim::Simulation<Msg>,
-    protocol: ProtocolKind,
-    id: ActorId,
-) -> MetricSample {
-    match protocol {
-        ProtocolKind::MultiPaxos => sim.actor::<MultiPaxosReplica>(id).metric_sample(),
-        ProtocolKind::Raft => sim.actor::<RaftReplica>(id).metric_sample(),
-        ProtocolKind::RaftStar | ProtocolKind::RaftStarPql | ProtocolKind::LeaderLease => {
-            sim.actor::<RaftStarReplica>(id).metric_sample()
-        }
-        ProtocolKind::RaftStarMencius => sim.actor::<MenciusReplica>(id).metric_sample(),
+        ProtocolKind::RaftStarMencius => sim.actor::<MenciusReplica>(id),
     }
 }
 
@@ -489,7 +343,7 @@ pub(crate) fn record_replica_samples(
         if sim.is_crashed(r) {
             continue;
         }
-        let sample = replica_metrics(sim, protocol, r);
+        let sample = replica(sim, protocol, r).metric_sample();
         let name = |metric: &str| format!("replica{}/{metric}", r.0);
         registry.counter_rate(at, &name("throughput_ops"), sample.get("responses"));
         registry.counter_rate(at, &name("fsync_rate"), sample.get("fsyncs"));
@@ -517,7 +371,7 @@ pub(crate) fn group_sample_now(
         if sim.is_crashed(r) {
             continue;
         }
-        sample.merge_sum(&replica_metrics(sim, protocol, r));
+        sample.merge_sum(&replica(sim, protocol, r).metric_sample());
         let nic_free = sim.network().nic_free_at(r.0);
         if nic_free > now {
             nic_backlog_ms += (nic_free - now).as_millis_f64();
@@ -572,20 +426,10 @@ pub struct RunReport {
     pub spans: Option<SpanReport>,
 }
 
-/// A built cluster ready to run.
-pub struct Cluster {
-    /// The underlying simulation (exposed for fault injection).
-    pub sim: Simulation<Msg>,
-    protocol: ProtocolKind,
-    replicas: Vec<ActorId>,
-    clients: Vec<ActorId>,
-    regions: Vec<Region>,
-    leader: NodeId,
-    probe: Option<ActorId>,
-    probe_seq: u64,
-    pub(crate) metrics: MetricRegistry,
-    per_replica: bool,
-}
+/// A built cluster ready to run: `groups × n` replica actors over `n`
+/// simulated nodes. There is one cluster type; this is its name where
+/// the group count (default 1) is beside the point.
+pub type Cluster = crate::shard::ShardedCluster;
 
 impl Cluster {
     /// Starts a builder.
@@ -613,372 +457,69 @@ impl Cluster {
             durability: DurabilityConfig::default(),
         }
     }
-
-    /// The protocol under test.
-    pub fn protocol(&self) -> ProtocolKind {
-        self.protocol
-    }
-
-    /// Replica actor ids.
-    pub fn replicas(&self) -> &[ActorId] {
-        &self.replicas
-    }
-
-    /// Client actor ids.
-    pub fn clients(&self) -> &[ActorId] {
-        &self.clients
-    }
-
-    /// The configured leader node.
-    pub fn leader(&self) -> NodeId {
-        self.leader
-    }
-
-    /// Whether some replica currently claims leadership (Mencius is
-    /// always "led": every replica leads its own slots).
-    pub fn has_leader(&self) -> bool {
-        self.replicas
-            .iter()
-            .any(|&r| replica_is_leader(&self.sim, self.protocol, r))
-    }
-
-    /// Snapshot / compaction counters aggregated over all replicas
-    /// (sums for counters, maxima for peaks).
-    pub fn snapshot_stats(&self) -> SnapshotStats {
-        let mut total = SnapshotStats::default();
-        for &r in &self.replicas {
-            total.absorb(&replica_snap_stats(&self.sim, self.protocol, r));
-        }
-        total
-    }
-
-    /// Pipeline occupancy / adaptive-batching counters aggregated over
-    /// all replicas (sums for counters, maximum for `peak_in_flight`).
-    pub fn pipeline_stats(&self) -> PipelineStats {
-        let mut total = PipelineStats::default();
-        for &r in &self.replicas {
-            total.absorb(&replica_pipeline_stats(&self.sim, self.protocol, r));
-        }
-        total
-    }
-
-    /// Fsync / deferred-ack counters aggregated over all replicas (sums
-    /// for counters, maximum for `last_batch_len`).
-    pub fn durability_stats(&self) -> DurabilityStats {
-        let mut total = DurabilityStats::default();
-        for &r in &self.replicas {
-            total.absorb(&replica_durability_stats(&self.sim, self.protocol, r));
-        }
-        total
-    }
-
-    /// Runs until a leader is elected (and leases, if any, are live).
-    pub fn elect_leader(&mut self) {
-        let deadline = self.sim.now() + SimDuration::from_secs(30);
-        while !self.has_leader() && self.sim.now() < deadline {
-            self.sim.run_for(SimDuration::from_millis(50));
-        }
-        assert!(self.has_leader(), "no leader elected within 30s");
-        if matches!(
-            self.protocol,
-            ProtocolKind::RaftStarPql | ProtocolKind::LeaderLease
-        ) {
-            // Let the first grant round complete.
-            self.sim.run_for(SimDuration::from_millis(700));
-        }
-    }
-
-    /// Submits one operation through an internal probe client and waits
-    /// for its reply (for examples and tests, not measurement).
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err` if no reply arrives within 30 virtual seconds.
-    pub fn submit_and_wait(&mut self, op: Op) -> Result<Reply, String> {
-        use crate::probe::ProbeClient;
-        self.sim.start();
-        let pid = match self.probe {
-            Some(pid) => pid,
-            None => {
-                let region = self.regions[self.leader.0 as usize];
-                let pid = self.sim.add_actor(region, Box::new(ProbeClient::default()));
-                self.probe = Some(pid);
-                pid
-            }
-        };
-        // Replicas route replies to `client_base + id.client`; the probe's
-        // actor index encodes the matching client id.
-        let client_index = (pid.0 - self.replicas.len()) as u32;
-        self.probe_seq += 1;
-        let id = CmdId {
-            client: client_index,
-            seq: self.probe_seq,
-        };
-        let cmd = Command { id, op };
-        // Target the configured leader's replica unless it is crashed;
-        // fall back to the first live replica (its forwarding finds the
-        // actual leader).
-        let mut target = self.replicas[self.leader.0 as usize];
-        if self.sim.is_crashed(target) {
-            target = *self
-                .replicas
-                .iter()
-                .find(|&&r| !self.sim.is_crashed(r))
-                .expect("at least one live replica");
-        }
-        {
-            let p = self.sim.actor_mut::<ProbeClient>(pid);
-            p.waiting = Some(id);
-            p.reply = None;
-            p.outbox = Some((target, Msg::Client(ClientMsg::Request { cmd })));
-        }
-        let deadline = self.sim.now() + SimDuration::from_secs(30);
-        while self.sim.now() < deadline {
-            self.sim.run_for(SimDuration::from_millis(20));
-            if let Some(r) = self.sim.actor::<ProbeClient>(pid).reply.clone() {
-                return Ok(r);
-            }
-        }
-        Err("probe timed out".into())
-    }
-
-    /// Advances virtual time by `d`, pausing at each due sampling
-    /// instant to read replica state into the metric registry.
-    ///
-    /// Determinism: stepping `run_until` in chunks processes the
-    /// identical event order as a single call (events are heap-ordered
-    /// by `(time, seq)`, and setting the clock between chunks is inert)
-    /// and sampling is read-only, so enabling the sampler never changes
-    /// the run.
-    fn advance(&mut self, d: SimDuration) {
-        let target = self.sim.now() + d;
-        if !self.metrics.enabled() {
-            self.sim.run_until(target);
-            return;
-        }
-        self.metrics.fast_forward(self.sim.now());
-        while self.metrics.next_due() <= target {
-            self.sim.run_until(self.metrics.next_due());
-            let (sample, nic, disk) = group_sample_now(&self.sim, self.protocol, &self.replicas);
-            record_group_sample(&mut self.metrics, self.sim.now(), 0, &sample, nic, disk);
-            if self.per_replica {
-                record_replica_samples(
-                    &mut self.metrics,
-                    &self.sim,
-                    self.protocol,
-                    self.sim.now(),
-                    &self.replicas,
-                );
-            }
-            let mut hist = LatencyHistogram::default();
-            for &c in &self.clients {
-                for h in &self.sim.actor::<WorkloadClient>(c).group_latency {
-                    hist.merge(h);
-                }
-            }
-            self.metrics
-                .histogram(self.sim.now(), "group0/latency", hist);
-            self.metrics.advance();
-        }
-        self.sim.run_until(target);
-    }
-
-    /// The sampled metric time-series collected so far (empty unless
-    /// telemetry sampling is enabled).
-    pub fn telemetry_series(&self) -> Vec<TimeSeries> {
-        self.metrics.snapshot()
-    }
-
-    /// Assembles the span log recorded so far into per-command latency
-    /// breakdowns (`None` unless span tracing is enabled).
-    pub fn span_report(&self) -> Option<SpanReport> {
-        self.sim
-            .trace()
-            .spans_enabled()
-            .then(|| SpanAssembler::assemble(self.sim.trace().spans()))
-    }
-
-    /// Runs `warmup + measure + cooldown`, counting only completions
-    /// inside the measurement window (Section 5: 50 s trials with 10 s
-    /// warm-up and cool-down; benches use scaled-down windows).
-    pub fn run_measurement(
-        &mut self,
-        warmup: SimDuration,
-        measure: SimDuration,
-        cooldown: SimDuration,
-    ) -> RunReport {
-        self.advance(warmup);
-        let w_start = self.sim.now().as_nanos();
-        self.advance(measure);
-        let w_end = self.sim.now().as_nanos();
-        self.advance(cooldown);
-
-        let leader_region = self.regions[self.leader.0 as usize];
-        let mut leader_reads = LatencyRecorder::new();
-        let mut follower_reads = LatencyRecorder::new();
-        let mut leader_writes = LatencyRecorder::new();
-        let mut follower_writes = LatencyRecorder::new();
-        let mut completed: u64 = 0;
-        let mut histories = Vec::new();
-        for &c in &self.clients {
-            let region = self.sim.region_of(c);
-            let is_leader_group = region == leader_region;
-            let client = self.sim.actor::<WorkloadClient>(c);
-            for comp in &client.completions {
-                if !(w_start..w_end).contains(&comp.at_ns) {
-                    continue;
-                }
-                completed += 1;
-                match (comp.kind, is_leader_group) {
-                    (OpKind::Read, true) => leader_reads.record_ns(comp.latency_ns),
-                    (OpKind::Read, false) => follower_reads.record_ns(comp.latency_ns),
-                    (OpKind::Write, true) => leader_writes.record_ns(comp.latency_ns),
-                    (OpKind::Write, false) => follower_writes.record_ns(comp.latency_ns),
-                }
-            }
-            histories.extend(client.history_records());
-        }
-        RunReport {
-            throughput_ops: completed as f64 / measure.as_secs_f64(),
-            leader_reads: leader_reads.paper_triple_ms(),
-            follower_reads: follower_reads.paper_triple_ms(),
-            leader_writes: leader_writes.paper_triple_ms(),
-            follower_writes: follower_writes.paper_triple_ms(),
-            histories,
-            snapshots: self.snapshot_stats(),
-            pipeline: self.pipeline_stats(),
-            durability: self.durability_stats(),
-            telemetry: self.metrics.snapshot(),
-            latency_hists: self.metrics.hist_snapshot(),
-            spans: self.span_report(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{ProtocolRules, ReplicaEngine};
+    use crate::kv::Op;
+    use crate::mencius::MenciusRules;
+    use crate::multipaxos::PaxosRules;
+    use crate::raft::RaftRules;
+    use crate::raftstar::RaftStarRules;
+    use crate::types::Slot;
 
+    /// What the concrete replica type says, read without the handle.
+    fn direct<P: ProtocolRules>(sim: &Simulation<Msg>, id: ActorId) -> (bool, Slot, f64) {
+        let rep = sim.actor::<ReplicaEngine<P>>(id);
+        (
+            rep.is_leader(),
+            rep.applied_index(),
+            rep.metric_sample().get("responses"),
+        )
+    }
+
+    /// Every protocol builds, elects and commits, and the handle reads
+    /// off each replica exactly what its concrete type does.
     #[test]
     fn builds_and_elects_every_protocol() {
-        for p in [
-            ProtocolKind::MultiPaxos,
-            ProtocolKind::Raft,
-            ProtocolKind::RaftStar,
-            ProtocolKind::RaftStarPql,
-            ProtocolKind::LeaderLease,
-            ProtocolKind::RaftStarMencius,
-        ] {
+        type Direct = fn(&Simulation<Msg>, ActorId) -> (bool, Slot, f64);
+        let kinds: [(ProtocolKind, Direct); 6] = [
+            (ProtocolKind::MultiPaxos, direct::<PaxosRules>),
+            (ProtocolKind::Raft, direct::<RaftRules>),
+            (ProtocolKind::RaftStar, direct::<RaftStarRules>),
+            (ProtocolKind::RaftStarPql, direct::<RaftStarRules>),
+            (ProtocolKind::LeaderLease, direct::<RaftStarRules>),
+            (ProtocolKind::RaftStarMencius, direct::<MenciusRules>),
+        ];
+        for (p, direct) in kinds {
             let mut cluster = Cluster::builder(p).build();
             cluster.elect_leader();
-            assert!(cluster.has_leader(), "{} has a leader", p.name());
-        }
-    }
-
-    #[test]
-    fn submit_and_wait_round_trips() {
-        let mut cluster = Cluster::builder(ProtocolKind::RaftStar).build();
-        cluster.elect_leader();
-        let r = cluster
-            .submit_and_wait(Op::Put {
-                key: 1,
-                value: vec![7; 16].into(),
-            })
-            .expect("put succeeds");
-        assert_eq!(r, Reply::Done);
-        let r = cluster
-            .submit_and_wait(Op::Get { key: 1 })
-            .expect("get succeeds");
-        assert!(matches!(r, Reply::Value(Some(_))));
-    }
-
-    #[test]
-    fn measurement_produces_throughput_and_latency() {
-        let w = WorkloadConfig {
-            read_fraction: 0.5,
-            conflict_rate: 0.0,
-            ..Default::default()
-        };
-        let mut cluster = Cluster::builder(ProtocolKind::Raft)
-            .clients_per_region(2)
-            .workload(w)
-            .build();
-        cluster.elect_leader();
-        let report = cluster.run_measurement(
-            SimDuration::from_secs(2),
-            SimDuration::from_secs(5),
-            SimDuration::from_secs(1),
-        );
-        assert!(report.throughput_ops > 1.0, "got {}", report.throughput_ops);
-        assert!(report.leader_reads.is_some());
-        assert!(report.follower_writes.is_some());
-    }
-
-    /// The per-replica series satellite's demo: degrade exactly one
-    /// replica's disk and find the straggler *from the metric series
-    /// alone* — the `replica{i}/disk_backlog_ms` gauge of the slow
-    /// device dominates every healthy one, and no group-level series
-    /// could have said which node it was.
-    #[test]
-    fn per_replica_series_expose_an_injected_slow_disk_straggler() {
-        use paxraft_sim::disk::DiskConfig;
-        let mut cluster = Cluster::builder(ProtocolKind::Raft)
-            .clients_per_region(1)
-            .durability_config(DurabilityConfig::group_commit(
-                SimDuration::from_millis(1),
-                8,
-                SimDuration::from_millis(2),
-            ))
-            .telemetry_config(TelemetryConfig::sampled().with_per_replica())
-            .seed(17)
-            .build();
-        // Node 2 (a follower) gets a device an order of magnitude
-        // slower than the fleet default.
-        let straggler = cluster.replicas()[2];
-        cluster.sim.set_disk_config_for(
-            straggler,
-            DiskConfig {
-                write_bandwidth_bps: 100_000.0,
-                fsync_latency: SimDuration::from_millis(25),
-            },
-        );
-        cluster.elect_leader();
-        let report = cluster.run_measurement(
-            SimDuration::from_secs(1),
-            SimDuration::from_secs(3),
-            SimDuration::from_secs(1),
-        );
-        let mut worst: Option<(&str, f64)> = None;
-        let mut healthy_max = 0.0f64;
-        for s in &report.telemetry {
-            let Some(node) = s
-                .name
-                .strip_prefix("replica")
-                .and_then(|rest| rest.strip_suffix("/disk_backlog_ms"))
-            else {
-                continue;
-            };
-            assert!(!s.is_empty(), "{} has samples", s.name);
-            let mean = s.points.iter().map(|p| p.1).sum::<f64>() / s.len() as f64;
-            if worst.is_none_or(|(_, w)| mean > w) {
-                if let Some((prev, w)) = worst {
-                    let _ = prev;
-                    healthy_max = healthy_max.max(w);
-                }
-                worst = Some((node, mean));
-            } else {
-                healthy_max = healthy_max.max(mean);
+            assert!(cluster.has_all_leaders(), "{} has a leader", p.name());
+            for key in 0..3 {
+                cluster
+                    .submit_and_wait(Op::Put {
+                        key,
+                        value: vec![1; 8].into(),
+                    })
+                    .unwrap_or_else(|e| panic!("{}: put({key}): {e}", p.name()));
             }
+            let mut responses = 0.0;
+            for &r in cluster.replicas() {
+                let handle = replica(&cluster.sim, p, r);
+                let (is_leader, applied, sent) = direct(&cluster.sim, r);
+                assert_eq!(handle.is_leader(), is_leader, "{}: is_leader", p.name());
+                assert_eq!(handle.applied_index(), applied, "{}: applied", p.name());
+                assert_eq!(
+                    handle.metric_sample().get("responses"),
+                    sent,
+                    "{}: responses",
+                    p.name()
+                );
+                responses += sent;
+            }
+            assert!(responses >= 3.0, "{}: the puts were answered", p.name());
         }
-        let (node, backlog) = worst.expect("per-replica backlog series collected");
-        assert_eq!(
-            node,
-            straggler.0.to_string(),
-            "the series alone identify the degraded device"
-        );
-        assert!(
-            backlog > 2.0 * healthy_max.max(0.01),
-            "straggler backlog ({backlog:.2} ms) dominates healthy peers ({healthy_max:.2} ms)"
-        );
     }
 }

@@ -1,5 +1,5 @@
-//! The sharded cluster harness: `groups` independent replica groups
-//! over the same simulated nodes.
+//! The cluster: `groups` independent replica groups (default 1) over
+//! the same simulated nodes.
 
 use paxraft_sim::net::Region;
 use paxraft_sim::sim::{ActorId, Simulation};
@@ -11,9 +11,8 @@ use crate::client::{ClientRouting, WorkloadClient};
 use crate::engine::DurabilityStats;
 use crate::engine::PipelineStats;
 use crate::harness::{
-    group_sample_now, make_replica, record_group_sample, record_replica_samples,
-    replica_durability_stats, replica_is_leader, replica_metrics, replica_pipeline_stats,
-    replica_snap_stats, Cluster, ClusterBuilder, ProtocolKind, RunReport,
+    group_sample_now, make_replica, record_group_sample, record_replica_samples, replica,
+    ClusterBuilder, ProtocolKind, RunReport,
 };
 use crate::kv::{CmdId, Command, Op, Reply};
 use crate::msg::{ClientMsg, Msg};
@@ -63,7 +62,7 @@ impl LeaderPlacement {
 /// Sharding parameters for [`ClusterBuilder::shard_config`].
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
-    /// Number of replica groups (1 = unsharded behavior).
+    /// Number of replica groups (1 = no group header on the wire).
     pub groups: usize,
     /// Per-group leader bootstrap placement.
     pub placement: LeaderPlacement,
@@ -94,7 +93,7 @@ impl ShardConfig {
     }
 }
 
-/// Per-group counters from one sharded run.
+/// Per-group counters from one run.
 #[derive(Debug, Clone)]
 pub struct GroupStats {
     /// Group id.
@@ -116,7 +115,7 @@ pub struct GroupStats {
     pub range_installs: u64,
 }
 
-/// A built sharded cluster: `groups × n` replica actors over `n`
+/// A built cluster ready to run: `groups × n` replica actors over `n`
 /// simulated nodes, plus per-region clients that route by key.
 pub struct ShardedCluster {
     /// The underlying simulation (exposed for fault injection).
@@ -142,16 +141,15 @@ pub struct ShardedCluster {
 }
 
 impl ClusterBuilder {
-    /// Constructs a sharded cluster: `shard.groups` independent replica
+    /// Constructs the cluster: `shard.groups` independent replica
     /// groups over the same `n` simulated nodes (distinct actor per
     /// `(node, group)`, one shared network/clock/fault injector), with
     /// clients that resolve each key to its owning group.
     ///
-    /// With `groups == 1` this reduces *exactly* to
-    /// [`ClusterBuilder::build`]'s actor layout, wire format and RNG
-    /// schedule, so a 1-group sharded run reproduces the unsharded
-    /// fixed-seed fingerprints bit for bit (pinned by a conformance
-    /// test).
+    /// With `groups == 1` replicas carry no membership, so there is no
+    /// group header on the wire and no redirect check, and actor `i`
+    /// writes to disk `i`; `tests/parity.rs` pins that layout's
+    /// fixed-seed fingerprints.
     ///
     /// # Panics
     ///
@@ -183,9 +181,8 @@ impl ClusterBuilder {
             let peers: Vec<ActorId> = (g * n..(g + 1) * n).map(ActorId).collect();
             let leader = self.shard.placement.leader_of(self.leader, g, n);
             leaders.push(leader);
-            // A single-group cluster *is* the unsharded cluster: no
-            // membership means no routing header on the wire and no
-            // redirect checks, preserving the unsharded fingerprints.
+            // A single group needs no membership: no routing header on
+            // the wire and no redirect checks.
             let membership = (groups > 1).then(|| ShardMembership {
                 group: g as u32,
                 router: router.clone(),
@@ -209,9 +206,9 @@ impl ClusterBuilder {
             }
             group_actors.push(actors);
         }
-        // One workload client fleet per region, identical to the
-        // unsharded build (same RNG forks, same add order); each client
-        // routes per key over its region's member of every group.
+        // One workload client fleet per region (RNG forks and add order
+        // do not depend on the group count); each client routes per key
+        // over its region's member of every group.
         let mut clients = Vec::new();
         let mut rng = paxraft_sim::rng::SimRng::new(self.seed ^ 0xC11E57);
         let mut workload = self.workload.clone();
@@ -282,12 +279,6 @@ impl ClusterBuilder {
 }
 
 impl ShardedCluster {
-    /// Starts a builder (alias for [`Cluster::builder`]; finish with
-    /// [`ClusterBuilder::build_sharded`]).
-    pub fn builder(protocol: ProtocolKind) -> ClusterBuilder {
-        Cluster::builder(protocol)
-    }
-
     /// The protocol under test.
     pub fn protocol(&self) -> ProtocolKind {
         self.protocol
@@ -390,6 +381,11 @@ impl ShardedCluster {
         self.group_actors[g][node.0 as usize]
     }
 
+    /// Group 0's replica actors (all of them when `groups == 1`).
+    pub fn replicas(&self) -> &[ActorId] {
+        self.group_replicas(0)
+    }
+
     /// Client actor ids.
     pub fn clients(&self) -> &[ActorId] {
         &self.clients
@@ -400,11 +396,16 @@ impl ShardedCluster {
         &self.leaders
     }
 
+    /// Group 0's bootstrap leader node.
+    pub fn leader(&self) -> NodeId {
+        self.leaders[0]
+    }
+
     /// Whether some replica of group `g` currently claims leadership.
     pub fn group_has_leader(&self, g: usize) -> bool {
         self.group_actors[g]
             .iter()
-            .any(|&r| replica_is_leader(&self.sim, self.protocol, r))
+            .any(|&r| replica(&self.sim, self.protocol, r).is_leader())
     }
 
     /// Whether every group has a leader.
@@ -423,8 +424,14 @@ impl ShardedCluster {
             self.protocol,
             ProtocolKind::RaftStarPql | ProtocolKind::LeaderLease
         ) {
+            // Let the first grant round complete.
             self.sim.run_for(SimDuration::from_millis(700));
         }
+    }
+
+    /// [`ShardedCluster::elect_leaders`] under its single-group name.
+    pub fn elect_leader(&mut self) {
+        self.elect_leaders();
     }
 
     /// Per-group commit/snapshot/pipeline counters, read from the same
@@ -440,10 +447,11 @@ impl ShardedCluster {
                 let mut durability = DurabilityStats::default();
                 let mut sample = MetricSample::default();
                 for &r in actors {
-                    snapshots.absorb(&replica_snap_stats(&self.sim, self.protocol, r));
-                    pipeline.absorb(&replica_pipeline_stats(&self.sim, self.protocol, r));
-                    durability.absorb(&replica_durability_stats(&self.sim, self.protocol, r));
-                    sample.merge_sum(&replica_metrics(&self.sim, self.protocol, r));
+                    let rep = replica(&self.sim, self.protocol, r);
+                    snapshots.absorb(&rep.snap_stats());
+                    pipeline.absorb(&rep.pipeline_stats());
+                    durability.absorb(&rep.durability_stats());
+                    sample.merge_sum(&rep.metric_sample());
                 }
                 GroupStats {
                     group: g as u32,
@@ -461,7 +469,7 @@ impl ShardedCluster {
 
     /// Submits one operation through an internal probe client, routed to
     /// the leader of the group owning the operation's key, and waits for
-    /// its reply.
+    /// its reply (for examples and tests, not measurement).
     ///
     /// # Errors
     ///
@@ -478,6 +486,8 @@ impl ShardedCluster {
                 pid
             }
         };
+        // Replicas route replies to `client_base + id.client`; the probe's
+        // actor index encodes the matching client id.
         let replica_count = self.num_groups() * self.regions.len();
         let client_index = (pid.0 - replica_count) as u32;
         self.probe_seq += 1;
@@ -492,18 +502,10 @@ impl ShardedCluster {
         // WrongGroup handling.
         let router = self.current_router();
         let g = cmd.op.key().map_or(0, |k| router.group_of(k)) as usize;
-        // Target the owning group's configured leader unless it is
-        // crashed; fall back to the group's first live replica (its
-        // forwarding finds the actual leader).
-        let mut target = self.replica(g, self.leaders[g]);
-        if self.sim.is_crashed(target) {
-            target = *self.group_actors[g]
-                .iter()
-                .find(|&&r| !self.sim.is_crashed(r))
-                .expect("at least one live replica in the group");
-        }
-        // Give the probe one live replica per group so it can follow
-        // versioned redirects.
+        // One live replica per group — the configured leader unless it
+        // is crashed, else the group's first live replica (its
+        // forwarding finds the actual leader): the owning group's is
+        // the target, the rest let the probe follow versioned redirects.
         let group_targets: Vec<ActorId> = (0..self.num_groups())
             .map(|g| {
                 let preferred = self.replica(g, self.leaders[g]);
@@ -521,8 +523,8 @@ impl ShardedCluster {
             let p = self.sim.actor_mut::<ProbeClient>(pid);
             p.waiting = Some(id);
             p.reply = None;
+            p.outbox = Some((group_targets[g], Msg::Client(ClientMsg::Request { cmd })));
             p.group_targets = group_targets;
-            p.outbox = Some((target, Msg::Client(ClientMsg::Request { cmd })));
         }
         let deadline = self.sim.now() + SimDuration::from_secs(30);
         while self.sim.now() < deadline {
@@ -541,10 +543,11 @@ impl ShardedCluster {
         self.last_probe_cmd.clone()
     }
 
-    /// Runs `warmup + measure + cooldown`, aggregating completions from
-    /// every client exactly like [`Cluster::run_measurement`] — the
-    /// "leader region" latency split is anchored at group 0's leader —
-    /// and summing snapshot/pipeline counters over *all* groups.
+    /// Runs `warmup + measure + cooldown`, counting only completions
+    /// inside the measurement window (Section 5: 50 s trials with 10 s
+    /// warm-up and cool-down; benches use scaled-down windows). The
+    /// "leader region" latency split is anchored at group 0's leader;
+    /// snapshot/pipeline/durability counters sum over *all* groups.
     pub fn run_measurement(
         &mut self,
         warmup: SimDuration,
@@ -632,8 +635,10 @@ impl ShardedCluster {
     /// Advances virtual time by `d`, pausing at each due sampling
     /// instant to fold every group's replica state into the metric
     /// registry (`group{g}/…` series). Sampling is read-only between
-    /// simulation steps, so enabling it never changes the event
-    /// schedule or the RNG stream.
+    /// simulation steps, and stepping `run_until` in chunks processes
+    /// the identical event order as a single call (events are
+    /// heap-ordered by `(time, seq)`), so enabling it never changes the
+    /// event schedule or the RNG stream.
     pub fn advance(&mut self, d: SimDuration) {
         let target = self.sim.now() + d;
         if !self.metrics.enabled() {
@@ -728,6 +733,7 @@ impl ShardedCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::Cluster;
     use crate::snapshot::SnapshotConfig;
     use paxraft_sim::time::SimTime;
     use paxraft_workload::generator::WorkloadConfig;
@@ -754,46 +760,113 @@ mod tests {
         )
     }
 
-    /// The acceptance gate for the sharding subsystem: a 1-group sharded
-    /// cluster must reproduce the unsharded fixed-seed fingerprints
-    /// bit for bit — same actor layout, same wire sizes, same RNG
-    /// schedule (the pinned PARITY file is the same configuration; the
-    /// parity example diff in CI covers unsharded-vs-pin, this test
-    /// covers sharded-vs-unsharded).
     #[test]
-    fn one_group_sharded_run_matches_unsharded_bit_for_bit() {
-        for p in [
-            ProtocolKind::Raft,
-            ProtocolKind::MultiPaxos,
-            ProtocolKind::RaftStarMencius,
-        ] {
-            let build = || {
-                Cluster::builder(p)
-                    .clients_per_region(2)
-                    .workload(parity_workload())
-                    .seed(7)
+    fn submit_and_wait_round_trips() {
+        let mut cluster = Cluster::builder(ProtocolKind::RaftStar).build();
+        cluster.elect_leader();
+        let r = cluster
+            .submit_and_wait(Op::Put {
+                key: 1,
+                value: vec![7; 16].into(),
+            })
+            .expect("put succeeds");
+        assert_eq!(r, Reply::Done);
+        let r = cluster
+            .submit_and_wait(Op::Get { key: 1 })
+            .expect("get succeeds");
+        assert!(matches!(r, Reply::Value(Some(_))));
+    }
+
+    #[test]
+    fn measurement_produces_throughput_and_latency() {
+        let w = WorkloadConfig {
+            read_fraction: 0.5,
+            conflict_rate: 0.0,
+            ..Default::default()
+        };
+        let mut cluster = Cluster::builder(ProtocolKind::Raft)
+            .clients_per_region(2)
+            .workload(w)
+            .build();
+        cluster.elect_leader();
+        let report = cluster.run_measurement(
+            SimDuration::from_secs(2),
+            SimDuration::from_secs(5),
+            SimDuration::from_secs(1),
+        );
+        assert!(report.throughput_ops > 1.0, "got {}", report.throughput_ops);
+        assert!(report.leader_reads.is_some());
+        assert!(report.follower_writes.is_some());
+    }
+
+    /// The per-replica series satellite's demo: degrade exactly one
+    /// replica's disk and find the straggler *from the metric series
+    /// alone* — the `replica{i}/disk_backlog_ms` gauge of the slow
+    /// device dominates every healthy one, and no group-level series
+    /// could have said which node it was.
+    #[test]
+    fn per_replica_series_expose_an_injected_slow_disk_straggler() {
+        use crate::config::DurabilityConfig;
+        use crate::telemetry::TelemetryConfig;
+        use paxraft_sim::disk::DiskConfig;
+        let mut cluster = Cluster::builder(ProtocolKind::Raft)
+            .clients_per_region(1)
+            .durability_config(DurabilityConfig::group_commit(
+                SimDuration::from_millis(1),
+                8,
+                SimDuration::from_millis(2),
+            ))
+            .telemetry_config(TelemetryConfig::sampled().with_per_replica())
+            .seed(17)
+            .build();
+        // Node 2 (a follower) gets a device an order of magnitude
+        // slower than the fleet default.
+        let straggler = cluster.replicas()[2];
+        cluster.sim.set_disk_config_for(
+            straggler,
+            DiskConfig {
+                write_bandwidth_bps: 100_000.0,
+                fsync_latency: SimDuration::from_millis(25),
+            },
+        );
+        cluster.elect_leader();
+        let report = cluster.run_measurement(
+            SimDuration::from_secs(1),
+            SimDuration::from_secs(3),
+            SimDuration::from_secs(1),
+        );
+        let mut worst: Option<(&str, f64)> = None;
+        let mut healthy_max = 0.0f64;
+        for s in &report.telemetry {
+            let Some(node) = s
+                .name
+                .strip_prefix("replica")
+                .and_then(|rest| rest.strip_suffix("/disk_backlog_ms"))
+            else {
+                continue;
             };
-            let mut unsharded = build().build();
-            unsharded.elect_leader();
-            let ur = unsharded.run_measurement(
-                SimDuration::from_secs(2),
-                SimDuration::from_secs(5),
-                SimDuration::from_secs(1),
-            );
-            let mut sharded = build().shard_config(ShardConfig::groups(1)).build_sharded();
-            sharded.elect_leaders();
-            let sr = sharded.run_measurement(
-                SimDuration::from_secs(2),
-                SimDuration::from_secs(5),
-                SimDuration::from_secs(1),
-            );
-            assert_eq!(
-                report_fingerprint(&ur, unsharded.sim.now()),
-                report_fingerprint(&sr, sharded.sim.now()),
-                "{}: shards=1 is the unsharded cluster",
-                p.name()
-            );
+            assert!(!s.is_empty(), "{} has samples", s.name);
+            let mean = s.points.iter().map(|p| p.1).sum::<f64>() / s.len() as f64;
+            if worst.is_none_or(|(_, w)| mean > w) {
+                if let Some((prev, w)) = worst {
+                    let _ = prev;
+                    healthy_max = healthy_max.max(w);
+                }
+                worst = Some((node, mean));
+            } else {
+                healthy_max = healthy_max.max(mean);
+            }
         }
+        let (node, backlog) = worst.expect("per-replica backlog series collected");
+        assert_eq!(
+            node,
+            straggler.0.to_string(),
+            "the series alone identify the degraded device"
+        );
+        assert!(
+            backlog > 2.0 * healthy_max.max(0.01),
+            "straggler backlog ({backlog:.2} ms) dominates healthy peers ({healthy_max:.2} ms)"
+        );
     }
 
     /// Telemetry parity in the sharded harness: enabling the sampler
@@ -1022,11 +1095,9 @@ mod tests {
         // every group-0 replica answered misroutes without inflating its
         // response counter by them.
         let mut replica_redirects = 0;
-        for node in 0..5u32 {
-            let rep = cluster
-                .sim
-                .actor::<crate::raft::RaftReplica>(cluster.replica(0, NodeId(node)));
-            replica_redirects += rep.core.redirects_sent;
+        for &r in cluster.group_replicas(0) {
+            let sample = replica(&cluster.sim, cluster.protocol(), r).metric_sample();
+            replica_redirects += sample.get("redirects") as u64;
         }
         assert_eq!(
             replica_redirects, redirects,
@@ -1040,10 +1111,8 @@ mod tests {
         // applied a foreign key.
         for g in 0..2 {
             let (lo, hi) = cluster.router().range(g);
-            for node in 0..5u32 {
-                let rep = cluster
-                    .sim
-                    .actor::<crate::raft::RaftReplica>(cluster.replica(g, NodeId(node)));
+            for &r in cluster.group_replicas(g) {
+                let rep = replica(&cluster.sim, cluster.protocol(), r);
                 for (k, _) in rep.kv().snapshot().table.iter() {
                     assert!(
                         (lo..hi).contains(k),
@@ -1117,7 +1186,7 @@ mod tests {
             "group 1 never needed (or saw) a transfer ({:?})",
             stats[1].snapshots
         );
-        let lagger = cluster.sim.actor::<crate::raft::RaftReplica>(victim);
+        let lagger = replica(&cluster.sim, cluster.protocol(), victim);
         assert!(
             lagger.applied_index().0 + 16 >= 40,
             "rejoined replica converged ({})",

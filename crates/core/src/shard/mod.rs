@@ -1,5 +1,5 @@
 //! Multi-group sharding: many replica groups per node, key-range
-//! routing, and the sharded cluster harness.
+//! routing, and the cluster itself (one type for any group count).
 //!
 //! One consensus group is bounded by its leader's CPU (Figures 9c/10a:
 //! "the leader's CPU is the bottleneck"). The standard production
@@ -15,11 +15,13 @@
 //! - [`ShardMembership`] — what one replica knows about the partition
 //!   map: its own group plus the router, used to answer misrouted
 //!   commands with [`crate::kv::Reply::WrongGroup`].
-//! - [`ShardedCluster`] — `groups` independent `ReplicaEngine` groups
-//!   over the same simulated nodes (distinct actor per `(node, group)`,
-//!   shared network/clock/fault injection), with per-group leader
-//!   placement ([`LeaderPlacement`]) and clients that resolve each key
-//!   to its group ([`crate::client::ClientRouting`]).
+//! - [`ShardedCluster`] (the same type as [`crate::harness::Cluster`])
+//!   — `groups` independent `ReplicaEngine` groups over the same
+//!   simulated nodes (distinct actor per `(node, group)`, shared
+//!   network/clock/fault injection), with per-group leader placement
+//!   ([`LeaderPlacement`]) and clients that resolve each key to its
+//!   group ([`crate::client::ClientRouting`]). With `groups == 1`
+//!   there is no membership and no group header on the wire.
 //! - [`migration`] + [`RebalanceCoordinator`] — **live rebalancing**:
 //!   the partition map is versioned, and a coordinator moves key
 //!   ranges between groups through the groups' own logs (freeze →

@@ -417,7 +417,7 @@ mod tests {
     use paxraft_workload::generator::WorkloadConfig;
     use paxraft_workload::linearize::check_history;
 
-    use crate::harness::{replica_kv, Cluster, ProtocolKind};
+    use crate::harness::{replica, Cluster, ProtocolKind};
     use crate::kv::{Key, Op, Reply};
     use crate::msg::{ClientMsg, Msg};
     use crate::shard::{MigrationSpec, RebalanceConfig, ShardConfig, ShardedCluster};
@@ -520,7 +520,7 @@ mod tests {
                 if cluster.sim.is_crashed(actor) {
                     continue;
                 }
-                let kv = replica_kv(&cluster.sim, p, actor);
+                let kv = replica(&cluster.sim, p, actor).kv();
                 let snap = kv.snapshot();
                 for (k, _) in snap.table.iter() {
                     let owner = router.group_of(*k);
@@ -595,7 +595,7 @@ mod tests {
                         if cluster.sim.is_crashed(actor) {
                             None
                         } else {
-                            Some((node, replica_kv(&cluster.sim, p, actor).applied_ops()))
+                            Some((node, replica(&cluster.sim, p, actor).kv().applied_ops()))
                         }
                     })
                     .collect()
@@ -729,8 +729,8 @@ mod tests {
             // The hot key lives in exactly one group afterwards.
             cluster.sim.run_for(SimDuration::from_secs(2));
             for node in 0..5u32 {
-                let g0 = replica_kv(&cluster.sim, p, cluster.replica(0, NodeId(node)));
-                let g1 = replica_kv(&cluster.sim, p, cluster.replica(1, NodeId(node)));
+                let g0 = replica(&cluster.sim, p, cluster.replica(0, NodeId(node))).kv();
+                let g1 = replica(&cluster.sim, p, cluster.replica(1, NodeId(node))).kv();
                 assert!(
                     !g0.snapshot().table.contains_key(&0),
                     "{}: group 0 node {node} released the hot key",
@@ -928,7 +928,7 @@ mod tests {
                     if cluster.sim.is_crashed(actor) {
                         continue;
                     }
-                    let kv = replica_kv(&cluster.sim, p, actor);
+                    let kv = replica(&cluster.sim, p, actor).kv();
                     for (k, _) in kv.snapshot().table.iter() {
                         let owner = router.group_of(*k);
                         assert_eq!(
@@ -1004,7 +1004,7 @@ mod tests {
                 if cluster.sim.is_crashed(actor) {
                     continue;
                 }
-                let kv = replica_kv(&cluster.sim, p, actor);
+                let kv = replica(&cluster.sim, p, actor).kv();
                 for (k, _) in kv.snapshot().table.iter() {
                     let owner = router.group_of(*k);
                     assert_eq!(owner, g as u32, "key {k} in group {g}, owner {owner}");

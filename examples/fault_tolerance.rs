@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --example fault_tolerance`
 
-use paxraft::core::harness::{Cluster, ProtocolKind};
+use paxraft::core::harness::{replica, Cluster, ProtocolKind};
 use paxraft::core::kv::{Op, Reply};
 use paxraft::core::raftstar::RaftStarReplica;
 use paxraft::sim::time::{SimDuration, SimTime};
@@ -32,7 +32,7 @@ fn main() {
         cluster.sim.run_for(SimDuration::from_millis(100));
         let new_leader = cluster.replicas()[1..]
             .iter()
-            .find(|&&r| cluster.sim.actor::<RaftStarReplica>(r).is_leader());
+            .find(|&&r| replica(&cluster.sim, cluster.protocol(), r).is_leader());
         if let Some(&r) = new_leader {
             println!(
                 "new leader: node {} at {} (term {})",

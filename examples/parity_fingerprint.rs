@@ -1,12 +1,14 @@
 //! Prints an exact behavioral fingerprint of a fixed-seed run for every
 //! protocol, used to verify that refactors preserve behavior bit-for-bit.
+//! `tests/parity.rs` compiles this file as a module and compares
+//! [`fingerprints`] with the pinned `PARITY_pr13.txt`.
 
 use paxraft::core::harness::{Cluster, ProtocolKind};
 use paxraft::core::snapshot::SnapshotConfig;
 use paxraft::sim::time::SimDuration;
 use paxraft::workload::generator::WorkloadConfig;
 
-fn fingerprint(p: ProtocolKind, seed: u64, snapshots: bool) {
+fn fingerprint(p: ProtocolKind, seed: u64, snapshots: bool) -> String {
     let w = WorkloadConfig {
         read_fraction: 0.5,
         conflict_rate: 0.2,
@@ -26,7 +28,7 @@ fn fingerprint(p: ProtocolKind, seed: u64, snapshots: bool) {
         SimDuration::from_secs(5),
         SimDuration::from_secs(1),
     );
-    println!(
+    format!(
         "{} seed={} snaps={} thr={:.6} lr={:?} fr={:?} lw={:?} fw={:?} snapstats={:?} now={}",
         p.name(),
         seed,
@@ -38,10 +40,13 @@ fn fingerprint(p: ProtocolKind, seed: u64, snapshots: bool) {
         r.follower_writes,
         r.snapshots,
         cluster.sim.now()
-    );
+    )
 }
 
-fn main() {
+/// One fingerprint per protocol configuration and seed, in the pinned
+/// order.
+pub fn fingerprints() -> Vec<String> {
+    let mut out = Vec::new();
     for p in [
         ProtocolKind::MultiPaxos,
         ProtocolKind::Raft,
@@ -51,8 +56,15 @@ fn main() {
         ProtocolKind::RaftStarMencius,
     ] {
         for seed in [7u64, 42] {
-            fingerprint(p, seed, false);
+            out.push(fingerprint(p, seed, false));
         }
-        fingerprint(p, 11, true);
+        out.push(fingerprint(p, 11, true));
+    }
+    out
+}
+
+fn main() {
+    for line in fingerprints() {
+        println!("{line}");
     }
 }
