@@ -78,8 +78,14 @@ fn bench(rep: &mut Reporter, name: &str, samples: usize, iters: usize, mut f: im
         }
         per_iter.push(start.elapsed().as_nanos() as f64 / iters as f64);
     }
+    record(rep, name, per_iter, iters);
+}
+
+/// Prints and keeps the median of `per_iter` (ns/iter, one per sample).
+fn record(rep: &mut Reporter, name: &str, mut per_iter: Vec<f64>, iters: usize) {
     per_iter.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
     let median = per_iter[per_iter.len() / 2];
+    let samples = per_iter.len();
     println!("{name:<40} {median:>14.0} ns/iter  ({samples} x {iters})");
     rep.rows.push((name.to_string(), median));
 }
@@ -203,7 +209,7 @@ impl Actor<Wide> for Fan {
 /// The sim core at the depth and width the real cells run it at: five
 /// actors, one per region of the default WAN matrix, 104-byte messages,
 /// about 4,096 of them in flight at any moment (500,000 deliveries,
-/// three heap events each). `sim_10k_message_events` keeps at most two
+/// three events each, up to three trips through the heap). `sim_10k_message_events` keeps at most two
 /// events queued and carries 16 bytes, so what the heap sifts and what a
 /// push copies do not show there.
 fn bench_sim_deep_queue(rep: &mut Reporter) {
@@ -219,6 +225,44 @@ fn bench_sim_deep_queue(rep: &mut Reporter) {
         sim.run_to_quiescence(SimTime::from_secs(3600));
         black_box(sim.stats.deliveries);
     });
+}
+
+/// The apply path at the width and depth the real cells run it at: five
+/// stores (a replica each), one seeded stream of 200,000 writes of 8-byte
+/// values to random keys out of 100,000, every write applied to each
+/// store in turn — 1,000,000 applies per iteration, each landing on a
+/// line the previous four stores pushed out of the cache. The ledger's
+/// `kv.apply_ns` applies to one warm store and reads 50-120 ns where this
+/// path is 10-21 % of a cell's measured window. Only the applies are
+/// timed: the commands are built before and the stores dropped after.
+fn bench_kv_apply_wide(rep: &mut Reporter) {
+    use paxraft_core::kv::KvStore;
+    use paxraft_sim::rng::SimRng;
+    let mut rng = SimRng::new(0x6b76);
+    let cmds: Vec<Command> = (0..200_000u64)
+        .map(|i| {
+            let id = CmdId {
+                client: (i % 250) as u32,
+                seq: 1 + i / 250,
+            };
+            Command::put(id, rng.gen_range(100_000), vec![0; 8])
+        })
+        .collect();
+    let per_iter = (0..5)
+        .map(|_| {
+            let mut stores: Vec<KvStore> = (0..5).map(|_| KvStore::new()).collect();
+            let start = Instant::now();
+            for cmd in &cmds {
+                for kv in &mut stores {
+                    black_box(kv.apply(cmd));
+                }
+            }
+            let elapsed = start.elapsed().as_nanos() as f64;
+            assert_eq!(stores[4].applied_ops(), cmds.len() as u64);
+            elapsed
+        })
+        .collect();
+    record(rep, "kv_apply_5x100k_random", per_iter, 1);
 }
 
 fn bench_model_check_small(rep: &mut Reporter) {
@@ -600,6 +644,7 @@ fn main() {
     bench_lease_check(rep);
     bench_sim_event_loop(rep);
     bench_sim_deep_queue(rep);
+    bench_kv_apply_wide(rep);
     bench_model_check_small(rep);
     bench_cluster_commit(rep);
     bench_pipeline_sweep(rep);

@@ -162,7 +162,7 @@ impl WorkloadClient {
         };
         let cmd = match spec.kind {
             OpKind::Read => Command::get(id, spec.key),
-            OpKind::Write => Command::put(id, spec.key, vec![0; spec.value_size.max(8)]),
+            OpKind::Write => Command::put_zeros(id, spec.key, spec.value_size),
         };
         (cmd, spec.kind, spec.key)
     }

@@ -29,6 +29,7 @@
 pub mod durability;
 pub mod pipeline;
 pub mod raft_family;
+pub mod slots;
 mod transfer;
 
 #[cfg(test)]
@@ -36,6 +37,7 @@ mod conformance;
 
 pub use durability::{DurabilityState, DurabilityStats};
 pub use pipeline::{PipelineConfig, PipelineStats, PipelineWindow};
+pub use slots::SlotRing;
 pub use transfer::{compact_applied_prefix, install_into_raft_state, ship_snapshot};
 
 use std::collections::{BTreeSet, HashMap};
@@ -669,7 +671,7 @@ impl<P: ProtocolRules> ReplicaEngine<P> {
         }
         let cmd = Command {
             id: install_cmd_id(export.coord, export.version),
-            op: Op::InstallRange(export),
+            op: Op::InstallRange(Box::new(export)),
         };
         // Drop a duplicate still sitting in the pending batch (the
         // source re-exported before our first install committed).
@@ -905,14 +907,14 @@ pub(crate) fn apply_command(
         ctx.trace_span(SpanKind::Commit, cmd.id.client, cmd.id.seq);
     }
     match &cmd.op {
-        Op::FreezeRange { version, .. } => {
-            ctx.trace_app("mig-freeze", *version, 0);
+        Op::FreezeRange(range) => {
+            ctx.trace_app("mig-freeze", range.version, 0);
             // First apply starts the export; a coordinator's freeze
             // retry (its install-done signal was lost) re-applies as a
             // session dedup hit but still lands here, forcing a fresh
             // export so the destination re-announces the install.
-            core.mig_acked.remove(version);
-            core.mig_last_export.remove(version);
+            core.mig_acked.remove(&range.version);
+            core.mig_last_export.remove(&range.version);
         }
         Op::InstallRange(export) => {
             if newly_absorbed {

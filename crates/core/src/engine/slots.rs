@@ -1,0 +1,417 @@
+//! The Paxos family's instance table.
+//!
+//! Raft's log is an array indexed by slot ([`crate::log::Log`]); under
+//! the paper's Figure-3 map `entry.index ↔ instance.id` the Paxos side is
+//! the same thing with holes in it — instances are accepted and chosen
+//! out of order, a skipped or not-yet-heard slot is simply absent — and
+//! it grows at one end and is discarded at the other. [`SlotRing`] is
+//! that: a `VecDeque` of fixed-size blocks of optional entries over the
+//! slots from the first one present to the last, so a lookup is two
+//! indexes instead of a tree descent and consecutive instances sit next
+//! to each other in memory. Both rules files ([`crate::multipaxos`],
+//! [`crate::mencius`]) keep their instances in one.
+//!
+//! Blocks, not one growing buffer: the table takes a block when the span
+//! reaches it and frees it when the span leaves it, so what it holds is
+//! what it spans, to within a block at either end. One buffer that
+//! doubles holds up to twice that, every replica of a cluster steps at
+//! the same slot, and which side of a step a run ends on is the seed's
+//! choice — five Mencius replicas ending near 65,536 slots hold 43 MB or
+//! 72 MB that way (the ledger's `lan-saturated` cell). Nor is a block
+//! ever copied to make room.
+//!
+//! What the ring costs is a cell per *absent* slot between two present
+//! ones. The protocols bound that themselves: a proposer numbers its
+//! instances consecutively, Mencius fills every owner's slots up to the
+//! highest one used, and a revocation reaches at most one round past the
+//! horizon.
+
+use std::collections::VecDeque;
+use std::ops::{Bound, RangeBounds};
+
+use crate::types::Slot;
+
+/// Cells per block: block `b` covers the slots `b * BLOCK .. (b + 1) * BLOCK`.
+const BLOCK: u64 = 256;
+
+/// A map from [`Slot`] to `T`, dense over the slots it spans (module
+/// docs). Iteration is in slot order over the entries present.
+#[derive(Debug, Clone)]
+pub struct SlotRing<T> {
+    /// The block number of `blocks[0]`.
+    first_block: u64,
+    /// Exactly the blocks from the one holding the first entry to the one
+    /// holding the last; none when the table is empty.
+    blocks: VecDeque<Box<[Option<T>]>>,
+    /// The lowest and the highest slot holding an entry (meaningless when
+    /// the table is empty). Every cell outside `lo..=hi` is absent.
+    lo: u64,
+    hi: u64,
+    /// Cells that hold an entry.
+    present: usize,
+}
+
+impl<T> Default for SlotRing<T> {
+    fn default() -> Self {
+        SlotRing {
+            first_block: 0,
+            blocks: VecDeque::new(),
+            lo: 0,
+            hi: 0,
+            present: 0,
+        }
+    }
+}
+
+impl<T> SlotRing<T> {
+    /// An empty table.
+    pub fn new() -> Self {
+        SlotRing::default()
+    }
+
+    /// Entries present (absent slots inside the span do not count).
+    pub fn len(&self) -> usize {
+        self.present
+    }
+
+    /// True when no entry is present.
+    pub fn is_empty(&self) -> bool {
+        self.present == 0
+    }
+
+    /// The highest slot holding an entry.
+    pub fn last_slot(&self) -> Option<Slot> {
+        (self.present > 0).then_some(Slot(self.hi))
+    }
+
+    /// `slot`'s cell, if a block covers it.
+    fn cell(&self, slot: Slot) -> Option<&Option<T>> {
+        let block = (slot.0 / BLOCK).checked_sub(self.first_block)?;
+        Some(&self.blocks.get(block as usize)?[(slot.0 % BLOCK) as usize])
+    }
+
+    /// `slot`'s cell, if a block covers it.
+    fn cell_mut(&mut self, slot: Slot) -> Option<&mut Option<T>> {
+        let block = (slot.0 / BLOCK).checked_sub(self.first_block)?;
+        Some(&mut self.blocks.get_mut(block as usize)?[(slot.0 % BLOCK) as usize])
+    }
+
+    /// The entry at `slot`, if present.
+    pub fn get(&self, slot: Slot) -> Option<&T> {
+        self.cell(slot)?.as_ref()
+    }
+
+    /// The entry at `slot`, if present.
+    pub fn get_mut(&mut self, slot: Slot) -> Option<&mut T> {
+        self.cell_mut(slot)?.as_mut()
+    }
+
+    /// Stretches the span to cover `slot` (by blocks of absent cells for
+    /// whatever lies between) and returns where its cell is (block, then
+    /// cell in it), which the caller fills.
+    fn stretch_to(&mut self, slot: Slot) -> (usize, usize) {
+        let block = slot.0 / BLOCK;
+        if self.blocks.is_empty() {
+            self.first_block = block;
+            (self.lo, self.hi) = (slot.0, slot.0);
+        }
+        let absent = || (0..BLOCK).map(|_| None).collect();
+        while block < self.first_block {
+            self.blocks.push_front(absent());
+            self.first_block -= 1;
+        }
+        while block >= self.first_block + self.blocks.len() as u64 {
+            self.blocks.push_back(absent());
+        }
+        self.lo = self.lo.min(slot.0);
+        self.hi = self.hi.max(slot.0);
+        (
+            (block - self.first_block) as usize,
+            (slot.0 % BLOCK) as usize,
+        )
+    }
+
+    /// Puts `entry` at `slot`, returning the entry it replaced.
+    pub fn insert(&mut self, slot: Slot, entry: T) -> Option<T> {
+        let (block, cell) = self.stretch_to(slot);
+        let old = self.blocks[block][cell].replace(entry);
+        self.present += usize::from(old.is_none());
+        old
+    }
+
+    /// The entry at `slot`, created as `T::default()` if absent.
+    pub fn get_or_default(&mut self, slot: Slot) -> &mut T
+    where
+        T: Default,
+    {
+        let (block, cell) = self.stretch_to(slot);
+        let cell = &mut self.blocks[block][cell];
+        self.present += usize::from(cell.is_none());
+        cell.get_or_insert_with(T::default)
+    }
+
+    /// Takes the entry at `slot` out, if present.
+    pub fn remove(&mut self, slot: Slot) -> Option<T> {
+        let old = self.cell_mut(slot)?.take()?;
+        self.present -= 1;
+        self.trim();
+        Some(old)
+    }
+
+    /// Discards every entry at or below `upto`, handing each to
+    /// `discarded` in slot order (the caller's byte and index accounting).
+    /// Returns how many there were.
+    pub fn drop_through(&mut self, upto: Slot, mut discarded: impl FnMut(Slot, T)) -> usize {
+        let before = self.present;
+        if before > 0 {
+            for s in self.lo..=upto.0.min(self.hi) {
+                if let Some(entry) = self.cell_mut(Slot(s)).and_then(Option::take) {
+                    self.present -= 1;
+                    discarded(Slot(s), entry);
+                }
+            }
+            self.trim();
+        }
+        before - self.present
+    }
+
+    /// Restores the invariant that the span starts and ends at an entry
+    /// and that no block lies outside it.
+    fn trim(&mut self) {
+        if self.present == 0 {
+            self.blocks.clear();
+            return;
+        }
+        while self.get(Slot(self.lo)).is_none() {
+            self.lo += 1;
+        }
+        while self.get(Slot(self.hi)).is_none() {
+            self.hi -= 1;
+        }
+        while self.first_block < self.lo / BLOCK {
+            self.blocks.pop_front();
+            self.first_block += 1;
+        }
+        self.blocks
+            .truncate((self.hi / BLOCK - self.first_block + 1) as usize);
+    }
+
+    /// The slots `range` covers, clamped to the span, as `start..end`
+    /// (empty for a range that lies outside it or is inverted).
+    fn slots_in(&self, range: impl RangeBounds<Slot>) -> (u64, u64) {
+        if self.present == 0 {
+            return (0, 0);
+        }
+        let start = match range.start_bound() {
+            Bound::Unbounded => self.lo,
+            Bound::Included(s) => s.0.max(self.lo),
+            Bound::Excluded(s) => s.0.saturating_add(1).max(self.lo),
+        };
+        let end = match range.end_bound() {
+            Bound::Unbounded => self.hi + 1,
+            Bound::Included(s) => s.0.saturating_add(1).min(self.hi + 1),
+            Bound::Excluded(s) => s.0.min(self.hi + 1),
+        };
+        (start, end.max(start))
+    }
+
+    /// The indices into `blocks` that the slots `start..end` (from
+    /// [`Self::slots_in`]) touch.
+    fn blocks_in(&self, start: u64, end: u64) -> std::ops::Range<usize> {
+        if start == end {
+            return 0..0;
+        }
+        let index = |slot: u64| (slot / BLOCK - self.first_block) as usize;
+        index(start)..index(end - 1) + 1
+    }
+
+    /// The entries present in `range`, in slot order.
+    pub fn range(
+        &self,
+        range: impl RangeBounds<Slot>,
+    ) -> impl DoubleEndedIterator<Item = (Slot, &T)> {
+        let (start, end) = self.slots_in(range);
+        let blocks = self.blocks_in(start, end);
+        let first = self.first_block + blocks.start as u64;
+        self.blocks
+            .range(blocks)
+            .enumerate()
+            .flat_map(move |(b, block)| {
+                let at = (first + b as u64) * BLOCK;
+                let from = start.max(at);
+                block[(from - at) as usize..(end.min(at + BLOCK) - at) as usize]
+                    .iter()
+                    .enumerate()
+                    .filter_map(move |(i, cell)| Some((Slot(from + i as u64), cell.as_ref()?)))
+            })
+    }
+
+    /// The entries present in `range`, mutably, in slot order.
+    pub fn range_mut(
+        &mut self,
+        range: impl RangeBounds<Slot>,
+    ) -> impl DoubleEndedIterator<Item = (Slot, &mut T)> {
+        let (start, end) = self.slots_in(range);
+        let blocks = self.blocks_in(start, end);
+        let first = self.first_block + blocks.start as u64;
+        self.blocks
+            .range_mut(blocks)
+            .enumerate()
+            .flat_map(move |(b, block)| {
+                let at = (first + b as u64) * BLOCK;
+                let from = start.max(at);
+                block[(from - at) as usize..(end.min(at + BLOCK) - at) as usize]
+                    .iter_mut()
+                    .enumerate()
+                    .filter_map(move |(i, cell)| Some((Slot(from + i as u64), cell.as_mut()?)))
+            })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use paxraft_sim::rng::SimRng;
+    use std::collections::BTreeMap;
+
+    /// The ring against the tree it replaced, under one random script of
+    /// everything the rules files do with it. The window of slots in play
+    /// slides upwards, discards follow it, and now and then a slot far
+    /// ahead leaves a gap behind it.
+    #[test]
+    fn ring_answers_what_a_btreemap_answers() {
+        let mut rng = SimRng::new(0x51075);
+        let mut ring: SlotRing<u64> = SlotRing::new();
+        let mut tree: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut floor = 0u64;
+        let (mut gaps, mut drops, mut below) = (0u32, 0u32, 0u32);
+        for step in 0..60_000u64 {
+            let near = floor + 1 + rng.gen_range(48);
+            let slot = match rng.gen_range(40) {
+                0 => {
+                    gaps += 1;
+                    near + 200 + rng.gen_range(300)
+                }
+                _ => near,
+            };
+            let first = ring.range(..).next().map(|(s, _)| s.0);
+            below += u32::from(first.is_some_and(|first| slot < first));
+            match rng.gen_range(10) {
+                0..=3 => assert_eq!(ring.insert(Slot(slot), step), tree.insert(slot, step)),
+                4..=5 => {
+                    *ring.get_or_default(Slot(slot)) += 1;
+                    *tree.entry(slot).or_default() += 1;
+                }
+                6 => assert_eq!(ring.remove(Slot(slot)), tree.remove(&slot)),
+                7 => {
+                    assert_eq!(ring.get(Slot(slot)), tree.get(&slot));
+                    if let Some(x) = ring.get_mut(Slot(slot)) {
+                        *x ^= step;
+                    }
+                    if let Some(x) = tree.get_mut(&slot) {
+                        *x ^= step;
+                    }
+                }
+                8 => {
+                    for (_, x) in ring.range_mut(Slot(near)..=Slot(slot + 7)) {
+                        *x += 3;
+                    }
+                    for (_, x) in tree.range_mut(near..=slot + 7) {
+                        *x += 3;
+                    }
+                }
+                _ => {
+                    // The discard trails the window, as compaction does.
+                    floor += rng.gen_range(24);
+                    let retained = tree.split_off(&(floor + 1));
+                    let mut handed = Vec::new();
+                    let n = ring.drop_through(Slot(floor), |s, x| handed.push((s.0, x)));
+                    assert_eq!(handed, tree.into_iter().collect::<Vec<_>>());
+                    assert_eq!(n, handed.len());
+                    tree = retained;
+                    drops += 1;
+                }
+            }
+            assert_eq!(ring.len(), tree.len());
+            assert_eq!(ring.is_empty(), tree.is_empty());
+            assert_eq!(
+                ring.last_slot().map(|s| s.0),
+                tree.keys().next_back().copied()
+            );
+            let (a, b) = (floor + rng.gen_range(64), floor + rng.gen_range(600));
+            let flat = |(s, x): (Slot, &u64)| (s.0, *x);
+            let tree_flat = |(s, x): (&u64, &u64)| (*s, *x);
+            assert!(ring.range(..).map(flat).eq(tree.iter().map(tree_flat)));
+            assert!(ring
+                .range(Slot(a)..)
+                .map(flat)
+                .eq(tree.range(a..).map(tree_flat)));
+            assert!(ring
+                .range(..Slot(b))
+                .rev()
+                .map(flat)
+                .eq(tree.range(..b).rev().map(tree_flat)));
+            if a <= b {
+                assert!(ring
+                    .range(Slot(a)..Slot(b))
+                    .map(flat)
+                    .eq(tree.range(a..b).map(tree_flat)));
+                assert!(ring
+                    .range(Slot(a)..=Slot(b))
+                    .map(flat)
+                    .eq(tree.range(a..=b).map(tree_flat)));
+            } else {
+                // The tree panics on an inverted range; the ring is empty.
+                assert_eq!(ring.range(Slot(a)..Slot(b)).count(), 0);
+            }
+        }
+        assert!(
+            gaps > 1_000 && drops > 4_000 && below > 100,
+            "the script left gaps, discarded and reached below the span: {gaps}, {drops}, {below}"
+        );
+    }
+
+    /// What the table holds follows what it spans: no block outlives the
+    /// entries in it, a table that drains holds nothing, and one that
+    /// grows never holds a block it does not span — so its memory is a
+    /// line in the number of slots, with no step for a seed to land
+    /// either side of.
+    #[test]
+    fn blocks_follow_what_is_present() {
+        let blocks_spanned = |ring: &SlotRing<u8>| {
+            let first = ring.range(..).next().map_or(0, |(s, _)| s.0 / BLOCK);
+            ring.last_slot()
+                .map_or(0, |last| last.0 / BLOCK + 1 - first) as usize
+        };
+        let mut ring: SlotRing<u8> = SlotRing::new();
+        ring.insert(Slot(10), 1);
+        ring.insert(Slot(500), 2);
+        assert_eq!((ring.len(), ring.blocks.len()), (2, 2));
+        assert_eq!(ring.remove(Slot(500)), Some(2));
+        assert_eq!((ring.len(), ring.blocks.len()), (1, 1));
+        assert_eq!(ring.last_slot(), Some(Slot(10)));
+        ring.insert(Slot(4), 3);
+        assert_eq!(
+            ring.range(..).map(|(s, _)| s.0).collect::<Vec<_>>(),
+            [4, 10]
+        );
+        assert_eq!(ring.drop_through(Slot(9), |_, _| {}), 1);
+        assert_eq!((ring.lo, ring.hi, ring.blocks.len()), (10, 10, 1));
+        assert_eq!(ring.drop_through(Slot(u64::MAX), |_, _| {}), 1);
+        assert!(ring.is_empty() && ring.blocks.is_empty() && ring.last_slot().is_none());
+        // Growing: one block per `BLOCK` slots, at every length.
+        for s in 1..=70_000 {
+            ring.insert(Slot(s), 0);
+            assert_eq!(ring.blocks.len(), blocks_spanned(&ring), "at {s}");
+        }
+        // A discard hands back what the peak needed.
+        assert_eq!(ring.drop_through(Slot(69_800), |_, _| {}), 69_800);
+        assert_eq!((ring.blocks.len(), blocks_spanned(&ring)), (2, 2));
+        assert_eq!(ring.range(..).count(), 200);
+        ring.drop_through(Slot(70_000), |_, _| {});
+        // An empty table starts over wherever the next entry lands.
+        ring.insert(Slot(3), 4);
+        assert_eq!(ring.get(Slot(3)), Some(&4));
+        assert_eq!(ring.range(Slot(u64::MAX)..).count(), 0);
+    }
+}

@@ -6,24 +6,130 @@
 //! linearizability checker can match writes to reads: every written value
 //! embeds its command id in the first 8 bytes.
 //!
-//! Value bytes are immutable once the client built the command, so they
-//! are held as [`Value`] (`Arc<[u8]>`): allocated once in
-//! [`Command::put`], then shared by every message copy, log entry,
-//! store record, snapshot and reply in the process. Cloning a command
-//! bumps a reference count; the modeled sizes (`size_bytes`) still
-//! count every byte on every hop.
+//! # Value bytes: in place or shared
+//!
+//! The paper measures 8-byte and 4 KB values, and they want opposite
+//! things. Value bytes are immutable once the client built the command,
+//! so a [`Value`] chooses by its length, once, when it is built: up to
+//! [`Value::IN_PLACE`] bytes live inside the value itself — a command, a
+//! log entry and a store record then own their bytes outright, a clone
+//! is a 24-byte copy and a write never touches the allocator — and
+//! anything longer is one shared `Arc<[u8]>`, allocated when the command
+//! is built and from then on shared by every message copy, log entry,
+//! store record, snapshot and reply in the process (a clone bumps a
+//! reference count). Either way a value is never mutated, so nothing that
+//! captured it (a snapshot, an export, a cached reply) can see a later
+//! overwrite of the key.
+//!
+//! This is the *layout*. The *model* is `size_bytes()`: every modeled
+//! size ([`Command::size_bytes`], the message and snapshot sizes built
+//! on it) is computed from the value's length alone and counts every byte
+//! on every hop, so the wire model — hence the schedule — does not know
+//! which way a value is held. The fat, rare migration operations are
+//! boxed for the same reason the bytes are in place: an [`Op`] is what
+//! every message, log entry and Paxos instance carries, and its size is
+//! pinned by a test.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
-use crate::shard::migration::{self, KeyOwnership, RangeExport, RouterVersion, ShardState};
+use crate::shard::migration::{
+    self, FrozenRange, KeyOwnership, RangeExport, RouterVersion, ShardState,
+};
 
 /// A record key.
 pub type Key = u64;
 
-/// A written value's bytes: immutable and shared (module docs).
-pub type Value = Arc<[u8]>;
+/// A written value's bytes: immutable; in place when short, shared when
+/// long (module docs). Reads as a `[u8]`.
+#[derive(Clone)]
+pub struct Value(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    InPlace {
+        len: u8,
+        bytes: [u8; Value::IN_PLACE],
+    },
+    Shared(Arc<[u8]>),
+}
+
+impl Value {
+    /// The longest value held in place: what fits a 24-byte `Value`
+    /// beside the variant tag and the length byte. The paper's 8-byte
+    /// values (and a 16-byte id-plus-word) are on this side, its 4 KB
+    /// values on the other.
+    pub const IN_PLACE: usize = 22;
+
+    /// `len` bytes, the first eight of them `prefix` and the rest zero,
+    /// built where they will live (no intermediate heap buffer).
+    fn zeros_after(prefix: [u8; 8], len: usize) -> Value {
+        debug_assert!(len >= prefix.len());
+        if len <= Value::IN_PLACE {
+            let mut bytes = [0; Value::IN_PLACE];
+            bytes[..prefix.len()].copy_from_slice(&prefix);
+            return bytes[..len].into();
+        }
+        // Exact-size iterator of one byte value: one allocation, filled
+        // like a `memset` (a chained prefix would be written byte by byte).
+        let mut bytes: Arc<[u8]> = std::iter::repeat_n(0u8, len).collect();
+        let unshared = Arc::get_mut(&mut bytes).expect("just built, not yet shared");
+        unshared[..prefix.len()].copy_from_slice(&prefix);
+        Value(Repr::Shared(bytes))
+    }
+}
+
+impl std::ops::Deref for Value {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match &self.0 {
+            Repr::InPlace { len, bytes } => &bytes[..usize::from(*len)],
+            Repr::Shared(bytes) => bytes,
+        }
+    }
+}
+
+impl From<&[u8]> for Value {
+    fn from(src: &[u8]) -> Value {
+        if src.len() <= Value::IN_PLACE {
+            let mut bytes = [0; Value::IN_PLACE];
+            bytes[..src.len()].copy_from_slice(src);
+            Value(Repr::InPlace {
+                len: src.len() as u8,
+                bytes,
+            })
+        } else {
+            Value(Repr::Shared(src.into()))
+        }
+    }
+}
+
+impl From<Vec<u8>> for Value {
+    fn from(src: Vec<u8>) -> Value {
+        if src.len() <= Value::IN_PLACE {
+            src.as_slice().into()
+        } else {
+            Value(Repr::Shared(src.into()))
+        }
+    }
+}
+
+impl PartialEq for Value {
+    fn eq(&self, other: &Value) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Value {}
+
+impl std::fmt::Debug for Value {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
 
 /// Unique command identifier: issuing client and per-client sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -63,23 +169,17 @@ pub enum Op {
     /// this entry's apply point on, operations on `[lo, hi)` bounce with
     /// [`Reply::WrongGroup`] at `version` — the linearization cutover of
     /// the hand-off. See [`crate::shard::migration`].
-    FreezeRange {
-        /// First key of the moved range.
-        lo: Key,
-        /// One past the last key.
-        hi: Key,
-        /// The group that owns the range from `version` on.
-        to_group: u32,
-        /// The migration's partition-map version.
-        version: RouterVersion,
-        /// Coordinator client id (responses route there).
-        coord: u32,
-    },
+    ///
+    /// Carries the tombstone it becomes in the source's
+    /// [`ShardState`], not yet `released` — boxed, like the export below:
+    /// migration commands are rare and every entry pays for the widest
+    /// variant.
+    FreezeRange(Box<FrozenRange>),
     /// Migration step 3 (committed in the **destination** group's log):
     /// absorb the exported range and serve it from this entry's apply
     /// point on. Carries the full export so every destination replica
     /// installs identical state at the same log position.
-    InstallRange(RangeExport),
+    InstallRange(Box<RangeExport>),
     /// Migration step 4 (committed in the **source** group's log): drop
     /// the moved records; the redirect tombstone stays.
     ReleaseRange {
@@ -94,9 +194,7 @@ impl Op {
     /// never misrouted and never generated by clients).
     pub fn key(&self) -> Option<Key> {
         match self {
-            Op::Noop | Op::FreezeRange { .. } | Op::InstallRange(_) | Op::ReleaseRange { .. } => {
-                None
-            }
+            Op::Noop | Op::FreezeRange(_) | Op::InstallRange(_) | Op::ReleaseRange { .. } => None,
             Op::Put { key, .. } | Op::Get { key } => Some(*key),
         }
     }
@@ -115,7 +213,7 @@ impl Op {
     pub fn is_migration(&self) -> bool {
         matches!(
             self,
-            Op::FreezeRange { .. } | Op::InstallRange(_) | Op::ReleaseRange { .. }
+            Op::FreezeRange(_) | Op::InstallRange(_) | Op::ReleaseRange { .. }
         )
     }
 
@@ -125,7 +223,7 @@ impl Op {
             Op::Noop => 1,
             Op::Put { value, .. } => 8 + value.len(),
             Op::Get { .. } => 8,
-            Op::FreezeRange { .. } => 33,
+            Op::FreezeRange(_) => 33,
             Op::InstallRange(export) => 1 + export.size_bytes(),
             Op::ReleaseRange { .. } => 9,
         }
@@ -158,6 +256,16 @@ impl Command {
         }
     }
 
+    /// [`Command::put`] of `len` zero bytes (padded to the id width),
+    /// without the caller's buffer: what the workload clients write.
+    pub fn put_zeros(id: CmdId, key: Key, len: usize) -> Command {
+        let value = Value::zeros_after(id.as_value_id().to_le_bytes(), len.max(8));
+        Command {
+            id,
+            op: Op::Put { key, value },
+        }
+    }
+
     /// Convenience constructor for a `Get`.
     pub fn get(id: CmdId, key: Key) -> Command {
         Command {
@@ -167,7 +275,7 @@ impl Command {
     }
 
     /// A consensus no-op with a reserved id.
-    pub fn noop() -> Command {
+    pub const fn noop() -> Command {
         Command {
             id: CmdId {
                 client: u32::MAX,
@@ -305,13 +413,18 @@ impl KvStore {
     /// answer [`Reply::Done`], so replaying a duplicate is harmless and
     /// the coordinator's retry still gets its reply.
     pub fn apply(&mut self, cmd: &Command) -> Reply {
-        if cmd.id.client != u32::MAX && !cmd.op.is_migration() {
-            if let Some((last_seq, last_reply)) = self.sessions.get(&cmd.id.client) {
-                if cmd.id.seq <= *last_seq {
-                    return last_reply.clone();
-                }
-            }
+        if cmd.op.is_migration() {
+            return self.apply_migration(&cmd.op);
         }
+        // One probe of the session table serves the dedup check here and
+        // the update below.
+        let tracked = cmd.id.client != u32::MAX;
+        let session = match tracked.then(|| self.sessions.entry(cmd.id.client)) {
+            Some(Entry::Occupied(seen)) if cmd.id.seq <= seen.get().0 => {
+                return seen.get().1.clone();
+            }
+            session => session,
+        };
         if let Some(key) = cmd.op.key() {
             if let Some(KeyOwnership::Redirect(group, version)) = self.shard.override_for(key) {
                 // Not recorded in the session and not counted as an
@@ -321,75 +434,47 @@ impl KvStore {
                 return Reply::WrongGroup { group, version };
             }
         }
+        self.applied_ops += 1;
         let reply = match &cmd.op {
-            Op::Noop => {
-                self.applied_ops += 1;
-                Reply::Done
-            }
             Op::Put { key, value } => {
-                self.applied_ops += 1;
                 self.table.insert(*key, value.clone());
                 Reply::Done
             }
-            Op::Get { key } => {
-                self.applied_ops += 1;
-                Reply::Value(self.table.get(key).cloned())
-            }
-            Op::FreezeRange {
-                lo,
-                hi,
-                to_group,
-                version,
-                coord,
-            } => {
-                // Version-duplicate migration commands are dedup hits,
-                // not applies — the counter stays comparable across
-                // serial and concurrent schedules.
-                if self.apply_freeze(*lo, *hi, *to_group, *version, *coord) {
-                    self.applied_ops += 1;
-                }
-                Reply::Done
-            }
-            Op::InstallRange(export) => {
-                if self.apply_install(export) {
-                    self.applied_ops += 1;
-                }
-                Reply::Done
-            }
-            Op::ReleaseRange { version } => {
-                if self.apply_release(*version) {
-                    self.applied_ops += 1;
-                }
-                Reply::Done
+            Op::Get { key } => Reply::Value(self.table.get(key).cloned()),
+            Op::Noop => Reply::Done,
+            Op::FreezeRange(_) | Op::InstallRange(_) | Op::ReleaseRange { .. } => {
+                unreachable!("migration commands went their own way above")
             }
         };
-        if cmd.id.client != u32::MAX && !cmd.op.is_migration() {
-            self.sessions
-                .insert(cmd.id.client, (cmd.id.seq, reply.clone()));
+        if let Some(session) = session {
+            session.insert_entry((cmd.id.seq, reply.clone()));
         }
         reply
     }
 
-    fn apply_freeze(
-        &mut self,
-        lo: Key,
-        hi: Key,
-        to_group: u32,
-        version: RouterVersion,
-        coord: u32,
-    ) -> bool {
-        if self.shard.has_frozen(version) {
+    /// Applies a migration control command (see [`KvStore::apply`]).
+    /// Version-duplicates are dedup hits, not applies — the counter stays
+    /// comparable across serial and concurrent schedules.
+    fn apply_migration(&mut self, op: &Op) -> Reply {
+        let applied = match op {
+            Op::FreezeRange(range) => self.apply_freeze(range),
+            Op::InstallRange(export) => self.apply_install(export),
+            Op::ReleaseRange { version } => self.apply_release(*version),
+            Op::Noop | Op::Put { .. } | Op::Get { .. } => unreachable!("not a migration command"),
+        };
+        self.applied_ops += u64::from(applied);
+        Reply::Done
+    }
+
+    fn apply_freeze(&mut self, range: &FrozenRange) -> bool {
+        if self.shard.has_frozen(range.version) {
             return false; // duplicate freeze (coordinator retry)
         }
-        self.shard.frozen.push(migration::FrozenRange {
-            lo,
-            hi,
-            to_group,
-            version,
-            coord,
+        self.shard.frozen.push(FrozenRange {
             released: false,
+            ..range.clone()
         });
-        self.shard.version = self.shard.version.max(version);
+        self.shard.version = self.shard.version.max(range.version);
         true
     }
 
@@ -695,13 +780,22 @@ mod tests {
         );
     }
 
-    /// Value bytes are shared, never mutated in place: overwriting a key
-    /// swaps the store's pointer, so a snapshot, a restored copy and an
-    /// export taken earlier keep decoding the bytes they captured.
-    #[test]
-    fn shared_value_bytes_are_not_aliased_by_a_later_overwrite() {
+    /// Whether two values are one allocation.
+    fn same_allocation(a: &Value, b: &Value) -> bool {
+        match (&a.0, &b.0) {
+            (Repr::Shared(a), Repr::Shared(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+
+    /// Value bytes are never mutated: overwriting a key replaces the
+    /// store's value, so a snapshot, a restored copy and an export taken
+    /// earlier keep decoding the bytes they captured — whether those are
+    /// one shared allocation (`len` above [`Value::IN_PLACE`]) or each
+    /// holder's own copy in place.
+    fn earlier_captures_keep_their_bytes(len: usize) {
         let mut kv = KvStore::new();
-        let first = Command::put(id(1, 1), 5, vec![0xAA; 32]);
+        let first = Command::put(id(1, 1), 5, vec![0xAA; len]);
         let Op::Put { value: sent, .. } = &first.op else {
             unreachable!()
         };
@@ -710,23 +804,142 @@ mod tests {
         let export = kv.export_range(0, 10);
         let mut restored = KvStore::new();
         restored.restore(&snap);
-        assert!(
-            Arc::ptr_eq(&snap.table[&5], sent) && Arc::ptr_eq(&export[0].1, sent),
-            "one allocation from the client's command to every copy"
+        assert_eq!(
+            same_allocation(&snap.table[&5], sent) && same_allocation(&export[0].1, sent),
+            len > Value::IN_PLACE,
+            "one allocation from the client's command to every copy, or none at all"
         );
 
-        kv.apply(&Command::put(id(1, 2), 5, vec![0xBB; 32]));
+        kv.apply(&Command::put(id(1, 2), 5, vec![0xBB; len]));
         assert_eq!(kv.read_local(5).value_id(), Some(id(1, 2).as_value_id()));
         let old = Reply::Value(Some(sent.clone()));
         assert_eq!(old.value_id(), Some(id(1, 1).as_value_id()));
         assert_eq!(
             snap.table[&5][8..],
-            [0xAA; 24],
+            vec![0xAA; len - 8],
             "snapshot keeps the old bytes"
         );
         assert_eq!(export, vec![(5, sent.clone())], "so does the export");
         assert_eq!(restored.read_local(5), old, "and the restored store");
         assert_eq!(restored.export_range(0, 10), export);
+    }
+
+    #[test]
+    fn shared_value_bytes_are_not_aliased_by_a_later_overwrite() {
+        earlier_captures_keep_their_bytes(32);
+        earlier_captures_keep_their_bytes(4096);
+    }
+
+    #[test]
+    fn in_place_value_bytes_are_not_aliased_by_a_later_overwrite() {
+        earlier_captures_keep_their_bytes(8);
+        earlier_captures_keep_their_bytes(Value::IN_PLACE);
+    }
+
+    /// The layout is not the model: for every length on both sides of
+    /// [`Value::IN_PLACE`], the bytes survive both wire encodings
+    /// unchanged and every modeled size is the one formula of the length
+    /// it always was.
+    #[test]
+    fn every_length_round_trips_and_is_sized_by_its_length_alone() {
+        use crate::log::Entry;
+        use crate::msg::{ClientMsg, Msg, RaftMsg};
+        use crate::snapshot::Snapshot;
+        use crate::types::{Slot, Term};
+        use paxraft_sim::sim::Payload;
+
+        for len in (0..=64).chain([4096]) {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 7 + len) as u8).collect();
+            let value = Value::from(bytes.clone());
+            assert_eq!(&*value, &bytes[..]);
+            assert_eq!(value, Value::from(&bytes[..]));
+            assert_eq!(format!("{value:?}"), format!("{bytes:?}"));
+            assert_eq!(
+                matches!(value.0, Repr::InPlace { .. }),
+                len <= Value::IN_PLACE
+            );
+
+            let cmd = Command {
+                id: id(3, 9),
+                op: Op::Put {
+                    key: 5,
+                    value: value.clone(),
+                },
+            };
+            assert_eq!(cmd.size_bytes(), 12 + 8 + len);
+            let request = Msg::Client(ClientMsg::Request { cmd: cmd.clone() });
+            assert_eq!(request.size_bytes(), 28 + len);
+            let append = Msg::Raft(RaftMsg::Append {
+                term: Term(1),
+                prev: Slot(0),
+                prev_term: Term(0),
+                entries: vec![Entry {
+                    term: Term(1),
+                    bal: Term(1),
+                    cmd: cmd.clone(),
+                }],
+                commit: Slot(0),
+                window_room: true,
+            });
+            assert_eq!(append.size_bytes(), 76 + len);
+
+            let mut kv = KvStore::new();
+            kv.apply(&cmd);
+            kv.apply(&Command::get(id(4, 1), 5)); // a cached reply holding the value
+            let snap = Snapshot {
+                last_slot: Slot(2),
+                last_term: Term(1),
+                kv: kv.snapshot(),
+            };
+            let encoded = snap.encode();
+            assert_eq!(encoded.len(), snap.size_bytes());
+            let decoded = Snapshot::decode(&encoded).expect("decodes");
+            assert_eq!(decoded, snap);
+            assert_eq!(decoded.encode(), encoded);
+            assert_eq!(&*decoded.kv.table[&5], &bytes[..]);
+
+            let export = RangeExport {
+                version: 1,
+                lo: 0,
+                hi: 10,
+                from_group: 0,
+                to_group: 1,
+                coord: 7,
+                records: kv.export_range(0, 10),
+                sessions: kv.export_sessions(),
+            };
+            let encoded = export.encode();
+            assert_eq!(encoded.len(), export.size_bytes());
+            let decoded = RangeExport::decode(&encoded).expect("decodes");
+            assert_eq!(decoded, export);
+            assert_eq!(decoded.encode(), encoded);
+            assert_eq!(&*decoded.records[0].1, &bytes[..]);
+        }
+    }
+
+    /// `Command::put_zeros` is `Command::put` of a zeroed buffer, on
+    /// either side of the in-place length.
+    #[test]
+    fn put_zeros_is_put_of_a_zeroed_buffer() {
+        for len in [0, 3, 8, 16, Value::IN_PLACE, Value::IN_PLACE + 1, 4096] {
+            assert_eq!(
+                Command::put_zeros(id(3, 9), 1, len),
+                Command::put(id(3, 9), 1, vec![0; len])
+            );
+        }
+    }
+
+    /// What every message, log entry and Paxos instance carries. A new
+    /// fat variant fails here instead of silently doubling the log: box
+    /// it, as the migration variants are.
+    #[test]
+    fn sizes_of_what_every_entry_carries_are_pinned() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Value>(), 24);
+        assert_eq!(size_of::<Op>(), 32);
+        assert_eq!(size_of::<Command>(), 48);
+        assert_eq!(size_of::<crate::log::Entry>(), 64);
+        assert_eq!(size_of::<crate::msg::Msg>(), 88);
     }
 
     #[test]
@@ -753,13 +966,14 @@ mod tests {
         let coord = 7;
         let freeze = |version: u64, lo: Key, hi: Key| Command {
             id: crate::shard::migration::freeze_cmd_id(coord, version),
-            op: Op::FreezeRange {
+            op: Op::FreezeRange(Box::new(FrozenRange {
                 lo,
                 hi,
                 to_group: 1,
                 version,
                 coord,
-            },
+                released: false,
+            })),
         };
         // Version 2 (seq 8) lands first, then version 1 (seq 4).
         assert_eq!(kv.apply(&freeze(2, 20, 30)), Reply::Done);
@@ -784,7 +998,7 @@ mod tests {
         let coord = 7;
         let export = |version: u64, lo: Key, hi: Key| Command {
             id: crate::shard::migration::install_cmd_id(coord, version),
-            op: Op::InstallRange(RangeExport {
+            op: Op::InstallRange(Box::new(RangeExport {
                 version,
                 lo,
                 hi,
@@ -793,7 +1007,7 @@ mod tests {
                 coord,
                 records: vec![(lo, vec![version as u8; 8].into())],
                 sessions: vec![],
-            }),
+            })),
         };
         assert_eq!(kv.apply(&export(2, 20, 30)), Reply::Done);
         assert_eq!(kv.apply(&export(1, 10, 20)), Reply::Done);

@@ -149,7 +149,7 @@ use paxraft_sim::time::{SimDuration, SimTime};
 
 use crate::config::ReplicaConfig;
 use crate::costs::CostModel;
-use crate::engine::{self, EngineCore, ProtocolRules, ReplicaEngine, T_COORD};
+use crate::engine::{self, EngineCore, ProtocolRules, ReplicaEngine, SlotRing, T_COORD};
 use crate::kv::{Command, Key, Op};
 use crate::msg::{Coord, EngineMsg, MenciusMsg, Msg};
 use crate::snapshot::Snapshot;
@@ -243,7 +243,7 @@ pub type MenciusReplica = ReplicaEngine<MenciusRules>;
 /// skip watermarks, the two-regime respond rule, and revocation.
 pub struct MenciusRules {
     current_term: Term,
-    slots: BTreeMap<u64, MSlot>,
+    slots: SlotRing<MSlot>,
     /// My next unused owned slot; doubles as my skip watermark.
     next_own: Slot,
     /// Exclusive bound of *known* slots per peer owner: every slot of
@@ -333,7 +333,7 @@ impl MenciusReplica {
                     .map(|_| PeerStream::starting_at(Slot(me.0 as u64 + 1)))
                     .collect(),
                 last_tick: SimTime::ZERO,
-                slots: BTreeMap::new(),
+                slots: SlotRing::new(),
                 exec_index: Slot::NONE,
                 committed_no_value: BTreeSet::new(),
                 key_slots: BTreeSet::new(),
@@ -378,46 +378,35 @@ impl MenciusReplica {
 
     /// Decided command at `slot` (`None` when undecided; `Some(None)`
     /// would be unrepresentable — skipped slots report the no-op).
-    pub fn decided_at(&self, slot: Slot) -> Option<Command> {
+    pub fn decided_at(&self, slot: Slot) -> Option<&Command> {
         self.rules.decided_at(&self.core, slot)
     }
 }
 
+/// What a skipped slot decides, to hand out by reference.
+static NOOP: Command = Command::noop();
+
 impl MenciusRules {
-    fn decided_at(&self, core: &EngineCore, slot: Slot) -> Option<Command> {
+    fn decided_at(&self, core: &EngineCore, slot: Slot) -> Option<&Command> {
         let owner = MenciusReplica::owner_of(slot, core.cfg.n);
-        if let Some(s) = self.slots.get(&slot.0) {
+        let held = self.slots.get(slot);
+        if let Some(s) = held {
             if s.committed {
-                return s.cmd.clone();
+                return s.cmd.as_ref();
             }
             if s.skipped {
-                return Some(Command::noop());
+                return Some(&NOOP);
             }
         }
-        if owner == core.cfg.id {
+        let known = if owner == core.cfg.id {
             // The skip inference does not apply to crash-dropped own
             // slots: empty there means "value lost", not "skipped", and
             // peers may still decide the original value (module docs).
-            if slot < self.next_own
-                && !self.lost_own.contains(&slot.0)
-                && self
-                    .slots
-                    .get(&slot.0)
-                    .map(|s| s.cmd.is_none())
-                    .unwrap_or(true)
-            {
-                return Some(Command::noop());
-            }
-        } else if slot < self.known_upto[owner.0 as usize]
-            && self
-                .slots
-                .get(&slot.0)
-                .map(|s| s.cmd.is_none())
-                .unwrap_or(true)
-        {
-            return Some(Command::noop());
-        }
-        None
+            slot < self.next_own && !self.lost_own.contains(&slot.0)
+        } else {
+            slot < self.known_upto[owner.0 as usize]
+        };
+        (known && held.is_none_or(|s| s.cmd.is_none())).then_some(&NOOP)
     }
 
     fn broadcast(&self, core: &EngineCore, ctx: &mut Ctx<Msg>, msg: MenciusMsg) {
@@ -483,12 +472,12 @@ impl MenciusRules {
         }
         if self
             .slots
-            .get(&s.0)
+            .get(s)
             .is_some_and(|x| x.committed && x.cmd.is_some())
         {
             return true;
         }
-        let slot = self.slots.entry(s.0).or_default();
+        let slot = self.slots.get_or_default(s);
         let indexed = write_key(&cmd).filter(|_| s > self.exec_index);
         self.slot_bytes += cmd.size_bytes();
         if let Some(old) = slot.cmd.replace(cmd) {
@@ -539,7 +528,7 @@ impl MenciusRules {
         }
         let seq = core.dur.write_seq();
         for s in written {
-            if let Some(slot) = self.slots.get_mut(&s.0) {
+            if let Some(slot) = self.slots.get_mut(*s) {
                 slot.wseq = seq;
             }
         }
@@ -551,7 +540,7 @@ impl MenciusRules {
     fn tally_own(&mut self, core: &mut EngineCore, slots: &[Slot], term: Term, bit: u64) {
         let quorum_extra = max_failures(core.cfg.n); // f followers + me
         for s in slots {
-            let Some(slot) = self.slots.get_mut(&s.0) else {
+            let Some(slot) = self.slots.get_mut(*s) else {
                 continue;
             };
             if slot.bal != term || slot.committed {
@@ -577,7 +566,7 @@ impl MenciusRules {
         let new_own = owned_at_or_after(core.cfg.id, target, core.cfg.n);
         let mut s = self.next_own;
         while s < new_own {
-            let slot = self.slots.entry(s.0).or_default();
+            let slot = self.slots.get_or_default(s);
             if slot.cmd.is_none() {
                 slot.skipped = true;
                 self.skips_issued += 1;
@@ -641,7 +630,7 @@ impl MenciusRules {
             if s <= self.compacted_through {
                 continue; // already executed and checkpointed
             }
-            match self.slots.get_mut(&s.0) {
+            match self.slots.get_mut(s) {
                 Some(slot) if slot.cmd.is_some() => slot.committed = true,
                 _ => {
                     self.committed_no_value.insert(s.0);
@@ -697,7 +686,7 @@ impl MenciusRules {
     /// One covered slot of the respond pass: answers its client if the
     /// rest of the condition holds. Returns whether the slot stays queued.
     fn still_waits(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, s: Slot) -> bool {
-        let Some(slot) = self.slots.get(&s.0) else {
+        let Some(slot) = self.slots.get(s) else {
             return false;
         };
         let Some(cmd) = slot.cmd.as_ref().filter(|_| !slot.responded) else {
@@ -714,7 +703,7 @@ impl MenciusRules {
             _ => crate::kv::Reply::Done,
         };
         core.respond(ctx, cmd.id, reply);
-        self.slots.get_mut(&s.0).expect("exists").responded = true;
+        self.slots.get_mut(s).expect("exists").responded = true;
         false
     }
 
@@ -725,7 +714,7 @@ impl MenciusRules {
     #[cfg(test)]
     fn oracle_ready(&self, core: &EngineCore) -> Vec<Slot> {
         let ready = |s: &Slot| {
-            let Some(slot) = self.slots.get(&s.0) else {
+            let Some(slot) = self.slots.get(*s) else {
                 return false;
             };
             let Some(cmd) = slot.cmd.as_ref().filter(|_| !slot.responded) else {
@@ -739,10 +728,10 @@ impl MenciusRules {
                 Op::Get { .. } => self.exec_index >= *s,
                 Op::Put { key, .. } => self
                     .slots
-                    .range(..s.0)
+                    .range(..*s)
                     .rev()
                     .find(|(_, x)| x.cmd.as_ref().and_then(write_key) == Some(key))
-                    .is_none_or(|(&c, _)| self.exec_index.0 >= c),
+                    .is_none_or(|(c, _)| self.exec_index >= c),
                 _ => true,
             };
             slot.committed && covered && applied
@@ -757,15 +746,16 @@ impl MenciusRules {
             let Some(cmd) = self.decided_at(core, next) else {
                 break;
             };
+            let written = write_key(cmd);
             if !matches!(cmd.op, Op::Noop) {
                 ctx.charge(core.cfg.costs.apply_per_cmd);
                 // The slot owner plays the proposer role for the
                 // migration hooks (it proposed this command).
                 let mine = MenciusReplica::owner_of(next, core.cfg.n) == core.cfg.id;
-                engine::apply_command(core, ctx, &cmd, mine);
+                engine::apply_command(core, ctx, cmd, mine);
             }
             self.exec_index = next;
-            if let Some(key) = write_key(&cmd) {
+            if let Some(key) = written {
                 self.key_slots.remove(&(key, next.0));
             }
         }
@@ -818,16 +808,16 @@ impl MenciusRules {
 
     /// Drops slot state at or below `upto`, unindexing keys and bytes.
     fn discard_through(&mut self, core: &mut EngineCore, upto: Slot) {
-        let retained = self.slots.split_off(&(upto.0 + 1));
-        core.snap_stats.entries_discarded += self.slots.len() as u64;
-        for (s, slot) in std::mem::replace(&mut self.slots, retained) {
+        let (bytes, key_slots) = (&mut self.slot_bytes, &mut self.key_slots);
+        let discarded = self.slots.drop_through(upto, |s, slot| {
             if let Some(cmd) = slot.cmd {
-                self.slot_bytes -= cmd.size_bytes();
+                *bytes -= cmd.size_bytes();
                 if let Some(key) = write_key(&cmd) {
-                    self.key_slots.remove(&(key, s));
+                    key_slots.remove(&(key, s.0));
                 }
             }
-        }
+        });
+        core.snap_stats.entries_discarded += discarded as u64;
         self.committed_no_value = self.committed_no_value.split_off(&(upto.0 + 1));
         self.lost_own = self.lost_own.split_off(&(upto.0 + 1));
     }
@@ -843,7 +833,7 @@ impl MenciusRules {
         let slots = std::mem::take(&mut self.commit_buf);
         let quickest = slots
             .iter()
-            .filter_map(|s| self.slots.get(&s.0))
+            .filter_map(|s| self.slots.get(*s))
             .map(|slot| now.since(slot.suggested_at.min(now)))
             .min()
             .unwrap_or(SimDuration::ZERO);
@@ -905,11 +895,11 @@ impl MenciusRules {
         let mut by_term: BTreeMap<Term, Vec<(Slot, Command)>> = BTreeMap::new();
         let mut committed = Vec::new();
         let mut taken = 0usize;
-        for (&s, slot) in self.slots.range_mut(self.exec_index.next().0..) {
+        for (s, slot) in self.slots.range_mut(self.exec_index.next()..) {
             if taken >= 64 {
                 break;
             }
-            if MenciusReplica::owner_of(Slot(s), n) != me || slot.skipped {
+            if MenciusReplica::owner_of(s, n) != me || slot.skipped {
                 continue;
             }
             let Some(cmd) = slot.cmd.clone() else {
@@ -920,9 +910,9 @@ impl MenciusRules {
             }
             slot.suggested_at = now;
             if slot.committed {
-                committed.push(Slot(s));
+                committed.push(s);
             }
-            by_term.entry(slot.bal).or_default().push((Slot(s), cmd));
+            by_term.entry(slot.bal).or_default().push((s, cmd));
             taken += 1;
         }
         // The retransmitted slots are a subset by age, so these copies
@@ -986,19 +976,19 @@ impl MenciusRules {
             // claim stops there and the next round continues.
             let mut term = None;
             let mut items = Vec::new();
-            for (&s, slot) in self.slots.range(from.0..upto.0) {
-                if MenciusReplica::owner_of(Slot(s), n) != me {
+            for (s, slot) in self.slots.range(from..upto) {
+                if MenciusReplica::owner_of(s, n) != me {
                     continue;
                 }
                 let Some(cmd) = slot.cmd.clone() else {
                     continue;
                 };
                 if !slot.committed || items.len() == 64 || term.is_some_and(|t| t != slot.bal) {
-                    upto = Slot(s);
+                    upto = s;
                     break;
                 }
                 term = Some(slot.bal);
-                items.push((Slot(s), cmd));
+                items.push((s, cmd));
             }
             // A claim without values helps only a peer stuck on a slot
             // of mine (one I skipped, and the notice was lost).
@@ -1026,9 +1016,9 @@ impl MenciusRules {
     /// The highest slot any owner is known to have reached (sizing the
     /// revocation range).
     fn horizon(&self) -> Slot {
-        let max_slot = self.slots.keys().next_back().copied().unwrap_or(0);
-        let max_known = self.known_upto.iter().map(|s| s.0).max().unwrap_or(0);
-        Slot(max_slot.max(max_known).max(self.next_own.0))
+        let max_slot = self.slots.last_slot().unwrap_or(Slot::NONE);
+        let max_known = self.known_upto.iter().copied().max().unwrap_or(Slot::NONE);
+        max_slot.max(max_known).max(self.next_own)
     }
 
     /// Starts revocation of `owner`'s undecided slots when they block
@@ -1126,10 +1116,10 @@ impl MenciusRules {
         through: Slot,
     ) -> BTreeMap<u64, (Term, Command)> {
         let mut out = BTreeMap::new();
-        for (&s, slot) in self.slots.range(from.0..=through.0) {
-            if MenciusReplica::owner_of(Slot(s), core.cfg.n) == owner {
+        for (s, slot) in self.slots.range(from..=through) {
+            if MenciusReplica::owner_of(s, core.cfg.n) == owner {
                 if let Some(cmd) = &slot.cmd {
-                    out.insert(s, (slot.bal, cmd.clone()));
+                    out.insert(s.0, (slot.bal, cmd.clone()));
                 }
             }
         }
@@ -1148,7 +1138,7 @@ impl MenciusRules {
     ) {
         let mut s = owned_at_or_after(owner, from, core.cfg.n);
         while s <= through {
-            let slot = self.slots.entry(s.0).or_default();
+            let slot = self.slots.get_or_default(s);
             if term > slot.bal {
                 slot.bal = term;
             }
@@ -1191,7 +1181,7 @@ impl MenciusRules {
                         // owner converges via Checkpoint, not re-accept.
                         continue;
                     }
-                    let bal = self.slots.get(&s.0).map(|x| x.bal).unwrap_or(Term::ZERO);
+                    let bal = self.slots.get(s).map_or(Term::ZERO, |x| x.bal);
                     // A value the owner reports decided is learnt, not
                     // accepted, and no promise stands against learning:
                     // at a slot its owner committed, the owner's value
@@ -1206,7 +1196,7 @@ impl MenciusRules {
                         // reaches the disk.
                         let already = self
                             .slots
-                            .get(&s.0)
+                            .get(s)
                             .is_some_and(|x| x.cmd.is_some() && (x.committed || x.bal == term));
                         let sz = cmd.size_bytes();
                         self.accept_value(core, s, term, cmd);
@@ -1223,7 +1213,7 @@ impl MenciusRules {
                         reject_term = reject_term.max(bal);
                         // Decided here already (a revocation the owner
                         // missed): the refusal carries the decision.
-                        if let Some(x) = self.slots.get(&s.0).filter(|x| x.committed) {
+                        if let Some(x) = self.slots.get(s).filter(|x| x.committed) {
                             revoked.extend(x.cmd.clone().map(|c| (s, c)));
                         }
                     }
@@ -1397,7 +1387,7 @@ impl MenciusRules {
                     for (s, cmd) in &items {
                         let sz = cmd.size_bytes();
                         if self.accept_value(core, *s, op.term, cmd.clone()) {
-                            let slot = self.slots.get_mut(&s.0).expect("accepted");
+                            let slot = self.slots.get_mut(*s).expect("accepted");
                             slot.committed = true;
                             written.push(*s);
                             written_bytes += sz;
@@ -1435,7 +1425,7 @@ impl MenciusRules {
                     let owner = MenciusReplica::owner_of(s, core.cfg.n);
                     // If our own in-flight command was no-oped, re-propose.
                     if owner == core.cfg.id {
-                        if let Some(slot) = self.slots.get(&s.0) {
+                        if let Some(slot) = self.slots.get(s) {
                             if !slot.responded {
                                 if let Some(mine) = &slot.cmd {
                                     if *mine != cmd && !matches!(mine.op, Op::Noop) {
@@ -1453,7 +1443,7 @@ impl MenciusRules {
                     }
                     let sz = cmd.size_bytes();
                     if self.accept_value(core, s, term, cmd) {
-                        let slot = self.slots.get_mut(&s.0).expect("accepted");
+                        let slot = self.slots.get_mut(s).expect("accepted");
                         if term >= slot.bal {
                             slot.committed = true;
                         }
@@ -1507,7 +1497,7 @@ impl ProtocolRules for MenciusRules {
             self.next_own = Slot(self.next_own.0 + core.cfg.n as u64);
             bytes += cmd.size_bytes();
             self.accept_value(core, s, self.current_term, cmd.clone());
-            let slot = self.slots.get_mut(&s.0).expect("just accepted");
+            let slot = self.slots.get_mut(s).expect("just accepted");
             slot.acks = self_ack;
             slot.suggested_at = ctx.now();
             items.push((s, cmd));
@@ -1707,8 +1697,8 @@ impl ProtocolRules for MenciusRules {
         // payloads rode the modeled disk.
         if core.dur.enabled() {
             let synced = core.dur.synced_seq();
-            let from = self.compacted_through.0 + 1;
-            for (&s, slot) in self.slots.range_mut(from..) {
+            let from = self.compacted_through.next();
+            for (s, slot) in self.slots.range_mut(from..) {
                 if slot.wseq > synced && slot.cmd.is_some() {
                     let cmd = slot.cmd.take().expect("checked");
                     self.slot_bytes -= cmd.size_bytes();
@@ -1716,11 +1706,11 @@ impl ProtocolRules for MenciusRules {
                     slot.wseq = 0;
                     if slot.committed {
                         slot.committed = false;
-                        self.committed_no_value.insert(s);
-                    } else if MenciusReplica::owner_of(Slot(s), core.cfg.n) == core.cfg.id
+                        self.committed_no_value.insert(s.0);
+                    } else if MenciusReplica::owner_of(s, core.cfg.n) == core.cfg.id
                         && !slot.skipped
                     {
-                        self.lost_own.insert(s);
+                        self.lost_own.insert(s.0);
                     }
                 }
             }
@@ -1751,9 +1741,9 @@ impl ProtocolRules for MenciusRules {
         }
         // The retained writes above the restored prefix run again, and
         // hold back their successors on the same key until they have.
-        let unexecuted = self.slots.range(self.exec_index.0 + 1..);
+        let unexecuted = self.slots.range(self.exec_index.next()..);
         self.key_slots = unexecuted
-            .filter_map(|(&s, slot)| Some((write_key(slot.cmd.as_ref()?)?, s)))
+            .filter_map(|(s, slot)| Some((write_key(slot.cmd.as_ref()?)?, s.0)))
             .collect();
     }
 }
@@ -2085,7 +2075,10 @@ mod tests {
         sim.actor_mut::<TestClient>(client).enqueue_put(1);
         sim.run_until(SimTime::from_millis(300));
         let rep = sim.actor::<MenciusReplica>(ActorId(0));
-        assert!(rep.rules.slots[&5].cmd.is_some(), "slot 5's value stored");
+        assert!(
+            rep.rules.slots.get(Slot(5)).unwrap().cmd.is_some(),
+            "slot 5's value stored"
+        );
         assert_eq!(rep.rules.known_upto[1], Slot(1), "the gap moved nothing");
         assert_eq!(rep.decided_at(Slot(2)), None, "no skip inferred");
         assert_eq!(rep.exec_index(), Slot(1), "execution blocks at the gap");
@@ -2218,7 +2211,10 @@ mod tests {
         assert_eq!(owner.decided_at(Slot(1)).map(|c| c.id.seq), Some(1));
         for &r in &replicas[1..] {
             let rep = sim.actor::<MenciusReplica>(r);
-            assert!(rep.rules.slots[&1].cmd.is_some(), "value arrived");
+            assert!(
+                rep.rules.slots.get(Slot(1)).unwrap().cmd.is_some(),
+                "value arrived"
+            );
             assert_eq!(rep.decided_at(Slot(1)), None, "decision was lost");
         }
         sim.run_until(SimTime::from_millis(600));
@@ -2295,7 +2291,7 @@ mod tests {
             });
         assert!(told, "the owner learns its slot was decided a no-op");
         let rep = sim.actor::<MenciusReplica>(ActorId(0));
-        assert_eq!(rep.decided_at(Slot(2)), Some(Command::noop()));
+        assert_eq!(rep.decided_at(Slot(2)), Some(&Command::noop()));
     }
 
     fn notice(from: u64, upto: u64, commits: &[u64]) -> MenciusMsg {
@@ -2402,14 +2398,17 @@ mod tests {
         sim.run_until(SimTime::from_millis(350));
         let rep = sim.actor::<MenciusReplica>(ActorId(0));
         assert_eq!(sim.actor::<TestClient>(client).replies.len(), 1);
-        assert!(rep.rules.slots[&7].committed, "the write to 105 is decided");
+        assert!(
+            rep.rules.slots.get(Slot(7)).unwrap().committed,
+            "the write to 105 is decided"
+        );
         assert!(rep.rules.key_slots.contains(&(105, 5)));
         assert!(rep.rules.key_slots.contains(&(105, 7)));
         // The revocation's decision reaches replica 0 (Ireland is 62 ms
         // away; the script clock started when its first suggestion landed).
         sim.run_until(SimTime::from_millis(600));
         let rep = sim.actor::<MenciusReplica>(ActorId(0));
-        assert_eq!(rep.decided_at(Slot(5)), Some(Command::noop()));
+        assert_eq!(rep.decided_at(Slot(5)), Some(&Command::noop()));
         assert_eq!(rep.exec_index(), Slot(1), "slot 2 still blocks execution");
         assert!(!rep.rules.key_slots.contains(&(105, 5)), "un-indexed");
         assert!(rep.rules.key_slots.contains(&(105, 7)));
@@ -2460,7 +2459,10 @@ mod tests {
         let floor = rep.core.stable_snap.as_ref().expect("checkpointed");
         assert!(floor.last_slot < Slot(11));
         assert_eq!(rep.exec_index(), Slot(10));
-        assert!(rep.rules.slots[&13].committed && !rep.rules.slots[&13].responded);
+        assert!(
+            rep.rules.slots.get(Slot(13)).unwrap().committed
+                && !rep.rules.slots.get(Slot(13)).unwrap().responded
+        );
         sim.crash_at(ActorId(0), SimTime::from_millis(2000));
         sim.restart_at(ActorId(0), SimTime::from_millis(2100));
         // The client retries after 5 s; the retry lands in slot 16, is
@@ -2468,7 +2470,10 @@ mod tests {
         sim.run_until(SimTime::from_secs(8));
         let rep = sim.actor::<MenciusReplica>(ActorId(0));
         assert_eq!(rep.exec_index(), Slot(10), "restored and re-executed");
-        assert!(rep.rules.slots[&16].committed, "the retry is decided");
+        assert!(
+            rep.rules.slots.get(Slot(16)).unwrap().committed,
+            "the retry is decided"
+        );
         assert!(rep.rules.cover(&rep.core) >= Slot(16), "and covered");
         assert_eq!(
             sim.actor::<TestClient>(client).replies.len(),

@@ -37,14 +37,15 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use paxraft_sim::sim::{ActorId, Ctx};
 
 use crate::config::ReplicaConfig;
-use crate::engine::{self, EngineCore, ProtocolRules, ReplicaEngine};
+use crate::engine::{self, EngineCore, ProtocolRules, ReplicaEngine, SlotRing};
 use crate::kv::Command;
 use crate::msg::{EngineMsg, Msg, PaxosMsg};
 use crate::snapshot::Snapshot;
 use crate::types::{quorum, NodeId, Slot, Term};
 
-/// One Paxos instance (Figure 1's `s.instances[i]`).
-#[derive(Debug, Clone)]
+/// One Paxos instance (Figure 1's `s.instances[i]`); the default is the
+/// empty instance, nothing accepted.
+#[derive(Debug, Clone, Default)]
 struct Instance {
     /// Highest ballot this replica accepted the value at (`instance.bal`).
     bal: Term,
@@ -60,18 +61,6 @@ struct Instance {
     wseq: u64,
 }
 
-impl Instance {
-    fn empty() -> Self {
-        Instance {
-            bal: Term::ZERO,
-            cmd: None,
-            committed: false,
-            acks: 0,
-            wseq: 0,
-        }
-    }
-}
-
 /// A MultiPaxos replica (proposer + acceptor + learner): the shared
 /// engine running [`PaxosRules`].
 pub type MultiPaxosReplica = ReplicaEngine<PaxosRules>;
@@ -83,7 +72,7 @@ pub struct PaxosRules {
     ballot: Term,
     /// Figure 1's `phase1Succeeded`: this replica is the active proposer.
     phase1_succeeded: bool,
-    instances: BTreeMap<u64, Instance>,
+    instances: SlotRing<Instance>,
     /// Chosen-slot notifications that arrived before their Accept.
     committed_no_value: BTreeSet<u64>,
     /// Leader's next unused instance id.
@@ -130,7 +119,7 @@ impl MultiPaxosReplica {
             PaxosRules {
                 ballot: Term::ZERO,
                 phase1_succeeded: false,
-                instances: BTreeMap::new(),
+                instances: SlotRing::new(),
                 committed_no_value: BTreeSet::new(),
                 next_slot: Slot(1),
                 prepare_acks: HashMap::new(),
@@ -157,7 +146,7 @@ impl MultiPaxosReplica {
 
     /// Chosen value at a slot, if committed (for agreement tests).
     pub fn committed_at(&self, slot: Slot) -> Option<&Command> {
-        let inst = self.rules.instances.get(&slot.0)?;
+        let inst = self.rules.instances.get(slot)?;
         if inst.committed {
             inst.cmd.as_ref()
         } else {
@@ -229,9 +218,9 @@ impl PaxosRules {
         }
         let items: Vec<(Slot, Command)> = self
             .instances
-            .range(self.accept_cursor[i].next().0..)
+            .range(self.accept_cursor[i].next()..)
             .filter(|(_, inst)| !inst.committed)
-            .filter_map(|(&s, inst)| inst.cmd.clone().map(|c| (Slot(s), c)))
+            .filter_map(|(s, inst)| inst.cmd.clone().map(|c| (s, c)))
             .take(64)
             .collect();
         match items.last() {
@@ -281,29 +270,20 @@ impl PaxosRules {
 
     fn first_unchosen(&self) -> Slot {
         let mut s = self.exec_index.next();
-        while self
-            .instances
-            .get(&s.0)
-            .map(|i| i.committed)
-            .unwrap_or(false)
-        {
+        while self.instances.get(s).is_some_and(|i| i.committed) {
             s = s.next();
         }
         s
     }
 
     fn log_tail(&self) -> Slot {
-        self.instances
-            .iter()
-            .next_back()
-            .map(|(&s, _)| Slot(s))
-            .unwrap_or(Slot::NONE)
+        self.instances.last_slot().unwrap_or(Slot::NONE)
     }
 
     fn accepted_from(&self, from: Slot) -> Vec<(Slot, Term, Command)> {
         self.instances
-            .range(from.0..)
-            .filter_map(|(&s, inst)| inst.cmd.clone().map(|c| (Slot(s), inst.bal, c)))
+            .range(from..)
+            .filter_map(|(s, inst)| inst.cmd.clone().map(|c| (s, inst.bal, c)))
             .collect()
     }
 
@@ -330,7 +310,7 @@ impl PaxosRules {
         let seq = core.dur.write_seq();
         let slots: Vec<Slot> = items.iter().map(|(s, _)| *s).collect();
         for s in &slots {
-            if let Some(inst) = self.instances.get_mut(&s.0) {
+            if let Some(inst) = self.instances.get_mut(*s) {
                 inst.wseq = seq;
             }
         }
@@ -343,7 +323,7 @@ impl PaxosRules {
         let q = quorum(core.cfg.n);
         let mut chosen = Vec::new();
         for slot in slots {
-            if let Some(inst) = self.instances.get_mut(&slot.0) {
+            if let Some(inst) = self.instances.get_mut(*slot) {
                 inst.acks |= bit;
                 if !inst.committed && inst.acks.count_ones() as usize >= q {
                     inst.committed = true;
@@ -401,7 +381,7 @@ impl PaxosRules {
         let me_bit = core.me_bit();
         let gated = core.dur.enabled();
         while s <= end {
-            let inst = self.instances.entry(s.0).or_insert_with(Instance::empty);
+            let inst = self.instances.get_or_default(s);
             if !inst.committed {
                 let cmd = safe
                     .get(&s.0)
@@ -439,15 +419,12 @@ impl PaxosRules {
     fn try_execute(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
         loop {
             let next = self.exec_index.next();
-            let Some(inst) = self.instances.get(&next.0) else {
+            let Some(inst) = self.instances.get(next).filter(|inst| inst.committed) else {
                 break;
             };
-            if !inst.committed {
-                break;
-            }
-            let cmd = inst.cmd.clone().expect("committed instance has a value");
+            let cmd = inst.cmd.as_ref().expect("committed instance has a value");
             ctx.charge(core.cfg.costs.apply_per_cmd);
-            let reply = engine::apply_command(core, ctx, &cmd, self.phase1_succeeded);
+            let reply = engine::apply_command(core, ctx, cmd, self.phase1_succeeded);
             self.exec_index = next;
             if self.phase1_succeeded && cmd.id.client != u32::MAX {
                 core.respond(ctx, cmd.id, reply);
@@ -480,17 +457,22 @@ impl PaxosRules {
         // durable form; charge its write (modeled atomic, no ack waits
         // on it — see `raft_family::RaftBase::maybe_compact`).
         core.durable_write(ctx, snap.size_bytes(), 1);
-        let retained = self.instances.split_off(&(self.exec_index.0 + 1));
-        let discarded = self.instances.len();
-        for inst in self.instances.values() {
-            self.instance_bytes -= inst.cmd.as_ref().map_or(0, Command::size_bytes);
-        }
-        self.instances = retained;
-        self.committed_no_value = self.committed_no_value.split_off(&(self.exec_index.0 + 1));
+        let discarded = self.discard_through(self.exec_index);
         self.compacted_through = self.exec_index;
         core.stable_snap = Some(snap);
         core.snap_stats.compactions += 1;
         core.snap_stats.entries_discarded += discarded as u64;
+    }
+
+    /// Drops instance state at or below `upto` (executed, and now held
+    /// by a checkpoint), returning how many instances went.
+    fn discard_through(&mut self, upto: Slot) -> usize {
+        let bytes = &mut self.instance_bytes;
+        let discarded = self.instances.drop_through(upto, |_, inst| {
+            *bytes -= inst.cmd.as_ref().map_or(0, Command::size_bytes);
+        });
+        self.committed_no_value = self.committed_no_value.split_off(&(upto.0 + 1));
+        discarded
     }
 
     fn on_paxos(
@@ -577,7 +559,7 @@ impl PaxosRules {
                             below_floor = true;
                             continue;
                         }
-                        let inst = self.instances.entry(slot.0).or_insert_with(Instance::empty);
+                        let inst = self.instances.get_or_default(slot);
                         if !inst.committed {
                             inst.bal = ballot;
                             written_bytes += cmd.size_bytes();
@@ -599,7 +581,7 @@ impl PaxosRules {
                         if core.dur.enabled() {
                             let seq = core.dur.write_seq();
                             for s in &written {
-                                if let Some(inst) = self.instances.get_mut(&s.0) {
+                                if let Some(inst) = self.instances.get_mut(*s) {
                                     inst.wseq = seq;
                                 }
                             }
@@ -647,7 +629,7 @@ impl PaxosRules {
                     let bit = 1u64 << node.0;
                     let mut chosen = Vec::new();
                     for slot in slots {
-                        if let Some(inst) = self.instances.get_mut(&slot.0) {
+                        if let Some(inst) = self.instances.get_mut(slot) {
                             inst.acks |= bit;
                             if !inst.committed
                                 && inst.acks.count_ones() as usize >= quorum(core.cfg.n)
@@ -668,14 +650,12 @@ impl PaxosRules {
                     // `try_execute` and checkpoint install leave nothing
                     // uncommitted at or below our own `exec_index`. An
                     // ack whose `exec` trails it (the common case) has
-                    // nothing to teach — and an inverted range panics.
-                    if exec > self.exec_index {
-                        let ahead = self.exec_index.next().0..=exec.0;
-                        for (&s, inst) in self.instances.range_mut(ahead) {
-                            if !inst.committed && inst.cmd.is_some() && inst.bal == self.ballot {
-                                inst.committed = true;
-                                chosen.push(Slot(s));
-                            }
+                    // nothing to teach: its range is empty.
+                    let ahead = self.exec_index.next()..=exec;
+                    for (s, inst) in self.instances.range_mut(ahead) {
+                        if !inst.committed && inst.cmd.is_some() && inst.bal == self.ballot {
+                            inst.committed = true;
+                            chosen.push(s);
                         }
                     }
                     if !chosen.is_empty() {
@@ -691,7 +671,7 @@ impl PaxosRules {
                     if slot <= self.compacted_through {
                         continue; // already executed and checkpointed
                     }
-                    match self.instances.get_mut(&slot.0) {
+                    match self.instances.get_mut(slot) {
                         Some(inst) if inst.cmd.is_some() => inst.committed = true,
                         _ => {
                             self.committed_no_value.insert(slot.0);
@@ -716,15 +696,15 @@ impl PaxosRules {
         core.pipe.expire_stale(ctx.now(), core.cfg.retry_interval);
         let retransmit: Vec<(Slot, Command)> = self
             .instances
-            .range(self.exec_index.next().0..)
+            .range(self.exec_index.next()..)
             .filter(|(_, i)| !i.committed)
-            .filter_map(|(&s, i)| i.cmd.clone().map(|c| (Slot(s), c)))
+            .filter_map(|(s, i)| i.cmd.clone().map(|c| (s, c)))
             .collect();
         let committed: Vec<Slot> = self
             .instances
-            .range(self.exec_index.0.saturating_sub(64)..)
+            .range(Slot(self.exec_index.0.saturating_sub(64))..)
             .filter(|(_, i)| i.committed)
-            .map(|(&s, _)| Slot(s))
+            .map(|(s, _)| s)
             .collect();
         // The heartbeat Accept doubles as the hint refresh: even an idle
         // cluster re-teaches acceptors the proposer's window occupancy.
@@ -762,10 +742,10 @@ impl PaxosRules {
             }
             let replay: Vec<(Slot, Command)> = self
                 .instances
-                .range(fexec.next().0..)
+                .range(fexec.next()..)
                 .take(64)
                 .filter(|(_, i)| i.committed)
-                .filter_map(|(&s, i)| i.cmd.clone().map(|c| (Slot(s), c)))
+                .filter_map(|(s, i)| i.cmd.clone().map(|c| (s, c)))
                 .collect();
             if replay.is_empty() {
                 continue;
@@ -806,7 +786,7 @@ impl ProtocolRules for PaxosRules {
             self.next_slot = self.next_slot.next();
             self.instance_bytes += cmd.size_bytes();
             self.instances.insert(
-                slot.0,
+                slot,
                 Instance {
                     bal: self.ballot,
                     cmd: Some(cmd.clone()),
@@ -874,12 +854,7 @@ impl ProtocolRules for PaxosRules {
             core.durable_write(ctx, snap.size_bytes(), 1);
             core.kv.restore(&snap.kv);
             self.exec_index = snap.last_slot;
-            let retained = self.instances.split_off(&(snap.last_slot.0 + 1));
-            for inst in self.instances.values() {
-                self.instance_bytes -= inst.cmd.as_ref().map_or(0, Command::size_bytes);
-            }
-            self.instances = retained;
-            self.committed_no_value = self.committed_no_value.split_off(&(snap.last_slot.0 + 1));
+            self.discard_through(snap.last_slot);
             self.compacted_through = self.compacted_through.max(snap.last_slot);
             if self.next_slot <= snap.last_slot {
                 self.next_slot = snap.last_slot.next();
@@ -956,9 +931,9 @@ impl ProtocolRules for PaxosRules {
         // proposer's retransmission or a checkpoint.
         if core.dur.enabled() {
             let synced = core.dur.synced_seq();
-            let from = self.exec_index.0 + 1;
+            let from = self.exec_index.next();
             let mut dropped = Vec::new();
-            for (&s, inst) in self.instances.range_mut(from..) {
+            for (s, inst) in self.instances.range_mut(from..) {
                 if inst.wseq > synced && inst.cmd.is_some() {
                     self.instance_bytes -= inst.cmd.take().map_or(0, |c| c.size_bytes());
                     inst.bal = Term::ZERO;
@@ -966,7 +941,7 @@ impl ProtocolRules for PaxosRules {
                     inst.wseq = 0;
                     if inst.committed {
                         inst.committed = false;
-                        self.committed_no_value.insert(s);
+                        self.committed_no_value.insert(s.0);
                     }
                     dropped.push(s);
                 }
@@ -975,12 +950,11 @@ impl ProtocolRules for PaxosRules {
             for s in dropped {
                 if self
                     .instances
-                    .get(&s)
-                    .map(|i| !i.committed && i.cmd.is_none())
-                    .unwrap_or(false)
-                    && !self.committed_no_value.contains(&s)
+                    .get(s)
+                    .is_some_and(|i| !i.committed && i.cmd.is_none())
+                    && !self.committed_no_value.contains(&s.0)
                 {
-                    self.instances.remove(&s);
+                    self.instances.remove(s);
                 }
             }
             self.pending_self.clear();
@@ -1098,7 +1072,12 @@ mod tests {
         assert!(drive_until(&mut sim, SimTime::from_secs(10), |sim| {
             sim.actor::<TestClient>(client).replies.len() == 1
         }));
-        let inst = &sim.actor::<MultiPaxosReplica>(proposer).rules.instances[&1];
+        let inst = sim
+            .actor::<MultiPaxosReplica>(proposer)
+            .rules
+            .instances
+            .get(Slot(1))
+            .unwrap();
         assert!(inst.committed);
         assert_eq!(inst.acks.count_ones(), 2, "no quorum of acks");
     }

@@ -250,7 +250,7 @@ impl RaftStarRules {
                 Op::Put { key, .. } => {
                     self.key_last_write.insert(*key, s);
                 }
-                Op::FreezeRange { lo, hi, .. } => self.frozen_in_log.push((s, *lo, *hi)),
+                Op::FreezeRange(range) => self.frozen_in_log.push((s, range.lo, range.hi)),
                 _ => {}
             }
             s = s.next();

@@ -35,7 +35,8 @@ use paxraft_sim::time::{SimDuration, SimTime};
 use crate::kv::{CmdId, Command, Key, Op, Reply};
 use crate::msg::{ClientMsg, Msg};
 use crate::shard::migration::{
-    freeze_cmd_id, install_cmd_id, release_cmd_id, version_of_cmd, MigrationSpec, RouterVersion,
+    freeze_cmd_id, install_cmd_id, release_cmd_id, version_of_cmd, FrozenRange, MigrationSpec,
+    RouterVersion,
 };
 use crate::shard::ShardRouter;
 
@@ -273,13 +274,14 @@ impl RebalanceCoordinator {
                 .apply_move(spec.lo, spec.hi, spec.to_group, version);
             let cmd = Command {
                 id: freeze_cmd_id(self.client_id, version),
-                op: Op::FreezeRange {
+                op: Op::FreezeRange(Box::new(FrozenRange {
                     lo: spec.lo,
                     hi: spec.hi,
                     to_group: spec.to_group,
                     version,
                     coord: self.client_id,
-                },
+                    released: false,
+                })),
             };
             self.flights.push(Flight {
                 version,

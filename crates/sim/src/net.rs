@@ -87,8 +87,10 @@ pub struct NetConfig {
     /// Fixed per-message overhead bytes (headers, framing).
     pub overhead_bytes: usize,
     /// When true (the default, modelling TCP), deliveries between each
-    /// ordered pair of nodes preserve send order. Mencius's skip
-    /// watermarks rely on FIFO links (Appendix A.3).
+    /// ordered pair of nodes preserve send order. Mencius's per-owner
+    /// streams (Appendix A.3's skip watermarks) assume ordered links but
+    /// not reliable ones: every element names where the previous one
+    /// ended, so a receiver notices a gap instead of inferring a skip.
     pub fifo: bool,
 }
 

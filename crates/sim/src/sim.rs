@@ -28,23 +28,45 @@
 //! the run.
 //!
 //! A payload stays in its slot for its whole life. A remote message is
-//! three heap events (`Arrive`, `Arrive` again once the receiver's NIC
-//! has taken it in, then the node's `Process` turn): the second is the
-//! same slot with its `charged` flag flipped and a fresh key, the inbox
-//! holds slot numbers, and a node's `Process` payload never leaves its
-//! slot at all — only keys for it come and go. The message is read out
-//! exactly once, by the handler, and its size is computed exactly once,
-//! at send.
+//! three events (`Arrive`, `Arrive` again once the receiver's NIC has
+//! taken it in, then the node's `Process` turn): the second is the same
+//! slot with its `charged` flag flipped, the inbox holds slot numbers,
+//! and a node's `Process` payload never leaves its slot at all — only
+//! keys for it come and go. The message is read out exactly once, by the
+//! handler, and its size is computed exactly once, at send.
 //!
-//! **`seq` assignment *is* the schedule.** Events at one timestamp pop
-//! in the order they were pushed, and `seq` is what says so: one number
-//! per push, the receiver-NIC re-queue included. Every tie between two
-//! deliveries, every RNG draw that follows from one, and
-//! [`SimStats::events`] depend on those numbers and on nothing else
-//! about the queue, so a change that hands out the same `seq` at the
-//! same points leaves every run bit-for-bit what it was. `slot` is in
-//! the key only to find the payload; `seq` is unique, so it never
-//! decides an order.
+//! # Hops taken in place
+//!
+//! Those three events are *up to* three trips through the heap, and one
+//! when nothing else is due first. The second and third are hops the
+//! simulator itself schedules while it handles the one before, and most
+//! of the time such a hop would be the very next pop: the receiver's NIC
+//! takes in a ~100-byte message in two microseconds, and an idle node's
+//! `Process` turn is due the instant a delivery joins its inbox. So when
+//! a hop's time `t` is within the limit of the running
+//! [`Simulation::run_until`] and nothing queued is due at or before `t`,
+//! the hop is not queued at all: the clock moves to `t` and its work
+//! runs now. This is exact, not approximate. A key pushed for `t` would
+//! carry the newest `seq`, so it pops after every event already queued
+//! for `t` or earlier — "strictly later than everything queued" is
+//! precisely "pops next, with nothing run in between"; handler order,
+//! every tie and every RNG draw are what they were. A hop past the limit
+//! is always queued, so `run_until` never runs beyond its limit and what
+//! a caller reads between two calls is the state at that time.
+//! [`SimStats::events`] counts a hop taken in place like one that
+//! travelled the heap: it counts hops, not pops. The always-queue path
+//! survives as a `#[cfg(test)]` switch, the reference the differential
+//! tests compare against.
+//!
+//! **`seq` order *is* the schedule.** Events at one timestamp pop in the
+//! order they were pushed, and `seq` is what says so: one number per
+//! push. Every tie between two deliveries and every RNG draw that
+//! follows from one depend on the order of those numbers and on nothing
+//! else about the queue, so a change that keeps the relative order of
+//! what it does push (a hop taken in place is never pushed, and would
+//! have popped before anything pushed after it) leaves every run
+//! bit-for-bit what it was. `slot` is in the key only to find the
+//! payload; `seq` is unique, so it never decides an order.
 //!
 //! Handler outputs go to one buffer the simulation owns
 //! ([`Ctx::send`] and friends push to it; it is drained when the handler
@@ -326,6 +348,13 @@ impl<T> EventQueue<T> {
         Some((key.at, key.slot))
     }
 
+    /// Whether a key pushed now for time `at` would be the very next
+    /// pop: nothing queued is due at or before `at` (an event queued for
+    /// `at` itself has the older `seq` and pops first).
+    fn would_pop_next(&self, at: SimTime) -> bool {
+        self.heap.peek().is_none_or(|head| head.0.at > at)
+    }
+
     fn payload_mut(&mut self, slot: usize) -> &mut T {
         self.slab[slot].as_mut().expect("slot holds a payload")
     }
@@ -345,9 +374,10 @@ impl<T> EventQueue<T> {
 }
 
 /// Counters exposed for tests and reporting.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
-    /// Total events popped from the queue.
+    /// Total events handled: every hop of every delivery, whether it
+    /// travelled the queue or was taken in place (module docs).
     pub events: u64,
     /// Messages handed to actor handlers.
     pub deliveries: u64,
@@ -383,6 +413,10 @@ pub struct Simulation<M: Payload> {
     trace: FlightRecorder,
     disks: DiskArray,
     disk_of: Vec<usize>,
+    /// Tests: send every hop through the queue — the reference path the
+    /// in-place hops are compared against.
+    #[cfg(test)]
+    always_queue: bool,
     /// Event/delivery counters.
     pub stats: SimStats,
 }
@@ -408,6 +442,8 @@ impl<M: Payload> Simulation<M> {
             trace: FlightRecorder::disabled(),
             disks: DiskArray::new(DiskConfig::default()),
             disk_of: Vec::new(),
+            #[cfg(test)]
+            always_queue: false,
             stats: SimStats::default(),
         }
     }
@@ -705,17 +741,42 @@ impl<M: Payload> Simulation<M> {
         self.outputs = outputs;
     }
 
-    /// Ensures a `Process` event is pending for node `i`.
-    fn schedule_process(&mut self, i: usize) {
-        if !self.process_scheduled[i] && !self.inbox[i].is_empty() {
-            self.process_scheduled[i] = true;
-            let at = self.now.max(self.cpu_free[i]);
-            self.queue.schedule(at, self.process_slot[i]);
+    /// Takes a hop to time `at` in place if it would be the very next pop
+    /// and lies within `limit` (module docs, "Hops taken in place"): the
+    /// clock moves, the hop is counted, and the caller does its work now.
+    /// Otherwise returns `false` and the caller queues it.
+    fn hop_in_place(&mut self, at: SimTime, limit: SimTime) -> bool {
+        #[cfg(test)]
+        if self.always_queue {
+            return false;
         }
+        let next = at <= limit && self.queue.would_pop_next(at);
+        if next {
+            self.now = at;
+            self.stats.events += 1;
+        }
+        next
     }
 
-    /// Processes a single event if one is pending at or before `limit`.
-    /// Returns `false` when the queue has no such event.
+    /// Ensures node `i` gets a `Process` turn for a non-empty inbox:
+    /// queues one, or returns `Some(i)` when the turn is taken in place —
+    /// the caller then runs [`Simulation::process_next`] at once.
+    fn schedule_process(&mut self, i: usize, limit: SimTime) -> Option<usize> {
+        if self.process_scheduled[i] || self.inbox[i].is_empty() {
+            return None;
+        }
+        let at = self.now.max(self.cpu_free[i]);
+        if self.hop_in_place(at, limit) {
+            return Some(i);
+        }
+        self.process_scheduled[i] = true;
+        self.queue.schedule(at, self.process_slot[i]);
+        None
+    }
+
+    /// Handles the next queued event due at or before `limit`, and every
+    /// hop that follows from it in place. Returns `false` when the queue
+    /// has no such event.
     fn step_until(&mut self, limit: SimTime) -> bool {
         let Some((at, slot)) = self.queue.pop_due(limit) else {
             return false;
@@ -723,7 +784,7 @@ impl<M: Payload> Simulation<M> {
         self.now = at;
         self.stats.events += 1;
         // A delivery keeps its slot until a handler (or a crash) takes it.
-        match self.queue.payload_mut(slot) {
+        let mut turn = match self.queue.payload_mut(slot) {
             EvKind::Arrive {
                 dst,
                 bytes,
@@ -734,51 +795,60 @@ impl<M: Payload> Simulation<M> {
                 if self.crashed[dst] {
                     self.stats.lost += 1;
                     self.queue.take(slot);
+                    None
                 } else if !*charged {
                     // Charge receiver-side NIC serialization in arrival
                     // order, then re-deliver when fully received.
                     *charged = true;
                     let at = self.net.rx_admit(at, dst, *bytes);
-                    self.queue.schedule(at, slot);
+                    if self.hop_in_place(at, limit) {
+                        self.admit(dst, slot, limit)
+                    } else {
+                        self.queue.schedule(at, slot);
+                        None
+                    }
                 } else {
-                    self.admit(dst, slot);
+                    self.admit(dst, slot, limit)
                 }
             }
             EvKind::TimerFire { dst, epoch, .. } => {
                 let dst = *dst;
                 if !self.crashed[dst] && *epoch == self.timer_epoch[dst] {
-                    self.admit(dst, slot);
+                    self.admit(dst, slot, limit)
                 } else {
                     self.queue.take(slot);
+                    None
                 }
             }
-            EvKind::Process { dst } => {
-                let dst = *dst;
-                self.process_next(dst);
-            }
+            EvKind::Process { dst } => Some(*dst),
             EvKind::Control(_) => {
                 if let EvKind::Control(op) = self.queue.take(slot) {
                     self.apply_control(op);
                 }
+                None
             }
+        };
+        // A busy node's turns follow each other with nothing else due in
+        // between — thousands deep on a saturated inbox, hence a loop.
+        while let Some(dst) = turn {
+            turn = self.process_next(dst, limit);
         }
         true
     }
 
     /// The delivery in `slot` joins `dst`'s inbox.
-    fn admit(&mut self, dst: usize, slot: usize) {
+    fn admit(&mut self, dst: usize, slot: usize, limit: SimTime) -> Option<usize> {
         self.inbox[dst].push_back(slot);
-        self.schedule_process(dst);
+        self.schedule_process(dst, limit)
     }
 
     /// Node `dst`'s CPU is free: hands the head of its inbox to the actor.
     /// The inbox of a crashed node is empty (the crash dropped it, and
-    /// nothing is admitted while it is down).
-    fn process_next(&mut self, dst: usize) {
+    /// nothing is admitted while it is down). Returns the node whose turn
+    /// follows in place, if one does.
+    fn process_next(&mut self, dst: usize, limit: SimTime) -> Option<usize> {
         self.process_scheduled[dst] = false;
-        let Some(slot) = self.inbox[dst].pop_front() else {
-            return;
-        };
+        let slot = self.inbox[dst].pop_front()?;
         match self.queue.take(slot) {
             EvKind::Arrive { from, msg, .. } => {
                 self.stats.deliveries += 1;
@@ -798,7 +868,7 @@ impl<M: Payload> Simulation<M> {
                 unreachable!("only deliveries join an inbox")
             }
         }
-        self.schedule_process(dst);
+        self.schedule_process(dst, limit)
     }
 
     fn apply_control(&mut self, op: Control) {
@@ -855,6 +925,8 @@ impl<M: Payload> Simulation<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::{Cell, RefCell};
+    use std::rc::Rc;
 
     #[derive(Debug, Clone)]
     struct Ping(u32);
@@ -1512,6 +1584,241 @@ mod tests {
         assert_eq!(received.len(), 1001);
         assert_eq!((received[1000].0, received[1000].1), (late, 1));
         assert!(sim.outputs.is_empty());
+    }
+
+    /// A message as wide as the protocols' own.
+    #[derive(Debug, Clone)]
+    struct Wide([u64; 13]);
+    impl Payload for Wide {
+        fn size_bytes(&self) -> usize {
+            std::mem::size_of_val(&self.0)
+        }
+    }
+
+    /// What every actor of one scripted simulation writes to: each
+    /// handler call in order as `(time, actor, sender or !token)`, and how
+    /// many keys the handlers themselves had queued (sends and timers).
+    #[derive(Debug, Default)]
+    struct Script {
+        calls: RefCell<Vec<(SimTime, usize, u64)>>,
+        pushes: Cell<u64>,
+    }
+    impl Script {
+        /// Logs a handler call, draws its 0-50 us charge from the shared
+        /// RNG and takes one unit off the actor's budget; `false` once
+        /// that is spent.
+        fn enter(&self, ctx: &mut Ctx<Wide>, left: &mut u32, what: u64) -> bool {
+            let call = (ctx.now(), ctx.self_id().0, what);
+            self.calls.borrow_mut().push(call);
+            let cost = ctx.rng().gen_range(51);
+            ctx.charge(SimDuration::from_micros(cost));
+            let go = *left > 0;
+            *left -= u32::from(go);
+            go
+        }
+        fn pushed(&self) {
+            self.pushes.set(self.pushes.get() + 1);
+        }
+    }
+
+    /// Keeps a volley of messages moving between random peers and, one
+    /// handler in eight, sets a timer whose fire sends one more message.
+    struct Chatter {
+        n: usize,
+        volley: usize,
+        left: u32,
+        script: Rc<Script>,
+    }
+    impl Chatter {
+        fn send_to_random_peer(&self, ctx: &mut Ctx<Wide>, msg: Wide) {
+            let hop = 1 + ctx.rng().gen_range(self.n as u64 - 1) as usize;
+            ctx.send(ActorId((ctx.self_id().0 + hop) % self.n), msg);
+            self.script.pushed();
+        }
+    }
+    impl Actor<Wide> for Chatter {
+        fn on_start(&mut self, ctx: &mut Ctx<Wide>) {
+            for k in 0..self.volley {
+                self.send_to_random_peer(ctx, Wide([k as u64; 13]));
+            }
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<Wide>, from: ActorId, msg: Wide) {
+            if !self.script.enter(ctx, &mut self.left, from.0 as u64) {
+                return;
+            }
+            self.send_to_random_peer(ctx, msg);
+            if ctx.rng().gen_range(8) == 0 {
+                let delay = SimDuration::from_micros(ctx.rng().gen_range(2_000));
+                ctx.set_timer(delay, u64::from(self.left));
+                self.script.pushed();
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<Wide>, token: u64) {
+            if self.script.enter(ctx, &mut self.left, !token) {
+                self.send_to_random_peer(ctx, Wide([token; 13]));
+            }
+        }
+        impl_actor_any!();
+    }
+
+    /// Receives nothing; runs two timer chains that re-arm within 100 us.
+    /// All of its times are whole microseconds from zero, so two tickers'
+    /// `Process` turns fall due at the very same instant again and again
+    /// — the ties a hop in place must lose to whatever was queued first.
+    struct Ticker {
+        left: u32,
+        script: Rc<Script>,
+    }
+    impl Ticker {
+        fn arm(&self, ctx: &mut Ctx<Wide>, chain: u64) {
+            let delay = SimDuration::from_micros(ctx.rng().gen_range(100));
+            ctx.set_timer(delay, chain);
+            self.script.pushed();
+        }
+    }
+    impl Actor<Wide> for Ticker {
+        fn on_start(&mut self, ctx: &mut Ctx<Wide>) {
+            self.arm(ctx, 0);
+            self.arm(ctx, 1);
+        }
+        fn on_message(&mut self, _ctx: &mut Ctx<Wide>, _from: ActorId, _msg: Wide) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<Wide>, chain: u64) {
+            if self.script.enter(ctx, &mut self.left, !chain) {
+                self.arm(ctx, chain);
+            }
+        }
+        impl_actor_any!();
+    }
+
+    /// Five chatters on the WAN matrix, ~2,000 messages of 104 bytes in
+    /// flight, one crash and restart, and two tickers beside them. The NIC
+    /// runs at a tenth of the default speed, so a message's receiver-NIC
+    /// hop takes 22 us — long enough for other events to fall inside it,
+    /// as a handler's 0-50 us do inside the hop to the next `Process` turn.
+    fn chatter_sim(always_queue: bool) -> (Simulation<Wide>, Rc<Script>) {
+        let cfg = NetConfig {
+            bandwidth_bps: 75.0e6,
+            ..NetConfig::default()
+        };
+        let mut sim = Simulation::new(cfg, 0xe11de);
+        sim.always_queue = always_queue;
+        let script = Rc::new(Script::default());
+        for region in Region::ALL {
+            let chatter = Chatter {
+                n: Region::ALL.len(),
+                volley: 400,
+                left: 14_000,
+                script: Rc::clone(&script),
+            };
+            sim.add_actor(region, Box::new(chatter));
+        }
+        for region in [Region::Oregon, Region::Seoul] {
+            let ticker = Ticker {
+                left: 10_000,
+                script: Rc::clone(&script),
+            };
+            sim.add_actor(region, Box::new(ticker));
+        }
+        sim.crash_at(ActorId(2), SimTime::from_millis(700));
+        sim.restart_at(ActorId(2), SimTime::from_millis(900));
+        (sim, script)
+    }
+
+    /// What must not depend on how a hop travels: the handler calls in
+    /// order, the counters, and where the RNG stream ended.
+    fn outcome(
+        sim: &Simulation<Wide>,
+        script: &Script,
+    ) -> (Vec<(SimTime, usize, u64)>, SimStats, String) {
+        (
+            script.calls.borrow().clone(),
+            sim.stats,
+            format!("{:?}", sim.rng),
+        )
+    }
+
+    #[test]
+    fn hops_taken_in_place_change_nothing_a_handler_or_a_counter_can_see() {
+        let (mut queued, queued_script) = chatter_sim(true);
+        let (mut direct, direct_script) = chatter_sim(false);
+        queued.run_to_quiescence(SimTime::MAX);
+        direct.run_to_quiescence(SimTime::MAX);
+        let (calls, stats, rng) = outcome(&direct, &direct_script);
+        let (ref_calls, ref_stats, ref_rng) = outcome(&queued, &queued_script);
+        if let Some(k) = (0..calls.len().min(ref_calls.len())).find(|&k| calls[k] != ref_calls[k]) {
+            panic!(
+                "handler call {k}: {:?}, queued {:?}",
+                calls[k], ref_calls[k]
+            );
+        }
+        assert_eq!(calls.len(), ref_calls.len());
+        assert_eq!((stats, rng), (ref_stats, ref_rng));
+        assert!(stats.events >= 200_000 && stats.timer_fires > 5_000 && stats.lost > 0);
+        // Every key the reference queued was a handler's push, one of the
+        // two fault injections, or a hop; the script took a good share of
+        // its hops each way (a tie, or an earlier event, keeps one queued).
+        let hops = queued.queue.seq - queued_script.pushes.get() - 2;
+        let in_place = queued.queue.seq - direct.queue.seq;
+        assert_eq!(queued_script.pushes.get(), direct_script.pushes.get());
+        assert!(
+            in_place > hops / 4 && hops - in_place > hops / 4,
+            "{in_place} of {hops} hops taken in place"
+        );
+    }
+
+    /// `run_until` never runs past its limit: a hop due later is queued,
+    /// so a caller reading state between 1 us slices (the metric sampler
+    /// does, at its own cadence) sees nothing from the future — and the
+    /// sliced run is the run.
+    #[test]
+    fn a_hop_in_place_never_runs_past_the_limit() {
+        let (mut whole, whole_script) = chatter_sim(false);
+        let (mut sliced, sliced_script) = chatter_sim(false);
+        let end = SimTime::from_millis(1_200);
+        whole.run_until(end);
+        let mut t = SimTime::ZERO;
+        while t < end {
+            t += SimDuration::from_micros(1);
+            sliced.run_until(t);
+            assert_eq!(sliced.now(), t);
+            let last = sliced_script.calls.borrow().last().map(|call| call.0);
+            assert!(last <= Some(t), "a handler ran at {last:?}, limit {t:?}");
+        }
+        assert_eq!(
+            outcome(&sliced, &sliced_script),
+            outcome(&whole, &whole_script)
+        );
+        assert!(whole.stats.events > 100_000);
+    }
+
+    /// A saturated inbox with nothing else queued is one `Process` turn
+    /// in place after another, 100,000 deep: a loop carries that, a
+    /// recursion would not fit the stack.
+    #[test]
+    fn a_saturated_inbox_drains_in_a_loop() {
+        let mut sim = Simulation::new(NetConfig::default(), 1);
+        let n = sim.add_actor(Region::Oregon, Box::new(Echo::new(1, false)));
+        sim.start();
+        for k in 0..100_000 {
+            sim.send_external(n, Ping(k), SimDuration::ZERO);
+        }
+        // All of them arrive while the first is being served.
+        assert!(sim.step_until(SimTime::ZERO));
+        sim.run_until(SimTime::ZERO);
+        assert_eq!(sim.inbox[n.0].len(), 99_999);
+        assert_eq!(
+            sim.queue.heap.len(),
+            1,
+            "the node's next turn, nothing else"
+        );
+        assert!(
+            sim.step_until(SimTime::MAX),
+            "that turn, and every one after it"
+        );
+        assert!(!sim.step_until(SimTime::MAX));
+        assert_eq!(sim.actor::<Echo>(n).received.len(), 100_000);
+        assert_eq!(sim.stats.events, 200_000, "an arrival and a turn each");
+        assert_eq!(sim.now(), SimTime::from_micros(99_999));
     }
 
     #[test]
