@@ -856,7 +856,7 @@ fn full_forwarded_batch_is_flushed_immediately_regardless_of_leadership() {
 fn follower_hints_cut_forward_batches_before_the_timer() {
     fn scenario<P: ProtocolRules>(name: &str, make: fn(ReplicaConfig) -> ReplicaEngine<P>) {
         let (mut sim, replicas, _client) = conformance_cluster(3, None, move |mut cfg| {
-            cfg.pipeline = PipelineConfig::default().with_follower_hints();
+            cfg.pipeline = PipelineConfig::default();
             make(cfg)
         });
         assert!(
@@ -1438,6 +1438,159 @@ fn durability_enabled_fixed_seed_runs_are_deterministic() {
         let a = fingerprint(p, 11);
         let b = fingerprint(p, 11);
         assert_eq!(a, b, "{}: same seed, same durable RunReport", p.name());
+    }
+}
+
+/// What the Paxos-family rules files *do* on the fault paths no other
+/// pin covers, for MultiPaxos and Mencius: group commit on a 1 ms device,
+/// a checkpoint every 16 slots, 10 % of all messages lost, a client on
+/// replica 0 and one on replica 1. Replica 0 — MultiPaxos's proposer,
+/// and the Mencius owner with the most in flight — crashes in the middle
+/// of the first burst and restarts; then replica 2 is cut off until the
+/// survivors have compacted past everything it holds, and healed, so it
+/// needs a checkpoint (the fault shape of
+/// `every_protocol_heals_a_partitioned_replica_via_snapshot`). The
+/// fingerprint covers every replica's applied index, store, compaction /
+/// transfer / fsync counters and responses sent, the simulator's event
+/// count and the virtual time the script ends at. The pinned values were
+/// computed at the commit before the instance bookkeeping moved into
+/// `engine/paxos_family.rs`, so the base stores, tallies, learns,
+/// compacts, installs and recovers exactly as the two private copies did.
+/// The row pins behaviour, not a new safety claim: Mencius revocation
+/// against a live owner is known-unsafe (ROADMAP item 1).
+#[test]
+fn paxos_family_fault_runs_match_the_parents_fingerprints() {
+    fn scenario<P: ProtocolRules>(name: &str, make: fn(ReplicaConfig) -> ReplicaEngine<P>) -> u64 {
+        let durability = conformance_durability();
+        let snapshot = Some(SnapshotConfig::every(16));
+        let (mut sim, replicas, first) =
+            seeded_conformance_cluster(3, 31, snapshot, move |mut cfg| {
+                cfg.durability = conformance_durability();
+                make(cfg)
+            });
+        sim.set_disk_config(durability.disk_config());
+        let second = sim.add_actor(
+            crate::testutil::region_of(1),
+            Box::new(TestClient::new(1, replicas[1])),
+        );
+        let sink = sim.add_actor(
+            crate::testutil::region_of(0),
+            Box::new(TestClient::new(2, replicas[0])),
+        );
+        let sink_client = (sink.0 - replicas.len()) as u32;
+        let clients = [first, second];
+        let answered = |sim: &Simulation<Msg>| -> usize {
+            let replies = |&c| sim.actor::<TestClient>(c).replies.len();
+            clients.iter().map(replies).sum()
+        };
+        let enqueue = |sim: &mut Simulation<Msg>, keys: std::ops::Range<u64>| {
+            for k in keys {
+                let script = sim.actor_mut::<TestClient>(clients[(k % 2) as usize]);
+                script.enqueue_put(k % 7);
+                if k % 5 == 0 {
+                    script.enqueue_get(k % 7);
+                }
+            }
+        };
+        sim.set_drop_rate_at(0.1, SimTime::ZERO);
+        // The proposing replica crashes mid-burst, a full batch of its
+        // own proposals written and not yet fsynced, and restarts.
+        enqueue(&mut sim, 0..30);
+        sim.run_until(SimTime::from_millis(1_500));
+        let core = &sim.actor::<ReplicaEngine<P>>(replicas[0]).core;
+        for seq in 1..=core.cfg.batch_max as u64 {
+            let id = crate::kv::CmdId {
+                client: sink_client,
+                seq,
+            };
+            let cmd = crate::kv::Command::put(id, 100 + seq, vec![0; 8]);
+            sim.send_external(
+                replicas[0],
+                Msg::Client(ClientMsg::Request { cmd }),
+                SimDuration::ZERO,
+            );
+        }
+        sim.run_for(SimDuration::from_micros(100));
+        let dur = &sim.actor::<ReplicaEngine<P>>(replicas[0]).core.dur;
+        assert!(
+            dur.write_seq() > dur.synced_seq(),
+            "{name}: the crash lands on an unsynced suffix"
+        );
+        sim.crash_at(replicas[0], sim.now() + SimDuration::from_micros(10));
+        sim.restart_at(replicas[0], sim.now() + SimDuration::from_millis(500));
+        assert!(
+            drive_until(&mut sim, SimTime::from_secs(300), |sim| answered(sim) == 36),
+            "{name}: first burst answered across the crash"
+        );
+        // Replica 2 misses more than the survivors retain.
+        sim.partition_at(
+            vec![0, 0, 1, 0, 0, 0],
+            sim.now() + SimDuration::from_millis(1),
+        );
+        enqueue(&mut sim, 30..90);
+        let deadline = sim.now() + SimDuration::from_secs(600);
+        assert!(
+            drive_until(&mut sim, deadline, |sim| answered(sim) == 108),
+            "{name}: majority side kept committing under the partition"
+        );
+        sim.heal_at(sim.now() + SimDuration::from_millis(1));
+        sim.run_for(SimDuration::from_secs(30));
+        let lagger = sim.actor::<ReplicaEngine<P>>(replicas[2]).snap_stats();
+        assert!(
+            lagger.snapshots_installed >= 1,
+            "{name}: the healed replica needed a checkpoint ({lagger:?})"
+        );
+        assert_replicas_agree::<P>(name, &mut sim, &replicas, 7);
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut mix = |x: u64| {
+            for b in x.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for &r in &replicas {
+            let rep = sim.actor::<ReplicaEngine<P>>(r);
+            mix(rep.applied_index().0);
+            for (k, v) in rep.kv().export_range(0, u64::MAX) {
+                mix(k);
+                v.iter().for_each(|b| mix(u64::from(*b)));
+            }
+            mix(rep.kv().applied_ops());
+            let s = rep.snap_stats();
+            let d = rep.durability_stats();
+            for x in [
+                s.compactions,
+                s.entries_discarded,
+                s.snapshots_sent,
+                s.snapshot_bytes_sent,
+                s.snapshots_installed,
+                s.peak_log_entries,
+                s.peak_log_bytes,
+                d.fsyncs,
+                d.fsync_entries,
+                d.deferred_acks,
+                d.last_batch_len,
+                rep.responses_sent(),
+            ] {
+                mix(x);
+            }
+        }
+        mix(sim.stats.events);
+        mix(sim.now().as_nanos());
+        h
+    }
+    for (name, got, pinned) in [
+        (
+            "MultiPaxos",
+            scenario("MultiPaxos", MultiPaxosReplica::new),
+            0x58a6_5397_68fc_43d0u64,
+        ),
+        (
+            "Mencius",
+            scenario("Mencius", MenciusReplica::new),
+            0x8744_0cd6_6baa_4727,
+        ),
+    ] {
+        assert_eq!(got, pinned, "{name}: fingerprint {got:#x}");
     }
 }
 

@@ -25,8 +25,18 @@
 //! window plus an adaptive batch cutter (`cut_batch`) that flushes
 //! eagerly while a quorum has window room and accumulates once
 //! saturated — inherited by every rules impl.
+//!
+//! Below the engine each family has a base holding what its two rules
+//! files share verbatim: [`raft_family::RaftBase`] (the log, replication
+//! and snapshot plumbing of Raft and Raft*) and `paxos_family::PaxosBase`
+//! (the instance table of MultiPaxos and Mencius with its store / tally /
+//! learn / durable / compact / install bookkeeping). The two meet in
+//! `transfer`: one snapshot shipper, one checkpoint step, one install
+//! step, one transfer ack. A rules file holds what is left — elections
+//! and who proposes where, the execute loop, the crash policy.
 
 pub mod durability;
+pub(crate) mod paxos_family;
 pub mod pipeline;
 pub mod raft_family;
 pub mod slots;
@@ -38,7 +48,8 @@ mod conformance;
 pub use durability::{DurabilityState, DurabilityStats};
 pub use pipeline::{PipelineConfig, PipelineStats, PipelineWindow};
 pub use slots::SlotRing;
-pub use transfer::{compact_applied_prefix, install_into_raft_state, ship_snapshot};
+pub(crate) use transfer::ack_snapshot;
+pub use transfer::ship_snapshot;
 
 use std::collections::{BTreeSet, HashMap};
 

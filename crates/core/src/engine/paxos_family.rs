@@ -1,0 +1,613 @@
+//! The Paxos-family base: the instance table and the bookkeeping around
+//! it, shared verbatim by MultiPaxos and Mencius — the twin of
+//! [`super::raft_family::RaftBase`].
+//!
+//! Both keep one Paxos instance per slot and do the same things to it:
+//! store an accepted value over a checkpoint floor, tally acks into a
+//! quorum, learn a decision (possibly before its value), tag what they
+//! write for the fsync that will cover it and withhold the proposer's own
+//! vote until then, compact behind a checkpoint, install a peer's, notice
+//! a peer whose executed prefix stalled, report and merge accepted values
+//! for a phase 1, and drop what never reached the disk in a crash.
+//!
+//! What differs stays in the rules files and is never a branch here: the
+//! execute loops, the crash policies, the replay bodies, who proposes
+//! where. A difference in the bookkeeping itself is an argument; one
+//! nothing can observe is noted on the method that unifies it.
+
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::RangeBounds;
+
+use paxraft_sim::sim::Ctx;
+
+use crate::kv::Command;
+use crate::msg::Msg;
+use crate::snapshot::Snapshot;
+use crate::types::{quorum, NodeId, Slot, Term};
+
+use super::{transfer, EngineCore, SlotRing};
+
+/// One Paxos instance (Figure 1's `s.instances[i]`); the default is the
+/// empty instance, nothing accepted. The value and its write sequence
+/// change only through [`PaxosBase`], which accounts for them.
+///
+/// The Mencius owner's two flags sit in `committed`'s padding (a struct of
+/// their own would cost Mencius 8 bytes a cell, here they cost MultiPaxos
+/// none); its timestamp's type is the protocol's — `SimTime`, or `()`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Cell<At> {
+    /// Highest ballot the value was accepted at, or the slot promised to
+    /// (`instance.bal`).
+    pub(crate) bal: Term,
+    /// The accepted value (`instance.val`).
+    cmd: Option<Command>,
+    /// Whether the value is known chosen.
+    pub(crate) committed: bool,
+    /// Mencius: skipped no-op (own slots only; remote skips derive from
+    /// watermarks).
+    pub(crate) skipped: bool,
+    /// Mencius: whether the owner already answered the client.
+    pub(crate) responded: bool,
+    /// Proposer-side acknowledgement bitmap.
+    pub(crate) acks: u64,
+    /// Durability: engine write sequence of the last value write (0 when
+    /// durability is disabled).
+    wseq: u64,
+    /// Mencius: when the owner last (re)suggested this slot (own slots
+    /// only; paces the uncommitted-suggestion retransmission).
+    pub(crate) suggested_at: At,
+}
+
+impl<At> Cell<At> {
+    /// The accepted value, if any.
+    pub(crate) fn cmd(&self) -> Option<&Command> {
+        self.cmd.as_ref()
+    }
+
+    /// Writes `cmd` at `bal`, keeping `bytes` (the table's retained
+    /// payload) right; returns the value it replaced.
+    fn put(&mut self, bytes: &mut usize, bal: Term, cmd: Command) -> Option<Command> {
+        *bytes += cmd.size_bytes();
+        let replaced = self.cmd.replace(cmd);
+        *bytes -= replaced.as_ref().map_or(0, Command::size_bytes);
+        self.bal = self.bal.max(bal);
+        replaced
+    }
+}
+
+/// What [`PaxosBase::store`] did with a value.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Stored {
+    /// Nothing: the slot is at or below the checkpoint floor — decided,
+    /// executed, discarded; re-creating it would corrupt that prefix.
+    BelowFloor,
+    /// Nothing: the slot already holds its chosen value.
+    Kept,
+    /// Written, over the value inside (if any).
+    Written(Option<Command>),
+}
+
+/// Highest-ballot accepted value per slot, as a phase 1 collects it.
+pub(crate) type Accepted = BTreeMap<u64, (Term, Command)>;
+
+/// Folds one phase-1 report into `safe`: per slot the value accepted at
+/// the highest ballot wins, whichever report arrives first (`safeEntry`).
+pub(crate) fn merge_highest(
+    safe: &mut Accepted,
+    report: impl IntoIterator<Item = (Slot, Term, Command)>,
+) {
+    for (slot, bal, cmd) in report {
+        if safe.get(&slot.0).is_none_or(|(held, _)| *held < bal) {
+            safe.insert(slot.0, (bal, cmd));
+        }
+    }
+}
+
+/// Instance state common to MultiPaxos and Mencius.
+pub(crate) struct PaxosBase<At> {
+    /// The instances, from the checkpoint floor up.
+    pub(crate) cells: SlotRing<Cell<At>>,
+    /// All instances at or below this are applied.
+    pub(crate) exec_index: Slot,
+    /// Checkpoint floor: instances at or below it were discarded after
+    /// execution; their effects live in the state machine.
+    compacted_through: Slot,
+    /// Retained instance payload bytes (feeds `peak_log_bytes`).
+    bytes: usize,
+    /// Slots learnt chosen before their value arrived.
+    committed_no_value: BTreeSet<u64>,
+    /// Durability: proposals whose *own* vote awaits the local fsync, as
+    /// (write seq, ballot, slots) in write order.
+    pending_self: Vec<(u64, Term, Vec<Slot>)>,
+    /// Executed prefix each peer last reported.
+    peer_exec: Vec<Slot>,
+    /// `peer_exec` as of the previous [`Self::stalled_peer`] check.
+    peer_exec_prev: Vec<Slot>,
+    /// Votes that choose a value.
+    quorum: usize,
+}
+
+impl<At: Default> PaxosBase<At> {
+    /// Empty state for an `n`-replica cluster.
+    pub(crate) fn new(n: usize) -> Self {
+        PaxosBase {
+            cells: SlotRing::new(),
+            exec_index: Slot::NONE,
+            compacted_through: Slot::NONE,
+            bytes: 0,
+            committed_no_value: BTreeSet::new(),
+            pending_self: Vec::new(),
+            peer_exec: vec![Slot::NONE; n],
+            peer_exec_prev: vec![Slot::NONE; n],
+            quorum: quorum(n),
+        }
+    }
+
+    /// The checkpoint floor.
+    pub(crate) fn floor(&self) -> Slot {
+        self.compacted_through
+    }
+
+    /// Whether `slot` was learnt chosen and still awaits its value.
+    pub(crate) fn learnt_without_value(&self, slot: Slot) -> bool {
+        self.committed_no_value.contains(&slot.0)
+    }
+
+    /// Folds the table's size into the reported peaks — a running
+    /// maximum, so the caller decides when (MultiPaxos: per message).
+    pub(crate) fn note_log_size(&self, core: &mut EngineCore) {
+        core.snap_stats.note_log_size(self.cells.len(), self.bytes);
+    }
+
+    /// A proposer's own write of `cmd` at its ballot, asking nothing: it
+    /// numbers its instances above everything it executed and adopts
+    /// values without counting them learnt. Returns the cell.
+    pub(crate) fn write(&mut self, slot: Slot, bal: Term, cmd: Command) -> &mut Cell<At> {
+        let cell = self.cells.get_or_default(slot);
+        cell.put(&mut self.bytes, bal, cmd);
+        cell
+    }
+
+    /// Stores a value accepted (or learnt) at `bal`. A slot already
+    /// committed with a value keeps it (the decided value is unique, so
+    /// what arrives is at worst a duplicate and must never rewrite); a
+    /// slot learnt chosen ahead of its value is committed now. The cell's
+    /// ballot becomes the higher of `bal` and its own: Mencius stores a
+    /// decided value even under a higher revocation promise, and for
+    /// MultiPaxos that is always `bal` (no cell's ballot exceeds the
+    /// replica's, and an `Accept` below that is refused).
+    pub(crate) fn store(&mut self, slot: Slot, bal: Term, cmd: Command) -> Stored {
+        if slot <= self.compacted_through {
+            return Stored::BelowFloor;
+        }
+        let cell = self.cells.get_or_default(slot);
+        if cell.committed && cell.cmd.is_some() {
+            return Stored::Kept;
+        }
+        let replaced = cell.put(&mut self.bytes, bal, cmd);
+        if self.committed_no_value.remove(&slot.0) {
+            cell.committed = true;
+        }
+        Stored::Written(replaced)
+    }
+
+    /// Durability: charges the disk write for freshly written values and
+    /// tags their cells with the write sequence, so a crash before the
+    /// covering fsync drops exactly them.
+    pub(crate) fn note_written(
+        &mut self,
+        core: &mut EngineCore,
+        ctx: &mut Ctx<Msg>,
+        written: &[Slot],
+        bytes: usize,
+    ) {
+        if written.is_empty() || !core.dur.enabled() {
+            return;
+        }
+        core.durable_write(ctx, bytes, written.len());
+        let seq = core.dur.write_seq();
+        for s in written {
+            if let Some(cell) = self.cells.get_mut(*s) {
+                cell.wseq = seq;
+            }
+        }
+    }
+
+    /// [`Self::note_written`] for values this replica proposed at `bal`,
+    /// with its own vote seeded absent: queues that vote until the write
+    /// is fsynced ([`Self::drain_synced_votes`]).
+    pub(crate) fn note_proposed(
+        &mut self,
+        core: &mut EngineCore,
+        ctx: &mut Ctx<Msg>,
+        bal: Term,
+        items: &[(Slot, Command)],
+    ) {
+        if items.is_empty() || !core.dur.enabled() {
+            return;
+        }
+        let slots: Vec<Slot> = items.iter().map(|(s, _)| *s).collect();
+        let bytes = items.iter().map(|(_, c)| c.size_bytes()).sum();
+        self.note_written(core, ctx, &slots, bytes);
+        let seq = core.dur.write_seq();
+        debug_assert!(self.pending_self.last().is_none_or(|(s, ..)| *s < seq));
+        self.pending_self.push((seq, bal, slots));
+    }
+
+    /// Takes the queued own votes the fsync through write `synced`
+    /// covers, as (ballot proposed at, slots) in write order. Whether a
+    /// vote still applies (the ballot may have moved) is the caller's.
+    pub(crate) fn drain_synced_votes(&mut self, synced: u64) -> Vec<(Term, Vec<Slot>)> {
+        let covered = self
+            .pending_self
+            .partition_point(|(seq, ..)| *seq <= synced);
+        let votes = self.pending_self.drain(..covered);
+        votes.map(|(_, bal, slots)| (bal, slots)).collect()
+    }
+
+    /// Drops the queued own votes (a new ballot reseeds the bitmaps).
+    pub(crate) fn forget_self_votes(&mut self) {
+        self.pending_self.clear();
+    }
+
+    /// Adds the ack `bit` to each of `slots` not chosen yet that
+    /// `eligible` admits (Mencius: still at the acked term; MultiPaxos
+    /// checks its ballot once per message), and appends to `chosen` those
+    /// it completed a quorum for, now committed — each once. A cell
+    /// already chosen ignores the bit: its bitmap is never read again.
+    pub(crate) fn tally(
+        &mut self,
+        slots: &[Slot],
+        bit: u64,
+        eligible: impl Fn(&Cell<At>) -> bool,
+        chosen: &mut Vec<Slot>,
+    ) {
+        for &slot in slots {
+            let Some(cell) = self.cells.get_mut(slot) else {
+                continue;
+            };
+            if cell.committed || !eligible(cell) {
+                continue;
+            }
+            cell.acks |= bit;
+            if cell.acks.count_ones() as usize >= self.quorum {
+                cell.committed = true;
+                chosen.push(slot);
+            }
+        }
+    }
+
+    /// Marks slots chosen on a proposer's word (`Learn`). One whose value
+    /// has not arrived is remembered and committed when it does.
+    pub(crate) fn learn(&mut self, slots: impl IntoIterator<Item = Slot>) {
+        for slot in slots {
+            if slot <= self.compacted_through {
+                continue; // already executed and checkpointed
+            }
+            match self.cells.get_mut(slot) {
+                Some(cell) if cell.cmd.is_some() => cell.committed = true,
+                _ => {
+                    self.committed_no_value.insert(slot.0);
+                }
+            }
+        }
+    }
+
+    /// Records the executed prefix `peer` reports.
+    pub(crate) fn note_peer_exec(&mut self, peer: NodeId, exec: Slot) {
+        let e = &mut self.peer_exec[peer.0 as usize];
+        *e = (*e).max(exec);
+    }
+
+    /// Drops instance state at or below `upto` (now held by a
+    /// checkpoint), handing each cell to `dropped`; returns how many went.
+    pub(crate) fn discard_through(
+        &mut self,
+        upto: Slot,
+        mut dropped: impl FnMut(Slot, Cell<At>),
+    ) -> usize {
+        let bytes = &mut self.bytes;
+        let discarded = self.cells.drop_through(upto, |s, cell| {
+            *bytes -= cell.cmd.as_ref().map_or(0, Command::size_bytes);
+            dropped(s, cell);
+        });
+        self.committed_no_value = self.committed_no_value.split_off(&(upto.0 + 1));
+        discarded
+    }
+
+    /// Whether compaction can be due at all: the executed prefix above the
+    /// floor has crossed the threshold (never, when compaction is off). The
+    /// one guard both execute loops test on nearly every message.
+    #[inline]
+    pub(crate) fn compaction_due(&self, core: &EngineCore) -> bool {
+        let executed_retained = self.exec_index.0 - self.compacted_through.0;
+        core.cfg.snapshot.should_compact(executed_retained as usize)
+    }
+
+    /// Checkpoints the state machine (always at `exec_index`) and discards
+    /// the instances through `upto`, if that many crossed the threshold;
+    /// returns whether it did. `upto` is the executed prefix, or short of
+    /// it (Mencius keeps own slots still awaiting a reply).
+    pub(crate) fn compact_through(
+        &mut self,
+        core: &mut EngineCore,
+        ctx: &mut Ctx<Msg>,
+        upto: Slot,
+        dropped: impl FnMut(Slot, Cell<At>),
+    ) -> bool {
+        if upto <= self.compacted_through {
+            return false;
+        }
+        let executed_retained = (upto.0 - self.compacted_through.0) as usize;
+        if !core.cfg.snapshot.should_compact(executed_retained) {
+            return false;
+        }
+        transfer::checkpoint(core, ctx, (self.exec_index, Term::ZERO));
+        let discarded = self.discard_through(upto, dropped);
+        self.compacted_through = upto;
+        core.snap_stats.entries_discarded += discarded as u64;
+        true
+    }
+
+    /// Installs a checkpoint that is ahead of the executed prefix:
+    /// restores the state machine, moves the prefix and the floor to it
+    /// and discards what it covers — returning how many instances that
+    /// was, `None` for a stale checkpoint. The caller adjusts its own
+    /// cursors, executes, and acknowledges either way.
+    pub(crate) fn install(
+        &mut self,
+        core: &mut EngineCore,
+        ctx: &mut Ctx<Msg>,
+        snap: Snapshot,
+        dropped: impl FnMut(Slot, Cell<At>),
+    ) -> Option<usize> {
+        let covered = snap.last_slot;
+        if covered <= self.exec_index {
+            return None;
+        }
+        transfer::install(core, ctx, snap);
+        self.exec_index = covered;
+        self.compacted_through = self.compacted_through.max(covered);
+        Some(self.discard_through(covered, dropped))
+    }
+
+    /// Ships `peer` the state at the executed prefix, sealed with `seal`.
+    pub(crate) fn ship_checkpoint(
+        &self,
+        core: &mut EngineCore,
+        ctx: &mut Ctx<Msg>,
+        peer: NodeId,
+        seal: Term,
+    ) {
+        transfer::ship_snapshot(core, ctx, peer, (self.exec_index, Term::ZERO), seal);
+    }
+
+    /// The stalled-peer check for one peer, once per tick inside the
+    /// caller's loop over peers. A healthy peer's report always trails by
+    /// a WAN round-trip, so only one behind this replica that *did not
+    /// move* since the previous check marks a gap in its instances. Below
+    /// the checkpoint floor those are gone and the peer is shipped the
+    /// checkpoint; otherwise the slot its replay starts at is returned.
+    pub(crate) fn stalled_peer(
+        &mut self,
+        core: &mut EngineCore,
+        ctx: &mut Ctx<Msg>,
+        peer: NodeId,
+        seal: Term,
+    ) -> Option<Slot> {
+        let i = peer.0 as usize;
+        let reported = self.peer_exec[i];
+        let stalled = reported == self.peer_exec_prev[i];
+        self.peer_exec_prev[i] = reported;
+        if reported >= self.exec_index || !stalled {
+            return None;
+        }
+        if reported < self.compacted_through {
+            self.ship_checkpoint(core, ctx, peer, seal);
+            return None;
+        }
+        Some(reported.next())
+    }
+
+    /// The phase-1 report: every value accepted in `range`, with the
+    /// ballot it was accepted at.
+    pub(crate) fn accepted<'a>(
+        &'a self,
+        range: impl RangeBounds<Slot> + 'a,
+    ) -> impl Iterator<Item = (Slot, Term, Command)> + 'a {
+        let held = |(s, cell): (Slot, &'a Cell<At>)| Some((s, cell.bal, cell.cmd.clone()?));
+        self.cells.range(range).filter_map(held)
+    }
+
+    /// Crash: forgets what only the running process knew (the peers'
+    /// reports, the queued own votes) and empties every cell from `from`
+    /// up whose value the fsync through write `synced` did not cover. Its
+    /// ack (or the proposer's own queued vote) was withheld until that
+    /// fsync, so it counted toward no quorum and no chosen state is lost;
+    /// a *committed* cell degrades to learnt-without-value and is
+    /// re-fetched. Returns each emptied slot and whether it was committed,
+    /// for the caller's crash policy (none, with durability disabled).
+    pub(crate) fn crash(&mut self, from: Slot, synced: u64) -> Vec<(Slot, bool)> {
+        self.peer_exec.fill(Slot::NONE);
+        self.peer_exec_prev.fill(Slot::NONE);
+        self.pending_self.clear();
+        let mut dropped = Vec::new();
+        for (s, cell) in self.cells.range_mut(from..) {
+            if cell.wseq <= synced {
+                continue;
+            }
+            let Some(cmd) = cell.cmd.take() else {
+                continue;
+            };
+            self.bytes -= cmd.size_bytes();
+            cell.acks = 0;
+            cell.wseq = 0;
+            let committed = std::mem::take(&mut cell.committed);
+            if committed {
+                self.committed_no_value.insert(s.0);
+            }
+            dropped.push((s, committed));
+        }
+        dropped
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::kv::CmdId;
+
+    fn put(seq: u64) -> Command {
+        Command::put(CmdId { client: 1, seq }, seq, vec![0; 8])
+    }
+
+    fn base() -> PaxosBase<()> {
+        PaxosBase::new(3)
+    }
+
+    /// A `Learn` that arrives before its value promotes the cell when the
+    /// value lands.
+    #[test]
+    fn a_learn_ahead_of_its_value_commits_the_cell_when_the_value_lands() {
+        let mut b = base();
+        b.learn([Slot(4)]);
+        assert!(b.learnt_without_value(Slot(4)));
+        assert!(b.cells.get(Slot(4)).is_none(), "no placeholder cell");
+        assert_eq!(b.store(Slot(4), Term(7), put(1)), Stored::Written(None));
+        let cell = b.cells.get(Slot(4)).unwrap();
+        assert!(cell.committed && cell.cmd() == Some(&put(1)));
+        assert!(!b.learnt_without_value(Slot(4)));
+        // A learn for a value already held commits on the spot.
+        b.store(Slot(5), Term(7), put(2));
+        assert!(!b.cells.get(Slot(5)).unwrap().committed);
+        b.learn([Slot(5)]);
+        assert!(b.cells.get(Slot(5)).unwrap().committed);
+        assert!(!b.learnt_without_value(Slot(5)));
+    }
+
+    /// A committed value is not overwritten by a later store; an
+    /// uncommitted one is, and the replaced value comes back.
+    #[test]
+    fn a_committed_value_is_kept_and_an_uncommitted_one_replaced() {
+        let mut b = base();
+        b.store(Slot(2), Term(3), put(1));
+        assert_eq!(
+            b.store(Slot(2), Term(5), put(2)),
+            Stored::Written(Some(put(1)))
+        );
+        assert_eq!(b.bytes, put(2).size_bytes(), "bytes follow the value");
+        b.learn([Slot(2)]);
+        assert_eq!(b.store(Slot(2), Term(9), put(3)), Stored::Kept);
+        let cell = b.cells.get(Slot(2)).unwrap();
+        assert_eq!((cell.cmd(), cell.bal), (Some(&put(2)), Term(5)));
+        // The ballot never moves back.
+        b.store(Slot(3), Term(8), put(4));
+        b.store(Slot(3), Term(6), put(5));
+        assert_eq!(b.cells.get(Slot(3)).unwrap().bal, Term(8));
+    }
+
+    /// The tally ignores a cell the eligibility rule rejects, and returns
+    /// each slot chosen exactly once.
+    #[test]
+    fn the_tally_skips_ineligible_cells_and_reports_each_choice_once() {
+        let mut b = base();
+        b.write(Slot(1), Term(3), put(1)).acks = 0b001;
+        b.write(Slot(2), Term(4), put(2)).acks = 0b001;
+        let at = |t| move |c: &Cell<()>| c.bal == Term(t);
+        let slots = [Slot(1), Slot(2), Slot(1), Slot(9)];
+        let mut chosen = Vec::new();
+        b.tally(&slots, 0b010, at(3), &mut chosen);
+        assert_eq!(chosen, [Slot(1)]);
+        let other = b.cells.get(Slot(2)).unwrap();
+        assert!(!other.committed && other.acks == 0b001, "bit not taken");
+        // A later ack for the chosen slot chooses nothing again.
+        b.tally(&[Slot(1)], 0b100, at(3), &mut chosen);
+        b.tally(&[Slot(2)], 0b100, at(4), &mut chosen);
+        assert_eq!(chosen, [Slot(1), Slot(2)]);
+    }
+
+    /// Synced self-votes drain in write-sequence order and leave unsynced
+    /// ones queued.
+    #[test]
+    fn synced_self_votes_drain_in_write_order_and_the_rest_stay_queued() {
+        let mut b = base();
+        b.pending_self = vec![
+            (3, Term(1), vec![Slot(1)]),
+            (5, Term(2), vec![Slot(4), Slot(7)]),
+            (8, Term(2), vec![Slot(10)]),
+        ];
+        assert!(b.drain_synced_votes(2).is_empty());
+        assert_eq!(
+            b.drain_synced_votes(5),
+            [(Term(1), vec![Slot(1)]), (Term(2), vec![Slot(4), Slot(7)])]
+        );
+        assert_eq!(b.pending_self, [(8, Term(2), vec![Slot(10)])]);
+        b.forget_self_votes();
+        assert!(b.drain_synced_votes(u64::MAX).is_empty());
+    }
+
+    /// `discard_through` hands every dropped cell to the callback, prunes
+    /// `committed_no_value` and returns the count.
+    #[test]
+    fn discard_hands_over_every_dropped_cell_and_prunes_learnt_slots() {
+        let mut b = base();
+        for s in [1, 2, 4, 6] {
+            b.store(Slot(s), Term(1), put(s));
+        }
+        b.cells.get_or_default(Slot(3)); // a promise, no value
+        b.learn([Slot(5), Slot(7)]);
+        let mut seen = Vec::new();
+        let n = b.discard_through(Slot(5), |s, cell| seen.push((s, cell.cmd().cloned())));
+        assert_eq!(n, 4);
+        assert_eq!(
+            seen,
+            [
+                (Slot(1), Some(put(1))),
+                (Slot(2), Some(put(2))),
+                (Slot(3), None),
+                (Slot(4), Some(put(4)))
+            ]
+        );
+        assert_eq!(b.bytes, put(6).size_bytes());
+        assert!(!b.learnt_without_value(Slot(5)) && b.learnt_without_value(Slot(7)));
+        assert_eq!(b.cells.len(), 1);
+    }
+
+    /// The highest-ballot merge keeps the higher ballot regardless of
+    /// arrival order.
+    #[test]
+    fn the_merge_keeps_the_higher_ballot_in_either_arrival_order() {
+        let low = vec![(Slot(3), Term(2), put(1)), (Slot(4), Term(2), put(2))];
+        let high = vec![(Slot(3), Term(5), put(9))];
+        let mut a = Accepted::new();
+        merge_highest(&mut a, low.clone());
+        merge_highest(&mut a, high.clone());
+        let mut b = Accepted::new();
+        merge_highest(&mut b, high);
+        merge_highest(&mut b, low);
+        assert_eq!(a, b);
+        assert_eq!(a[&3], (Term(5), put(9)));
+        assert_eq!(a[&4], (Term(2), put(2)));
+    }
+
+    /// A crash drops exactly the values no fsync covered: their acks go,
+    /// a committed one degrades to learnt-without-value, and the report
+    /// says which was which.
+    #[test]
+    fn a_crash_drops_exactly_the_unsynced_values() {
+        let mut b = base();
+        for (s, wseq) in [(1, 2), (2, 5), (3, 6)] {
+            let cell = b.write(Slot(s), Term(1), put(s));
+            cell.acks = 0b011;
+            cell.wseq = wseq;
+        }
+        b.learn([Slot(3)]);
+        assert_eq!(b.crash(Slot(1), 4), [(Slot(2), false), (Slot(3), true)]);
+        assert_eq!(b.bytes, put(1).size_bytes());
+        assert!(b.cells.get(Slot(1)).unwrap().cmd().is_some());
+        let lost = b.cells.get(Slot(3)).unwrap();
+        assert!(lost.cmd().is_none() && !lost.committed && lost.acks == 0);
+        assert_eq!(lost.bal, Term(1), "the promise survives");
+        assert!(b.learnt_without_value(Slot(3)) && !b.learnt_without_value(Slot(2)));
+    }
+}

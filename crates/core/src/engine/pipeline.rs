@@ -97,13 +97,6 @@ impl PipelineConfig {
         }
     }
 
-    /// This configuration with follower-side adaptive forwarding on
-    /// (the default since PR 5; kept for call-site compatibility).
-    pub fn with_follower_hints(mut self) -> Self {
-        self.follower_hints = true;
-        self
-    }
-
     /// This configuration with follower-side adaptive forwarding off
     /// (the pre-PR 5 default).
     pub fn without_follower_hints(mut self) -> Self {

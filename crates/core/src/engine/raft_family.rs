@@ -17,7 +17,7 @@ use paxraft_sim::trace::SpanKind;
 
 use crate::kv::KvStore;
 use crate::log::Log;
-use crate::msg::{EngineMsg, Msg, RaftMsg};
+use crate::msg::{Msg, RaftMsg};
 use crate::replicate::Replicator;
 use crate::snapshot::{Snapshot, SnapshotStats};
 use crate::types::{NodeId, Slot, Term};
@@ -317,22 +317,14 @@ impl RaftBase {
     /// threshold, snapshotting the state machine first (the snapshot is
     /// the durable replacement for the discarded entries).
     pub fn maybe_compact(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
-        if let Some(bytes) = transfer::compact_applied_prefix(
-            &core.cfg.snapshot,
-            &mut self.log,
-            &core.kv,
-            self.last_applied,
-            &mut core.stable_snap,
-            &mut core.snap_stats,
-        ) {
-            ctx.charge(core.cfg.costs.snapshot_cost(bytes));
-            // The snapshot file replaces the compacted entries as their
-            // durable form; charge its write. It is modeled atomic
-            // (write-temp + fsync + rename): recovering a *newer*
-            // snapshot of committed state is always safe, so no ack
-            // waits on this fsync.
-            core.durable_write(ctx, bytes, 1);
+        let floor = self.log.last_included().0;
+        let applied_retained = (self.last_applied.0 - floor.0) as usize;
+        if !core.cfg.snapshot.should_compact(applied_retained) {
+            return;
         }
+        transfer::checkpoint(core, ctx, self.snapshot_point());
+        let discarded = self.log.compact_to(self.last_applied);
+        core.snap_stats.entries_discarded += discarded as u64;
     }
 
     /// `(slot, term)` an outbound snapshot covers.
@@ -369,40 +361,44 @@ impl RaftBase {
         true
     }
 
-    /// Installs a reassembled snapshot into the log/state machine;
-    /// returns whether it was fresh (and charges its cost if so).
+    /// Installs a reassembled snapshot ([`transfer::install`]) and
+    /// reconciles the log with it — keeping a consistent retained suffix,
+    /// else replacing the log with the snapshot's history. Returns whether
+    /// it was fresh (a stale transfer changes nothing).
     pub fn install_snapshot(
         &mut self,
         core: &mut EngineCore,
         ctx: &mut Ctx<Msg>,
         snap: Snapshot,
     ) -> bool {
-        let bytes = snap.size_bytes();
-        let fresh = transfer::install_into_raft_state(
-            snap,
-            &mut self.log,
-            &mut core.kv,
-            &mut self.last_applied,
-            &mut self.commit_index,
-            &mut core.stable_snap,
-            &mut core.snap_stats,
-        );
-        if fresh {
-            ctx.charge(core.cfg.costs.snapshot_cost(bytes));
-            // An installed snapshot becomes this replica's recovery
-            // floor, and the ack below attests to holding it — so its
-            // write must be fsynced before the ack leaves (the ack is
-            // routed through `ack_after_sync` by `ack_snapshot`). The
-            // install supersedes the log prefix, including any pending
-            // fsync claims below the new floor.
-            core.durable_write(ctx, bytes, 1);
-            if core.dur.enabled() {
-                let floor = self.log.last_included().0;
-                self.synced_idx = self.synced_idx.max(floor);
-                self.pending_sync.push_back((core.dur.write_seq(), floor));
-            }
+        let (slot, term) = (snap.last_slot, snap.last_term);
+        if slot <= self.last_applied {
+            return false;
         }
-        fresh
+        transfer::install(core, ctx, snap);
+        self.last_applied = slot;
+        self.commit_index = self.commit_index.max(slot);
+        if self.log.term_at(slot) == Some(term) {
+            // The log extends consistently past the snapshot: keep the
+            // suffix, discard the covered prefix.
+            self.log.compact_to(slot);
+        } else {
+            // Short or conflicting log: the snapshot replaces it. (For
+            // Raft*, the "no erasing" restriction is about live appends;
+            // replacing a log with committed state it lags behind is the
+            // same transition Paxos checkpoint recovery performs, and any
+            // accepted-but-uncommitted value this discards is retained by
+            // the up-to-date leader that shipped the snapshot.)
+            self.log.reset_to(slot, term);
+        }
+        // The install supersedes the log prefix, including any pending
+        // fsync claims below the new floor.
+        if core.dur.enabled() {
+            let floor = self.log.last_included().0;
+            self.synced_idx = self.synced_idx.max(floor);
+            self.pending_sync.push_back((core.dur.write_seq(), floor));
+        }
+        true
     }
 
     /// Acknowledges a snapshot transfer — even a stale one: the applied
@@ -410,13 +406,7 @@ impl RaftBase {
     /// and resume normal appends from there. The ack attests to holding
     /// the snapshot, so it waits for the install's fsync.
     pub fn ack_snapshot(&self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, from: ActorId) {
-        let msg = Msg::Engine(EngineMsg::SnapshotAck {
-            group: core.cfg.group_id(),
-            seal: self.current_term,
-            upto: self.last_applied,
-            header_bytes: core.snap_wire.1,
-        });
-        core.ack_after_sync(ctx, from, msg);
+        transfer::ack_snapshot(core, ctx, from, self.current_term, self.last_applied);
     }
 
     /// Handles a snapshot acknowledgement; returns whether the

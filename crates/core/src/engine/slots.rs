@@ -8,8 +8,8 @@
 //! that: a `VecDeque` of fixed-size blocks of optional entries over the
 //! slots from the first one present to the last, so a lookup is two
 //! indexes instead of a tree descent and consecutive instances sit next
-//! to each other in memory. Both rules files ([`crate::multipaxos`],
-//! [`crate::mencius`]) keep their instances in one.
+//! to each other in memory. The family's base
+//! (`super::paxos_family::PaxosBase`) keeps its instances in one.
 //!
 //! Blocks, not one growing buffer: the table takes a block when the span
 //! reaches it and frees it when the span leaves it, so what it holds is

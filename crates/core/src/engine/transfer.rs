@@ -1,20 +1,32 @@
 //! The single snapshot-transfer implementation shared by every
-//! protocol: outbound chunked shipping (rate-limited per peer), and the
-//! Raft-family compaction/installation helpers.
+//! protocol, where the two family bases meet: outbound chunked shipping
+//! (rate-limited per peer), the checkpoint step of compaction, the
+//! install step of a transfer and its acknowledgement.
 //!
 //! Inbound reassembly and installation dispatch live in the engine's
 //! message loop ([`super::ReplicaEngine`]); the encoding, chunking and
 //! per-sender reassembly primitives live in [`crate::snapshot`].
 
-use paxraft_sim::sim::Ctx;
+use paxraft_sim::sim::{ActorId, Ctx};
 
-use crate::kv::KvStore;
-use crate::log::Log;
 use crate::msg::{EngineMsg, Msg};
-use crate::snapshot::{Snapshot, SnapshotConfig, SnapshotStats};
+use crate::snapshot::Snapshot;
 use crate::types::{NodeId, Slot, Term};
 
 use super::EngineCore;
+
+/// Snapshots the state machine as covering `point` and charges the CPU
+/// cost of producing it.
+fn snapshot_at(core: &EngineCore, ctx: &mut Ctx<Msg>, point: (Slot, Term)) -> Snapshot {
+    let (last_slot, last_term) = point;
+    let snap = Snapshot {
+        last_slot,
+        last_term,
+        kv: core.kv.snapshot(),
+    };
+    ctx.charge(core.cfg.costs.snapshot_cost(snap.size_bytes()));
+    snap
+}
 
 /// Ships the current state-machine snapshot to `peer` in chunks,
 /// rate-limited to one transfer per retry interval. `point` is the
@@ -35,13 +47,7 @@ pub fn ship_snapshot(
     {
         return None;
     }
-    let (last_slot, last_term) = point;
-    let snap = Snapshot {
-        last_slot,
-        last_term,
-        kv: core.kv.snapshot(),
-    };
-    ctx.charge(core.cfg.costs.snapshot_cost(snap.size_bytes()));
+    let snap = snapshot_at(core, ctx, point);
     core.snap_stats.note_sent(snap.size_bytes());
     for (offset, total, data) in snap.chunks(core.cfg.snapshot.chunk_bytes) {
         ctx.send(
@@ -49,8 +55,8 @@ pub fn ship_snapshot(
             Msg::Engine(EngineMsg::SnapshotChunk {
                 group: core.cfg.group_id(),
                 seal,
-                last_slot,
-                last_term,
+                last_slot: snap.last_slot,
+                last_term: snap.last_term,
                 offset,
                 total,
                 header_bytes: core.snap_wire.0,
@@ -58,78 +64,54 @@ pub fn ship_snapshot(
             }),
         );
     }
-    Some(last_slot)
+    Some(snap.last_slot)
 }
 
-/// Raft-family compaction, shared by Raft and Raft*: when the applied
-/// retained prefix crosses the thresholds, snapshot the state machine
-/// at `last_applied` and discard the covered log prefix. Returns the
-/// encoded size to charge snapshot CPU cost for, or `None` when below
-/// threshold (or disabled).
-pub fn compact_applied_prefix(
-    cfg: &SnapshotConfig,
-    log: &mut Log,
-    kv: &KvStore,
-    last_applied: Slot,
-    stable: &mut Option<Snapshot>,
-    stats: &mut SnapshotStats,
-) -> Option<usize> {
-    if !cfg.enabled() {
-        return None;
-    }
-    let floor = log.last_included().0;
-    let applied_retained = (last_applied.0 - floor.0) as usize;
-    if !cfg.should_compact(applied_retained, log.bytes()) {
-        return None;
-    }
-    let last_term = log.term_at(last_applied).unwrap_or(Term::ZERO);
-    let snap = Snapshot {
-        last_slot: last_applied,
-        last_term,
-        kv: kv.snapshot(),
-    };
-    let bytes = snap.size_bytes();
-    let discarded = log.compact_to(last_applied);
-    *stable = Some(snap);
-    stats.compactions += 1;
-    stats.entries_discarded += discarded as u64;
-    Some(bytes)
+/// The checkpoint step of compaction, the same in both families:
+/// snapshot the state machine at the applied `point` and make that the
+/// durable form of the prefix it covers. Each base follows it with its
+/// own discard (log prefix, instance cells).
+///
+/// The snapshot file replaces the discarded entries as their durable
+/// form, so its write is charged. It is modeled atomic (write-temp +
+/// fsync + rename): recovering a *newer* snapshot of committed state is
+/// always safe, so no ack waits on this fsync.
+pub(crate) fn checkpoint(core: &mut EngineCore, ctx: &mut Ctx<Msg>, point: (Slot, Term)) {
+    let snap = snapshot_at(core, ctx, point);
+    core.durable_write(ctx, snap.size_bytes(), 1);
+    core.stable_snap = Some(snap);
+    core.snap_stats.compactions += 1;
 }
 
-/// Raft-family snapshot installation, shared by Raft and Raft*:
-/// restores the state machine, advances the applied/commit indices, and
-/// reconciles the log — keeping a consistent retained suffix, else
-/// replacing the log with the snapshot's history. Returns whether the
-/// snapshot was fresh (stale transfers change nothing).
-pub fn install_into_raft_state(
-    snap: Snapshot,
-    log: &mut Log,
-    kv: &mut KvStore,
-    last_applied: &mut Slot,
-    commit_index: &mut Slot,
-    stable: &mut Option<Snapshot>,
-    stats: &mut SnapshotStats,
-) -> bool {
-    if snap.last_slot <= *last_applied {
-        return false;
-    }
-    kv.restore(&snap.kv);
-    *last_applied = snap.last_slot;
-    *commit_index = (*commit_index).max(snap.last_slot);
-    if log.term_at(snap.last_slot) == Some(snap.last_term) {
-        // The log extends consistently past the snapshot: keep the
-        // suffix, discard the covered prefix.
-        log.compact_to(snap.last_slot);
-    } else {
-        // Short or conflicting log: the snapshot replaces it. (For
-        // Raft*, the "no erasing" restriction is about live appends;
-        // replacing a log with committed state it lags behind is the
-        // same transition Paxos checkpoint recovery performs, and any
-        // accepted-but-uncommitted value this discards is retained by
-        // the up-to-date leader that shipped the snapshot.)
-        log.reset_to(snap.last_slot, snap.last_term);
-    }
-    *stable = Some(snap);
-    stats.snapshots_installed += 1;
-    true
+/// Acknowledges a snapshot transfer: `upto` is the applied prefix the
+/// receiver now stands at, `seal` its term/ballot. The ack attests to
+/// holding the snapshot, so it waits for the install's fsync.
+pub(crate) fn ack_snapshot(
+    core: &mut EngineCore,
+    ctx: &mut Ctx<Msg>,
+    to: ActorId,
+    seal: Term,
+    upto: Slot,
+) {
+    let ack = Msg::Engine(EngineMsg::SnapshotAck {
+        group: core.cfg.group_id(),
+        seal,
+        upto,
+        header_bytes: core.snap_wire.1,
+    });
+    core.ack_after_sync(ctx, to, ack);
+}
+
+/// The install step of a state transfer, the same in both families:
+/// restore the state machine from a snapshot ahead of the applied prefix
+/// and make it this replica's recovery floor. The ack attests to holding
+/// it, so the write is charged here and the ack ([`ack_snapshot`])
+/// deferred behind its fsync. Each base follows with its own
+/// reconciliation (log prefix or suffix, instance cells).
+pub(crate) fn install(core: &mut EngineCore, ctx: &mut Ctx<Msg>, snap: Snapshot) {
+    ctx.charge(core.cfg.costs.snapshot_cost(snap.size_bytes()));
+    core.durable_write(ctx, snap.size_bytes(), 1);
+    core.kv.restore(&snap.kv);
+    core.stable_snap = Some(snap);
+    core.snap_stats.snapshots_installed += 1;
 }

@@ -940,6 +940,11 @@ mod tests {
         assert_eq!(size_of::<Command>(), 48);
         assert_eq!(size_of::<crate::log::Entry>(), 64);
         assert_eq!(size_of::<crate::msg::Msg>(), 88);
+        // The Paxos-family instance: MultiPaxos, then Mencius with its
+        // owner's timestamp (the owner's flags share `committed`'s padding).
+        use crate::engine::paxos_family::Cell;
+        assert_eq!(size_of::<Cell<()>>(), 80);
+        assert_eq!(size_of::<Cell<paxraft_sim::time::SimTime>>(), 88);
     }
 
     #[test]

@@ -117,7 +117,7 @@
 //! acceptor's promise that the accepted values survive a crash, so it
 //! is routed through [`EngineCore::ack_after_sync`]; the owner's *own*
 //! implicit ack is likewise gated on its local fsync (the engine's
-//! `on_durable` hook adds the bit, [`MenciusRules::pending_self`]).
+//! `on_durable` hook adds the bit, [`PaxosBase::note_proposed`]).
 //! Crash-restart drops accepted values whose write never synced. A
 //! multi-leader wrinkle: peers cannot revoke a slot whose owner is
 //! alive, so an owner that loses its *own* unsynced suggestions would
@@ -141,6 +141,14 @@
 //! metadata that survives [`ProtocolRules::on_crash`]; over-persisting
 //! a promise only ever *restricts* what the acceptor may later accept,
 //! so it can never manufacture a quorum for lost state.
+//!
+//! # What this file holds
+//!
+//! The slot table and its bookkeeping are the family's [`PaxosBase`],
+//! shared with MultiPaxos. Here is what makes it *Mencius*: ownership and
+//! skips, the per-peer streams, the execute loop with its skip inference,
+//! the respond pass and conflict index, retransmission and the replay
+//! body, revocation, and what a crash keeps.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -149,36 +157,12 @@ use paxraft_sim::time::{SimDuration, SimTime};
 
 use crate::config::ReplicaConfig;
 use crate::costs::CostModel;
-use crate::engine::{self, EngineCore, ProtocolRules, ReplicaEngine, SlotRing, T_COORD};
+use crate::engine::paxos_family::{merge_highest, Accepted, Cell, PaxosBase, Stored};
+use crate::engine::{self, EngineCore, ProtocolRules, ReplicaEngine, T_COORD};
 use crate::kv::{Command, Key, Op};
-use crate::msg::{Coord, EngineMsg, MenciusMsg, Msg};
+use crate::msg::{Coord, MenciusMsg, Msg};
 use crate::snapshot::Snapshot;
 use crate::types::{max_failures, NodeId, Slot, Term};
-
-/// Per-slot state.
-#[derive(Debug, Clone, Default)]
-struct MSlot {
-    /// Accepted value, if any.
-    cmd: Option<Command>,
-    /// Ballot of the accepted value / promised revocation ballot.
-    bal: Term,
-    /// Decided (majority-acked, or revocation-decided).
-    committed: bool,
-    /// Skipped no-op (own slots only; remote skips derive from
-    /// watermarks).
-    skipped: bool,
-    /// Owner-side acknowledgement bitmap.
-    acks: u64,
-    /// Whether the owner already answered the client.
-    responded: bool,
-    /// When the owner last (re)suggested this slot (own slots only;
-    /// paces the uncommitted-suggestion retransmission).
-    suggested_at: SimTime,
-    /// Durability: engine write sequence of the last value write (0
-    /// when durability is disabled). A crash drops values whose write
-    /// never fsynced.
-    wseq: u64,
-}
 
 /// An in-flight revocation of a crashed owner's slots.
 #[derive(Debug)]
@@ -189,7 +173,7 @@ struct RevokeOp {
     through: Slot,
     acks: u64,
     /// Highest-ballot accepted values reported for the range.
-    accepted: BTreeMap<u64, (Term, Command)>,
+    accepted: Accepted,
 }
 
 /// My outgoing stream to one peer (module docs, "Per-peer streams").
@@ -227,6 +211,16 @@ fn write_key(cmd: &Command) -> Option<Key> {
     }
 }
 
+/// What the base hands a discarded slot to: its write leaves the
+/// conflict index.
+fn unindex(key_slots: &mut BTreeSet<(Key, u64)>) -> impl FnMut(Slot, Cell<SimTime>) + '_ {
+    |s, slot| {
+        if let Some(key) = slot.cmd().and_then(write_key) {
+            key_slots.remove(&(key, s.0));
+        }
+    }
+}
+
 /// The first slot owned by `owner` at or after `x`.
 fn owned_at_or_after(owner: NodeId, x: Slot, n: usize) -> Slot {
     let n = n as u64;
@@ -243,7 +237,9 @@ pub type MenciusReplica = ReplicaEngine<MenciusRules>;
 /// skip watermarks, the two-regime respond rule, and revocation.
 pub struct MenciusRules {
     current_term: Term,
-    slots: SlotRing<MSlot>,
+    /// The slot table and its bookkeeping (the executed prefix and the
+    /// peers' reports of theirs included).
+    base: PaxosBase<SimTime>,
     /// My next unused owned slot; doubles as my skip watermark.
     next_own: Slot,
     /// Exclusive bound of *known* slots per peer owner: every slot of
@@ -258,11 +254,6 @@ pub struct MenciusRules {
     /// When the coordination tick last ran: peers sent nothing since get
     /// a keepalive `SkipNotice`.
     last_tick: SimTime,
-    /// Applied prefix.
-    exec_index: Slot,
-    /// Slots (of any owner) decided but whose value never arrived
-    /// (reordered revocation); re-checked as values land.
-    committed_no_value: BTreeSet<u64>,
     /// The write-conflict index: `(key, slot)` of every retained `Put`
     /// above the executed prefix (module docs, "The conflict index").
     key_slots: BTreeSet<(Key, u64)>,
@@ -280,28 +271,10 @@ pub struct MenciusRules {
     /// Own slots committed in this handler, not yet queued per peer.
     commit_buf: Vec<Slot>,
     last_heard: Vec<SimTime>,
-    /// Executed prefix each peer last reported (every stream element
-    /// carries it) — the Mencius spelling of MultiPaxos's piggybacked
-    /// `exec` report.
-    peer_exec: Vec<Slot>,
-    /// `peer_exec` as of the previous coordination tick: a report that
-    /// did not move between ticks marks a *stalled* peer (a lost
-    /// suggestion left it a committed-without-value gap), as opposed to
-    /// one merely trailing by a WAN round-trip.
-    peer_exec_prev: Vec<Slot>,
     revoke: Option<RevokeOp>,
     last_revoke_attempt: SimTime,
-    /// Checkpoint floor: slots at or below it were discarded after
-    /// execution (their effects live in the state machine and in
-    /// `stable_snap`).
-    compacted_through: Slot,
-    /// Retained slot payload bytes (compaction byte trigger).
-    slot_bytes: usize,
     /// Slots this replica skipped (stats).
     skips_issued: u64,
-    /// Durability: own suggestions whose implicit ack awaits the local
-    /// fsync, as (write seq, term, slots). Drained by `on_durable`.
-    pending_self: Vec<(u64, Term, Vec<Slot>)>,
     /// Durability: own slots whose unsynced value a crash dropped.
     /// The stalled-peer replay stops its range claim short of them;
     /// membership suppresses the skip inference in `decided_at` (the
@@ -333,9 +306,7 @@ impl MenciusReplica {
                     .map(|_| PeerStream::starting_at(Slot(me.0 as u64 + 1)))
                     .collect(),
                 last_tick: SimTime::ZERO,
-                slots: SlotRing::new(),
-                exec_index: Slot::NONE,
-                committed_no_value: BTreeSet::new(),
+                base: PaxosBase::new(n),
                 key_slots: BTreeSet::new(),
                 await_respond: Vec::new(),
                 respond_seen: None,
@@ -343,14 +314,9 @@ impl MenciusReplica {
                 oracle_checked: None,
                 commit_buf: Vec::new(),
                 last_heard: vec![SimTime::ZERO; n],
-                peer_exec: vec![Slot::NONE; n],
-                peer_exec_prev: vec![Slot::NONE; n],
                 revoke: None,
                 last_revoke_attempt: SimTime::ZERO,
-                compacted_through: Slot::NONE,
-                slot_bytes: 0,
                 skips_issued: 0,
-                pending_self: Vec::new(),
                 lost_own: BTreeSet::new(),
             },
         )
@@ -363,12 +329,12 @@ impl MenciusReplica {
 
     /// Applied prefix (tests).
     pub fn exec_index(&self) -> Slot {
-        self.rules.exec_index
+        self.rules.base.exec_index
     }
 
     /// Retained (uncompacted) slots.
     pub fn retained_slots(&self) -> usize {
-        self.rules.slots.len()
+        self.rules.base.cells.len()
     }
 
     /// Slots this replica skipped (stats).
@@ -389,10 +355,10 @@ static NOOP: Command = Command::noop();
 impl MenciusRules {
     fn decided_at(&self, core: &EngineCore, slot: Slot) -> Option<&Command> {
         let owner = MenciusReplica::owner_of(slot, core.cfg.n);
-        let held = self.slots.get(slot);
+        let held = self.base.cells.get(slot);
         if let Some(s) = held {
             if s.committed {
-                return s.cmd.as_ref();
+                return s.cmd();
             }
             if s.skipped {
                 return Some(&NOOP);
@@ -406,7 +372,7 @@ impl MenciusRules {
         } else {
             slot < self.known_upto[owner.0 as usize]
         };
-        (known && held.is_none_or(|s| s.cmd.is_none())).then_some(&NOOP)
+        (known && held.is_none_or(|s| s.cmd().is_none())).then_some(&NOOP)
     }
 
     fn broadcast(&self, core: &EngineCore, ctx: &mut Ctx<Msg>, msg: MenciusMsg) {
@@ -424,7 +390,7 @@ impl MenciusRules {
             from: std::mem::replace(&mut st.sent_upto, self.next_own),
             watermark: self.next_own,
             commits: std::mem::take(&mut st.decisions),
-            exec: self.exec_index,
+            exec: self.base.exec_index,
         }
     }
 
@@ -458,101 +424,48 @@ impl MenciusRules {
         }
     }
 
-    /// Stores an accepted value and indexes its key. Returns `false`
-    /// (and stores nothing) for slots at or below the checkpoint floor
-    /// — they are decided and executed; re-creating them would corrupt
-    /// the compacted prefix. A slot already committed with a value keeps
-    /// it (agreement: the decided value is unique, so an arriving
-    /// suggestion for it is at worst a duplicate and must never rewrite
-    /// — e.g. a partitioned owner's stale retransmission racing a
+    /// Stores an accepted value ([`PaxosBase::store`]) and indexes its
+    /// key. Returns `false` (nothing stored) for slots at or below the
+    /// checkpoint floor; a slot already committed with a value keeps it
+    /// (e.g. a partitioned owner's stale retransmission racing a
     /// revocation that already decided the slot as a no-op).
     fn accept_value(&mut self, core: &mut EngineCore, s: Slot, term: Term, cmd: Command) -> bool {
-        if s <= self.compacted_through {
-            return false;
-        }
-        if self
-            .slots
-            .get(s)
-            .is_some_and(|x| x.committed && x.cmd.is_some())
-        {
-            return true;
-        }
-        let slot = self.slots.get_or_default(s);
-        let indexed = write_key(&cmd).filter(|_| s > self.exec_index);
-        self.slot_bytes += cmd.size_bytes();
-        if let Some(old) = slot.cmd.replace(cmd) {
-            self.slot_bytes -= old.size_bytes();
-            // A value replaced (a revocation deciding a no-op over a
-            // `Put k`) leaves the index with it, or every later writer of
-            // `k` would wait on a write that is never applied; the
-            // writers it held back get a fresh look.
-            let stale = write_key(&old).filter(|k| Some(*k) != indexed);
-            if stale.is_some_and(|k| self.key_slots.remove(&(k, s.0))) {
-                self.respond_seen = None;
-            }
+        let indexed = write_key(&cmd).filter(|_| s > self.base.exec_index);
+        let replaced = match self.base.store(s, term, cmd) {
+            Stored::BelowFloor => return false,
+            Stored::Kept => return true,
+            Stored::Written(replaced) => replaced,
+        };
+        // A value replaced (a revocation deciding a no-op over a
+        // `Put k`) leaves the index with it, or every later writer of
+        // `k` would wait on a write that is never applied; the
+        // writers it held back get a fresh look.
+        let stale = replaced.as_ref().and_then(write_key);
+        let stale = stale.filter(|k| Some(*k) != indexed);
+        if stale.is_some_and(|k| self.key_slots.remove(&(k, s.0))) {
+            self.respond_seen = None;
         }
         if let Some(key) = indexed {
             self.key_slots.insert((key, s.0));
         }
-        if term > slot.bal {
-            slot.bal = term;
-        }
-        if self.committed_no_value.remove(&s.0) {
-            slot.committed = true;
-        }
         // A value landing in a crash-dropped own slot (our own recovery
         // decision, or a revocation's) supersedes the loss marker.
         self.lost_own.remove(&s.0);
-        core.snap_stats
-            .note_log_size(self.slots.len(), self.slot_bytes);
+        self.base.note_log_size(core);
         true
     }
 
-    /// Durability: charges the disk write for freshly accepted values
-    /// and tags their slots with the write sequence, so a crash before
-    /// the covering fsync drops exactly them. No-op (beyond the no-op
-    /// [`EngineCore::durable_write`]) when durability is disabled.
-    fn note_values_durable(
-        &mut self,
-        core: &mut EngineCore,
-        ctx: &mut Ctx<Msg>,
-        written: &[Slot],
-        bytes: usize,
-    ) {
-        if written.is_empty() {
-            return;
-        }
-        core.durable_write(ctx, bytes, written.len());
-        if !core.dur.enabled() {
-            return;
-        }
-        let seq = core.dur.write_seq();
-        for s in written {
-            if let Some(slot) = self.slots.get_mut(*s) {
-                slot.wseq = seq;
-            }
-        }
-    }
-
     /// Commit tally for own slots that just gained an ack bit (a
-    /// follower's `SuggestOk`, or this owner's own post-fsync vote):
-    /// the `SuggestOk` handler's counting rule factored out.
-    fn tally_own(&mut self, core: &mut EngineCore, slots: &[Slot], term: Term, bit: u64) {
-        let quorum_extra = max_failures(core.cfg.n); // f followers + me
-        for s in slots {
-            let Some(slot) = self.slots.get_mut(*s) else {
-                continue;
-            };
-            if slot.bal != term || slot.committed {
-                continue;
-            }
-            slot.acks |= bit;
-            if slot.acks.count_ones() as usize >= quorum_extra + 1 {
-                slot.committed = true;
-                self.commit_buf.push(*s);
-                self.await_respond.push(*s);
-                self.respond_seen = None;
-            }
+    /// follower's `SuggestOk`, or this owner's own post-fsync vote). An
+    /// ack counts only for a slot still at the term it acknowledges.
+    fn tally_own(&mut self, slots: &[Slot], term: Term, bit: u64) {
+        let before = self.commit_buf.len();
+        let chosen = &mut self.commit_buf;
+        self.base.tally(slots, bit, |slot| slot.bal == term, chosen);
+        if self.commit_buf.len() > before {
+            self.await_respond
+                .extend_from_slice(&self.commit_buf[before..]);
+            self.respond_seen = None;
         }
     }
 
@@ -566,8 +479,8 @@ impl MenciusRules {
         let new_own = owned_at_or_after(core.cfg.id, target, core.cfg.n);
         let mut s = self.next_own;
         while s < new_own {
-            let slot = self.slots.get_or_default(s);
-            if slot.cmd.is_none() {
+            let slot = self.base.cells.get_or_default(s);
+            if slot.cmd().is_none() {
                 slot.skipped = true;
                 self.skips_issued += 1;
             }
@@ -595,7 +508,7 @@ impl MenciusRules {
         let i = owner.0 as usize;
         // `[reach, from)` holds no slot of `owner`.
         let joins = |reach: Slot, from: Slot| owned_at_or_after(owner, reach, core.cfg.n) >= from;
-        let settled = self.known_upto[i].max(self.exec_index.next());
+        let settled = self.known_upto[i].max(self.base.exec_index.next());
         if !joins(settled, from) {
             self.beyond_gap[i] = match self.beyond_gap[i] {
                 Some((start, end)) if joins(end, from) => Some((start, end.max(upto))),
@@ -618,25 +531,10 @@ impl MenciusRules {
     /// prefix. Called after the message's values are stored.
     fn absorb(&mut self, core: &EngineCore, peer: NodeId, coord: Coord) {
         self.note_known(core, peer, coord.from, coord.watermark);
-        self.learn_commits(coord.commits);
-        let e = &mut self.peer_exec[peer.0 as usize];
-        *e = (*e).max(coord.exec);
-    }
-
-    /// Marks slots decided on their owner's word. A decision says nothing
-    /// about the owner's other slots.
-    fn learn_commits(&mut self, slots: Vec<Slot>) {
-        for s in slots {
-            if s <= self.compacted_through {
-                continue; // already executed and checkpointed
-            }
-            match self.slots.get_mut(s) {
-                Some(slot) if slot.cmd.is_some() => slot.committed = true,
-                _ => {
-                    self.committed_no_value.insert(s.0);
-                }
-            }
-        }
+        // Decided on their owner's word; a decision says nothing about
+        // the owner's other slots.
+        self.base.learn(coord.commits);
+        self.base.note_peer_exec(peer, coord.exec);
     }
 
     /// The respond condition's coverage part: every other owner's slots
@@ -653,15 +551,15 @@ impl MenciusRules {
     /// The respond condition's conflict part: every earlier write to
     /// `key` has applied — no indexed write to it in `(exec_index, s)`.
     fn conflicts_applied(&self, s: Slot, key: Key) -> bool {
-        let unapplied = (key, self.exec_index.0 + 1)..(key, s.0);
-        self.exec_index >= s || self.key_slots.range(unapplied).next().is_none()
+        let unapplied = (key, self.base.exec_index.0 + 1)..(key, s.0);
+        self.base.exec_index >= s || self.key_slots.range(unapplied).next().is_none()
     }
 
     /// Answers clients for own slots whose respond condition now holds
     /// (module docs, "The respond pass").
     fn try_respond(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
         let cover = self.cover(core);
-        let seen = Some((cover, self.exec_index));
+        let seen = Some((cover, self.base.exec_index));
         #[cfg(test)]
         let oracle = self
             .oracle_checked
@@ -686,10 +584,10 @@ impl MenciusRules {
     /// One covered slot of the respond pass: answers its client if the
     /// rest of the condition holds. Returns whether the slot stays queued.
     fn still_waits(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, s: Slot) -> bool {
-        let Some(slot) = self.slots.get(s) else {
+        let Some(slot) = self.base.cells.get(s) else {
             return false;
         };
-        let Some(cmd) = slot.cmd.as_ref().filter(|_| !slot.responded) else {
+        let Some(cmd) = slot.cmd().filter(|_| !slot.responded) else {
             return false;
         };
         if !slot.committed {
@@ -697,13 +595,13 @@ impl MenciusRules {
         }
         let reply = match cmd.op {
             // Reads need the value: wait for in-order apply.
-            Op::Get { key } if self.exec_index >= s => core.kv.read_local(key),
+            Op::Get { key } if self.base.exec_index >= s => core.kv.read_local(key),
             Op::Get { .. } => return true,
             Op::Put { key, .. } if !self.conflicts_applied(s, key) => return true,
             _ => crate::kv::Reply::Done,
         };
         core.respond(ctx, cmd.id, reply);
-        self.slots.get_mut(s).expect("exists").responded = true;
+        self.base.cells.get_mut(s).expect("exists").responded = true;
         false
     }
 
@@ -714,10 +612,10 @@ impl MenciusRules {
     #[cfg(test)]
     fn oracle_ready(&self, core: &EngineCore) -> Vec<Slot> {
         let ready = |s: &Slot| {
-            let Some(slot) = self.slots.get(*s) else {
+            let Some(slot) = self.base.cells.get(*s) else {
                 return false;
             };
-            let Some(cmd) = slot.cmd.as_ref().filter(|_| !slot.responded) else {
+            let Some(cmd) = slot.cmd().filter(|_| !slot.responded) else {
                 return false;
             };
             let covered = core
@@ -725,13 +623,14 @@ impl MenciusRules {
                 .others()
                 .all(|o| self.known_upto[o.0 as usize] >= *s);
             let applied = match cmd.op {
-                Op::Get { .. } => self.exec_index >= *s,
+                Op::Get { .. } => self.base.exec_index >= *s,
                 Op::Put { key, .. } => self
-                    .slots
+                    .base
+                    .cells
                     .range(..*s)
                     .rev()
-                    .find(|(_, x)| x.cmd.as_ref().and_then(write_key) == Some(key))
-                    .is_none_or(|(c, _)| self.exec_index >= c),
+                    .find(|(_, x)| x.cmd().and_then(write_key) == Some(key))
+                    .is_none_or(|(c, _)| self.base.exec_index >= c),
                 _ => true,
             };
             slot.committed && covered && applied
@@ -742,7 +641,7 @@ impl MenciusRules {
     /// Applies the decided prefix in slot order.
     fn try_execute(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
         loop {
-            let next = self.exec_index.next();
+            let next = self.base.exec_index.next();
             let Some(cmd) = self.decided_at(core, next) else {
                 break;
             };
@@ -754,7 +653,7 @@ impl MenciusRules {
                 let mine = MenciusReplica::owner_of(next, core.cfg.n) == core.cfg.id;
                 engine::apply_command(core, ctx, cmd, mine);
             }
-            self.exec_index = next;
+            self.base.exec_index = next;
             if let Some(key) = written {
                 self.key_slots.remove(&(key, next.0));
             }
@@ -763,63 +662,24 @@ impl MenciusRules {
         self.maybe_compact(core, ctx);
     }
 
-    /// Discards the executed slot prefix once it crosses the configured
-    /// threshold, checkpointing the state machine first. Own slots still
-    /// awaiting a client response are never discarded.
+    /// Checkpoints and discards the executed slot prefix once it crosses
+    /// the configured threshold ([`PaxosBase::compact_through`]) — short
+    /// of own slots still awaiting a client response, which are never
+    /// discarded.
     fn maybe_compact(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
-        if !core.cfg.snapshot.enabled() {
+        if !self.base.compaction_due(core) {
             return;
         }
-        let mut upto = self.exec_index;
+        let mut upto = self.base.exec_index;
         for &s in &self.await_respond {
             if s <= upto {
                 upto = s.prev();
             }
         }
-        if upto <= self.compacted_through {
-            return;
+        let unindex = unindex(&mut self.key_slots);
+        if self.base.compact_through(core, ctx, upto, unindex) {
+            self.lost_own = self.lost_own.split_off(&(upto.0 + 1));
         }
-        let executed_retained = (upto.0 - self.compacted_through.0) as usize;
-        if !core
-            .cfg
-            .snapshot
-            .should_compact(executed_retained, self.slot_bytes)
-        {
-            return;
-        }
-        // The durable checkpoint captures the state at `exec_index`
-        // (which may run ahead of the discard point `upto`); restores
-        // and transfers always use the full executed prefix.
-        let snap = Snapshot {
-            last_slot: self.exec_index,
-            last_term: Term::ZERO,
-            kv: core.kv.snapshot(),
-        };
-        ctx.charge(core.cfg.costs.snapshot_cost(snap.size_bytes()));
-        // The checkpoint file replaces the discarded slots as their
-        // durable form; charge its write (modeled atomic, no ack waits
-        // on it — see `raft_family::RaftBase::maybe_compact`).
-        core.durable_write(ctx, snap.size_bytes(), 1);
-        self.discard_through(core, upto);
-        self.compacted_through = upto;
-        core.stable_snap = Some(snap);
-        core.snap_stats.compactions += 1;
-    }
-
-    /// Drops slot state at or below `upto`, unindexing keys and bytes.
-    fn discard_through(&mut self, core: &mut EngineCore, upto: Slot) {
-        let (bytes, key_slots) = (&mut self.slot_bytes, &mut self.key_slots);
-        let discarded = self.slots.drop_through(upto, |s, slot| {
-            if let Some(cmd) = slot.cmd {
-                *bytes -= cmd.size_bytes();
-                if let Some(key) = write_key(&cmd) {
-                    key_slots.remove(&(key, s.0));
-                }
-            }
-        });
-        core.snap_stats.entries_discarded += discarded as u64;
-        self.committed_no_value = self.committed_no_value.split_off(&(upto.0 + 1));
-        self.lost_own = self.lost_own.split_off(&(upto.0 + 1));
     }
 
     /// Queues the decisions made in this handler on every peer's stream:
@@ -833,7 +693,7 @@ impl MenciusRules {
         let slots = std::mem::take(&mut self.commit_buf);
         let quickest = slots
             .iter()
-            .filter_map(|s| self.slots.get(*s))
+            .filter_map(|s| self.base.cells.get(*s))
             .map(|slot| now.since(slot.suggested_at.min(now)))
             .min()
             .unwrap_or(SimDuration::ZERO);
@@ -895,14 +755,15 @@ impl MenciusRules {
         let mut by_term: BTreeMap<Term, Vec<(Slot, Command)>> = BTreeMap::new();
         let mut committed = Vec::new();
         let mut taken = 0usize;
-        for (s, slot) in self.slots.range_mut(self.exec_index.next()..) {
+        let unexecuted = self.base.exec_index.next()..;
+        for (s, slot) in self.base.cells.range_mut(unexecuted) {
             if taken >= 64 {
                 break;
             }
             if MenciusReplica::owner_of(s, n) != me || slot.skipped {
                 continue;
             }
-            let Some(cmd) = slot.cmd.clone() else {
+            let Some(cmd) = slot.cmd().cloned() else {
                 continue;
             };
             if now.since(slot.suggested_at.min(now)) <= retry {
@@ -942,27 +803,19 @@ impl MenciusRules {
     /// An in-flight value is not re-sent on a mere stall (prefixes trail
     /// a far owner's commits all the time); what the peer heard beyond
     /// the gap it kept, so reaching that is enough. A peer below the
-    /// checkpoint floor gets the state instead.
+    /// checkpoint floor gets the state instead — it can never learn the
+    /// dropped decisions from us ([`PaxosBase::stalled_peer`]; the
+    /// multi-leader checkpoint carries no seal).
     fn replay_to_stalled_peers(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
         let peers: Vec<NodeId> = core.cfg.others().collect();
         let (me, n) = (core.cfg.id, core.cfg.n);
         for peer in peers {
-            let i = peer.0 as usize;
-            let fexec = self.peer_exec[i];
-            let stalled = fexec == self.peer_exec_prev[i];
-            self.peer_exec_prev[i] = fexec;
-            if fexec >= self.exec_index || !stalled {
+            let Some(from) = self.base.stalled_peer(core, ctx, peer, Term::ZERO) else {
                 continue;
-            }
-            if fexec < self.compacted_through {
-                // It can never learn the dropped decisions from us.
-                engine::ship_snapshot(core, ctx, peer, (self.exec_index, Term::ZERO), Term::ZERO);
-                continue;
-            }
+            };
             // The claim stops at my watermark, and short of a value a
             // crash dropped (`lost_own`): that slot is not mine to call
             // a no-op.
-            let from = fexec.next();
             let mut upto = match self.lost_own.range(from.0..).next() {
                 Some(&lost) => Slot(lost).min(self.next_own),
                 None => self.next_own,
@@ -976,11 +829,11 @@ impl MenciusRules {
             // claim stops there and the next round continues.
             let mut term = None;
             let mut items = Vec::new();
-            for (s, slot) in self.slots.range(from..upto) {
+            for (s, slot) in self.base.cells.range(from..upto) {
                 if MenciusReplica::owner_of(s, n) != me {
                     continue;
                 }
-                let Some(cmd) = slot.cmd.clone() else {
+                let Some(cmd) = slot.cmd().cloned() else {
                     continue;
                 };
                 if !slot.committed || items.len() == 64 || term.is_some_and(|t| t != slot.bal) {
@@ -995,7 +848,7 @@ impl MenciusRules {
             if from >= upto || items.is_empty() && MenciusReplica::owner_of(from, n) != me {
                 continue;
             }
-            let st = &mut self.out[i];
+            let st = &mut self.out[peer.0 as usize];
             st.last_sent = ctx.now();
             let mut commits = std::mem::take(&mut st.decisions);
             commits.extend(items.iter().map(|(s, _)| *s));
@@ -1003,7 +856,7 @@ impl MenciusRules {
                 from,
                 watermark: upto,
                 commits,
-                exec: self.exec_index,
+                exec: self.base.exec_index,
             };
             let msg = match term {
                 Some(term) => MenciusMsg::Suggest { term, items, coord },
@@ -1016,7 +869,7 @@ impl MenciusRules {
     /// The highest slot any owner is known to have reached (sizing the
     /// revocation range).
     fn horizon(&self) -> Slot {
-        let max_slot = self.slots.last_slot().unwrap_or(Slot::NONE);
+        let max_slot = self.base.cells.last_slot().unwrap_or(Slot::NONE);
         let max_known = self.known_upto.iter().copied().max().unwrap_or(Slot::NONE);
         max_slot.max(max_known).max(self.next_own)
     }
@@ -1042,7 +895,7 @@ impl MenciusRules {
             }
             self.revoke = None;
         }
-        let next = self.exec_index.next();
+        let next = self.base.exec_index.next();
         if self.decided_at(core, next).is_some() {
             return; // not blocked
         }
@@ -1085,14 +938,18 @@ impl MenciusRules {
     ) {
         self.last_revoke_attempt = now;
         self.current_term = self.current_term.next_for(core.cfg.id, core.cfg.n);
-        let op = RevokeOp {
+        let mut op = RevokeOp {
             term: self.current_term,
             owner,
             from,
             through,
             acks: core.me_bit(),
-            accepted: self.accepted_in_range(core, owner, from, through),
+            accepted: Accepted::new(),
         };
+        merge_highest(
+            &mut op.accepted,
+            self.accepted_in_range(core, owner, from, through),
+        );
         self.broadcast(
             core,
             ctx,
@@ -1108,22 +965,18 @@ impl MenciusRules {
         self.revoke = Some(op);
     }
 
+    /// The phase-1 report for a revocation: what this replica accepted
+    /// in `owner`'s slots of the range.
     fn accepted_in_range(
         &self,
         core: &EngineCore,
         owner: NodeId,
         from: Slot,
         through: Slot,
-    ) -> BTreeMap<u64, (Term, Command)> {
-        let mut out = BTreeMap::new();
-        for (s, slot) in self.slots.range(from..=through) {
-            if MenciusReplica::owner_of(s, core.cfg.n) == owner {
-                if let Some(cmd) = &slot.cmd {
-                    out.insert(s.0, (slot.bal, cmd.clone()));
-                }
-            }
-        }
-        out
+    ) -> Vec<(Slot, Term, Command)> {
+        let owned = |s: Slot| MenciusReplica::owner_of(s, core.cfg.n) == owner;
+        let held = self.base.accepted(from..=through);
+        held.filter(|(s, ..)| owned(*s)).collect()
     }
 
     /// Raises the ballot on `owner`'s undecided slots in the range so the
@@ -1138,7 +991,7 @@ impl MenciusRules {
     ) {
         let mut s = owned_at_or_after(owner, from, core.cfg.n);
         while s <= through {
-            let slot = self.slots.get_or_default(s);
+            let slot = self.base.cells.get_or_default(s);
             if term > slot.bal {
                 slot.bal = term;
             }
@@ -1176,28 +1029,27 @@ impl MenciusRules {
                 let mut written = Vec::new();
                 let mut written_bytes = 0usize;
                 for (s, cmd) in items {
-                    if s <= self.compacted_through {
+                    if s <= self.base.floor() {
                         // Decided and checkpointed away; the lagging
                         // owner converges via Checkpoint, not re-accept.
                         continue;
                     }
-                    let bal = self.slots.get(s).map_or(Term::ZERO, |x| x.bal);
+                    let bal = self.base.cells.get(s).map_or(Term::ZERO, |x| x.bal);
                     // A value the owner reports decided is learnt, not
                     // accepted, and no promise stands against learning:
                     // at a slot its owner committed, the owner's value
                     // is the only one any ballot can decide.
-                    let decided =
-                        coord.commits.contains(&s) || self.committed_no_value.contains(&s.0);
+                    let decided = coord.commits.contains(&s) || self.base.learnt_without_value(s);
                     if term >= bal || decided {
                         // Already holds the value — committed, or
                         // accepted at this very term (an owner suggests
                         // one value per slot and term): a duplicate from
                         // a retransmission or replay, nothing new
                         // reaches the disk.
-                        let already = self
-                            .slots
-                            .get(s)
-                            .is_some_and(|x| x.cmd.is_some() && (x.committed || x.bal == term));
+                        let already =
+                            self.base.cells.get(s).is_some_and(|x| {
+                                x.cmd().is_some() && (x.committed || x.bal == term)
+                            });
                         let sz = cmd.size_bytes();
                         self.accept_value(core, s, term, cmd);
                         if !already {
@@ -1213,12 +1065,12 @@ impl MenciusRules {
                         reject_term = reject_term.max(bal);
                         // Decided here already (a revocation the owner
                         // missed): the refusal carries the decision.
-                        if let Some(x) = self.slots.get(s).filter(|x| x.committed) {
-                            revoked.extend(x.cmd.clone().map(|c| (s, c)));
+                        if let Some(x) = self.base.cells.get(s).filter(|x| x.committed) {
+                            revoked.extend(x.cmd().cloned().map(|c| (s, c)));
                         }
                     }
                 }
-                self.note_values_durable(core, ctx, &written, written_bytes);
+                self.base.note_written(core, ctx, &written, written_bytes);
                 // A refused slot is not accounted for here: the claim
                 // stops short of it.
                 if let Some(&refused) = rejected.iter().min() {
@@ -1240,7 +1092,7 @@ impl MenciusRules {
                 if !acked.is_empty() {
                     let coord = match carrier {
                         Some(_) => self.stamp(peer, ctx.now()),
-                        None => Coord::empty(self.next_own, self.exec_index),
+                        None => Coord::empty(self.next_own, self.base.exec_index),
                     };
                     let ok = Msg::Mencius(MenciusMsg::SuggestOk {
                         term,
@@ -1281,7 +1133,7 @@ impl MenciusRules {
                     core.pipe.on_ack(peer, upto);
                 }
                 let bit = 1u64 << peer.0;
-                self.tally_own(core, &slots, term, bit);
+                self.tally_own(&slots, term, bit);
                 self.queue_decisions(core, ctx.now());
                 self.try_execute(core, ctx);
             }
@@ -1308,7 +1160,7 @@ impl MenciusRules {
             }
             MenciusMsg::Commit { slots } => {
                 ctx.charge(core.cfg.costs.coord_msg);
-                self.learn_commits(slots);
+                self.base.learn(slots);
                 self.try_execute(core, ctx);
             }
             MenciusMsg::Revoke {
@@ -1319,11 +1171,7 @@ impl MenciusRules {
             } => {
                 if term > self.current_term {
                     // Promise: raise ballots on the revoked range.
-                    let accepted: Vec<(Slot, Term, Command)> = self
-                        .accepted_in_range(core, owner, rfrom, through)
-                        .into_iter()
-                        .map(|(s, (b, c))| (Slot(s), b, c))
-                        .collect();
+                    let accepted = self.accepted_in_range(core, owner, rfrom, through);
                     self.promise_range(core, owner, rfrom, through, term);
                     if owner == core.cfg.id {
                         // Having promised my own range away, I must not
@@ -1354,14 +1202,7 @@ impl MenciusRules {
                         return;
                     }
                     op.acks |= 1 << peer.0;
-                    for (s, b, c) in accepted {
-                        match op.accepted.get(&s.0) {
-                            Some((ob, _)) if *ob >= b => {}
-                            _ => {
-                                op.accepted.insert(s.0, (b, c));
-                            }
-                        }
-                    }
+                    merge_highest(&mut op.accepted, accepted);
                     op.acks.count_ones() as usize >= max_failures(core.cfg.n) + 1
                 };
                 if finished {
@@ -1387,13 +1228,12 @@ impl MenciusRules {
                     for (s, cmd) in &items {
                         let sz = cmd.size_bytes();
                         if self.accept_value(core, *s, op.term, cmd.clone()) {
-                            let slot = self.slots.get_mut(*s).expect("accepted");
-                            slot.committed = true;
+                            self.base.cells.get_mut(*s).expect("accepted").committed = true;
                             written.push(*s);
                             written_bytes += sz;
                         }
                     }
-                    self.note_values_durable(core, ctx, &written, written_bytes);
+                    self.base.note_written(core, ctx, &written, written_bytes);
                     // The decision covers every slot of the owner in
                     // `[op.from, op.through]`, and nothing below it.
                     self.note_known(core, op.owner, op.from, op.through.next());
@@ -1419,15 +1259,15 @@ impl MenciusRules {
                 let mut written = Vec::new();
                 let mut written_bytes = 0usize;
                 for (s, cmd) in items {
-                    if s <= self.compacted_through {
+                    if s <= self.base.floor() {
                         continue; // already executed and checkpointed
                     }
                     let owner = MenciusReplica::owner_of(s, core.cfg.n);
                     // If our own in-flight command was no-oped, re-propose.
                     if owner == core.cfg.id {
-                        if let Some(slot) = self.slots.get(s) {
+                        if let Some(slot) = self.base.cells.get(s) {
                             if !slot.responded {
-                                if let Some(mine) = &slot.cmd {
+                                if let Some(mine) = slot.cmd() {
                                     if *mine != cmd && !matches!(mine.op, Op::Noop) {
                                         core.pending.push(mine.clone());
                                         reproposed = true;
@@ -1443,7 +1283,7 @@ impl MenciusRules {
                     }
                     let sz = cmd.size_bytes();
                     if self.accept_value(core, s, term, cmd) {
-                        let slot = self.slots.get_mut(s).expect("accepted");
+                        let slot = self.base.cells.get_mut(s).expect("accepted");
                         if term >= slot.bal {
                             slot.committed = true;
                         }
@@ -1451,7 +1291,7 @@ impl MenciusRules {
                         written_bytes += sz;
                     }
                 }
-                self.note_values_durable(core, ctx, &written, written_bytes);
+                self.base.note_written(core, ctx, &written, written_bytes);
                 if let Some((from, upto)) = decided {
                     let owner = MenciusReplica::owner_of(from, core.cfg.n);
                     self.note_known(core, owner, from, upto);
@@ -1473,7 +1313,7 @@ impl ProtocolRules for MenciusRules {
     }
 
     fn applied_index(&self, _core: &EngineCore) -> Slot {
-        self.exec_index
+        self.base.exec_index
     }
 
     fn extra_propose_cost(&self, costs: &CostModel) -> SimDuration {
@@ -1491,23 +1331,17 @@ impl ProtocolRules for MenciusRules {
         // With durability on, the owner's implicit ack waits for its own
         // fsync (`on_durable` adds the bit); otherwise it is immediate.
         let self_ack = if core.dur.enabled() { 0 } else { core.me_bit() };
-        let mut bytes = 0usize;
         for cmd in cmds {
             let s = self.next_own;
             self.next_own = Slot(self.next_own.0 + core.cfg.n as u64);
-            bytes += cmd.size_bytes();
             self.accept_value(core, s, self.current_term, cmd.clone());
-            let slot = self.slots.get_mut(s).expect("just accepted");
+            let slot = self.base.cells.get_mut(s).expect("just accepted");
             slot.acks = self_ack;
             slot.suggested_at = ctx.now();
             items.push((s, cmd));
         }
-        let slots: Vec<Slot> = items.iter().map(|(s, _)| *s).collect();
-        self.note_values_durable(core, ctx, &slots, bytes);
-        if core.dur.enabled() && !slots.is_empty() {
-            self.pending_self
-                .push((core.dur.write_seq(), self.current_term, slots));
-        }
+        self.base
+            .note_proposed(core, ctx, self.current_term, &items);
         if let Some(upto) = items.iter().map(|(s, _)| *s).max() {
             let peers: Vec<NodeId> = core.cfg.others().collect();
             for peer in peers {
@@ -1568,24 +1402,12 @@ impl ProtocolRules for MenciusRules {
     /// whose slots were since re-balloted (a `SuggestReject`, a
     /// revocation) simply fail the per-slot term check in `tally_own`.
     fn on_durable(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
-        if self.pending_self.is_empty() {
-            return;
-        }
-        let synced = core.dur.synced_seq();
-        let me = core.me_bit();
-        let mut ready: Vec<(Term, Vec<Slot>)> = Vec::new();
-        self.pending_self.retain(|(seq, term, slots)| {
-            if *seq > synced {
-                return true;
-            }
-            ready.push((*term, slots.clone()));
-            false
-        });
+        let ready = self.base.drain_synced_votes(core.dur.synced_seq());
         if ready.is_empty() {
             return;
         }
         for (term, slots) in ready {
-            self.tally_own(core, &slots, term, me);
+            self.tally_own(&slots, term, core.me_bit());
         }
         self.queue_decisions(core, ctx.now());
         self.try_execute(core, ctx);
@@ -1626,39 +1448,28 @@ impl ProtocolRules for MenciusRules {
         from: ActorId,
         snap: Snapshot,
     ) {
-        if snap.last_slot > self.exec_index {
-            ctx.charge(core.cfg.costs.snapshot_cost(snap.size_bytes()));
-            // The installed checkpoint is this replica's new recovery
-            // floor; the ack below attests to holding it, so the write
-            // is charged and the ack deferred behind its fsync.
-            core.durable_write(ctx, snap.size_bytes(), 1);
-            core.kv.restore(&snap.kv);
-            self.exec_index = snap.last_slot;
-            self.discard_through(core, snap.last_slot);
-            self.compacted_through = self.compacted_through.max(snap.last_slot);
+        let covered = snap.last_slot;
+        let unindex = unindex(&mut self.key_slots);
+        if let Some(discarded) = self.base.install(core, ctx, snap, unindex) {
+            // Mencius alone counts what an *install* drops as discarded
+            // (`PARITY_pr13.txt` row 18 pins the sum).
+            core.snap_stats.entries_discarded += discarded as u64;
+            self.lost_own = self.lost_own.split_off(&(covered.0 + 1));
             // The state covers every owner's slots from the first one.
             for o in 0..core.cfg.n as u32 {
-                self.note_known(core, NodeId(o), Slot(1), snap.last_slot.next());
+                self.note_known(core, NodeId(o), Slot(1), covered.next());
             }
-            let above = owned_at_or_after(core.cfg.id, snap.last_slot.next(), core.cfg.n);
+            let above = owned_at_or_after(core.cfg.id, covered.next(), core.cfg.n);
             if above > self.next_own {
                 self.next_own = above;
             }
             // Own in-flight slots inside the covered range were decided
             // without us (revoked to no-ops); their clients re-submit
             // and the restored sessions deduplicate.
-            self.await_respond.retain(|&s| s > snap.last_slot);
-            core.stable_snap = Some(snap.clone());
-            core.snap_stats.snapshots_installed += 1;
+            self.await_respond.retain(|&s| s > covered);
             self.try_execute(core, ctx);
         }
-        let ack = Msg::Engine(EngineMsg::SnapshotAck {
-            group: core.cfg.group_id(),
-            seal: Term::ZERO,
-            upto: self.exec_index,
-            header_bytes: core.snap_wire.1,
-        });
-        core.ack_after_sync(ctx, from, ack);
+        engine::ack_snapshot(core, ctx, from, Term::ZERO, self.base.exec_index);
     }
 
     fn on_snapshot_ack(
@@ -1675,7 +1486,7 @@ impl ProtocolRules for MenciusRules {
         // The peer executed through `upto`; that accounts for its own
         // slots only as far as this replica executed too (a peer that
         // was ahead answers with a prefix we have not seen).
-        self.note_known(core, peer, Slot(1), upto.min(self.exec_index).next());
+        self.note_known(core, peer, Slot(1), upto.min(self.base.exec_index).next());
     }
 
     fn on_crash(&mut self, core: &mut EngineCore) {
@@ -1695,26 +1506,13 @@ impl ProtocolRules for MenciusRules {
         // self-recovery (module docs). The ballot in `bal` is free
         // always-durable metadata — promises survive; only value
         // payloads rode the modeled disk.
-        if core.dur.enabled() {
-            let synced = core.dur.synced_seq();
-            let from = self.compacted_through.next();
-            for (s, slot) in self.slots.range_mut(from..) {
-                if slot.wseq > synced && slot.cmd.is_some() {
-                    let cmd = slot.cmd.take().expect("checked");
-                    self.slot_bytes -= cmd.size_bytes();
-                    slot.acks = 0;
-                    slot.wseq = 0;
-                    if slot.committed {
-                        slot.committed = false;
-                        self.committed_no_value.insert(s.0);
-                    } else if MenciusReplica::owner_of(s, core.cfg.n) == core.cfg.id
-                        && !slot.skipped
-                    {
-                        self.lost_own.insert(s.0);
-                    }
-                }
+        let from = self.base.floor().next();
+        for (s, committed) in self.base.crash(from, core.dur.synced_seq()) {
+            let skipped = self.base.cells.get(s).is_some_and(|x| x.skipped);
+            let mine = MenciusReplica::owner_of(s, core.cfg.n) == core.cfg.id;
+            if !committed && mine && !skipped {
+                self.lost_own.insert(s.0);
             }
-            self.pending_self.clear();
         }
         self.await_respond.clear();
         self.respond_seen = None;
@@ -1727,23 +1525,17 @@ impl ProtocolRules for MenciusRules {
         }
         self.beyond_gap.fill(None);
         self.revoke = None;
-        for e in &mut self.peer_exec {
-            *e = Slot::NONE;
-        }
-        for e in &mut self.peer_exec_prev {
-            *e = Slot::NONE;
-        }
         core.kv = crate::kv::KvStore::new();
-        self.exec_index = Slot::NONE;
+        self.base.exec_index = Slot::NONE;
         if let Some(snap) = &core.stable_snap {
             core.kv.restore(&snap.kv);
-            self.exec_index = snap.last_slot;
+            self.base.exec_index = snap.last_slot;
         }
         // The retained writes above the restored prefix run again, and
         // hold back their successors on the same key until they have.
-        let unexecuted = self.slots.range(self.exec_index.next()..);
+        let unexecuted = self.base.cells.range(self.base.exec_index.next()..);
         self.key_slots = unexecuted
-            .filter_map(|(s, slot)| Some((write_key(slot.cmd.as_ref()?)?, s.0)))
+            .filter_map(|(s, slot)| Some((write_key(slot.cmd()?)?, s.0)))
             .collect();
     }
 }
@@ -1751,6 +1543,7 @@ impl ProtocolRules for MenciusRules {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::EngineMsg;
     use crate::testutil::{drive_until, region_of, TestClient};
     use paxraft_sim::net::NetConfig;
     use paxraft_sim::sim::Simulation;
@@ -2076,7 +1869,7 @@ mod tests {
         sim.run_until(SimTime::from_millis(300));
         let rep = sim.actor::<MenciusReplica>(ActorId(0));
         assert!(
-            rep.rules.slots.get(Slot(5)).unwrap().cmd.is_some(),
+            rep.rules.base.cells.get(Slot(5)).unwrap().cmd().is_some(),
             "slot 5's value stored"
         );
         assert_eq!(rep.rules.known_upto[1], Slot(1), "the gap moved nothing");
@@ -2212,7 +2005,7 @@ mod tests {
         for &r in &replicas[1..] {
             let rep = sim.actor::<MenciusReplica>(r);
             assert!(
-                rep.rules.slots.get(Slot(1)).unwrap().cmd.is_some(),
+                rep.rules.base.cells.get(Slot(1)).unwrap().cmd().is_some(),
                 "value arrived"
             );
             assert_eq!(rep.decided_at(Slot(1)), None, "decision was lost");
@@ -2399,7 +2192,7 @@ mod tests {
         let rep = sim.actor::<MenciusReplica>(ActorId(0));
         assert_eq!(sim.actor::<TestClient>(client).replies.len(), 1);
         assert!(
-            rep.rules.slots.get(Slot(7)).unwrap().committed,
+            rep.rules.base.cells.get(Slot(7)).unwrap().committed,
             "the write to 105 is decided"
         );
         assert!(rep.rules.key_slots.contains(&(105, 5)));
@@ -2460,8 +2253,8 @@ mod tests {
         assert!(floor.last_slot < Slot(11));
         assert_eq!(rep.exec_index(), Slot(10));
         assert!(
-            rep.rules.slots.get(Slot(13)).unwrap().committed
-                && !rep.rules.slots.get(Slot(13)).unwrap().responded
+            rep.rules.base.cells.get(Slot(13)).unwrap().committed
+                && !rep.rules.base.cells.get(Slot(13)).unwrap().responded
         );
         sim.crash_at(ActorId(0), SimTime::from_millis(2000));
         sim.restart_at(ActorId(0), SimTime::from_millis(2100));
@@ -2471,7 +2264,7 @@ mod tests {
         let rep = sim.actor::<MenciusReplica>(ActorId(0));
         assert_eq!(rep.exec_index(), Slot(10), "restored and re-executed");
         assert!(
-            rep.rules.slots.get(Slot(16)).unwrap().committed,
+            rep.rules.base.cells.get(Slot(16)).unwrap().committed,
             "the retry is decided"
         );
         assert!(rep.rules.cover(&rep.core) >= Slot(16), "and covered");

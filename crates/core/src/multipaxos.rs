@@ -9,8 +9,12 @@
 //! execution still applies the log prefix in order.
 //!
 //! Batching, forwarding, client dedup and checkpoint transfer are
-//! engine-provided; this file holds only ballots, the instance store,
-//! phase-1 value adoption and the per-instance commit rule.
+//! engine-provided, and the instance table with its bookkeeping is the
+//! family's [`PaxosBase`], shared with Mencius. This file holds what makes
+//! it *single-leader* Paxos: ballots and phase 1 with its value adoption,
+//! the proposer's numbering and send cursors, the Accept rounds and the
+//! heartbeat's retransmission and replay, the execute loop (the proposer
+//! answers the client), and what a crash keeps.
 //!
 //! # Durability (group commit)
 //!
@@ -22,87 +26,50 @@
 //! proposer's *own* implicit acceptOK gets the same treatment — with
 //! durability on, a freshly proposed instance seeds an empty ack bitmap
 //! and the self-vote is added by the engine's `on_durable` hook only
-//! once the local write is fsynced ([`PaxosRules::pending_self`]).
+//! once the local write is fsynced ([`PaxosBase::note_proposed`]).
 //! Crash-restart drops accepted values whose write never synced
-//! ([`Instance::wseq`] beyond the durable watermark): unsynced and
-//! unacked they contributed to no quorum, so dropping them cannot lose
-//! chosen state — a *committed* instance that loses its value this way
-//! degrades to `committed_no_value` and is re-fetched. Ballot promises
+//! ([`PaxosBase::crash`]): unsynced and unacked they contributed
+//! to no quorum, so dropping them cannot lose chosen state — a
+//! *committed* instance that loses its value this way degrades to
+//! learnt-without-value and is re-fetched. Ballot promises
 //! are modeled like Raft terms: a tiny always-durable metadata write
 //! (ballots survive crashes), so `prepareOK` defers only behind
 //! outstanding *value* writes.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use paxraft_sim::sim::{ActorId, Ctx};
 
 use crate::config::ReplicaConfig;
-use crate::engine::{self, EngineCore, ProtocolRules, ReplicaEngine, SlotRing};
+use crate::engine::paxos_family::{merge_highest, Accepted, PaxosBase, Stored};
+use crate::engine::{self, EngineCore, ProtocolRules, ReplicaEngine};
 use crate::kv::Command;
-use crate::msg::{EngineMsg, Msg, PaxosMsg};
+use crate::msg::{Msg, PaxosMsg};
 use crate::snapshot::Snapshot;
-use crate::types::{quorum, NodeId, Slot, Term};
-
-/// One Paxos instance (Figure 1's `s.instances[i]`); the default is the
-/// empty instance, nothing accepted.
-#[derive(Debug, Clone, Default)]
-struct Instance {
-    /// Highest ballot this replica accepted the value at (`instance.bal`).
-    bal: Term,
-    /// The accepted value (`instance.val`).
-    cmd: Option<Command>,
-    /// Whether the value is known chosen.
-    committed: bool,
-    /// Leader-side acknowledgement bitmap for the current ballot.
-    acks: u64,
-    /// Durability: engine write sequence of the last value write (0 when
-    /// durability is disabled). A crash drops values whose write never
-    /// fsynced (`wseq` beyond the durable watermark).
-    wseq: u64,
-}
+use crate::types::{NodeId, Slot, Term};
 
 /// A MultiPaxos replica (proposer + acceptor + learner): the shared
 /// engine running [`PaxosRules`].
 pub type MultiPaxosReplica = ReplicaEngine<PaxosRules>;
 
-/// What MultiPaxos adds on top of the engine: ballots, the out-of-order
-/// instance store, and phase-1/phase-2 semantics.
+/// What MultiPaxos adds on top of the engine and the family base:
+/// ballots, phase 1, and the single proposer's numbering and cursors.
 pub struct PaxosRules {
     /// Highest ballot seen (`s.ballot`).
     ballot: Term,
     /// Figure 1's `phase1Succeeded`: this replica is the active proposer.
     phase1_succeeded: bool,
-    instances: SlotRing<Instance>,
-    /// Chosen-slot notifications that arrived before their Accept.
-    committed_no_value: BTreeSet<u64>,
+    /// The out-of-order instance store and its bookkeeping.
+    base: PaxosBase<()>,
     /// Leader's next unused instance id.
     next_slot: Slot,
     /// Phase-1 replies: voter → (accepted entries, log tail, checkpoint
     /// floor).
     prepare_acks: HashMap<NodeId, (Vec<(Slot, Term, Command)>, Slot, Slot)>,
-    /// All instances below this are applied.
-    exec_index: Slot,
-    /// Checkpoint floor: instances at or below it were discarded after
-    /// execution; their effects live in the state machine (and in
-    /// `stable_snap`).
-    compacted_through: Slot,
-    /// Retained instance payload bytes (compaction byte trigger).
-    instance_bytes: usize,
     /// Highest instance ever offered to each acceptor (send cursor):
     /// instances above it were cut into rounds this acceptor's full
     /// window made it skip, and are pumped to it as acks free slots.
     accept_cursor: Vec<Slot>,
-    /// Executed prefix each acceptor reported on its last AcceptOk.
-    acceptor_exec: Vec<Slot>,
-    /// `acceptor_exec` as of the previous heartbeat: a report that did
-    /// not move between heartbeats marks a *stalled* acceptor (gap in
-    /// its instances), as opposed to one merely trailing by a WAN
-    /// round-trip.
-    acceptor_exec_prev: Vec<Slot>,
-    /// Durability: proposals whose *own* acceptOK awaits the local
-    /// fsync, as (write seq, ballot, slots). Drained by `on_durable`;
-    /// empty when durability is disabled (the self-vote is immediate).
-    pending_self: Vec<(u64, Term, Vec<Slot>)>,
 }
 
 impl MultiPaxosReplica {
@@ -119,17 +86,10 @@ impl MultiPaxosReplica {
             PaxosRules {
                 ballot: Term::ZERO,
                 phase1_succeeded: false,
-                instances: SlotRing::new(),
-                committed_no_value: BTreeSet::new(),
+                base: PaxosBase::new(n),
                 next_slot: Slot(1),
                 prepare_acks: HashMap::new(),
-                exec_index: Slot::NONE,
-                compacted_through: Slot::NONE,
-                instance_bytes: 0,
                 accept_cursor: vec![Slot::NONE; n],
-                acceptor_exec: vec![Slot::NONE; n],
-                acceptor_exec_prev: vec![Slot::NONE; n],
-                pending_self: Vec::new(),
             },
         )
     }
@@ -141,14 +101,14 @@ impl MultiPaxosReplica {
 
     /// Applied prefix (for tests).
     pub fn exec_index(&self) -> Slot {
-        self.rules.exec_index
+        self.rules.base.exec_index
     }
 
     /// Chosen value at a slot, if committed (for agreement tests).
     pub fn committed_at(&self, slot: Slot) -> Option<&Command> {
-        let inst = self.rules.instances.get(slot)?;
+        let inst = self.rules.base.cells.get(slot)?;
         if inst.committed {
-            inst.cmd.as_ref()
+            inst.cmd()
         } else {
             None
         }
@@ -156,7 +116,7 @@ impl MultiPaxosReplica {
 
     /// Retained (uncompacted) instances.
     pub fn retained_instances(&self) -> usize {
-        self.rules.instances.len()
+        self.rules.base.cells.len()
     }
 }
 
@@ -217,10 +177,11 @@ impl PaxosRules {
             return;
         }
         let items: Vec<(Slot, Command)> = self
-            .instances
+            .base
+            .cells
             .range(self.accept_cursor[i].next()..)
             .filter(|(_, inst)| !inst.committed)
-            .filter_map(|(s, inst)| inst.cmd.clone().map(|c| (s, c)))
+            .filter_map(|(s, inst)| inst.cmd().cloned().map(|c| (s, c)))
             .take(64)
             .collect();
         match items.last() {
@@ -250,13 +211,13 @@ impl PaxosRules {
         self.phase1_succeeded = false;
         self.prepare_acks.clear();
         // Self-votes recorded under the old ballot no longer apply.
-        self.pending_self.clear();
+        self.base.forget_self_votes();
         let from_slot = self.first_unchosen();
         // Record our own accepted instances as an implicit Phase1b reply.
-        let mine = self.accepted_from(from_slot);
+        let mine = self.base.accepted(from_slot..).collect();
         let tail = self.log_tail();
         self.prepare_acks
-            .insert(core.cfg.id, (mine, tail, self.compacted_through));
+            .insert(core.cfg.id, (mine, tail, self.base.floor()));
         self.broadcast(
             core,
             ctx,
@@ -269,68 +230,39 @@ impl PaxosRules {
     }
 
     fn first_unchosen(&self) -> Slot {
-        let mut s = self.exec_index.next();
-        while self.instances.get(s).is_some_and(|i| i.committed) {
+        let mut s = self.base.exec_index.next();
+        while self.base.cells.get(s).is_some_and(|i| i.committed) {
             s = s.next();
         }
         s
     }
 
     fn log_tail(&self) -> Slot {
-        self.instances.last_slot().unwrap_or(Slot::NONE)
+        self.base.cells.last_slot().unwrap_or(Slot::NONE)
     }
 
-    fn accepted_from(&self, from: Slot) -> Vec<(Slot, Term, Command)> {
-        self.instances
-            .range(from..)
-            .filter_map(|(s, inst)| inst.cmd.clone().map(|c| (s, inst.bal, c)))
-            .collect()
-    }
-
-    /// Durability: charges the local disk write for freshly proposed
-    /// values, tags their instances with the write sequence, and queues
-    /// the proposer's *own* acceptOK for [`ProtocolRules::on_durable`].
-    /// With durability disabled this only no-ops through
-    /// [`EngineCore::durable_write`] (the self-vote was seeded
-    /// immediately, as before).
-    fn note_proposed_durable(
+    /// Figure 1 `Phase2a` on the proposer itself: writes a round of
+    /// values at its ballot. With durability on, its implicit acceptOK
+    /// counts only once the values are on disk (`on_durable` adds the bit
+    /// after the fsync); without it, the self-vote is immediate.
+    fn write_round(
         &mut self,
         core: &mut EngineCore,
         ctx: &mut Ctx<Msg>,
         items: &[(Slot, Command)],
     ) {
-        if items.is_empty() {
-            return;
+        let self_ack = if core.dur.enabled() { 0 } else { core.me_bit() };
+        for (slot, cmd) in items {
+            let cell = self.base.write(*slot, self.ballot, cmd.clone());
+            debug_assert_eq!(cell.bal, self.ballot, "no ballot exceeds the replica's");
+            cell.acks = self_ack;
         }
-        let bytes: usize = items.iter().map(|(_, c)| c.size_bytes()).sum();
-        core.durable_write(ctx, bytes, items.len());
-        if !core.dur.enabled() {
-            return;
-        }
-        let seq = core.dur.write_seq();
-        let slots: Vec<Slot> = items.iter().map(|(s, _)| *s).collect();
-        for s in &slots {
-            if let Some(inst) = self.instances.get_mut(*s) {
-                inst.wseq = seq;
-            }
-        }
-        self.pending_self.push((seq, self.ballot, slots));
+        self.base.note_proposed(core, ctx, self.ballot, items);
+        self.base.note_log_size(core);
     }
 
-    /// Learn tally for a set of slots that just gained an ack bit:
-    /// marks newly chosen instances, broadcasts the Learn, executes.
-    fn learn_tally(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, slots: &[Slot], bit: u64) {
-        let q = quorum(core.cfg.n);
-        let mut chosen = Vec::new();
-        for slot in slots {
-            if let Some(inst) = self.instances.get_mut(*slot) {
-                inst.acks |= bit;
-                if !inst.committed && inst.acks.count_ones() as usize >= q {
-                    inst.committed = true;
-                    chosen.push(*slot);
-                }
-            }
-        }
+    /// Broadcasts the Learn for newly chosen instances and executes.
+    fn learn_chosen(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, chosen: Vec<Slot>) {
         if !chosen.is_empty() {
             self.broadcast(core, ctx, PaxosMsg::Learn { slots: chosen });
             self.try_execute(core, ctx);
@@ -339,7 +271,7 @@ impl PaxosRules {
 
     /// Figure 1 `Phase1Succeed`: adopt safe values and go active.
     fn try_phase1_succeed(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
-        if self.phase1_succeeded || self.prepare_acks.len() < quorum(core.cfg.n) {
+        if self.phase1_succeeded || self.prepare_acks.len() < crate::types::quorum(core.cfg.n) {
             return;
         }
         // Never fill slots at or below a replying acceptor's checkpoint
@@ -362,51 +294,26 @@ impl PaxosRules {
             .max()
             .unwrap_or(Slot::NONE);
         // safeEntry: highest accepted ballot per instance; Noop for gaps.
-        let mut safe: BTreeMap<u64, (Term, Command)> = BTreeMap::new();
-        for (entries, _, _) in self.prepare_acks.values() {
-            for (slot, bal, cmd) in entries {
-                if slot.0 < start.0 {
-                    continue;
-                }
-                match safe.get(&slot.0) {
-                    Some((b, _)) if *b >= *bal => {}
-                    _ => {
-                        safe.insert(slot.0, (*bal, cmd.clone()));
-                    }
-                }
-            }
+        // (The replies are spent: none is read again after success.)
+        let mut safe = Accepted::new();
+        for (entries, _, _) in self.prepare_acks.values_mut() {
+            let entries = std::mem::take(entries).into_iter();
+            merge_highest(&mut safe, entries.filter(|(slot, ..)| *slot >= start));
         }
         let mut items = Vec::new();
         let mut s = start;
-        let me_bit = core.me_bit();
-        let gated = core.dur.enabled();
         while s <= end {
-            let inst = self.instances.get_or_default(s);
-            if !inst.committed {
-                let cmd = safe
-                    .get(&s.0)
-                    .map(|(_, c)| c.clone())
-                    .unwrap_or_else(Command::noop);
-                inst.bal = self.ballot;
-                let old = inst.cmd.replace(cmd.clone());
-                // Our own acceptOK counts only once the value is on
-                // disk; `on_durable` adds the bit after the fsync.
-                inst.acks = if gated { 0 } else { me_bit };
-                self.instance_bytes += cmd.size_bytes();
-                self.instance_bytes -= old.map_or(0, |c| c.size_bytes());
+            if !self.base.cells.get(s).is_some_and(|i| i.committed) {
+                let cmd = safe.remove(&s.0).map_or_else(Command::noop, |(_, c)| c);
                 items.push((s, cmd));
             }
             s = s.next();
         }
-        self.note_proposed_durable(core, ctx, &items);
-        core.snap_stats
-            .note_log_size(self.instances.len(), self.instance_bytes);
+        self.write_round(core, ctx, &items);
         self.phase1_succeeded = true;
         core.leader_hint = Some(core.cfg.id);
         core.pipe.reset();
-        for c in &mut self.accept_cursor {
-            *c = Slot::NONE;
-        }
+        self.accept_cursor.fill(Slot::NONE);
         self.next_slot = Slot(end.0.max(self.log_tail().0) + 1);
         self.send_accept_round(core, ctx, &items);
         core.arm_heartbeat(ctx);
@@ -418,61 +325,22 @@ impl PaxosRules {
     /// clients at apply time.
     fn try_execute(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
         loop {
-            let next = self.exec_index.next();
-            let Some(inst) = self.instances.get(next).filter(|inst| inst.committed) else {
+            let next = self.base.exec_index.next();
+            let Some(inst) = self.base.cells.get(next).filter(|i| i.committed) else {
                 break;
             };
-            let cmd = inst.cmd.as_ref().expect("committed instance has a value");
+            let cmd = inst.cmd().expect("committed instance has a value");
             ctx.charge(core.cfg.costs.apply_per_cmd);
             let reply = engine::apply_command(core, ctx, cmd, self.phase1_succeeded);
-            self.exec_index = next;
+            self.base.exec_index = next;
             if self.phase1_succeeded && cmd.id.client != u32::MAX {
                 core.respond(ctx, cmd.id, reply);
             }
         }
-        self.maybe_compact(core, ctx);
-    }
-
-    /// Discards the executed instance prefix once it crosses the
-    /// configured threshold, checkpointing the state machine first.
-    fn maybe_compact(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
-        if !core.cfg.snapshot.enabled() {
-            return;
+        if self.base.compaction_due(core) {
+            let executed = self.base.exec_index;
+            self.base.compact_through(core, ctx, executed, |_, _| {});
         }
-        let executed_retained = (self.exec_index.0 - self.compacted_through.0) as usize;
-        if !core
-            .cfg
-            .snapshot
-            .should_compact(executed_retained, self.instance_bytes)
-        {
-            return;
-        }
-        let snap = Snapshot {
-            last_slot: self.exec_index,
-            last_term: Term::ZERO,
-            kv: core.kv.snapshot(),
-        };
-        ctx.charge(core.cfg.costs.snapshot_cost(snap.size_bytes()));
-        // The checkpoint file replaces the discarded instances as their
-        // durable form; charge its write (modeled atomic, no ack waits
-        // on it — see `raft_family::RaftBase::maybe_compact`).
-        core.durable_write(ctx, snap.size_bytes(), 1);
-        let discarded = self.discard_through(self.exec_index);
-        self.compacted_through = self.exec_index;
-        core.stable_snap = Some(snap);
-        core.snap_stats.compactions += 1;
-        core.snap_stats.entries_discarded += discarded as u64;
-    }
-
-    /// Drops instance state at or below `upto` (executed, and now held
-    /// by a checkpoint), returning how many instances went.
-    fn discard_through(&mut self, upto: Slot) -> usize {
-        let bytes = &mut self.instance_bytes;
-        let discarded = self.instances.drop_through(upto, |_, inst| {
-            *bytes -= inst.cmd.as_ref().map_or(0, Command::size_bytes);
-        });
-        self.committed_no_value = self.committed_no_value.split_off(&(upto.0 + 1));
-        discarded
     }
 
     fn on_paxos(
@@ -497,22 +365,17 @@ impl PaxosRules {
                     // contents crash-stable.
                     let ok = Msg::Paxos(PaxosMsg::PrepareOk {
                         ballot,
-                        entries: self.accepted_from(from_slot),
+                        entries: self.base.accepted(from_slot..).collect(),
                         log_tail: self.log_tail(),
-                        floor: self.compacted_through,
+                        floor: self.base.floor(),
                     });
                     core.ack_after_sync(ctx, from, ok);
                     // The candidate asks for instances we checkpointed
                     // away: ship the checkpoint so it can execute the
                     // covered prefix it will never see as entries.
-                    if from_slot <= self.compacted_through {
-                        engine::ship_snapshot(
-                            core,
-                            ctx,
-                            core.cfg.node_of(from),
-                            (self.exec_index, Term::ZERO),
-                            self.ballot,
-                        );
+                    if from_slot <= self.base.floor() {
+                        let candidate = core.cfg.node_of(from);
+                        self.base.ship_checkpoint(core, ctx, candidate, self.ballot);
                     }
                 }
             }
@@ -552,23 +415,25 @@ impl PaxosRules {
                     let mut written = Vec::new();
                     let mut written_bytes = 0usize;
                     for (slot, cmd) in items {
-                        if slot <= self.compacted_through {
+                        let size = cmd.size_bytes();
+                        match self.base.store(slot, ballot, cmd) {
                             // Checkpointed away: the instance is chosen
                             // and executed here; a proposer asking about
                             // it is behind our floor.
-                            below_floor = true;
-                            continue;
-                        }
-                        let inst = self.instances.get_or_default(slot);
-                        if !inst.committed {
-                            inst.bal = ballot;
-                            written_bytes += cmd.size_bytes();
-                            written.push(slot);
-                            self.instance_bytes += cmd.size_bytes();
-                            self.instance_bytes -=
-                                inst.cmd.replace(cmd).map_or(0, |c| c.size_bytes());
-                            if self.committed_no_value.remove(&slot.0) {
-                                inst.committed = true;
+                            Stored::BelowFloor => {
+                                below_floor = true;
+                                continue;
+                            }
+                            Stored::Kept => {}
+                            Stored::Written(_) => {
+                                // No cell's ballot exceeds the replica's.
+                                debug_assert!(self
+                                    .base
+                                    .cells
+                                    .get(slot)
+                                    .is_some_and(|i| i.bal == ballot));
+                                written_bytes += size;
+                                written.push(slot);
                             }
                         }
                         slots.push(slot);
@@ -576,19 +441,8 @@ impl PaxosRules {
                     // The freshly accepted values are one disk write;
                     // tag their instances so a crash before the
                     // covering fsync drops exactly them.
-                    if !written.is_empty() {
-                        core.durable_write(ctx, written_bytes, written.len());
-                        if core.dur.enabled() {
-                            let seq = core.dur.write_seq();
-                            for s in &written {
-                                if let Some(inst) = self.instances.get_mut(*s) {
-                                    inst.wseq = seq;
-                                }
-                            }
-                        }
-                    }
-                    core.snap_stats
-                        .note_log_size(self.instances.len(), self.instance_bytes);
+                    self.base.note_written(core, ctx, &written, written_bytes);
+                    self.base.note_log_size(core);
                     self.arm_election(core, ctx); // accepts double as heartbeats
                                                   // Phase2b promises the accepted values survive a
                                                   // crash: the acceptOK leaves only after the fsync
@@ -596,17 +450,12 @@ impl PaxosRules {
                     let ok = Msg::Paxos(PaxosMsg::AcceptOk {
                         ballot,
                         slots,
-                        exec: self.exec_index,
+                        exec: self.base.exec_index,
                     });
                     core.ack_after_sync(ctx, from, ok);
                     if below_floor {
-                        engine::ship_snapshot(
-                            core,
-                            ctx,
-                            core.cfg.node_of(from),
-                            (self.exec_index, Term::ZERO),
-                            self.ballot,
-                        );
+                        let proposer = core.cfg.node_of(from);
+                        self.base.ship_checkpoint(core, ctx, proposer, self.ballot);
                     }
                     self.try_execute(core, ctx);
                 }
@@ -618,27 +467,15 @@ impl PaxosRules {
             } => {
                 // Figure 1 Learn.
                 let node = core.cfg.node_of(from);
-                if exec > self.acceptor_exec[node.0 as usize] {
-                    self.acceptor_exec[node.0 as usize] = exec;
-                }
+                self.base.note_peer_exec(node, exec);
                 if let Some(&upto) = slots.iter().max() {
                     core.pipe.on_ack(node, upto);
                 }
                 if ballot == self.ballot && self.phase1_succeeded {
                     ctx.charge(core.cfg.costs.ack_process);
-                    let bit = 1u64 << node.0;
                     let mut chosen = Vec::new();
-                    for slot in slots {
-                        if let Some(inst) = self.instances.get_mut(slot) {
-                            inst.acks |= bit;
-                            if !inst.committed
-                                && inst.acks.count_ones() as usize >= quorum(core.cfg.n)
-                            {
-                                inst.committed = true;
-                                chosen.push(slot);
-                            }
-                        }
-                    }
+                    self.base
+                        .tally(&slots, 1u64 << node.0, |_| true, &mut chosen);
                     // An acceptor's executed prefix is chosen globally.
                     // Instances we proposed at our own ballot (i.e.
                     // after a successful phase 1) need no quorum count
@@ -651,33 +488,20 @@ impl PaxosRules {
                     // uncommitted at or below our own `exec_index`. An
                     // ack whose `exec` trails it (the common case) has
                     // nothing to teach: its range is empty.
-                    let ahead = self.exec_index.next()..=exec;
-                    for (s, inst) in self.instances.range_mut(ahead) {
-                        if !inst.committed && inst.cmd.is_some() && inst.bal == self.ballot {
+                    let ahead = self.base.exec_index.next()..=exec;
+                    for (s, inst) in self.base.cells.range_mut(ahead) {
+                        if !inst.committed && inst.cmd().is_some() && inst.bal == self.ballot {
                             inst.committed = true;
                             chosen.push(s);
                         }
                     }
-                    if !chosen.is_empty() {
-                        self.broadcast(core, ctx, PaxosMsg::Learn { slots: chosen });
-                        self.try_execute(core, ctx);
-                    }
+                    self.learn_chosen(core, ctx, chosen);
                     // The freed window slot may have a backlog waiting.
                     self.pump_accepts(core, ctx, node);
                 }
             }
             PaxosMsg::Learn { slots } => {
-                for slot in slots {
-                    if slot <= self.compacted_through {
-                        continue; // already executed and checkpointed
-                    }
-                    match self.instances.get_mut(slot) {
-                        Some(inst) if inst.cmd.is_some() => inst.committed = true,
-                        _ => {
-                            self.committed_no_value.insert(slot.0);
-                        }
-                    }
-                }
+                self.base.learn(slots);
                 self.try_execute(core, ctx);
             }
         }
@@ -694,15 +518,18 @@ impl PaxosRules {
         // retransmission below re-covers their instances, so the window
         // must not stay pinned by them.
         core.pipe.expire_stale(ctx.now(), core.cfg.retry_interval);
+        let exec_index = self.base.exec_index;
         let retransmit: Vec<(Slot, Command)> = self
-            .instances
-            .range(self.exec_index.next()..)
+            .base
+            .cells
+            .range(exec_index.next()..)
             .filter(|(_, i)| !i.committed)
-            .filter_map(|(s, i)| i.cmd.clone().map(|c| (s, c)))
+            .filter_map(|(s, i)| i.cmd().cloned().map(|c| (s, c)))
             .collect();
         let committed: Vec<Slot> = self
-            .instances
-            .range(Slot(self.exec_index.0.saturating_sub(64))..)
+            .base
+            .cells
+            .range(Slot(exec_index.0.saturating_sub(64))..)
             .filter(|(_, i)| i.committed)
             .map(|(s, _)| s)
             .collect();
@@ -721,31 +548,20 @@ impl PaxosRules {
         if !committed.is_empty() {
             self.broadcast(core, ctx, PaxosMsg::Learn { slots: committed });
         }
-        // Per-acceptor catch-up, 64 instances per round to bound the
-        // burst. An acceptor behind the checkpoint floor can only be
-        // caught up by state transfer — the instances are gone. A
-        // healthy acceptor's report always trails by a WAN round-trip,
-        // so replay targets only *stalled* reports: ones that did not
-        // advance between two consecutive heartbeats.
+        // Per-acceptor catch-up of *stalled* acceptors (behind the floor
+        // by checkpoint), 64 instances per round to bound the burst.
         let peers: Vec<NodeId> = core.cfg.others().collect();
         for peer in peers {
-            let i = peer.0 as usize;
-            let fexec = self.acceptor_exec[i];
-            let stalled = fexec == self.acceptor_exec_prev[i];
-            self.acceptor_exec_prev[i] = fexec;
-            if fexec >= self.exec_index || !stalled {
+            let Some(from) = self.base.stalled_peer(core, ctx, peer, self.ballot) else {
                 continue;
-            }
-            if fexec < self.compacted_through {
-                engine::ship_snapshot(core, ctx, peer, (self.exec_index, Term::ZERO), self.ballot);
-                continue;
-            }
+            };
             let replay: Vec<(Slot, Command)> = self
-                .instances
-                .range(fexec.next()..)
+                .base
+                .cells
+                .range(from..)
                 .take(64)
                 .filter(|(_, i)| i.committed)
-                .filter_map(|(s, i)| i.cmd.clone().map(|c| (s, c)))
+                .filter_map(|(s, i)| i.cmd().cloned().map(|c| (s, c)))
                 .collect();
             if replay.is_empty() {
                 continue;
@@ -771,35 +587,19 @@ impl ProtocolRules for PaxosRules {
     }
 
     fn applied_index(&self, _core: &EngineCore) -> Slot {
-        self.exec_index
+        self.base.exec_index
     }
 
     /// Figure 1 `Phase2a`, batched.
     fn propose(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, cmds: Vec<Command>) {
         let mut items = Vec::with_capacity(cmds.len());
-        // With durability on, the proposer's implicit acceptOK waits for
-        // its own fsync (`on_durable` adds the bit); without it, the
-        // self-vote is immediate, as before.
-        let self_ack = if core.dur.enabled() { 0 } else { core.me_bit() };
         for cmd in cmds {
-            let slot = self.next_slot;
+            // Fresh: past everything a quorum reported to phase 1.
+            debug_assert!(self.base.cells.get(self.next_slot).is_none());
+            items.push((self.next_slot, cmd));
             self.next_slot = self.next_slot.next();
-            self.instance_bytes += cmd.size_bytes();
-            self.instances.insert(
-                slot,
-                Instance {
-                    bal: self.ballot,
-                    cmd: Some(cmd.clone()),
-                    committed: false,
-                    acks: self_ack,
-                    wseq: 0,
-                },
-            );
-            items.push((slot, cmd));
         }
-        self.note_proposed_durable(core, ctx, &items);
-        core.snap_stats
-            .note_log_size(self.instances.len(), self.instance_bytes);
+        self.write_round(core, ctx, &items);
         self.send_accept_round(core, ctx, &items);
     }
 
@@ -846,35 +646,19 @@ impl ProtocolRules for PaxosRules {
         from: ActorId,
         snap: Snapshot,
     ) {
-        if snap.last_slot > self.exec_index {
-            ctx.charge(core.cfg.costs.snapshot_cost(snap.size_bytes()));
-            // The installed checkpoint is this replica's new recovery
-            // floor; the ack below attests to holding it, so the write
-            // is charged and the ack deferred behind its fsync.
-            core.durable_write(ctx, snap.size_bytes(), 1);
-            core.kv.restore(&snap.kv);
-            self.exec_index = snap.last_slot;
-            self.discard_through(snap.last_slot);
-            self.compacted_through = self.compacted_through.max(snap.last_slot);
-            if self.next_slot <= snap.last_slot {
-                self.next_slot = snap.last_slot.next();
+        let covered = snap.last_slot;
+        if self.base.install(core, ctx, snap, |_, _| {}).is_some() {
+            if self.next_slot <= covered {
+                self.next_slot = covered.next();
             }
             // A mid-campaign phase-1 picture is stale now; the armed
             // election timer retries with a fresh ballot.
             if !self.phase1_succeeded {
                 self.prepare_acks.clear();
             }
-            core.stable_snap = Some(snap.clone());
-            core.snap_stats.snapshots_installed += 1;
             self.try_execute(core, ctx);
         }
-        let ack = Msg::Engine(EngineMsg::SnapshotAck {
-            group: core.cfg.group_id(),
-            seal: self.ballot,
-            upto: self.exec_index,
-            header_bytes: core.snap_wire.1,
-        });
-        core.ack_after_sync(ctx, from, ack);
+        engine::ack_snapshot(core, ctx, from, self.ballot, self.base.exec_index);
     }
 
     fn on_snapshot_ack(
@@ -887,35 +671,27 @@ impl ProtocolRules for PaxosRules {
     ) {
         let node = core.cfg.node_of(from);
         core.snap_send.finish(node.0 as usize);
-        if upto > self.acceptor_exec[node.0 as usize] {
-            self.acceptor_exec[node.0 as usize] = upto;
-        }
+        self.base.note_peer_exec(node, upto);
     }
 
     fn on_durable(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
         // An fsync landed: the proposer's own accepted values up to the
         // durable watermark now count toward their quorums.
-        if !self.phase1_succeeded || self.pending_self.is_empty() {
+        if !self.phase1_succeeded {
             return;
         }
-        let synced = core.dur.synced_seq();
-        let me = core.me_bit();
-        let ballot = self.ballot;
         let mut ready: Vec<Slot> = Vec::new();
-        self.pending_self.retain(|(seq, bal, slots)| {
-            if *seq > synced {
-                return true;
-            }
+        for (bal, slots) in self.base.drain_synced_votes(core.dur.synced_seq()) {
             // Recorded under a superseded ballot: the vote no longer
             // applies (the bitmap was reseeded at the new ballot).
-            if *bal == ballot {
-                ready.extend_from_slice(slots);
+            if bal == self.ballot {
+                ready.extend(slots);
             }
-            false
-        });
-        if !ready.is_empty() {
-            self.learn_tally(core, ctx, &ready, me);
         }
+        let mut chosen = Vec::new();
+        self.base
+            .tally(&ready, core.me_bit(), |_| true, &mut chosen);
+        self.learn_chosen(core, ctx, chosen);
     }
 
     fn on_crash(&mut self, core: &mut EngineCore) {
@@ -923,53 +699,22 @@ impl ProtocolRules for PaxosRules {
         // accepted values, commit flags, the executed state and the
         // checkpoint persist; volatile leadership does not. With
         // durability enabled, accepted values whose write never fsynced
-        // are gone: their acceptOK (and the proposer's own pending
-        // self-vote) was withheld by the ack-after-fsync invariant, so
-        // they contributed to no quorum and dropping them cannot lose
-        // chosen state. A committed instance losing its value this way
-        // degrades to `committed_no_value` and is re-fetched from the
-        // proposer's retransmission or a checkpoint.
-        if core.dur.enabled() {
-            let synced = core.dur.synced_seq();
-            let from = self.exec_index.next();
-            let mut dropped = Vec::new();
-            for (s, inst) in self.instances.range_mut(from..) {
-                if inst.wseq > synced && inst.cmd.is_some() {
-                    self.instance_bytes -= inst.cmd.take().map_or(0, |c| c.size_bytes());
-                    inst.bal = Term::ZERO;
-                    inst.acks = 0;
-                    inst.wseq = 0;
-                    if inst.committed {
-                        inst.committed = false;
-                        self.committed_no_value.insert(s.0);
-                    }
-                    dropped.push(s);
-                }
+        // are gone ([`PaxosBase::crash`]); what a committed instance lost
+        // is re-fetched from the proposer's retransmission or a
+        // checkpoint. An instance that lost its value accepted nothing,
+        // so its ballot goes with it, and a fully empty uncommitted one
+        // needs no placeholder.
+        let from = self.base.exec_index.next();
+        for (s, committed) in self.base.crash(from, core.dur.synced_seq()) {
+            if committed {
+                self.base.cells.get_mut(s).expect("kept").bal = Term::ZERO;
+            } else {
+                self.base.cells.remove(s);
             }
-            // Fully empty uncommitted instances need no placeholder.
-            for s in dropped {
-                if self
-                    .instances
-                    .get(s)
-                    .is_some_and(|i| !i.committed && i.cmd.is_none())
-                    && !self.committed_no_value.contains(&s.0)
-                {
-                    self.instances.remove(s);
-                }
-            }
-            self.pending_self.clear();
         }
         self.phase1_succeeded = false;
         self.prepare_acks.clear();
-        for c in &mut self.accept_cursor {
-            *c = Slot::NONE;
-        }
-        for e in &mut self.acceptor_exec {
-            *e = Slot::NONE;
-        }
-        for e in &mut self.acceptor_exec_prev {
-            *e = Slot::NONE;
-        }
+        self.accept_cursor.fill(Slot::NONE);
     }
 }
 
@@ -1075,7 +820,8 @@ mod tests {
         let inst = sim
             .actor::<MultiPaxosReplica>(proposer)
             .rules
-            .instances
+            .base
+            .cells
             .get(Slot(1))
             .unwrap();
         assert!(inst.committed);

@@ -40,15 +40,13 @@ use crate::types::{Slot, Term};
 
 /// When and how replicas compact their logs and ship snapshots.
 ///
-/// The default is **disabled** (both thresholds `usize::MAX`): logs grow
+/// The default is **disabled** (threshold `usize::MAX`): logs grow
 /// unboundedly, matching the pre-snapshot behaviour, so existing
 /// workloads and tests are unaffected unless they opt in.
 #[derive(Debug, Clone)]
 pub struct SnapshotConfig {
     /// Compact once this many applied entries are retained in the log.
     pub threshold_entries: usize,
-    /// ... or once the retained applied prefix exceeds this many bytes.
-    pub threshold_bytes: usize,
     /// Wire chunk size for snapshot transfer.
     pub chunk_bytes: usize,
 }
@@ -57,7 +55,6 @@ impl Default for SnapshotConfig {
     fn default() -> Self {
         SnapshotConfig {
             threshold_entries: usize::MAX,
-            threshold_bytes: usize::MAX,
             chunk_bytes: 256 * 1024,
         }
     }
@@ -69,7 +66,7 @@ impl SnapshotConfig {
         SnapshotConfig::default()
     }
 
-    /// Compact every `entries` applied entries (byte threshold unset).
+    /// Compact every `entries` applied entries.
     pub fn every(entries: usize) -> Self {
         SnapshotConfig {
             threshold_entries: entries,
@@ -77,15 +74,15 @@ impl SnapshotConfig {
         }
     }
 
-    /// Whether any compaction trigger is set.
+    /// Whether the compaction trigger is set.
     pub fn enabled(&self) -> bool {
-        self.threshold_entries != usize::MAX || self.threshold_bytes != usize::MAX
+        self.threshold_entries != usize::MAX
     }
 
-    /// Whether an applied prefix of `entries` entries / `bytes` bytes
-    /// should be compacted now.
-    pub fn should_compact(&self, entries: usize, bytes: usize) -> bool {
-        entries >= self.threshold_entries || bytes >= self.threshold_bytes
+    /// Whether an applied prefix of `entries` retained entries should be
+    /// compacted now.
+    pub fn should_compact(&self, entries: usize) -> bool {
+        entries >= self.threshold_entries
     }
 }
 
@@ -555,16 +552,8 @@ mod tests {
         assert!(!SnapshotConfig::disabled().enabled());
         let c = SnapshotConfig::every(64);
         assert!(c.enabled());
-        assert!(!c.should_compact(63, 0));
-        assert!(c.should_compact(64, 0));
-        let b = SnapshotConfig {
-            threshold_bytes: 1024,
-            threshold_entries: usize::MAX,
-            ..SnapshotConfig::default()
-        };
-        assert!(b.enabled());
-        assert!(b.should_compact(1, 2048));
-        assert!(!b.should_compact(1, 512));
+        assert!(!c.should_compact(63));
+        assert!(c.should_compact(64));
     }
 
     #[test]

@@ -271,7 +271,6 @@ fn multi_chunk_snapshot_transfer_converges() {
         let cfg = SnapshotConfig {
             threshold_entries: 32,
             chunk_bytes: 4096,
-            ..SnapshotConfig::default()
         };
         let (stats, cluster, applied, max_applied) = snapshot_catchup_with(p, 101, 2048, cfg);
         assert!(
