@@ -1245,156 +1245,218 @@ fn conformance_durability() -> DurabilityConfig {
 #[test]
 fn crash_with_unsynced_suffix_recovers_to_fsynced_prefix() {
     fn scenario<P: ProtocolRules>(name: &str, make: fn(ReplicaConfig) -> ReplicaEngine<P>) {
-        let (mut sim, replicas, client) = conformance_cluster(3, None, move |mut cfg| {
-            cfg.durability = conformance_durability();
-            make(cfg)
-        });
-        // Warm-up write; its reply is an end-to-end ack, which under
-        // group commit implies the entry is fsynced on a quorum.
-        sim.actor_mut::<TestClient>(client).enqueue_put(1);
-        assert!(
-            drive_until(&mut sim, SimTime::from_secs(5), |sim| {
-                sim.actor::<TestClient>(client).replies.len() == 1
-            }),
-            "{name}: acked warm-up write"
+        unsynced_suffix_crash(name, make, conformance_durability(), false);
+    }
+    for_all_protocols!(scenario);
+}
+
+/// The same crash under per-entry fsync, aimed *inside* a multi-entry
+/// write: a write of k entries is k serial barriers reported by one
+/// completion, and the crash lands after the device has passed a few of
+/// them. What recovers is the whole write or nothing — here nothing: the
+/// durable watermark is where it stood when the write began.
+#[test]
+fn crash_inside_a_per_entry_write_recovers_to_the_write_before_it() {
+    fn scenario<P: ProtocolRules>(name: &str, make: fn(ReplicaConfig) -> ReplicaEngine<P>) {
+        let per_entry = DurabilityConfig::per_entry(SimDuration::from_millis(1));
+        unsynced_suffix_crash(name, make, per_entry, true);
+    }
+    for_all_protocols!(scenario);
+}
+
+/// Barriers `r`'s device has finished without the replica having heard:
+/// what it wrote and has not seen synced, less what the device still has
+/// queued. A write reported barrier by barrier never has more than the
+/// one in service; a write reported once accumulates them until its last.
+fn unreported_barriers<P: ProtocolRules>(sim: &Simulation<Msg>, r: ActorId) -> u64 {
+    let core = &sim.actor::<ReplicaEngine<P>>(r).core;
+    let latency = core.cfg.durability.fsync_latency.as_nanos();
+    let queued = sim.disk_backlog_at(r).as_nanos().div_ceil(latency);
+    (core.dur.write_seq() - core.dur.synced_seq()).saturating_sub(queued)
+}
+
+/// The body of the two rows above. With `inside_a_write` the crash waits
+/// until the device is three barriers into a write it has not reported.
+fn unsynced_suffix_crash<P: ProtocolRules>(
+    name: &str,
+    make: fn(ReplicaConfig) -> ReplicaEngine<P>,
+    durability: DurabilityConfig,
+    inside_a_write: bool,
+) {
+    let disk = durability.disk_config();
+    let (mut sim, replicas, client) = conformance_cluster(3, None, move |mut cfg| {
+        cfg.durability = durability.clone();
+        make(cfg)
+    });
+    sim.set_disk_config(disk);
+    // Warm-up write; its reply is an end-to-end ack, which under
+    // group commit implies the entry is fsynced on a quorum.
+    sim.actor_mut::<TestClient>(client).enqueue_put(1);
+    assert!(
+        drive_until(&mut sim, SimTime::from_secs(5), |sim| {
+            sim.actor::<TestClient>(client).replies.len() == 1
+        }),
+        "{name}: acked warm-up write"
+    );
+    // Inject a full batch at the serving replica — batch-full cuts
+    // flush immediately, so the entries are appended and their
+    // durability write issued right away — then crash it well inside
+    // the 1 ms fsync window, while the suffix is still unsynced.
+    let sink = sim.add_actor(
+        paxraft_sim::net::Region::Oregon,
+        Box::new(TestClient::new(1, replicas[0])),
+    );
+    let sink_client = (sink.0 - replicas.len()) as u32;
+    let batch_max = sim
+        .actor::<ReplicaEngine<P>>(replicas[0])
+        .core
+        .cfg
+        .batch_max;
+    for seq in 1..=batch_max as u64 {
+        let cmd = crate::kv::Command::put(
+            crate::kv::CmdId {
+                client: sink_client,
+                seq,
+            },
+            100 + seq,
+            vec![0; 8],
         );
-        // Inject a full batch at the serving replica — batch-full cuts
-        // flush immediately, so the entries are appended and their
-        // durability write issued right away — then crash it well inside
-        // the 1 ms fsync window, while the suffix is still unsynced.
-        let sink = sim.add_actor(
-            paxraft_sim::net::Region::Oregon,
-            Box::new(TestClient::new(1, replicas[0])),
-        );
-        let sink_client = (sink.0 - replicas.len()) as u32;
-        let batch_max = sim
-            .actor::<ReplicaEngine<P>>(replicas[0])
-            .core
-            .cfg
-            .batch_max;
-        for seq in 1..=batch_max as u64 {
-            let cmd = crate::kv::Command::put(
-                crate::kv::CmdId {
-                    client: sink_client,
-                    seq,
-                },
-                100 + seq,
-                vec![0; 8],
-            );
-            sim.send_external(
-                replicas[0],
-                Msg::Client(ClientMsg::Request { cmd }),
-                SimDuration::ZERO,
-            );
-        }
-        sim.run_for(SimDuration::from_micros(100));
-        {
-            let dur = &sim.actor::<ReplicaEngine<P>>(replicas[0]).core.dur;
-            assert!(
-                dur.write_seq() > dur.synced_seq(),
-                "{name}: crash is aimed at a genuinely unsynced suffix \
-                 (write_seq {} vs synced_seq {})",
-                dur.write_seq(),
-                dur.synced_seq()
-            );
-        }
-        sim.crash_at(replicas[0], sim.now() + SimDuration::from_micros(10));
-        sim.restart_at(replicas[0], sim.now() + SimDuration::from_millis(50));
-        sim.run_for(SimDuration::from_millis(100));
-        {
-            let dur = &sim.actor::<ReplicaEngine<P>>(replicas[0]).core.dur;
-            assert_eq!(
-                dur.write_seq(),
-                dur.synced_seq(),
-                "{name}: restart rewound the write sequence to the fsynced prefix"
-            );
-            assert_ballot_mark_in_log(name, sim.actor::<ReplicaEngine<P>>(replicas[0]));
-        }
-        // Fail over and finish: new work commits, and the acked warm-up
-        // write is still readable.
-        sim.actor_mut::<TestClient>(client).target = replicas[1];
-        sim.actor_mut::<TestClient>(client).enqueue_put(2);
-        sim.actor_mut::<TestClient>(client).enqueue_get(2);
-        sim.actor_mut::<TestClient>(client).enqueue_get(1);
-        assert!(
-            drive_until(&mut sim, SimTime::from_secs(60), |sim| {
-                sim.actor::<TestClient>(client).replies.len() == 4
-            }),
-            "{name}: survivor served the remaining ops"
-        );
-        let c = sim.actor::<TestClient>(client);
-        assert!(
-            c.replies[2].1.value_id().is_some(),
-            "{name}: post-crash write committed"
-        );
-        assert!(
-            c.replies[3].1.value_id().is_some(),
-            "{name}: acked pre-crash write survived the unsynced-suffix crash"
-        );
-        // Dedup across the crash: resend the warm-up command; the
-        // session table must answer from cache, not re-apply.
-        sim.run_for(SimDuration::from_secs(1));
-        let before = sim
-            .actor::<ReplicaEngine<P>>(replicas[1])
-            .kv()
-            .applied_ops();
-        let cmd = sim.actor::<TestClient>(client).sent[0].clone();
         sim.send_external(
-            replicas[1],
+            replicas[0],
             Msg::Client(ClientMsg::Request { cmd }),
             SimDuration::ZERO,
         );
-        sim.run_for(SimDuration::from_secs(2));
-        assert_eq!(
-            sim.actor::<ReplicaEngine<P>>(replicas[1])
-                .kv()
-                .applied_ops(),
-            before,
-            "{name}: duplicate of an acked pre-crash write did not re-apply"
-        );
-        // Reconvergence: the restarted replica catches back up and every
-        // replica agrees on the acked keys.
-        let converge_by = sim.now() + SimDuration::from_secs(60);
+    }
+    sim.run_for(SimDuration::from_micros(100));
+    {
+        let dur = &sim.actor::<ReplicaEngine<P>>(replicas[0]).core.dur;
         assert!(
-            drive_until(&mut sim, converge_by, |sim| {
-                let lead = sim
-                    .actor::<ReplicaEngine<P>>(replicas[1])
-                    .kv()
-                    .applied_ops();
-                replicas
-                    .iter()
-                    .all(|&r| sim.actor::<ReplicaEngine<P>>(r).kv().applied_ops() == lead)
-            }),
-            "{name}: restarted replica reconverged"
-        );
-        with_trace_dump(&mut sim, |sim| {
-            for &r in &replicas {
-                let rep = sim.actor::<ReplicaEngine<P>>(r);
-                assert_ballot_mark_in_log(name, rep);
-                for k in [1u64, 2] {
-                    assert_eq!(
-                        rep.kv().read_local(k).value_id(),
-                        sim.actor::<ReplicaEngine<P>>(replicas[1])
-                            .kv()
-                            .read_local(k)
-                            .value_id(),
-                        "{name}: replica {r:?} agrees at key {k}"
-                    );
-                }
-            }
-        });
-        // The scenario actually exercised the disk: survivors fsynced
-        // and deferred acks behind those fsyncs.
-        let stats = sim
-            .actor::<ReplicaEngine<P>>(replicas[1])
-            .durability_stats();
-        assert!(stats.fsyncs > 0, "{name}: survivor fsynced ({stats:?})");
-        assert!(
-            stats.deferred_acks > 0,
-            "{name}: acks were deferred behind fsyncs ({stats:?})"
+            dur.write_seq() > dur.synced_seq(),
+            "{name}: crash is aimed at a genuinely unsynced suffix \
+                 (write_seq {} vs synced_seq {})",
+            dur.write_seq(),
+            dur.synced_seq()
         );
     }
-    for_all_protocols!(scenario);
+    if inside_a_write {
+        let by = sim.now() + SimDuration::from_millis(batch_max as u64);
+        let step = SimDuration::from_micros(250);
+        while unreported_barriers::<P>(&sim, replicas[0]) < 3 {
+            assert!(sim.now() < by, "{name}: the batch held a multi-entry write");
+            sim.run_for(step);
+        }
+        assert!(
+            sim.disk_backlog_at(replicas[0]) > step,
+            "{name}: the write still has barriers to go"
+        );
+    }
+    let synced_at_crash = sim
+        .actor::<ReplicaEngine<P>>(replicas[0])
+        .core
+        .dur
+        .synced_seq();
+    sim.crash_at(replicas[0], sim.now() + SimDuration::from_micros(10));
+    sim.restart_at(replicas[0], sim.now() + SimDuration::from_millis(50));
+    sim.run_for(SimDuration::from_millis(100));
+    {
+        let dur = &sim.actor::<ReplicaEngine<P>>(replicas[0]).core.dur;
+        assert_eq!(
+            dur.write_seq(),
+            dur.synced_seq(),
+            "{name}: restart rewound the write sequence to the fsynced prefix"
+        );
+        if inside_a_write {
+            assert_eq!(
+                dur.synced_seq(),
+                synced_at_crash,
+                "{name}: the interrupted write left nothing behind"
+            );
+        }
+        assert_ballot_mark_in_log(name, sim.actor::<ReplicaEngine<P>>(replicas[0]));
+    }
+    // Fail over and finish: new work commits, and the acked warm-up
+    // write is still readable.
+    sim.actor_mut::<TestClient>(client).target = replicas[1];
+    sim.actor_mut::<TestClient>(client).enqueue_put(2);
+    sim.actor_mut::<TestClient>(client).enqueue_get(2);
+    sim.actor_mut::<TestClient>(client).enqueue_get(1);
+    assert!(
+        drive_until(&mut sim, SimTime::from_secs(60), |sim| {
+            sim.actor::<TestClient>(client).replies.len() == 4
+        }),
+        "{name}: survivor served the remaining ops"
+    );
+    let c = sim.actor::<TestClient>(client);
+    assert!(
+        c.replies[2].1.value_id().is_some(),
+        "{name}: post-crash write committed"
+    );
+    assert!(
+        c.replies[3].1.value_id().is_some(),
+        "{name}: acked pre-crash write survived the unsynced-suffix crash"
+    );
+    // Dedup across the crash: resend the warm-up command; the
+    // session table must answer from cache, not re-apply.
+    sim.run_for(SimDuration::from_secs(1));
+    let before = sim
+        .actor::<ReplicaEngine<P>>(replicas[1])
+        .kv()
+        .applied_ops();
+    let cmd = sim.actor::<TestClient>(client).sent[0].clone();
+    sim.send_external(
+        replicas[1],
+        Msg::Client(ClientMsg::Request { cmd }),
+        SimDuration::ZERO,
+    );
+    sim.run_for(SimDuration::from_secs(2));
+    assert_eq!(
+        sim.actor::<ReplicaEngine<P>>(replicas[1])
+            .kv()
+            .applied_ops(),
+        before,
+        "{name}: duplicate of an acked pre-crash write did not re-apply"
+    );
+    // Reconvergence: the restarted replica catches back up and every
+    // replica agrees on the acked keys.
+    let converge_by = sim.now() + SimDuration::from_secs(60);
+    assert!(
+        drive_until(&mut sim, converge_by, |sim| {
+            let lead = sim
+                .actor::<ReplicaEngine<P>>(replicas[1])
+                .kv()
+                .applied_ops();
+            replicas
+                .iter()
+                .all(|&r| sim.actor::<ReplicaEngine<P>>(r).kv().applied_ops() == lead)
+        }),
+        "{name}: restarted replica reconverged"
+    );
+    with_trace_dump(&mut sim, |sim| {
+        for &r in &replicas {
+            let rep = sim.actor::<ReplicaEngine<P>>(r);
+            assert_ballot_mark_in_log(name, rep);
+            for k in [1u64, 2] {
+                assert_eq!(
+                    rep.kv().read_local(k).value_id(),
+                    sim.actor::<ReplicaEngine<P>>(replicas[1])
+                        .kv()
+                        .read_local(k)
+                        .value_id(),
+                    "{name}: replica {r:?} agrees at key {k}"
+                );
+            }
+        }
+    });
+    // The scenario actually exercised the disk: survivors fsynced
+    // and deferred acks behind those fsyncs.
+    let stats = sim
+        .actor::<ReplicaEngine<P>>(replicas[1])
+        .durability_stats();
+    assert!(stats.fsyncs > 0, "{name}: survivor fsynced ({stats:?})");
+    assert!(
+        stats.deferred_acks > 0,
+        "{name}: acks were deferred behind fsyncs ({stats:?})"
+    );
 }
 
 /// Durability is deterministic like everything else in the sim: two
@@ -1613,4 +1675,74 @@ fn snapshot_wire_overhead_is_distinct_per_protocol_family() {
     assert_eq!(raftstar.core.snap_wire, (48, 16), "Raft* InstallSnapshot");
     assert_eq!(paxos.core.snap_wire, (40, 16), "MultiPaxos Checkpoint");
     assert_eq!(mencius.core.snap_wire, (32, 8), "Mencius Checkpoint");
+}
+
+/// Per-entry fsync at a load the device can carry costs what the device
+/// costs: closed-loop writers on the default WAN keep a 1 ms device about
+/// 85 % busy (Raft, Raft*; MultiPaxos, which tips over between 10 and 20
+/// clients a region — ROADMAP item 2 — runs at 10), and the p50 commit
+/// latency of leader-region and of follower-region writes each stays
+/// within 1.3 x the same run under group commit. It does because a round
+/// pumped on an ack carries its share of what is outstanding, not the
+/// whole backlog: every pumped round is checked against its own share
+/// where it is cut ([`PipelineWindow::note_pumped`]), and the longest the
+/// run saw is shorter than the longest whole backlog group commit shipped.
+/// With whole-backlog rounds (the commit before the share rule) the first
+/// row already fails: Raft's leader-region p50 is 111.7 ms against 72.7 ms,
+/// 1.54 x.
+///
+/// [`PipelineWindow::note_pumped`]: crate::engine::PipelineWindow::note_pumped
+#[test]
+fn per_entry_fsync_below_capacity_commits_within_reach_of_group_commit() {
+    use paxraft_workload::generator::WorkloadConfig;
+    let device = SimDuration::from_millis(1);
+    let run = |p: ProtocolKind, clients: usize, durability: DurabilityConfig| {
+        let mut cluster = Cluster::builder(p)
+            .clients_per_region(clients)
+            .workload(WorkloadConfig {
+                read_fraction: 0.0,
+                conflict_rate: 0.0,
+                ..WorkloadConfig::default()
+            })
+            .seed(19)
+            .durability_config(durability)
+            .build();
+        cluster.elect_leader();
+        cluster.run_measurement(
+            SimDuration::from_secs(1),
+            SimDuration::from_secs(3),
+            SimDuration::from_millis(500),
+        )
+    };
+    for (p, clients) in [
+        (ProtocolKind::Raft, 25),
+        (ProtocolKind::RaftStar, 25),
+        (ProtocolKind::MultiPaxos, 10),
+    ] {
+        let name = p.name();
+        let per_entry = run(p, clients, DurabilityConfig::per_entry(device));
+        let group = run(
+            p,
+            clients,
+            DurabilityConfig::group_commit(device, 32, device),
+        );
+        for (who, sized, whole) in [
+            ("leader", per_entry.leader_writes, group.leader_writes),
+            ("follower", per_entry.follower_writes, group.follower_writes),
+        ] {
+            let (sized, whole) = (sized.expect("writes").p50_ms, whole.expect("writes").p50_ms);
+            assert!(
+                sized <= 1.3 * whole,
+                "{name}: {who}-region p50 {sized:.1} ms per entry vs {whole:.1} ms group commit"
+            );
+        }
+        let (sized, whole) = (
+            per_entry.pipeline.peak_pumped_round,
+            group.pipeline.peak_pumped_round,
+        );
+        assert!(
+            1 < sized && sized < whole,
+            "{name}: longest pumped round {sized} per entry, {whole} group commit"
+        );
+    }
 }

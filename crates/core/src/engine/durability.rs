@@ -17,6 +17,15 @@
 //! - **FsyncPerEntry**: every entry gets its own flush barrier, in
 //!   order. Durable latency for an N-entry append is N serial fsyncs —
 //!   the regime where a 1 ms device caps a replica near 1000 entries/s.
+//!   The device does N barriers and the counters count N
+//!   ([`DurabilityStats`], `DiskStats::fsyncs`), but the write *completes
+//!   once*, at the last: every ack defers at, and every protocol tags a
+//!   write with, the write's last sequence number, so the N − 1 earlier
+//!   completions could release nothing and were a fifth of the
+//!   `fsync-overload` workload's events. It is whole write or nothing —
+//!   a crash before the last barrier recovers to the write before. The
+//!   completion-per-barrier path survives as a `#[cfg(test)]` switch, the
+//!   reference the differential test compares against.
 //! - **GroupCommit**: entries accumulate unsynced; one batched fsync
 //!   covers all of them. At most one fsync is in flight; the next is
 //!   issued when `max_batch` entries wait or `max_delay` after the
@@ -34,7 +43,7 @@ use crate::msg::Msg;
 use super::{KIND_MASK, T_FSYNC, T_FSYNC_DELAY};
 
 /// Cumulative durability counters (reporting only).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DurabilityStats {
     /// Fsyncs completed.
     pub fsyncs: u64,
@@ -85,13 +94,19 @@ pub struct DurabilityState {
     /// Group commit: whether the max-delay timer is armed.
     delay_armed: bool,
     delay_gen: u64,
-    /// Issued fsyncs not yet completed: `(covering seq, entries)`.
+    /// Issued fsyncs not yet completed, one record per completion event:
+    /// `(covering seq, entries)`.
     issued: VecDeque<(u64, u64)>,
     /// Acks waiting for durability: `(covering seq, to, msg)`, seq
     /// non-decreasing (FIFO per replica, like a real completion queue).
     deferred: VecDeque<(u64, ActorId, Msg)>,
     /// Cumulative counters.
     pub stats: DurabilityStats,
+    /// Tests: report every barrier of a per-entry write with a completion
+    /// event of its own — the reference the single completion is compared
+    /// against.
+    #[cfg(test)]
+    completion_per_barrier: bool,
 }
 
 impl DurabilityState {
@@ -108,12 +123,22 @@ impl DurabilityState {
             issued: VecDeque::new(),
             deferred: VecDeque::new(),
             stats: DurabilityStats::default(),
+            #[cfg(test)]
+            completion_per_barrier: false,
         }
     }
 
     /// Whether acks wait for fsync at all.
     pub fn enabled(&self) -> bool {
         self.policy.is_some()
+    }
+
+    /// Whether the time to acknowledge a write grows with the entries in
+    /// it: one serial barrier each, against group commit's one barrier
+    /// for the lot. What [`super::pipeline::PipelineWindow::round_cap`]
+    /// sizes replication rounds by.
+    pub fn barrier_per_entry(&self) -> bool {
+        matches!(self.policy, Some(FsyncPolicy::FsyncPerEntry))
     }
 
     /// The sequence of the most recent durability write.
@@ -145,14 +170,18 @@ impl DurabilityState {
             FsyncPolicy::FsyncPerEntry => {
                 // One barrier per entry, in order: the disk serializes
                 // them, so an N-entry write waits out N device latencies.
-                for _ in 0..units {
-                    self.write_seq += 1;
-                    self.issued.push_back((self.write_seq, 1));
-                    ctx.fsync(T_FSYNC | self.write_seq);
-                }
+                // Everything that attests to the write is tagged with its
+                // last sequence, so only the last barrier's completion
+                // can release anything: it is the one event reported.
+                let barriers = units as u64;
+                self.write_seq += barriers;
+                self.issued.push_back((self.write_seq, barriers));
+                #[cfg(test)]
+                let barriers = self.report_leading_barriers(ctx, barriers);
+                ctx.fsync_serial(barriers, T_FSYNC | self.write_seq);
                 ctx.trace_app(
                     "disk_queue_depth",
-                    self.issued.len() as u64,
+                    self.write_seq - self.synced_seq,
                     ctx.disk_backlog().as_nanos() / 1_000_000,
                 );
             }
@@ -162,6 +191,20 @@ impl DurabilityState {
                 self.maybe_issue(ctx);
             }
         }
+    }
+
+    /// Tests, under `completion_per_barrier`: issues all but the last of
+    /// a write's `barriers` as fsyncs with completions of their own, and
+    /// returns how many are left for the write's one completion to cover.
+    #[cfg(test)]
+    fn report_leading_barriers(&self, ctx: &mut Ctx<Msg>, barriers: u64) -> u64 {
+        if !self.completion_per_barrier {
+            return barriers;
+        }
+        for behind in (1..barriers).rev() {
+            ctx.fsync(T_FSYNC | (self.write_seq - behind));
+        }
+        1
     }
 
     /// Sends `msg` now if everything written so far is already durable,
@@ -237,21 +280,28 @@ impl DurabilityState {
 
     /// An fsync completion arrived for `seq`: advance the durable
     /// watermark, release every ack it covers, and return them with the
-    /// completed batch size (entries).
+    /// completed batch size (entries). The counters count barriers: a
+    /// per-entry write's one completion stands for one fsync per entry.
     pub fn on_fsync_complete(&mut self, seq: u64) -> (Vec<(ActorId, Msg)>, u64) {
         self.synced_seq = self.synced_seq.max(seq);
         self.inflight = false;
+        let per_entry = self.barrier_per_entry();
         let mut batch = 0;
         while let Some(&(s, entries)) = self.issued.front() {
             if s > seq {
                 break;
             }
             batch += entries;
+            let (barriers, covered) = if per_entry {
+                (entries, 1)
+            } else {
+                (1, entries)
+            };
+            self.stats.fsyncs += barriers;
+            self.stats.last_batch_len = covered;
             self.issued.pop_front();
         }
-        self.stats.fsyncs += 1;
         self.stats.fsync_entries += batch;
-        self.stats.last_batch_len = batch;
         let mut acks = Vec::new();
         while let Some(&(s, ..)) = self.deferred.front() {
             if s > self.synced_seq {
@@ -282,7 +332,17 @@ impl DurabilityState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paxraft_sim::time::SimDuration;
+    use crate::config::ReplicaConfig;
+    use crate::engine::{ProtocolRules, ReplicaEngine};
+    use crate::kv::{CmdId, Command, Reply};
+    use crate::mencius::MenciusReplica;
+    use crate::msg::ClientMsg;
+    use crate::multipaxos::MultiPaxosReplica;
+    use crate::raft::RaftReplica;
+    use crate::raftstar::RaftStarReplica;
+    use crate::testutil::{cluster_with_seed, region_of, TestClient};
+    use crate::types::{NodeId, Slot};
+    use paxraft_sim::time::{SimDuration, SimTime};
 
     #[test]
     fn stats_mean_and_absorb() {
@@ -360,5 +420,181 @@ mod tests {
         assert_eq!(batch, 1);
         assert_eq!(acks.len(), 1);
         assert_eq!(acks[0].0, ActorId(8));
+    }
+
+    /// The counters count barriers, whatever the number of completion
+    /// events: a five-entry per-entry write is five fsyncs of one entry,
+    /// a seven-entry group commit one fsync of seven.
+    #[test]
+    fn one_completion_counts_every_barrier_it_stands_for() {
+        let device = SimDuration::from_millis(1);
+        let counted = |cfg: DurabilityConfig, entries: u64| {
+            let mut d = DurabilityState::new(&cfg);
+            d.write_seq = entries;
+            d.issued.push_back((entries, entries));
+            assert_eq!(d.on_fsync_complete(entries).1, entries);
+            (
+                d.stats.fsyncs,
+                d.stats.fsync_entries,
+                d.stats.last_batch_len,
+            )
+        };
+        assert_eq!(counted(DurabilityConfig::per_entry(device), 5), (5, 5, 1));
+        let group = DurabilityConfig::group_commit(device, 8, device);
+        assert_eq!(counted(group, 7), (1, 7, 7));
+    }
+
+    /// What one run of the differential scenario showed.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        /// Every reply, per client in arrival order: `(time, client,
+        /// seq, reply)`.
+        replies: Vec<(SimTime, u32, u64, Reply)>,
+        /// Per replica: operations applied, applied index, and the value
+        /// at every key written.
+        applied: Vec<(u64, Slot, Vec<Option<u64>>)>,
+        /// Per replica, every quarter millisecond: the durable watermark
+        /// as of the last completed write, the barriers pending beyond
+        /// it, and the counters.
+        durable: Vec<(u64, u64, DurabilityStats)>,
+    }
+
+    /// The scenario: five replicas on a 1 ms per-entry device, ten
+    /// closed-loop writers spread over them, 3 % of messages lost, and a
+    /// burst of 64 commands at the leader that it is crashed in the
+    /// middle of writing, then restarted. `per_barrier` selects the
+    /// reference: one completion event per barrier.
+    fn differential_run<P: ProtocolRules>(
+        make: fn(ReplicaConfig) -> ReplicaEngine<P>,
+        per_barrier: bool,
+    ) -> (Observed, u64) {
+        const WRITERS: u32 = 10;
+        const WRITES: u64 = 30;
+        let durability = DurabilityConfig::per_entry(SimDuration::from_millis(1));
+        let disk = durability.disk_config();
+        let (mut sim, replicas, _) = cluster_with_seed(5, 0xD1FF, move |mut cfg| {
+            cfg.initial_leader = Some(NodeId(0));
+            cfg.mencius.revoke_timeout = SimDuration::from_secs(2);
+            cfg.durability = durability.clone();
+            let mut replica = make(cfg);
+            replica.core.dur.completion_per_barrier = per_barrier;
+            Box::new(replica)
+        });
+        sim.set_disk_config(disk);
+        let key = |writer: u32, i: u64| u64::from(writer) * 1_000 + i;
+        let writers: Vec<ActorId> = (1..=WRITERS)
+            .map(|w| {
+                let mut client = TestClient::new(w, replicas[w as usize % replicas.len()]);
+                (0..WRITES).for_each(|i| client.enqueue_put(key(w, i)));
+                sim.add_actor(region_of(w as usize), Box::new(client))
+            })
+            .collect();
+        // The burst's replies need somewhere to go.
+        let sink = TestClient::new(WRITERS + 1, replicas[0]);
+        sim.add_actor(region_of(0), Box::new(sink));
+        sim.set_drop_rate_at(0.03, SimTime::from_millis(400));
+        let burst_at = SimDuration::from_millis(1_500);
+        for seq in 1..=64 {
+            let id = CmdId {
+                client: WRITERS + 1,
+                seq,
+            };
+            let cmd = Command::put(id, key(WRITERS + 1, seq), vec![0; 8]);
+            sim.send_external(
+                replicas[0],
+                Msg::Client(ClientMsg::Request { cmd }),
+                burst_at,
+            );
+        }
+        sim.crash_at(
+            replicas[0],
+            SimTime::ZERO + burst_at + SimDuration::from_millis(20),
+        );
+        sim.restart_at(replicas[0], SimTime::from_millis(1_900));
+        let mut durable = Vec::new();
+        while sim.now() < SimTime::from_secs(16) {
+            sim.run_for(SimDuration::from_micros(250));
+            for &r in &replicas {
+                let d = &sim.actor::<ReplicaEngine<P>>(r).core.dur;
+                let write_began = d.issued.front().map_or(d.synced_seq, |w| w.0 - w.1);
+                durable.push((write_began, d.write_seq - write_began, d.stats));
+            }
+        }
+        let replies = writers
+            .iter()
+            .flat_map(|&w| &sim.actor::<TestClient>(w).replies)
+            .map(|(id, reply, at)| (*at, id.client, id.seq, reply.clone()))
+            .collect();
+        let keys = (1..=WRITERS + 1).flat_map(|w| (0..=64).map(move |i| key(w, i)));
+        let applied = replicas
+            .iter()
+            .map(|&r| {
+                let replica = sim.actor::<ReplicaEngine<P>>(r);
+                let values = keys.clone().map(|k| replica.kv().read_local(k).value_id());
+                (
+                    replica.kv().applied_ops(),
+                    replica.applied_index(),
+                    values.collect(),
+                )
+            })
+            .collect();
+        let observed = Observed {
+            replies,
+            applied,
+            durable,
+        };
+        (observed, sim.stats.events)
+    }
+
+    /// One completion per write ≡ one per barrier: the k − 1 events the
+    /// reference delivers before a write's last barrier change nothing
+    /// anyone can see — not a reply's time or content, not a replica's
+    /// state, not the durable watermark at a write boundary, not a
+    /// counter — on a run with loss and a crash in the middle of a
+    /// 64-barrier write. (A crash rewinds the write sequence to the
+    /// watermark, which under the reference may sit part-way into the
+    /// write the crash cut short; the runs number their writes apart
+    /// from there, so the watermark is compared as of the last completed
+    /// write and as barriers pending beyond it — it is the same
+    /// watermark.) The reference does run the extra events.
+    #[test]
+    fn one_completion_per_write_matches_one_per_barrier() {
+        fn scenario<P: ProtocolRules>(name: &str, make: fn(ReplicaConfig) -> ReplicaEngine<P>) {
+            let (once, events) = differential_run(make, false);
+            let (per_barrier, reference_events) = differential_run(make, true);
+            assert!(once.replies.len() >= 150, "{name}: the writers got through");
+            let multi = once.durable.iter().filter(|d| d.2.last_batch_len == 1);
+            assert!(
+                once.durable.iter().any(|d| d.1 >= 32) && multi.count() > 0,
+                "{name}: multi-entry writes were pending and completed"
+            );
+            assert_eq!(once.replies, per_barrier.replies, "{name}: replies");
+            assert_eq!(once.applied, per_barrier.applied, "{name}: applied state");
+            let first_diff = once
+                .durable
+                .iter()
+                .zip(&per_barrier.durable)
+                .position(|(a, b)| (a.1, a.2) != (b.1, b.2));
+            assert_eq!(first_diff, None, "{name}: pending barriers and counters");
+            // Until the crash the writes are numbered alike too.
+            let before_crash = 5 * 4 * 1_519;
+            let renumbered = once
+                .durable
+                .iter()
+                .zip(&per_barrier.durable)
+                .position(|(a, b)| a.0 != b.0);
+            assert!(
+                reference_events > events,
+                "{name}: {reference_events} events per barrier, {events} per write"
+            );
+            assert!(
+                renumbered.is_none_or(|at| at >= before_crash),
+                "{name}: watermark at write boundaries differs at sample {renumbered:?}"
+            );
+        }
+        scenario("Raft", RaftReplica::new);
+        scenario("Raft*", RaftStarReplica::new);
+        scenario("MultiPaxos", MultiPaxosReplica::new);
+        scenario("Mencius", MenciusReplica::new);
     }
 }

@@ -212,8 +212,7 @@ impl RaftBase {
 
     /// Sends each follower its tailored suffix.
     pub fn broadcast_append(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
-        let peers: Vec<NodeId> = core.cfg.others().collect();
-        for peer in peers {
+        for peer in core.cfg.others() {
             self.send_append_to(core, ctx, peer);
         }
     }
@@ -227,25 +226,39 @@ impl RaftBase {
     /// the retained suffix behind it — FIFO links deliver the chunks
     /// first, so the Append matches once the snapshot installs.
     pub fn send_append_to(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, peer: NodeId) {
+        self.send_round(core, ctx, peer, usize::MAX);
+    }
+
+    /// [`RaftBase::send_append_to`] carrying at most `cap` entries;
+    /// returns how many went out, `None` when no message did.
+    fn send_round(
+        &mut self,
+        core: &mut EngineCore,
+        ctx: &mut Ctx<Msg>,
+        peer: NodeId,
+        cap: usize,
+    ) -> Option<usize> {
         let mut prev = self.repl.next_prev(peer);
         let has_entries = self.log.last_index() > prev;
         if has_entries && !core.pipe.has_room(peer) {
-            return; // window full: new rounds wait for acks
+            return None; // window full: new rounds wait for acks
         }
         if prev < self.log.last_included().0 {
             let point = self.snapshot_point();
-            let Some(snap_slot) =
-                transfer::ship_snapshot(core, ctx, peer, point, self.current_term)
-            else {
-                return; // a transfer is in flight; let it finish
-            };
-            prev = snap_slot;
+            // `None`: a transfer is in flight; let it finish.
+            prev = transfer::ship_snapshot(core, ctx, peer, point, self.current_term)?;
         }
         let prev_term = self.log.term_at(prev).unwrap_or(Term::ZERO);
-        let entries = self.log.suffix_from(prev);
-        let tail = self.log.last_index();
+        let entries = self.log.suffix_bounded(prev, cap);
+        // A round cut short by `cap` ends where its entries do.
+        let tail = if entries.len() < cap {
+            self.log.last_index()
+        } else {
+            Slot(prev.0 + cap as u64)
+        };
+        let shipped = entries.len();
         self.repl.mark_sent(peer, prev, tail, ctx.now());
-        if !entries.is_empty() {
+        if shipped > 0 {
             core.pipe.on_sent(peer, tail, ctx.now());
         }
         // Piggyback our window occupancy so followers can cut forward
@@ -263,13 +276,24 @@ impl RaftBase {
                 window_room,
             }),
         );
+        Some(shipped)
     }
 
-    /// Ships `peer` any entries that accumulated while its pipeline
-    /// window was full. Called after an acknowledgement frees a slot.
+    /// Ships `peer` the entries that accumulated while its pipeline
+    /// window was full, one round per free slot. Called after an
+    /// acknowledgement frees one. Each round carries at most the share
+    /// [`super::pipeline::PipelineWindow::round_cap`] allows — the whole
+    /// backlog, unless the peer pays a device barrier per entry.
     pub fn pump(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, peer: NodeId) {
-        if self.role == Role::Leader && self.log.last_index() > self.repl.next_prev(peer) {
-            self.send_append_to(core, ctx, peer);
+        if self.role != Role::Leader {
+            return;
+        }
+        let cap = core.pipe.round_cap(peer, self.log.last_index(), &core.dur);
+        while self.log.last_index() > self.repl.next_prev(peer) {
+            let Some(shipped) = self.send_round(core, ctx, peer, cap) else {
+                break;
+            };
+            core.pipe.note_pumped(shipped, cap);
         }
     }
 
@@ -281,8 +305,7 @@ impl RaftBase {
         if self.role != Role::Leader {
             return;
         }
-        let peers: Vec<NodeId> = core.cfg.others().collect();
-        for peer in peers {
+        for peer in core.cfg.others() {
             if self
                 .repl
                 .maybe_rewind(peer, ctx.now(), core.cfg.retry_interval)
@@ -471,5 +494,155 @@ impl RaftBase {
         }
         // Span bookkeeping restarts at the recovered floor.
         self.quorum_mark = self.commit_index;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{DurabilityConfig, ReplicaConfig};
+    use crate::kv::{CmdId, Command};
+    use crate::log::Entry;
+    use crate::msg::EngineMsg;
+    use paxraft_sim::impl_actor_any;
+    use paxraft_sim::net::{NetConfig, Region};
+    use paxraft_sim::sim::{Actor, Simulation};
+    use paxraft_sim::time::{SimDuration, SimTime};
+
+    type Step = fn(&mut RaftBase, &mut EngineCore, &mut Ctx<Msg>);
+
+    /// A leader's base and core driven by hand: each message delivered
+    /// runs the next scripted step inside a real handler context.
+    struct Leader {
+        base: RaftBase,
+        core: EngineCore,
+        steps: VecDeque<Step>,
+    }
+    impl Actor<Msg> for Leader {
+        fn on_message(&mut self, ctx: &mut Ctx<Msg>, _from: ActorId, _msg: Msg) {
+            let step = self.steps.pop_front().expect("a step per message");
+            step(&mut self.base, &mut self.core, ctx);
+        }
+        impl_actor_any!();
+    }
+
+    /// A follower that only counts: the length of every round it is sent.
+    #[derive(Default)]
+    struct Sink {
+        rounds: Vec<usize>,
+    }
+    impl Actor<Msg> for Sink {
+        fn on_message(&mut self, _ctx: &mut Ctx<Msg>, _from: ActorId, msg: Msg) {
+            if let Msg::Raft(RaftMsg::Append { entries, .. }) = msg {
+                self.rounds.push(entries.len());
+            }
+        }
+        impl_actor_any!();
+    }
+
+    fn append(base: &mut RaftBase, count: u64) {
+        for _ in 0..count {
+            let seq = base.log.last_index().0 + 1;
+            base.log.append(Entry {
+                term: base.current_term,
+                bal: base.current_term,
+                cmd: Command::put(CmdId { client: 0, seq }, seq, vec![0; 8]),
+            });
+        }
+    }
+
+    /// Fills the window with eight one-entry rounds, then lets 300 entries
+    /// pile up behind it.
+    fn fill_window_then_backlog(base: &mut RaftBase, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
+        base.role = Role::Leader;
+        base.current_term = Term(3);
+        for _ in 0..8 {
+            append(base, 1);
+            base.broadcast_append(core, ctx);
+        }
+        append(base, 300);
+        base.broadcast_append(core, ctx);
+    }
+
+    fn ack(base: &mut RaftBase, core: &mut EngineCore, ctx: &mut Ctx<Msg>, peer: u32, upto: u64) {
+        core.pipe.on_ack(NodeId(peer), Slot(upto));
+        base.repl.on_ack(NodeId(peer), Slot(upto));
+        base.pump(core, ctx, NodeId(peer));
+    }
+
+    /// Runs the script on a three-replica layout and returns the rounds
+    /// each follower received after the eight that filled its window.
+    fn pumped_rounds(durability: DurabilityConfig, steps: &[Step]) -> [Vec<usize>; 2] {
+        let mut sim = Simulation::new(NetConfig::default(), 1);
+        let mut cfg = ReplicaConfig::wan_default(NodeId(0), 3);
+        cfg.peers = (0..3).map(ActorId).collect();
+        cfg.durability = durability;
+        let leader = Leader {
+            base: RaftBase::new(3),
+            core: EngineCore::new(cfg),
+            steps: steps.iter().copied().collect(),
+        };
+        sim.add_actor(Region::Oregon, Box::new(leader));
+        let sinks = [Region::Ohio, Region::Ireland]
+            .map(|region| sim.add_actor(region, Box::new(Sink::default())));
+        let stub = Msg::Engine(EngineMsg::RangeAck {
+            group: 0,
+            version: 1,
+            header_bytes: 0,
+        });
+        for i in 0..steps.len() as u64 {
+            sim.send_external(ActorId(0), stub.clone(), SimDuration::from_millis(i));
+        }
+        sim.run_until(SimTime::from_secs(1));
+        sinks.map(|sink| {
+            let rounds = &sim.actor::<Sink>(sink).rounds;
+            assert_eq!(rounds[..8], [1; 8], "the window filled first");
+            rounds[8..].to_vec()
+        })
+    }
+
+    fn per_entry() -> DurabilityConfig {
+        DurabilityConfig::per_entry(SimDuration::from_millis(1))
+    }
+
+    /// Eight acks arriving together over a 300-entry backlog. Under
+    /// per-entry fsync each freed slot ships its share of what is
+    /// outstanding — eight near-equal rounds; without a barrier per entry
+    /// behind the ack the first freed slot ships all 300 and the other
+    /// seven have nothing left to send.
+    #[test]
+    fn bunched_acks_ship_shares_under_per_entry_fsync_and_the_backlog_otherwise() {
+        fn eight_acks(base: &mut RaftBase, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
+            for upto in 1..=8 {
+                ack(base, core, ctx, 1, upto);
+            }
+        }
+        let steps = [fill_window_then_backlog as Step, eight_acks];
+        let [sized, untouched] = pumped_rounds(per_entry(), &steps);
+        // 307 outstanding at the first ack, 300 at the last.
+        assert_eq!(sized, [39, 39, 39, 38, 38, 38, 38, 31]);
+        assert_eq!(sized.iter().sum::<usize>(), 300);
+        assert!(untouched.is_empty(), "the silent peer's window stays full");
+        let group = DurabilityConfig::group_commit(
+            SimDuration::from_millis(1),
+            32,
+            SimDuration::from_millis(1),
+        );
+        for unsized_rounds in [group, DurabilityConfig::default()] {
+            assert_eq!(pumped_rounds(unsized_rounds, &steps)[0], [300]);
+        }
+    }
+
+    /// One ack that retires the whole window frees eight slots at once:
+    /// the pump fills them all, 38 entries each, the last taking the
+    /// remainder.
+    #[test]
+    fn a_cumulative_ack_fills_every_freed_slot_with_an_equal_share() {
+        fn one_ack(base: &mut RaftBase, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
+            ack(base, core, ctx, 2, 8);
+        }
+        let steps = [fill_window_then_backlog as Step, one_ack];
+        let [_, sized] = pumped_rounds(per_entry(), &steps);
+        assert_eq!(sized, [38, 38, 38, 38, 38, 38, 38, 34]);
     }
 }

@@ -272,10 +272,17 @@ impl Log {
     /// prefix yields everything retained — callers wanting the
     /// discarded part must ship a snapshot instead.
     pub fn suffix_from(&self, prev: Slot) -> Vec<Entry> {
+        self.suffix_bounded(prev, usize::MAX)
+    }
+
+    /// [`Log::suffix_from`] stopping after `max` entries: only what a
+    /// size-bounded replication round carries is cloned.
+    pub fn suffix_bounded(&self, prev: Slot, max: usize) -> Vec<Entry> {
         let from = self.retained_after(prev);
-        let mut out = self.entries[from..].to_vec();
+        let upto = from + max.min(self.entries.len() - from);
+        let mut out = self.entries[from..upto].to_vec();
         let covered = self.retained_after(self.bal_upto).saturating_sub(from);
-        for e in &mut out[..covered] {
+        for e in &mut out[..covered.min(upto - from)] {
             e.bal = self.bal_term;
         }
         out
@@ -474,6 +481,14 @@ mod tests {
         assert_eq!(tail[0].cmd.op.key(), Some(2));
         assert!(log.suffix_from(Slot(9)).is_empty());
         assert_eq!(log.suffix_from(Slot::NONE).len(), 4);
+        let bounded = log.suffix_bounded(Slot(1), 2);
+        assert_eq!(bounded, log.suffix_from(Slot(1))[..2]);
+        assert_eq!(
+            log.suffix_bounded(Slot(3), 2).len(),
+            1,
+            "the log ends first"
+        );
+        assert!(log.suffix_bounded(Slot(1), 0).is_empty());
     }
 
     #[test]
@@ -574,6 +589,14 @@ mod tests {
                 let prev = rng.gen_range(log.last_index().0 + 2);
                 let from = (prev.saturating_sub(start) as usize).min(eager.len());
                 assert_eq!(log.suffix_from(Slot(prev)), eager[from..], "{ctx}");
+                // A bounded clone is a prefix of the unbounded one.
+                let max = rng.gen_range(4) as usize;
+                let upto = (from + max).min(eager.len());
+                assert_eq!(
+                    log.suffix_bounded(Slot(prev), max),
+                    eager[from..upto],
+                    "{ctx}"
+                );
             }
         }
     }

@@ -807,9 +807,8 @@ impl MenciusRules {
     /// dropped decisions from us ([`PaxosBase::stalled_peer`]; the
     /// multi-leader checkpoint carries no seal).
     fn replay_to_stalled_peers(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
-        let peers: Vec<NodeId> = core.cfg.others().collect();
         let (me, n) = (core.cfg.id, core.cfg.n);
-        for peer in peers {
+        for peer in core.cfg.others() {
             let Some(from) = self.base.stalled_peer(core, ctx, peer, Term::ZERO) else {
                 continue;
             };
@@ -1343,8 +1342,7 @@ impl ProtocolRules for MenciusRules {
         self.base
             .note_proposed(core, ctx, self.current_term, &items);
         if let Some(upto) = items.iter().map(|(s, _)| *s).max() {
-            let peers: Vec<NodeId> = core.cfg.others().collect();
-            for peer in peers {
+            for peer in core.cfg.others() {
                 core.pipe.on_sent(peer, upto, ctx.now());
             }
         }

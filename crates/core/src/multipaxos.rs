@@ -146,8 +146,7 @@ impl PaxosRules {
         let Some(upto) = items.iter().map(|(s, _)| *s).max() else {
             return;
         };
-        let peers: Vec<NodeId> = core.cfg.others().collect();
-        for peer in peers {
+        for peer in core.cfg.others() {
             if !core.pipe.has_room(peer) {
                 continue;
             }
@@ -169,20 +168,23 @@ impl PaxosRules {
     /// Ships `peer` the uncommitted instances that accumulated past its
     /// send cursor while its window was full. Called after one of its
     /// acknowledgements frees a slot — the MultiPaxos spelling of the
-    /// Raft family's backlog pump.
+    /// Raft family's backlog pump, one round per ack of at most 64
+    /// instances or the window's share
+    /// ([`crate::engine::pipeline::PipelineWindow::round_cap`]).
     fn pump_accepts(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, peer: NodeId) {
         let highest = Slot(self.next_slot.0.saturating_sub(1));
         let i = peer.0 as usize;
         if self.accept_cursor[i] >= highest || !core.pipe.has_room(peer) {
             return;
         }
+        let cap = core.pipe.round_cap(peer, highest, &core.dur).min(64);
         let items: Vec<(Slot, Command)> = self
             .base
             .cells
             .range(self.accept_cursor[i].next()..)
             .filter(|(_, inst)| !inst.committed)
             .filter_map(|(s, inst)| inst.cmd().cloned().map(|c| (s, c)))
-            .take(64)
+            .take(cap)
             .collect();
         match items.last() {
             None => {
@@ -190,8 +192,9 @@ impl PaxosRules {
                 self.accept_cursor[i] = highest;
             }
             Some(&(upto, _)) => {
-                self.accept_cursor[i] = if items.len() < 64 { highest } else { upto };
+                self.accept_cursor[i] = if items.len() < cap { highest } else { upto };
                 core.pipe.on_sent(peer, upto, ctx.now());
+                core.pipe.note_pumped(items.len(), cap);
                 let window_room = core.pipe.quorum_has_room(core.cfg.id, core.cfg.n);
                 ctx.send(
                     core.cfg.peer(peer),
@@ -550,8 +553,7 @@ impl PaxosRules {
         }
         // Per-acceptor catch-up of *stalled* acceptors (behind the floor
         // by checkpoint), 64 instances per round to bound the burst.
-        let peers: Vec<NodeId> = core.cfg.others().collect();
-        for peer in peers {
+        for peer in core.cfg.others() {
             let Some(from) = self.base.stalled_peer(core, ctx, peer, self.ballot) else {
                 continue;
             };

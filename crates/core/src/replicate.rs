@@ -106,20 +106,19 @@ impl Replicator {
     }
 
     /// The largest slot replicated on at least `k` of the tracked peers
-    /// (the leader itself not included).
+    /// (the leader itself not included): the highest match that `k`
+    /// matches reach, counted in place — this runs on every ack.
     pub fn kth_largest_match(&self, k: usize, exclude: NodeId) -> Slot {
-        let mut m: Vec<Slot> = self
-            .match_index
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != exclude.0 as usize)
-            .map(|(_, &s)| s)
-            .collect();
-        m.sort_unstable();
-        if k == 0 || k > m.len() {
-            return Slot::NONE;
+        let peers = || {
+            let all = self.match_index.iter().enumerate();
+            all.filter(|(i, _)| *i != exclude.0 as usize)
+                .map(|(_, &s)| s)
+        };
+        let reached_by_k = |m: &Slot| peers().filter(|other| other >= m).count() >= k;
+        match k {
+            0 => Slot::NONE,
+            _ => peers().filter(reached_by_k).max().unwrap_or(Slot::NONE),
         }
-        m[m.len() - k]
     }
 }
 
@@ -204,6 +203,41 @@ mod tests {
         assert_eq!(r.kth_largest_match(2, NodeId(0)), Slot(7));
         assert_eq!(r.kth_largest_match(1, NodeId(0)), Slot(10));
         assert_eq!(r.kth_largest_match(4, NodeId(0)), Slot::NONE);
+    }
+
+    /// The in-place selection against the obvious one (collect, sort,
+    /// index), for every cluster size in use, every `k` and every
+    /// excluded replica, over random matches with plenty of ties.
+    #[test]
+    fn kth_largest_match_equals_the_sorted_reference() {
+        let mut rng = paxraft_sim::rng::SimRng::new(0x19);
+        for n in [3usize, 5, 7] {
+            for _ in 0..200 {
+                let mut r = Replicator::new(n);
+                for p in 0..n as u32 {
+                    r.on_ack(NodeId(p), Slot(rng.gen_range(6)));
+                }
+                for exclude in 0..n as u32 {
+                    let mut sorted: Vec<Slot> = (0..n as u32)
+                        .filter(|&p| p != exclude)
+                        .map(|p| r.match_index(NodeId(p)))
+                        .collect();
+                    sorted.sort_unstable();
+                    for k in 0..=n {
+                        let want = match k {
+                            0 => Slot::NONE,
+                            _ => sorted
+                                .iter()
+                                .rev()
+                                .nth(k - 1)
+                                .copied()
+                                .unwrap_or(Slot::NONE),
+                        };
+                        assert_eq!(r.kth_largest_match(k, NodeId(exclude)), want, "{n} {k}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,11 @@
 //!   run with a zero-cost disk (the [`DiskConfig::default`]) is
 //!   bit-for-bit identical to a run built before the disk model existed;
 //! - fsync completions surface as timer-like events gated on the actor's
-//!   crash epoch, so a crash silently cancels in-flight fsyncs.
+//!   crash epoch, so a crash silently cancels in-flight fsyncs;
+//! - a write made durable barrier by barrier is charged barrier by
+//!   barrier but completes once ([`DiskArray::fsync_serial`]): the horizon
+//!   and [`DiskStats::fsyncs`] move as that many single fsyncs move them,
+//!   and one completion fires at the last barrier's time.
 
 use crate::time::{SimDuration, SimTime};
 
@@ -163,11 +167,20 @@ impl DiskArray {
     /// all previously issued work on this disk finishes first (FIFO),
     /// then the flush barrier costs `fsync_latency`.
     pub fn fsync(&mut self, now: SimTime, d: usize) -> SimTime {
+        self.fsync_serial(now, d, 1)
+    }
+
+    /// Charges `count` fsyncs issued back to back at `now` and returns
+    /// when the last completes. Nothing can come between barriers issued
+    /// at one instant on a FIFO device, so this leaves the horizon and
+    /// the counters exactly where `count` calls to [`DiskArray::fsync`]
+    /// leave them.
+    pub fn fsync_serial(&mut self, now: SimTime, d: usize, count: u64) -> SimTime {
         self.ensure(d);
         let start = self.free[d].max(now);
-        let done = start + self.config_of(d).fsync_latency;
+        let done = start + self.config_of(d).fsync_latency * count;
         self.free[d] = done;
-        self.stats[d].fsyncs += 1;
+        self.stats[d].fsyncs += count;
         done
     }
 
@@ -255,6 +268,27 @@ mod tests {
         // A separate disk id is an independent device.
         let c = disks.fsync(SimTime::ZERO, 1);
         assert_eq!(c, SimTime::from_millis(2));
+    }
+
+    #[test]
+    fn serial_fsyncs_leave_the_disk_where_single_ones_do() {
+        let cfg = DiskConfig {
+            write_bandwidth_bps: 100e6,
+            fsync_latency: SimDuration::from_millis(2),
+        };
+        let (mut one, mut many) = (DiskArray::new(cfg.clone()), DiskArray::new(cfg));
+        for disks in [&mut one, &mut many] {
+            disks.write(SimTime::ZERO, 0, 1_000_000); // busy until 10 ms
+        }
+        let at = SimTime::from_millis(3);
+        let done = one.fsync_serial(at, 0, 4);
+        let last = (0..4).map(|_| many.fsync(at, 0)).last();
+        assert_eq!(done, SimTime::from_millis(18));
+        assert_eq!(Some(done), last);
+        assert_eq!(one.free_at(0), many.free_at(0));
+        assert_eq!(one.backlog(at, 0), many.backlog(at, 0));
+        assert_eq!(one.stats(0).fsyncs, 4);
+        assert_eq!(many.stats(0).fsyncs, 4);
     }
 
     #[test]

@@ -156,7 +156,7 @@ enum Output<M> {
     Send { to: ActorId, msg: M },
     Timer { delay: SimDuration, token: u64 },
     DiskWrite { bytes: usize },
-    Fsync { token: u64 },
+    Fsync { count: u64, token: u64 },
 }
 
 impl<'a, M> Ctx<'a, M> {
@@ -217,7 +217,17 @@ impl<'a, M> Ctx<'a, M> {
     /// [`Actor::on_timer`]. Completions are gated on the crash epoch: a
     /// crash silently cancels in-flight fsyncs.
     pub fn fsync(&mut self, token: u64) {
-        self.outputs.push(Output::Fsync { token });
+        self.fsync_serial(1, token);
+    }
+
+    /// Queues `count` fsyncs back to back — one write made durable
+    /// barrier by barrier — and reports them once: the disk is charged
+    /// exactly as `count` calls to [`Ctx::fsync`] charge it (horizon,
+    /// [`DiskStats::fsyncs`]), and `token` is delivered when the *last*
+    /// barrier completes. A crash before that cancels the completion,
+    /// whichever barrier the device had reached.
+    pub fn fsync_serial(&mut self, count: u64, token: u64) {
+        self.outputs.push(Output::Fsync { count, token });
     }
 
     /// How far this node's disk is backed up at handler start (`ZERO`
@@ -720,12 +730,12 @@ impl<M: Payload> Simulation<M> {
                 Output::DiskWrite { bytes } => {
                     self.disks.write(done, self.disk_of[i], bytes);
                 }
-                Output::Fsync { token } => {
+                Output::Fsync { count, token } => {
                     // The completion rides the timer path so it is traced,
                     // FIFO-ordered through the inbox, and epoch-gated: a
                     // crash between issue and completion cancels it, which
                     // is exactly "the fsync never happened" semantics.
-                    let at = self.disks.fsync(done, self.disk_of[i]);
+                    let at = self.disks.fsync_serial(done, self.disk_of[i], count);
                     let epoch = self.timer_epoch[i];
                     self.queue.push(
                         at,
@@ -1323,6 +1333,90 @@ mod tests {
         sim.run_until(SimTime::from_millis(100));
         let s: &Syncer = sim.actor(n);
         assert_eq!(s.completions, vec![(1, SimTime::from_millis(30))]);
+    }
+
+    /// On start, a write of `barriers` entries made durable one barrier
+    /// each: as one `fsync_serial`, or as that many `fsync`s whose tokens
+    /// count up to `barriers`. Records completions and the backlog a
+    /// later handler sees.
+    struct SerialSyncer {
+        barriers: u64,
+        serial: bool,
+        completions: Vec<(u64, SimTime)>,
+        backlog_seen: Vec<SimDuration>,
+    }
+    impl Actor<Ping> for SerialSyncer {
+        fn on_start(&mut self, ctx: &mut Ctx<Ping>) {
+            ctx.disk_write(4096);
+            if self.serial {
+                ctx.fsync_serial(self.barriers, self.barriers);
+            } else {
+                (1..=self.barriers).for_each(|b| ctx.fsync(b));
+            }
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<Ping>, _f: ActorId, _m: Ping) {
+            self.backlog_seen.push(ctx.disk_backlog());
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<Ping>, token: u64) {
+            self.completions.push((token, ctx.now()));
+        }
+        impl_actor_any!();
+    }
+
+    fn serial_sim(serial: bool) -> (Simulation<Ping>, ActorId) {
+        let mut sim = Simulation::new(NetConfig::default(), 1);
+        sim.set_disk_config(crate::disk::DiskConfig {
+            write_bandwidth_bps: 4.096e6, // 4 KB -> 1 ms
+            fsync_latency: SimDuration::from_millis(2),
+        });
+        let syncer = SerialSyncer {
+            barriers: 5,
+            serial,
+            completions: Vec::new(),
+            backlog_seen: Vec::new(),
+        };
+        let n = sim.add_actor(Region::Oregon, Box::new(syncer));
+        (sim, n)
+    }
+
+    #[test]
+    fn fsync_serial_charges_like_k_fsyncs_and_completes_once() {
+        let run = |serial: bool| {
+            let (mut sim, n) = serial_sim(serial);
+            sim.start();
+            // A handler mid-write reads the backlog; a later fsync queues
+            // behind the whole write.
+            sim.send_external(n, Ping(0), SimDuration::from_millis(4));
+            sim.run_until(SimTime::from_millis(4));
+            let mid = (sim.disk_backlog_at(n), sim.disk_stats_at(n).fsyncs);
+            sim.run_until(SimTime::from_millis(100));
+            let s: &SerialSyncer = sim.actor(n);
+            let stats = sim.disk_stats_at(n);
+            let done = s.completions.clone();
+            (mid, s.backlog_seen.clone(), stats.fsyncs, done)
+        };
+        let (mid, seen, fsyncs, done) = run(true);
+        let (k_mid, k_seen, k_fsyncs, k_done) = run(false);
+        // 1 ms of write, then five 2 ms barriers: busy until 11 ms.
+        assert_eq!(mid, (SimDuration::from_millis(7), 5));
+        assert_eq!((mid, &seen, fsyncs), (k_mid, &k_seen, k_fsyncs));
+        assert_eq!(seen, [SimDuration::from_millis(7)]);
+        assert_eq!(done, [(5, SimTime::from_millis(11))], "fires once");
+        assert_eq!(k_done.len(), 5);
+        assert_eq!(k_done.last(), done.last(), "at the last barrier's time");
+    }
+
+    #[test]
+    fn crash_before_the_last_barrier_cancels_the_serial_completion() {
+        let (mut sim, n) = serial_sim(true);
+        // Four of the five barriers are done by 9 ms; the write is not.
+        // The restart's own write queues behind what the device was doing.
+        sim.crash_at(n, SimTime::from_millis(10));
+        sim.restart_at(n, SimTime::from_millis(20));
+        sim.run_until(SimTime::from_millis(100));
+        let s: &SerialSyncer = sim.actor(n);
+        assert_eq!(s.completions, [(5, SimTime::from_millis(31))]);
+        assert_eq!(sim.disk_stats_at(n).fsyncs, 10, "the device did the work");
     }
 
     #[test]
