@@ -266,13 +266,13 @@ impl ReplicaConfig {
     }
 
     /// All replica node ids.
-    pub fn nodes(&self) -> impl Iterator<Item = NodeId> {
+    pub fn nodes(&self) -> impl Iterator<Item = NodeId> + Clone {
         (0..self.n as u32).map(NodeId)
     }
 
     /// All node ids except this replica. The iterator borrows nothing,
     /// so a loop over it may change the replica it came from.
-    pub fn others(&self) -> impl Iterator<Item = NodeId> {
+    pub fn others(&self) -> impl Iterator<Item = NodeId> + Clone {
         let me = self.id;
         self.nodes().filter(move |&x| x != me)
     }

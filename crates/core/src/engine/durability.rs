@@ -279,10 +279,11 @@ impl DurabilityState {
     }
 
     /// An fsync completion arrived for `seq`: advance the durable
-    /// watermark, release every ack it covers, and return them with the
-    /// completed batch size (entries). The counters count barriers: a
-    /// per-entry write's one completion stands for one fsync per entry.
-    pub fn on_fsync_complete(&mut self, seq: u64) -> (Vec<(ActorId, Msg)>, u64) {
+    /// watermark and return the completed batch size (entries); the acks
+    /// it covers leave through [`Self::pop_synced_ack`]. The counters
+    /// count barriers: a per-entry write's one completion stands for one
+    /// fsync per entry.
+    pub fn on_fsync_complete(&mut self, seq: u64) -> u64 {
         self.synced_seq = self.synced_seq.max(seq);
         self.inflight = false;
         let per_entry = self.barrier_per_entry();
@@ -302,15 +303,16 @@ impl DurabilityState {
             self.issued.pop_front();
         }
         self.stats.fsync_entries += batch;
-        let mut acks = Vec::new();
-        while let Some(&(s, ..)) = self.deferred.front() {
-            if s > self.synced_seq {
-                break;
-            }
-            let (_, to, msg) = self.deferred.pop_front().expect("peeked");
-            acks.push((to, msg));
+        batch
+    }
+
+    /// The next deferred ack the durable watermark covers, oldest first.
+    pub fn pop_synced_ack(&mut self) -> Option<(ActorId, Msg)> {
+        let (seq, ..) = self.deferred.front()?;
+        if *seq > self.synced_seq {
+            return None;
         }
-        (acks, batch)
+        self.deferred.pop_front().map(|(_, to, msg)| (to, msg))
     }
 
     /// Crash: unsynced writes never happened. Deferred acks die with
@@ -411,15 +413,15 @@ mod tests {
         };
         d.deferred.push_back((2, ActorId(9), stub()));
         d.deferred.push_back((3, ActorId(8), stub()));
-        let (acks, batch) = d.on_fsync_complete(2);
-        assert_eq!(batch, 2);
-        assert_eq!(acks.len(), 1);
-        assert_eq!(acks[0].0, ActorId(9));
+        let released = |d: &mut DurabilityState| -> Vec<ActorId> {
+            std::iter::from_fn(|| d.pop_synced_ack().map(|(to, _)| to)).collect()
+        };
+        assert!(released(&mut d).is_empty(), "nothing synced yet");
+        assert_eq!(d.on_fsync_complete(2), 2);
+        assert_eq!(released(&mut d), [ActorId(9)]);
         assert_eq!(d.synced_seq(), 2);
-        let (acks, batch) = d.on_fsync_complete(3);
-        assert_eq!(batch, 1);
-        assert_eq!(acks.len(), 1);
-        assert_eq!(acks[0].0, ActorId(8));
+        assert_eq!(d.on_fsync_complete(3), 1);
+        assert_eq!(released(&mut d), [ActorId(8)]);
     }
 
     /// The counters count barriers, whatever the number of completion
@@ -432,7 +434,7 @@ mod tests {
             let mut d = DurabilityState::new(&cfg);
             d.write_seq = entries;
             d.issued.push_back((entries, entries));
-            assert_eq!(d.on_fsync_complete(entries).1, entries);
+            assert_eq!(d.on_fsync_complete(entries), entries);
             (
                 d.stats.fsyncs,
                 d.stats.fsync_entries,

@@ -375,7 +375,9 @@ impl EngineCore {
         if leader == self.cfg.id || self.pending.is_empty() {
             return;
         }
-        let cmds = std::mem::take(&mut self.pending);
+        // The batches to come are the size of the one just shipped.
+        let room = Vec::with_capacity(self.pending.len());
+        let cmds = std::mem::replace(&mut self.pending, room);
         self.forwarded_cmds += cmds.len() as u64;
         if ctx.spans_enabled() {
             for c in &cmds {
@@ -419,10 +421,11 @@ pub trait ProtocolRules: Sized + 'static {
         SimDuration::ZERO
     }
 
-    /// Assigns slots to a flushed batch and replicates it. Called only
-    /// when [`ProtocolRules::can_propose`] holds; the engine has already
-    /// charged the propose cost.
-    fn propose(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, cmds: Vec<Command>);
+    /// Assigns slots to a flushed batch and replicates it, draining
+    /// `cmds` (the engine keeps the buffer for the next batch). Called
+    /// only when [`ProtocolRules::can_propose`] holds; the engine has
+    /// already charged the propose cost.
+    fn propose(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, cmds: &mut Vec<Command>);
 
     /// Serves a command without replication when a read optimization
     /// applies (quorum-lease local reads). `true` consumes the command.
@@ -522,6 +525,12 @@ pub trait ProtocolRules: Sized + 'static {
     /// stats.
     fn decorate_stats(&self, stats: &mut SnapshotStats) {
         let _ = stats;
+    }
+
+    /// Adds the rules' own named counters to the replica's
+    /// [`ReplicaEngine::metric_sample`].
+    fn record_metrics(&self, sample: &mut MetricSample) {
+        let _ = sample;
     }
 
     /// Resets volatile protocol state after a crash. The engine has
@@ -629,6 +638,7 @@ impl<P: ProtocolRules> ReplicaEngine<P> {
         s.record("range_export_bytes", self.core.mig_export_bytes as f64);
         s.record("range_installs", self.core.mig_installs as f64);
         s.record("fsyncs", self.core.dur.stats.fsyncs as f64);
+        self.rules.record_metrics(&mut s);
         // Gauges (instantaneous).
         s.record("fsync_batch_len", self.core.dur.stats.last_batch_len as f64);
         s.record("pending_depth", self.core.pending.len() as f64);
@@ -752,7 +762,7 @@ pub fn flush_pending<P: ProtocolRules>(rules: &mut P, core: &mut EngineCore, ctx
     if core.pending.is_empty() {
         return;
     }
-    let cmds = std::mem::take(&mut core.pending);
+    let mut cmds = std::mem::take(&mut core.pending);
     if ctx.spans_enabled() {
         for c in &cmds {
             ctx.trace_span(SpanKind::Propose, c.id.client, c.id.seq);
@@ -766,7 +776,12 @@ pub fn flush_pending<P: ProtocolRules>(rules: &mut P, core: &mut EngineCore, ctx
             + core.cfg.costs.size_cost(bytes),
     );
     core.batch_flushes += 1;
-    rules.propose(core, ctx, cmds);
+    rules.propose(core, ctx, &mut cmds);
+    // The drained buffer is the next batch's; what re-entered `pending`
+    // meanwhile (a re-proposal, a flush from inside `propose`) follows
+    // whatever `propose` left.
+    cmds.append(&mut core.pending);
+    core.pending = cmds;
 }
 
 /// Marks every buffered command as deferred by the cutter (window
@@ -1202,9 +1217,9 @@ impl<P: ProtocolRules> Actor<Msg> for ReplicaEngine<P> {
             }
             T_FSYNC => {
                 let seq = token & !KIND_MASK;
-                let (acks, batch) = self.core.dur.on_fsync_complete(seq);
+                let batch = self.core.dur.on_fsync_complete(seq);
                 ctx.trace_app("disk_fsync", batch, seq);
-                for (to, msg) in acks {
+                while let Some((to, msg)) = self.core.dur.pop_synced_ack() {
                     ctx.send(to, msg);
                 }
                 // Start the next group-commit batch if one is already

@@ -10,6 +10,20 @@
 //! a peer whose executed prefix stalled, report and merge accepted values
 //! for a phase 1, and drop what never reached the disk in a crash.
 //!
+//! # What `store` answers
+//!
+//! An acceptor never writes a value twice. [`PaxosBase::store`] answers
+//! [`Stored::BelowFloor`] for a slot the checkpoint covers,
+//! [`Stored::Kept`] for a cell that already holds the value — chosen, or
+//! *this command at this ballot*, which is what every retransmission and
+//! replay delivers — and [`Stored::Written`] otherwise. Only `Written`
+//! reaches the device; a `Kept` slot is still acknowledged, and the ack
+//! still waits for the first write's barrier. The test is on the command
+//! as well as the ballot: a Mencius revocation promise raises a cell's
+//! ballot above the one its value was accepted at, so a different value
+//! can arrive at the ballot the cell shows, and that one is written.
+//! `accept_duplicates` counts the arrivals `Kept` for being held already.
+//!
 //! What differs stays in the rules files and is never a branch here: the
 //! execute loops, the crash policies, the replay bodies, who proposes
 //! where. A difference in the bookkeeping itself is an argument; one
@@ -21,8 +35,9 @@ use std::ops::RangeBounds;
 use paxraft_sim::sim::Ctx;
 
 use crate::kv::Command;
-use crate::msg::Msg;
+use crate::msg::{Msg, Slots};
 use crate::snapshot::Snapshot;
+use crate::telemetry::MetricSample;
 use crate::types::{quorum, NodeId, Slot, Term};
 
 use super::{transfer, EngineCore, SlotRing};
@@ -81,7 +96,8 @@ pub(crate) enum Stored {
     /// Nothing: the slot is at or below the checkpoint floor — decided,
     /// executed, discarded; re-creating it would corrupt that prefix.
     BelowFloor,
-    /// Nothing: the slot already holds its chosen value.
+    /// Nothing: the slot already holds the value — chosen, or accepted at
+    /// this very ballot.
     Kept,
     /// Written, over the value inside (if any).
     Written(Option<Command>),
@@ -118,13 +134,19 @@ pub(crate) struct PaxosBase<At> {
     committed_no_value: BTreeSet<u64>,
     /// Durability: proposals whose *own* vote awaits the local fsync, as
     /// (write seq, ballot, slots) in write order.
-    pending_self: Vec<(u64, Term, Vec<Slot>)>,
+    pending_self: Vec<(u64, Term, Slots)>,
     /// Executed prefix each peer last reported.
     peer_exec: Vec<Slot>,
     /// `peer_exec` as of the previous [`Self::stalled_peer`] check.
     peer_exec_prev: Vec<Slot>,
     /// Votes that choose a value.
     quorum: usize,
+    /// Values put into a cell: accepted into an empty one, or replacing
+    /// another. What the device may be asked to write.
+    accept_writes: u64,
+    /// Values that arrived again at the ballot they are held at
+    /// (retransmissions and replays; none of them is written).
+    accept_duplicates: u64,
 }
 
 impl<At: Default> PaxosBase<At> {
@@ -140,6 +162,8 @@ impl<At: Default> PaxosBase<At> {
             peer_exec: vec![Slot::NONE; n],
             peer_exec_prev: vec![Slot::NONE; n],
             quorum: quorum(n),
+            accept_writes: 0,
+            accept_duplicates: 0,
         }
     }
 
@@ -153,6 +177,14 @@ impl<At: Default> PaxosBase<At> {
         self.committed_no_value.contains(&slot.0)
     }
 
+    /// The work-paid-once counters, for `metric_sample`: a replica's
+    /// device is asked for no more value writes than `accept_writes`, and
+    /// `accept_duplicates` is the traffic that re-delivered held values.
+    pub(crate) fn record_metrics(&self, sample: &mut MetricSample) {
+        sample.record("accept_writes", self.accept_writes as f64);
+        sample.record("accept_duplicates", self.accept_duplicates as f64);
+    }
+
     /// Folds the table's size into the reported peaks — a running
     /// maximum, so the caller decides when (MultiPaxos: per message).
     pub(crate) fn note_log_size(&self, core: &mut EngineCore) {
@@ -164,13 +196,15 @@ impl<At: Default> PaxosBase<At> {
     /// values without counting them learnt. Returns the cell.
     pub(crate) fn write(&mut self, slot: Slot, bal: Term, cmd: Command) -> &mut Cell<At> {
         let cell = self.cells.get_or_default(slot);
+        self.accept_writes += 1;
         cell.put(&mut self.bytes, bal, cmd);
         cell
     }
 
     /// Stores a value accepted (or learnt) at `bal`. A slot already
     /// committed with a value keeps it (the decided value is unique, so
-    /// what arrives is at worst a duplicate and must never rewrite); a
+    /// what arrives is at worst a duplicate and must never rewrite), and
+    /// so does one holding this command at this ballot (module docs); a
     /// slot learnt chosen ahead of its value is committed now. The cell's
     /// ballot becomes the higher of `bal` and its own: Mencius stores a
     /// decided value even under a higher revocation promise, and for
@@ -181,14 +215,21 @@ impl<At: Default> PaxosBase<At> {
             return Stored::BelowFloor;
         }
         let cell = self.cells.get_or_default(slot);
+        let again = cell.bal == bal && cell.cmd.as_ref() == Some(&cmd);
+        self.accept_duplicates += u64::from(again);
         if cell.committed && cell.cmd.is_some() {
             return Stored::Kept;
         }
-        let replaced = cell.put(&mut self.bytes, bal, cmd);
+        let stored = if again {
+            Stored::Kept
+        } else {
+            self.accept_writes += 1;
+            Stored::Written(cell.put(&mut self.bytes, bal, cmd))
+        };
         if self.committed_no_value.remove(&slot.0) {
             cell.committed = true;
         }
-        Stored::Written(replaced)
+        stored
     }
 
     /// Durability: charges the disk write for freshly written values and
@@ -198,7 +239,7 @@ impl<At: Default> PaxosBase<At> {
         &mut self,
         core: &mut EngineCore,
         ctx: &mut Ctx<Msg>,
-        written: &[Slot],
+        written: &Slots,
         bytes: usize,
     ) {
         if written.is_empty() || !core.dur.enabled() {
@@ -206,8 +247,8 @@ impl<At: Default> PaxosBase<At> {
         }
         core.durable_write(ctx, bytes, written.len());
         let seq = core.dur.write_seq();
-        for s in written {
-            if let Some(cell) = self.cells.get_mut(*s) {
+        for s in written.iter() {
+            if let Some(cell) = self.cells.get_mut(s) {
                 cell.wseq = seq;
             }
         }
@@ -226,7 +267,7 @@ impl<At: Default> PaxosBase<At> {
         if items.is_empty() || !core.dur.enabled() {
             return;
         }
-        let slots: Vec<Slot> = items.iter().map(|(s, _)| *s).collect();
+        let slots: Slots = items.iter().map(|(s, _)| *s).collect();
         let bytes = items.iter().map(|(_, c)| c.size_bytes()).sum();
         self.note_written(core, ctx, &slots, bytes);
         let seq = core.dur.write_seq();
@@ -234,15 +275,26 @@ impl<At: Default> PaxosBase<At> {
         self.pending_self.push((seq, bal, slots));
     }
 
-    /// Takes the queued own votes the fsync through write `synced`
-    /// covers, as (ballot proposed at, slots) in write order. Whether a
-    /// vote still applies (the ballot may have moved) is the caller's.
-    pub(crate) fn drain_synced_votes(&mut self, synced: u64) -> Vec<(Term, Vec<Slot>)> {
+    /// Tallies the queued own votes the fsync through write `synced`
+    /// covers, in write order, as [`Self::tally`] would with `bit` — for
+    /// the cells `eligible` admits given the ballot the vote was proposed
+    /// at (it may have moved since). Returns whether any vote was due.
+    pub(crate) fn tally_synced_votes(
+        &mut self,
+        synced: u64,
+        bit: u64,
+        eligible: impl Fn(Term, &Cell<At>) -> bool,
+        mut chosen: impl FnMut(Slot),
+    ) -> bool {
         let covered = self
             .pending_self
             .partition_point(|(seq, ..)| *seq <= synced);
-        let votes = self.pending_self.drain(..covered);
-        votes.map(|(_, bal, slots)| (bal, slots)).collect()
+        let mut votes = std::mem::take(&mut self.pending_self);
+        for (_, bal, slots) in votes.drain(..covered) {
+            self.tally(slots.iter(), bit, |cell| eligible(bal, cell), &mut chosen);
+        }
+        self.pending_self = votes;
+        covered > 0
     }
 
     /// Drops the queued own votes (a new ballot reseeds the bitmaps).
@@ -252,17 +304,17 @@ impl<At: Default> PaxosBase<At> {
 
     /// Adds the ack `bit` to each of `slots` not chosen yet that
     /// `eligible` admits (Mencius: still at the acked term; MultiPaxos
-    /// checks its ballot once per message), and appends to `chosen` those
+    /// checks its ballot once per message), and reports to `chosen` those
     /// it completed a quorum for, now committed — each once. A cell
     /// already chosen ignores the bit: its bitmap is never read again.
     pub(crate) fn tally(
         &mut self,
-        slots: &[Slot],
+        slots: impl IntoIterator<Item = Slot>,
         bit: u64,
         eligible: impl Fn(&Cell<At>) -> bool,
-        chosen: &mut Vec<Slot>,
+        mut chosen: impl FnMut(Slot),
     ) {
-        for &slot in slots {
+        for slot in slots {
             let Some(cell) = self.cells.get_mut(slot) else {
                 continue;
             };
@@ -272,7 +324,7 @@ impl<At: Default> PaxosBase<At> {
             cell.acks |= bit;
             if cell.acks.count_ones() as usize >= self.quorum {
                 cell.committed = true;
-                chosen.push(slot);
+                chosen(slot);
             }
         }
     }
@@ -506,6 +558,52 @@ mod tests {
         assert_eq!(b.cells.get(Slot(3)).unwrap().bal, Term(8));
     }
 
+    /// An acceptor never writes a value twice: this command at this ballot
+    /// is kept — nothing re-accounted, a learn that ran ahead still
+    /// promotes — while a higher ballot writes, and so does a different
+    /// command at the ballot the cell shows (a Mencius promise raised it
+    /// over an older value).
+    #[test]
+    fn a_value_held_at_this_ballot_is_kept_and_anything_else_is_written() {
+        let mut b = base();
+        assert_eq!(b.store(Slot(3), Term(4), put(1)), Stored::Written(None));
+        let bytes = b.bytes;
+        assert_eq!(b.store(Slot(3), Term(4), put(1)), Stored::Kept);
+        assert_eq!(b.bytes, bytes, "nothing re-accounted");
+        assert_eq!((b.accept_writes, b.accept_duplicates), (1, 1));
+        assert!(!b.cells.get(Slot(3)).unwrap().committed);
+        // A proposer adopted a value for a slot it had learnt chosen
+        // without one (`write` asks nothing); the value arriving again
+        // at that ballot is kept, and the cell is committed at last.
+        b.learn([Slot(5)]);
+        b.write(Slot(5), Term(4), put(2));
+        assert!(b.learnt_without_value(Slot(5)));
+        assert_eq!(b.store(Slot(5), Term(4), put(2)), Stored::Kept);
+        assert!(b.cells.get(Slot(5)).unwrap().committed && !b.learnt_without_value(Slot(5)));
+        // The same command at a higher ballot is a new accept.
+        assert_eq!(
+            b.store(Slot(3), Term(6), put(1)),
+            Stored::Written(Some(put(1)))
+        );
+        assert_eq!(b.cells.get(Slot(3)).unwrap().bal, Term(6));
+        // A promise raises the ballot over the value; a different value
+        // at the ballot the cell now shows is written, then held.
+        b.cells.get_mut(Slot(3)).unwrap().bal = Term(9);
+        assert_eq!(
+            b.store(Slot(3), Term(9), put(7)),
+            Stored::Written(Some(put(1)))
+        );
+        assert_eq!(b.store(Slot(3), Term(9), put(7)), Stored::Kept);
+        assert_eq!(b.bytes, put(7).size_bytes() + put(2).size_bytes());
+        assert_eq!((b.accept_writes, b.accept_duplicates), (4, 3));
+        // A chosen value is kept whatever arrives, and an arrival at its
+        // own ballot still counts as a duplicate.
+        b.learn([Slot(3)]);
+        assert_eq!(b.store(Slot(3), Term(9), put(7)), Stored::Kept);
+        assert_eq!(b.store(Slot(3), Term(11), put(8)), Stored::Kept);
+        assert_eq!((b.accept_writes, b.accept_duplicates), (4, 4));
+    }
+
     /// The tally ignores a cell the eligibility rule rejects, and returns
     /// each slot chosen exactly once.
     #[test]
@@ -516,34 +614,43 @@ mod tests {
         let at = |t| move |c: &Cell<()>| c.bal == Term(t);
         let slots = [Slot(1), Slot(2), Slot(1), Slot(9)];
         let mut chosen = Vec::new();
-        b.tally(&slots, 0b010, at(3), &mut chosen);
+        b.tally(slots, 0b010, at(3), |s| chosen.push(s));
         assert_eq!(chosen, [Slot(1)]);
         let other = b.cells.get(Slot(2)).unwrap();
         assert!(!other.committed && other.acks == 0b001, "bit not taken");
         // A later ack for the chosen slot chooses nothing again.
-        b.tally(&[Slot(1)], 0b100, at(3), &mut chosen);
-        b.tally(&[Slot(2)], 0b100, at(4), &mut chosen);
+        b.tally([Slot(1)], 0b100, at(3), |s| chosen.push(s));
+        b.tally([Slot(2)], 0b100, at(4), |s| chosen.push(s));
         assert_eq!(chosen, [Slot(1), Slot(2)]);
     }
 
-    /// Synced self-votes drain in write-sequence order and leave unsynced
-    /// ones queued.
+    /// Synced self-votes drain in write-sequence order, each tallied with
+    /// the ballot it was proposed at, and leave unsynced ones queued.
     #[test]
     fn synced_self_votes_drain_in_write_order_and_the_rest_stay_queued() {
         let mut b = base();
+        for s in [1, 4, 7, 10] {
+            b.write(Slot(s), Term(2), put(s)).acks = 0b010;
+        }
+        let run = |slots: &[u64]| slots.iter().map(|s| Slot(*s)).collect::<Slots>();
         b.pending_self = vec![
-            (3, Term(1), vec![Slot(1)]),
-            (5, Term(2), vec![Slot(4), Slot(7)]),
-            (8, Term(2), vec![Slot(10)]),
+            (3, Term(1), run(&[1])),
+            (5, Term(2), run(&[4, 7])),
+            (8, Term(2), run(&[10])),
         ];
-        assert!(b.drain_synced_votes(2).is_empty());
-        assert_eq!(
-            b.drain_synced_votes(5),
-            [(Term(1), vec![Slot(1)]), (Term(2), vec![Slot(4), Slot(7)])]
-        );
-        assert_eq!(b.pending_self, [(8, Term(2), vec![Slot(10)])]);
+        let drain = |b: &mut PaxosBase<()>, synced| {
+            let mut votes = Vec::new();
+            let still = |bal, cell: &Cell<()>| bal == cell.bal;
+            let any = b.tally_synced_votes(synced, 0b001, still, |s| votes.push(s));
+            (any, votes)
+        };
+        assert_eq!(drain(&mut b, 2), (false, vec![]));
+        // Slot 1's vote was queued under a ballot the cell has left.
+        assert_eq!(drain(&mut b, 5), (true, vec![Slot(4), Slot(7)]));
+        assert!(!b.cells.get(Slot(1)).unwrap().committed);
+        assert_eq!(b.pending_self, [(8, Term(2), run(&[10]))]);
         b.forget_self_votes();
-        assert!(b.drain_synced_votes(u64::MAX).is_empty());
+        assert_eq!(drain(&mut b, u64::MAX), (false, vec![]));
     }
 
     /// `discard_through` hands every dropped cell to the callback, prunes

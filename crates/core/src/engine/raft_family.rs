@@ -11,12 +11,13 @@
 //! snapshot-then-pipeline append path is written once.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use paxraft_sim::sim::{ActorId, Ctx};
 use paxraft_sim::trace::SpanKind;
 
 use crate::kv::KvStore;
-use crate::log::Log;
+use crate::log::{Entry, Log};
 use crate::msg::{Msg, RaftMsg};
 use crate::replicate::Replicator;
 use crate::snapshot::{Snapshot, SnapshotStats};
@@ -210,10 +211,12 @@ impl RaftBase {
         self.arm_election(core, ctx);
     }
 
-    /// Sends each follower its tailored suffix.
+    /// Sends each follower its tailored suffix — one built round for all
+    /// the followers at the same cursor.
     pub fn broadcast_append(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
+        let mut built = None;
         for peer in core.cfg.others() {
-            self.send_append_to(core, ctx, peer);
+            self.send_round(core, ctx, peer, usize::MAX, &mut built);
         }
     }
 
@@ -226,17 +229,21 @@ impl RaftBase {
     /// the retained suffix behind it — FIFO links deliver the chunks
     /// first, so the Append matches once the snapshot installs.
     pub fn send_append_to(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, peer: NodeId) {
-        self.send_round(core, ctx, peer, usize::MAX);
+        self.send_round(core, ctx, peer, usize::MAX, &mut None);
     }
 
     /// [`RaftBase::send_append_to`] carrying at most `cap` entries;
-    /// returns how many went out, `None` when no message did.
+    /// returns how many went out, `None` when no message did. `built` is
+    /// the round last built in the caller's loop over peers (one `cap`,
+    /// the log untouched in between) and the cursor it was built after: a
+    /// peer at that cursor shares it.
     fn send_round(
         &mut self,
         core: &mut EngineCore,
         ctx: &mut Ctx<Msg>,
         peer: NodeId,
         cap: usize,
+        built: &mut Option<(Slot, Arc<[Entry]>)>,
     ) -> Option<usize> {
         let mut prev = self.repl.next_prev(peer);
         let has_entries = self.log.last_index() > prev;
@@ -249,7 +256,13 @@ impl RaftBase {
             prev = transfer::ship_snapshot(core, ctx, peer, point, self.current_term)?;
         }
         let prev_term = self.log.term_at(prev).unwrap_or(Term::ZERO);
-        let entries = self.log.suffix_bounded(prev, cap);
+        let entries = match built {
+            Some((after, round)) if *after == prev => round.clone(),
+            _ => {
+                let round = self.log.suffix_bounded(prev, cap);
+                built.insert((prev, round)).1.clone()
+            }
+        };
         // A round cut short by `cap` ends where its entries do.
         let tail = if entries.len() < cap {
             self.log.last_index()
@@ -290,7 +303,7 @@ impl RaftBase {
         }
         let cap = core.pipe.round_cap(peer, self.log.last_index(), &core.dur);
         while self.log.last_index() > self.repl.next_prev(peer) {
-            let Some(shipped) = self.send_round(core, ctx, peer, cap) else {
+            let Some(shipped) = self.send_round(core, ctx, peer, cap, &mut None) else {
                 break;
             };
             core.pipe.note_pumped(shipped, cap);
@@ -305,6 +318,7 @@ impl RaftBase {
         if self.role != Role::Leader {
             return;
         }
+        let mut built = None;
         for peer in core.cfg.others() {
             if self
                 .repl
@@ -312,7 +326,7 @@ impl RaftBase {
             {
                 core.pipe.on_regress(peer);
             }
-            self.send_append_to(core, ctx, peer);
+            self.send_round(core, ctx, peer, usize::MAX, &mut built);
         }
         core.arm_heartbeat(ctx);
     }

@@ -873,11 +873,11 @@ mod tests {
                 term: Term(1),
                 prev: Slot(0),
                 prev_term: Term(0),
-                entries: vec![Entry {
+                entries: std::sync::Arc::new([Entry {
                     term: Term(1),
                     bal: Term(1),
                     cmd: cmd.clone(),
-                }],
+                }]),
                 commit: Slot(0),
                 window_room: true,
             });
@@ -940,6 +940,10 @@ mod tests {
         assert_eq!(size_of::<Command>(), 48);
         assert_eq!(size_of::<crate::log::Entry>(), 64);
         assert_eq!(size_of::<crate::msg::Msg>(), 88);
+        // A list of slots sits where the `Vec<Slot>` it replaced sat.
+        assert_eq!(size_of::<crate::msg::Slots>(), 24);
+        assert_eq!(size_of::<crate::msg::PaxosMsg>(), 48);
+        assert_eq!(size_of::<crate::msg::MenciusMsg>(), 80);
         // The Paxos-family instance: MultiPaxos, then Mencius with its
         // owner's timestamp (the owner's flags share `committed`'s padding).
         use crate::engine::paxos_family::Cell;

@@ -47,6 +47,8 @@
 //! is global and never shifts: slot `s` names the same entry before and
 //! after compaction.
 
+use std::sync::Arc;
+
 use paxraft_workload::metrics::PeakGauge;
 
 use crate::kv::Command;
@@ -213,7 +215,12 @@ impl Log {
     /// length(ents)`), so reaching this state is a protocol bug — or if
     /// `prev` lies inside the compacted prefix (callers must skip the
     /// overlap first).
-    pub fn replace_suffix(&mut self, prev: Slot, entries: Vec<Entry>) {
+    pub fn replace_suffix<I>(&mut self, prev: Slot, entries: I)
+    where
+        I: IntoIterator<Item = Entry>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let entries = entries.into_iter();
         assert!(
             prev >= self.start,
             "replace_suffix reaches into the compacted prefix ({} < {})",
@@ -234,10 +241,10 @@ impl Log {
         self.entries.truncate(keep);
         // The replacement carries its own ballots.
         self.bal_upto = self.bal_upto.min(prev);
-        for e in &entries {
+        self.entries.extend(entries);
+        for e in &self.entries[keep..] {
             self.bytes += e.size_bytes();
         }
-        self.entries.extend(entries);
         self.note_peak();
     }
 
@@ -272,20 +279,33 @@ impl Log {
     /// prefix yields everything retained — callers wanting the
     /// discarded part must ship a snapshot instead.
     pub fn suffix_from(&self, prev: Slot) -> Vec<Entry> {
-        self.suffix_bounded(prev, usize::MAX)
+        self.suffix_iter(prev, usize::MAX).collect()
     }
 
-    /// [`Log::suffix_from`] stopping after `max` entries: only what a
-    /// size-bounded replication round carries is cloned.
-    pub fn suffix_bounded(&self, prev: Slot, max: usize) -> Vec<Entry> {
+    /// [`Log::suffix_from`] stopping after `max` entries, as the payload
+    /// of one replication round: only what the round carries is cloned,
+    /// into the one allocation every peer at this cursor shares (none,
+    /// for the empty heartbeat).
+    pub fn suffix_bounded(&self, prev: Slot, max: usize) -> Arc<[Entry]> {
+        let round = self.suffix_iter(prev, max);
+        if round.len() == 0 {
+            return Arc::default();
+        }
+        round.collect()
+    }
+
+    /// At most `max` retained entries strictly after `prev`, cloned with
+    /// their effective ballots; of known length, so it collects at once.
+    fn suffix_iter(&self, prev: Slot, max: usize) -> impl ExactSizeIterator<Item = Entry> + '_ {
         let from = self.retained_after(prev);
         let upto = from + max.min(self.entries.len() - from);
-        let mut out = self.entries[from..upto].to_vec();
         let covered = self.retained_after(self.bal_upto).saturating_sub(from);
-        for e in &mut out[..covered.min(upto - from)] {
-            e.bal = self.bal_term;
-        }
-        out
+        let marked = self.bal_term;
+        let effective = move |(i, e): (usize, &Entry)| Entry {
+            bal: if i < covered { marked } else { e.bal },
+            ..e.clone()
+        };
+        self.entries[from..upto].iter().enumerate().map(effective)
     }
 
     /// Iterates retained entries as `(global slot, effective ballot,
@@ -482,7 +502,7 @@ mod tests {
         assert!(log.suffix_from(Slot(9)).is_empty());
         assert_eq!(log.suffix_from(Slot::NONE).len(), 4);
         let bounded = log.suffix_bounded(Slot(1), 2);
-        assert_eq!(bounded, log.suffix_from(Slot(1))[..2]);
+        assert_eq!(bounded[..], log.suffix_from(Slot(1))[..2]);
         assert_eq!(
             log.suffix_bounded(Slot(3), 2).len(),
             1,
@@ -593,7 +613,7 @@ mod tests {
                 let max = rng.gen_range(4) as usize;
                 let upto = (from + max).min(eager.len());
                 assert_eq!(
-                    log.suffix_bounded(Slot(prev), max),
+                    log.suffix_bounded(Slot(prev), max)[..],
                     eager[from..upto],
                     "{ctx}"
                 );

@@ -160,7 +160,7 @@ use crate::costs::CostModel;
 use crate::engine::paxos_family::{merge_highest, Accepted, Cell, PaxosBase, Stored};
 use crate::engine::{self, EngineCore, ProtocolRules, ReplicaEngine, T_COORD};
 use crate::kv::{Command, Key, Op};
-use crate::msg::{Coord, MenciusMsg, Msg};
+use crate::msg::{Coord, MenciusMsg, Msg, Round, Slots};
 use crate::snapshot::Snapshot;
 use crate::types::{max_failures, NodeId, Slot, Term};
 
@@ -185,7 +185,7 @@ struct PeerStream {
     /// When anything was last sent on this link.
     last_sent: SimTime,
     /// Commit decisions for my slots waiting for a carrier.
-    decisions: Vec<Slot>,
+    decisions: Slots,
     /// How long `decisions` may wait for one: an eighth of the
     /// suggest-to-commit time of the quickest slot among them.
     patience: SimDuration,
@@ -197,7 +197,7 @@ impl PeerStream {
         PeerStream {
             sent_upto: at,
             last_sent: SimTime::ZERO,
-            decisions: Vec::new(),
+            decisions: Slots::new(),
             patience: SimDuration::ZERO,
         }
     }
@@ -275,6 +275,12 @@ pub struct MenciusRules {
     last_revoke_attempt: SimTime,
     /// Slots this replica skipped (stats).
     skips_issued: u64,
+    /// Revocation decisions recorded for a value the slot already held
+    /// (stats): the one write this file still pays twice — a decision is
+    /// written whether or not its value was held, and not writing it moves
+    /// the durability-on fault fingerprint, so it is counted here and
+    /// left to the revocation rewrite (ROADMAP item 1).
+    decision_rewrites: u64,
     /// Durability: own slots whose unsynced value a crash dropped.
     /// The stalled-peer replay stops its range claim short of them;
     /// membership suppresses the skip inference in `decided_at` (the
@@ -317,6 +323,7 @@ impl MenciusReplica {
                 revoke: None,
                 last_revoke_attempt: SimTime::ZERO,
                 skips_issued: 0,
+                decision_rewrites: 0,
                 lost_own: BTreeSet::new(),
             },
         )
@@ -404,13 +411,7 @@ impl MenciusRules {
 
     /// Suggests `items` (my own slots, at `term`) to every peer, each
     /// copy carrying that peer's stream element.
-    fn send_suggest(
-        &mut self,
-        core: &EngineCore,
-        ctx: &mut Ctx<Msg>,
-        term: Term,
-        items: Vec<(Slot, Command)>,
-    ) {
+    fn send_suggest(&mut self, core: &EngineCore, ctx: &mut Ctx<Msg>, term: Term, items: Round) {
         for peer in core.cfg.others() {
             let coord = self.stamp(peer, ctx.now());
             ctx.send(
@@ -425,15 +426,28 @@ impl MenciusRules {
     }
 
     /// Stores an accepted value ([`PaxosBase::store`]) and indexes its
-    /// key. Returns `false` (nothing stored) for slots at or below the
-    /// checkpoint floor; a slot already committed with a value keeps it
-    /// (e.g. a partitioned owner's stale retransmission racing a
-    /// revocation that already decided the slot as a no-op).
-    fn accept_value(&mut self, core: &mut EngineCore, s: Slot, term: Term, cmd: Command) -> bool {
+    /// key. Returns whether it wrote: `None` (nothing stored) for slots at
+    /// or below the checkpoint floor, `Some(false)` for a slot that
+    /// already holds the value — committed (e.g. a partitioned owner's
+    /// stale retransmission racing a revocation that already decided the
+    /// slot as a no-op), or accepted at this very term.
+    fn accept_value(
+        &mut self,
+        core: &mut EngineCore,
+        s: Slot,
+        term: Term,
+        cmd: Command,
+    ) -> Option<bool> {
         let indexed = write_key(&cmd).filter(|_| s > self.base.exec_index);
         let replaced = match self.base.store(s, term, cmd) {
-            Stored::BelowFloor => return false,
-            Stored::Kept => return true,
+            Stored::BelowFloor => return None,
+            Stored::Kept => {
+                // An arrival samples the table's size whether or not it
+                // is written (the reported peaks are maxima over these
+                // samples, and the fault fingerprints pin them).
+                self.base.note_log_size(core);
+                return Some(false);
+            }
             Stored::Written(replaced) => replaced,
         };
         // A value replaced (a revocation deciding a no-op over a
@@ -452,16 +466,27 @@ impl MenciusRules {
         // decision, or a revocation's) supersedes the loss marker.
         self.lost_own.remove(&s.0);
         self.base.note_log_size(core);
-        true
+        Some(true)
     }
 
     /// Commit tally for own slots that just gained an ack bit (a
     /// follower's `SuggestOk`, or this owner's own post-fsync vote). An
     /// ack counts only for a slot still at the term it acknowledges.
-    fn tally_own(&mut self, slots: &[Slot], term: Term, bit: u64) {
+    fn tally_own(&mut self, slots: &Slots, term: Term, bit: u64) {
         let before = self.commit_buf.len();
         let chosen = &mut self.commit_buf;
-        self.base.tally(slots, bit, |slot| slot.bal == term, chosen);
+        self.base.tally(
+            slots.iter(),
+            bit,
+            |slot| slot.bal == term,
+            |s| chosen.push(s),
+        );
+        self.note_chosen_own(before);
+    }
+
+    /// Own slots chosen since `commit_buf` was `before` long now await
+    /// their respond condition.
+    fn note_chosen_own(&mut self, before: usize) {
         if self.commit_buf.len() > before {
             self.await_respond
                 .extend_from_slice(&self.commit_buf[before..]);
@@ -533,7 +558,7 @@ impl MenciusRules {
         self.note_known(core, peer, coord.from, coord.watermark);
         // Decided on their owner's word; a decision says nothing about
         // the owner's other slots.
-        self.base.learn(coord.commits);
+        self.base.learn(coord.commits.iter());
         self.base.note_peer_exec(peer, coord.exec);
     }
 
@@ -690,8 +715,8 @@ impl MenciusRules {
         if self.commit_buf.is_empty() {
             return;
         }
-        let slots = std::mem::take(&mut self.commit_buf);
-        let quickest = slots
+        let quickest = self
+            .commit_buf
             .iter()
             .filter_map(|s| self.base.cells.get(*s))
             .map(|slot| now.since(slot.suggested_at.min(now)))
@@ -705,8 +730,9 @@ impl MenciusRules {
             } else {
                 st.patience.min(patience)
             };
-            st.decisions.extend_from_slice(&slots);
+            st.decisions.extend(self.commit_buf.iter().copied());
         }
+        self.commit_buf.clear();
     }
 
     /// Sends queued decisions in a `Commit` of their own on every link
@@ -783,10 +809,10 @@ impl MenciusRules {
         for peer in core.cfg.others() {
             self.out[peer.0 as usize]
                 .decisions
-                .extend_from_slice(&committed);
+                .extend(committed.iter().copied());
         }
         for (term, items) in by_term {
-            self.send_suggest(core, ctx, term, items);
+            self.send_suggest(core, ctx, term, items.into());
         }
     }
 
@@ -858,7 +884,11 @@ impl MenciusRules {
                 exec: self.base.exec_index,
             };
             let msg = match term {
-                Some(term) => MenciusMsg::Suggest { term, items, coord },
+                Some(term) => MenciusMsg::Suggest {
+                    term,
+                    items: items.into(),
+                    coord,
+                },
                 None => MenciusMsg::SkipNotice { coord },
             };
             ctx.send(core.cfg.peer(peer), Msg::Mencius(msg));
@@ -1020,14 +1050,16 @@ impl MenciusRules {
                             * items.len().max(1) as u64
                         + core.cfg.costs.size_cost(bytes),
                 );
-                let mut acked = Vec::new();
+                let durable = core.dur.enabled();
+                let mut acked = Slots::new();
                 let mut rejected = Vec::new();
                 let mut revoked = Vec::new();
                 let mut reject_term = Term::ZERO;
                 let mut max_slot = Slot::NONE;
-                let mut written = Vec::new();
+                let mut written = Slots::new();
                 let mut written_bytes = 0usize;
-                for (s, cmd) in items {
+                for (s, cmd) in items.iter() {
+                    let s = *s;
                     if s <= self.base.floor() {
                         // Decided and checkpointed away; the lagging
                         // owner converges via Checkpoint, not re-accept.
@@ -1038,22 +1070,15 @@ impl MenciusRules {
                     // accepted, and no promise stands against learning:
                     // at a slot its owner committed, the owner's value
                     // is the only one any ballot can decide.
-                    let decided = coord.commits.contains(&s) || self.base.learnt_without_value(s);
+                    let decided = coord.commits.contains(s) || self.base.learnt_without_value(s);
                     if term >= bal || decided {
-                        // Already holds the value — committed, or
-                        // accepted at this very term (an owner suggests
-                        // one value per slot and term): a duplicate from
-                        // a retransmission or replay, nothing new
-                        // reaches the disk.
-                        let already =
-                            self.base.cells.get(s).is_some_and(|x| {
-                                x.cmd().is_some() && (x.committed || x.bal == term)
-                            });
-                        let sz = cmd.size_bytes();
-                        self.accept_value(core, s, term, cmd);
-                        if !already {
+                        // A value the slot already holds (a duplicate
+                        // from a retransmission or replay) is not
+                        // written: nothing new reaches the disk.
+                        let wrote = self.accept_value(core, s, term, cmd.clone());
+                        if durable && wrote == Some(true) {
                             written.push(s);
-                            written_bytes += sz;
+                            written_bytes += cmd.size_bytes();
                         }
                         acked.push(s);
                         if s > max_slot {
@@ -1128,7 +1153,7 @@ impl MenciusRules {
             MenciusMsg::SuggestOk { term, slots, coord } => {
                 ctx.charge(core.cfg.costs.ack_process);
                 self.absorb(core, peer, coord);
-                if let Some(&upto) = slots.iter().max() {
+                if let Some(upto) = slots.max() {
                     core.pipe.on_ack(peer, upto);
                 }
                 let bit = 1u64 << peer.0;
@@ -1159,7 +1184,7 @@ impl MenciusRules {
             }
             MenciusMsg::Commit { slots } => {
                 ctx.charge(core.cfg.costs.coord_msg);
-                self.base.learn(slots);
+                self.base.learn(slots.iter());
                 self.try_execute(core, ctx);
             }
             MenciusMsg::Revoke {
@@ -1218,18 +1243,19 @@ impl MenciusRules {
                         s = Slot(s.0 + core.cfg.n as u64);
                     }
                     // Decide locally and broadcast. The decided values
-                    // are a local disk write too; if a crash drops them
-                    // before the fsync, the slots degrade to
-                    // committed-without-value and a fresh revocation
-                    // re-decides them.
-                    let mut written = Vec::new();
+                    // are a local disk write too (the decision's record,
+                    // written whether or not the value was held); if a
+                    // crash drops them before the fsync, the slots
+                    // degrade to committed-without-value and a fresh
+                    // revocation re-decides them.
+                    let mut written = Slots::new();
                     let mut written_bytes = 0usize;
                     for (s, cmd) in &items {
-                        let sz = cmd.size_bytes();
-                        if self.accept_value(core, *s, op.term, cmd.clone()) {
+                        if let Some(wrote) = self.accept_value(core, *s, op.term, cmd.clone()) {
                             self.base.cells.get_mut(*s).expect("accepted").committed = true;
+                            self.decision_rewrites += u64::from(!wrote);
                             written.push(*s);
-                            written_bytes += sz;
+                            written_bytes += cmd.size_bytes();
                         }
                     }
                     self.base.note_written(core, ctx, &written, written_bytes);
@@ -1255,7 +1281,7 @@ impl MenciusRules {
                     .first()
                     .map(|(first, _)| (*first, items[items.len() - 1].0.next()));
                 let mut reproposed = false;
-                let mut written = Vec::new();
+                let mut written = Slots::new();
                 let mut written_bytes = 0usize;
                 for (s, cmd) in items {
                     if s <= self.base.floor() {
@@ -1281,11 +1307,12 @@ impl MenciusRules {
                         }
                     }
                     let sz = cmd.size_bytes();
-                    if self.accept_value(core, s, term, cmd) {
+                    if let Some(wrote) = self.accept_value(core, s, term, cmd) {
                         let slot = self.base.cells.get_mut(s).expect("accepted");
                         if term >= slot.bal {
                             slot.committed = true;
                         }
+                        self.decision_rewrites += u64::from(!wrote);
                         written.push(s);
                         written_bytes += sz;
                     }
@@ -1325,19 +1352,22 @@ impl ProtocolRules for MenciusRules {
     /// unlike the single-leader protocols the send is not gated; the
     /// per-peer window still tracks in-flight rounds so the engine's
     /// batch cutter can pace this owner's range.
-    fn propose(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, cmds: Vec<Command>) {
-        let mut items = Vec::with_capacity(cmds.len());
+    fn propose(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, cmds: &mut Vec<Command>) {
+        // The round's one allocation, straight from the batch.
+        let (first, n) = (self.next_own.0, core.cfg.n as u64);
+        let numbered = cmds.drain(..).enumerate();
+        let items: Round = numbered
+            .map(|(i, c)| (Slot(first + i as u64 * n), c))
+            .collect();
+        self.next_own = Slot(first + items.len() as u64 * n);
         // With durability on, the owner's implicit ack waits for its own
         // fsync (`on_durable` adds the bit); otherwise it is immediate.
         let self_ack = if core.dur.enabled() { 0 } else { core.me_bit() };
-        for cmd in cmds {
-            let s = self.next_own;
-            self.next_own = Slot(self.next_own.0 + core.cfg.n as u64);
-            self.accept_value(core, s, self.current_term, cmd.clone());
-            let slot = self.base.cells.get_mut(s).expect("just accepted");
+        for (s, cmd) in items.iter() {
+            self.accept_value(core, *s, self.current_term, cmd.clone());
+            let slot = self.base.cells.get_mut(*s).expect("just accepted");
             slot.acks = self_ack;
             slot.suggested_at = ctx.now();
-            items.push((s, cmd));
         }
         self.base
             .note_proposed(core, ctx, self.current_term, &items);
@@ -1400,13 +1430,14 @@ impl ProtocolRules for MenciusRules {
     /// whose slots were since re-balloted (a `SuggestReject`, a
     /// revocation) simply fail the per-slot term check in `tally_own`.
     fn on_durable(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
-        let ready = self.base.drain_synced_votes(core.dur.synced_seq());
-        if ready.is_empty() {
+        let before = self.commit_buf.len();
+        let chosen = &mut self.commit_buf;
+        let at_term = |term, slot: &Cell<SimTime>| slot.bal == term;
+        let synced = core.dur.synced_seq();
+        if !(self.base).tally_synced_votes(synced, core.me_bit(), at_term, |s| chosen.push(s)) {
             return;
         }
-        for (term, slots) in ready {
-            self.tally_own(&slots, term, core.me_bit());
-        }
+        self.note_chosen_own(before);
         self.queue_decisions(core, ctx.now());
         self.try_execute(core, ctx);
         self.flush_idle_links(core, ctx);
@@ -1485,6 +1516,11 @@ impl ProtocolRules for MenciusRules {
         // slots only as far as this replica executed too (a peer that
         // was ahead answers with a prefix we have not seen).
         self.note_known(core, peer, Slot(1), upto.min(self.base.exec_index).next());
+    }
+
+    fn record_metrics(&self, sample: &mut crate::telemetry::MetricSample) {
+        self.base.record_metrics(sample);
+        sample.record("decision_rewrites", self.decision_rewrites as f64);
     }
 
     fn on_crash(&mut self, core: &mut EngineCore) {
@@ -1811,7 +1847,7 @@ mod tests {
         Coord {
             from: Slot(1),
             watermark: Slot(upto),
-            commits: Vec::new(),
+            commits: Slots::new(),
             exec: Slot::NONE,
         }
     }
@@ -1842,13 +1878,13 @@ mod tests {
             ..skipped_below(8)
         };
         let replay = Coord {
-            commits: vec![Slot(2)],
+            commits: Slots::from_iter([Slot(2)]),
             ..skipped_below(5)
         };
         let decision = MenciusMsg::SkipNotice {
             coord: Coord {
                 from: Slot(8),
-                commits: vec![Slot(5)],
+                commits: Slots::from_iter([Slot(5)]),
                 ..skipped_below(8)
             },
         };
@@ -1918,7 +1954,7 @@ mod tests {
             .expect("replayed");
         let slots: Vec<Slot> = items.iter().map(|(s, _)| *s).collect();
         assert_eq!(slots, [Slot(1), Slot(4)], "every decided value it holds");
-        assert_eq!(coord.commits, slots, "with its decision");
+        assert!(coord.commits.iter().eq(slots), "with its decision");
         assert_eq!(coord.watermark, Slot(7), "up to the uncommitted one");
         let retransmitted = p2
             .suggests_seen()
@@ -1963,7 +1999,7 @@ mod tests {
             .iter()
             .filter_map(|(_, m)| match m {
                 MenciusMsg::SuggestOk { slots, coord, .. } => {
-                    Some((slots.clone(), coord.commits.clone()))
+                    Some((slots.iter().collect(), coord.commits.iter().collect()))
                 }
                 MenciusMsg::Commit { .. } => panic!("busy link got a Commit of its own"),
                 _ => None,
@@ -1976,7 +2012,7 @@ mod tests {
         );
         let p2 = sim.actor::<Puppet>(ActorId(2));
         let commit_at = p2.seen.iter().find_map(|(at, m)| match m {
-            MenciusMsg::Commit { slots } if slots == &[Slot(1)] => Some(*at),
+            MenciusMsg::Commit { slots } if slots.iter().eq([Slot(1)]) => Some(*at),
             _ => None,
         });
         let ack_carrier_at = sim.actor::<Puppet>(ActorId(1)).seen[2].0;

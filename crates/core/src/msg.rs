@@ -5,6 +5,22 @@
 //! optimizations add (Figure 8's lease `holders`, Appendix A.4's
 //! `isDefault` flag), mirroring how the porting method only ever *adds*
 //! message content.
+//!
+//! # A list of slots is a run
+//!
+//! The Paxos family names slots where Raft names one index: an `acceptOK`
+//! lists the instances it accepted, a `Learn` the instances chosen, a
+//! Mencius stream element the decisions it carries. Every fresh round, its
+//! acknowledgement and its decision name consecutive slots (MultiPaxos) or
+//! slots `n` apart (one Mencius owner's), so [`Slots`] holds *first,
+//! length, stride* in place and touches the heap only for what is not a
+//! run — a pump over committed gaps, a retransmission by age. The size
+//! model does not learn this: `size_bytes()` keeps charging 8 B a slot
+//! from [`Slots::len`], because the wire *model* is the paper's message,
+//! not this process's layout, and a range-encoded wire size would move
+//! every virtual number.
+
+use std::sync::Arc;
 
 use crate::kv::{CmdId, Command, Reply};
 use crate::log::Entry;
@@ -156,6 +172,140 @@ pub enum ClientMsg {
     },
 }
 
+/// An ordered list of slots as a message carries it (module docs, "A list
+/// of slots is a run"): empty, an arithmetic run held in place, or —
+/// once a slot arrives that does not continue the run — a spilled list.
+/// As large as the `Vec<Slot>` it stands in for.
+#[derive(Debug, Clone)]
+pub struct Slots(Repr);
+
+#[derive(Debug, Clone)]
+enum Repr {
+    /// `len` slots from `first`, `stride` apart (`stride` is 0 until a
+    /// second slot fixes it).
+    Run { first: u64, len: u32, stride: u32 },
+    /// Anything else, in push order.
+    List(Vec<Slot>),
+}
+
+impl Default for Slots {
+    fn default() -> Self {
+        Slots::new()
+    }
+}
+
+impl Slots {
+    /// The empty list.
+    pub const fn new() -> Self {
+        Slots(Repr::Run {
+            first: 0,
+            len: 0,
+            stride: 0,
+        })
+    }
+
+    /// Appends `slot`. A run stays a run while each slot is the previous
+    /// one plus the stride its first two slots set.
+    pub fn push(&mut self, slot: Slot) {
+        match &mut self.0 {
+            Repr::List(list) => list.push(slot),
+            Repr::Run { first, len, stride } => {
+                let step = slot.0.wrapping_sub(*first);
+                match *len {
+                    0 => *first = slot.0,
+                    1 if slot.0 > *first && step <= u32::MAX as u64 => *stride = step as u32,
+                    n if n > 1 && n < u32::MAX && step == n as u64 * *stride as u64 => {}
+                    _ => {
+                        let mut list: Vec<Slot> = self.iter().collect();
+                        list.push(slot);
+                        self.0 = Repr::List(list);
+                        return;
+                    }
+                }
+                *len += 1;
+            }
+        }
+    }
+
+    /// How many slots (what `size_bytes()` charges 8 B each for).
+    pub fn len(&self) -> usize {
+        match &self.0 {
+            Repr::Run { len, .. } => *len as usize,
+            Repr::List(list) => list.len(),
+        }
+    }
+
+    /// Whether the list is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The slots, in push order.
+    pub fn iter(&self) -> impl Iterator<Item = Slot> + '_ {
+        let (run, list): (_, &[Slot]) = match &self.0 {
+            Repr::Run { first, len, stride } => ((*first, *len as u64, *stride as u64), &[]),
+            Repr::List(list) => ((0, 0, 0), list),
+        };
+        let (first, len, stride) = run;
+        (0..len)
+            .map(move |i| Slot(first + i * stride))
+            .chain(list.iter().copied())
+    }
+
+    /// Whether `slot` is in the list.
+    pub fn contains(&self, slot: Slot) -> bool {
+        match &self.0 {
+            Repr::Run { first, len, stride } => {
+                let step = slot.0.wrapping_sub(*first);
+                match *len {
+                    0 => false,
+                    1 => step == 0,
+                    n => step % *stride as u64 == 0 && step / (*stride as u64) < n as u64,
+                }
+            }
+            Repr::List(list) => list.contains(&slot),
+        }
+    }
+
+    /// The highest slot, `None` when empty.
+    pub fn max(&self) -> Option<Slot> {
+        match &self.0 {
+            Repr::Run { len: 0, .. } => None,
+            Repr::Run { first, len, stride } => {
+                Some(Slot(first + (*len as u64 - 1) * *stride as u64))
+            }
+            Repr::List(list) => list.iter().copied().max(),
+        }
+    }
+}
+
+/// Equal as sequences, whichever way each is held.
+impl PartialEq for Slots {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Extend<Slot> for Slots {
+    fn extend<I: IntoIterator<Item = Slot>>(&mut self, slots: I) {
+        for slot in slots {
+            self.push(slot);
+        }
+    }
+}
+
+impl FromIterator<Slot> for Slots {
+    fn from_iter<I: IntoIterator<Item = Slot>>(slots: I) -> Self {
+        let mut out = Slots::new();
+        out.extend(slots);
+        out
+    }
+}
+
+/// One replication round's payload, built once by its proposer and handed
+/// to every peer by reference count; an acceptor clones the values out.
+pub type Round = Arc<[(Slot, Command)]>;
+
 /// MultiPaxos messages (Figure 1). Phase-2 messages batch multiple
 /// instances, matching the paper's note that MultiPaxos "optimizes
 /// performance by batching".
@@ -188,7 +338,7 @@ pub enum PaxosMsg {
         /// Proposer's ballot.
         ballot: Term,
         /// `(instance, value)` pairs.
-        items: Vec<(Slot, Command)>,
+        items: Round,
         /// Whether the proposer's replication pipeline has window room
         /// for a quorum (piggybacked occupancy hint; the Paxos spelling
         /// of [`RaftMsg::Append::window_room`]). Rides in a reserved
@@ -200,7 +350,7 @@ pub enum PaxosMsg {
         /// Echoed ballot.
         ballot: Term,
         /// Instances accepted.
-        slots: Vec<Slot>,
+        slots: Slots,
         /// The acceptor's executed prefix, piggybacked so the proposer
         /// can spot laggards and choose between instance retransmission
         /// and a [`PaxosMsg::Checkpoint`].
@@ -209,7 +359,7 @@ pub enum PaxosMsg {
     /// Commit notification to learners (batched).
     Learn {
         /// Instances now chosen.
-        slots: Vec<Slot>,
+        slots: Slots,
     },
 }
 
@@ -246,8 +396,9 @@ pub enum RaftMsg {
         prev: Slot,
         /// Term at `prev`.
         prev_term: Term,
-        /// The replicated suffix.
-        entries: Vec<Entry>,
+        /// The replicated suffix, built once per round and shared by the
+        /// peers at the same cursor.
+        entries: Arc<[Entry]>,
         /// Leader's commit index.
         commit: Slot,
         /// Whether the leader's replication pipeline currently has window
@@ -264,9 +415,9 @@ pub enum RaftMsg {
         term: Term,
         /// Responder's last index after the append.
         last_idx: Slot,
-        /// Replicas currently holding leases granted by the responder
-        /// (Raft*-PQL only; empty otherwise).
-        holders: Vec<NodeId>,
+        /// Replicas currently holding leases granted by the responder, one
+        /// bit per replica (Raft*-PQL only; 0 otherwise).
+        holders: u64,
     },
     /// Rejection with the responder's state for next-index backoff.
     AppendReject {
@@ -322,7 +473,7 @@ pub struct Coord {
     pub watermark: Slot,
     /// Commit decisions for sender-owned slots, queued for this receiver
     /// since the last message to it.
-    pub commits: Vec<Slot>,
+    pub commits: Slots,
     /// Sender's executed prefix, so peers can spot a replica that stalled
     /// on a lost message (replay) or fell below their checkpoint floor
     /// (state transfer).
@@ -336,7 +487,7 @@ impl Coord {
         Coord {
             from: at,
             watermark: at,
-            commits: Vec::new(),
+            commits: Slots::new(),
             exec,
         }
     }
@@ -357,7 +508,7 @@ pub enum MenciusMsg {
         /// Owner's current term.
         term: Term,
         /// `(slot, command)` pairs; slots are the owner's (spaced `n`).
-        items: Vec<(Slot, Command)>,
+        items: Round,
         /// The owner's stream element; its range covers `items`.
         coord: Coord,
     },
@@ -366,7 +517,7 @@ pub enum MenciusMsg {
         /// Echoed term.
         term: Term,
         /// Slots accepted.
-        slots: Vec<Slot>,
+        slots: Slots,
         /// The responder's stream element (the piggybacked skip of
         /// Appendix A.3: "it piggybacks a skip message in its reply").
         coord: Coord,
@@ -382,7 +533,7 @@ pub enum MenciusMsg {
     /// when no carrier is about to leave on that link.
     Commit {
         /// Slots now committed.
-        slots: Vec<Slot>,
+        slots: Slots,
     },
     /// An acceptor refuses a `Suggest` whose term is below a slot's
     /// (revocation-raised) ballot; the owner re-proposes elsewhere.
@@ -469,7 +620,7 @@ impl Payload for Msg {
                 RaftMsg::RequestVote { .. } => 32,
                 RaftMsg::Vote { extra, .. } => 24 + entries_size(extra),
                 RaftMsg::Append { entries, .. } => 40 + entries_size(entries),
-                RaftMsg::AppendOk { holders, .. } => 24 + 4 * holders.len(),
+                RaftMsg::AppendOk { holders, .. } => 24 + 4 * holders.count_ones() as usize,
                 RaftMsg::AppendReject { .. } => 24,
             },
             Msg::Lease(LeaseMsg::Grant { .. }) => 24,
@@ -509,17 +660,101 @@ mod tests {
         Command::put(CmdId { client: 1, seq: 1 }, 1, vec![0; bytes])
     }
 
+    /// Whether `slots` is still held in place (no heap behind it).
+    fn is_run(slots: &Slots) -> bool {
+        matches!(slots.0, Repr::Run { .. })
+    }
+
+    /// `Slots` against the `Vec<Slot>` it replaces, over random sequences
+    /// of every shape a message carries: runs of stride 1 (MultiPaxos) and
+    /// 5 (one Mencius owner of five), a run with a hole, a repeat, and
+    /// descending input. `iter`, `len`, `contains` and `max` agree with the
+    /// reference at every step, and a run never spills.
+    #[test]
+    fn slots_agree_with_the_vec_they_replace_and_a_run_never_spills() {
+        let mut rng = paxraft_sim::rng::SimRng::new(0x5107);
+        for case in 0..400 {
+            let first = 1 + rng.gen_range(1_000);
+            let len = rng.gen_range(40);
+            let stride = [1, 5][(case % 2) as usize];
+            let mut input: Vec<Slot> = (0..len).map(|i| Slot(first + i * stride)).collect();
+            let shape = case % 4;
+            match shape {
+                _ if input.len() < 3 => {}
+                1 => drop(input.remove(1 + rng.gen_range(len - 2) as usize)),
+                2 => input.insert(1 + rng.gen_range(len - 1) as usize, input[0]),
+                3 => input.reverse(),
+                _ => {}
+            }
+            let step = |w: &[Slot]| w[1].0.wrapping_sub(w[0].0);
+            let arithmetic = input.len() < 2
+                || input[1] > input[0] && input.windows(2).all(|w| step(w) == step(&input));
+            let mut slots = Slots::new();
+            let mut reference: Vec<Slot> = Vec::new();
+            for &slot in &input {
+                slots.push(slot);
+                reference.push(slot);
+                assert!(slots.iter().eq(reference.iter().copied()), "case {case}");
+                assert_eq!(slots.len(), reference.len());
+                assert_eq!(slots.max(), reference.iter().copied().max());
+            }
+            assert_eq!(slots.is_empty(), reference.is_empty());
+            for probe in first.saturating_sub(7)..first + len * stride + 7 {
+                let probe = Slot(probe);
+                assert_eq!(
+                    slots.contains(probe),
+                    reference.contains(&probe),
+                    "case {case}"
+                );
+            }
+            assert_eq!(is_run(&slots), arithmetic, "case {case}: {input:?}");
+            let collected: Slots = input.iter().copied().collect();
+            assert!(collected == slots && is_run(&collected) == arithmetic);
+            assert!(
+                is_run(&slots.clone()) == arithmetic,
+                "a clone of a run is a run"
+            );
+        }
+        // A stride that does not fit the run's 32 bits spills; nothing is lost.
+        let far: Slots = [Slot(1), Slot(1 << 40)].into_iter().collect();
+        assert!(!is_run(&far) && far.iter().eq([Slot(1), Slot(1 << 40)]));
+        assert_eq!(far.max(), Some(Slot(1 << 40)));
+    }
+
+    /// The size model charges 8 B per slot from `len()`, whichever way the
+    /// list is held: a run and the same slots spilled cost the same bytes.
+    #[test]
+    fn the_wire_model_does_not_learn_how_a_slot_list_is_held() {
+        let run: Slots = (3..9).map(Slot).collect();
+        let mut spilled: Slots = [Slot(3), Slot(3)].into_iter().collect();
+        spilled.extend((4..8).map(Slot));
+        assert!(is_run(&run) && !is_run(&spilled));
+        assert_eq!(run.len(), spilled.len());
+        let ok = |slots: Slots| {
+            Msg::Paxos(PaxosMsg::AcceptOk {
+                ballot: Term(1),
+                slots,
+                exec: Slot(0),
+            })
+            .size_bytes()
+        };
+        assert_eq!(ok(run.clone()), 24 + 8 * 6);
+        assert_eq!(ok(run), ok(spilled.clone()));
+        let learn = Msg::Paxos(PaxosMsg::Learn { slots: spilled });
+        assert_eq!(learn.size_bytes(), 8 + 8 * 6);
+    }
+
     #[test]
     fn append_size_dominated_by_entries() {
         let small = Msg::Raft(RaftMsg::Append {
             term: Term(1),
             prev: Slot(0),
             prev_term: Term(0),
-            entries: vec![Entry {
+            entries: Arc::new([Entry {
                 term: Term(1),
                 bal: Term(1),
                 cmd: cmd(8),
-            }],
+            }]),
             commit: Slot(0),
             window_room: true,
         });
@@ -527,11 +762,11 @@ mod tests {
             term: Term(1),
             prev: Slot(0),
             prev_term: Term(0),
-            entries: vec![Entry {
+            entries: Arc::new([Entry {
                 term: Term(1),
                 bal: Term(1),
                 cmd: cmd(4096),
-            }],
+            }]),
             commit: Slot(0),
             window_room: true,
         });
@@ -587,14 +822,14 @@ mod tests {
         let coord = |decisions: usize| Coord {
             from: Slot(1),
             watermark: Slot(7),
-            commits: vec![Slot(1); decisions],
+            commits: std::iter::repeat_n(Slot(1), decisions).collect(),
             exec: Slot(0),
         };
         let notice = |d| Msg::Mencius(MenciusMsg::SkipNotice { coord: coord(d) }).size_bytes();
         let ok = |d| {
             Msg::Mencius(MenciusMsg::SuggestOk {
                 term: Term(1),
-                slots: vec![Slot(4)],
+                slots: [Slot(4)].into_iter().collect(),
                 coord: coord(d),
             })
             .size_bytes()
@@ -602,7 +837,7 @@ mod tests {
         let suggest = |d| {
             Msg::Mencius(MenciusMsg::Suggest {
                 term: Term(1),
-                items: vec![(Slot(4), cmd(8))],
+                items: vec![(Slot(4), cmd(8))].into(),
                 coord: coord(d),
             })
             .size_bytes()
@@ -616,7 +851,7 @@ mod tests {
             assert_eq!(carrier(3) - carrier(0), 24, "8 B per decision");
         }
         let alone = Msg::Mencius(MenciusMsg::Commit {
-            slots: vec![Slot(1)],
+            slots: [Slot(1)].into_iter().collect(),
         })
         .size_bytes();
         assert!(notice(1) - notice(0) < alone);
@@ -684,12 +919,12 @@ mod tests {
     fn batched_sizes_scale_with_items() {
         let one = Msg::Paxos(PaxosMsg::Accept {
             ballot: Term(1),
-            items: vec![(Slot(1), cmd(8))],
+            items: vec![(Slot(1), cmd(8))].into(),
             window_room: true,
         });
         let two = Msg::Paxos(PaxosMsg::Accept {
             ballot: Term(1),
-            items: vec![(Slot(1), cmd(8)), (Slot(2), cmd(8))],
+            items: vec![(Slot(1), cmd(8)), (Slot(2), cmd(8))].into(),
             window_room: true,
         });
         assert!(two.size_bytes() > one.size_bytes());

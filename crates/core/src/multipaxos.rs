@@ -44,7 +44,7 @@ use crate::config::ReplicaConfig;
 use crate::engine::paxos_family::{merge_highest, Accepted, PaxosBase, Stored};
 use crate::engine::{self, EngineCore, ProtocolRules, ReplicaEngine};
 use crate::kv::Command;
-use crate::msg::{Msg, PaxosMsg};
+use crate::msg::{Msg, PaxosMsg, Round, Slots};
 use crate::snapshot::Snapshot;
 use crate::types::{NodeId, Slot, Term};
 
@@ -137,12 +137,7 @@ impl PaxosRules {
     /// acks free slots (with the heartbeat retransmission as the
     /// loss-recovery backstop). Commits only need a quorum, so a round
     /// skipped by a minority of slow acceptors commits undelayed.
-    fn send_accept_round(
-        &mut self,
-        core: &mut EngineCore,
-        ctx: &mut Ctx<Msg>,
-        items: &[(Slot, Command)],
-    ) {
+    fn send_accept_round(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, items: &Round) {
         let Some(upto) = items.iter().map(|(s, _)| *s).max() else {
             return;
         };
@@ -158,7 +153,7 @@ impl PaxosRules {
                 core.cfg.peer(peer),
                 Msg::Paxos(PaxosMsg::Accept {
                     ballot: self.ballot,
-                    items: items.to_vec(),
+                    items: items.clone(),
                     window_room,
                 }),
             );
@@ -178,34 +173,34 @@ impl PaxosRules {
             return;
         }
         let cap = core.pipe.round_cap(peer, highest, &core.dur).min(64);
-        let items: Vec<(Slot, Command)> = self
-            .base
-            .cells
-            .range(self.accept_cursor[i].next()..)
+        let behind = self.base.cells.range(self.accept_cursor[i].next()..);
+        let mut waiting = behind
             .filter(|(_, inst)| !inst.committed)
             .filter_map(|(s, inst)| inst.cmd().cloned().map(|c| (s, c)))
             .take(cap)
-            .collect();
-        match items.last() {
-            None => {
-                // Everything past the cursor is committed; Learn covers it.
-                self.accept_cursor[i] = highest;
-            }
-            Some(&(upto, _)) => {
-                self.accept_cursor[i] = if items.len() < cap { highest } else { upto };
-                core.pipe.on_sent(peer, upto, ctx.now());
-                core.pipe.note_pumped(items.len(), cap);
-                let window_room = core.pipe.quorum_has_room(core.cfg.id, core.cfg.n);
-                ctx.send(
-                    core.cfg.peer(peer),
-                    Msg::Paxos(PaxosMsg::Accept {
-                        ballot: self.ballot,
-                        items,
-                        window_room,
-                    }),
-                );
-            }
+            .peekable();
+        if waiting.peek().is_none() {
+            // Everything past the cursor is committed; Learn covers it.
+            self.accept_cursor[i] = highest;
+            return;
         }
+        // Sized once: no more wait than slots lie past the cursor.
+        let span = (highest.0 - self.accept_cursor[i].0) as usize;
+        let mut items = Vec::with_capacity(cap.min(span));
+        items.extend(waiting);
+        let upto = items[items.len() - 1].0;
+        self.accept_cursor[i] = if items.len() < cap { highest } else { upto };
+        core.pipe.on_sent(peer, upto, ctx.now());
+        core.pipe.note_pumped(items.len(), cap);
+        let window_room = core.pipe.quorum_has_room(core.cfg.id, core.cfg.n);
+        ctx.send(
+            core.cfg.peer(peer),
+            Msg::Paxos(PaxosMsg::Accept {
+                ballot: self.ballot,
+                items: items.into(),
+                window_room,
+            }),
+        );
     }
 
     /// Figure 1 `Phase1a`: pick a fresh owned ballot and prepare.
@@ -265,7 +260,7 @@ impl PaxosRules {
     }
 
     /// Broadcasts the Learn for newly chosen instances and executes.
-    fn learn_chosen(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, chosen: Vec<Slot>) {
+    fn learn_chosen(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, chosen: Slots) {
         if !chosen.is_empty() {
             self.broadcast(core, ctx, PaxosMsg::Learn { slots: chosen });
             self.try_execute(core, ctx);
@@ -312,6 +307,7 @@ impl PaxosRules {
             }
             s = s.next();
         }
+        let items = Round::from(items);
         self.write_round(core, ctx, &items);
         self.phase1_succeeded = true;
         core.leader_hint = Some(core.cfg.id);
@@ -413,13 +409,14 @@ impl PaxosRules {
                             + core.cfg.costs.append_per_cmd * items.len() as u64
                             + core.cfg.costs.size_cost(bytes),
                     );
-                    let mut slots = Vec::with_capacity(items.len());
+                    let durable = core.dur.enabled();
+                    let mut slots = Slots::new();
                     let mut below_floor = false;
-                    let mut written = Vec::new();
+                    let mut written = Slots::new();
                     let mut written_bytes = 0usize;
-                    for (slot, cmd) in items {
-                        let size = cmd.size_bytes();
-                        match self.base.store(slot, ballot, cmd) {
+                    for (slot, cmd) in items.iter() {
+                        let slot = *slot;
+                        match self.base.store(slot, ballot, cmd.clone()) {
                             // Checkpointed away: the instance is chosen
                             // and executed here; a proposer asking about
                             // it is behind our floor.
@@ -435,8 +432,10 @@ impl PaxosRules {
                                     .cells
                                     .get(slot)
                                     .is_some_and(|i| i.bal == ballot));
-                                written_bytes += size;
-                                written.push(slot);
+                                if durable {
+                                    written_bytes += cmd.size_bytes();
+                                    written.push(slot);
+                                }
                             }
                         }
                         slots.push(slot);
@@ -471,14 +470,14 @@ impl PaxosRules {
                 // Figure 1 Learn.
                 let node = core.cfg.node_of(from);
                 self.base.note_peer_exec(node, exec);
-                if let Some(&upto) = slots.iter().max() {
+                if let Some(upto) = slots.max() {
                     core.pipe.on_ack(node, upto);
                 }
                 if ballot == self.ballot && self.phase1_succeeded {
                     ctx.charge(core.cfg.costs.ack_process);
-                    let mut chosen = Vec::new();
+                    let mut chosen = Slots::new();
                     self.base
-                        .tally(&slots, 1u64 << node.0, |_| true, &mut chosen);
+                        .tally(slots.iter(), 1u64 << node.0, |_| true, |s| chosen.push(s));
                     // An acceptor's executed prefix is chosen globally.
                     // Instances we proposed at our own ballot (i.e.
                     // after a successful phase 1) need no quorum count
@@ -504,7 +503,7 @@ impl PaxosRules {
                 }
             }
             PaxosMsg::Learn { slots } => {
-                self.base.learn(slots);
+                self.base.learn(slots.iter());
                 self.try_execute(core, ctx);
             }
         }
@@ -522,14 +521,14 @@ impl PaxosRules {
         // must not stay pinned by them.
         core.pipe.expire_stale(ctx.now(), core.cfg.retry_interval);
         let exec_index = self.base.exec_index;
-        let retransmit: Vec<(Slot, Command)> = self
+        let retransmit: Round = self
             .base
             .cells
             .range(exec_index.next()..)
             .filter(|(_, i)| !i.committed)
             .filter_map(|(s, i)| i.cmd().cloned().map(|c| (s, c)))
             .collect();
-        let committed: Vec<Slot> = self
+        let committed: Slots = self
             .base
             .cells
             .range(Slot(exec_index.0.saturating_sub(64))..)
@@ -557,7 +556,7 @@ impl PaxosRules {
             let Some(from) = self.base.stalled_peer(core, ctx, peer, self.ballot) else {
                 continue;
             };
-            let replay: Vec<(Slot, Command)> = self
+            let replay: Round = self
                 .base
                 .cells
                 .range(from..)
@@ -568,7 +567,7 @@ impl PaxosRules {
             if replay.is_empty() {
                 continue;
             }
-            let slots: Vec<Slot> = replay.iter().map(|(s, _)| *s).collect();
+            let slots: Slots = replay.iter().map(|(s, _)| *s).collect();
             ctx.send(
                 core.cfg.peer(peer),
                 Msg::Paxos(PaxosMsg::Accept {
@@ -593,14 +592,14 @@ impl ProtocolRules for PaxosRules {
     }
 
     /// Figure 1 `Phase2a`, batched.
-    fn propose(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, cmds: Vec<Command>) {
-        let mut items = Vec::with_capacity(cmds.len());
-        for cmd in cmds {
-            // Fresh: past everything a quorum reported to phase 1.
-            debug_assert!(self.base.cells.get(self.next_slot).is_none());
-            items.push((self.next_slot, cmd));
-            self.next_slot = self.next_slot.next();
-        }
+    fn propose(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, cmds: &mut Vec<Command>) {
+        // The round's one allocation, straight from the batch. Fresh
+        // slots: past everything a quorum reported to phase 1.
+        let first = self.next_slot.0;
+        let numbered = cmds.drain(..).enumerate();
+        let items: Round = numbered.map(|(i, c)| (Slot(first + i as u64), c)).collect();
+        self.next_slot = Slot(first + items.len() as u64);
+        debug_assert!(items.iter().all(|(s, _)| self.base.cells.get(*s).is_none()));
         self.write_round(core, ctx, &items);
         self.send_accept_round(core, ctx, &items);
     }
@@ -682,18 +681,21 @@ impl ProtocolRules for PaxosRules {
         if !self.phase1_succeeded {
             return;
         }
-        let mut ready: Vec<Slot> = Vec::new();
-        for (bal, slots) in self.base.drain_synced_votes(core.dur.synced_seq()) {
-            // Recorded under a superseded ballot: the vote no longer
-            // applies (the bitmap was reseeded at the new ballot).
-            if bal == self.ballot {
-                ready.extend(slots);
-            }
-        }
-        let mut chosen = Vec::new();
-        self.base
-            .tally(&ready, core.me_bit(), |_| true, &mut chosen);
+        // A vote recorded under a superseded ballot no longer applies
+        // (the bitmap was reseeded at the new ballot).
+        let (synced, ballot) = (core.dur.synced_seq(), self.ballot);
+        let mut chosen = Slots::new();
+        self.base.tally_synced_votes(
+            synced,
+            core.me_bit(),
+            |bal, _| bal == ballot,
+            |s| chosen.push(s),
+        );
         self.learn_chosen(core, ctx, chosen);
+    }
+
+    fn record_metrics(&self, sample: &mut crate::telemetry::MetricSample) {
+        self.base.record_metrics(sample);
     }
 
     fn on_crash(&mut self, core: &mut EngineCore) {
@@ -828,6 +830,95 @@ mod tests {
             .unwrap();
         assert!(inst.committed);
         assert_eq!(inst.acks.count_ones(), 2, "no quorum of acks");
+    }
+
+    /// A scripted proposer: sends its acceptor the same three-instance
+    /// `Accept` twice, 100 us apart, and keeps every `AcceptOk` with its
+    /// arrival time.
+    struct TwiceProposer {
+        acceptor: ActorId,
+        acks: Vec<(SimTime, Vec<Slot>)>,
+    }
+
+    impl TwiceProposer {
+        fn accept() -> Msg {
+            let put = |seq| Command::put(crate::kv::CmdId { client: 9, seq }, seq, vec![0; 8]);
+            Msg::Paxos(PaxosMsg::Accept {
+                ballot: Term(5),
+                items: (1..=3).map(|s| (Slot(s), put(s))).collect(),
+                window_room: true,
+            })
+        }
+    }
+
+    impl paxraft_sim::sim::Actor<Msg> for TwiceProposer {
+        fn on_start(&mut self, ctx: &mut Ctx<Msg>) {
+            ctx.send(self.acceptor, Self::accept());
+            ctx.set_timer(SimDuration::from_micros(100), 0);
+        }
+
+        fn on_timer(&mut self, ctx: &mut Ctx<Msg>, _token: u64) {
+            ctx.send(self.acceptor, Self::accept());
+        }
+
+        fn on_message(&mut self, ctx: &mut Ctx<Msg>, _from: ActorId, msg: Msg) {
+            if let Msg::Paxos(PaxosMsg::AcceptOk { slots, .. }) = msg {
+                self.acks.push((ctx.now(), slots.iter().collect()));
+            }
+        }
+
+        paxraft_sim::impl_actor_any!();
+    }
+
+    /// An acceptor on a 1 ms per-entry device fed the same `Accept` twice
+    /// writes it once: the device does the round's three barriers and no
+    /// more, both `AcceptOk`s still name every instance (the proposer's
+    /// retransmission must complete), and neither leaves before the first
+    /// write's last barrier — the second arrival is held, not written, but
+    /// what it acknowledges is not durable any sooner.
+    #[test]
+    fn the_same_accept_twice_is_written_once_and_acknowledged_twice() {
+        use crate::config::DurabilityConfig;
+        let device = SimDuration::from_millis(1);
+        let durability = DurabilityConfig::per_entry(device);
+        let disk = durability.disk_config();
+        // One region, so the link is sub-millisecond against the 3 ms write.
+        let mut sim = Simulation::new(paxraft_sim::net::NetConfig::default(), 7);
+        sim.set_disk_config(disk);
+        let region = paxraft_sim::net::Region::Oregon;
+        let mut cfg = ReplicaConfig::wan_default(NodeId(1), 3);
+        cfg.peers = (0..3).map(ActorId).collect();
+        cfg.client_base = 3;
+        cfg.durability = durability;
+        let proposer = sim.add_actor(
+            region,
+            Box::new(TwiceProposer {
+                acceptor: ActorId(1),
+                acks: Vec::new(),
+            }),
+        );
+        let acceptor = sim.add_actor(region, Box::new(MultiPaxosReplica::new(cfg)));
+        assert_eq!((proposer, acceptor), (ActorId(0), ActorId(1)));
+        sim.run_until(SimTime::from_millis(20));
+        assert_eq!(sim.disk_stats_at(acceptor).fsyncs, 3, "the round, once");
+        let rep = sim.actor::<MultiPaxosReplica>(acceptor);
+        let base = &rep.rules.base;
+        assert_eq!(rep.durability_stats().fsync_entries, 3);
+        let mut sample = crate::telemetry::MetricSample::default();
+        base.record_metrics(&mut sample);
+        assert_eq!(sample.get("accept_writes"), 3.0);
+        assert_eq!(sample.get("accept_duplicates"), 3.0);
+        let acks = &sim.actor::<TwiceProposer>(proposer).acks;
+        let every = vec![Slot(1), Slot(2), Slot(3)];
+        assert_eq!(acks.len(), 2, "one acceptOK per accept");
+        for (at, slots) in acks {
+            assert_eq!(slots, &every, "every instance, both times");
+            let written = SimTime::ZERO + device * 3;
+            assert!(
+                *at >= written,
+                "acknowledged at {at:?}, durable at {written:?}"
+            );
+        }
     }
 
     #[test]

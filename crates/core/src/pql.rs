@@ -18,7 +18,7 @@
 use paxraft_sim::time::SimTime;
 
 use crate::config::{LeaseConfig, ReadMode};
-use crate::types::{max_failures, NodeId, Slot};
+use crate::types::{max_failures, me_bit, NodeId, Slot};
 
 /// Lease bookkeeping for one replica.
 #[derive(Debug)]
@@ -134,14 +134,13 @@ impl LeaseManager {
         self.valid_leases(now) >= max_failures(self.n) + 1
     }
 
-    /// Holders granted by this replica whose grants are still valid —
-    /// attached to `appendOK` (Figure 8 Phase2b) and unioned into
-    /// `holderSet` at the leader.
-    pub fn current_holders(&self, now: SimTime) -> Vec<NodeId> {
-        (0..self.n as u32)
-            .map(NodeId)
-            .filter(|h| self.granted_to[h.0 as usize] > now)
-            .collect()
+    /// Holders granted by this replica whose grants are still valid, one
+    /// bit per replica ([`me_bit`]) — attached to `appendOK` (Figure 8
+    /// Phase2b) and unioned into `holderSet` at the leader.
+    pub fn current_holders(&self, now: SimTime) -> u64 {
+        let valid = |h: &u32| self.granted_to[*h as usize] > now;
+        let held = (0..self.n as u32).filter(valid);
+        held.fold(0, |set, h| set | me_bit(NodeId(h)))
     }
 
     /// Drops every lease this replica *holds* (crash behaviour: holders
@@ -221,18 +220,18 @@ mod tests {
     #[test]
     fn holders_require_ack() {
         let mut m = mgr(ReadMode::QuorumLease);
-        assert!(m.current_holders(t(0)).is_empty(), "no acks yet");
+        assert_eq!(m.current_holders(t(0)), 0, "no acks yet");
         m.on_grant_ack(NodeId(4), t(2000));
-        assert_eq!(m.current_holders(t(1)), vec![NodeId(4)]);
+        assert_eq!(m.current_holders(t(1)), me_bit(NodeId(4)));
         // After expiry the holder no longer gates writes.
-        assert!(m.current_holders(t(3000)).is_empty());
+        assert_eq!(m.current_holders(t(3000)), 0);
     }
 
     #[test]
     fn self_grant_counts_as_holder_and_held() {
         let mut m = mgr(ReadMode::QuorumLease);
         m.self_grant(t(0));
-        assert_eq!(m.current_holders(t(1)), vec![NodeId(2)]);
+        assert_eq!(m.current_holders(t(1)), me_bit(NodeId(2)));
         assert_eq!(m.valid_leases(t(1)), 1);
     }
 
@@ -245,7 +244,7 @@ mod tests {
         m.drop_held();
         assert_eq!(m.valid_leases(t(1)), 0);
         assert!(
-            m.current_holders(t(1)).contains(&NodeId(1)),
+            m.current_holders(t(1)) & me_bit(NodeId(1)) != 0,
             "grants given persist"
         );
     }

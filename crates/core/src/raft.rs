@@ -248,14 +248,14 @@ impl RaftRules {
                         let ok = Msg::Raft(RaftMsg::AppendOk {
                             term: self.base.current_term,
                             last_idx: floor,
-                            holders: Vec::new(),
+                            holders: 0,
                         });
                         core.ack_after_sync(ctx, from, ok);
                         return;
                     }
-                    (floor, floor_term, entries[overlap..].to_vec())
+                    (floor, floor_term, &entries[overlap..])
                 } else {
-                    (prev, prev_term, entries)
+                    (prev, prev_term, &entries[..])
                 };
                 if !self.base.log.matches(prev, prev_term) {
                     ctx.send(
@@ -268,11 +268,14 @@ impl RaftRules {
                     return;
                 }
                 // Raft conflict handling: truncate at the first mismatch,
-                // then append what is missing. Matching existing entries
-                // are kept (and a longer non-conflicting log survives).
+                // then append what is missing, straight out of the shared
+                // round. Matching existing entries are kept (and a longer
+                // non-conflicting log survives); past the first append
+                // nothing is left to match.
+                let match_through = Slot(prev.0 + entries.len() as u64);
                 let mut idx = prev;
-                let mut to_append = Vec::new();
-                for e in entries.iter() {
+                let (mut appended, mut appended_bytes) = (0usize, 0usize);
+                for e in entries {
                     idx = idx.next();
                     match self.base.log.term_at(idx) {
                         Some(t) if t == e.term => continue,
@@ -284,17 +287,13 @@ impl RaftRules {
                             // before recording the replacement write.
                             self.base.note_rewrite_from(idx);
                             self.base.log.truncate_from(idx);
-                            to_append.push(e.clone());
                         }
-                        None => to_append.push(e.clone()),
+                        None => {}
                     }
+                    appended += 1;
+                    appended_bytes += e.size_bytes();
+                    self.base.log.append(e.clone());
                 }
-                let appended = to_append.len();
-                let appended_bytes: usize = to_append.iter().map(Entry::size_bytes).sum();
-                for e in to_append {
-                    self.base.log.append(e);
-                }
-                let match_through = Slot(prev.0 + entries.len() as u64);
                 if appended > 0 {
                     self.base.note_append_durable(
                         core,
@@ -314,7 +313,7 @@ impl RaftRules {
                 let ok = Msg::Raft(RaftMsg::AppendOk {
                     term: self.base.current_term,
                     last_idx: match_through,
-                    holders: Vec::new(),
+                    holders: 0,
                 });
                 core.ack_after_sync(ctx, from, ok);
             }
@@ -357,10 +356,10 @@ impl ProtocolRules for RaftRules {
         self.base.last_applied
     }
 
-    fn propose(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, cmds: Vec<Command>) {
+    fn propose(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, cmds: &mut Vec<Command>) {
         let count = cmds.len();
         let mut bytes = 0;
-        for cmd in cmds {
+        for cmd in cmds.drain(..) {
             let e = Entry {
                 term: self.base.current_term,
                 bal: self.base.current_term,

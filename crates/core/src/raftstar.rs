@@ -76,7 +76,7 @@ pub struct RaftStarRules {
     /// Raft*: extras received from voters, keyed by voter.
     vote_extras: HashMap<NodeId, (Slot, Vec<Entry>)>,
     /// [PQL] Last lease-holder set reported by each follower's appendOK.
-    reported_holders: Vec<Vec<NodeId>>,
+    reported_holders: Vec<u64>,
     /// [PQL] Lease state (present in LeaderLease/QuorumLease modes).
     lease: Option<LeaseManager>,
     /// [PQL] Highest log slot writing each key (conflict check for local
@@ -116,7 +116,7 @@ impl RaftStarReplica {
             RaftStarRules {
                 base: RaftBase::new(n),
                 vote_extras: HashMap::new(),
-                reported_holders: vec![Vec::new(); n],
+                reported_holders: vec![0; n],
                 lease,
                 key_last_write: HashMap::new(),
                 parked_reads: Vec::new(),
@@ -150,6 +150,33 @@ impl RaftStarReplica {
     pub fn local_reads_served(&self) -> u64 {
         self.rules.local_reads_served
     }
+}
+
+/// [PQL] Figure 8's holder gate on a commit target: shrinks `target`
+/// (never below `floor`) until every lease holder has matched it, where
+/// the holders are `granted` (the leader's own grants) united with what
+/// each of `followers` that matched the target last `reported` — holder
+/// sets as bitmasks, one bit per replica; the leader's own bit asks
+/// nothing of anybody.
+fn holder_gate(
+    mut target: Slot,
+    floor: Slot,
+    granted: u64,
+    reported: &[u64],
+    followers: impl Iterator<Item = NodeId> + Clone,
+    matched: impl Fn(NodeId) -> Slot,
+) -> Slot {
+    while target > floor {
+        let responders = followers.clone().filter(|p| matched(*p) >= target);
+        let holders = responders.fold(granted, |set, p| set | reported[p.0 as usize]);
+        let lagging = followers.clone().filter(|p| holders & me_bit(*p) != 0);
+        let limit = lagging.map(&matched).fold(target, Slot::min);
+        if limit >= target {
+            break;
+        }
+        target = limit;
+    }
+    target
 }
 
 impl RaftStarRules {
@@ -279,31 +306,18 @@ impl RaftStarRules {
         // shrinks the target until the holder condition holds; stale
         // reports from non-responding (e.g. crashed) followers are never
         // consulted, so an expired holder stops gating writes.
-        if let Some(lease) = &self.lease {
-            if lease.mode() == ReadMode::QuorumLease {
-                while target > self.base.commit_index {
-                    let mut holders: Vec<NodeId> = lease.current_holders(ctx.now());
-                    for p in core.cfg.others() {
-                        if self.base.repl.match_index(p) >= target {
-                            for h in &self.reported_holders[p.0 as usize] {
-                                if !holders.contains(h) {
-                                    holders.push(*h);
-                                }
-                            }
-                        }
-                    }
-                    let mut limit = target;
-                    for h in holders {
-                        if h != core.cfg.id {
-                            limit = limit.min(self.base.repl.match_index(h));
-                        }
-                    }
-                    if limit >= target {
-                        break;
-                    }
-                    target = limit;
-                }
-            }
+        if let Some(lease) = self.lease.as_ref().filter(|_| lease_gated) {
+            let granted = lease.current_holders(ctx.now());
+            let matched = |p: NodeId| self.base.repl.match_index(p);
+            let followers = core.cfg.others();
+            target = holder_gate(
+                target,
+                self.base.commit_index,
+                granted,
+                &self.reported_holders,
+                followers,
+                matched,
+            );
         }
         // Span bookkeeping: the replication-quorum instant is the
         // pre-clamp tally — except under the PQL holder gate, where the
@@ -500,8 +514,7 @@ impl RaftStarRules {
                         let holders = self
                             .lease
                             .as_ref()
-                            .map(|l| l.current_holders(ctx.now()))
-                            .unwrap_or_default();
+                            .map_or(0, |l| l.current_holders(ctx.now()));
                         // Attests to log content: rides the
                         // ack-after-fsync path (immediate when nothing
                         // is unsynced).
@@ -513,9 +526,9 @@ impl RaftStarRules {
                         core.ack_after_sync(ctx, from, ok);
                         return;
                     }
-                    (floor, floor_term, entries[overlap..].to_vec())
+                    (floor, floor_term, &entries[overlap..])
                 } else {
-                    (prev, prev_term, entries)
+                    (prev, prev_term, &entries[..])
                 };
                 let new_last = Slot(prev.0 + entries.len() as u64);
                 // Figure 2b RecieveAppend: match on prev AND never let the
@@ -537,7 +550,7 @@ impl RaftStarRules {
                 // then record the replacement as a fresh disk write.
                 let appended = entries.len();
                 self.base.note_rewrite_from(prev.next());
-                self.base.log.replace_suffix(prev, entries);
+                self.base.log.replace_suffix(prev, entries.iter().cloned());
                 // Figure 2b: every covered ballot becomes the append term.
                 self.base.log.set_bal_upto(new_last, term);
                 if appended > 0 {
@@ -556,8 +569,7 @@ impl RaftStarRules {
                 let holders = self
                     .lease
                     .as_ref()
-                    .map(|l| l.current_holders(ctx.now()))
-                    .unwrap_or_default();
+                    .map_or(0, |l| l.current_holders(ctx.now()));
                 let ok = Msg::Raft(RaftMsg::AppendOk {
                     term: self.base.current_term,
                     last_idx: new_last,
@@ -617,11 +629,11 @@ impl ProtocolRules for RaftStarRules {
 
     /// Figure 2b `AppendEntries` (leader side): append the batch, rewrite
     /// ballots, replicate.
-    fn propose(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, cmds: Vec<Command>) {
+    fn propose(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, cmds: &mut Vec<Command>) {
         let first_new = self.base.log.last_index().next();
         let count = cmds.len();
         let mut bytes = 0;
-        for cmd in cmds {
+        for cmd in cmds.drain(..) {
             let e = Entry {
                 term: self.base.current_term,
                 bal: self.base.current_term,
@@ -844,6 +856,71 @@ mod tests {
             cfg.read_mode = mode;
             Box::new(RaftStarReplica::new(cfg))
         })
+    }
+
+    /// The holder gate as it was written before holder sets became
+    /// bitmasks: lists of node ids, united by scanning for membership.
+    fn holder_gate_by_list(
+        mut target: Slot,
+        floor: Slot,
+        me: NodeId,
+        granted: &[NodeId],
+        reported: &[Vec<NodeId>],
+        matched: &[Slot],
+    ) -> Slot {
+        let others = (0..matched.len() as u32).map(NodeId).filter(|p| *p != me);
+        while target > floor {
+            let mut holders = granted.to_vec();
+            for p in others.clone().filter(|p| matched[p.0 as usize] >= target) {
+                for h in &reported[p.0 as usize] {
+                    if !holders.contains(h) {
+                        holders.push(*h);
+                    }
+                }
+            }
+            let mut limit = target;
+            for h in holders.into_iter().filter(|h| *h != me) {
+                limit = limit.min(matched[h.0 as usize]);
+            }
+            if limit >= target {
+                break;
+            }
+            target = limit;
+        }
+        target
+    }
+
+    /// The bitmask holder gate commits exactly what the list one did, on
+    /// random holder sets, match indexes and targets for 3, 5 and 7
+    /// replicas (the leader's own bit set or not, reports from followers
+    /// that did and did not reach the target).
+    #[test]
+    fn the_bitmask_holder_gate_equals_the_list_one() {
+        let mut rng = paxraft_sim::rng::SimRng::new(0x9a7e);
+        let mut gated = 0;
+        for case in 0..3_000u64 {
+            let n = [3, 5, 7][(case % 3) as usize];
+            let me = NodeId(rng.gen_range(n) as u32);
+            let set = |rng: &mut paxraft_sim::rng::SimRng| -> Vec<NodeId> {
+                let members = (0..n as u32).filter(|_| rng.gen_bool(0.4));
+                members.map(NodeId).collect()
+            };
+            let mask = |set: &[NodeId]| set.iter().fold(0, |m, h| m | me_bit(*h));
+            let granted = set(&mut rng);
+            let reported: Vec<Vec<NodeId>> = (0..n).map(|_| set(&mut rng)).collect();
+            let matched: Vec<Slot> = (0..n).map(|_| Slot(rng.gen_range(12))).collect();
+            let floor = Slot(rng.gen_range(6));
+            let target = Slot(rng.gen_range(14));
+            let by_list = holder_gate_by_list(target, floor, me, &granted, &reported, &matched);
+            let masks: Vec<u64> = reported.iter().map(|r| mask(r)).collect();
+            let followers = (0..n as u32).map(NodeId).filter(|p| *p != me);
+            let by_mask = holder_gate(target, floor, mask(&granted), &masks, followers, |p| {
+                matched[p.0 as usize]
+            });
+            assert_eq!(by_mask, by_list, "case {case}: n {n}, me {me}");
+            gated += u64::from(by_mask < target);
+        }
+        assert!(gated > 300, "the gate shrank {gated} targets");
     }
 
     #[test]
