@@ -1544,10 +1544,10 @@ fn durability_enabled_fixed_seed_runs_are_deterministic() {
     }
 }
 
-/// What the Paxos-family rules files *do* on the fault paths no other
-/// pin covers, for MultiPaxos and Mencius: group commit on a 1 ms device,
-/// a checkpoint every 16 slots, 10 % of all messages lost, a client on
-/// replica 0 and one on replica 1. Replica 0 — MultiPaxos's proposer,
+/// What the rules files of both families *do* on the fault paths no other
+/// pin covers: group commit on a 1 ms device, a checkpoint every 16
+/// slots, 10 % of all messages lost, a client on replica 0 and one on
+/// replica 1. Replica 0 — the Raft family's leader, MultiPaxos's proposer,
 /// and the Mencius owner with the most in flight — crashes in the middle
 /// of the first burst and restarts; then replica 2 is cut off until the
 /// survivors have compacted past everything it holds, and healed, so it
@@ -1566,9 +1566,12 @@ fn durability_enabled_fixed_seed_runs_are_deterministic() {
 /// counters and, through the acks that no longer wait behind them, the
 /// schedule moved. Mencius already kept such values out of its writes.
 /// The row pins behaviour, not a new safety claim: Mencius revocation
-/// against a live owner is known-unsafe (ROADMAP item 1).
+/// against a live owner is known-unsafe (ROADMAP item 1). The four
+/// Raft-family values were computed at the commit before Raft and Raft*
+/// became one rules type under two flavors (`raftstar.rs`), so the shared
+/// handler votes, accepts, commits and recovers as the two forks did.
 #[test]
-fn paxos_family_fault_runs_match_the_parents_fingerprints() {
+fn every_protocol_fault_run_matches_the_parents_fingerprint() {
     fn scenario<P: ProtocolRules>(name: &str, make: fn(ReplicaConfig) -> ReplicaEngine<P>) -> u64 {
         let durability = conformance_durability();
         let snapshot = Some(SnapshotConfig::every(16));
@@ -1687,11 +1690,35 @@ fn paxos_family_fault_runs_match_the_parents_fingerprints() {
         mix(sim.now().as_nanos());
         h
     }
+    fn pql(mut cfg: ReplicaConfig) -> RaftStarReplica {
+        cfg.read_mode = ReadMode::QuorumLease;
+        RaftStarReplica::new(cfg)
+    }
+    fn leader_lease(mut cfg: ReplicaConfig) -> RaftStarReplica {
+        cfg.read_mode = ReadMode::LeaderLease;
+        RaftStarReplica::new(cfg)
+    }
     for (name, got, pinned) in [
+        (
+            "Raft",
+            scenario("Raft", RaftReplica::new),
+            0x7001_4a8c_b527_fdecu64,
+        ),
+        (
+            "Raft*",
+            scenario("Raft*", RaftStarReplica::new),
+            0x6149_425b_327b_db2d,
+        ),
+        (
+            "Raft*-PQL",
+            scenario("Raft*-PQL", pql),
+            0x5541_0877_0b74_298c,
+        ),
+        ("LL", scenario("LL", leader_lease), 0x37d6_badb_253b_f9ba),
         (
             "MultiPaxos",
             scenario("MultiPaxos", MultiPaxosReplica::new),
-            0xa844_4123_5e70_6e7bu64,
+            0xa844_4123_5e70_6e7b,
         ),
         (
             "Mencius",

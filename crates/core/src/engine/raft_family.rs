@@ -6,9 +6,10 @@
 //! the same snapshot install/ack handling; they differ only in the
 //! append acceptance rule (truncate vs no-shrink + ballot rewrite), the
 //! vote rule (plain up-to-date check vs extras), and the commit rule
-//! (§5.4.2 term check vs f-th largest match, optionally PQL-gated).
-//! [`RaftBase`] holds the shared part so a fix to — say — the
-//! snapshot-then-pipeline append path is written once.
+//! (§5.4.2 term check vs f-th largest match, optionally PQL-gated) —
+//! the four functions of [`crate::raftstar::Flavor`]. [`RaftBase`] holds
+//! the shared state and plumbing, [`crate::raftstar::RaftFamilyRules`]
+//! the shared message handling, so a fix to either is written once.
 
 use std::collections::VecDeque;
 use std::sync::Arc;

@@ -1,456 +1,279 @@
-//! Standard Raft (Section 2.1, Figure 2 *without* the blue Raft* code),
-//! expressed as [`ProtocolRules`] over the shared [`ReplicaEngine`] and
-//! the Raft-family [`RaftBase`].
+//! Standard Raft (Section 2.1, Figure 2 *without* the blue Raft* code):
+//! the Raft family's shared rules ([`RaftFamilyRules`], Figure 2's black
+//! code, in `raftstar.rs`) under the [`Plain`] flavor.
 //!
 //! The two behaviours that distinguish Raft from Raft* (Section 3) are
 //! implemented here exactly as Raft specifies them:
 //!
 //! 1. **Followers erase extraneous entries**: a follower whose log
-//!    conflicts with (or extends past) the leader's AppendEntries payload
-//!    truncates its suffix ([`crate::log::Log::truncate_from`]). This is
-//!    the state transition that has no MultiPaxos counterpart.
+//!    conflicts with the leader's AppendEntries payload truncates its
+//!    suffix ([`crate::log::Log::truncate_from`]). This is the state
+//!    transition that has no MultiPaxos counterpart.
 //! 2. **Entry terms are never rewritten**: a leader replicates previously
 //!    uncommitted entries with their original terms, which forces the
 //!    extra commit restriction of the Raft paper's Section 5.4.2 — a
 //!    leader only counts replicas for entries of its *own* term.
 //!
 //! Everything protocol-agnostic — batching, forwarding, client dedup,
-//! timers, snapshot transfer — is inherited from the engine, and the
+//! timers, snapshot transfer — is inherited from the engine, the
 //! Raft-family replication plumbing (appends, heartbeats, apply loop,
-//! snapshot install) from [`RaftBase`]; this file holds only the vote
-//! rule, the append acceptance rule and the 5.4.2 commit rule.
+//! snapshot install) from [`RaftBase`], and the message handling, the
+//! leadership step and the durability discipline from
+//! [`RaftFamilyRules`]; this file holds only the vote rule, the append
+//! acceptance rule and the 5.4.2 commit rule.
 //!
 //! One engineering liberty shared by all our replicas: terms use the
 //! Paxos ballot encoding `round * n + node` so every term has a unique
 //! owner. This replaces Raft's per-term `votedFor` vote splitting (a
 //! node grants at most one vote per term by construction) without
 //! changing any other behaviour.
-//!
-//! # Durability (group commit)
-//!
-//! With a [`crate::config::DurabilityConfig`] enabled, every log append
-//! (follower *and* leader) is charged as a disk write, and any message
-//! that **attests to log content** — `AppendOk` here — is routed
-//! through [`EngineCore::ack_after_sync`] so it leaves only after an
-//! fsync covers the write it attests to. The safety argument is the
-//! classic one: an `AppendOk` for index *i* is a promise that entry *i*
-//! survives a crash; if the ack could outrun the fsync, a quorum could
-//! commit an entry that a crash then erases from enough replicas to
-//! lose it. Symmetrically the *leader's own* log copy only counts
-//! toward commit once locally durable: [`RaftRules::advance_commit`]
-//! clamps the quorum match by [`RaftBase::durable_tail`], and the
-//! engine's `on_durable` hook re-runs the tally when an fsync lands.
-//! Vote/reject messages stay immediate: the model treats the tiny
-//! term/vote metadata write as free and always-durable (terms survive
-//! [`RaftBase::crash_reset`]), so a vote never attests to anything
-//! volatile; only entry payloads ride the modeled disk.
 
-use paxraft_sim::sim::{ActorId, Ctx};
-
-use crate::config::ReplicaConfig;
 use crate::engine::raft_family::RaftBase;
-use crate::engine::{self, EngineCore, ProtocolRules, ReplicaEngine};
-use crate::kv::Command;
+use crate::engine::ReplicaEngine;
 use crate::log::{Entry, Log};
-use crate::msg::{Msg, RaftMsg};
-use crate::snapshot::{Snapshot, SnapshotStats};
-use crate::types::{max_failures, me_bit, quorum, Slot, Term};
+use crate::raftstar::{Flavor, RaftFamilyRules};
+use crate::types::{Slot, Term};
 
 pub use crate::engine::raft_family::Role;
 
 /// A standard Raft replica: the shared engine running [`RaftRules`].
 pub type RaftReplica = ReplicaEngine<RaftRules>;
 
-/// What standard Raft adds on top of the engine and [`RaftBase`]: the
-/// plain up-to-date vote rule, truncating append acceptance, and the
-/// 5.4.2 commit rule.
-pub struct RaftRules {
-    base: RaftBase,
-}
+/// The Raft family's rules with Figure 2's blue code out.
+pub type RaftRules = RaftFamilyRules<Plain>;
 
-impl RaftReplica {
-    /// Creates a replica.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid.
-    pub fn new(cfg: ReplicaConfig) -> Self {
-        cfg.validate().expect("invalid replica config");
-        let n = cfg.n;
-        ReplicaEngine::from_parts(
-            EngineCore::new(cfg),
-            RaftRules {
-                base: RaftBase::new(n),
-            },
-        )
+/// Standard Raft: the plain up-to-date vote rule, truncating append
+/// acceptance, and the 5.4.2 commit rule. Lease read modes are refused at
+/// construction — Figure 8's port goes through Raft*.
+pub struct Plain;
+
+impl Flavor for Plain {
+    /// Raft's up-to-date check; a vote never carries entries.
+    fn vote(log: &Log, last_idx: Slot, last_term: Term) -> Option<Vec<Entry>> {
+        ((last_term, last_idx) >= (log.last_term(), log.last_index())).then(Vec::new)
     }
 
-    /// Current term.
-    pub fn current_term(&self) -> Term {
-        self.rules.base.current_term
-    }
-
-    /// The replica's log (for convergence tests).
-    pub fn log(&self) -> &Log {
-        &self.rules.base.log
-    }
-
-    /// Commit index.
-    pub fn commit_index(&self) -> Slot {
-        self.rules.base.commit_index
-    }
-}
-
-impl RaftRules {
-    /// Figure 2a `RequestVote`: campaign with a fresh owned term.
-    fn start_election(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
-        self.base.begin_election(core, ctx);
-        self.try_become_leader(core, ctx); // n = 1 degenerate case
-    }
-
-    fn try_become_leader(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
-        if self.base.role != Role::Candidate
-            || (self.base.votes.count_ones() as usize) < quorum(core.cfg.n)
-        {
-            return;
+    /// Raft conflict handling: truncate at the first mismatch, then
+    /// append what is missing, straight out of the shared round. Matching
+    /// existing entries are kept (and a longer non-conflicting log
+    /// survives); past the first append nothing is left to match.
+    fn accept(
+        base: &mut RaftBase,
+        prev: Slot,
+        prev_term: Term,
+        entries: &[Entry],
+        _term: Term,
+    ) -> Result<(usize, usize), Slot> {
+        if !base.log.matches(prev, prev_term) {
+            return Err(base.log.last_index().min(prev));
         }
-        self.base.role = Role::Leader;
-        core.leader_hint = Some(core.cfg.id);
-        // Optimistically assume followers hold our pre-existing log; the
-        // no-op of the new term below lets the leader commit the tail of
-        // its log under the Section-5.4.2 restriction.
-        self.base
-            .repl
-            .reset_for_leadership(self.base.log.last_index());
-        core.pipe.reset();
-        let noop = Entry {
-            term: self.base.current_term,
-            bal: self.base.current_term,
-            cmd: Command::noop(),
-        };
-        let bytes = noop.size_bytes();
-        self.base.log.append(noop);
-        self.base
-            .note_append_durable(core, ctx, bytes, 1, self.base.log.last_index());
-        self.base.broadcast_append(core, ctx);
-        core.arm_heartbeat(ctx);
-        engine::flush_pending(self, core, ctx);
-    }
-
-    /// Advances `commit_index` using the 5.4.2 rule: only entries of the
-    /// current term commit by counting.
-    fn advance_commit(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
-        if self.base.role != Role::Leader {
-            return;
-        }
-        let f = max_failures(core.cfg.n);
-        // The f-th largest follower match is replicated on f followers +
-        // the leader = a majority — but the leader's copy only counts
-        // once locally durable, so the target is clamped by the fsynced
-        // tail (no-op when durability is disabled). Without the clamp,
-        // f durable followers plus the leader's volatile copy could
-        // commit an entry that a leader crash erases from the one
-        // replica a future election quorum might be counting on.
-        let tally = self.base.repl.kth_largest_match(f, core.cfg.id);
-        let quorum_match = tally.min(self.base.durable_tail(core));
-        // Span bookkeeping: the term-checked tally *before* the
-        // durability clamp is the replication-quorum instant — from
-        // here, only the fsync holds commit back.
-        if self.base.log.term_at(tally) == Some(self.base.current_term) {
-            self.base.note_quorum(ctx, tally);
-        }
-        if quorum_match > self.base.commit_index
-            && self.base.log.term_at(quorum_match) == Some(self.base.current_term)
-        {
-            self.base.commit_index = quorum_match;
-            self.apply_committed(core, ctx);
-        }
-    }
-
-    fn apply_committed(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
-        self.base.apply_loop(core, ctx);
-        self.base.maybe_compact(core, ctx);
-    }
-
-    fn on_raft(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, from: ActorId, msg: RaftMsg) {
-        match msg {
-            RaftMsg::RequestVote {
-                term,
-                last_idx,
-                last_term,
-            } => {
-                if term > self.base.current_term {
-                    // Adopt the term, then apply Raft's up-to-date check.
-                    let up_to_date = (last_term, last_idx)
-                        >= (self.base.log.last_term(), self.base.log.last_index());
-                    self.base.step_down(core, term, ctx);
-                    core.leader_hint = None;
-                    ctx.send(
-                        from,
-                        Msg::Raft(RaftMsg::Vote {
-                            term,
-                            granted: up_to_date,
-                            extra_start: Slot::NONE,
-                            extra: Vec::new(),
-                        }),
-                    );
+        let mut idx = prev;
+        let (mut appended, mut bytes) = (0, 0);
+        for e in entries {
+            idx = idx.next();
+            match base.log.term_at(idx) {
+                Some(t) if t == e.term => continue,
+                // The truncated suffix's durability no longer speaks for
+                // these indexes.
+                Some(_) => {
+                    base.note_rewrite_from(idx);
+                    base.log.truncate_from(idx);
                 }
+                None => {}
             }
-            RaftMsg::Vote { term, granted, .. } => {
-                if term > self.base.current_term {
-                    self.base.step_down(core, term, ctx);
-                } else if term == self.base.current_term && granted {
-                    self.base.votes |= me_bit(core.cfg.node_of(from));
-                    self.try_become_leader(core, ctx);
-                }
-            }
-            RaftMsg::Append {
-                term,
-                prev,
-                prev_term,
-                entries,
-                commit,
-                window_room,
-            } => {
-                if term < self.base.current_term {
-                    ctx.send(
-                        from,
-                        Msg::Raft(RaftMsg::AppendReject {
-                            term: self.base.current_term,
-                            last_idx: self.base.log.last_index(),
-                        }),
-                    );
-                    return;
-                }
-                self.base.current_term = term;
-                self.base.role = Role::Follower;
-                core.leader_hint = Some(term.owner(core.cfg.n));
-                core.note_window_hint(window_room, ctx.now());
-                self.base.arm_election(core, ctx);
-                let bytes: usize = entries.iter().map(Entry::size_bytes).sum();
-                ctx.charge(
-                    core.cfg.costs.append_fixed
-                        + core.cfg.costs.append_per_cmd * entries.len().max(1) as u64
-                        + core.cfg.costs.size_cost(bytes),
-                );
-                // Entries at or below our compaction floor are applied
-                // committed state: skip the overlap and anchor the
-                // consistency check at the floor instead.
-                let (floor, floor_term) = self.base.log.last_included();
-                let (prev, prev_term, entries) = if prev < floor {
-                    let overlap = (floor.0 - prev.0) as usize;
-                    if entries.len() <= overlap {
-                        // Nothing beyond the snapshot: everything the
-                        // leader sent is already covered. The ack still
-                        // attests to log content, so it rides the
-                        // ack-after-fsync path (immediate when nothing
-                        // is unsynced).
-                        let ok = Msg::Raft(RaftMsg::AppendOk {
-                            term: self.base.current_term,
-                            last_idx: floor,
-                            holders: 0,
-                        });
-                        core.ack_after_sync(ctx, from, ok);
-                        return;
-                    }
-                    (floor, floor_term, &entries[overlap..])
-                } else {
-                    (prev, prev_term, &entries[..])
-                };
-                if !self.base.log.matches(prev, prev_term) {
-                    ctx.send(
-                        from,
-                        Msg::Raft(RaftMsg::AppendReject {
-                            term: self.base.current_term,
-                            last_idx: self.base.log.last_index().min(prev),
-                        }),
-                    );
-                    return;
-                }
-                // Raft conflict handling: truncate at the first mismatch,
-                // then append what is missing, straight out of the shared
-                // round. Matching existing entries are kept (and a longer
-                // non-conflicting log survives); past the first append
-                // nothing is left to match.
-                let match_through = Slot(prev.0 + entries.len() as u64);
-                let mut idx = prev;
-                let (mut appended, mut appended_bytes) = (0usize, 0usize);
-                for e in entries {
-                    idx = idx.next();
-                    match self.base.log.term_at(idx) {
-                        Some(t) if t == e.term => continue,
-                        Some(_) => {
-                            // The truncated suffix's durability no
-                            // longer speaks for these indexes: clamp
-                            // the fsynced watermark (and any in-flight
-                            // fsync claims) below the rewrite point
-                            // before recording the replacement write.
-                            self.base.note_rewrite_from(idx);
-                            self.base.log.truncate_from(idx);
-                        }
-                        None => {}
-                    }
-                    appended += 1;
-                    appended_bytes += e.size_bytes();
-                    self.base.log.append(e.clone());
-                }
-                if appended > 0 {
-                    self.base.note_append_durable(
-                        core,
-                        ctx,
-                        appended_bytes,
-                        appended,
-                        match_through,
-                    );
-                }
-                if commit > self.base.commit_index {
-                    self.base.commit_index = Slot(commit.0.min(match_through.0));
-                    self.apply_committed(core, ctx);
-                }
-                // Acked only after the entries it vouches for are
-                // fsynced (group commit batches the fsync; see the
-                // module docs for the safety argument).
-                let ok = Msg::Raft(RaftMsg::AppendOk {
-                    term: self.base.current_term,
-                    last_idx: match_through,
-                    holders: 0,
-                });
-                core.ack_after_sync(ctx, from, ok);
-            }
-            RaftMsg::AppendOk { term, last_idx, .. } => {
-                if term > self.base.current_term {
-                    self.base.step_down(core, term, ctx);
-                } else if term == self.base.current_term && self.base.role == Role::Leader {
-                    ctx.charge(core.cfg.costs.ack_process);
-                    let peer = core.cfg.node_of(from);
-                    core.pipe.on_ack(peer, last_idx);
-                    if self.base.repl.on_ack(peer, last_idx) {
-                        self.advance_commit(core, ctx);
-                    }
-                    // The freed window slot may have a backlog waiting.
-                    self.base.pump(core, ctx, peer);
-                }
-            }
-            RaftMsg::AppendReject { term, last_idx } => {
-                if term > self.base.current_term {
-                    self.base.step_down(core, term, ctx);
-                } else if term == self.base.current_term && self.base.role == Role::Leader {
-                    // Back off toward the follower's tail and re-probe;
-                    // in-flight rounds to that follower are dead.
-                    let peer = core.cfg.node_of(from);
-                    self.base.repl.on_reject(peer, last_idx);
-                    core.pipe.on_regress(peer);
-                    self.base.send_append_to(core, ctx, peer);
-                }
-            }
-        }
-    }
-}
-
-impl ProtocolRules for RaftRules {
-    fn can_propose(&self, _core: &EngineCore) -> bool {
-        self.base.role == Role::Leader
-    }
-
-    fn applied_index(&self, _core: &EngineCore) -> Slot {
-        self.base.last_applied
-    }
-
-    fn propose(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, cmds: &mut Vec<Command>) {
-        let count = cmds.len();
-        let mut bytes = 0;
-        for cmd in cmds.drain(..) {
-            let e = Entry {
-                term: self.base.current_term,
-                bal: self.base.current_term,
-                cmd,
-            };
+            appended += 1;
             bytes += e.size_bytes();
-            self.base.log.append(e);
+            base.log.append(e.clone());
         }
-        // The leader's own copy is a disk write too; commit advance is
-        // clamped by `durable_tail` until its fsync lands.
-        self.base
-            .note_append_durable(core, ctx, bytes, count, self.base.log.last_index());
-        self.base.broadcast_append(core, ctx);
+        Ok((appended, bytes))
     }
 
-    fn on_start(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
-        self.base.arm_election(core, ctx);
+    /// Section 5.4.2: only entries of the leader's own term commit by
+    /// counting.
+    fn commits(log: &Log, target: Slot, term: Term) -> bool {
+        log.term_at(target) == Some(term)
     }
 
-    fn on_election_timeout(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
-        self.start_election(core, ctx);
-    }
-
-    fn on_heartbeat(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
-        self.base.heartbeat(core, ctx);
-    }
-
-    fn on_msg(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, from: ActorId, msg: Msg) {
-        if let Msg::Raft(m) = msg {
-            self.on_raft(core, ctx, from, m);
-        }
-    }
-
-    fn accept_snapshot_chunk(
-        &mut self,
-        core: &mut EngineCore,
-        ctx: &mut Ctx<Msg>,
-        from: ActorId,
-        seal: Term,
-    ) -> bool {
-        self.base.accept_snapshot_chunk(core, ctx, from, seal)
-    }
-
-    fn install_snapshot(
-        &mut self,
-        core: &mut EngineCore,
-        ctx: &mut Ctx<Msg>,
-        from: ActorId,
-        snap: Snapshot,
-    ) {
-        self.base.install_snapshot(core, ctx, snap);
-        self.base.ack_snapshot(core, ctx, from);
-    }
-
-    fn on_snapshot_ack(
-        &mut self,
-        core: &mut EngineCore,
-        ctx: &mut Ctx<Msg>,
-        from: ActorId,
-        seal: Term,
-        upto: Slot,
-    ) {
-        if self.base.on_snapshot_ack(core, ctx, from, seal, upto) {
-            self.advance_commit(core, ctx);
-        }
-    }
-
-    fn decorate_stats(&self, stats: &mut SnapshotStats) {
-        self.base.decorate_stats(stats);
-    }
-
-    fn on_durable(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
-        // An fsync landed: absorb the new durable watermark and re-run
-        // the commit tally — the leader's own contribution may have
-        // just become countable.
-        self.base.absorb_synced(core);
-        self.advance_commit(core, ctx);
-    }
-
-    fn on_crash(&mut self, core: &mut EngineCore) {
-        self.base.crash_reset(core);
-    }
+    /// Entry terms are never rewritten.
+    fn rewrite_ballots(_log: &mut Log, _term: Term) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{ReadMode, ReplicaConfig};
+    use crate::kv::{CmdId, Command};
+    use crate::msg::Msg;
+    use crate::raftstar::{RaftStarReplica, Star};
     use crate::testutil::{cluster_with, drive_until, TestClient};
     use crate::types::NodeId;
-    use paxraft_sim::sim::Simulation;
+    use paxraft_sim::sim::{ActorId, Simulation};
     use paxraft_sim::time::{SimDuration, SimTime};
+
+    fn entry(term: u64, seq: u64) -> Entry {
+        Entry {
+            term: Term(term),
+            bal: Term(term),
+            cmd: Command::put(CmdId { client: 0, seq }, seq, vec![0; 8]),
+        }
+    }
+
+    /// A base whose log holds one entry per term given, command `seq` =
+    /// slot, everything fsynced.
+    fn base_with(terms: &[u64]) -> RaftBase {
+        let mut base = RaftBase::new(3);
+        for (i, &t) in terms.iter().enumerate() {
+            base.log.append(entry(t, i as u64 + 1));
+        }
+        base.synced_idx = base.log.last_index();
+        base
+    }
+
+    fn terms(base: &RaftBase) -> Vec<u64> {
+        base.log.iter().map(|(_, _, e)| e.term.0).collect()
+    }
+
+    fn seqs(entries: &[Entry]) -> Vec<u64> {
+        entries.iter().map(|e| e.cmd.id.seq).collect()
+    }
+
+    fn config(mode: ReadMode) -> ReplicaConfig {
+        let mut cfg = ReplicaConfig::wan_default(NodeId(0), 3);
+        cfg.peers = (0..3).map(ActorId).collect();
+        cfg.read_mode = mode;
+        cfg
+    }
+
+    // Section 3 as a table: the two flavors side by side, no cluster.
+
+    #[test]
+    fn section3_a_longer_voter_refuses_in_raft_and_hands_over_its_suffix_in_raftstar() {
+        let voter = base_with(&[1, 1, 1, 1]).log;
+        // Same last term, the candidate two entries short.
+        assert_eq!(Plain::vote(&voter, Slot(2), Term(1)), None);
+        let extras = Star::vote(&voter, Slot(2), Term(1)).expect("Raft* grants");
+        assert_eq!(seqs(&extras), [3, 4]);
+        // A candidate at a higher last term wins Raft's up-to-date check
+        // too — and then erases what Raft* carries over.
+        assert_eq!(Plain::vote(&voter, Slot(2), Term(2)), Some(Vec::new()));
+        let extras = Star::vote(&voter, Slot(2), Term(2)).expect("Raft* grants");
+        assert_eq!(seqs(&extras), [3, 4]);
+        // A voter whose log ends at a higher term refuses under both.
+        assert_eq!(Plain::vote(&voter, Slot(9), Term(0)), None);
+        assert_eq!(Star::vote(&voter, Slot(9), Term(0)), None);
+        // Level logs: both grant, nothing to attach.
+        assert_eq!(Plain::vote(&voter, Slot(4), Term(1)), Some(Vec::new()));
+        assert_eq!(Star::vote(&voter, Slot(4), Term(1)), Some(Vec::new()));
+    }
+
+    #[test]
+    fn section3_raftstar_refuses_a_candidate_below_its_compaction_floor() {
+        let mut voter = base_with(&[1, 1, 1, 1]).log;
+        voter.compact_to(Slot(3));
+        assert_eq!(Star::vote(&voter, Slot(2), Term(1)), None);
+        let extras = Star::vote(&voter, Slot(3), Term(1)).expect("at the floor");
+        assert_eq!(seqs(&extras), [4]);
+    }
+
+    #[test]
+    fn section3_a_mid_log_conflict_truncates_in_raft_and_rewrites_the_suffix_in_raftstar() {
+        let round = [entry(1, 2), entry(3, 30), entry(3, 40)];
+        let bytes = |k: usize| round[3 - k..].iter().map(Entry::size_bytes).sum::<usize>();
+
+        let mut plain = base_with(&[1, 1, 2, 2]);
+        let wrote = Plain::accept(&mut plain, Slot(1), Term(1), &round, Term(3));
+        // Slot 2 matched and was kept; 3 and 4 were erased and rewritten.
+        assert_eq!(wrote, Ok((2, bytes(2))));
+        assert_eq!(terms(&plain), [1, 1, 3, 3]);
+        assert_eq!(
+            plain.synced_idx,
+            Slot(2),
+            "the erased suffix vouches for nothing"
+        );
+        assert_eq!(
+            plain.log.bal_at(Slot(1)),
+            Some(Term(1)),
+            "no ballot rewrite"
+        );
+
+        let mut star = base_with(&[1, 1, 2, 2]);
+        let wrote = Star::accept(&mut star, Slot(1), Term(1), &round, Term(3));
+        assert_eq!(wrote, Ok((3, bytes(3))));
+        assert_eq!(terms(&star), [1, 1, 3, 3]);
+        assert_eq!(
+            star.synced_idx,
+            Slot(1),
+            "the whole suffix after prev is new"
+        );
+        for s in 1..=4 {
+            assert_eq!(star.log.bal_at(Slot(s)), Some(Term(3)), "ballot at {s}");
+        }
+
+        // A mismatch on `prev` refuses under both, each with its own hint.
+        let hint = |r: Result<(usize, usize), Slot>| r.expect_err("prev does not match");
+        assert_eq!(
+            hint(Plain::accept(&mut plain, Slot(3), Term(2), &round, Term(3))),
+            Slot(3)
+        );
+        assert_eq!(
+            hint(Plain::accept(&mut plain, Slot(9), Term(3), &round, Term(3))),
+            Slot(4)
+        );
+        assert_eq!(
+            hint(Star::accept(&mut star, Slot(3), Term(2), &round, Term(3))),
+            Slot(4)
+        );
+    }
+
+    #[test]
+    fn section3_a_shortening_append_keeps_rafts_longer_log_and_is_refused_by_raftstar() {
+        let round = [entry(1, 2)];
+        let mut plain = base_with(&[1, 1, 1, 1]);
+        let wrote = Plain::accept(&mut plain, Slot(1), Term(1), &round, Term(1));
+        assert_eq!(wrote, Ok((0, 0)));
+        assert_eq!(plain.log.last_index(), Slot(4));
+        assert_eq!(plain.synced_idx, Slot(4));
+
+        let mut star = base_with(&[1, 1, 1, 1]);
+        let wrote = Star::accept(&mut star, Slot(1), Term(1), &round, Term(1));
+        assert_eq!(wrote, Err(Slot(4)), "its tail is the hint");
+        assert_eq!(star.log.last_index(), Slot(4));
+    }
+
+    /// Figure 8 of the Raft paper: an entry of an old term on a quorum.
+    #[test]
+    fn section3_an_old_term_entry_on_a_quorum_commits_in_raftstar_only() {
+        let mut leader = base_with(&[1, 1]).log;
+        assert!(!Plain::commits(&leader, Slot(2), Term(2)));
+        assert!(Star::commits(&leader, Slot(2), Term(2)));
+        // The leader's own append: Raft* marks every ballot, Raft none —
+        // and Raft commits the old entries behind its own-term one.
+        leader.append(entry(2, 3));
+        Plain::rewrite_ballots(&mut leader, Term(2));
+        assert_eq!(leader.bal_at(Slot(1)), Some(Term(1)));
+        assert!(Plain::commits(&leader, Slot(3), Term(2)));
+        Star::rewrite_ballots(&mut leader, Term(2));
+        assert_eq!(leader.bal_at(Slot(1)), Some(Term(2)));
+    }
+
+    #[test]
+    #[should_panic(expected = "Raft*")]
+    fn plain_raft_refuses_a_lease_read_mode() {
+        RaftReplica::new(config(ReadMode::QuorumLease));
+    }
+
+    #[test]
+    fn log_reads_build_no_lease_manager_under_either_flavor() {
+        assert!(RaftReplica::new(config(ReadMode::LogRead))
+            .lease()
+            .is_none());
+        assert!(RaftStarReplica::new(config(ReadMode::LogRead))
+            .lease()
+            .is_none());
+        assert!(RaftStarReplica::new(config(ReadMode::LeaderLease))
+            .lease()
+            .is_some());
+    }
 
     fn raft_cluster(n: usize) -> (Simulation<Msg>, Vec<ActorId>, ActorId) {
         cluster_with(n, |mut cfg| {

@@ -1,9 +1,14 @@
-//! Raft* (Section 3, Figure 2 *including* the blue code) with the ported
-//! Paxos Quorum Lease optimization (Raft*-PQL, Figure 8) and the
-//! Leader-Lease baseline as read-mode options, expressed as
-//! [`ProtocolRules`] over the shared [`ReplicaEngine`].
+//! The Raft family's rules — Figure 2 once, as [`ProtocolRules`] over the
+//! shared [`ReplicaEngine`] and [`RaftBase`] — and Raft* (Figure 2
+//! *including* the blue code) with the ported Paxos Quorum Lease
+//! optimization (Raft*-PQL, Figure 8) and the Leader-Lease baseline as
+//! read-mode options.
 //!
-//! Raft* differs from Raft in exactly the two ways Section 3 introduces:
+//! [`RaftFamilyRules`] is the black code of Figure 2: the five message
+//! arms, the leader's append, the leadership step and the commit tally,
+//! written once. What Section 3 says differs between Raft and Raft* is a
+//! [`Flavor`] — four functions, no state: [`Star`] here, `Plain` in
+//! `raft.rs`. Raft* differs from Raft in exactly these two ways:
 //!
 //! 1. **No erasing.** A voter attaches the entries it has *beyond* the
 //!    candidate's log to its `requestVoteOK` (`extra`), and the new
@@ -36,21 +41,28 @@
 //!
 //! # Durability (group commit)
 //!
-//! Same invariant as standard Raft (see `raft.rs`'s module docs): an
-//! `appendOK` at ballot `t` attests that the covered entries survive a
-//! crash, so it is routed through [`EngineCore::ack_after_sync`], and
-//! `LeaderLearn` counts the leader's own copy only up to
-//! [`RaftBase::durable_tail`]. One Raft*-specific nuance: an accepted
-//! append *rewrites* the suffix after `prev` ([`Log::replace_suffix`]),
-//! so the durable watermark is clamped below the rewrite point before
-//! the replacement write is recorded — an fsync in flight for the old
-//! suffix must not vouch for the new one. The ballot rewrite *below*
-//! `prev` ([`Log::set_bal_upto`]) is content-preserving; like terms and
-//! votes, the model treats that small per-entry metadata write as free
-//! and always-durable (ballots survive crashes with the log), so only
-//! entry payloads ride the modeled disk.
+//! With a [`crate::config::DurabilityConfig`] enabled, every log append
+//! (follower *and* leader) is charged as a disk write, and any message
+//! that **attests to log content** — `AppendOk` here — is routed
+//! through [`EngineCore::ack_after_sync`] so it leaves only after an
+//! fsync covers the write it attests to: an `AppendOk` for index *i* is
+//! a promise that entry *i* survives a crash; if the ack could outrun the
+//! fsync, a quorum could commit an entry that a crash then erases from
+//! enough replicas to lose it. Symmetrically the *leader's own* copy
+//! counts toward commit only up to [`RaftBase::durable_tail`], and the
+//! engine's `on_durable` hook re-runs the tally when an fsync lands.
+//! Vote/reject messages stay immediate: the model treats the tiny
+//! term/vote metadata write as free and always-durable (terms survive
+//! [`RaftBase::crash_reset`]), so a vote never attests to anything
+//! volatile. An accepted append that *rewrites* log content (Raft's
+//! truncation, Raft*'s [`Log::replace_suffix`]) first clamps the durable
+//! watermark below the rewrite point — an fsync in flight for the old
+//! suffix must not vouch for the new one. Raft*'s ballot rewrite *below*
+//! `prev` ([`Log::set_bal_upto`]) is content-preserving and free like
+//! the term metadata, so only entry payloads ride the modeled disk.
 
 use std::collections::HashMap;
+use std::marker::PhantomData;
 
 use paxraft_sim::sim::{ActorId, Ctx};
 use paxraft_sim::time::SimDuration;
@@ -69,9 +81,93 @@ use crate::types::{max_failures, me_bit, quorum, NodeId, Slot, Term};
 /// the shared engine running [`RaftStarRules`].
 pub type RaftStarReplica = ReplicaEngine<RaftStarRules>;
 
-/// What Raft* adds on top of the engine: vote extras, ballot rewriting,
-/// the erase-free append rule, and the ported lease read paths.
-pub struct RaftStarRules {
+/// The Raft family's rules with Figure 2's blue code in.
+pub type RaftStarRules = RaftFamilyRules<Star>;
+
+/// What Section 3 says differs between Raft and Raft*: the vote, the
+/// append acceptance, the commit rule and the ballot rewrite. Everything
+/// else in [`RaftFamilyRules`] is common to both.
+pub trait Flavor: 'static {
+    /// The vote rule, on a request that already carries a newer term:
+    /// `None` refuses; `Some` grants, with the entries the reply carries
+    /// past the candidate's `last_idx`.
+    fn vote(log: &Log, last_idx: Slot, last_term: Term) -> Option<Vec<Entry>>;
+
+    /// The append acceptance rule, past the checks both flavors share
+    /// (stale term, follower step, overlap with the compacted prefix):
+    /// writes `entries` after `prev` and returns `(entries, bytes)`
+    /// written, or refuses with the tail index the leader backs off to.
+    /// A rewrite voids durability claims first
+    /// ([`RaftBase::note_rewrite_from`]).
+    fn accept(
+        base: &mut RaftBase,
+        prev: Slot,
+        prev_term: Term,
+        entries: &[Entry],
+        term: Term,
+    ) -> Result<(usize, usize), Slot>;
+
+    /// Whether a leader at `term` may commit `target` once a quorum
+    /// holds it.
+    fn commits(log: &Log, target: Slot, term: Term) -> bool;
+
+    /// The leader extended its own log at `term` (a batch, or the no-op
+    /// of a new leadership).
+    fn rewrite_ballots(log: &mut Log, term: Term);
+}
+
+/// Raft*: Figure 2's blue code.
+pub struct Star;
+
+impl Flavor for Star {
+    /// Grant when our log's ballot (== last entry term, by the
+    /// uniform-ballot invariant) does not exceed the candidate's, and
+    /// attach what the candidate lacks. With compaction there is one more
+    /// condition: a candidate whose log ends below our compaction floor
+    /// cannot be completed by extras (the entries are gone), so we refuse
+    /// — it catches up from the eventual winner via the snapshot path.
+    fn vote(log: &Log, last_idx: Slot, last_term: Term) -> Option<Vec<Entry>> {
+        let granted = log.last_term() <= last_term && last_idx >= log.last_included().0;
+        granted.then(|| log.suffix_from(last_idx))
+    }
+
+    /// Figure 2b `RecieveAppend`: match on `prev` AND never let the log
+    /// shrink (`lastIndex ≤ prev + length(ents)`); then the whole suffix
+    /// after `prev` is rewritten and every covered ballot becomes `term`.
+    fn accept(
+        base: &mut RaftBase,
+        prev: Slot,
+        prev_term: Term,
+        entries: &[Entry],
+        term: Term,
+    ) -> Result<(usize, usize), Slot> {
+        let new_last = Slot(prev.0 + entries.len() as u64);
+        if !base.log.matches(prev, prev_term) || new_last < base.log.last_index() {
+            return Err(base.log.last_index());
+        }
+        base.note_rewrite_from(prev.next());
+        base.log.replace_suffix(prev, entries.iter().cloned());
+        base.log.set_bal_upto(new_last, term);
+        let bytes = entries.iter().map(Entry::size_bytes).sum();
+        Ok((entries.len(), bytes))
+    }
+
+    /// `LeaderLearn` needs no entry-term check: an `appendOK` at `term`
+    /// is an `acceptOK` at that ballot for every covered instance.
+    fn commits(_log: &Log, _target: Slot, _term: Term) -> bool {
+        true
+    }
+
+    /// Figure 2b lines 6-7: all ballots become the new entry's term.
+    fn rewrite_ballots(log: &mut Log, term: Term) {
+        log.set_bal_upto(log.last_index(), term);
+    }
+}
+
+/// The Raft family's [`ProtocolRules`]: Figure 2 with the [`Flavor`]'s
+/// four rules plugged in, the `[PQL]` read paths inert without a lease.
+pub struct RaftFamilyRules<F: Flavor> {
+    flavor: PhantomData<F>,
     base: RaftBase,
     /// Raft*: extras received from voters, keyed by voter.
     vote_extras: HashMap<NodeId, (Slot, Vec<Entry>)>,
@@ -97,13 +193,15 @@ pub struct RaftStarRules {
     local_reads_served: u64,
 }
 
-impl RaftStarReplica {
-    /// Creates a replica; `cfg.read_mode` selects Raft* (`LogRead`),
-    /// LL (`LeaderLease`) or Raft*-PQL (`QuorumLease`).
+impl<F: Flavor> ReplicaEngine<RaftFamilyRules<F>> {
+    /// Creates a replica; under Raft* `cfg.read_mode` selects Raft*
+    /// (`LogRead`), LL (`LeaderLease`) or Raft*-PQL (`QuorumLease`).
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid.
+    /// Panics if the configuration is invalid, or asks for a lease read
+    /// mode under a flavor whose commit rule checks entry terms: Figure
+    /// 8's holder gate is `Learn`'s, which commits on the count alone.
     pub fn new(cfg: ReplicaConfig) -> Self {
         cfg.validate().expect("invalid replica config");
         let n = cfg.n;
@@ -111,9 +209,15 @@ impl RaftStarReplica {
             ReadMode::LogRead => None,
             mode => Some(LeaseManager::new(cfg.lease.clone(), mode, n, cfg.id)),
         };
+        // The probe: a slot the log knows no term for, on a quorum.
+        assert!(
+            lease.is_none() || F::commits(&Log::new(), Slot(1), Term::ZERO),
+            "lease reads port to Raft*, not to Raft's 5.4.2 commit rule: use RaftStarReplica"
+        );
         ReplicaEngine::from_parts(
             EngineCore::new(cfg),
-            RaftStarRules {
+            RaftFamilyRules {
+                flavor: PhantomData,
                 base: RaftBase::new(n),
                 vote_extras: HashMap::new(),
                 reported_holders: vec![0; n],
@@ -179,7 +283,7 @@ fn holder_gate(
     target
 }
 
-impl RaftStarRules {
+impl<F: Flavor> RaftFamilyRules<F> {
     /// Figure 2a `RequestVote`.
     fn start_election(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
         self.vote_extras.clear();
@@ -189,7 +293,7 @@ impl RaftStarRules {
 
     /// Figure 2a `BecomeLeader`: merge the safe entries from voter extras
     /// (highest `bal` per index), rewriting their term and ballot to the
-    /// new term.
+    /// new term. Raft's voters send none, so it merges nothing.
     fn try_become_leader(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
         if self.base.role != Role::Candidate
             || (self.base.votes.count_ones() as usize) < quorum(core.cfg.n)
@@ -238,8 +342,10 @@ impl RaftStarRules {
             .repl
             .reset_for_leadership(self.base.log.last_index());
         core.pipe.reset();
-        // A fresh no-op carries the term forward (progress, not safety:
-        // Raft* needs no 5.4.2-style commit restriction).
+        // A fresh no-op carries the term forward: progress for Raft*,
+        // and what lets Raft commit the tail of its log under the
+        // Section-5.4.2 restriction. Followers are optimistically assumed
+        // to hold our pre-existing log.
         let noop = Entry {
             term: self.base.current_term,
             bal: self.base.current_term,
@@ -248,9 +354,7 @@ impl RaftStarRules {
         merged_bytes += noop.size_bytes();
         merged += 1;
         self.base.log.append(noop);
-        self.base
-            .log
-            .set_bal_upto(self.base.log.last_index(), self.base.current_term);
+        F::rewrite_ballots(&mut self.base.log, self.base.current_term);
         // The merged extras and the no-op are new log content on this
         // node's disk (the ballot rewrite of older entries is free
         // metadata — see the module docs).
@@ -284,15 +388,21 @@ impl RaftStarRules {
         }
     }
 
-    /// Figure 2b `LeaderLearn` with the [PQL] holder gate of Figure 8.
+    /// Figure 2b `LeaderLearn` — the f-th largest follower match, where
+    /// the flavor's commit rule allows it — with the [PQL] holder gate of
+    /// Figure 8.
     fn advance_commit(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
         if self.base.role != Role::Leader {
             return;
         }
         let f = max_failures(core.cfg.n);
-        // The leader's own copy counts toward the quorum only once
-        // locally fsynced (no-op when durability is disabled); the
-        // engine's `on_durable` hook re-runs this tally as syncs land.
+        // The f-th largest follower match is replicated on f followers +
+        // the leader = a majority — but the leader's copy only counts
+        // once locally fsynced (no-op when durability is disabled; the
+        // engine's `on_durable` hook re-runs this tally as syncs land).
+        // Without the clamp, f durable followers plus the leader's
+        // volatile copy could commit an entry that a leader crash erases
+        // from the one replica a future election quorum might count on.
         let tally = self.base.repl.kth_largest_match(f, core.cfg.id);
         let mut target = tally.min(self.base.durable_tail(core));
         let lease_gated = self
@@ -320,12 +430,16 @@ impl RaftStarRules {
             );
         }
         // Span bookkeeping: the replication-quorum instant is the
-        // pre-clamp tally — except under the PQL holder gate, where the
-        // gate is part of consensus wait (booked to replication), so
-        // the quorum mark follows the gated target instead.
-        self.base
-            .note_quorum(ctx, if lease_gated { target } else { tally });
-        if target > self.base.commit_index {
+        // pre-clamp tally — from there only the fsync holds commit back —
+        // except under the PQL holder gate, where the gate is part of
+        // consensus wait (booked to replication), so the quorum mark
+        // follows the gated target instead.
+        let term = self.base.current_term;
+        let mark = if lease_gated { target } else { tally };
+        if F::commits(&self.base.log, mark, term) {
+            self.base.note_quorum(ctx, mark);
+        }
+        if target > self.base.commit_index && F::commits(&self.base.log, target, term) {
             self.base.commit_index = target;
             self.apply_committed(core, ctx);
         }
@@ -429,30 +543,17 @@ impl RaftStarRules {
                 last_term,
             } => {
                 if term > self.base.current_term {
-                    // Raft* vote rule: grant when our log's ballot (==
-                    // last entry term, by the uniform-ballot invariant)
-                    // does not exceed the candidate's; attach extras.
-                    // With compaction there is one more condition: a
-                    // candidate whose log ends below our compaction
-                    // floor cannot be completed by extras (the entries
-                    // are gone), so we refuse — it catches up from the
-                    // eventual winner via the snapshot path instead.
-                    let granted = self.base.log.last_term() <= last_term
-                        && last_idx >= self.base.log.last_included().0;
+                    // Decide on the log as it stands, then adopt the term.
+                    let extras = F::vote(&self.base.log, last_idx, last_term);
                     self.base.step_down(core, term, ctx);
                     core.leader_hint = None;
-                    let (extra_start, extra) = if granted && self.base.log.last_index() > last_idx {
-                        (last_idx.next(), self.base.log.suffix_from(last_idx))
-                    } else {
-                        (last_idx.next(), Vec::new())
-                    };
                     ctx.send(
                         from,
                         Msg::Raft(RaftMsg::Vote {
                             term,
-                            granted,
-                            extra_start,
-                            extra,
+                            granted: extras.is_some(),
+                            extra_start: last_idx.next(),
+                            extra: extras.unwrap_or_default(),
                         }),
                     );
                 }
@@ -531,31 +632,23 @@ impl RaftStarRules {
                     (prev, prev_term, &entries[..])
                 };
                 let new_last = Slot(prev.0 + entries.len() as u64);
-                // Figure 2b RecieveAppend: match on prev AND never let the
-                // log shrink (`lastIndex ≤ prev + length(ents)`).
-                if !self.base.log.matches(prev, prev_term) || new_last < self.base.log.last_index()
-                {
-                    ctx.send(
-                        from,
-                        Msg::Raft(RaftMsg::AppendReject {
-                            term: self.base.current_term,
-                            last_idx: self.base.log.last_index(),
-                        }),
-                    );
-                    return;
-                }
-                // Raft* rewrites the whole suffix after `prev`: any
-                // fsync in flight for the old suffix must not vouch for
-                // the replacement, so clamp the durable watermark first,
-                // then record the replacement as a fresh disk write.
-                let appended = entries.len();
-                self.base.note_rewrite_from(prev.next());
-                self.base.log.replace_suffix(prev, entries.iter().cloned());
-                // Figure 2b: every covered ballot becomes the append term.
-                self.base.log.set_bal_upto(new_last, term);
+                let (appended, written) =
+                    match F::accept(&mut self.base, prev, prev_term, entries, term) {
+                        Ok(wrote) => wrote,
+                        Err(last_idx) => {
+                            ctx.send(
+                                from,
+                                Msg::Raft(RaftMsg::AppendReject {
+                                    term: self.base.current_term,
+                                    last_idx,
+                                }),
+                            );
+                            return;
+                        }
+                    };
                 if appended > 0 {
                     self.base
-                        .note_append_durable(core, ctx, bytes, appended, new_last);
+                        .note_append_durable(core, ctx, written, appended, new_last);
                 }
                 self.index_writes_from(prev.next());
                 if commit > self.base.commit_index {
@@ -605,10 +698,11 @@ impl RaftStarRules {
                     self.base.repl.on_reject(peer, last_idx);
                     // In-flight rounds to that follower are dead.
                     core.pipe.on_regress(peer);
-                    // Back off for a prev mismatch; when the follower's
-                    // log is simply longer than ours (the Raft* "no
-                    // shrink" rule), wait for new appends instead of
-                    // ping-ponging rejects.
+                    // Back off toward the follower's tail and re-probe
+                    // for a prev mismatch; when the follower's log is
+                    // simply longer than ours (the Raft* "no shrink"
+                    // rule), wait for new appends instead of ping-ponging
+                    // rejects.
                     if last_idx <= self.base.log.last_index() {
                         self.base.send_append_to(core, ctx, peer);
                     }
@@ -618,7 +712,7 @@ impl RaftStarRules {
     }
 }
 
-impl ProtocolRules for RaftStarRules {
+impl<F: Flavor> ProtocolRules for RaftFamilyRules<F> {
     fn can_propose(&self, _core: &EngineCore) -> bool {
         self.base.role == Role::Leader
     }
@@ -628,7 +722,7 @@ impl ProtocolRules for RaftStarRules {
     }
 
     /// Figure 2b `AppendEntries` (leader side): append the batch, rewrite
-    /// ballots, replicate.
+    /// ballots (Raft*), replicate.
     fn propose(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, cmds: &mut Vec<Command>) {
         let first_new = self.base.log.last_index().next();
         let count = cmds.len();
@@ -642,10 +736,7 @@ impl ProtocolRules for RaftStarRules {
             bytes += e.size_bytes();
             self.base.log.append(e);
         }
-        // Figure 2b lines 6-7: all ballots become the new entry's term.
-        self.base
-            .log
-            .set_bal_upto(self.base.log.last_index(), self.base.current_term);
+        F::rewrite_ballots(&mut self.base.log, self.base.current_term);
         // The leader's own copy is a disk write too; LeaderLearn is
         // clamped by `durable_tail` until its fsync lands.
         self.base
