@@ -328,6 +328,15 @@ fn burst_of_requests_arms_one_batch_timer_and_one_flush() {
             1,
             "{name}: and produces exactly one flush"
         );
+        // Follower hints and NIC-aware cutting have no switch: at depth 0
+        // no hint offers room and no eager cut is tried, so neither acts.
+        for &r in &replicas {
+            let stats = sim.actor::<ReplicaEngine<P>>(r).pipeline_stats();
+            assert!(
+                stats.hint_flushes == 0 && stats.nic_deferrals == 0,
+                "{name}: a disabled window cuts nothing early ({stats:?})"
+            );
+        }
     }
     for_all_protocols!(scenario);
 }
@@ -850,12 +859,12 @@ fn full_forwarded_batch_is_flushed_immediately_regardless_of_leadership() {
     scenario("Mencius", true, MenciusReplica::new);
 }
 
-/// Follower-side adaptive forwarding: with `follower_hints` on, a
-/// command arriving at a follower while the leader's piggybacked
-/// occupancy hint shows window room is forwarded immediately — it never
-/// waits for the batch timer. (With hints off, the non-full-batch
-/// follower path always waits; `burst_of_requests_arms_one_batch_timer`
-/// pins that discipline.)
+/// Follower-side adaptive forwarding: a command arriving at a follower
+/// while the leader's piggybacked occupancy hint shows window room is
+/// forwarded immediately — it never waits for the batch timer. (With the
+/// window disabled no hint shows room, so the non-full-batch follower
+/// path always waits; `burst_of_requests_arms_one_batch_timer` pins that
+/// discipline and that no hint flush happens.)
 #[test]
 fn follower_hints_cut_forward_batches_before_the_timer() {
     fn scenario<P: ProtocolRules>(name: &str, make: fn(ReplicaConfig) -> ReplicaEngine<P>) {

@@ -138,7 +138,7 @@ pub struct EngineCore {
     pub snap_wire: (usize, usize),
     /// Last leader window-occupancy hint piggybacked on replication
     /// traffic, and when it arrived. Drives follower-side adaptive
-    /// forwarding when [`PipelineConfig::follower_hints`] is on.
+    /// forwarding (follower hints, [`PipelineConfig`]).
     pub window_hint: Option<(bool, SimTime)>,
     /// Engine-level messages dropped because they carried another
     /// group's id (sharded clusters; stats/assertions).
@@ -303,10 +303,8 @@ impl EngineCore {
     /// periods is stale: the leader's occupancy has had time to change
     /// and two missed refreshes suggest the leader itself may be gone.
     pub fn hint_allows_forward(&self, now: SimTime) -> bool {
-        self.cfg.pipeline.follower_hints
-            && self
-                .window_hint
-                .is_some_and(|(room, at)| room && now.since(at.min(now)) <= self.cfg.heartbeat * 2)
+        self.window_hint
+            .is_some_and(|(room, at)| room && now.since(at.min(now)) <= self.cfg.heartbeat * 2)
     }
 
     /// This replica's bit in quorum bitmaps.
@@ -828,7 +826,7 @@ fn cut_batch<P: ProtocolRules>(rules: &mut P, core: &mut EngineCore, ctx: &mut C
     // latency while its per-round overhead costs throughput (the
     // Figure-10b regime). Accumulate under the timer instead and let
     // batching amortize.
-    let nic_saturated = core.cfg.pipeline.nic_aware && ctx.nic_backlog() * 4 > core.cfg.batch_delay;
+    let nic_saturated = ctx.nic_backlog() * 4 > core.cfg.batch_delay;
     if rules.can_propose(core) && core.pipe.enabled() {
         if core.pipe.quorum_has_room(core.cfg.id, core.cfg.n) {
             if nic_saturated {

@@ -86,6 +86,18 @@ use crate::types::{NodeId, Slot};
 use super::durability::DurabilityState;
 
 /// Pipelining parameters, shared by every protocol.
+///
+/// The window also drives two cutter rules that have no switch of their
+/// own, because both do nothing at depth 0. **Follower hints:** leaders
+/// piggyback whether a replication quorum has window room on
+/// replication and heartbeat traffic (`window_room`), and a follower
+/// holding pending commands forwards them at once while a fresh hint says
+/// so, instead of paying the batch delay first; a disabled window never
+/// has quorum room, so no hint ever says so. **NIC-aware cutting:** an
+/// eager cut (leader or hinted follower) is refused while this node's
+/// egress NIC backlog exceeds a quarter of the batch delay — bytes, not
+/// window room, are then the bottleneck (the Figure-10b regime), and the
+/// batch accumulates under the timer instead.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
     /// Maximum in-flight (unacknowledged) replication rounds per peer.
@@ -93,31 +105,11 @@ pub struct PipelineConfig {
     /// per-peer send gating — the pre-pipeline one-round-per-timer/ack
     /// behavior.
     pub depth: usize,
-    /// Follower-side adaptive forwarding: when on, leaders piggyback
-    /// their window occupancy on replication/heartbeat traffic
-    /// (`window_room`) and a follower holding pending commands forwards
-    /// them immediately while the hint says the leader can absorb a
-    /// fresh round — instead of always paying the batch delay before
-    /// forwarding. **On by default** since the PR 5 fingerprint re-pin
-    /// (`PARITY_pr5.txt`); it removes the ~2 ms batch delay per
-    /// far-follower commit with no wire cost.
-    pub follower_hints: bool,
-    /// NIC-aware batch cutting: when on, the adaptive cutter refuses to
-    /// cut eagerly while this node's egress NIC backlog exceeds a
-    /// quarter of the batch delay — a message cut then queues behind
-    /// the backlog instead of starting promptly, and per-round overhead
-    /// costs throughput once bytes (not window room) are the bottleneck
-    /// (the Figure-10b regime; see the `payload_4kb_*` bench rows).
-    pub nic_aware: bool,
 }
 
 impl Default for PipelineConfig {
     fn default() -> Self {
-        PipelineConfig {
-            depth: 8,
-            follower_hints: true,
-            nic_aware: true,
-        }
+        PipelineConfig { depth: 8 }
     }
 }
 
@@ -129,33 +121,12 @@ impl PipelineConfig {
 
     /// Pipelining disabled (legacy batching discipline).
     pub fn disabled() -> Self {
-        PipelineConfig {
-            depth: 0,
-            follower_hints: false,
-            nic_aware: false,
-        }
+        PipelineConfig::depth(0)
     }
 
     /// Pipelining with the given window depth.
     pub fn depth(depth: usize) -> Self {
-        PipelineConfig {
-            depth,
-            ..PipelineConfig::default()
-        }
-    }
-
-    /// This configuration with follower-side adaptive forwarding off
-    /// (the pre-PR 5 default).
-    pub fn without_follower_hints(mut self) -> Self {
-        self.follower_hints = false;
-        self
-    }
-
-    /// This configuration with NIC-aware batch cutting off (the cutter
-    /// then consults window room alone, the PR 3/4 behavior).
-    pub fn without_nic_aware_cutting(mut self) -> Self {
-        self.nic_aware = false;
-        self
+        PipelineConfig { depth }
     }
 }
 
@@ -187,12 +158,13 @@ pub struct PipelineStats {
     /// Rounds cleared by a regress (rejection, rewind, or expiry).
     pub rounds_regressed: u64,
     /// Follower forwards cut early because a piggybacked leader
-    /// occupancy hint said the window had room
-    /// ([`PipelineConfig::follower_hints`]).
+    /// occupancy hint said the window had room (follower hints,
+    /// [`PipelineConfig`]).
     pub hint_flushes: u64,
-    /// Eager cuts refused because the egress NIC backlog exceeded the
-    /// batch delay ([`PipelineConfig::nic_aware`]): the bandwidth-bound
-    /// regime where batching amortizes per-message overhead.
+    /// Eager cuts refused because the egress NIC backlog exceeded a
+    /// quarter of the batch delay (NIC-aware cutting, [`PipelineConfig`]):
+    /// the bandwidth-bound regime where batching amortizes per-message
+    /// overhead.
     pub nic_deferrals: u64,
     /// Entries in the longest round shipped from a backlog on an ack —
     /// the rounds [`PipelineWindow::round_cap`] sizes.

@@ -92,7 +92,8 @@ impl Stage {
         }
     }
 
-    /// Report label (also the JSON key in `BENCH_pr10.json`).
+    /// Report label (also the stage in the ledger's `span.<stage>_ms`
+    /// rows).
     pub fn name(self) -> &'static str {
         match self {
             Stage::Queueing => "queueing",

@@ -23,11 +23,10 @@
 //! keep the migration count bounded (asserted against the analytic
 //! cooldown bound).
 //!
-//! Emits `BENCH_pr9.json` (override the path with `BENCH_PR9_OUT`) with
-//! ops/s per arm, the policy/oracle ratio (asserted ≥ 0.85), migration
-//! counts, and per-group per-phase p99 latency from the mergeable
-//! histogram series — the migration windows are localized to the group
-//! and phase they hit.
+//! Prints ops/s per arm, the policy/oracle ratio (asserted ≥ 0.85),
+//! migration counts, and per-group per-phase p99 latency from the
+//! mergeable histogram series — the migration windows are localized to
+//! the group and phase they hit.
 //!
 //! Run with: `cargo run --release --example autorebalance`
 
@@ -145,7 +144,6 @@ fn phase_p99(report: &RunReport, group: usize, from_s: u64, to_s: u64) -> Option
 }
 
 fn main() {
-    let mut json = String::from("{\n");
     println!("drifting hotspot: {HOT_WEIGHT} of traffic in a {HOT_WIDTH}-key window");
     println!("sliding {DRIFT_FROM} -> {DRIFT_TO} over 18 s of virtual time\n");
 
@@ -155,16 +153,6 @@ fn main() {
         println!(
             "  {arm:<7} {:>7.1} op/s   migrations={:<3} peak_inflight={}",
             o.throughput, o.migrations, o.peak_inflight
-        );
-        let _ = writeln!(
-            json,
-            "  \"autorebalance_{arm}_ops_per_sec\": {:.1},",
-            o.throughput
-        );
-        let _ = writeln!(
-            json,
-            "  \"autorebalance_{arm}_migrations\": {},",
-            o.migrations
         );
         outcomes.push(o);
     }
@@ -184,20 +172,6 @@ fn main() {
         policy.migrations
     );
     let ratio = policy.throughput / oracle.throughput;
-    let _ = writeln!(
-        json,
-        "  \"autorebalance_policy_vs_oracle_ratio\": {ratio:.3},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"autorebalance_policy_peak_inflight\": {},",
-        policy.peak_inflight
-    );
-    let _ = writeln!(
-        json,
-        "  \"autorebalance_oracle_peak_inflight\": {},",
-        oracle.peak_inflight
-    );
     assert!(
         ratio >= 0.85,
         "closed-loop placement within 15% of the oracle ({ratio:.3})"
@@ -214,11 +188,6 @@ fn main() {
             for (phase, (from_s, to_s)) in [(2u64, 6u64), (6, 10), (10, 14)].iter().enumerate() {
                 let p99 = phase_p99(&o.report, group, *from_s, *to_s);
                 let _ = write!(row, "  phase{phase}={:>8.3}", p99.unwrap_or(f64::NAN));
-                let _ = writeln!(
-                    json,
-                    "  \"autorebalance_{label}_group{group}_phase{phase}_p99_ms\": {:.3},",
-                    p99.unwrap_or(-1.0)
-                );
             }
             println!("{row}");
         }
@@ -242,22 +211,6 @@ fn main() {
         "oscillation produces a bounded migration count ({} <= {bound})",
         osc.migrations
     );
-    let _ = writeln!(
-        json,
-        "  \"autorebalance_oscillation_migrations\": {},",
-        osc.migrations
-    );
-    let _ = writeln!(json, "  \"autorebalance_oscillation_bound\": {bound},");
-    let _ = writeln!(
-        json,
-        "  \"autorebalance_oscillation_ops_per_sec\": {:.1},",
-        osc.throughput
-    );
-
-    let json = format!("{}\n}}\n", json.trim_end().trim_end_matches(','));
-    let out = std::env::var("BENCH_PR9_OUT").unwrap_or_else(|_| "BENCH_pr9.json".into());
-    std::fs::write(&out, &json).expect("write bench json");
-    println!("\nwrote {out}");
     println!(
         "\nThe oracle pre-stripes the drift corridor it was told about; the\n\
          closed-loop policy discovers the same placement from the live load\n\

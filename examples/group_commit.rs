@@ -13,13 +13,11 @@
 //! MultiPaxos and Mencius — inherit it unchanged; the sweep shows the
 //! same recovery for each.
 //!
-//! Emits `BENCH_pr7.json` (override the path with `BENCH_PR7_OUT`) with
-//! ops/s per protocol × policy × fsync latency plus the measured mean
-//! fsync batch length, and asserts group commit's ≥2× advantage at 1 ms.
+//! Prints ops/s per protocol × policy × fsync latency plus the measured
+//! mean fsync batch length, and asserts group commit's ≥2× advantage at
+//! 1 ms.
 //!
 //! Run with: `cargo run --release --example group_commit`
-
-use std::fmt::Write as _;
 
 use paxraft::core::config::DurabilityConfig;
 use paxraft::core::harness::{Cluster, ProtocolKind};
@@ -32,18 +30,6 @@ const PROTOCOLS: [ProtocolKind; 4] = [
     ProtocolKind::MultiPaxos,
     ProtocolKind::RaftStarMencius,
 ];
-
-/// JSON key slug per protocol (`name()` is for humans; `Raft*` and
-/// `Raft` would collide once lowercased and stripped).
-fn slug(p: ProtocolKind) -> &'static str {
-    match p {
-        ProtocolKind::Raft => "raft",
-        ProtocolKind::RaftStar => "raftstar",
-        ProtocolKind::MultiPaxos => "multipaxos",
-        ProtocolKind::RaftStarMencius => "mencius",
-        _ => unreachable!("not part of the sweep"),
-    }
-}
 
 /// One measured cell: ops/s, fsyncs, and the mean fsync batch length.
 fn run(protocol: ProtocolKind, durability: DurabilityConfig) -> (f64, u64, f64) {
@@ -71,101 +57,45 @@ fn run(protocol: ProtocolKind, durability: DurabilityConfig) -> (f64, u64, f64) 
     )
 }
 
-fn policies(fsync: SimDuration) -> [(&'static str, DurabilityConfig); 2] {
+fn policies(fsync: SimDuration) -> [DurabilityConfig; 2] {
     [
-        ("per_entry", DurabilityConfig::per_entry(fsync)),
-        (
-            "group_commit",
-            DurabilityConfig::group_commit(fsync, 32, SimDuration::from_millis(1)),
-        ),
+        DurabilityConfig::per_entry(fsync),
+        DurabilityConfig::group_commit(fsync, 32, SimDuration::from_millis(1)),
     ]
 }
 
 fn main() {
-    let mut json = String::from("{\n");
     println!("closed-loop writes, 75 clients/region; acks wait for fsync\n");
     println!("  protocol      fsync   per-entry    group-commit   speedup  mean batch");
     for fsync_ms in [1u64, 5] {
         let fsync = SimDuration::from_millis(fsync_ms);
         for p in PROTOCOLS {
-            let mut ops = [0.0f64; 2];
-            for (i, (label, durability)) in policies(fsync).into_iter().enumerate() {
+            let [(per_entry, _), (group_commit, mean_batch)] = policies(fsync).map(|durability| {
                 let (thr, fsyncs, mean_batch) = run(p, durability);
-                ops[i] = thr;
                 assert!(fsyncs > 0, "{}: the run hit the disk", p.name());
-                let _ = writeln!(
-                    json,
-                    "  \"group_commit_{}_{}_{}ms_ops_per_sec\": {:.1},",
-                    slug(p),
-                    label,
-                    fsync_ms,
-                    thr
-                );
-                if label == "group_commit" {
-                    let _ = writeln!(
-                        json,
-                        "  \"group_commit_{}_{}ms_mean_batch_len\": {:.1},",
-                        slug(p),
-                        fsync_ms,
-                        mean_batch
-                    );
-                    println!(
-                        "  {:<12} {:>4}ms  {:>7.1} op/s  {:>8.1} op/s  {:>6.2}x  {:>8.1}",
-                        p.name(),
-                        fsync_ms,
-                        ops[0],
-                        ops[1],
-                        ops[1] / ops[0],
-                        mean_batch
-                    );
-                }
-            }
+                (thr, mean_batch)
+            });
+            println!(
+                "  {:<12} {:>4}ms  {:>7.1} op/s  {:>8.1} op/s  {:>6.2}x  {:>8.1}",
+                p.name(),
+                fsync_ms,
+                per_entry,
+                group_commit,
+                group_commit / per_entry,
+                mean_batch
+            );
             if fsync_ms == 1 {
                 assert!(
-                    ops[1] >= 2.0 * ops[0],
+                    group_commit >= 2.0 * per_entry,
                     "{} @1ms: group commit at least doubles per-entry throughput \
                      ({:.1} vs {:.1} ops/s)",
                     p.name(),
-                    ops[1],
-                    ops[0]
+                    group_commit,
+                    per_entry
                 );
             }
         }
     }
-    // Baseline without any disk for scale: how close group commit gets
-    // to the durability-free engine.
-    for p in PROTOCOLS {
-        let (thr, _, _) = {
-            let workload = WorkloadConfig {
-                read_fraction: 0.0,
-                conflict_rate: 0.0,
-                ..Default::default()
-            };
-            let mut cluster = Cluster::builder(p)
-                .clients_per_region(75)
-                .workload(workload)
-                .seed(19)
-                .build();
-            cluster.elect_leader();
-            let report = cluster.run_measurement(
-                SimDuration::from_secs(2),
-                SimDuration::from_secs(5),
-                SimDuration::from_secs(1),
-            );
-            (report.throughput_ops, 0u64, 0.0f64)
-        };
-        let _ = writeln!(
-            json,
-            "  \"group_commit_{}_nodisk_ops_per_sec\": {:.1},",
-            slug(p),
-            thr
-        );
-    }
-    // Strip the trailing comma and close the object.
-    let json = format!("{}\n}}\n", json.trim_end().trim_end_matches(','));
-    let out = std::env::var("BENCH_PR7_OUT").unwrap_or_else(|_| "BENCH_pr7.json".into());
-    std::fs::write(&out, &json).expect("write bench json");
-    println!("\nwrote {out}");
     println!(
         "\nPer-entry fsync serializes one device latency per entry; group commit\n\
          batches them behind a single barrier, so the acks — and the paper's\n\

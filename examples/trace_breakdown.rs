@@ -23,14 +23,11 @@
 //!    (batching + replication dominate); depth 8 overlaps them and
 //!    shrinks that wait.
 //!
-//! Emits `BENCH_pr10.json` (override the path with `BENCH_PR10_OUT`)
-//! with mean per-stage milliseconds per scenario plus each scenario's
+//! Prints mean per-stage milliseconds per scenario plus each scenario's
 //! dominant critical-path stage, and asserts the two distinguishing
 //! claims above.
 //!
 //! Run with: `cargo run --release --example trace_breakdown`
-
-use std::fmt::Write as _;
 
 use paxraft::core::config::DurabilityConfig;
 use paxraft::core::engine::PipelineConfig;
@@ -45,17 +42,6 @@ const PROTOCOLS: [ProtocolKind; 4] = [
     ProtocolKind::MultiPaxos,
     ProtocolKind::RaftStarMencius,
 ];
-
-/// JSON key slug per protocol.
-fn slug(p: ProtocolKind) -> &'static str {
-    match p {
-        ProtocolKind::Raft => "raft",
-        ProtocolKind::RaftStar => "raftstar",
-        ProtocolKind::MultiPaxos => "multipaxos",
-        ProtocolKind::RaftStarMencius => "mencius",
-        _ => unreachable!("not part of the sweep"),
-    }
-}
 
 struct Scenario {
     clients_per_region: usize,
@@ -115,30 +101,6 @@ fn run(protocol: ProtocolKind, s: &Scenario) -> StageTotals {
     spans.totals()
 }
 
-fn emit(json: &mut String, key: &str, t: &StageTotals) {
-    for s in Stage::ALL {
-        let _ = writeln!(
-            json,
-            "  \"trace_breakdown_{}_{}_mean_ms\": {:.3},",
-            key,
-            s.name(),
-            t.mean_ms(s)
-        );
-    }
-    let _ = writeln!(
-        json,
-        "  \"trace_breakdown_{}_total_mean_ms\": {:.3},",
-        key,
-        t.mean_total_ms()
-    );
-    let _ = writeln!(
-        json,
-        "  \"trace_breakdown_{}_dominant_stage\": \"{}\",",
-        key,
-        t.dominant_stage().name()
-    );
-}
-
 fn print_row(label: &str, t: &StageTotals) {
     print!("  {label:<22}");
     for s in Stage::ALL {
@@ -160,8 +122,6 @@ fn header() {
 }
 
 fn main() {
-    let mut json = String::from("{\n");
-
     println!("per-command latency attribution (mean ms per stage)\n");
     println!("baseline: closed-loop writes, no disk");
     header();
@@ -175,8 +135,7 @@ fn main() {
                 leader_fsync: None,
             },
         );
-        emit(&mut json, slug(p), &t);
-        print_row(slug(p), &t);
+        print_row(p.name(), &t);
     }
 
     // Fsync policy on Raft: per-entry stalls between quorum and commit;
@@ -196,7 +155,6 @@ fn main() {
             leader_fsync: Some(SimDuration::from_millis(10)),
         },
     );
-    emit(&mut json, "raft_per_entry_fsync", &per_entry);
     print_row("per-entry fsync", &per_entry);
     let group_commit = run(
         ProtocolKind::Raft,
@@ -211,7 +169,6 @@ fn main() {
             leader_fsync: Some(SimDuration::from_millis(10)),
         },
     );
-    emit(&mut json, "raft_group_commit", &group_commit);
     print_row("group commit", &group_commit);
     assert!(
         per_entry.mean_ms(Stage::Fsync) > 0.1,
@@ -241,14 +198,10 @@ fn main() {
             &Scenario {
                 clients_per_region: 75,
                 durability: None,
-                pipeline: Some(PipelineConfig {
-                    depth,
-                    ..PipelineConfig::default()
-                }),
+                pipeline: Some(PipelineConfig::depth(depth)),
                 leader_fsync: None,
             },
         );
-        emit(&mut json, &format!("raft_pipeline_depth{depth}"), &t);
         print_row(&format!("depth {depth}"), &t);
         by_depth.push(t);
     }
@@ -269,10 +222,6 @@ fn main() {
         repl(depth8)
     );
 
-    let json = format!("{}\n}}\n", json.trim_end().trim_end_matches(','));
-    let out = std::env::var("BENCH_PR10_OUT").unwrap_or_else(|_| "BENCH_pr10.json".into());
-    std::fs::write(&out, &json).expect("write bench json");
-    println!("\nwrote {out}");
     println!(
         "\nThe breakdown components sum exactly to each command's end-to-end\n\
          latency, so a stage shrinking here is time actually moved, not a\n\
