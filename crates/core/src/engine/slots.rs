@@ -1,24 +1,24 @@
-//! The Paxos family's instance table.
+//! The one slot store of both families.
 //!
-//! Raft's log is an array indexed by slot ([`crate::log::Log`]); under
-//! the paper's Figure-3 map `entry.index ↔ instance.id` the Paxos side is
-//! the same thing with holes in it — instances are accepted and chosen
-//! out of order, a skipped or not-yet-heard slot is simply absent — and
-//! it grows at one end and is discarded at the other. [`SlotRing`] is
-//! that: a `VecDeque` of fixed-size blocks of optional entries over the
-//! slots from the first one present to the last, so a lookup is two
-//! indexes instead of a tree descent and consecutive instances sit next
-//! to each other in memory. The family's base
-//! (`super::paxos_family::PaxosBase`) keeps its instances in one.
+//! Under the paper's Figure-3 map `entry.index ↔ instance.id`, Raft's log
+//! and the Paxos instance table are one structure: entries by slot,
+//! growing at one end and discarded at the other. The log is dense over
+//! its span; the table has holes in it — instances are accepted and
+//! chosen out of order, a skipped or not-yet-heard slot is simply absent.
+//! [`SlotRing`] is both: a `VecDeque` of fixed-size blocks of optional
+//! entries over the slots from the first one present to the last, so a
+//! lookup is two indexes instead of a tree descent and consecutive slots
+//! sit next to each other in memory. [`crate::log::Log`] and the Paxos
+//! family's base (`super::paxos_family::PaxosBase`) each keep one.
 //!
 //! Blocks, not one growing buffer: the table takes a block when the span
 //! reaches it and frees it when the span leaves it, so what it holds is
 //! what it spans, to within a block at either end. One buffer that
 //! doubles holds up to twice that, every replica of a cluster steps at
 //! the same slot, and which side of a step a run ends on is the seed's
-//! choice — five Mencius replicas ending near 65,536 slots hold 43 MB or
-//! 72 MB that way (the ledger's `lan-saturated` cell). Nor is a block
-//! ever copied to make room.
+//! choice — five logs of 70,737 entries at capacity 131,072 are 42 MB
+//! that way, where blocks hold 23 (the ledger's `lan-saturated` `raft`
+//! cell). Nor is a block ever copied to make room.
 //!
 //! What the ring costs is a cell per *absent* slot between two present
 //! ones. The protocols bound that themselves: a proposer numbers its
@@ -161,17 +161,25 @@ impl<T> SlotRing<T> {
     /// Discards every entry at or below `upto`, handing each to
     /// `discarded` in slot order (the caller's byte and index accounting).
     /// Returns how many there were.
-    pub fn drop_through(&mut self, upto: Slot, mut discarded: impl FnMut(Slot, T)) -> usize {
+    pub fn drop_through(&mut self, upto: Slot, discarded: impl FnMut(Slot, T)) -> usize {
+        self.drop_in(..=upto, discarded)
+    }
+
+    /// [`Self::drop_through`]'s mirror: discards every entry after `after`.
+    pub fn truncate_after(&mut self, after: Slot, discarded: impl FnMut(Slot, T)) -> usize {
+        self.drop_in((Bound::Excluded(after), Bound::Unbounded), discarded)
+    }
+
+    fn drop_in(&mut self, range: impl RangeBounds<Slot>, mut gone: impl FnMut(Slot, T)) -> usize {
         let before = self.present;
-        if before > 0 {
-            for s in self.lo..=upto.0.min(self.hi) {
-                if let Some(entry) = self.cell_mut(Slot(s)).and_then(Option::take) {
-                    self.present -= 1;
-                    discarded(Slot(s), entry);
-                }
+        let (start, end) = self.slots_in(range);
+        for s in start..end {
+            if let Some(entry) = self.cell_mut(Slot(s)).and_then(Option::take) {
+                self.present -= 1;
+                gone(Slot(s), entry);
             }
-            self.trim();
         }
+        self.trim();
         before - self.present
     }
 

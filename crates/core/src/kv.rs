@@ -939,6 +939,9 @@ mod tests {
         assert_eq!(size_of::<Op>(), 32);
         assert_eq!(size_of::<Command>(), 48);
         assert_eq!(size_of::<crate::log::Entry>(), 64);
+        // The log's ring cell: a field that costs `Entry` its niche makes
+        // every cell of every log 72 B.
+        assert_eq!(size_of::<Option<crate::log::Entry>>(), 64);
         assert_eq!(size_of::<crate::msg::Msg>(), 88);
         // A list of slots sits where the `Vec<Slot>` it replaced sat.
         assert_eq!(size_of::<crate::msg::Slots>(), 24);

@@ -46,11 +46,20 @@
 //! boundary answer `None` ("unknown, ask for a snapshot"). Slot numbering
 //! is global and never shifts: slot `s` names the same entry before and
 //! after compaction.
+//!
+//! # Storage
+//!
+//! The entries live in a [`SlotRing`], the Paxos family's instance store,
+//! dense over `first_index() ..= last_index()`: Figure 3's `entry.index
+//! ↔ instance.id` as one structure. A block of 256 is taken as the log
+//! reaches it and freed as compaction passes it, so the log holds what
+//! it spans; nothing is copied, and [`Log::replace_suffix`] overwrites.
 
 use std::sync::Arc;
 
 use paxraft_workload::metrics::PeakGauge;
 
+use crate::engine::SlotRing;
 use crate::kv::Command;
 use crate::types::{Slot, Term};
 
@@ -78,7 +87,8 @@ impl Entry {
 /// A 1-based append-only-ish log. `Slot(0)` is the empty sentinel.
 #[derive(Debug, Clone, Default)]
 pub struct Log {
-    entries: Vec<Entry>,
+    /// Dense over `start + 1 ..= last_index()` (module docs, *Storage*).
+    entries: SlotRing<Entry>,
     /// Compacted-through slot: every entry at or below it has been
     /// discarded (applied and snapshotted). [`Slot::NONE`] when the log
     /// has never been compacted.
@@ -114,7 +124,8 @@ impl Log {
     /// Term of the last entry ([`Term::ZERO`] when empty; the last
     /// *included* term when everything is compacted away).
     pub fn last_term(&self) -> Term {
-        self.entries.last().map_or(self.start_term, |e| e.term)
+        self.get(self.last_index())
+            .map_or(self.start_term, |e| e.term)
     }
 
     /// First retained slot (`start + 1`).
@@ -131,10 +142,7 @@ impl Log {
     /// The entry at `slot`, if retained — for its `term` and `cmd`; the
     /// ballot is [`Log::bal_at`]'s to answer.
     pub fn get(&self, slot: Slot) -> Option<&Entry> {
-        if slot <= self.start {
-            return None;
-        }
-        self.entries.get((slot.0 - self.start.0) as usize - 1)
+        self.entries.get(slot)
     }
 
     /// Term at `slot`. The compaction boundary answers with the retained
@@ -169,9 +177,10 @@ impl Log {
     /// Appends an entry, returning its slot.
     pub fn append(&mut self, entry: Entry) -> Slot {
         self.bytes += entry.size_bytes();
-        self.entries.push(entry);
+        let slot = self.last_index().next();
+        self.entries.insert(slot, entry);
         self.note_peak();
-        self.last_index()
+        slot
     }
 
     /// Whether `(prev, prev_term)` matches this log (the AppendEntries
@@ -198,11 +207,8 @@ impl Log {
             slot,
             self.start
         );
-        let keep = (slot.0 - self.start.0) as usize - 1;
-        for e in &self.entries[keep.min(self.entries.len())..] {
-            self.bytes -= e.size_bytes();
-        }
-        self.entries.truncate(keep);
+        self.entries
+            .truncate_after(slot.prev(), |_, e| self.bytes -= e.size_bytes());
         self.bal_upto = self.bal_upto.min(slot.prev());
     }
 
@@ -234,17 +240,15 @@ impl Log {
             new_last,
             self.last_index().0
         );
-        let keep = (prev.0 - self.start.0) as usize;
-        for e in &self.entries[keep.min(self.entries.len())..] {
-            self.bytes -= e.size_bytes();
+        // Overwritten in place, then extended: never shorter, so dense.
+        for (slot, e) in (prev.0 + 1..).map(Slot).zip(entries) {
+            self.bytes += e.size_bytes();
+            if let Some(old) = self.entries.insert(slot, e) {
+                self.bytes -= old.size_bytes();
+            }
         }
-        self.entries.truncate(keep);
         // The replacement carries its own ballots.
         self.bal_upto = self.bal_upto.min(prev);
-        self.entries.extend(entries);
-        for e in &self.entries[keep..] {
-            self.bytes += e.size_bytes();
-        }
         self.note_peak();
     }
 
@@ -258,8 +262,7 @@ impl Log {
     pub fn set_bal_upto(&mut self, upto: Slot, term: Term) {
         let upto = upto.min(self.last_index());
         if upto < self.bal_upto {
-            let gap = self.retained_after(upto)..self.retained_after(self.bal_upto);
-            for e in &mut self.entries[gap] {
+            for (_, e) in self.entries.range_mut(upto.next()..=self.bal_upto) {
                 e.bal = self.bal_term;
             }
         }
@@ -295,27 +298,25 @@ impl Log {
     }
 
     /// At most `max` retained entries strictly after `prev`, cloned with
-    /// their effective ballots; of known length, so it collects at once.
+    /// their effective ballots. A mapped `Range<usize>` is `TrustedLen`,
+    /// so an `Arc<[Entry]>` collects from it in one allocation.
     fn suffix_iter(&self, prev: Slot, max: usize) -> impl ExactSizeIterator<Item = Entry> + '_ {
-        let from = self.retained_after(prev);
-        let upto = from + max.min(self.entries.len() - from);
-        let covered = self.retained_after(self.bal_upto).saturating_sub(from);
-        let marked = self.bal_term;
-        let effective = move |(i, e): (usize, &Entry)| Entry {
-            bal: if i < covered { marked } else { e.bal },
-            ..e.clone()
-        };
-        self.entries[from..upto].iter().enumerate().map(effective)
+        let first = prev.max(self.start).next();
+        let n = max.min((self.last_index().0 + 1).saturating_sub(first.0) as usize);
+        (0..n).map(move |i| {
+            let slot = Slot(first.0 + i as u64);
+            let e = self.get(slot).expect("the log is dense over its span");
+            let bal = self.effective_bal(slot, e);
+            Entry { bal, ..e.clone() }
+        })
     }
 
     /// Iterates retained entries as `(global slot, effective ballot,
     /// entry)`.
     pub fn iter(&self) -> impl Iterator<Item = (Slot, Term, &Entry)> {
-        let start = self.start.0;
-        self.entries.iter().enumerate().map(move |(i, e)| {
-            let slot = Slot(start + i as u64 + 1);
-            (slot, self.effective_bal(slot, e), e)
-        })
+        self.entries
+            .range(..)
+            .map(move |(slot, e)| (slot, self.effective_bal(slot, e), e))
     }
 
     /// Number of retained entries.
@@ -351,18 +352,14 @@ impl Log {
     /// Callers must only compact an *applied* prefix — the discarded
     /// entries live on solely inside the state-machine snapshot.
     pub fn compact_to(&mut self, upto: Slot) -> usize {
-        let upto = Slot(upto.0.min(self.last_index().0));
+        let upto = upto.min(self.last_index());
         if upto <= self.start {
             return 0;
         }
-        let term = self.term_at(upto).expect("compaction point is in range");
-        let k = (upto.0 - self.start.0) as usize;
-        for e in self.entries.drain(..k) {
-            self.bytes -= e.size_bytes();
-        }
+        self.start_term = self.term_at(upto).expect("compaction point is in range");
         self.start = upto;
-        self.start_term = term;
-        k
+        self.entries
+            .drop_through(upto, |_, e| self.bytes -= e.size_bytes())
     }
 
     /// Replaces the entire log with the history implied by an installed
@@ -370,17 +367,11 @@ impl Log {
     /// by a follower whose log conflicts with (or ends before) a
     /// received snapshot.
     pub fn reset_to(&mut self, slot: Slot, term: Term) {
-        self.entries.clear();
+        self.entries = SlotRing::new();
         self.bytes = 0;
         self.start = slot;
         self.start_term = term;
         self.bal_upto = self.bal_upto.min(slot);
-    }
-
-    /// Index into `entries` of the first retained entry after `slot`
-    /// (0 inside the compacted prefix, `len` at or past the end).
-    fn retained_after(&self, slot: Slot) -> usize {
-        (slot.0.saturating_sub(self.start.0) as usize).min(self.entries.len())
     }
 
     fn note_peak(&mut self) {
@@ -520,30 +511,60 @@ mod tests {
         assert_eq!(slots, vec![Slot(1), Slot(2)]);
     }
 
-    /// The ballot mark against Figure 2 executed literally: an eager
-    /// reference log (a plain `Vec` plus a compaction offset) that
-    /// rewrites every covered `bal` in a loop, driven through random
-    /// interleavings of every mutator. After each step the effective
-    /// ballots out of `bal_at`, `iter` and `suffix_from` must equal the
-    /// reference's stored ones, and the mark must not pass the end.
-    #[test]
-    fn ballot_mark_matches_eager_rewrite() {
+    /// Slots per block of the ring under the log (`engine::slots`).
+    const EDGE: u64 = 256;
+
+    /// One random script of every mutator against Figure 2 executed
+    /// literally: an eager reference log (a plain `Vec` plus a compaction
+    /// offset) that rewrites every covered `bal` in a loop. After each
+    /// step the effective ballots out of `bal_at`, `iter` and
+    /// `suffix_from` must equal the reference's stored ones, and the mark
+    /// must not pass the end. An append step adds up to `burst` entries;
+    /// with `near_edges` every case starts, and every reset lands, within
+    /// three slots of a block edge. Returns how many calls of each mutator
+    /// (append, replace, truncate, mark, compact, reset) touched slots on
+    /// both sides of an edge, and the most appends one case made.
+    fn against_eager_rewrite(
+        seed: u64,
+        cases: u32,
+        steps: u64,
+        burst: u64,
+        near_edges: bool,
+    ) -> ([u32; 6], u64) {
         use paxraft_sim::rng::SimRng;
 
-        let mut rng = SimRng::new(0xBA1);
-        for case in 0..200 {
+        let mut rng = SimRng::new(seed);
+        let spans_edge = |lo: u64, hi: u64| lo < hi && lo / EDGE != hi / EDGE;
+        let near_edge = |rng: &mut SimRng, below: u64| {
+            EDGE * (1 + rng.gen_range(below / EDGE + 2)) - 3 + rng.gen_range(7)
+        };
+        let (mut crossed, mut most_appends) = ([0u32; 6], 0);
+        for case in 0..cases {
             let mut log = Log::new();
             // Reference: entries after `start`, ballots rewritten eagerly.
             let mut start = 0u64;
+            if near_edges {
+                start = near_edge(&mut rng, 0);
+                log.reset_to(Slot(start), Term(1));
+            }
             let mut eager: Vec<Entry> = Vec::new();
-            let mut term = 1u64;
-            for step in 0..60 {
+            let (mut term, mut appends) = (1u64, 0);
+            for step in 0..steps {
                 let last = start + eager.len() as u64;
                 match rng.gen_range(8) {
                     0 | 1 => {
-                        let e = entry(term, step);
-                        eager.push(e.clone());
-                        log.append(e);
+                        let k = if burst > 1 {
+                            1 + rng.gen_range(burst)
+                        } else {
+                            1
+                        };
+                        for _ in 0..k {
+                            let e = entry(term, step);
+                            eager.push(e.clone());
+                            log.append(e);
+                        }
+                        appends += k;
+                        crossed[0] += u32::from(spans_edge(last, last + k));
                     }
                     2 => {
                         // Overwrite or extend, never shorten.
@@ -553,12 +574,14 @@ mod tests {
                         let ents: Vec<Entry> = (0..min + rng.gen_range(3) as usize)
                             .map(|i| entry(term, 100 + i as u64))
                             .collect();
+                        crossed[1] += u32::from(spans_edge(prev + 1, prev + ents.len() as u64));
                         eager.truncate((prev - start) as usize);
                         eager.extend(ents.iter().cloned());
                         log.replace_suffix(Slot(prev), ents);
                     }
                     3 if !eager.is_empty() => {
                         let slot = start + 1 + rng.gen_range(eager.len() as u64);
+                        crossed[2] += u32::from(spans_edge(slot, last));
                         eager.truncate((slot - start - 1) as usize);
                         log.truncate_from(Slot(slot));
                     }
@@ -575,10 +598,13 @@ mod tests {
                         for e in &mut eager[..n] {
                             e.bal = Term(term);
                         }
+                        // A mark pulled back writes the slots it uncovers.
+                        crossed[3] += u32::from(spans_edge(upto + 1, log.bal_mark().0 .0));
                         log.set_bal_upto(Slot(upto), Term(term));
                     }
                     6 => {
                         let upto = rng.gen_range(last + 2).min(last);
+                        crossed[4] += u32::from(spans_edge(start + 1, upto));
                         if upto > start {
                             eager.drain(..(upto - start) as usize);
                             start = upto;
@@ -586,7 +612,13 @@ mod tests {
                         log.compact_to(Slot(upto));
                     }
                     7 if rng.gen_bool(0.2) => {
-                        start = rng.gen_range(last + 5);
+                        let to = if near_edges {
+                            near_edge(&mut rng, last)
+                        } else {
+                            rng.gen_range(last + 5)
+                        };
+                        crossed[5] += u32::from(spans_edge(last.min(to), last.max(to)));
+                        start = to;
                         eager.clear();
                         log.reset_to(Slot(start), Term(term));
                     }
@@ -618,7 +650,30 @@ mod tests {
                     "{ctx}"
                 );
             }
+            most_appends = most_appends.max(appends);
         }
+        (crossed, most_appends)
+    }
+
+    #[test]
+    fn ballot_mark_matches_eager_rewrite() {
+        against_eager_rewrite(0xBA1, 200, 60, 1, false);
+    }
+
+    /// The same script over block edges: cases start and reset a few
+    /// slots from one and append in bursts, so every mutator acts on both
+    /// sides of an edge (60-step single appends never leave one block).
+    #[test]
+    fn ballot_mark_matches_eager_rewrite_across_block_edges() {
+        let (crossed, most_appends) = against_eager_rewrite(0xED6E, 24, 400, 16, true);
+        assert!(
+            crossed.iter().all(|&n| n > 0),
+            "edge crossings per mutator (append, replace, truncate, mark, compact, reset): {crossed:?}"
+        );
+        assert!(
+            most_appends > 300,
+            "at most {most_appends} appends in a case"
+        );
     }
 
     // ── compaction ──────────────────────────────────────────────────
