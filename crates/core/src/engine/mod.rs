@@ -71,6 +71,9 @@ use crate::types::{self, NodeId, Slot, Term};
 /// lower bits so stale timers are ignored. One registry for every
 /// protocol — rules-specific timers ([`T_LEASE`], [`T_COORD`]) reach the
 /// rules through [`ProtocolRules::on_timer`].
+///
+/// The election timer carries no generation: it is also its key for
+/// [`Ctx::rearm_timer`], so a re-arm supersedes it in the simulator.
 pub const T_ELECTION: u64 = 1 << 48;
 /// Leader heartbeat / retransmission tick.
 pub const T_HEARTBEAT: u64 = 2 << 48;
@@ -103,8 +106,6 @@ pub struct EngineCore {
     pub pending: Vec<Command>,
     batch_armed: bool,
     batch_gen: u64,
-    /// Election timer generation (stale timers are ignored).
-    pub election_gen: u64,
     /// Heartbeat timer generation.
     pub heartbeat_gen: u64,
     /// Reassembles incoming snapshot chunks, keyed by sender.
@@ -198,7 +199,6 @@ impl EngineCore {
             pending: Vec::new(),
             batch_armed: false,
             batch_gen: 0,
-            election_gen: 0,
             heartbeat_gen: 0,
             snap_asm: SnapshotAssembler::default(),
             snap_send: SnapshotSender::new(n),
@@ -312,18 +312,18 @@ impl EngineCore {
         types::me_bit(self.cfg.id)
     }
 
-    /// Arms a fresh randomized election timer (invalidates the previous
-    /// one). `never_led` selects the tiny bootstrap timeout on the
-    /// configured initial leader's first round.
-    pub fn arm_election(&mut self, ctx: &mut Ctx<Msg>, never_led: bool) {
-        self.election_gen += 1;
+    /// Arms a fresh randomized election timer. It supersedes the previous
+    /// one, which the simulator then never delivers
+    /// ([`Ctx::rearm_timer`]). `never_led` selects the tiny bootstrap
+    /// timeout on the configured initial leader's first round.
+    pub fn arm_election(&self, ctx: &mut Ctx<Msg>, never_led: bool) {
         let span = self.cfg.election_max.as_nanos() - self.cfg.election_min.as_nanos();
         let delay = if self.cfg.initial_leader == Some(self.cfg.id) && never_led {
             SimDuration::from_millis(5)
         } else {
             self.cfg.election_min + SimDuration::from_nanos(ctx.rng().gen_range(span.max(1)))
         };
-        ctx.set_timer(delay, T_ELECTION | self.election_gen);
+        ctx.rearm_timer(T_ELECTION, delay, T_ELECTION);
     }
 
     /// Arms the next heartbeat tick (invalidates the previous one).
@@ -441,7 +441,7 @@ pub trait ProtocolRules: Sized + 'static {
     /// renewal, Mencius coordination).
     fn on_start(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>);
 
-    /// The (generation-valid) election timer fired and this replica is
+    /// The live (last armed) election timer fired and this replica is
     /// not leading: start recovery (RequestVote / Phase1a).
     fn on_election_timeout(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
         let _ = (core, ctx);
@@ -1190,8 +1190,7 @@ impl<P: ProtocolRules> Actor<Msg> for ReplicaEngine<P> {
     fn on_timer(&mut self, ctx: &mut Ctx<Msg>, token: u64) {
         match token & KIND_MASK {
             T_ELECTION => {
-                if token & !KIND_MASK == self.core.election_gen && !self.rules.is_leader(&self.core)
-                {
+                if !self.rules.is_leader(&self.core) {
                     self.rules.on_election_timeout(&mut self.core, ctx);
                 }
             }
@@ -1246,9 +1245,9 @@ impl<P: ProtocolRules> Actor<Msg> for ReplicaEngine<P> {
         // Retire every timer generation: a pre-crash in-flight timer
         // token must never match post-restart state, even if the runtime
         // redelivers it (the engine does not rely on the host dropping
-        // timers across a restart).
+        // timers across a restart). The election timer has no generation:
+        // the simulator cancels it on the crash.
         self.core.batch_gen += 1;
-        self.core.election_gen += 1;
         self.core.heartbeat_gen += 1;
         self.core.leader_hint = None;
         self.core.window_hint = None;

@@ -58,13 +58,39 @@
 //! survives as a `#[cfg(test)]` switch, the reference the differential
 //! tests compare against.
 //!
+//! # Superseded timers
+//!
+//! A timer set with [`Ctx::rearm_timer`] lives under a key, and each
+//! `(actor, key)` has at most one live timer: re-arming supersedes the
+//! previous one, which is never delivered. Figure 2's follower resets
+//! its election timeout on every append, so that timer is re-armed far
+//! more often than it fires, and a fresh fire pushed per reset would
+//! send all but one of them through the heap only to be dropped.
+//!
+//! So the simulator keeps each key's due time and token and queues at
+//! most one *check* for it, never later than the due time. A re-arm for
+//! a time later than the queued check queues nothing; a check that pops
+//! early re-queues itself for the due time; one that pops on time joins
+//! the inbox as the timer's fire, and is delivered like any other. A
+//! re-arm for the check's time or earlier queues a new check, and the
+//! one it orphans pops and is discarded. A fire superseded while it waits in the inbox takes its
+//! turn undelivered. A crash clears the actor's keys.
+//!
+//! This is exact. A re-arm takes the `seq` a push would have taken, and
+//! the check that pops on time carries it, so the fire takes the place
+//! among the events due then that a pushed timer would have had. Against
+//! the `#[cfg(test)]` filtered path — every re-arm pushed, everything but
+//! the key's latest dropped — handler calls, their times and the RNG
+//! stream are identical; [`SimStats::events`], which counts every pop,
+//! is lower.
+//!
 //! **`seq` order *is* the schedule.** Events at one timestamp pop in the
 //! order they were pushed, and `seq` is what says so: one number per
-//! push. Every tie between two deliveries and every RNG draw that
-//! follows from one depend on the order of those numbers and on nothing
-//! else about the queue, so a change that keeps the relative order of
-//! what it does push (a hop taken in place is never pushed, and would
-//! have popped before anything pushed after it) leaves every run
+//! push, or per re-arm. Every tie between two deliveries and every RNG
+//! draw that follows from one depend on the order of those numbers and
+//! on nothing else about the queue, so a change that keeps the relative
+//! order of what it does push (a hop taken in place is never pushed, and
+//! would have popped before anything pushed after it) leaves every run
 //! bit-for-bit what it was. `slot` is in the key only to find the
 //! payload; `seq` is unique, so it never decides an order.
 //!
@@ -153,10 +179,26 @@ pub struct Ctx<'a, M> {
 
 #[derive(Debug)]
 enum Output<M> {
-    Send { to: ActorId, msg: M },
-    Timer { delay: SimDuration, token: u64 },
-    DiskWrite { bytes: usize },
-    Fsync { count: u64, token: u64 },
+    Send {
+        to: ActorId,
+        msg: M,
+    },
+    Timer {
+        delay: SimDuration,
+        token: u64,
+    },
+    Rearm {
+        key: u64,
+        delay: SimDuration,
+        token: u64,
+    },
+    DiskWrite {
+        bytes: usize,
+    },
+    Fsync {
+        count: u64,
+        token: u64,
+    },
 }
 
 impl<'a, M> Ctx<'a, M> {
@@ -178,9 +220,18 @@ impl<'a, M> Ctx<'a, M> {
 
     /// Sets a timer that fires `delay` after the handler completes.
     /// The `token` is returned to [`Actor::on_timer`]; actors use it to
-    /// ignore stale timers.
+    /// ignore stale timers. For a timer that the next one supersedes,
+    /// use [`Ctx::rearm_timer`].
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
         self.outputs.push(Output::Timer { delay, token });
+    }
+
+    /// Sets this actor's timer under `key` to fire `delay` after the
+    /// handler completes, delivering `token` to [`Actor::on_timer`]. It
+    /// supersedes the timer `key` had, which is then never delivered; a
+    /// crash cancels it (module docs, "Superseded timers").
+    pub fn rearm_timer(&mut self, key: u64, delay: SimDuration, token: u64) {
+        self.outputs.push(Output::Rearm { key, delay, token });
     }
 
     /// Adds CPU service cost to this handler. Costs accumulate if called
@@ -274,6 +325,10 @@ enum EvKind<M> {
     },
     /// A timer matures and joins `dst`'s inbox.
     TimerFire { dst: usize, token: u64, epoch: u64 },
+    /// The check for `dst`'s timer under `key`, queued no later than
+    /// that timer is due; on time, it joins the inbox as its fire
+    /// (module docs, "Superseded timers").
+    TimerCheck { dst: usize, key: u64 },
     /// `dst`'s CPU becomes free to process its inbox head.
     Process { dst: usize },
     /// A scheduled fault/control operation.
@@ -340,12 +395,21 @@ impl<T> EventQueue<T> {
     /// Queues a key for the payload in `slot` at time `at`, under a fresh
     /// `seq` — exactly as a push of that payload would.
     fn schedule(&mut self, at: SimTime, slot: usize) {
+        let seq = self.next_seq();
+        self.schedule_at(at, seq, slot);
+    }
+
+    /// Takes the `seq` a push made now would take.
+    fn next_seq(&mut self) -> u64 {
         self.seq += 1;
-        self.heap.push(Reverse(EvKey {
-            at,
-            seq: self.seq,
-            slot,
-        }));
+        self.seq
+    }
+
+    /// Queues a key for the payload in `slot` at time `at` under `seq`,
+    /// taken earlier from [`EventQueue::next_seq`] and used by no other
+    /// queued key.
+    fn schedule_at(&mut self, at: SimTime, seq: u64, slot: usize) {
+        self.heap.push(Reverse(EvKey { at, seq, slot }));
     }
 
     /// Pops the head event if it is due at or before `limit`: its time
@@ -383,11 +447,85 @@ impl<T> EventQueue<T> {
     }
 }
 
+/// One actor's live timer under one key (module docs, "Superseded
+/// timers").
+#[derive(Debug)]
+struct KeyedTimer {
+    dst: usize,
+    key: u64,
+    token: u64,
+    /// When it is due, and the `seq` its re-arm took: its place among
+    /// the events due then.
+    due: SimTime,
+    seq: u64,
+    carrier: Carrier,
+}
+
+/// What carries a key's live timer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Carrier {
+    /// Nothing: it was delivered, or a crash cleared it.
+    Idle,
+    /// A check in `slot`, queued for `at`, no later than the due time.
+    Queued { slot: usize, at: SimTime },
+    /// Its fire in `slot`, waiting in the inbox.
+    Inbox { slot: usize },
+}
+
+/// The keyed timers of the actors that arm one, sorted by `(dst, key)`:
+/// an actor that never does has no entry.
+#[derive(Debug, Default)]
+struct KeyedTimers(Vec<KeyedTimer>);
+
+impl KeyedTimers {
+    fn find(&self, dst: usize, key: u64) -> Result<usize, usize> {
+        self.0.binary_search_by_key(&(dst, key), |t| (t.dst, t.key))
+    }
+
+    /// The timer under `(dst, key)`, with no carrier the first time.
+    fn entry(&mut self, dst: usize, key: u64) -> &mut KeyedTimer {
+        let i = self.find(dst, key).unwrap_or_else(|i| {
+            let timer = KeyedTimer {
+                dst,
+                key,
+                token: 0,
+                due: SimTime::ZERO,
+                seq: 0,
+                carrier: Carrier::Idle,
+            };
+            self.0.insert(i, timer);
+            i
+        });
+        &mut self.0[i]
+    }
+
+    /// The timer under `(dst, key)`, if `carrier` is what carries it.
+    fn carried_by(&mut self, dst: usize, key: u64, carrier: Carrier) -> Option<&mut KeyedTimer> {
+        let i = self.find(dst, key).ok()?;
+        Some(&mut self.0[i]).filter(|t| t.carrier == carrier)
+    }
+
+    /// When `dst`'s timer under `key` is due, while it is live.
+    fn due(&self, dst: usize, key: u64) -> Option<SimTime> {
+        let i = self.find(dst, key).ok()?;
+        let t = &self.0[i];
+        (t.carrier != Carrier::Idle).then_some(t.due)
+    }
+
+    /// A crash: every timer `dst` has is cancelled.
+    fn clear(&mut self, dst: usize) {
+        for t in self.0.iter_mut().filter(|t| t.dst == dst) {
+            t.carrier = Carrier::Idle;
+        }
+    }
+}
+
 /// Counters exposed for tests and reporting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Total events handled: every hop of every delivery, whether it
-    /// travelled the queue or was taken in place (module docs).
+    /// travelled the queue or was taken in place, and every pop of a
+    /// timer check, early, orphaned or on time (module docs).
     pub events: u64,
     /// Messages handed to actor handlers.
     pub deliveries: u64,
@@ -419,6 +557,7 @@ pub struct Simulation<M: Payload> {
     process_slot: Vec<usize>,
     process_scheduled: Vec<bool>,
     timer_epoch: Vec<u64>,
+    keyed: KeyedTimers,
     started: bool,
     trace: FlightRecorder,
     disks: DiskArray,
@@ -427,6 +566,11 @@ pub struct Simulation<M: Payload> {
     /// in-place hops are compared against.
     #[cfg(test)]
     always_queue: bool,
+    /// Tests: queue a check for every re-arm, so a superseded timer is
+    /// dropped when it pops — the reference path superseding is compared
+    /// against.
+    #[cfg(test)]
+    filter_timers: bool,
     /// Event/delivery counters.
     pub stats: SimStats,
 }
@@ -448,12 +592,15 @@ impl<M: Payload> Simulation<M> {
             process_slot: Vec::new(),
             process_scheduled: Vec::new(),
             timer_epoch: Vec::new(),
+            keyed: KeyedTimers::default(),
             started: false,
             trace: FlightRecorder::disabled(),
             disks: DiskArray::new(DiskConfig::default()),
             disk_of: Vec::new(),
             #[cfg(test)]
             always_queue: false,
+            #[cfg(test)]
+            filter_timers: false,
             stats: SimStats::default(),
         }
     }
@@ -646,6 +793,12 @@ impl<M: Payload> Simulation<M> {
         self.crashed[node.0]
     }
 
+    /// When `actor`'s timer under `key` ([`Ctx::rearm_timer`]) is due,
+    /// if it has one that is neither delivered nor cancelled.
+    pub fn timer_due(&self, actor: ActorId, key: u64) -> Option<SimTime> {
+        self.keyed.due(actor.0, key)
+    }
+
     /// Runs one handler on node `i` with a fresh context, then applies its
     /// outputs (sends and timers) at `start + charge` and advances the
     /// node's CPU horizon. The output buffer is empty on entry and on
@@ -727,6 +880,7 @@ impl<M: Payload> Simulation<M> {
                         },
                     );
                 }
+                Output::Rearm { key, delay, token } => self.rearm(i, key, done + delay, token),
                 Output::DiskWrite { bytes } => {
                     self.disks.write(done, self.disk_of[i], bytes);
                 }
@@ -749,6 +903,26 @@ impl<M: Payload> Simulation<M> {
             }
         }
         self.outputs = outputs;
+    }
+
+    /// Sets `dst`'s timer under `key` for `due`, superseding the one it
+    /// had (module docs, "Superseded timers"): a check already queued for
+    /// before `due` will find it; otherwise one is queued for `due`,
+    /// under the `seq` the re-arm took. (A check queued for `due` itself
+    /// carries an older `seq`, so it would pop too soon among the events
+    /// due then.)
+    fn rearm(&mut self, dst: usize, key: u64, due: SimTime, token: u64) {
+        let seq = self.queue.next_seq();
+        let timer = self.keyed.entry(dst, key);
+        (timer.token, timer.due, timer.seq) = (token, due, seq);
+        let covered = matches!(timer.carrier, Carrier::Queued { at, .. } if at < due);
+        #[cfg(test)]
+        let covered = covered && !self.filter_timers;
+        if !covered {
+            let slot = self.queue.insert(EvKind::TimerCheck { dst, key });
+            self.queue.schedule_at(due, seq, slot);
+            timer.carrier = Carrier::Queued { slot, at: due };
+        }
     }
 
     /// Takes a hop to time `at` in place if it would be the very next pop
@@ -830,6 +1004,28 @@ impl<M: Payload> Simulation<M> {
                     None
                 }
             }
+            EvKind::TimerCheck { dst, key } => {
+                let dst = *dst;
+                let check = Carrier::Queued { slot, at };
+                match self.keyed.carried_by(dst, *key, check) {
+                    Some(timer) if at < timer.due => {
+                        timer.carrier = Carrier::Queued {
+                            slot,
+                            at: timer.due,
+                        };
+                        self.queue.schedule_at(timer.due, timer.seq, slot);
+                        None
+                    }
+                    Some(timer) => {
+                        timer.carrier = Carrier::Inbox { slot };
+                        self.admit(dst, slot, limit)
+                    }
+                    None => {
+                        self.queue.take(slot);
+                        None
+                    }
+                }
+            }
             EvKind::Process { dst } => Some(*dst),
             EvKind::Control(_) => {
                 if let EvKind::Control(op) = self.queue.take(slot) {
@@ -868,10 +1064,15 @@ impl<M: Payload> Simulation<M> {
             }
             EvKind::TimerFire { token, epoch, .. } => {
                 if epoch == self.timer_epoch[dst] {
-                    self.stats.timer_fires += 1;
-                    self.trace
-                        .record(self.now, ActorId(dst), TraceKind::TimerFire { token });
-                    self.run_handler(dst, |a, ctx| a.on_timer(ctx, token));
+                    self.fire(dst, token);
+                }
+            }
+            EvKind::TimerCheck { key, .. } => {
+                let fire = Carrier::Inbox { slot };
+                if let Some(timer) = self.keyed.carried_by(dst, key, fire) {
+                    timer.carrier = Carrier::Idle;
+                    let token = timer.token;
+                    self.fire(dst, token);
                 }
             }
             EvKind::Process { .. } | EvKind::Control(_) => {
@@ -881,12 +1082,21 @@ impl<M: Payload> Simulation<M> {
         self.schedule_process(dst, limit)
     }
 
+    /// Hands a timer's `token` to node `dst`'s actor.
+    fn fire(&mut self, dst: usize, token: u64) {
+        self.stats.timer_fires += 1;
+        self.trace
+            .record(self.now, ActorId(dst), TraceKind::TimerFire { token });
+        self.run_handler(dst, |a, ctx| a.on_timer(ctx, token));
+    }
+
     fn apply_control(&mut self, op: Control) {
         match op {
             Control::Crash(i) => {
                 if !self.crashed[i] {
                     self.crashed[i] = true;
                     self.timer_epoch[i] += 1;
+                    self.keyed.clear(i);
                     self.stats.lost += self.inbox[i].len() as u64;
                     for slot in self.inbox[i].drain(..) {
                         self.queue.take(slot);
@@ -1715,8 +1925,16 @@ mod tests {
         }
     }
 
+    /// The key, and the token, of [`Chatter`]'s re-armed timer.
+    const WATCHDOG: u64 = 1 << 40;
+
     /// Keeps a volley of messages moving between random peers and, one
     /// handler in eight, sets a timer whose fire sends one more message.
+    /// Every message also re-arms a watchdog, as a follower's election
+    /// timeout is re-armed on every append, to anywhere up to 400 us
+    /// out, so that some fire, some are superseded by a later re-arm and
+    /// some by an earlier one.
+    /// Its fire sends one more message too.
     struct Chatter {
         n: usize,
         volley: usize,
@@ -1746,6 +1964,9 @@ mod tests {
                 ctx.set_timer(delay, u64::from(self.left));
                 self.script.pushed();
             }
+            let delay = SimDuration::from_micros(ctx.rng().gen_range(400));
+            ctx.rearm_timer(WATCHDOG, delay, WATCHDOG);
+            self.script.pushed();
         }
         fn on_timer(&mut self, ctx: &mut Ctx<Wide>, token: u64) {
             if self.script.enter(ctx, &mut self.left, !token) {
@@ -1755,10 +1976,12 @@ mod tests {
         impl_actor_any!();
     }
 
-    /// Receives nothing; runs two timer chains that re-arm within 100 us.
-    /// All of its times are whole microseconds from zero, so two tickers'
-    /// `Process` turns fall due at the very same instant again and again
-    /// — the ties a hop in place must lose to whatever was queued first.
+    /// Receives nothing; runs two timer chains that re-arm within 100 us,
+    /// and re-arms a watchdog within 100 us at every link. All of its
+    /// times are whole microseconds from zero, so two tickers' `Process`
+    /// turns and fires fall due at the very same instant again and again
+    /// — the ties a hop in place must lose to whatever was queued first,
+    /// and a superseding fire must take in the place of its re-arm.
     struct Ticker {
         left: u32,
         script: Rc<Script>,
@@ -1767,6 +1990,9 @@ mod tests {
         fn arm(&self, ctx: &mut Ctx<Wide>, chain: u64) {
             let delay = SimDuration::from_micros(ctx.rng().gen_range(100));
             ctx.set_timer(delay, chain);
+            let delay = SimDuration::from_micros(ctx.rng().gen_range(100));
+            ctx.rearm_timer(WATCHDOG, delay, WATCHDOG);
+            self.script.pushed();
             self.script.pushed();
         }
     }
@@ -1776,9 +2002,9 @@ mod tests {
             self.arm(ctx, 1);
         }
         fn on_message(&mut self, _ctx: &mut Ctx<Wide>, _from: ActorId, _msg: Wide) {}
-        fn on_timer(&mut self, ctx: &mut Ctx<Wide>, chain: u64) {
-            if self.script.enter(ctx, &mut self.left, !chain) {
-                self.arm(ctx, chain);
+        fn on_timer(&mut self, ctx: &mut Ctx<Wide>, token: u64) {
+            if self.script.enter(ctx, &mut self.left, !token) && token != WATCHDOG {
+                self.arm(ctx, token);
             }
         }
         impl_actor_any!();
@@ -1831,6 +2057,18 @@ mod tests {
         )
     }
 
+    /// Panics at the first handler call where `calls` and `reference`
+    /// part, or if one is longer.
+    fn assert_same_calls(calls: &[(SimTime, usize, u64)], reference: &[(SimTime, usize, u64)]) {
+        if let Some(k) = (0..calls.len().min(reference.len())).find(|&k| calls[k] != reference[k]) {
+            panic!(
+                "handler call {k}: {:?}, reference {:?}",
+                calls[k], reference[k]
+            );
+        }
+        assert_eq!(calls.len(), reference.len());
+    }
+
     #[test]
     fn hops_taken_in_place_change_nothing_a_handler_or_a_counter_can_see() {
         let (mut queued, queued_script) = chatter_sim(true);
@@ -1839,25 +2077,156 @@ mod tests {
         direct.run_to_quiescence(SimTime::MAX);
         let (calls, stats, rng) = outcome(&direct, &direct_script);
         let (ref_calls, ref_stats, ref_rng) = outcome(&queued, &queued_script);
-        if let Some(k) = (0..calls.len().min(ref_calls.len())).find(|&k| calls[k] != ref_calls[k]) {
-            panic!(
-                "handler call {k}: {:?}, queued {:?}",
-                calls[k], ref_calls[k]
-            );
-        }
-        assert_eq!(calls.len(), ref_calls.len());
+        assert_same_calls(&calls, &ref_calls);
         assert_eq!((stats, rng), (ref_stats, ref_rng));
         assert!(stats.events >= 200_000 && stats.timer_fires > 5_000 && stats.lost > 0);
-        // Every key the reference queued was a handler's push, one of the
-        // two fault injections, or a hop; the script took a good share of
-        // its hops each way (a tie, or an earlier event, keeps one queued).
+        // Every `seq` the reference took was a handler's push or re-arm,
+        // one of the two fault injections, or a hop; the script took a
+        // good share of its hops each way (a tie, or an earlier event,
+        // keeps one queued).
         let hops = queued.queue.seq - queued_script.pushes.get() - 2;
         let in_place = queued.queue.seq - direct.queue.seq;
         assert_eq!(queued_script.pushes.get(), direct_script.pushes.get());
         assert!(
-            in_place > hops / 4 && hops - in_place > hops / 4,
+            in_place > hops / 5 && hops - in_place > hops / 5,
             "{in_place} of {hops} hops taken in place"
         );
+    }
+
+    /// Superseding ≡ filtering: against the reference, which queues a
+    /// check for every re-arm and drops each superseded one when it pops,
+    /// the handler calls, their times, the RNG stream and every counter
+    /// but `events` are identical. `events` is lower by the checks that
+    /// were never queued.
+    #[test]
+    fn superseded_timers_change_nothing_a_handler_can_see() {
+        let (mut filtered, filtered_script) = chatter_sim(false);
+        filtered.filter_timers = true;
+        let (mut superseding, script) = chatter_sim(false);
+        filtered.run_to_quiescence(SimTime::MAX);
+        superseding.run_to_quiescence(SimTime::MAX);
+        let (calls, stats, rng) = outcome(&superseding, &script);
+        let (ref_calls, ref_stats, ref_rng) = outcome(&filtered, &filtered_script);
+        assert_same_calls(&calls, &ref_calls);
+        assert_eq!(rng, ref_rng);
+        let but_events = |s: SimStats| SimStats { events: 0, ..s };
+        assert_eq!(but_events(stats), but_events(ref_stats));
+        let watchdog_fires = calls.iter().filter(|c| c.2 == !WATCHDOG).count() as u64;
+        let saved = ref_stats.events - stats.events;
+        assert!(
+            watchdog_fires > 2_000 && saved > 20_000,
+            "{watchdog_fires} watchdog fires, {saved} events saved of {}",
+            ref_stats.events
+        );
+    }
+
+    /// Arms its watchdog 10 ms out, with token 0, on start. `Ping(ms)`
+    /// charges `cost_ms` and, unless `ms` is 0, re-arms the watchdog `ms`
+    /// out with `ms` as its token. Records every fire.
+    struct Watchdog {
+        cost_ms: u64,
+        fired: Vec<(u64, SimTime)>,
+    }
+    impl Actor<Ping> for Watchdog {
+        fn on_start(&mut self, ctx: &mut Ctx<Ping>) {
+            ctx.rearm_timer(WATCHDOG, SimDuration::from_millis(10), 0);
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<Ping>, _from: ActorId, msg: Ping) {
+            ctx.charge(SimDuration::from_millis(self.cost_ms));
+            if msg.0 > 0 {
+                let delay = SimDuration::from_millis(u64::from(msg.0));
+                ctx.rearm_timer(WATCHDOG, delay, u64::from(msg.0));
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<Ping>, token: u64) {
+            self.fired.push((token, ctx.now()));
+        }
+        impl_actor_any!();
+    }
+
+    /// A watchdog with `Ping(ms)` injected at each `(at_ms, ms)`, run for
+    /// 100 ms, superseding or (`filter`) on the reference path: its fires
+    /// and the events the run took.
+    fn watchdog_run(
+        cost_ms: u64,
+        pings: &[(u64, u32)],
+        filter: bool,
+    ) -> (Vec<(u64, SimTime)>, u64) {
+        let mut sim = Simulation::new(NetConfig::default(), 1);
+        sim.filter_timers = filter;
+        let watchdog = Watchdog {
+            cost_ms,
+            fired: Vec::new(),
+        };
+        let n = sim.add_actor(Region::Oregon, Box::new(watchdog));
+        for &(at, ms) in pings {
+            sim.send_external(n, Ping(ms), SimDuration::from_millis(at));
+        }
+        sim.run_until(SimTime::from_millis(100));
+        (sim.actor::<Watchdog>(n).fired.clone(), sim.stats.events)
+    }
+
+    #[test]
+    fn a_later_rearm_supersedes_and_one_check_waits_for_it() {
+        // Due at 10 ms, then re-armed for 11, 13, 15 and 17 ms before that.
+        let pings = [(1, 10), (2, 11), (3, 12), (4, 13)];
+        let (fired, events) = watchdog_run(0, &pings, false);
+        let (ref_fired, ref_events) = watchdog_run(0, &pings, true);
+        assert_eq!(fired, [(13, SimTime::from_millis(17))]);
+        assert_eq!(fired, ref_fired);
+        // Four arrivals and their turns; one check, popping early at 10 ms
+        // and on time at 17 ms; the fire's turn. The reference pops all
+        // four superseded timers instead of the early check.
+        assert_eq!((events, ref_events), (11, 14));
+    }
+
+    #[test]
+    fn a_shorter_rearm_fires_early_and_the_old_timer_is_never_delivered() {
+        let (fired, events) = watchdog_run(0, &[(2, 3)], false);
+        assert_eq!(fired, [(3, SimTime::from_millis(5))]);
+        // The arrival and its turn, the new check and the fire's turn, and
+        // the orphaned check popping at 10 ms.
+        assert_eq!(events, 5);
+    }
+
+    #[test]
+    fn a_crash_cancels_a_keyed_timer_and_a_restart_rearms_it() {
+        let mut sim = Simulation::new(NetConfig::default(), 1);
+        let watchdog = Watchdog {
+            cost_ms: 0,
+            fired: Vec::new(),
+        };
+        let n = sim.add_actor(Region::Oregon, Box::new(watchdog));
+        sim.crash_at(n, SimTime::from_millis(5));
+        sim.restart_at(n, SimTime::from_millis(20));
+        let due_at = |sim: &mut Simulation<Ping>, ms| {
+            sim.run_until(SimTime::from_millis(ms));
+            sim.timer_due(n, WATCHDOG)
+        };
+        assert_eq!(due_at(&mut sim, 4), Some(SimTime::from_millis(10)));
+        assert_eq!(due_at(&mut sim, 19), None, "the crash cancelled it");
+        assert_eq!(due_at(&mut sim, 20), Some(SimTime::from_millis(30)));
+        assert_eq!(due_at(&mut sim, 100), None, "delivered");
+        assert_eq!(
+            sim.actor::<Watchdog>(n).fired,
+            [(0, SimTime::from_millis(30))]
+        );
+        // The crash, the orphaned check at 10 ms, the restart, the check
+        // at 30 ms and the fire's turn.
+        assert_eq!(sim.stats.events, 5);
+    }
+
+    #[test]
+    fn a_fire_superseded_while_it_waits_in_the_inbox_is_not_delivered() {
+        // Busy from 5 to 15 ms with a ping that re-arms nothing; the ping
+        // queued behind it re-arms, at 15 ms, after the fire due at 10 ms
+        // has joined the inbox behind that ping.
+        let (fired, events) = watchdog_run(10, &[(5, 0), (8, 20)], false);
+        assert_eq!(fired, [(20, SimTime::from_millis(45))]);
+        // Two arrivals and two turns, the check on time at 10 ms, the
+        // superseded fire's turn, the new check and its fire's turn.
+        assert_eq!(events, 8);
+        assert_eq!(watchdog_run(10, &[(5, 0), (8, 20)], true).0, fired);
     }
 
     /// `run_until` never runs past its limit: a hop due later is queued,
