@@ -6,9 +6,10 @@
 //! simulator's per-node serial CPU queue then produces the saturation
 //! behaviour. Constants are calibrated so a 5-replica single-leader
 //! cluster saturates at roughly the paper's 41K ops/s for 8-byte
-//! requests (Figure 10a); `cargo run --release -p paxraft-bench --bin
-//! fig10` is the calibration run, and the ledger's `lan-saturated`
-//! workload (`crates/bench/src/bin/ledger/README.md`) gates it.
+//! requests (Figure 10a); `examples/geo_mencius.rs` asserts it (its 10a
+//! claim on Raft-Oregon at 3,000 clients per region against the paper's
+//! 41 K), and the ledger's `lan-saturated` workload
+//! (`crates/bench/src/bin/ledger/README.md`) gates it.
 
 use paxraft_sim::time::SimDuration;
 

@@ -18,6 +18,7 @@ use paxraft_sim::time::{SimDuration, SimTime};
 use crate::config::{DurabilityConfig, FsyncPolicy, ReadMode, ReplicaConfig};
 use crate::engine::{
     EngineCore, PipelineConfig, ProtocolRules, ReplicaEngine, ReplicaHandle, T_ELECTION,
+    T_HEARTBEAT,
 };
 use crate::harness::{Cluster, ProtocolKind};
 use crate::kv::{CmdId, Command};
@@ -999,44 +1000,49 @@ fn forward_pending_retries_until_a_leader_appears_without_loss_or_duplication() 
 }
 
 /// PR 2 drift regression: a crash retires *every* engine timer. The
-/// batch and heartbeat generations move on, so no pre-crash in-flight
-/// token of theirs can match post-restart state even if the runtime
-/// redelivers it. The election timer has no generation: the simulator
-/// cancels it, and the restart arms a fresh one.
+/// batch generation moves on, so no pre-crash in-flight batch token can
+/// match post-restart state even if the runtime redelivers it. The
+/// election and heartbeat timers have no generation: the simulator
+/// cancels them, and the restart arms a fresh election timer.
 #[test]
 fn crash_retires_every_engine_timer() {
     fn scenario<P: ProtocolRules>(name: &str, make: fn(ReplicaConfig) -> ReplicaEngine<P>) {
         let mut cfg = ReplicaConfig::wan_default(NodeId(0), 3);
         cfg.peers = (0..3).map(ActorId).collect();
         let mut rep = make(cfg);
-        // Simulate armed timers whose tokens are still in flight.
+        // Simulate an armed batch timer whose token is still in flight.
         rep.core.batch_armed = true;
         rep.core.batch_gen = 5;
-        rep.core.heartbeat_gen = 9;
         Actor::on_crash(&mut rep);
         assert!(!rep.core.batch_armed, "{name}: batch timer disarmed");
         assert!(
             rep.core.batch_gen > 5,
             "{name}: pre-crash batch token retired"
         );
-        assert!(
-            rep.core.heartbeat_gen > 9,
-            "{name}: pre-crash heartbeat token retired"
-        );
         let (mut sim, replicas, _) = conformance_cluster(3, None, make);
         sim.run_until(SimTime::from_secs(1));
-        let follower = replicas[1];
+        let (leader, follower) = (replicas[0], replicas[1]);
         let election = |sim: &Simulation<Msg>| sim.timer_due(follower, T_ELECTION);
+        let heartbeat = |sim: &Simulation<Msg>| sim.timer_due(leader, T_HEARTBEAT);
         if name == "Mencius" {
             // It revokes a silent owner's slots on its coordination tick.
             assert_eq!(election(&sim), None, "Mencius arms no election timer");
+            assert_eq!(heartbeat(&sim), None, "Mencius arms no heartbeat");
             return;
         }
         let due = election(&sim).expect("a follower's election timer is live");
         assert!(due > sim.now(), "{name}: due {due:?}");
+        let beat = heartbeat(&sim).expect("the leader's heartbeat is live");
+        assert!(beat > sim.now(), "{name}: heartbeat due {beat:?}");
         sim.crash_at(follower, sim.now());
+        sim.crash_at(leader, sim.now());
         sim.run_until(sim.now());
         assert_eq!(election(&sim), None, "{name}: the crash cancelled it");
+        assert_eq!(
+            heartbeat(&sim),
+            None,
+            "{name}: the crash cancelled the heartbeat"
+        );
         sim.restart_at(follower, due);
         sim.run_until(due);
         let rearmed = election(&sim).expect("the restart armed a fresh one");

@@ -72,8 +72,9 @@ use crate::types::{self, NodeId, Slot, Term};
 /// protocol — rules-specific timers ([`T_LEASE`], [`T_COORD`]) reach the
 /// rules through [`ProtocolRules::on_timer`].
 ///
-/// The election timer carries no generation: it is also its key for
-/// [`Ctx::rearm_timer`], so a re-arm supersedes it in the simulator.
+/// The election and heartbeat timers carry no generation: each kind is
+/// also its key for [`Ctx::rearm_timer`], so a re-arm supersedes the last
+/// one in the simulator.
 pub const T_ELECTION: u64 = 1 << 48;
 /// Leader heartbeat / retransmission tick.
 pub const T_HEARTBEAT: u64 = 2 << 48;
@@ -106,8 +107,6 @@ pub struct EngineCore {
     pub pending: Vec<Command>,
     batch_armed: bool,
     batch_gen: u64,
-    /// Heartbeat timer generation.
-    pub heartbeat_gen: u64,
     /// Reassembles incoming snapshot chunks, keyed by sender.
     pub snap_asm: SnapshotAssembler,
     /// Per-peer outbound transfer rate-limiting.
@@ -199,7 +198,6 @@ impl EngineCore {
             pending: Vec::new(),
             batch_armed: false,
             batch_gen: 0,
-            heartbeat_gen: 0,
             snap_asm: SnapshotAssembler::default(),
             snap_send: SnapshotSender::new(n),
             stable_snap: None,
@@ -326,10 +324,10 @@ impl EngineCore {
         ctx.rearm_timer(T_ELECTION, delay, T_ELECTION);
     }
 
-    /// Arms the next heartbeat tick (invalidates the previous one).
-    pub fn arm_heartbeat(&mut self, ctx: &mut Ctx<Msg>) {
-        self.heartbeat_gen += 1;
-        ctx.set_timer(self.cfg.heartbeat, T_HEARTBEAT | self.heartbeat_gen);
+    /// Arms the next heartbeat tick. It supersedes the previous one,
+    /// which the simulator then never delivers ([`Ctx::rearm_timer`]).
+    pub fn arm_heartbeat(&self, ctx: &mut Ctx<Msg>) {
+        ctx.rearm_timer(T_HEARTBEAT, self.cfg.heartbeat, T_HEARTBEAT);
     }
 
     /// Arms the batch-flush timer. At most one batch timer is ever
@@ -1194,11 +1192,7 @@ impl<P: ProtocolRules> Actor<Msg> for ReplicaEngine<P> {
                     self.rules.on_election_timeout(&mut self.core, ctx);
                 }
             }
-            T_HEARTBEAT => {
-                if token & !KIND_MASK == self.core.heartbeat_gen {
-                    self.rules.on_heartbeat(&mut self.core, ctx);
-                }
-            }
+            T_HEARTBEAT => self.rules.on_heartbeat(&mut self.core, ctx),
             T_BATCH => {
                 if token & !KIND_MASK != self.core.batch_gen {
                     return;
@@ -1245,10 +1239,9 @@ impl<P: ProtocolRules> Actor<Msg> for ReplicaEngine<P> {
         // Retire every timer generation: a pre-crash in-flight timer
         // token must never match post-restart state, even if the runtime
         // redelivers it (the engine does not rely on the host dropping
-        // timers across a restart). The election timer has no generation:
-        // the simulator cancels it on the crash.
+        // timers across a restart). The election and heartbeat timers have
+        // no generation: the simulator cancels them on the crash.
         self.core.batch_gen += 1;
-        self.core.heartbeat_gen += 1;
         self.core.leader_hint = None;
         self.core.window_hint = None;
         self.core.snap_asm.clear();

@@ -8,7 +8,6 @@
 
 use paxraft_sim::net::{NetConfig, Region};
 use paxraft_sim::sim::{ActorId, Simulation};
-use paxraft_sim::time::SimDuration;
 use paxraft_workload::generator::WorkloadConfig;
 use paxraft_workload::linearize::OpRecord;
 use paxraft_workload::metrics::LatencyTriple;
@@ -72,7 +71,6 @@ pub struct ClusterBuilder {
     pub(crate) costs: CostModel,
     pub(crate) net: NetConfig,
     pub(crate) record_history_key: Option<Key>,
-    pub(crate) batch_delay: SimDuration,
     pub(crate) batch_max: usize,
     pub(crate) lease: LeaseConfig,
     pub(crate) snapshot: SnapshotConfig,
@@ -138,12 +136,6 @@ impl ClusterBuilder {
     /// Record linearizability histories for `key` at every client.
     pub fn record_history_for(mut self, key: Key) -> Self {
         self.record_history_key = Some(key);
-        self
-    }
-
-    /// Leader batching window.
-    pub fn batch_delay(mut self, d: SimDuration) -> Self {
-        self.batch_delay = d;
         self
     }
 
@@ -248,7 +240,6 @@ impl ClusterBuilder {
         cfg.peers = peers;
         cfg.client_base = client_base;
         cfg.costs = self.costs.clone();
-        cfg.batch_delay = self.batch_delay;
         cfg.batch_max = self.batch_max;
         cfg.lease = self.lease.clone();
         cfg.snapshot = self.snapshot.clone();
@@ -445,7 +436,6 @@ impl Cluster {
             costs: CostModel::default(),
             net: NetConfig::default(),
             record_history_key: None,
-            batch_delay: SimDuration::from_millis(2),
             batch_max: 64,
             lease: LeaseConfig::default(),
             snapshot: SnapshotConfig::default(),

@@ -124,7 +124,8 @@ pub fn landscape() -> Vec<ProtocolEntry> {
     ]
 }
 
-/// Renders the landscape as an aligned text table (for `fig6_landscape`).
+/// Renders the landscape as an aligned text table (printed by
+/// `examples/port_optimization.rs`).
 pub fn render() -> String {
     let mut out = format!(
         "{:<32} {:<22} {:<10} {}\n",

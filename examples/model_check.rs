@@ -5,12 +5,6 @@
 //! counterexample trace from a deliberately broken variant).
 //!
 //! Run with: `cargo run --release --example model_check`
-//!
-//! Writes a `CHECK_pr8.json` summary (path overridable via the
-//! `CHECK_PR8_OUT` env var) so CI can archive checker results the way
-//! it archives bench results.
-
-use std::fmt::Write as _;
 
 use paxraft::spec::check::{explore, render_trace, replay, Checker, Invariant, Limits, Verdict};
 use paxraft::spec::refine::check_refinement;
@@ -123,48 +117,4 @@ fn main() {
     );
     println!("{}", render_trace(trace));
     replay(&broken, trace).expect("counterexample replays");
-
-    // Machine-readable summary, bench-artifact style.
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"suite\": \"model_check_pr8\",");
-    let _ = writeln!(json, "  \"model\": \"{}\",", sk.name);
-    let _ = writeln!(
-        json,
-        "  \"bounds\": {{\"replicas\": {}, \"chunks\": {}, \"client_ops\": {}, \"foreign_ops\": {}}},",
-        sk_cfg.replicas, sk_cfg.chunks, sk_cfg.client_ops, sk_cfg.foreign_ops
-    );
-    let _ = writeln!(
-        json,
-        "  \"naive\": {{\"states\": {}, \"transitions\": {}, \"verdict\": \"{:?}\"}},",
-        naive.states, naive.transitions, naive.verdict
-    );
-    let _ = writeln!(
-        json,
-        "  \"reduced\": {{\"states\": {}, \"transitions\": {}, \"ample_states\": {}, \"sym_folds\": {}, \"verdict\": \"{:?}\"}},",
-        reduced.states, reduced.transitions, reduced.ample_states, reduced.sym_folds, reduced.verdict
-    );
-    let _ = writeln!(json, "  \"prune_ratio\": {ratio:.3},");
-    let _ = writeln!(
-        json,
-        "  \"eventual_release\": {{\"holds\": {}, \"goal_states\": {}, \"stuck_states\": {}}},",
-        eventual.holds(),
-        eventual.goal_states,
-        eventual.stuck_states
-    );
-    let _ = writeln!(json, "  \"invariants\": {{");
-    for (i, inv) in invs.iter().enumerate() {
-        let comma = if i + 1 < invs.len() { "," } else { "" };
-        let _ = writeln!(json, "    \"{}\": \"Exhausted\"{comma}", inv.name);
-    }
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(
-        json,
-        "  \"broken_variant\": {{\"name\": \"{}\", \"violated\": \"{invariant}\", \"depth\": {depth}, \"trace_len\": {}}}",
-        broken.name,
-        trace.len()
-    );
-    let json = format!("{}\n}}\n", json.trim_end().trim_end_matches(','));
-    let out = std::env::var("CHECK_PR8_OUT").unwrap_or_else(|_| "CHECK_pr8.json".into());
-    std::fs::write(&out, &json).expect("write check summary");
-    println!("  wrote {out}");
 }

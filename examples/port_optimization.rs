@@ -1,10 +1,12 @@
 //! The Section-4 porting method, end to end: the Figure-4 worked example
 //! and the PQL case study, with every correctness obligation checked
-//! mechanically (non-mutating test, B∆ ⇒ A∆, B∆ ⇒ B).
+//! mechanically (non-mutating test, B∆ ⇒ A∆, B∆ ⇒ B), then Figure 6's
+//! landscape of Paxos variants.
 //!
 //! Run with: `cargo run --example port_optimization`
 
 use paxraft::spec::check::Limits;
+use paxraft::spec::landscape;
 use paxraft::spec::port::{extended_map, port, projection_map};
 use paxraft::spec::refine::check_refinement;
 use paxraft::spec::specs::{kvlog, multipaxos, pql, raftstar};
@@ -60,4 +62,7 @@ fn main() {
     println!("\nBoth obligations of Section 4.3's correctness argument hold: the");
     println!("generated protocol preserves the optimization's invariants AND the");
     println!("original protocol's invariants.");
+
+    println!("\nFigure 6: Paxos variants, and which of them the method can port");
+    print!("{}", landscape::render());
 }
