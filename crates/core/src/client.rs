@@ -16,7 +16,6 @@ use paxraft_workload::linearize::{Action, OpRecord};
 use crate::kv::{CmdId, Command, Key, Reply};
 use crate::msg::{ClientMsg, Msg};
 use crate::shard::ShardRouter;
-use crate::telemetry::LatencyHistogram;
 
 /// Client-side shard routing: the partition map plus, per group, the
 /// replica this client talks to (its own region's member of that group).
@@ -51,6 +50,9 @@ pub struct Completion {
     pub latency_ns: u64,
     /// Read or write.
     pub kind: OpKind,
+    /// The group the client's partition map named for the key when the
+    /// reply arrived (0 when unsharded).
+    pub group: u32,
 }
 
 /// A closed-loop workload client.
@@ -91,12 +93,6 @@ pub struct WorkloadClient {
     /// own map predates the migration would bounce between the two
     /// groups at RTT rate.
     pub seen_version: u64,
-    /// Cumulative per-group latency histograms, indexed by the group
-    /// that served each completion (group 0 when unsharded). Pure
-    /// bookkeeping at completion time — never touches the schedule —
-    /// so it is always on; the harness snapshots these into the
-    /// telemetry registry at each sampling tick.
-    pub group_latency: Vec<LatencyHistogram>,
     /// Set while a load-shaping pause timer is armed (scenario load
     /// shapes only); stops the poll tick from double-sending.
     pause_pending: bool,
@@ -148,7 +144,6 @@ impl WorkloadClient {
             stale_redirects: 0,
             router_updates: 0,
             seen_version: 0,
-            group_latency: Vec::new(),
             pause_pending: false,
         }
     }
@@ -313,16 +308,11 @@ impl Actor<Msg> for WorkloadClient {
             at_ns: now.as_nanos(),
             latency_ns: latency.as_nanos(),
             kind: inflight.kind,
+            group: self
+                .shard
+                .as_ref()
+                .map_or(0, |s| s.router.group_of(inflight.key)),
         });
-        let g = self
-            .shard
-            .as_ref()
-            .map_or(0, |s| s.router.group_of(inflight.key)) as usize;
-        if self.group_latency.len() <= g {
-            self.group_latency
-                .resize(g + 1, LatencyHistogram::default());
-        }
-        self.group_latency[g].record(latency);
         if self.history_key == Some(inflight.key) {
             let action = match inflight.kind {
                 OpKind::Write => Action::Write(id.as_value_id()),

@@ -63,7 +63,7 @@ use crate::costs::CostModel;
 use crate::kv::{CmdId, Command, KvStore, Op, Reply};
 use crate::msg::{ClientMsg, EngineMsg, Msg};
 use crate::shard::migration::{install_cmd_id, KeyOwnership, RangeExport, RouterVersion};
-use crate::snapshot::{ChunkAssembler, Snapshot, SnapshotAssembler, SnapshotSender, SnapshotStats};
+use crate::snapshot::{self, ChunkAssembler, Snapshot, SnapshotSender, SnapshotStats};
 use crate::telemetry::MetricSample;
 use crate::types::{self, NodeId, Slot, Term};
 
@@ -108,7 +108,7 @@ pub struct EngineCore {
     batch_armed: bool,
     batch_gen: u64,
     /// Reassembles incoming snapshot chunks, keyed by sender.
-    pub snap_asm: SnapshotAssembler,
+    pub snap_asm: ChunkAssembler,
     /// Per-peer outbound transfer rate-limiting.
     pub snap_send: SnapshotSender,
     /// The durable snapshot the log was last compacted against (models
@@ -198,7 +198,7 @@ impl EngineCore {
             pending: Vec::new(),
             batch_armed: false,
             batch_gen: 0,
-            snap_asm: SnapshotAssembler::default(),
+            snap_asm: ChunkAssembler::default(),
             snap_send: SnapshotSender::new(n),
             stable_snap: None,
             snap_stats: SnapshotStats::default(),
@@ -618,11 +618,12 @@ impl<P: ProtocolRules> ReplicaEngine<P> {
     }
 
     /// Registers this replica's named counters and gauges for the
-    /// virtual-time sampler — the single metric source
-    /// [`crate::harness::RunReport`] / [`crate::shard::GroupStats`]
-    /// aggregates are rebuilt from. Counters carry cumulative values
-    /// (the registry differences them into rates); gauges are
-    /// instantaneous.
+    /// virtual-time sampler. [`crate::shard::GroupStats`] reads its
+    /// `responses` and `range_*` counts from here; its snapshot,
+    /// pipeline and durability blocks (and so
+    /// [`crate::harness::RunReport`]'s) absorb the typed stats instead.
+    /// Counters carry cumulative values (the registry differences them
+    /// into rates); gauges are instantaneous.
     pub fn metric_sample(&self) -> crate::telemetry::MetricSample {
         let mut s = crate::telemetry::MetricSample::default();
         // Counters (cumulative).
@@ -1025,26 +1026,18 @@ fn maybe_drive_migration<P: ProtocolRules>(
         let node = NodeId((core.cfg.id.0 + *attempt as u32) % core.cfg.n as u32);
         *attempt += 1;
         let dest = core.cfg.group_actor(f.to_group, node);
-        let chunk = core.cfg.snapshot.chunk_bytes.max(1);
-        let total = bytes.len();
-        let mut offset = 0;
-        loop {
-            let end = (offset + chunk).min(total);
+        for (offset, data) in snapshot::chunks(&bytes, core.cfg.snapshot.chunk_bytes) {
             ctx.send(
                 dest,
                 Msg::Engine(EngineMsg::RangeChunk {
                     group: f.to_group,
                     version: f.version,
                     offset,
-                    total,
+                    total: bytes.len(),
                     header_bytes: core.snap_wire.0 + 8,
-                    data: bytes[offset..end].to_vec(),
+                    data: data.to_vec(),
                 }),
             );
-            offset = end;
-            if offset >= total {
-                break;
-            }
         }
     }
 }
@@ -1154,12 +1147,14 @@ impl<P: ProtocolRules> Actor<Msg> for ReplicaEngine<P> {
                     self.rules.snapshot_chunk_fixed_cost(&self.core.cfg.costs)
                         + self.core.cfg.costs.snapshot_cost(data.len()),
                 );
-                if let Some(snap) =
-                    self.core
-                        .snap_asm
-                        .offer(from.0 as u64, last_slot, offset, total, &data)
-                {
-                    self.rules.install_snapshot(&mut self.core, ctx, from, snap);
+                let done = self
+                    .core
+                    .snap_asm
+                    .offer(from.0 as u64, last_slot, offset, total, &data);
+                if let Some(bytes) = done {
+                    if let Some(snap) = Snapshot::decode(&bytes) {
+                        self.rules.install_snapshot(&mut self.core, ctx, from, snap);
+                    }
                 }
             }
             Msg::Engine(EngineMsg::SnapshotAck {

@@ -334,7 +334,7 @@ impl RaftBase {
 
     /// Applies the committed prefix in order; the leader answers
     /// clients at apply time. Migration commands run their engine hooks
-    /// ([`super::apply_command`]) here like everywhere else.
+    /// (`engine::apply_command`) here like everywhere else.
     pub fn apply_loop(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
         while self.last_applied < self.commit_index {
             let next = self.last_applied.next();
@@ -399,7 +399,7 @@ impl RaftBase {
         true
     }
 
-    /// Installs a reassembled snapshot ([`transfer::install`]) and
+    /// Installs a reassembled snapshot (`transfer::install`) and
     /// reconciles the log with it — keeping a consistent retained suffix,
     /// else replacing the log with the snapshot's history. Returns whether
     /// it was fresh (a stale transfer changes nothing).

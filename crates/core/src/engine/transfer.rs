@@ -10,7 +10,7 @@
 use paxraft_sim::sim::{ActorId, Ctx};
 
 use crate::msg::{EngineMsg, Msg};
-use crate::snapshot::Snapshot;
+use crate::snapshot::{self, Snapshot};
 use crate::types::{NodeId, Slot, Term};
 
 use super::EngineCore;
@@ -49,7 +49,8 @@ pub fn ship_snapshot(
     }
     let snap = snapshot_at(core, ctx, point);
     core.snap_stats.note_sent(snap.size_bytes());
-    for (offset, total, data) in snap.chunks(core.cfg.snapshot.chunk_bytes) {
+    let bytes = snap.encode();
+    for (offset, data) in snapshot::chunks(&bytes, core.cfg.snapshot.chunk_bytes) {
         ctx.send(
             core.cfg.peer(peer),
             Msg::Engine(EngineMsg::SnapshotChunk {
@@ -58,9 +59,9 @@ pub fn ship_snapshot(
                 last_slot: snap.last_slot,
                 last_term: snap.last_term,
                 offset,
-                total,
+                total: bytes.len(),
                 header_bytes: core.snap_wire.0,
-                data,
+                data: data.to_vec(),
             }),
         );
     }

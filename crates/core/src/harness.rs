@@ -22,9 +22,7 @@ use crate::multipaxos::MultiPaxosReplica;
 use crate::raft::RaftReplica;
 use crate::raftstar::RaftStarReplica;
 use crate::snapshot::{SnapshotConfig, SnapshotStats};
-use crate::telemetry::{
-    HistogramSeries, MetricRegistry, MetricSample, SpanReport, TelemetryConfig, TimeSeries,
-};
+use crate::telemetry::{MetricRegistry, MetricSample, SpanReport, TelemetryConfig, TimeSeries};
 use crate::types::NodeId;
 
 /// Which protocol the cluster runs.
@@ -406,11 +404,6 @@ pub struct RunReport {
     /// Sampled metric time-series collected so far (empty unless
     /// [`ClusterBuilder::telemetry_config`] enabled the sampler).
     pub telemetry: Vec<TimeSeries>,
-    /// Sampled cumulative latency-histogram series, one per group
-    /// (empty unless the sampler is enabled). Windowing two snapshots
-    /// localizes a latency regression — a migration window's p99, say —
-    /// to one group and one phase of the run.
-    pub latency_hists: Vec<HistogramSeries>,
     /// Per-command latency breakdowns assembled from the span log
     /// (`None` unless [`TelemetryConfig::trace_spans`] enabled causal
     /// tracing).

@@ -117,7 +117,7 @@
 //! acceptor's promise that the accepted values survive a crash, so it
 //! is routed through [`EngineCore::ack_after_sync`]; the owner's *own*
 //! implicit ack is likewise gated on its local fsync (the engine's
-//! `on_durable` hook adds the bit, [`PaxosBase::note_proposed`]).
+//! `on_durable` hook adds the bit, `PaxosBase::note_proposed`).
 //! Crash-restart drops accepted values whose write never synced. A
 //! multi-leader wrinkle: peers cannot revoke a slot whose owner is
 //! alive, so an owner that loses its *own* unsynced suggestions would
@@ -127,7 +127,7 @@
 //! silently read the dropped slot as a decided no-op — while a
 //! revocation during the downtime may have *decided the original
 //! value* from the peers' copies, without the owner's vote. Dropped
-//! own slots therefore go to [`MenciusRules::lost_own`], which (a)
+//! own slots therefore go to `MenciusRules::lost_own`, which (a)
 //! suppresses the skip inference so execution blocks instead of
 //! diverging, and (b) makes the restart hook run the ordinary
 //! revocation phase-1 against the owner's *own* range: collect
@@ -144,7 +144,7 @@
 //!
 //! # What this file holds
 //!
-//! The slot table and its bookkeeping are the family's [`PaxosBase`],
+//! The slot table and its bookkeeping are the family's `PaxosBase`,
 //! shared with MultiPaxos. Here is what makes it *Mencius*: ownership and
 //! skips, the per-peer streams, the execute loop with its skip inference,
 //! the respond pass and conflict index, retransmission and the replay

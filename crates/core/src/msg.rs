@@ -330,7 +330,8 @@ pub enum PaxosMsg {
         /// The acceptor's checkpoint floor: instances at or below it are
         /// chosen and executed but no longer reportable. A proposer must
         /// never fill no-ops at or below any reported floor — it waits
-        /// for the accompanying [`PaxosMsg::Checkpoint`] instead.
+        /// for the accompanying checkpoint ([`EngineMsg::SnapshotChunk`])
+        /// instead.
         floor: Slot,
     },
     /// Phase2a: `<"accept", instance, value, ballot>` (batched).
@@ -353,7 +354,7 @@ pub enum PaxosMsg {
         slots: Slots,
         /// The acceptor's executed prefix, piggybacked so the proposer
         /// can spot laggards and choose between instance retransmission
-        /// and a [`PaxosMsg::Checkpoint`].
+        /// and a checkpoint ([`EngineMsg::SnapshotChunk`]).
         exec: Slot,
     },
     /// Commit notification to learners (batched).

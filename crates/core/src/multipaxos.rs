@@ -10,7 +10,7 @@
 //!
 //! Batching, forwarding, client dedup and checkpoint transfer are
 //! engine-provided, and the instance table with its bookkeeping is the
-//! family's [`PaxosBase`], shared with Mencius. This file holds what makes
+//! family's `PaxosBase`, shared with Mencius. This file holds what makes
 //! it *single-leader* Paxos: ballots and phase 1 with its value adoption,
 //! the proposer's numbering and send cursors, the Accept rounds and the
 //! heartbeat's retransmission and replay, the execute loop (the proposer
@@ -26,9 +26,9 @@
 //! proposer's *own* implicit acceptOK gets the same treatment — with
 //! durability on, a freshly proposed instance seeds an empty ack bitmap
 //! and the self-vote is added by the engine's `on_durable` hook only
-//! once the local write is fsynced ([`PaxosBase::note_proposed`]).
+//! once the local write is fsynced (`PaxosBase::note_proposed`).
 //! Crash-restart drops accepted values whose write never synced
-//! ([`PaxosBase::crash`]): unsynced and unacked they contributed
+//! (`PaxosBase::crash`): unsynced and unacked they contributed
 //! to no quorum, so dropping them cannot lose chosen state — a
 //! *committed* instance that loses its value this way degrades to
 //! learnt-without-value and is re-fetched. Ballot promises

@@ -250,7 +250,7 @@ impl<F: Flavor> ReplicaEngine<RaftFamilyRules<F>> {
         self.rules.lease.as_ref()
     }
 
-    /// [PQL] Reads served from the local copy (stats).
+    /// `[PQL]` Reads served from the local copy (stats).
     pub fn local_reads_served(&self) -> u64 {
         self.rules.local_reads_served
     }
@@ -745,7 +745,7 @@ impl<F: Flavor> ProtocolRules for RaftFamilyRules<F> {
         self.base.broadcast_append(core, ctx);
     }
 
-    /// [PQL] Figure 13 `LocalRead`: serve, park, or decline.
+    /// `[PQL]` Figure 13 `LocalRead`: serve, park, or decline.
     fn try_serve_local(
         &mut self,
         core: &mut EngineCore,

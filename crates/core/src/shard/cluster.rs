@@ -7,7 +7,7 @@ use paxraft_sim::time::{SimDuration, SimTime};
 use paxraft_workload::generator::{Generator, OpKind};
 use paxraft_workload::metrics::LatencyRecorder;
 
-use crate::client::{ClientRouting, WorkloadClient};
+use crate::client::{ClientRouting, Completion, WorkloadClient};
 use crate::engine::DurabilityStats;
 use crate::engine::PipelineStats;
 use crate::harness::{
@@ -17,7 +17,7 @@ use crate::harness::{
 use crate::kv::{CmdId, Command, Op, Reply};
 use crate::msg::{ClientMsg, Msg};
 use crate::snapshot::SnapshotStats;
-use crate::telemetry::{LatencyHistogram, MetricRegistry, MetricSample, TimeSeries};
+use crate::telemetry::{MetricRegistry, MetricSample, TimeSeries};
 use crate::types::NodeId;
 
 use super::autobalance::SKETCH_NAMES;
@@ -434,9 +434,10 @@ impl ShardedCluster {
         self.elect_leaders();
     }
 
-    /// Per-group commit/snapshot/pipeline counters, read from the same
-    /// named [`MetricSample`]s the virtual-time sampler folds into
-    /// time-series (one source of truth for aggregates and series).
+    /// Per-group commit/snapshot/pipeline counters. The snapshot,
+    /// pipeline and durability blocks absorb each replica's typed stats;
+    /// `responses` and `range_*` are read off the named
+    /// [`MetricSample`]s the virtual-time sampler folds into series.
     pub fn per_group_stats(&self) -> Vec<GroupStats> {
         self.group_actors
             .iter()
@@ -555,9 +556,9 @@ impl ShardedCluster {
         cooldown: SimDuration,
     ) -> RunReport {
         self.advance(warmup);
-        let w_start = self.sim.now().as_nanos();
+        let w_start = self.sim.now();
         self.advance(measure);
-        let w_end = self.sim.now().as_nanos();
+        let w_end = self.sim.now();
         self.advance(cooldown);
 
         let leader_region = self.regions[self.leaders[0].0 as usize];
@@ -566,25 +567,21 @@ impl ShardedCluster {
         let mut leader_writes = LatencyRecorder::new();
         let mut follower_writes = LatencyRecorder::new();
         let mut completed: u64 = 0;
-        let mut histories = Vec::new();
-        for &c in &self.clients {
-            let region = self.sim.region_of(c);
-            let is_leader_group = region == leader_region;
-            let client = self.sim.actor::<WorkloadClient>(c);
-            for comp in &client.completions {
-                if !(w_start..w_end).contains(&comp.at_ns) {
-                    continue;
-                }
-                completed += 1;
-                match (comp.kind, is_leader_group) {
-                    (OpKind::Read, true) => leader_reads.record_ns(comp.latency_ns),
-                    (OpKind::Read, false) => follower_reads.record_ns(comp.latency_ns),
-                    (OpKind::Write, true) => leader_writes.record_ns(comp.latency_ns),
-                    (OpKind::Write, false) => follower_writes.record_ns(comp.latency_ns),
-                }
-            }
-            histories.extend(client.history_records());
+        for (region, comp) in self.completions_in(w_start, w_end) {
+            completed += 1;
+            let recorder = match (comp.kind, region == leader_region) {
+                (OpKind::Read, true) => &mut leader_reads,
+                (OpKind::Read, false) => &mut follower_reads,
+                (OpKind::Write, true) => &mut leader_writes,
+                (OpKind::Write, false) => &mut follower_writes,
+            };
+            recorder.record_ns(comp.latency_ns);
         }
+        let histories = self
+            .clients
+            .iter()
+            .flat_map(|&c| self.sim.actor::<WorkloadClient>(c).history_records())
+            .collect();
         let per_group = self.per_group_stats();
         let mut snapshots = SnapshotStats::default();
         let mut pipeline = PipelineStats::default();
@@ -605,9 +602,40 @@ impl ShardedCluster {
             pipeline,
             durability,
             telemetry: self.metrics.snapshot(),
-            latency_hists: self.metrics.hist_snapshot(),
             spans: self.span_report(),
         }
+    }
+
+    /// The closed-loop clients' completions in `[from, to)`, each with
+    /// the region of the client that recorded it.
+    fn completions_in(
+        &self,
+        from: SimTime,
+        to: SimTime,
+    ) -> impl Iterator<Item = (Region, &Completion)> + '_ {
+        let (from, to) = (from.as_nanos(), to.as_nanos());
+        self.clients.iter().flat_map(move |&c| {
+            let region = self.sim.region_of(c);
+            self.sim
+                .actor::<WorkloadClient>(c)
+                .completions
+                .iter()
+                .filter(move |comp| (from..to).contains(&comp.at_ns))
+                .map(move |comp| (region, comp))
+        })
+    }
+
+    /// The latency of every operation group `g` completed in
+    /// `[from, to)`: the exact record behind any per-group, per-phase
+    /// percentile (a migration window's p99, say).
+    pub fn group_latencies(&self, g: u32, from: SimTime, to: SimTime) -> LatencyRecorder {
+        let mut latencies = LatencyRecorder::new();
+        for (_, comp) in self.completions_in(from, to) {
+            if comp.group == g {
+                latencies.record_ns(comp.latency_ns);
+            }
+        }
+        latencies
     }
 
     /// Assembles the span log recorded so far into per-command latency
@@ -617,7 +645,8 @@ impl ShardedCluster {
     /// freeze-bounce cost is `stalls` × the stall queueing time, and
     /// destination queueing is the queueing/batching booked at the
     /// group that finally served the command
-    /// ([`CommandBreakdown::served_by`] → [`ShardedCluster::group_of_replica`]).
+    /// ([`crate::telemetry::CommandBreakdown::served_by`] →
+    /// [`ShardedCluster::group_of_replica`]).
     pub fn span_report(&self) -> Option<crate::telemetry::SpanReport> {
         self.sim
             .trace()
@@ -664,30 +693,10 @@ impl ShardedCluster {
                 }
                 cluster_sample.merge_sum(&sample);
             }
-            self.sample_latency_histograms(now);
             self.tick_policy(now, &cluster_sample);
             self.metrics.advance();
         }
         self.sim.run_until(target);
-    }
-
-    /// Folds every client's per-group completion-latency histogram into
-    /// one `group{g}/latency` snapshot per group. Cumulative snapshots:
-    /// [`HistogramSeries::window`] recovers any phase by subtraction.
-    fn sample_latency_histograms(&mut self, now: SimTime) {
-        let groups = self.group_actors.len();
-        let mut hists = vec![LatencyHistogram::default(); groups];
-        for &c in &self.clients {
-            let client = self.sim.actor::<WorkloadClient>(c);
-            for (g, h) in client.group_latency.iter().enumerate() {
-                if g < groups {
-                    hists[g].merge(h);
-                }
-            }
-        }
-        for (g, h) in hists.into_iter().enumerate() {
-            self.metrics.histogram(now, &format!("group{g}/latency"), h);
-        }
     }
 
     /// One closed-loop control step: hand the policy the cluster-wide
@@ -797,6 +806,53 @@ mod tests {
         assert!(report.throughput_ops > 1.0, "got {}", report.throughput_ops);
         assert!(report.leader_reads.is_some());
         assert!(report.follower_writes.is_some());
+    }
+
+    /// A group's latency window is exact: its p99 is the nearest-rank
+    /// p99 of the latencies the clients recorded for that group inside
+    /// the window, so it is one of them and not a bucket edge.
+    #[test]
+    fn group_latencies_read_the_clients_completions_exactly() {
+        let mut cluster = Cluster::builder(ProtocolKind::Raft)
+            .shard_config(ShardConfig::groups(2))
+            .clients_per_region(2)
+            .workload(parity_workload())
+            .seed(31)
+            .build_sharded();
+        cluster.elect_leaders();
+        cluster.run_measurement(
+            SimDuration::from_secs(1),
+            SimDuration::from_secs(3),
+            SimDuration::from_secs(1),
+        );
+        let (from, to) = (SimTime::from_secs(2), SimTime::from_secs(4));
+        let window = from.as_nanos()..to.as_nanos();
+        let in_window: Vec<_> = cluster
+            .clients()
+            .iter()
+            .flat_map(|&c| &cluster.sim.actor::<WorkloadClient>(c).completions)
+            .filter(|c| window.contains(&c.at_ns))
+            .collect();
+        let mut counted = 0;
+        for g in 0..2u32 {
+            let mut want: Vec<u64> = in_window
+                .iter()
+                .filter(|c| c.group == g)
+                .map(|c| c.latency_ns)
+                .collect();
+            want.sort_unstable();
+            assert!(want.len() > 20, "group {g} served {} ops", want.len());
+            let rank = (want.len() * 99).div_ceil(100);
+            let mut got = cluster.group_latencies(g, from, to);
+            assert_eq!(got.len(), want.len(), "group {g}");
+            assert_eq!(
+                got.percentile_ms(99.0),
+                Some(want[rank - 1] as f64 / 1e6),
+                "group {g}'s p99 is its recorded latency of rank {rank}"
+            );
+            counted += got.len();
+        }
+        assert_eq!(counted, in_window.len(), "every completion has one group");
     }
 
     /// The per-replica series satellite's demo: degrade exactly one

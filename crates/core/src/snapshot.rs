@@ -29,7 +29,7 @@
 //! over the simulated network, so a multi-MB transfer occupies the
 //! sender's NIC for a realistic stretch of virtual time and interleaves
 //! with protocol traffic instead of arriving as one atomic monster
-//! message. FIFO links reassemble in order ([`SnapshotAssembler`]).
+//! message. FIFO links reassemble in order ([`ChunkAssembler`]).
 
 use std::collections::HashMap;
 
@@ -196,27 +196,18 @@ impl Snapshot {
             kv,
         })
     }
+}
 
-    /// Splits the encoding into `(offset, total, chunk)` triples of at
-    /// most `chunk_bytes` each, in transmission order.
-    pub fn chunks(&self, chunk_bytes: usize) -> Vec<(usize, usize, Vec<u8>)> {
-        let encoded = self.encode();
-        let total = encoded.len();
-        let chunk = chunk_bytes.max(1);
-        let mut out = Vec::with_capacity(total.div_ceil(chunk));
-        let mut offset = 0;
-        while offset < total {
-            let end = (offset + chunk).min(total);
-            out.push((offset, total, encoded[offset..end].to_vec()));
-            offset = end;
-        }
-        if out.is_empty() {
-            // An empty store still ships one (empty) chunk so the
-            // receiver observes a complete transfer.
-            out.push((0, 0, Vec::new()));
-        }
-        out
-    }
+/// Splits an encoded transfer (a [`Snapshot`] or a range export) into
+/// `(offset, chunk)` pairs of at most `chunk_bytes` each, in transmission
+/// order. An empty encoding still ships one empty chunk, so the receiver
+/// observes a complete transfer.
+pub(crate) fn chunks(bytes: &[u8], chunk_bytes: usize) -> impl Iterator<Item = (usize, &[u8])> {
+    let chunk = chunk_bytes.max(1);
+    (0..bytes.len().div_ceil(chunk).max(1)).map(move |i| {
+        let offset = i * chunk;
+        (offset, &bytes[offset..(offset + chunk).min(bytes.len())])
+    })
 }
 
 /// Little-endian byte reader shared by the snapshot and range-export
@@ -253,7 +244,9 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Receiver-side chunk reassembly, **keyed by sender**. Under the
+/// Receiver-side chunk reassembly, **keyed by sender**, for both
+/// transfers: a snapshot ([`Snapshot::decode`]) and a range migration
+/// ([`crate::shard::migration::RangeExport::decode`]). Under the
 /// multi-leader spellings several peers may ship a laggard overlapping
 /// checkpoints concurrently; their chunk streams interleave at the
 /// receiver, so each sender gets its own buffer — whichever transfer
@@ -263,40 +256,9 @@ impl<'a> Reader<'a> {
 /// Per sender, chunks arrive in send order (the simulated network is
 /// FIFO per link): a chunk at offset 0 starts that sender's transfer
 /// over, and a chunk that does not extend its buffer drops it (a lost
-/// chunk simply makes the transfer restart on the sender's retry).
-#[derive(Debug, Default)]
-pub struct SnapshotAssembler {
-    chunks: ChunkAssembler,
-}
-
-impl SnapshotAssembler {
-    /// Feeds one chunk from `sender`; returns the snapshot when that
-    /// sender's transfer completes.
-    pub fn offer(
-        &mut self,
-        sender: u64,
-        last_slot: Slot,
-        offset: usize,
-        total: usize,
-        data: &[u8],
-    ) -> Option<Snapshot> {
-        self.chunks
-            .offer(sender, last_slot, offset, total, data)
-            .and_then(|bytes| Snapshot::decode(&bytes))
-    }
-
-    /// Abandons every in-flight transfer.
-    pub fn clear(&mut self) {
-        self.chunks.clear();
-    }
-}
-
-/// The payload-agnostic per-sender chunk reassembler behind
-/// [`SnapshotAssembler`], reused verbatim by the range-migration
-/// transfer (which decodes a
-/// [`crate::shard::migration::RangeExport`] instead of a [`Snapshot`]).
-/// The `tag` slot discriminates transfers: a chunk whose tag differs
-/// from the in-progress transfer's restarts it.
+/// chunk simply makes the transfer restart on the sender's retry). The
+/// `tag` slot discriminates transfers: a chunk whose tag differs from
+/// the in-progress transfer's restarts it.
 #[derive(Debug, Default)]
 pub struct ChunkAssembler {
     cur: HashMap<u64, (Slot, usize, Vec<u8>)>,
@@ -483,14 +445,11 @@ mod tests {
 
     #[test]
     fn chunking_covers_encoding_exactly() {
-        let snap = sample_snapshot(10, 100);
-        let encoded = snap.encode();
+        let encoded = sample_snapshot(10, 100).encode();
         for chunk_bytes in [1usize, 7, 64, 1 << 20] {
-            let chunks = snap.chunks(chunk_bytes);
             let mut glued = Vec::new();
-            for (offset, total, data) in &chunks {
-                assert_eq!(*total, encoded.len());
-                assert_eq!(*offset, glued.len(), "offsets are contiguous");
+            for (offset, data) in chunks(&encoded, chunk_bytes) {
+                assert_eq!(offset, glued.len(), "offsets are contiguous");
                 assert!(data.len() <= chunk_bytes);
                 glued.extend_from_slice(data);
             }
@@ -498,53 +457,55 @@ mod tests {
         }
     }
 
+    /// Feeds `snap`'s 50-byte chunks from sender 1 in order, skipping
+    /// chunk `lost`, and decodes whatever the assembler completes.
+    fn reassemble(
+        asm: &mut ChunkAssembler,
+        snap: &Snapshot,
+        lost: Option<usize>,
+    ) -> Option<Snapshot> {
+        let bytes = snap.encode();
+        let mut got = None;
+        for (i, (offset, data)) in chunks(&bytes, 50).enumerate() {
+            if Some(i) != lost {
+                got = asm.offer(1, snap.last_slot, offset, bytes.len(), data);
+            }
+        }
+        got.and_then(|b| Snapshot::decode(&b))
+    }
+
     #[test]
     fn assembler_reassembles_in_order() {
         let snap = sample_snapshot(8, 64);
-        let mut asm = SnapshotAssembler::default();
-        let chunks = snap.chunks(50);
-        assert!(chunks.len() > 2, "multi-chunk transfer");
-        let mut got = None;
-        for (offset, total, data) in &chunks {
-            got = asm.offer(1, snap.last_slot, *offset, *total, data);
-        }
-        assert_eq!(got, Some(snap));
+        assert!(
+            chunks(&snap.encode(), 50).count() > 2,
+            "multi-chunk transfer"
+        );
+        let mut asm = ChunkAssembler::default();
+        assert_eq!(reassemble(&mut asm, &snap, None), Some(snap));
     }
 
     #[test]
     fn assembler_recovers_from_lost_chunk_via_restart() {
         let snap = sample_snapshot(8, 64);
-        let mut asm = SnapshotAssembler::default();
-        let chunks = snap.chunks(50);
-        // First chunk arrives, second is lost, third hits a gap.
-        let (o0, t0, d0) = &chunks[0];
-        assert!(asm.offer(1, snap.last_slot, *o0, *t0, d0).is_none());
-        let (o2, t2, d2) = &chunks[2];
-        assert!(
-            asm.offer(1, snap.last_slot, *o2, *t2, d2).is_none(),
-            "gap resets"
-        );
+        let mut asm = ChunkAssembler::default();
+        // The second chunk is lost: the third hits a gap and the transfer
+        // never completes.
+        assert_eq!(reassemble(&mut asm, &snap, Some(1)), None, "gap resets");
         // A full retry from offset 0 then completes.
-        let mut got = None;
-        for (offset, total, data) in &chunks {
-            got = asm.offer(1, snap.last_slot, *offset, *total, data);
-        }
-        assert_eq!(got.as_ref(), Some(&snap));
+        assert_eq!(reassemble(&mut asm, &snap, None), Some(snap));
     }
 
     #[test]
     fn empty_state_ships_one_chunk() {
+        assert_eq!(chunks(&[], 1024).collect::<Vec<_>>(), [(0, &[][..])]);
         let snap = Snapshot {
             last_slot: Slot(5),
             last_term: Term(2),
             kv: KvStore::new().snapshot(),
         };
-        let chunks = snap.chunks(1024);
-        assert_eq!(chunks.len(), 1);
-        let mut asm = SnapshotAssembler::default();
-        let (o, t, d) = &chunks[0];
-        let got = asm.offer(1, snap.last_slot, *o, *t, d);
-        assert_eq!(got, Some(snap));
+        let mut asm = ChunkAssembler::default();
+        assert_eq!(reassemble(&mut asm, &snap, None), Some(snap));
     }
 
     #[test]

@@ -180,118 +180,6 @@ impl TimeSeries {
     }
 }
 
-/// A mergeable fixed-bucket latency histogram (log-spaced microsecond
-/// buckets).
-///
-/// Bucket `0` covers `[0, 1)` µs; bucket `i ≥ 1` covers
-/// `[2^(i−1), 2^i)` µs; the last bucket absorbs everything above
-/// ~35 minutes. Fixed buckets make histograms **mergeable** — across
-/// replicas of a group, across groups, and across time windows — by
-/// plain element-wise addition, and **subtractable**, so the cumulative
-/// histogram series yields any window's distribution as a difference
-/// of two snapshots. That is what lets the sharded bench localize a
-/// migration window's p99 to one group and one phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LatencyHistogram {
-    buckets: [u64; 32],
-}
-
-impl LatencyHistogram {
-    /// Records one latency observation.
-    pub fn record(&mut self, latency: SimDuration) {
-        let us = latency.as_nanos() / 1_000;
-        let b = (64 - us.leading_zeros() as usize).min(31);
-        self.buckets[b] += 1;
-    }
-
-    /// Adds another histogram into this one (replica → group → cluster
-    /// aggregation).
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (acc, v) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *acc += v;
-        }
-    }
-
-    /// The observations recorded here but not in `earlier` — how a
-    /// cumulative series is windowed. Saturating, so a crash-reset
-    /// counter yields an empty bucket rather than wrapping.
-    pub fn since(&self, earlier: &LatencyHistogram) -> LatencyHistogram {
-        let mut out = LatencyHistogram::default();
-        for (b, (now, then)) in self.buckets.iter().zip(earlier.buckets.iter()).enumerate() {
-            out.buckets[b] = now.saturating_sub(*then);
-        }
-        out
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().sum()
-    }
-
-    /// The nearest-rank percentile (`q` in `[0, 1]`) in milliseconds,
-    /// reported as the covering bucket's upper edge — a conservative
-    /// (never understating) bound. `None` when empty.
-    pub fn percentile_ms(&self, q: f64) -> Option<f64> {
-        let n = self.count();
-        if n == 0 {
-            return None;
-        }
-        let rank = ((q * n as f64).ceil() as u64).clamp(1, n);
-        let mut seen = 0u64;
-        for (b, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                // Bucket b's upper edge is 2^b µs (bucket 0: 1 µs).
-                return Some((1u64 << b) as f64 / 1_000.0);
-            }
-        }
-        None
-    }
-}
-
-/// One label's cumulative [`LatencyHistogram`] over virtual time —
-/// a snapshot per sampling tick, windowed by subtraction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistogramSeries {
-    /// Series name, e.g. `"group0/latency"`.
-    pub name: String,
-    /// `(virtual time, cumulative histogram)` snapshots in time order.
-    pub points: Vec<(SimTime, LatencyHistogram)>,
-}
-
-impl HistogramSeries {
-    /// An empty series.
-    pub fn new(name: impl Into<String>) -> Self {
-        HistogramSeries {
-            name: name.into(),
-            points: Vec::new(),
-        }
-    }
-
-    /// Appends one cumulative snapshot.
-    pub fn push(&mut self, at: SimTime, hist: LatencyHistogram) {
-        self.points.push((at, hist));
-    }
-
-    /// The observations that completed in `[from, to)`: the last
-    /// snapshot before `to` minus the last snapshot before `from`.
-    pub fn window(&self, from: SimTime, to: SimTime) -> LatencyHistogram {
-        let at_or_before = |t: SimTime| {
-            self.points
-                .iter()
-                .rev()
-                .find(|&&(at, _)| at < t)
-                .map_or(LatencyHistogram::default(), |&(_, h)| h)
-        };
-        at_or_before(to).since(&at_or_before(from))
-    }
-
-    /// The window's p99 in milliseconds (`None` for an empty window).
-    pub fn window_p99_ms(&self, from: SimTime, to: SimTime) -> Option<f64> {
-        self.window(from, to).percentile_ms(0.99)
-    }
-}
-
 /// Folds per-instant [`MetricSample`]s into named [`TimeSeries`]
 /// buffers at a fixed virtual-time cadence.
 ///
@@ -303,7 +191,6 @@ pub struct MetricRegistry {
     sample_every: SimDuration,
     next_due: SimTime,
     series: BTreeMap<String, TimeSeries>,
-    hists: BTreeMap<String, HistogramSeries>,
     last: BTreeMap<String, f64>,
 }
 
@@ -315,7 +202,6 @@ impl MetricRegistry {
             sample_every: cfg.sample_every,
             next_due: SimTime::ZERO + cfg.sample_every,
             series: BTreeMap::new(),
-            hists: BTreeMap::new(),
             last: BTreeMap::new(),
         }
     }
@@ -370,14 +256,6 @@ impl MetricRegistry {
             .push(at, rate);
     }
 
-    /// Records one cumulative latency-histogram snapshot for `name`.
-    pub fn histogram(&mut self, at: SimTime, name: &str, hist: LatencyHistogram) {
-        self.hists
-            .entry(name.to_string())
-            .or_insert_with(|| HistogramSeries::new(name))
-            .push(at, hist);
-    }
-
     /// The collected series, name order.
     pub fn series(&self) -> impl Iterator<Item = &TimeSeries> {
         self.series.values()
@@ -387,11 +265,6 @@ impl MetricRegistry {
     /// [`crate::harness::RunReport`] carries out of a measurement).
     pub fn snapshot(&self) -> Vec<TimeSeries> {
         self.series.values().cloned().collect()
-    }
-
-    /// A clone of the collected histogram series.
-    pub fn hist_snapshot(&self) -> Vec<HistogramSeries> {
-        self.hists.values().cloned().collect()
     }
 }
 
@@ -462,83 +335,6 @@ mod tests {
             s.window_mean(SimTime::from_millis(400), SimTime::from_millis(500)),
             None
         );
-    }
-
-    #[test]
-    fn histogram_buckets_and_percentiles() {
-        let mut h = LatencyHistogram::default();
-        // 99 fast ops at ~0.5 ms, one slow at ~40 ms.
-        for _ in 0..99 {
-            h.record(SimDuration::from_micros(500));
-        }
-        h.record(SimDuration::from_millis(40));
-        assert_eq!(h.count(), 100);
-        // p50 lands in the [256, 512) µs bucket → upper edge 0.512 ms.
-        assert_eq!(h.percentile_ms(0.50), Some(0.512));
-        // p99 is still a fast op; p100 is the slow one: [32768, 65536)
-        // µs bucket → upper edge 65.536 ms.
-        assert_eq!(h.percentile_ms(0.99), Some(0.512));
-        assert_eq!(h.percentile_ms(1.0), Some(65.536));
-        assert_eq!(LatencyHistogram::default().percentile_ms(0.99), None);
-    }
-
-    #[test]
-    fn histogram_merge_and_since_are_elementwise() {
-        let mut a = LatencyHistogram::default();
-        a.record(SimDuration::from_micros(100));
-        let snap = a;
-        a.record(SimDuration::from_millis(10));
-        a.record(SimDuration::from_millis(10));
-        let window = a.since(&snap);
-        assert_eq!(window.count(), 2);
-        assert_eq!(window.percentile_ms(0.99), Some(16.384));
-        let mut merged = snap;
-        merged.merge(&window);
-        assert_eq!(merged, a, "merge(since) reassembles the cumulative");
-        // since() against a *later* snapshot saturates instead of
-        // wrapping (a crash reset the per-replica counters).
-        assert_eq!(snap.since(&a).count(), 0);
-    }
-
-    #[test]
-    fn histogram_series_windows_by_subtraction() {
-        let mut s = HistogramSeries::new("group0/latency");
-        let mut cum = LatencyHistogram::default();
-        cum.record(SimDuration::from_micros(200));
-        s.push(SimTime::from_millis(100), cum);
-        cum.record(SimDuration::from_millis(50));
-        s.push(SimTime::from_millis(200), cum);
-        cum.record(SimDuration::from_micros(200));
-        s.push(SimTime::from_millis(300), cum);
-        // [150, 250): only the slow op landed in this window.
-        let w = s.window(SimTime::from_millis(150), SimTime::from_millis(250));
-        assert_eq!(w.count(), 1);
-        assert_eq!(
-            s.window_p99_ms(SimTime::from_millis(150), SimTime::from_millis(250)),
-            Some(65.536)
-        );
-        // The whole run.
-        assert_eq!(s.window(SimTime::ZERO, SimTime::from_secs(10)).count(), 3);
-        // An empty window.
-        assert_eq!(
-            s.window_p99_ms(SimTime::from_secs(5), SimTime::from_secs(6)),
-            None
-        );
-    }
-
-    #[test]
-    fn registry_collects_histogram_series() {
-        let mut r = MetricRegistry::new(&TelemetryConfig::sampled());
-        let mut h = LatencyHistogram::default();
-        h.record(SimDuration::from_micros(300));
-        r.histogram(SimTime::from_millis(100), "group0/latency", h);
-        h.record(SimDuration::from_micros(300));
-        r.histogram(SimTime::from_millis(200), "group0/latency", h);
-        let hs = r.hist_snapshot();
-        assert_eq!(hs.len(), 1);
-        assert_eq!(hs[0].name, "group0/latency");
-        assert_eq!(hs[0].points.len(), 2);
-        assert_eq!(hs[0].points[1].1.count(), 2);
     }
 
     #[test]

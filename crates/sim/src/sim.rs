@@ -19,7 +19,7 @@
 //!
 //! A real cell keeps thousands of events in flight and its messages are
 //! ~100 bytes, so what the heap sifts matters more than anything a
-//! handler-free probe can see. The queue ([`EventQueue`]) is therefore a
+//! handler-free probe can see. The queue (`EventQueue`) is therefore a
 //! `BinaryHeap` of 24-byte keys `(at, seq, slot)` over a slab of
 //! payloads: a push writes the payload once into a free slab slot and
 //! sifts only the key; a pop returns the key and leaves the payload

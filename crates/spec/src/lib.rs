@@ -3,7 +3,7 @@
 //! The formal side of the reproduction: a TLA+-like specification DSL
 //! ([`value`], [`expr`], [`spec`]), an explicit-state model checker
 //! ([`check`]), a refinement-mapping checker ([`refine`], Section 2.2),
-//! and the automatic optimization-porting engine ([`port`],
+//! and the automatic optimization-porting engine ([`port`](mod@port),
 //! Sections 4.2–4.3) with its mechanical non-mutating test.
 //!
 //! The [`specs`] module holds the paper's protocol specifications

@@ -3,9 +3,8 @@
 //! The measurement side of the reproduction: a YCSB-like closed-loop
 //! workload generator matching Section 5's description (100K records, a
 //! popular record hit at a configurable *conflict rate*, per-datacenter
-//! key partitions, 8 B / 4 KB values), latency and throughput metrics with
-//! the paper's reporting conventions (p50/p90/p99, median-of-trials,
-//! warm-up and cool-down trimming), and a linearizability checker used to
+//! key partitions, 8 B / 4 KB values), latency metrics with the paper's
+//! reporting conventions (p50/p90/p99), and a linearizability checker used to
 //! validate that Quorum-Lease local reads remain strongly consistent.
 //!
 //! ## Example
@@ -26,5 +25,5 @@ pub mod scenario;
 
 pub use generator::{Generator, OpKind, OpSpec, WorkloadConfig, HOT_KEY};
 pub use linearize::{check_history, check_register, Action, CheckError, OpRecord};
-pub use metrics::{median, LatencyRecorder, LatencyTriple, PeakGauge, ThroughputWindow};
+pub use metrics::{LatencyRecorder, LatencyTriple, PeakGauge};
 pub use scenario::{Drift, FlashCrowd, Hotspot, KeyDist, LoadShape, ScenarioConfig};

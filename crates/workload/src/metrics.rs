@@ -1,9 +1,9 @@
-//! Latency and throughput metrics with the paper's reporting conventions.
+//! Latency metrics with the paper's reporting conventions.
 //!
-//! Section 5 reports the median of 5 trials; per-figure latencies are the
-//! 90th percentile with error bars from the 50th to the 99th percentile,
-//! and each trial trims 10-second warm-up and cool-down windows. This
-//! module implements those aggregations.
+//! Section 5's per-figure latencies are the 90th percentile with error
+//! bars from the 50th to the 99th percentile, over a trial whose warm-up
+//! and cool-down windows are trimmed (the harness trims them before it
+//! records here).
 
 /// Collects latency samples (nanoseconds) and answers percentile queries.
 #[derive(Debug, Clone, Default)]
@@ -34,12 +34,6 @@ impl LatencyRecorder {
         self.samples_ns.is_empty()
     }
 
-    /// Merges another recorder's samples into this one.
-    pub fn merge(&mut self, other: &LatencyRecorder) {
-        self.samples_ns.extend_from_slice(&other.samples_ns);
-        self.sorted = false;
-    }
-
     fn ensure_sorted(&mut self) {
         if !self.sorted {
             self.samples_ns.sort_unstable();
@@ -58,15 +52,6 @@ impl LatencyRecorder {
         let n = self.samples_ns.len();
         let rank = ((p / 100.0 * n as f64).ceil() as usize).clamp(1, n);
         Some(self.samples_ns[rank - 1] as f64 / 1e6)
-    }
-
-    /// Mean latency in milliseconds. Returns `None` when empty.
-    pub fn mean_ms(&self) -> Option<f64> {
-        if self.samples_ns.is_empty() {
-            return None;
-        }
-        let sum: u128 = self.samples_ns.iter().map(|&x| x as u128).sum();
-        Some(sum as f64 / self.samples_ns.len() as f64 / 1e6)
     }
 
     /// The paper's latency triple: (p50, p90, p99) in milliseconds.
@@ -89,47 +74,6 @@ pub struct LatencyTriple {
     pub p90_ms: f64,
     /// 99th-percentile latency in milliseconds.
     pub p99_ms: f64,
-}
-
-/// Counts completed operations inside a measurement window and converts
-/// to operations per second.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ThroughputWindow {
-    /// Window start, nanoseconds.
-    pub start_ns: u64,
-    /// Window end, nanoseconds.
-    pub end_ns: u64,
-    /// Operations completed inside the window.
-    pub completed: u64,
-}
-
-impl ThroughputWindow {
-    /// Creates a window covering `[start_ns, end_ns)`.
-    pub fn new(start_ns: u64, end_ns: u64) -> Self {
-        assert!(end_ns > start_ns, "empty window");
-        ThroughputWindow {
-            start_ns,
-            end_ns,
-            completed: 0,
-        }
-    }
-
-    /// Whether `t_ns` lies inside the window.
-    pub fn contains(&self, t_ns: u64) -> bool {
-        (self.start_ns..self.end_ns).contains(&t_ns)
-    }
-
-    /// Records a completion at `t_ns` if inside the window.
-    pub fn record(&mut self, t_ns: u64) {
-        if self.contains(t_ns) {
-            self.completed += 1;
-        }
-    }
-
-    /// Throughput in operations per second.
-    pub fn ops_per_sec(&self) -> f64 {
-        self.completed as f64 / ((self.end_ns - self.start_ns) as f64 / 1e9)
-    }
 }
 
 /// Tracks the running maximum of a sampled quantity (resource-usage
@@ -158,24 +102,6 @@ impl PeakGauge {
     pub fn peak(&self) -> u64 {
         self.peak
     }
-
-    /// Folds another gauge's peak into this one.
-    pub fn merge(&mut self, other: &PeakGauge) {
-        self.observe(other.peak);
-    }
-}
-
-/// Takes the median of repeated trial measurements, as the paper reports
-/// "the median in 5 trials".
-pub fn median(values: &mut [f64]) -> f64 {
-    assert!(!values.is_empty(), "median of empty slice");
-    values.sort_by(|a, b| a.partial_cmp(b).expect("NaN in median input"));
-    let n = values.len();
-    if n % 2 == 1 {
-        values[n / 2]
-    } else {
-        (values[n / 2 - 1] + values[n / 2]) / 2.0
-    }
 }
 
 #[cfg(test)]
@@ -199,28 +125,8 @@ mod tests {
     fn empty_recorder_returns_none() {
         let mut r = LatencyRecorder::new();
         assert_eq!(r.percentile_ms(50.0), None);
-        assert_eq!(r.mean_ms(), None);
         assert!(r.paper_triple_ms().is_none());
         assert!(r.is_empty());
-    }
-
-    #[test]
-    fn mean_is_arithmetic() {
-        let mut r = LatencyRecorder::new();
-        r.record_ns(1_000_000);
-        r.record_ns(3_000_000);
-        assert_eq!(r.mean_ms(), Some(2.0));
-    }
-
-    #[test]
-    fn merge_combines_samples() {
-        let mut a = LatencyRecorder::new();
-        a.record_ns(1_000_000);
-        let mut b = LatencyRecorder::new();
-        b.record_ns(9_000_000);
-        a.merge(&b);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.percentile_ms(100.0), Some(9.0));
     }
 
     #[test]
@@ -234,23 +140,6 @@ mod tests {
     }
 
     #[test]
-    fn throughput_window_counts_and_rates() {
-        let mut w = ThroughputWindow::new(1_000_000_000, 3_000_000_000);
-        w.record(500_000_000); // before window
-        w.record(1_500_000_000);
-        w.record(2_999_999_999);
-        w.record(3_000_000_000); // at end: excluded
-        assert_eq!(w.completed, 2);
-        assert_eq!(w.ops_per_sec(), 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty window")]
-    fn empty_window_rejected() {
-        let _ = ThroughputWindow::new(5, 5);
-    }
-
-    #[test]
     fn peak_gauge_tracks_maximum() {
         let mut g = PeakGauge::new();
         assert_eq!(g.peak(), 0);
@@ -259,23 +148,5 @@ mod tests {
         assert_eq!(g.peak(), 5, "peak never shrinks");
         g.observe(9);
         assert_eq!(g.peak(), 9);
-        let mut other = PeakGauge::new();
-        other.observe(7);
-        g.merge(&other);
-        assert_eq!(g.peak(), 9, "merge keeps the larger peak");
-        other.merge(&g);
-        assert_eq!(other.peak(), 9);
-    }
-
-    #[test]
-    fn median_odd_even() {
-        assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
-        assert_eq!(median(&mut [4.0, 1.0, 2.0, 3.0]), 2.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty")]
-    fn median_empty_panics() {
-        let _ = median(&mut []);
     }
 }

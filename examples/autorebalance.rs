@@ -24,15 +24,17 @@
 //! cooldown bound).
 //!
 //! Prints ops/s per arm, the policy/oracle ratio (asserted ≥ 0.85),
-//! migration counts, and per-group per-phase p99 latency from the
-//! mergeable histogram series — the migration windows are localized to
-//! the group and phase they hit.
+//! migration counts, and the exact per-group per-phase p99 latency read
+//! off the clients' completions — the migration windows are localized to
+//! the group and phase they hit. The policy's worst phase is asserted at
+//! least 1.3× the oracle's worst, and the oracle's six phases within 10 %
+//! of each other.
 //!
 //! Run with: `cargo run --release --example autorebalance`
 
 use std::fmt::Write as _;
 
-use paxraft::core::harness::{Cluster, ProtocolKind, RunReport};
+use paxraft::core::harness::{Cluster, ProtocolKind};
 use paxraft::core::shard::{AutoBalanceConfig, MigrationSpec, RebalanceConfig, ShardConfig};
 use paxraft::core::telemetry::TelemetryConfig;
 use paxraft::sim::time::{SimDuration, SimTime};
@@ -92,11 +94,15 @@ fn oracle_stripes() -> RebalanceConfig {
     cfg
 }
 
+/// The 4 s phases of the measurement window, in virtual seconds.
+const PHASES: [(u64, u64); 3] = [(2, 6), (6, 10), (10, 14)];
+
 struct Outcome {
     throughput: f64,
     migrations: usize,
     peak_inflight: usize,
-    report: RunReport,
+    /// `p99_ms[g][phase]`: group `g`'s exact p99 over one phase.
+    p99_ms: [[f64; 3]; 2],
 }
 
 fn run(arm: &str, scenario: ScenarioConfig) -> Outcome {
@@ -124,23 +130,29 @@ fn run(arm: &str, scenario: ScenarioConfig) -> Outcome {
         SimDuration::from_secs(12),
         SimDuration::from_secs(2),
     );
+    let at = |s: u64| SimTime::ZERO + SimDuration::from_secs(s);
+    let p99_ms = [0u32, 1].map(|g| {
+        PHASES.map(|(from, to)| {
+            cluster
+                .group_latencies(g, at(from), at(to))
+                .percentile_ms(99.0)
+                .expect("every group completes operations in every phase")
+        })
+    });
     Outcome {
         throughput: report.throughput_ops,
         migrations: cluster.migrations_started(),
         peak_inflight: cluster.peak_inflight_migrations(),
-        report,
+        p99_ms,
     }
 }
 
-/// Per-group p99 (ms) over a phase window, from the cumulative
-/// histogram series.
-fn phase_p99(report: &RunReport, group: usize, from_s: u64, to_s: u64) -> Option<f64> {
-    let name = format!("group{group}/latency");
-    let series = report.latency_hists.iter().find(|h| h.name == name)?;
-    series.window_p99_ms(
-        SimTime::ZERO + SimDuration::from_secs(from_s),
-        SimTime::ZERO + SimDuration::from_secs(to_s),
-    )
+/// The largest and smallest of an arm's six phase p99s.
+fn p99_range(o: &Outcome) -> (f64, f64) {
+    o.p99_ms
+        .iter()
+        .flatten()
+        .fold((0.0, f64::INFINITY), |(hi, lo), &p| (hi.max(p), lo.min(p)))
 }
 
 fn main() {
@@ -178,20 +190,35 @@ fn main() {
     );
 
     // Localize the migration cost: per-group p99 per 4 s phase of the
-    // measurement window, recovered by histogram subtraction. The
+    // measurement window, exact over the completions in each. The
     // policy's chase migrations freeze ranges mid-run; the oracle paid
     // everything before the window opened.
     println!("\n  p99 by group and phase (ms):");
     for (label, o) in [("oracle", oracle), ("policy", policy)] {
-        for group in 0..2usize {
+        for (group, phases) in o.p99_ms.iter().enumerate() {
             let mut row = format!("  {label:<7} group{group}:");
-            for (phase, (from_s, to_s)) in [(2u64, 6u64), (6, 10), (10, 14)].iter().enumerate() {
-                let p99 = phase_p99(&o.report, group, *from_s, *to_s);
-                let _ = write!(row, "  phase{phase}={:>8.3}", p99.unwrap_or(f64::NAN));
+            for (phase, p99) in phases.iter().enumerate() {
+                let _ = write!(row, "  phase{phase}={p99:>8.3}");
             }
             println!("{row}");
         }
     }
+    let (oracle_worst, oracle_best) = p99_range(oracle);
+    let (policy_worst, _) = p99_range(policy);
+    let localized = policy_worst / oracle_worst;
+    println!(
+        "  policy worst / oracle worst = {policy_worst:.1} / {oracle_worst:.1} ms = {localized:.2} x (bound 1.3 x)"
+    );
+    assert!(
+        localized >= 1.3,
+        "a chase migration shows in its group and phase ({localized:.2} x)"
+    );
+    let spread = oracle_worst / oracle_best;
+    println!("  oracle phases {oracle_best:.1}-{oracle_worst:.1} ms = {spread:.3} x (bound 1.1 x)");
+    assert!(
+        spread <= 1.1,
+        "the pre-striped oracle is flat across groups and phases ({spread:.3} x)"
+    );
 
     // The adversarial oscillating hotspot: the policy must keep its
     // migration count under the analytic cooldown bound.

@@ -30,9 +30,11 @@
 //!
 //! The same allocator keeps a live-byte count per thread, which
 //! `a_log_holds_what_it_spans` reads: Raft's log holds what it spans.
+//! `a_completion_is_24_bytes` pins what a client keeps per operation.
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use paxraft::core::client::Completion;
 use paxraft::core::harness::{Cluster, ProtocolKind};
 use paxraft::core::kv::{CmdId, Command};
 use paxraft::core::log::{Entry, Log};
@@ -137,6 +139,14 @@ fn steady_state_allocations_per_operation_stay_under_their_ceilings() {
             protocol.name()
         );
     }
+}
+
+/// Every closed-loop client keeps each completion for the whole run, and
+/// every per-group latency window is read off them: the group id rides in
+/// the padding after the operation kind, so the record stays 24 B.
+#[test]
+fn a_completion_is_24_bytes() {
+    assert_eq!(std::mem::size_of::<Completion>(), 24);
 }
 
 /// Raft's log holds what it spans (`log.rs`, *Storage*): the entries'
