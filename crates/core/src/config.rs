@@ -2,6 +2,7 @@
 
 use crate::costs::CostModel;
 use crate::engine::PipelineConfig;
+use crate::msg::SHARD_GROUP_HEADER;
 use crate::shard::ShardMembership;
 use crate::snapshot::SnapshotConfig;
 use crate::types::NodeId;
@@ -43,9 +44,6 @@ impl Default for LeaseConfig {
 /// Mencius coordination parameters.
 #[derive(Debug, Clone)]
 pub struct MenciusConfig {
-    /// Idle watermark broadcast period (keeps lagging owners from
-    /// delaying everyone and doubles as a failure-detector keepalive).
-    pub skip_heartbeat: SimDuration,
     /// Silence threshold after which a peer's slots are revoked.
     pub revoke_timeout: SimDuration,
 }
@@ -53,7 +51,6 @@ pub struct MenciusConfig {
 impl Default for MenciusConfig {
     fn default() -> Self {
         MenciusConfig {
-            skip_heartbeat: SimDuration::from_millis(50),
             revoke_timeout: SimDuration::from_secs(3),
         }
     }
@@ -89,10 +86,8 @@ pub enum FsyncPolicy {
 pub struct DurabilityConfig {
     /// Fsync scheduling policy; `None` disables the durability model.
     pub policy: Option<FsyncPolicy>,
-    /// Device latency of one fsync.
+    /// Device latency of one fsync; writes stream for free.
     pub fsync_latency: SimDuration,
-    /// Disk write bandwidth in bytes/sec; `0.0` = infinite.
-    pub write_bandwidth_bps: f64,
 }
 
 impl DurabilityConfig {
@@ -101,7 +96,6 @@ impl DurabilityConfig {
         DurabilityConfig {
             policy: Some(FsyncPolicy::FsyncPerEntry),
             fsync_latency,
-            write_bandwidth_bps: 0.0,
         }
     }
 
@@ -117,14 +111,7 @@ impl DurabilityConfig {
                 max_delay,
             }),
             fsync_latency,
-            write_bandwidth_bps: 0.0,
         }
-    }
-
-    /// This config with the given write bandwidth (bytes/sec).
-    pub fn with_bandwidth(mut self, bps: f64) -> Self {
-        self.write_bandwidth_bps = bps;
-        self
     }
 
     /// Whether acks wait for fsync.
@@ -135,8 +122,8 @@ impl DurabilityConfig {
     /// The sim-level disk parameters this config provisions.
     pub fn disk_config(&self) -> paxraft_sim::disk::DiskConfig {
         paxraft_sim::disk::DiskConfig {
-            write_bandwidth_bps: self.write_bandwidth_bps,
             fsync_latency: self.fsync_latency,
+            ..paxraft_sim::disk::DiskConfig::default()
         }
     }
 }
@@ -154,12 +141,8 @@ pub struct ReplicaConfig {
     pub client_base: usize,
     /// CPU cost model.
     pub costs: CostModel,
-    /// Max delay before a pending batch is flushed.
-    pub batch_delay: SimDuration,
     /// Flush immediately once this many commands are pending.
     pub batch_max: usize,
-    /// Leader heartbeat period (also drives commit-index propagation).
-    pub heartbeat: SimDuration,
     /// Election timeout lower bound (randomized up to `election_max`).
     pub election_min: SimDuration,
     /// Election timeout upper bound.
@@ -167,8 +150,6 @@ pub struct ReplicaConfig {
     /// If set, this node uses a tiny first election timeout so it becomes
     /// the initial leader (the harness's deterministic bootstrap).
     pub initial_leader: Option<NodeId>,
-    /// Leader retry period for re-sending un-acknowledged suffixes.
-    pub retry_interval: SimDuration,
     /// Read path.
     pub read_mode: ReadMode,
     /// Lease parameters (used by `LeaderLease`/`QuorumLease` modes).
@@ -200,13 +181,10 @@ impl ReplicaConfig {
             peers: Vec::new(),
             client_base: n,
             costs: CostModel::default(),
-            batch_delay: SimDuration::from_millis(2),
             batch_max: 64,
-            heartbeat: SimDuration::from_millis(150),
             election_min: SimDuration::from_millis(1_500),
             election_max: SimDuration::from_millis(3_000),
             initial_leader: None,
-            retry_interval: SimDuration::from_millis(600),
             read_mode: ReadMode::LogRead,
             lease: LeaseConfig::default(),
             mencius: MenciusConfig::default(),
@@ -254,7 +232,7 @@ impl ReplicaConfig {
     /// sharded and the group id must travel.
     pub fn forward_header_bytes(&self) -> usize {
         8 + if self.shard.is_some() {
-            self.costs.shard_group_header
+            SHARD_GROUP_HEADER
         } else {
             0
         }
@@ -314,6 +292,9 @@ impl ReplicaConfig {
         if self.batch_max == 0 {
             return Err("batch_max must be positive".into());
         }
+        if self.pipeline.depth == 0 {
+            return Err("pipeline depth must be positive".into());
+        }
         if self.snapshot.enabled() && self.snapshot.chunk_bytes == 0 {
             return Err("snapshot chunk_bytes must be positive".into());
         }
@@ -345,6 +326,13 @@ mod tests {
     fn validate_rejects_even_n() {
         let mut c = cfg();
         c.n = 4;
+        assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_a_pipeline_of_depth_zero() {
+        let mut c = cfg();
+        c.pipeline = PipelineConfig::depth(0);
         assert!(c.validate().is_err());
     }
 
@@ -400,7 +388,7 @@ mod tests {
             group: 1,
             router: ShardRouter::new(1_000, 2),
         });
-        assert_eq!(c.forward_header_bytes(), 8 + c.costs.shard_group_header);
+        assert_eq!(c.forward_header_bytes(), 8 + SHARD_GROUP_HEADER);
         assert_eq!(c.group_id(), 1);
         assert_eq!(c.validate(), Ok(()));
         c.shard = Some(ShardMembership {

@@ -49,25 +49,6 @@ pub struct CostModel {
     /// Per-KiB cost of encoding or installing a state-machine snapshot
     /// (charged on top of the NIC transfer the simulator models).
     pub snapshot_per_kib: SimDuration,
-    /// Wire-header bytes of one Raft-spelling `InstallSnapshot` chunk
-    /// (term, leaderId, lastIncludedIndex, lastIncludedTerm, offset,
-    /// done). The Paxos family's `Checkpoint` spelling is leaner; see
-    /// [`CostModel::checkpoint_chunk_header`].
-    pub snapshot_chunk_header: usize,
-    /// Wire-header bytes of one Raft-spelling `SnapshotAck`.
-    pub snapshot_ack_header: usize,
-    /// Wire-header bytes of one Paxos-spelling `Checkpoint` chunk
-    /// (ballot, executedThrough, offset — no per-entry term, no done
-    /// flag; Mencius drops the ballot too, see
-    /// [`crate::engine::ProtocolRules::snapshot_wire_overhead`]).
-    pub checkpoint_chunk_header: usize,
-    /// Wire-header bytes of one Paxos-spelling `CheckpointOk`.
-    pub checkpoint_ack_header: usize,
-    /// Wire-header bytes a sharded cluster adds to every engine-level
-    /// message (forwarding, snapshot transfer) to carry the replica-group
-    /// id. A single-group (unsharded) cluster needs no routing header
-    /// and pays nothing.
-    pub shard_group_header: usize,
 }
 
 impl Default for CostModel {
@@ -88,11 +69,6 @@ impl Default for CostModel {
             coord_per_cmd: SimDuration::from_micros(3),
             per_kib: SimDuration::from_micros(1),
             snapshot_per_kib: SimDuration::from_micros(2),
-            snapshot_chunk_header: 48,
-            snapshot_ack_header: 16,
-            checkpoint_chunk_header: 40,
-            checkpoint_ack_header: 16,
-            shard_group_header: 4,
         }
     }
 }
@@ -108,36 +84,7 @@ impl CostModel {
         SimDuration::from_nanos(self.snapshot_per_kib.as_nanos() * bytes as u64 / 1024)
     }
 
-    /// A model with all costs zero, for latency-only tests where CPU
-    /// queueing would add noise.
-    pub fn free() -> Self {
-        CostModel {
-            client_req: SimDuration::ZERO,
-            forward_per_cmd: SimDuration::ZERO,
-            propose_fixed: SimDuration::ZERO,
-            propose_per_cmd: SimDuration::ZERO,
-            append_fixed: SimDuration::ZERO,
-            append_per_cmd: SimDuration::ZERO,
-            ack_process: SimDuration::ZERO,
-            apply_per_cmd: SimDuration::ZERO,
-            reply_fixed: SimDuration::ZERO,
-            read_local: SimDuration::ZERO,
-            lease_msg: SimDuration::ZERO,
-            coord_msg: SimDuration::ZERO,
-            coord_per_cmd: SimDuration::ZERO,
-            per_kib: SimDuration::ZERO,
-            snapshot_per_kib: SimDuration::ZERO,
-            // Wire sizes are not CPU costs; the free model keeps them.
-            snapshot_chunk_header: 48,
-            snapshot_ack_header: 16,
-            checkpoint_chunk_header: 40,
-            checkpoint_ack_header: 16,
-            shard_group_header: 4,
-        }
-    }
-
-    /// The same model with every CPU service time multiplied by `mult`
-    /// (wire-header sizes are unchanged — they are not CPU costs).
+    /// The same model with every CPU service time multiplied by `mult`.
     ///
     /// The sharding benches use this to model a slower core: with the
     /// default constants a single leader saturates near the paper's 41K
@@ -197,20 +144,11 @@ mod tests {
     }
 
     #[test]
-    fn free_model_is_all_zero() {
-        let c = CostModel::free();
-        assert_eq!(c.client_req, SimDuration::ZERO);
-        assert_eq!(c.size_cost(1 << 20), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn scaled_cpu_multiplies_service_times_but_not_wire_headers() {
+    fn scaled_cpu_multiplies_service_times() {
         let base = CostModel::default();
         let c = base.clone().scaled_cpu(100);
         assert_eq!(c.client_req, base.client_req * 100);
         assert_eq!(c.apply_per_cmd, base.apply_per_cmd * 100);
         assert_eq!(c.size_cost(1024), base.size_cost(1024) * 100);
-        assert_eq!(c.snapshot_chunk_header, base.snapshot_chunk_header);
-        assert_eq!(c.shard_group_header, base.shard_group_header);
     }
 }

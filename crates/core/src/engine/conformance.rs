@@ -12,13 +12,13 @@
 //! per `Log`-backed Raft* configuration pins the outcome of leader
 //! changes that go through the vote-extras safe-value pick.
 
-use paxraft_sim::sim::{Actor, ActorId, Simulation};
+use paxraft_sim::sim::{ActorId, Simulation};
 use paxraft_sim::time::{SimDuration, SimTime};
 
 use crate::config::{DurabilityConfig, FsyncPolicy, ReadMode, ReplicaConfig};
 use crate::engine::{
-    EngineCore, PipelineConfig, ProtocolRules, ReplicaEngine, ReplicaHandle, T_ELECTION,
-    T_HEARTBEAT,
+    EngineCore, PipelineConfig, ProtocolRules, ReplicaEngine, ReplicaHandle, BATCH_DELAY, T_BATCH,
+    T_ELECTION, T_HEARTBEAT,
 };
 use crate::harness::{Cluster, ProtocolKind};
 use crate::kv::{CmdId, Command};
@@ -289,17 +289,16 @@ fn every_protocol_dedups_duplicate_requests() {
     for_all_protocols!(scenario);
 }
 
+/// A burst of requests leaves at most one live batch timer per replica.
+/// Under the default window the cutter ships what the window admits at
+/// once and arms the timer for what waits; an armed timer is never armed
+/// again, so the due time the simulator reports for it stays where the
+/// first arm put it, at most the batch delay ahead, until it fires. Once
+/// the burst is through, nothing waits and no batch timer is live.
 #[test]
-fn burst_of_requests_arms_one_batch_timer_and_one_flush() {
-    // Pins the legacy (pipeline-disabled) batching discipline: with no
-    // eager cutting, a burst under `batch_max` arms exactly one timer
-    // and produces exactly one flush.
+fn burst_of_requests_leaves_at_most_one_batch_timer_per_replica() {
     fn scenario<P: ProtocolRules>(name: &str, make: fn(ReplicaConfig) -> ReplicaEngine<P>) {
-        let (mut sim, replicas, _client) = conformance_cluster(3, None, move |mut cfg| {
-            cfg.pipeline = PipelineConfig::disabled();
-            make(cfg)
-        });
-        // Let the cluster elect and go quiet.
+        let (mut sim, replicas, _client) = conformance_cluster(3, None, make);
         assert!(
             drive_until(&mut sim, SimTime::from_secs(5), |sim| {
                 sim.actor::<ReplicaEngine<P>>(replicas[0]).is_leader()
@@ -307,11 +306,9 @@ fn burst_of_requests_arms_one_batch_timer_and_one_flush() {
             "{name}: replica 0 leads"
         );
         sim.run_for(SimDuration::from_secs(1));
-        let (armed0, flushed0) = sim.actor::<ReplicaEngine<P>>(replicas[0]).batching_stats();
-        // A burst of N requests lands within one batch window (N well
-        // under batch_max, so only the timer can flush it).
-        let n_burst = 8u64;
-        for seq in 1..=n_burst {
+        // More than a window of rounds, fewer than `batch_max` commands:
+        // only the window or the timer can cut what the window refuses.
+        for seq in 1..=40u64 {
             let cmd = crate::kv::Command::put(crate::kv::CmdId { client: 0, seq }, seq, vec![0; 8]);
             sim.send_external(
                 replicas[0],
@@ -319,26 +316,34 @@ fn burst_of_requests_arms_one_batch_timer_and_one_flush() {
                 SimDuration::ZERO,
             );
         }
+        let mut live: Vec<Option<SimTime>> = vec![None; replicas.len()];
+        let mut armed = 0;
+        let end = sim.now() + SimDuration::from_millis(30);
+        while sim.now() < end {
+            sim.run_for(SimDuration::from_micros(100));
+            for (seen, &r) in live.iter_mut().zip(&replicas) {
+                let due = sim.timer_due(r, T_BATCH);
+                if let (Some(was), Some(due)) = (*seen, due) {
+                    assert!(
+                        was <= sim.now() || was == due,
+                        "{name}: {r:?}'s live batch timer (due {was}) was armed again (due {due})"
+                    );
+                }
+                if let Some(due) = due {
+                    assert!(due <= sim.now() + BATCH_DELAY, "{name}: {r:?} due {due}");
+                    armed += usize::from(*seen != Some(due));
+                }
+                *seen = due;
+            }
+        }
+        assert!(armed >= 1, "{name}: the window refused part of the burst");
         sim.run_for(SimDuration::from_secs(1));
-        let (armed1, flushed1) = sim.actor::<ReplicaEngine<P>>(replicas[0]).batching_stats();
-        assert_eq!(
-            armed1 - armed0,
-            1,
-            "{name}: a burst of {n_burst} requests arms exactly one batch timer"
-        );
-        assert_eq!(
-            flushed1 - flushed0,
-            1,
-            "{name}: and produces exactly one flush"
-        );
-        // Follower hints and NIC-aware cutting have no switch: at depth 0
-        // no hint offers room and no eager cut is tried, so neither acts.
         for &r in &replicas {
-            let stats = sim.actor::<ReplicaEngine<P>>(r).pipeline_stats();
             assert!(
-                stats.hint_flushes == 0 && stats.nic_deferrals == 0,
-                "{name}: a disabled window cuts nothing early ({stats:?})"
+                sim.actor::<ReplicaEngine<P>>(r).core.pending.is_empty(),
+                "{name}: {r:?} left nothing waiting"
             );
+            assert_eq!(sim.timer_due(r, T_BATCH), None, "{name}: {r:?}");
         }
     }
     for_all_protocols!(scenario);
@@ -838,7 +843,7 @@ fn full_forwarded_batch_is_flushed_immediately_regardless_of_leadership() {
             }),
             SimDuration::ZERO,
         );
-        // Well under batch_delay (2 ms): only an immediate flush can have
+        // Well under `BATCH_DELAY` (2 ms): only an immediate flush can have
         // emptied the buffer.
         sim.run_for(SimDuration::from_millis(1));
         let rep = sim.actor::<ReplicaEngine<P>>(replicas[1]);
@@ -864,17 +869,11 @@ fn full_forwarded_batch_is_flushed_immediately_regardless_of_leadership() {
 
 /// Follower-side adaptive forwarding: a command arriving at a follower
 /// while the leader's piggybacked occupancy hint shows window room is
-/// forwarded immediately — it never waits for the batch timer. (With the
-/// window disabled no hint shows room, so the non-full-batch follower
-/// path always waits; `burst_of_requests_arms_one_batch_timer` pins that
-/// discipline and that no hint flush happens.)
+/// forwarded immediately — it never waits for the batch timer.
 #[test]
 fn follower_hints_cut_forward_batches_before_the_timer() {
     fn scenario<P: ProtocolRules>(name: &str, make: fn(ReplicaConfig) -> ReplicaEngine<P>) {
-        let (mut sim, replicas, _client) = conformance_cluster(3, None, move |mut cfg| {
-            cfg.pipeline = PipelineConfig::default();
-            make(cfg)
-        });
+        let (mut sim, replicas, _client) = conformance_cluster(3, None, make);
         assert!(
             drive_until(&mut sim, SimTime::from_secs(5), |sim| {
                 sim.actor::<ReplicaEngine<P>>(replicas[0]).is_leader()
@@ -901,7 +900,7 @@ fn follower_hints_cut_forward_batches_before_the_timer() {
             Msg::Client(ClientMsg::Request { cmd }),
             SimDuration::ZERO,
         );
-        // Well under batch_delay (2 ms): only the hint path can have
+        // Well under `BATCH_DELAY` (2 ms): only the hint path can have
         // forwarded it already.
         sim.run_for(SimDuration::from_millis(1));
         let rep = sim.actor::<ReplicaEngine<P>>(replicas[1]);
@@ -1000,25 +999,41 @@ fn forward_pending_retries_until_a_leader_appears_without_loss_or_duplication() 
 }
 
 /// PR 2 drift regression: a crash retires *every* engine timer. The
-/// batch generation moves on, so no pre-crash in-flight batch token can
-/// match post-restart state even if the runtime redelivers it. The
-/// election and heartbeat timers have no generation: the simulator
-/// cancels them, and the restart arms a fresh election timer.
+/// election, heartbeat and batch timers are keyed: the simulator cancels
+/// them, the crash disarms the batch, and the restart arms a fresh
+/// election timer.
 #[test]
 fn crash_retires_every_engine_timer() {
     fn scenario<P: ProtocolRules>(name: &str, make: fn(ReplicaConfig) -> ReplicaEngine<P>) {
-        let mut cfg = ReplicaConfig::wan_default(NodeId(0), 3);
-        cfg.peers = (0..3).map(ActorId).collect();
-        let mut rep = make(cfg);
-        // Simulate an armed batch timer whose token is still in flight.
-        rep.core.batch_armed = true;
-        rep.core.batch_gen = 5;
-        Actor::on_crash(&mut rep);
-        assert!(!rep.core.batch_armed, "{name}: batch timer disarmed");
-        assert!(
-            rep.core.batch_gen > 5,
-            "{name}: pre-crash batch token retired"
+        // A request at a follower before anyone leads waits on the batch
+        // timer (Mencius proposes it at once).
+        let (mut sim, replicas, _) = conformance_cluster(3, None, make);
+        let follower = replicas[1];
+        let cmd = crate::kv::Command::put(crate::kv::CmdId { client: 0, seq: 1 }, 5, vec![0; 8]);
+        sim.send_external(
+            follower,
+            Msg::Client(ClientMsg::Request { cmd }),
+            SimDuration::ZERO,
         );
+        sim.run_until(SimTime::from_micros(100));
+        let batch = |sim: &Simulation<Msg>| sim.timer_due(follower, T_BATCH);
+        if name == "Mencius" {
+            assert_eq!(batch(&sim), None, "Mencius proposed it at once");
+        } else {
+            let due = batch(&sim).expect("the batch timer is live");
+            sim.crash_at(follower, sim.now());
+            sim.run_until(sim.now());
+            assert_eq!(batch(&sim), None, "{name}: the crash cancelled it");
+            sim.restart_at(follower, due);
+            sim.run_until(due + BATCH_DELAY);
+            let rep = sim.actor::<ReplicaEngine<P>>(follower);
+            assert!(
+                !rep.core.batch_armed && rep.core.pending.is_empty(),
+                "{name}: the restart left no batch behind"
+            );
+            assert_eq!(batch(&sim), None, "{name}: none is live after the restart");
+        }
+
         let (mut sim, replicas, _) = conformance_cluster(3, None, make);
         sim.run_until(SimTime::from_secs(1));
         let (leader, follower) = (replicas[0], replicas[1]);
@@ -1780,7 +1795,8 @@ fn every_protocol_fault_run_matches_the_parents_fingerprint() {
 
 /// Rules that record what `propose` is handed and, the first time, put two
 /// commands of their own back into `pending` and flush from inside — the
-/// way a phase-1 winner flushes what it buffered while campaigning.
+/// way a phase-1 winner flushes what it buffered while campaigning. On
+/// start they fill `pending` with five commands and flush it twice.
 struct ReenteringRules {
     proposed: Vec<Vec<u64>>,
     reentered: bool,
@@ -1814,7 +1830,14 @@ impl ProtocolRules for ReenteringRules {
             core.pending.push(Command::get(id, 102));
         }
     }
-    fn on_start(&mut self, _core: &mut EngineCore, _ctx: &mut Ctx<Msg>) {}
+    fn on_start(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
+        for seq in 1..=5 {
+            core.pending
+                .push(Command::get(CmdId { client: 0, seq }, seq));
+        }
+        crate::engine::flush_pending(self, core, ctx);
+        crate::engine::flush_pending(self, core, ctx);
+    }
     fn on_msg(&mut self, _: &mut EngineCore, _: &mut Ctx<Msg>, _: ActorId, _: Msg) {}
     fn install_snapshot(&mut self, _: &mut EngineCore, _: &mut Ctx<Msg>, _: ActorId, _: Snapshot) {}
     fn on_snapshot_ack(
@@ -1839,8 +1862,6 @@ fn a_flush_reentered_from_propose_keeps_every_command_exactly_once() {
     let mut cfg = ReplicaConfig::wan_default(NodeId(0), 1);
     cfg.peers = vec![ActorId(0)];
     cfg.client_base = 1;
-    cfg.batch_max = 5;
-    cfg.pipeline = PipelineConfig::disabled();
     let rules = ReenteringRules {
         proposed: Vec::new(),
         reentered: false,
@@ -1849,21 +1870,11 @@ fn a_flush_reentered_from_propose_keeps_every_command_exactly_once() {
     let replica = ReplicaEngine::from_parts(EngineCore::new(cfg), rules);
     let mut sim: Simulation<Msg> = Simulation::new(paxraft_sim::net::NetConfig::default(), 3);
     let r = sim.add_actor(paxraft_sim::net::Region::Oregon, Box::new(replica));
-    // Five requests fill a batch: the fifth flushes at once.
-    for seq in 1..=5 {
-        let id = CmdId { client: 0, seq };
-        let cmd = Command::get(id, seq);
-        sim.send_external(
-            r,
-            Msg::Client(ClientMsg::Request { cmd }),
-            SimDuration::ZERO,
-        );
-    }
-    sim.run_for(SimDuration::from_secs(1));
+    sim.start();
     let rep = sim.actor::<ReplicaEngine<ReenteringRules>>(r);
-    // The outer call took 1-3 and re-entered: the inner flush saw only
+    // The first flush took 1-3 and re-entered: the inner flush saw only
     // what re-entered (100, 101); then 4, 5 (left undrained) go back ahead
-    // of 102 (pushed after the inner flush), and the batch timer takes
+    // of 102 (pushed after the inner flush), and the second flush takes
     // them three at a time.
     assert_eq!(
         rep.rules.proposed,

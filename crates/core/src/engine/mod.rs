@@ -61,20 +61,22 @@ use paxraft_sim::trace::SpanKind;
 use crate::config::ReplicaConfig;
 use crate::costs::CostModel;
 use crate::kv::{CmdId, Command, KvStore, Op, Reply};
-use crate::msg::{ClientMsg, EngineMsg, Msg};
+use crate::msg::{
+    ClientMsg, EngineMsg, Msg, SHARD_GROUP_HEADER, SNAPSHOT_ACK_HEADER, SNAPSHOT_CHUNK_HEADER,
+};
 use crate::shard::migration::{install_cmd_id, KeyOwnership, RangeExport, RouterVersion};
 use crate::snapshot::{self, ChunkAssembler, Snapshot, SnapshotSender, SnapshotStats};
 use crate::telemetry::MetricSample;
 use crate::types::{self, NodeId, Slot, Term};
 
-/// Timer token kinds (upper 16 bits); generation counters live in the
-/// lower bits so stale timers are ignored. One registry for every
-/// protocol — rules-specific timers ([`T_LEASE`], [`T_COORD`]) reach the
-/// rules through [`ProtocolRules::on_timer`].
+/// Timer token kinds (upper 16 bits); the low bits carry what a kind
+/// needs there (an fsync's write sequence, the max-delay generation). One
+/// registry for every protocol — rules-specific timers ([`T_LEASE`],
+/// [`T_COORD`]) reach the rules through [`ProtocolRules::on_timer`].
 ///
-/// The election and heartbeat timers carry no generation: each kind is
-/// also its key for [`Ctx::rearm_timer`], so a re-arm supersedes the last
-/// one in the simulator.
+/// The election, heartbeat and batch timers carry nothing in the low
+/// bits: each kind is also its key for [`Ctx::rearm_timer`], so a re-arm
+/// supersedes the last one in the simulator and a crash clears it.
 pub const T_ELECTION: u64 = 1 << 48;
 /// Leader heartbeat / retransmission tick.
 pub const T_HEARTBEAT: u64 = 2 << 48;
@@ -92,6 +94,13 @@ pub const T_FSYNC_DELAY: u64 = 7 << 48;
 /// Mask selecting the timer kind bits.
 pub const KIND_MASK: u64 = 0xFFFF << 48;
 
+/// Max delay before a pending batch is flushed.
+pub const BATCH_DELAY: SimDuration = SimDuration::from_millis(2);
+/// Leader heartbeat period (also drives commit-index propagation).
+pub const HEARTBEAT: SimDuration = SimDuration::from_millis(150);
+/// Leader retry period for re-sending un-acknowledged suffixes.
+pub const RETRY_INTERVAL: SimDuration = SimDuration::from_millis(600);
+
 /// All protocol-agnostic replica state, owned by the engine.
 #[derive(Debug)]
 pub struct EngineCore {
@@ -106,7 +115,6 @@ pub struct EngineCore {
     /// (follower).
     pub pending: Vec<Command>,
     batch_armed: bool,
-    batch_gen: u64,
     /// Reassembles incoming snapshot chunks, keyed by sender.
     pub snap_asm: ChunkAssembler,
     /// Per-peer outbound transfer rate-limiting.
@@ -119,9 +127,6 @@ pub struct EngineCore {
     pub snap_stats: SnapshotStats,
     /// Client responses sent (stats).
     pub responses_sent: u64,
-    /// Batch timers actually armed (stats; the re-arm regression test
-    /// asserts a burst of requests arms exactly one).
-    pub batch_timers_armed: u64,
     /// Batch flushes performed (stats).
     pub batch_flushes: u64,
     /// Commands forwarded toward the believed leader (stats; the
@@ -186,10 +191,7 @@ impl EngineCore {
         // Placeholder spelling only: [`ReplicaEngine::from_parts`]
         // re-derives `snap_wire` from the rules' actual snapshot
         // spelling; a bare `EngineCore` never ships snapshots itself.
-        let snap_wire = (
-            cfg.costs.snapshot_chunk_header,
-            cfg.costs.snapshot_ack_header,
-        );
+        let snap_wire = (SNAPSHOT_CHUNK_HEADER, SNAPSHOT_ACK_HEADER);
         let dur = DurabilityState::new(&cfg.durability);
         EngineCore {
             cfg,
@@ -197,13 +199,11 @@ impl EngineCore {
             leader_hint: None,
             pending: Vec::new(),
             batch_armed: false,
-            batch_gen: 0,
             snap_asm: ChunkAssembler::default(),
             snap_send: SnapshotSender::new(n),
             stable_snap: None,
             snap_stats: SnapshotStats::default(),
             responses_sent: 0,
-            batch_timers_armed: 0,
             batch_flushes: 0,
             forwarded_cmds: 0,
             pipe,
@@ -302,7 +302,7 @@ impl EngineCore {
     /// and two missed refreshes suggest the leader itself may be gone.
     pub fn hint_allows_forward(&self, now: SimTime) -> bool {
         self.window_hint
-            .is_some_and(|(room, at)| room && now.since(at.min(now)) <= self.cfg.heartbeat * 2)
+            .is_some_and(|(room, at)| room && now.since(at.min(now)) <= HEARTBEAT * 2)
     }
 
     /// This replica's bit in quorum bitmaps.
@@ -327,18 +327,17 @@ impl EngineCore {
     /// Arms the next heartbeat tick. It supersedes the previous one,
     /// which the simulator then never delivers ([`Ctx::rearm_timer`]).
     pub fn arm_heartbeat(&self, ctx: &mut Ctx<Msg>) {
-        ctx.rearm_timer(T_HEARTBEAT, self.cfg.heartbeat, T_HEARTBEAT);
+        ctx.rearm_timer(T_HEARTBEAT, HEARTBEAT, T_HEARTBEAT);
     }
 
     /// Arms the batch-flush timer. At most one batch timer is ever
-    /// outstanding: re-arming while armed is a no-op, and the generation
-    /// in the token retires superseded timers.
+    /// outstanding: re-arming while armed is a no-op, so no armed timer is
+    /// ever superseded ([`Ctx::rearm_timer`] only keys it, and a crash
+    /// clears it).
     pub fn arm_batch(&mut self, ctx: &mut Ctx<Msg>) {
         if !self.batch_armed {
             self.batch_armed = true;
-            self.batch_gen += 1;
-            self.batch_timers_armed += 1;
-            ctx.set_timer(self.cfg.batch_delay, T_BATCH | self.batch_gen);
+            ctx.rearm_timer(T_BATCH, BATCH_DELAY, T_BATCH);
         }
     }
 
@@ -478,8 +477,8 @@ pub trait ProtocolRules: Sized + 'static {
     /// header sizes; the Paxos family overrides with its leaner
     /// `Checkpoint`/`CheckpointOk` spelling so the shared envelope keeps
     /// the per-protocol wire-cost distinction.
-    fn snapshot_wire_overhead(&self, costs: &CostModel) -> (usize, usize) {
-        (costs.snapshot_chunk_header, costs.snapshot_ack_header)
+    fn snapshot_wire_overhead(&self) -> (usize, usize) {
+        (SNAPSHOT_CHUNK_HEADER, SNAPSHOT_ACK_HEADER)
     }
 
     /// Gates an incoming snapshot chunk (term/ballot check, stepping
@@ -546,12 +545,12 @@ pub struct ReplicaEngine<P: ProtocolRules> {
 impl<P: ProtocolRules> ReplicaEngine<P> {
     /// Assembles a replica from parts (protocol aliases provide `new`).
     pub fn from_parts(mut core: EngineCore, rules: P) -> Self {
-        let (chunk, ack) = rules.snapshot_wire_overhead(&core.cfg.costs);
+        let (chunk, ack) = rules.snapshot_wire_overhead();
         // Sharded clusters stamp the group id on every engine-level
         // message; the header surcharge applies on top of whatever the
         // protocol's snapshot spelling costs.
         let gh = if core.cfg.shard.is_some() {
-            core.cfg.costs.shard_group_header
+            SHARD_GROUP_HEADER
         } else {
             0
         };
@@ -584,12 +583,6 @@ impl<P: ProtocolRules> ReplicaEngine<P> {
     /// Client responses sent (stats).
     pub fn responses_sent(&self) -> u64 {
         self.core.responses_sent
-    }
-
-    /// `(batch timers armed, batch flushes)` — stats for the batching
-    /// regression tests.
-    pub fn batching_stats(&self) -> (u64, u64) {
-        (self.core.batch_timers_armed, self.core.batch_flushes)
     }
 
     /// Pipeline occupancy and adaptive-batching counters.
@@ -825,8 +818,8 @@ fn cut_batch<P: ProtocolRules>(rules: &mut P, core: &mut EngineCore, ctx: &mut C
     // latency while its per-round overhead costs throughput (the
     // Figure-10b regime). Accumulate under the timer instead and let
     // batching amortize.
-    let nic_saturated = ctx.nic_backlog() * 4 > core.cfg.batch_delay;
-    if rules.can_propose(core) && core.pipe.enabled() {
+    let nic_saturated = ctx.nic_backlog() * 4 > BATCH_DELAY;
+    if rules.can_propose(core) {
         if core.pipe.quorum_has_room(core.cfg.id, core.cfg.n) {
             if nic_saturated {
                 core.pipe.stats.nic_deferrals += 1;
@@ -840,10 +833,7 @@ fn cut_batch<P: ProtocolRules>(rules: &mut P, core: &mut EngineCore, ctx: &mut C
             core.pipe.stats.window_deferrals += 1;
             span_defer(core, ctx);
         }
-    } else if !rules.can_propose(core)
-        && core.leader_hint.is_some()
-        && core.hint_allows_forward(ctx.now())
-    {
+    } else if core.leader_hint.is_some() && core.hint_allows_forward(ctx.now()) {
         // Follower-side adaptive forwarding: the leader's piggybacked
         // occupancy hint says its window can absorb a fresh round, so
         // paying the batch delay before forwarding would only add
@@ -997,7 +987,7 @@ fn maybe_drive_migration<P: ProtocolRules>(
         let due = core
             .mig_last_export
             .get(&f.version)
-            .is_none_or(|&at| ctx.now().since(at.min(ctx.now())) >= core.cfg.retry_interval);
+            .is_none_or(|&at| ctx.now().since(at.min(ctx.now())) >= RETRY_INTERVAL);
         if !due {
             continue;
         }
@@ -1172,7 +1162,7 @@ impl<P: ProtocolRules> Actor<Msg> for ReplicaEngine<P> {
                 // Acknowledgements may have freed pipeline window room:
                 // ship a batch that accumulated while saturated without
                 // waiting for its timer.
-                if self.core.pipe.enabled() && !self.core.pending.is_empty() {
+                if !self.core.pending.is_empty() {
                     cut_batch(&mut self.rules, &mut self.core, ctx);
                 }
             }
@@ -1189,9 +1179,6 @@ impl<P: ProtocolRules> Actor<Msg> for ReplicaEngine<P> {
             }
             T_HEARTBEAT => self.rules.on_heartbeat(&mut self.core, ctx),
             T_BATCH => {
-                if token & !KIND_MASK != self.core.batch_gen {
-                    return;
-                }
                 self.core.batch_armed = false;
                 if !self.core.pending.is_empty() {
                     flush_pending(&mut self.rules, &mut self.core, ctx);
@@ -1230,13 +1217,9 @@ impl<P: ProtocolRules> Actor<Msg> for ReplicaEngine<P> {
         // leader hint die with the process. Durable state (and what of
         // it each protocol restores) is the rules' concern.
         self.core.pending.clear();
+        // The election, heartbeat and batch timers are keyed: the
+        // simulator cancels them on the crash.
         self.core.batch_armed = false;
-        // Retire every timer generation: a pre-crash in-flight timer
-        // token must never match post-restart state, even if the runtime
-        // redelivers it (the engine does not rely on the host dropping
-        // timers across a restart). The election and heartbeat timers have
-        // no generation: the simulator cancels them on the crash.
-        self.core.batch_gen += 1;
         self.core.leader_hint = None;
         self.core.window_hint = None;
         self.core.snap_asm.clear();

@@ -65,12 +65,12 @@
 //!
 //! The rule applies exactly when the time to acknowledge a round grows
 //! with its length — per-entry fsync, read off the replica's own
-//! [`DurabilityState::barrier_per_entry`] — and pipelining is on.
-//! Otherwise the cap is `usize::MAX` and every schedule is bit for bit
-//! what it was. It must not apply more widely: sized rounds *regardless
-//! of durability* cost `wan-paper` 2.9 % goodput (7 % on the PQL cell)
-//! and 5 % p99, and `raft-4k` 17 % more events — without a device in the
-//! way, one round is cheaper than eight. The other ways out were
+//! [`DurabilityState::barrier_per_entry`]. Otherwise the cap is
+//! `usize::MAX` and every schedule is bit for bit what it was. It must
+//! not apply more widely: sized rounds *regardless of durability* cost
+//! `wan-paper` 2.9 % goodput (7 % on the PQL cell) and 5 % p99, and
+//! `raft-4k` 17 % more events — without a device in the way, one round
+//! is cheaper than eight. The other ways out were
 //! measured and rejected too: a deeper window (16 / 64 / 512) buys the
 //! same latency by streaming one-entry rounds (`events_per_op` 22.7 →
 //! 28.0 / 43.2 / 52.6), and a fixed cap of 64 / 32 / 16 / 8 entries
@@ -88,22 +88,19 @@ use super::durability::DurabilityState;
 /// Pipelining parameters, shared by every protocol.
 ///
 /// The window also drives two cutter rules that have no switch of their
-/// own, because both do nothing at depth 0. **Follower hints:** leaders
-/// piggyback whether a replication quorum has window room on
-/// replication and heartbeat traffic (`window_room`), and a follower
-/// holding pending commands forwards them at once while a fresh hint says
-/// so, instead of paying the batch delay first; a disabled window never
-/// has quorum room, so no hint ever says so. **NIC-aware cutting:** an
-/// eager cut (leader or hinted follower) is refused while this node's
-/// egress NIC backlog exceeds a quarter of the batch delay — bytes, not
-/// window room, are then the bottleneck (the Figure-10b regime), and the
-/// batch accumulates under the timer instead.
+/// own. **Follower hints:** leaders piggyback whether a replication
+/// quorum has window room on replication and heartbeat traffic
+/// (`window_room`), and a follower holding pending commands forwards them
+/// at once while a fresh hint says so, instead of paying the batch delay
+/// first. **NIC-aware cutting:** an eager cut (leader or hinted follower)
+/// is refused while this node's egress NIC backlog exceeds a quarter of
+/// the batch delay — bytes, not window room, are then the bottleneck (the
+/// Figure-10b regime), and the batch accumulates under the timer instead.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
-    /// Maximum in-flight (unacknowledged) replication rounds per peer.
-    /// `0` disables pipelining entirely: no eager batch cutting and no
-    /// per-peer send gating — the pre-pipeline one-round-per-timer/ack
-    /// behavior.
+    /// Maximum in-flight (unacknowledged) replication rounds per peer; at
+    /// least 1 ([`crate::config::ReplicaConfig::validate`]). Depth 1 is
+    /// true round serialization: one unacknowledged round per peer.
     pub depth: usize,
 }
 
@@ -114,16 +111,6 @@ impl Default for PipelineConfig {
 }
 
 impl PipelineConfig {
-    /// Whether pipelining is on.
-    pub fn enabled(&self) -> bool {
-        self.depth > 0
-    }
-
-    /// Pipelining disabled (legacy batching discipline).
-    pub fn disabled() -> Self {
-        PipelineConfig::depth(0)
-    }
-
     /// Pipelining with the given window depth.
     pub fn depth(depth: usize) -> Self {
         PipelineConfig { depth }
@@ -209,11 +196,6 @@ impl PipelineWindow {
         }
     }
 
-    /// Whether pipelining is active (depth > 0).
-    pub fn enabled(&self) -> bool {
-        self.depth > 0
-    }
-
     /// In-flight rounds toward `peer`.
     pub fn in_flight(&self, peer: NodeId) -> usize {
         self.inflight[peer.0 as usize].len()
@@ -225,10 +207,9 @@ impl PipelineWindow {
         self.inflight.iter().map(VecDeque::len).sum()
     }
 
-    /// Whether a new round may be started toward `peer`. Always true
-    /// when pipelining is disabled (the legacy unbounded behavior).
+    /// Whether a new round may be started toward `peer`.
     pub fn has_room(&self, peer: NodeId) -> bool {
-        !self.enabled() || self.in_flight(peer) < self.depth
+        self.in_flight(peer) < self.depth
     }
 
     /// Whether enough peers have window room that a fresh round could
@@ -236,9 +217,6 @@ impl PipelineWindow {
     /// `quorum - 1` of the *other* replicas (the sender supplies the
     /// remaining vote itself).
     pub fn quorum_has_room(&self, me: NodeId, n: usize) -> bool {
-        if !self.enabled() {
-            return false;
-        }
         let need = crate::types::quorum(n) - 1;
         let with_room = (0..n)
             .filter(|&i| i != me.0 as usize)
@@ -275,9 +253,9 @@ impl PipelineWindow {
     /// a full window holds carry everything outstanding between them,
     /// in equal parts. Unbounded (`usize::MAX`: the whole backlog in one
     /// round) unless the peer's acknowledgement takes a device barrier
-    /// per entry and pipelining is on.
+    /// per entry.
     pub fn round_cap(&self, peer: NodeId, tail: Slot, dur: &DurabilityState) -> usize {
-        if !self.enabled() || !dur.barrier_per_entry() {
+        if !dur.barrier_per_entry() {
             return usize::MAX;
         }
         let outstanding = tail.0.saturating_sub(self.acked[peer.0 as usize].0) as usize;
@@ -401,15 +379,6 @@ mod tests {
         assert!(!w.quorum_has_room(NodeId(0), 5), "only node 4 has room");
     }
 
-    #[test]
-    fn disabled_window_never_gates_but_never_offers_quorum_room() {
-        let mut w = window(0);
-        w.on_sent(NodeId(1), Slot(1), t(0));
-        w.on_sent(NodeId(1), Slot(2), t(0));
-        assert!(w.has_room(NodeId(1)), "depth 0 = unbounded legacy sends");
-        assert!(!w.quorum_has_room(NodeId(0), 5), "no eager cutting");
-    }
-
     fn per_entry() -> DurabilityState {
         DurabilityState::new(&DurabilityConfig::per_entry(SimDuration::from_millis(1)))
     }
@@ -438,10 +407,10 @@ mod tests {
         assert_eq!(w.round_cap(NodeId(1), Slot(400), &dur), 50);
     }
 
-    /// Without a barrier per entry behind the ack, or without a window to
-    /// share, the whole backlog ships at once — today's schedule.
+    /// Without a barrier per entry behind the ack, the whole backlog ships
+    /// at once — today's schedule.
     #[test]
-    fn round_cap_is_unbounded_without_a_per_entry_device_or_a_window() {
+    fn round_cap_is_unbounded_without_a_per_entry_device() {
         let group = DurabilityState::new(&DurabilityConfig::group_commit(
             SimDuration::from_millis(1),
             32,
@@ -451,10 +420,6 @@ mod tests {
         for dur in [&group, &none] {
             assert_eq!(window(8).round_cap(NodeId(1), Slot(300), dur), usize::MAX);
         }
-        assert_eq!(
-            window(0).round_cap(NodeId(1), Slot(300), &per_entry()),
-            usize::MAX
-        );
     }
 
     #[test]

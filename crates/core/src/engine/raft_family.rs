@@ -24,7 +24,7 @@ use crate::replicate::Replicator;
 use crate::snapshot::{Snapshot, SnapshotStats};
 use crate::types::{NodeId, Slot, Term};
 
-use super::{transfer, EngineCore};
+use super::{transfer, EngineCore, RETRY_INTERVAL};
 
 /// Raft roles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -321,10 +321,7 @@ impl RaftBase {
         }
         let mut built = None;
         for peer in core.cfg.others() {
-            if self
-                .repl
-                .maybe_rewind(peer, ctx.now(), core.cfg.retry_interval)
-            {
+            if self.repl.maybe_rewind(peer, ctx.now(), RETRY_INTERVAL) {
                 core.pipe.on_regress(peer);
             }
             self.send_round(core, ctx, peer, usize::MAX, &mut built);

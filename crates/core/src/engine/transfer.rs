@@ -13,7 +13,7 @@ use crate::msg::{EngineMsg, Msg};
 use crate::snapshot::{self, Snapshot};
 use crate::types::{NodeId, Slot, Term};
 
-use super::EngineCore;
+use super::{EngineCore, RETRY_INTERVAL};
 
 /// Snapshots the state machine as covering `point` and charges the CPU
 /// cost of producing it.
@@ -43,7 +43,7 @@ pub fn ship_snapshot(
 ) -> Option<Slot> {
     if !core
         .snap_send
-        .try_begin(peer.0 as usize, ctx.now(), core.cfg.retry_interval)
+        .try_begin(peer.0 as usize, ctx.now(), RETRY_INTERVAL)
     {
         return None;
     }

@@ -12,7 +12,7 @@ use paxraft_workload::generator::WorkloadConfig;
 use paxraft_workload::linearize::OpRecord;
 use paxraft_workload::metrics::LatencyTriple;
 
-use crate::config::{DurabilityConfig, LeaseConfig, ReadMode, ReplicaConfig};
+use crate::config::{DurabilityConfig, ReadMode, ReplicaConfig};
 use crate::costs::CostModel;
 use crate::engine::{DurabilityStats, PipelineConfig, PipelineStats, ReplicaHandle};
 use crate::kv::Key;
@@ -69,13 +69,11 @@ pub struct ClusterBuilder {
     pub(crate) costs: CostModel,
     pub(crate) net: NetConfig,
     pub(crate) record_history_key: Option<Key>,
-    pub(crate) batch_max: usize,
-    pub(crate) lease: LeaseConfig,
     pub(crate) snapshot: SnapshotConfig,
     pub(crate) pipeline: PipelineConfig,
     pub(crate) shard: crate::shard::ShardConfig,
     pub(crate) rebalance: crate::shard::RebalanceConfig,
-    pub(crate) autobalance: crate::shard::AutoBalanceConfig,
+    pub(crate) autobalance: bool,
     pub(crate) telemetry: TelemetryConfig,
     pub(crate) durability: DurabilityConfig,
 }
@@ -137,13 +135,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Batch-size cap: a pending batch flushes immediately once this
-    /// many commands accumulate (default 64).
-    pub fn batch_max(mut self, max: usize) -> Self {
-        self.batch_max = max;
-        self
-    }
-
     /// Sharding parameters: how many replica groups to run (default 1)
     /// and where their leaders bootstrap.
     pub fn shard_config(mut self, shard: crate::shard::ShardConfig) -> Self {
@@ -160,20 +151,14 @@ impl ClusterBuilder {
         self
     }
 
-    /// Closed-loop auto-rebalancing: a policy engine that watches live
-    /// per-group telemetry and issues migrations itself. The disabled
-    /// default creates no policy (and no coordinator actor unless a
-    /// scripted plan asks for one), keeping the cluster bit-for-bit
-    /// the plain sharded cluster. Enabling it requires telemetry
-    /// sampling and more than one group.
-    pub fn autobalance_config(mut self, autobalance: crate::shard::AutoBalanceConfig) -> Self {
-        self.autobalance = autobalance;
-        self
-    }
-
-    /// Lease parameters (PQL / LL modes).
-    pub fn lease_config(mut self, lease: LeaseConfig) -> Self {
-        self.lease = lease;
+    /// Closed-loop auto-rebalancing ([`crate::shard::AutoBalancePolicy`]):
+    /// a policy engine that watches live per-group telemetry and issues
+    /// migrations itself. Off by default: no policy (and no coordinator
+    /// actor unless a scripted plan asks for one), keeping the cluster
+    /// bit-for-bit the plain sharded cluster. Turning it on requires
+    /// telemetry sampling and more than one group.
+    pub fn autobalance(mut self, on: bool) -> Self {
+        self.autobalance = on;
         self
     }
 
@@ -185,8 +170,8 @@ impl ClusterBuilder {
     }
 
     /// Replication pipelining / adaptive-batching parameters for every
-    /// replica (default: enabled, depth 8; `PipelineConfig::disabled()`
-    /// restores the one-round-per-timer legacy batching).
+    /// replica (default depth 8; depth 1 serializes rounds, one
+    /// unacknowledged round per peer; depth 0 is rejected).
     pub fn pipeline_config(mut self, pipeline: PipelineConfig) -> Self {
         self.pipeline = pipeline;
         self
@@ -238,8 +223,6 @@ impl ClusterBuilder {
         cfg.peers = peers;
         cfg.client_base = client_base;
         cfg.costs = self.costs.clone();
-        cfg.batch_max = self.batch_max;
-        cfg.lease = self.lease.clone();
         cfg.snapshot = self.snapshot.clone();
         cfg.pipeline = self.pipeline.clone();
         cfg.durability = self.durability.clone();
@@ -429,13 +412,11 @@ impl Cluster {
             costs: CostModel::default(),
             net: NetConfig::default(),
             record_history_key: None,
-            batch_max: 64,
-            lease: LeaseConfig::default(),
             snapshot: SnapshotConfig::default(),
             pipeline: PipelineConfig::default(),
             shard: crate::shard::ShardConfig::default(),
             rebalance: crate::shard::RebalanceConfig::default(),
-            autobalance: crate::shard::AutoBalanceConfig::default(),
+            autobalance: false,
             telemetry: TelemetryConfig::default(),
             durability: DurabilityConfig::default(),
         }

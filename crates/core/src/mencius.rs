@@ -160,9 +160,16 @@ use crate::costs::CostModel;
 use crate::engine::paxos_family::{merge_highest, Accepted, Cell, PaxosBase, Stored};
 use crate::engine::{self, EngineCore, ProtocolRules, ReplicaEngine, T_COORD};
 use crate::kv::{Command, Key, Op};
-use crate::msg::{Coord, MenciusMsg, Msg, Round, Slots};
+use crate::msg::{
+    Coord, MenciusMsg, Msg, Round, Slots, CHECKPOINT_ACK_HEADER, CHECKPOINT_CHUNK_HEADER,
+};
 use crate::snapshot::Snapshot;
 use crate::types::{max_failures, NodeId, Slot, Term};
+
+/// Idle watermark broadcast period: the coordination tick (keeps lagging
+/// owners from delaying everyone and doubles as a failure-detector
+/// keepalive).
+const SKIP_HEARTBEAT: SimDuration = SimDuration::from_millis(50);
 
 /// An in-flight revocation of a crashed owner's slots.
 #[derive(Debug)]
@@ -758,7 +765,7 @@ impl MenciusRules {
     }
 
     /// Retransmits my own suggested-but-unexecuted slots after
-    /// `retry_interval` of silence — the MultiPaxos heartbeat's
+    /// [`engine::RETRY_INTERVAL`] of silence — the MultiPaxos heartbeat's
     /// uncommitted-instance retransmission in the Mencius spelling. A
     /// `Suggest` or `SuggestOk` lost on the wire otherwise stalls the
     /// slot until the client gives up and retries; committed slots are
@@ -775,7 +782,7 @@ impl MenciusRules {
     /// per-term rounds.
     fn retransmit_own_unexecuted(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
         let now = ctx.now();
-        let retry = core.cfg.retry_interval;
+        let retry = engine::RETRY_INTERVAL;
         let me = core.cfg.id;
         let n = core.cfg.n;
         let mut by_term: BTreeMap<Term, Vec<(Slot, Command)>> = BTreeMap::new();
@@ -1381,7 +1388,7 @@ impl ProtocolRules for MenciusRules {
     }
 
     fn on_start(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
-        ctx.set_timer(core.cfg.mencius.skip_heartbeat, T_COORD);
+        ctx.set_timer(SKIP_HEARTBEAT, T_COORD);
         // Crash recovery: re-decide own slots whose unsynced values the
         // crash dropped, via the ordinary revocation phase-1 run against
         // our *own* range (module docs). Kicked here rather than waiting
@@ -1401,7 +1408,7 @@ impl ProtocolRules for MenciusRules {
         // Rounds whose acks never came are presumed lost (the
         // retransmission re-covers them); don't let them pin the window
         // shut.
-        core.pipe.expire_stale(ctx.now(), core.cfg.retry_interval);
+        core.pipe.expire_stale(ctx.now(), engine::RETRY_INTERVAL);
         // Keepalive stream element (watermark, queued decisions, exec)
         // to every peer the data path sent nothing since the last tick.
         for peer in core.cfg.others() {
@@ -1415,7 +1422,7 @@ impl ProtocolRules for MenciusRules {
         self.maybe_revoke(core, ctx);
         self.try_execute(core, ctx);
         self.flush_idle_links(core, ctx);
-        ctx.set_timer(core.cfg.mencius.skip_heartbeat, T_COORD);
+        ctx.set_timer(SKIP_HEARTBEAT, T_COORD);
     }
 
     fn on_msg(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, from: ActorId, msg: Msg) {
@@ -1449,11 +1456,8 @@ impl ProtocolRules for MenciusRules {
 
     /// Mencius's multi-leader `Checkpoint` spelling is ballot-free: its
     /// headers drop the 8-byte seal the MultiPaxos spelling carries.
-    fn snapshot_wire_overhead(&self, costs: &CostModel) -> (usize, usize) {
-        (
-            costs.checkpoint_chunk_header.saturating_sub(8),
-            costs.checkpoint_ack_header.saturating_sub(8),
-        )
+    fn snapshot_wire_overhead(&self) -> (usize, usize) {
+        (CHECKPOINT_CHUNK_HEADER - 8, CHECKPOINT_ACK_HEADER - 8)
     }
 
     fn accept_snapshot_chunk(

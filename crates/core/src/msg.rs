@@ -66,7 +66,7 @@ pub enum EngineMsg {
         group: u32,
         /// Wire-header bytes of this Forward's spelling: `8` for the
         /// unsharded format, `8 +` the group-header surcharge
-        /// ([`crate::costs::CostModel::shard_group_header`]) once a
+        /// ([`SHARD_GROUP_HEADER`]) once a
         /// cluster runs more than one group and the id must travel.
         header_bytes: usize,
         /// The batched commands.
@@ -576,6 +576,25 @@ pub enum MenciusMsg {
         items: Vec<(Slot, Command)>,
     },
 }
+
+/// Wire-header bytes of one Raft-spelling `InstallSnapshot` chunk (term,
+/// leaderId, lastIncludedIndex, lastIncludedTerm, offset, done). The Paxos
+/// family's `Checkpoint` spelling is leaner ([`CHECKPOINT_CHUNK_HEADER`]).
+pub const SNAPSHOT_CHUNK_HEADER: usize = 48;
+/// Wire-header bytes of one Raft-spelling `SnapshotAck`.
+pub const SNAPSHOT_ACK_HEADER: usize = 16;
+/// Wire-header bytes of one Paxos-spelling `Checkpoint` chunk (ballot,
+/// executedThrough, offset — no per-entry term, no done flag; Mencius
+/// drops the ballot too, see
+/// [`crate::engine::ProtocolRules::snapshot_wire_overhead`]).
+pub const CHECKPOINT_CHUNK_HEADER: usize = 40;
+/// Wire-header bytes of one Paxos-spelling `CheckpointOk`.
+pub const CHECKPOINT_ACK_HEADER: usize = 16;
+/// Wire-header bytes a sharded cluster adds to every engine-level message
+/// (forwarding, snapshot transfer) to carry the replica-group id. A
+/// single-group (unsharded) cluster needs no routing header and pays
+/// nothing.
+pub const SHARD_GROUP_HEADER: usize = 4;
 
 fn entries_size(entries: &[Entry]) -> usize {
     entries.iter().map(Entry::size_bytes).sum()

@@ -44,7 +44,7 @@ use crate::config::ReplicaConfig;
 use crate::engine::paxos_family::{merge_highest, Accepted, PaxosBase, Stored};
 use crate::engine::{self, EngineCore, ProtocolRules, ReplicaEngine};
 use crate::kv::Command;
-use crate::msg::{Msg, PaxosMsg, Round, Slots};
+use crate::msg::{Msg, PaxosMsg, Round, Slots, CHECKPOINT_ACK_HEADER, CHECKPOINT_CHUNK_HEADER};
 use crate::snapshot::Snapshot;
 use crate::types::{NodeId, Slot, Term};
 
@@ -519,7 +519,7 @@ impl PaxosRules {
         // Rounds whose acks never came are presumed lost; the heartbeat
         // retransmission below re-covers their instances, so the window
         // must not stay pinned by them.
-        core.pipe.expire_stale(ctx.now(), core.cfg.retry_interval);
+        core.pipe.expire_stale(ctx.now(), engine::RETRY_INTERVAL);
         let exec_index = self.base.exec_index;
         let retransmit: Round = self
             .base
@@ -635,8 +635,8 @@ impl ProtocolRules for PaxosRules {
 
     /// The Paxos `Checkpoint`/`CheckpointOk` spelling is leaner on the
     /// wire than Raft's `InstallSnapshot`/`SnapshotAck`.
-    fn snapshot_wire_overhead(&self, costs: &crate::costs::CostModel) -> (usize, usize) {
-        (costs.checkpoint_chunk_header, costs.checkpoint_ack_header)
+    fn snapshot_wire_overhead(&self) -> (usize, usize) {
+        (CHECKPOINT_CHUNK_HEADER, CHECKPOINT_ACK_HEADER)
     }
 
     /// Installs a fully reassembled checkpoint.

@@ -37,14 +37,13 @@
 //!    swapping it would just relabel the hot group. A candidate must
 //!    also carry at least [`MIN_WORTH_FRACTION`] of the load gap, so the
 //!    policy never spends a migration window on noise-level ranges.
-//! 2. **Hysteresis** — the imbalance must exceed
-//!    [`AutoBalanceConfig::imbalance_ratio`] for
-//!    [`AutoBalanceConfig::persist_ticks`] consecutive evaluations
-//!    before the policy acts, so a transient spike (or the migration
-//!    window's own throughput dip) does not trigger moves.
+//! 2. **Hysteresis** — the imbalance must exceed [`IMBALANCE_RATIO`]
+//!    for [`PERSIST_TICKS`] consecutive evaluations before the policy
+//!    acts, so a transient spike (or the migration window's own
+//!    throughput dip) does not trigger moves.
 //! 3. **Cooldown and dwell** — after issuing moves the policy is quiet
-//!    for [`AutoBalanceConfig::cooldown`], and a just-moved bucket is
-//!    banned from moving again for [`AutoBalanceConfig::dwell`], so even
+//!    for [`COOLDOWN`], and a just-moved bucket is banned from moving
+//!    again for [`DWELL`], so even
 //!    an adversarial hotspot that jumps between groups faster than the
 //!    control loop converges produces a bounded migration count.
 
@@ -90,82 +89,37 @@ pub fn bucket_range(records: u64, b: usize) -> (Key, Key) {
     (lo.min(records), hi)
 }
 
-/// Closed-loop auto-rebalancing for a sharded cluster
-/// ([`crate::harness::ClusterBuilder::autobalance_config`]). Disabled by
-/// default (`check_every == 0`): no controller runs, no coordinator
-/// actor is created for it, and the cluster is bit-for-bit the plain
-/// sharded cluster.
-#[derive(Debug, Clone)]
-pub struct AutoBalanceConfig {
-    /// Decision cadence; [`SimDuration::ZERO`] disables the policy.
-    /// Samples still feed the rate estimator between decisions.
-    pub check_every: SimDuration,
-    /// Hysteresis high-water: act only when the hottest group's load
-    /// exceeds `imbalance_ratio ×` the coolest group's.
-    pub imbalance_ratio: f64,
-    /// Aggregate ops/s below which the policy holds off (an idle
-    /// cluster has nothing worth moving).
-    pub min_total_rate: f64,
-    /// Consecutive over-threshold evaluations required before acting.
-    pub persist_ticks: u32,
-    /// Quiet period after issuing migrations.
-    pub cooldown: SimDuration,
-    /// Per-bucket re-move ban after a move.
-    pub dwell: SimDuration,
-    /// In-flight migration cap the policy respects (disjoint ranges run
-    /// concurrently up to this).
-    pub max_concurrent: usize,
-    /// Maximum migrations issued per decision.
-    pub max_per_tick: usize,
-    /// EWMA smoothing factor for bucket rates (weight of the newest
-    /// sample, in `(0, 1]`).
-    pub ewma_alpha: f64,
-}
+// The policy's tuned settings: evaluate every 500 ms, act on a sustained
+// 1.5× imbalance, at most two concurrent moves per decision, 2 s
+// cooldown, 5 s per-bucket dwell. The smoothing (`EWMA_ALPHA` 0.2 at the
+// 100 ms sampling cadence, three consecutive over-threshold evaluations)
+// is sized for closed-loop traffic of ~100 ops/s, where a bucket sees ~1
+// op per sample and raw rates are nearly all Poisson noise — twitchier
+// settings chase that noise into spurious reverse moves.
 
-impl Default for AutoBalanceConfig {
-    fn default() -> Self {
-        AutoBalanceConfig {
-            check_every: SimDuration::ZERO,
-            imbalance_ratio: 0.0,
-            min_total_rate: 0.0,
-            persist_ticks: 0,
-            cooldown: SimDuration::ZERO,
-            dwell: SimDuration::ZERO,
-            max_concurrent: 0,
-            max_per_tick: 0,
-            ewma_alpha: 0.0,
-        }
-    }
-}
-
-impl AutoBalanceConfig {
-    /// Whether the policy runs at all.
-    pub fn enabled(&self) -> bool {
-        self.check_every > SimDuration::ZERO
-    }
-
-    /// The tuned defaults: evaluate every 500 ms, act on a sustained
-    /// 1.5× imbalance, at most two concurrent moves per decision, 2 s
-    /// cooldown, 5 s per-bucket dwell. The smoothing (`ewma_alpha` 0.2
-    /// at the 100 ms sampling cadence, three consecutive over-threshold
-    /// evaluations) is sized for closed-loop traffic of ~100 ops/s,
-    /// where a bucket sees ~1 op per sample and raw rates are nearly
-    /// all Poisson noise — twitchier settings chase that noise into
-    /// spurious reverse moves.
-    pub fn standard() -> Self {
-        AutoBalanceConfig {
-            check_every: SimDuration::from_millis(500),
-            imbalance_ratio: 1.5,
-            min_total_rate: 50.0,
-            persist_ticks: 3,
-            cooldown: SimDuration::from_secs(2),
-            dwell: SimDuration::from_secs(5),
-            max_concurrent: 2,
-            max_per_tick: 2,
-            ewma_alpha: 0.2,
-        }
-    }
-}
+/// Decision cadence. Samples still feed the rate estimator between
+/// decisions.
+pub const CHECK_EVERY: SimDuration = SimDuration::from_millis(500);
+/// Hysteresis high-water: act only when the hottest group's load exceeds
+/// `IMBALANCE_RATIO ×` the coolest group's.
+pub const IMBALANCE_RATIO: f64 = 1.5;
+/// Aggregate ops/s below which the policy holds off (an idle cluster has
+/// nothing worth moving).
+pub const MIN_TOTAL_RATE: f64 = 50.0;
+/// Consecutive over-threshold evaluations required before acting.
+pub const PERSIST_TICKS: u32 = 3;
+/// Quiet period after issuing migrations.
+pub const COOLDOWN: SimDuration = SimDuration::from_secs(2);
+/// Per-bucket re-move ban after a move.
+pub const DWELL: SimDuration = SimDuration::from_secs(5);
+/// In-flight migration cap the policy respects (disjoint ranges run
+/// concurrently up to this).
+pub const MAX_CONCURRENT: usize = 2;
+/// Maximum migrations issued per decision.
+pub const MAX_PER_TICK: usize = 2;
+/// EWMA smoothing factor for bucket rates (weight of the newest sample,
+/// in `(0, 1]`).
+pub const EWMA_ALPHA: f64 = 0.2;
 
 /// One migration the policy decided on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -180,15 +134,16 @@ pub struct BalanceDecision {
     pub to_group: u32,
 }
 
-/// The policy state machine. Lives harness-side (like the telemetry
-/// sampler): the sharded cluster feeds it one [`observe`] call per
-/// sampling tick, strictly between sim steps, and forwards its
-/// decisions to the coordinator — deterministic by construction.
+/// The policy state machine
+/// ([`crate::harness::ClusterBuilder::autobalance`]). Lives harness-side
+/// (like the telemetry sampler): the sharded cluster feeds it one
+/// [`observe`] call per sampling tick, strictly between sim steps, and
+/// forwards its decisions to the coordinator — deterministic by
+/// construction.
 ///
 /// [`observe`]: AutoBalancePolicy::observe
 #[derive(Debug)]
 pub struct AutoBalancePolicy {
-    cfg: AutoBalanceConfig,
     /// Last cumulative per-bucket counts (for differencing).
     last_counts: Vec<f64>,
     last_at: SimTime,
@@ -203,28 +158,23 @@ pub struct AutoBalancePolicy {
     pub decisions: Vec<(SimTime, BalanceDecision)>,
 }
 
-impl AutoBalancePolicy {
+impl Default for AutoBalancePolicy {
     /// A fresh policy.
-    pub fn new(cfg: AutoBalanceConfig) -> Self {
-        let next_eval = SimTime::ZERO + cfg.check_every;
+    fn default() -> Self {
         AutoBalancePolicy {
-            cfg,
             last_counts: vec![0.0; SKETCH_BUCKETS],
             last_at: SimTime::ZERO,
             ewma: vec![0.0; SKETCH_BUCKETS],
-            next_eval,
+            next_eval: SimTime::ZERO + CHECK_EVERY,
             hot_streak: 0,
             cooldown_until: SimTime::ZERO,
             dwell_until: vec![SimTime::ZERO; SKETCH_BUCKETS],
             decisions: Vec::new(),
         }
     }
+}
 
-    /// The configuration.
-    pub fn cfg(&self) -> &AutoBalanceConfig {
-        &self.cfg
-    }
-
+impl AutoBalancePolicy {
     /// Feeds one sampling tick and returns any migrations to issue.
     ///
     /// `bucket_counts` are the cluster-wide cumulative sketch counters
@@ -252,7 +202,7 @@ impl AutoBalancePolicy {
         for b in 0..SKETCH_BUCKETS {
             let count = bucket_counts.get(b).copied().unwrap_or(0.0);
             let rate = ((count - self.last_counts[b]) / dt).max(0.0);
-            self.ewma[b] = self.cfg.ewma_alpha * rate + (1.0 - self.cfg.ewma_alpha) * self.ewma[b];
+            self.ewma[b] = EWMA_ALPHA * rate + (1.0 - EWMA_ALPHA) * self.ewma[b];
             self.last_counts[b] = count;
         }
         self.last_at = now;
@@ -260,7 +210,7 @@ impl AutoBalancePolicy {
             return Vec::new();
         }
         while self.next_eval <= now {
-            self.next_eval += self.cfg.check_every;
+            self.next_eval += CHECK_EVERY;
         }
         if now < self.cooldown_until {
             return Vec::new();
@@ -268,14 +218,12 @@ impl AutoBalancePolicy {
         let mut loads = self.group_loads(planned);
         let total: f64 = loads.iter().sum();
         let (s, d) = hottest_coolest(&loads);
-        if total < self.cfg.min_total_rate
-            || loads[s] <= self.cfg.imbalance_ratio * loads[d] + f64::EPSILON
-        {
+        if total < MIN_TOTAL_RATE || loads[s] <= IMBALANCE_RATIO * loads[d] + f64::EPSILON {
             self.hot_streak = 0;
             return Vec::new();
         }
         self.hot_streak += 1;
-        if self.hot_streak < self.cfg.persist_ticks {
+        if self.hot_streak < PERSIST_TICKS {
             return Vec::new();
         }
         // Act: move the hottest movable buckets from the hottest to the
@@ -283,20 +231,17 @@ impl AutoBalancePolicy {
         // decision cannot overshoot.
         let records = planned.records();
         let mut picked: Vec<BalanceDecision> = Vec::new();
-        let budget = self
-            .cfg
-            .max_per_tick
-            .min(self.cfg.max_concurrent.saturating_sub(inflight));
+        let budget = MAX_PER_TICK.min(MAX_CONCURRENT.saturating_sub(inflight));
         for _ in 0..budget {
             let (s, d) = hottest_coolest(&loads);
-            if loads[s] <= self.cfg.imbalance_ratio * loads[d] + f64::EPSILON {
+            if loads[s] <= IMBALANCE_RATIO * loads[d] + f64::EPSILON {
                 break;
             }
             // Band preservation (module docs): after moving rate `x`,
             // `loads[d] + x ≤ r·(loads[s] − x)` must still hold, so the
             // reverse trigger cannot fire. And the move must carry a
             // meaningful share of the gap to be worth its window.
-            let r = self.cfg.imbalance_ratio.max(1.0);
+            let r = IMBALANCE_RATIO.max(1.0);
             let headroom = (r * loads[s] - loads[d]) / (1.0 + r);
             let worth = MIN_WORTH_FRACTION * (loads[s] - loads[d]);
             let mut best: Option<(f64, usize, Key, Key)> = None;
@@ -338,14 +283,14 @@ impl AutoBalancePolicy {
                 from_group: s as u32,
                 to_group: d as u32,
             });
-            self.dwell_until[b] = now + self.cfg.dwell;
+            self.dwell_until[b] = now + DWELL;
             loads[s] -= rate;
             loads[d] += rate;
         }
         if picked.is_empty() {
             return picked;
         }
-        self.cooldown_until = now + self.cfg.cooldown;
+        self.cooldown_until = now + COOLDOWN;
         self.hot_streak = 0;
         for p in &picked {
             self.decisions.push((now, *p));
@@ -429,25 +374,19 @@ mod tests {
         }
     }
 
-    #[test]
-    fn default_config_is_disabled_standard_is_not() {
-        assert!(!AutoBalanceConfig::default().enabled());
-        assert!(AutoBalanceConfig::standard().enabled());
-    }
-
     /// A sustained hot range on group 0 produces moves of the hottest
     /// buckets to group 1 — after the hysteresis streak, not before.
     #[test]
     fn sustained_imbalance_moves_hot_buckets_to_the_cool_group() {
         let planned = ShardRouter::new(RECORDS, 2);
-        let mut policy = AutoBalancePolicy::new(AutoBalanceConfig::standard());
+        let mut policy = AutoBalancePolicy::default();
         // Buckets 2..6 hot (group 0 owns 0..16), background elsewhere.
         let mut rates = [10.0f64; SKETCH_BUCKETS];
         for b in 2..6 {
             rates[b] = 500.0;
         }
         let mut all = Vec::new();
-        // 100 ms sampling; decisions every 500 ms; persist_ticks 2.
+        // 100 ms sampling; decisions every 500 ms; PERSIST_TICKS 3.
         for i in 1..=15u64 {
             let t = i * 100;
             let d = tick(&mut policy, t, &counts_at(&rates, t as f64 / 1e3), &planned);
@@ -468,7 +407,10 @@ mod tests {
             let b = bucket_of(RECORDS, d.lo);
             assert!((2..6).contains(&b), "a hot bucket moved, got {b}");
         }
-        assert!(all.len() <= 2, "at most max_per_tick moves per decision");
+        assert!(
+            all.len() <= MAX_PER_TICK,
+            "at most MAX_PER_TICK moves per decision"
+        );
     }
 
     /// The band-preservation rule: a single bucket carrying more load
@@ -478,7 +420,7 @@ mod tests {
     #[test]
     fn indivisible_hotspot_is_never_moved() {
         let planned = ShardRouter::new(RECORDS, 2);
-        let mut policy = AutoBalancePolicy::new(AutoBalanceConfig::standard());
+        let mut policy = AutoBalancePolicy::default();
         let mut rates = [5.0f64; SKETCH_BUCKETS];
         rates[3] = 2_000.0; // one ultra-hot bucket on group 0
         for i in 1..=40u64 {
@@ -496,7 +438,7 @@ mod tests {
     #[test]
     fn balanced_state_is_a_fixed_point() {
         let mut planned = ShardRouter::new(RECORDS, 2);
-        let mut policy = AutoBalancePolicy::new(AutoBalanceConfig::standard());
+        let mut policy = AutoBalancePolicy::default();
         let mut rates = [10.0f64; SKETCH_BUCKETS];
         for b in 2..6 {
             rates[b] = 500.0;
@@ -522,7 +464,7 @@ mod tests {
         let loads = policy.group_loads(&planned);
         let (s, d) = hottest_coolest(&loads);
         assert!(
-            loads[s] <= policy.cfg().imbalance_ratio * loads[d] + 1.0,
+            loads[s] <= IMBALANCE_RATIO * loads[d] + 1.0,
             "converged loads within the hysteresis band: {loads:?}"
         );
     }
@@ -532,7 +474,7 @@ mod tests {
     #[test]
     fn cooldown_spaces_out_batches() {
         let planned = ShardRouter::new(RECORDS, 2);
-        let mut policy = AutoBalancePolicy::new(AutoBalanceConfig::standard());
+        let mut policy = AutoBalancePolicy::default();
         let mut rates = [10.0f64; SKETCH_BUCKETS];
         for b in 2..10 {
             rates[b] = 400.0;
@@ -558,7 +500,7 @@ mod tests {
     #[test]
     fn inflight_ranges_are_excluded() {
         let planned = ShardRouter::new(RECORDS, 2);
-        let mut policy = AutoBalancePolicy::new(AutoBalanceConfig::standard());
+        let mut policy = AutoBalancePolicy::default();
         let mut rates = [10.0f64; SKETCH_BUCKETS];
         rates[2] = 300.0;
         rates[3] = 290.0;

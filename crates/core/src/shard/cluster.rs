@@ -17,7 +17,7 @@ use crate::harness::{
 use crate::kv::{CmdId, Command, Op, Reply};
 use crate::msg::{ClientMsg, Msg};
 use crate::snapshot::SnapshotStats;
-use crate::telemetry::{MetricRegistry, MetricSample, TimeSeries};
+use crate::telemetry::{MetricRegistry, MetricSample, TimeSeries, TRACE_CAPACITY};
 use crate::types::NodeId;
 
 use super::autobalance::SKETCH_NAMES;
@@ -159,8 +159,8 @@ impl ClusterBuilder {
         let groups = self.shard.groups.max(1);
         let n = self.replicas;
         let mut sim = Simulation::new(self.net.clone(), self.seed);
-        if self.telemetry.trace_capacity > 0 {
-            sim.enable_trace(self.telemetry.trace_capacity);
+        if self.telemetry.sampling_enabled() {
+            sim.enable_trace(TRACE_CAPACITY);
         }
         if self.telemetry.trace_spans {
             sim.enable_spans();
@@ -234,15 +234,14 @@ impl ClusterBuilder {
         // is on, so a non-rebalancing sharded cluster keeps the exact
         // actor set (and RNG schedule) it had before live rebalancing
         // existed.
-        let autobalance_on = self.autobalance.enabled();
-        if autobalance_on {
+        if self.autobalance {
             assert!(
                 self.telemetry.sampling_enabled(),
                 "auto-rebalancing reads the sampled load sketch; enable telemetry sampling"
             );
             assert!(groups > 1, "auto-rebalancing needs more than one group");
         }
-        let coordinator = (self.rebalance.enabled() || autobalance_on).then(|| {
+        let coordinator = (self.rebalance.enabled() || self.autobalance).then(|| {
             let coord_client = clients.len() as u32;
             let coord = RebalanceCoordinator::new(
                 coord_client,
@@ -250,15 +249,12 @@ impl ClusterBuilder {
                 self.rebalance.migrations.clone(),
                 group_actors.clone(),
                 clients.clone(),
-                self.rebalance
-                    .concurrency()
-                    .max(self.autobalance.max_concurrent),
             );
             // Place the coordinator in the base leader's region (a real
             // deployment runs it near the config service).
             sim.add_actor(self.regions[self.leader.0 as usize], Box::new(coord))
         });
-        let policy = autobalance_on.then(|| AutoBalancePolicy::new(self.autobalance.clone()));
+        let policy = self.autobalance.then(AutoBalancePolicy::default);
         ShardedCluster {
             sim,
             protocol: self.protocol,
@@ -1283,7 +1279,6 @@ mod tests {
     /// ownership actually changed.
     #[test]
     fn autobalance_policy_moves_a_sustained_hotspot_off_the_loaded_group() {
-        use crate::shard::AutoBalanceConfig;
         use crate::telemetry::TelemetryConfig;
         use paxraft_workload::scenario::{Drift, Hotspot, ScenarioConfig};
         let mut cluster = Cluster::builder(ProtocolKind::Raft)
@@ -1303,7 +1298,7 @@ mod tests {
                 ..Default::default()
             })
             .telemetry_config(TelemetryConfig::sampled())
-            .autobalance_config(AutoBalanceConfig::standard())
+            .autobalance(true)
             .seed(23)
             .build_sharded();
         cluster.elect_leaders();
@@ -1351,7 +1346,7 @@ mod tests {
     /// pure function of the seed.
     #[test]
     fn oscillating_hotspot_yields_bounded_and_deterministic_migrations() {
-        use crate::shard::AutoBalanceConfig;
+        use crate::shard::autobalance::{COOLDOWN, MAX_PER_TICK};
         use crate::telemetry::TelemetryConfig;
         use paxraft_workload::scenario::ScenarioConfig;
         let run = || {
@@ -1370,7 +1365,7 @@ mod tests {
                     ..Default::default()
                 })
                 .telemetry_config(TelemetryConfig::sampled())
-                .autobalance_config(AutoBalanceConfig::standard())
+                .autobalance(true)
                 .seed(29)
                 .build_sharded();
             cluster.elect_leaders();
@@ -1382,11 +1377,10 @@ mod tests {
             (cluster.migrations_started(), cluster.policy_decisions())
         };
         let (started, decisions) = run();
-        // Cooldown admits one batch of ≤ max_per_tick moves per 2 s of
+        // Cooldown admits one batch of ≤ MAX_PER_TICK moves per 2 s of
         // the 15 s run: the count is bounded no matter how fast the
         // hotspot jumps.
-        let cfg = AutoBalanceConfig::standard();
-        let bound = cfg.max_per_tick * (15 / 2 + 1);
+        let bound = MAX_PER_TICK * (15 / COOLDOWN.as_secs_f64() as usize + 1);
         assert!(
             started <= bound,
             "migration count bounded under oscillation ({started} <= {bound})"
@@ -1400,22 +1394,20 @@ mod tests {
         assert_eq!(decisions, decisions2, "fixed seed: identical decision log");
     }
 
-    /// The empty [`AutoBalanceConfig`] creates no controller: no
-    /// coordinator actor, no policy, and the run is bit-for-bit the
-    /// plain sharded cluster.
+    /// Auto-balancing off creates no controller: no coordinator actor, no
+    /// policy, and the run is bit-for-bit the plain sharded cluster.
     #[test]
-    fn empty_autobalance_config_is_bit_for_bit_the_plain_sharded_cluster() {
-        use crate::shard::AutoBalanceConfig;
+    fn autobalance_off_is_bit_for_bit_the_plain_sharded_cluster() {
         use crate::telemetry::TelemetryConfig;
-        let run = |autobalance: Option<AutoBalanceConfig>| {
+        let run = |autobalance: Option<bool>| {
             let mut b = Cluster::builder(ProtocolKind::Raft)
                 .shard_config(ShardConfig::groups(2))
                 .clients_per_region(2)
                 .workload(parity_workload())
                 .telemetry_config(TelemetryConfig::sampled())
                 .seed(17);
-            if let Some(cfg) = autobalance {
-                b = b.autobalance_config(cfg);
+            if let Some(on) = autobalance {
+                b = b.autobalance(on);
             }
             let mut cluster = b.build_sharded();
             cluster.elect_leaders();
@@ -1430,7 +1422,7 @@ mod tests {
         };
         assert_eq!(
             run(None),
-            run(Some(AutoBalanceConfig::default())),
+            run(Some(false)),
             "disabled auto-balance changes nothing"
         );
     }

@@ -46,7 +46,7 @@ pub mod migration;
 mod rebalance;
 mod router;
 
-pub use autobalance::{AutoBalanceConfig, AutoBalancePolicy, BalanceDecision};
+pub use autobalance::{AutoBalancePolicy, BalanceDecision};
 pub use cluster::{GroupStats, LeaderPlacement, ShardConfig, ShardedCluster};
 pub use migration::{MigrationSpec, RouterVersion};
 pub use rebalance::{RebalanceConfig, RebalanceCoordinator};

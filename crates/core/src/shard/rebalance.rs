@@ -40,6 +40,11 @@ use crate::shard::migration::{
 };
 use crate::shard::ShardRouter;
 
+/// Maximum simultaneously in-flight migrations, scripted or decided by
+/// the auto-balance policy (which holds itself to
+/// [`crate::shard::autobalance::MAX_CONCURRENT`]).
+const MAX_IN_FLIGHT: usize = 4;
+
 /// Scripted rebalancing for a sharded cluster
 /// ([`crate::harness::ClusterBuilder::rebalance_config`]). Empty by
 /// default: no coordinator actor is created and the cluster is
@@ -47,12 +52,9 @@ use crate::shard::ShardRouter;
 #[derive(Debug, Clone, Default)]
 pub struct RebalanceConfig {
     /// Migrations to run. Entries whose ranges overlap run serialized
-    /// in plan order; disjoint due entries run concurrently up to
-    /// [`RebalanceConfig::concurrency`].
+    /// in plan order; disjoint due entries run concurrently, up to four
+    /// at a time.
     pub migrations: Vec<MigrationSpec>,
-    /// Maximum simultaneously in-flight migrations; `0` means the
-    /// default of 4.
-    pub max_concurrent: usize,
 }
 
 impl RebalanceConfig {
@@ -65,15 +67,6 @@ impl RebalanceConfig {
     pub fn migrate(mut self, spec: MigrationSpec) -> Self {
         self.migrations.push(spec);
         self
-    }
-
-    /// The resolved in-flight cap.
-    pub fn concurrency(&self) -> usize {
-        if self.max_concurrent == 0 {
-            4
-        } else {
-            self.max_concurrent
-        }
     }
 }
 
@@ -113,9 +106,8 @@ struct Flight {
 }
 
 /// The coordinator actor. One per sharded cluster with a non-empty
-/// [`RebalanceConfig`] or an enabled
-/// [`crate::shard::AutoBalanceConfig`]; lives at a client actor id so
-/// replica responses route to it like to any client.
+/// [`RebalanceConfig`] or the auto-balance policy on; lives at a client
+/// actor id so replica responses route to it like to any client.
 pub struct RebalanceCoordinator {
     client_id: u32,
     /// Published ownership: moves applied strictly in version order as
@@ -138,7 +130,6 @@ pub struct RebalanceCoordinator {
     /// Installs whose publish waits for a lower version to install
     /// first: `version → (lo, hi, to_group)`.
     pending_moves: BTreeMap<RouterVersion, (Key, Key, u32)>,
-    max_concurrent: usize,
     /// Versions of completed (released) migrations, in completion order.
     pub completed: Vec<RouterVersion>,
     /// Versions whose install committed, in commit order (out-of-order
@@ -159,7 +150,6 @@ impl RebalanceCoordinator {
         plan: Vec<MigrationSpec>,
         targets: Vec<Vec<ActorId>>,
         clients: Vec<ActorId>,
-        max_concurrent: usize,
     ) -> Self {
         let started = vec![false; plan.len()];
         RebalanceCoordinator {
@@ -173,7 +163,6 @@ impl RebalanceCoordinator {
             clients,
             flights: Vec::new(),
             pending_moves: BTreeMap::new(),
-            max_concurrent: max_concurrent.max(1),
             completed: Vec::new(),
             installed: Vec::new(),
             published: Vec::new(),
@@ -236,7 +225,7 @@ impl RebalanceCoordinator {
     /// (merge then split back) serialize exactly as before.
     fn start_due(&mut self, ctx: &mut Ctx<Msg>, now: SimTime) {
         for idx in 0..self.plan.len() {
-            if self.flights.len() >= self.max_concurrent {
+            if self.flights.len() >= MAX_IN_FLIGHT {
                 break;
             }
             if self.started[idx] {

@@ -33,14 +33,19 @@ use std::collections::BTreeMap;
 
 use paxraft_sim::time::{SimDuration, SimTime};
 
+/// Virtual-time sampling interval of [`TelemetryConfig::sampled`].
+pub const SAMPLE_EVERY: SimDuration = SimDuration::from_millis(100);
+
+/// Flight-recorder ring capacity: the last 256 trace events, recorded
+/// exactly when sampling is on.
+pub const TRACE_CAPACITY: usize = 256;
+
 /// Cluster-level telemetry configuration
 /// ([`crate::harness::ClusterBuilder::telemetry_config`]).
 #[derive(Debug, Clone, Default)]
 pub struct TelemetryConfig {
-    /// Fixed virtual-time sampling interval; `ZERO` disables sampling.
-    pub sample_every: SimDuration,
-    /// Flight-recorder ring capacity; `0` disables tracing.
-    pub trace_capacity: usize,
+    /// The sampler and the flight recorder ([`TelemetryConfig::sampled`]).
+    sampling: bool,
     /// Causal span tracing ([`spans`]); off by default. Observation
     /// only — enabling it never changes the event schedule.
     pub trace_spans: bool,
@@ -50,26 +55,13 @@ pub struct TelemetryConfig {
 }
 
 impl TelemetryConfig {
-    /// The standard enabled configuration: sample every 100 ms of
-    /// virtual time, keep the last 256 trace events.
+    /// The standard enabled configuration: sample every [`SAMPLE_EVERY`]
+    /// of virtual time, keep the last [`TRACE_CAPACITY`] trace events.
     pub fn sampled() -> Self {
         TelemetryConfig {
-            sample_every: SimDuration::from_millis(100),
-            trace_capacity: 256,
+            sampling: true,
             ..TelemetryConfig::default()
         }
-    }
-
-    /// This configuration with the given sampling interval.
-    pub fn every(mut self, interval: SimDuration) -> Self {
-        self.sample_every = interval;
-        self
-    }
-
-    /// This configuration with the given flight-recorder capacity.
-    pub fn with_trace(mut self, capacity: usize) -> Self {
-        self.trace_capacity = capacity;
-        self
     }
 
     /// This configuration with causal span tracing on.
@@ -86,7 +78,7 @@ impl TelemetryConfig {
 
     /// Whether the virtual-time sampler runs.
     pub fn sampling_enabled(&self) -> bool {
-        self.sample_every > SimDuration::ZERO
+        self.sampling
     }
 }
 
@@ -188,19 +180,19 @@ impl TimeSeries {
 /// here, and repeats. Disabled registries record nothing.
 #[derive(Debug, Default)]
 pub struct MetricRegistry {
-    sample_every: SimDuration,
+    enabled: bool,
     next_due: SimTime,
     series: BTreeMap<String, TimeSeries>,
     last: BTreeMap<String, f64>,
 }
 
 impl MetricRegistry {
-    /// A registry with the configured cadence (disabled when the config
-    /// disables sampling).
+    /// A registry sampling every [`SAMPLE_EVERY`] (disabled when the
+    /// config disables sampling).
     pub fn new(cfg: &TelemetryConfig) -> Self {
         MetricRegistry {
-            sample_every: cfg.sample_every,
-            next_due: SimTime::ZERO + cfg.sample_every,
+            enabled: cfg.sampling,
+            next_due: SimTime::ZERO + SAMPLE_EVERY,
             series: BTreeMap::new(),
             last: BTreeMap::new(),
         }
@@ -208,12 +200,7 @@ impl MetricRegistry {
 
     /// Whether the sampler runs.
     pub fn enabled(&self) -> bool {
-        self.sample_every > SimDuration::ZERO
-    }
-
-    /// The sampling interval.
-    pub fn sample_every(&self) -> SimDuration {
-        self.sample_every
+        self.enabled
     }
 
     /// The next virtual time a sample is due.
@@ -225,13 +212,13 @@ impl MetricRegistry {
     /// advanced outside a sampled window, e.g. during elections).
     pub fn fast_forward(&mut self, now: SimTime) {
         while self.next_due < now {
-            self.next_due += self.sample_every;
+            self.next_due += SAMPLE_EVERY;
         }
     }
 
     /// Schedules the next sample one interval later.
     pub fn advance(&mut self) {
-        self.next_due += self.sample_every;
+        self.next_due += SAMPLE_EVERY;
     }
 
     /// Records a gauge sample (instantaneous value).
@@ -248,8 +235,7 @@ impl MetricRegistry {
     pub fn counter_rate(&mut self, at: SimTime, name: &str, cumulative: f64) {
         let prev = self.last.insert(name.to_string(), cumulative);
         let delta = (cumulative - prev.unwrap_or(0.0)).max(0.0);
-        let secs = self.sample_every.as_nanos() as f64 / 1e9;
-        let rate = if secs > 0.0 { delta / secs } else { 0.0 };
+        let rate = delta / (SAMPLE_EVERY.as_nanos() as f64 / 1e9);
         self.series
             .entry(name.to_string())
             .or_insert_with(|| TimeSeries::new(name))

@@ -14,9 +14,9 @@
 //!   at *every* instant of the drift with zero mid-run migrations. The
 //!   stripes are disjoint and due at once, so they migrate
 //!   concurrently — the concurrency pin for the coordinator.
-//! - **policy**: the closed-loop [`AutoBalanceConfig::standard`]
-//!   controller, which cannot see the future: it watches the live load
-//!   sketch and chases the drift with hysteresis-guarded migrations.
+//! - **policy**: the closed-loop auto-balance controller, which cannot
+//!   see the future: it watches the live load sketch and chases the
+//!   drift with hysteresis-guarded migrations.
 //!
 //! A fourth run pits the policy against an adversarial hotspot that
 //! jumps between the groups every 1.5 s: cooldown and per-bucket dwell
@@ -35,7 +35,8 @@
 use std::fmt::Write as _;
 
 use paxraft::core::harness::{Cluster, ProtocolKind};
-use paxraft::core::shard::{AutoBalanceConfig, MigrationSpec, RebalanceConfig, ShardConfig};
+use paxraft::core::shard::autobalance::{COOLDOWN, MAX_PER_TICK};
+use paxraft::core::shard::{MigrationSpec, RebalanceConfig, ShardConfig};
 use paxraft::core::telemetry::TelemetryConfig;
 use paxraft::sim::time::{SimDuration, SimTime};
 use paxraft::workload::generator::WorkloadConfig;
@@ -120,7 +121,7 @@ fn run(arm: &str, scenario: ScenarioConfig) -> Outcome {
     builder = match arm {
         "static" => builder,
         "oracle" => builder.rebalance_config(oracle_stripes()),
-        "policy" => builder.autobalance_config(AutoBalanceConfig::standard()),
+        "policy" => builder.autobalance(true),
         other => unreachable!("unknown arm {other}"),
     };
     let mut cluster = builder.build_sharded();
@@ -226,9 +227,8 @@ fn main() {
         "policy",
         ScenarioConfig::oscillating_hotspot(0.8, 12_500, 62_500, 12_000, SimDuration::from_secs(3)),
     );
-    let cfg = AutoBalanceConfig::standard();
     let total_secs = 16u64;
-    let bound = cfg.max_per_tick * (total_secs as usize / cfg.cooldown.as_secs_f64() as usize + 1);
+    let bound = MAX_PER_TICK * (total_secs as usize / COOLDOWN.as_secs_f64() as usize + 1);
     println!(
         "\n  oscillating hotspot: {} migrations (bound {bound}), {:.1} op/s",
         osc.migrations, osc.throughput
