@@ -141,8 +141,6 @@ pub struct ReplicaConfig {
     pub client_base: usize,
     /// CPU cost model.
     pub costs: CostModel,
-    /// Flush immediately once this many commands are pending.
-    pub batch_max: usize,
     /// Election timeout lower bound (randomized up to `election_max`).
     pub election_min: SimDuration,
     /// Election timeout upper bound.
@@ -181,7 +179,6 @@ impl ReplicaConfig {
             peers: Vec::new(),
             client_base: n,
             costs: CostModel::default(),
-            batch_max: 64,
             election_min: SimDuration::from_millis(1_500),
             election_max: SimDuration::from_millis(3_000),
             initial_leader: None,
@@ -288,9 +285,6 @@ impl ReplicaConfig {
         }
         if self.election_min > self.election_max {
             return Err("election_min exceeds election_max".into());
-        }
-        if self.batch_max == 0 {
-            return Err("batch_max must be positive".into());
         }
         if self.pipeline.depth == 0 {
             return Err("pipeline depth must be positive".into());

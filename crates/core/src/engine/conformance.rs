@@ -17,8 +17,8 @@ use paxraft_sim::time::{SimDuration, SimTime};
 
 use crate::config::{DurabilityConfig, FsyncPolicy, ReadMode, ReplicaConfig};
 use crate::engine::{
-    EngineCore, PipelineConfig, ProtocolRules, ReplicaEngine, ReplicaHandle, BATCH_DELAY, T_BATCH,
-    T_ELECTION, T_HEARTBEAT,
+    EngineCore, PipelineConfig, ProtocolRules, ReplicaEngine, ReplicaHandle, BATCH_DELAY,
+    BATCH_MAX, T_BATCH, T_ELECTION, T_HEARTBEAT,
 };
 use crate::harness::{Cluster, ProtocolKind};
 use crate::kv::{CmdId, Command};
@@ -306,7 +306,7 @@ fn burst_of_requests_leaves_at_most_one_batch_timer_per_replica() {
             "{name}: replica 0 leads"
         );
         sim.run_for(SimDuration::from_secs(1));
-        // More than a window of rounds, fewer than `batch_max` commands:
+        // More than a window of rounds, fewer than `BATCH_MAX` commands:
         // only the window or the timer can cut what the window refuses.
         for seq in 1..=40u64 {
             let cmd = crate::kv::Command::put(crate::kv::CmdId { client: 0, seq }, seq, vec![0; 8]);
@@ -817,12 +817,7 @@ fn full_forwarded_batch_is_flushed_immediately_regardless_of_leadership() {
             Box::new(TestClient::new(1, replicas[1])),
         );
         let sink_client = (sink.0 - replicas.len()) as u32;
-        let batch_max = sim
-            .actor::<ReplicaEngine<P>>(replicas[1])
-            .core
-            .cfg
-            .batch_max;
-        let cmds: Vec<crate::kv::Command> = (1..=batch_max as u64)
+        let cmds: Vec<crate::kv::Command> = (1..=BATCH_MAX as u64)
             .map(|seq| {
                 crate::kv::Command::put(
                     crate::kv::CmdId {
@@ -854,7 +849,7 @@ fn full_forwarded_batch_is_flushed_immediately_regardless_of_leadership() {
         if !proposes_locally {
             assert_eq!(
                 rep.forwarded_cmds(),
-                batch_max as u64,
+                BATCH_MAX as u64,
                 "{name}: non-leader forwarded the full batch at once"
             );
         }
@@ -1005,34 +1000,35 @@ fn forward_pending_retries_until_a_leader_appears_without_loss_or_duplication() 
 #[test]
 fn crash_retires_every_engine_timer() {
     fn scenario<P: ProtocolRules>(name: &str, make: fn(ReplicaConfig) -> ReplicaEngine<P>) {
-        // A request at a follower before anyone leads waits on the batch
-        // timer (Mencius proposes it at once).
+        // A burst at a follower before anyone leads waits on the batch
+        // timer: Raft, Raft* and MultiPaxos know no leader to forward to,
+        // and Mencius proposes into its own slots only until its window
+        // is full. The burst is short of `BATCH_MAX`, so nothing ships
+        // as a full batch.
         let (mut sim, replicas, _) = conformance_cluster(3, None, make);
         let follower = replicas[1];
-        let cmd = crate::kv::Command::put(crate::kv::CmdId { client: 0, seq: 1 }, 5, vec![0; 8]);
-        sim.send_external(
-            follower,
-            Msg::Client(ClientMsg::Request { cmd }),
-            SimDuration::ZERO,
-        );
-        sim.run_until(SimTime::from_micros(100));
-        let batch = |sim: &Simulation<Msg>| sim.timer_due(follower, T_BATCH);
-        if name == "Mencius" {
-            assert_eq!(batch(&sim), None, "Mencius proposed it at once");
-        } else {
-            let due = batch(&sim).expect("the batch timer is live");
-            sim.crash_at(follower, sim.now());
-            sim.run_until(sim.now());
-            assert_eq!(batch(&sim), None, "{name}: the crash cancelled it");
-            sim.restart_at(follower, due);
-            sim.run_until(due + BATCH_DELAY);
-            let rep = sim.actor::<ReplicaEngine<P>>(follower);
-            assert!(
-                !rep.core.batch_armed && rep.core.pending.is_empty(),
-                "{name}: the restart left no batch behind"
+        for seq in 1..=40u64 {
+            let cmd = crate::kv::Command::put(crate::kv::CmdId { client: 0, seq }, seq, vec![0; 8]);
+            sim.send_external(
+                follower,
+                Msg::Client(ClientMsg::Request { cmd }),
+                SimDuration::ZERO,
             );
-            assert_eq!(batch(&sim), None, "{name}: none is live after the restart");
         }
+        sim.run_until(SimTime::from_micros(500));
+        let batch = |sim: &Simulation<Msg>| sim.timer_due(follower, T_BATCH);
+        let due = batch(&sim).unwrap_or_else(|| panic!("{name}: the batch timer is live"));
+        sim.crash_at(follower, sim.now());
+        sim.run_until(sim.now());
+        assert_eq!(batch(&sim), None, "{name}: the crash cancelled it");
+        sim.restart_at(follower, due);
+        sim.run_until(due + BATCH_DELAY);
+        let rep = sim.actor::<ReplicaEngine<P>>(follower);
+        assert!(
+            !rep.core.batch_armed && rep.core.pending.is_empty(),
+            "{name}: the restart left no batch behind"
+        );
+        assert_eq!(batch(&sim), None, "{name}: none is live after the restart");
 
         let (mut sim, replicas, _) = conformance_cluster(3, None, make);
         sim.run_until(SimTime::from_secs(1));
@@ -1390,12 +1386,7 @@ fn unsynced_suffix_crash<P: ProtocolRules>(
         Box::new(TestClient::new(1, replicas[0])),
     );
     let sink_client = (sink.0 - replicas.len()) as u32;
-    let batch_max = sim
-        .actor::<ReplicaEngine<P>>(replicas[0])
-        .core
-        .cfg
-        .batch_max;
-    for seq in 1..=batch_max as u64 {
+    for seq in 1..=BATCH_MAX as u64 {
         let cmd = crate::kv::Command::put(
             crate::kv::CmdId {
                 client: sink_client,
@@ -1422,7 +1413,7 @@ fn unsynced_suffix_crash<P: ProtocolRules>(
         );
     }
     if inside_a_write {
-        let by = sim.now() + SimDuration::from_millis(batch_max as u64);
+        let by = sim.now() + SimDuration::from_millis(BATCH_MAX as u64);
         let step = SimDuration::from_micros(250);
         while unreported_barriers::<P>(&sim, replicas[0]) < 3 {
             assert!(sim.now() < by, "{name}: the batch held a multi-entry write");
@@ -1668,8 +1659,7 @@ fn every_protocol_fault_run_matches_the_parents_fingerprint() {
         // own proposals written and not yet fsynced, and restarts.
         enqueue(&mut sim, 0..30);
         sim.run_until(SimTime::from_millis(1_500));
-        let core = &sim.actor::<ReplicaEngine<P>>(replicas[0]).core;
-        for seq in 1..=core.cfg.batch_max as u64 {
+        for seq in 1..=BATCH_MAX as u64 {
             let id = crate::kv::CmdId {
                 client: sink_client,
                 seq,

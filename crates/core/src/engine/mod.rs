@@ -94,6 +94,8 @@ pub const T_FSYNC_DELAY: u64 = 7 << 48;
 /// Mask selecting the timer kind bits.
 pub const KIND_MASK: u64 = 0xFFFF << 48;
 
+/// Flush immediately once this many commands are pending.
+pub const BATCH_MAX: usize = 64;
 /// Max delay before a pending batch is flushed.
 pub const BATCH_DELAY: SimDuration = SimDuration::from_millis(2);
 /// Leader heartbeat period (also drives commit-index propagation).
@@ -788,7 +790,7 @@ fn span_defer(core: &EngineCore, ctx: &mut Ctx<Msg>) {
 /// The adaptive batch cutter: decides, after commands were buffered,
 /// whether the batch ships now or accumulates.
 ///
-/// - A **full** batch (`batch_max`) always flushes immediately — a
+/// - A **full** batch ([`BATCH_MAX`]) always flushes immediately — a
 ///   leader proposes it, a follower forwards it. (Forwarding on
 ///   batch-full regardless of leadership is pre-refactor behavior; PR 2
 ///   accidentally made non-leader replicas sit on full forwarded
@@ -803,7 +805,7 @@ fn cut_batch<P: ProtocolRules>(rules: &mut P, core: &mut EngineCore, ctx: &mut C
     if core.pending.is_empty() {
         return;
     }
-    if core.pending.len() >= core.cfg.batch_max {
+    if core.pending.len() >= BATCH_MAX {
         flush_pending(rules, core, ctx);
         if !core.pending.is_empty() {
             // Could not ship (e.g. no leader known): retry on the timer.

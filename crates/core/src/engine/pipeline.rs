@@ -29,7 +29,7 @@
 //! [`super::ReplicaEngine`]): while a replication quorum has window room
 //! a pending batch is flushed immediately (pipelining hides the round
 //! trip, so waiting only adds latency); once the window saturates,
-//! commands accumulate up to `batch_max` or the batch timer — exactly
+//! commands accumulate up to [`super::BATCH_MAX`] or the batch timer — exactly
 //! the regime where batching amortizes per-round cost.
 //!
 //! # A freed slot carries its share

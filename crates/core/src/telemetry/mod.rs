@@ -36,8 +36,9 @@ use paxraft_sim::time::{SimDuration, SimTime};
 /// Virtual-time sampling interval of [`TelemetryConfig::sampled`].
 pub const SAMPLE_EVERY: SimDuration = SimDuration::from_millis(100);
 
-/// Flight-recorder ring capacity: the last 256 trace events, recorded
-/// exactly when sampling is on.
+/// Flight-recorder ring capacity: the last 256 trace events. A cluster
+/// records them exactly when sampling is on; a protocol test cluster
+/// always does.
 pub const TRACE_CAPACITY: usize = 256;
 
 /// Cluster-level telemetry configuration

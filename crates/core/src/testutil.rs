@@ -13,6 +13,7 @@ use paxraft_sim::time::{SimDuration, SimTime};
 use crate::config::ReplicaConfig;
 use crate::kv::{CmdId, Command, Reply};
 use crate::msg::{ClientMsg, Msg};
+use crate::telemetry::TRACE_CAPACITY;
 use crate::types::NodeId;
 
 /// A scripted closed-loop client: sends one queued command at a time to a
@@ -152,9 +153,6 @@ pub fn cluster_with_seed(
     let client = sim.add_actor(Region::Oregon, Box::new(TestClient::new(0, replicas[0])));
     (sim, replicas, client)
 }
-
-/// Flight-recorder ring capacity for test clusters.
-pub const TRACE_CAPACITY: usize = 256;
 
 /// Default tail length for an on-failure trace dump.
 pub const TRACE_DUMP_LAST: usize = 40;
