@@ -4,11 +4,13 @@
 //!
 //! Both keep one Paxos instance per slot and do the same things to it:
 //! store an accepted value over a checkpoint floor, tally acks into a
-//! quorum, learn a decision (possibly before its value), tag what they
-//! write for the fsync that will cover it and withhold the proposer's own
-//! vote until then, compact behind a checkpoint, install a peer's, notice
-//! a peer whose executed prefix stalled, report and merge accepted values
-//! for a phase 1, and drop what never reached the disk in a crash.
+//! quorum, learn a decision (possibly before its value, and for a held
+//! value only if it was accepted at the deciding ballot or above), tag
+//! what they write for the fsync that will cover it and withhold the
+//! proposer's own vote until then, compact behind a checkpoint, install a
+//! peer's, notice a peer whose executed prefix stalled, report and merge
+//! accepted values for a phase 1, and drop what never reached the disk in
+//! a crash.
 //!
 //! # What `store` answers
 //!
@@ -29,7 +31,7 @@
 //! where. A difference in the bookkeeping itself is an argument; one
 //! nothing can observe is noted on the method that unifies it.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::ops::RangeBounds;
 
 use paxraft_sim::sim::Ctx;
@@ -130,8 +132,10 @@ pub(crate) struct PaxosBase<At> {
     compacted_through: Slot,
     /// Retained instance payload bytes (feeds `peak_log_bytes`).
     bytes: usize,
-    /// Slots learnt chosen before their value arrived.
-    committed_no_value: BTreeSet<u64>,
+    /// Slots learnt chosen before their value arrived, each with the
+    /// ballot a value must have been accepted at (or above) to be the
+    /// chosen one ([`Self::learn_at`]).
+    committed_no_value: BTreeMap<u64, Term>,
     /// Durability: proposals whose *own* vote awaits the local fsync, as
     /// (write seq, ballot, slots) in write order.
     pending_self: Vec<(u64, Term, Slots)>,
@@ -157,7 +161,7 @@ impl<At: Default> PaxosBase<At> {
             exec_index: Slot::NONE,
             compacted_through: Slot::NONE,
             bytes: 0,
-            committed_no_value: BTreeSet::new(),
+            committed_no_value: BTreeMap::new(),
             pending_self: Vec::new(),
             peer_exec: vec![Slot::NONE; n],
             peer_exec_prev: vec![Slot::NONE; n],
@@ -174,7 +178,7 @@ impl<At: Default> PaxosBase<At> {
 
     /// Whether `slot` was learnt chosen and still awaits its value.
     pub(crate) fn learnt_without_value(&self, slot: Slot) -> bool {
-        self.committed_no_value.contains(&slot.0)
+        self.committed_no_value.contains_key(&slot.0)
     }
 
     /// The work-paid-once counters, for `metric_sample`: a replica's
@@ -205,7 +209,8 @@ impl<At: Default> PaxosBase<At> {
     /// committed with a value keeps it (the decided value is unique, so
     /// what arrives is at worst a duplicate and must never rewrite), and
     /// so does one holding this command at this ballot (module docs); a
-    /// slot learnt chosen ahead of its value is committed now. The cell's
+    /// slot learnt chosen ahead of its value is committed now, if `bal` is
+    /// one the decision vouches for ([`Self::learn_at`]). The cell's
     /// ballot becomes the higher of `bal` and its own: Mencius stores a
     /// decided value even under a higher revocation promise, and for
     /// MultiPaxos that is always `bal` (no cell's ballot exceeds the
@@ -226,7 +231,9 @@ impl<At: Default> PaxosBase<At> {
             self.accept_writes += 1;
             Stored::Written(cell.put(&mut self.bytes, bal, cmd))
         };
-        if self.committed_no_value.remove(&slot.0) {
+        let decided_at = self.committed_no_value.get(&slot.0);
+        if decided_at.is_some_and(|at| bal >= *at) {
+            self.committed_no_value.remove(&slot.0);
             cell.committed = true;
         }
         stored
@@ -329,17 +336,30 @@ impl<At: Default> PaxosBase<At> {
         }
     }
 
-    /// Marks slots chosen on a proposer's word (`Learn`). One whose value
-    /// has not arrived is remembered and committed when it does.
+    /// Marks slots chosen on an owner's word (a Mencius `Commit`): the
+    /// value the slot holds, or the next to arrive, is the chosen one.
     pub(crate) fn learn(&mut self, slots: impl IntoIterator<Item = Slot>) {
+        self.learn_at(slots, Term::ZERO);
+    }
+
+    /// Marks slots chosen on the word of the proposer at ballot `at`,
+    /// which executed them. What it executed was chosen at `at` or below,
+    /// and Paxos makes every proposal from the ballot a value was chosen
+    /// at upwards carry that value; a value accepted *below* `at` — a
+    /// stale proposal a lagging acceptor still holds — may be anything.
+    /// So a held value counts only if it was accepted at `at` or above. A
+    /// slot without one is remembered with `at` and committed when such a
+    /// value arrives ([`Self::store`]).
+    pub(crate) fn learn_at(&mut self, slots: impl IntoIterator<Item = Slot>, at: Term) {
         for slot in slots {
             if slot <= self.compacted_through {
                 continue; // already executed and checkpointed
             }
             match self.cells.get_mut(slot) {
-                Some(cell) if cell.cmd.is_some() => cell.committed = true,
+                Some(cell) if cell.committed => {}
+                Some(cell) if cell.cmd.is_some() && cell.bal >= at => cell.committed = true,
                 _ => {
-                    self.committed_no_value.insert(slot.0);
+                    self.committed_no_value.insert(slot.0, at);
                 }
             }
         }
@@ -496,7 +516,7 @@ impl<At: Default> PaxosBase<At> {
             cell.wseq = 0;
             let committed = std::mem::take(&mut cell.committed);
             if committed {
-                self.committed_no_value.insert(s.0);
+                self.committed_no_value.insert(s.0, Term::ZERO);
             }
             dropped.push((s, committed));
         }
@@ -535,6 +555,31 @@ mod tests {
         b.learn([Slot(5)]);
         assert!(b.cells.get(Slot(5)).unwrap().committed);
         assert!(!b.learnt_without_value(Slot(5)));
+    }
+
+    /// A decision at a ballot commits a held value only if it was accepted
+    /// at that ballot or above. A stale one is left uncommitted and the
+    /// slot waits, remembered with the ballot, for a value that qualifies;
+    /// the stale value arriving again does not.
+    #[test]
+    fn a_decision_commits_only_a_value_held_at_its_ballot_or_above() {
+        let mut b = base();
+        b.store(Slot(1), Term(1), put(1));
+        b.store(Slot(2), Term(2), put(2));
+        b.store(Slot(3), Term(3), put(3));
+        b.learn_at((1..=4).map(Slot), Term(2));
+        let chosen = |b: &PaxosBase<()>, s| b.cells.get(Slot(s)).is_some_and(|c| c.committed);
+        assert!(!chosen(&b, 1) && chosen(&b, 2) && chosen(&b, 3));
+        assert!(b.learnt_without_value(Slot(1)) && b.learnt_without_value(Slot(4)));
+        assert_eq!(b.store(Slot(1), Term(1), put(1)), Stored::Kept);
+        assert!(!chosen(&b, 1), "the stale value again is still not chosen");
+        assert_eq!(
+            b.store(Slot(1), Term(2), put(9)),
+            Stored::Written(Some(put(1)))
+        );
+        assert!(chosen(&b, 1) && !b.learnt_without_value(Slot(1)));
+        b.store(Slot(4), Term(5), put(4));
+        assert!(chosen(&b, 4), "a later ballot's value qualifies too");
     }
 
     /// A committed value is not overwritten by a later store; an

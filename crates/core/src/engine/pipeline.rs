@@ -236,14 +236,20 @@ impl PipelineWindow {
     /// Records an acknowledgement from `peer` covering slots through
     /// `upto`: every round ending at or below it retires, including
     /// rounds skipped over by an out-of-order (later) acknowledgement.
-    pub fn on_ack(&mut self, peer: NodeId, upto: Slot) {
+    /// Returns when the last round it retired was shipped — so the ack's
+    /// round trip is known without a timestamp per instance — or `None`
+    /// if it retired nothing.
+    pub fn on_ack(&mut self, peer: NodeId, upto: Slot) -> Option<SimTime> {
         let i = peer.0 as usize;
         self.acked[i] = self.acked[i].max(upto);
         let q = &mut self.inflight[i];
-        while q.front().is_some_and(|r| r.upto <= upto) {
+        let mut shipped = None;
+        while let Some(round) = q.front().filter(|r| r.upto <= upto) {
+            shipped = Some(round.sent_at);
             q.pop_front();
             self.stats.rounds_acked += 1;
         }
+        shipped
     }
 
     /// The most entries one round *pumped* to `peer` after an ack may
@@ -332,10 +338,11 @@ mod tests {
         w.on_sent(NodeId(1), Slot(6), t(1));
         w.on_sent(NodeId(1), Slot(9), t(2));
         // The ack for the second round also covers the first (whose own
-        // ack may have been lost or reordered behind it).
-        w.on_ack(NodeId(1), Slot(6));
+        // ack may have been lost or reordered behind it); the round trip
+        // it reports is the second's.
+        assert_eq!(w.on_ack(NodeId(1), Slot(6)), Some(t(1)));
         assert_eq!(w.in_flight(NodeId(1)), 1);
-        w.on_ack(NodeId(1), Slot(9));
+        assert_eq!(w.on_ack(NodeId(1), Slot(9)), Some(t(2)));
         assert_eq!(w.in_flight(NodeId(1)), 0);
     }
 
@@ -343,7 +350,7 @@ mod tests {
     fn stale_ack_retires_nothing() {
         let mut w = window(4);
         w.on_sent(NodeId(1), Slot(8), t(0));
-        w.on_ack(NodeId(1), Slot(4));
+        assert_eq!(w.on_ack(NodeId(1), Slot(4)), None);
         assert_eq!(w.in_flight(NodeId(1)), 1);
     }
 

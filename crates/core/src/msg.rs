@@ -9,8 +9,9 @@
 //! # A list of slots is a run
 //!
 //! The Paxos family names slots where Raft names one index: an `acceptOK`
-//! lists the instances it accepted, a `Learn` the instances chosen, a
-//! Mencius stream element the decisions it carries. Every fresh round, its
+//! lists the instances it accepted, a Mencius `Commit` the instances
+//! chosen, a Mencius stream element the decisions it carries. (MultiPaxos
+//! learns as Raft commits, by one executed prefix.) Every fresh round, its
 //! acknowledgement and its decision name consecutive slots (MultiPaxos) or
 //! slots `n` apart (one Mencius owner's), so [`Slots`] holds *first,
 //! length, stride* in place and touches the heap only for what is not a
@@ -334,7 +335,8 @@ pub enum PaxosMsg {
         /// instead.
         floor: Slot,
     },
-    /// Phase2a: `<"accept", instance, value, ballot>` (batched).
+    /// Phase2a: `<"accept", instance, value, ballot>` (batched), carrying
+    /// the learn step the way Raft's `Append` carries `commit`.
     Accept {
         /// Proposer's ballot.
         ballot: Term,
@@ -345,6 +347,11 @@ pub enum PaxosMsg {
         /// of [`RaftMsg::Append::window_room`]). Rides in a reserved
         /// header byte — no wire cost.
         window_room: bool,
+        /// The proposer's executed prefix: every instance through it is
+        /// chosen (Figure 3 maps [`RaftMsg::Append::commit`] to Paxos's
+        /// learn step). It vouches only for values accepted at `ballot`
+        /// or above.
+        commit: Slot,
     },
     /// Phase2b reply: `<"acceptOK", instance, ballot>` (batched).
     AcceptOk {
@@ -357,10 +364,14 @@ pub enum PaxosMsg {
         /// and a checkpoint ([`EngineMsg::SnapshotChunk`]).
         exec: Slot,
     },
-    /// Commit notification to learners (batched).
+    /// An `Accept`'s `commit` with no instances: sent only on a link that
+    /// carried nothing for longer than the proposer lets a decision wait.
     Learn {
-        /// Instances now chosen.
-        slots: Slots,
+        /// Proposer's ballot: the one a held value must have been
+        /// accepted at (or above) to count as the chosen one.
+        ballot: Term,
+        /// The proposer's executed prefix.
+        commit: Slot,
     },
 }
 
@@ -631,10 +642,10 @@ impl Payload for Msg {
                         .sum::<usize>()
                 }
                 PaxosMsg::Accept { items, .. } => {
-                    16 + items.iter().map(|(_, c)| 8 + c.size_bytes()).sum::<usize>()
+                    24 + items.iter().map(|(_, c)| 8 + c.size_bytes()).sum::<usize>()
                 }
                 PaxosMsg::AcceptOk { slots, .. } => 24 + 8 * slots.len(),
-                PaxosMsg::Learn { slots } => 8 + 8 * slots.len(),
+                PaxosMsg::Learn { .. } => 24,
             },
             Msg::Raft(m) => match m {
                 RaftMsg::RequestVote { .. } => 32,
@@ -760,8 +771,34 @@ mod tests {
         };
         assert_eq!(ok(run.clone()), 24 + 8 * 6);
         assert_eq!(ok(run), ok(spilled.clone()));
-        let learn = Msg::Paxos(PaxosMsg::Learn { slots: spilled });
-        assert_eq!(learn.size_bytes(), 8 + 8 * 6);
+        let commit = Msg::Mencius(MenciusMsg::Commit { slots: spilled });
+        assert_eq!(commit.size_bytes(), 8 + 8 * 6);
+    }
+
+    /// A MultiPaxos decision costs 8 B riding an `Accept` and a 24 B
+    /// message of its own (header, ballot, commit) on an idle link —
+    /// however many instances it covers.
+    #[test]
+    fn a_multipaxos_commit_costs_one_word_on_an_accept() {
+        let accept = |items: Vec<(Slot, Command)>| {
+            Msg::Paxos(PaxosMsg::Accept {
+                ballot: Term(1),
+                items: items.into(),
+                window_room: true,
+                commit: Slot(40),
+            })
+            .size_bytes()
+        };
+        assert_eq!(accept(Vec::new()), 24, "header, ballot, commit");
+        assert_eq!(
+            accept(vec![(Slot(41), cmd(8))]),
+            24 + 8 + cmd(8).size_bytes()
+        );
+        let learn = Msg::Paxos(PaxosMsg::Learn {
+            ballot: Term(1),
+            commit: Slot(40),
+        });
+        assert_eq!(learn.size_bytes(), 24);
     }
 
     #[test]
@@ -941,11 +978,13 @@ mod tests {
             ballot: Term(1),
             items: vec![(Slot(1), cmd(8))].into(),
             window_room: true,
+            commit: Slot::NONE,
         });
         let two = Msg::Paxos(PaxosMsg::Accept {
             ballot: Term(1),
             items: vec![(Slot(1), cmd(8)), (Slot(2), cmd(8))].into(),
             window_room: true,
+            commit: Slot::NONE,
         });
         assert!(two.size_bytes() > one.size_bytes());
     }

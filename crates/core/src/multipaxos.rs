@@ -12,9 +12,28 @@
 //! engine-provided, and the instance table with its bookkeeping is the
 //! family's `PaxosBase`, shared with Mencius. This file holds what makes
 //! it *single-leader* Paxos: ballots and phase 1 with its value adoption,
-//! the proposer's numbering and send cursors, the Accept rounds and the
-//! heartbeat's retransmission and replay, the execute loop (the proposer
-//! answers the client), and what a crash keeps.
+//! the proposer's numbering and send cursors, the Accept rounds with the
+//! commit they carry, the heartbeat's retransmission and replay, the
+//! execute loop (the proposer answers the client), and what a crash keeps.
+//!
+//! # Learning the way Raft commits
+//!
+//! Figure 3 maps Raft's `Append.commit` to the Paxos learn step, so the
+//! proposer does not broadcast a `Learn` per chosen batch. Every `Accept`
+//! carries its executed prefix as `commit`. A `Learn { ballot, commit }`
+//! goes alone only to an acceptor whose link carried nothing for longer
+//! than an eighth of the round trip that completed the last quorum — a
+//! fraction of a delay the decision has just paid, checked at the end of
+//! every handler (`PaxosRules::flush_idle_links`, Mencius's carrier rule).
+//! The heartbeat's `Accept` carries the commit too, so an idle acceptor
+//! hears it within one period.
+//!
+//! A decision counts only at its ballot. The proposer at ballot `b`
+//! vouches for values accepted at `b` or above; a lagging acceptor may
+//! still hold an earlier leader's proposal for a slot `b` decided
+//! otherwise. Such a slot stays learnt-without-value until a value at the
+//! deciding ballot arrives — the leader's `Accept` or its stalled-peer
+//! replay (`PaxosBase::learn_at`).
 //!
 //! # Durability (group commit)
 //!
@@ -39,6 +58,7 @@
 use std::collections::HashMap;
 
 use paxraft_sim::sim::{ActorId, Ctx};
+use paxraft_sim::time::{SimDuration, SimTime};
 
 use crate::config::ReplicaConfig;
 use crate::engine::paxos_family::{merge_highest, Accepted, PaxosBase, Stored};
@@ -70,6 +90,20 @@ pub struct PaxosRules {
     /// instances above it were cut into rounds this acceptor's full
     /// window made it skip, and are pumped to it as acks free slots.
     accept_cursor: Vec<Slot>,
+    /// Per acceptor: the executed prefix last told it, and when. Every
+    /// message to it tells, so that is also when the link last carried
+    /// anything.
+    told: Vec<(Slot, SimTime)>,
+    /// How long a decision may wait for an `Accept` to carry it: an
+    /// eighth of the round trip that completed the last quorum.
+    patience: SimDuration,
+    /// Acceptor: the highest commit point learnt; a later one is scanned
+    /// only above it.
+    learnt: Slot,
+    /// Executed-prefix advances that rode an `Accept`.
+    commits_carried: u64,
+    /// `Learn`s sent on their own, to an idle acceptor.
+    learns_alone: u64,
 }
 
 impl MultiPaxosReplica {
@@ -90,6 +124,11 @@ impl MultiPaxosReplica {
                 next_slot: Slot(1),
                 prepare_acks: HashMap::new(),
                 accept_cursor: vec![Slot::NONE; n],
+                told: vec![(Slot::NONE, SimTime::ZERO); n],
+                patience: SimDuration::ZERO,
+                learnt: Slot::NONE,
+                commits_carried: 0,
+                learns_alone: 0,
             },
         )
     }
@@ -131,6 +170,68 @@ impl PaxosRules {
         }
     }
 
+    /// Sends `peer` an `Accept` of `items` at this ballot, carrying the
+    /// executed prefix as its `commit`.
+    fn send_accept(
+        &mut self,
+        core: &EngineCore,
+        ctx: &mut Ctx<Msg>,
+        peer: NodeId,
+        items: Round,
+        window_room: bool,
+    ) {
+        let commit = self.base.exec_index;
+        let told = &mut self.told[peer.0 as usize];
+        self.commits_carried += u64::from(commit > told.0);
+        *told = (commit, ctx.now());
+        let accept = PaxosMsg::Accept {
+            ballot: self.ballot,
+            items,
+            window_room,
+            commit,
+        };
+        ctx.send(core.cfg.peer(peer), Msg::Paxos(accept));
+    }
+
+    /// Tells the executed prefix, in a `Learn` of its own, to every
+    /// acceptor not told it yet whose link has carried nothing for longer
+    /// than the patience. Run at the end of every handler, the one that
+    /// executed included: no timer per decision, and not left to the
+    /// heartbeat.
+    fn flush_idle_links(&mut self, core: &EngineCore, ctx: &mut Ctx<Msg>) {
+        if !self.phase1_succeeded {
+            return;
+        }
+        let (now, commit) = (ctx.now(), self.base.exec_index);
+        for peer in core.cfg.others() {
+            let told = &mut self.told[peer.0 as usize];
+            if told.0 >= commit || now.since(told.1.min(now)) <= self.patience {
+                continue;
+            }
+            *told = (commit, now);
+            self.learns_alone += 1;
+            let learn = PaxosMsg::Learn {
+                ballot: self.ballot,
+                commit,
+            };
+            ctx.send(core.cfg.peer(peer), Msg::Paxos(learn));
+        }
+    }
+
+    /// Acceptor: learns `(exec_index, commit]` on the word of the
+    /// proposer at `ballot`, above what an earlier commit covered and up
+    /// to the highest instance held — a slot not heard of yet is learnt
+    /// with the `Accept` that brings it, whose `commit` covers it or a
+    /// later one will.
+    fn learn_commit(&mut self, ballot: Term, commit: Slot) {
+        let from = self.learnt.max(self.base.exec_index).next();
+        let upto = commit.min(self.log_tail());
+        if upto >= from {
+            self.learnt = upto;
+            self.base.learn_at((from.0..=upto.0).map(Slot), ballot);
+        }
+    }
+
     /// Ships one pipelined Accept round: every acceptor whose window has
     /// room gets the batch now; a saturated acceptor is skipped and
     /// receives the backlog from [`PaxosRules::pump_accepts`] as its
@@ -149,14 +250,7 @@ impl PaxosRules {
             let cur = &mut self.accept_cursor[peer.0 as usize];
             *cur = (*cur).max(upto);
             let window_room = core.pipe.quorum_has_room(core.cfg.id, core.cfg.n);
-            ctx.send(
-                core.cfg.peer(peer),
-                Msg::Paxos(PaxosMsg::Accept {
-                    ballot: self.ballot,
-                    items: items.clone(),
-                    window_room,
-                }),
-            );
+            self.send_accept(core, ctx, peer, items.clone(), window_room);
         }
     }
 
@@ -180,7 +274,7 @@ impl PaxosRules {
             .take(cap)
             .peekable();
         if waiting.peek().is_none() {
-            // Everything past the cursor is committed; Learn covers it.
+            // Everything past the cursor is committed; a commit covers it.
             self.accept_cursor[i] = highest;
             return;
         }
@@ -193,14 +287,7 @@ impl PaxosRules {
         core.pipe.on_sent(peer, upto, ctx.now());
         core.pipe.note_pumped(items.len(), cap);
         let window_room = core.pipe.quorum_has_room(core.cfg.id, core.cfg.n);
-        ctx.send(
-            core.cfg.peer(peer),
-            Msg::Paxos(PaxosMsg::Accept {
-                ballot: self.ballot,
-                items: items.into(),
-                window_room,
-            }),
-        );
+        self.send_accept(core, ctx, peer, items.into(), window_room);
     }
 
     /// Figure 1 `Phase1a`: pick a fresh owned ballot and prepare.
@@ -259,14 +346,6 @@ impl PaxosRules {
         self.base.note_log_size(core);
     }
 
-    /// Broadcasts the Learn for newly chosen instances and executes.
-    fn learn_chosen(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, chosen: Slots) {
-        if !chosen.is_empty() {
-            self.broadcast(core, ctx, PaxosMsg::Learn { slots: chosen });
-            self.try_execute(core, ctx);
-        }
-    }
-
     /// Figure 1 `Phase1Succeed`: adopt safe values and go active.
     fn try_phase1_succeed(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
         if self.phase1_succeeded || self.prepare_acks.len() < crate::types::quorum(core.cfg.n) {
@@ -313,6 +392,9 @@ impl PaxosRules {
         core.leader_hint = Some(core.cfg.id);
         core.pipe.reset();
         self.accept_cursor.fill(Slot::NONE);
+        for (commit, _) in &mut self.told {
+            *commit = Slot::NONE;
+        }
         self.next_slot = Slot(end.0.max(self.log_tail().0) + 1);
         self.send_accept_round(core, ctx, &items);
         core.arm_heartbeat(ctx);
@@ -394,6 +476,7 @@ impl PaxosRules {
                 ballot,
                 items,
                 window_room,
+                commit,
             } => {
                 // Figure 1 Phase2b.
                 if ballot >= self.ballot {
@@ -446,9 +529,10 @@ impl PaxosRules {
                     self.base.note_written(core, ctx, &written, written_bytes);
                     self.base.note_log_size(core);
                     self.arm_election(core, ctx); // accepts double as heartbeats
-                                                  // Phase2b promises the accepted values survive a
-                                                  // crash: the acceptOK leaves only after the fsync
-                                                  // covering them (group commit batches the fsync).
+                    self.learn_commit(ballot, commit);
+                    // Phase2b promises the accepted values survive a
+                    // crash: the acceptOK leaves only after the fsync
+                    // covering them (group commit batches the fsync).
                     let ok = Msg::Paxos(PaxosMsg::AcceptOk {
                         ballot,
                         slots,
@@ -470,14 +554,12 @@ impl PaxosRules {
                 // Figure 1 Learn.
                 let node = core.cfg.node_of(from);
                 self.base.note_peer_exec(node, exec);
-                if let Some(upto) = slots.max() {
-                    core.pipe.on_ack(node, upto);
-                }
+                let shipped = slots.max().and_then(|upto| core.pipe.on_ack(node, upto));
                 if ballot == self.ballot && self.phase1_succeeded {
                     ctx.charge(core.cfg.costs.ack_process);
-                    let mut chosen = Slots::new();
+                    let mut chosen = false;
                     self.base
-                        .tally(slots.iter(), 1u64 << node.0, |_| true, |s| chosen.push(s));
+                        .tally(slots.iter(), 1u64 << node.0, |_| true, |_| chosen = true);
                     // An acceptor's executed prefix is chosen globally.
                     // Instances we proposed at our own ballot (i.e.
                     // after a successful phase 1) need no quorum count
@@ -491,27 +573,35 @@ impl PaxosRules {
                     // ack whose `exec` trails it (the common case) has
                     // nothing to teach: its range is empty.
                     let ahead = self.base.exec_index.next()..=exec;
-                    for (s, inst) in self.base.cells.range_mut(ahead) {
+                    for (_, inst) in self.base.cells.range_mut(ahead) {
                         if !inst.committed && inst.cmd().is_some() && inst.bal == self.ballot {
                             inst.committed = true;
-                            chosen.push(s);
+                            chosen = true;
                         }
                     }
-                    self.learn_chosen(core, ctx, chosen);
+                    if chosen {
+                        // This ack's round trip sets how long the decision
+                        // may wait for a carrier.
+                        if let Some(at) = shipped {
+                            self.patience = ctx.now().since(at) / 8;
+                        }
+                        self.try_execute(core, ctx);
+                    }
                     // The freed window slot may have a backlog waiting.
                     self.pump_accepts(core, ctx, node);
                 }
             }
-            PaxosMsg::Learn { slots } => {
-                self.base.learn(slots.iter());
+            PaxosMsg::Learn { ballot, commit } => {
+                self.learn_commit(ballot, commit);
                 self.try_execute(core, ctx);
             }
         }
     }
 
-    /// Heartbeat: retransmit uncommitted instances, re-Learn committed
-    /// ones, and catch lagging acceptors up — by instance replay while
-    /// their gap is still retained, by checkpoint once it is not.
+    /// Heartbeat: retransmit uncommitted instances in an `Accept` whose
+    /// `commit` re-teaches every acceptor the executed prefix, and catch
+    /// lagging acceptors up — by instance replay while their gap is still
+    /// retained, by checkpoint once it is not.
     fn heartbeat(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
         if !self.phase1_succeeded {
             return;
@@ -528,30 +618,16 @@ impl PaxosRules {
             .filter(|(_, i)| !i.committed)
             .filter_map(|(s, i)| i.cmd().cloned().map(|c| (s, c)))
             .collect();
-        let committed: Slots = self
-            .base
-            .cells
-            .range(Slot(exec_index.0.saturating_sub(64))..)
-            .filter(|(_, i)| i.committed)
-            .map(|(s, _)| s)
-            .collect();
         // The heartbeat Accept doubles as the hint refresh: even an idle
         // cluster re-teaches acceptors the proposer's window occupancy.
         let window_room = core.pipe.quorum_has_room(core.cfg.id, core.cfg.n);
-        self.broadcast(
-            core,
-            ctx,
-            PaxosMsg::Accept {
-                ballot: self.ballot,
-                items: retransmit,
-                window_room,
-            },
-        );
-        if !committed.is_empty() {
-            self.broadcast(core, ctx, PaxosMsg::Learn { slots: committed });
+        for peer in core.cfg.others() {
+            self.send_accept(core, ctx, peer, retransmit.clone(), window_room);
         }
         // Per-acceptor catch-up of *stalled* acceptors (behind the floor
-        // by checkpoint), 64 instances per round to bound the burst.
+        // by checkpoint), 64 instances per round to bound the burst. The
+        // replay is an Accept at this ballot, so its `commit` chooses the
+        // values it brings.
         for peer in core.cfg.others() {
             let Some(from) = self.base.stalled_peer(core, ctx, peer, self.ballot) else {
                 continue;
@@ -564,19 +640,9 @@ impl PaxosRules {
                 .filter(|(_, i)| i.committed)
                 .filter_map(|(s, i)| i.cmd().cloned().map(|c| (s, c)))
                 .collect();
-            if replay.is_empty() {
-                continue;
+            if !replay.is_empty() {
+                self.send_accept(core, ctx, peer, replay, window_room);
             }
-            let slots: Slots = replay.iter().map(|(s, _)| *s).collect();
-            ctx.send(
-                core.cfg.peer(peer),
-                Msg::Paxos(PaxosMsg::Accept {
-                    ballot: self.ballot,
-                    items: replay,
-                    window_room,
-                }),
-            );
-            ctx.send(core.cfg.peer(peer), Msg::Paxos(PaxosMsg::Learn { slots }));
         }
         core.arm_heartbeat(ctx);
     }
@@ -619,6 +685,7 @@ impl ProtocolRules for PaxosRules {
     fn on_msg(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, from: ActorId, msg: Msg) {
         if let Msg::Paxos(p) = msg {
             self.on_paxos(core, ctx, from, p);
+            self.flush_idle_links(core, ctx);
         }
     }
 
@@ -684,18 +751,28 @@ impl ProtocolRules for PaxosRules {
         // A vote recorded under a superseded ballot no longer applies
         // (the bitmap was reseeded at the new ballot).
         let (synced, ballot) = (core.dur.synced_seq(), self.ballot);
-        let mut chosen = Slots::new();
+        let mut chosen = false;
         self.base.tally_synced_votes(
             synced,
             core.me_bit(),
             |bal, _| bal == ballot,
-            |s| chosen.push(s),
+            |_| chosen = true,
         );
-        self.learn_chosen(core, ctx, chosen);
+        // An fsync that chose nothing sends nothing: how many completions
+        // a write takes stays invisible (`Ctx::fsync_serial`).
+        if chosen {
+            self.try_execute(core, ctx);
+            self.flush_idle_links(core, ctx);
+        }
     }
 
+    /// The family's work-paid-once counters, and how the executed prefix
+    /// reached the acceptors: `commits_carried` advances that rode an
+    /// `Accept`, `learns_alone` messages of their own.
     fn record_metrics(&self, sample: &mut crate::telemetry::MetricSample) {
         self.base.record_metrics(sample);
+        sample.record("commits_carried", self.commits_carried as f64);
+        sample.record("learns_alone", self.learns_alone as f64);
     }
 
     fn on_crash(&mut self, core: &mut EngineCore) {
@@ -739,14 +816,18 @@ mod tests {
 
     /// A scripted acceptor: promises every `Prepare` and, when `accepts`,
     /// acknowledges every `Accept` reporting `exec` as its executed
-    /// prefix.
+    /// prefix. Keeps what it is sent, with the arrival time.
     struct PuppetAcceptor {
         accepts: bool,
         exec: Slot,
+        seen: Vec<(SimTime, PaxosMsg)>,
     }
 
     impl paxraft_sim::sim::Actor<Msg> for PuppetAcceptor {
         fn on_message(&mut self, ctx: &mut Ctx<Msg>, from: ActorId, msg: Msg) {
+            if let Msg::Paxos(m) = &msg {
+                self.seen.push((ctx.now(), m.clone()));
+            }
             let reply = match msg {
                 Msg::Paxos(PaxosMsg::Prepare { ballot, .. }) => PaxosMsg::PrepareOk {
                     ballot,
@@ -783,8 +864,11 @@ mod tests {
             if cfg.id == NodeId(0) {
                 Box::new(MultiPaxosReplica::new(cfg))
             } else {
-                let accepts = cfg.id.0 <= accepting;
-                Box::new(PuppetAcceptor { accepts, exec })
+                Box::new(PuppetAcceptor {
+                    accepts: cfg.id.0 <= accepting,
+                    exec,
+                    seen: Vec::new(),
+                })
             }
         });
         (sim, replicas[0], client)
@@ -832,33 +916,25 @@ mod tests {
         assert_eq!(inst.acks.count_ones(), 2, "no quorum of acks");
     }
 
-    /// A scripted proposer: sends its acceptor the same three-instance
-    /// `Accept` twice, 100 us apart, and keeps every `AcceptOk` with its
-    /// arrival time.
-    struct TwiceProposer {
+    /// A scripted proposer: sends its acceptor each message of `script`
+    /// at the time beside it, and keeps every `AcceptOk` with its arrival
+    /// time.
+    struct ScriptedProposer {
         acceptor: ActorId,
+        script: Vec<(SimDuration, PaxosMsg)>,
         acks: Vec<(SimTime, Vec<Slot>)>,
     }
 
-    impl TwiceProposer {
-        fn accept() -> Msg {
-            let put = |seq| Command::put(crate::kv::CmdId { client: 9, seq }, seq, vec![0; 8]);
-            Msg::Paxos(PaxosMsg::Accept {
-                ballot: Term(5),
-                items: (1..=3).map(|s| (Slot(s), put(s))).collect(),
-                window_room: true,
-            })
-        }
-    }
-
-    impl paxraft_sim::sim::Actor<Msg> for TwiceProposer {
+    impl paxraft_sim::sim::Actor<Msg> for ScriptedProposer {
         fn on_start(&mut self, ctx: &mut Ctx<Msg>) {
-            ctx.send(self.acceptor, Self::accept());
-            ctx.set_timer(SimDuration::from_micros(100), 0);
+            for (i, (at, _)) in self.script.iter().enumerate() {
+                ctx.set_timer(*at, i as u64);
+            }
         }
 
-        fn on_timer(&mut self, ctx: &mut Ctx<Msg>, _token: u64) {
-            ctx.send(self.acceptor, Self::accept());
+        fn on_timer(&mut self, ctx: &mut Ctx<Msg>, token: u64) {
+            let msg = self.script[token as usize].1.clone();
+            ctx.send(self.acceptor, Msg::Paxos(msg));
         }
 
         fn on_message(&mut self, ctx: &mut Ctx<Msg>, _from: ActorId, msg: Msg) {
@@ -868,6 +944,34 @@ mod tests {
         }
 
         paxraft_sim::impl_actor_any!();
+    }
+
+    /// A real acceptor (node 1 of 3) fed `script` by a [`ScriptedProposer`]
+    /// (node 0), both in one region, so a link is sub-millisecond.
+    fn acceptor_under_script(
+        script: Vec<(SimDuration, PaxosMsg)>,
+        durability: crate::config::DurabilityConfig,
+    ) -> Simulation<Msg> {
+        let mut sim = Simulation::new(paxraft_sim::net::NetConfig::default(), 7);
+        sim.set_disk_config(durability.disk_config());
+        let region = paxraft_sim::net::Region::Oregon;
+        let mut cfg = ReplicaConfig::wan_default(NodeId(1), 3);
+        cfg.peers = (0..3).map(ActorId).collect();
+        cfg.client_base = 3;
+        cfg.durability = durability;
+        let proposer = ScriptedProposer {
+            acceptor: ActorId(1),
+            script,
+            acks: Vec::new(),
+        };
+        let proposer = sim.add_actor(region, Box::new(proposer));
+        let acceptor = sim.add_actor(region, Box::new(MultiPaxosReplica::new(cfg)));
+        assert_eq!((proposer, acceptor), (ActorId(0), ActorId(1)));
+        sim
+    }
+
+    fn put(seq: u64, key: u64) -> Command {
+        Command::put(crate::kv::CmdId { client: 9, seq }, key, vec![0; 8])
     }
 
     /// An acceptor on a 1 ms per-entry device fed the same `Accept` twice
@@ -880,25 +984,18 @@ mod tests {
     fn the_same_accept_twice_is_written_once_and_acknowledged_twice() {
         use crate::config::DurabilityConfig;
         let device = SimDuration::from_millis(1);
-        let durability = DurabilityConfig::per_entry(device);
-        let disk = durability.disk_config();
-        // One region, so the link is sub-millisecond against the 3 ms write.
-        let mut sim = Simulation::new(paxraft_sim::net::NetConfig::default(), 7);
-        sim.set_disk_config(disk);
-        let region = paxraft_sim::net::Region::Oregon;
-        let mut cfg = ReplicaConfig::wan_default(NodeId(1), 3);
-        cfg.peers = (0..3).map(ActorId).collect();
-        cfg.client_base = 3;
-        cfg.durability = durability;
-        let proposer = sim.add_actor(
-            region,
-            Box::new(TwiceProposer {
-                acceptor: ActorId(1),
-                acks: Vec::new(),
-            }),
-        );
-        let acceptor = sim.add_actor(region, Box::new(MultiPaxosReplica::new(cfg)));
-        assert_eq!((proposer, acceptor), (ActorId(0), ActorId(1)));
+        let accept = PaxosMsg::Accept {
+            ballot: Term(5),
+            items: (1..=3).map(|s| (Slot(s), put(s, s))).collect(),
+            window_room: true,
+            commit: Slot::NONE,
+        };
+        let script = vec![
+            (SimDuration::ZERO, accept.clone()),
+            (SimDuration::from_micros(100), accept),
+        ];
+        let mut sim = acceptor_under_script(script, DurabilityConfig::per_entry(device));
+        let acceptor = ActorId(1);
         sim.run_until(SimTime::from_millis(20));
         assert_eq!(sim.disk_stats_at(acceptor).fsyncs, 3, "the round, once");
         let rep = sim.actor::<MultiPaxosReplica>(acceptor);
@@ -908,7 +1005,7 @@ mod tests {
         base.record_metrics(&mut sample);
         assert_eq!(sample.get("accept_writes"), 3.0);
         assert_eq!(sample.get("accept_duplicates"), 3.0);
-        let acks = &sim.actor::<TwiceProposer>(proposer).acks;
+        let acks = &sim.actor::<ScriptedProposer>(ActorId(0)).acks;
         let every = vec![Slot(1), Slot(2), Slot(3)];
         assert_eq!(acks.len(), 2, "one acceptOK per accept");
         for (at, slots) in acks {
@@ -919,6 +1016,152 @@ mod tests {
                 "acknowledged at {at:?}, durable at {written:?}"
             );
         }
+    }
+
+    /// The decision of a ballot-2 proposer for slot 1 reaches an acceptor
+    /// still holding ballot 1's proposal V there, ahead of ballot 2's own
+    /// `Accept` of W. The decision vouches for W alone: the acceptor never
+    /// executes V, and executes W once it arrives.
+    #[test]
+    fn a_decision_ahead_of_its_value_never_commits_a_stale_one() {
+        let (v, w) = (put(1, 5), put(2, 5));
+        let accept = |ballot, cmd: &Command| PaxosMsg::Accept {
+            ballot: Term(ballot),
+            items: vec![(Slot(1), cmd.clone())].into(),
+            window_room: true,
+            commit: Slot::NONE,
+        };
+        let decision = PaxosMsg::Learn {
+            ballot: Term(2),
+            commit: Slot(1),
+        };
+        let ms = SimDuration::from_millis;
+        let script = vec![
+            (ms(0), accept(1, &v)),
+            (ms(10), decision),
+            (ms(20), accept(2, &w)),
+        ];
+        let mut sim = acceptor_under_script(script, Default::default());
+        let applied = |sim: &Simulation<Msg>| {
+            let rep = sim.actor::<MultiPaxosReplica>(ActorId(1));
+            (rep.exec_index(), rep.kv().read_local(5).value_id())
+        };
+        sim.run_until(SimTime::from_millis(15));
+        assert_eq!(
+            applied(&sim),
+            (Slot::NONE, None),
+            "V is not the chosen value"
+        );
+        sim.run_until(SimTime::from_millis(25));
+        assert_eq!(applied(&sim), (Slot(1), Some(w.id.as_value_id())));
+    }
+
+    /// The proposer among two acking puppets (Ohio 52 ms and Ireland
+    /// 132 ms round trips away), just after a heartbeat: slot 1 is
+    /// proposed at once, slot 2 at 50 ms, just before slot 1's first ack
+    /// returns from Ohio, and slot 3 at 54 ms, just after. Returns when
+    /// slot 1 was proposed.
+    fn busy_then_idle() -> (Simulation<Msg>, ActorId, SimTime) {
+        let (mut sim, proposer, _) = proposer_among_puppets(3, 2, Slot::NONE);
+        let sink = TestClient::new(1, proposer);
+        sim.add_actor(paxraft_sim::net::Region::Oregon, Box::new(sink));
+        assert!(drive_until(&mut sim, SimTime::from_secs(1), |sim| {
+            sim.actor::<MultiPaxosReplica>(proposer).is_leader()
+        }));
+        let beat = sim
+            .timer_due(proposer, engine::T_HEARTBEAT)
+            .expect("leading");
+        sim.run_until(beat + SimDuration::from_millis(1));
+        let start = sim.now();
+        for (seq, at) in [(1, 0), (2, 50), (3, 54)] {
+            let cmd = Command::put(crate::kv::CmdId { client: 1, seq }, seq, vec![0; 8]);
+            let request = Msg::Client(crate::msg::ClientMsg::Request { cmd });
+            sim.send_external(proposer, request, SimDuration::from_millis(at));
+        }
+        (sim, proposer, start)
+    }
+
+    /// The executed prefix rides the next `Accept` on a busy link and
+    /// goes alone on an idle one. Slot 1 is decided 2 ms after the `Accept`
+    /// of slot 2 left, within the patience (an eighth of the 52 ms round
+    /// trip), so no `Learn` goes and slot 3's `Accept` carries it. Slot 2
+    /// is decided on a link idle since that `Accept`, so exactly one
+    /// `Learn` goes at once. Slot 3 is decided 4 ms after that `Learn`:
+    /// none goes before the patience has passed, and one after.
+    #[test]
+    fn commits_ride_a_busy_link_and_leave_an_idle_one_alone() {
+        let (mut sim, _, start) = busy_then_idle();
+        // Ohio hears everything sent in the next 140 ms; the heartbeats
+        // on either side of them carry no instance.
+        sim.run_until(start + SimDuration::from_millis(170));
+        let told: Vec<(&str, Slot, SimTime)> = sim
+            .actor::<PuppetAcceptor>(ActorId(1))
+            .seen
+            .iter()
+            .filter(|(at, _)| *at >= start)
+            .filter_map(|(at, m)| match m {
+                PaxosMsg::Accept { items, commit, .. } if !items.is_empty() => {
+                    Some(("accept", *commit, *at))
+                }
+                PaxosMsg::Learn { commit, .. } => Some(("learn", *commit, *at)),
+                _ => None,
+            })
+            .collect();
+        let kinds: Vec<(&str, Slot)> = told.iter().map(|(k, c, _)| (*k, *c)).collect();
+        let (none, one, two, three) = (Slot::NONE, Slot(1), Slot(2), Slot(3));
+        assert_eq!(
+            kinds,
+            [
+                ("accept", none),
+                ("accept", none),
+                ("accept", one),
+                ("learn", two),
+                ("learn", three)
+            ],
+            "slot 1's decision rode the third Accept; 2 and 3 went alone"
+        );
+        let rtt = SimDuration::from_millis(52);
+        let (accept2, learn2, learn3) = (told[1].2, told[3].2, told[4].2);
+        assert!(
+            learn2.since(accept2) < rtt + SimDuration::from_millis(2),
+            "sent as the ack of slot 2 arrived: {}",
+            learn2.since(accept2)
+        );
+        assert!(learn3.since(learn2) > rtt / 8, "not before the patience");
+    }
+
+    /// `commits_carried` and `learns_alone` count what the acceptors saw:
+    /// every `Accept` that moved the executed prefix it told, and every
+    /// `Learn`.
+    #[test]
+    fn the_commit_counters_are_what_the_acceptors_saw() {
+        let (mut sim, proposer, _) = busy_then_idle();
+        sim.run_for(SimDuration::from_secs(1));
+        let (mut carried, mut alone) = (0, 0);
+        for puppet in [ActorId(1), ActorId(2)] {
+            let mut told = Slot::NONE;
+            for (_, m) in &sim.actor::<PuppetAcceptor>(puppet).seen {
+                match m {
+                    PaxosMsg::Accept { commit, .. } => {
+                        carried += u32::from(*commit > told);
+                        told = *commit;
+                    }
+                    PaxosMsg::Learn { commit, .. } => {
+                        alone += 1;
+                        told = *commit;
+                    }
+                    _ => {}
+                }
+            }
+        }
+        assert_eq!(
+            (carried, alone),
+            (2, 4),
+            "slot 1 rode to each, 2 and 3 went alone"
+        );
+        let sample = sim.actor::<MultiPaxosReplica>(proposer).metric_sample();
+        assert_eq!(sample.get("commits_carried"), f64::from(carried));
+        assert_eq!(sample.get("learns_alone"), f64::from(alone));
     }
 
     #[test]
