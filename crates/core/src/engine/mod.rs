@@ -7,7 +7,7 @@
 //! protocol-agnostic machinery — the key-value state machine with client
 //! session dedup, pending-command batching and follower→leader
 //! forwarding, election/heartbeat/batch timer arming, chunked snapshot
-//! send and install with per-sender reassembly, and the
+//! send and install with per-sender reassembly, the crash restart, and the
 //! [`Actor`] plumbing — while each protocol shrinks to a
 //! [`ProtocolRules`] impl expressing only what genuinely differs:
 //!
@@ -33,7 +33,7 @@
 //! learn / durable / compact / install bookkeeping). The two meet in
 //! `transfer`: one snapshot shipper, one checkpoint step, one install
 //! step, one transfer ack. A rules file holds what is left — elections
-//! and who proposes where, the execute loop, the crash policy.
+//! and who proposes where, the execute loop, what a crash keeps of a log.
 
 pub mod durability;
 pub(crate) mod paxos_family;
@@ -530,12 +530,12 @@ pub trait ProtocolRules: Sized + 'static {
         let _ = sample;
     }
 
-    /// Resets volatile protocol state after a crash. The engine has
-    /// already cleared its own volatile state (pending batch, transfer
-    /// buffers, leader hint); restoring the state machine from
-    /// `core.stable_snap` is the rules' job because what survives a
-    /// restart differs per protocol family.
-    fn on_crash(&mut self, core: &mut EngineCore);
+    /// Resets protocol state after a crash. The engine has already
+    /// cleared its own volatile state and restored the state machine from
+    /// `core.stable_snap` (empty without one) as of slot `floor`; the
+    /// rules keep what their family's disk holds, drop the rest, and apply
+    /// the retained committed suffix above `floor` again.
+    fn on_crash(&mut self, core: &mut EngineCore, floor: Slot);
 }
 
 /// A replica: the shared engine plus one protocol's rules.
@@ -1216,8 +1216,8 @@ impl<P: ProtocolRules> Actor<Msg> for ReplicaEngine<P> {
     fn on_crash(&mut self) {
         // Shared volatile state: the pending batch, the batch timer, any
         // in-flight transfer bookkeeping, the pipeline window and the
-        // leader hint die with the process. Durable state (and what of
-        // it each protocol restores) is the rules' concern.
+        // leader hint die with the process. What of its log each family
+        // keeps is the rules' concern.
         self.core.pending.clear();
         // The election, heartbeat and batch timers are keyed: the
         // simulator cancels them on the crash.
@@ -1238,7 +1238,15 @@ impl<P: ProtocolRules> Actor<Msg> for ReplicaEngine<P> {
         // were never sent; `synced_seq` persists (it is the on-disk
         // state) so the rules' recovery below can truncate to it.
         self.core.dur.crash_reset();
-        self.rules.on_crash(&mut self.core);
+        // The state machine, sessions included, was never written out:
+        // it restarts from the stable snapshot.
+        self.core.kv = KvStore::new();
+        let mut floor = Slot::NONE;
+        if let Some(snap) = &self.core.stable_snap {
+            self.core.kv.restore(&snap.kv);
+            floor = snap.last_slot;
+        }
+        self.rules.on_crash(&mut self.core, floor);
     }
 
     impl_actor_any!();

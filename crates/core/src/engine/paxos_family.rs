@@ -492,19 +492,20 @@ impl<At: Default> PaxosBase<At> {
     }
 
     /// Crash: forgets what only the running process knew (the peers'
-    /// reports, the queued own votes) and empties every cell from `from`
-    /// up whose value the fsync through write `synced` did not cover. Its
-    /// ack (or the proposer's own queued vote) was withheld until that
-    /// fsync, so it counted toward no quorum and no chosen state is lost;
-    /// a *committed* cell degrades to learnt-without-value and is
-    /// re-fetched. Returns each emptied slot and whether it was committed,
-    /// for the caller's crash policy (none, with durability disabled).
-    pub(crate) fn crash(&mut self, from: Slot, synced: u64) -> Vec<(Slot, bool)> {
+    /// reports, the queued own votes), restarts execution at `floor` and
+    /// empties every cell above it whose value the fsync through write
+    /// `synced` did not cover. Its ack (or the proposer's own queued vote)
+    /// was withheld until that fsync, so it counted toward no quorum and no
+    /// chosen state is lost; a *committed* cell degrades to
+    /// learnt-without-value and is re-fetched. Returns each emptied slot
+    /// and whether it was committed (none, with durability disabled).
+    pub(crate) fn crash(&mut self, floor: Slot, synced: u64) -> Vec<(Slot, bool)> {
         self.peer_exec.fill(Slot::NONE);
         self.peer_exec_prev.fill(Slot::NONE);
         self.pending_self.clear();
+        self.exec_index = floor;
         let mut dropped = Vec::new();
-        for (s, cell) in self.cells.range_mut(from..) {
+        for (s, cell) in self.cells.range_mut(floor.next()..) {
             if cell.wseq <= synced {
                 continue;
             }
@@ -744,7 +745,7 @@ mod tests {
 
     /// A crash drops exactly the values no fsync covered: their acks go,
     /// a committed one degrades to learnt-without-value, and the report
-    /// says which was which.
+    /// says which was which. Execution restarts at the floor it is given.
     #[test]
     fn a_crash_drops_exactly_the_unsynced_values() {
         let mut b = base();
@@ -754,7 +755,9 @@ mod tests {
             cell.wseq = wseq;
         }
         b.learn([Slot(3)]);
-        assert_eq!(b.crash(Slot(1), 4), [(Slot(2), false), (Slot(3), true)]);
+        b.exec_index = Slot(1);
+        assert_eq!(b.crash(Slot::NONE, 4), [(Slot(2), false), (Slot(3), true)]);
+        assert_eq!(b.exec_index, Slot::NONE, "execution restarts at the floor");
         assert_eq!(b.bytes, put(1).size_bytes());
         assert!(b.cells.get(Slot(1)).unwrap().cmd().is_some());
         let lost = b.cells.get(Slot(3)).unwrap();

@@ -17,7 +17,6 @@ use std::sync::Arc;
 use paxraft_sim::sim::{ActorId, Ctx};
 use paxraft_sim::trace::SpanKind;
 
-use crate::kv::KvStore;
 use crate::log::{Entry, Log};
 use crate::msg::{Msg, RaftMsg};
 use crate::replicate::Replicator;
@@ -473,16 +472,15 @@ impl RaftBase {
         stats.note_log_size(self.log.peak_entries(), self.log.peak_bytes());
     }
 
-    /// Crash-restart: terms, the *fsynced* log prefix and the durable
-    /// snapshot persist; roles, votes, the state machine and any
-    /// unsynced log suffix do not. With durability enabled the suffix
-    /// above the durable watermark is truncated — those entries never
-    /// reached the disk, and no ack attesting to them was ever sent
-    /// (the ack-after-fsync invariant), so discarding them cannot lose
-    /// acknowledged state. The state machine restarts from the snapshot
-    /// (the compacted prefix is not replayable) and re-applies the
-    /// retained log as the commit index re-advances.
-    pub fn crash_reset(&mut self, core: &mut EngineCore) {
+    /// Crash-restart: terms and the *fsynced* log prefix persist; roles,
+    /// votes and any unsynced log suffix do not. With durability enabled
+    /// the suffix above the durable watermark is truncated — those
+    /// entries never reached the disk, and no ack attesting to them was
+    /// ever sent (the ack-after-fsync invariant), so discarding them
+    /// cannot lose acknowledged state. The engine has restored the state
+    /// machine to `floor`; the retained log above it is applied again as
+    /// the commit index re-advances.
+    pub fn crash_reset(&mut self, core: &mut EngineCore, floor: Slot) {
         if core.dur.enabled() {
             // Recover to the fsynced prefix. The compacted floor is
             // durable by construction (the snapshot file is fsynced at
@@ -496,16 +494,10 @@ impl RaftBase {
         }
         self.role = Role::Follower;
         self.votes = 0;
-        self.commit_index = Slot::NONE;
-        self.last_applied = Slot::NONE;
-        core.kv = KvStore::new();
-        if let Some(snap) = &core.stable_snap {
-            core.kv.restore(&snap.kv);
-            self.last_applied = snap.last_slot;
-            self.commit_index = snap.last_slot;
-        }
-        // Span bookkeeping restarts at the recovered floor.
-        self.quorum_mark = self.commit_index;
+        // Span bookkeeping restarts at the recovered floor too.
+        self.last_applied = floor;
+        self.commit_index = floor;
+        self.quorum_mark = floor;
     }
 }
 

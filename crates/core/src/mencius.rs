@@ -1462,14 +1462,14 @@ impl ProtocolRules for MenciusRules {
 
     fn accept_snapshot_chunk(
         &mut self,
-        _core: &mut EngineCore,
+        core: &mut EngineCore,
         ctx: &mut Ctx<Msg>,
         from: ActorId,
         _seal: Term,
     ) -> bool {
         // Multi-leader transfers are ballot-free; any peer may ship us
         // its state. The chunk doubles as a liveness signal.
-        self.last_heard[_core.cfg.node_of(from).0 as usize] = ctx.now();
+        self.last_heard[core.cfg.node_of(from).0 as usize] = ctx.now();
         true
     }
 
@@ -1527,12 +1527,9 @@ impl ProtocolRules for MenciusRules {
         sample.record("decision_rewrites", self.decision_rewrites as f64);
     }
 
-    fn on_crash(&mut self, core: &mut EngineCore) {
-        // Stable storage: slots (accepted values, ballots, commits),
-        // current_term, and the durable checkpoint. Volatile: pending
-        // work and respond queues. The state machine restarts from the
-        // checkpoint — the discarded slot prefix cannot be replayed —
-        // and re-executes the retained decided suffix.
+    fn on_crash(&mut self, core: &mut EngineCore, floor: Slot) {
+        // Stable storage: slots (accepted values, ballots, commits) and
+        // current_term. Volatile: pending work and respond queues.
         //
         // Durability: accepted values whose write never fsynced are
         // gone. Their `SuggestOk` (or this owner's own pending
@@ -1544,8 +1541,7 @@ impl ProtocolRules for MenciusRules {
         // self-recovery (module docs). The ballot in `bal` is free
         // always-durable metadata — promises survive; only value
         // payloads rode the modeled disk.
-        let from = self.base.floor().next();
-        for (s, committed) in self.base.crash(from, core.dur.synced_seq()) {
+        for (s, committed) in self.base.crash(floor, core.dur.synced_seq()) {
             let skipped = self.base.cells.get(s).is_some_and(|x| x.skipped);
             let mine = MenciusReplica::owner_of(s, core.cfg.n) == core.cfg.id;
             if !committed && mine && !skipped {
@@ -1563,15 +1559,9 @@ impl ProtocolRules for MenciusRules {
         }
         self.beyond_gap.fill(None);
         self.revoke = None;
-        core.kv = crate::kv::KvStore::new();
-        self.base.exec_index = Slot::NONE;
-        if let Some(snap) = &core.stable_snap {
-            core.kv.restore(&snap.kv);
-            self.base.exec_index = snap.last_slot;
-        }
         // The retained writes above the restored prefix run again, and
         // hold back their successors on the same key until they have.
-        let unexecuted = self.base.cells.range(self.base.exec_index.next()..);
+        let unexecuted = self.base.cells.range(floor.next()..);
         self.key_slots = unexecuted
             .filter_map(|(s, slot)| Some((write_key(slot.cmd()?)?, s.0)))
             .collect();

@@ -14,7 +14,8 @@
 //! it *single-leader* Paxos: ballots and phase 1 with its value adoption,
 //! the proposer's numbering and send cursors, the Accept rounds with the
 //! commit they carry, the heartbeat's retransmission and replay, the
-//! execute loop (the proposer answers the client), and what a crash keeps.
+//! execute loop (the proposer answers the client; a restarted replica runs
+//! its chosen instances above the checkpoint again), and what a crash keeps.
 //!
 //! # Learning the way Raft commits
 //!
@@ -388,6 +389,8 @@ impl PaxosRules {
         }
         let items = Round::from(items);
         self.write_round(core, ctx, &items);
+        // A restarted proposer executes what it kept before it proposes.
+        self.try_execute(core, ctx);
         self.phase1_succeeded = true;
         core.leader_hint = Some(core.cfg.id);
         core.pipe.reset();
@@ -775,18 +778,16 @@ impl ProtocolRules for PaxosRules {
         sample.record("learns_alone", self.learns_alone as f64);
     }
 
-    fn on_crash(&mut self, core: &mut EngineCore) {
+    fn on_crash(&mut self, core: &mut EngineCore, floor: Slot) {
         // Model a restart with stable storage: ballot, *fsynced*
-        // accepted values, commit flags, the executed state and the
-        // checkpoint persist; volatile leadership does not. With
-        // durability enabled, accepted values whose write never fsynced
-        // are gone ([`PaxosBase::crash`]); what a committed instance lost
-        // is re-fetched from the proposer's retransmission or a
-        // checkpoint. An instance that lost its value accepted nothing,
-        // so its ballot goes with it, and a fully empty uncommitted one
-        // needs no placeholder.
-        let from = self.base.exec_index.next();
-        for (s, committed) in self.base.crash(from, core.dur.synced_seq()) {
+        // accepted values and commit flags persist; volatile leadership
+        // and execution do not. With durability enabled, accepted values
+        // whose write never fsynced are gone (`PaxosBase::crash`); what a
+        // committed instance lost is re-fetched from the proposer's
+        // replay or a checkpoint. An instance that lost its value
+        // accepted nothing, so its ballot goes with it, and a fully empty
+        // uncommitted one needs no placeholder.
+        for (s, committed) in self.base.crash(floor, core.dur.synced_seq()) {
             if committed {
                 self.base.cells.get_mut(s).expect("kept").bal = Term::ZERO;
             } else {
@@ -1162,6 +1163,43 @@ mod tests {
         let sample = sim.actor::<MultiPaxosReplica>(proposer).metric_sample();
         assert_eq!(sample.get("commits_carried"), f64::from(carried));
         assert_eq!(sample.get("learns_alone"), f64::from(alone));
+    }
+
+    /// A restart keeps the chosen instances but not their execution: the
+    /// proposer restarts at an empty state machine (no checkpoint), and
+    /// when it wins phase 1 back with nothing left to fill and no client
+    /// waiting, it executes what it kept before proposing anything.
+    #[test]
+    fn a_restarted_proposer_executes_what_it_kept_when_it_wins_again() {
+        let (mut sim, replicas, client) = cluster_with(3, |mut cfg| {
+            cfg.initial_leader = Some(NodeId(0));
+            // The restarted proposer campaigns long before the others do.
+            let ms = if cfg.id == NodeId(0) { 400 } else { 4_000 };
+            cfg.election_min = SimDuration::from_millis(ms);
+            cfg.election_max = SimDuration::from_millis(ms + ms / 4);
+            Box::new(MultiPaxosReplica::new(cfg))
+        });
+        for k in 0..3 {
+            sim.actor_mut::<TestClient>(client).enqueue_put(k);
+        }
+        assert!(drive_until(&mut sim, SimTime::from_secs(10), |sim| {
+            sim.actor::<TestClient>(client).replies.len() == 3
+        }));
+        let r0 = replicas[0];
+        let before = sim.actor::<MultiPaxosReplica>(r0).exec_index();
+        sim.crash_at(r0, sim.now() + SimDuration::from_millis(1));
+        sim.restart_at(r0, sim.now() + SimDuration::from_millis(10));
+        sim.run_for(SimDuration::from_millis(20));
+        let rep = sim.actor::<MultiPaxosReplica>(r0);
+        assert_eq!((rep.exec_index(), rep.kv().len()), (Slot::NONE, 0));
+        let ballot = rep.ballot();
+        assert!(drive_until(&mut sim, SimTime::from_secs(20), |sim| {
+            let rep = sim.actor::<MultiPaxosReplica>(r0);
+            rep.is_leader() && rep.ballot() > ballot
+        }));
+        let rep = sim.actor::<MultiPaxosReplica>(r0);
+        assert_eq!(rep.exec_index(), before, "executed on winning phase 1");
+        assert_eq!(rep.kv().len(), 3);
     }
 
     #[test]

@@ -911,13 +911,11 @@ impl<F: Flavor> ProtocolRules for RaftFamilyRules<F> {
         self.advance_commit(core, ctx);
     }
 
-    fn on_crash(&mut self, core: &mut EngineCore) {
-        // Persistent: term, log, the durable snapshot backing the
-        // compacted prefix, and grants *given* (a recovering grantor
+    fn on_crash(&mut self, core: &mut EngineCore, floor: Slot) {
+        // Persistent: term, log, and grants *given* (a recovering grantor
         // must still honour them). Volatile: everything else, including
-        // leases held. The state machine restarts from the snapshot —
-        // the compacted prefix cannot be replayed.
-        self.base.crash_reset(core);
+        // leases held.
+        self.base.crash_reset(core, floor);
         if core.dur.enabled() {
             // crash_reset may have truncated an unsynced suffix the
             // [PQL] key index still points into; rebuild it from the
