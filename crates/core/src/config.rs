@@ -261,6 +261,10 @@ impl ReplicaConfig {
         if self.n == 0 || self.n % 2 == 0 {
             return Err(format!("n={} must be odd and positive", self.n));
         }
+        // A Paxos-family instance keeps its acks in a 32-bit bitmap.
+        if self.n > 32 {
+            return Err(format!("n={} exceeds 32", self.n));
+        }
         if self.id.0 as usize >= self.n {
             return Err(format!("id {} out of range for n={}", self.id, self.n));
         }
@@ -320,6 +324,17 @@ mod tests {
     fn validate_rejects_even_n() {
         let mut c = cfg();
         c.n = 4;
+        assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_more_than_32_replicas() {
+        let mut c = cfg();
+        c.n = 31;
+        c.peers = (0..31).map(ActorId).collect();
+        assert_eq!(c.validate(), Ok(()));
+        c.n = 33;
+        c.peers = (0..33).map(ActorId).collect();
         assert!(c.validate().is_err());
     }
 

@@ -48,11 +48,14 @@ use super::{transfer, EngineCore, SlotRing};
 /// empty instance, nothing accepted. The value and its write sequence
 /// change only through [`PaxosBase`], which accounts for them.
 ///
-/// The Mencius owner's two flags sit in `committed`'s padding (a struct of
-/// their own would cost Mencius 8 bytes a cell, here they cost MultiPaxos
-/// none); its timestamp's type is the protocol's — `SimTime`, or `()`.
+/// 72 bytes under both rules files: the value, the ballot and the write
+/// sequence, with the ack bitmap and the three flags in one word (the
+/// Mencius owner's two flags cost MultiPaxos nothing there). What only
+/// some cells need lives beside the table, in the rules file that needs
+/// it — Mencius keeps its owner's suggestion times in a ring of its own
+/// slots.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct Cell<At> {
+pub(crate) struct Cell {
     /// Highest ballot the value was accepted at, or the slot promised to
     /// (`instance.bal`).
     pub(crate) bal: Term,
@@ -65,17 +68,20 @@ pub(crate) struct Cell<At> {
     pub(crate) skipped: bool,
     /// Mencius: whether the owner already answered the client.
     pub(crate) responded: bool,
-    /// Proposer-side acknowledgement bitmap.
-    pub(crate) acks: u64,
+    /// Proposer-side acknowledgement bitmap, one [`ack_bit`] per replica
+    /// (`ReplicaConfig::validate` caps a cluster at 32).
+    pub(crate) acks: u32,
     /// Durability: engine write sequence of the last value write (0 when
     /// durability is disabled).
     wseq: u64,
-    /// Mencius: when the owner last (re)suggested this slot (own slots
-    /// only; paces the uncommitted-suggestion retransmission).
-    pub(crate) suggested_at: At,
 }
 
-impl<At> Cell<At> {
+/// A replica's bit in a cell's ack bitmap.
+pub(crate) fn ack_bit(node: NodeId) -> u32 {
+    1 << node.0
+}
+
+impl Cell {
     /// The accepted value, if any.
     pub(crate) fn cmd(&self) -> Option<&Command> {
         self.cmd.as_ref()
@@ -121,10 +127,12 @@ pub(crate) fn merge_highest(
     }
 }
 
-/// Instance state common to MultiPaxos and Mencius.
-pub(crate) struct PaxosBase<At> {
+/// Instance state common to MultiPaxos and Mencius: one type, not one
+/// per protocol — what only one of them keeps per slot sits in its rules
+/// file, beside the table (the Mencius owner's suggestion times).
+pub(crate) struct PaxosBase {
     /// The instances, from the checkpoint floor up.
-    pub(crate) cells: SlotRing<Cell<At>>,
+    pub(crate) cells: SlotRing<Cell>,
     /// All instances at or below this are applied.
     pub(crate) exec_index: Slot,
     /// Checkpoint floor: instances at or below it were discarded after
@@ -153,7 +161,7 @@ pub(crate) struct PaxosBase<At> {
     accept_duplicates: u64,
 }
 
-impl<At: Default> PaxosBase<At> {
+impl PaxosBase {
     /// Empty state for an `n`-replica cluster.
     pub(crate) fn new(n: usize) -> Self {
         PaxosBase {
@@ -198,7 +206,7 @@ impl<At: Default> PaxosBase<At> {
     /// A proposer's own write of `cmd` at its ballot, asking nothing: it
     /// numbers its instances above everything it executed and adopts
     /// values without counting them learnt. Returns the cell.
-    pub(crate) fn write(&mut self, slot: Slot, bal: Term, cmd: Command) -> &mut Cell<At> {
+    pub(crate) fn write(&mut self, slot: Slot, bal: Term, cmd: Command) -> &mut Cell {
         let cell = self.cells.get_or_default(slot);
         self.accept_writes += 1;
         cell.put(&mut self.bytes, bal, cmd);
@@ -289,8 +297,8 @@ impl<At: Default> PaxosBase<At> {
     pub(crate) fn tally_synced_votes(
         &mut self,
         synced: u64,
-        bit: u64,
-        eligible: impl Fn(Term, &Cell<At>) -> bool,
+        bit: u32,
+        eligible: impl Fn(Term, &Cell) -> bool,
         mut chosen: impl FnMut(Slot),
     ) -> bool {
         let covered = self
@@ -317,8 +325,8 @@ impl<At: Default> PaxosBase<At> {
     pub(crate) fn tally(
         &mut self,
         slots: impl IntoIterator<Item = Slot>,
-        bit: u64,
-        eligible: impl Fn(&Cell<At>) -> bool,
+        bit: u32,
+        eligible: impl Fn(&Cell) -> bool,
         mut chosen: impl FnMut(Slot),
     ) {
         for slot in slots {
@@ -376,7 +384,7 @@ impl<At: Default> PaxosBase<At> {
     pub(crate) fn discard_through(
         &mut self,
         upto: Slot,
-        mut dropped: impl FnMut(Slot, Cell<At>),
+        mut dropped: impl FnMut(Slot, Cell),
     ) -> usize {
         let bytes = &mut self.bytes;
         let discarded = self.cells.drop_through(upto, |s, cell| {
@@ -405,7 +413,7 @@ impl<At: Default> PaxosBase<At> {
         core: &mut EngineCore,
         ctx: &mut Ctx<Msg>,
         upto: Slot,
-        dropped: impl FnMut(Slot, Cell<At>),
+        dropped: impl FnMut(Slot, Cell),
     ) -> bool {
         if upto <= self.compacted_through {
             return false;
@@ -431,7 +439,7 @@ impl<At: Default> PaxosBase<At> {
         core: &mut EngineCore,
         ctx: &mut Ctx<Msg>,
         snap: Snapshot,
-        dropped: impl FnMut(Slot, Cell<At>),
+        dropped: impl FnMut(Slot, Cell),
     ) -> Option<usize> {
         let covered = snap.last_slot;
         if covered <= self.exec_index {
@@ -487,7 +495,7 @@ impl<At: Default> PaxosBase<At> {
         &'a self,
         range: impl RangeBounds<Slot> + 'a,
     ) -> impl Iterator<Item = (Slot, Term, Command)> + 'a {
-        let held = |(s, cell): (Slot, &'a Cell<At>)| Some((s, cell.bal, cell.cmd.clone()?));
+        let held = |(s, cell): (Slot, &'a Cell)| Some((s, cell.bal, cell.cmd.clone()?));
         self.cells.range(range).filter_map(held)
     }
 
@@ -534,7 +542,7 @@ mod tests {
         Command::put(CmdId { client: 1, seq }, seq, vec![0; 8])
     }
 
-    fn base() -> PaxosBase<()> {
+    fn base() -> PaxosBase {
         PaxosBase::new(3)
     }
 
@@ -569,7 +577,7 @@ mod tests {
         b.store(Slot(2), Term(2), put(2));
         b.store(Slot(3), Term(3), put(3));
         b.learn_at((1..=4).map(Slot), Term(2));
-        let chosen = |b: &PaxosBase<()>, s| b.cells.get(Slot(s)).is_some_and(|c| c.committed);
+        let chosen = |b: &PaxosBase, s| b.cells.get(Slot(s)).is_some_and(|c| c.committed);
         assert!(!chosen(&b, 1) && chosen(&b, 2) && chosen(&b, 3));
         assert!(b.learnt_without_value(Slot(1)) && b.learnt_without_value(Slot(4)));
         assert_eq!(b.store(Slot(1), Term(1), put(1)), Stored::Kept);
@@ -657,7 +665,7 @@ mod tests {
         let mut b = base();
         b.write(Slot(1), Term(3), put(1)).acks = 0b001;
         b.write(Slot(2), Term(4), put(2)).acks = 0b001;
-        let at = |t| move |c: &Cell<()>| c.bal == Term(t);
+        let at = |t| move |c: &Cell| c.bal == Term(t);
         let slots = [Slot(1), Slot(2), Slot(1), Slot(9)];
         let mut chosen = Vec::new();
         b.tally(slots, 0b010, at(3), |s| chosen.push(s));
@@ -684,9 +692,9 @@ mod tests {
             (5, Term(2), run(&[4, 7])),
             (8, Term(2), run(&[10])),
         ];
-        let drain = |b: &mut PaxosBase<()>, synced| {
+        let drain = |b: &mut PaxosBase, synced| {
             let mut votes = Vec::new();
-            let still = |bal, cell: &Cell<()>| bal == cell.bal;
+            let still = |bal, cell: &Cell| bal == cell.bal;
             let any = b.tally_synced_votes(synced, 0b001, still, |s| votes.push(s));
             (any, votes)
         };

@@ -377,6 +377,15 @@ impl Hasher for IntHasher {
 
 type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
 
+/// The redirect a keyed operation on a range this group froze away gets
+/// instead of applying.
+fn bounce(shard: &ShardState, op: &Op) -> Option<Reply> {
+    match shard.override_for(op.key()?)? {
+        KeyOwnership::Redirect(group, version) => Some(Reply::WrongGroup { group, version }),
+        KeyOwnership::Accept(_) => None,
+    }
+}
+
 /// The key-value store with client sessions for exactly-once apply.
 #[derive(Debug, Default)]
 pub struct KvStore {
@@ -425,14 +434,12 @@ impl KvStore {
             }
             session => session,
         };
-        if let Some(key) = cmd.op.key() {
-            if let Some(KeyOwnership::Redirect(group, version)) = self.shard.override_for(key) {
-                // Not recorded in the session and not counted as an
-                // apply: the operation did not take effect here, and the
-                // client's retry at the owning group must be free to
-                // apply under the same command id.
-                return Reply::WrongGroup { group, version };
-            }
+        if let Some(redirect) = bounce(&self.shard, &cmd.op) {
+            // Not recorded in the session and not counted as an apply:
+            // the operation did not take effect here, and the client's
+            // retry at the owning group must be free to apply under the
+            // same command id.
+            return redirect;
         }
         self.applied_ops += 1;
         let reply = match &cmd.op {
@@ -450,6 +457,21 @@ impl KvStore {
             session.insert_entry((cmd.id.seq, reply.clone()));
         }
         reply
+    }
+
+    /// What applying `op` now would answer, without applying it and
+    /// without the session table: the redirect of a range frozen away,
+    /// the stored value for a read, [`Reply::Done`] otherwise. Mencius
+    /// answers a command this way ahead of its apply once nothing
+    /// unapplied before it can change the answer.
+    pub(crate) fn preview(&self, op: &Op) -> Reply {
+        if let Some(redirect) = bounce(&self.shard, op) {
+            return redirect;
+        }
+        match op {
+            Op::Get { key } => self.read_local(*key),
+            _ => Reply::Done,
+        }
     }
 
     /// Applies a migration control command (see [`KvStore::apply`]).
@@ -947,11 +969,10 @@ mod tests {
         assert_eq!(size_of::<crate::msg::Slots>(), 24);
         assert_eq!(size_of::<crate::msg::PaxosMsg>(), 48);
         assert_eq!(size_of::<crate::msg::MenciusMsg>(), 80);
-        // The Paxos-family instance: MultiPaxos, then Mencius with its
-        // owner's timestamp (the owner's flags share `committed`'s padding).
+        // The Paxos-family instance, one for both rules files: the ack
+        // bitmap and the flags share one word.
         use crate::engine::paxos_family::Cell;
-        assert_eq!(size_of::<Cell<()>>(), 80);
-        assert_eq!(size_of::<Cell<paxraft_sim::time::SimTime>>(), 88);
+        assert_eq!(size_of::<Cell>(), 72);
     }
 
     #[test]

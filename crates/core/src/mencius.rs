@@ -68,13 +68,30 @@
 //! # Responses and recovery
 //!
 //! Responses follow the paper's two regimes (Section 5.2):
-//! - **commutative (low conflict)**: a write is acknowledged once its
+//! - **commutative (low conflict)**: a command is answered once its
 //!   slot commits and every other owner's slots below it are *known*
 //!   (suggested or skipped) — nothing earlier can conflict;
-//! - **conflicting**: the write additionally waits until every earlier
-//!   entry on the same key has applied, which requires learning the
-//!   other servers' commit decisions on previous entries — the extra
-//!   latency Figure 10c/d shows for Mencius-100%.
+//! - **conflicting**: it additionally waits until every earlier write to
+//!   its key has applied, which requires learning the other servers'
+//!   commit decisions on previous entries — the extra latency Figure
+//!   10c/d shows for Mencius-100%.
+//!
+//! Reads follow the same rule as writes (Mencius's own: a command may
+//! finish out of order when it commutes with every earlier unexecuted
+//! one, and a read of `k` commutes with everything but writes to `k`).
+//! Execution runs in slot order, so when nothing before a read's slot
+//! that writes its key is left unapplied, the state machine already holds
+//! the value the read returns at its slot: it is answered from there
+//! (`KvStore::preview`), not once in-order execution reaches the slot —
+//! which waits for the farthest owner's decision on every slot below.
+//! Linearizable for the reason the write rule is: a command
+//! answered at slot `w` had every other owner's slots below `w` known, so
+//! one invoked after that answer lands above `w`. Two things hold back
+//! every early answer, whatever its key: an unapplied migration command
+//! (a `FreezeRange` bounces the keys it moves, so the answer is only
+//! known once it has applied — then it is the redirect), and an own slot
+//! whose value a crash dropped (what it held is unknown until it is
+//! decided again).
 //!
 //! **The respond pass** (`MenciusRules::try_respond`) runs at the end of
 //! every execute step, i.e. on nearly every message, so what it costs
@@ -87,15 +104,17 @@
 //! that one comparison, before its table entry is even looked up.
 //!
 //! **The conflict index** is one ordered set of `(key, slot)` for the
-//! retained writes *above the executed prefix*, and the rule reads
-//! "no indexed write to this key in `(exec_index, s)`". Entries leave
+//! retained writes *above the executed prefix*, beside one of the slots
+//! of the retained migration commands there, and the rule reads "no
+//! indexed write to this key, and no migration command, in
+//! `(exec_index, s)`". Entries leave
 //! the set when their slot executes, is discarded, loses its value to a
 //! crash or has it replaced; that is garbage collection, never what
 //! makes a later slot ready — the range in the rule already ignores an
 //! executed entry — with one exception: a *replaced* value (a
 //! revocation deciding a no-op over a `Put k`) is a write that will
 //! never apply, so it must leave the index or it would hold back every
-//! later writer of `k` for as long as it stayed, and the writers it held
+//! later answer on `k` for as long as it stayed, and the answers it held
 //! get a fresh pass. A crash re-executes from the checkpoint, so
 //! `on_crash` rebuilds the set from the retained slots above it.
 //!
@@ -147,17 +166,20 @@
 //! The slot table and its bookkeeping are the family's `PaxosBase`,
 //! shared with MultiPaxos. Here is what makes it *Mencius*: ownership and
 //! skips, the per-peer streams, the execute loop with its skip inference,
-//! the respond pass and conflict index, retransmission and the replay
-//! body, revocation, and what a crash keeps.
+//! the respond pass and conflict index, the owner's suggestion times (a
+//! ring of its own slots beside the table, so the shared cell stays
+//! 72 bytes), retransmission and the replay body, revocation, and what a
+//! crash keeps.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::ops::Range;
 
 use paxraft_sim::sim::{ActorId, Ctx};
 use paxraft_sim::time::{SimDuration, SimTime};
 
 use crate::config::ReplicaConfig;
 use crate::costs::CostModel;
-use crate::engine::paxos_family::{merge_highest, Accepted, Cell, PaxosBase, Stored};
+use crate::engine::paxos_family::{ack_bit, merge_highest, Accepted, Cell, PaxosBase, Stored};
 use crate::engine::{self, EngineCore, ProtocolRules, ReplicaEngine, T_COORD};
 use crate::kv::{Command, Key, Op};
 use crate::msg::{
@@ -210,21 +232,109 @@ impl PeerStream {
     }
 }
 
-/// The key `cmd` writes, if it is a write.
-fn write_key(cmd: &Command) -> Option<Key> {
-    match &cmd.op {
-        Op::Put { key, .. } => Some(*key),
-        _ => None,
+/// What an unapplied command holds back (module docs, "The conflict
+/// index"): a write, the early answers on its key; a migration command,
+/// every early answer.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Holds {
+    Key(Key),
+    All,
+}
+
+impl Holds {
+    fn of(cmd: &Command) -> Option<Holds> {
+        match &cmd.op {
+            Op::Put { key, .. } => Some(Holds::Key(*key)),
+            op if op.is_migration() => Some(Holds::All),
+            _ => None,
+        }
     }
 }
 
-/// What the base hands a discarded slot to: its write leaves the
-/// conflict index.
-fn unindex(key_slots: &mut BTreeSet<(Key, u64)>) -> impl FnMut(Slot, Cell<SimTime>) + '_ {
-    |s, slot| {
-        if let Some(key) = slot.cmd().and_then(write_key) {
-            key_slots.remove(&(key, s.0));
+/// The conflict index: the retained commands above the executed prefix
+/// that an early answer must not overtake.
+#[derive(Debug, Default)]
+struct ConflictIndex {
+    /// `(key, slot)` of every write.
+    writes: BTreeSet<(Key, u64)>,
+    /// The slot of every migration command.
+    migrations: BTreeSet<u64>,
+}
+
+impl ConflictIndex {
+    fn insert(&mut self, s: Slot, holds: Holds) {
+        match holds {
+            Holds::Key(key) => self.writes.insert((key, s.0)),
+            Holds::All => self.migrations.insert(s.0),
+        };
+    }
+
+    /// Returns whether `s` was indexed.
+    fn remove(&mut self, s: Slot, holds: Holds) -> bool {
+        match holds {
+            Holds::Key(key) => self.writes.remove(&(key, s.0)),
+            Holds::All => self.migrations.remove(&s.0),
         }
+    }
+
+    /// Whether nothing indexed in the slots `between` holds back an
+    /// answer on `key` (`None`: a command without one).
+    fn clear(&self, between: Range<u64>, key: Option<Key>) -> bool {
+        let writes = |key| (key, between.start)..(key, between.end);
+        self.migrations.range(between.clone()).next().is_none()
+            && key.is_none_or(|key| self.writes.range(writes(key)).next().is_none())
+    }
+}
+
+/// What the base hands a discarded slot to: its command leaves the
+/// conflict index.
+fn unindex(conflicts: &mut ConflictIndex) -> impl FnMut(Slot, Cell) + '_ {
+    |s, slot| {
+        if let Some(holds) = slot.cmd().and_then(Holds::of) {
+            conflicts.remove(s, holds);
+        }
+    }
+}
+
+/// Own slot `s`'s number among its owner's slots, from zero.
+fn own_index(s: Slot, n: usize) -> u64 {
+    (s.0 - 1) / n as u64
+}
+
+/// When the owner last (re)suggested each of its slots, dense over their
+/// `own_index`: `times[i]` is own slot number `first + i`, and a slot no
+/// entry covers reads as never.
+#[derive(Debug, Default)]
+struct SuggestTimes {
+    first: u64,
+    times: VecDeque<SimTime>,
+}
+
+impl SuggestTimes {
+    fn get(&self, i: u64) -> SimTime {
+        let at = i
+            .checked_sub(self.first)
+            .and_then(|k| self.times.get(k as usize));
+        at.copied().unwrap_or(SimTime::ZERO)
+    }
+
+    /// Sets own slot number `i`'s time; one already dropped stays so.
+    fn set(&mut self, i: u64, at: SimTime) {
+        let Some(k) = i.checked_sub(self.first) else {
+            return;
+        };
+        let k = k as usize;
+        if k >= self.times.len() {
+            self.times.resize(k + 1, SimTime::ZERO);
+        }
+        self.times[k] = at;
+    }
+
+    /// Drops every own slot numbered below `i`.
+    fn drop_below(&mut self, i: u64) {
+        let gone = i.saturating_sub(self.first).min(self.times.len() as u64);
+        self.times.drain(..gone as usize);
+        self.first = self.first.max(i);
     }
 }
 
@@ -246,7 +356,7 @@ pub struct MenciusRules {
     current_term: Term,
     /// The slot table and its bookkeeping (the executed prefix and the
     /// peers' reports of theirs included).
-    base: PaxosBase<SimTime>,
+    base: PaxosBase,
     /// My next unused owned slot; doubles as my skip watermark.
     next_own: Slot,
     /// Exclusive bound of *known* slots per peer owner: every slot of
@@ -261,9 +371,13 @@ pub struct MenciusRules {
     /// When the coordination tick last ran: peers sent nothing since get
     /// a keepalive `SkipNotice`.
     last_tick: SimTime,
-    /// The write-conflict index: `(key, slot)` of every retained `Put`
-    /// above the executed prefix (module docs, "The conflict index").
-    key_slots: BTreeSet<(Key, u64)>,
+    /// Every retained write and migration command above the executed
+    /// prefix (module docs, "The conflict index").
+    conflicts: ConflictIndex,
+    /// When I last (re)suggested each own slot: paces the
+    /// retransmission and sizes a decision's patience. Dropped with the
+    /// cells a checkpoint discards, kept through a crash like them.
+    suggested: SuggestTimes,
     /// Own committed slots waiting for the respond condition.
     await_respond: Vec<Slot>,
     /// The `(cover, exec_index)` the last respond pass ran with; `None`
@@ -320,7 +434,8 @@ impl MenciusReplica {
                     .collect(),
                 last_tick: SimTime::ZERO,
                 base: PaxosBase::new(n),
-                key_slots: BTreeSet::new(),
+                conflicts: ConflictIndex::default(),
+                suggested: SuggestTimes::default(),
                 await_respond: Vec::new(),
                 respond_seen: None,
                 #[cfg(test)]
@@ -445,7 +560,7 @@ impl MenciusRules {
         term: Term,
         cmd: Command,
     ) -> Option<bool> {
-        let indexed = write_key(&cmd).filter(|_| s > self.base.exec_index);
+        let indexed = Holds::of(&cmd).filter(|_| s > self.base.exec_index);
         let replaced = match self.base.store(s, term, cmd) {
             Stored::BelowFloor => return None,
             Stored::Kept => {
@@ -458,20 +573,23 @@ impl MenciusRules {
             Stored::Written(replaced) => replaced,
         };
         // A value replaced (a revocation deciding a no-op over a
-        // `Put k`) leaves the index with it, or every later writer of
-        // `k` would wait on a write that is never applied; the
-        // writers it held back get a fresh look.
-        let stale = replaced.as_ref().and_then(write_key);
-        let stale = stale.filter(|k| Some(*k) != indexed);
-        if stale.is_some_and(|k| self.key_slots.remove(&(k, s.0))) {
+        // `Put k`) leaves the index with it, or every later answer on
+        // `k` would wait on a write that is never applied; the answers
+        // it held back get a fresh look.
+        let stale = replaced.as_ref().and_then(Holds::of);
+        let stale = stale.filter(|h| Some(*h) != indexed);
+        if stale.is_some_and(|h| self.conflicts.remove(s, h)) {
             self.respond_seen = None;
         }
-        if let Some(key) = indexed {
-            self.key_slots.insert((key, s.0));
+        if let Some(holds) = indexed {
+            self.conflicts.insert(s, holds);
         }
         // A value landing in a crash-dropped own slot (our own recovery
-        // decision, or a revocation's) supersedes the loss marker.
-        self.lost_own.remove(&s.0);
+        // decision, or a revocation's) supersedes the loss marker, and
+        // the answers it held get a fresh look.
+        if self.lost_own.remove(&s.0) {
+            self.respond_seen = None;
+        }
         self.base.note_log_size(core);
         Some(true)
     }
@@ -479,7 +597,7 @@ impl MenciusRules {
     /// Commit tally for own slots that just gained an ack bit (a
     /// follower's `SuggestOk`, or this owner's own post-fsync vote). An
     /// ack counts only for a slot still at the term it acknowledges.
-    fn tally_own(&mut self, slots: &Slots, term: Term, bit: u64) {
+    fn tally_own(&mut self, slots: &Slots, term: Term, bit: u32) {
         let before = self.commit_buf.len();
         let chosen = &mut self.commit_buf;
         self.base.tally(
@@ -581,10 +699,16 @@ impl MenciusRules {
     }
 
     /// The respond condition's conflict part: every earlier write to
-    /// `key` has applied — no indexed write to it in `(exec_index, s)`.
-    fn conflicts_applied(&self, s: Slot, key: Key) -> bool {
-        let unapplied = (key, self.base.exec_index.0 + 1)..(key, s.0);
-        self.base.exec_index >= s || self.key_slots.range(unapplied).next().is_none()
+    /// `key` and every earlier migration command has applied — nothing
+    /// indexed for it in `(exec_index, s)` — and no own slot there lost
+    /// its value to a crash (what it held is unknown until re-decided).
+    fn conflicts_applied(&self, s: Slot, key: Option<Key>) -> bool {
+        let exec = self.base.exec_index;
+        if exec >= s {
+            return true;
+        }
+        let between = exec.0 + 1..s.0;
+        self.conflicts.clear(between.clone(), key) && self.lost_own.range(between).next().is_none()
     }
 
     /// Answers clients for own slots whose respond condition now holds
@@ -614,7 +738,12 @@ impl MenciusRules {
     }
 
     /// One covered slot of the respond pass: answers its client if the
-    /// rest of the condition holds. Returns whether the slot stays queued.
+    /// rest of the condition holds — committed, and nothing unapplied
+    /// before it that the answer depends on. Reads and writes alike:
+    /// execution runs in slot order, so nothing above `s` has applied
+    /// and the state machine already answers what applying `s` will, the
+    /// value a read returns included. Returns whether the slot stays
+    /// queued.
     fn still_waits(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, s: Slot) -> bool {
         let Some(slot) = self.base.cells.get(s) else {
             return false;
@@ -622,16 +751,10 @@ impl MenciusRules {
         let Some(cmd) = slot.cmd().filter(|_| !slot.responded) else {
             return false;
         };
-        if !slot.committed {
+        if !slot.committed || !self.conflicts_applied(s, cmd.op.key()) {
             return true;
         }
-        let reply = match cmd.op {
-            // Reads need the value: wait for in-order apply.
-            Op::Get { key } if self.base.exec_index >= s => core.kv.read_local(key),
-            Op::Get { .. } => return true,
-            Op::Put { key, .. } if !self.conflicts_applied(s, key) => return true,
-            _ => crate::kv::Reply::Done,
-        };
+        let reply = core.kv.preview(&cmd.op);
         core.respond(ctx, cmd.id, reply);
         self.base.cells.get_mut(s).expect("exists").responded = true;
         false
@@ -640,7 +763,8 @@ impl MenciusRules {
     /// Tests: the slots a respond pass must answer, by the rule as it was
     /// first written — coverage asked of every peer for every slot, and
     /// the conflict part read off the whole retained history instead of
-    /// an index: the latest earlier write to the key has applied.
+    /// an index: the latest earlier write to the key, and the latest
+    /// earlier migration command, has applied.
     #[cfg(test)]
     fn oracle_ready(&self, core: &EngineCore) -> Vec<Slot> {
         let ready = |s: &Slot| {
@@ -654,18 +778,18 @@ impl MenciusRules {
                 .cfg
                 .others()
                 .all(|o| self.known_upto[o.0 as usize] >= *s);
-            let applied = match cmd.op {
-                Op::Get { .. } => self.base.exec_index >= *s,
-                Op::Put { key, .. } => self
-                    .base
-                    .cells
-                    .range(..*s)
-                    .rev()
-                    .find(|(_, x)| x.cmd().and_then(write_key) == Some(key))
-                    .is_none_or(|(c, _)| self.base.exec_index >= c),
-                _ => true,
-            };
-            slot.committed && covered && applied
+            let key = cmd.op.key();
+            let holds = |h| h == Holds::All || key.is_some_and(|k| h == Holds::Key(k));
+            let applied = self
+                .base
+                .cells
+                .range(..*s)
+                .rev()
+                .find(|(_, x)| x.cmd().and_then(Holds::of).is_some_and(holds))
+                .is_none_or(|(c, _)| self.base.exec_index >= c);
+            let exec = self.base.exec_index;
+            let lost = self.lost_own.iter().any(|&x| exec.0 < x && x < s.0);
+            slot.committed && covered && applied && !lost
         };
         self.await_respond.iter().copied().filter(ready).collect()
     }
@@ -677,7 +801,7 @@ impl MenciusRules {
             let Some(cmd) = self.decided_at(core, next) else {
                 break;
             };
-            let written = write_key(cmd);
+            let holds = Holds::of(cmd);
             if !matches!(cmd.op, Op::Noop) {
                 ctx.charge(core.cfg.costs.apply_per_cmd);
                 // The slot owner plays the proposer role for the
@@ -686,8 +810,8 @@ impl MenciusRules {
                 engine::apply_command(core, ctx, cmd, mine);
             }
             self.base.exec_index = next;
-            if let Some(key) = written {
-                self.key_slots.remove(&(key, next.0));
+            if let Some(holds) = holds {
+                self.conflicts.remove(next, holds);
             }
         }
         self.try_respond(core, ctx);
@@ -708,10 +832,24 @@ impl MenciusRules {
                 upto = s.prev();
             }
         }
-        let unindex = unindex(&mut self.key_slots);
+        let unindex = unindex(&mut self.conflicts);
         if self.base.compact_through(core, ctx, upto, unindex) {
             self.lost_own = self.lost_own.split_off(&(upto.0 + 1));
+            self.forget_suggested_through(core, upto);
         }
+    }
+
+    /// Drops my suggestion times at or below `upto`, whose cells a
+    /// checkpoint just discarded.
+    fn forget_suggested_through(&mut self, core: &EngineCore, upto: Slot) {
+        let above = owned_at_or_after(core.cfg.id, upto.next(), core.cfg.n);
+        self.suggested.drop_below(own_index(above, core.cfg.n));
+    }
+
+    /// When I last (re)suggested own slot `s` (zero for one I never
+    /// suggested: skipped, or decided by a revocation).
+    fn suggested_at(&self, core: &EngineCore, s: Slot) -> SimTime {
+        self.suggested.get(own_index(s, core.cfg.n))
     }
 
     /// Queues the decisions made in this handler on every peer's stream:
@@ -725,8 +863,7 @@ impl MenciusRules {
         let quickest = self
             .commit_buf
             .iter()
-            .filter_map(|s| self.base.cells.get(*s))
-            .map(|slot| now.since(slot.suggested_at.min(now)))
+            .map(|&s| now.since(self.suggested_at(core, s).min(now)))
             .min()
             .unwrap_or(SimDuration::ZERO);
         let patience = quickest / 8;
@@ -789,7 +926,7 @@ impl MenciusRules {
         let mut committed = Vec::new();
         let mut taken = 0usize;
         let unexecuted = self.base.exec_index.next()..;
-        for (s, slot) in self.base.cells.range_mut(unexecuted) {
+        for (s, slot) in self.base.cells.range(unexecuted) {
             if taken >= 64 {
                 break;
             }
@@ -799,10 +936,10 @@ impl MenciusRules {
             let Some(cmd) = slot.cmd().cloned() else {
                 continue;
             };
-            if now.since(slot.suggested_at.min(now)) <= retry {
+            if now.since(self.suggested_at(core, s).min(now)) <= retry {
                 continue;
             }
-            slot.suggested_at = now;
+            self.suggested.set(own_index(s, n), now);
             if slot.committed {
                 committed.push(s);
             }
@@ -1163,8 +1300,7 @@ impl MenciusRules {
                 if let Some(upto) = slots.max() {
                     core.pipe.on_ack(peer, upto);
                 }
-                let bit = 1u64 << peer.0;
-                self.tally_own(&slots, term, bit);
+                self.tally_own(&slots, term, ack_bit(peer));
                 self.queue_decisions(core, ctx.now());
                 self.try_execute(core, ctx);
             }
@@ -1369,12 +1505,12 @@ impl ProtocolRules for MenciusRules {
         self.next_own = Slot(first + items.len() as u64 * n);
         // With durability on, the owner's implicit ack waits for its own
         // fsync (`on_durable` adds the bit); otherwise it is immediate.
-        let self_ack = if core.dur.enabled() { 0 } else { core.me_bit() };
+        let me = ack_bit(core.cfg.id);
+        let self_ack = if core.dur.enabled() { 0 } else { me };
         for (s, cmd) in items.iter() {
             self.accept_value(core, *s, self.current_term, cmd.clone());
-            let slot = self.base.cells.get_mut(*s).expect("just accepted");
-            slot.acks = self_ack;
-            slot.suggested_at = ctx.now();
+            self.base.cells.get_mut(*s).expect("just accepted").acks = self_ack;
+            self.suggested.set(own_index(*s, core.cfg.n), ctx.now());
         }
         self.base
             .note_proposed(core, ctx, self.current_term, &items);
@@ -1439,9 +1575,9 @@ impl ProtocolRules for MenciusRules {
     fn on_durable(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
         let before = self.commit_buf.len();
         let chosen = &mut self.commit_buf;
-        let at_term = |term, slot: &Cell<SimTime>| slot.bal == term;
-        let synced = core.dur.synced_seq();
-        if !(self.base).tally_synced_votes(synced, core.me_bit(), at_term, |s| chosen.push(s)) {
+        let at_term = |term, slot: &Cell| slot.bal == term;
+        let (synced, me) = (core.dur.synced_seq(), ack_bit(core.cfg.id));
+        if !(self.base).tally_synced_votes(synced, me, at_term, |s| chosen.push(s)) {
             return;
         }
         self.note_chosen_own(before);
@@ -1482,12 +1618,13 @@ impl ProtocolRules for MenciusRules {
         snap: Snapshot,
     ) {
         let covered = snap.last_slot;
-        let unindex = unindex(&mut self.key_slots);
+        let unindex = unindex(&mut self.conflicts);
         if let Some(discarded) = self.base.install(core, ctx, snap, unindex) {
             // Mencius alone counts what an *install* drops as discarded
             // (`PARITY_pr13.txt` row 18 pins the sum).
             core.snap_stats.entries_discarded += discarded as u64;
             self.lost_own = self.lost_own.split_off(&(covered.0 + 1));
+            self.forget_suggested_through(core, covered);
             // The state covers every owner's slots from the first one.
             for o in 0..core.cfg.n as u32 {
                 self.note_known(core, NodeId(o), Slot(1), covered.next());
@@ -1537,14 +1674,15 @@ impl ProtocolRules for MenciusRules {
         // they contributed to no quorum and dropping them cannot lose
         // chosen state. A committed slot losing its value degrades to
         // committed-without-value (re-fetched from the owner's replay);
-        // an *own* uncommitted slot goes to `lost_own` for phase-1
-        // self-recovery (module docs). The ballot in `bal` is free
-        // always-durable metadata — promises survive; only value
-        // payloads rode the modeled disk.
-        for (s, committed) in self.base.crash(floor, core.dur.synced_seq()) {
+        // an *own* slot goes to `lost_own` for phase-1 self-recovery
+        // (module docs) — committed or not: no owner replays it to me,
+        // and the skip inference would read it as a no-op. The ballot
+        // in `bal` is free always-durable metadata — promises survive;
+        // only value payloads rode the modeled disk.
+        for (s, _) in self.base.crash(floor, core.dur.synced_seq()) {
             let skipped = self.base.cells.get(s).is_some_and(|x| x.skipped);
             let mine = MenciusReplica::owner_of(s, core.cfg.n) == core.cfg.id;
-            if !committed && mine && !skipped {
+            if mine && !skipped {
                 self.lost_own.insert(s.0);
             }
         }
@@ -1559,12 +1697,15 @@ impl ProtocolRules for MenciusRules {
         }
         self.beyond_gap.fill(None);
         self.revoke = None;
-        // The retained writes above the restored prefix run again, and
-        // hold back their successors on the same key until they have.
-        let unexecuted = self.base.cells.range(floor.next()..);
-        self.key_slots = unexecuted
-            .filter_map(|(s, slot)| Some((write_key(slot.cmd()?)?, s.0)))
-            .collect();
+        // The retained writes and migration commands above the restored
+        // prefix run again, and hold back the answers behind them until
+        // they have. My suggestion times stay, as the cells do.
+        self.conflicts = ConflictIndex::default();
+        for (s, slot) in self.base.cells.range(floor.next()..) {
+            if let Some(holds) = slot.cmd().and_then(Holds::of) {
+                self.conflicts.insert(s, holds);
+            }
+        }
     }
 }
 
@@ -1595,6 +1736,28 @@ mod tests {
             clients.push(sim.add_actor(region_of(i), Box::new(c)));
         }
         (sim, replicas, clients)
+    }
+
+    /// The suggestion-time ring reads a slot never set, or dropped, as
+    /// never; a drop past its end leaves it starting there.
+    #[test]
+    fn suggestion_times_read_what_was_set_and_forget_what_was_dropped() {
+        let (mut t, at) = (SuggestTimes::default(), SimTime::from_millis);
+        t.set(3, at(5));
+        assert_eq!(
+            (t.get(3), t.get(0), t.get(9)),
+            (at(5), SimTime::ZERO, SimTime::ZERO)
+        );
+        t.set(1, at(7));
+        t.drop_below(2);
+        assert_eq!((t.get(1), t.get(3)), (SimTime::ZERO, at(5)));
+        t.drop_below(10);
+        t.set(4, at(1));
+        t.set(12, at(2));
+        assert_eq!(
+            (t.get(4), t.get(12), t.times.len()),
+            (SimTime::ZERO, at(2), 3)
+        );
     }
 
     #[test]
@@ -1735,6 +1898,196 @@ mod tests {
             sim.actor::<TestClient>(clients[0]).replies.len() == 1
                 && sim.actor::<TestClient>(clients[1]).replies.len() == 1
         }));
+    }
+
+    /// Replica 1 suggests `cmd` in its slot 5 ahead of its first ack,
+    /// claiming its slots 2, 8 and 11 as no-ops and deciding nothing,
+    /// and sends slot 5's decision 500 ms later; replica 2 acknowledges
+    /// everything and claims all its slots as no-ops. Replica 0's next
+    /// own slot moves past 5, so its client's second command lands in
+    /// slot 7 and its third in slot 10, both covered.
+    fn slot_5_held_by_replica_1(cmd: Command) -> (Simulation<Msg>, ActorId) {
+        let held = MenciusMsg::Suggest {
+            term: Term::encode(1, NodeId(1), 3),
+            items: vec![(Slot(5), cmd)].into(),
+            coord: skipped_below(14),
+        };
+        let p1 = Puppet::new(
+            usize::MAX,
+            Coord::empty(Slot(14), Slot::NONE),
+            vec![
+                (SimDuration::ZERO, held),
+                (SimDuration::from_millis(500), notice(14, 14, &[5])),
+            ],
+        );
+        let p2 = Puppet::new(usize::MAX, skipped_below(1000), Vec::new());
+        replica_among_puppets(p1, p2)
+    }
+
+    /// A read is answered by the rule a write is: chosen, covered, and no
+    /// write to its key unapplied below it. Slot 7's read of another key
+    /// is answered while execution is still held at replica 1's slot 5;
+    /// slot 10's read of slot 5's key waits until that write applies, and
+    /// returns it.
+    #[test]
+    fn reads_answer_by_the_commutative_rule_ahead_of_in_order_execution() {
+        let id = crate::kv::CmdId { client: 9, seq: 5 };
+        let (mut sim, client) = slot_5_held_by_replica_1(Command::put(id, 105, vec![0; 8]));
+        let script = sim.actor_mut::<TestClient>(client);
+        script.enqueue_put(1);
+        script.enqueue_get(200);
+        script.enqueue_get(105);
+        sim.run_until(SimTime::from_millis(450));
+        let replies = &sim.actor::<TestClient>(client).replies;
+        assert_eq!(replies.len(), 2, "slot 7's read answered, slot 10's waits");
+        assert_eq!(replies[1].1, crate::kv::Reply::Value(None));
+        let rep = sim.actor::<MenciusReplica>(ActorId(0));
+        assert_eq!(rep.exec_index(), Slot(4), "slot 5 is not decided");
+        assert!(rep.rules.base.cells.get(Slot(10)).unwrap().committed);
+        sim.run_until(SimTime::from_millis(700));
+        assert!(sim.actor::<MenciusReplica>(ActorId(0)).exec_index() >= Slot(10));
+        let replies = &sim.actor::<TestClient>(client).replies;
+        assert_eq!(replies.len(), 3);
+        assert_eq!(replies[2].1.value_id(), Some(id.as_value_id()));
+    }
+
+    /// An answer ahead of in-order execution must not overtake a
+    /// migration command: a write in slot 7 to a key that replica 1's
+    /// `FreezeRange` in slot 5 moves away is bounced when it applies, so
+    /// it is held until the freeze has applied and then answered with the
+    /// redirect — and so is a read of the key after it.
+    #[test]
+    fn an_early_answer_waits_for_a_migration_command_below_it() {
+        let freeze = crate::shard::migration::FrozenRange {
+            lo: 100,
+            hi: 200,
+            to_group: 1,
+            version: 1,
+            coord: 9,
+            released: false,
+        };
+        let freeze = Command {
+            id: crate::kv::CmdId { client: 9, seq: 5 },
+            op: Op::FreezeRange(Box::new(freeze)),
+        };
+        let (mut sim, client) = slot_5_held_by_replica_1(freeze);
+        let script = sim.actor_mut::<TestClient>(client);
+        script.enqueue_put(1);
+        script.enqueue_put(150);
+        script.enqueue_get(150);
+        sim.run_until(SimTime::from_millis(450));
+        let rep = sim.actor::<MenciusReplica>(ActorId(0));
+        assert_eq!(rep.exec_index(), Slot(4), "the freeze is not decided");
+        assert!(rep.rules.base.cells.get(Slot(7)).unwrap().committed);
+        assert!(rep.rules.cover(&rep.core) >= Slot(7), "and covered");
+        let replies = &sim.actor::<TestClient>(client).replies;
+        assert_eq!(replies.len(), 1, "the write in slot 7 waits for the freeze");
+        sim.run_until(SimTime::from_millis(800));
+        let moved = crate::kv::Reply::WrongGroup {
+            group: 1,
+            version: 1,
+        };
+        let replies = &sim.actor::<TestClient>(client).replies;
+        let answers: Vec<_> = replies.iter().map(|(_, r, _)| r.clone()).collect();
+        assert_eq!(answers, [crate::kv::Reply::Done, moved.clone(), moved]);
+    }
+
+    /// A crash empties replica 0's own slot 1 (`Put 7`, written but
+    /// neither synced nor chosen). After the restart a read of the key in
+    /// a new own slot is chosen and covered, but what slot 1 held is not
+    /// known until the self-revocation decides it again — another
+    /// replica may have answered a read with it already. So the read
+    /// waits for that decision, and returns the write.
+    #[test]
+    fn a_read_waits_for_an_own_slot_a_crash_emptied() {
+        let put = Command::put(crate::kv::CmdId { client: 0, seq: 1 }, 7, vec![0; 8]);
+        let recovered = MenciusMsg::RevokeOk {
+            term: Term::encode(2, NodeId(0), 3),
+            owner: NodeId(0),
+            accepted: vec![(Slot(1), Term::encode(1, NodeId(0), 3), put.clone())],
+        };
+        let p1 = Puppet::new(
+            usize::MAX,
+            skipped_below(1000),
+            vec![(SimDuration::from_millis(400), recovered)],
+        );
+        let p2 = Puppet::new(usize::MAX, skipped_below(1000), Vec::new());
+        let durability = crate::config::DurabilityConfig::group_commit(
+            SimDuration::from_millis(1),
+            64,
+            SimDuration::from_secs(1),
+        );
+        let (mut sim, client) = replica_among_puppets_with(p1, p2, |cfg| {
+            cfg.durability = durability.clone();
+        });
+        sim.set_disk_config(durability.disk_config());
+        sim.actor_mut::<TestClient>(client).enqueue_put(7);
+        // Slot 1 is suggested at about 12 ms; its acks are still on the
+        // wire when replica 0 crashes.
+        sim.crash_at(ActorId(0), SimTime::from_millis(40));
+        sim.restart_at(ActorId(0), SimTime::from_millis(100));
+        sim.run_until(SimTime::from_millis(150));
+        let reader = sim.add_actor(region_of(0), Box::new(TestClient::new(1, ActorId(0))));
+        sim.actor_mut::<TestClient>(reader).enqueue_get(7);
+        sim.run_until(SimTime::from_millis(400));
+        let rep = sim.actor::<MenciusReplica>(ActorId(0));
+        assert!(rep.rules.lost_own.contains(&1), "slot 1's value is gone");
+        assert!(rep.rules.base.cells.get(Slot(4)).unwrap().committed);
+        assert!(rep.rules.cover(&rep.core) >= Slot(4), "and covered");
+        assert!(sim.actor::<TestClient>(reader).replies.is_empty());
+        sim.run_until(SimTime::from_millis(600));
+        let rep = sim.actor::<MenciusReplica>(ActorId(0));
+        assert_eq!(rep.decided_at(Slot(1)), Some(&put), "decided again");
+        let replies = &sim.actor::<TestClient>(reader).replies;
+        assert_eq!(replies.len(), 1);
+        assert_eq!(replies[0].1.value_id(), put.id.as_value_id().into());
+    }
+
+    /// Replica 0's own slot 1 (`Put 7`) is chosen by the two peers' acks
+    /// and answered, and replica 0 crashes before its own fsync. Its
+    /// value is gone, and nobody replays an owner's slots to it: it must
+    /// not be read as skipped. Execution waits for the self-revocation,
+    /// which decides the write again from a peer's copy.
+    #[test]
+    fn an_own_slot_chosen_before_a_crash_emptied_it_is_not_read_as_skipped() {
+        let put = Command::put(crate::kv::CmdId { client: 0, seq: 1 }, 7, vec![0; 8]);
+        let recovered = MenciusMsg::RevokeOk {
+            term: Term::encode(2, NodeId(0), 3),
+            owner: NodeId(0),
+            accepted: vec![(Slot(1), Term::encode(1, NodeId(0), 3), put.clone())],
+        };
+        let p1 = Puppet::new(
+            usize::MAX,
+            skipped_below(1000),
+            vec![(SimDuration::from_millis(500), recovered)],
+        );
+        let p2 = Puppet::new(usize::MAX, skipped_below(1000), Vec::new());
+        let durability = crate::config::DurabilityConfig::group_commit(
+            SimDuration::from_millis(1),
+            64,
+            SimDuration::from_secs(1),
+        );
+        let (mut sim, client) = replica_among_puppets_with(p1, p2, |cfg| {
+            cfg.durability = durability.clone();
+        });
+        sim.set_disk_config(durability.disk_config());
+        sim.actor_mut::<TestClient>(client).enqueue_put(7);
+        sim.crash_at(ActorId(0), SimTime::from_millis(200));
+        sim.restart_at(ActorId(0), SimTime::from_millis(300));
+        sim.run_until(SimTime::from_millis(199));
+        let answered = &sim.actor::<TestClient>(client).replies;
+        assert_eq!(answered.len(), 1, "the write was acknowledged");
+        sim.run_until(SimTime::from_millis(450));
+        let rep = sim.actor::<MenciusReplica>(ActorId(0));
+        assert_eq!(rep.decided_at(Slot(1)), None, "not a no-op");
+        assert_eq!(rep.exec_index(), Slot::NONE, "execution waits");
+        sim.run_until(SimTime::from_millis(700));
+        let rep = sim.actor::<MenciusReplica>(ActorId(0));
+        assert_eq!(rep.decided_at(Slot(1)), Some(&put), "decided again");
+        assert_eq!(
+            rep.kv().read_local(7).value_id(),
+            Some(put.id.as_value_id())
+        );
     }
 
     /// A scripted peer among real replicas: records what replica 0 sends
@@ -2223,16 +2576,19 @@ mod tests {
             rep.rules.base.cells.get(Slot(7)).unwrap().committed,
             "the write to 105 is decided"
         );
-        assert!(rep.rules.key_slots.contains(&(105, 5)));
-        assert!(rep.rules.key_slots.contains(&(105, 7)));
+        assert!(rep.rules.conflicts.writes.contains(&(105, 5)));
+        assert!(rep.rules.conflicts.writes.contains(&(105, 7)));
         // The revocation's decision reaches replica 0 (Ireland is 62 ms
         // away; the script clock started when its first suggestion landed).
         sim.run_until(SimTime::from_millis(600));
         let rep = sim.actor::<MenciusReplica>(ActorId(0));
         assert_eq!(rep.decided_at(Slot(5)), Some(&Command::noop()));
         assert_eq!(rep.exec_index(), Slot(1), "slot 2 still blocks execution");
-        assert!(!rep.rules.key_slots.contains(&(105, 5)), "un-indexed");
-        assert!(rep.rules.key_slots.contains(&(105, 7)));
+        assert!(
+            !rep.rules.conflicts.writes.contains(&(105, 5)),
+            "un-indexed"
+        );
+        assert!(rep.rules.conflicts.writes.contains(&(105, 7)));
         assert_eq!(sim.actor::<TestClient>(client).replies.len(), 1);
         // Replica 1 accounts for its slot 2: the prefix runs through the
         // no-op and the write behind it.
@@ -2240,7 +2596,10 @@ mod tests {
         let rep = sim.actor::<MenciusReplica>(ActorId(0));
         assert_eq!(rep.exec_index(), Slot(7));
         assert_eq!(sim.actor::<TestClient>(client).replies.len(), 2);
-        assert!(rep.rules.key_slots.is_empty(), "nothing above the prefix");
+        assert!(
+            rep.rules.conflicts.writes.is_empty(),
+            "nothing above the prefix"
+        );
     }
 
     /// Replica 0 checkpoints, accepts replica 1's uncommitted write to a

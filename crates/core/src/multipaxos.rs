@@ -62,7 +62,7 @@ use paxraft_sim::sim::{ActorId, Ctx};
 use paxraft_sim::time::{SimDuration, SimTime};
 
 use crate::config::ReplicaConfig;
-use crate::engine::paxos_family::{merge_highest, Accepted, PaxosBase, Stored};
+use crate::engine::paxos_family::{ack_bit, merge_highest, Accepted, PaxosBase, Stored};
 use crate::engine::{self, EngineCore, ProtocolRules, ReplicaEngine};
 use crate::kv::Command;
 use crate::msg::{Msg, PaxosMsg, Round, Slots, CHECKPOINT_ACK_HEADER, CHECKPOINT_CHUNK_HEADER};
@@ -81,7 +81,7 @@ pub struct PaxosRules {
     /// Figure 1's `phase1Succeeded`: this replica is the active proposer.
     phase1_succeeded: bool,
     /// The out-of-order instance store and its bookkeeping.
-    base: PaxosBase<()>,
+    base: PaxosBase,
     /// Leader's next unused instance id.
     next_slot: Slot,
     /// Phase-1 replies: voter → (accepted entries, log tail, checkpoint
@@ -337,7 +337,8 @@ impl PaxosRules {
         ctx: &mut Ctx<Msg>,
         items: &[(Slot, Command)],
     ) {
-        let self_ack = if core.dur.enabled() { 0 } else { core.me_bit() };
+        let me = ack_bit(core.cfg.id);
+        let self_ack = if core.dur.enabled() { 0 } else { me };
         for (slot, cmd) in items {
             let cell = self.base.write(*slot, self.ballot, cmd.clone());
             debug_assert_eq!(cell.bal, self.ballot, "no ballot exceeds the replica's");
@@ -562,7 +563,7 @@ impl PaxosRules {
                     ctx.charge(core.cfg.costs.ack_process);
                     let mut chosen = false;
                     self.base
-                        .tally(slots.iter(), 1u64 << node.0, |_| true, |_| chosen = true);
+                        .tally(slots.iter(), ack_bit(node), |_| true, |_| chosen = true);
                     // An acceptor's executed prefix is chosen globally.
                     // Instances we proposed at our own ballot (i.e.
                     // after a successful phase 1) need no quorum count
@@ -757,7 +758,7 @@ impl ProtocolRules for PaxosRules {
         let mut chosen = false;
         self.base.tally_synced_votes(
             synced,
-            core.me_bit(),
+            ack_bit(core.cfg.id),
             |bal, _| bal == ballot,
             |_| chosen = true,
         );

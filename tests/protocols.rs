@@ -157,3 +157,43 @@ fn mencius_beats_raft_under_saturating_writes() {
         "Mencius balances load: {mencius:.0} vs Raft {raft:.0} ops/s"
     );
 }
+
+/// Mencius answers a read by the rule it answers a write by: once the
+/// read's slot is chosen, every other owner's slots below it are known
+/// and every earlier write to its key has applied — not once in-order
+/// execution reaches the slot, which waits for the farthest owner's
+/// decision on every slot below. On the paper's mix (5 regions, 50 %
+/// reads) a read then costs what a write costs, from the first replica's
+/// region and from the others alike.
+#[test]
+fn mencius_reads_cost_what_writes_cost_on_the_paper_mix() {
+    let workload = WorkloadConfig {
+        read_fraction: 0.5,
+        conflict_rate: 0.05,
+        ..Default::default()
+    };
+    let mut cluster = Cluster::builder(ProtocolKind::RaftStarMencius)
+        .clients_per_region(50)
+        .workload(workload)
+        .seed(42)
+        .build();
+    cluster.elect_leader();
+    let r = cluster.run_measurement(
+        SimDuration::from_secs(1),
+        SimDuration::from_secs(4),
+        SimDuration::from_millis(500),
+    );
+    let groups = [
+        ("first region", r.leader_reads, r.leader_writes),
+        ("other regions", r.follower_reads, r.follower_writes),
+    ];
+    for (group, reads, writes) in groups {
+        let read = reads.expect("reads sampled").p50_ms;
+        let write = writes.expect("writes sampled").p50_ms;
+        eprintln!("{group}: read p50 {read:.1} ms, write p50 {write:.1} ms");
+        assert!(
+            read <= 1.15 * write,
+            "{group}: read p50 {read:.1} ms against write p50 {write:.1} ms"
+        );
+    }
+}
