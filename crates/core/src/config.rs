@@ -64,13 +64,19 @@ pub enum FsyncPolicy {
     /// The faithful-but-slow baseline.
     FsyncPerEntry,
     /// Group commit: entries accumulate unsynced and one batched fsync
-    /// covers all of them. At most one fsync is in flight; the next is
-    /// issued when `max_batch` entries are waiting, or `max_delay` after
-    /// the first unsynced entry, whichever comes first.
+    /// covers all of them. At most one fsync is in flight. When a write,
+    /// or an fsync's completion, finds the device idle with entries
+    /// waiting, the next fsync is issued at once if `max_batch` entries
+    /// wait or the last write landed `max_delay` or more before; otherwise
+    /// it is issued `max_delay` later, or sooner should `max_batch` fill
+    /// first.
     GroupCommit {
         /// Issue the next fsync immediately once this many entries wait.
         max_batch: usize,
-        /// Longest an unsynced entry waits before an fsync is forced.
+        /// How long waiting entries wait for company once the device is
+        /// idle, counted from the write or completion that found it so;
+        /// also the gap since the last write beyond which a write does
+        /// not wait at all.
         max_delay: SimDuration,
     },
 }

@@ -1719,6 +1719,25 @@ fn durability_enabled_fixed_seed_runs_are_deterministic() {
 /// rather than replica 0 proposes after replica 2 is cut off, and the
 /// script ends at 155.3 s instead of 174.1 s. The other five rows did not
 /// move.
+///
+/// All six rows were re-pinned when group commit stopped waiting out
+/// `max_delay` for a lone write: a write that finds the device idle and
+/// the last write `max_delay` or more behind it is fsynced at once. The
+/// first acks of a quiet spell leave up to 2 ms earlier, so every later
+/// loss and jitter draw moved. Events (script end) before → after: Raft
+/// 27,638 (133.3 s) → 26,235 (127.8 s), Raft* 27,670 (133.3 s) → 26,243
+/// (127.8 s), Raft*-PQL 42,618 (161.3 s) → 32,402 (127.3 s), LL 37,947
+/// (158.1 s) → 33,041 (147.4 s), MultiPaxos 33,227 (155.3 s) → 35,950
+/// (177.6 s), Mencius 60,857 (132.5 s) → 69,160 (149.0 s); the state
+/// values were `0x806c_08b9_ff6a_c885`, `0x700e_79bc_6136_9c60`,
+/// `0x79e8_12db_c076_5bd5`, `0x5db2_2aed_3364_db74`,
+/// `0x498b_77a6_8f11_38ba` and `0x33a1_13e6_a433_0861`. It is the draw,
+/// not the rule: over seeds 1–16 of the same script, counting the seeds
+/// that run to the end on both commits, the median event count went
+/// Raft 31,102 → 33,386 (14 seeds), Raft* 30,194 → 32,512 (14), Raft*-PQL
+/// 39,858 → 39,352 (15), LL 35,949 → 30,731 (9), MultiPaxos 33,934 →
+/// 29,072 (12) and Mencius 71,236 → 66,938 (16), and as many seeds stop
+/// short on one commit as on the other (one more for LL).
 #[test]
 fn every_protocol_fault_run_matches_the_parents_fingerprint() {
     fn scenario<P: ProtocolRules>(
@@ -1852,32 +1871,32 @@ fn every_protocol_fault_run_matches_the_parents_fingerprint() {
         (
             "Raft",
             scenario("Raft", RaftReplica::new),
-            (0x806c_08b9_ff6a_c885u64, 27_638),
+            (0x2155_62de_a5b0_b27bu64, 26_235),
         ),
         (
             "Raft*",
             scenario("Raft*", RaftStarReplica::new),
-            (0x700e_79bc_6136_9c60, 27_670),
+            (0x8dfe_b5de_5be5_4c30, 26_243),
         ),
         (
             "Raft*-PQL",
             scenario("Raft*-PQL", pql),
-            (0x79e8_12db_c076_5bd5, 42_618),
+            (0x5e11_719b_7326_13f6, 32_402),
         ),
         (
             "LL",
             scenario("LL", leader_lease),
-            (0x5db2_2aed_3364_db74, 37_947),
+            (0x2bb9_c450_83e5_83ff, 33_041),
         ),
         (
             "MultiPaxos",
             scenario("MultiPaxos", MultiPaxosReplica::new),
-            (0x498b_77a6_8f11_38ba, 33_227),
+            (0x86e1_66aa_47e2_f029, 35_950),
         ),
         (
             "Mencius",
             scenario("Mencius", MenciusReplica::new),
-            (0x33a1_13e6_a433_0861, 60_857),
+            (0x069c_ffae_520b_71c5, 69_160),
         ),
     ] {
         assert_eq!(state, pinned.0, "{name}: state fingerprint {state:#x}");

@@ -27,15 +27,21 @@
 //!   completion-per-barrier path survives as a `#[cfg(test)]` switch, the
 //!   reference the differential test compares against.
 //! - **GroupCommit**: entries accumulate unsynced; one batched fsync
-//!   covers all of them. At most one fsync is in flight; the next is
-//!   issued when `max_batch` entries wait or `max_delay` after the
-//!   batch opened. Device cost amortizes across the batch, so
-//!   throughput decouples from fsync latency while the ack invariant
-//!   is untouched — acks simply ride the batch's completion.
+//!   covers all of them. At most one fsync is in flight, and entries
+//!   written meanwhile wait behind it. When a write or a completion
+//!   finds the device idle with entries waiting, the next fsync is
+//!   issued at once if `max_batch` entries wait, or if the last write
+//!   landed `max_delay` or more before — a lone write finds no company
+//!   by waiting — and otherwise `max_delay` later (a keyed timer, which
+//!   the fsync that covers its batch retires). Device cost amortizes
+//!   across the batch, so throughput decouples from fsync latency while
+//!   the ack invariant is untouched — acks simply ride the batch's
+//!   completion.
 
 use std::collections::VecDeque;
 
 use paxraft_sim::sim::{ActorId, Ctx};
+use paxraft_sim::time::SimTime;
 
 use crate::config::{DurabilityConfig, FsyncPolicy};
 use crate::msg::Msg;
@@ -91,9 +97,15 @@ pub struct DurabilityState {
     unsynced_entries: usize,
     /// Group commit: whether an fsync is in flight (at most one).
     inflight: bool,
-    /// Group commit: whether the max-delay timer is armed.
+    /// Group commit: whether the max-delay timer is armed. The timer is
+    /// keyed ([`Ctx::rearm_timer`]): a fire that finds this down was
+    /// retired by the fsync that covered its batch.
     delay_armed: bool,
-    delay_gen: u64,
+    /// Group commit: when the last durability write landed; `None`
+    /// before the first and after a crash. A write that finds the device
+    /// idle waits `max_delay` for company only if this is less than
+    /// `max_delay` ago.
+    last_write: Option<SimTime>,
     /// Issued fsyncs not yet completed, one record per completion event:
     /// `(covering seq, entries)`.
     issued: VecDeque<(u64, u64)>,
@@ -119,7 +131,7 @@ impl DurabilityState {
             unsynced_entries: 0,
             inflight: false,
             delay_armed: false,
-            delay_gen: 0,
+            last_write: None,
             issued: VecDeque::new(),
             deferred: VecDeque::new(),
             stats: DurabilityStats::default(),
@@ -150,11 +162,6 @@ impl DurabilityState {
     /// below it are durable and survive a crash.
     pub fn synced_seq(&self) -> u64 {
         self.synced_seq
-    }
-
-    /// Generation of the group-commit max-delay timer.
-    pub fn delay_gen(&self) -> u64 {
-        self.delay_gen
     }
 
     /// Records one durability write of `bytes` covering `entries` log
@@ -189,6 +196,7 @@ impl DurabilityState {
                 self.write_seq += 1;
                 self.unsynced_entries += units;
                 self.maybe_issue(ctx);
+                self.last_write = Some(ctx.now());
             }
         }
     }
@@ -219,17 +227,19 @@ impl DurabilityState {
         self.stats.deferred_acks += 1;
         self.deferred.push_back((self.write_seq, to, msg));
         // A metadata-only ack (no entry written since the last fsync
-        // batch opened) must still be covered by *some* future fsync;
+        // was issued) must still be covered by *some* future fsync;
         // group commit may be idle with an empty batch, so make sure
-        // the delay clock is running.
+        // one is issued or the delay clock is running.
         if let Some(FsyncPolicy::GroupCommit { .. }) = &self.policy {
             self.maybe_issue(ctx);
         }
     }
 
-    /// Group commit: issues the next fsync when the batch is full, or
-    /// arms the max-delay timer when work waits and nothing is in
-    /// flight. Called on writes and after each completion.
+    /// Group commit: when work waits and nothing is in flight, issues the
+    /// next fsync if the batch is full or the last write landed
+    /// `max_delay` or more ago (a lone write finds no company by
+    /// waiting), and otherwise arms the max-delay timer. Called on writes,
+    /// before they stamp their time, and after each completion.
     pub fn maybe_issue(&mut self, ctx: &mut Ctx<Msg>) {
         let Some(FsyncPolicy::GroupCommit {
             max_batch,
@@ -241,21 +251,23 @@ impl DurabilityState {
         if self.inflight || self.write_seq <= self.synced_seq {
             return;
         }
-        if self.unsynced_entries >= *max_batch {
+        let lone = self
+            .last_write
+            .is_none_or(|at| ctx.now().since(at) >= *max_delay);
+        if self.unsynced_entries >= *max_batch || lone {
             self.issue_fsync(ctx);
         } else if !self.delay_armed {
             self.delay_armed = true;
-            self.delay_gen += 1;
-            ctx.set_timer(*max_delay, T_FSYNC_DELAY | (self.delay_gen & !KIND_MASK));
+            ctx.rearm_timer(T_FSYNC_DELAY, *max_delay, T_FSYNC_DELAY);
         }
     }
 
-    /// The (generation-valid) max-delay timer fired: flush whatever is
-    /// waiting unless an fsync is already in flight (its completion
-    /// will re-evaluate).
+    /// The max-delay timer fired: flush what waits. A timer an fsync
+    /// retired does nothing.
     pub fn on_delay_fire(&mut self, ctx: &mut Ctx<Msg>) {
-        self.delay_armed = false;
-        if !self.inflight && self.write_seq > self.synced_seq {
+        // Only an fsync or a crash lowers the flag, so while it is up no
+        // fsync is in flight and the batch it was armed for still waits.
+        if self.delay_armed {
             self.issue_fsync(ctx);
         }
     }
@@ -263,10 +275,7 @@ impl DurabilityState {
     fn issue_fsync(&mut self, ctx: &mut Ctx<Msg>) {
         self.inflight = true;
         // Retire any armed delay timer: this fsync covers its batch.
-        if self.delay_armed {
-            self.delay_armed = false;
-            self.delay_gen += 1;
-        }
+        self.delay_armed = false;
         self.issued
             .push_back((self.write_seq, self.unsynced_entries as u64));
         self.unsynced_entries = 0;
@@ -325,7 +334,7 @@ impl DurabilityState {
         self.unsynced_entries = 0;
         self.inflight = false;
         self.delay_armed = false;
-        self.delay_gen += 1;
+        self.last_write = None;
         self.issued.clear();
         self.deferred.clear();
     }
@@ -344,7 +353,10 @@ mod tests {
     use crate::raftstar::RaftStarReplica;
     use crate::testutil::{cluster_with_seed, region_of, TestClient};
     use crate::types::{NodeId, Slot};
-    use paxraft_sim::time::{SimDuration, SimTime};
+    use paxraft_sim::impl_actor_any;
+    use paxraft_sim::net::{NetConfig, Region};
+    use paxraft_sim::sim::{Actor, Simulation};
+    use paxraft_sim::time::SimDuration;
 
     #[test]
     fn stats_mean_and_absorb() {
@@ -444,6 +456,120 @@ mod tests {
         assert_eq!(counted(DurabilityConfig::per_entry(device), 5), (5, 5, 1));
         let group = DurabilityConfig::group_commit(device, 8, device);
         assert_eq!(counted(group, 7), (1, 7, 7));
+    }
+
+    /// One replica's durability layer alone: every message delivered is a
+    /// one-entry write, and its timers are handled as the engine handles
+    /// them. Records, per write, whether an fsync was in flight when its
+    /// handler returned, and the durable watermark after each completion.
+    struct Writer {
+        dur: DurabilityState,
+        in_flight_after_write: Vec<bool>,
+        synced_after_completion: Vec<u64>,
+    }
+
+    impl Actor<Msg> for Writer {
+        fn on_message(&mut self, ctx: &mut Ctx<Msg>, _from: ActorId, _msg: Msg) {
+            self.dur.durable_write(ctx, 64, 1);
+            self.in_flight_after_write.push(self.dur.inflight);
+        }
+
+        fn on_timer(&mut self, ctx: &mut Ctx<Msg>, token: u64) {
+            match token & KIND_MASK {
+                T_FSYNC => {
+                    self.dur.on_fsync_complete(token & !KIND_MASK);
+                    self.synced_after_completion.push(self.dur.synced_seq);
+                    self.dur.maybe_issue(ctx);
+                }
+                T_FSYNC_DELAY => self.dur.on_delay_fire(ctx),
+                _ => unreachable!("only durability timers"),
+            }
+        }
+
+        fn on_crash(&mut self) {
+            self.dur.crash_reset();
+        }
+
+        impl_actor_any!();
+    }
+
+    /// A `Writer` on a 1 ms device with group commit (`max_batch` 8,
+    /// `max_delay` 3 ms), sent one write at each of `writes_at` (µs).
+    fn writer(writes_at: &[u64]) -> (Simulation<Msg>, ActorId) {
+        let cfg = DurabilityConfig::group_commit(
+            SimDuration::from_millis(1),
+            8,
+            SimDuration::from_millis(3),
+        );
+        let mut sim = Simulation::new(NetConfig::default(), 1);
+        sim.set_disk_config(cfg.disk_config());
+        let writer = Writer {
+            dur: DurabilityState::new(&cfg),
+            in_flight_after_write: Vec::new(),
+            synced_after_completion: Vec::new(),
+        };
+        let id = sim.add_actor(Region::Oregon, Box::new(writer));
+        for &at in writes_at {
+            let write = Msg::Engine(crate::msg::EngineMsg::RangeAck {
+                group: 0,
+                version: 1,
+                header_bytes: 0,
+            });
+            sim.send_external(id, write, SimDuration::from_micros(at));
+        }
+        (sim, id)
+    }
+
+    /// A write 40 ms after the last one finds nobody to wait for: its
+    /// fsync leaves in the write's own handler, no max-delay timer is
+    /// queued, and it is durable one device latency later.
+    #[test]
+    fn a_write_after_a_quiet_spell_is_fsynced_at_once() {
+        let (mut sim, id) = writer(&[10_000, 50_000]);
+        sim.run_until(SimTime::from_micros(50_001));
+        let w = sim.actor::<Writer>(id);
+        assert_eq!(
+            w.in_flight_after_write,
+            [true, true],
+            "issued in the handler"
+        );
+        assert_eq!(sim.timer_due(id, T_FSYNC_DELAY), None, "no wait queued");
+        sim.run_until(SimTime::from_millis(60));
+        let w = sim.actor::<Writer>(id);
+        assert_eq!(w.synced_after_completion, [1, 2]);
+        assert_eq!(w.dur.stats.fsyncs, 2);
+    }
+
+    /// Under a stream the wait stays: the writes at 12 and 12.5 ms come
+    /// less than `max_delay` after the one before them, so they wait for
+    /// company and one fsync covers both — the watermark never stops
+    /// between them.
+    #[test]
+    fn writes_closer_than_max_delay_share_one_fsync() {
+        let (mut sim, id) = writer(&[10_000, 12_000, 12_500]);
+        sim.run_until(SimTime::from_millis(40));
+        let w = sim.actor::<Writer>(id);
+        assert_eq!(w.synced_after_completion.last(), Some(&3), "all durable");
+        assert!(
+            !w.synced_after_completion.contains(&2),
+            "the last two writes became durable together: {:?}",
+            w.synced_after_completion
+        );
+    }
+
+    /// A crash forgets when the last write landed: the first write after
+    /// the restart is lone, though the write before the crash was only
+    /// 1 ms earlier.
+    #[test]
+    fn the_first_write_after_a_crash_counts_as_lone() {
+        let (mut sim, id) = writer(&[10_000, 10_500, 11_500]);
+        sim.crash_at(id, SimTime::from_micros(10_800));
+        sim.restart_at(id, SimTime::from_micros(11_000));
+        sim.run_until(SimTime::from_micros(11_501));
+        let w = sim.actor::<Writer>(id);
+        assert_eq!(w.in_flight_after_write, [true, true, true]);
+        assert_eq!(w.dur.write_seq(), 1, "the unsynced writes rewound");
+        assert_eq!(sim.timer_due(id, T_FSYNC_DELAY), None, "no wait queued");
     }
 
     /// What one run of the differential scenario showed.

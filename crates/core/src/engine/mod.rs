@@ -70,13 +70,14 @@ use crate::telemetry::MetricSample;
 use crate::types::{self, NodeId, Slot, Term};
 
 /// Timer token kinds (upper 16 bits); the low bits carry what a kind
-/// needs there (an fsync's write sequence, the max-delay generation). One
-/// registry for every protocol — rules-specific timers ([`T_LEASE`],
-/// [`T_COORD`]) reach the rules through [`ProtocolRules::on_timer`].
+/// needs there (an fsync's write sequence). One registry for every
+/// protocol — rules-specific timers ([`T_LEASE`], [`T_COORD`]) reach the
+/// rules through [`ProtocolRules::on_timer`].
 ///
-/// The election, heartbeat and batch timers carry nothing in the low
-/// bits: each kind is also its key for [`Ctx::rearm_timer`], so a re-arm
-/// supersedes the last one in the simulator and a crash clears it.
+/// The election, heartbeat, batch and group-commit max-delay timers
+/// carry nothing in the low bits: each kind is also its key for
+/// [`Ctx::rearm_timer`], so a re-arm supersedes the last one in the
+/// simulator and a crash clears it.
 pub const T_ELECTION: u64 = 1 << 48;
 /// Leader heartbeat / retransmission tick.
 pub const T_HEARTBEAT: u64 = 2 << 48;
@@ -88,8 +89,7 @@ pub const T_LEASE: u64 = 4 << 48;
 pub const T_FSYNC: u64 = 5 << 48;
 /// Mencius coordination tick (skips, commit flush, revocation check).
 pub const T_COORD: u64 = 6 << 48;
-/// Group-commit max-delay flush deadline (low bits carry the
-/// generation).
+/// Group-commit max-delay flush deadline.
 pub const T_FSYNC_DELAY: u64 = 7 << 48;
 /// Mask selecting the timer kind bits.
 pub const KIND_MASK: u64 = 0xFFFF << 48;
@@ -1203,11 +1203,7 @@ impl<P: ProtocolRules> Actor<Msg> for ReplicaEngine<P> {
                 self.core.dur.maybe_issue(ctx);
                 self.rules.on_durable(&mut self.core, ctx);
             }
-            T_FSYNC_DELAY => {
-                if token & !KIND_MASK == self.core.dur.delay_gen() {
-                    self.core.dur.on_delay_fire(ctx);
-                }
-            }
+            T_FSYNC_DELAY => self.core.dur.on_delay_fire(ctx),
             kind => self.rules.on_timer(&mut self.core, ctx, kind, token),
         }
         maybe_drive_migration(&mut self.rules, &mut self.core, ctx);
@@ -1219,8 +1215,8 @@ impl<P: ProtocolRules> Actor<Msg> for ReplicaEngine<P> {
         // leader hint die with the process. What of its log each family
         // keeps is the rules' concern.
         self.core.pending.clear();
-        // The election, heartbeat and batch timers are keyed: the
-        // simulator cancels them on the crash.
+        // The election, heartbeat, batch and max-delay timers are keyed:
+        // the simulator cancels them on the crash.
         self.core.batch_armed = false;
         self.core.leader_hint = None;
         self.core.window_hint = None;

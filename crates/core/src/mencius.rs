@@ -2012,10 +2012,12 @@ mod tests {
             vec![(SimDuration::from_millis(400), recovered)],
         );
         let p2 = Puppet::new(usize::MAX, skipped_below(1000), Vec::new());
+        // An fsync takes longer than the run up to the crash, so the
+        // owner's write is still unsynced when it comes.
         let durability = crate::config::DurabilityConfig::group_commit(
-            SimDuration::from_millis(1),
-            64,
             SimDuration::from_secs(1),
+            64,
+            SimDuration::from_millis(1),
         );
         let (mut sim, client) = replica_among_puppets_with(p1, p2, |cfg| {
             cfg.durability = durability.clone();
@@ -2062,10 +2064,12 @@ mod tests {
             vec![(SimDuration::from_millis(500), recovered)],
         );
         let p2 = Puppet::new(usize::MAX, skipped_below(1000), Vec::new());
+        // An fsync takes longer than the run up to the crash, so the
+        // owner's write is still unsynced when it comes.
         let durability = crate::config::DurabilityConfig::group_commit(
-            SimDuration::from_millis(1),
-            64,
             SimDuration::from_secs(1),
+            64,
+            SimDuration::from_millis(1),
         );
         let (mut sim, client) = replica_among_puppets_with(p1, p2, |cfg| {
             cfg.durability = durability.clone();

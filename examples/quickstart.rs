@@ -26,12 +26,13 @@ fn main() {
     let reply = cluster
         .submit_and_wait(Op::Get { key: 1 })
         .expect("get succeeds");
-    match reply {
-        Reply::Value(Some(v)) => println!(
-            "get key=1 -> {:?} in {}",
-            String::from_utf8_lossy(&v),
-            cluster.sim.now() - t0
-        ),
-        other => println!("get key=1 -> {other:?}"),
-    }
+    let Reply::Value(Some(v)) = reply else {
+        panic!("get key=1 -> {reply:?}, expected the value put");
+    };
+    assert_eq!(&v[..], b"value-1", "get key=1 reads the put back");
+    println!(
+        "get key=1 -> {:?} in {}",
+        String::from_utf8_lossy(&v),
+        cluster.sim.now() - t0
+    );
 }
