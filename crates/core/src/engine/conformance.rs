@@ -1738,6 +1738,18 @@ fn durability_enabled_fixed_seed_runs_are_deterministic() {
 /// 39,858 → 39,352 (15), LL 35,949 → 30,731 (9), MultiPaxos 33,934 →
 /// 29,072 (12) and Mencius 71,236 → 66,938 (16), and as many seeds stop
 /// short on one commit as on the other (one more for LL).
+///
+/// The Mencius row was re-pinned (from `0x069c_ffae_520b_71c5`, 69,160
+/// events, 149.0 s) when an acceptor's ack of a suggestion became an
+/// element of its per-peer stream: merged per owner and carried by the
+/// next `Suggest` or notice, alone only on an idle link. Fewer messages
+/// draw fewer loss and jitter dice, so every later draw moved, and the
+/// script ends at 133.4 s after 61,551 events. Over seeds 1–16 of the
+/// same script every seed runs to the end on both commits; it takes
+/// fewer events on 10 and ends earlier on 9, and the median event count
+/// goes 66,938 → 69,604 (a lost message now loses every ack merged into
+/// it, which the retransmission re-covers 600 ms later). The other five
+/// rows did not move.
 #[test]
 fn every_protocol_fault_run_matches_the_parents_fingerprint() {
     fn scenario<P: ProtocolRules>(
@@ -1896,7 +1908,7 @@ fn every_protocol_fault_run_matches_the_parents_fingerprint() {
         (
             "Mencius",
             scenario("Mencius", MenciusReplica::new),
-            (0x069c_ffae_520b_71c5, 69_160),
+            (0x46d7_12ec_3524_4ab5, 61_551),
         ),
     ] {
         assert_eq!(state, pinned.0, "{name}: state fingerprint {state:#x}");

@@ -5,7 +5,7 @@
 //! The invariant this module enforces is protocol-independent: *an
 //! acknowledgement must never precede durability of what it attests
 //! to*. A Raft `AppendOk`, a Paxos `AcceptOk`/`PrepareOk`, a Mencius
-//! `SuggestOk` and a snapshot ack all claim "I hold this state"; if the
+//! acceptor's ack and a snapshot ack all claim "I hold this state"; if the
 //! claimant crashes and restarts without the state, a quorum that
 //! counted the claim can lose a committed entry. So every durability
 //! write is tagged with a monotone sequence number, every attesting ack

@@ -234,7 +234,7 @@ impl EngineCore {
     }
 
     /// Sends an acknowledgement that attests to replica state — an
-    /// `AppendOk`, `AcceptOk`, `PrepareOk`, `SuggestOk` or snapshot ack
+    /// `AppendOk`, `AcceptOk`, `PrepareOk`, Mencius ack or snapshot ack
     /// — **after** everything written so far is fsynced. With
     /// durability disabled, sends immediately (the pre-durability
     /// behavior, schedule-identical to older builds).

@@ -964,11 +964,14 @@ mod tests {
         // The log's ring cell: a field that costs `Entry` its niche makes
         // every cell of every log 72 B.
         assert_eq!(size_of::<Option<crate::log::Entry>>(), 64);
-        assert_eq!(size_of::<crate::msg::Msg>(), 88);
+        // The largest message is a Mencius `Suggest`: term, round and a
+        // stream element that carries an ack (a term and a list of slots).
+        assert_eq!(size_of::<crate::msg::Msg>(), 104);
         // A list of slots sits where the `Vec<Slot>` it replaced sat.
         assert_eq!(size_of::<crate::msg::Slots>(), 24);
+        assert_eq!(size_of::<crate::msg::Coord>(), 80);
         assert_eq!(size_of::<crate::msg::PaxosMsg>(), 48);
-        assert_eq!(size_of::<crate::msg::MenciusMsg>(), 80);
+        assert_eq!(size_of::<crate::msg::MenciusMsg>(), 104);
         // The Paxos-family instance, one for both rules files: the ack
         // bitmap and the flags share one word.
         use crate::engine::paxos_family::Cell;

@@ -14,19 +14,26 @@
 //!
 //! # Per-peer streams
 //!
-//! Everything an owner has to tell a peer about its *own* slots — which
-//! are skipped, which committed, how far it has executed — travels as one
-//! stream per peer, and every regular message to that peer (`Suggest`,
-//! `SuggestOk`, `SkipNotice`) is an element of it, carrying a
-//! [`Coord`]. Raft's `Append` has always carried `commit`; a `Commit`
-//! message of its own is the same fact spelled as a separate learn
-//! message, and this is that optimisation ported across the mapping.
+//! Everything a replica has to tell a peer about its *own* slots — which
+//! are skipped, which committed, how far it has executed — and its reply
+//! to the peer's suggestions travels as one stream per peer, and every
+//! regular message to that peer (`Suggest`, `Notice`) is an element of
+//! it, carrying a [`Coord`]. Raft's `Append` has always carried `commit`;
+//! a `Commit` message of its own is the same fact spelled as a separate
+//! learn message, and this is that optimisation ported across the
+//! mapping. Appendix A.3 already piggybacks the skip on the reply to a
+//! `Suggest`; here the reply (the `acceptOK`, an [`Ack`]) is itself an
+//! element of the acceptor's stream to the owner.
 //!
 //! **The stream.** `from` is the watermark last sent *to that peer*,
 //! `watermark` the current one: the element accounts for every owner
 //! slot in `[from, watermark)` — suggested in this very message, or a
 //! no-op. Values only ever leave in the `Suggest` whose range covers
-//! them, so any later message may carry the next element.
+//! them, so any later message may carry the next element — but nothing
+//! may be stamped between moving the watermark over a new round and
+//! sending that round's `Suggest`: the element would claim the round's
+//! slots as no-ops ahead of their values, and a peer executing in between
+//! would apply a no-op where the owner applies the write.
 //!
 //! **The gap rule.** The simulator's links keep order but lose messages
 //! (`drop_rate`, partitions), so a watermark alone proves nothing: a
@@ -47,23 +54,34 @@
 //! reports decided is stored even against a local revocation promise:
 //! learning is not accepting.
 //!
-//! **The carrier rule.** A commit decision is queued per peer and leaves
-//! on the next message to it. It gets a `Commit` of its own only when
-//! the link is idle at the deployment's own timescale: nothing sent to
-//! that peer for longer than one eighth of the slot's own
-//! suggest-to-commit time — a fraction of a round trip the slot has just
-//! paid, so the wait is never the larger part of anybody's latency
-//! (15-35 ms on the paper's WAN, well under a millisecond in one
-//! datacentre), where a fixed bound would be wrong for one of them. The
-//! check runs when the decision is queued and at the end of every later
-//! handler; a timer per decision would cost two events even when a
-//! carrier made it stale, and the coordination tick alone (50 ms) is too
-//! coarse for low-load reads. The tick sends a `SkipNotice` only to
-//! peers the data path sent nothing since the previous one.
+//! **The carrier rule.** A commit decision is queued per peer, and an
+//! acceptor's ack is kept per owner — one per link, later acks to that
+//! owner at the same term merged into it. Both leave on the next message
+//! to that peer: the ack most often in the acceptor's own `Suggest` or in
+//! the notice its watermark move sends anyway. They get a message of
+//! their own only when the link is idle at the deployment's own
+//! timescale: nothing sent to that peer for longer than an eighth of a
+//! round trip — for a decision, the slot's own suggest-to-commit time;
+//! for an ack, the round trip last measured on the link, read off the
+//! round its own `Suggest` to that peer retired
+//! (`PipelineWindow::on_ack`). That is a fraction of a delay just paid,
+//! so the wait is never the larger part of anybody's latency (15-35 ms on
+//! the paper's WAN, well under a millisecond in one datacentre), where a
+//! fixed bound would be wrong for one of them. A decision goes alone in a
+//! `Commit`, an ack in a `Notice` (which takes the queued decisions
+//! along). The check runs at the end of every handler, the one that
+//! queued them included, and at the coordination tick; a timer per
+//! decision or ack would cost two events even when a carrier made it
+//! stale, and the tick alone (50 ms) is too coarse for low-load reads.
+//! The tick sends a keepalive `Notice` only to peers the data path sent
+//! nothing since the previous one. A carried ack is charged the
+//! `ack_process` its message of its own was; a notice that carries one
+//! costs that and nothing more.
 //!
 //! An ack held back by the fsync gate would leave out of stream order,
-//! so it is not a stream element: it claims nothing, and the skip goes
-//! to that peer in a notice like to everybody else.
+//! so it is not a stream element: it goes in a `Notice` whose header
+//! claims nothing, and the skip goes to that peer in a notice like to
+//! everybody else.
 //!
 //! # Responses and recovery
 //!
@@ -132,9 +150,10 @@
 //!
 //! # Durability (group commit)
 //!
-//! Same invariant as the other three protocols: a `SuggestOk` is an
-//! acceptor's promise that the accepted values survive a crash, so it
-//! is routed through [`EngineCore::ack_after_sync`]; the owner's *own*
+//! Same invariant as the other three protocols: an ack is an acceptor's
+//! promise that the accepted values survive a crash, so one whose values
+//! are not yet synced is routed through [`EngineCore::ack_after_sync`]
+//! (one that finds every write synced joins the stream); the owner's *own*
 //! implicit ack is likewise gated on its local fsync (the engine's
 //! `on_durable` hook adds the bit, `PaxosBase::note_proposed`).
 //! Crash-restart drops accepted values whose write never synced. A
@@ -183,7 +202,7 @@ use crate::engine::paxos_family::{ack_bit, merge_highest, Accepted, Cell, PaxosB
 use crate::engine::{self, EngineCore, ProtocolRules, ReplicaEngine, T_COORD};
 use crate::kv::{Command, Key, Op};
 use crate::msg::{
-    Coord, MenciusMsg, Msg, Round, Slots, CHECKPOINT_ACK_HEADER, CHECKPOINT_CHUNK_HEADER,
+    Ack, Coord, MenciusMsg, Msg, Round, Slots, CHECKPOINT_ACK_HEADER, CHECKPOINT_CHUNK_HEADER,
 };
 use crate::snapshot::Snapshot;
 use crate::types::{max_failures, NodeId, Slot, Term};
@@ -218,6 +237,12 @@ struct PeerStream {
     /// How long `decisions` may wait for one: an eighth of the
     /// suggest-to-commit time of the quickest slot among them.
     patience: SimDuration,
+    /// My acknowledgement of this peer's suggestions waiting for a
+    /// carrier, merged per term.
+    ack: Option<Ack>,
+    /// How long `ack` may wait for one: an eighth of the round trip
+    /// last measured on this link.
+    ack_patience: SimDuration,
 }
 
 impl PeerStream {
@@ -228,6 +253,8 @@ impl PeerStream {
             last_sent: SimTime::ZERO,
             decisions: Slots::new(),
             patience: SimDuration::ZERO,
+            ack: None,
+            ack_patience: SimDuration::ZERO,
         }
     }
 }
@@ -369,7 +396,7 @@ pub struct MenciusRules {
     /// My outgoing stream per peer (my own entry is unused).
     out: Vec<PeerStream>,
     /// When the coordination tick last ran: peers sent nothing since get
-    /// a keepalive `SkipNotice`.
+    /// a keepalive `Notice`.
     last_tick: SimTime,
     /// Every retained write and migration command above the executed
     /// prefix (module docs, "The conflict index").
@@ -396,6 +423,11 @@ pub struct MenciusRules {
     last_revoke_attempt: SimTime,
     /// Slots this replica skipped (stats).
     skips_issued: u64,
+    /// Acks that rode a message leaving anyway (a `Suggest`, a notice
+    /// for a skip, a keepalive or queued decisions).
+    acks_carried: u64,
+    /// Acks that left in a notice of their own.
+    acks_alone: u64,
     /// Revocation decisions recorded for a value the slot already held
     /// (stats): the one write this file still pays twice — a decision is
     /// written whether or not its value was held, and not writing it moves
@@ -445,6 +477,8 @@ impl MenciusReplica {
                 revoke: None,
                 last_revoke_attempt: SimTime::ZERO,
                 skips_issued: 0,
+                acks_carried: 0,
+                acks_alone: 0,
                 decision_rewrites: 0,
                 lost_own: BTreeSet::new(),
             },
@@ -511,8 +545,12 @@ impl MenciusRules {
     }
 
     /// The next element of my stream to `peer`: accounts for my slots
-    /// since the previous one and takes the queued decisions along.
+    /// since the previous one and takes the queued decisions and the
+    /// waiting ack along. Never between moving `next_own` over a round
+    /// and sending that round's `Suggest`: the element would claim the
+    /// round's slots as no-ops ahead of their values.
     fn stamp(&mut self, peer: NodeId, now: SimTime) -> Coord {
+        let ack = self.carry_ack(peer);
         let st = &mut self.out[peer.0 as usize];
         st.last_sent = now;
         Coord {
@@ -520,15 +558,53 @@ impl MenciusRules {
             watermark: self.next_own,
             commits: std::mem::take(&mut st.decisions),
             exec: self.base.exec_index,
+            ack,
         }
     }
 
-    fn send_skip_notice(&mut self, core: &EngineCore, ctx: &mut Ctx<Msg>, peer: NodeId) {
+    /// Takes the ack waiting for `peer` onto a message that leaves anyway.
+    fn carry_ack(&mut self, peer: NodeId) -> Option<Ack> {
+        let ack = self.out[peer.0 as usize].ack.take();
+        self.acks_carried += u64::from(ack.is_some());
+        ack
+    }
+
+    fn send_notice(&mut self, core: &EngineCore, ctx: &mut Ctx<Msg>, peer: NodeId) {
         let coord = self.stamp(peer, ctx.now());
         ctx.send(
             core.cfg.peer(peer),
-            Msg::Mencius(MenciusMsg::SkipNotice { coord }),
+            Msg::Mencius(MenciusMsg::Notice { coord }),
         );
+    }
+
+    /// Sends the ack waiting for `peer` in a notice of its own.
+    fn send_ack_alone(&mut self, core: &EngineCore, ctx: &mut Ctx<Msg>, peer: NodeId) {
+        let ack = self.out[peer.0 as usize].ack.take();
+        self.acks_alone += 1;
+        let coord = Coord {
+            ack,
+            ..self.stamp(peer, ctx.now())
+        };
+        ctx.send(
+            core.cfg.peer(peer),
+            Msg::Mencius(MenciusMsg::Notice { coord }),
+        );
+    }
+
+    /// Queues my ack of `peer`'s slots on my stream to it, merged into
+    /// the one waiting at the same term; one waiting at another term
+    /// leaves first. It goes on the next message to `peer`, or alone
+    /// once the link idles ([`MenciusRules::flush_idle_links`]).
+    fn queue_ack(&mut self, core: &EngineCore, ctx: &mut Ctx<Msg>, peer: NodeId, ack: Ack) {
+        match &mut self.out[peer.0 as usize].ack {
+            Some(held) if held.term == ack.term => {
+                held.slots.extend(ack.slots.iter());
+                return;
+            }
+            Some(_) => self.send_ack_alone(core, ctx, peer),
+            None => {}
+        }
+        self.out[peer.0 as usize].ack = Some(ack);
     }
 
     /// Suggests `items` (my own slots, at `term`) to every peer, each
@@ -594,9 +670,9 @@ impl MenciusRules {
         Some(true)
     }
 
-    /// Commit tally for own slots that just gained an ack bit (a
-    /// follower's `SuggestOk`, or this owner's own post-fsync vote). An
-    /// ack counts only for a slot still at the term it acknowledges.
+    /// Commit tally for own slots that just gained an ack bit (a peer's
+    /// ack, or this owner's own post-fsync vote). An ack counts only for
+    /// a slot still at the term it acknowledges.
     fn tally_own(&mut self, slots: &Slots, term: Term, bit: u32) {
         let before = self.commit_buf.len();
         let chosen = &mut self.commit_buf;
@@ -678,13 +754,29 @@ impl MenciusRules {
 
     /// Takes in a peer's stream element: the range of its own slots the
     /// message accounted for, its carried commit decisions, its executed
-    /// prefix. Called after the message's values are stored.
-    fn absorb(&mut self, core: &EngineCore, peer: NodeId, coord: Coord) {
+    /// prefix, and its ack of my slots. Called after the message's values
+    /// are stored.
+    fn absorb(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, peer: NodeId, coord: Coord) {
         self.note_known(core, peer, coord.from, coord.watermark);
         // Decided on their owner's word; a decision says nothing about
         // the owner's other slots.
         self.base.learn(coord.commits.iter());
         self.base.note_peer_exec(peer, coord.exec);
+        let Some(ack) = coord.ack else {
+            return;
+        };
+        // An ack costs what it did as a message of its own.
+        ctx.charge(core.cfg.costs.ack_process);
+        let shipped = ack
+            .slots
+            .max()
+            .and_then(|upto| core.pipe.on_ack(peer, upto));
+        if let Some(at) = shipped {
+            // The round trip my acks to this peer wait a fraction of.
+            self.out[peer.0 as usize].ack_patience = ctx.now().since(at) / 8;
+        }
+        self.tally_own(&ack.slots, ack.term, ack_bit(peer));
+        self.queue_decisions(core, ctx.now());
     }
 
     /// The respond condition's coverage part: every other owner's slots
@@ -879,17 +971,28 @@ impl MenciusRules {
         self.commit_buf.clear();
     }
 
-    /// Sends queued decisions in a `Commit` of their own on every link
-    /// that has carried nothing for longer than they may wait. Run at
-    /// the end of every handler, the one that queued them included — no
-    /// timer per decision (two events each, even when stale), and not
-    /// left to the coordination tick (which costs low-load reads its
+    /// Sends what waits for a carrier on every link that has carried
+    /// nothing for longer than it may wait: a waiting ack in a notice of
+    /// its own (queued decisions ride it), queued decisions in a `Commit`
+    /// — or in a notice, when an ack waits on that link too. Run at the
+    /// end of every handler, the one that queued them included — no
+    /// timer per decision or ack (two events each, even when stale), and
+    /// not left to the coordination tick (which costs low-load reads its
     /// full period).
     fn flush_idle_links(&mut self, core: &EngineCore, ctx: &mut Ctx<Msg>) {
         let now = ctx.now();
         for peer in core.cfg.others() {
             let st = &mut self.out[peer.0 as usize];
-            if st.decisions.is_empty() || now.since(st.last_sent.min(now)) <= st.patience {
+            let idle = now.since(st.last_sent.min(now));
+            if st.ack.is_some() && idle > st.ack_patience {
+                self.send_ack_alone(core, ctx, peer);
+                continue;
+            }
+            if st.decisions.is_empty() || idle <= st.patience {
+                continue;
+            }
+            if st.ack.is_some() {
+                self.send_notice(core, ctx, peer);
                 continue;
             }
             st.last_sent = now;
@@ -904,11 +1007,12 @@ impl MenciusRules {
     /// Retransmits my own suggested-but-unexecuted slots after
     /// [`engine::RETRY_INTERVAL`] of silence — the MultiPaxos heartbeat's
     /// uncommitted-instance retransmission in the Mencius spelling. A
-    /// `Suggest` or `SuggestOk` lost on the wire otherwise stalls the
-    /// slot until the client gives up and retries; committed slots are
-    /// included because a peer that missed the original suggestion can
-    /// neither advance its watermark past the slot nor execute it, which
-    /// blocks the respond condition's coverage check cluster-wide.
+    /// `Suggest` or the element carrying its ack lost on the wire
+    /// otherwise stalls the slot until the client gives up and retries;
+    /// committed slots are included because a peer that missed the
+    /// original suggestion can neither advance its watermark past the
+    /// slot nor execute it, which blocks the respond condition's coverage
+    /// check cluster-wide.
     ///
     /// Each slot is re-sent at its *original* accepted term (`bal`), not
     /// `current_term`: ack counting matches acks against the slot's
@@ -1017,6 +1121,7 @@ impl MenciusRules {
             if from >= upto || items.is_empty() && MenciusReplica::owner_of(from, n) != me {
                 continue;
             }
+            let ack = self.carry_ack(peer);
             let st = &mut self.out[peer.0 as usize];
             st.last_sent = ctx.now();
             let mut commits = std::mem::take(&mut st.decisions);
@@ -1026,6 +1131,7 @@ impl MenciusRules {
                 watermark: upto,
                 commits,
                 exec: self.base.exec_index,
+                ack,
             };
             let msg = match term {
                 Some(term) => MenciusMsg::Suggest {
@@ -1033,7 +1139,7 @@ impl MenciusRules {
                     items: items.into(),
                     coord,
                 },
-                None => MenciusMsg::SkipNotice { coord },
+                None => MenciusMsg::Notice { coord },
             };
             ctx.send(core.cfg.peer(peer), Msg::Mencius(msg));
         }
@@ -1244,34 +1350,34 @@ impl MenciusRules {
                 if let Some(&refused) = rejected.iter().min() {
                     coord.watermark = coord.watermark.min(refused);
                 }
-                self.absorb(core, peer, coord);
+                self.absorb(core, ctx, peer, coord);
+                // Skip my own unused slots below the suggestion.
+                let skipped = self.skip_to(core, max_slot);
                 // The ack is the acceptor's promise that these values
                 // survive a crash: it leaves only after the covering
                 // fsync (group commit batches it; see the module docs).
                 // A held ack would leave out of stream order, so it is
-                // not a stream element.
-                let held = core.dur.write_seq() > core.dur.synced_seq();
-                let carrier = (!acked.is_empty() && !held).then_some(peer);
-                // Skip my own unused slots below the suggestion. The
-                // suggester's copy rides on the ack (the piggybacked
-                // skip of Appendix A.3), which is on its commit path and
-                // leaves first; everyone else gets a notice.
-                let skipped = self.skip_to(core, max_slot);
+                // not a stream element; one that need not wait joins my
+                // stream to the suggester.
                 if !acked.is_empty() {
-                    let coord = match carrier {
-                        Some(_) => self.stamp(peer, ctx.now()),
-                        None => Coord::empty(self.next_own, self.base.exec_index),
-                    };
-                    let ok = Msg::Mencius(MenciusMsg::SuggestOk {
-                        term,
-                        slots: acked,
-                        coord,
-                    });
-                    core.ack_after_sync(ctx, from, ok);
+                    let ack = Ack { term, slots: acked };
+                    if core.dur.write_seq() > core.dur.synced_seq() {
+                        let coord = Coord {
+                            ack: Some(ack),
+                            ..Coord::empty(self.next_own, self.base.exec_index)
+                        };
+                        let ok = Msg::Mencius(MenciusMsg::Notice { coord });
+                        core.ack_after_sync(ctx, from, ok);
+                    } else {
+                        self.queue_ack(core, ctx, peer, ack);
+                    }
                 }
+                // Every peer hears of the skip in a notice; the
+                // suggester's carries the ack (the piggybacked skip of
+                // Appendix A.3).
                 if skipped {
-                    for p in core.cfg.others().filter(|&p| Some(p) != carrier) {
-                        self.send_skip_notice(core, ctx, p);
+                    for p in core.cfg.others() {
+                        self.send_notice(core, ctx, p);
                     }
                 }
                 if !rejected.is_empty() {
@@ -1294,16 +1400,6 @@ impl MenciusRules {
                 }
                 self.try_execute(core, ctx);
             }
-            MenciusMsg::SuggestOk { term, slots, coord } => {
-                ctx.charge(core.cfg.costs.ack_process);
-                self.absorb(core, peer, coord);
-                if let Some(upto) = slots.max() {
-                    core.pipe.on_ack(peer, upto);
-                }
-                self.tally_own(&slots, term, ack_bit(peer));
-                self.queue_decisions(core, ctx.now());
-                self.try_execute(core, ctx);
-            }
             MenciusMsg::SuggestReject { term, .. } => {
                 // One acceptor promised these slots to a revocation.
                 // That decides nothing: the other acceptors may still
@@ -1320,9 +1416,12 @@ impl MenciusRules {
                     }
                 }
             }
-            MenciusMsg::SkipNotice { coord } => {
-                ctx.charge(core.cfg.costs.coord_msg);
-                self.absorb(core, peer, coord);
+            MenciusMsg::Notice { coord } => {
+                // A notice carrying an ack costs what the ack does.
+                if coord.ack.is_none() {
+                    ctx.charge(core.cfg.costs.coord_msg);
+                }
+                self.absorb(core, ctx, peer, coord);
                 self.try_execute(core, ctx);
             }
             MenciusMsg::Commit { slots } => {
@@ -1549,7 +1648,7 @@ impl ProtocolRules for MenciusRules {
         // to every peer the data path sent nothing since the last tick.
         for peer in core.cfg.others() {
             if self.out[peer.0 as usize].last_sent <= self.last_tick {
-                self.send_skip_notice(core, ctx, peer);
+                self.send_notice(core, ctx, peer);
             }
         }
         self.last_tick = ctx.now();
@@ -1659,9 +1758,14 @@ impl ProtocolRules for MenciusRules {
         self.note_known(core, peer, Slot(1), upto.min(self.base.exec_index).next());
     }
 
+    /// The family's work-paid-once counters, and how acks reached the
+    /// owners: `acks_carried` on a message leaving anyway, `acks_alone`
+    /// in a notice of their own.
     fn record_metrics(&self, sample: &mut crate::telemetry::MetricSample) {
         self.base.record_metrics(sample);
         sample.record("decision_rewrites", self.decision_rewrites as f64);
+        sample.record("acks_carried", self.acks_carried as f64);
+        sample.record("acks_alone", self.acks_alone as f64);
     }
 
     fn on_crash(&mut self, core: &mut EngineCore, floor: Slot) {
@@ -1669,10 +1773,9 @@ impl ProtocolRules for MenciusRules {
         // current_term. Volatile: pending work and respond queues.
         //
         // Durability: accepted values whose write never fsynced are
-        // gone. Their `SuggestOk` (or this owner's own pending
-        // self-vote) was withheld by the ack-after-fsync invariant, so
-        // they contributed to no quorum and dropping them cannot lose
-        // chosen state. A committed slot losing its value degrades to
+        // gone. Their ack (or this owner's own pending self-vote) was
+        // withheld by the ack-after-fsync invariant, so they contributed
+        // to no quorum and dropping them cannot lose chosen state. A committed slot losing its value degrades to
         // committed-without-value (re-fetched from the owner's replay);
         // an *own* slot goes to `lost_own` for phase-1 self-recovery
         // (module docs) — committed or not: no owner replays it to me,
@@ -1690,8 +1793,9 @@ impl ProtocolRules for MenciusRules {
         self.respond_seen = None;
         self.commit_buf.clear();
         // The streams restart claiming nothing they did not send in this
-        // incarnation; queued decisions die with the queue (the
-        // retransmission re-covers them).
+        // incarnation; queued decisions and waiting acks die with the
+        // queue (the retransmissions re-cover them), and so do the
+        // measured round trips, as the pipeline window's rounds do.
         for st in &mut self.out {
             *st = PeerStream::starting_at(self.next_own);
         }
@@ -2148,10 +2252,15 @@ mod tests {
             }
             if self.acks > 0 {
                 self.acks -= 1;
-                let ok = MenciusMsg::SuggestOk {
+                let ack = Ack {
                     term,
                     slots: items.iter().map(|(s, _)| *s).collect(),
-                    coord: self.ack_coord.clone(),
+                };
+                let ok = MenciusMsg::Notice {
+                    coord: Coord {
+                        ack: Some(ack),
+                        ..self.ack_coord.clone()
+                    },
                 };
                 ctx.send(from, Msg::Mencius(ok));
             }
@@ -2200,6 +2309,7 @@ mod tests {
             watermark: Slot(upto),
             commits: Slots::new(),
             exec: Slot::NONE,
+            ack: None,
         }
     }
 
@@ -2232,7 +2342,7 @@ mod tests {
             commits: Slots::from_iter([Slot(2)]),
             ..skipped_below(5)
         };
-        let decision = MenciusMsg::SkipNotice {
+        let decision = MenciusMsg::Notice {
             coord: Coord {
                 from: Slot(8),
                 commits: Slots::from_iter([Slot(5)]),
@@ -2282,7 +2392,7 @@ mod tests {
         // Replica 1 acknowledges two suggestions, then falls silent;
         // replica 2 never does and reports an executed prefix of 0.
         let p1 = Puppet::new(2, skipped_below(1000), Vec::new());
-        let hello = MenciusMsg::SkipNotice {
+        let hello = MenciusMsg::Notice {
             coord: skipped_below(1000),
         };
         let p2 = Puppet::new(
@@ -2316,61 +2426,194 @@ mod tests {
         assert_eq!(again.from, again.watermark, "claims no range");
     }
 
-    /// A decision queued on a link that carried something a moment ago
-    /// leaves on the next message to that peer; on a link idle for
-    /// longer than an eighth of the slot's own commit time it leaves at
-    /// once, in a `Commit` of its own.
-    #[test]
-    fn decisions_ride_a_busy_link_and_leave_an_idle_one_at_once() {
-        // Replica 1 suggests in its own slot 2 just ahead of its ack, so
-        // replica 0 has just answered it when slot 1 commits, and again
-        // in slot 5 three milliseconds later.
+    /// Replica 0 (Oregon) suggests its slots 1, 4 and 7 at 0, 1 and 2 ms
+    /// and slot 10 at 57 ms. Ohio's puppet suggests its slot 2 ahead of
+    /// its first ack, slot 5 three milliseconds later and slot 8 183 ms
+    /// later, all below replica 0's watermark; Ireland's only acks.
+    /// Returns when Ohio sent slot 8.
+    fn acks_and_decisions_on_two_links() -> (Simulation<Msg>, SimTime) {
         let own = |from: u64, upto: u64| Coord {
             from: Slot(from),
             ..skipped_below(upto)
         };
+        let ms = SimDuration::from_millis;
         let p1 = Puppet::new(
             usize::MAX,
             Coord::empty(Slot(2), Slot::NONE),
             vec![
-                (SimDuration::ZERO, suggest_from(1, &[2], own(2, 5))),
-                (
-                    SimDuration::from_millis(3),
-                    suggest_from(1, &[5], own(5, 8)),
-                ),
+                (ms(0), suggest_from(1, &[2], own(2, 5))),
+                (ms(3), suggest_from(1, &[5], own(5, 8))),
+                (ms(183), suggest_from(1, &[8], own(8, 11))),
             ],
         );
         let p2 = Puppet::new(usize::MAX, Coord::empty(Slot(3), Slot::NONE), Vec::new());
-        let (mut sim, client) = replica_among_puppets(p1, p2);
-        sim.actor_mut::<TestClient>(client).enqueue_put(1);
-        sim.run_until(SimTime::from_millis(140));
-        let acks_to_p1: Vec<(Vec<Slot>, Vec<Slot>)> = sim
-            .actor::<Puppet>(ActorId(1))
-            .seen
+        let (mut sim, _) = replica_among_puppets(p1, p2);
+        for (seq, at) in [(1, 0), (2, 1), (3, 2), (4, 57)] {
+            let cmd = Command::put(crate::kv::CmdId { client: 0, seq }, seq, vec![0; 8]);
+            let request = Msg::Client(crate::msg::ClientMsg::Request { cmd });
+            sim.send_external(ActorId(0), request, ms(at));
+        }
+        sim.run_until(SimTime::from_millis(400));
+        let first = sim.actor::<Puppet>(ActorId(1)).seen[0].0;
+        (sim, first + ms(183))
+    }
+
+    /// What a puppet saw replica 0 send it on the stream, in order:
+    /// `(at, kind, acked, decided)`.
+    fn stream_seen_by(
+        sim: &Simulation<Msg>,
+        puppet: usize,
+    ) -> Vec<(SimTime, &str, Vec<Slot>, Vec<Slot>)> {
+        let slots = |c: &Coord| {
+            let acked = c.ack.as_ref().map(|a| a.slots.iter().collect());
+            (acked.unwrap_or_default(), c.commits.iter().collect())
+        };
+        let seen = &sim.actor::<Puppet>(ActorId(puppet)).seen;
+        let row = |(at, m): &(SimTime, MenciusMsg)| {
+            let (kind, (acked, decided)) = match m {
+                MenciusMsg::Suggest { coord, .. } => ("suggest", slots(coord)),
+                MenciusMsg::Notice { coord } => ("notice", slots(coord)),
+                MenciusMsg::Commit { slots } => ("commit", (vec![], slots.iter().collect())),
+                _ => return None,
+            };
+            Some((*at, kind, acked, decided))
+        };
+        seen.iter().filter_map(row).collect()
+    }
+
+    /// An ack or a decision queued on a link that carried something a
+    /// moment ago leaves on the next message to that peer; on a link idle
+    /// for longer than it may wait it leaves at once, the ack in a notice
+    /// of its own, the decision in a `Commit`.
+    #[test]
+    fn decisions_ride_a_busy_link_and_leave_an_idle_one_at_once() {
+        let (sim, slot_8_sent) = acks_and_decisions_on_two_links();
+        let (s, none) = (
+            |x: &[u64]| x.iter().map(|&x| Slot(x)).collect::<Vec<_>>(),
+            vec![],
+        );
+        let to_ohio = stream_seen_by(&sim, 1);
+        let carried: Vec<_> = to_ohio
             .iter()
-            .filter_map(|(_, m)| match m {
-                MenciusMsg::SuggestOk { slots, coord, .. } => {
-                    Some((slots.iter().collect(), coord.commits.iter().collect()))
-                }
-                MenciusMsg::Commit { .. } => panic!("busy link got a Commit of its own"),
-                _ => None,
-            })
+            .filter(|(_, _, acked, decided)| !acked.is_empty() || !decided.is_empty())
+            .take(3)
+            .map(|(_, kind, acked, decided)| (*kind, acked.clone(), decided.clone()))
             .collect();
         assert_eq!(
-            acks_to_p1,
-            [(vec![Slot(2)], vec![]), (vec![Slot(5)], vec![Slot(1)])],
-            "the decision rode the next ack"
+            carried,
+            [
+                ("notice", s(&[2]), none.clone()),
+                ("suggest", s(&[5]), s(&[1, 4, 7])),
+                ("suggest", none.clone(), s(&[1, 4, 7])),
+            ],
+            "slot 2's ack left alone on a link idle since slot 7's suggestion; \
+             slot 5's, on a link busy since then, rode slot 10's suggestion \
+             with the decisions (the third is the replay to a stalled peer)"
         );
-        let p2 = sim.actor::<Puppet>(ActorId(2));
-        let commit_at = p2.seen.iter().find_map(|(at, m)| match m {
-            MenciusMsg::Commit { slots } if slots.iter().eq([Slot(1)]) => Some(*at),
-            _ => None,
-        });
-        let ack_carrier_at = sim.actor::<Puppet>(ActorId(1)).seen[2].0;
-        let commit_at = commit_at.expect("idle link got the decision on its own");
-        // Sent about 3 ms before the carrier, but Ireland is 40 ms
-        // further from Oregon than Ohio is.
-        assert!(commit_at < ack_carrier_at + SimDuration::from_millis(40));
+        // Ireland was sent nothing since slot 7 when slot 1 was chosen.
+        let to_ireland = stream_seen_by(&sim, 2);
+        assert_eq!(
+            (to_ireland[3].1, &to_ireland[3].3),
+            ("commit", &s(&[1])),
+            "the idle link got the decision on its own"
+        );
+        assert_eq!(
+            to_ireland[4].3,
+            s(&[4, 7]),
+            "and slot 10's suggestion the rest"
+        );
+        // Slot 8 reaches replica 0 some 30 ms after the last tick sent
+        // Ohio anything, past the patience (an eighth of the 52 ms round
+        // trip): its ack leaves in that handler, one round trip after
+        // Ohio sent the slot.
+        let (at, kind, ..) = to_ohio
+            .iter()
+            .find(|(_, _, acked, _)| acked == &s(&[8]))
+            .expect("acknowledged");
+        let rtt = SimDuration::from_millis(52);
+        assert_eq!(*kind, "notice");
+        assert!(
+            at.since(slot_8_sent) < rtt + SimDuration::from_millis(2),
+            "sent as the suggestion arrived: {}",
+            at.since(slot_8_sent)
+        );
+    }
+
+    /// `acks_carried` and `acks_alone` count what the owners saw: in this
+    /// run the acks in a `Suggest`, and the acks in a notice sent for
+    /// nothing else (claiming no slot, carrying no decision).
+    #[test]
+    fn the_ack_counters_are_what_the_owners_saw() {
+        let (sim, _) = acks_and_decisions_on_two_links();
+        let (mut carried, mut alone) = (0, 0);
+        for puppet in [1, 2] {
+            for (_, m) in &sim.actor::<Puppet>(ActorId(puppet)).seen {
+                let (MenciusMsg::Suggest { coord, .. } | MenciusMsg::Notice { coord }) = m else {
+                    continue;
+                };
+                if coord.ack.is_none() {
+                    continue;
+                }
+                let bare = matches!(m, MenciusMsg::Notice { .. })
+                    && coord.from == coord.watermark
+                    && coord.commits.is_empty();
+                *(if bare { &mut alone } else { &mut carried }) += 1;
+            }
+        }
+        assert_eq!(
+            (carried, alone),
+            (1, 2),
+            "slot 5's ack rode; 2's and 8's went alone"
+        );
+        let sample = sim.actor::<MenciusReplica>(ActorId(0)).metric_sample();
+        assert_eq!(sample.get("acks_carried"), f64::from(carried));
+        assert_eq!(sample.get("acks_alone"), f64::from(alone));
+    }
+
+    /// The claim-order trap: replica 0 holds its ack of Ohio's slot 5
+    /// when it proposes slot 10. The ack must ride slot 10's own
+    /// `Suggest`, or claim nothing: an element stamped after the round
+    /// moved the watermark but ahead of its `Suggest` claims slot 10 as
+    /// a no-op before its value leaves, and a peer executing in that gap
+    /// applies a no-op where the owner applies the write. So on every
+    /// link, no slot of replica 0 is accounted for without its value
+    /// that a later message brings a value for.
+    #[test]
+    fn a_held_ack_rides_the_round_proposed_while_it_waits_and_claims_none_of_it() {
+        let (sim, _) = acks_and_decisions_on_two_links();
+        for puppet in [1, 2] {
+            let mut valued = BTreeSet::new();
+            let mut read_as_skipped = BTreeSet::new();
+            for (_, m) in &sim.actor::<Puppet>(ActorId(puppet)).seen {
+                let (items, coord) = match m {
+                    MenciusMsg::Suggest { items, coord, .. } => (&items[..], coord),
+                    MenciusMsg::Notice { coord } => (&[][..], coord),
+                    _ => continue,
+                };
+                for (s, _) in items {
+                    assert!(
+                        !read_as_skipped.contains(s),
+                        "slot {s:?} was read as skipped"
+                    );
+                    valued.insert(*s);
+                }
+                let mut s = owned_at_or_after(NodeId(0), coord.from, 3);
+                while s < coord.watermark {
+                    if !valued.contains(&s) {
+                        read_as_skipped.insert(s);
+                    }
+                    s = Slot(s.0 + 3);
+                }
+            }
+            assert!(valued.contains(&Slot(10)), "slot 10 was suggested");
+        }
+        let to_ohio = stream_seen_by(&sim, 1);
+        let round = to_ohio.iter().find(|(_, _, acked, _)| acked == &[Slot(5)]);
+        assert_eq!(
+            round.map(|r| r.1),
+            Some("suggest"),
+            "the ack rode the round"
+        );
     }
 
     /// Every message inside a 20 ms window is lost — among them the
@@ -2413,7 +2656,7 @@ mod tests {
             slots: vec![Slot(1)],
             term: Term::encode(2, NodeId(1), 3),
         };
-        let idle = MenciusMsg::SkipNotice {
+        let idle = MenciusMsg::Notice {
             coord: skipped_below(1000),
         };
         let p1 = Puppet::new(
@@ -2473,7 +2716,7 @@ mod tests {
     }
 
     fn notice(from: u64, upto: u64, commits: &[u64]) -> MenciusMsg {
-        MenciusMsg::SkipNotice {
+        MenciusMsg::Notice {
             coord: Coord {
                 from: Slot(from),
                 commits: commits.iter().map(|&s| Slot(s)).collect(),

@@ -10,16 +10,17 @@
 //!
 //! The Paxos family names slots where Raft names one index: an `acceptOK`
 //! lists the instances it accepted, a Mencius `Commit` the instances
-//! chosen, a Mencius stream element the decisions it carries. (MultiPaxos
-//! learns as Raft commits, by one executed prefix.) Every fresh round, its
-//! acknowledgement and its decision name consecutive slots (MultiPaxos) or
-//! slots `n` apart (one Mencius owner's), so [`Slots`] holds *first,
-//! length, stride* in place and touches the heap only for what is not a
-//! run — a pump over committed gaps, a retransmission by age. The size
-//! model does not learn this: `size_bytes()` keeps charging 8 B a slot
-//! from [`Slots::len`], because the wire *model* is the paper's message,
-//! not this process's layout, and a range-encoded wire size would move
-//! every virtual number.
+//! chosen, a Mencius stream element the decisions and the ack it carries.
+//! (MultiPaxos learns as Raft commits, by one executed prefix.) Every
+//! fresh round, its acknowledgement and its decision name consecutive
+//! slots (MultiPaxos) or slots `n` apart (one Mencius owner's), so
+//! [`Slots`] holds *first, length, stride* in place and touches the heap
+//! only for what is not a run — a pump over committed gaps, a
+//! retransmission by age, acks merged across an owner's skipped slots.
+//! The size model does not learn this: `size_bytes()` keeps charging 8 B
+//! a slot from [`Slots::len`], because the wire *model* is the paper's
+//! message, not this process's layout, and a range-encoded wire size
+//! would move every virtual number.
 
 use std::sync::Arc;
 
@@ -466,11 +467,12 @@ pub enum LeaseMsg {
     },
 }
 
-/// What every regular Mencius message (`Suggest`, `SuggestOk`,
-/// `SkipNotice`) carries about its sender's *own* slots: one element of
-/// the sender's per-peer stream. The coordination that used to travel in
-/// messages of its own — skips, commit decisions, the executed-prefix
-/// report — rides the data path instead (the Raft `Append` already
+/// What every regular Mencius message (`Suggest`, `Notice`) carries
+/// about its sender's *own* slots, and its acknowledgement of the
+/// receiver's: one element of the sender's per-peer stream. The
+/// coordination that used to travel in messages of its own — skips,
+/// commit decisions, the executed-prefix report, the reply to a
+/// `Suggest` — rides the data path instead (the Raft `Append` already
 /// carries `commit`; this is the same fact ported across the mapping).
 #[derive(Debug, Clone)]
 pub struct Coord {
@@ -490,6 +492,20 @@ pub struct Coord {
     /// on a lost message (replay) or fell below their checkpoint floor
     /// (state transfer).
     pub exec: Slot,
+    /// The sender's acknowledgement of the receiver's suggestions,
+    /// merged since the last message to it: the reply to a `Suggest`
+    /// (Appendix A.3 piggybacks the skip on it), riding whatever leaves
+    /// next on the link.
+    pub ack: Option<Ack>,
+}
+
+/// An acceptor's acknowledgement of its receiver's own slots.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Ack {
+    /// The term the slots were accepted at (the suggestions' term).
+    pub term: Term,
+    /// Slots accepted.
+    pub slots: Slots,
 }
 
 impl Coord {
@@ -501,12 +517,15 @@ impl Coord {
             watermark: at,
             commits: Slots::new(),
             exec,
+            ack: None,
         }
     }
 
-    /// Wire size: `from`, `watermark`, `exec`, 8 B per carried decision.
+    /// Wire size: `from`, `watermark`, `exec`, 8 B per carried decision,
+    /// and an ack's term and 8 B per acked slot.
     fn size_bytes(&self) -> usize {
-        24 + 8 * self.commits.len()
+        let ack = self.ack.as_ref().map_or(0, |a| 8 + 8 * a.slots.len());
+        24 + 8 * self.commits.len() + ack
     }
 }
 
@@ -524,20 +543,12 @@ pub enum MenciusMsg {
         /// The owner's stream element; its range covers `items`.
         coord: Coord,
     },
-    /// Acknowledgement of a `Suggest`.
-    SuggestOk {
-        /// Echoed term.
-        term: Term,
-        /// Slots accepted.
-        slots: Slots,
-        /// The responder's stream element (the piggybacked skip of
-        /// Appendix A.3: "it piggybacks a skip message in its reply").
-        coord: Coord,
-    },
     /// A stream element with nothing to ride on ("keep committing skip to
-    /// keep the system moving forward"): sent when the watermark moves
-    /// and as a keepalive to peers that were sent nothing for a tick.
-    SkipNotice {
+    /// keep the system moving forward"): sent when the watermark moves,
+    /// as a keepalive to peers that were sent nothing for a tick, and
+    /// for an ack on a link that stayed idle. An ack the fsync gate
+    /// holds leaves in one whose header claims nothing.
+    Notice {
         /// The sender's stream element.
         coord: Coord,
     },
@@ -661,11 +672,8 @@ impl Payload for Msg {
                     24 + coord.size_bytes()
                         + items.iter().map(|(_, c)| 8 + c.size_bytes()).sum::<usize>()
                 }
-                MenciusMsg::SuggestOk { slots, coord, .. } => {
-                    16 + coord.size_bytes() + 8 * slots.len()
-                }
                 MenciusMsg::SuggestReject { slots, .. } => 16 + 8 * slots.len(),
-                MenciusMsg::SkipNotice { coord } => 8 + coord.size_bytes(),
+                MenciusMsg::Notice { coord } => 8 + coord.size_bytes(),
                 MenciusMsg::Commit { slots } => 8 + 8 * slots.len(),
                 MenciusMsg::Revoke { .. } => 40,
                 MenciusMsg::RevokeOk { accepted, .. } => {
@@ -854,7 +862,7 @@ mod tests {
                 < 64
         );
         assert!(
-            Msg::Mencius(MenciusMsg::SkipNotice {
+            Msg::Mencius(MenciusMsg::Notice {
                 coord: Coord::empty(Slot(10), Slot(3))
             })
             .size_bytes()
@@ -873,45 +881,50 @@ mod tests {
 
     /// The Mencius carriers pay for what they carry: 8 B for `from`
     /// (and for `exec` where it is new), 8 B per carried decision —
-    /// against the 16 B+ message (and its framing) a lone `Commit` costs.
+    /// against the 16 B+ message (and its framing) a lone `Commit` costs
+    /// — and for an ack its term and 8 B per acked slot, so an ack in a
+    /// notice of its own costs 16 B of header and term, the stream
+    /// element and 8 B a slot.
     #[test]
     fn mencius_carriers_pay_for_what_they_carry() {
-        let coord = |decisions: usize| Coord {
+        let coord = |decisions: usize, acked: usize| Coord {
             from: Slot(1),
             watermark: Slot(7),
             commits: std::iter::repeat_n(Slot(1), decisions).collect(),
             exec: Slot(0),
-        };
-        let notice = |d| Msg::Mencius(MenciusMsg::SkipNotice { coord: coord(d) }).size_bytes();
-        let ok = |d| {
-            Msg::Mencius(MenciusMsg::SuggestOk {
+            ack: (acked > 0).then(|| Ack {
                 term: Term(1),
-                slots: [Slot(4)].into_iter().collect(),
-                coord: coord(d),
-            })
-            .size_bytes()
+                slots: (0..acked as u64).map(|i| Slot(2 + 3 * i)).collect(),
+            }),
         };
-        let suggest = |d| {
+        let notice = |d, a| Msg::Mencius(MenciusMsg::Notice { coord: coord(d, a) }).size_bytes();
+        let suggest = |d, a| {
             Msg::Mencius(MenciusMsg::Suggest {
                 term: Term(1),
                 items: vec![(Slot(4), cmd(8))].into(),
-                coord: coord(d),
+                coord: coord(d, a),
             })
             .size_bytes()
         };
         // Header + from + watermark + exec; term and the per-slot words
-        // on top for the other two.
-        assert_eq!(notice(0), 32);
-        assert_eq!(ok(0), 48);
-        assert_eq!(suggest(0), 56 + cmd(8).size_bytes());
-        for carrier in [&notice as &dyn Fn(usize) -> usize, &ok, &suggest] {
-            assert_eq!(carrier(3) - carrier(0), 24, "8 B per decision");
+        // on top for a suggestion.
+        assert_eq!(notice(0, 0), 32);
+        assert_eq!(notice(0, 1), 48, "a lone ack of one slot");
+        assert_eq!(suggest(0, 0), 56 + cmd(8).size_bytes());
+        for carrier in [&notice as &dyn Fn(usize, usize) -> usize, &suggest] {
+            assert_eq!(carrier(3, 0) - carrier(0, 0), 24, "8 B per decision");
+            assert_eq!(carrier(0, 3) - carrier(0, 0), 32, "term + 8 B per ack");
+            assert_eq!(carrier(2, 2) - carrier(0, 0), 40);
         }
         let alone = Msg::Mencius(MenciusMsg::Commit {
             slots: [Slot(1)].into_iter().collect(),
         })
         .size_bytes();
-        assert!(notice(1) - notice(0) < alone);
+        assert!(notice(1, 0) - notice(0, 0) < alone);
+        assert!(
+            suggest(0, 1) - suggest(0, 0) < notice(0, 1),
+            "riding is cheaper"
+        );
     }
 
     #[test]

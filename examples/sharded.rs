@@ -2,12 +2,19 @@
 //! simulated nodes, key-range routing, and closed-loop throughput
 //! scaling past one leader's CPU.
 //!
+//! Part 1 asserts its routing claim: every put commits in the group the
+//! router names for its key (read off the per-group response counters),
+//! and a get reads back what was put there. Part 2 prints the scaling and
+//! asserts nothing: co-located groups do not share one node's CPU yet
+//! (ROADMAP item 5), so more groups on the same nodes outrun what the
+//! hardware would allow, and the numbers are not a claim until they do.
+//!
 //! Run with: `cargo run --release --example sharded`
 
 use paxraft::core::costs::CostModel;
 use paxraft::core::harness::{Cluster, ProtocolKind};
 use paxraft::core::kv::{Op, Reply};
-use paxraft::core::shard::{LeaderPlacement, ShardConfig};
+use paxraft::core::shard::{LeaderPlacement, ShardConfig, ShardedCluster};
 use paxraft::sim::time::SimDuration;
 use paxraft::workload::generator::WorkloadConfig;
 
@@ -32,8 +39,13 @@ fn main() {
             cluster.leaders()[g]
         );
     }
+    let responses = |c: &ShardedCluster| -> Vec<u64> {
+        c.per_group_stats().iter().map(|g| g.responses).collect()
+    };
     for g in 0..cluster.num_groups() {
         let (key, _) = cluster.router().range(g);
+        let named = cluster.router().group_of(key) as usize;
+        let before = responses(&cluster);
         let t0 = cluster.sim.now();
         cluster
             .submit_and_wait(Op::Put {
@@ -45,13 +57,21 @@ fn main() {
             "  put key={key} (group {g}) committed in {}",
             cluster.sim.now() - t0
         );
+        let mut expected = before;
+        expected[named] += 1;
+        assert_eq!(
+            responses(&cluster),
+            expected,
+            "the put of key {key} is answered by group {named}, the one the router names"
+        );
     }
     let (key1, _) = cluster.router().range(1);
     match cluster.submit_and_wait(Op::Get { key: key1 }) {
         Ok(Reply::Value(Some(v))) => {
-            println!("  get key={key1} -> {:?}", String::from_utf8_lossy(&v))
+            println!("  get key={key1} -> {:?}", String::from_utf8_lossy(&v));
+            assert_eq!(&v[..], b"group-1", "the get reads back group 1's put");
         }
-        other => println!("  get key={key1} -> {other:?}"),
+        other => panic!("get key={key1} -> {other:?}, expected group-1's value"),
     }
 
     // Part 2: scaling. With a slow CPU (costs scaled 200x) one leader
