@@ -349,6 +349,117 @@ fn burst_of_requests_leaves_at_most_one_batch_timer_per_replica() {
     for_all_protocols!(scenario);
 }
 
+/// A batch held back for a backed-up NIC waits for the NIC, not the
+/// timer. Five replicas on 75 Mbps NICs serve 4 KB writes from ten
+/// clients a region (the ledger's `raft-4k` cluster), which backs the
+/// proposer's NIC up. Every batch-timer fire that finds this node's NIC
+/// backed up past a quarter of [`BATCH_DELAY`] cuts nothing below
+/// [`BATCH_MAX`] and leaves the timer due exactly when the backlog has
+/// drained to that quarter: the NIC is FIFO, so a round cut sooner only
+/// queues behind it. Raft then ships 0.04 replication rounds per
+/// committed operation; cutting into the backed-up NIC on the timer
+/// shipped 0.27.
+#[test]
+fn a_batch_held_for_a_backed_up_nic_ships_when_the_nic_drains() {
+    use crate::mencius::MenciusRules;
+    use crate::multipaxos::PaxosRules;
+    use crate::raft::RaftRules;
+    use crate::raftstar::RaftStarRules;
+    use paxraft_sim::net::NetConfig;
+    use paxraft_workload::generator::WorkloadConfig;
+
+    /// Runs the cluster for a second, checking every batch-timer fire it
+    /// can watch alone; returns the replication rounds per committed
+    /// operation.
+    fn scenario<P: ProtocolRules>(p: ProtocolKind) -> f64 {
+        let name = p.name();
+        let mut cluster = Cluster::builder(p)
+            .clients_per_region(10)
+            .workload(WorkloadConfig {
+                read_fraction: 0.0,
+                conflict_rate: 0.0,
+                value_size: 4096,
+                ..WorkloadConfig::default()
+            })
+            .net(NetConfig {
+                rtt_ms: [[0.6; 5]; 5],
+                bandwidth_bps: 75.0e6,
+                ..NetConfig::default()
+            })
+            .build();
+        cluster.elect_leader();
+        cluster.advance(SimDuration::from_millis(200));
+        let replicas = cluster.replicas().to_vec();
+        let sim = &mut cluster.sim;
+        fn core<P: ProtocolRules>(sim: &Simulation<Msg>, r: ActorId) -> &EngineCore {
+            &sim.actor::<ReplicaEngine<P>>(r).core
+        }
+        let count = |sim: &Simulation<Msg>| {
+            replicas.iter().fold((0, 0), |(rounds, ops), &r| {
+                let c = core::<P>(sim, r);
+                (rounds + c.pipe.stats.rounds_sent, ops + c.responses_sent)
+            })
+        };
+        let (rounds0, ops0) = count(sim);
+        let threshold = BATCH_DELAY / 4;
+        let end = sim.now() + SimDuration::from_secs(1);
+        let mut checked = 0;
+        while sim.now() < end {
+            let next = replicas
+                .iter()
+                .filter_map(|&r| sim.timer_due(r, T_BATCH).map(|due| (due, r)))
+                .filter(|&(due, _)| due > sim.now())
+                .min();
+            let Some((due, r)) = next else {
+                sim.run_for(SimDuration::from_micros(100));
+                continue;
+            };
+            // Stop just short of the fire to read what it will find.
+            sim.run_until(SimTime::from_nanos(due.as_nanos() - 1));
+            let nic_free = sim.network().nic_free_at(r.0);
+            let held = core::<P>(sim, r).pending.len();
+            let flushes = core::<P>(sim, r).batch_flushes;
+            let armed = sim.timer_due(r, T_BATCH) == Some(due);
+            sim.run_until(due);
+            // Left for later when a busy CPU queued the fire.
+            let fired = sim.timer_due(r, T_BATCH) != Some(due);
+            let backed_up = nic_free > due + threshold;
+            if !(armed && fired && backed_up && (1..BATCH_MAX).contains(&held)) {
+                continue;
+            }
+            checked += 1;
+            let backlog = nic_free - due;
+            assert_eq!(
+                core::<P>(sim, r).batch_flushes,
+                flushes,
+                "{name}: {r:?}'s batch timer cut {held} commands into a NIC {backlog} behind"
+            );
+            let drained = SimTime::from_nanos(nic_free.as_nanos() - threshold.as_nanos());
+            assert_eq!(
+                sim.timer_due(r, T_BATCH),
+                Some(drained),
+                "{name}: {r:?}'s batch timer, fired {backlog} before the NIC drains"
+            );
+        }
+        assert!(
+            checked > 0,
+            "{name}: a batch timer fired into a backed-up NIC"
+        );
+        let (rounds, ops) = count(sim);
+        let peers = (replicas.len() - 1) as f64;
+        (rounds - rounds0) as f64 / peers / (ops - ops0) as f64
+    }
+
+    let raft = scenario::<RaftRules>(ProtocolKind::Raft);
+    scenario::<RaftStarRules>(ProtocolKind::RaftStar);
+    scenario::<PaxosRules>(ProtocolKind::MultiPaxos);
+    scenario::<MenciusRules>(ProtocolKind::RaftStarMencius);
+    assert!(
+        raft < 0.1,
+        "Raft: {raft:.3} replication rounds per committed operation"
+    );
+}
+
 /// Once the load stops, every replica reaches the applied index of the
 /// replica that served it within one heartbeat plus the topology's
 /// largest one-way delay (stretched by the jitter). However a protocol

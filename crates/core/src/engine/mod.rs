@@ -801,6 +801,12 @@ fn span_defer(core: &EngineCore, ctx: &mut Ctx<Msg>) {
 /// - Otherwise (window saturated, or a follower below the limit) the
 ///   batch accumulates under the batch timer — the regime where
 ///   batching amortizes per-round cost.
+/// - Whatever the window says, a batch below the limit is not cut while
+///   this node's egress NIC is backed up past a quarter of the batch
+///   delay, and it waits for the NIC, not the timer: the eager cuts
+///   above are refused, and a timer fire that finds the NIC still backed
+///   up cuts nothing and re-arms for the moment the backlog has drained
+///   to that quarter (`nic_wait`).
 fn cut_batch<P: ProtocolRules>(rules: &mut P, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
     if core.pending.is_empty() {
         return;
@@ -813,14 +819,15 @@ fn cut_batch<P: ProtocolRules>(rules: &mut P, core: &mut EngineCore, ctx: &mut C
         }
         return;
     }
-    // NIC-aware cutting: when this node's egress NIC is backed up by a
-    // quarter of the batch delay or more, bytes — not window room — are
-    // the bottleneck: a message cut now queues behind the backlog
+    // NIC-aware cutting: when this node's egress NIC is backed up by
+    // more than a quarter of the batch delay, bytes — not window room —
+    // are the bottleneck: a message cut now queues behind the backlog
     // instead of starting promptly, so eager cutting buys little
     // latency while its per-round overhead costs throughput (the
-    // Figure-10b regime). Accumulate under the timer instead and let
-    // batching amortize.
-    let nic_saturated = ctx.nic_backlog() * 4 > BATCH_DELAY;
+    // Figure-10b regime). Accumulate until the NIC drains instead and
+    // let batching amortize: the NIC is FIFO, so the batch cut then
+    // delivers the same bytes no later, in one round instead of several.
+    let nic_saturated = nic_wait(ctx).is_some();
     if rules.can_propose(core) {
         if core.pipe.quorum_has_room(core.cfg.id, core.cfg.n) {
             if nic_saturated {
@@ -855,6 +862,14 @@ fn cut_batch<P: ProtocolRules>(rules: &mut P, core: &mut EngineCore, ctx: &mut C
         }
     }
     core.arm_batch(ctx);
+}
+
+/// How long until this node's egress NIC has drained to the cutter's
+/// threshold, a quarter of [`BATCH_DELAY`]; `None` once it has.
+fn nic_wait(ctx: &Ctx<Msg>) -> Option<SimDuration> {
+    let threshold = BATCH_DELAY / 4;
+    let backlog = ctx.nic_backlog();
+    (backlog > threshold).then(|| backlog - threshold)
 }
 
 /// Accepts a forwarded batch: lease-serve what can be served locally,
@@ -1182,12 +1197,22 @@ impl<P: ProtocolRules> Actor<Msg> for ReplicaEngine<P> {
             T_HEARTBEAT => self.rules.on_heartbeat(&mut self.core, ctx),
             T_BATCH => {
                 self.core.batch_armed = false;
-                if !self.core.pending.is_empty() {
-                    flush_pending(&mut self.rules, &mut self.core, ctx);
-                }
-                if !self.core.pending.is_empty() {
-                    // Still buffered (e.g. no leader known): retry later.
-                    self.core.arm_batch(ctx);
+                let pending = self.core.pending.len();
+                match nic_wait(ctx) {
+                    _ if pending == 0 => {}
+                    // The NIC is still backed up: a round cut now would
+                    // only queue behind it. Cut when it has drained.
+                    Some(wait) if pending < BATCH_MAX => {
+                        self.core.batch_armed = true;
+                        ctx.rearm_timer(T_BATCH, wait, T_BATCH);
+                    }
+                    _ => {
+                        flush_pending(&mut self.rules, &mut self.core, ctx);
+                        if !self.core.pending.is_empty() {
+                            // Still buffered (e.g. no leader known): retry later.
+                            self.core.arm_batch(ctx);
+                        }
+                    }
                 }
             }
             T_FSYNC => {

@@ -95,7 +95,11 @@ use super::durability::DurabilityState;
 /// first. **NIC-aware cutting:** an eager cut (leader or hinted follower)
 /// is refused while this node's egress NIC backlog exceeds a quarter of
 /// the batch delay — bytes, not window room, are then the bottleneck (the
-/// Figure-10b regime), and the batch accumulates under the timer instead.
+/// Figure-10b regime) — and the batch accumulates until the NIC drains:
+/// a batch-timer fire that finds the backlog still above that quarter
+/// cuts nothing below [`super::BATCH_MAX`] and re-arms for the moment it
+/// has drained to it. The NIC is FIFO, so the bytes arrive no later, in
+/// one round instead of several.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
     /// Maximum in-flight (unacknowledged) replication rounds per peer; at
