@@ -403,20 +403,8 @@ pub trait ProtocolRules: Sized + 'static {
     /// Mencius, where every replica owns slots).
     fn can_propose(&self, core: &EngineCore) -> bool;
 
-    /// Whether this replica counts as "the leader" for harness
-    /// observation. Defaults to [`ProtocolRules::can_propose`].
-    fn is_leader(&self, core: &EngineCore) -> bool {
-        self.can_propose(core)
-    }
-
     /// The applied prefix (Raft `lastApplied` / Paxos executed index).
     fn applied_index(&self, core: &EngineCore) -> Slot;
-
-    /// Extra per-command propose cost (Mencius coordination overhead).
-    fn extra_propose_cost(&self, costs: &CostModel) -> SimDuration {
-        let _ = costs;
-        SimDuration::ZERO
-    }
 
     /// Assigns slots to a flushed batch and replicates it, draining
     /// `cmds` (the engine keeps the buffer for the next batch). Called
@@ -446,7 +434,7 @@ pub trait ProtocolRules: Sized + 'static {
         let _ = (core, ctx);
     }
 
-    /// The (generation-valid) heartbeat timer fired.
+    /// The live (last armed) heartbeat timer fired.
     fn on_heartbeat(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
         let _ = (core, ctx);
     }
@@ -560,9 +548,10 @@ impl<P: ProtocolRules> ReplicaEngine<P> {
         ReplicaEngine { core, rules }
     }
 
-    /// Whether this replica currently counts as the leader.
+    /// Whether this replica currently counts as the leader (it may
+    /// assign slots itself: [`ProtocolRules::can_propose`]).
     pub fn is_leader(&self) -> bool {
-        self.rules.is_leader(&self.core)
+        self.rules.can_propose(&self.core)
     }
 
     /// Read-only state machine access.
@@ -600,16 +589,6 @@ impl<P: ProtocolRules> ReplicaEngine<P> {
     /// Fsync / deferred-ack counters (durability model).
     pub fn durability_stats(&self) -> DurabilityStats {
         self.core.dur.stats
-    }
-
-    /// `(exports shipped, export bytes, installs absorbed)` — live
-    /// rebalancing counters.
-    pub fn migration_stats(&self) -> (u64, u64, u64) {
-        (
-            self.core.mig_exports,
-            self.core.mig_export_bytes,
-            self.core.mig_installs,
-        )
     }
 
     /// Registers this replica's named counters and gauges for the
@@ -761,10 +740,9 @@ pub fn flush_pending<P: ProtocolRules>(rules: &mut P, core: &mut EngineCore, ctx
         }
     }
     let bytes: usize = cmds.iter().map(Command::size_bytes).sum();
-    let per_cmd = core.cfg.costs.propose_per_cmd + rules.extra_propose_cost(&core.cfg.costs);
     ctx.charge(
         core.cfg.costs.propose_fixed
-            + per_cmd * cmds.len() as u64
+            + core.cfg.costs.propose_per_cmd * cmds.len() as u64
             + core.cfg.costs.size_cost(bytes),
     );
     core.batch_flushes += 1;
@@ -872,35 +850,36 @@ fn nic_wait(ctx: &Ctx<Msg>) -> Option<SimDuration> {
     (backlog > threshold).then(|| backlog - threshold)
 }
 
-/// Accepts a forwarded batch: lease-serve what can be served locally,
-/// bounce what a migration moved away (the forwarding follower may lag
-/// behind the freeze), buffer the rest, and hand the result to the
-/// batch cutter.
-fn on_forwarded<P: ProtocolRules>(
+/// One command's way in, from a client or a forwarding follower.
+/// Sharded clusters: a key owned by another group — under the
+/// build-time map or the replicated migration overrides — is redirected
+/// before it can touch this group's log or sessions (the client's
+/// partition map raced a config change, or the forwarding follower lags
+/// behind a freeze); charged like a response but counted as a redirect.
+/// A read the rules serve locally (lease) is answered; anything else is
+/// buffered for the batch cutter. Returns whether it was buffered.
+fn intake<P: ProtocolRules>(
     rules: &mut P,
     core: &mut EngineCore,
     ctx: &mut Ctx<Msg>,
-    cmds: Vec<Command>,
-) {
-    ctx.charge(core.cfg.costs.forward_per_cmd * cmds.len() as u64);
-    for cmd in cmds {
-        if let Some((group, version)) = core.misroute(&cmd.op) {
-            core.send_redirect(ctx, cmd.id, group, version);
-            continue;
-        }
-        if rules.try_serve_local(core, ctx, &cmd) {
-            continue;
-        }
-        ctx.trace_span(
-            SpanKind::Enqueue {
-                proposer: rules.can_propose(core),
-            },
-            cmd.id.client,
-            cmd.id.seq,
-        );
-        core.pending.push(cmd);
+    cmd: Command,
+) -> bool {
+    if let Some((group, version)) = core.misroute(&cmd.op) {
+        core.send_redirect(ctx, cmd.id, group, version);
+        return false;
     }
-    cut_batch(rules, core, ctx);
+    if rules.try_serve_local(core, ctx, &cmd) {
+        return false;
+    }
+    ctx.trace_span(
+        SpanKind::Enqueue {
+            proposer: rules.can_propose(core),
+        },
+        cmd.id.client,
+        cmd.id.seq,
+    );
+    core.pending.push(cmd);
+    true
 }
 
 /// The single apply-path implementation shared by every protocol:
@@ -1055,56 +1034,38 @@ impl<P: ProtocolRules> Actor<Msg> for ReplicaEngine<P> {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<Msg>, from: ActorId, msg: Msg) {
+        if let Msg::Engine(m) = &msg {
+            if m.group() != self.core.cfg.group_id() {
+                self.core.cross_group_dropped += 1;
+                return;
+            }
+        }
         match msg {
             Msg::Client(ClientMsg::Request { cmd }) => {
                 ctx.charge(self.core.cfg.costs.client_req);
-                // Sharded clusters: a key owned by another group —
-                // under the build-time map or the replicated migration
-                // overrides — is redirected before it can touch this
-                // group's log or sessions (the client's partition map
-                // raced a config change). Not a response in the
-                // commit-visible sense: charged like one but counted as
-                // a redirect.
-                if let Some((group, version)) = self.core.misroute(&cmd.op) {
-                    self.core.send_redirect(ctx, cmd.id, group, version);
+                if !intake(&mut self.rules, &mut self.core, ctx, cmd) {
                     return;
                 }
-                if self.rules.try_serve_local(&mut self.core, ctx, &cmd) {
-                    return;
-                }
-                ctx.trace_span(
-                    SpanKind::Enqueue {
-                        proposer: self.rules.can_propose(&self.core),
-                    },
-                    cmd.id.client,
-                    cmd.id.seq,
-                );
-                self.core.pending.push(cmd);
                 cut_batch(&mut self.rules, &mut self.core, ctx);
             }
             Msg::Client(ClientMsg::RouterUpdate { .. }) => {
                 // Router updates address clients; a replica ignores them
                 // (its ownership view is replicated through its log).
             }
-            Msg::Engine(EngineMsg::Forward { group, cmds, .. }) => {
-                if group != self.core.cfg.group_id() {
-                    self.core.cross_group_dropped += 1;
-                    return;
+            Msg::Engine(EngineMsg::Forward { cmds, .. }) => {
+                ctx.charge(self.core.cfg.costs.forward_per_cmd * cmds.len() as u64);
+                for cmd in cmds {
+                    intake(&mut self.rules, &mut self.core, ctx, cmd);
                 }
-                on_forwarded(&mut self.rules, &mut self.core, ctx, cmds);
+                cut_batch(&mut self.rules, &mut self.core, ctx);
             }
             Msg::Engine(EngineMsg::RangeChunk {
-                group,
                 version,
                 offset,
                 total,
-                header_bytes: _,
                 data,
+                ..
             }) => {
-                if group != self.core.cfg.group_id() {
-                    self.core.cross_group_dropped += 1;
-                    return;
-                }
                 ctx.charge(
                     self.rules.snapshot_chunk_fixed_cost(&self.core.cfg.costs)
                         + self.core.cfg.costs.snapshot_cost(data.len()),
@@ -1119,11 +1080,7 @@ impl<P: ProtocolRules> Actor<Msg> for ReplicaEngine<P> {
                     }
                 }
             }
-            Msg::Engine(EngineMsg::RangeAck { group, version, .. }) => {
-                if group != self.core.cfg.group_id() {
-                    self.core.cross_group_dropped += 1;
-                    return;
-                }
+            Msg::Engine(EngineMsg::RangeAck { version, .. }) => {
                 // The destination confirmed the install committed: stop
                 // re-exporting this migration.
                 self.core.mig_acked.insert(version);
@@ -1131,19 +1088,13 @@ impl<P: ProtocolRules> Actor<Msg> for ReplicaEngine<P> {
             // `last_term` rides inside the encoded payload; the header
             // copy only matters for observability.
             Msg::Engine(EngineMsg::SnapshotChunk {
-                group,
                 seal,
                 last_slot,
-                last_term: _,
                 offset,
                 total,
-                header_bytes: _,
                 data,
+                ..
             }) => {
-                if group != self.core.cfg.group_id() {
-                    self.core.cross_group_dropped += 1;
-                    return;
-                }
                 if !self
                     .rules
                     .accept_snapshot_chunk(&mut self.core, ctx, from, seal)
@@ -1164,13 +1115,7 @@ impl<P: ProtocolRules> Actor<Msg> for ReplicaEngine<P> {
                     }
                 }
             }
-            Msg::Engine(EngineMsg::SnapshotAck {
-                group, seal, upto, ..
-            }) => {
-                if group != self.core.cfg.group_id() {
-                    self.core.cross_group_dropped += 1;
-                    return;
-                }
+            Msg::Engine(EngineMsg::SnapshotAck { seal, upto, .. }) => {
                 self.rules
                     .on_snapshot_ack(&mut self.core, ctx, from, seal, upto);
             }
@@ -1190,7 +1135,7 @@ impl<P: ProtocolRules> Actor<Msg> for ReplicaEngine<P> {
     fn on_timer(&mut self, ctx: &mut Ctx<Msg>, token: u64) {
         match token & KIND_MASK {
             T_ELECTION => {
-                if !self.rules.is_leader(&self.core) {
+                if !self.rules.can_propose(&self.core) {
                     self.rules.on_election_timeout(&mut self.core, ctx);
                 }
             }

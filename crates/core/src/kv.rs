@@ -199,11 +199,6 @@ impl Op {
         }
     }
 
-    /// Whether this operation modifies state.
-    pub fn is_write(&self) -> bool {
-        matches!(self, Op::Put { .. })
-    }
-
     /// Whether this is a migration control operation (freeze, install,
     /// release). Migration commands are deduplicated by their router
     /// *version* — not by the coordinator's session sequence — so that

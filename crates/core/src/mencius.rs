@@ -495,11 +495,6 @@ impl MenciusReplica {
         self.rules.base.exec_index
     }
 
-    /// Retained (uncompacted) slots.
-    pub fn retained_slots(&self) -> usize {
-        self.rules.base.cells.len()
-    }
-
     /// Slots this replica skipped (stats).
     pub fn skips_issued(&self) -> u64 {
         self.rules.skips_issued
@@ -1584,17 +1579,15 @@ impl ProtocolRules for MenciusRules {
         self.base.exec_index
     }
 
-    fn extra_propose_cost(&self, costs: &CostModel) -> SimDuration {
-        costs.coord_per_cmd
-    }
-
     /// Proposes the batch into my own slots (`Suggest`) — one pipelined
     /// round over this owner's slot range. The suggestion always goes to
     /// every peer (each peer's stream must account for these slots), so
     /// unlike the single-leader protocols the send is not gated; the
     /// per-peer window still tracks in-flight rounds so the engine's
-    /// batch cutter can pace this owner's range.
+    /// batch cutter can pace this owner's range. Coordination costs
+    /// `coord_per_cmd` a command on top of the engine's propose charge.
     fn propose(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, cmds: &mut Vec<Command>) {
+        ctx.charge(core.cfg.costs.coord_per_cmd * cmds.len() as u64);
         // The round's one allocation, straight from the batch.
         let (first, n) = (self.next_own.0, core.cfg.n as u64);
         let numbered = cmds.drain(..).enumerate();

@@ -150,6 +150,20 @@ pub enum EngineMsg {
     },
 }
 
+impl EngineMsg {
+    /// The replica group the message is addressed to: every variant is
+    /// group-stamped, and a receiver drops another group's traffic.
+    pub fn group(&self) -> u32 {
+        match self {
+            EngineMsg::Forward { group, .. }
+            | EngineMsg::SnapshotChunk { group, .. }
+            | EngineMsg::SnapshotAck { group, .. }
+            | EngineMsg::RangeChunk { group, .. }
+            | EngineMsg::RangeAck { group, .. } => *group,
+        }
+    }
+}
+
 /// Client-replica request/response pairs.
 #[derive(Debug, Clone)]
 pub enum ClientMsg {

@@ -153,11 +153,6 @@ impl MultiPaxosReplica {
             None
         }
     }
-
-    /// Retained (uncompacted) instances.
-    pub fn retained_instances(&self) -> usize {
-        self.rules.base.cells.len()
-    }
 }
 
 impl PaxosRules {

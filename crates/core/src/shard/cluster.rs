@@ -641,20 +641,13 @@ impl ShardedCluster {
     /// freeze-bounce cost is `stalls` × the stall queueing time, and
     /// destination queueing is the queueing/batching booked at the
     /// group that finally served the command
-    /// ([`crate::telemetry::CommandBreakdown::served_by`] →
-    /// [`ShardedCluster::group_of_replica`]).
+    /// ([`crate::telemetry::CommandBreakdown::served_by`]; replica
+    /// actor `a` of an `n`-replica group belongs to group `a / n`).
     pub fn span_report(&self) -> Option<crate::telemetry::SpanReport> {
         self.sim
             .trace()
             .spans_enabled()
             .then(|| crate::telemetry::SpanAssembler::assemble(self.sim.trace().spans()))
-    }
-
-    /// The group a replica actor belongs to (`None` for client actors).
-    pub fn group_of_replica(&self, a: ActorId) -> Option<u32> {
-        let n = self.group_actors.first().map_or(0, Vec::len);
-        let groups = self.group_actors.len();
-        (n > 0 && a.0 < n * groups).then(|| (a.0 / n) as u32)
     }
 
     /// Advances virtual time by `d`, pausing at each due sampling
@@ -1247,30 +1240,98 @@ mod tests {
     }
 
     /// The group id stamped on engine-level traffic is a hard isolation
-    /// guard: a Forward carrying another group's id is dropped before it
-    /// can enter the pending batch.
+    /// guard: each of the five group-stamped messages, carrying another
+    /// group's id, is dropped and counted before it can enter the pending
+    /// batch, the log or either chunk assembler. Each would leave a mark
+    /// if it got through: the `Forward` a proposed batch, the chunks a
+    /// half-assembled transfer (offset 0 of a longer one).
     #[test]
-    fn cross_group_forward_is_dropped() {
+    fn cross_group_engine_messages_are_dropped() {
+        use crate::msg::EngineMsg;
+        use crate::types::{Slot, Term};
         let mut cluster = Cluster::builder(ProtocolKind::Raft)
             .shard_config(ShardConfig::groups(2))
             .seed(9)
             .build_sharded();
         cluster.elect_leaders();
+        // Let the new leader's first entry apply before anything is read.
+        cluster.sim.run_for(SimDuration::from_millis(200));
         let target = cluster.replica(0, cluster.leaders()[0]);
-        let cmd = Command::put(CmdId { client: 0, seq: 1 }, 1, vec![0; 8]);
-        cluster.sim.send_external(
-            target,
-            Msg::Engine(crate::msg::EngineMsg::Forward {
-                group: 1,
-                header_bytes: 12,
-                cmds: vec![cmd],
-            }),
-            SimDuration::ZERO,
-        );
-        cluster.sim.run_for(SimDuration::from_millis(50));
-        let rep = cluster.sim.actor::<crate::raft::RaftReplica>(target);
-        assert_eq!(rep.core.cross_group_dropped, 1, "foreign Forward dropped");
-        assert!(rep.core.pending.is_empty(), "nothing buffered from it");
+        let foreign: [(&str, EngineMsg); 5] = [
+            (
+                "Forward",
+                EngineMsg::Forward {
+                    group: 1,
+                    header_bytes: 12,
+                    cmds: vec![Command::put(CmdId { client: 0, seq: 1 }, 1, vec![0; 8])],
+                },
+            ),
+            (
+                "SnapshotChunk",
+                EngineMsg::SnapshotChunk {
+                    group: 1,
+                    seal: Term(1_000),
+                    last_slot: Slot(1_000),
+                    last_term: Term(1_000),
+                    offset: 0,
+                    total: 64,
+                    header_bytes: 52,
+                    data: vec![0; 8],
+                },
+            ),
+            (
+                "SnapshotAck",
+                EngineMsg::SnapshotAck {
+                    group: 1,
+                    seal: Term(1_000),
+                    upto: Slot(1_000),
+                    header_bytes: 20,
+                },
+            ),
+            (
+                "RangeChunk",
+                EngineMsg::RangeChunk {
+                    group: 1,
+                    version: 7,
+                    offset: 0,
+                    total: 64,
+                    header_bytes: 60,
+                    data: vec![0; 8],
+                },
+            ),
+            (
+                "RangeAck",
+                EngineMsg::RangeAck {
+                    group: 1,
+                    version: 7,
+                    header_bytes: 20,
+                },
+            ),
+        ];
+        let seen = |cluster: &ShardedCluster| {
+            let core = &cluster.sim.actor::<crate::raft::RaftReplica>(target).core;
+            (
+                core.cross_group_dropped,
+                (core.pending.len(), core.batch_flushes),
+                replica(&cluster.sim, cluster.protocol, target).applied_index(),
+                format!("{:?}", core.snap_asm),
+                format!("{:?}", core.range_asm),
+            )
+        };
+        for (name, msg) in foreign {
+            let before = seen(&cluster);
+            cluster
+                .sim
+                .send_external(target, Msg::Engine(msg), SimDuration::ZERO);
+            cluster.sim.run_for(SimDuration::from_millis(50));
+            let after = seen(&cluster);
+            assert_eq!(after.0, before.0 + 1, "{name}: dropped and counted once");
+            assert_eq!(
+                (&after.1, &after.2, &after.3, &after.4),
+                (&before.1, &before.2, &before.3, &before.4),
+                "{name}: pending, proposals, applied index and assemblers untouched"
+            );
+        }
     }
 
     /// Closed-loop end to end: a sustained hotspot inside group 0's

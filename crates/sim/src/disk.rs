@@ -49,22 +49,6 @@ impl Default for DiskConfig {
 }
 
 impl DiskConfig {
-    /// An NVMe-flash-like disk: ~1 GB/s writes, 100 µs fsync.
-    pub fn nvme() -> Self {
-        DiskConfig {
-            write_bandwidth_bps: 1e9,
-            fsync_latency: SimDuration::from_micros(100),
-        }
-    }
-
-    /// A spinning-rust-like disk: ~150 MB/s writes, 5 ms fsync.
-    pub fn hdd() -> Self {
-        DiskConfig {
-            write_bandwidth_bps: 150e6,
-            fsync_latency: SimDuration::from_millis(5),
-        }
-    }
-
     /// Whether this config ever charges time.
     pub fn is_zero_cost(&self) -> bool {
         self.write_bandwidth_bps <= 0.0 && self.fsync_latency == SimDuration::ZERO

@@ -49,7 +49,6 @@
 //! ```
 
 pub mod disk;
-pub mod fault;
 pub mod net;
 pub mod rng;
 pub mod sim;
@@ -57,7 +56,6 @@ pub mod time;
 pub mod trace;
 
 pub use disk::{DiskArray, DiskConfig, DiskStats};
-pub use fault::FaultPlan;
 pub use net::{NetConfig, Network, Region};
 pub use rng::SimRng;
 pub use sim::{Actor, ActorId, Ctx, Payload, SimStats, Simulation};

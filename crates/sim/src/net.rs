@@ -86,12 +86,6 @@ pub struct NetConfig {
     pub jitter: f64,
     /// Fixed per-message overhead bytes (headers, framing).
     pub overhead_bytes: usize,
-    /// When true (the default, modelling TCP), deliveries between each
-    /// ordered pair of nodes preserve send order. Mencius's per-owner
-    /// streams (Appendix A.3's skip watermarks) assume ordered links but
-    /// not reliable ones: every element names where the previous one
-    /// ended, so a receiver notices a gap instead of inferring a skip.
-    pub fifo: bool,
 }
 
 impl Default for NetConfig {
@@ -101,7 +95,6 @@ impl Default for NetConfig {
             bandwidth_bps: 750.0e6,
             jitter: 0.02,
             overhead_bytes: 100,
-            fifo: true,
         }
     }
 }
@@ -130,7 +123,12 @@ pub struct Network {
     /// between different groups are dropped. `None` means fully connected.
     partition: Option<Vec<u32>>,
     drop_rate: f64,
-    /// Last scheduled arrival per ordered (src, dst) pair, for FIFO links.
+    /// Last scheduled arrival per ordered (src, dst) pair. Links are
+    /// FIFO, modelling TCP: deliveries between each ordered pair of nodes
+    /// preserve send order. Mencius's per-owner streams (Appendix A.3's
+    /// skip watermarks) assume ordered links but not reliable ones: every
+    /// element names where the previous one ended, so a receiver notices
+    /// a gap instead of inferring a skip.
     fifo_last: HashMap<(usize, usize), SimTime>,
     /// Count of messages dropped by faults (for assertions in tests).
     pub dropped: u64,
@@ -253,13 +251,11 @@ impl Network {
             1.0
         };
         let mut arrive = tx_end + base.mul_f64(jitter);
-        if self.config.fifo {
-            let last = self.fifo_last.entry((src, dst)).or_insert(SimTime::ZERO);
-            if arrive <= *last {
-                arrive = *last + SimDuration::from_nanos(1);
-            }
-            *last = arrive;
+        let last = self.fifo_last.entry((src, dst)).or_insert(SimTime::ZERO);
+        if arrive <= *last {
+            arrive = *last + SimDuration::from_nanos(1);
         }
+        *last = arrive;
         Delivery::ArriveAt(arrive)
     }
 

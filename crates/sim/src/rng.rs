@@ -102,14 +102,6 @@ impl SimRng {
         }
     }
 
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.gen_range(i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
-    }
-
     /// Picks a uniformly random element of a non-empty slice.
     pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
         assert!(!xs.is_empty(), "choose on empty slice");
@@ -180,16 +172,6 @@ mod tests {
         assert!(r.gen_bool(1.0));
         let trues = (0..10_000).filter(|_| r.gen_bool(0.3)).count();
         assert!((2_500..3_500).contains(&trues), "got {trues}");
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = SimRng::new(17);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

@@ -732,11 +732,6 @@ impl<M: Payload> Simulation<M> {
     }
 
     /// The network (partition/drop state, byte counters).
-    pub fn network_mut(&mut self) -> &mut Network {
-        &mut self.net
-    }
-
-    /// The network, immutably.
     pub fn network(&self) -> &Network {
         &self.net
     }

@@ -1,52 +1,46 @@
 //! Explicit-state model checking (the TLC stand-in).
 //!
-//! Exploration of a [`Spec`]'s reachable states under a state-count
-//! budget, checking named invariants at every state. Used to validate
-//! the protocol specs themselves (agreement, log matching, lease
-//! safety, migration exclusivity) before any refinement or porting
-//! reasoning.
+//! Breadth-first exploration of a [`Spec`]'s reachable states under a
+//! state-count budget, checking named invariants at every state. Used
+//! to validate the protocol specs themselves (agreement, log matching,
+//! lease safety, migration exclusivity) before any refinement or
+//! porting reasoning.
 //!
-//! The checker grew from a plain invariant-checking BFS into a small
-//! analysis pass:
+//! Around the invariant-checking BFS sit:
 //!
 //! - **Counterexample traces.** Every explored state keeps a parent
 //!   pointer (which state, which action, which parameter values), so a
 //!   violation or deadlock is reported as an action-labeled path from
 //!   the initial state ([`TraceStep`]), replayable against the spec
-//!   with [`replay`].
-//! - **Pluggable strategies.** BFS, DFS, or deepest-first frontier
-//!   orders ([`Strategy`]) behind the same [`Limits`] API. With an
-//!   unbounded depth and budget all strategies visit the same reachable
-//!   set; they differ in which counterexample they find first.
+//!   with [`replay`]. Breadth-first order makes each trace a shortest
+//!   path.
 //! - **Dependency-based pruning** (`Limits::pruned`). A conservative
 //!   ample-set partial-order reduction: at each state, if some action
 //!   is *statically globally independent* of every other action (no
 //!   other action reads or writes anything it writes, and it reads
 //!   nothing any other action writes) and *invisible* (its writes are
-//!   disjoint from the variables read by the invariants and the
-//!   terminal predicate), the checker may expand only that action's
-//!   transitions. A seen-successor proviso (if any chosen successor was
-//!   already visited, fall back to full expansion) prevents the
-//!   classical "ignoring" problem on cycles. Under these conditions the
-//!   reduced graph reaches a violating or deadlocked state iff the full
-//!   graph does.
+//!   disjoint from the variables read by the invariants), the checker
+//!   may expand only that action's transitions. A seen-successor
+//!   proviso (if any chosen successor was already visited, fall back to
+//!   full expansion) prevents the classical "ignoring" problem on
+//!   cycles. Under these conditions the reduced graph reaches a
+//!   violating or deadlocked state iff the full graph does.
 //! - **Symmetry reduction** ([`Checker::symmetry`]). Specs can install
 //!   a canonicalization function mapping each state to a representative
 //!   of its orbit (e.g. relabeling replica ids so the leader is always
 //!   replica 0). Sound when invariants and the transition relation are
 //!   preserved by the relabeling, which the caller asserts by
 //!   installing the function.
-//! - **Deadlock detection** (`Limits::detect_deadlocks`). Flags
-//!   reachable states with no enabled transitions, unless they satisfy
-//!   an explicit terminal predicate ([`Checker::terminal_ok`]) — opt-in
-//!   so specs with intended final states still pass.
+//! - **Deadlock detection** (`Limits::detect_deadlocks`). Flags the
+//!   first reachable state with no enabled transitions — opt-in, since
+//!   a spec with intended final states stops in them.
 //! - **Reachability goals.** [`Checker::run_graph`] records the
 //!   explored edge list; [`StateGraph::always_reaches`] then decides
 //!   the CTL property `AG EF goal` ("from every reachable state the
 //!   goal stays reachable") by a reverse-reachability fixpoint — the
 //!   checkable stand-in for "eventual release under fair schedules".
 
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use crate::expr::{Env, Expr};
 use crate::spec::{Domain, Spec, State, Transition};
@@ -71,30 +65,11 @@ impl Invariant {
     }
 }
 
-/// Frontier ordering for exploration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Strategy {
-    /// Breadth-first: shortest counterexamples, layer by layer.
-    #[default]
-    Bfs,
-    /// Depth-first: follows one schedule to the end before backtracking.
-    Dfs,
-    /// Deepest-first priority order: like DFS but always resumes from
-    /// the deepest frontier state, regardless of insertion order.
-    DepthPriority,
-}
-
 /// Exploration limits and options.
 #[derive(Debug, Clone, Copy)]
 pub struct Limits {
     /// Maximum distinct states to visit.
     pub max_states: usize,
-    /// Maximum exploration depth (`usize::MAX` for unbounded). Depth is
-    /// the discovery depth under the chosen strategy; only BFS
-    /// guarantees it is the shortest-path distance.
-    pub max_depth: usize,
-    /// Frontier ordering.
-    pub strategy: Strategy,
     /// Enable ample-set partial-order reduction.
     pub prune: bool,
     /// Flag states with no enabled transitions.
@@ -105,8 +80,6 @@ impl Default for Limits {
     fn default() -> Self {
         Limits {
             max_states: 200_000,
-            max_depth: usize::MAX,
-            strategy: Strategy::Bfs,
             prune: false,
             deadlocks: false,
         }
@@ -120,20 +93,6 @@ impl Limits {
             max_states,
             ..Limits::default()
         }
-    }
-
-    /// Sets the depth bound.
-    #[must_use]
-    pub fn depth(mut self, max_depth: usize) -> Limits {
-        self.max_depth = max_depth;
-        self
-    }
-
-    /// Sets the frontier strategy.
-    #[must_use]
-    pub fn with_strategy(mut self, strategy: Strategy) -> Limits {
-        self.strategy = strategy;
-        self
     }
 
     /// Enables ample-set partial-order reduction.
@@ -198,8 +157,7 @@ pub enum Verdict {
         /// Action-labeled counterexample path from init.
         trace: Vec<TraceStep>,
     },
-    /// A reachable state has no enabled transitions and does not
-    /// satisfy the terminal predicate (only with
+    /// A reachable state has no enabled transitions (only with
     /// [`Limits::detect_deadlocks`]).
     Deadlock {
         /// Human-readable stuck state.
@@ -304,8 +262,7 @@ fn trace_of(spec: &Spec, arena: &[State], nodes: &[Node], mut idx: usize) -> Vec
 ///   `a` first without changing which states are reachable modulo the
 ///   deferred actions.
 /// - *Invisibility*: `a`'s writes are disjoint from the variables the
-///   invariants and terminal predicate read, so the reordering cannot
-///   hide a violation.
+///   invariants read, so the reordering cannot hide a violation.
 /// - *Cycle proviso*: if any successor of the candidate ample set was
 ///   already visited, the state is fully expanded instead. This
 ///   prevents a cycle of ample steps from deferring the other actions
@@ -319,7 +276,7 @@ struct Footprints {
 }
 
 impl Footprints {
-    fn of(spec: &Spec, invariants: &[Invariant], terminal: Option<&Expr>) -> Footprints {
+    fn of(spec: &Spec, invariants: &[Invariant]) -> Footprints {
         let n = spec.actions.len();
         let mut reads = vec![std::collections::BTreeSet::new(); n];
         let mut writes = Vec::with_capacity(n);
@@ -338,9 +295,6 @@ impl Footprints {
         let mut observed = std::collections::BTreeSet::new();
         for inv in invariants {
             inv.expr.vars_read(&mut observed);
-        }
-        if let Some(t) = terminal {
-            t.vars_read(&mut observed);
         }
         let prunable = (0..n)
             .map(|i| {
@@ -437,7 +391,7 @@ impl StateGraph {
     /// action can never disable the deferred ones, so a goal reachable
     /// in the full graph stays reachable in the reduced one provided
     /// `goal` only reads variables visible to the reduction (i.e.
-    /// variables read by the invariants or terminal predicate).
+    /// variables read by the invariants).
     ///
     /// # Errors
     ///
@@ -478,47 +432,14 @@ impl StateGraph {
     }
 }
 
-enum Frontier {
-    Bfs(VecDeque<usize>),
-    Dfs(Vec<usize>),
-    Depth(BinaryHeap<(usize, std::cmp::Reverse<usize>)>),
-}
-
-impl Frontier {
-    fn new(strategy: Strategy) -> Frontier {
-        match strategy {
-            Strategy::Bfs => Frontier::Bfs(VecDeque::new()),
-            Strategy::Dfs => Frontier::Dfs(Vec::new()),
-            Strategy::DepthPriority => Frontier::Depth(BinaryHeap::new()),
-        }
-    }
-
-    fn push(&mut self, idx: usize, depth: usize) {
-        match self {
-            Frontier::Bfs(q) => q.push_back(idx),
-            Frontier::Dfs(s) => s.push(idx),
-            Frontier::Depth(h) => h.push((depth, std::cmp::Reverse(idx))),
-        }
-    }
-
-    fn pop(&mut self) -> Option<usize> {
-        match self {
-            Frontier::Bfs(q) => q.pop_front(),
-            Frontier::Dfs(s) => s.pop(),
-            Frontier::Depth(h) => h.pop().map(|(_, std::cmp::Reverse(i))| i),
-        }
-    }
-}
-
 /// Configurable explicit-state checker. [`explore`] is the convenience
-/// wrapper; build a `Checker` directly to install symmetry reduction, a
-/// terminal predicate, or to keep the explored graph.
+/// wrapper; build a `Checker` directly to install symmetry reduction or
+/// to keep the explored graph.
 pub struct Checker<'a> {
     spec: &'a Spec,
     invariants: &'a [Invariant],
     limits: Limits,
     symmetry: Option<&'a dyn Fn(&State) -> State>,
-    terminal: Option<Expr>,
 }
 
 impl<'a> Checker<'a> {
@@ -529,7 +450,6 @@ impl<'a> Checker<'a> {
             invariants: &[],
             limits: Limits::default(),
             symmetry: None,
-            terminal: None,
         }
     }
 
@@ -548,19 +468,11 @@ impl<'a> Checker<'a> {
     }
 
     /// Installs a state canonicalization function (symmetry reduction).
-    /// The caller asserts that invariants, the terminal predicate and
-    /// the transition relation are preserved by the relabeling.
+    /// The caller asserts that the invariants and the transition
+    /// relation are preserved by the relabeling.
     #[must_use]
     pub fn symmetry(mut self, canon: &'a dyn Fn(&State) -> State) -> Checker<'a> {
         self.symmetry = Some(canon);
-        self
-    }
-
-    /// States satisfying this predicate are allowed to have no enabled
-    /// transitions when deadlock detection is on.
-    #[must_use]
-    pub fn terminal_ok(mut self, predicate: Expr) -> Checker<'a> {
-        self.terminal = Some(predicate);
         self
     }
 
@@ -601,15 +513,6 @@ impl<'a> Checker<'a> {
         None
     }
 
-    fn is_terminal(&self, state: &State) -> bool {
-        self.terminal.as_ref().is_some_and(|t| {
-            t.eval(&mut Env::of_state(state))
-                .expect("terminal predicate evaluates")
-                .as_bool()
-                .expect("terminal predicate is boolean")
-        })
-    }
-
     fn canon(&self, state: &State) -> State {
         match self.symmetry {
             Some(f) => f(state),
@@ -623,13 +526,13 @@ impl<'a> Checker<'a> {
         let footprints = self
             .limits
             .prune
-            .then(|| Footprints::of(spec, self.invariants, self.terminal.as_ref()));
+            .then(|| Footprints::of(spec, self.invariants));
 
         let mut arena: Vec<State> = Vec::new();
         let mut index: HashMap<State, usize> = HashMap::new();
         let mut nodes: Vec<Node> = Vec::new();
         let mut edges: Vec<Vec<usize>> = Vec::new();
-        let mut frontier = Frontier::new(self.limits.strategy);
+        let mut frontier: VecDeque<usize> = VecDeque::new();
         let mut transitions = 0usize;
         let mut max_depth = 0usize;
         let mut ample_states = 0usize;
@@ -683,16 +586,13 @@ impl<'a> Checker<'a> {
             };
             return finish(arena, nodes, edges, 1, 0, 0, verdict, 0, 0);
         }
-        frontier.push(0, 0);
+        frontier.push_back(0);
 
-        while let Some(cur) = frontier.pop() {
+        while let Some(cur) = frontier.pop_front() {
             let depth = nodes[cur].depth;
-            if depth >= self.limits.max_depth {
-                continue;
-            }
             let state = arena[cur].clone();
             let ts = spec.transitions(&state).expect("transitions evaluate");
-            if self.limits.deadlocks && ts.is_empty() && !self.is_terminal(&state) {
+            if self.limits.deadlocks && ts.is_empty() {
                 let trace = trace_of(spec, &arena, &nodes, cur);
                 let verdict = Verdict::Deadlock {
                     state: render_state(spec, &state),
@@ -791,7 +691,7 @@ impl<'a> Checker<'a> {
                         sym_folds,
                     );
                 }
-                frontier.push(j, depth + 1);
+                frontier.push_back(j);
             }
         }
         let states = arena.len();
@@ -810,8 +710,7 @@ impl<'a> Checker<'a> {
 }
 
 /// Explores `spec`, checking `invariants` at every state. Convenience
-/// wrapper over [`Checker`] for callers without symmetry or terminal
-/// configuration.
+/// wrapper over [`Checker`] for callers without symmetry reduction.
 ///
 /// # Panics
 ///
@@ -834,28 +733,7 @@ pub fn explore(spec: &Spec, invariants: &[Invariant], limits: Limits) -> CheckRe
 /// Fails when a step's action/parameters are not enabled or the
 /// replayed state diverges from the recorded one.
 pub fn replay(spec: &Spec, trace: &[TraceStep]) -> Result<State, String> {
-    replay_with(spec, trace, None)
-}
-
-/// [`replay`] for traces produced under symmetry reduction: recorded
-/// states are canonical, so each replayed successor is canonicalized
-/// before comparison.
-///
-/// # Errors
-///
-/// As [`replay`].
-pub fn replay_with(
-    spec: &Spec,
-    trace: &[TraceStep],
-    symmetry: Option<&dyn Fn(&State) -> State>,
-) -> Result<State, String> {
-    let canon = |s: &State| -> State {
-        match symmetry {
-            Some(f) => f(s),
-            None => s.clone(),
-        }
-    };
-    let mut cur = canon(&spec.init);
+    let mut cur = spec.init.clone();
     for (i, step) in trace.iter().enumerate() {
         let params: Vec<Value> = step.params.iter().map(|(_, v)| v.clone()).collect();
         let ts = spec.transitions(&cur)?;
@@ -869,46 +747,21 @@ pub fn replay_with(
                     step.action
                 )
             })?;
-        let next = canon(&taken.next);
-        if next != step.state {
+        if taken.next != step.state {
             return Err(format!(
                 "step {}: replayed state diverges from the recorded trace",
                 i + 1
             ));
         }
-        cur = next;
+        cur = taken.next;
     }
     Ok(cur)
-}
-
-/// Collects the reachable states (within limits) — used by the
-/// refinement checker, which needs to re-walk transitions.
-pub fn reachable(spec: &Spec, limits: Limits) -> (Vec<State>, HashMap<State, usize>) {
-    let mut seen: HashMap<State, usize> = HashMap::new();
-    let mut order: Vec<State> = Vec::new();
-    let mut queue: VecDeque<State> = VecDeque::new();
-    seen.insert(spec.init.clone(), 0);
-    order.push(spec.init.clone());
-    queue.push_back(spec.init.clone());
-    while let Some(state) = queue.pop_front() {
-        for t in spec.transitions(&state).expect("transitions evaluate") {
-            if !seen.contains_key(&t.next) {
-                seen.insert(t.next.clone(), order.len());
-                order.push(t.next.clone());
-                if order.len() >= limits.max_states {
-                    return (order, seen);
-                }
-                queue.push_back(t.next);
-            }
-        }
-    }
-    (order, seen)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::{add, ge, int, le, lt, var};
+    use crate::expr::{add, int, le, lt, var};
     use crate::spec::{ActionSchema, Domain};
     use crate::value::Value;
 
@@ -1003,16 +856,7 @@ mod tests {
     }
 
     #[test]
-    fn depth_limit_restricts() {
-        let spec = counter(100);
-        let report = explore(&spec, &[], Limits::states(10_000).depth(3));
-        assert_eq!(report.verdict, Verdict::Exhausted);
-        // Depth 3 with +2 steps reaches at most 6.
-        assert!(report.states <= 8);
-    }
-
-    #[test]
-    fn deadlock_detected_unless_terminal() {
+    fn deadlock_detected_with_a_replayable_trace() {
         let spec = counter(5);
         let report = Checker::new(&spec)
             .limits(Limits::default().detect_deadlocks())
@@ -1026,33 +870,5 @@ mod tests {
             }
             other => panic!("expected deadlock, got {other:?}"),
         }
-        // With the intended terminal states whitelisted, the sweep is
-        // clean again.
-        let report = Checker::new(&spec)
-            .limits(Limits::default().detect_deadlocks())
-            .terminal_ok(ge(var(0), int(5)))
-            .run();
-        assert_eq!(report.verdict, Verdict::Exhausted);
-    }
-
-    #[test]
-    fn strategies_visit_the_same_states() {
-        let spec = counter(9);
-        let bfs = explore(&spec, &[], Limits::default());
-        for strategy in [Strategy::Dfs, Strategy::DepthPriority] {
-            let other = explore(&spec, &[], Limits::default().with_strategy(strategy));
-            assert_eq!(other.verdict, Verdict::Exhausted);
-            assert_eq!(other.states, bfs.states, "{strategy:?}");
-            assert_eq!(other.transitions, bfs.transitions, "{strategy:?}");
-        }
-    }
-
-    #[test]
-    fn reachable_returns_all() {
-        let spec = counter(3);
-        let (order, index) = reachable(&spec, Limits::default());
-        assert_eq!(order.len(), 5); // 0,1,2,3,4
-        assert_eq!(index.len(), order.len());
-        assert_eq!(index[&spec.init], 0);
     }
 }

@@ -41,8 +41,8 @@ pub mod specs;
 pub mod value;
 
 pub use check::{
-    explore, render_trace, replay, replay_with, CheckReport, Checker, EventualReport, Invariant,
-    Limits, StateGraph, Strategy, TraceStep, Verdict,
+    explore, render_trace, replay, CheckReport, Checker, EventualReport, Invariant, Limits,
+    StateGraph, TraceStep, Verdict,
 };
 pub use expr::{Env, Expr};
 pub use port::{port, ModifiedAction, OptDelta, PortMap};

@@ -25,8 +25,6 @@
 //! protocol's invariants) — which the refinement checker verifies for
 //! each ported case study.
 
-use std::collections::BTreeSet;
-
 use crate::expr::Expr;
 use crate::refine::StateMap;
 use crate::spec::{ActionSchema, Spec, State};
@@ -303,26 +301,6 @@ pub fn remap_expr(a: &Spec, b: &Spec, map: &StateMap, expr: &Expr) -> Expr {
     )
 }
 
-/// Collects which A variables a delta *reads* (used by the landscape
-/// classification: optimizations that only read `Var_A` are portable).
-pub fn delta_reads(delta: &OptDelta, n_a: usize) -> BTreeSet<usize> {
-    let mut reads = BTreeSet::new();
-    for a in &delta.added {
-        a.guard.vars_read(&mut reads);
-        for (_, e) in &a.updates {
-            e.vars_read(&mut reads);
-        }
-    }
-    for m in &delta.modified {
-        m.extra_guard.vars_read(&mut reads);
-        for (_, e) in &m.extra_updates {
-            e.vars_read(&mut reads);
-        }
-    }
-    reads.retain(|i| *i < n_a);
-    reads
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -450,14 +428,6 @@ mod tests {
         bad.modified[0].extra_updates.push((0, int(9)));
         let err = port(&a, &bad, &b, &tiny_map()).unwrap_err();
         assert!(err.contains("non-mutating"));
-    }
-
-    #[test]
-    fn delta_reads_reports_a_variables() {
-        let mut d = counting_delta();
-        d.modified[0].extra_guard = eq(var(0), int(0)); // reads A's cell
-        let reads = delta_reads(&d, 1);
-        assert_eq!(reads, BTreeSet::from([0]));
     }
 
     #[test]

@@ -39,11 +39,6 @@ impl Value {
         Value::Fun(items.into_iter().collect())
     }
 
-    /// A constant function mapping every element of `domain` to `v`.
-    pub fn const_fun(domain: &BTreeSet<Value>, v: Value) -> Value {
-        Value::Fun(domain.iter().map(|k| (k.clone(), v.clone())).collect())
-    }
-
     /// The boolean inside, or an error message.
     pub fn as_bool(&self) -> Result<bool, String> {
         match self {
@@ -152,13 +147,6 @@ mod tests {
             f.as_fun().unwrap().get(&Value::Int(1)),
             Some(&Value::Bool(true))
         );
-    }
-
-    #[test]
-    fn const_fun_covers_domain() {
-        let dom: BTreeSet<Value> = (0..3).map(Value::Int).collect();
-        let f = Value::const_fun(&dom, Value::Int(0));
-        assert_eq!(f.as_fun().unwrap().len(), 3);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Checker-internals coverage on the migration model: counterexample
-//! trace reconstruction, pruning soundness, strategy equivalence, and
-//! the eventual-release graph query.
+//! trace reconstruction, pruning soundness, and the eventual-release
+//! graph query.
 
-use paxraft_spec::check::{explore, replay, Checker, Limits, Strategy, Verdict};
-use paxraft_spec::specs::{multipaxos, shardkv};
+use paxraft_spec::check::{explore, replay, Checker, Limits, Verdict};
+use paxraft_spec::specs::shardkv;
 
 const BUDGET: usize = 400_000;
 
@@ -110,61 +110,6 @@ fn pruning_is_sound() {
     assert_eq!(naive.verdict, Verdict::Exhausted);
     assert_eq!(reduced.verdict, Verdict::Exhausted);
     assert!(reduced.states < naive.states);
-}
-
-/// With unbounded depth and budget, every strategy visits the same
-/// reachable set — on an existing protocol spec and on the migration
-/// model.
-#[test]
-fn strategies_agree_on_protocol_specs() {
-    let mp_cfg = multipaxos::MpConfig::default();
-    let mp = multipaxos::spec(&mp_cfg);
-    let mp_invs = [
-        paxraft_spec::check::Invariant::new("Agreement", multipaxos::agreement_invariant(&mp_cfg)),
-        paxraft_spec::check::Invariant::new(
-            "OneValuePerBallot",
-            multipaxos::one_value_per_ballot(&mp_cfg),
-        ),
-    ];
-    let sk = shardkv::spec(&shardkv::SkConfig::single_chunk());
-    let sk_invs = shardkv::invariants();
-    for (spec, invs) in [(&mp, &mp_invs[..]), (&sk, &sk_invs[..])] {
-        let bfs = explore(spec, invs, Limits::states(BUDGET));
-        assert_eq!(bfs.verdict, Verdict::Exhausted, "{}", spec.name);
-        for strategy in [Strategy::Dfs, Strategy::DepthPriority] {
-            let other = explore(spec, invs, Limits::states(BUDGET).with_strategy(strategy));
-            assert_eq!(other.verdict, Verdict::Exhausted, "{}", spec.name);
-            assert_eq!(other.states, bfs.states, "{} {strategy:?}", spec.name);
-            assert_eq!(
-                other.transitions, bfs.transitions,
-                "{} {strategy:?}",
-                spec.name
-            );
-        }
-    }
-}
-
-/// Every strategy finds the planted violation (possibly via different
-/// counterexamples, all of which must replay).
-#[test]
-fn strategies_agree_on_violations() {
-    let broken = shardkv::broken_install_skips_sessions(&shardkv::SkConfig::single_chunk());
-    let invs = shardkv::invariants();
-    for strategy in [Strategy::Bfs, Strategy::Dfs, Strategy::DepthPriority] {
-        let report = explore(
-            &broken,
-            &invs,
-            Limits::states(BUDGET).with_strategy(strategy),
-        );
-        let Verdict::Violated {
-            invariant, trace, ..
-        } = report.verdict
-        else {
-            panic!("{strategy:?}: expected violation");
-        };
-        assert_eq!(invariant, "ExactlyOnce", "{strategy:?}");
-        replay(&broken, &trace).expect("trace replays");
-    }
 }
 
 /// `AG EF released` holds on the correct model and fails (everywhere)

@@ -132,14 +132,6 @@ impl WorkloadConfig {
     pub fn partition_range(&self, p: usize) -> (u64, u64) {
         contiguous_split(self.records, self.partitions, p)
     }
-
-    /// Inclusive-exclusive key range of replica group `g` when this
-    /// workload's key space is sharded over `groups` groups — the same
-    /// contiguous split the per-region partitioning uses, so a sharded
-    /// cluster's router and the generator stay in lockstep.
-    pub fn group_range(&self, groups: usize, g: usize) -> (u64, u64) {
-        contiguous_split(self.records, groups, g)
-    }
 }
 
 /// A per-client operation stream.
@@ -328,14 +320,14 @@ mod tests {
         for groups in [1usize, 2, 4, 8] {
             let mut prev_end = 1;
             for g in 0..groups {
-                let (lo, hi) = cfg.group_range(groups, g);
+                let (lo, hi) = contiguous_split(cfg.records, groups, g);
                 assert_eq!(lo, prev_end, "{groups} groups: group {g} contiguous");
                 prev_end = hi;
             }
             assert_eq!(prev_end, cfg.records, "{groups} groups cover all keys");
         }
         // One group over the whole space degenerates to "everything".
-        assert_eq!(cfg.group_range(1, 0), (1, cfg.records));
+        assert_eq!(contiguous_split(cfg.records, 1, 0), (1, cfg.records));
     }
 
     #[test]
