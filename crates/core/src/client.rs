@@ -93,19 +93,12 @@ pub struct WorkloadClient {
     /// own map predates the migration would bounce between the two
     /// groups at RTT rate.
     pub seen_version: u64,
-    /// Set while a load-shaping pause timer is armed (scenario load
-    /// shapes only); stops the poll tick from double-sending.
-    pause_pending: bool,
 }
 
 /// Timer token for the regular send/retry poll tick.
 const T_POLL: u64 = 1;
 /// Timer token for the short stalled-redirect re-send.
 const T_STALL: u64 = 2;
-/// Timer token for a load-shaping pre-send pause (scenario workloads
-/// only; never armed without one, which keeps unscripted runs
-/// schedule-identical).
-const T_PAUSE: u64 = 3;
 
 #[derive(Debug, Clone)]
 struct Inflight {
@@ -144,7 +137,6 @@ impl WorkloadClient {
             stale_redirects: 0,
             router_updates: 0,
             seen_version: 0,
-            pause_pending: false,
         }
     }
 
@@ -163,19 +155,6 @@ impl WorkloadClient {
     }
 
     fn send_next(&mut self, ctx: &mut Ctx<Msg>) {
-        // Load shaping (scenario workloads): hold the next send for the
-        // shape's pause. Without a scenario the pause is always zero
-        // and no timer is ever armed.
-        let pause = self.gen.pause_at(ctx.now().as_nanos());
-        if pause > SimDuration::ZERO {
-            self.pause_pending = true;
-            ctx.set_timer(pause, T_PAUSE);
-            return;
-        }
-        self.send_now(ctx);
-    }
-
-    fn send_now(&mut self, ctx: &mut Ctx<Msg>) {
         let (cmd, kind, key) = self.next_command(ctx.now().as_nanos());
         let dest = self
             .shard
@@ -226,7 +205,7 @@ impl Actor<Msg> for WorkloadClient {
     fn on_start(&mut self, ctx: &mut Ctx<Msg>) {
         // Stagger client start within 10 ms to avoid lockstep batches.
         let jitter = SimDuration::from_micros(ctx.rng().gen_range(10_000));
-        ctx.set_timer(jitter, 1);
+        ctx.set_timer(jitter, T_POLL);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<Msg>, _from: ActorId, msg: Msg) {
@@ -330,15 +309,6 @@ impl Actor<Msg> for WorkloadClient {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<Msg>, token: u64) {
-        if token == T_PAUSE {
-            // The load-shaping pause elapsed: issue the held send (the
-            // closed loop stays closed — only the gap widened).
-            if self.pause_pending && self.inflight.is_none() {
-                self.pause_pending = false;
-                self.send_now(ctx);
-            }
-            return;
-        }
         if token == T_STALL {
             // Re-send an operation held back by a stale redirect. Use
             // whichever routing knowledge is freshest: the client's own
@@ -375,7 +345,6 @@ impl Actor<Msg> for WorkloadClient {
             return;
         }
         match &self.inflight {
-            None if self.pause_pending => {} // a pause timer will send
             None => self.send_next(ctx),
             Some(inflight) => {
                 if ctx.now().since(inflight.sent) > self.retry_after {

@@ -129,7 +129,6 @@ impl DurabilityConfig {
     pub fn disk_config(&self) -> paxraft_sim::disk::DiskConfig {
         paxraft_sim::disk::DiskConfig {
             fsync_latency: self.fsync_latency,
-            ..paxraft_sim::disk::DiskConfig::default()
         }
     }
 }

@@ -648,17 +648,9 @@ impl KvSnapshot {
     /// [`crate::snapshot::Snapshot::encode`]'s kv section byte for byte,
     /// so CPU/NIC charges agree with what is actually shipped.
     pub fn size_bytes(&self) -> usize {
-        let mut n = 8 + 8; // applied_ops + record count
-        for v in self.table.values() {
-            n += 8 + 4 + v.len(); // key + length prefix + payload
-        }
-        n += 8; // session count
-        for (_, reply) in self.sessions.values() {
-            n += 4 + 8 + 1; // client + seq + reply tag
-            if let Reply::Value(Some(v)) = reply {
-                n += 4 + v.len();
-            }
-        }
+        let mut n = 8 // applied_ops
+            + crate::snapshot::records_len(self.table.values())
+            + crate::snapshot::sessions_len(self.sessions.values().map(|(_, r)| r));
         if !self.shard.is_empty() {
             n += self.shard.encoded_len();
         }

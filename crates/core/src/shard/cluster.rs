@@ -870,7 +870,6 @@ mod tests {
         cluster.sim.set_disk_config_for(
             straggler,
             DiskConfig {
-                write_bandwidth_bps: 100_000.0,
                 fsync_latency: SimDuration::from_millis(25),
             },
         );
@@ -1341,20 +1340,17 @@ mod tests {
     #[test]
     fn autobalance_policy_moves_a_sustained_hotspot_off_the_loaded_group() {
         use crate::telemetry::TelemetryConfig;
-        use paxraft_workload::scenario::{Drift, Hotspot, ScenarioConfig};
+        use paxraft_workload::scenario::{Drift, Hotspot};
         let mut cluster = Cluster::builder(ProtocolKind::Raft)
             .shard_config(ShardConfig::groups(2))
             .clients_per_region(2)
             .workload(WorkloadConfig {
                 read_fraction: 0.5,
-                scenario: Some(ScenarioConfig {
-                    hotspot: Some(Hotspot {
-                        weight: 0.9,
-                        center: 12_500,
-                        width: 12_000,
-                        drift: Drift::Fixed,
-                    }),
-                    ..ScenarioConfig::default()
+                hotspot: Some(Hotspot {
+                    weight: 0.9,
+                    center: 12_500,
+                    width: 12_000,
+                    drift: Drift::Fixed,
                 }),
                 ..Default::default()
             })
@@ -1409,14 +1405,14 @@ mod tests {
     fn oscillating_hotspot_yields_bounded_and_deterministic_migrations() {
         use crate::shard::autobalance::{COOLDOWN, MAX_PER_TICK};
         use crate::telemetry::TelemetryConfig;
-        use paxraft_workload::scenario::ScenarioConfig;
+        use paxraft_workload::scenario::Hotspot;
         let run = || {
             let mut cluster = Cluster::builder(ProtocolKind::Raft)
                 .shard_config(ShardConfig::groups(2))
                 .clients_per_region(2)
                 .workload(WorkloadConfig {
                     read_fraction: 0.5,
-                    scenario: Some(ScenarioConfig::oscillating_hotspot(
+                    hotspot: Some(Hotspot::oscillating(
                         0.8,
                         12_500,
                         62_500,

@@ -32,7 +32,10 @@ use std::collections::BTreeMap;
 use paxraft_sim::time::SimDuration;
 
 use crate::kv::{CmdId, Key, Reply, Value};
-use crate::snapshot::Reader;
+use crate::snapshot::{
+    decode_records, decode_sessions, encode_records, encode_sessions, records_len, sessions_len,
+    Reader,
+};
 
 /// A partition-map version. Every migration bumps it by one; `0` is the
 /// build-time map. Stamped on [`crate::kv::Reply::WrongGroup`] redirects
@@ -238,19 +241,9 @@ pub struct RangeExport {
 impl RangeExport {
     /// Exact length of [`RangeExport::encode`]'s output.
     pub fn size_bytes(&self) -> usize {
-        let mut n = 8 + 8 + 8 + 4 + 4 + 4; // version, lo, hi, groups, coord
-        n += 8; // record count
-        for (_, v) in &self.records {
-            n += 8 + 4 + v.len();
-        }
-        n += 8; // session count
-        for (_, _, reply) in &self.sessions {
-            n += 4 + 8 + 1;
-            if let Reply::Value(Some(v)) = reply {
-                n += 4 + v.len();
-            }
-        }
-        n
+        8 + 8 + 8 + 4 + 4 + 4 // version, lo, hi, groups, coord
+            + records_len(self.records.iter().map(|(_, v)| v))
+            + sessions_len(self.sessions.iter().map(|(_, _, r)| r))
     }
 
     /// Serializes for chunked transfer (deterministic little-endian).
@@ -262,28 +255,11 @@ impl RangeExport {
         out.extend_from_slice(&self.from_group.to_le_bytes());
         out.extend_from_slice(&self.to_group.to_le_bytes());
         out.extend_from_slice(&self.coord.to_le_bytes());
-        out.extend_from_slice(&(self.records.len() as u64).to_le_bytes());
-        for (k, v) in &self.records {
-            out.extend_from_slice(&k.to_le_bytes());
-            out.extend_from_slice(&(v.len() as u32).to_le_bytes());
-            out.extend_from_slice(v);
-        }
-        out.extend_from_slice(&(self.sessions.len() as u64).to_le_bytes());
-        for (c, seq, reply) in &self.sessions {
-            out.extend_from_slice(&c.to_le_bytes());
-            out.extend_from_slice(&seq.to_le_bytes());
-            match reply {
-                Reply::Done => out.push(0),
-                Reply::Value(None) => out.push(1),
-                Reply::Value(Some(v)) => {
-                    out.push(2);
-                    out.extend_from_slice(&(v.len() as u32).to_le_bytes());
-                    out.extend_from_slice(v);
-                }
-                // Redirects never enter a session table.
-                Reply::WrongGroup { .. } => unreachable!("redirects are never session replies"),
-            }
-        }
+        encode_records(&mut out, self.records.iter().map(|(k, v)| (*k, v)));
+        encode_sessions(
+            &mut out,
+            self.sessions.iter().map(|(c, seq, r)| (*c, *seq, r)),
+        );
         debug_assert_eq!(out.len(), self.size_bytes(), "size model matches encoding");
         out
     }
@@ -297,29 +273,10 @@ impl RangeExport {
         let from_group = r.u32()?;
         let to_group = r.u32()?;
         let coord = r.u32()?;
-        let nrec = r.u64()?;
         let mut records = Vec::new();
-        for _ in 0..nrec {
-            let k = r.u64()?;
-            let len = r.u32()? as usize;
-            records.push((k, r.take(len)?.into()));
-        }
-        let nsess = r.u64()?;
+        decode_records(&mut r, |k, v| records.push((k, v)))?;
         let mut sessions = Vec::new();
-        for _ in 0..nsess {
-            let c = r.u32()?;
-            let seq = r.u64()?;
-            let reply = match r.u8()? {
-                0 => Reply::Done,
-                1 => Reply::Value(None),
-                2 => {
-                    let len = r.u32()? as usize;
-                    Reply::Value(Some(r.take(len)?.into()))
-                }
-                _ => return None,
-            };
-            sessions.push((c, seq, reply));
-        }
+        decode_sessions(&mut r, |c, seq, reply| sessions.push((c, seq, reply)))?;
         if !r.done() {
             return None;
         }

@@ -35,7 +35,7 @@ use std::collections::HashMap;
 
 use paxraft_sim::time::{SimDuration, SimTime};
 
-use crate::kv::{KvSnapshot, Reply};
+use crate::kv::{Key, KvSnapshot, Reply, Value};
 use crate::types::{Slot, Term};
 
 /// When and how replicas compact their logs and ship snapshots.
@@ -118,30 +118,11 @@ impl Snapshot {
         out.extend_from_slice(&self.last_slot.0.to_le_bytes());
         out.extend_from_slice(&self.last_term.0.to_le_bytes());
         out.extend_from_slice(&self.kv.applied_ops.to_le_bytes());
-        out.extend_from_slice(&(self.kv.table.len() as u64).to_le_bytes());
-        for (k, v) in &self.kv.table {
-            out.extend_from_slice(&k.to_le_bytes());
-            out.extend_from_slice(&(v.len() as u32).to_le_bytes());
-            out.extend_from_slice(v);
-        }
-        out.extend_from_slice(&(self.kv.sessions.len() as u64).to_le_bytes());
-        for (c, (seq, reply)) in &self.kv.sessions {
-            out.extend_from_slice(&c.to_le_bytes());
-            out.extend_from_slice(&seq.to_le_bytes());
-            match reply {
-                Reply::Done => out.push(0),
-                Reply::Value(None) => out.push(1),
-                Reply::Value(Some(v)) => {
-                    out.push(2);
-                    out.extend_from_slice(&(v.len() as u32).to_le_bytes());
-                    out.extend_from_slice(v);
-                }
-                // Redirects never enter a session table (the frozen-range
-                // apply guard bypasses the session insert), so they
-                // cannot appear in a snapshot.
-                Reply::WrongGroup { .. } => unreachable!("redirects are never session replies"),
-            }
-        }
+        encode_records(&mut out, self.kv.table.iter().map(|(k, v)| (*k, v)));
+        encode_sessions(
+            &mut out,
+            self.kv.sessions.iter().map(|(c, (seq, r))| (*c, *seq, r)),
+        );
         // The shard-migration section is appended only once a migration
         // touched this group; snapshots of non-migrating runs stay
         // byte-identical to the pre-migration format.
@@ -162,27 +143,12 @@ impl Snapshot {
             applied_ops,
             ..KvSnapshot::default()
         };
-        let records = r.u64()?;
-        for _ in 0..records {
-            let k = r.u64()?;
-            let len = r.u32()? as usize;
-            kv.table.insert(k, r.take(len)?.into());
-        }
-        let sessions = r.u64()?;
-        for _ in 0..sessions {
-            let c = r.u32()?;
-            let seq = r.u64()?;
-            let reply = match r.u8()? {
-                0 => Reply::Done,
-                1 => Reply::Value(None),
-                2 => {
-                    let len = r.u32()? as usize;
-                    Reply::Value(Some(r.take(len)?.into()))
-                }
-                _ => return None,
-            };
+        decode_records(&mut r, |k, v| {
+            kv.table.insert(k, v);
+        })?;
+        decode_sessions(&mut r, |c, seq, reply| {
             kv.sessions.insert(c, (seq, reply));
-        }
+        })?;
         if !r.done() {
             // Bytes remain: the optional shard-migration section.
             kv.shard = crate::shard::migration::ShardState::decode(&mut r)?;
@@ -208,6 +174,95 @@ pub(crate) fn chunks(bytes: &[u8], chunk_bytes: usize) -> impl Iterator<Item = (
         let offset = i * chunk;
         (offset, &bytes[offset..(offset + chunk).min(bytes.len())])
     })
+}
+
+/// Writes the record list both state transfers (a [`Snapshot`] and a
+/// range export) carry: `count u64 | (key u64, len u32, bytes)*`.
+pub(crate) fn encode_records<'a>(
+    out: &mut Vec<u8>,
+    records: impl ExactSizeIterator<Item = (Key, &'a Value)>,
+) {
+    out.extend_from_slice(&(records.len() as u64).to_le_bytes());
+    for (k, v) in records {
+        out.extend_from_slice(&k.to_le_bytes());
+        out.extend_from_slice(&(v.len() as u32).to_le_bytes());
+        out.extend_from_slice(v);
+    }
+}
+
+/// Exact length [`encode_records`] writes for records with these values.
+pub(crate) fn records_len<'a>(values: impl Iterator<Item = &'a Value>) -> usize {
+    8 + values.map(|v| 8 + 4 + v.len()).sum::<usize>()
+}
+
+/// Reads what [`encode_records`] wrote, handing each record to `put`.
+pub(crate) fn decode_records(r: &mut Reader<'_>, mut put: impl FnMut(Key, Value)) -> Option<()> {
+    for _ in 0..r.u64()? {
+        let k = r.u64()?;
+        let len = r.u32()? as usize;
+        put(k, r.take(len)?.into());
+    }
+    Some(())
+}
+
+/// Writes the client-session list both state transfers carry:
+/// `count u64 | (client u32, seq u64, tag u8 [, len u32, bytes])*`, the
+/// tag 0 for `Done`, 1 for `Value(None)` and 2 for `Value(Some)`.
+pub(crate) fn encode_sessions<'a>(
+    out: &mut Vec<u8>,
+    sessions: impl ExactSizeIterator<Item = (u32, u64, &'a Reply)>,
+) {
+    out.extend_from_slice(&(sessions.len() as u64).to_le_bytes());
+    for (c, seq, reply) in sessions {
+        out.extend_from_slice(&c.to_le_bytes());
+        out.extend_from_slice(&seq.to_le_bytes());
+        match reply {
+            Reply::Done => out.push(0),
+            Reply::Value(None) => out.push(1),
+            Reply::Value(Some(v)) => {
+                out.push(2);
+                out.extend_from_slice(&(v.len() as u32).to_le_bytes());
+                out.extend_from_slice(v);
+            }
+            // Redirects never enter a session table (the frozen-range
+            // apply guard bypasses the session insert), so they cannot
+            // appear in a transfer.
+            Reply::WrongGroup { .. } => unreachable!("redirects are never session replies"),
+        }
+    }
+}
+
+/// Exact length [`encode_sessions`] writes for sessions with these
+/// cached replies.
+pub(crate) fn sessions_len<'a>(replies: impl Iterator<Item = &'a Reply>) -> usize {
+    8 + replies
+        .map(|reply| match reply {
+            Reply::Value(Some(v)) => 4 + 8 + 1 + 4 + v.len(),
+            _ => 4 + 8 + 1,
+        })
+        .sum::<usize>()
+}
+
+/// Reads what [`encode_sessions`] wrote, handing each session to `put`.
+pub(crate) fn decode_sessions(
+    r: &mut Reader<'_>,
+    mut put: impl FnMut(u32, u64, Reply),
+) -> Option<()> {
+    for _ in 0..r.u64()? {
+        let c = r.u32()?;
+        let seq = r.u64()?;
+        let reply = match r.u8()? {
+            0 => Reply::Done,
+            1 => Reply::Value(None),
+            2 => {
+                let len = r.u32()? as usize;
+                Reply::Value(Some(r.take(len)?.into()))
+            }
+            _ => return None,
+        };
+        put(c, seq, reply);
+    }
+    Some(())
 }
 
 /// Little-endian byte reader shared by the snapshot and range-export

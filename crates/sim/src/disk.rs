@@ -1,17 +1,19 @@
-//! A deterministic per-node disk model: write bandwidth + fsync latency.
+//! A deterministic per-node disk model: fsync latency.
 //!
 //! The disk is the third shared resource next to the NIC ([`crate::net`])
 //! and the CPU run queue ([`crate::sim`]). It models the durability cost
 //! that dominates commit latency in real consensus deployments: a log
-//! append is a buffered write (charged against write bandwidth) and an
-//! **fsync** is a flush barrier (charged a fixed device latency) that the
-//! caller must wait out before the data is durable.
+//! append is a buffered write (counted, free) and an **fsync** is a flush
+//! barrier (charged a fixed device latency) that the caller must wait
+//! out before the data is durable.
 //!
 //! Mechanics mirror the NIC exactly:
 //!
 //! - each disk keeps a busy horizon (`free[d]`): writes and fsyncs are
 //!   serviced FIFO in virtual-time order, so co-located actors mapped to
-//!   the same disk fair-share it the way flows fair-share one NIC;
+//!   the same disk fair-share it the way flows fair-share one NIC (a
+//!   write holds the queue until its issue time, so a co-located
+//!   actor's later-charged fsync waits behind it);
 //! - charging is pure virtual-time arithmetic — **no RNG draws** — so a
 //!   run with a zero-cost disk (the [`DiskConfig::default`]) is
 //!   bit-for-bit identical to a run built before the disk model existed;
@@ -26,42 +28,19 @@ use crate::time::{SimDuration, SimTime};
 
 /// Disk performance parameters shared by every disk in a simulation.
 ///
-/// The default is the **zero-cost disk**: infinite bandwidth, zero fsync
-/// latency. With it, writes never move the busy horizon and an fsync
-/// completes at the instant it is issued — the event schedule is
-/// identical to a simulation with no disk model at all.
-#[derive(Debug, Clone, PartialEq)]
+/// The default is the **zero-cost disk**: zero fsync latency. With it,
+/// an fsync completes at the instant it is issued — the event schedule
+/// is identical to a simulation with no disk model at all.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DiskConfig {
-    /// Sequential write bandwidth in bytes/sec; `0.0` means infinite
-    /// (writes are free).
-    pub write_bandwidth_bps: f64,
     /// Fixed device latency of one fsync (flush barrier).
     pub fsync_latency: SimDuration,
-}
-
-impl Default for DiskConfig {
-    fn default() -> Self {
-        DiskConfig {
-            write_bandwidth_bps: 0.0,
-            fsync_latency: SimDuration::ZERO,
-        }
-    }
 }
 
 impl DiskConfig {
     /// Whether this config ever charges time.
     pub fn is_zero_cost(&self) -> bool {
-        self.write_bandwidth_bps <= 0.0 && self.fsync_latency == SimDuration::ZERO
-    }
-
-    /// Time to stream `bytes` to the write cache at the configured
-    /// bandwidth (zero when bandwidth is infinite).
-    pub fn write_time(&self, bytes: usize) -> SimDuration {
-        if self.write_bandwidth_bps <= 0.0 {
-            return SimDuration::ZERO;
-        }
-        let secs = bytes as f64 / self.write_bandwidth_bps;
-        SimDuration::from_secs_f64(secs)
+        self.fsync_latency == SimDuration::ZERO
     }
 }
 
@@ -137,13 +116,13 @@ impl DiskArray {
         }
     }
 
-    /// Charges a buffered write of `bytes` issued at `now`: the disk's
-    /// busy horizon advances by `bytes / bandwidth`. The caller does not
-    /// wait — only a subsequent fsync forces it to.
+    /// Records a buffered write of `bytes` issued at `now`. It costs no
+    /// device time, but the disk's busy horizon catches up to `now`, so
+    /// work queued behind it on a shared disk starts no earlier. The
+    /// caller does not wait — only a subsequent fsync forces it to.
     pub fn write(&mut self, now: SimTime, d: usize, bytes: usize) {
         self.ensure(d);
-        let start = self.free[d].max(now);
-        self.free[d] = start + self.config_of(d).write_time(bytes);
+        self.free[d] = self.free[d].max(now);
         self.stats[d].bytes_written += bytes as u64;
     }
 
@@ -194,10 +173,17 @@ impl DiskArray {
 mod tests {
     use super::*;
 
+    fn fsync_ms(ms: u64) -> DiskConfig {
+        DiskConfig {
+            fsync_latency: SimDuration::from_millis(ms),
+        }
+    }
+
     #[test]
     fn zero_cost_default_charges_nothing() {
         let mut disks = DiskArray::new(DiskConfig::default());
         assert!(disks.config().is_zero_cost());
+        assert!(!fsync_ms(1).is_zero_cost());
         disks.write(SimTime::from_millis(3), 0, 1 << 20);
         let done = disks.fsync(SimTime::from_millis(3), 0);
         assert_eq!(done, SimTime::from_millis(3));
@@ -205,27 +191,12 @@ mod tests {
     }
 
     #[test]
-    fn write_time_scales_with_bandwidth() {
-        let cfg = DiskConfig {
-            write_bandwidth_bps: 100e6, // 100 MB/s
-            fsync_latency: SimDuration::ZERO,
-        };
-        assert_eq!(cfg.write_time(100_000_000), SimDuration::from_secs(1));
-        assert_eq!(cfg.write_time(1_000_000), SimDuration::from_millis(10));
-        assert!(!cfg.is_zero_cost());
-    }
-
-    #[test]
     fn fsync_waits_for_prior_writes_fifo() {
-        let cfg = DiskConfig {
-            write_bandwidth_bps: 100e6,
-            fsync_latency: SimDuration::from_millis(1),
-        };
-        let mut disks = DiskArray::new(cfg);
-        // 1 MB write at t=0 keeps the disk busy until 10 ms.
-        disks.write(SimTime::ZERO, 0, 1_000_000);
+        let mut disks = DiskArray::new(fsync_ms(1));
+        // A write issued at t=10 holds the queue until 10 ms.
+        disks.write(SimTime::from_millis(10), 0, 1_000_000);
         assert_eq!(disks.free_at(0), SimTime::from_millis(10));
-        // An fsync issued at t=2 completes at 10 + 1 = 11 ms.
+        // An fsync charged at t=2 completes at 10 + 1 = 11 ms.
         let done = disks.fsync(SimTime::from_millis(2), 0);
         assert_eq!(done, SimTime::from_millis(11));
         assert_eq!(
@@ -240,11 +211,7 @@ mod tests {
     #[test]
     fn co_located_work_serializes_on_one_horizon() {
         // Two logical actors mapped onto disk 0: their fsyncs queue FIFO.
-        let cfg = DiskConfig {
-            write_bandwidth_bps: 0.0,
-            fsync_latency: SimDuration::from_millis(2),
-        };
-        let mut disks = DiskArray::new(cfg);
+        let mut disks = DiskArray::new(fsync_ms(2));
         let a = disks.fsync(SimTime::ZERO, 0);
         let b = disks.fsync(SimTime::ZERO, 0);
         assert_eq!(a, SimTime::from_millis(2));
@@ -256,13 +223,10 @@ mod tests {
 
     #[test]
     fn serial_fsyncs_leave_the_disk_where_single_ones_do() {
-        let cfg = DiskConfig {
-            write_bandwidth_bps: 100e6,
-            fsync_latency: SimDuration::from_millis(2),
-        };
+        let cfg = fsync_ms(2);
         let (mut one, mut many) = (DiskArray::new(cfg.clone()), DiskArray::new(cfg));
         for disks in [&mut one, &mut many] {
-            disks.write(SimTime::ZERO, 0, 1_000_000); // busy until 10 ms
+            disks.write(SimTime::from_millis(10), 0, 4096); // queue held until 10 ms
         }
         let at = SimTime::from_millis(3);
         let done = one.fsync_serial(at, 0, 4);
@@ -277,18 +241,8 @@ mod tests {
 
     #[test]
     fn per_disk_override_degrades_one_device_only() {
-        let cfg = DiskConfig {
-            write_bandwidth_bps: 0.0,
-            fsync_latency: SimDuration::from_millis(1),
-        };
-        let mut disks = DiskArray::new(cfg);
-        disks.set_config_for(
-            1,
-            DiskConfig {
-                write_bandwidth_bps: 0.0,
-                fsync_latency: SimDuration::from_millis(10),
-            },
-        );
+        let mut disks = DiskArray::new(fsync_ms(1));
+        disks.set_config_for(1, fsync_ms(10));
         assert_eq!(disks.fsync(SimTime::ZERO, 0), SimTime::from_millis(1));
         assert_eq!(disks.fsync(SimTime::ZERO, 1), SimTime::from_millis(10));
         assert_eq!(disks.fsync(SimTime::ZERO, 2), SimTime::from_millis(1));
@@ -304,11 +258,7 @@ mod tests {
 
     #[test]
     fn idle_disk_catches_up_to_now() {
-        let cfg = DiskConfig {
-            write_bandwidth_bps: 0.0,
-            fsync_latency: SimDuration::from_millis(1),
-        };
-        let mut disks = DiskArray::new(cfg);
+        let mut disks = DiskArray::new(fsync_ms(1));
         let a = disks.fsync(SimTime::ZERO, 0);
         assert_eq!(a, SimTime::from_millis(1));
         // Long idle gap: the next fsync starts from `now`, not the old horizon.

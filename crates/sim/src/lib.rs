@@ -14,7 +14,7 @@
 //!   requests (Figure 10b);
 //! - **CPU service time** per node ([`sim::Ctx::charge`] + a serial run
 //!   queue), which bounds throughput for 8 B requests (Figures 9c, 10a);
-//! - **disk bandwidth + fsync latency** per node ([`disk::DiskArray`]),
+//! - **fsync latency** per node ([`disk::DiskArray`]),
 //!   which bounds throughput once durability is enabled (the default
 //!   zero-cost disk charges nothing and changes no schedule).
 //!

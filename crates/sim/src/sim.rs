@@ -1504,7 +1504,6 @@ mod tests {
         };
         let mut sim = Simulation::new(cfg, 1);
         sim.set_disk_config(crate::disk::DiskConfig {
-            write_bandwidth_bps: 100e6, // 1 MB -> 10 ms
             fsync_latency: SimDuration::from_millis(3),
         });
         let n = sim.add_actor(
@@ -1516,7 +1515,7 @@ mod tests {
         );
         sim.run_until(SimTime::from_millis(100));
         let s: &Syncer = sim.actor(n);
-        assert_eq!(s.completions, vec![(1, SimTime::from_millis(13))]);
+        assert_eq!(s.completions, vec![(1, SimTime::from_millis(3))]);
         let stats = sim.disk_stats_at(n);
         assert_eq!(stats.bytes_written, 1_000_000);
         assert_eq!(stats.fsyncs, 1);
@@ -1530,7 +1529,6 @@ mod tests {
         };
         let mut sim = Simulation::new(cfg, 1);
         sim.set_disk_config(crate::disk::DiskConfig {
-            write_bandwidth_bps: 0.0,
             fsync_latency: SimDuration::from_millis(10),
         });
         let n = sim.add_actor(
@@ -1580,7 +1578,6 @@ mod tests {
     fn serial_sim(serial: bool) -> (Simulation<Ping>, ActorId) {
         let mut sim = Simulation::new(NetConfig::default(), 1);
         sim.set_disk_config(crate::disk::DiskConfig {
-            write_bandwidth_bps: 4.096e6, // 4 KB -> 1 ms
             fsync_latency: SimDuration::from_millis(2),
         });
         let syncer = SerialSyncer {
@@ -1598,8 +1595,8 @@ mod tests {
         let run = |serial: bool| {
             let (mut sim, n) = serial_sim(serial);
             sim.start();
-            // A handler mid-write reads the backlog; a later fsync queues
-            // behind the whole write.
+            // A handler between barriers reads the backlog; a later fsync
+            // queues behind every barrier.
             sim.send_external(n, Ping(0), SimDuration::from_millis(4));
             sim.run_until(SimTime::from_millis(4));
             let mid = (sim.disk_backlog_at(n), sim.disk_stats_at(n).fsyncs);
@@ -1611,11 +1608,11 @@ mod tests {
         };
         let (mid, seen, fsyncs, done) = run(true);
         let (k_mid, k_seen, k_fsyncs, k_done) = run(false);
-        // 1 ms of write, then five 2 ms barriers: busy until 11 ms.
-        assert_eq!(mid, (SimDuration::from_millis(7), 5));
+        // Five 2 ms barriers: busy until 10 ms.
+        assert_eq!(mid, (SimDuration::from_millis(6), 5));
         assert_eq!((mid, &seen, fsyncs), (k_mid, &k_seen, k_fsyncs));
-        assert_eq!(seen, [SimDuration::from_millis(7)]);
-        assert_eq!(done, [(5, SimTime::from_millis(11))], "fires once");
+        assert_eq!(seen, [SimDuration::from_millis(6)]);
+        assert_eq!(done, [(5, SimTime::from_millis(10))], "fires once");
         assert_eq!(k_done.len(), 5);
         assert_eq!(k_done.last(), done.last(), "at the last barrier's time");
     }
@@ -1623,13 +1620,13 @@ mod tests {
     #[test]
     fn crash_before_the_last_barrier_cancels_the_serial_completion() {
         let (mut sim, n) = serial_sim(true);
-        // Four of the five barriers are done by 9 ms; the write is not.
-        // The restart's own write queues behind what the device was doing.
-        sim.crash_at(n, SimTime::from_millis(10));
+        // Four of the five barriers are done by 8 ms; the last is not.
+        // The restart's own barriers run 20 → 30 ms.
+        sim.crash_at(n, SimTime::from_millis(9));
         sim.restart_at(n, SimTime::from_millis(20));
         sim.run_until(SimTime::from_millis(100));
         let s: &SerialSyncer = sim.actor(n);
-        assert_eq!(s.completions, [(5, SimTime::from_millis(31))]);
+        assert_eq!(s.completions, [(5, SimTime::from_millis(30))]);
         assert_eq!(sim.disk_stats_at(n).fsyncs, 10, "the device did the work");
     }
 
@@ -1641,7 +1638,6 @@ mod tests {
         };
         let mut sim = Simulation::new(cfg, 1);
         sim.set_disk_config(crate::disk::DiskConfig {
-            write_bandwidth_bps: 0.0,
             fsync_latency: SimDuration::from_millis(4),
         });
         let a = sim.add_actor(

@@ -8,9 +8,8 @@
 //! from the client's own partition.
 
 use paxraft_sim::rng::SimRng;
-use paxraft_sim::time::SimDuration;
 
-use crate::scenario::{KeyDist, ScenarioConfig};
+use crate::scenario::Hotspot;
 
 /// The popular record all conflicting operations touch.
 pub const HOT_KEY: u64 = 0;
@@ -71,11 +70,10 @@ pub struct WorkloadConfig {
     pub partitions: usize,
     /// Value size in bytes (paper: 8 B and 4 KB).
     pub value_size: usize,
-    /// Optional time-varying traffic scenario
-    /// ([`crate::scenario::ScenarioConfig`]). `None` (the default)
+    /// Optional moving hot window ([`Hotspot`]). `None` (the default)
     /// draws exactly as the stationary paper workload — same RNG
-    /// stream, same keys — so existing runs are bit-identical.
-    pub scenario: Option<ScenarioConfig>,
+    /// stream, same keys.
+    pub hotspot: Option<Hotspot>,
 }
 
 impl Default for WorkloadConfig {
@@ -86,7 +84,7 @@ impl Default for WorkloadConfig {
             records: 100_000,
             partitions: 5,
             value_size: 8,
-            scenario: None,
+            hotspot: None,
         }
     }
 }
@@ -119,8 +117,8 @@ impl WorkloadConfig {
                 self.records, self.partitions
             ));
         }
-        if let Some(s) = &self.scenario {
-            s.validate()?;
+        if let Some(h) = &self.hotspot {
+            h.validate()?;
         }
         Ok(())
     }
@@ -166,8 +164,25 @@ impl Generator {
         &self.config
     }
 
-    /// Draws the next operation.
+    /// Draws the next operation of the stationary workload (any
+    /// hotspot is ignored).
     pub fn next_op(&mut self) -> OpSpec {
+        self.draw(None, 0)
+    }
+
+    /// Draws the next operation at virtual time `now_ns`. Without a
+    /// hotspot this is exactly [`Generator::next_op`] (same RNG
+    /// stream); with one, an operation that misses the conflict-rate
+    /// hot record lands in the hotspot's window with its weight.
+    pub fn next_op_at(&mut self, now_ns: u64) -> OpSpec {
+        let hotspot = self.config.hotspot;
+        self.draw(hotspot.as_ref(), now_ns)
+    }
+
+    /// One draw: read/write, the conflict-rate hot record, the
+    /// hotspot's weight, then one uniform key in the window or in the
+    /// client's partition.
+    fn draw(&mut self, hotspot: Option<&Hotspot>, now_ns: u64) -> OpSpec {
         let kind = if self.rng.gen_bool(self.config.read_fraction) {
             OpKind::Read
         } else {
@@ -176,74 +191,16 @@ impl Generator {
         let key = if self.rng.gen_bool(self.config.conflict_rate) {
             HOT_KEY
         } else {
-            let (lo, hi) = self.config.partition_range(self.partition);
+            let (lo, hi) = match hotspot {
+                Some(h) if self.rng.gen_bool(h.weight) => h.window(now_ns, self.config.records),
+                _ => self.config.partition_range(self.partition),
+            };
             self.rng.gen_range_inclusive(lo, hi - 1)
         };
         OpSpec {
             kind,
             key,
             value_size: self.config.value_size,
-        }
-    }
-
-    /// Draws the next operation at virtual time `now_ns`. Without a
-    /// scenario this is exactly [`Generator::next_op`] (same RNG
-    /// stream); with one, flash crowds, the (possibly drifting) hotspot
-    /// and the base key distribution apply in that order.
-    pub fn next_op_at(&mut self, now_ns: u64) -> OpSpec {
-        let Some(scenario) = self.config.scenario else {
-            return self.next_op();
-        };
-        let kind = if self.rng.gen_bool(self.config.read_fraction) {
-            OpKind::Read
-        } else {
-            OpKind::Write
-        };
-        let key = self.scenario_key(&scenario, now_ns);
-        OpSpec {
-            kind,
-            key,
-            value_size: self.config.value_size,
-        }
-    }
-
-    /// The load-shaping pause to insert before sending the next
-    /// operation. [`SimDuration::ZERO`] without a scenario (or under a
-    /// steady load shape), so unscripted clients never arm the timer.
-    pub fn pause_at(&self, now_ns: u64) -> SimDuration {
-        self.config
-            .scenario
-            .as_ref()
-            .map_or(SimDuration::ZERO, |s| s.pause_at(now_ns))
-    }
-
-    fn scenario_key(&mut self, scenario: &ScenarioConfig, now_ns: u64) -> u64 {
-        // The paper's conflict-rate hot record stays first so scenario
-        // runs remain comparable on that axis.
-        if self.rng.gen_bool(self.config.conflict_rate) {
-            return HOT_KEY;
-        }
-        if let Some(f) = &scenario.flash {
-            let active =
-                now_ns >= f.at.as_nanos() && now_ns < f.at.as_nanos() + f.duration.as_nanos();
-            if active && self.rng.gen_bool(f.weight) {
-                return self.rng.gen_range_inclusive(f.lo, f.hi - 1);
-            }
-        }
-        if let Some(h) = &scenario.hotspot {
-            if self.rng.gen_bool(h.weight) {
-                let (lo, hi) = scenario
-                    .hotspot_window(now_ns, self.config.records)
-                    .expect("hotspot present");
-                return self.rng.gen_range_inclusive(lo, hi - 1);
-            }
-        }
-        let (lo, hi) = self.config.partition_range(self.partition);
-        match scenario.dist {
-            KeyDist::Uniform => self.rng.gen_range_inclusive(lo, hi - 1),
-            KeyDist::Zipfian { exponent } => {
-                lo + crate::scenario::zipf_rank(&mut self.rng, hi - lo, exponent)
-            }
         }
     }
 }
@@ -371,19 +328,13 @@ mod tests {
         for i in 0..200u64 {
             assert_eq!(a.next_op(), b.next_op_at(i * 1_000_000), "op {i}");
         }
-        assert_eq!(
-            a.pause_at(1_000_000),
-            paxraft_sim::time::SimDuration::ZERO,
-            "no scenario, no pacing timer"
-        );
     }
 
     #[test]
     fn scenario_hotspot_concentrates_and_drifts() {
-        use crate::scenario::ScenarioConfig;
         let cfg = WorkloadConfig {
             conflict_rate: 0.0,
-            scenario: Some(ScenarioConfig::drifting_hotspot(
+            hotspot: Some(Hotspot::drifting(
                 0.8,
                 10_000,
                 90_000,
@@ -407,6 +358,45 @@ mod tests {
         let stale = hits_in(&mut g, 5_000_000_000, 4_000, 16_000);
         assert!(moved > 1_400, "drifted window hot at t=5s: {moved}");
         assert!(stale < 500, "old window cooled off: {stale}");
+    }
+
+    /// Pins the hot-window draw order of `next_op_at` — read/write,
+    /// conflict rate, hotspot weight, then one uniform key in the window
+    /// or the partition — by folding 512 draws, 10 ms apart, per hotspot.
+    #[test]
+    fn hot_window_draw_order_is_pinned() {
+        use crate::scenario::Drift;
+        use paxraft_sim::time::SimDuration;
+        let fold = |hotspot: Hotspot| {
+            let cfg = WorkloadConfig {
+                conflict_rate: 0.05,
+                hotspot: Some(hotspot),
+                ..WorkloadConfig::default()
+            };
+            let mut g = Generator::new(cfg, 1, SimRng::new(19));
+            (0..512u64).fold(0xcbf2_9ce4_8422_2325u64, |h, i| {
+                let op = g.next_op_at(i * 10_000_000);
+                let word = op.key << 1 | u64::from(op.kind == OpKind::Write);
+                (h ^ word).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        let drifting = Hotspot::drifting(0.8, 10_000, 90_000, 12_000, SimDuration::from_secs(4));
+        let oscillating =
+            Hotspot::oscillating(0.7, 20_000, 80_000, 8_000, SimDuration::from_secs(2));
+        let fixed = Hotspot {
+            weight: 0.5,
+            center: 50_000,
+            width: 10_000,
+            drift: Drift::Fixed,
+        };
+        assert_eq!(
+            [fold(drifting), fold(oscillating), fold(fixed)],
+            [
+                4_047_320_443_350_677_354,
+                1_375_138_554_771_312_952,
+                16_983_542_843_256_163_834,
+            ]
+        );
     }
 
     #[test]

@@ -1,36 +1,19 @@
-//! Adversarial traffic scenarios: time-varying skew and load shapes.
+//! Non-stationary traffic: a hot key window that drifts or oscillates.
 //!
 //! The base [`crate::generator::Generator`] reproduces the paper's
 //! Section 5 workload — stationary uniform draws plus a conflict-rate
 //! hot record. The auto-rebalancing control loop needs *non-stationary*
-//! traffic to be worth anything: hotspots that drift across the key
-//! space, skew that oscillates between groups faster than a naive
-//! controller converges, diurnal load swings, and flash crowds. Each
-//! scenario here is a pure function of `(config, virtual time, SimRng)`
-//! so runs stay deterministic and reproducible per seed.
+//! traffic to be worth anything: a hotspot that drifts across the key
+//! space, or skew that oscillates between groups faster than a naive
+//! controller converges. A [`Hotspot`]'s window is a pure function of
+//! `(config, virtual time)`, and the generator draws its keys from
+//! `SimRng`, so runs stay deterministic and reproducible per seed.
 //!
-//! When [`crate::generator::WorkloadConfig::scenario`] is `None` the
-//! generator draws exactly as before — same RNG stream, same keys —
-//! which is what keeps the PR 5 parity fingerprint byte-identical.
+//! When [`crate::generator::WorkloadConfig::hotspot`] is `None` the
+//! generator draws exactly as the stationary workload — same RNG
+//! stream, same keys.
 
-use paxraft_sim::rng::SimRng;
 use paxraft_sim::time::SimDuration;
-
-/// How the non-hotspot remainder of the traffic picks keys.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum KeyDist {
-    /// Uniform over the client's partition (the paper's base workload).
-    Uniform,
-    /// Zipfian-like skew over the client's partition: rank-`r` keys are
-    /// drawn with probability `∝ 1/r^exponent` via a continuous
-    /// inverse-CDF approximation (no per-key tables, so any partition
-    /// size is cheap). `exponent` near `0` degenerates to uniform;
-    /// `0.99` is the classic YCSB skew.
-    Zipfian {
-        /// Skew exponent (`s` in `1/r^s`), `≥ 0`, `≠ 1` handled.
-        exponent: f64,
-    },
-}
 
 /// How a hotspot's center moves over virtual time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,108 +62,27 @@ pub struct Hotspot {
     pub drift: Drift,
 }
 
-/// A flash crowd: between `at` and `at + duration`, a `weight` fraction
-/// of operations pile onto `[lo, hi)` regardless of everything else.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FlashCrowd {
-    /// Onset (virtual time).
-    pub at: SimDuration,
-    /// How long the crowd lasts.
-    pub duration: SimDuration,
-    /// Fraction of operations captured while active.
-    pub weight: f64,
-    /// First key of the crowded range.
-    pub lo: u64,
-    /// One past the last crowded key.
-    pub hi: u64,
-}
-
-/// How aggregate offered load varies over time. Closed-loop clients
-/// shape load by *pausing* between operations: a multiplier `m ∈
-/// (0, 1]` maps to a pre-send pause of `max_pause × (1 − m)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LoadShape {
-    /// Full tilt, no pauses (the paper's closed loop).
-    Steady,
-    /// Sinusoidal swing with the given `period`: full load at each
-    /// peak, `trough` (a multiplier in `(0, 1]`) at each valley —
-    /// day/night traffic.
-    Diurnal {
-        /// Full swing period.
-        period: SimDuration,
-        /// Load multiplier at the valley.
-        trough: f64,
-    },
-}
-
-/// A complete traffic scenario: key distribution, optional moving
-/// hotspot, optional flash crowd, and a load shape.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScenarioConfig {
-    /// Base key distribution for non-hotspot traffic.
-    pub dist: KeyDist,
-    /// Optional moving hot range.
-    pub hotspot: Option<Hotspot>,
-    /// Optional flash crowd.
-    pub flash: Option<FlashCrowd>,
-    /// Offered-load shape.
-    pub load: LoadShape,
-    /// Longest pre-send pause load shaping may insert. Zero disables
-    /// shaping even under a non-steady [`LoadShape`].
-    pub max_pause: SimDuration,
-}
-
-impl Default for ScenarioConfig {
-    fn default() -> Self {
-        ScenarioConfig {
-            dist: KeyDist::Uniform,
-            hotspot: None,
-            flash: None,
-            load: LoadShape::Steady,
-            max_pause: SimDuration::ZERO,
-        }
-    }
-}
-
-impl ScenarioConfig {
-    /// The drifting-hotspot scenario the auto-rebalance bench sweeps: a
-    /// hot window of `width` keys carrying `weight` of the traffic,
+impl Hotspot {
+    /// The drifting hotspot the auto-rebalance bench sweeps: a hot
+    /// window of `width` keys carrying `weight` of the traffic,
     /// sweeping from `from` to `to` over `period`.
-    pub fn drifting_hotspot(
-        weight: f64,
-        from: u64,
-        to: u64,
-        width: u64,
-        period: SimDuration,
-    ) -> Self {
-        ScenarioConfig {
-            hotspot: Some(Hotspot {
-                weight,
-                center: from,
-                width,
-                drift: Drift::Linear { period, to },
-            }),
-            ..ScenarioConfig::default()
+    pub fn drifting(weight: f64, from: u64, to: u64, width: u64, period: SimDuration) -> Self {
+        Hotspot {
+            weight,
+            center: from,
+            width,
+            drift: Drift::Linear { period, to },
         }
     }
 
     /// The adversarial oscillating hotspot: the hot window jumps
     /// between `a` and `b` every `period / 2`.
-    pub fn oscillating_hotspot(
-        weight: f64,
-        a: u64,
-        b: u64,
-        width: u64,
-        period: SimDuration,
-    ) -> Self {
-        ScenarioConfig {
-            hotspot: Some(Hotspot {
-                weight,
-                center: a,
-                width,
-                drift: Drift::Oscillate { period, other: b },
-            }),
-            ..ScenarioConfig::default()
+    pub fn oscillating(weight: f64, a: u64, b: u64, width: u64, period: SimDuration) -> Self {
+        Hotspot {
+            weight,
+            center: a,
+            width,
+            drift: Drift::Oscillate { period, other: b },
         }
     }
 
@@ -190,104 +92,39 @@ impl ScenarioConfig {
     ///
     /// Returns a message describing the first invalid field.
     pub fn validate(&self) -> Result<(), String> {
-        if let KeyDist::Zipfian { exponent } = self.dist {
-            if !(0.0..=10.0).contains(&exponent) {
-                return Err(format!("zipfian exponent {exponent} outside [0,10]"));
-            }
+        if !(0.0..=1.0).contains(&self.weight) {
+            return Err(format!("hotspot weight {} outside [0,1]", self.weight));
         }
-        if let Some(h) = &self.hotspot {
-            if !(0.0..=1.0).contains(&h.weight) {
-                return Err(format!("hotspot weight {} outside [0,1]", h.weight));
-            }
-            if h.width == 0 {
-                return Err("hotspot width must be positive".into());
-            }
-        }
-        if let Some(f) = &self.flash {
-            if !(0.0..=1.0).contains(&f.weight) {
-                return Err(format!("flash weight {} outside [0,1]", f.weight));
-            }
-            if f.lo >= f.hi {
-                return Err(format!("flash range [{}, {}) empty", f.lo, f.hi));
-            }
-        }
-        if let LoadShape::Diurnal { period, trough } = self.load {
-            if period == SimDuration::ZERO {
-                return Err("diurnal period must be positive".into());
-            }
-            if !(0.0 < trough && trough <= 1.0) {
-                return Err(format!("diurnal trough {trough} outside (0,1]"));
-            }
+        if self.width == 0 {
+            return Err("hotspot width must be positive".into());
         }
         Ok(())
     }
 
-    /// The hotspot window `[lo, hi)` at virtual time `now_ns`, clamped
-    /// to the non-hot key space `[1, records)`. `None` when the
-    /// scenario has no hotspot.
-    pub fn hotspot_window(&self, now_ns: u64, records: u64) -> Option<(u64, u64)> {
-        let h = self.hotspot.as_ref()?;
-        let center = match h.drift {
-            Drift::Fixed => h.center,
+    /// The window `[lo, hi)` at virtual time `now_ns`, clamped to the
+    /// non-hot key space `[1, records)`.
+    pub fn window(&self, now_ns: u64, records: u64) -> (u64, u64) {
+        let center = match self.drift {
+            Drift::Fixed => self.center,
             Drift::Linear { period, to } => {
                 let p = period.as_nanos().max(1);
                 let frac = (now_ns % p) as f64 / p as f64;
-                let from = h.center as f64;
+                let from = self.center as f64;
                 (from + (to as f64 - from) * frac) as u64
             }
             Drift::Oscillate { period, other } => {
                 let p = period.as_nanos().max(1);
                 if (now_ns % p) < p / 2 {
-                    h.center
+                    self.center
                 } else {
                     other
                 }
             }
         };
-        let lo = center.saturating_sub(h.width / 2).max(1);
-        let hi = (lo + h.width).min(records);
-        Some((lo.min(records - 1), hi.max(lo + 1).min(records)))
+        let lo = center.saturating_sub(self.width / 2).max(1);
+        let hi = (lo + self.width).min(records);
+        (lo.min(records - 1), hi.max(lo + 1).min(records))
     }
-
-    /// The offered-load multiplier `m ∈ (0, 1]` at `now_ns`.
-    pub fn load_multiplier(&self, now_ns: u64) -> f64 {
-        match self.load {
-            LoadShape::Steady => 1.0,
-            LoadShape::Diurnal { period, trough } => {
-                let p = period.as_nanos().max(1);
-                let phase = (now_ns % p) as f64 / p as f64;
-                let swell = 0.5 + 0.5 * (std::f64::consts::TAU * phase).cos();
-                trough + (1.0 - trough) * swell
-            }
-        }
-    }
-
-    /// The pre-send pause load shaping asks for at `now_ns`.
-    pub fn pause_at(&self, now_ns: u64) -> SimDuration {
-        if self.max_pause == SimDuration::ZERO {
-            return SimDuration::ZERO;
-        }
-        let m = self.load_multiplier(now_ns);
-        self.max_pause.mul_f64((1.0 - m).clamp(0.0, 1.0))
-    }
-}
-
-/// A Zipfian-like rank in `[0, n)` via the continuous inverse CDF of
-/// `pdf(x) ∝ x^(−s)` over `[1, n+1]` — table-free, O(1) per draw, and
-/// close enough to discrete Zipf for load-skew purposes.
-pub fn zipf_rank(rng: &mut SimRng, n: u64, s: f64) -> u64 {
-    debug_assert!(n > 0);
-    let u = rng.gen_f64();
-    let nf = (n as f64).max(1.0);
-    let x = if (s - 1.0).abs() < 1e-9 {
-        // s = 1: F(x) = ln x / ln n → x = n^u.
-        nf.powf(u)
-    } else {
-        // F(x) = (x^(1−s) − 1) / (n^(1−s) − 1) → invert.
-        let t = 1.0 - s;
-        (1.0 + u * (nf.powf(t) - 1.0)).powf(1.0 / t)
-    };
-    (x.floor() as u64).clamp(1, n) - 1
 }
 
 #[cfg(test)]
@@ -296,18 +133,10 @@ mod tests {
 
     #[test]
     fn linear_drift_sweeps_the_center() {
-        let s = ScenarioConfig::drifting_hotspot(
-            0.8,
-            10_000,
-            90_000,
-            12_000,
-            SimDuration::from_secs(10),
-        );
-        s.validate().unwrap();
+        let h = Hotspot::drifting(0.8, 10_000, 90_000, 12_000, SimDuration::from_secs(10));
+        h.validate().unwrap();
         let at = |secs: f64| {
-            let (lo, hi) = s
-                .hotspot_window((secs * 1e9) as u64, 100_000)
-                .expect("hotspot");
+            let (lo, hi) = h.window((secs * 1e9) as u64, 100_000);
             (lo + hi) / 2
         };
         assert!(at(0.0).abs_diff(10_000) < 100);
@@ -319,18 +148,10 @@ mod tests {
 
     #[test]
     fn oscillate_is_a_square_wave() {
-        let s = ScenarioConfig::oscillating_hotspot(
-            0.7,
-            20_000,
-            80_000,
-            8_000,
-            SimDuration::from_secs(4),
-        );
-        s.validate().unwrap();
+        let h = Hotspot::oscillating(0.7, 20_000, 80_000, 8_000, SimDuration::from_secs(4));
+        h.validate().unwrap();
         let center = |secs: u64| {
-            let (lo, hi) = s
-                .hotspot_window(secs * 1_000_000_000, 100_000)
-                .expect("hotspot");
+            let (lo, hi) = h.window(secs * 1_000_000_000, 100_000);
             (lo + hi) / 2
         };
         assert!(center(0).abs_diff(20_000) < 100);
@@ -342,117 +163,39 @@ mod tests {
 
     #[test]
     fn hotspot_window_clamps_to_keyspace() {
-        let s = ScenarioConfig {
-            hotspot: Some(Hotspot {
-                weight: 0.5,
-                center: 100,
-                width: 10_000,
-                drift: Drift::Fixed,
-            }),
-            ..ScenarioConfig::default()
+        let h = Hotspot {
+            weight: 0.5,
+            center: 100,
+            width: 10_000,
+            drift: Drift::Fixed,
         };
-        let (lo, hi) = s.hotspot_window(0, 100_000).unwrap();
+        let (lo, hi) = h.window(0, 100_000);
         assert!(lo >= 1);
         assert!(hi <= 100_000);
         assert!(hi > lo);
         // Near the top edge too.
-        let s = ScenarioConfig {
-            hotspot: Some(Hotspot {
-                weight: 0.5,
-                center: 99_990,
-                width: 10_000,
-                drift: Drift::Fixed,
-            }),
-            ..s
+        let h = Hotspot {
+            center: 99_990,
+            ..h
         };
-        let (lo, hi) = s.hotspot_window(0, 100_000).unwrap();
+        let (lo, hi) = h.window(0, 100_000);
         assert!(hi <= 100_000);
         assert!(hi > lo);
     }
 
     #[test]
-    fn diurnal_load_swings_between_one_and_trough() {
-        let s = ScenarioConfig {
-            load: LoadShape::Diurnal {
-                period: SimDuration::from_secs(10),
-                trough: 0.2,
-            },
-            max_pause: SimDuration::from_millis(4),
-            ..ScenarioConfig::default()
-        };
-        s.validate().unwrap();
-        assert!((s.load_multiplier(0) - 1.0).abs() < 1e-9, "peak at t=0");
-        let valley = s.load_multiplier(5_000_000_000);
-        assert!((valley - 0.2).abs() < 1e-9, "trough mid-period: {valley}");
-        assert_eq!(s.pause_at(0), SimDuration::ZERO);
-        let pv = s.pause_at(5_000_000_000);
-        assert!(
-            pv > SimDuration::from_millis(3) && pv <= SimDuration::from_millis(4),
-            "valley pause ~max_pause×0.8: {pv:?}"
-        );
-        // Steady never pauses even with max_pause set.
-        let steady = ScenarioConfig {
-            load: LoadShape::Steady,
-            ..s
-        };
-        assert_eq!(steady.pause_at(5_000_000_000), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn zipf_rank_skews_low_and_stays_in_range() {
-        let mut rng = SimRng::new(11);
-        let n = 1_000u64;
-        let mut first_decile = 0u64;
-        for _ in 0..10_000 {
-            let r = zipf_rank(&mut rng, n, 0.99);
-            assert!(r < n);
-            if r < n / 10 {
-                first_decile += 1;
-            }
-        }
-        // Uniform would put ~1 000 draws in the first decile; YCSB-like
-        // skew concentrates far more.
-        assert!(first_decile > 4_000, "got {first_decile}");
-        // Near-zero exponent degenerates toward uniform.
-        let mut rng = SimRng::new(12);
-        let mut fd = 0u64;
-        for _ in 0..10_000 {
-            if zipf_rank(&mut rng, n, 0.01) < n / 10 {
-                fd += 1;
-            }
-        }
-        assert!((700..1_400).contains(&fd), "got {fd}");
-    }
-
-    #[test]
     fn validate_rejects_bad_scenarios() {
-        let bad = ScenarioConfig {
-            hotspot: Some(Hotspot {
-                weight: 1.5,
-                center: 0,
-                width: 10,
-                drift: Drift::Fixed,
-            }),
-            ..ScenarioConfig::default()
+        let bad = Hotspot {
+            weight: 1.5,
+            center: 0,
+            width: 10,
+            drift: Drift::Fixed,
         };
         assert!(bad.validate().is_err());
-        let bad = ScenarioConfig {
-            flash: Some(FlashCrowd {
-                at: SimDuration::from_secs(1),
-                duration: SimDuration::from_secs(1),
-                weight: 0.5,
-                lo: 10,
-                hi: 10,
-            }),
-            ..ScenarioConfig::default()
-        };
-        assert!(bad.validate().is_err());
-        let bad = ScenarioConfig {
-            load: LoadShape::Diurnal {
-                period: SimDuration::ZERO,
-                trough: 0.5,
-            },
-            ..ScenarioConfig::default()
+        let bad = Hotspot {
+            weight: 0.5,
+            width: 0,
+            ..bad
         };
         assert!(bad.validate().is_err());
     }

@@ -40,7 +40,7 @@ use paxraft::core::shard::{MigrationSpec, RebalanceConfig, ShardConfig};
 use paxraft::core::telemetry::TelemetryConfig;
 use paxraft::sim::time::{SimDuration, SimTime};
 use paxraft::workload::generator::WorkloadConfig;
-use paxraft::workload::scenario::ScenarioConfig;
+use paxraft::workload::scenario::Hotspot;
 
 const RECORDS: u64 = 100_000;
 const HOT_WEIGHT: f64 = 0.85;
@@ -55,8 +55,8 @@ const CORRIDOR_HI: u64 = DRIFT_TO + HOT_WIDTH / 2;
 /// *period* (2 stripes), so any window position splits its load 50/50.
 const STRIPE: u64 = 6_000;
 
-fn drifting() -> ScenarioConfig {
-    ScenarioConfig::drifting_hotspot(
+fn drifting() -> Hotspot {
+    Hotspot::drifting(
         HOT_WEIGHT,
         DRIFT_FROM,
         DRIFT_TO,
@@ -106,14 +106,14 @@ struct Outcome {
     p99_ms: [[f64; 3]; 2],
 }
 
-fn run(arm: &str, scenario: ScenarioConfig) -> Outcome {
+fn run(arm: &str, hotspot: Hotspot) -> Outcome {
     let mut builder = Cluster::builder(ProtocolKind::Raft)
         .shard_config(ShardConfig::groups(2))
         .clients_per_region(4)
         .workload(WorkloadConfig {
             read_fraction: 0.5,
             conflict_rate: 0.0,
-            scenario: Some(scenario),
+            hotspot: Some(hotspot),
             ..Default::default()
         })
         .telemetry_config(TelemetryConfig::sampled())
@@ -225,7 +225,7 @@ fn main() {
     // migration count under the analytic cooldown bound.
     let osc = run(
         "policy",
-        ScenarioConfig::oscillating_hotspot(0.8, 12_500, 62_500, 12_000, SimDuration::from_secs(3)),
+        Hotspot::oscillating(0.8, 12_500, 62_500, 12_000, SimDuration::from_secs(3)),
     );
     let total_secs = 16u64;
     let bound = MAX_PER_TICK * (total_secs as usize / COOLDOWN.as_secs_f64() as usize + 1);

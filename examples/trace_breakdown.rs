@@ -76,7 +76,6 @@ fn run(protocol: ProtocolKind, s: &Scenario) -> StageTotals {
         cluster.sim.set_disk_config_for(
             leader,
             paxraft::sim::disk::DiskConfig {
-                write_bandwidth_bps: 0.0,
                 fsync_latency: fsync,
             },
         );
