@@ -64,7 +64,6 @@ pub struct WorkloadClient {
     gen: Generator,
     seq: u64,
     inflight: Option<Inflight>,
-    retry_after: SimDuration,
     /// Completed operations (never trimmed; the harness filters windows).
     pub completions: Vec<Completion>,
     /// When `Some(key)`, record a linearizability history for that key
@@ -95,10 +94,22 @@ pub struct WorkloadClient {
     pub seen_version: u64,
 }
 
-/// Timer token for the regular send/retry poll tick.
-const T_POLL: u64 = 1;
-/// Timer token for the short stalled-redirect re-send.
+/// Timer token for the one-shot start jitter.
+const T_START: u64 = 1;
+/// Timer token, and key for [`Ctx::rearm_timer`], of the short
+/// stalled-redirect re-send: a second stale redirect for the operation
+/// replaces the pending re-send.
 const T_STALL: u64 = 2;
+/// Timer token, and key for [`Ctx::rearm_timer`], of the retry
+/// deadline. Every send of the outstanding request re-arms it, so it
+/// fires only for a request unanswered `RETRY_AFTER` after its last send.
+const T_RETRY: u64 = 3;
+
+/// How long a request waits for its answer before it is re-sent: well
+/// above the slowest protocol's op latency (~400 ms for Mencius-100%),
+/// well below a closed-loop stall being the dominant cost under message
+/// loss.
+const RETRY_AFTER: SimDuration = SimDuration::from_secs(1);
 
 #[derive(Debug, Clone)]
 struct Inflight {
@@ -125,10 +136,6 @@ impl WorkloadClient {
             gen,
             seq: 0,
             inflight: None,
-            // Well above the slowest protocol's op latency (~400 ms for
-            // Mencius-100%), well below a closed-loop stall being the
-            // dominant cost under message loss.
-            retry_after: SimDuration::from_secs(1),
             completions: Vec::new(),
             history_key: None,
             history: Vec::new(),
@@ -170,7 +177,7 @@ impl WorkloadClient {
             first_sent: ctx.now(),
             stalled: false,
         });
-        ctx.send(dest, Msg::Client(ClientMsg::Request { cmd }));
+        send(ctx, dest, cmd);
         ctx.trace_span(SpanKind::ClientSend, self.client_id, self.seq);
     }
 
@@ -201,11 +208,18 @@ impl WorkloadClient {
     }
 }
 
+/// Sends the outstanding request `cmd` to `dest` and restarts its retry
+/// deadline.
+fn send(ctx: &mut Ctx<Msg>, dest: ActorId, cmd: Command) {
+    ctx.send(dest, Msg::Client(ClientMsg::Request { cmd }));
+    ctx.rearm_timer(T_RETRY, RETRY_AFTER, T_RETRY);
+}
+
 impl Actor<Msg> for WorkloadClient {
     fn on_start(&mut self, ctx: &mut Ctx<Msg>) {
         // Stagger client start within 10 ms to avoid lockstep batches.
         let jitter = SimDuration::from_micros(ctx.rng().gen_range(10_000));
-        ctx.set_timer(jitter, T_POLL);
+        ctx.set_timer(jitter, T_START);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<Msg>, _from: ActorId, msg: Msg) {
@@ -248,7 +262,7 @@ impl Actor<Msg> for WorkloadClient {
                     inf.stalled = true;
                 }
                 ctx.trace_span(SpanKind::ClientStall, id.client, id.seq);
-                ctx.set_timer(SimDuration::from_millis(50), T_STALL);
+                ctx.rearm_timer(T_STALL, SimDuration::from_millis(50), T_STALL);
                 return;
             }
             // The replica's partition map is at or ahead of everything
@@ -269,7 +283,7 @@ impl Actor<Msg> for WorkloadClient {
                 inf.sent = ctx.now();
                 inf.stalled = false;
             }
-            ctx.send(dest, Msg::Client(ClientMsg::Request { cmd }));
+            send(ctx, dest, cmd);
             ctx.trace_span(
                 SpanKind::ClientRedirect {
                     group: group as u64,
@@ -338,29 +352,31 @@ impl Actor<Msg> for WorkloadClient {
                         inf.stalled = false;
                     }
                     let id = cmd.id;
-                    ctx.send(dest, Msg::Client(ClientMsg::Request { cmd }));
+                    send(ctx, dest, cmd);
                     ctx.trace_span(SpanKind::ClientRetry, id.client, id.seq);
                 }
             }
             return;
         }
-        match &self.inflight {
-            None => self.send_next(ctx),
-            Some(inflight) => {
-                if ctx.now().since(inflight.sent) > self.retry_after {
-                    // Retry (dedup at the replicas makes this safe).
-                    let cmd = inflight.cmd.clone();
-                    let dest = inflight.dest;
-                    if let Some(inf) = &mut self.inflight {
-                        inf.sent = ctx.now();
-                    }
-                    let id = cmd.id;
-                    ctx.send(dest, Msg::Client(ClientMsg::Request { cmd }));
-                    ctx.trace_span(SpanKind::ClientRetry, id.client, id.seq);
-                }
-            }
+        if token == T_START {
+            self.send_next(ctx);
+            return;
         }
-        ctx.set_timer(SimDuration::from_millis(500), T_POLL);
+        // `T_RETRY`: the request went unanswered since its last send.
+        let Some(inflight) = &mut self.inflight else {
+            return;
+        };
+        let waited = ctx.now().since(inflight.sent);
+        if waited < RETRY_AFTER {
+            ctx.rearm_timer(T_RETRY, RETRY_AFTER - waited, T_RETRY);
+            return;
+        }
+        // Retry (dedup at the replicas makes this safe).
+        inflight.sent = ctx.now();
+        let (dest, cmd) = (inflight.dest, inflight.cmd.clone());
+        let id = cmd.id;
+        send(ctx, dest, cmd);
+        ctx.trace_span(SpanKind::ClientRetry, id.client, id.seq);
     }
 
     impl_actor_any!();
@@ -369,8 +385,125 @@ impl Actor<Msg> for WorkloadClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use paxraft_sim::net::{NetConfig, Region};
     use paxraft_sim::rng::SimRng;
+    use paxraft_sim::sim::Simulation;
     use paxraft_workload::generator::WorkloadConfig;
+
+    /// A replica stand-in: keeps when each request arrives, and answers
+    /// it with `reply`, or never.
+    struct Puppet {
+        reply: Option<Reply>,
+        arrivals: Vec<(SimTime, CmdId)>,
+    }
+
+    impl Actor<Msg> for Puppet {
+        fn on_message(&mut self, ctx: &mut Ctx<Msg>, from: ActorId, msg: Msg) {
+            if let Msg::Client(ClientMsg::Request { cmd }) = msg {
+                self.arrivals.push((ctx.now(), cmd.id));
+                if let Some(reply) = self.reply.clone() {
+                    ctx.send(from, Msg::Client(ClientMsg::Response { id: cmd.id, reply }));
+                }
+            }
+        }
+
+        impl_actor_any!();
+    }
+
+    /// One client in Oregon before `puppets` (region, reply), which take
+    /// actor ids from 0; the links have no jitter, so a gap between two
+    /// arrivals at a puppet is the gap between the two sends.
+    fn client_among(
+        puppets: &[(Region, Option<Reply>)],
+        shard: Option<ClientRouting>,
+    ) -> (Simulation<Msg>, ActorId) {
+        let net = NetConfig {
+            jitter: 0.0,
+            ..NetConfig::default()
+        };
+        let mut sim = Simulation::new(net, 5);
+        for (region, reply) in puppets {
+            let puppet = Puppet {
+                reply: reply.clone(),
+                arrivals: Vec::new(),
+            };
+            sim.add_actor(*region, Box::new(puppet));
+        }
+        let gen = Generator::new(WorkloadConfig::default(), 0, SimRng::new(1));
+        let mut client = WorkloadClient::new(0, ActorId(0), gen);
+        client.shard = shard;
+        let client = sim.add_actor(Region::Oregon, Box::new(client));
+        (sim, client)
+    }
+
+    fn arrivals(sim: &Simulation<Msg>, puppet: usize) -> &[(SimTime, CmdId)] {
+        &sim.actor::<Puppet>(ActorId(puppet)).arrivals
+    }
+
+    /// A request nobody answers is re-sent exactly `RETRY_AFTER` after
+    /// its last send, each time.
+    #[test]
+    fn a_lost_request_is_re_sent_exactly_retry_after_its_last_send() {
+        let (mut sim, _) = client_among(&[(Region::Ohio, None)], None);
+        sim.run_until(SimTime::from_millis(4_500));
+        let seen = arrivals(&sim, 0);
+        assert_eq!(seen.len(), 5, "the first send and four retries: {seen:?}");
+        for pair in seen.windows(2) {
+            assert_eq!(pair[0].1, pair[1].1, "the same request");
+            assert_eq!(pair[1].0.since(pair[0].0), RETRY_AFTER);
+        }
+    }
+
+    /// A client answered within `RETRY_AFTER` re-sends nothing, and its
+    /// deadline costs the simulator one queued check per `RETRY_AFTER`:
+    /// over 10 s, at most 11 events beyond the messages and the start
+    /// timer.
+    #[test]
+    fn an_answered_client_re_sends_nothing_and_checks_once_a_second() {
+        let (mut sim, client) = client_among(&[(Region::Ireland, Some(Reply::Done))], None);
+        sim.run_until(SimTime::from_secs(10));
+        let seen = arrivals(&sim, 0);
+        let ops = sim.actor::<WorkloadClient>(client).completions.len();
+        assert!(ops > 50, "{ops} operations at a 132 ms round trip");
+        let mut ids: Vec<_> = seen.iter().map(|(_, id)| id.seq).collect();
+        ids.dedup();
+        assert_eq!(ids.len(), seen.len(), "no request arrived twice");
+        let stats = &sim.stats;
+        assert_eq!(stats.timer_fires, 1, "only the start jitter fired");
+        // A delivery is three events (arrival, receive, the turn), a
+        // fired timer two (its pop and its turn); an early check one.
+        let checks = stats.events - 3 * stats.deliveries - 2 * stats.timer_fires;
+        assert!((1..=11).contains(&checks), "{checks} timer checks in 10 s");
+    }
+
+    /// Following a redirect is a send: the retry deadline restarts from
+    /// it, not from the operation's first send.
+    #[test]
+    fn a_followed_redirect_restarts_the_retry_deadline() {
+        // One group in the client's map, so every key starts at puppet 0;
+        // its redirect names group 1, which is puppet 1, and never answers.
+        let router = ShardRouter::new(1_000, 1);
+        let version = router.version();
+        let routing = ClientRouting {
+            router,
+            targets: vec![ActorId(0), ActorId(1)],
+        };
+        let redirect = Reply::WrongGroup { group: 1, version };
+        let puppets = [(Region::Ireland, Some(redirect)), (Region::Ohio, None)];
+        let (mut sim, client) = client_among(&puppets, Some(routing));
+        sim.run_until(SimTime::from_millis(2_000));
+        let first = arrivals(&sim, 0);
+        let followed = arrivals(&sim, 1);
+        assert_eq!(first.len(), 1, "{first:?}");
+        assert_eq!(
+            followed.len(),
+            2,
+            "the followed redirect and one retry: {followed:?}"
+        );
+        assert_eq!(followed[1].0.since(followed[0].0), RETRY_AFTER);
+        assert!(followed.iter().all(|(_, id)| *id == first[0].1));
+        assert_eq!(sim.actor::<WorkloadClient>(client).redirects, 1);
+    }
 
     #[test]
     fn commands_get_unique_increasing_seqs() {

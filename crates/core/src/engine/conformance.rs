@@ -722,6 +722,55 @@ fn span_breakdowns_sum_exactly_under_loss_and_crash() {
     }
 }
 
+/// The Paxos family marks its replication quorum too: with per-entry
+/// fsync and a slow device under the proposer (the configured leader,
+/// which proposes MultiPaxos's values and Mencius's for its own
+/// region's clients), the peer acks make a quorum but for the
+/// proposer's own vote, and the wait for that vote's fsync books to the
+/// fsync stage, not to replication. The stages still sum exactly to
+/// each command's latency, and recording the spans moves nothing.
+#[test]
+fn paxos_family_durable_runs_book_the_own_fsync_wait_to_the_fsync_stage() {
+    use crate::telemetry::Stage;
+    use paxraft_sim::disk::DiskConfig;
+    for p in [ProtocolKind::MultiPaxos, ProtocolKind::RaftStarMencius] {
+        let run = |telemetry: TelemetryConfig| {
+            let mut cluster = Cluster::builder(p)
+                .clients_per_region(1)
+                .seed(31)
+                .durability_config(DurabilityConfig::per_entry(SimDuration::from_millis(1)))
+                .telemetry_config(telemetry)
+                .build();
+            let proposer = cluster.replicas()[cluster.leader().0 as usize];
+            let slow = DiskConfig {
+                fsync_latency: SimDuration::from_millis(80),
+            };
+            cluster.sim.set_disk_config_for(proposer, slow);
+            cluster.elect_leader();
+            let r = cluster.run_measurement(
+                SimDuration::from_secs(1),
+                SimDuration::from_secs(3),
+                SimDuration::from_secs(1),
+            );
+            let fp = format!("thr={} end={}", r.throughput_ops, cluster.sim.now());
+            (fp, r.spans)
+        };
+        let (off, _) = run(TelemetryConfig::default());
+        let (on, spans) = run(TelemetryConfig::default().with_spans());
+        assert_eq!(off, on, "{}: span tracing never perturbs the run", p.name());
+        let spans = spans.expect("spans enabled");
+        assert!(spans.commands.len() > 10, "{}: traced commands", p.name());
+        for b in &spans.commands {
+            let sum = Stage::ALL
+                .iter()
+                .fold(SimDuration::ZERO, |acc, &s| acc + b.stage(s));
+            assert_eq!(sum, b.total(), "{}: accounting identity", p.name());
+        }
+        let fsync = spans.totals().mean_ms(Stage::Fsync);
+        assert!(fsync > 1.0, "{}: fsync stage {fsync:.3} ms", p.name());
+    }
+}
+
 /// A burst injected at a proposer overlaps replication rounds: the
 /// adaptive cutter flushes eagerly while the window has room, so several
 /// rounds are in flight at once — and for the window-gated protocols the

@@ -36,7 +36,7 @@ use std::ops::RangeBounds;
 
 use paxraft_sim::sim::Ctx;
 
-use crate::kv::Command;
+use crate::kv::{CmdId, Command};
 use crate::msg::{Msg, Slots};
 use crate::snapshot::Snapshot;
 use crate::telemetry::MetricSample;
@@ -153,6 +153,9 @@ pub(crate) struct PaxosBase {
     peer_exec_prev: Vec<Slot>,
     /// Votes that choose a value.
     quorum: usize,
+    /// This replica's [`ack_bit`]: the proposer's own vote in the cells
+    /// it tallies.
+    me: u32,
     /// Values put into a cell: accepted into an empty one, or replacing
     /// another. What the device may be asked to write.
     accept_writes: u64,
@@ -162,8 +165,8 @@ pub(crate) struct PaxosBase {
 }
 
 impl PaxosBase {
-    /// Empty state for an `n`-replica cluster.
-    pub(crate) fn new(n: usize) -> Self {
+    /// Empty state for replica `me` of an `n`-replica cluster.
+    pub(crate) fn new(n: usize, me: NodeId) -> Self {
         PaxosBase {
             cells: SlotRing::new(),
             exec_index: Slot::NONE,
@@ -174,6 +177,7 @@ impl PaxosBase {
             peer_exec: vec![Slot::NONE; n],
             peer_exec_prev: vec![Slot::NONE; n],
             quorum: quorum(n),
+            me: ack_bit(me),
             accept_writes: 0,
             accept_duplicates: 0,
         }
@@ -291,13 +295,12 @@ impl PaxosBase {
     }
 
     /// Tallies the queued own votes the fsync through write `synced`
-    /// covers, in write order, as [`Self::tally`] would with `bit` — for
-    /// the cells `eligible` admits given the ballot the vote was proposed
-    /// at (it may have moved since). Returns whether any vote was due.
+    /// covers, in write order, as [`Self::tally`] would — for the cells
+    /// `eligible` admits given the ballot the vote was proposed at (it
+    /// may have moved since). Returns whether any vote was due.
     pub(crate) fn tally_synced_votes(
         &mut self,
         synced: u64,
-        bit: u32,
         eligible: impl Fn(Term, &Cell) -> bool,
         mut chosen: impl FnMut(Slot),
     ) -> bool {
@@ -306,7 +309,8 @@ impl PaxosBase {
             .partition_point(|(seq, ..)| *seq <= synced);
         let mut votes = std::mem::take(&mut self.pending_self);
         for (_, bal, slots) in votes.drain(..covered) {
-            self.tally(slots.iter(), bit, |cell| eligible(bal, cell), &mut chosen);
+            let eligible = |cell: &Cell| eligible(bal, cell);
+            self.tally(slots.iter(), self.me, eligible, &mut chosen, |_| {});
         }
         self.pending_self = votes;
         covered > 0
@@ -322,12 +326,20 @@ impl PaxosBase {
     /// checks its ballot once per message), and reports to `chosen` those
     /// it completed a quorum for, now committed — each once. A cell
     /// already chosen ignores the bit: its bitmap is never read again.
+    ///
+    /// `quorum` hears the client command of each cell whose peer acks the
+    /// bit brings to a quorum but for this proposer's own vote, which
+    /// waits for its fsync ([`Self::note_proposed`]): from then on only
+    /// the local fsync holds the choice back. That is the boundary
+    /// `RaftBase::note_quorum` marks, between the replication and fsync
+    /// stages of a command's latency (`SpanKind::Quorum`).
     pub(crate) fn tally(
         &mut self,
         slots: impl IntoIterator<Item = Slot>,
         bit: u32,
         eligible: impl Fn(&Cell) -> bool,
         mut chosen: impl FnMut(Slot),
+        mut quorum: impl FnMut(CmdId),
     ) {
         for slot in slots {
             let Some(cell) = self.cells.get_mut(slot) else {
@@ -336,10 +348,16 @@ impl PaxosBase {
             if cell.committed || !eligible(cell) {
                 continue;
             }
+            let fresh = cell.acks & bit == 0;
             cell.acks |= bit;
-            if cell.acks.count_ones() as usize >= self.quorum {
+            let votes = cell.acks.count_ones() as usize;
+            if votes >= self.quorum {
                 cell.committed = true;
                 chosen(slot);
+            } else if fresh && votes + 1 == self.quorum && cell.acks & self.me == 0 {
+                if let Some(cmd) = cell.cmd.as_ref().filter(|c| c.id.client != u32::MAX) {
+                    quorum(cmd.id);
+                }
             }
         }
     }
@@ -536,14 +554,13 @@ impl PaxosBase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kv::CmdId;
 
     fn put(seq: u64) -> Command {
         Command::put(CmdId { client: 1, seq }, seq, vec![0; 8])
     }
 
     fn base() -> PaxosBase {
-        PaxosBase::new(3)
+        PaxosBase::new(3, NodeId(0))
     }
 
     /// A `Learn` that arrives before its value promotes the cell when the
@@ -668,14 +685,47 @@ mod tests {
         let at = |t| move |c: &Cell| c.bal == Term(t);
         let slots = [Slot(1), Slot(2), Slot(1), Slot(9)];
         let mut chosen = Vec::new();
-        b.tally(slots, 0b010, at(3), |s| chosen.push(s));
+        b.tally(slots, 0b010, at(3), |s| chosen.push(s), |_| {});
         assert_eq!(chosen, [Slot(1)]);
         let other = b.cells.get(Slot(2)).unwrap();
         assert!(!other.committed && other.acks == 0b001, "bit not taken");
         // A later ack for the chosen slot chooses nothing again.
-        b.tally([Slot(1)], 0b100, at(3), |s| chosen.push(s));
-        b.tally([Slot(2)], 0b100, at(4), |s| chosen.push(s));
+        b.tally([Slot(1)], 0b100, at(3), |s| chosen.push(s), |_| {});
+        b.tally([Slot(2)], 0b100, at(4), |s| chosen.push(s), |_| {});
         assert_eq!(chosen, [Slot(1), Slot(2)]);
+    }
+
+    /// The quorum mark: a peer ack that leaves a cell one vote short, and
+    /// that vote the proposer's own (held back for its fsync), names the
+    /// cell's command once. A cell whose own vote is in, or that is
+    /// short of a peer, or a repeated ack, names nothing.
+    #[test]
+    fn the_tally_marks_a_quorum_that_waits_only_for_the_own_vote() {
+        let mut b = PaxosBase::new(5, NodeId(0)); // quorum 3, own bit 0b00001
+        b.write(Slot(1), Term(2), put(1)).acks = 0;
+        b.write(Slot(2), Term(2), put(2)).acks = 0b00001;
+        let mut noop = put(3);
+        noop.id.client = u32::MAX;
+        b.write(Slot(3), Term(2), noop).acks = 0;
+        let mut marked = Vec::new();
+        let mut tally = |b: &mut PaxosBase, slots: &[u64], bit| {
+            let slots = slots.iter().map(|s| Slot(*s));
+            b.tally(slots, bit, |_| true, |_| {}, |id| marked.push(id.seq));
+        };
+        tally(&mut b, &[1, 2, 3], 0b00010);
+        tally(&mut b, &[1, 2, 3], 0b00100);
+        tally(&mut b, &[1, 3], 0b00100);
+        tally(&mut b, &[1], 0b01000);
+        assert_eq!(
+            marked,
+            [1],
+            "slot 1 once; slot 2 chose; the no-op is no client's"
+        );
+        assert!(
+            b.cells.get(Slot(1)).unwrap().committed,
+            "three peers choose it"
+        );
+        assert!(b.cells.get(Slot(2)).unwrap().committed);
     }
 
     /// Synced self-votes drain in write-sequence order, each tallied with
@@ -695,7 +745,7 @@ mod tests {
         let drain = |b: &mut PaxosBase, synced| {
             let mut votes = Vec::new();
             let still = |bal, cell: &Cell| bal == cell.bal;
-            let any = b.tally_synced_votes(synced, 0b001, still, |s| votes.push(s));
+            let any = b.tally_synced_votes(synced, still, |s| votes.push(s));
             (any, votes)
         };
         assert_eq!(drain(&mut b, 2), (false, vec![]));

@@ -195,6 +195,7 @@ use std::ops::Range;
 
 use paxraft_sim::sim::{ActorId, Ctx};
 use paxraft_sim::time::{SimDuration, SimTime};
+use paxraft_sim::trace::SpanKind;
 
 use crate::config::ReplicaConfig;
 use crate::costs::CostModel;
@@ -465,7 +466,7 @@ impl MenciusReplica {
                     .map(|_| PeerStream::starting_at(Slot(me.0 as u64 + 1)))
                     .collect(),
                 last_tick: SimTime::ZERO,
-                base: PaxosBase::new(n),
+                base: PaxosBase::new(n, me),
                 conflicts: ConflictIndex::default(),
                 suggested: SuggestTimes::default(),
                 await_respond: Vec::new(),
@@ -668,7 +669,7 @@ impl MenciusRules {
     /// Commit tally for own slots that just gained an ack bit (a peer's
     /// ack, or this owner's own post-fsync vote). An ack counts only for
     /// a slot still at the term it acknowledges.
-    fn tally_own(&mut self, slots: &Slots, term: Term, bit: u32) {
+    fn tally_own(&mut self, ctx: &mut Ctx<Msg>, slots: &Slots, term: Term, bit: u32) {
         let before = self.commit_buf.len();
         let chosen = &mut self.commit_buf;
         self.base.tally(
@@ -676,6 +677,7 @@ impl MenciusRules {
             bit,
             |slot| slot.bal == term,
             |s| chosen.push(s),
+            |id| ctx.trace_span(SpanKind::Quorum, id.client, id.seq),
         );
         self.note_chosen_own(before);
     }
@@ -770,7 +772,7 @@ impl MenciusRules {
             // The round trip my acks to this peer wait a fraction of.
             self.out[peer.0 as usize].ack_patience = ctx.now().since(at) / 8;
         }
-        self.tally_own(&ack.slots, ack.term, ack_bit(peer));
+        self.tally_own(ctx, &ack.slots, ack.term, ack_bit(peer));
         self.queue_decisions(core, ctx.now());
     }
 
@@ -1668,8 +1670,8 @@ impl ProtocolRules for MenciusRules {
         let before = self.commit_buf.len();
         let chosen = &mut self.commit_buf;
         let at_term = |term, slot: &Cell| slot.bal == term;
-        let (synced, me) = (core.dur.synced_seq(), ack_bit(core.cfg.id));
-        if !(self.base).tally_synced_votes(synced, me, at_term, |s| chosen.push(s)) {
+        let synced = core.dur.synced_seq();
+        if !(self.base).tally_synced_votes(synced, at_term, |s| chosen.push(s)) {
             return;
         }
         self.note_chosen_own(before);

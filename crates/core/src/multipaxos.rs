@@ -60,6 +60,7 @@ use std::collections::HashMap;
 
 use paxraft_sim::sim::{ActorId, Ctx};
 use paxraft_sim::time::{SimDuration, SimTime};
+use paxraft_sim::trace::SpanKind;
 
 use crate::config::ReplicaConfig;
 use crate::engine::paxos_family::{ack_bit, merge_highest, Accepted, PaxosBase, Stored};
@@ -115,13 +116,13 @@ impl MultiPaxosReplica {
     /// Panics if the configuration is invalid.
     pub fn new(cfg: ReplicaConfig) -> Self {
         cfg.validate().expect("invalid replica config");
-        let n = cfg.n;
+        let (n, me) = (cfg.n, cfg.id);
         ReplicaEngine::from_parts(
             EngineCore::new(cfg),
             PaxosRules {
                 ballot: Term::ZERO,
                 phase1_succeeded: false,
-                base: PaxosBase::new(n),
+                base: PaxosBase::new(n, me),
                 next_slot: Slot(1),
                 prepare_acks: HashMap::new(),
                 accept_cursor: vec![Slot::NONE; n],
@@ -557,8 +558,13 @@ impl PaxosRules {
                 if ballot == self.ballot && self.phase1_succeeded {
                     ctx.charge(core.cfg.costs.ack_process);
                     let mut chosen = false;
-                    self.base
-                        .tally(slots.iter(), ack_bit(node), |_| true, |_| chosen = true);
+                    self.base.tally(
+                        slots.iter(),
+                        ack_bit(node),
+                        |_| true,
+                        |_| chosen = true,
+                        |id| ctx.trace_span(SpanKind::Quorum, id.client, id.seq),
+                    );
                     // An acceptor's executed prefix is chosen globally.
                     // Instances we proposed at our own ballot (i.e.
                     // after a successful phase 1) need no quorum count
@@ -751,12 +757,8 @@ impl ProtocolRules for PaxosRules {
         // (the bitmap was reseeded at the new ballot).
         let (synced, ballot) = (core.dur.synced_seq(), self.ballot);
         let mut chosen = false;
-        self.base.tally_synced_votes(
-            synced,
-            ack_bit(core.cfg.id),
-            |bal, _| bal == ballot,
-            |_| chosen = true,
-        );
+        self.base
+            .tally_synced_votes(synced, |bal, _| bal == ballot, |_| chosen = true);
         // An fsync that chose nothing sends nothing: how many completions
         // a write takes stays invisible (`Ctx::fsync_serial`).
         if chosen {

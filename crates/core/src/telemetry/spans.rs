@@ -32,12 +32,16 @@
 //!   service time surfaces here too (a handler's outputs take effect
 //!   after its charge elapses).
 //! - **replication** — from `Propose` until the slot's replication
-//!   quorum (`Quorum`, Raft/Raft* leaders) or commit, whichever is
-//!   observable: MultiPaxos/Mencius have no durability clamp hook, so
-//!   their fsync wait folds into replication and `fsync` reads 0.
+//!   quorum (`Quorum`) or commit, whichever comes first. A Raft-family
+//!   leader marks the quorum when `f` followers hold the entry
+//!   (`RaftBase::note_quorum`); a MultiPaxos or Mencius proposer when
+//!   the peer acks make a quorum but for its own vote, which waits for
+//!   its fsync (`PaxosBase::tally`).
 //! - **fsync** — from replication quorum to commit: the window where
-//!   only the durability clamp (PR 7 `ack_after_sync`) holds the commit
-//!   back. Zero when durability is off (quorum and commit coincide).
+//!   only the proposer's own fsync holds the commit back. Zero when
+//!   durability is off (quorum and commit coincide), and for a
+//!   Paxos-family command whose own vote was in before the peers' acks
+//!   (no `Quorum` is marked).
 //! - **apply** — from commit to the reply send.
 //!
 //! A lease-served local read never enters the batch: its breakdown is

@@ -137,10 +137,7 @@ fn main() {
     }
 
     // Fsync policy on Raft: per-entry stalls between quorum and commit;
-    // group commit amortizes the barrier away. (The fsync stage is
-    // observable for the Raft family, which exposes the replication
-    // quorum point; MultiPaxos/Mencius fold the durability wait into
-    // replication.)
+    // group commit amortizes the barrier away.
     println!("\nfsync policy, Raft, 10 ms proposer device (1 ms elsewhere)");
     header();
     let fsync = SimDuration::from_millis(1);
