@@ -31,7 +31,7 @@
 //! pinned by a test.
 
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
@@ -341,8 +341,9 @@ impl Reply {
 /// the program, so there is no collision attack to defend against; and
 /// with a fixed seed two runs of one seed allocate identically. Nothing
 /// observable may depend on the order this puts a map in — every reader
-/// that iterates one (`snapshot`, `export_range`, `export_sessions`,
-/// the install merge) sorts.
+/// that iterates one into a state copy (`snapshot`, `export_range`,
+/// `export_sessions`) sorts it into a run, and the install merge is a
+/// per-client maximum, which no order changes.
 #[derive(Debug, Default, Clone, Copy)]
 struct IntHasher(u64);
 
@@ -371,6 +372,17 @@ impl Hasher for IntHasher {
 }
 
 type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
+
+/// `items` as one run sorted by `key`, the shape of every state copy (a
+/// snapshot's tables, a range export). Collecting a whole table takes
+/// one allocation of its exact length; the keys are unique, so the
+/// unstable sort gives the stable sort's order without its scratch
+/// buffer.
+fn sorted_run<T, K: Ord>(items: impl Iterator<Item = T>, key: impl FnMut(&T) -> K) -> Vec<T> {
+    let mut run: Vec<T> = items.collect();
+    run.sort_unstable_by_key(key);
+    run
+}
 
 /// The redirect a keyed operation on a range this group froze away gets
 /// instead of applying.
@@ -503,12 +515,8 @@ impl KvStore {
             self.table.insert(*k, v.clone());
         }
         // Sessions merge max-seq-wins so a client's pre-freeze source
-        // write stays deduplicated when retried here (HashMap-backed
-        // sessions merge through a BTreeMap for deterministic order).
-        let mut merged: BTreeMap<u32, (u64, Reply)> =
-            self.sessions.iter().map(|(c, s)| (*c, s.clone())).collect();
-        migration::merge_sessions(&mut merged, &export.sessions);
-        self.sessions = merged.into_iter().collect();
+        // write stays deduplicated when retried here.
+        migration::merge_sessions(&mut self.sessions, &export.sessions);
         self.shard.absorbed.push(migration::AbsorbedRange {
             lo: export.lo,
             hi: export.hi,
@@ -556,26 +564,24 @@ impl KvStore {
     /// The records in `[lo, hi)`, ordered by key (the source leader's
     /// export path).
     pub fn export_range(&self, lo: Key, hi: Key) -> Vec<(Key, Value)> {
-        let mut out: Vec<(Key, Value)> = self
-            .table
-            .iter()
-            .filter(|(k, _)| (lo..hi).contains(*k))
-            .map(|(k, v)| (*k, v.clone()))
-            .collect();
-        out.sort_by_key(|(k, _)| *k);
-        out
+        sorted_run(
+            self.table
+                .iter()
+                .filter(|(k, _)| (lo..hi).contains(*k))
+                .map(|(k, v)| (*k, v.clone())),
+            |(k, _)| *k,
+        )
     }
 
     /// The session table `(client, seq, reply)`, ordered by client (the
     /// export path; sessions travel with a moved range).
     pub fn export_sessions(&self) -> Vec<(u32, u64, Reply)> {
-        let mut out: Vec<(u32, u64, Reply)> = self
-            .sessions
-            .iter()
-            .map(|(c, (seq, reply))| (*c, *seq, reply.clone()))
-            .collect();
-        out.sort_by_key(|(c, _, _)| *c);
-        out
+        sorted_run(
+            self.sessions
+                .iter()
+                .map(|(c, (seq, reply))| (*c, *seq, reply.clone())),
+            |(c, _, _)| *c,
+        )
     }
 
     /// Direct read of a key without logging (the lease-holder local-read
@@ -604,13 +610,14 @@ impl KvStore {
     /// replica would re-apply (or double-answer) retried commands and
     /// break exactly-once semantics.
     ///
-    /// The capture is ordered (`BTreeMap`) so equality, iteration and
-    /// the wire encoding are deterministic regardless of `HashMap`
-    /// insertion history.
+    /// Each table is captured as one run sorted by key — the shape of a
+    /// range export — so equality and the wire encoding do not depend
+    /// on the hash tables' insertion history, and the copy costs one
+    /// allocation per table however many records it holds.
     pub fn snapshot(&self) -> KvSnapshot {
         KvSnapshot {
-            table: self.table.iter().map(|(k, v)| (*k, v.clone())).collect(),
-            sessions: self.sessions.iter().map(|(c, s)| (*c, s.clone())).collect(),
+            records: sorted_run(self.table.iter().map(|(k, v)| (*k, v.clone())), |(k, _)| *k),
+            sessions: self.export_sessions(),
             applied_ops: self.applied_ops,
             shard: self.shard.clone(),
         }
@@ -618,8 +625,12 @@ impl KvStore {
 
     /// Replaces this store's state with a snapshot's.
     pub fn restore(&mut self, snap: &KvSnapshot) {
-        self.table = snap.table.iter().map(|(k, v)| (*k, v.clone())).collect();
-        self.sessions = snap.sessions.iter().map(|(c, s)| (*c, s.clone())).collect();
+        self.table = snap.records.iter().map(|(k, v)| (*k, v.clone())).collect();
+        self.sessions = snap
+            .sessions
+            .iter()
+            .map(|(c, seq, reply)| (*c, (*seq, reply.clone())))
+            .collect();
         self.applied_ops = snap.applied_ops;
         self.shard = snap.shard.clone();
     }
@@ -630,10 +641,11 @@ impl KvStore {
 /// for multi-MB snapshot payloads.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct KvSnapshot {
-    /// Stored records, ordered by key.
-    pub table: BTreeMap<Key, Value>,
-    /// Per-client `(last applied seq, cached reply)` sessions.
-    pub sessions: BTreeMap<u32, (u64, Reply)>,
+    /// Stored records, strictly increasing by key.
+    pub records: Vec<(Key, Value)>,
+    /// Client sessions `(client, last applied seq, cached reply)`,
+    /// strictly increasing by client.
+    pub sessions: Vec<(u32, u64, Reply)>,
     /// Apply counter carried across restore.
     pub applied_ops: u64,
     /// Replicated shard-migration overrides. Empty in any run that never
@@ -649,8 +661,8 @@ impl KvSnapshot {
     /// so CPU/NIC charges agree with what is actually shipped.
     pub fn size_bytes(&self) -> usize {
         let mut n = 8 // applied_ops
-            + crate::snapshot::records_len(self.table.values())
-            + crate::snapshot::sessions_len(self.sessions.values().map(|(_, r)| r));
+            + crate::snapshot::records_len(self.records.iter().map(|(_, v)| v))
+            + crate::snapshot::sessions_len(self.sessions.iter().map(|(_, _, r)| r));
         if !self.shard.is_empty() {
             n += self.shard.encoded_len();
         }
@@ -659,12 +671,12 @@ impl KvSnapshot {
 
     /// Number of records captured.
     pub fn len(&self) -> usize {
-        self.table.len()
+        self.records.len()
     }
 
     /// True when no records were captured.
     pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
+        self.records.is_empty()
     }
 }
 
@@ -789,6 +801,50 @@ mod tests {
         );
     }
 
+    /// A snapshot is a function of the store's contents, not of the hash
+    /// tables' history: two stores that reach the same records and
+    /// sessions by different insertion and overwrite orders capture
+    /// equal snapshots with identical encodings.
+    #[test]
+    fn snapshot_is_independent_of_insertion_history() {
+        const N: u64 = 1_000;
+        let put = |client: u32, seq: u64, key: Key| {
+            Command::put(id(client, seq), key, vec![key as u8; 8])
+        };
+        let (mut a, mut b) = (KvStore::new(), KvStore::new());
+        // Client 3 writes every key first, ascending into `a` and
+        // descending into `b`; clients 1 and 2 then overwrite the even
+        // and the odd keys, one after the other into `a` and
+        // interleaved, key by key, into `b`.
+        for i in 0..N {
+            a.apply(&put(3, i + 1, i));
+            b.apply(&put(3, i + 1, N - 1 - i));
+        }
+        for parity in 0..2 {
+            for j in 0..N / 2 {
+                a.apply(&put(1 + parity as u32, j + 1, 2 * j + parity));
+            }
+        }
+        for j in 0..N / 2 {
+            for parity in 0..2 {
+                b.apply(&put(1 + parity as u32, j + 1, 2 * j + parity));
+            }
+        }
+        assert_ne!(
+            a.table.keys().collect::<Vec<_>>(),
+            b.table.keys().collect::<Vec<_>>(),
+            "the two tables iterate in different orders"
+        );
+        let snapshot = |kv: &KvStore| crate::snapshot::Snapshot {
+            last_slot: crate::types::Slot(2 * N),
+            last_term: crate::types::Term(1),
+            kv: kv.snapshot(),
+        };
+        assert_eq!(snapshot(&a), snapshot(&b));
+        assert_eq!(snapshot(&a).encode(), snapshot(&b).encode());
+        assert!(a.snapshot().records.windows(2).all(|w| w[0].0 < w[1].0));
+    }
+
     /// Whether two values are one allocation.
     fn same_allocation(a: &Value, b: &Value) -> bool {
         match (&a.0, &b.0) {
@@ -814,7 +870,7 @@ mod tests {
         let mut restored = KvStore::new();
         restored.restore(&snap);
         assert_eq!(
-            same_allocation(&snap.table[&5], sent) && same_allocation(&export[0].1, sent),
+            same_allocation(&snap.records[0].1, sent) && same_allocation(&export[0].1, sent),
             len > Value::IN_PLACE,
             "one allocation from the client's command to every copy, or none at all"
         );
@@ -824,7 +880,7 @@ mod tests {
         let old = Reply::Value(Some(sent.clone()));
         assert_eq!(old.value_id(), Some(id(1, 1).as_value_id()));
         assert_eq!(
-            snap.table[&5][8..],
+            snap.records[0].1[8..],
             vec![0xAA; len - 8],
             "snapshot keeps the old bytes"
         );
@@ -905,7 +961,7 @@ mod tests {
             let decoded = Snapshot::decode(&encoded).expect("decodes");
             assert_eq!(decoded, snap);
             assert_eq!(decoded.encode(), encoded);
-            assert_eq!(&*decoded.kv.table[&5], &bytes[..]);
+            assert_eq!(decoded.kv.records, [(5, value.clone())]);
 
             let export = RangeExport {
                 version: 1,

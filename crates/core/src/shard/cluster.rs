@@ -1157,7 +1157,7 @@ mod tests {
             let (lo, hi) = cluster.router().range(g);
             for &r in cluster.group_replicas(g) {
                 let rep = replica(&cluster.sim, cluster.protocol(), r);
-                for (k, _) in rep.kv().snapshot().table.iter() {
+                for (k, _) in rep.kv().snapshot().records.iter() {
                     assert!(
                         (lo..hi).contains(k),
                         "group {g} applied only its own keys (found {k})"

@@ -27,7 +27,9 @@
 //! state machine; it travels inside snapshots, so a replica healed by
 //! state transfer learns the current ownership overrides with it.
 
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::hash::BuildHasher;
 
 use paxraft_sim::time::SimDuration;
 
@@ -273,10 +275,8 @@ impl RangeExport {
         let from_group = r.u32()?;
         let to_group = r.u32()?;
         let coord = r.u32()?;
-        let mut records = Vec::new();
-        decode_records(&mut r, |k, v| records.push((k, v)))?;
-        let mut sessions = Vec::new();
-        decode_sessions(&mut r, |c, seq, reply| sessions.push((c, seq, reply)))?;
+        let records = decode_records(&mut r)?;
+        let sessions = decode_sessions(&mut r)?;
         if !r.done() {
             return None;
         }
@@ -293,14 +293,22 @@ impl RangeExport {
     }
 }
 
-/// Merges exported sessions into a destination session table: per
-/// client, the higher sequence number (with its cached reply) wins.
-pub fn merge_sessions(into: &mut BTreeMap<u32, (u64, Reply)>, from: &[(u32, u64, Reply)]) {
+/// Merges exported sessions into a destination session table in place:
+/// per client, the higher sequence number (with its cached reply) wins.
+/// A per-client maximum does not depend on the order the table or the
+/// export is walked in.
+pub fn merge_sessions<S: BuildHasher>(
+    into: &mut HashMap<u32, (u64, Reply), S>,
+    from: &[(u32, u64, Reply)],
+) {
     for (c, seq, reply) in from {
-        match into.get(c) {
-            Some((have, _)) if have >= seq => {}
-            _ => {
-                into.insert(*c, (*seq, reply.clone()));
+        match into.entry(*c) {
+            Entry::Occupied(have) if have.get().0 >= *seq => {}
+            Entry::Occupied(mut have) => {
+                have.insert((*seq, reply.clone()));
+            }
+            Entry::Vacant(slot) => {
+                slot.insert((*seq, reply.clone()));
             }
         }
     }
@@ -398,6 +406,18 @@ mod tests {
         longer.push(0);
         assert!(RangeExport::decode(&longer).is_none());
         assert!(RangeExport::decode(&[]).is_none());
+        let reject = |edit: fn(&mut RangeExport)| {
+            let mut bad = export();
+            edit(&mut bad);
+            RangeExport::decode(&bad.encode()).is_none()
+        };
+        assert!(reject(|e| e.records.swap(0, 1)), "records out of order");
+        assert!(reject(|e| e.records[1].0 = e.records[0].0), "duplicate key");
+        assert!(reject(|e| e.sessions.swap(1, 2)), "sessions out of order");
+        assert!(
+            reject(|e| e.sessions[1].0 = e.sessions[0].0),
+            "duplicate client"
+        );
     }
 
     #[test]
@@ -454,17 +474,21 @@ mod tests {
 
     #[test]
     fn session_merge_keeps_higher_seq() {
-        let mut into = BTreeMap::new();
+        let mut into = HashMap::new();
         into.insert(1, (5u64, Reply::Done));
+        into.insert(3, (2u64, Reply::Done));
         merge_sessions(
             &mut into,
             &[
                 (1, 3, Reply::Value(None)), // older: ignored
                 (2, 9, Reply::Done),        // new client: adopted
+                (3, 4, Reply::Value(None)), // newer: replaces seq and reply
             ],
         );
+        assert_eq!(into.len(), 3);
         assert_eq!(into.get(&1), Some(&(5, Reply::Done)));
         assert_eq!(into.get(&2), Some(&(9, Reply::Done)));
+        assert_eq!(into.get(&3), Some(&(4, Reply::Value(None))));
     }
 
     #[test]

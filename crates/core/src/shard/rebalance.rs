@@ -513,7 +513,7 @@ mod tests {
                 }
                 let kv = replica(&cluster.sim, p, actor).kv();
                 let snap = kv.snapshot();
-                for (k, _) in snap.table.iter() {
+                for (k, _) in snap.records.iter() {
                     let owner = router.group_of(*k);
                     assert_eq!(
                         owner, g as u32,
@@ -523,7 +523,7 @@ mod tests {
                 }
                 if g == 1 {
                     assert!(
-                        snap.table.contains_key(&moving),
+                        kv.read_local(moving) != Reply::Value(None),
                         "{name}: group 1 node {node} holds the moved key"
                     );
                 }
@@ -723,12 +723,12 @@ mod tests {
                 let g0 = replica(&cluster.sim, p, cluster.replica(0, NodeId(node))).kv();
                 let g1 = replica(&cluster.sim, p, cluster.replica(1, NodeId(node))).kv();
                 assert!(
-                    !g0.snapshot().table.contains_key(&0),
+                    g0.read_local(0) == Reply::Value(None),
                     "{}: group 0 node {node} released the hot key",
                     p.name()
                 );
                 assert!(
-                    g1.snapshot().table.contains_key(&0),
+                    g1.read_local(0) != Reply::Value(None),
                     "{}: group 1 node {node} serves the hot key",
                     p.name()
                 );
@@ -920,7 +920,7 @@ mod tests {
                         continue;
                     }
                     let kv = replica(&cluster.sim, p, actor).kv();
-                    for (k, _) in kv.snapshot().table.iter() {
+                    for (k, _) in kv.snapshot().records.iter() {
                         let owner = router.group_of(*k);
                         assert_eq!(
                             owner, g as u32,
@@ -996,7 +996,7 @@ mod tests {
                     continue;
                 }
                 let kv = replica(&cluster.sim, p, actor).kv();
-                for (k, _) in kv.snapshot().table.iter() {
+                for (k, _) in kv.snapshot().records.iter() {
                     let owner = router.group_of(*k);
                     assert_eq!(owner, g as u32, "key {k} in group {g}, owner {owner}");
                 }

@@ -118,10 +118,10 @@ impl Snapshot {
         out.extend_from_slice(&self.last_slot.0.to_le_bytes());
         out.extend_from_slice(&self.last_term.0.to_le_bytes());
         out.extend_from_slice(&self.kv.applied_ops.to_le_bytes());
-        encode_records(&mut out, self.kv.table.iter().map(|(k, v)| (*k, v)));
+        encode_records(&mut out, self.kv.records.iter().map(|(k, v)| (*k, v)));
         encode_sessions(
             &mut out,
-            self.kv.sessions.iter().map(|(c, (seq, r))| (*c, *seq, r)),
+            self.kv.sessions.iter().map(|(c, seq, r)| (*c, *seq, r)),
         );
         // The shard-migration section is appended only once a migration
         // touched this group; snapshots of non-migrating runs stay
@@ -141,14 +141,10 @@ impl Snapshot {
         let applied_ops = r.u64()?;
         let mut kv = KvSnapshot {
             applied_ops,
+            records: decode_records(&mut r)?,
+            sessions: decode_sessions(&mut r)?,
             ..KvSnapshot::default()
         };
-        decode_records(&mut r, |k, v| {
-            kv.table.insert(k, v);
-        })?;
-        decode_sessions(&mut r, |c, seq, reply| {
-            kv.sessions.insert(c, (seq, reply));
-        })?;
         if !r.done() {
             // Bytes remain: the optional shard-migration section.
             kv.shard = crate::shard::migration::ShardState::decode(&mut r)?;
@@ -195,14 +191,20 @@ pub(crate) fn records_len<'a>(values: impl Iterator<Item = &'a Value>) -> usize 
     8 + values.map(|v| 8 + 4 + v.len()).sum::<usize>()
 }
 
-/// Reads what [`encode_records`] wrote, handing each record to `put`.
-pub(crate) fn decode_records(r: &mut Reader<'_>, mut put: impl FnMut(Key, Value)) -> Option<()> {
-    for _ in 0..r.u64()? {
+/// Reads what [`encode_records`] wrote, as the run it was written from;
+/// `None` unless the keys strictly increase.
+pub(crate) fn decode_records(r: &mut Reader<'_>) -> Option<Vec<(Key, Value)>> {
+    let count = r.u64()?;
+    let mut records: Vec<(Key, Value)> = r.run_with_capacity(count, 8 + 4);
+    for _ in 0..count {
         let k = r.u64()?;
+        if records.last().is_some_and(|(prev, _)| *prev >= k) {
+            return None;
+        }
         let len = r.u32()? as usize;
-        put(k, r.take(len)?.into());
+        records.push((k, r.take(len)?.into()));
     }
-    Some(())
+    Some(records)
 }
 
 /// Writes the client-session list both state transfers carry:
@@ -243,13 +245,16 @@ pub(crate) fn sessions_len<'a>(replies: impl Iterator<Item = &'a Reply>) -> usiz
         .sum::<usize>()
 }
 
-/// Reads what [`encode_sessions`] wrote, handing each session to `put`.
-pub(crate) fn decode_sessions(
-    r: &mut Reader<'_>,
-    mut put: impl FnMut(u32, u64, Reply),
-) -> Option<()> {
-    for _ in 0..r.u64()? {
+/// Reads what [`encode_sessions`] wrote, as the run it was written
+/// from; `None` unless the clients strictly increase.
+pub(crate) fn decode_sessions(r: &mut Reader<'_>) -> Option<Vec<(u32, u64, Reply)>> {
+    let count = r.u64()?;
+    let mut sessions: Vec<(u32, u64, Reply)> = r.run_with_capacity(count, 4 + 8 + 1);
+    for _ in 0..count {
         let c = r.u32()?;
+        if sessions.last().is_some_and(|(prev, _, _)| *prev >= c) {
+            return None;
+        }
         let seq = r.u64()?;
         let reply = match r.u8()? {
             0 => Reply::Done,
@@ -260,9 +265,9 @@ pub(crate) fn decode_sessions(
             }
             _ => return None,
         };
-        put(c, seq, reply);
+        sessions.push((c, seq, reply));
     }
-    Some(())
+    Some(sessions)
 }
 
 /// Little-endian byte reader shared by the snapshot and range-export
@@ -278,6 +283,13 @@ impl<'a> Reader<'a> {
     }
     pub(crate) fn done(&self) -> bool {
         self.pos == self.bytes.len()
+    }
+    /// An empty run sized for `count` items of at least `min_bytes`
+    /// encoded bytes each, capped by what the unread bytes could hold,
+    /// so a corrupt count cannot reserve more than the input backs.
+    pub(crate) fn run_with_capacity<T>(&self, count: u64, min_bytes: usize) -> Vec<T> {
+        let fits = (self.bytes.len() - self.pos) / min_bytes;
+        Vec::with_capacity(usize::try_from(count).map_or(fits, |n| n.min(fits)))
     }
     pub(crate) fn take(&mut self, n: usize) -> Option<&'a [u8]> {
         let end = self.pos.checked_add(n)?;
@@ -496,6 +508,31 @@ mod tests {
         longer.push(0);
         assert!(Snapshot::decode(&longer).is_none(), "trailing garbage");
         assert!(Snapshot::decode(&[]).is_none(), "empty");
+        // Each table decodes to the run it was written from, so keys and
+        // clients must strictly increase.
+        let reject = |edit: fn(&mut KvSnapshot)| {
+            let mut bad = snap.clone();
+            edit(&mut bad.kv);
+            Snapshot::decode(&bad.encode()).is_none()
+        };
+        assert!(reject(|kv| kv.records.swap(0, 1)), "records out of order");
+        assert!(
+            reject(|kv| kv.records[1].0 = kv.records[0].0),
+            "duplicate key"
+        );
+        assert!(reject(|kv| kv.sessions.swap(0, 1)), "sessions out of order");
+        assert!(
+            reject(|kv| kv.sessions[1].0 = kv.sessions[0].0),
+            "duplicate client"
+        );
+        // A record count the remaining bytes cannot back reserves no
+        // more than they could hold, and fails on the first short read.
+        let mut huge = bytes.clone();
+        huge[24..32].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(
+            Snapshot::decode(&huge).is_none(),
+            "record count past the input"
+        );
     }
 
     #[test]

@@ -30,14 +30,16 @@
 //!
 //! The same allocator keeps a live-byte count per thread, which
 //! `a_log_holds_what_it_spans` reads: Raft's log holds what it spans.
-//! `a_completion_is_24_bytes` pins what a client keeps per operation.
+//! `a_completion_is_24_bytes` pins what a client keeps per operation, and
+//! `a_state_copy_costs_one_allocation_per_table` what a checkpoint costs.
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use paxraft::core::client::Completion;
 use paxraft::core::harness::{Cluster, ProtocolKind};
-use paxraft::core::kv::{CmdId, Command};
+use paxraft::core::kv::{CmdId, Command, KvStore};
 use paxraft::core::log::{Entry, Log};
+use paxraft::core::snapshot::Snapshot;
 use paxraft::core::types::{Slot, Term};
 use paxraft::sim::time::SimDuration;
 
@@ -196,4 +198,54 @@ fn a_log_holds_what_it_spans() {
         held <= 2 * BLOCK + DEQUE,
         "200 entries after compaction hold {held} B"
     );
+}
+
+/// A state copy is one sorted run per table (`kv.rs`, `KvStore::snapshot`):
+/// capturing a 10,000-record store with 100 sessions, decoding its
+/// encoding and restoring it each cost one allocation per table, however
+/// many records it holds. An 8-byte value is held in place, so copying a
+/// record allocates nothing. A tree cost a node per ~11 records, and a
+/// stable sort its scratch buffer.
+#[test]
+fn a_state_copy_costs_one_allocation_per_table() {
+    const RECORDS: u64 = 10_000;
+    const CLIENTS: u64 = 100;
+    let mut kv = KvStore::new();
+    for i in 0..RECORDS {
+        let id = CmdId {
+            client: (i % CLIENTS) as u32 + 1,
+            seq: i / CLIENTS + 1,
+        };
+        kv.apply(&Command::put(id, i, vec![i as u8; 8]));
+    }
+    let (kv_snap, taken) = counted(|| kv.snapshot());
+    let snap = Snapshot {
+        last_slot: Slot(RECORDS),
+        last_term: Term(1),
+        kv: kv_snap,
+    };
+    assert_eq!(snap.kv.len(), RECORDS as usize);
+    assert_eq!(snap.kv.sessions.len(), CLIENTS as usize);
+    let bytes = snap.encode();
+    let (decoded, decode) = counted(|| Snapshot::decode(&bytes));
+    let decoded = decoded.expect("decodes");
+    assert_eq!(decoded, snap);
+    let mut restored = KvStore::new();
+    let ((), restore) = counted(|| restored.restore(&decoded.kv));
+    assert_eq!(restored.snapshot(), snap.kv);
+    println!("snapshot {taken}, decode {decode}, restore {restore} allocations");
+    for (step, n) in [
+        ("snapshot", taken),
+        ("decode", decode),
+        ("restore", restore),
+    ] {
+        assert!(n <= 2, "{step} of {RECORDS} records made {n} allocations");
+    }
+}
+
+/// What `f` returns, and the allocations it made on this thread.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (out, ALLOCS.with(Cell::get) - before)
 }
