@@ -343,9 +343,11 @@ impl Reply {
 /// observable may depend on the order this puts a map in — every reader
 /// that iterates one into a state copy (`snapshot`, `export_range`,
 /// `export_sessions`) sorts it into a run, and the install merge is a
-/// per-client maximum, which no order changes.
+/// per-client maximum, which no order changes. Mencius's conflict index
+/// (`mencius.rs`) keys its writes by record key on the same hasher and
+/// only looks keys up: nothing outside its tests iterates that map.
 #[derive(Debug, Default, Clone, Copy)]
-struct IntHasher(u64);
+pub(crate) struct IntHasher(u64);
 
 impl Hasher for IntHasher {
     fn finish(&self) -> u64 {
@@ -371,7 +373,7 @@ impl Hasher for IntHasher {
     }
 }
 
-type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
+pub(crate) type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
 
 /// `items` as one run sorted by `key`, the shape of every state copy (a
 /// snapshot's tables, a range export). Collecting a whole table takes

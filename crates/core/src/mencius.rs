@@ -121,20 +121,25 @@
 //! at once. When it does run, a slot above the cover is passed over on
 //! that one comparison, before its table entry is even looked up.
 //!
-//! **The conflict index** is one ordered set of `(key, slot)` for the
-//! retained writes *above the executed prefix*, beside one of the slots
-//! of the retained migration commands there, and the rule reads "no
-//! indexed write to this key, and no migration command, in
-//! `(exec_index, s)`". Entries leave
-//! the set when their slot executes, is discarded, loses its value to a
-//! crash or has it replaced; that is garbage collection, never what
-//! makes a later slot ready — the range in the rule already ignores an
-//! executed entry — with one exception: a *replaced* value (a
-//! revocation deciding a no-op over a `Put k`) is a write that will
-//! never apply, so it must leave the index or it would hold back every
-//! later answer on `k` for as long as it stayed, and the answers it held
-//! get a fresh pass. A crash re-executes from the checkpoint, so
-//! `on_crash` rebuilds the set from the retained slots above it.
+//! **The conflict index** holds the retained writes *above the executed
+//! prefix* by key, beside an ordered set of the slots of the retained
+//! migration commands there, and the rule reads "no indexed write to
+//! this key, and no migration command, in `(exec_index, s)`". A key's
+//! writes sit in a hash map entry (the store's fixed-seed integer
+//! hasher): the one slot nearly every key has is held in place, and only
+//! a key with two or more at once — the hot key — spills to a sorted
+//! run, which the rule's range query reads with one binary search. The
+//! entry leaves with the key's last indexed write, so the map holds what
+//! is in flight, not every key ever written. Entries leave the index
+//! when their slot executes, is discarded, loses its value to a crash or
+//! has it replaced; that is garbage collection, never what makes a later
+//! slot ready — the range in the rule already ignores an executed entry
+//! — with one exception: a *replaced* value (a revocation deciding a
+//! no-op over a `Put k`) is a write that will never apply, so it must
+//! leave the index or it would hold back every later answer on `k` for
+//! as long as it stayed, and the answers it held get a fresh pass. A
+//! crash re-executes from the checkpoint, so `on_crash` rebuilds the
+//! index from the retained slots above it.
 //!
 //! Crashed owners are handled by *revocation*: after a silence timeout a
 //! peer raises a ballot above the owner's, collects accepted values for
@@ -190,6 +195,7 @@
 //! 72 bytes), retransmission and the replay body, revocation, and what a
 //! crash keeps.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::ops::Range;
 
@@ -201,7 +207,7 @@ use crate::config::ReplicaConfig;
 use crate::costs::CostModel;
 use crate::engine::paxos_family::{ack_bit, merge_highest, Accepted, Cell, PaxosBase, Stored};
 use crate::engine::{self, EngineCore, ProtocolRules, ReplicaEngine, T_COORD};
-use crate::kv::{Command, Key, Op};
+use crate::kv::{Command, IntMap, Key, Op};
 use crate::msg::{
     Ack, Coord, MenciusMsg, Msg, Round, Slots, CHECKPOINT_ACK_HEADER, CHECKPOINT_CHUNK_HEADER,
 };
@@ -283,34 +289,104 @@ impl Holds {
 /// that an early answer must not overtake.
 #[derive(Debug, Default)]
 struct ConflictIndex {
-    /// `(key, slot)` of every write.
-    writes: BTreeSet<(Key, u64)>,
+    /// The slots of every write, by key.
+    writes: IntMap<Key, KeyWrites>,
     /// The slot of every migration command.
     migrations: BTreeSet<u64>,
 }
 
+/// The indexed write slots of one key: nearly every key has one, held
+/// in place; a key with two or more (the hot key) spills to a sorted run
+/// for as long as it has.
+#[derive(Debug)]
+enum KeyWrites {
+    One(u64),
+    Many(Vec<u64>),
+}
+
 impl ConflictIndex {
+    /// Indexing a command already indexed is a no-op.
     fn insert(&mut self, s: Slot, holds: Holds) {
-        match holds {
-            Holds::Key(key) => self.writes.insert((key, s.0)),
-            Holds::All => self.migrations.insert(s.0),
+        let key = match holds {
+            Holds::Key(key) => key,
+            Holds::All => {
+                self.migrations.insert(s.0);
+                return;
+            }
         };
+        match self.writes.entry(key) {
+            Entry::Vacant(e) => {
+                e.insert(KeyWrites::One(s.0));
+            }
+            Entry::Occupied(mut e) => match e.get_mut() {
+                KeyWrites::One(x) if *x == s.0 => {}
+                KeyWrites::One(x) => {
+                    let run = if *x < s.0 {
+                        vec![*x, s.0]
+                    } else {
+                        vec![s.0, *x]
+                    };
+                    e.insert(KeyWrites::Many(run));
+                }
+                KeyWrites::Many(run) => {
+                    if let Err(i) = run.binary_search(&s.0) {
+                        run.insert(i, s.0);
+                    }
+                }
+            },
+        }
     }
 
     /// Returns whether `s` was indexed.
     fn remove(&mut self, s: Slot, holds: Holds) -> bool {
-        match holds {
-            Holds::Key(key) => self.writes.remove(&(key, s.0)),
-            Holds::All => self.migrations.remove(&s.0),
+        let key = match holds {
+            Holds::Key(key) => key,
+            Holds::All => return self.migrations.remove(&s.0),
+        };
+        let Entry::Occupied(mut e) = self.writes.entry(key) else {
+            return false;
+        };
+        match e.get_mut() {
+            KeyWrites::One(x) if *x == s.0 => {
+                e.remove();
+            }
+            KeyWrites::One(_) => return false,
+            KeyWrites::Many(run) => {
+                let Ok(i) = run.binary_search(&s.0) else {
+                    return false;
+                };
+                run.remove(i);
+                if let [last] = run[..] {
+                    e.insert(KeyWrites::One(last));
+                }
+            }
         }
+        true
     }
 
     /// Whether nothing indexed in the slots `between` holds back an
     /// answer on `key` (`None`: a command without one).
     fn clear(&self, between: Range<u64>, key: Option<Key>) -> bool {
-        let writes = |key| (key, between.start)..(key, between.end);
+        let write_between = |key| match self.writes.get(&key) {
+            None => false,
+            Some(KeyWrites::One(x)) => between.contains(x),
+            Some(KeyWrites::Many(run)) => {
+                let first = run.partition_point(|&x| x < between.start);
+                run.get(first).is_some_and(|&x| x < between.end)
+            }
+        };
         self.migrations.range(between.clone()).next().is_none()
-            && key.is_none_or(|key| self.writes.range(writes(key)).next().is_none())
+            && key.is_none_or(|key| !write_between(key))
+    }
+
+    /// Tests: every indexed write as `(key, slot)`.
+    #[cfg(test)]
+    fn indexed_writes(&self) -> BTreeSet<(Key, u64)> {
+        let slots = |(&key, w): (&Key, &KeyWrites)| match w {
+            KeyWrites::One(x) => vec![(key, *x)],
+            KeyWrites::Many(run) => run.iter().map(|&x| (key, x)).collect(),
+        };
+        self.writes.iter().flat_map(slots).collect()
     }
 }
 
@@ -2818,19 +2894,18 @@ mod tests {
             rep.rules.base.cells.get(Slot(7)).unwrap().committed,
             "the write to 105 is decided"
         );
-        assert!(rep.rules.conflicts.writes.contains(&(105, 5)));
-        assert!(rep.rules.conflicts.writes.contains(&(105, 7)));
+        let indexed = rep.rules.conflicts.indexed_writes();
+        assert!(indexed.contains(&(105, 5)));
+        assert!(indexed.contains(&(105, 7)));
         // The revocation's decision reaches replica 0 (Ireland is 62 ms
         // away; the script clock started when its first suggestion landed).
         sim.run_until(SimTime::from_millis(600));
         let rep = sim.actor::<MenciusReplica>(ActorId(0));
         assert_eq!(rep.decided_at(Slot(5)), Some(&Command::noop()));
         assert_eq!(rep.exec_index(), Slot(1), "slot 2 still blocks execution");
-        assert!(
-            !rep.rules.conflicts.writes.contains(&(105, 5)),
-            "un-indexed"
-        );
-        assert!(rep.rules.conflicts.writes.contains(&(105, 7)));
+        let indexed = rep.rules.conflicts.indexed_writes();
+        assert!(!indexed.contains(&(105, 5)), "un-indexed");
+        assert!(indexed.contains(&(105, 7)));
         assert_eq!(sim.actor::<TestClient>(client).replies.len(), 1);
         // Replica 1 accounts for its slot 2: the prefix runs through the
         // no-op and the write behind it.
@@ -2839,9 +2914,78 @@ mod tests {
         assert_eq!(rep.exec_index(), Slot(7));
         assert_eq!(sim.actor::<TestClient>(client).replies.len(), 2);
         assert!(
-            rep.rules.conflicts.writes.is_empty(),
+            rep.rules.conflicts.indexed_writes().is_empty(),
             "nothing above the prefix"
         );
+    }
+
+    /// The conflict index against a plain ordered set of `(key, slot)`,
+    /// driven by one random script: inserts (repeats among them, and a
+    /// hot key that takes a quarter of them, while the cold keys hold
+    /// none, one or a few writes each), removes (of indexed pairs and of
+    /// pairs never indexed, the returned `bool` compared) and the respond
+    /// rule's range query over random ranges.
+    #[test]
+    fn the_conflict_index_answers_what_an_ordered_set_answers() {
+        const HOT: Key = 7;
+        let mut rng = paxraft_sim::rng::SimRng::new(43);
+        let mut index = ConflictIndex::default();
+        let mut reference: BTreeSet<(Key, u64)> = BTreeSet::new();
+        let mut spilled = 0;
+        for step in 0..20_000 {
+            let key = if rng.gen_bool(0.25) {
+                HOT
+            } else {
+                100 + rng.gen_range(2_000)
+            };
+            let slot = 1 + rng.gen_range(300);
+            let (key, slot) = match rng.gen_range(20) {
+                // Again a pair already indexed, if there is one.
+                0..=1 if !reference.is_empty() => *reference
+                    .iter()
+                    .nth(rng.gen_range(reference.len() as u64) as usize)
+                    .expect("in range"),
+                _ => (key, slot),
+            };
+            match rng.gen_range(20) {
+                0..=6 => {
+                    index.insert(Slot(slot), Holds::Key(key));
+                    reference.insert((key, slot));
+                }
+                // An indexed pair, or a random one (mostly never indexed).
+                7..=13 => {
+                    let (key, slot) = match reference
+                        .iter()
+                        .nth(rng.gen_range(reference.len() as u64 + 1) as usize)
+                    {
+                        Some(&pair) if rng.gen_bool(0.7) => pair,
+                        _ => (key, slot),
+                    };
+                    let was = reference.remove(&(key, slot));
+                    let removed = index.remove(Slot(slot), Holds::Key(key));
+                    assert_eq!(removed, was, "step {step}: remove ({key}, {slot})");
+                }
+                _ => {
+                    let start = rng.gen_range(310);
+                    let between = start..start + rng.gen_range(80);
+                    let pairs = (key, between.start)..(key, between.end);
+                    let clear = reference.range(pairs).next().is_none();
+                    let answer = index.clear(between.clone(), Some(key));
+                    assert_eq!(answer, clear, "step {step}: clear({between:?}, {key})");
+                }
+            }
+            spilled += u64::from(matches!(index.writes.get(&HOT), Some(KeyWrites::Many(_))));
+            if step % 64 == 0 {
+                assert_eq!(index.indexed_writes(), reference, "step {step}");
+            }
+        }
+        assert_eq!(index.indexed_writes(), reference);
+        assert!(spilled > 10_000, "the hot key held many writes: {spilled}");
+        // Removing everything empties the map: no key keeps an entry.
+        for (key, slot) in std::mem::take(&mut reference) {
+            assert!(index.remove(Slot(slot), Holds::Key(key)));
+        }
+        assert!(index.writes.is_empty());
     }
 
     /// Replica 0 checkpoints, accepts replica 1's uncommitted write to a
