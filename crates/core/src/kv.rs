@@ -201,10 +201,11 @@ impl Op {
 
     /// Whether this is a migration control operation (freeze, install,
     /// release). Migration commands are deduplicated by their router
-    /// *version* — not by the coordinator's session sequence — so that
-    /// concurrent migrations sharing a source or destination group stay
-    /// exactly-once even when their commands commit out of sequence
-    /// order.
+    /// *version*, not by the coordinator's session sequence: a retried
+    /// freeze commits again (its apply forces a fresh export) and a late
+    /// duplicate of a finished version can commit after the migration
+    /// moved on, and the version guards keep both from changing state
+    /// twice.
     pub fn is_migration(&self) -> bool {
         matches!(
             self,
@@ -422,14 +423,14 @@ impl KvStore {
     /// entry's position in the log is the hand-off cutover, so every
     /// replica refuses exactly the same suffix of operations.
     ///
-    /// Migration control commands bypass the session table entirely:
-    /// with concurrent migrations, the coordinator's commands can commit
-    /// out of sequence order at a shared source or destination group,
-    /// and the max-seq session gate would silently swallow the
-    /// lower-versioned command. They are idempotent per router version
-    /// (`has_frozen` / `has_absorbed` / the `released` flag) and always
-    /// answer [`Reply::Done`], so replaying a duplicate is harmless and
-    /// the coordinator's retry still gets its reply.
+    /// Migration control commands bypass the session table entirely. A
+    /// retried freeze commits again, because its apply forces a fresh
+    /// export, and a late duplicate of a finished version must stay a
+    /// no-op: they are idempotent per router version (`has_frozen` /
+    /// `has_absorbed` / the `released` flag) and always answer
+    /// [`Reply::Done`], so a duplicate is harmless, the coordinator's
+    /// retry still gets its reply, and no coordinator entry travels in
+    /// snapshots or range exports.
     pub fn apply(&mut self, cmd: &Command) -> Reply {
         if cmd.op.is_migration() {
             return self.apply_migration(&cmd.op);
@@ -484,8 +485,8 @@ impl KvStore {
     }
 
     /// Applies a migration control command (see [`KvStore::apply`]).
-    /// Version-duplicates are dedup hits, not applies — the counter stays
-    /// comparable across serial and concurrent schedules.
+    /// Version-duplicates are dedup hits, not applies — a retried or late
+    /// command does not move the counter.
     fn apply_migration(&mut self, op: &Op) -> Reply {
         let applied = match op {
             Op::FreezeRange(range) => self.apply_freeze(range),
@@ -1035,10 +1036,11 @@ mod tests {
         assert_eq!(kv.snapshot().size_bytes(), large);
     }
 
-    /// Migration commands from the one coordinator client must apply
-    /// even when a lower-versioned command commits *after* a
-    /// higher-versioned one (concurrent migrations racing at a shared
-    /// source group) — the session max-seq gate would swallow it.
+    /// Migration commands from the one coordinator client are deduped
+    /// by version, not by session order: even a lower-versioned command
+    /// committing *after* a higher-versioned one applies (the session
+    /// max-seq gate would swallow it), and a version duplicate is a
+    /// no-op.
     #[test]
     fn migration_ops_dedup_by_version_not_by_session_order() {
         let mut kv = KvStore::new();
@@ -1071,8 +1073,8 @@ mod tests {
         assert!(kv.export_sessions().iter().all(|(c, _, _)| *c != coord));
     }
 
-    /// Out-of-order installs at a shared destination group: version 2's
-    /// install may commit before version 1's.
+    /// Installs absorb by version in any commit order: version 2's
+    /// install committing before version 1's still absorbs both.
     #[test]
     fn out_of_order_installs_both_absorb() {
         let mut kv = KvStore::new();

@@ -4,8 +4,8 @@
 //! [`crate::shard::RebalanceCoordinator`] into a closed-loop controller:
 //! it watches the live per-group telemetry the harness samples between
 //! sim steps, estimates per-range load from the apply-path **load
-//! sketch** (below), and enqueues migrations on the coordinator —
-//! including concurrent migrations of disjoint ranges.
+//! sketch** (below), and enqueues migrations on the coordinator, one at
+//! a time: it picks a move only while the coordinator is idle.
 //!
 //! ## The load sketch
 //!
@@ -41,7 +41,7 @@
 //!    for [`PERSIST_TICKS`] consecutive evaluations before the policy
 //!    acts, so a transient spike (or the migration window's own
 //!    throughput dip) does not trigger moves.
-//! 3. **Cooldown and dwell** — after issuing moves the policy is quiet
+//! 3. **Cooldown and dwell** — after issuing a move the policy is quiet
 //!    for [`COOLDOWN`], and a just-moved bucket is banned from moving
 //!    again for [`DWELL`], so even
 //!    an adversarial hotspot that jumps between groups faster than the
@@ -90,12 +90,12 @@ pub fn bucket_range(records: u64, b: usize) -> (Key, Key) {
 }
 
 // The policy's tuned settings: evaluate every 500 ms, act on a sustained
-// 1.5× imbalance, at most two concurrent moves per decision, 2 s
-// cooldown, 5 s per-bucket dwell. The smoothing (`EWMA_ALPHA` 0.2 at the
-// 100 ms sampling cadence, three consecutive over-threshold evaluations)
-// is sized for closed-loop traffic of ~100 ops/s, where a bucket sees ~1
-// op per sample and raw rates are nearly all Poisson noise — twitchier
-// settings chase that noise into spurious reverse moves.
+// 1.5× imbalance, one move per decision, 2 s cooldown, 5 s per-bucket
+// dwell. The smoothing (`EWMA_ALPHA` 0.2 at the 100 ms sampling cadence,
+// three consecutive over-threshold evaluations) is sized for closed-loop
+// traffic of ~100 ops/s, where a bucket sees ~1 op per sample and raw
+// rates are nearly all Poisson noise — twitchier settings chase that
+// noise into spurious reverse moves.
 
 /// Decision cadence. Samples still feed the rate estimator between
 /// decisions.
@@ -108,15 +108,10 @@ pub const IMBALANCE_RATIO: f64 = 1.5;
 pub const MIN_TOTAL_RATE: f64 = 50.0;
 /// Consecutive over-threshold evaluations required before acting.
 pub const PERSIST_TICKS: u32 = 3;
-/// Quiet period after issuing migrations.
+/// Quiet period after issuing a migration.
 pub const COOLDOWN: SimDuration = SimDuration::from_secs(2);
 /// Per-bucket re-move ban after a move.
 pub const DWELL: SimDuration = SimDuration::from_secs(5);
-/// In-flight migration cap the policy respects (disjoint ranges run
-/// concurrently up to this).
-pub const MAX_CONCURRENT: usize = 2;
-/// Maximum migrations issued per decision.
-pub const MAX_PER_TICK: usize = 2;
 /// EWMA smoothing factor for bucket rates (weight of the newest sample,
 /// in `(0, 1]`).
 pub const EWMA_ALPHA: f64 = 0.2;
@@ -138,7 +133,7 @@ pub struct BalanceDecision {
 /// ([`crate::harness::ClusterBuilder::autobalance`]). Lives harness-side
 /// (like the telemetry sampler): the sharded cluster feeds it one
 /// [`observe`] call per sampling tick, strictly between sim steps, and
-/// forwards its decisions to the coordinator — deterministic by
+/// forwards its decision to the coordinator — deterministic by
 /// construction.
 ///
 /// [`observe`]: AutoBalancePolicy::observe
@@ -175,29 +170,29 @@ impl Default for AutoBalancePolicy {
 }
 
 impl AutoBalancePolicy {
-    /// Feeds one sampling tick and returns any migrations to issue.
+    /// Feeds one sampling tick and returns the migration to issue, if
+    /// any.
     ///
     /// `bucket_counts` are the cluster-wide cumulative sketch counters
     /// (summed over every group's sample, so each op is counted once at
-    /// the group that served it). `planned` is the coordinator's
-    /// planned map — in-flight moves included, so load attribution and
-    /// decisions never double-move a range that is already on its way.
-    /// `inflight`/`inflight_ranges` describe migrations currently
-    /// running.
+    /// the group that served it). `router` is the coordinator's
+    /// published map. `busy` says the coordinator has a migration in
+    /// flight or queued: the rates and the hysteresis streak keep
+    /// counting, but no move is picked, so the first idle evaluation
+    /// after a long move can act at once.
     pub fn observe(
         &mut self,
         now: SimTime,
         bucket_counts: &[f64],
-        planned: &ShardRouter,
-        inflight: usize,
-        inflight_ranges: &[(Key, Key)],
-    ) -> Vec<BalanceDecision> {
+        router: &ShardRouter,
+        busy: bool,
+    ) -> Option<BalanceDecision> {
         // Difference the cumulative counters into smoothed rates. A
         // negative delta (the counting proposer crashed) clamps to 0,
         // mirroring the registry's counter_rate.
         let dt = now.since(self.last_at.min(now)).as_secs_f64();
         if dt <= 0.0 {
-            return Vec::new();
+            return None;
         }
         for b in 0..SKETCH_BUCKETS {
             let count = bucket_counts.get(b).copied().unwrap_or(0.0);
@@ -207,104 +202,79 @@ impl AutoBalancePolicy {
         }
         self.last_at = now;
         if now < self.next_eval {
-            return Vec::new();
+            return None;
         }
         while self.next_eval <= now {
             self.next_eval += CHECK_EVERY;
         }
         if now < self.cooldown_until {
-            return Vec::new();
+            return None;
         }
-        let mut loads = self.group_loads(planned);
+        let loads = self.group_loads(router);
         let total: f64 = loads.iter().sum();
         let (s, d) = hottest_coolest(&loads);
         if total < MIN_TOTAL_RATE || loads[s] <= IMBALANCE_RATIO * loads[d] + f64::EPSILON {
             self.hot_streak = 0;
-            return Vec::new();
+            return None;
         }
         self.hot_streak += 1;
-        if self.hot_streak < PERSIST_TICKS {
-            return Vec::new();
+        if self.hot_streak < PERSIST_TICKS || busy {
+            return None;
         }
-        // Act: move the hottest movable buckets from the hottest to the
-        // coolest group, re-deriving both after every pick so a single
-        // decision cannot overshoot.
-        let records = planned.records();
-        let mut picked: Vec<BalanceDecision> = Vec::new();
-        let budget = MAX_PER_TICK.min(MAX_CONCURRENT.saturating_sub(inflight));
-        for _ in 0..budget {
-            let (s, d) = hottest_coolest(&loads);
-            if loads[s] <= IMBALANCE_RATIO * loads[d] + f64::EPSILON {
-                break;
+        // Act: move the hottest movable bucket from the hottest to the
+        // coolest group. Band preservation (module docs): after moving
+        // rate `x`, `loads[d] + x ≤ r·(loads[s] − x)` must still hold,
+        // so the reverse trigger cannot fire. And the move must carry a
+        // meaningful share of the gap to be worth its window.
+        let records = router.records();
+        let r = IMBALANCE_RATIO.max(1.0);
+        let headroom = (r * loads[s] - loads[d]) / (1.0 + r);
+        let worth = MIN_WORTH_FRACTION * (loads[s] - loads[d]);
+        let mut best: Option<(f64, usize, Key, Key)> = None;
+        for (seg_lo, seg_hi, owner) in router.segments() {
+            if owner as usize != s {
+                continue;
             }
-            // Band preservation (module docs): after moving rate `x`,
-            // `loads[d] + x ≤ r·(loads[s] − x)` must still hold, so the
-            // reverse trigger cannot fire. And the move must carry a
-            // meaningful share of the gap to be worth its window.
-            let r = IMBALANCE_RATIO.max(1.0);
-            let headroom = (r * loads[s] - loads[d]) / (1.0 + r);
-            let worth = MIN_WORTH_FRACTION * (loads[s] - loads[d]);
-            let mut best: Option<(f64, usize, Key, Key)> = None;
-            for (seg_lo, seg_hi, owner) in planned.segments() {
-                if owner as usize != s {
+            for b in 0..SKETCH_BUCKETS {
+                let (b_lo, b_hi) = bucket_range(records, b);
+                let lo = b_lo.max(seg_lo);
+                let hi = b_hi.min(seg_hi);
+                if lo >= hi || now < self.dwell_until[b] {
                     continue;
                 }
-                for b in 0..SKETCH_BUCKETS {
-                    let (b_lo, b_hi) = bucket_range(records, b);
-                    let lo = b_lo.max(seg_lo);
-                    let hi = b_hi.min(seg_hi);
-                    if lo >= hi || now < self.dwell_until[b] {
-                        continue;
-                    }
-                    // The candidate's rate, pro-rated when the segment
-                    // clips the bucket.
-                    let frac = (hi - lo) as f64 / (b_hi - b_lo).max(1) as f64;
-                    let rate = self.ewma[b] * frac;
-                    if rate <= 0.0 || rate < worth || rate > headroom {
-                        continue;
-                    }
-                    let clashes = |ranges: &[(Key, Key)]| {
-                        ranges.iter().any(|&(rlo, rhi)| rlo < hi && lo < rhi)
-                    };
-                    if clashes(inflight_ranges) || picked.iter().any(|p| p.lo < hi && lo < p.hi) {
-                        continue;
-                    }
-                    if best.as_ref().is_none_or(|(r, ..)| rate > *r) {
-                        best = Some((rate, b, lo, hi));
-                    }
+                // The candidate's rate, pro-rated when the segment
+                // clips the bucket.
+                let frac = (hi - lo) as f64 / (b_hi - b_lo).max(1) as f64;
+                let rate = self.ewma[b] * frac;
+                if rate <= 0.0 || rate < worth || rate > headroom {
+                    continue;
+                }
+                if best.as_ref().is_none_or(|(r, ..)| rate > *r) {
+                    best = Some((rate, b, lo, hi));
                 }
             }
-            let Some((rate, b, lo, hi)) = best else {
-                break;
-            };
-            picked.push(BalanceDecision {
-                lo,
-                hi,
-                from_group: s as u32,
-                to_group: d as u32,
-            });
-            self.dwell_until[b] = now + DWELL;
-            loads[s] -= rate;
-            loads[d] += rate;
         }
-        if picked.is_empty() {
-            return picked;
-        }
+        let (_, b, lo, hi) = best?;
+        let decision = BalanceDecision {
+            lo,
+            hi,
+            from_group: s as u32,
+            to_group: d as u32,
+        };
+        self.dwell_until[b] = now + DWELL;
         self.cooldown_until = now + COOLDOWN;
         self.hot_streak = 0;
-        for p in &picked {
-            self.decisions.push((now, *p));
-        }
-        picked
+        self.decisions.push((now, decision));
+        Some(decision)
     }
 
-    /// Per-group load under `planned` ownership: each bucket's smoothed
+    /// Per-group load under `router` ownership: each bucket's smoothed
     /// rate is attributed to the owning group(s), pro-rated where a
     /// segment boundary splits a bucket.
-    fn group_loads(&self, planned: &ShardRouter) -> Vec<f64> {
-        let records = planned.records();
-        let mut loads = vec![0.0; planned.groups()];
-        for (seg_lo, seg_hi, owner) in planned.segments() {
+    fn group_loads(&self, router: &ShardRouter) -> Vec<f64> {
+        let records = router.records();
+        let mut loads = vec![0.0; router.groups()];
+        for (seg_lo, seg_hi, owner) in router.segments() {
             for b in 0..SKETCH_BUCKETS {
                 let (b_lo, b_hi) = bucket_range(records, b);
                 let lo = b_lo.max(seg_lo);
@@ -345,9 +315,9 @@ mod tests {
         policy: &mut AutoBalancePolicy,
         at_ms: u64,
         counts: &[f64],
-        planned: &ShardRouter,
-    ) -> Vec<BalanceDecision> {
-        policy.observe(SimTime::from_millis(at_ms), counts, planned, 0, &[])
+        router: &ShardRouter,
+    ) -> Option<BalanceDecision> {
+        policy.observe(SimTime::from_millis(at_ms), counts, router, false)
     }
 
     /// Cumulative counts growing at `rates[b]` ops/s, sampled at `t`.
@@ -390,7 +360,7 @@ mod tests {
         for i in 1..=15u64 {
             let t = i * 100;
             let d = tick(&mut policy, t, &counts_at(&rates, t as f64 / 1e3), &planned);
-            if !d.is_empty() {
+            if d.is_some() {
                 assert!(t >= 1_000, "hysteresis: no move before two evaluations");
             }
             all.extend(d);
@@ -407,10 +377,6 @@ mod tests {
             let b = bucket_of(RECORDS, d.lo);
             assert!((2..6).contains(&b), "a hot bucket moved, got {b}");
         }
-        assert!(
-            all.len() <= MAX_PER_TICK,
-            "at most MAX_PER_TICK moves per decision"
-        );
     }
 
     /// The band-preservation rule: a single bucket carrying more load
@@ -427,7 +393,7 @@ mod tests {
             let t = i * 100;
             let d = tick(&mut policy, t, &counts_at(&rates, t as f64 / 1e3), &planned);
             assert!(
-                d.is_empty(),
+                d.is_none(),
                 "an indivisible hotspot must not move (tick {i}: {d:?})"
             );
         }
@@ -447,8 +413,8 @@ mod tests {
         let mut moves = 0usize;
         for i in 1..=200u64 {
             let t = i * 100;
-            let ds = tick(&mut policy, t, &counts_at(&rates, t as f64 / 1e3), &planned);
-            for d in ds {
+            let d = tick(&mut policy, t, &counts_at(&rates, t as f64 / 1e3), &planned);
+            if let Some(d) = d {
                 moves += 1;
                 version += 1;
                 planned.apply_move(d.lo, d.hi, d.to_group, version);
@@ -470,7 +436,7 @@ mod tests {
     }
 
     /// Cooldown: two eligible decision points inside one cooldown
-    /// window produce only one batch of moves.
+    /// window produce only one move.
     #[test]
     fn cooldown_spaces_out_batches() {
         let planned = ShardRouter::new(RECORDS, 2);
@@ -479,47 +445,69 @@ mod tests {
         for b in 2..10 {
             rates[b] = 400.0;
         }
-        let mut batch_times = Vec::new();
+        let mut move_times = Vec::new();
         for i in 1..=100u64 {
             let t = i * 100;
             let d = tick(&mut policy, t, &counts_at(&rates, t as f64 / 1e3), &planned);
-            if !d.is_empty() {
-                batch_times.push(t);
+            if d.is_some() {
+                move_times.push(t);
             }
         }
-        assert!(batch_times.len() >= 2, "several batches over 10 s");
-        for w in batch_times.windows(2) {
+        assert!(move_times.len() >= 2, "several moves over 10 s");
+        for w in move_times.windows(2) {
             assert!(
                 w[1] - w[0] >= 2_000,
-                "cooldown of 2 s respected: {batch_times:?}"
+                "cooldown of 2 s respected: {move_times:?}"
             );
         }
     }
 
-    /// In-flight ranges are never double-moved.
+    /// A busy coordinator gets no decision, but the policy keeps
+    /// watching: the rates and the hysteresis streak count on while a
+    /// move runs, so the first idle evaluation after the cooldown acts
+    /// at once instead of waiting out a fresh streak.
     #[test]
-    fn inflight_ranges_are_excluded() {
-        let planned = ShardRouter::new(RECORDS, 2);
+    fn a_busy_coordinator_gets_no_decision() {
+        let mut router = ShardRouter::new(RECORDS, 2);
         let mut policy = AutoBalancePolicy::default();
+        // Fed the same samples, never told the coordinator is busy.
+        let mut control = AutoBalancePolicy::default();
         let mut rates = [10.0f64; SKETCH_BUCKETS];
-        rates[2] = 300.0;
-        rates[3] = 290.0;
-        let hot2 = bucket_range(RECORDS, 2);
-        for i in 1..=20u64 {
-            let t = i * 100;
-            let ds = policy.observe(
-                SimTime::from_millis(t),
-                &counts_at(&rates, t as f64 / 1e3),
-                &planned,
-                1,
-                &[hot2],
-            );
-            for d in &ds {
-                assert!(
-                    d.hi <= hot2.0 || d.lo >= hot2.1,
-                    "decision {d:?} overlaps the in-flight range {hot2:?}"
-                );
-            }
+        for b in 2..10 {
+            rates[b] = 400.0;
         }
+        let counts = |t: u64| counts_at(&rates, t as f64 / 1e3);
+        // Idle until the first move (three evaluations of hysteresis).
+        let first = (1..=15u64)
+            .find_map(|i| tick(&mut policy, i * 100, &counts(i * 100), &router))
+            .expect("the policy acts on the sustained imbalance");
+        assert_eq!(policy.decisions[0].0, SimTime::from_millis(1_500));
+        for i in 1..=15u64 {
+            tick(&mut control, i * 100, &counts(i * 100), &router);
+        }
+        // The move runs until 5 s, past the 2 s cooldown (3.5 s).
+        for i in 16..=50u64 {
+            let t = SimTime::from_millis(i * 100);
+            let d = policy.observe(t, &counts(i * 100), &router, true);
+            assert_eq!(d, None, "busy at {t}: no decision");
+            control.observe(t, &counts(i * 100), &router, false);
+        }
+        assert_eq!(policy.ewma, control.ewma, "the rates kept counting");
+        assert!(
+            policy.hot_streak >= PERSIST_TICKS,
+            "the streak kept counting ({})",
+            policy.hot_streak
+        );
+        // The move is published; the next evaluation (5.5 s) is idle.
+        router.apply_move(first.lo, first.hi, first.to_group, 1);
+        let next = (51..=55u64)
+            .find_map(|i| tick(&mut policy, i * 100, &counts(i * 100), &router))
+            .expect("the first idle evaluation acts");
+        assert_eq!(
+            policy.decisions.last().map(|(t, _)| *t),
+            Some(SimTime::from_millis(5_500)),
+            "no new hysteresis wait ({next:?})"
+        );
+        assert_eq!((next.from_group, next.to_group), (0, 1));
     }
 }

@@ -331,13 +331,6 @@ impl ShardedCluster {
         })
     }
 
-    /// High-water mark of concurrently in-flight migrations.
-    pub fn peak_inflight_migrations(&self) -> usize {
-        self.coordinator.map_or(0, |c| {
-            self.sim.actor::<RebalanceCoordinator>(c).peak_inflight
-        })
-    }
-
     /// Versions of migrations whose release completed (empty without a
     /// coordinator).
     pub fn migrations_completed(&self) -> Vec<u64> {
@@ -689,36 +682,28 @@ impl ShardedCluster {
     }
 
     /// One closed-loop control step: hand the policy the cluster-wide
-    /// load sketch plus the coordinator's in-flight picture, and enqueue
-    /// whatever migrations it decides. Runs between sim steps at the
-    /// sampling cadence, so decisions are a pure function of the run so
-    /// far — two identical seeds produce identical decision logs.
+    /// load sketch, the coordinator's published map and whether it is
+    /// busy, and enqueue the migration it decides, if any. Runs between
+    /// sim steps at the sampling cadence, so decisions are a pure
+    /// function of the run so far — two identical seeds produce
+    /// identical decision logs.
     fn tick_policy(&mut self, now: SimTime, cluster_sample: &MetricSample) {
         let (Some(policy), Some(coord)) = (self.policy.as_mut(), self.coordinator) else {
             return;
         };
         let counts: Vec<f64> = SKETCH_NAMES.iter().map(|n| cluster_sample.get(n)).collect();
-        let (planned, inflight, ranges) = {
-            let c = self.sim.actor::<RebalanceCoordinator>(coord);
-            (
-                c.planned_router().clone(),
-                c.inflight(),
-                c.inflight_ranges(),
-            )
-        };
-        let decisions = policy.observe(now, &counts, &planned, inflight, &ranges);
-        if decisions.is_empty() {
+        let c = self.sim.actor::<RebalanceCoordinator>(coord);
+        let Some(d) = policy.observe(now, &counts, c.router(), !c.done()) else {
             return;
-        }
-        let c = self.sim.actor_mut::<RebalanceCoordinator>(coord);
-        for d in decisions {
-            c.enqueue(MigrationSpec {
+        };
+        self.sim
+            .actor_mut::<RebalanceCoordinator>(coord)
+            .enqueue(MigrationSpec {
                 at: SimDuration::from_nanos(now.as_nanos()),
                 lo: d.lo,
                 hi: d.hi,
                 to_group: d.to_group,
             });
-        }
     }
 
     /// The sampled per-group metric time-series collected so far (empty
@@ -1334,9 +1319,8 @@ mod tests {
     }
 
     /// Closed-loop end to end: a sustained hotspot inside group 0's
-    /// range makes the policy migrate the hot buckets to group 1 — with
-    /// disjoint ranges in flight *concurrently* — and the post-move
-    /// ownership actually changed.
+    /// range makes the policy migrate the hot buckets to group 1, one
+    /// move at a time, and the post-move ownership actually changed.
     #[test]
     fn autobalance_policy_moves_a_sustained_hotspot_off_the_loaded_group() {
         use crate::telemetry::TelemetryConfig;
@@ -1377,11 +1361,6 @@ mod tests {
                 "moves target the hotspot window ({d:?})"
             );
         }
-        assert!(
-            cluster.peak_inflight_migrations() >= 2,
-            "disjoint hot ranges migrated concurrently (peak {})",
-            cluster.peak_inflight_migrations()
-        );
         let current = cluster.current_router();
         assert!(
             current.version() > 0 && current.group_of(decisions[0].1.lo) == 1,
@@ -1398,12 +1377,12 @@ mod tests {
 
     /// Anti-livelock regression: an adversarial hotspot oscillating
     /// between the two groups faster than the control loop converges
-    /// must produce a *bounded* migration count (cooldown caps batches,
-    /// dwell bans just-moved buckets) — and the decision log must be a
-    /// pure function of the seed.
+    /// must produce a *bounded* migration count (cooldown spaces out
+    /// moves, dwell bans just-moved buckets) — and the decision log must
+    /// be a pure function of the seed.
     #[test]
     fn oscillating_hotspot_yields_bounded_and_deterministic_migrations() {
-        use crate::shard::autobalance::{COOLDOWN, MAX_PER_TICK};
+        use crate::shard::autobalance::COOLDOWN;
         use crate::telemetry::TelemetryConfig;
         use paxraft_workload::scenario::Hotspot;
         let run = || {
@@ -1434,10 +1413,9 @@ mod tests {
             (cluster.migrations_started(), cluster.policy_decisions())
         };
         let (started, decisions) = run();
-        // Cooldown admits one batch of ≤ MAX_PER_TICK moves per 2 s of
-        // the 15 s run: the count is bounded no matter how fast the
-        // hotspot jumps.
-        let bound = MAX_PER_TICK * (15 / COOLDOWN.as_secs_f64() as usize + 1);
+        // Cooldown admits one move per 2 s of the 15 s run: the count is
+        // bounded no matter how fast the hotspot jumps.
+        let bound = 15 / COOLDOWN.as_secs_f64() as usize + 1;
         assert!(
             started <= bound,
             "migration count bounded under oscillation ({started} <= {bound})"

@@ -331,14 +331,14 @@ pub struct MigrationSpec {
 
 /// Command-id scheme for migration commands. The coordinator is an
 /// ordinary logical client so replies route normally, but migration
-/// commands are *not* session-deduplicated: with concurrent disjoint
-/// migrations they can commit out of sequence order at a shared source
-/// or destination group, so exactly-once apply comes from the
-/// per-version idempotency guards in the state machine (`has_frozen`,
-/// `has_absorbed`, the frozen range's `released` flag) instead. The
-/// `version * 4 + phase` encoding remains so the coordinator can
-/// recover `(version, phase)` from a reply id and dispatch it to the
-/// right in-flight migration.
+/// commands are *not* session-deduplicated: a retried freeze commits
+/// again because its apply forces a fresh export, and a late duplicate
+/// of a finished version must stay a no-op, so exactly-once apply comes
+/// from the per-version idempotency guards in the state machine
+/// (`has_frozen`, `has_absorbed`, the frozen range's `released` flag)
+/// instead. The `version * 4 + phase` encoding remains so the
+/// coordinator can recover `(version, phase)` from a reply id and tell
+/// a reply for its in-flight migration from a late one.
 pub fn freeze_cmd_id(coord: u32, version: RouterVersion) -> CmdId {
     CmdId {
         client: coord,

@@ -30,9 +30,9 @@
 //!   exactly-once hand-off in every protocol.
 //! - [`autobalance`] — **closed-loop placement**: a policy engine that
 //!   watches live per-group telemetry and the apply-path load sketch,
-//!   and drives the coordinator itself (concurrent disjoint-range
-//!   migrations, hysteresis + cooldown so it provably never
-//!   ping-pongs) instead of replaying a script.
+//!   and drives the coordinator itself (one migration at a time,
+//!   hysteresis + cooldown so it provably never ping-pongs) instead of
+//!   replaying a script.
 //!
 //! Leader placement is the axis where the Paxos/Raft leader-flexibility
 //! difference shows up ("Paxos vs Raft: Have we reached consensus on

@@ -8,25 +8,20 @@
 //! either group is survived by plain client-style retransmission to
 //! another replica. Exactly-once apply of its commands comes from the
 //! state machine's per-version idempotency guards (see
-//! [`crate::shard::migration`]), not from session dedup — which is what
-//! lets the coordinator run **disjoint-range migrations concurrently**:
-//! each in-flight migration is an independent [`Flight`] state machine,
-//! and only three orderings are enforced globally:
+//! [`crate::shard::migration`]), not from session dedup: a retried
+//! freeze commits again because its apply forces a fresh export, and a
+//! late duplicate of a finished version must stay a no-op.
 //!
-//! 1. a migration starts only when its range is disjoint from every
-//!    in-flight range (same-range moves still serialize),
-//! 2. versions are assigned in start order against the `planned` map,
-//!    so the freeze's source group is always well-defined, and
-//! 3. router *publishes* happen strictly in version order
-//!    ([`ShardRouter::apply_move`] drops out-of-order versions
-//!    forever) — an install that finishes early waits in
-//!    `pending_moves` until the gap below it fills.
+//! Migrations run **one at a time**, the schedule the model-checked
+//! spec (`specs::shardkv` in `paxraft-spec`) explores: the coordinator
+//! holds at most one `Flight` and starts the first due plan entry only
+//! when idle. Every started move is therefore published before the next
+//! one starts, so versions are assigned and published in order by
+//! construction and the published map names every range's source group.
 //!
 //! The only non-client machinery is in the replicas themselves — the
 //! source leader's export pump and the destination's chunk absorption
 //! (see [`crate::shard::migration`] and the engine hooks).
-
-use std::collections::BTreeMap;
 
 use paxraft_sim::impl_actor_any;
 use paxraft_sim::sim::{Actor, ActorId, Ctx};
@@ -40,20 +35,15 @@ use crate::shard::migration::{
 };
 use crate::shard::ShardRouter;
 
-/// Maximum simultaneously in-flight migrations, scripted or decided by
-/// the auto-balance policy (which holds itself to
-/// [`crate::shard::autobalance::MAX_CONCURRENT`]).
-const MAX_IN_FLIGHT: usize = 4;
-
 /// Scripted rebalancing for a sharded cluster
 /// ([`crate::harness::ClusterBuilder::rebalance_config`]). Empty by
 /// default: no coordinator actor is created and the cluster is
 /// bit-for-bit the non-rebalancing cluster.
 #[derive(Debug, Clone, Default)]
 pub struct RebalanceConfig {
-    /// Migrations to run. Entries whose ranges overlap run serialized
-    /// in plan order; disjoint due entries run concurrently, up to four
-    /// at a time.
+    /// Migrations to run, one at a time: each starts once it is due and
+    /// every earlier-started migration has released, and due entries
+    /// start in plan order.
     pub migrations: Vec<MigrationSpec>,
 }
 
@@ -82,27 +72,48 @@ enum Phase {
     Release,
 }
 
-/// The command a flight is currently retrying.
-#[derive(Debug, Clone)]
-struct Outstanding {
-    cmd: Command,
-    /// The group the command addresses.
-    group: u32,
-    /// Rotation index into the group's replicas (a crashed or
-    /// partitioned replica is routed around on retry).
-    rotation: usize,
-    sent: SimTime,
-}
-
-/// One in-flight migration's state machine.
+/// The in-flight migration's state machine and the source-group
+/// command it is retrying.
 #[derive(Debug, Clone)]
 struct Flight {
     version: RouterVersion,
     lo: Key,
     hi: Key,
+    from_group: u32,
     to_group: u32,
     phase: Phase,
-    outstanding: Outstanding,
+    /// Rotation index into the source group's replicas (a crashed or
+    /// partitioned replica is routed around on retry).
+    rotation: usize,
+    sent: SimTime,
+}
+
+impl Flight {
+    /// The command the current phase sends to the source group. The
+    /// install wait keeps the freeze as its retried probe: re-freezing
+    /// is a version-dedup no-op that forces a fresh export, which makes
+    /// the destination re-announce a lost install response.
+    fn command(&self, coord: u32) -> Command {
+        match self.phase {
+            Phase::Freeze | Phase::Install => Command {
+                id: freeze_cmd_id(coord, self.version),
+                op: Op::FreezeRange(Box::new(FrozenRange {
+                    lo: self.lo,
+                    hi: self.hi,
+                    to_group: self.to_group,
+                    version: self.version,
+                    coord,
+                    released: false,
+                })),
+            },
+            Phase::Release => Command {
+                id: release_cmd_id(coord, self.version),
+                op: Op::ReleaseRange {
+                    version: self.version,
+                },
+            },
+        }
+    }
 }
 
 /// The coordinator actor. One per sharded cluster with a non-empty
@@ -110,36 +121,18 @@ struct Flight {
 /// actor id so replica responses route to it like to any client.
 pub struct RebalanceCoordinator {
     client_id: u32,
-    /// Published ownership: moves applied strictly in version order as
-    /// installs complete; this is what `RouterUpdate` ships to clients.
+    /// Published ownership: each move is applied when its install
+    /// commits; this is what `RouterUpdate` ships to clients.
     router: ShardRouter,
-    /// Planned ownership: every *started* migration's move applied at
-    /// start time. Source-group resolution and the auto-balance policy
-    /// read this map — it already accounts for in-flight hand-offs.
-    planned: ShardRouter,
+    /// Migrations not yet started, in plan order.
     plan: Vec<MigrationSpec>,
-    /// Parallel to `plan`: whether the entry has been started.
-    started: Vec<bool>,
-    /// Next version to assign (migrations are versioned in start order).
-    next_version: RouterVersion,
     /// `targets[g]` are group `g`'s replica actors (node order).
     targets: Vec<Vec<ActorId>>,
     /// Workload clients to publish router updates to.
     clients: Vec<ActorId>,
-    flights: Vec<Flight>,
-    /// Installs whose publish waits for a lower version to install
-    /// first: `version → (lo, hi, to_group)`.
-    pending_moves: BTreeMap<RouterVersion, (Key, Key, u32)>,
+    flight: Option<Flight>,
     /// Versions of completed (released) migrations, in completion order.
     pub completed: Vec<RouterVersion>,
-    /// Versions whose install committed, in commit order (out-of-order
-    /// under concurrency); superset of `completed`.
-    pub installed: Vec<RouterVersion>,
-    /// Versions in publish order — strictly increasing by construction;
-    /// the router-version monotonicity pin.
-    pub published: Vec<RouterVersion>,
-    /// High-water mark of simultaneously in-flight migrations.
-    pub peak_inflight: usize,
 }
 
 impl RebalanceCoordinator {
@@ -151,22 +144,14 @@ impl RebalanceCoordinator {
         targets: Vec<Vec<ActorId>>,
         clients: Vec<ActorId>,
     ) -> Self {
-        let started = vec![false; plan.len()];
         RebalanceCoordinator {
             client_id,
-            planned: router.clone(),
             router,
             plan,
-            started,
-            next_version: 1,
             targets,
             clients,
-            flights: Vec::new(),
-            pending_moves: BTreeMap::new(),
+            flight: None,
             completed: Vec::new(),
-            installed: Vec::new(),
-            published: Vec::new(),
-            peak_inflight: 0,
         }
     }
 
@@ -175,142 +160,75 @@ impl RebalanceCoordinator {
         &self.router
     }
 
-    /// The planned map: published moves plus every in-flight move,
-    /// applied at start time.
-    pub fn planned_router(&self) -> &ShardRouter {
-        &self.planned
-    }
-
-    /// Whether every planned migration has completed.
+    /// Whether every planned migration has completed: nothing is in
+    /// flight or waiting to start.
     pub fn done(&self) -> bool {
-        self.completed.len() == self.plan.len()
-    }
-
-    /// Number of migrations currently in flight.
-    pub fn inflight(&self) -> usize {
-        self.flights.len()
-    }
-
-    /// The key ranges currently migrating.
-    pub fn inflight_ranges(&self) -> Vec<(Key, Key)> {
-        self.flights.iter().map(|f| (f.lo, f.hi)).collect()
+        self.flight.is_none() && self.plan.is_empty()
     }
 
     /// Number of migrations started so far (the auto-balance livelock
     /// bound counts these, not completions).
     pub fn migrations_started(&self) -> usize {
-        self.started.iter().filter(|s| **s).count()
+        self.completed.len() + usize::from(self.flight.is_some())
     }
 
     /// Appends a migration decided at runtime (the auto-balance
-    /// policy). It starts at the coordinator's next tick, subject to
-    /// the same disjointness and concurrency gates as scripted entries.
+    /// policy). It starts at the coordinator's next tick once nothing
+    /// is in flight.
     pub fn enqueue(&mut self, spec: MigrationSpec) {
         self.plan.push(spec);
-        self.started.push(false);
     }
 
-    fn send_flight(&mut self, ctx: &mut Ctx<Msg>, i: usize) {
-        let f = &mut self.flights[i];
-        let replicas = &self.targets[f.outstanding.group as usize];
-        let target = replicas[f.outstanding.rotation % replicas.len()];
-        f.outstanding.sent = ctx.now();
-        let cmd = f.outstanding.cmd.clone();
+    /// Sends the flight's current command to the next replica in its
+    /// rotation.
+    fn send(&mut self, ctx: &mut Ctx<Msg>) {
+        let Some(f) = self.flight.as_mut() else {
+            return;
+        };
+        let replicas = &self.targets[f.from_group as usize];
+        let target = replicas[f.rotation % replicas.len()];
+        f.sent = ctx.now();
+        let cmd = f.command(self.client_id);
         ctx.send(target, Msg::Client(ClientMsg::Request { cmd }));
     }
 
-    /// Starts every due plan entry whose range is disjoint from all
-    /// in-flight ranges, up to the concurrency cap. Entries overlapping
-    /// an in-flight range wait for it to finish — same-range moves
-    /// (merge then split back) serialize exactly as before.
+    /// When idle, starts the first due plan entry. Every earlier move
+    /// is published by then, so the published map names the source
+    /// group and the next version.
     fn start_due(&mut self, ctx: &mut Ctx<Msg>, now: SimTime) {
-        for idx in 0..self.plan.len() {
-            if self.flights.len() >= MAX_IN_FLIGHT {
-                break;
-            }
-            if self.started[idx] {
-                continue;
-            }
-            let spec = self.plan[idx].clone();
-            if now.as_nanos() < spec.at.as_nanos() {
-                continue;
-            }
-            let overlaps = self
-                .flights
-                .iter()
-                .any(|f| f.lo < spec.hi && spec.lo < f.hi);
-            if overlaps {
-                continue;
-            }
-            assert!(
-                (spec.to_group as usize) < self.targets.len(),
-                "unknown destination group"
-            );
-            let from_group = self.planned.group_of(spec.lo);
-            debug_assert_eq!(
-                from_group,
-                self.planned.group_of(spec.hi - 1),
-                "a migration's range must have a single planned owner"
-            );
-            assert_ne!(from_group, spec.to_group, "range already at destination");
-            self.started[idx] = true;
-            let version = self.next_version;
-            self.next_version += 1;
-            // Record the move in the planned map immediately: versions
-            // are assigned in start order, so this apply never hits the
-            // stale-version guard.
-            self.planned
-                .apply_move(spec.lo, spec.hi, spec.to_group, version);
-            let cmd = Command {
-                id: freeze_cmd_id(self.client_id, version),
-                op: Op::FreezeRange(Box::new(FrozenRange {
-                    lo: spec.lo,
-                    hi: spec.hi,
-                    to_group: spec.to_group,
-                    version,
-                    coord: self.client_id,
-                    released: false,
-                })),
-            };
-            self.flights.push(Flight {
-                version,
-                lo: spec.lo,
-                hi: spec.hi,
-                to_group: spec.to_group,
-                phase: Phase::Freeze,
-                outstanding: Outstanding {
-                    cmd,
-                    group: from_group,
-                    rotation: 0,
-                    sent: now,
-                },
-            });
-            self.peak_inflight = self.peak_inflight.max(self.flights.len());
-            self.send_flight(ctx, self.flights.len() - 1);
+        if self.flight.is_some() {
+            return;
         }
-    }
-
-    /// Applies and broadcasts every pending move whose version is next
-    /// in line. Publishing in version order is what keeps every
-    /// client's `apply_move` applicable — a skipped version would be
-    /// dropped by the stale-version guard and lost forever.
-    fn publish_ready(&mut self, ctx: &mut Ctx<Msg>) {
-        while let Some((&version, &(lo, hi, to_group))) = self.pending_moves.first_key_value() {
-            if version != self.router.version() + 1 {
-                break;
-            }
-            self.pending_moves.remove(&version);
-            self.router.apply_move(lo, hi, to_group, version);
-            self.published.push(version);
-            for &c in &self.clients.clone() {
-                ctx.send(
-                    c,
-                    Msg::Client(ClientMsg::RouterUpdate {
-                        router: self.router.clone(),
-                    }),
-                );
-            }
-        }
+        let Some(idx) = self
+            .plan
+            .iter()
+            .position(|spec| now.as_nanos() >= spec.at.as_nanos())
+        else {
+            return;
+        };
+        let spec = self.plan.remove(idx);
+        assert!(
+            (spec.to_group as usize) < self.targets.len(),
+            "unknown destination group"
+        );
+        let from_group = self.router.group_of(spec.lo);
+        debug_assert_eq!(
+            from_group,
+            self.router.group_of(spec.hi - 1),
+            "a migration's range must have a single owner"
+        );
+        assert_ne!(from_group, spec.to_group, "range already at destination");
+        self.flight = Some(Flight {
+            version: self.router.version() + 1,
+            lo: spec.lo,
+            hi: spec.hi,
+            from_group,
+            to_group: spec.to_group,
+            phase: Phase::Freeze,
+            rotation: 0,
+            sent: now,
+        });
+        self.send(ctx);
     }
 
     fn on_response(&mut self, ctx: &mut Ctx<Msg>, id: CmdId, reply: Reply) {
@@ -321,45 +239,39 @@ impl RebalanceCoordinator {
             !matches!(reply, Reply::WrongGroup { .. }),
             "migration commands are keyless and never misrouted"
         );
-        let version = version_of_cmd(id);
-        let Some(i) = self.flights.iter().position(|f| f.version == version) else {
+        let Some(f) = self
+            .flight
+            .as_mut()
+            .filter(|f| f.version == version_of_cmd(id))
+        else {
             return; // late duplicate of a finished migration
         };
-        let flight = self.flights[i].clone();
-        match flight.phase {
-            Phase::Freeze if id == freeze_cmd_id(self.client_id, version) => {
+        match f.phase {
+            Phase::Freeze if id == freeze_cmd_id(self.client_id, f.version) => {
                 // The cutover is committed; the source leader's export
-                // pump takes it from here. Keep the freeze command as
-                // the retried probe: re-freezing is a version-dedup
-                // no-op that forces a fresh export, which makes the
-                // destination re-announce a lost install response.
-                self.flights[i].phase = Phase::Install;
-                self.flights[i].outstanding.sent = ctx.now();
+                // pump takes it from here.
+                f.phase = Phase::Install;
+                f.sent = ctx.now();
             }
-            Phase::Install if id == install_cmd_id(self.client_id, version) => {
-                // The destination group committed the range: queue the
-                // map publish (in version order), then release the
-                // source's copy.
-                self.installed.push(version);
-                self.pending_moves
-                    .insert(version, (flight.lo, flight.hi, flight.to_group));
-                self.publish_ready(ctx);
-                let src = flight.outstanding.group;
-                self.flights[i].phase = Phase::Release;
-                self.flights[i].outstanding = Outstanding {
-                    cmd: Command {
-                        id: release_cmd_id(self.client_id, version),
-                        op: Op::ReleaseRange { version },
-                    },
-                    group: src,
-                    rotation: 0,
-                    sent: ctx.now(),
-                };
-                self.send_flight(ctx, i);
+            Phase::Install if id == install_cmd_id(self.client_id, f.version) => {
+                // The destination group committed the range: publish
+                // the bumped map, then release the source's copy.
+                self.router.apply_move(f.lo, f.hi, f.to_group, f.version);
+                for &c in &self.clients {
+                    ctx.send(
+                        c,
+                        Msg::Client(ClientMsg::RouterUpdate {
+                            router: self.router.clone(),
+                        }),
+                    );
+                }
+                f.phase = Phase::Release;
+                f.rotation = 0;
+                self.send(ctx);
             }
-            Phase::Release if id == release_cmd_id(self.client_id, version) => {
-                self.completed.push(version);
-                self.flights.remove(i);
+            Phase::Release if id == release_cmd_id(self.client_id, f.version) => {
+                self.completed.push(f.version);
+                self.flight = None;
             }
             _ => {}
         }
@@ -380,20 +292,19 @@ impl Actor<Msg> for RebalanceCoordinator {
     fn on_timer(&mut self, ctx: &mut Ctx<Msg>, _token: u64) {
         let now = ctx.now();
         self.start_due(ctx, now);
-        // Client-style retransmission per flight: rotate to another
-        // replica of the addressed group (the previous one may have
-        // crashed; forwarding finds the leader from any of them). The
-        // install wait retries the freeze probe on a longer fuse — the
-        // transfer legitimately takes a while.
-        for i in 0..self.flights.len() {
-            let fuse = match self.flights[i].phase {
+        // Client-style retransmission: rotate to another replica of the
+        // source group (the previous one may have crashed; forwarding
+        // finds the leader from any of them). The install wait retries
+        // the freeze probe on a longer fuse — the transfer legitimately
+        // takes a while.
+        if let Some(f) = self.flight.as_mut() {
+            let fuse = match f.phase {
                 Phase::Install => SimDuration::from_millis(2_500),
                 _ => SimDuration::from_millis(1_000),
             };
-            let sent = self.flights[i].outstanding.sent;
-            if now.since(sent.min(now)) >= fuse {
-                self.flights[i].outstanding.rotation += 1;
-                self.send_flight(ctx, i);
+            if now.since(f.sent.min(now)) >= fuse {
+                f.rotation += 1;
+                self.send(ctx);
             }
         }
         ctx.set_timer(SimDuration::from_millis(50), 1);
@@ -818,14 +729,16 @@ mod tests {
         }
     }
 
-    /// Satellite conformance row: **two disjoint-range migrations race
-    /// a source-leader crash** on all four base rule sets. Pins
-    /// exactly-once apply (values survive, nothing served by two
-    /// groups) and router-version monotonicity (publishes strictly
-    /// increasing even when installs complete out of order), plus that
-    /// the two flights genuinely overlapped in time.
+    /// Two disjoint moves from different source groups into one
+    /// destination, both due at once, race a crash of the first
+    /// source's leader on all four base rule sets. The coordinator runs
+    /// them **one at a time** — at no 10 ms step has a migration
+    /// started before the previous one released — and both commit
+    /// exactly once: versions 1 and 2 in order, every value survives,
+    /// and no live replica holds a key the final map gives to another
+    /// group.
     #[test]
-    fn concurrent_disjoint_migrations_survive_source_leader_crash() {
+    fn migrations_due_together_run_one_at_a_time_through_a_source_leader_crash() {
         for p in [
             ProtocolKind::Raft,
             ProtocolKind::RaftStar,
@@ -833,13 +746,16 @@ mod tests {
             ProtocolKind::RaftStarMencius,
         ] {
             let name = p.name();
-            let router = crate::shard::ShardRouter::new(WorkloadConfig::default().records, 2);
-            let (lo0, hi0) = router.range(0);
-            let quarter = lo0 + (hi0 - lo0) / 4;
-            let mid = (lo0 + hi0) / 2;
+            let router = crate::shard::ShardRouter::new(WorkloadConfig::default().records, 3);
+            let upper_half = |g: usize| {
+                let (lo, hi) = router.range(g);
+                ((lo + hi) / 2, hi)
+            };
+            let (mid0, hi0) = upper_half(0);
+            let (mid1, hi1) = upper_half(1);
             let at = SimDuration::from_secs(4);
             let mut cluster = Cluster::builder(p)
-                .shard_config(ShardConfig::groups(2))
+                .shard_config(ShardConfig::groups(3))
                 .snapshot_config(crate::snapshot::SnapshotConfig {
                     chunk_bytes: 128,
                     ..crate::snapshot::SnapshotConfig::default()
@@ -848,22 +764,23 @@ mod tests {
                     RebalanceConfig::default()
                         .migrate(MigrationSpec {
                             at,
-                            lo: quarter,
-                            hi: mid,
-                            to_group: 1,
+                            lo: mid0,
+                            hi: hi0,
+                            to_group: 2,
                         })
                         .migrate(MigrationSpec {
                             at,
-                            lo: mid,
-                            hi: hi0,
-                            to_group: 1,
+                            lo: mid1,
+                            hi: hi1,
+                            to_group: 2,
                         }),
                 )
                 .seed(37)
                 .build_sharded();
             cluster.elect_leaders();
-            // One marker key in each moving range and one that stays.
-            let keys = [quarter - 1, quarter + 1, mid + 1];
+            // One marker key in each moving range and one beside it
+            // that stays.
+            let keys = [mid0 - 1, mid0 + 1, mid1 - 1, mid1 + 1];
             for key in keys {
                 let r = cluster
                     .submit_and_wait(Op::Put {
@@ -873,35 +790,35 @@ mod tests {
                     .expect("pre-migration put");
                 assert_eq!(r, Reply::Done, "{name}");
             }
-            // Crash the shared source group's leader while both
-            // transfers are in flight.
+            // Crash group 0's leader while the first move is in flight.
             let victim = cluster.replica(0, cluster.leaders()[0]);
-            cluster
-                .sim
-                .crash_at(victim, paxraft_sim::time::SimTime::from_millis(4_150));
-            cluster.run_until_rebalanced(SimDuration::from_secs(120));
-            let coord = cluster.coordinator().expect("coordinator exists");
-            let c = cluster
-                .sim
-                .actor::<crate::shard::RebalanceCoordinator>(coord);
-            let mut completed = c.completed.clone();
-            completed.sort_unstable();
-            assert_eq!(completed, vec![1, 2], "{name}: both migrations completed");
-            assert!(
-                c.published.windows(2).all(|w| w[0] < w[1]),
-                "{name}: publishes are version-monotone ({:?})",
-                c.published
-            );
-            assert_eq!(c.published, vec![1, 2], "{name}: every version published");
-            assert_eq!(
-                c.peak_inflight, 2,
-                "{name}: the disjoint migrations actually overlapped"
-            );
+            let crash = paxraft_sim::time::SimTime::from_millis(4_150);
+            cluster.sim.crash_at(victim, crash);
+            let deadline = cluster.sim.now() + SimDuration::from_secs(120);
+            while cluster.migrations_completed().len() < 2 {
+                let before = cluster.sim.now();
+                assert!(before < deadline, "{name}: migrations stuck");
+                cluster.sim.run_for(SimDuration::from_millis(10));
+                let (started, completed) = (
+                    cluster.migrations_started(),
+                    cluster.migrations_completed().len(),
+                );
+                assert!(
+                    started <= completed + 1,
+                    "{name}: {started} started, {completed} completed at {}",
+                    cluster.sim.now()
+                );
+                if (before..=cluster.sim.now()).contains(&crash) {
+                    assert_eq!((started, completed), (1, 0), "{name}: crash mid-move");
+                }
+            }
+            assert_eq!(cluster.migrations_completed(), vec![1, 2], "{name}");
             let router = cluster.current_router();
             assert_eq!(router.version(), 2, "{name}: map at final version");
-            assert_eq!(router.group_of(quarter - 1), 0, "{name}");
-            assert_eq!(router.group_of(quarter + 1), 1, "{name}");
-            assert_eq!(router.group_of(mid + 1), 1, "{name}");
+            assert_eq!(router.group_of(mid0 - 1), 0, "{name}");
+            assert_eq!(router.group_of(mid0 + 1), 2, "{name}");
+            assert_eq!(router.group_of(mid1 - 1), 1, "{name}");
+            assert_eq!(router.group_of(mid1 + 1), 2, "{name}");
             // Values survived both moves; exclusivity holds everywhere.
             for key in keys {
                 let r = cluster
@@ -914,7 +831,7 @@ mod tests {
             }
             cluster.sim.run_for(SimDuration::from_secs(2));
             for node in 0..5u32 {
-                for g in 0..2usize {
+                for g in 0..3usize {
                     let actor = cluster.replica(g, NodeId(node));
                     if cluster.sim.is_crashed(actor) {
                         continue;
@@ -927,78 +844,6 @@ mod tests {
                             "{name}: key {k} in group {g} but owned by {owner}"
                         );
                     }
-                }
-            }
-        }
-    }
-
-    /// Two concurrent migrations **into the same destination group**
-    /// from different sources: the installs carry non-monotone
-    /// coordinator sequence numbers, so this pins the version-keyed
-    /// dedup (a session max-seq gate would swallow whichever install
-    /// commits second).
-    #[test]
-    fn concurrent_migrations_into_one_destination_commit_exactly_once() {
-        let p = ProtocolKind::Raft;
-        let mut cluster = Cluster::builder(p)
-            .shard_config(ShardConfig::groups(3))
-            .rebalance_config(
-                RebalanceConfig::default()
-                    .migrate(MigrationSpec {
-                        at: SimDuration::from_secs(4),
-                        lo: 20_000,
-                        hi: 30_000,
-                        to_group: 2,
-                    })
-                    .migrate(MigrationSpec {
-                        at: SimDuration::from_secs(4),
-                        lo: 40_000,
-                        hi: 50_000,
-                        to_group: 2,
-                    }),
-            )
-            .seed(41)
-            .build_sharded();
-        cluster.elect_leaders();
-        for key in [25_000u64, 45_000] {
-            let r = cluster
-                .submit_and_wait(Op::Put {
-                    key,
-                    value: vec![3; 16].into(),
-                })
-                .expect("pre-migration put");
-            assert_eq!(r, Reply::Done);
-        }
-        cluster.run_until_rebalanced(SimDuration::from_secs(120));
-        let coord = cluster.coordinator().expect("coordinator exists");
-        let c = cluster
-            .sim
-            .actor::<crate::shard::RebalanceCoordinator>(coord);
-        let mut completed = c.completed.clone();
-        completed.sort_unstable();
-        assert_eq!(completed, vec![1, 2]);
-        assert_eq!(c.published, vec![1, 2], "publishes in version order");
-        assert_eq!(c.peak_inflight, 2, "flights overlapped");
-        let router = cluster.current_router();
-        assert_eq!(router.group_of(25_000), 2);
-        assert_eq!(router.group_of(45_000), 2);
-        for key in [25_000u64, 45_000] {
-            let r = cluster
-                .submit_and_wait(Op::Get { key })
-                .expect("post-migration get");
-            assert!(matches!(r, Reply::Value(Some(_))), "key {key}: {r:?}");
-        }
-        cluster.sim.run_for(SimDuration::from_secs(2));
-        for node in 0..5u32 {
-            for g in 0..3usize {
-                let actor = cluster.replica(g, NodeId(node));
-                if cluster.sim.is_crashed(actor) {
-                    continue;
-                }
-                let kv = replica(&cluster.sim, p, actor).kv();
-                for (k, _) in kv.snapshot().records.iter() {
-                    let owner = router.group_of(*k);
-                    assert_eq!(owner, g as u32, "key {k} in group {g}, owner {owner}");
                 }
             }
         }

@@ -12,8 +12,8 @@
 //!   segments before measurement starts; because the window width is an
 //!   exact multiple of the stripe period, the hot load is split 50/50
 //!   at *every* instant of the drift with zero mid-run migrations. The
-//!   stripes are disjoint and due at once, so they migrate
-//!   concurrently — the concurrency pin for the coordinator.
+//!   stripes are all due at once; the coordinator runs them one after
+//!   another, all before the window opens.
 //! - **policy**: the closed-loop auto-balance controller, which cannot
 //!   see the future: it watches the live load sketch and chases the
 //!   drift with hysteresis-guarded migrations.
@@ -21,7 +21,7 @@
 //! A fourth run pits the policy against an adversarial hotspot that
 //! jumps between the groups every 1.5 s: cooldown and per-bucket dwell
 //! keep the migration count bounded (asserted against the analytic
-//! cooldown bound).
+//! cooldown bound of one move per cooldown).
 //!
 //! Prints ops/s per arm, the policy/oracle ratio (asserted ≥ 0.85),
 //! migration counts, and the exact per-group per-phase p99 latency read
@@ -35,7 +35,7 @@
 use std::fmt::Write as _;
 
 use paxraft::core::harness::{Cluster, ProtocolKind};
-use paxraft::core::shard::autobalance::{COOLDOWN, MAX_PER_TICK};
+use paxraft::core::shard::autobalance::COOLDOWN;
 use paxraft::core::shard::{MigrationSpec, RebalanceConfig, ShardConfig};
 use paxraft::core::telemetry::TelemetryConfig;
 use paxraft::sim::time::{SimDuration, SimTime};
@@ -101,7 +101,6 @@ const PHASES: [(u64, u64); 3] = [(2, 6), (6, 10), (10, 14)];
 struct Outcome {
     throughput: f64,
     migrations: usize,
-    peak_inflight: usize,
     /// `p99_ms[g][phase]`: group `g`'s exact p99 over one phase.
     p99_ms: [[f64; 3]; 2],
 }
@@ -143,7 +142,6 @@ fn run(arm: &str, hotspot: Hotspot) -> Outcome {
     Outcome {
         throughput: report.throughput_ops,
         migrations: cluster.migrations_started(),
-        peak_inflight: cluster.peak_inflight_migrations(),
         p99_ms,
     }
 }
@@ -164,20 +162,13 @@ fn main() {
     for arm in ["static", "oracle", "policy"] {
         let o = run(arm, drifting());
         println!(
-            "  {arm:<7} {:>7.1} op/s   migrations={:<3} peak_inflight={}",
-            o.throughput, o.migrations, o.peak_inflight
+            "  {arm:<7} {:>7.1} op/s   migrations={}",
+            o.throughput, o.migrations
         );
         outcomes.push(o);
     }
     let (stat, oracle, policy) = (&outcomes[0], &outcomes[1], &outcomes[2]);
 
-    // The oracle's upfront stripes are disjoint and due at once: the
-    // coordinator runs them concurrently (the concurrency pin).
-    assert!(
-        oracle.peak_inflight >= 2,
-        "oracle stripes migrated concurrently (peak {})",
-        oracle.peak_inflight
-    );
     assert_eq!(stat.migrations, 0, "the static arm never migrates");
     assert!(
         policy.migrations >= 1,
@@ -228,7 +219,7 @@ fn main() {
         Hotspot::oscillating(0.8, 12_500, 62_500, 12_000, SimDuration::from_secs(3)),
     );
     let total_secs = 16u64;
-    let bound = MAX_PER_TICK * (total_secs as usize / COOLDOWN.as_secs_f64() as usize + 1);
+    let bound = total_secs as usize / COOLDOWN.as_secs_f64() as usize + 1;
     println!(
         "\n  oscillating hotspot: {} migrations (bound {bound}), {:.1} op/s",
         osc.migrations, osc.throughput
