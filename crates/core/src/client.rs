@@ -5,6 +5,11 @@
 //! are timestamped on the virtual clock so the harness can trim warm-up
 //! and cool-down windows; optionally the client records a linearizability
 //! history for its operations.
+//!
+//! A client without a generator is *scripted*: it sends the requests
+//! injected into it ([`crate::shard::ShardedCluster::submit_and_wait`])
+//! under the same retry deadline and redirect rules, and keeps each
+//! reply for the harness to read.
 
 use paxraft_sim::impl_actor_any;
 use paxraft_sim::sim::{Actor, ActorId, Ctx};
@@ -13,7 +18,7 @@ use paxraft_sim::trace::SpanKind;
 use paxraft_workload::generator::{Generator, OpKind};
 use paxraft_workload::linearize::{Action, OpRecord};
 
-use crate::kv::{CmdId, Command, Key, Reply};
+use crate::kv::{CmdId, Command, Key, Op, Reply};
 use crate::msg::{ClientMsg, Msg};
 use crate::shard::ShardRouter;
 
@@ -55,15 +60,19 @@ pub struct Completion {
     pub group: u32,
 }
 
-/// A closed-loop workload client.
+/// A closed-loop workload client, or a scripted one (module docs).
 pub struct WorkloadClient {
     /// Logical client id.
     pub client_id: u32,
     /// The replica this client talks to (its nearest).
     pub target: ActorId,
-    gen: Generator,
+    /// Draws the next operation; `None` for a scripted client.
+    gen: Option<Generator>,
     seq: u64,
     inflight: Option<Inflight>,
+    /// A scripted client's reply to its last submission, once it has
+    /// arrived.
+    pub(crate) reply: Option<Reply>,
     /// Completed operations (never trimmed; the harness filters windows).
     pub completions: Vec<Completion>,
     /// When `Some(key)`, record a linearizability history for that key
@@ -114,11 +123,9 @@ const RETRY_AFTER: SimDuration = SimDuration::from_secs(1);
 #[derive(Debug, Clone)]
 struct Inflight {
     cmd: Command,
-    kind: OpKind,
     key: Key,
     /// Where the operation was last sent (redirects move it).
     dest: ActorId,
-    sent: SimTime,
     first_sent: SimTime,
     /// Set when a redirect was ignored as stale (the replier's map was
     /// older than ours — it has not applied the move we know about
@@ -127,15 +134,26 @@ struct Inflight {
     stalled: bool,
 }
 
+impl Inflight {
+    fn kind(&self) -> OpKind {
+        match self.cmd.op {
+            Op::Get { .. } => OpKind::Read,
+            _ => OpKind::Write,
+        }
+    }
+}
+
 impl WorkloadClient {
-    /// Creates a client driving `target` with the given generator.
-    pub fn new(client_id: u32, target: ActorId, gen: Generator) -> Self {
+    /// Creates a client driving `target` with the given generator, or a
+    /// scripted client when `gen` is `None`.
+    pub fn new(client_id: u32, target: ActorId, gen: Option<Generator>) -> Self {
         WorkloadClient {
             client_id,
             target,
             gen,
             seq: 0,
             inflight: None,
+            reply: None,
             completions: Vec::new(),
             history_key: None,
             history: Vec::new(),
@@ -147,38 +165,39 @@ impl WorkloadClient {
         }
     }
 
-    fn next_command(&mut self, now_ns: u64) -> (Command, OpKind, Key) {
-        let spec = self.gen.next_op_at(now_ns);
+    /// The generator's next operation (`None` for a scripted client).
+    fn next_command(&mut self, now_ns: u64) -> Option<Command> {
+        let spec = self.gen.as_mut()?.next_op_at(now_ns);
         self.seq += 1;
         let id = CmdId {
             client: self.client_id,
             seq: self.seq,
         };
-        let cmd = match spec.kind {
+        Some(match spec.kind {
             OpKind::Read => Command::get(id, spec.key),
             OpKind::Write => Command::put_zeros(id, spec.key, spec.value_size),
-        };
-        (cmd, spec.kind, spec.key)
+        })
     }
 
-    fn send_next(&mut self, ctx: &mut Ctx<Msg>) {
-        let (cmd, kind, key) = self.next_command(ctx.now().as_nanos());
+    /// Makes `cmd` the operation in flight and sends it to its key's
+    /// group.
+    fn issue(&mut self, ctx: &mut Ctx<Msg>, cmd: Command) {
+        let key = cmd.op.key().expect("a client's operation names a key");
         let dest = self
             .shard
             .as_ref()
             .and_then(|s| s.target_for(key))
             .unwrap_or(self.target);
+        let id = cmd.id;
         self.inflight = Some(Inflight {
             cmd: cmd.clone(),
-            kind,
             key,
             dest,
-            sent: ctx.now(),
             first_sent: ctx.now(),
             stalled: false,
         });
         send(ctx, dest, cmd);
-        ctx.trace_span(SpanKind::ClientSend, self.client_id, self.seq);
+        ctx.trace_span(SpanKind::ClientSend, id.client, id.seq);
     }
 
     /// The recorded history, completed by the still-in-flight operation
@@ -194,7 +213,7 @@ impl WorkloadClient {
     pub fn history_records(&self) -> Vec<OpRecord> {
         let mut out = self.history.clone();
         if let Some(inflight) = &self.inflight {
-            if self.history_key == Some(inflight.key) && inflight.kind == OpKind::Write {
+            if self.history_key == Some(inflight.key) && inflight.kind() == OpKind::Write {
                 out.push(OpRecord {
                     client: self.client_id as usize,
                     key: inflight.key,
@@ -217,12 +236,22 @@ fn send(ctx: &mut Ctx<Msg>, dest: ActorId, cmd: Command) {
 
 impl Actor<Msg> for WorkloadClient {
     fn on_start(&mut self, ctx: &mut Ctx<Msg>) {
-        // Stagger client start within 10 ms to avoid lockstep batches.
-        let jitter = SimDuration::from_micros(ctx.rng().gen_range(10_000));
-        ctx.set_timer(jitter, T_START);
+        // Stagger client start within 10 ms to avoid lockstep batches. A
+        // scripted client waits for its first submission and draws
+        // nothing from the simulation's one RNG.
+        if self.gen.is_some() {
+            let jitter = SimDuration::from_micros(ctx.rng().gen_range(10_000));
+            ctx.set_timer(jitter, T_START);
+        }
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<Msg>, _from: ActorId, msg: Msg) {
+        if let Msg::Client(ClientMsg::Request { cmd }) = msg {
+            // A scripted submission: it replaces any still in flight.
+            self.reply = None;
+            self.issue(ctx, cmd);
+            return;
+        }
         if let Msg::Client(ClientMsg::RouterUpdate { router }) = &msg {
             // The rebalance coordinator published a bumped partition
             // map; adopt it if it is newer than ours.
@@ -280,7 +309,6 @@ impl Actor<Msg> for WorkloadClient {
             let cmd = inflight.cmd.clone();
             if let Some(inf) = &mut self.inflight {
                 inf.dest = dest;
-                inf.sent = ctx.now();
                 inf.stalled = false;
             }
             send(ctx, dest, cmd);
@@ -300,14 +328,14 @@ impl Actor<Msg> for WorkloadClient {
         self.completions.push(Completion {
             at_ns: now.as_nanos(),
             latency_ns: latency.as_nanos(),
-            kind: inflight.kind,
+            kind: inflight.kind(),
             group: self
                 .shard
                 .as_ref()
                 .map_or(0, |s| s.router.group_of(inflight.key)),
         });
         if self.history_key == Some(inflight.key) {
-            let action = match inflight.kind {
+            let action = match inflight.kind() {
                 OpKind::Write => Action::Write(id.as_value_id()),
                 OpKind::Read => Action::Read(reply.value_id()),
             };
@@ -319,7 +347,15 @@ impl Actor<Msg> for WorkloadClient {
                 respond_ns: now.as_nanos(),
             });
         }
-        self.send_next(ctx);
+        match self.next_command(now.as_nanos()) {
+            Some(cmd) => self.issue(ctx, cmd),
+            None => {
+                // Scripted: keep the reply and arm nothing until the
+                // next submission.
+                self.reply = Some(reply);
+                ctx.cancel_timer(T_RETRY);
+            }
+        }
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<Msg>, token: u64) {
@@ -348,7 +384,6 @@ impl Actor<Msg> for WorkloadClient {
                     };
                     if let Some(inf) = &mut self.inflight {
                         inf.dest = dest;
-                        inf.sent = ctx.now();
                         inf.stalled = false;
                     }
                     let id = cmd.id;
@@ -359,20 +394,16 @@ impl Actor<Msg> for WorkloadClient {
             return;
         }
         if token == T_START {
-            self.send_next(ctx);
+            if let Some(cmd) = self.next_command(ctx.now().as_nanos()) {
+                self.issue(ctx, cmd);
+            }
             return;
         }
-        // `T_RETRY`: the request went unanswered since its last send.
-        let Some(inflight) = &mut self.inflight else {
+        // `T_RETRY`: the request went unanswered `RETRY_AFTER` since its
+        // last send. Retry (dedup at the replicas makes this safe).
+        let Some(inflight) = &self.inflight else {
             return;
         };
-        let waited = ctx.now().since(inflight.sent);
-        if waited < RETRY_AFTER {
-            ctx.rearm_timer(T_RETRY, RETRY_AFTER - waited, T_RETRY);
-            return;
-        }
-        // Retry (dedup at the replicas makes this safe).
-        inflight.sent = ctx.now();
         let (dest, cmd) = (inflight.dest, inflight.cmd.clone());
         let id = cmd.id;
         send(ctx, dest, cmd);
@@ -383,7 +414,7 @@ impl Actor<Msg> for WorkloadClient {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use paxraft_sim::net::{NetConfig, Region};
     use paxraft_sim::rng::SimRng;
@@ -392,9 +423,9 @@ mod tests {
 
     /// A replica stand-in: keeps when each request arrives, and answers
     /// it with `reply`, or never.
-    struct Puppet {
-        reply: Option<Reply>,
-        arrivals: Vec<(SimTime, CmdId)>,
+    pub(crate) struct Puppet {
+        pub(crate) reply: Option<Reply>,
+        pub(crate) arrivals: Vec<(SimTime, CmdId)>,
     }
 
     impl Actor<Msg> for Puppet {
@@ -412,10 +443,13 @@ mod tests {
 
     /// One client in Oregon before `puppets` (region, reply), which take
     /// actor ids from 0; the links have no jitter, so a gap between two
-    /// arrivals at a puppet is the gap between the two sends.
+    /// arrivals at a puppet is the gap between the two sends. A
+    /// `scripted` client has no generator and sends only what
+    /// [`submit`] injects.
     fn client_among(
         puppets: &[(Region, Option<Reply>)],
         shard: Option<ClientRouting>,
+        scripted: bool,
     ) -> (Simulation<Msg>, ActorId) {
         let net = NetConfig {
             jitter: 0.0,
@@ -430,10 +464,17 @@ mod tests {
             sim.add_actor(*region, Box::new(puppet));
         }
         let gen = Generator::new(WorkloadConfig::default(), 0, SimRng::new(1));
-        let mut client = WorkloadClient::new(0, ActorId(0), gen);
+        let mut client = WorkloadClient::new(0, ActorId(0), (!scripted).then_some(gen));
         client.shard = shard;
         let client = sim.add_actor(Region::Oregon, Box::new(client));
         (sim, client)
+    }
+
+    /// Injects a scripted get of key 7, number `seq`, `at_ms` from now.
+    fn submit(sim: &mut Simulation<Msg>, client: ActorId, seq: u64, at_ms: u64) {
+        let cmd = Command::get(CmdId { client: 0, seq }, 7);
+        let at = SimDuration::from_millis(at_ms);
+        sim.send_external(client, Msg::Client(ClientMsg::Request { cmd }), at);
     }
 
     fn arrivals(sim: &Simulation<Msg>, puppet: usize) -> &[(SimTime, CmdId)] {
@@ -444,73 +485,103 @@ mod tests {
     /// its last send, each time.
     #[test]
     fn a_lost_request_is_re_sent_exactly_retry_after_its_last_send() {
-        let (mut sim, _) = client_among(&[(Region::Ohio, None)], None);
-        sim.run_until(SimTime::from_millis(4_500));
-        let seen = arrivals(&sim, 0);
-        assert_eq!(seen.len(), 5, "the first send and four retries: {seen:?}");
-        for pair in seen.windows(2) {
-            assert_eq!(pair[0].1, pair[1].1, "the same request");
-            assert_eq!(pair[1].0.since(pair[0].0), RETRY_AFTER);
+        for scripted in [false, true] {
+            let (mut sim, client) = client_among(&[(Region::Ohio, None)], None, scripted);
+            if scripted {
+                submit(&mut sim, client, 1, 0);
+            }
+            sim.run_until(SimTime::from_millis(4_500));
+            let seen = arrivals(&sim, 0);
+            assert_eq!(seen.len(), 5, "the first send and four retries: {seen:?}");
+            for pair in seen.windows(2) {
+                assert_eq!(pair[0].1, pair[1].1, "the same request");
+                assert_eq!(pair[1].0.since(pair[0].0), RETRY_AFTER);
+            }
         }
     }
 
     /// A client answered within `RETRY_AFTER` re-sends nothing, and its
     /// deadline costs the simulator one queued check per `RETRY_AFTER`:
     /// over 10 s, at most 11 events beyond the messages and the start
-    /// timer.
+    /// timer. A scripted client, submitting once a second, fires no
+    /// timer at all: it cancels its deadline when answered.
     #[test]
     fn an_answered_client_re_sends_nothing_and_checks_once_a_second() {
-        let (mut sim, client) = client_among(&[(Region::Ireland, Some(Reply::Done))], None);
-        sim.run_until(SimTime::from_secs(10));
-        let seen = arrivals(&sim, 0);
-        let ops = sim.actor::<WorkloadClient>(client).completions.len();
-        assert!(ops > 50, "{ops} operations at a 132 ms round trip");
-        let mut ids: Vec<_> = seen.iter().map(|(_, id)| id.seq).collect();
-        ids.dedup();
-        assert_eq!(ids.len(), seen.len(), "no request arrived twice");
-        let stats = &sim.stats;
-        assert_eq!(stats.timer_fires, 1, "only the start jitter fired");
-        // A delivery is three events (arrival, receive, the turn), a
-        // fired timer two (its pop and its turn); an early check one.
-        let checks = stats.events - 3 * stats.deliveries - 2 * stats.timer_fires;
-        assert!((1..=11).contains(&checks), "{checks} timer checks in 10 s");
+        for scripted in [false, true] {
+            let puppets = [(Region::Ireland, Some(Reply::Done))];
+            let (mut sim, client) = client_among(&puppets, None, scripted);
+            if scripted {
+                for seq in 1..=10 {
+                    submit(&mut sim, client, seq, (seq - 1) * 1_000);
+                }
+            }
+            sim.run_until(SimTime::from_secs(10));
+            let seen = arrivals(&sim, 0);
+            let wc = sim.actor::<WorkloadClient>(client);
+            let ops = wc.completions.len();
+            if scripted {
+                assert_eq!(ops, 10, "every submission answered");
+                assert_eq!(wc.reply, Some(Reply::Done));
+            } else {
+                assert!(ops > 50, "{ops} operations at a 132 ms round trip");
+            }
+            let mut ids: Vec<_> = seen.iter().map(|(_, id)| id.seq).collect();
+            ids.dedup();
+            assert_eq!(ids.len(), seen.len(), "no request arrived twice");
+            let stats = &sim.stats;
+            let start_jitter = u64::from(!scripted);
+            assert_eq!(stats.timer_fires, start_jitter, "no timer but the start");
+            // A delivery is three events (arrival, receive, the turn), a
+            // fired timer two (its pop and its turn); an early check one.
+            // An injected submission is two (arrival and turn).
+            let submitted = if scripted { 10 } else { 0 };
+            let sent = stats.deliveries - submitted;
+            let checks = stats.events - 3 * sent - 2 * submitted - 2 * stats.timer_fires;
+            assert!((1..=11).contains(&checks), "{checks} timer checks in 10 s");
+        }
     }
 
     /// Following a redirect is a send: the retry deadline restarts from
     /// it, not from the operation's first send.
     #[test]
     fn a_followed_redirect_restarts_the_retry_deadline() {
-        // One group in the client's map, so every key starts at puppet 0;
-        // its redirect names group 1, which is puppet 1, and never answers.
-        let router = ShardRouter::new(1_000, 1);
-        let version = router.version();
-        let routing = ClientRouting {
-            router,
-            targets: vec![ActorId(0), ActorId(1)],
-        };
-        let redirect = Reply::WrongGroup { group: 1, version };
-        let puppets = [(Region::Ireland, Some(redirect)), (Region::Ohio, None)];
-        let (mut sim, client) = client_among(&puppets, Some(routing));
-        sim.run_until(SimTime::from_millis(2_000));
-        let first = arrivals(&sim, 0);
-        let followed = arrivals(&sim, 1);
-        assert_eq!(first.len(), 1, "{first:?}");
-        assert_eq!(
-            followed.len(),
-            2,
-            "the followed redirect and one retry: {followed:?}"
-        );
-        assert_eq!(followed[1].0.since(followed[0].0), RETRY_AFTER);
-        assert!(followed.iter().all(|(_, id)| *id == first[0].1));
-        assert_eq!(sim.actor::<WorkloadClient>(client).redirects, 1);
+        for scripted in [false, true] {
+            // One group in the client's map, so every key starts at
+            // puppet 0; its redirect names group 1, which is puppet 1, and
+            // never answers.
+            let router = ShardRouter::new(1_000, 1);
+            let version = router.version();
+            let routing = ClientRouting {
+                router,
+                targets: vec![ActorId(0), ActorId(1)],
+            };
+            let redirect = Reply::WrongGroup { group: 1, version };
+            let puppets = [(Region::Ireland, Some(redirect)), (Region::Ohio, None)];
+            let (mut sim, client) = client_among(&puppets, Some(routing), scripted);
+            if scripted {
+                submit(&mut sim, client, 1, 0);
+            }
+            sim.run_until(SimTime::from_millis(2_000));
+            let first = arrivals(&sim, 0);
+            let followed = arrivals(&sim, 1);
+            assert_eq!(first.len(), 1, "{first:?}");
+            assert_eq!(
+                followed.len(),
+                2,
+                "the followed redirect and one retry: {followed:?}"
+            );
+            assert_eq!(followed[1].0.since(followed[0].0), RETRY_AFTER);
+            assert!(followed.iter().all(|(_, id)| *id == first[0].1));
+            assert_eq!(sim.actor::<WorkloadClient>(client).redirects, 1);
+        }
     }
 
     #[test]
     fn commands_get_unique_increasing_seqs() {
         let gen = Generator::new(WorkloadConfig::default(), 0, SimRng::new(1));
-        let mut c = WorkloadClient::new(3, ActorId(0), gen);
-        let (c1, _, _) = c.next_command(0);
-        let (c2, _, _) = c.next_command(0);
+        let mut c = WorkloadClient::new(3, ActorId(0), Some(gen));
+        let c1 = c.next_command(0).expect("a generator");
+        let c2 = c.next_command(0).expect("a generator");
         assert_eq!(c1.id.client, 3);
         assert_eq!(c1.id.seq + 1, c2.id.seq);
     }
@@ -538,9 +609,8 @@ mod tests {
             ..WorkloadConfig::default()
         };
         let gen = Generator::new(cfg, 0, SimRng::new(1));
-        let mut c = WorkloadClient::new(0, ActorId(0), gen);
-        let (cmd, kind, _) = c.next_command(0);
-        assert_eq!(kind, OpKind::Write);
+        let mut c = WorkloadClient::new(0, ActorId(0), Some(gen));
+        let cmd = c.next_command(0).expect("a generator");
         if let crate::kv::Op::Put { value, .. } = &cmd.op {
             assert_eq!(value.len(), 4096);
         } else {

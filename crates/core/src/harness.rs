@@ -98,8 +98,9 @@ impl ClusterBuilder {
         self
     }
 
-    /// Closed-loop clients per region (default 0; use
-    /// [`Cluster::submit_and_wait`] for scripted ops).
+    /// Closed-loop clients per region (default 0). Scripted ops go
+    /// through [`Cluster::submit_and_wait`]'s own client, which is not
+    /// one of these.
     pub fn clients_per_region(mut self, c: usize) -> Self {
         self.clients_per_region = c;
         self

@@ -37,7 +37,6 @@ pub mod mencius;
 pub mod msg;
 pub mod multipaxos;
 pub mod pql;
-pub mod probe;
 pub mod raft;
 pub mod raftstar;
 pub mod replicate;

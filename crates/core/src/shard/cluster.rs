@@ -133,9 +133,10 @@ pub struct ShardedCluster {
     /// steps and injects its decisions into the coordinator, so runs
     /// stay deterministic per seed.
     policy: Option<AutoBalancePolicy>,
-    probe: Option<ActorId>,
-    probe_seq: u64,
-    last_probe_cmd: Option<Command>,
+    /// The scripted client behind [`ShardedCluster::submit_and_wait`],
+    /// added at the first submission.
+    scripted: Option<ActorId>,
+    last_submitted: Option<Command>,
     metrics: MetricRegistry,
     per_replica: bool,
 }
@@ -153,10 +154,18 @@ impl ClusterBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if region placement does not match the replica count.
+    /// Panics if region placement does not match the replica count, or
+    /// if a scripted migration's range is empty or its destination group
+    /// does not exist.
     pub fn build_sharded(self) -> ShardedCluster {
         assert_eq!(self.regions.len(), self.replicas, "one region per replica");
         let groups = self.shard.groups.max(1);
+        for spec in &self.rebalance.migrations {
+            assert!(
+                spec.lo < spec.hi && (spec.to_group as usize) < groups,
+                "{spec:?}: a migration moves a non-empty range to one of the {groups} groups"
+            );
+        }
         let n = self.replicas;
         let mut sim = Simulation::new(self.net.clone(), self.seed);
         if self.telemetry.sampling_enabled() {
@@ -217,7 +226,7 @@ impl ClusterBuilder {
             for _ in 0..self.clients_per_region {
                 let cid = clients.len() as u32;
                 let gen = Generator::new(workload.clone(), ri, rng.fork(cid as u64));
-                let mut wc = WorkloadClient::new(cid, group_actors[0][ri], gen);
+                let mut wc = WorkloadClient::new(cid, group_actors[0][ri], Some(gen));
                 wc.history_key = self.record_history_key;
                 if groups > 1 {
                     wc.shard = Some(ClientRouting {
@@ -265,9 +274,8 @@ impl ClusterBuilder {
             router,
             coordinator,
             policy,
-            probe: None,
-            probe_seq: 0,
-            last_probe_cmd: None,
+            scripted: None,
+            last_submitted: None,
             metrics: MetricRegistry::new(&self.telemetry),
             per_replica: self.telemetry.per_replica,
         }
@@ -457,46 +465,25 @@ impl ShardedCluster {
             .collect()
     }
 
-    /// Submits one operation through an internal probe client, routed to
-    /// the leader of the group owning the operation's key, and waits for
-    /// its reply (for examples and tests, not measurement).
+    /// Submits one key operation through the cluster's scripted
+    /// [`WorkloadClient`] and waits for its reply (for examples and
+    /// tests, not measurement). The client sends the operation to its
+    /// key's group by the current map, retries it and follows redirects
+    /// like any workload client; between submissions it arms no timer.
     ///
     /// # Errors
     ///
     /// Returns `Err` if no reply arrives within 30 virtual seconds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `op` names no key.
     pub fn submit_and_wait(&mut self, op: Op) -> Result<Reply, String> {
-        use crate::probe::ProbeClient;
         self.sim.start();
-        let pid = match self.probe {
-            Some(pid) => pid,
-            None => {
-                let region = self.regions[self.leaders[0].0 as usize];
-                let pid = self.sim.add_actor(region, Box::new(ProbeClient::default()));
-                self.probe = Some(pid);
-                pid
-            }
-        };
-        // Replicas route replies to `client_base + id.client`; the probe's
-        // actor index encodes the matching client id.
-        let replica_count = self.num_groups() * self.regions.len();
-        let client_index = (pid.0 - replica_count) as u32;
-        self.probe_seq += 1;
-        let id = CmdId {
-            client: client_index,
-            seq: self.probe_seq,
-        };
-        let cmd = Command { id, op };
-        self.last_probe_cmd = Some(cmd.clone());
-        // Route by the *current* map (migrations move ranges while
-        // probes run); a raced move is reconciled by the probe's
-        // WrongGroup handling.
-        let router = self.current_router();
-        let g = cmd.op.key().map_or(0, |k| router.group_of(k)) as usize;
-        // One live replica per group — the configured leader unless it
-        // is crashed, else the group's first live replica (its
-        // forwarding finds the actual leader): the owning group's is
-        // the target, the rest let the probe follow versioned redirects.
-        let group_targets: Vec<ActorId> = (0..self.num_groups())
+        // One live replica per group: the configured leader unless it is
+        // crashed, else the group's first live replica (its forwarding
+        // finds the actual leader).
+        let targets: Vec<ActorId> = (0..self.num_groups())
             .map(|g| {
                 let preferred = self.replica(g, self.leaders[g]);
                 if self.sim.is_crashed(preferred) {
@@ -509,28 +496,45 @@ impl ShardedCluster {
                 }
             })
             .collect();
-        {
-            let p = self.sim.actor_mut::<ProbeClient>(pid);
-            p.waiting = Some(id);
-            p.reply = None;
-            p.outbox = Some((group_targets[g], Msg::Client(ClientMsg::Request { cmd })));
-            p.group_targets = group_targets;
+        let id = *self.scripted.get_or_insert_with(|| {
+            // Replicas route replies to `client_base + id.client`, so the
+            // client's id is its actor index past the replicas.
+            let client_id = self.sim.len() - self.group_actors.len() * self.regions.len();
+            let region = self.regions[self.leaders[0].0 as usize];
+            let client = WorkloadClient::new(client_id as u32, targets[0], None);
+            self.sim.add_actor(region, Box::new(client))
+        });
+        let router = self.current_router();
+        let client = self.sim.actor_mut::<WorkloadClient>(id);
+        client.target = targets[0];
+        if targets.len() > 1 {
+            client.shard = Some(ClientRouting { router, targets });
         }
+        let cmd = Command {
+            id: CmdId {
+                client: client.client_id,
+                seq: self.last_submitted.as_ref().map_or(1, |c| c.id.seq + 1),
+            },
+            op,
+        };
+        self.last_submitted = Some(cmd.clone());
+        let request = Msg::Client(ClientMsg::Request { cmd });
+        self.sim.send_external(id, request, SimDuration::ZERO);
         let deadline = self.sim.now() + SimDuration::from_secs(30);
         while self.sim.now() < deadline {
             self.sim.run_for(SimDuration::from_millis(20));
-            if let Some(r) = self.sim.actor::<ProbeClient>(pid).reply.clone() {
+            if let Some(r) = self.sim.actor_mut::<WorkloadClient>(id).reply.take() {
                 return Ok(r);
             }
         }
-        Err("probe timed out".into())
+        Err("no reply within 30 s".into())
     }
 
     /// The last command [`ShardedCluster::submit_and_wait`] sent —
     /// tests re-inject it verbatim to model a client retransmission
     /// (same `CmdId`), e.g. a retry that crosses a range migration.
-    pub fn last_probe_command(&self) -> Option<Command> {
-        self.last_probe_cmd.clone()
+    pub fn last_submitted_command(&self) -> Option<Command> {
+        self.last_submitted.clone()
     }
 
     /// Runs `warmup + measure + cooldown`, counting only completions
@@ -696,14 +700,13 @@ impl ShardedCluster {
         let Some(d) = policy.observe(now, &counts, c.router(), !c.done()) else {
             return;
         };
-        self.sim
-            .actor_mut::<RebalanceCoordinator>(coord)
-            .enqueue(MigrationSpec {
-                at: SimDuration::from_nanos(now.as_nanos()),
-                lo: d.lo,
-                hi: d.hi,
-                to_group: d.to_group,
-            });
+        let spec = MigrationSpec {
+            at: SimDuration::from_nanos(now.as_nanos()),
+            lo: d.lo,
+            hi: d.hi,
+            to_group: d.to_group,
+        };
+        RebalanceCoordinator::enqueue(&mut self.sim, coord, spec);
     }
 
     /// The sampled per-group metric time-series collected so far (empty
@@ -758,6 +761,34 @@ mod tests {
             .submit_and_wait(Op::Get { key: 1 })
             .expect("get succeeds");
         assert!(matches!(r, Reply::Value(Some(_))));
+    }
+
+    /// Once answered, the scripted client behind `submit_and_wait` arms
+    /// nothing: 10 s of idle running fires none of its timers.
+    #[test]
+    fn an_answered_submission_leaves_no_timer_behind() {
+        use paxraft_sim::trace::TraceKind;
+        let mut cluster = Cluster::builder(ProtocolKind::RaftStar).build();
+        cluster.elect_leader();
+        let put = Op::Put {
+            key: 1,
+            value: vec![7; 16].into(),
+        };
+        assert_eq!(cluster.submit_and_wait(put), Ok(Reply::Done));
+        let client = cluster.scripted.expect("the scripted client");
+        cluster.sim.enable_trace(1 << 16);
+        cluster.sim.run_for(SimDuration::from_secs(10));
+        let trace = cluster.sim.trace();
+        assert_eq!(trace.recorded(), trace.len() as u64, "the ring kept all");
+        let fires = |actor: Option<ActorId>| {
+            trace
+                .events()
+                .filter(|e| matches!(e.kind, TraceKind::TimerFire { .. }))
+                .filter(|e| actor.is_none_or(|a| e.actor == a))
+                .count()
+        };
+        assert!(fires(None) > 10, "the replicas' timers ran");
+        assert_eq!(fires(Some(client)), 0);
     }
 
     #[test]
@@ -1167,7 +1198,7 @@ mod tests {
         cluster.elect_leaders();
         let (g0_lo, _) = cluster.router().range(0);
         let (g1_lo, _) = cluster.router().range(1);
-        // Warm-up commit (also materializes the probe actor, so the
+        // Warm-up commit (also materializes the scripted client, so the
         // partition vector below covers every actor in the sim).
         cluster
             .submit_and_wait(Op::Put {
@@ -1176,8 +1207,8 @@ mod tests {
             })
             .expect("warm-up put");
         // Cut off group 0's replica on node 2 only; node 2's group-1
-        // actor, the other replicas and the probe stay connected
-        // (partition groups are per *actor*).
+        // actor, the other replicas and the scripted client stay
+        // connected (partition groups are per *actor*).
         let victim = cluster.replica(0, NodeId(2));
         let mut partition = vec![0u32; cluster.sim.len()];
         partition[victim.0] = 1;

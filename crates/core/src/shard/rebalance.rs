@@ -19,13 +19,20 @@
 //! one starts, so versions are assigned and published in order by
 //! construction and the published map names every range's source group.
 //!
+//! The coordinator runs on two keyed timers and polls nothing. The
+//! retry deadline re-sends the flight's command `retry_after` its last
+//! send (or the freeze's commit) to the source group's next replica; it
+//! is cancelled when the flight releases. While idle, a wake is armed
+//! for the earliest plan entry not yet due, and a plan entry added at
+//! runtime ([`RebalanceCoordinator::enqueue`]) arms it for now.
+//!
 //! The only non-client machinery is in the replicas themselves — the
 //! source leader's export pump and the destination's chunk absorption
 //! (see [`crate::shard::migration`] and the engine hooks).
 
 use paxraft_sim::impl_actor_any;
-use paxraft_sim::sim::{Actor, ActorId, Ctx};
-use paxraft_sim::time::{SimDuration, SimTime};
+use paxraft_sim::sim::{Actor, ActorId, Ctx, Simulation};
+use paxraft_sim::time::SimDuration;
 
 use crate::kv::{CmdId, Command, Key, Op, Reply};
 use crate::msg::{ClientMsg, Msg};
@@ -72,9 +79,27 @@ enum Phase {
     Release,
 }
 
+impl Phase {
+    /// How long the phase waits for its answer before re-sending to the
+    /// source group's next replica (the previous one may have crashed;
+    /// forwarding finds the leader from any of them). The install wait
+    /// waits longer: the transfer legitimately takes a while.
+    fn retry_after(self) -> SimDuration {
+        match self {
+            Phase::Install => SimDuration::from_millis(2_500),
+            Phase::Freeze | Phase::Release => SimDuration::from_secs(1),
+        }
+    }
+}
+
+/// Timer key and token of the retry deadline.
+const T_RETRY: u64 = 1;
+/// Timer key and token of the idle coordinator's wake for the plan.
+const T_WAKE: u64 = 2;
+
 /// The in-flight migration's state machine and the source-group
 /// command it is retrying.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Flight {
     version: RouterVersion,
     lo: Key,
@@ -85,7 +110,6 @@ struct Flight {
     /// Rotation index into the source group's replicas (a crashed or
     /// partitioned replica is routed around on retry).
     rotation: usize,
-    sent: SimTime,
 }
 
 impl Flight {
@@ -113,6 +137,16 @@ impl Flight {
                 },
             },
         }
+    }
+
+    /// Sends the current phase's command to the source group's replica
+    /// the rotation names (`replicas` are the group's, in node order),
+    /// and restarts the retry deadline.
+    fn send(&self, ctx: &mut Ctx<Msg>, coord: u32, replicas: &[ActorId]) {
+        let target = replicas[self.rotation % replicas.len()];
+        let cmd = self.command(coord);
+        ctx.send(target, Msg::Client(ClientMsg::Request { cmd }));
+        ctx.rearm_timer(T_RETRY, self.phase.retry_after(), T_RETRY);
     }
 }
 
@@ -172,45 +206,30 @@ impl RebalanceCoordinator {
         self.completed.len() + usize::from(self.flight.is_some())
     }
 
-    /// Appends a migration decided at runtime (the auto-balance
-    /// policy). It starts at the coordinator's next tick once nothing
-    /// is in flight.
-    pub fn enqueue(&mut self, spec: MigrationSpec) {
-        self.plan.push(spec);
+    /// Appends a migration decided at runtime (the auto-balance policy)
+    /// to the plan of the coordinator `coord` and wakes it: the
+    /// migration starts now if nothing is in flight, else when the
+    /// flight releases.
+    pub fn enqueue(sim: &mut Simulation<Msg>, coord: ActorId, spec: MigrationSpec) {
+        sim.actor_mut::<RebalanceCoordinator>(coord).plan.push(spec);
+        sim.rearm_timer(coord, T_WAKE, SimDuration::ZERO, T_WAKE);
     }
 
-    /// Sends the flight's current command to the next replica in its
-    /// rotation.
-    fn send(&mut self, ctx: &mut Ctx<Msg>) {
-        let Some(f) = self.flight.as_mut() else {
-            return;
-        };
-        let replicas = &self.targets[f.from_group as usize];
-        let target = replicas[f.rotation % replicas.len()];
-        f.sent = ctx.now();
-        let cmd = f.command(self.client_id);
-        ctx.send(target, Msg::Client(ClientMsg::Request { cmd }));
-    }
-
-    /// When idle, starts the first due plan entry. Every earlier move
-    /// is published by then, so the published map names the source
-    /// group and the next version.
-    fn start_due(&mut self, ctx: &mut Ctx<Msg>, now: SimTime) {
+    /// When idle, starts the first due plan entry, or wakes when the
+    /// earliest one is due. Every earlier move is published by then, so
+    /// the published map names the source group and the next version.
+    fn start_due(&mut self, ctx: &mut Ctx<Msg>) {
         if self.flight.is_some() {
             return;
         }
-        let Some(idx) = self
-            .plan
-            .iter()
-            .position(|spec| now.as_nanos() >= spec.at.as_nanos())
-        else {
+        let now = SimDuration::from_nanos(ctx.now().as_nanos());
+        let Some(idx) = self.plan.iter().position(|spec| spec.at <= now) else {
+            if let Some(at) = self.plan.iter().map(|spec| spec.at).min() {
+                ctx.rearm_timer(T_WAKE, at - now, T_WAKE);
+            }
             return;
         };
         let spec = self.plan.remove(idx);
-        assert!(
-            (spec.to_group as usize) < self.targets.len(),
-            "unknown destination group"
-        );
         let from_group = self.router.group_of(spec.lo);
         debug_assert_eq!(
             from_group,
@@ -218,7 +237,7 @@ impl RebalanceCoordinator {
             "a migration's range must have a single owner"
         );
         assert_ne!(from_group, spec.to_group, "range already at destination");
-        self.flight = Some(Flight {
+        let f = Flight {
             version: self.router.version() + 1,
             lo: spec.lo,
             hi: spec.hi,
@@ -226,9 +245,9 @@ impl RebalanceCoordinator {
             to_group: spec.to_group,
             phase: Phase::Freeze,
             rotation: 0,
-            sent: now,
-        });
-        self.send(ctx);
+        };
+        f.send(ctx, self.client_id, &self.targets[from_group as usize]);
+        self.flight = Some(f);
     }
 
     fn on_response(&mut self, ctx: &mut Ctx<Msg>, id: CmdId, reply: Reply) {
@@ -251,7 +270,7 @@ impl RebalanceCoordinator {
                 // The cutover is committed; the source leader's export
                 // pump takes it from here.
                 f.phase = Phase::Install;
-                f.sent = ctx.now();
+                ctx.rearm_timer(T_RETRY, Phase::Install.retry_after(), T_RETRY);
             }
             Phase::Install if id == install_cmd_id(self.client_id, f.version) => {
                 // The destination group committed the range: publish
@@ -267,11 +286,13 @@ impl RebalanceCoordinator {
                 }
                 f.phase = Phase::Release;
                 f.rotation = 0;
-                self.send(ctx);
+                f.send(ctx, self.client_id, &self.targets[f.from_group as usize]);
             }
             Phase::Release if id == release_cmd_id(self.client_id, f.version) => {
                 self.completed.push(f.version);
                 self.flight = None;
+                ctx.cancel_timer(T_RETRY);
+                self.start_due(ctx);
             }
             _ => {}
         }
@@ -280,7 +301,7 @@ impl RebalanceCoordinator {
 
 impl Actor<Msg> for RebalanceCoordinator {
     fn on_start(&mut self, ctx: &mut Ctx<Msg>) {
-        ctx.set_timer(SimDuration::from_millis(50), 1);
+        self.start_due(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<Msg>, _from: ActorId, msg: Msg) {
@@ -289,25 +310,14 @@ impl Actor<Msg> for RebalanceCoordinator {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<Msg>, _token: u64) {
-        let now = ctx.now();
-        self.start_due(ctx, now);
-        // Client-style retransmission: rotate to another replica of the
-        // source group (the previous one may have crashed; forwarding
-        // finds the leader from any of them). The install wait retries
-        // the freeze probe on a longer fuse — the transfer legitimately
-        // takes a while.
-        if let Some(f) = self.flight.as_mut() {
-            let fuse = match f.phase {
-                Phase::Install => SimDuration::from_millis(2_500),
-                _ => SimDuration::from_millis(1_000),
-            };
-            if now.since(f.sent.min(now)) >= fuse {
-                f.rotation += 1;
-                self.send(ctx);
-            }
+    fn on_timer(&mut self, ctx: &mut Ctx<Msg>, token: u64) {
+        if token == T_WAKE {
+            self.start_due(ctx);
+        } else if let Some(f) = self.flight.as_mut() {
+            // Client-style retransmission to the next replica.
+            f.rotation += 1;
+            f.send(ctx, self.client_id, &self.targets[f.from_group as usize]);
         }
-        ctx.set_timer(SimDuration::from_millis(50), 1);
     }
 
     impl_actor_any!();
@@ -340,7 +350,7 @@ mod tests {
     /// Two groups, one scripted migration of the upper half of group
     /// 0's range to group 1 at `at`. The tiny chunk size forces the
     /// export through a genuinely multi-chunk transfer.
-    fn build(p: ProtocolKind, seed: u64, at: SimDuration) -> (ShardedCluster, Key, Key) {
+    fn build(p: ProtocolKind, seed: u64, at: SimDuration) -> (ShardedCluster, Key) {
         let router = crate::shard::ShardRouter::new(WorkloadConfig::default().records, 2);
         let (lo0, hi0) = router.range(0);
         let mid = (lo0 + hi0) / 2;
@@ -358,7 +368,7 @@ mod tests {
             }))
             .seed(seed)
             .build_sharded();
-        (cluster, mid, hi0)
+        (cluster, mid)
     }
 
     /// Writes one marker key on each side of the future split boundary
@@ -382,14 +392,7 @@ mod tests {
     /// value) by the new owner, writes to it commit, and **no group's
     /// replicas hold a key the map says belongs elsewhere** — nothing
     /// lost, nothing duplicated, nothing applied in two groups.
-    fn assert_migrated(
-        cluster: &mut ShardedCluster,
-        p: ProtocolKind,
-        staying: Key,
-        moving: Key,
-        _mid: Key,
-        _hi: Key,
-    ) {
+    fn assert_migrated(cluster: &mut ShardedCluster, p: ProtocolKind, staying: Key, moving: Key) {
         let name = p.name();
         let router = cluster.current_router();
         assert_eq!(router.version(), 1, "{name}: map version bumped");
@@ -445,12 +448,12 @@ mod tests {
     #[test]
     fn scripted_range_move_is_exactly_once_for_every_protocol() {
         for p in PROTOCOLS {
-            let (mut cluster, mid, hi) = build(p, 13, SimDuration::from_secs(4));
+            let (mut cluster, mid) = build(p, 13, SimDuration::from_secs(4));
             cluster.elect_leaders();
             let (staying, moving) = seed_keys(&mut cluster, mid);
             cluster.run_until_rebalanced(SimDuration::from_secs(60));
             assert_eq!(cluster.migrations_completed(), vec![1]);
-            assert_migrated(&mut cluster, p, staying, moving, mid, hi);
+            assert_migrated(&mut cluster, p, staying, moving);
             // The transfer actually went over the chunked path.
             let stats = cluster.per_group_stats();
             assert!(
@@ -478,14 +481,14 @@ mod tests {
     fn model_checked_retry_across_the_move_is_deduplicated() {
         for p in PROTOCOLS {
             let name = p.name();
-            let (mut cluster, mid, hi) = build(p, 29, SimDuration::from_secs(4));
+            let (mut cluster, mid) = build(p, 29, SimDuration::from_secs(4));
             cluster.elect_leaders();
             let (staying, moving) = seed_keys(&mut cluster, mid);
-            // The moving-key put is the probe's last pre-migration
-            // command; keep it for retransmission after the move.
+            // The moving-key put is the last pre-migration submission;
+            // keep it for retransmission after the move.
             let dup = cluster
-                .last_probe_command()
-                .expect("seed_keys submitted probes");
+                .last_submitted_command()
+                .expect("seed_keys submitted commands");
             cluster.run_until_rebalanced(SimDuration::from_secs(60));
             assert_eq!(cluster.migrations_completed(), vec![1], "{name}");
             // Let every group-1 replica finish installing the range.
@@ -518,14 +521,14 @@ mod tests {
                 "{name}: retransmitted command was re-applied after the move \
                  (session table did not migrate with the range)"
             );
-            assert_migrated(&mut cluster, p, staying, moving, mid, hi);
+            assert_migrated(&mut cluster, p, staying, moving);
         }
     }
 
     #[test]
     fn source_leader_crash_mid_export_does_not_lose_the_range() {
         for p in PROTOCOLS {
-            let (mut cluster, mid, hi) = build(p, 17, SimDuration::from_secs(4));
+            let (mut cluster, mid) = build(p, 17, SimDuration::from_secs(4));
             cluster.elect_leaders();
             let (staying, moving) = seed_keys(&mut cluster, mid);
             // Crash the source group's leader right around the freeze
@@ -536,14 +539,14 @@ mod tests {
                 .sim
                 .crash_at(victim, paxraft_sim::time::SimTime::from_millis(4_150));
             cluster.run_until_rebalanced(SimDuration::from_secs(120));
-            assert_migrated(&mut cluster, p, staying, moving, mid, hi);
+            assert_migrated(&mut cluster, p, staying, moving);
         }
     }
 
     #[test]
     fn dest_leader_crash_before_install_recovers() {
         for p in PROTOCOLS {
-            let (mut cluster, mid, hi) = build(p, 19, SimDuration::from_secs(4));
+            let (mut cluster, mid) = build(p, 19, SimDuration::from_secs(4));
             cluster.elect_leaders();
             let (staying, moving) = seed_keys(&mut cluster, mid);
             // Crash the destination group's leader before the install
@@ -553,14 +556,14 @@ mod tests {
                 .sim
                 .crash_at(victim, paxraft_sim::time::SimTime::from_millis(4_000));
             cluster.run_until_rebalanced(SimDuration::from_secs(120));
-            assert_migrated(&mut cluster, p, staying, moving, mid, hi);
+            assert_migrated(&mut cluster, p, staying, moving);
         }
     }
 
     #[test]
     fn chunk_loss_during_transfer_is_retried_to_completion() {
         for p in PROTOCOLS {
-            let (mut cluster, mid, hi) = build(p, 23, SimDuration::from_secs(4));
+            let (mut cluster, mid) = build(p, 23, SimDuration::from_secs(4));
             cluster.elect_leaders();
             let (staying, moving) = seed_keys(&mut cluster, mid);
             // 15% uniform loss across the whole migration window: the
@@ -574,7 +577,7 @@ mod tests {
                 .sim
                 .set_drop_rate_at(0.0, cluster.sim.now() + SimDuration::from_millis(1));
             cluster.run_until_rebalanced(SimDuration::from_secs(180));
-            assert_migrated(&mut cluster, p, staying, moving, mid, hi);
+            assert_migrated(&mut cluster, p, staying, moving);
         }
     }
 
@@ -658,7 +661,7 @@ mod tests {
                 "{}: coordinator published the bumped map to clients",
                 p.name()
             );
-            let _ = redirects;
+            assert!(redirects > 0, "{}: some client was redirected", p.name());
         }
     }
 
@@ -727,6 +730,37 @@ mod tests {
                 p.name()
             );
         }
+    }
+
+    /// A scripted migration is checked when the cluster is built, not
+    /// when it falls due: its destination group must exist.
+    #[test]
+    #[should_panic(expected = "to_group: 2")]
+    fn a_migration_to_a_missing_group_is_refused_at_build() {
+        Cluster::builder(ProtocolKind::Raft)
+            .shard_config(ShardConfig::groups(2))
+            .rebalance_config(RebalanceConfig::default().migrate(MigrationSpec {
+                at: SimDuration::from_secs(4),
+                lo: 0,
+                hi: 10,
+                to_group: 2,
+            }))
+            .build_sharded();
+    }
+
+    /// ...and its range must not be empty.
+    #[test]
+    #[should_panic(expected = "lo: 10, hi: 10")]
+    fn an_empty_migration_is_refused_at_build() {
+        Cluster::builder(ProtocolKind::Raft)
+            .shard_config(ShardConfig::groups(2))
+            .rebalance_config(RebalanceConfig::default().migrate(MigrationSpec {
+                at: SimDuration::from_secs(4),
+                lo: 10,
+                hi: 10,
+                to_group: 1,
+            }))
+            .build_sharded();
     }
 
     /// Two disjoint moves from different source groups into one
@@ -847,6 +881,83 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The coordinator against replicas that never answer: it sleeps
+    /// until its plan is due, re-sends the freeze to the source group's
+    /// next replica exactly 1 s after each send, and once the freeze
+    /// commits re-sends it 2.5 s after the commit.
+    #[test]
+    fn the_coordinator_wakes_when_due_and_retries_on_exact_deadlines() {
+        use super::{freeze_cmd_id, RebalanceCoordinator, T_WAKE};
+        use crate::client::tests::Puppet;
+        use paxraft_sim::net::{NetConfig, Region};
+        use paxraft_sim::sim::{ActorId, Simulation};
+        use paxraft_sim::time::SimTime;
+
+        let net = NetConfig {
+            jitter: 0.0,
+            ..NetConfig::default()
+        };
+        let mut sim = Simulation::new(net, 3);
+        // Two groups of three silent replicas, in one region with the
+        // coordinator, so every send takes the same time to arrive.
+        let replicas: Vec<ActorId> = (0..6)
+            .map(|_| {
+                let puppet = Puppet {
+                    reply: None,
+                    arrivals: Vec::new(),
+                };
+                sim.add_actor(Region::Oregon, Box::new(puppet))
+            })
+            .collect();
+        let router = crate::shard::ShardRouter::new(1_000, 2);
+        let (lo, hi) = router.range(0);
+        let at = SimTime::from_secs(3);
+        let plan = vec![MigrationSpec {
+            at: SimDuration::from_secs(3),
+            lo,
+            hi,
+            to_group: 1,
+        }];
+        let targets = vec![replicas[..3].to_vec(), replicas[3..].to_vec()];
+        let coord = RebalanceCoordinator::new(0, router, plan, targets, Vec::new());
+        let coord = sim.add_actor(Region::Oregon, Box::new(coord));
+        let arrivals =
+            |sim: &Simulation<Msg>, r: usize| sim.actor::<Puppet>(replicas[r]).arrivals.clone();
+
+        sim.run_until(SimTime::from_nanos(at.as_nanos() - 1));
+        assert_eq!(sim.stats.timer_fires, 0, "nothing fires before the plan");
+        assert_eq!(sim.timer_due(coord, T_WAKE), Some(at));
+        sim.run_until(SimTime::from_millis(4_500));
+        let freeze = freeze_cmd_id(0, 1);
+        let first = arrivals(&sim, 0);
+        assert_eq!(first.len(), 1, "{first:?}");
+        let hop = first[0].0.since(at);
+        assert!(
+            hop < SimDuration::from_millis(10),
+            "sent when due: {first:?}"
+        );
+        assert_eq!(
+            arrivals(&sim, 1),
+            [(at + SimDuration::from_secs(1) + hop, freeze)],
+            "the next replica, 1 s after the send"
+        );
+
+        let committed = SimTime::from_millis(4_600);
+        let reply = Msg::Client(ClientMsg::Response {
+            id: freeze,
+            reply: Reply::Done,
+        });
+        sim.send_external(coord, reply, committed.since(sim.now()));
+        sim.run_until(SimTime::from_millis(8_000));
+        assert_eq!(arrivals(&sim, 0).len(), 1);
+        assert_eq!(arrivals(&sim, 1).len(), 1, "the 5 s deadline was replaced");
+        assert_eq!(
+            arrivals(&sim, 2),
+            [(committed + SimDuration::from_millis(2_500) + hop, freeze)],
+            "the install wait re-sends the freeze 2.5 s after its commit"
+        );
     }
 
     /// A sharded run with an *empty* rebalance plan creates no

@@ -75,7 +75,8 @@
 //! re-arm for the check's time or earlier queues a new check, and the
 //! one it orphans pops and is discarded. A fire superseded while it
 //! waits in the inbox takes its turn undelivered. A crash clears the
-//! actor's keys.
+//! actor's keys, and [`Ctx::cancel_timer`] clears one. Code outside a
+//! handler re-arms a key with [`Simulation::rearm_timer`].
 //!
 //! A re-arm takes the `seq` a push would have taken, and the check that
 //! pops on time carries it, so the fire takes the place among the events
@@ -201,6 +202,9 @@ enum Output<M> {
         delay: SimDuration,
         token: u64,
     },
+    Cancel {
+        key: u64,
+    },
     DiskWrite {
         bytes: usize,
     },
@@ -241,6 +245,12 @@ impl<'a, M> Ctx<'a, M> {
     /// crash cancels it (module docs, "Superseded timers").
     pub fn rearm_timer(&mut self, key: u64, delay: SimDuration, token: u64) {
         self.outputs.push(Output::Rearm { key, delay, token });
+    }
+
+    /// Cancels this actor's timer under `key`, if it has one: it is
+    /// never delivered, as after a crash.
+    pub fn cancel_timer(&mut self, key: u64) {
+        self.outputs.push(Output::Cancel { key });
     }
 
     /// Adds CPU service cost to this handler. Costs accumulate if called
@@ -521,6 +531,14 @@ impl KeyedTimers {
         (t.carrier != Carrier::Idle).then_some(t.due)
     }
 
+    /// `dst`'s timer under `key`, if it has one, is cancelled: whatever
+    /// carries it is discarded when it pops or takes its turn.
+    fn cancel(&mut self, dst: usize, key: u64) {
+        if let Ok(i) = self.find(dst, key) {
+            self.0[i].carrier = Carrier::Idle;
+        }
+    }
+
     /// A crash: every timer `dst` has is cancelled.
     fn clear(&mut self, dst: usize) {
         for t in self.0.iter_mut().filter(|t| t.dst == dst) {
@@ -797,6 +815,17 @@ impl<M: Payload> Simulation<M> {
         self.crashed[node.0]
     }
 
+    /// Sets `actor`'s timer under `key` to fire `delay` from now,
+    /// delivering `token`: [`Ctx::rearm_timer`] for a caller outside a
+    /// handler, such as a harness that hands an actor work between two
+    /// steps. A crashed actor is left alone; its crash cancelled its
+    /// timers.
+    pub fn rearm_timer(&mut self, actor: ActorId, key: u64, delay: SimDuration, token: u64) {
+        if !self.crashed[actor.0] {
+            self.rearm(actor.0, key, self.now + delay, token);
+        }
+    }
+
     /// When `actor`'s timer under `key` ([`Ctx::rearm_timer`]) is due,
     /// if it has one that is neither delivered nor cancelled.
     pub fn timer_due(&self, actor: ActorId, key: u64) -> Option<SimTime> {
@@ -885,6 +914,7 @@ impl<M: Payload> Simulation<M> {
                     );
                 }
                 Output::Rearm { key, delay, token } => self.rearm(i, key, done + delay, token),
+                Output::Cancel { key } => self.keyed.cancel(i, key),
                 Output::DiskWrite { bytes } => {
                     self.disks.write(done, self.disk_of[i], bytes);
                 }
@@ -2137,9 +2167,12 @@ mod tests {
         );
     }
 
+    const CANCEL: u32 = u32::MAX;
+
     /// Arms its watchdog 10 ms out, with token 0, on start. `Ping(ms)`
     /// charges `cost_ms` and, unless `ms` is 0, re-arms the watchdog `ms`
-    /// out with `ms` as its token. Records every fire.
+    /// out with `ms` as its token; `Ping(CANCEL)` cancels it instead.
+    /// Records every fire.
     struct Watchdog {
         cost_ms: u64,
         fired: Vec<(u64, SimTime)>,
@@ -2150,7 +2183,9 @@ mod tests {
         }
         fn on_message(&mut self, ctx: &mut Ctx<Ping>, _from: ActorId, msg: Ping) {
             ctx.charge(SimDuration::from_millis(self.cost_ms));
-            if msg.0 > 0 {
+            if msg.0 == CANCEL {
+                ctx.cancel_timer(WATCHDOG);
+            } else if msg.0 > 0 {
                 let delay = SimDuration::from_millis(u64::from(msg.0));
                 ctx.rearm_timer(WATCHDOG, delay, u64::from(msg.0));
             }
@@ -2231,6 +2266,43 @@ mod tests {
         // The crash, the orphaned check at 10 ms, the restart, the check
         // at 30 ms and the fire's turn.
         assert_eq!(sim.stats.events, 5);
+    }
+
+    #[test]
+    fn a_cancelled_timer_is_never_delivered() {
+        // Cancelled while its check is queued: the check pops at 10 ms
+        // and is discarded. The arrival, its turn and that pop.
+        let (fired, events) = watchdog_run(0, &[(5, CANCEL)], false);
+        assert_eq!((fired, events), (vec![], 3));
+        // Cancelled while its fire waits in the inbox (busy from 5 to 15
+        // ms, the fire joins at 10 behind the cancel): it takes its turn
+        // undelivered.
+        let (fired, _) = watchdog_run(10, &[(5, 0), (8, CANCEL)], false);
+        assert_eq!(fired, []);
+        assert_eq!(watchdog_run(10, &[(5, 0), (8, CANCEL)], true).0, fired);
+    }
+
+    /// A re-arm from outside a handler is a handler's re-arm made now:
+    /// it supersedes the timer the key had. A crashed actor keeps none.
+    #[test]
+    fn an_outside_rearm_supersedes_like_a_handler_rearm() {
+        let mut sim = Simulation::new(NetConfig::default(), 1);
+        let watchdog = Watchdog {
+            cost_ms: 0,
+            fired: Vec::new(),
+        };
+        let n = sim.add_actor(Region::Oregon, Box::new(watchdog));
+        sim.run_until(SimTime::from_millis(5));
+        sim.rearm_timer(n, WATCHDOG, SimDuration::from_millis(20), 7);
+        assert_eq!(sim.timer_due(n, WATCHDOG), Some(SimTime::from_millis(25)));
+        sim.crash_at(n, SimTime::from_millis(30));
+        sim.run_until(SimTime::from_millis(40));
+        sim.rearm_timer(n, WATCHDOG, SimDuration::from_millis(1), 8);
+        sim.run_until(SimTime::from_millis(100));
+        assert_eq!(
+            sim.actor::<Watchdog>(n).fired,
+            [(7, SimTime::from_millis(25))]
+        );
     }
 
     #[test]

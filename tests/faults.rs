@@ -120,7 +120,8 @@ fn minority_partition_does_not_block_majority() {
             value: vec![7; 8].into(),
         })
         .expect("pre-partition put");
-    // Partition replicas 3 and 4 away from {0, 1, 2} + clients + probe.
+    // Partition replicas 3 and 4 away from {0, 1, 2}, the clients and
+    // the scripted client.
     let total = cluster.sim.len();
     let mut groups = vec![0u32; total];
     groups[3] = 1;
@@ -361,7 +362,8 @@ fn majority_partition_blocks_commits_until_heal() {
     let mut cluster = Cluster::builder(ProtocolKind::RaftStar).seed(63).build();
     cluster.elect_leader();
     // Cut the leader (node 0) plus everything else off from {1,2,3,4}:
-    // leave the leader alone with the clients and probe — no quorum.
+    // leave the leader alone with the clients and the scripted client —
+    // no quorum.
     let total = cluster.sim.len();
     let mut groups = vec![0u32; total];
     for r in 1..5 {
@@ -377,7 +379,8 @@ fn majority_partition_blocks_commits_until_heal() {
     });
     assert!(err.is_err(), "no quorum on the leader's side: {err:?}");
     // After healing, the same write goes through (possibly via a new
-    // leader on the other side; the probe falls back to live replicas).
+    // leader on the other side; `submit_and_wait` falls back to live
+    // replicas).
     cluster
         .sim
         .heal_at(cluster.sim.now() + SimDuration::from_millis(1));
