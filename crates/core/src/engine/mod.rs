@@ -65,7 +65,7 @@ use crate::msg::{
     ClientMsg, EngineMsg, Msg, SHARD_GROUP_HEADER, SNAPSHOT_ACK_HEADER, SNAPSHOT_CHUNK_HEADER,
 };
 use crate::shard::migration::{install_cmd_id, KeyOwnership, RangeExport, RouterVersion};
-use crate::snapshot::{self, ChunkAssembler, Snapshot, SnapshotSender, SnapshotStats};
+use crate::snapshot::{self, ChunkAssembler, Snapshot, SnapshotStats};
 use crate::telemetry::MetricSample;
 use crate::types::{self, NodeId, Slot, Term};
 
@@ -119,8 +119,6 @@ pub struct EngineCore {
     batch_armed: bool,
     /// Reassembles incoming snapshot chunks, keyed by sender.
     pub snap_asm: ChunkAssembler,
-    /// Per-peer outbound transfer rate-limiting.
-    pub snap_send: SnapshotSender,
     /// The durable snapshot the log was last compacted against (models
     /// the on-disk snapshot file); restored on crash-restart because the
     /// compacted prefix can no longer be replayed.
@@ -135,8 +133,9 @@ pub struct EngineCore {
     /// no-leader retry regression asserts buffered commands are neither
     /// dropped nor duplicated across a leader transition).
     pub forwarded_cmds: u64,
-    /// Per-peer in-flight replication round tracking; drives the
-    /// adaptive batch cutter and the per-peer send gate.
+    /// Per-peer replication progress — matches, send cursors, in-flight
+    /// rounds and snapshot pacing; drives the adaptive batch cutter and
+    /// the per-peer send gate.
     pub pipe: PipelineWindow,
     /// `(chunk, ack)` wire-header bytes of this protocol's snapshot
     /// spelling, resolved once from
@@ -202,7 +201,6 @@ impl EngineCore {
             pending: Vec::new(),
             batch_armed: false,
             snap_asm: ChunkAssembler::default(),
-            snap_send: SnapshotSender::new(n),
             stable_snap: None,
             snap_stats: SnapshotStats::default(),
             responses_sent: 0,
@@ -495,8 +493,8 @@ pub trait ProtocolRules: Sized + 'static {
     );
 
     /// Handles a snapshot acknowledgement (release the per-peer transfer
-    /// slot via [`SnapshotSender::finish`], then treat `upto` like a
-    /// replication ack).
+    /// slot via [`PipelineWindow::finish_snapshot`], then treat `upto`
+    /// like a replication ack).
     fn on_snapshot_ack(
         &mut self,
         core: &mut EngineCore,
@@ -1181,9 +1179,9 @@ impl<P: ProtocolRules> Actor<Msg> for ReplicaEngine<P> {
 
     fn on_crash(&mut self) {
         // Shared volatile state: the pending batch, the batch timer, any
-        // in-flight transfer bookkeeping, the pipeline window and the
-        // leader hint die with the process. What of its log each family
-        // keeps is the rules' concern.
+        // in-flight transfer, the per-peer progress (rounds, cursors,
+        // transfer pacing) and the leader hint die with the process. What
+        // of its log each family keeps is the rules' concern.
         self.core.pending.clear();
         // The election, heartbeat, batch and max-delay timers are keyed:
         // the simulator cancels them on the crash.
@@ -1191,7 +1189,6 @@ impl<P: ProtocolRules> Actor<Msg> for ReplicaEngine<P> {
         self.core.leader_hint = None;
         self.core.window_hint = None;
         self.core.snap_asm.clear();
-        self.core.snap_send.reset();
         self.core.pipe.reset();
         // In-flight migration transfer state is volatile; the frozen /
         // absorbed bookkeeping itself is state-machine state and comes

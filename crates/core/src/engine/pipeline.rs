@@ -11,8 +11,22 @@
 //! by Raft, Raft*, MultiPaxos and Mencius (which pipelines rounds of its
 //! own round-robin slot range).
 //!
-//! The window tracks, per peer, the replication rounds that were sent
-//! but not yet acknowledged. Three behaviors matter:
+//! It is also the one record of what a leader (or slot owner) knows of
+//! each peer — etcd raft's `tracker.Progress`: the highest slot the peer
+//! acknowledged (Match), the send cursor (Next), the rounds in flight
+//! (Inflights) and a snapshot transfer in flight (PendingSnapshot). Raft
+//! and Raft* also read the cursor for the next append's `prev`, back it
+//! off on a rejection ([`PipelineWindow::on_reject`]), rewind it after
+//! [`super::RETRY_INTERVAL`] without progress
+//! ([`PipelineWindow::maybe_rewind`]) and tally commits from the matches
+//! ([`PipelineWindow::kth_largest_match`]); MultiPaxos pumps a skipped
+//! acceptor's backlog from the cursor. A leadership change resets
+//! rounds, matches and cursors ([`PipelineWindow::reset_for_leadership`];
+//! Raft's cursor to its log tail, MultiPaxos's to none) and keeps a
+//! transfer's pacing; a crash forgets everything
+//! ([`PipelineWindow::reset`]).
+//!
+//! Of the rounds sent but not yet acknowledged, three behaviors matter:
 //!
 //! - **Depth bound**: at most [`PipelineConfig::depth`] rounds may be in
 //!   flight per peer; senders consult [`PipelineWindow::has_room`]
@@ -177,14 +191,32 @@ impl PipelineStats {
     }
 }
 
-/// Per-peer in-flight round tracking for one replica.
+/// One peer's progress, as the sender sees it.
+#[derive(Debug, Clone, Default)]
+struct Progress {
+    /// Highest slot the peer acknowledged since the last reset: what
+    /// [`PipelineWindow::round_cap`] measures the outstanding work from
+    /// and the Raft family's commit tally counts.
+    matched: Slot,
+    /// Highest slot shipped (or, in MultiPaxos, passed over as
+    /// committed) since the last reset: the send cursor.
+    sent_through: Slot,
+    /// The `prev` of the last append (the Raft family's rejection
+    /// backoff).
+    prev_sent: Slot,
+    /// When anything was last sent (the Raft family's timed rewind).
+    last_sent: SimTime,
+    /// Rounds sent and not yet acknowledged, oldest first.
+    inflight: VecDeque<Round>,
+    /// When the snapshot transfer in flight started, if one is.
+    snapshot_since: Option<SimTime>,
+}
+
+/// Per-peer replication progress for one replica.
 #[derive(Debug)]
 pub struct PipelineWindow {
     depth: usize,
-    inflight: Vec<VecDeque<Round>>,
-    /// Highest slot each peer acknowledged since the last reset: what
-    /// [`PipelineWindow::round_cap`] measures the outstanding work from.
-    acked: Vec<Slot>,
+    peers: Vec<Progress>,
     /// Occupancy and cutter counters.
     pub stats: PipelineStats,
 }
@@ -194,21 +226,20 @@ impl PipelineWindow {
     pub fn new(n: usize, cfg: &PipelineConfig) -> Self {
         PipelineWindow {
             depth: cfg.depth,
-            inflight: vec![VecDeque::new(); n],
-            acked: vec![Slot::NONE; n],
+            peers: vec![Progress::default(); n],
             stats: PipelineStats::default(),
         }
     }
 
     /// In-flight rounds toward `peer`.
     pub fn in_flight(&self, peer: NodeId) -> usize {
-        self.inflight[peer.0 as usize].len()
+        self.peers[peer.0 as usize].inflight.len()
     }
 
     /// Total in-flight rounds across every peer — the occupancy gauge
     /// the telemetry sampler reads.
     pub fn total_in_flight(&self) -> usize {
-        self.inflight.iter().map(VecDeque::len).sum()
+        self.peers.iter().map(|p| p.inflight.len()).sum()
     }
 
     /// Whether a new round may be started toward `peer`.
@@ -224,17 +255,63 @@ impl PipelineWindow {
         let need = crate::types::quorum(n) - 1;
         let with_room = (0..n)
             .filter(|&i| i != me.0 as usize)
-            .filter(|&i| self.inflight[i].len() < self.depth)
+            .filter(|&i| self.peers[i].inflight.len() < self.depth)
             .count();
         with_room >= need
     }
 
-    /// Records a round covering slots up to `upto` shipped to `peer`.
+    /// Highest slot `peer` acknowledged since the last reset.
+    pub fn match_index(&self, peer: NodeId) -> Slot {
+        self.peers[peer.0 as usize].matched
+    }
+
+    /// The send cursor: the highest slot shipped to `peer`, or passed
+    /// over ([`PipelineWindow::skip_to`]), since the last reset.
+    pub fn sent_through(&self, peer: NodeId) -> Slot {
+        self.peers[peer.0 as usize].sent_through
+    }
+
+    /// The `prev` the next append to `peer` should use (Raft family):
+    /// everything after it is shipped in that message.
+    pub fn next_prev(&self, peer: NodeId) -> Slot {
+        let p = &self.peers[peer.0 as usize];
+        p.sent_through.max(p.matched)
+    }
+
+    /// Records a round covering slots up to `upto` shipped to `peer` at
+    /// `now`: it holds a window slot until acknowledged, and the cursor
+    /// moves up to `upto`.
     pub fn on_sent(&mut self, peer: NodeId, upto: Slot, now: SimTime) {
-        let q = &mut self.inflight[peer.0 as usize];
-        q.push_back(Round { upto, sent_at: now });
+        let p = &mut self.peers[peer.0 as usize];
+        p.sent_through = p.sent_through.max(upto);
+        p.last_sent = now;
+        p.inflight.push_back(Round { upto, sent_at: now });
         self.stats.rounds_sent += 1;
-        self.stats.peak_in_flight = self.stats.peak_in_flight.max(q.len() as u64);
+        let len = p.inflight.len() as u64;
+        self.stats.peak_in_flight = self.stats.peak_in_flight.max(len);
+    }
+
+    /// Records an append of the log suffix `(prev, tail]` shipped to
+    /// `peer` at `now` (Raft family): one that carries entries is a
+    /// round ([`PipelineWindow::on_sent`]); an empty one (a heartbeat, or
+    /// the append behind a snapshot of the whole log) moves the cursor
+    /// the same way but takes no window slot.
+    pub fn on_append(&mut self, peer: NodeId, prev: Slot, tail: Slot, now: SimTime) {
+        let p = &mut self.peers[peer.0 as usize];
+        p.prev_sent = prev;
+        if tail > prev {
+            self.on_sent(peer, tail, now);
+        } else {
+            p.sent_through = p.sent_through.max(tail);
+            p.last_sent = now;
+        }
+    }
+
+    /// Moves `peer`'s cursor up to `upto` without a send: MultiPaxos
+    /// passes over instances a commit already covers.
+    pub fn skip_to(&mut self, peer: NodeId, upto: Slot) {
+        let p = &mut self.peers[peer.0 as usize];
+        p.sent_through = p.sent_through.max(upto);
     }
 
     /// Records an acknowledgement from `peer` covering slots through
@@ -244,16 +321,60 @@ impl PipelineWindow {
     /// round trip is known without a timestamp per instance — or `None`
     /// if it retired nothing.
     pub fn on_ack(&mut self, peer: NodeId, upto: Slot) -> Option<SimTime> {
-        let i = peer.0 as usize;
-        self.acked[i] = self.acked[i].max(upto);
-        let q = &mut self.inflight[i];
+        let p = &mut self.peers[peer.0 as usize];
+        p.matched = p.matched.max(upto);
         let mut shipped = None;
-        while let Some(round) = q.front().filter(|r| r.upto <= upto) {
+        while let Some(round) = p.inflight.front().filter(|r| r.upto <= upto) {
             shipped = Some(round.sent_at);
-            q.pop_front();
+            p.inflight.pop_front();
             self.stats.rounds_acked += 1;
         }
         shipped
+    }
+
+    /// Records a rejected append with the follower's `last_idx` hint
+    /// (Raft family): the rounds in flight to `peer` are dead, and the
+    /// cursor backs off one slot below the last `prev`, or to the hint
+    /// if that is lower, never below the match. Returns the `prev` to
+    /// probe next.
+    pub fn on_reject(&mut self, peer: NodeId, hint: Slot) -> Slot {
+        self.on_regress(peer);
+        let p = &mut self.peers[peer.0 as usize];
+        let backoff = Slot(p.prev_sent.0.saturating_sub(1));
+        let prev = backoff.min(hint).max(p.matched);
+        p.sent_through = prev;
+        p.prev_sent = prev;
+        prev
+    }
+
+    /// Timed retransmission (Raft family): when `peer` has shipped but
+    /// unacknowledged entries and nothing went to it for longer than
+    /// `retry`, rewinds the cursor to the match so the next send repeats
+    /// them, and regresses the window. Returns whether it rewound.
+    pub fn maybe_rewind(&mut self, peer: NodeId, now: SimTime, retry: SimDuration) -> bool {
+        let p = &mut self.peers[peer.0 as usize];
+        if p.sent_through <= p.matched || now.since(p.last_sent.min(now)) <= retry {
+            return false;
+        }
+        p.sent_through = p.matched;
+        self.on_regress(peer);
+        true
+    }
+
+    /// The largest slot acknowledged by at least `k` of the peers other
+    /// than `exclude` (the sender itself): the highest match that `k`
+    /// matches reach, counted in place — this runs on every ack.
+    pub fn kth_largest_match(&self, k: usize, exclude: NodeId) -> Slot {
+        let peers = || {
+            let all = self.peers.iter().enumerate();
+            all.filter(|(i, _)| *i != exclude.0 as usize)
+                .map(|(_, p)| p.matched)
+        };
+        let reached_by_k = |m: &Slot| peers().filter(|other| other >= m).count() >= k;
+        match k {
+            0 => Slot::NONE,
+            _ => peers().filter(reached_by_k).max().unwrap_or(Slot::NONE),
+        }
     }
 
     /// The most entries one round *pumped* to `peer` after an ack may
@@ -268,7 +389,7 @@ impl PipelineWindow {
         if !dur.barrier_per_entry() {
             return usize::MAX;
         }
-        let outstanding = tail.0.saturating_sub(self.acked[peer.0 as usize].0) as usize;
+        let outstanding = tail.0.saturating_sub(self.match_index(peer).0) as usize;
         outstanding.div_ceil(self.depth).max(1)
     }
 
@@ -282,7 +403,7 @@ impl PipelineWindow {
     /// Clears `peer`'s in-flight rounds after a rejection or rewind: the
     /// retransmission path re-ships the suffix as a fresh round.
     pub fn on_regress(&mut self, peer: NodeId) {
-        let q = &mut self.inflight[peer.0 as usize];
+        let q = &mut self.peers[peer.0 as usize].inflight;
         self.stats.rounds_regressed += q.len() as u64;
         q.clear();
     }
@@ -291,23 +412,59 @@ impl PipelineWindow {
     /// a periodic retransmission path covers the data). Keeps a stalled
     /// peer from pinning the window shut forever.
     pub fn expire_stale(&mut self, now: SimTime, retry: SimDuration) {
-        for q in &mut self.inflight {
-            while q
+        for p in &mut self.peers {
+            while p
+                .inflight
                 .front()
                 .is_some_and(|r| now.since(r.sent_at.min(now)) > retry)
             {
-                q.pop_front();
+                p.inflight.pop_front();
                 self.stats.rounds_regressed += 1;
             }
         }
     }
 
-    /// Forgets every in-flight round (leadership change, crash).
-    pub fn reset(&mut self) {
-        for q in &mut self.inflight {
-            q.clear();
+    /// Whether a snapshot transfer to `peer` may begin at `now`: at most
+    /// one is in flight per peer, and an unacknowledged one is retried
+    /// no sooner than `retry` after it started. Records the start when
+    /// it may.
+    pub fn begin_snapshot(&mut self, peer: NodeId, now: SimTime, retry: SimDuration) -> bool {
+        let since = &mut self.peers[peer.0 as usize].snapshot_since;
+        if since.is_some_and(|at| now.since(at.min(now)) < retry) {
+            return false;
         }
-        self.acked.fill(Slot::NONE);
+        *since = Some(now);
+        true
+    }
+
+    /// Marks `peer`'s snapshot transfer acknowledged: the next may start
+    /// at once.
+    pub fn finish_snapshot(&mut self, peer: NodeId) {
+        self.peers[peer.0 as usize].snapshot_since = None;
+    }
+
+    /// Resets for a new leadership (or phase 1): no round in flight, no
+    /// match, and every cursor at `cursor` — the Raft family's log tail,
+    /// whose followers are optimistically assumed to hold it (rejections
+    /// back the cursor off), or MultiPaxos's none. A snapshot transfer in
+    /// flight keeps its pacing.
+    pub fn reset_for_leadership(&mut self, cursor: Slot) {
+        for p in &mut self.peers {
+            p.inflight.clear();
+            p.matched = Slot::NONE;
+            p.sent_through = cursor;
+            p.prev_sent = cursor;
+            p.last_sent = SimTime::ZERO;
+        }
+    }
+
+    /// Forgets everything about every peer, transfer pacing included
+    /// (crash).
+    pub fn reset(&mut self) {
+        self.reset_for_leadership(Slot::NONE);
+        for p in &mut self.peers {
+            p.snapshot_since = None;
+        }
     }
 }
 
@@ -442,5 +599,193 @@ mod tests {
         w.on_ack(NodeId(2), Slot(5));
         assert_eq!(w.stats.peak_in_flight, 5);
         assert_eq!(w.stats.rounds_acked, 5);
+    }
+
+    // The Raft family's cursor: the next append's `prev`, the rejection
+    // backoff, the timed rewind and the commit tally.
+
+    #[test]
+    fn fresh_tracker_sends_everything() {
+        let w = window(8);
+        assert_eq!(w.next_prev(NodeId(1)), Slot::NONE);
+    }
+
+    #[test]
+    fn a_sent_suffix_is_not_sent_again() {
+        let mut w = window(8);
+        w.on_append(NodeId(1), Slot::NONE, Slot(10), t(0));
+        // The next batch flush ships only entries after 10.
+        assert_eq!(w.next_prev(NodeId(1)), Slot(10));
+    }
+
+    #[test]
+    fn ack_advances_match() {
+        let mut w = window(8);
+        w.on_append(NodeId(1), Slot::NONE, Slot(10), t(0));
+        assert_eq!(w.on_ack(NodeId(1), Slot(10)), Some(t(0)));
+        assert_eq!(w.match_index(NodeId(1)), Slot(10));
+        assert_eq!(w.on_ack(NodeId(1), Slot(5)), None, "stale ack ignored");
+        assert_eq!(w.match_index(NodeId(1)), Slot(10), "and moves no match");
+    }
+
+    #[test]
+    fn reject_backs_off_and_respects_hint() {
+        let mut w = window(8);
+        w.reset_for_leadership(Slot(20));
+        // Probe at prev=20 fails; follower says its last index is 3.
+        let p = w.on_reject(NodeId(2), Slot(3));
+        assert_eq!(p, Slot(3), "jump to the follower's tail");
+        w.on_append(NodeId(2), p, Slot(20), t(0));
+        // Another mismatch without a useful hint decrements.
+        let p2 = w.on_reject(NodeId(2), Slot(3));
+        assert_eq!(p2, Slot(2));
+        assert_eq!(w.in_flight(NodeId(2)), 0, "the rejected round is dead");
+    }
+
+    #[test]
+    fn reject_never_rewinds_before_match() {
+        let mut w = window(8);
+        w.on_ack(NodeId(1), Slot(8));
+        w.on_append(NodeId(1), Slot(8), Slot(12), t(0));
+        let p = w.on_reject(NodeId(1), Slot(1));
+        assert_eq!(p, Slot(8), "matched prefix is never re-probed");
+    }
+
+    #[test]
+    fn rewind_after_retry_interval() {
+        let mut w = window(8);
+        let retry = SimDuration::from_millis(600);
+        w.on_append(NodeId(1), Slot::NONE, Slot(10), t(0));
+        assert!(!w.maybe_rewind(NodeId(1), t(100), retry));
+        assert!(w.maybe_rewind(NodeId(1), t(700), retry));
+        assert_eq!(w.next_prev(NodeId(1)), Slot::NONE, "cursor back at match");
+        assert_eq!(w.in_flight(NodeId(1)), 0, "and its rounds regressed");
+    }
+
+    #[test]
+    fn no_rewind_when_fully_acked() {
+        let mut w = window(8);
+        w.on_append(NodeId(1), Slot::NONE, Slot(10), t(0));
+        w.on_ack(NodeId(1), Slot(10));
+        assert!(!w.maybe_rewind(NodeId(1), t(10_000), SimDuration::from_millis(600)));
+    }
+
+    #[test]
+    fn kth_largest_match_quorum() {
+        let mut w = window(8);
+        w.on_ack(NodeId(1), Slot(10));
+        w.on_ack(NodeId(2), Slot(7));
+        w.on_ack(NodeId(3), Slot(3));
+        // Excluding leader 0; matches are [10,7,3,0]; 2nd largest = 7:
+        // 2 followers + leader = majority of 5.
+        assert_eq!(w.kth_largest_match(2, NodeId(0)), Slot(7));
+        assert_eq!(w.kth_largest_match(1, NodeId(0)), Slot(10));
+        assert_eq!(w.kth_largest_match(4, NodeId(0)), Slot::NONE);
+    }
+
+    /// The in-place selection against the obvious one (collect, sort,
+    /// index), for every cluster size in use, every `k` and every
+    /// excluded replica, over random matches with plenty of ties.
+    #[test]
+    fn kth_largest_match_equals_the_sorted_reference() {
+        let mut rng = paxraft_sim::rng::SimRng::new(0x19);
+        for n in [3usize, 5, 7] {
+            for _ in 0..200 {
+                let mut w = PipelineWindow::new(n, &PipelineConfig::default());
+                for p in 0..n as u32 {
+                    w.on_ack(NodeId(p), Slot(rng.gen_range(6)));
+                }
+                for exclude in 0..n as u32 {
+                    let mut sorted: Vec<Slot> = (0..n as u32)
+                        .filter(|&p| p != exclude)
+                        .map(|p| w.match_index(NodeId(p)))
+                        .collect();
+                    sorted.sort_unstable();
+                    for k in 0..=n {
+                        let want = match k {
+                            0 => Slot::NONE,
+                            _ => sorted
+                                .iter()
+                                .rev()
+                                .nth(k - 1)
+                                .copied()
+                                .unwrap_or(Slot::NONE),
+                        };
+                        assert_eq!(w.kth_largest_match(k, NodeId(exclude)), want, "{n} {k}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn leadership_reset_is_optimistic() {
+        let mut w = window(8);
+        w.on_ack(NodeId(1), Slot(5));
+        w.reset_for_leadership(Slot(9));
+        assert_eq!(w.match_index(NodeId(1)), Slot::NONE);
+        assert_eq!(w.next_prev(NodeId(1)), Slot(9));
+    }
+
+    /// One transfer in flight per peer, retried no sooner than the retry
+    /// interval after it started, and at once after its ack.
+    #[test]
+    fn snapshot_transfers_are_paced_per_peer() {
+        let mut w = window(8);
+        let retry = SimDuration::from_millis(600);
+        assert!(w.begin_snapshot(NodeId(1), t(0), retry));
+        assert!(!w.begin_snapshot(NodeId(1), t(599), retry));
+        assert!(w.begin_snapshot(NodeId(2), t(599), retry), "per peer");
+        assert!(w.begin_snapshot(NodeId(1), t(600), retry), "a retry");
+        w.finish_snapshot(NodeId(1));
+        assert!(w.begin_snapshot(NodeId(1), t(601), retry), "after the ack");
+    }
+
+    /// The two reset scopes. A leadership change clears rounds, matches
+    /// and cursors but keeps a pending transfer's pacing — a new leader
+    /// does not re-ship a multi-MB snapshot still on the wire — and a
+    /// crash clears the pacing too.
+    #[test]
+    fn a_leadership_reset_keeps_transfer_pacing_and_a_crash_clears_it() {
+        let mut w = window(8);
+        let retry = SimDuration::from_millis(600);
+        assert!(w.begin_snapshot(NodeId(1), t(0), retry));
+        w.on_append(NodeId(1), Slot(4), Slot(12), t(0));
+        w.on_ack(NodeId(1), Slot(6));
+        w.reset_for_leadership(Slot(12));
+        assert_eq!(w.in_flight(NodeId(1)), 0);
+        assert_eq!(w.match_index(NodeId(1)), Slot::NONE);
+        assert_eq!(w.next_prev(NodeId(1)), Slot(12));
+        assert!(
+            !w.begin_snapshot(NodeId(1), t(100), retry),
+            "the transfer in flight still paces the next"
+        );
+        w.on_append(NodeId(1), Slot(12), Slot(15), t(100));
+        w.on_ack(NodeId(1), Slot(13));
+        w.reset();
+        assert_eq!(w.in_flight(NodeId(1)), 0);
+        assert_eq!(w.match_index(NodeId(1)), Slot::NONE);
+        assert_eq!(w.next_prev(NodeId(1)), Slot::NONE);
+        assert!(
+            w.begin_snapshot(NodeId(1), t(100), retry),
+            "a crash forgets the transfer"
+        );
+    }
+
+    /// MultiPaxos's cursor: every round moves it up, a pass over
+    /// committed instances moves it without a send, neither moves it
+    /// back, and only a reset does.
+    #[test]
+    fn the_cursor_only_moves_up_between_resets() {
+        let mut w = window(8);
+        w.on_sent(NodeId(1), Slot(7), t(0));
+        w.on_sent(NodeId(1), Slot(5), t(1));
+        assert_eq!(w.sent_through(NodeId(1)), Slot(7));
+        w.skip_to(NodeId(1), Slot(11));
+        w.skip_to(NodeId(1), Slot(9));
+        assert_eq!(w.sent_through(NodeId(1)), Slot(11));
+        assert_eq!(w.in_flight(NodeId(1)), 2, "a skip ships no round");
+        w.reset_for_leadership(Slot::NONE);
+        assert_eq!(w.sent_through(NodeId(1)), Slot::NONE);
     }
 }

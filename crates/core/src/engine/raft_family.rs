@@ -1,13 +1,13 @@
 //! The Raft-family base: replication state and plumbing shared verbatim
 //! by Raft and Raft*.
 //!
-//! Both protocols drive the same contiguous [`Log`] with the same
-//! leader-side [`Replicator`], the same election/heartbeat shape, and
-//! the same snapshot install/ack handling; they differ only in the
-//! append acceptance rule (truncate vs no-shrink + ballot rewrite), the
-//! vote rule (plain up-to-date check vs extras), and the commit rule
-//! (§5.4.2 term check vs f-th largest match, optionally PQL-gated) —
-//! the four functions of [`crate::raftstar::Flavor`]. [`RaftBase`] holds
+//! Both protocols drive the same contiguous [`Log`] through the engine's
+//! per-peer progress record ([`super::PipelineWindow`]), with the same
+//! election/heartbeat shape and the same snapshot install/ack handling;
+//! they differ only in the append acceptance rule (truncate vs
+//! no-shrink + ballot rewrite), the vote rule (plain up-to-date check vs
+//! extras), and the commit rule (§5.4.2 term check vs f-th largest
+//! match, optionally PQL-gated) — the four functions of [`crate::raftstar::Flavor`]. [`RaftBase`] holds
 //! the shared state and plumbing, [`crate::raftstar::RaftFamilyRules`]
 //! the shared message handling, so a fix to either is written once.
 
@@ -19,16 +19,16 @@ use paxraft_sim::trace::SpanKind;
 
 use crate::log::{Entry, Log};
 use crate::msg::{Msg, RaftMsg};
-use crate::replicate::Replicator;
 use crate::snapshot::{Snapshot, SnapshotStats};
 use crate::types::{NodeId, Slot, Term};
 
 use super::{transfer, EngineCore, RETRY_INTERVAL};
 
 /// Raft roles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Role {
     /// Passive replica.
+    #[default]
     Follower,
     /// Campaigning for leadership.
     Candidate,
@@ -36,8 +36,9 @@ pub enum Role {
     Leader,
 }
 
-/// Replication state common to Raft and Raft*.
-#[derive(Debug)]
+/// Replication state common to Raft and Raft*; starts as a fresh
+/// follower.
+#[derive(Debug, Default)]
 pub struct RaftBase {
     /// Current term (ballot-encoded; see [`Term::encode`]).
     pub current_term: Term,
@@ -51,8 +52,6 @@ pub struct RaftBase {
     pub last_applied: Slot,
     /// Vote bitmap for the current candidacy.
     pub votes: u64,
-    /// Leader-side per-follower progress.
-    pub repl: Replicator,
     /// Highest log index covered by a *completed* fsync. Only this
     /// prefix survives a crash when durability is enabled; it also
     /// bounds how far this replica's own copy counts toward commitment
@@ -68,22 +67,6 @@ pub struct RaftBase {
 }
 
 impl RaftBase {
-    /// Fresh follower state for an `n`-replica cluster.
-    pub fn new(n: usize) -> Self {
-        RaftBase {
-            current_term: Term::ZERO,
-            role: Role::Follower,
-            log: Log::new(),
-            commit_index: Slot::NONE,
-            last_applied: Slot::NONE,
-            votes: 0,
-            repl: Replicator::new(n),
-            synced_idx: Slot::NONE,
-            pending_sync: VecDeque::new(),
-            quorum_mark: Slot::NONE,
-        }
-    }
-
     /// Emits `Quorum` spans for slots newly covered by the **unclamped**
     /// replication tally (`upto` = the f-th largest match, before the
     /// durability clamp, after any protocol-specific term/holder check).
@@ -245,7 +228,7 @@ impl RaftBase {
         cap: usize,
         built: &mut Option<(Slot, Arc<[Entry]>)>,
     ) -> Option<usize> {
-        let mut prev = self.repl.next_prev(peer);
+        let mut prev = core.pipe.next_prev(peer);
         let has_entries = self.log.last_index() > prev;
         if has_entries && !core.pipe.has_room(peer) {
             return None; // window full: new rounds wait for acks
@@ -270,10 +253,7 @@ impl RaftBase {
             Slot(prev.0 + cap as u64)
         };
         let shipped = entries.len();
-        self.repl.mark_sent(peer, prev, tail, ctx.now());
-        if shipped > 0 {
-            core.pipe.on_sent(peer, tail, ctx.now());
-        }
+        core.pipe.on_append(peer, prev, tail, ctx.now());
         // Piggyback our window occupancy so followers can cut forward
         // batches adaptively (empty heartbeat appends refresh the hint
         // even on an idle cluster).
@@ -302,7 +282,7 @@ impl RaftBase {
             return;
         }
         let cap = core.pipe.round_cap(peer, self.log.last_index(), &core.dur);
-        while self.log.last_index() > self.repl.next_prev(peer) {
+        while self.log.last_index() > core.pipe.next_prev(peer) {
             let Some(shipped) = self.send_round(core, ctx, peer, cap, &mut None) else {
                 break;
             };
@@ -312,17 +292,15 @@ impl RaftBase {
 
     /// Leader heartbeat: timed retransmission of unacknowledged
     /// suffixes to every follower, then re-arm. A rewound peer's
-    /// in-flight rounds are presumed lost, so its pipeline window is
-    /// regressed and the retransmission starts a fresh round.
+    /// in-flight rounds are presumed lost: the rewind regresses its
+    /// window, and the retransmission starts a fresh round.
     pub fn heartbeat(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
         if self.role != Role::Leader {
             return;
         }
         let mut built = None;
         for peer in core.cfg.others() {
-            if self.repl.maybe_rewind(peer, ctx.now(), RETRY_INTERVAL) {
-                core.pipe.on_regress(peer);
-            }
+            core.pipe.maybe_rewind(peer, ctx.now(), RETRY_INTERVAL);
             self.send_round(core, ctx, peer, usize::MAX, &mut built);
         }
         core.arm_heartbeat(ctx);
@@ -458,9 +436,9 @@ impl RaftBase {
             self.step_down(core, seal, ctx);
         } else if seal == self.current_term && self.role == Role::Leader {
             let peer = core.cfg.node_of(from);
-            core.snap_send.finish(peer.0 as usize);
+            core.pipe.finish_snapshot(peer);
+            let advanced = upto > core.pipe.match_index(peer);
             core.pipe.on_ack(peer, upto);
-            let advanced = self.repl.on_ack(peer, upto);
             self.pump(core, ctx, peer);
             return advanced;
         }
@@ -570,7 +548,6 @@ mod tests {
 
     fn ack(base: &mut RaftBase, core: &mut EngineCore, ctx: &mut Ctx<Msg>, peer: u32, upto: u64) {
         core.pipe.on_ack(NodeId(peer), Slot(upto));
-        base.repl.on_ack(NodeId(peer), Slot(upto));
         base.pump(core, ctx, NodeId(peer));
     }
 
@@ -582,7 +559,7 @@ mod tests {
         cfg.peers = (0..3).map(ActorId).collect();
         cfg.durability = durability;
         let leader = Leader {
-            base: RaftBase::new(3),
+            base: RaftBase::default(),
             core: EngineCore::new(cfg),
             steps: steps.iter().copied().collect(),
         };

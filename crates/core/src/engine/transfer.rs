@@ -41,10 +41,7 @@ pub fn ship_snapshot(
     point: (Slot, Term),
     seal: Term,
 ) -> Option<Slot> {
-    if !core
-        .snap_send
-        .try_begin(peer.0 as usize, ctx.now(), RETRY_INTERVAL)
-    {
+    if !core.pipe.begin_snapshot(peer, ctx.now(), RETRY_INTERVAL) {
         return None;
     }
     let snap = snapshot_at(core, ctx, point);

@@ -39,7 +39,6 @@ pub mod multipaxos;
 pub mod pql;
 pub mod raft;
 pub mod raftstar;
-pub mod replicate;
 pub mod shard;
 pub mod snapshot;
 pub mod telemetry;

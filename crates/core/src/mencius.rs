@@ -1822,7 +1822,7 @@ impl ProtocolRules for MenciusRules {
     ) {
         let peer = core.cfg.node_of(from);
         self.last_heard[peer.0 as usize] = ctx.now();
-        core.snap_send.finish(peer.0 as usize);
+        core.pipe.finish_snapshot(peer);
         // The peer executed through `upto`; that accounts for its own
         // slots only as far as this replica executed too (a peer that
         // was ahead answers with a prefix we have not seen).

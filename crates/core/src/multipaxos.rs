@@ -75,7 +75,7 @@ use crate::types::{NodeId, Slot, Term};
 pub type MultiPaxosReplica = ReplicaEngine<PaxosRules>;
 
 /// What MultiPaxos adds on top of the engine and the family base:
-/// ballots, phase 1, and the single proposer's numbering and cursors.
+/// ballots, phase 1, and the single proposer's numbering.
 pub struct PaxosRules {
     /// Highest ballot seen (`s.ballot`).
     ballot: Term,
@@ -88,10 +88,6 @@ pub struct PaxosRules {
     /// Phase-1 replies: voter → (accepted entries, log tail, checkpoint
     /// floor).
     prepare_acks: HashMap<NodeId, (Vec<(Slot, Term, Command)>, Slot, Slot)>,
-    /// Highest instance ever offered to each acceptor (send cursor):
-    /// instances above it were cut into rounds this acceptor's full
-    /// window made it skip, and are pumped to it as acks free slots.
-    accept_cursor: Vec<Slot>,
     /// Per acceptor: the executed prefix last told it, and when. Every
     /// message to it tells, so that is also when the link last carried
     /// anything.
@@ -125,7 +121,6 @@ impl MultiPaxosReplica {
                 base: PaxosBase::new(n, me),
                 next_slot: Slot(1),
                 prepare_acks: HashMap::new(),
-                accept_cursor: vec![Slot::NONE; n],
                 told: vec![(Slot::NONE, SimTime::ZERO); n],
                 patience: SimDuration::ZERO,
                 learnt: Slot::NONE,
@@ -244,27 +239,27 @@ impl PaxosRules {
                 continue;
             }
             core.pipe.on_sent(peer, upto, ctx.now());
-            let cur = &mut self.accept_cursor[peer.0 as usize];
-            *cur = (*cur).max(upto);
             let window_room = core.pipe.quorum_has_room(core.cfg.id, core.cfg.n);
             self.send_accept(core, ctx, peer, items.clone(), window_room);
         }
     }
 
     /// Ships `peer` the uncommitted instances that accumulated past its
-    /// send cursor while its window was full. Called after one of its
+    /// send cursor ([`crate::engine::PipelineWindow::sent_through`]:
+    /// instances above it were cut into rounds its full window made it
+    /// skip) while its window was full. Called after one of its
     /// acknowledgements frees a slot — the MultiPaxos spelling of the
     /// Raft family's backlog pump, one round per ack of at most 64
     /// instances or the window's share
     /// ([`crate::engine::pipeline::PipelineWindow::round_cap`]).
     fn pump_accepts(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, peer: NodeId) {
         let highest = Slot(self.next_slot.0.saturating_sub(1));
-        let i = peer.0 as usize;
-        if self.accept_cursor[i] >= highest || !core.pipe.has_room(peer) {
+        let cursor = core.pipe.sent_through(peer);
+        if cursor >= highest || !core.pipe.has_room(peer) {
             return;
         }
         let cap = core.pipe.round_cap(peer, highest, &core.dur).min(64);
-        let behind = self.base.cells.range(self.accept_cursor[i].next()..);
+        let behind = self.base.cells.range(cursor.next()..);
         let mut waiting = behind
             .filter(|(_, inst)| !inst.committed)
             .filter_map(|(s, inst)| inst.cmd().cloned().map(|c| (s, c)))
@@ -272,16 +267,18 @@ impl PaxosRules {
             .peekable();
         if waiting.peek().is_none() {
             // Everything past the cursor is committed; a commit covers it.
-            self.accept_cursor[i] = highest;
+            core.pipe.skip_to(peer, highest);
             return;
         }
         // Sized once: no more wait than slots lie past the cursor.
-        let span = (highest.0 - self.accept_cursor[i].0) as usize;
+        let span = (highest.0 - cursor.0) as usize;
         let mut items = Vec::with_capacity(cap.min(span));
         items.extend(waiting);
         let upto = items[items.len() - 1].0;
-        self.accept_cursor[i] = if items.len() < cap { highest } else { upto };
         core.pipe.on_sent(peer, upto, ctx.now());
+        if items.len() < cap {
+            core.pipe.skip_to(peer, highest); // the round took all that waited
+        }
         core.pipe.note_pumped(items.len(), cap);
         let window_room = core.pipe.quorum_has_room(core.cfg.id, core.cfg.n);
         self.send_accept(core, ctx, peer, items.into(), window_room);
@@ -390,8 +387,7 @@ impl PaxosRules {
         self.try_execute(core, ctx);
         self.phase1_succeeded = true;
         core.leader_hint = Some(core.cfg.id);
-        core.pipe.reset();
-        self.accept_cursor.fill(Slot::NONE);
+        core.pipe.reset_for_leadership(Slot::NONE);
         for (commit, _) in &mut self.told {
             *commit = Slot::NONE;
         }
@@ -743,7 +739,7 @@ impl ProtocolRules for PaxosRules {
         upto: Slot,
     ) {
         let node = core.cfg.node_of(from);
-        core.snap_send.finish(node.0 as usize);
+        core.pipe.finish_snapshot(node);
         self.base.note_peer_exec(node, upto);
     }
 
@@ -794,7 +790,6 @@ impl ProtocolRules for PaxosRules {
         }
         self.phase1_succeeded = false;
         self.prepare_acks.clear();
-        self.accept_cursor.fill(Slot::NONE);
     }
 }
 

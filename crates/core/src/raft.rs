@@ -121,7 +121,7 @@ mod tests {
     /// A base whose log holds one entry per term given, command `seq` =
     /// slot, everything fsynced.
     fn base_with(terms: &[u64]) -> RaftBase {
-        let mut base = RaftBase::new(3);
+        let mut base = RaftBase::default();
         for (i, &t) in terms.iter().enumerate() {
             base.log.append(entry(t, i as u64 + 1));
         }

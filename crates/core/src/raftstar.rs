@@ -65,7 +65,7 @@ use std::collections::HashMap;
 use std::marker::PhantomData;
 
 use paxraft_sim::sim::{ActorId, Ctx};
-use paxraft_sim::time::SimDuration;
+use paxraft_sim::time::{SimDuration, SimTime};
 
 use crate::config::{ReadMode, ReplicaConfig};
 use crate::engine::raft_family::{RaftBase, Role};
@@ -218,7 +218,7 @@ impl<F: Flavor> ReplicaEngine<RaftFamilyRules<F>> {
             EngineCore::new(cfg),
             RaftFamilyRules {
                 flavor: PhantomData,
-                base: RaftBase::new(n),
+                base: RaftBase::default(),
                 vote_extras: HashMap::new(),
                 reported_holders: vec![0; n],
                 lease,
@@ -338,10 +338,7 @@ impl<F: Flavor> RaftFamilyRules<F> {
         self.index_writes_from(my_last.next());
         self.base.role = Role::Leader;
         core.leader_hint = Some(core.cfg.id);
-        self.base
-            .repl
-            .reset_for_leadership(self.base.log.last_index());
-        core.pipe.reset();
+        core.pipe.reset_for_leadership(self.base.log.last_index());
         // A fresh no-op carries the term forward: progress for Raft*,
         // and what lets Raft commit the tail of its log under the
         // Section-5.4.2 restriction. Followers are optimistically assumed
@@ -363,6 +360,22 @@ impl<F: Flavor> RaftFamilyRules<F> {
         self.base.broadcast_append(core, ctx);
         core.arm_heartbeat(ctx);
         engine::flush_pending(self, core, ctx);
+    }
+
+    /// [PQL] Whether the lease lets this replica read its own copy at
+    /// `now`: a quorum of grants held, and under LL only by the leader.
+    fn lease_serves(&self, now: SimTime) -> bool {
+        self.lease.as_ref().is_some_and(|l| match l.mode() {
+            ReadMode::QuorumLease => l.has_quorum_lease(now),
+            ReadMode::LeaderLease => self.base.role == Role::Leader && l.has_quorum_lease(now),
+            ReadMode::LogRead => false,
+        })
+    }
+
+    /// [PQL] The holders this replica granted, still valid at `now`: what
+    /// its appendOK attaches (Figure 8 Phase2b Δ).
+    fn granted_holders(&self, now: SimTime) -> u64 {
+        self.lease.as_ref().map_or(0, |l| l.current_holders(now))
     }
 
     /// [PQL] Records key→slot (and in-log freeze ranges) for entries
@@ -403,7 +416,7 @@ impl<F: Flavor> RaftFamilyRules<F> {
         // Without the clamp, f durable followers plus the leader's
         // volatile copy could commit an entry that a leader crash erases
         // from the one replica a future election quorum might count on.
-        let tally = self.base.repl.kth_largest_match(f, core.cfg.id);
+        let tally = core.pipe.kth_largest_match(f, core.cfg.id);
         let mut target = tally.min(self.base.durable_tail(core));
         let lease_gated = self
             .lease
@@ -418,7 +431,7 @@ impl<F: Flavor> RaftFamilyRules<F> {
         // consulted, so an expired holder stops gating writes.
         if let Some(lease) = self.lease.as_ref().filter(|_| lease_gated) {
             let granted = lease.current_holders(ctx.now());
-            let matched = |p: NodeId| self.base.repl.match_index(p);
+            let matched = |p: NodeId| core.pipe.match_index(p);
             let followers = core.cfg.others();
             target = holder_gate(
                 target,
@@ -480,18 +493,7 @@ impl<F: Flavor> RaftFamilyRules<F> {
             // line 4): the read linearizes right after that write, so it
             // must NOT re-park behind newer writes — that would starve
             // hot-key readers under a continuous write stream.
-            let lease_ok = self
-                .lease
-                .as_ref()
-                .map(|l| match l.mode() {
-                    ReadMode::QuorumLease => l.has_quorum_lease(ctx.now()),
-                    ReadMode::LeaderLease => {
-                        self.base.role == Role::Leader && l.has_quorum_lease(ctx.now())
-                    }
-                    ReadMode::LogRead => false,
-                })
-                .unwrap_or(false);
-            if lease_ok {
+            if self.lease_serves(ctx.now()) {
                 if let Op::Get { key } = &cmd.op {
                     ctx.charge(core.cfg.costs.read_local);
                     let reply = core.kv.read_local(*key);
@@ -612,10 +614,7 @@ impl<F: Flavor> RaftFamilyRules<F> {
                 let (prev, prev_term, entries) = if prev < floor {
                     let overlap = (floor.0 - prev.0) as usize;
                     if entries.len() <= overlap {
-                        let holders = self
-                            .lease
-                            .as_ref()
-                            .map_or(0, |l| l.current_holders(ctx.now()));
+                        let holders = self.granted_holders(ctx.now());
                         // Attests to log content: rides the
                         // ack-after-fsync path (immediate when nothing
                         // is unsynced).
@@ -659,10 +658,7 @@ impl<F: Flavor> RaftFamilyRules<F> {
                 // appendOK is a Paxos acceptOK for every covered
                 // instance — it leaves only after the fsync covering
                 // the suffix it vouches for (group commit batches it).
-                let holders = self
-                    .lease
-                    .as_ref()
-                    .map_or(0, |l| l.current_holders(ctx.now()));
+                let holders = self.granted_holders(ctx.now());
                 let ok = Msg::Raft(RaftMsg::AppendOk {
                     term: self.base.current_term,
                     last_idx: new_last,
@@ -684,7 +680,6 @@ impl<F: Flavor> RaftFamilyRules<F> {
                     core.pipe.on_ack(peer, last_idx);
                     // Advance on a match step — or on holder reports
                     // alone, which may still unblock the PQL gate.
-                    self.base.repl.on_ack(peer, last_idx);
                     self.advance_commit(core, ctx);
                     // The freed window slot may have a backlog waiting.
                     self.base.pump(core, ctx, peer);
@@ -695,14 +690,13 @@ impl<F: Flavor> RaftFamilyRules<F> {
                     self.base.step_down(core, term, ctx);
                 } else if term == self.base.current_term && self.base.role == Role::Leader {
                     let peer = core.cfg.node_of(from);
-                    self.base.repl.on_reject(peer, last_idx);
-                    // In-flight rounds to that follower are dead.
-                    core.pipe.on_regress(peer);
-                    // Back off toward the follower's tail and re-probe
-                    // for a prev mismatch; when the follower's log is
-                    // simply longer than ours (the Raft* "no shrink"
-                    // rule), wait for new appends instead of ping-ponging
-                    // rejects.
+                    // In-flight rounds to that follower are dead, and
+                    // its cursor backs off toward the follower's tail.
+                    core.pipe.on_reject(peer, last_idx);
+                    // Re-probe for a prev mismatch; when the follower's
+                    // log is simply longer than ours (the Raft* "no
+                    // shrink" rule), wait for new appends instead of
+                    // ping-ponging rejects.
                     if last_idx <= self.base.log.last_index() {
                         self.base.send_append_to(core, ctx, peer);
                     }
@@ -752,24 +746,11 @@ impl<F: Flavor> ProtocolRules for RaftFamilyRules<F> {
         ctx: &mut Ctx<Msg>,
         cmd: &Command,
     ) -> bool {
-        let Some(lease) = &self.lease else {
-            return false;
-        };
         let Op::Get { key } = &cmd.op else {
             return false;
         };
-        match lease.mode() {
-            ReadMode::QuorumLease => {
-                if !lease.has_quorum_lease(ctx.now()) {
-                    return false;
-                }
-            }
-            ReadMode::LeaderLease => {
-                if self.base.role != Role::Leader || !lease.has_quorum_lease(ctx.now()) {
-                    return false;
-                }
-            }
-            ReadMode::LogRead => return false,
+        if !self.lease_serves(ctx.now()) {
+            return false;
         }
         let lease_floor = self
             .lease

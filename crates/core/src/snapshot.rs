@@ -33,8 +33,6 @@
 
 use std::collections::HashMap;
 
-use paxraft_sim::time::{SimDuration, SimTime};
-
 use crate::kv::{Key, KvSnapshot, Reply, Value};
 use crate::types::{Slot, Term};
 
@@ -367,48 +365,6 @@ impl ChunkAssembler {
     }
 }
 
-/// Sender-side transfer bookkeeping shared by every protocol: at most
-/// one in-flight transfer per peer, retried no faster than the
-/// configured interval.
-#[derive(Debug)]
-pub struct SnapshotSender {
-    sent_at: Vec<Option<SimTime>>,
-}
-
-impl SnapshotSender {
-    /// Tracker for `n` peers with nothing in flight.
-    pub fn new(n: usize) -> Self {
-        SnapshotSender {
-            sent_at: vec![None; n],
-        }
-    }
-
-    /// Whether a new transfer to `peer` may start now (records the
-    /// start time when it may).
-    pub fn try_begin(&mut self, peer: usize, now: SimTime, retry: SimDuration) -> bool {
-        if let Some(at) = self.sent_at[peer] {
-            if now.since(at.min(now)) < retry {
-                return false;
-            }
-        }
-        self.sent_at[peer] = Some(now);
-        true
-    }
-
-    /// Marks `peer`'s transfer acknowledged, allowing the next one to
-    /// start immediately if needed.
-    pub fn finish(&mut self, peer: usize) {
-        self.sent_at[peer] = None;
-    }
-
-    /// Forgets every in-flight transfer (crash-restart).
-    pub fn reset(&mut self) {
-        for s in &mut self.sent_at {
-            *s = None;
-        }
-    }
-}
-
 /// Compaction and snapshot-transfer counters, kept per replica and
 /// aggregated by the harness into
 /// [`crate::harness::RunReport::snapshots`].
@@ -426,8 +382,8 @@ pub struct SnapshotStats {
     pub snapshots_installed: u64,
     /// High-water mark of retained log entries / instances.
     pub peak_log_entries: u64,
-    /// High-water mark of retained log bytes (Raft family only; the
-    /// Paxos family reports entries).
+    /// High-water mark of retained log bytes (the Raft family's entries,
+    /// the Paxos family's instance payloads).
     pub peak_log_bytes: u64,
 }
 

@@ -6,9 +6,9 @@
 //! from the deterministic [`SimRng`] instead. Runs are reproducible by
 //! construction, and assertion messages carry the failing case index.
 
+use paxraft::core::engine::{PipelineConfig, PipelineWindow};
 use paxraft::core::kv::{CmdId, Command, KvStore};
 use paxraft::core::log::{Entry, Log};
-use paxraft::core::replicate::Replicator;
 use paxraft::core::types::{quorum, NodeId, Slot, Term};
 use paxraft::sim::rng::SimRng;
 use paxraft::sim::time::{SimDuration, SimTime};
@@ -90,14 +90,14 @@ fn bal_rewrite_covers_exactly_prefix() {
     }
 }
 
-/// The replicator's quorum match is monotone in acknowledgements and
-/// never exceeds the max ack.
+/// The quorum match (`PipelineWindow::kth_largest_match`) is monotone in
+/// acknowledgements and never exceeds the max ack.
 #[test]
 fn quorum_match_is_sound() {
     let mut rng = SimRng::new(0xA3);
     for case in 0..CASES {
         let n_acks = rng.gen_range_inclusive(1, 39) as usize;
-        let mut r = Replicator::new(5);
+        let mut r = PipelineWindow::new(5, &PipelineConfig::default());
         let mut prev = Slot::NONE;
         for _ in 0..n_acks {
             let p = rng.gen_range_inclusive(1, 4) as u32;
