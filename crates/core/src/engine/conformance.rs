@@ -10,7 +10,9 @@
 //! replication under loss and leader crash, forwarding discipline, and
 //! seed-for-seed determinism of the full measurement harness. One row
 //! per `Log`-backed Raft* configuration pins the outcome of leader
-//! changes that go through the vote-extras safe-value pick.
+//! changes that go through the vote-extras safe-value pick, and one row
+//! per Raft flavor lands a deposed leader's rounds after it rewrote the
+//! slots they were cut from.
 
 use paxraft_sim::sim::{ActorId, Simulation};
 use paxraft_sim::time::{SimDuration, SimTime};
@@ -2269,4 +2271,151 @@ fn per_entry_fsync_below_capacity_commits_within_reach_of_group_commit() {
             "{name}: longest pumped round {sized} per entry, {whole} group commit"
         );
     }
+}
+
+/// A deposed leader's rounds are what it cut, whatever its log holds
+/// when they land (`log::View`). Five replicas, the link between node 0
+/// (Oregon) and node 4 (Seoul) slowed to half a second each way. Node 0
+/// leads, then is cut off with node 4 while {1, 2, 3} elect a leader of
+/// their own. Node 0, still leading in its old term, appends a write `x`
+/// and sends node 4 a round holding it; the cut then moves to isolate
+/// node 4, so node 0 hears the new leader before that round lands and
+/// truncates (Raft) or rewrites (Raft\*) the slot — in the block the
+/// round is a view of. Node 4, still in the old term, accepts the round
+/// and must hold `x` exactly as it was cut, term and ballot. Then
+/// everything heals: the replicas agree and both clients' histories on
+/// the contested key are linearizable.
+#[test]
+fn a_deposed_leaders_rounds_in_flight_land_as_they_were_cut() {
+    use crate::log::Entry;
+    use crate::raft::Plain;
+    use crate::raftstar::{Flavor, RaftFamilyRules, Star};
+    use crate::telemetry::TRACE_CAPACITY;
+    use crate::testutil::region_of;
+    use paxraft_sim::net::{NetConfig, Region};
+    use paxraft_workload::linearize::check_history;
+
+    type Replica<F> = ReplicaEngine<RaftFamilyRules<F>>;
+    const KEY: u64 = 0;
+
+    fn rep<F: Flavor>(sim: &Simulation<Msg>, i: usize) -> &Replica<F> {
+        sim.actor(ActorId(i))
+    }
+
+    fn scenario<F: Flavor>(name: &str) {
+        let mut net = NetConfig::default();
+        let (or, se) = (Region::Oregon.index(), Region::Seoul.index());
+        net.rtt_ms[or][se] = 1_000.0;
+        net.rtt_ms[se][or] = 1_000.0;
+        let mut sim = Simulation::new(net, 7);
+        sim.enable_trace(TRACE_CAPACITY);
+        let replicas: Vec<ActorId> = (0..5).map(ActorId).collect();
+        for (i, _) in replicas.iter().enumerate() {
+            let mut cfg = ReplicaConfig::wan_default(NodeId(i as u32), 5);
+            cfg.peers = replicas.clone();
+            cfg.client_base = 5;
+            cfg.initial_leader = Some(NodeId(0));
+            sim.add_actor(region_of(i), Box::new(Replica::<F>::new(cfg)));
+        }
+        let a = sim.add_actor(Region::Oregon, Box::new(TestClient::new(0, replicas[0])));
+        let b = sim.add_actor(Region::Ohio, Box::new(TestClient::new(1, replicas[1])));
+        let rep = rep::<F>;
+        let replies = |sim: &Simulation<Msg>, c: ActorId| sim.actor::<TestClient>(c).replies.len();
+
+        sim.actor_mut::<TestClient>(b).enqueue_put(KEY);
+        assert!(
+            drive_until(&mut sim, SimTime::from_secs(10), |sim| replies(sim, b) == 1),
+            "{name}: first write"
+        );
+        sim.run_for(SimDuration::from_secs(1)); // node 4 hears the commit
+        sim.partition_at(
+            vec![0, 1, 1, 1, 0, 0, 1],
+            sim.now() + SimDuration::from_millis(1),
+        );
+        let old = rep(&sim, 0).current_term();
+        let deadline = sim.now() + SimDuration::from_secs(20);
+        assert!(
+            drive_until(&mut sim, deadline, |sim| {
+                (1..4).any(|i| rep(sim, i).is_leader() && rep(sim, i).current_term() > old)
+            }),
+            "{name}: the majority elects a leader of its own"
+        );
+        assert!(
+            rep(&sim, 0).is_leader(),
+            "{name}: node 0 still leads its term"
+        );
+
+        // `x` reaches node 0's log; its round to node 4 is on the slow
+        // link when the cut moves.
+        sim.actor_mut::<TestClient>(a).enqueue_put(KEY);
+        let mut cut = None;
+        while cut.is_none() {
+            assert!(
+                sim.now() < deadline + SimDuration::from_secs(1),
+                "{name}: x appended"
+            );
+            sim.run_for(SimDuration::from_millis(1));
+            let x = sim.actor::<TestClient>(a).sent.last().map(|c| c.id);
+            let log = rep(&sim, 0).log();
+            cut = log
+                .iter()
+                .find(|(_, _, e)| Some(e.cmd.id) == x)
+                .map(|(s, bal, e)| (s, Entry { bal, ..e.clone() }));
+        }
+        let (slot, x) = cut.expect("found");
+        assert_eq!((x.term, x.bal), (old, old), "{name}: x is of the old term");
+        sim.partition_at(
+            vec![0, 0, 0, 0, 1, 0, 0],
+            sim.now() + SimDuration::from_nanos(1),
+        );
+        sim.actor_mut::<TestClient>(b).enqueue_put(KEY);
+        sim.actor_mut::<TestClient>(b).enqueue_get(KEY);
+        let deadline = sim.now() + SimDuration::from_secs(2);
+        assert!(
+            drive_until(&mut sim, deadline, |sim| rep(sim, 4).log().last_index()
+                >= slot),
+            "{name}: the round lands"
+        );
+        let held = |sim: &Simulation<Msg>, i: usize| {
+            let log = rep(sim, i).log();
+            log.get(slot).map(|e| Entry {
+                bal: log.bal_at(slot).expect("held"),
+                ..e.clone()
+            })
+        };
+        assert_ne!(
+            held(&sim, 0).as_ref(),
+            Some(&x),
+            "{name}: node 0 rewrote the slot before the round landed"
+        );
+        assert_eq!(
+            held(&sim, 4),
+            Some(x),
+            "{name}: node 4 holds x as it was cut"
+        );
+
+        sim.heal_at(sim.now() + SimDuration::from_millis(1));
+        sim.actor_mut::<TestClient>(b).enqueue_put(KEY);
+        sim.actor_mut::<TestClient>(b).enqueue_get(KEY);
+        sim.actor_mut::<TestClient>(a).enqueue_get(KEY);
+        assert!(
+            drive_until(&mut sim, SimTime::from_secs(120), |sim| {
+                let leader = (0..5).find(|&i| rep(sim, i).is_leader());
+                replies(sim, a) == 2
+                    && replies(sim, b) == 5
+                    && leader.is_some_and(|l| {
+                        let applied = rep(sim, l).applied_index();
+                        (0..5).all(|i| rep(sim, i).applied_index() == applied)
+                    })
+            }),
+            "{name}: every operation answered, every replica caught up"
+        );
+        assert_replicas_agree::<RaftFamilyRules<F>>(name, &mut sim, &replicas, KEY + 1);
+        let mut history = sim.actor::<TestClient>(a).history(KEY);
+        history.extend(sim.actor::<TestClient>(b).history(KEY));
+        check_history(&history, 1 << 20)
+            .unwrap_or_else(|e| panic!("{name}: history not linearizable: {e}"));
+    }
+    scenario::<Plain>("Raft");
+    scenario::<Star>("Raft*");
 }

@@ -12,12 +12,11 @@
 //! the shared message handling, so a fix to either is written once.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use paxraft_sim::sim::{ActorId, Ctx};
 use paxraft_sim::trace::SpanKind;
 
-use crate::log::{Entry, Log};
+use crate::log::Log;
 use crate::msg::{Msg, RaftMsg};
 use crate::snapshot::{Snapshot, SnapshotStats};
 use crate::types::{NodeId, Slot, Term};
@@ -194,12 +193,11 @@ impl RaftBase {
         self.arm_election(core, ctx);
     }
 
-    /// Sends each follower its tailored suffix — one built round for all
-    /// the followers at the same cursor.
+    /// Sends each follower its tailored suffix, a view of the log
+    /// ([`Log::view`]) after its cursor.
     pub fn broadcast_append(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
-        let mut built = None;
         for peer in core.cfg.others() {
-            self.send_round(core, ctx, peer, usize::MAX, &mut built);
+            self.send_round(core, ctx, peer, usize::MAX);
         }
     }
 
@@ -212,21 +210,17 @@ impl RaftBase {
     /// the retained suffix behind it — FIFO links deliver the chunks
     /// first, so the Append matches once the snapshot installs.
     pub fn send_append_to(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, peer: NodeId) {
-        self.send_round(core, ctx, peer, usize::MAX, &mut None);
+        self.send_round(core, ctx, peer, usize::MAX);
     }
 
     /// [`RaftBase::send_append_to`] carrying at most `cap` entries;
-    /// returns how many went out, `None` when no message did. `built` is
-    /// the round last built in the caller's loop over peers (one `cap`,
-    /// the log untouched in between) and the cursor it was built after: a
-    /// peer at that cursor shares it.
+    /// returns how many went out, `None` when no message did.
     fn send_round(
         &mut self,
         core: &mut EngineCore,
         ctx: &mut Ctx<Msg>,
         peer: NodeId,
         cap: usize,
-        built: &mut Option<(Slot, Arc<[Entry]>)>,
     ) -> Option<usize> {
         let mut prev = core.pipe.next_prev(peer);
         let has_entries = self.log.last_index() > prev;
@@ -239,13 +233,7 @@ impl RaftBase {
             prev = transfer::ship_snapshot(core, ctx, peer, point, self.current_term)?;
         }
         let prev_term = self.log.term_at(prev).unwrap_or(Term::ZERO);
-        let entries = match built {
-            Some((after, round)) if *after == prev => round.clone(),
-            _ => {
-                let round = self.log.suffix_bounded(prev, cap);
-                built.insert((prev, round)).1.clone()
-            }
-        };
+        let entries = self.log.view(prev, cap);
         // A round cut short by `cap` ends where its entries do.
         let tail = if entries.len() < cap {
             self.log.last_index()
@@ -283,7 +271,7 @@ impl RaftBase {
         }
         let cap = core.pipe.round_cap(peer, self.log.last_index(), &core.dur);
         while self.log.last_index() > core.pipe.next_prev(peer) {
-            let Some(shipped) = self.send_round(core, ctx, peer, cap, &mut None) else {
+            let Some(shipped) = self.send_round(core, ctx, peer, cap) else {
                 break;
             };
             core.pipe.note_pumped(shipped, cap);
@@ -298,10 +286,9 @@ impl RaftBase {
         if self.role != Role::Leader {
             return;
         }
-        let mut built = None;
         for peer in core.cfg.others() {
             core.pipe.maybe_rewind(peer, ctx.now(), RETRY_INTERVAL);
-            self.send_round(core, ctx, peer, usize::MAX, &mut built);
+            self.send_round(core, ctx, peer, usize::MAX);
         }
         core.arm_heartbeat(ctx);
     }

@@ -25,14 +25,44 @@
 //! instances consecutively, Mencius fills every owner's slots up to the
 //! highest one used, and a revocation reaches at most one round past the
 //! horizon.
+//!
+//! # Sharing
+//!
+//! A block is reference-counted ([`Block`]), so a reader can keep one
+//! past the call that found it: a Raft round is a view of the leader's
+//! own blocks ([`crate::log::View`]), however many peers it goes to. A
+//! kept block is a snapshot of the cells that were set when it was
+//! taken, because a set cell changes only through a block nobody else
+//! holds:
+//!
+//! - filling an *empty* cell goes through the shared block, so the
+//!   leader appends into a tail block that rounds in flight point at —
+//!   they never read past the cells they were cut over;
+//! - overwriting, taking or clearing a *set* cell goes through
+//!   `Rc::make_mut`, which first copies a block someone else holds.
+//!
+//! The Paxos family never hands a block out, so every write of its takes
+//! the unique path and copies nothing.
 
+use std::cell::OnceCell;
 use std::collections::VecDeque;
 use std::ops::{Bound, RangeBounds};
+use std::rc::Rc;
 
 use crate::types::Slot;
 
 /// Cells per block: block `b` covers the slots `b * BLOCK .. (b + 1) * BLOCK`.
 const BLOCK: u64 = 256;
+
+/// A block of cells, shareable (module docs, *Sharing*). An empty cell
+/// is an absent slot.
+pub type Block<T> = Rc<[OnceCell<T>]>;
+
+/// `block`'s cells to write: the block itself when nobody else holds it,
+/// else a copy of it put in its place (module docs, *Sharing*).
+fn own<T: Clone>(block: &mut Block<T>) -> &mut [OnceCell<T>] {
+    Rc::make_mut(block)
+}
 
 /// A map from [`Slot`] to `T`, dense over the slots it spans (module
 /// docs). Iteration is in slot order over the entries present.
@@ -42,7 +72,7 @@ pub struct SlotRing<T> {
     first_block: u64,
     /// Exactly the blocks from the one holding the first entry to the one
     /// holding the last; none when the table is empty.
-    blocks: VecDeque<Box<[Option<T>]>>,
+    blocks: VecDeque<Block<T>>,
     /// The lowest and the highest slot holding an entry (meaningless when
     /// the table is empty). Every cell outside `lo..=hi` is absent.
     lo: u64,
@@ -63,7 +93,7 @@ impl<T> Default for SlotRing<T> {
     }
 }
 
-impl<T> SlotRing<T> {
+impl<T: Clone> SlotRing<T> {
     /// An empty table.
     pub fn new() -> Self {
         SlotRing::default()
@@ -84,26 +114,32 @@ impl<T> SlotRing<T> {
         (self.present > 0).then_some(Slot(self.hi))
     }
 
-    /// `slot`'s cell, if a block covers it.
-    fn cell(&self, slot: Slot) -> Option<&Option<T>> {
-        let block = (slot.0 / BLOCK).checked_sub(self.first_block)?;
-        Some(&self.blocks.get(block as usize)?[(slot.0 % BLOCK) as usize])
+    /// Where `slot`'s cell is (block, then cell in it), if a block
+    /// covers it.
+    fn locate(&self, slot: Slot) -> Option<(usize, usize)> {
+        let block = (slot.0 / BLOCK).checked_sub(self.first_block)? as usize;
+        (block < self.blocks.len()).then_some((block, (slot.0 % BLOCK) as usize))
     }
 
-    /// `slot`'s cell, if a block covers it.
-    fn cell_mut(&mut self, slot: Slot) -> Option<&mut Option<T>> {
-        let block = (slot.0 / BLOCK).checked_sub(self.first_block)?;
-        Some(&mut self.blocks.get_mut(block as usize)?[(slot.0 % BLOCK) as usize])
+    /// The block holding `slot` and `slot`'s cell in it. A holder of the
+    /// block sees the cells set now, whatever the table does later
+    /// (module docs, *Sharing*).
+    pub fn block_at(&self, slot: Slot) -> Option<(&Block<T>, usize)> {
+        let (block, cell) = self.locate(slot)?;
+        Some((&self.blocks[block], cell))
     }
 
     /// The entry at `slot`, if present.
     pub fn get(&self, slot: Slot) -> Option<&T> {
-        self.cell(slot)?.as_ref()
+        let (block, cell) = self.locate(slot)?;
+        self.blocks[block][cell].get()
     }
 
     /// The entry at `slot`, if present.
     pub fn get_mut(&mut self, slot: Slot) -> Option<&mut T> {
-        self.cell_mut(slot)?.as_mut()
+        let (block, cell) = self.locate(slot)?;
+        self.blocks[block][cell].get()?;
+        own(&mut self.blocks[block])[cell].get_mut()
     }
 
     /// Stretches the span to cover `slot` (by blocks of absent cells for
@@ -115,7 +151,7 @@ impl<T> SlotRing<T> {
             self.first_block = block;
             (self.lo, self.hi) = (slot.0, slot.0);
         }
-        let absent = || (0..BLOCK).map(|_| None).collect();
+        let absent = || (0..BLOCK).map(|_| OnceCell::new()).collect();
         while block < self.first_block {
             self.blocks.push_front(absent());
             self.first_block -= 1;
@@ -131,12 +167,19 @@ impl<T> SlotRing<T> {
         )
     }
 
-    /// Puts `entry` at `slot`, returning the entry it replaced.
+    /// Puts `entry` at `slot`, returning the entry it replaced. An absent
+    /// slot is filled in place, in a shared block too.
     pub fn insert(&mut self, slot: Slot, entry: T) -> Option<T> {
         let (block, cell) = self.stretch_to(slot);
-        let old = self.blocks[block][cell].replace(entry);
-        self.present += usize::from(old.is_none());
-        old
+        let entry = match self.blocks[block][cell].set(entry) {
+            Ok(()) => {
+                self.present += 1;
+                return None;
+            }
+            Err(entry) => entry,
+        };
+        let old = own(&mut self.blocks[block])[cell].get_mut();
+        Some(std::mem::replace(old.expect("the cell is set"), entry))
     }
 
     /// The entry at `slot`, created as `T::default()` if absent.
@@ -145,14 +188,19 @@ impl<T> SlotRing<T> {
         T: Default,
     {
         let (block, cell) = self.stretch_to(slot);
-        let cell = &mut self.blocks[block][cell];
-        self.present += usize::from(cell.is_none());
-        cell.get_or_insert_with(T::default)
+        let cell = &mut own(&mut self.blocks[block])[cell];
+        if cell.get().is_none() {
+            self.present += 1;
+        }
+        cell.get_or_init(T::default);
+        cell.get_mut().expect("just filled")
     }
 
     /// Takes the entry at `slot` out, if present.
     pub fn remove(&mut self, slot: Slot) -> Option<T> {
-        let old = self.cell_mut(slot)?.take()?;
+        let (block, cell) = self.locate(slot)?;
+        self.blocks[block][cell].get()?;
+        let old = own(&mut self.blocks[block])[cell].take()?;
         self.present -= 1;
         self.trim();
         Some(old)
@@ -171,16 +219,23 @@ impl<T> SlotRing<T> {
     }
 
     fn drop_in(&mut self, range: impl RangeBounds<Slot>, mut gone: impl FnMut(Slot, T)) -> usize {
-        let before = self.present;
         let (start, end) = self.slots_in(range);
-        for s in start..end {
-            if let Some(entry) = self.cell_mut(Slot(s)).and_then(Option::take) {
-                self.present -= 1;
-                gone(Slot(s), entry);
+        let first = self.first_block;
+        let mut dropped = 0;
+        for (b, block) in self.blocks_mut_in(start, end) {
+            let at = (first + b as u64) * BLOCK;
+            let from = start.max(at);
+            let cells = &mut block[(from - at) as usize..(end.min(at + BLOCK) - at) as usize];
+            for (i, cell) in cells.iter_mut().enumerate() {
+                if let Some(entry) = cell.take() {
+                    dropped += 1;
+                    gone(Slot(from + i as u64), entry);
+                }
             }
         }
+        self.present -= dropped;
         self.trim();
-        before - self.present
+        dropped
     }
 
     /// Restores the invariant that the span starts and ends at an entry
@@ -233,6 +288,21 @@ impl<T> SlotRing<T> {
         index(start)..index(end - 1) + 1
     }
 
+    /// The blocks the slots `start..end` touch, each with its index into
+    /// `blocks` and ready to write (copied first if shared).
+    fn blocks_mut_in(
+        &mut self,
+        start: u64,
+        end: u64,
+    ) -> impl DoubleEndedIterator<Item = (usize, &mut [OnceCell<T>])> {
+        let blocks = self.blocks_in(start, end);
+        let first = blocks.start;
+        self.blocks
+            .range_mut(blocks)
+            .enumerate()
+            .map(move |(b, block)| (first + b, own(block)))
+    }
+
     /// The entries present in `range`, in slot order.
     pub fn range(
         &self,
@@ -250,7 +320,7 @@ impl<T> SlotRing<T> {
                 block[(from - at) as usize..(end.min(at + BLOCK) - at) as usize]
                     .iter()
                     .enumerate()
-                    .filter_map(move |(i, cell)| Some((Slot(from + i as u64), cell.as_ref()?)))
+                    .filter_map(move |(i, cell)| Some((Slot(from + i as u64), cell.get()?)))
             })
     }
 
@@ -260,19 +330,15 @@ impl<T> SlotRing<T> {
         range: impl RangeBounds<Slot>,
     ) -> impl DoubleEndedIterator<Item = (Slot, &mut T)> {
         let (start, end) = self.slots_in(range);
-        let blocks = self.blocks_in(start, end);
-        let first = self.first_block + blocks.start as u64;
-        self.blocks
-            .range_mut(blocks)
-            .enumerate()
-            .flat_map(move |(b, block)| {
-                let at = (first + b as u64) * BLOCK;
-                let from = start.max(at);
-                block[(from - at) as usize..(end.min(at + BLOCK) - at) as usize]
-                    .iter_mut()
-                    .enumerate()
-                    .filter_map(move |(i, cell)| Some((Slot(from + i as u64), cell.as_mut()?)))
-            })
+        let first = self.first_block;
+        self.blocks_mut_in(start, end).flat_map(move |(b, block)| {
+            let at = (first + b as u64) * BLOCK;
+            let from = start.max(at);
+            block[(from - at) as usize..(end.min(at + BLOCK) - at) as usize]
+                .iter_mut()
+                .enumerate()
+                .filter_map(move |(i, cell)| Some((Slot(from + i as u64), cell.get_mut()?)))
+        })
     }
 }
 

@@ -941,7 +941,7 @@ mod tests {
                 term: Term(1),
                 prev: Slot(0),
                 prev_term: Term(0),
-                entries: std::sync::Arc::new([Entry {
+                entries: crate::log::View::from_iter([Entry {
                     term: Term(1),
                     bal: Term(1),
                     cmd: cmd.clone(),
@@ -1009,7 +1009,7 @@ mod tests {
         assert_eq!(size_of::<crate::log::Entry>(), 64);
         // The log's ring cell: a field that costs `Entry` its niche makes
         // every cell of every log 72 B.
-        assert_eq!(size_of::<Option<crate::log::Entry>>(), 64);
+        assert_eq!(size_of::<std::cell::OnceCell<crate::log::Entry>>(), 64);
         // The largest message is a Mencius `Suggest`: term, round and a
         // stream element that carries an ack (a term and a list of slots).
         assert_eq!(size_of::<crate::msg::Msg>(), 104);

@@ -20,11 +20,12 @@
 //! `crates/spec` Raft* spec and its refinement proof are untouched).
 //!
 //! Every way out of the log yields effective ballots: [`Log::bal_at`],
-//! [`Log::iter`] and the entries cloned by [`Log::suffix_from`] (what
-//! Raft* vote replies and appends carry). [`Log::get`] hands out the
-//! stored entry for its `term` and `cmd`; its `bal` field is the
-//! effective ballot only past the mark, so ballot readers go through
-//! the three accessors above. Whatever removes or replaces entries
+//! [`Log::iter`], the entries cloned by [`Log::suffix_from`] (what Raft*
+//! vote replies carry) and the rounds cut by [`Log::view`] (what appends
+//! carry, *Rounds* below). [`Log::get`] hands out the stored entry for
+//! its `term` and `cmd`; its `bal` field is the effective ballot only
+//! past the mark, so ballot readers go through the four accessors
+//! above. Whatever removes or replaces entries
 //! ([`Log::truncate_from`], [`Log::replace_suffix`], [`Log::reset_to`])
 //! pulls the mark back with them, so it never exceeds
 //! [`Log::last_index`] and never covers an entry written after it.
@@ -54,11 +55,36 @@
 //! ↔ instance.id` as one structure. A block of 256 is taken as the log
 //! reaches it and freed as compaction passes it, so the log holds what
 //! it spans; nothing is copied, and [`Log::replace_suffix`] overwrites.
+//!
+//! # Rounds
+//!
+//! Under Figure 3's map an `Append` is a phase-2 accept over a range of
+//! instances, and like a Paxos round it is paid for once: its entries
+//! are a [`View`] of the leader's own blocks, not a copy of them. A view
+//! holds the block its first entry lies in and, when the round runs on
+//! past that block's end, the next one — both shared, so cutting a round
+//! for any peer at any cursor is a reference count, never an allocation
+//! or an entry copy — plus the range of cells it covers and the ballot
+//! mark it was cut under. Its entries come out cloned, each with the
+//! effective ballot it had at the cut, exactly what [`Log::suffix_from`]
+//! cloned then.
+//!
+//! A view stays what it was cut as while the log moves on, because the
+//! ring changes a set cell only in a block nobody else holds
+//! (`engine::slots`, *Sharing*): the leader keeps appending into the
+//! tail block rounds in flight point at, while a truncation, a
+//! [`Log::replace_suffix`], a mark pulled back, a compaction that
+//! stops inside a block or a crash's truncation first copies a block a
+//! round still holds. A round longer than two blocks — a catch-up of
+//! hundreds of entries starting deep in a block — is copied instead,
+//! with its ballots written in, into one private block of its own.
 
-use std::sync::Arc;
+use std::cell::OnceCell;
+use std::fmt;
 
 use paxraft_workload::metrics::PeakGauge;
 
+use crate::engine::slots::Block;
 use crate::engine::SlotRing;
 use crate::kv::Command;
 use crate::types::{Slot, Term};
@@ -285,21 +311,43 @@ impl Log {
         self.suffix_iter(prev, usize::MAX).collect()
     }
 
-    /// [`Log::suffix_from`] stopping after `max` entries, as the payload
-    /// of one replication round: only what the round carries is cloned,
-    /// into the one allocation every peer at this cursor shares (none,
-    /// for the empty heartbeat).
-    pub fn suffix_bounded(&self, prev: Slot, max: usize) -> Arc<[Entry]> {
-        let round = self.suffix_iter(prev, max);
-        if round.len() == 0 {
-            return Arc::default();
+    /// At most `max` retained entries strictly after `prev`, as the
+    /// payload of one replication round: a [`View`] of the blocks they
+    /// lie in, cut under the current ballot mark, so it yields what
+    /// [`Log::suffix_from`] clones at this moment, now and after any
+    /// later change to the log. Cutting one allocates nothing and copies
+    /// no entry, unless the round spans more than two blocks (module
+    /// docs, *Rounds*).
+    pub fn view(&self, prev: Slot, max: usize) -> View {
+        let first = prev.max(self.start).next();
+        let n = max.min((self.last_index().0 + 1).saturating_sub(first.0) as usize);
+        if n == 0 {
+            return View::default();
         }
-        round.collect()
+        let (head, from) = self
+            .entries
+            .block_at(first)
+            .expect("the log is dense over its span");
+        let in_head = head.len() - from;
+        let next = match n.checked_sub(in_head) {
+            None | Some(0) => None,
+            Some(rest) => match self.entries.block_at(Slot(first.0 + in_head as u64)) {
+                Some((next, 0)) if rest <= next.len() => Some(next.clone()),
+                _ => return self.suffix_iter(prev, max).collect(),
+            },
+        };
+        View {
+            blocks: [Some(head.clone()), next],
+            from: from as u32,
+            len: n as u32,
+            covered: (self.bal_upto.0 + 1).saturating_sub(first.0).min(n as u64) as u32,
+            bal_term: self.bal_term,
+        }
     }
 
     /// At most `max` retained entries strictly after `prev`, cloned with
     /// their effective ballots. A mapped `Range<usize>` is `TrustedLen`,
-    /// so an `Arc<[Entry]>` collects from it in one allocation.
+    /// so a [`View`]'s private block collects from it in one allocation.
     fn suffix_iter(&self, prev: Slot, max: usize) -> impl ExactSizeIterator<Item = Entry> + '_ {
         let first = prev.max(self.start).next();
         let n = max.min((self.last_index().0 + 1).saturating_sub(first.0) as usize);
@@ -377,6 +425,100 @@ impl Log {
     fn note_peak(&mut self) {
         self.peak_entries.observe(self.entries.len() as u64);
         self.peak_bytes.observe(self.bytes as u64);
+    }
+}
+
+/// One replication round's entries (module docs, *Rounds*): up to two of
+/// the leader's log blocks, shared, the cells of the round in them, and
+/// the ballot mark the round was cut under. A round longer than two
+/// blocks has one private block of its own instead, its ballots written
+/// in. Whatever the leader's log does after the cut, a view yields the
+/// entries as they were at it.
+#[derive(Clone, Default)]
+pub struct View {
+    /// The block holding the first entry, and the next one when the
+    /// entries run on into it; neither for the empty round.
+    blocks: [Option<Block<Entry>>; 2],
+    /// The first entry's cell in `blocks[0]`.
+    from: u32,
+    /// Entries in the round.
+    len: u32,
+    /// The ballot mark at the cut: the first `covered` entries have
+    /// effective ballot `bal_term`, the rest their stored one.
+    covered: u32,
+    bal_term: Term,
+}
+
+impl View {
+    /// Entries in the round.
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// True for the empty round (a heartbeat).
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The round's cells: those in the first block, then those in the
+    /// next.
+    fn cells(&self) -> (&[OnceCell<Entry>], &[OnceCell<Entry>]) {
+        let [head, next] = self
+            .blocks
+            .each_ref()
+            .map(|b| b.as_deref().unwrap_or_default());
+        let (from, len) = (self.from as usize, self.len());
+        let in_head = len.min(head.len() - from);
+        (&head[from..from + in_head], &next[..len - in_head])
+    }
+
+    /// The entries, cloned, each with its effective ballot at the cut —
+    /// what [`Log::suffix_from`] cloned then.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Entry> + '_ {
+        let (head, next) = self.cells();
+        (0..self.len()).map(move |i| {
+            let e = stored(head.get(i).unwrap_or_else(|| &next[i - head.len()]));
+            let bal = if i < self.covered as usize {
+                self.bal_term
+            } else {
+                e.bal
+            };
+            Entry { bal, ..e.clone() }
+        })
+    }
+
+    /// Approximate wire size of the entries ([`Entry::size_bytes`]
+    /// summed).
+    pub fn size_bytes(&self) -> usize {
+        let (head, next) = self.cells();
+        head.iter()
+            .chain(next)
+            .map(|c| stored(c).size_bytes())
+            .sum()
+    }
+}
+
+/// The entry in a cell a view covers: it was set when the view was cut,
+/// and stays set (`engine::slots`, *Sharing*).
+fn stored(cell: &OnceCell<Entry>) -> &Entry {
+    cell.get().expect("a view covers set cells")
+}
+
+/// A round of its own: one private block holding the entries as given.
+impl FromIterator<Entry> for View {
+    fn from_iter<I: IntoIterator<Item = Entry>>(entries: I) -> Self {
+        let block: Block<Entry> = entries.into_iter().map(OnceCell::from).collect();
+        View {
+            len: block.len() as u32,
+            blocks: [Some(block), None],
+            ..View::default()
+        }
+    }
+}
+
+impl fmt::Debug for View {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -492,14 +634,11 @@ mod tests {
         assert_eq!(tail[0].cmd.op.key(), Some(2));
         assert!(log.suffix_from(Slot(9)).is_empty());
         assert_eq!(log.suffix_from(Slot::NONE).len(), 4);
-        let bounded = log.suffix_bounded(Slot(1), 2);
-        assert_eq!(bounded[..], log.suffix_from(Slot(1))[..2]);
-        assert_eq!(
-            log.suffix_bounded(Slot(3), 2).len(),
-            1,
-            "the log ends first"
-        );
-        assert!(log.suffix_bounded(Slot(1), 0).is_empty());
+        let round: Vec<Entry> = log.view(Slot(1), 2).iter().collect();
+        assert_eq!(round[..], log.suffix_from(Slot(1))[..2]);
+        assert_eq!(log.view(Slot(3), 2).len(), 1, "the log ends first");
+        assert!(log.view(Slot(1), 0).is_empty());
+        assert!(log.view(Slot(4), 2).is_empty());
     }
 
     #[test]
@@ -514,31 +653,54 @@ mod tests {
     /// Slots per block of the ring under the log (`engine::slots`).
     const EDGE: u64 = 256;
 
+    /// What one run of [`against_eager_rewrite`] exercised.
+    #[derive(Debug, Default)]
+    struct Tally {
+        /// Calls of each mutator (append, replace, truncate, mark,
+        /// compact, reset) that touched slots on both sides of an edge.
+        crossed: [u32; 6],
+        /// The most appends one case made.
+        most_appends: u64,
+        /// Views cut over one block, over two, and into a private block.
+        views: [u32; 3],
+        /// Checks of a held view whose slots the log no longer holds as
+        /// they were at the cut.
+        outlived: u32,
+    }
+
+    /// Views each run holds and re-checks after every step.
+    const HELD: usize = 16;
+
     /// One random script of every mutator against Figure 2 executed
     /// literally: an eager reference log (a plain `Vec` plus a compaction
     /// offset) that rewrites every covered `bal` in a loop. After each
     /// step the effective ballots out of `bal_at`, `iter` and
     /// `suffix_from` must equal the reference's stored ones, and the mark
-    /// must not pass the end. An append step adds up to `burst` entries;
-    /// with `near_edges` every case starts, and every reset lands, within
-    /// three slots of a block edge. Returns how many calls of each mutator
-    /// (append, replace, truncate, mark, compact, reset) touched slots on
-    /// both sides of an edge, and the most appends one case made.
+    /// must not pass the end. Each step also cuts a round ([`Log::view`])
+    /// of random length at a random cursor, which must equal the clone
+    /// `suffix_iter` makes at the cut — and still equal it after every
+    /// later step while the run holds it (the last [`HELD`]), whatever
+    /// the log did to those slots since. An append step adds up to
+    /// `burst` entries; with `near_edges` every case starts, and every
+    /// reset lands, within three slots of a block edge.
     fn against_eager_rewrite(
         seed: u64,
         cases: u32,
         steps: u64,
         burst: u64,
         near_edges: bool,
-    ) -> ([u32; 6], u64) {
+    ) -> Tally {
         use paxraft_sim::rng::SimRng;
+        use std::collections::VecDeque;
 
         let mut rng = SimRng::new(seed);
         let spans_edge = |lo: u64, hi: u64| lo < hi && lo / EDGE != hi / EDGE;
         let near_edge = |rng: &mut SimRng, below: u64| {
             EDGE * (1 + rng.gen_range(below / EDGE + 2)) - 3 + rng.gen_range(7)
         };
-        let (mut crossed, mut most_appends) = ([0u32; 6], 0);
+        let mut tally = Tally::default();
+        let crossed = &mut tally.crossed;
+        let mut held: VecDeque<(View, Vec<Entry>, Slot, String)> = VecDeque::new();
         for case in 0..cases {
             let mut log = Log::new();
             // Reference: entries after `start`, ballots rewritten eagerly.
@@ -641,23 +803,48 @@ mod tests {
                 let prev = rng.gen_range(log.last_index().0 + 2);
                 let from = (prev.saturating_sub(start) as usize).min(eager.len());
                 assert_eq!(log.suffix_from(Slot(prev)), eager[from..], "{ctx}");
-                // A bounded clone is a prefix of the unbounded one.
-                let max = rng.gen_range(4) as usize;
-                let upto = (from + max).min(eager.len());
-                assert_eq!(
-                    log.suffix_bounded(Slot(prev), max)[..],
-                    eager[from..upto],
-                    "{ctx}"
-                );
+                // A round is a prefix of the whole suffix, however long.
+                let max = match rng.gen_range(4) {
+                    0 => rng.gen_range(4) as usize,
+                    1 => rng.gen_range(2 * EDGE) as usize,
+                    2 => rng.gen_range(4 * EDGE) as usize,
+                    _ => usize::MAX,
+                };
+                let cut: Vec<Entry> = log.suffix_iter(Slot(prev), max).collect();
+                let upto = from.saturating_add(max).min(eager.len());
+                assert_eq!(cut, eager[from..upto], "{ctx}");
+                let view = log.view(Slot(prev), max);
+                if let Some(head) = &view.blocks[0] {
+                    let kind = match (head.len() as u64, &view.blocks[1]) {
+                        (EDGE, None) => 0,
+                        (EDGE, Some(_)) => 1,
+                        _ => 2,
+                    };
+                    tally.views[kind] += 1;
+                }
+                held.push_back((view, cut, Slot(prev), ctx.clone()));
+                if held.len() > HELD {
+                    held.pop_front();
+                }
+                for (view, cut, prev, at) in &held {
+                    assert_eq!(view.len(), cut.len(), "{ctx}: the view cut at {at}");
+                    assert!(
+                        view.iter().eq(cut.iter().cloned()),
+                        "{ctx}: the view cut at {at}"
+                    );
+                    let now = log.suffix_iter(*prev, cut.len());
+                    tally.outlived += u32::from(now.ne(cut.iter().cloned()));
+                }
             }
-            most_appends = most_appends.max(appends);
+            tally.most_appends = tally.most_appends.max(appends);
         }
-        (crossed, most_appends)
+        tally
     }
 
     #[test]
     fn ballot_mark_matches_eager_rewrite() {
-        against_eager_rewrite(0xBA1, 200, 60, 1, false);
+        let tally = against_eager_rewrite(0xBA1, 200, 60, 1, false);
+        assert!(tally.outlived > 1_000, "{tally:?}");
     }
 
     /// The same script over block edges: cases start and reset a few
@@ -665,15 +852,25 @@ mod tests {
     /// sides of an edge (60-step single appends never leave one block).
     #[test]
     fn ballot_mark_matches_eager_rewrite_across_block_edges() {
-        let (crossed, most_appends) = against_eager_rewrite(0xED6E, 24, 400, 16, true);
+        let tally = against_eager_rewrite(0xED6E, 24, 400, 16, true);
         assert!(
-            crossed.iter().all(|&n| n > 0),
-            "edge crossings per mutator (append, replace, truncate, mark, compact, reset): {crossed:?}"
+            tally.crossed.iter().all(|&n| n > 0),
+            "edge crossings per mutator (append, replace, truncate, mark, compact, reset): {tally:?}"
         );
-        assert!(
-            most_appends > 300,
-            "at most {most_appends} appends in a case"
-        );
+        assert!(tally.most_appends > 300, "{tally:?}");
+        // Rounds over one block and over two, held across rewrites of
+        // their slots.
+        assert!(tally.views[..2].iter().all(|&n| n > 1_000), "{tally:?}");
+        assert!(tally.outlived > 10_000, "{tally:?}");
+    }
+
+    /// The same script with long bursts, so the log spans more than two
+    /// blocks and a long round takes the private copy.
+    #[test]
+    fn views_stay_what_they_were_cut_as_over_long_logs() {
+        let tally = against_eager_rewrite(0x10C5, 16, 300, 128, true);
+        assert!(tally.views.iter().all(|&n| n > 100), "{tally:?}");
+        assert!(tally.outlived > 1_000, "{tally:?}");
     }
 
     // ── compaction ──────────────────────────────────────────────────

@@ -25,7 +25,7 @@
 use std::sync::Arc;
 
 use crate::kv::{CmdId, Command, Reply};
-use crate::log::Entry;
+use crate::log::{Entry, View};
 use crate::types::{NodeId, Slot, Term};
 use paxraft_sim::sim::Payload;
 
@@ -423,9 +423,11 @@ pub enum RaftMsg {
         prev: Slot,
         /// Term at `prev`.
         prev_term: Term,
-        /// The replicated suffix, built once per round and shared by the
-        /// peers at the same cursor.
-        entries: Arc<[Entry]>,
+        /// The replicated suffix: a view of the leader's log blocks and
+        /// of its ballot mark as they were when the round was cut
+        /// ([`crate::log::View`]). Cutting one copies no entry, whichever
+        /// peer and cursor it is for; the wire size is the entries'.
+        entries: View,
         /// Leader's commit index.
         commit: Slot,
         /// Whether the leader's replication pipeline currently has window
@@ -675,7 +677,7 @@ impl Payload for Msg {
             Msg::Raft(m) => match m {
                 RaftMsg::RequestVote { .. } => 32,
                 RaftMsg::Vote { extra, .. } => 24 + entries_size(extra),
-                RaftMsg::Append { entries, .. } => 40 + entries_size(entries),
+                RaftMsg::Append { entries, .. } => 40 + entries.size_bytes(),
                 RaftMsg::AppendOk { holders, .. } => 24 + 4 * holders.count_ones() as usize,
                 RaftMsg::AppendReject { .. } => 24,
             },
@@ -829,7 +831,7 @@ mod tests {
             term: Term(1),
             prev: Slot(0),
             prev_term: Term(0),
-            entries: Arc::new([Entry {
+            entries: View::from_iter([Entry {
                 term: Term(1),
                 bal: Term(1),
                 cmd: cmd(8),
@@ -841,7 +843,7 @@ mod tests {
             term: Term(1),
             prev: Slot(0),
             prev_term: Term(0),
-            entries: Arc::new([Entry {
+            entries: View::from_iter([Entry {
                 term: Term(1),
                 bal: Term(1),
                 cmd: cmd(4096),

@@ -61,7 +61,7 @@ impl Flavor for Plain {
         base: &mut RaftBase,
         prev: Slot,
         prev_term: Term,
-        entries: &[Entry],
+        entries: impl ExactSizeIterator<Item = Entry>,
         _term: Term,
     ) -> Result<(usize, usize), Slot> {
         if !base.log.matches(prev, prev_term) {
@@ -83,7 +83,7 @@ impl Flavor for Plain {
             }
             appended += 1;
             bytes += e.size_bytes();
-            base.log.append(e.clone());
+            base.log.append(e);
         }
         Ok((appended, bytes))
     }
@@ -137,6 +137,17 @@ mod tests {
         entries.iter().map(|e| e.cmd.id.seq).collect()
     }
 
+    /// `F`'s acceptance rule on a round given as a slice.
+    fn accept<F: Flavor>(
+        base: &mut RaftBase,
+        prev: Slot,
+        prev_term: Term,
+        round: &[Entry],
+        term: Term,
+    ) -> Result<(usize, usize), Slot> {
+        F::accept(base, prev, prev_term, round.iter().cloned(), term)
+    }
+
     fn config(mode: ReadMode) -> ReplicaConfig {
         let mut cfg = ReplicaConfig::wan_default(NodeId(0), 3);
         cfg.peers = (0..3).map(ActorId).collect();
@@ -181,7 +192,7 @@ mod tests {
         let bytes = |k: usize| round[3 - k..].iter().map(Entry::size_bytes).sum::<usize>();
 
         let mut plain = base_with(&[1, 1, 2, 2]);
-        let wrote = Plain::accept(&mut plain, Slot(1), Term(1), &round, Term(3));
+        let wrote = accept::<Plain>(&mut plain, Slot(1), Term(1), &round, Term(3));
         // Slot 2 matched and was kept; 3 and 4 were erased and rewritten.
         assert_eq!(wrote, Ok((2, bytes(2))));
         assert_eq!(terms(&plain), [1, 1, 3, 3]);
@@ -197,7 +208,7 @@ mod tests {
         );
 
         let mut star = base_with(&[1, 1, 2, 2]);
-        let wrote = Star::accept(&mut star, Slot(1), Term(1), &round, Term(3));
+        let wrote = accept::<Star>(&mut star, Slot(1), Term(1), &round, Term(3));
         assert_eq!(wrote, Ok((3, bytes(3))));
         assert_eq!(terms(&star), [1, 1, 3, 3]);
         assert_eq!(
@@ -212,15 +223,27 @@ mod tests {
         // A mismatch on `prev` refuses under both, each with its own hint.
         let hint = |r: Result<(usize, usize), Slot>| r.expect_err("prev does not match");
         assert_eq!(
-            hint(Plain::accept(&mut plain, Slot(3), Term(2), &round, Term(3))),
+            hint(accept::<Plain>(
+                &mut plain,
+                Slot(3),
+                Term(2),
+                &round,
+                Term(3)
+            )),
             Slot(3)
         );
         assert_eq!(
-            hint(Plain::accept(&mut plain, Slot(9), Term(3), &round, Term(3))),
+            hint(accept::<Plain>(
+                &mut plain,
+                Slot(9),
+                Term(3),
+                &round,
+                Term(3)
+            )),
             Slot(4)
         );
         assert_eq!(
-            hint(Star::accept(&mut star, Slot(3), Term(2), &round, Term(3))),
+            hint(accept::<Star>(&mut star, Slot(3), Term(2), &round, Term(3))),
             Slot(4)
         );
     }
@@ -229,13 +252,13 @@ mod tests {
     fn section3_a_shortening_append_keeps_rafts_longer_log_and_is_refused_by_raftstar() {
         let round = [entry(1, 2)];
         let mut plain = base_with(&[1, 1, 1, 1]);
-        let wrote = Plain::accept(&mut plain, Slot(1), Term(1), &round, Term(1));
+        let wrote = accept::<Plain>(&mut plain, Slot(1), Term(1), &round, Term(1));
         assert_eq!(wrote, Ok((0, 0)));
         assert_eq!(plain.log.last_index(), Slot(4));
         assert_eq!(plain.synced_idx, Slot(4));
 
         let mut star = base_with(&[1, 1, 1, 1]);
-        let wrote = Star::accept(&mut star, Slot(1), Term(1), &round, Term(1));
+        let wrote = accept::<Star>(&mut star, Slot(1), Term(1), &round, Term(1));
         assert_eq!(wrote, Err(Slot(4)), "its tail is the hint");
         assert_eq!(star.log.last_index(), Slot(4));
     }

@@ -98,12 +98,14 @@ pub trait Flavor: 'static {
     /// writes `entries` after `prev` and returns `(entries, bytes)`
     /// written, or refuses with the tail index the leader backs off to.
     /// A rewrite voids durability claims first
-    /// ([`RaftBase::note_rewrite_from`]).
+    /// ([`RaftBase::note_rewrite_from`]). The entries come out of the
+    /// round's view ([`crate::log::View::iter`]) with the ballots they
+    /// were cut with.
     fn accept(
         base: &mut RaftBase,
         prev: Slot,
         prev_term: Term,
-        entries: &[Entry],
+        entries: impl ExactSizeIterator<Item = Entry>,
         term: Term,
     ) -> Result<(usize, usize), Slot>;
 
@@ -138,18 +140,20 @@ impl Flavor for Star {
         base: &mut RaftBase,
         prev: Slot,
         prev_term: Term,
-        entries: &[Entry],
+        entries: impl ExactSizeIterator<Item = Entry>,
         term: Term,
     ) -> Result<(usize, usize), Slot> {
-        let new_last = Slot(prev.0 + entries.len() as u64);
+        let n = entries.len();
+        let new_last = Slot(prev.0 + n as u64);
         if !base.log.matches(prev, prev_term) || new_last < base.log.last_index() {
             return Err(base.log.last_index());
         }
         base.note_rewrite_from(prev.next());
-        base.log.replace_suffix(prev, entries.iter().cloned());
+        let mut bytes = 0;
+        base.log
+            .replace_suffix(prev, entries.inspect(|e| bytes += e.size_bytes()));
         base.log.set_bal_upto(new_last, term);
-        let bytes = entries.iter().map(Entry::size_bytes).sum();
-        Ok((entries.len(), bytes))
+        Ok((n, bytes))
     }
 
     /// `LeaderLearn` needs no entry-term check: an `appendOK` at `term`
@@ -601,7 +605,7 @@ impl<F: Flavor> RaftFamilyRules<F> {
                 core.leader_hint = Some(term.owner(core.cfg.n));
                 core.note_window_hint(window_room, ctx.now());
                 self.base.arm_election(core, ctx);
-                let bytes: usize = entries.iter().map(Entry::size_bytes).sum();
+                let bytes = entries.size_bytes();
                 ctx.charge(
                     core.cfg.costs.append_fixed
                         + core.cfg.costs.append_per_cmd * entries.len().max(1) as u64
@@ -611,7 +615,7 @@ impl<F: Flavor> RaftFamilyRules<F> {
                 // committed state: skip the overlap and anchor the
                 // consistency check at the floor.
                 let (floor, floor_term) = self.base.log.last_included();
-                let (prev, prev_term, entries) = if prev < floor {
+                let (prev, prev_term, overlap) = if prev < floor {
                     let overlap = (floor.0 - prev.0) as usize;
                     if entries.len() <= overlap {
                         let holders = self.granted_holders(ctx.now());
@@ -626,10 +630,11 @@ impl<F: Flavor> RaftFamilyRules<F> {
                         core.ack_after_sync(ctx, from, ok);
                         return;
                     }
-                    (floor, floor_term, &entries[overlap..])
+                    (floor, floor_term, overlap)
                 } else {
-                    (prev, prev_term, &entries[..])
+                    (prev, prev_term, 0)
                 };
+                let entries = entries.iter().skip(overlap);
                 let new_last = Slot(prev.0 + entries.len() as u64);
                 let (appended, written) =
                     match F::accept(&mut self.base, prev, prev_term, entries, term) {

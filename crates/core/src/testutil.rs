@@ -9,9 +9,10 @@ use paxraft_sim::impl_actor_any;
 use paxraft_sim::net::{NetConfig, Region};
 use paxraft_sim::sim::{Actor, ActorId, Ctx, Simulation};
 use paxraft_sim::time::{SimDuration, SimTime};
+use paxraft_workload::linearize::{Action, OpRecord};
 
 use crate::config::ReplicaConfig;
-use crate::kv::{CmdId, Command, Reply};
+use crate::kv::{CmdId, Command, Op, Reply};
 use crate::msg::{ClientMsg, Msg};
 use crate::telemetry::TRACE_CAPACITY;
 use crate::types::NodeId;
@@ -25,6 +26,8 @@ pub struct TestClient {
     pub target: ActorId,
     /// Commands sent so far (in order).
     pub sent: Vec<Command>,
+    /// When each of `sent` first went out.
+    pub sent_at: Vec<SimTime>,
     /// Replies received: `(id, reply, at)`.
     pub replies: Vec<(CmdId, Reply, SimTime)>,
     queue: VecDeque<Command>,
@@ -40,6 +43,7 @@ impl TestClient {
             client_id,
             target,
             sent: Vec::new(),
+            sent_at: Vec::new(),
             replies: Vec::new(),
             queue: VecDeque::new(),
             seq: 0,
@@ -68,11 +72,37 @@ impl TestClient {
         self.queue.push_back(Command::get(id, key));
     }
 
+    /// This client's operations on `key` as a linearizability history:
+    /// a write never answered stays pending to the end, a read never
+    /// answered observed nothing and is left out.
+    pub fn history(&self, key: u64) -> Vec<OpRecord> {
+        self.sent
+            .iter()
+            .zip(&self.sent_at)
+            .filter(|(cmd, _)| cmd.op.key() == Some(key))
+            .filter_map(|(cmd, at)| {
+                let reply = self.replies.iter().find(|(id, ..)| *id == cmd.id);
+                let action = match cmd.op {
+                    Op::Put { .. } => Action::Write(cmd.id.as_value_id()),
+                    _ => Action::Read(reply?.1.value_id()),
+                };
+                Some(OpRecord {
+                    client: self.client_id as usize,
+                    key,
+                    action,
+                    invoke_ns: at.as_nanos(),
+                    respond_ns: reply.map_or(u64::MAX, |(.., t)| t.as_nanos()),
+                })
+            })
+            .collect()
+    }
+
     fn pump(&mut self, ctx: &mut Ctx<Msg>) {
         if self.inflight.is_none() {
             if let Some(cmd) = self.queue.pop_front() {
                 self.inflight = Some((cmd.id, ctx.now()));
                 self.sent.push(cmd.clone());
+                self.sent_at.push(ctx.now());
                 ctx.send(self.target, Msg::Client(ClientMsg::Request { cmd }));
             }
         } else if let Some((id, since)) = self.inflight {

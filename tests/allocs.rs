@@ -4,31 +4,39 @@
 //! The ledger reports `allocs_per_op` per workload, but a per-PR bound has
 //! no memory: a site that allocates per message can come back a fifth at a
 //! time. This test pins a ceiling per protocol at about 1.25 x what the
-//! commit that took the per-message allocations off the replication path
-//! measured (PR 22: a round's payload is built once, a list of slots is a
-//! run, buffers go back where they came from), on a fixed-seed 5-replica
-//! closed-loop cluster on the default WAN. The counts repeat to the third
-//! decimal run to run (`HashMap` hasher seeds move them by parts in 10^4).
+//! last commit that took allocations off the replication path measured,
+//! on a fixed-seed 5-replica closed-loop cluster on the default WAN. The
+//! counts repeat to the third decimal run to run (`HashMap` hasher seeds
+//! move them by parts in 10^4).
 //!
-//! *before* and *after* read either side of that commit:
+//! Two commits made the readings. The first built a round's payload once,
+//! made a list of slots a run and handed buffers back (*before* and
+//! *after* read either side of it). Since the second, a Raft-family round
+//! is a view of the leader's log rather than a copy of it (`log.rs`,
+//! *Rounds*): *copied* and *viewed* read either side of that change, and
+//! the Raft-family ceilings are 1.25 x *viewed*.
 //!
-//! | protocol                | before | after | ceiling |
-//! |-------------------------|-------:|------:|--------:|
-//! | Raft                    |  3.334 | 1.232 |    1.55 |
-//! | Raft\*                  |  1.867 | 1.232 |    1.55 |
-//! | Raft\*-PQL              |  1.226 | 0.322 |    0.41 |
-//! | MultiPaxos              |  7.640 | 2.068 |    2.60 |
-//! | Mencius                 | 19.894 | 4.230 |    1.85 |
-//! | Mencius, saturated LAN  |      — |     — |    0.31 |
+//! | protocol                | before | after | copied | viewed | ceiling |
+//! |-------------------------|-------:|------:|-------:|-------:|--------:|
+//! | Raft                    |  3.334 | 1.232 |  1.244 |  0.373 |    0.47 |
+//! | Raft\*                  |  1.867 | 1.232 |  1.244 |  0.373 |    0.47 |
+//! | Raft\*-PQL              |  1.226 | 0.322 |  0.322 |  0.193 |    0.24 |
+//! | Raft, per-entry fsync   |      — |     — |  1.577 |  0.604 |    0.76 |
+//! | MultiPaxos              |  7.640 | 2.068 |  2.010 |  2.010 |    2.60 |
+//! | Mencius                 | 19.894 | 4.230 |  1.466 |  1.466 |    1.85 |
+//! | Mencius, saturated LAN  |      — |     — |  0.246 |  0.246 |    0.31 |
 //!
-//! Every *before* reading exceeds its ceiling. The load is light on
-//! purpose (10 clients a region, batches of one or two), so per-message
-//! costs are not hidden by batching; the ledger's `wan-paper` cells at 50
-//! clients a region read 0.4-0.9. What is left here: the forwarded batch
-//! and the round it becomes (one allocation each, owned by the message
-//! that carries them), MultiPaxos rounds pumped to one acceptor (two),
-//! and at this load Mencius's stalled-peer replay and decision lists
-//! whose slots are not evenly spaced.
+//! Every *before* and every Raft-family *copied* reading exceeds its
+//! ceiling. The load is light on purpose (10 clients a region, batches of
+//! one or two), so per-message costs are not hidden by batching; the
+//! ledger's `wan-paper` cells at 50 clients a region read 0.4-0.9. What
+//! is left here: the forwarded batch (one allocation, owned by the
+//! message that carries it), MultiPaxos rounds pumped to one acceptor
+//! (two), and at this load Mencius's stalled-peer replay and
+//! decision lists whose slots are not evenly spaced. The per-entry fsync
+//! row runs Raft with a 1 ms barrier per entry behind every ack, where
+//! the leader's pump cuts a round per freed window slot for one peer:
+//! each of those was a copy of its own.
 //!
 //! The last row is the ledger's `lan-saturated` Mencius cell in shape
 //! (75 clients a region, a 0.6 ms LAN, 8 B writes only), where a write is
@@ -41,15 +49,19 @@
 //!
 //! The same allocator keeps a live-byte count per thread, which
 //! `a_log_holds_what_it_spans` reads: Raft's log holds what it spans.
-//! `a_completion_is_24_bytes` pins what a client keeps per operation, and
-//! `a_state_copy_costs_one_allocation_per_table` what a checkpoint costs.
+//! `a_completion_is_24_bytes` pins what a client keeps per operation,
+//! `a_state_copy_costs_one_allocation_per_table` what a checkpoint costs,
+//! and `a_round_is_a_view_of_the_log_not_a_copy` what cutting a round
+//! costs: nothing.
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use paxraft::core::client::Completion;
+use paxraft::core::config::DurabilityConfig;
 use paxraft::core::harness::{Cluster, ClusterBuilder, ProtocolKind};
 use paxraft::core::kv::{CmdId, Command, KvStore};
 use paxraft::core::log::{Entry, Log};
+use paxraft::core::msg::{Msg, RaftMsg};
 use paxraft::core::snapshot::Snapshot;
 use paxraft::core::types::{Slot, Term};
 use paxraft::sim::net::NetConfig;
@@ -144,6 +156,19 @@ fn light_wan(protocol: ProtocolKind) -> f64 {
     allocs_per_op(protocol.name(), builder, warmup, measure)
 }
 
+/// The light WAN load on Raft with a 1 ms fsync per entry: a follower
+/// pays a barrier per entry behind its ack, so the leader's `pump` cuts
+/// each freed window slot a round of its own, for one peer.
+fn light_wan_per_entry_fsync() -> f64 {
+    let name = "Raft, per-entry fsync";
+    let builder = Cluster::builder(ProtocolKind::Raft)
+        .clients_per_region(10)
+        .durability_config(DurabilityConfig::per_entry(SimDuration::from_millis(1)))
+        .seed(22);
+    let (warmup, measure) = (SimDuration::from_secs(1), SimDuration::from_secs(3));
+    allocs_per_op(name, builder, warmup, measure)
+}
+
 /// The ledger's `lan-saturated` Mencius cell in shape: 75 clients a
 /// region on a 0.6 ms LAN, 8 B writes only, 300 ms after a 200 ms
 /// warm-up. Every client keeps a write in flight, so the conflict index
@@ -169,9 +194,9 @@ fn saturated_lan_mencius() -> f64 {
 #[test]
 fn steady_state_allocations_per_operation_stay_under_their_ceilings() {
     let light = [
-        (ProtocolKind::Raft, 1.55),
-        (ProtocolKind::RaftStar, 1.55),
-        (ProtocolKind::RaftStarPql, 0.41),
+        (ProtocolKind::Raft, 0.47),
+        (ProtocolKind::RaftStar, 0.47),
+        (ProtocolKind::RaftStarPql, 0.24),
         (ProtocolKind::MultiPaxos, 2.60),
         (ProtocolKind::RaftStarMencius, 1.85),
     ];
@@ -179,6 +204,7 @@ fn steady_state_allocations_per_operation_stay_under_their_ceilings() {
         .iter()
         .map(|&(protocol, ceiling)| (protocol.name(), light_wan(protocol), ceiling))
         .collect();
+    read.push(("Raft, per-entry fsync", light_wan_per_entry_fsync(), 0.76));
     read.push(("Mencius, saturated LAN", saturated_lan_mencius(), 0.31));
     for &(name, per_op, _) in &read {
         println!("{name}: {per_op:.3} allocations per operation");
@@ -206,10 +232,11 @@ fn a_completion_is_24_bytes() {
 /// byte after compaction.
 #[test]
 fn a_log_holds_what_it_spans() {
-    /// A log entry and a ring cell (`Option<Entry>`, the size `kv`'s
-    /// tests pin), and the ring's block of 256 cells.
+    /// A log entry and a ring cell (`OnceCell<Entry>`, the size `kv`'s
+    /// tests pin), and the ring's block: 256 cells behind the two
+    /// reference counts that let a round share it.
     const CELL: i64 = 64;
-    const BLOCK: i64 = 256 * CELL;
+    const BLOCK: i64 = 256 * CELL + 16;
     const ENTRIES: i64 = 70_737;
     /// The list of blocks: a boxed slice per block, at most doubled.
     const DEQUE: i64 = 2 * (ENTRIES / 256 + 2) * 16;
@@ -296,4 +323,77 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCS.with(Cell::get);
     let out = f();
     (out, ALLOCS.with(Cell::get) - before)
+}
+
+/// A replication round is a view of the leader's log (`log.rs`,
+/// *Rounds*): cutting one at any cursor and putting it in an `Append`
+/// costs no allocation — four rounds of a 10,000-entry log, one within a
+/// block, two across a block edge, one a single entry, and the empty
+/// heartbeat — on a Raft log and on a Raft\* log whose ballot mark ends
+/// inside them. Each yields what `Log::suffix_from` clones: the entries
+/// with their effective ballots at the cut.
+#[test]
+fn a_round_is_a_view_of_the_log_not_a_copy() {
+    const ENTRIES: u64 = 10_000;
+    /// `(cursor, cap)`: 64 from 5,100 cross the edge at 5,120, the rest
+    /// run to the end (9,731..=10,000 cross the edge at 9,984).
+    const ROUNDS: [(u64, usize); 5] = [
+        (5_100, 64),
+        (9_730, usize::MAX),
+        (9_990, usize::MAX),
+        (9_999, usize::MAX),
+        (ENTRIES, usize::MAX),
+    ];
+    let mut raft = Log::new();
+    for seq in 1..=ENTRIES {
+        raft.append(Entry {
+            term: Term(1),
+            bal: Term(1),
+            cmd: Command::put(CmdId { client: 1, seq }, seq, vec![0; 8]),
+        });
+    }
+    let mut star = raft.clone();
+    star.set_bal_upto(Slot(9_900), Term(2));
+    for (name, log) in [("Raft", &raft), ("Raft*", &star)] {
+        let (appends, made) = counted(|| {
+            ROUNDS.map(|(prev, cap)| {
+                Msg::Raft(RaftMsg::Append {
+                    term: Term(2),
+                    prev: Slot(prev),
+                    prev_term: Term(1),
+                    entries: log.view(Slot(prev), cap),
+                    commit: Slot(prev),
+                    window_room: true,
+                })
+            })
+        });
+        assert_eq!(
+            made,
+            0,
+            "{name}: {made} allocations for {} rounds",
+            ROUNDS.len()
+        );
+        for (append, (prev, cap)) in appends.iter().zip(ROUNDS) {
+            let Msg::Raft(RaftMsg::Append { entries, .. }) = append else {
+                unreachable!()
+            };
+            let suffix = log.suffix_from(Slot(prev));
+            assert_eq!(entries.len(), cap.min(suffix.len()), "{name} after {prev}");
+            assert!(
+                entries.iter().eq(suffix.into_iter().take(cap)),
+                "{name} after {prev}"
+            );
+        }
+    }
+    let covered = |log: &Log| {
+        log.view(Slot(9_730), usize::MAX)
+            .iter()
+            .filter(|e| e.bal == Term(2))
+            .count()
+    };
+    assert_eq!(
+        (covered(&raft), covered(&star)),
+        (0, 170),
+        "the mark ends inside the round"
+    );
 }
