@@ -1019,7 +1019,7 @@ fn full_forwarded_batch_is_flushed_immediately_regardless_of_leadership() {
             Box::new(TestClient::new(1, replicas[1])),
         );
         let sink_client = (sink.0 - replicas.len()) as u32;
-        let cmds: Vec<crate::kv::Command> = (1..=BATCH_MAX as u64)
+        let cmds: crate::msg::Batch = (1..=BATCH_MAX as u64)
             .map(|seq| {
                 crate::kv::Command::put(
                     crate::kv::CmdId {

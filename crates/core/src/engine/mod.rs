@@ -62,7 +62,8 @@ use crate::config::ReplicaConfig;
 use crate::costs::CostModel;
 use crate::kv::{CmdId, Command, KvStore, Op, Reply};
 use crate::msg::{
-    ClientMsg, EngineMsg, Msg, SHARD_GROUP_HEADER, SNAPSHOT_ACK_HEADER, SNAPSHOT_CHUNK_HEADER,
+    Batch, ClientMsg, EngineMsg, Msg, SHARD_GROUP_HEADER, SNAPSHOT_ACK_HEADER,
+    SNAPSHOT_CHUNK_HEADER,
 };
 use crate::shard::migration::{install_cmd_id, KeyOwnership, RangeExport, RouterVersion};
 use crate::snapshot::{self, ChunkAssembler, Snapshot, SnapshotStats};
@@ -370,12 +371,13 @@ impl EngineCore {
         if leader == self.cfg.id || self.pending.is_empty() {
             return;
         }
-        // The batches to come are the size of the one just shipped.
-        let room = Vec::with_capacity(self.pending.len());
-        let cmds = std::mem::replace(&mut self.pending, room);
+        // A lone command rides in the message; a longer batch leaves as
+        // one copy of exact size. Either way `pending` keeps its buffer,
+        // so the batches to come never regrow it.
+        let cmds: Batch = self.pending.drain(..).collect();
         self.forwarded_cmds += cmds.len() as u64;
         if ctx.spans_enabled() {
-            for c in &cmds {
+            for c in cmds.iter() {
                 ctx.trace_span(SpanKind::Forward, c.id.client, c.id.seq);
             }
         }

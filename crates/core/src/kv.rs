@@ -1015,6 +1015,9 @@ mod tests {
         assert_eq!(size_of::<crate::msg::Msg>(), 104);
         // A list of slots sits where the `Vec<Slot>` it replaced sat.
         assert_eq!(size_of::<crate::msg::Slots>(), 24);
+        // A forwarded batch holds one command in place, in the space of
+        // that `Command`: a list rides in the operation's spare tags.
+        assert_eq!(size_of::<crate::msg::Batch>(), 48);
         assert_eq!(size_of::<crate::msg::Coord>(), 80);
         assert_eq!(size_of::<crate::msg::PaxosMsg>(), 48);
         assert_eq!(size_of::<crate::msg::MenciusMsg>(), 104);

@@ -475,8 +475,15 @@ impl View {
     /// The entries, cloned, each with its effective ballot at the cut —
     /// what [`Log::suffix_from`] cloned then.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = Entry> + '_ {
+        self.iter_from(0)
+    }
+
+    /// [`View::iter`] past its first `skip` entries, which it does not
+    /// clone (`iter().skip(k)` clones each entry it skips); empty once
+    /// `skip` reaches the length.
+    pub fn iter_from(&self, skip: usize) -> impl ExactSizeIterator<Item = Entry> + '_ {
         let (head, next) = self.cells();
-        (0..self.len()).map(move |i| {
+        (skip.min(self.len())..self.len()).map(move |i| {
             let e = stored(head.get(i).unwrap_or_else(|| &next[i - head.len()]));
             let bal = if i < self.covered as usize {
                 self.bal_term
@@ -831,6 +838,16 @@ mod tests {
                     assert!(
                         view.iter().eq(cut.iter().cloned()),
                         "{ctx}: the view cut at {at}"
+                    );
+                    // Iterated from an offset, past the end included: the
+                    // offset comes from the step, so the script's draws
+                    // stay what they were.
+                    let k = step as usize % (cut.len() + 2);
+                    let past = view.iter_from(k);
+                    assert_eq!(past.len(), cut.len().saturating_sub(k), "{ctx}: from {k}");
+                    assert!(
+                        past.eq(cut.iter().skip(k).cloned()),
+                        "{ctx}: the view cut at {at}, from {k}"
                     );
                     let now = log.suffix_iter(*prev, cut.len());
                     tally.outlived += u32::from(now.ne(cut.iter().cloned()));

@@ -21,6 +21,14 @@
 //! a slot from [`Slots::len`], because the wire *model* is the paper's
 //! message, not this process's layout, and a range-encoded wire size
 //! would move every virtual number.
+//!
+//! # A lone forwarded command rides in place
+//!
+//! Most follower forwards carry one command: the cutter ships a batch as
+//! soon as the leader's window has room. [`Batch`] holds that one command
+//! in the message itself and only a longer batch in a list, so forwarding
+//! a lone command allocates nothing and the follower keeps its buffer.
+//! The size model charges the same bytes either way.
 
 use std::sync::Arc;
 
@@ -71,8 +79,8 @@ pub enum EngineMsg {
         /// ([`SHARD_GROUP_HEADER`]) once a
         /// cluster runs more than one group and the id must travel.
         header_bytes: usize,
-        /// The batched commands.
-        cmds: Vec<Command>,
+        /// The batched commands (one is held in place).
+        cmds: Batch,
     },
     /// One chunk of a state snapshot, shipped when a peer's applied
     /// prefix fell behind the sender's compaction floor (see
@@ -315,6 +323,62 @@ impl FromIterator<Slot> for Slots {
         let mut out = Slots::new();
         out.extend(slots);
         out
+    }
+}
+
+/// The commands one `Forward` carries (module docs, "A lone forwarded
+/// command rides in place"): one held in place, or a list. Reads as the
+/// slice of its commands, in order.
+#[derive(Debug, Clone)]
+pub struct Batch(Cmds);
+
+#[derive(Debug, Clone)]
+enum Cmds {
+    /// A lone command, in the message itself.
+    One(Command),
+    /// Any other number, in order.
+    List(Vec<Command>),
+}
+
+impl std::ops::Deref for Batch {
+    type Target = [Command];
+
+    fn deref(&self) -> &[Command] {
+        match &self.0 {
+            Cmds::One(cmd) => std::slice::from_ref(cmd),
+            Cmds::List(list) => list,
+        }
+    }
+}
+
+/// A lone command is held in place; more are collected in one allocation
+/// sized by the iterator's lower bound (exact for a `Vec::drain`).
+impl FromIterator<Command> for Batch {
+    fn from_iter<I: IntoIterator<Item = Command>>(cmds: I) -> Self {
+        let mut cmds = cmds.into_iter();
+        let Some(first) = cmds.next() else {
+            return Batch(Cmds::List(Vec::new()));
+        };
+        let Some(second) = cmds.next() else {
+            return Batch(Cmds::One(first));
+        };
+        let mut list = Vec::with_capacity(2 + cmds.size_hint().0);
+        list.extend([first, second]);
+        list.extend(cmds);
+        Batch(Cmds::List(list))
+    }
+}
+
+impl IntoIterator for Batch {
+    type Item = Command;
+    type IntoIter = std::iter::Chain<std::option::IntoIter<Command>, std::vec::IntoIter<Command>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        let (one, list) = match self.0 {
+            Cmds::One(cmd) => (Some(cmd), Vec::new()),
+            Cmds::List(list) => (None, list),
+        };
+        one.into_iter().chain(list)
     }
 }
 
@@ -645,7 +709,7 @@ impl Payload for Msg {
                 ClientMsg::Request { cmd } => 8 + cmd.size_bytes(),
                 ClientMsg::Response { reply, .. } => 20 + reply.size_bytes(),
                 // Version + segment table, 12 bytes per segment.
-                ClientMsg::RouterUpdate { router } => 16 + 12 * router.segments().len(),
+                ClientMsg::RouterUpdate { router } => 16 + 12 * router.segment_count(),
             },
             Msg::Engine(m) => match m {
                 EngineMsg::Forward {
@@ -1018,13 +1082,38 @@ mod tests {
         assert!(two.size_bytes() > one.size_bytes());
     }
 
+    /// A batch of 0, 1 or n commands costs on the wire what the
+    /// `Vec<Command>` it replaced cost, held in place or not, and gives
+    /// its commands back in order; one command is held in place.
+    #[test]
+    fn a_batch_is_the_vec_it_replaces_on_the_wire_and_in_order() {
+        let command =
+            |seq: u64, bytes: usize| Command::put(CmdId { client: 3, seq }, seq, vec![0; bytes]);
+        for n in [0, 1, 2, 7] {
+            let cmds: Vec<Command> = (1..=n).map(|seq| command(seq, 8 << seq)).collect();
+            let batch: Batch = cmds.iter().cloned().collect();
+            assert_eq!(matches!(batch.0, Cmds::One(_)), n == 1, "{n} commands");
+            assert_eq!(batch.len(), cmds.len());
+            let vec_spelling = 8 + cmds.iter().map(Command::size_bytes).sum::<usize>();
+            let forward = Msg::Engine(EngineMsg::Forward {
+                group: 0,
+                header_bytes: 8,
+                cmds: batch.clone(),
+            });
+            assert_eq!(forward.size_bytes(), vec_spelling, "{n} commands");
+            let sent: Vec<CmdId> = cmds.iter().map(|c| c.id).collect();
+            let back: Vec<CmdId> = batch.into_iter().map(|c| c.id).collect();
+            assert_eq!(back, sent, "{n} commands");
+        }
+    }
+
     #[test]
     fn forward_wire_size_pays_group_header_only_when_stamped() {
         let fwd = |header_bytes| {
             Msg::Engine(EngineMsg::Forward {
                 group: 1,
                 header_bytes,
-                cmds: vec![cmd(8)],
+                cmds: [cmd(8)].into_iter().collect(),
             })
             .size_bytes()
         };

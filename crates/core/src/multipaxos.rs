@@ -63,7 +63,7 @@ use paxraft_sim::time::{SimDuration, SimTime};
 use paxraft_sim::trace::SpanKind;
 
 use crate::config::ReplicaConfig;
-use crate::engine::paxos_family::{ack_bit, merge_highest, Accepted, PaxosBase, Stored};
+use crate::engine::paxos_family::{ack_bit, merge_highest, Accepted, Cell, PaxosBase, Stored};
 use crate::engine::{self, EngineCore, ProtocolRules, ReplicaEngine};
 use crate::kv::Command;
 use crate::msg::{Msg, PaxosMsg, Round, Slots, CHECKPOINT_ACK_HEADER, CHECKPOINT_CHUNK_HEADER};
@@ -259,29 +259,20 @@ impl PaxosRules {
             return;
         }
         let cap = core.pipe.round_cap(peer, highest, &core.dur).min(64);
-        let behind = self.base.cells.range(cursor.next()..);
-        let mut waiting = behind
-            .filter(|(_, inst)| !inst.committed)
-            .filter_map(|(s, inst)| inst.cmd().cloned().map(|c| (s, c)))
-            .take(cap)
-            .peekable();
-        if waiting.peek().is_none() {
+        let count = uncommitted(&self.base, cursor.next()).take(cap).count();
+        if count == 0 {
             // Everything past the cursor is committed; a commit covers it.
             core.pipe.skip_to(peer, highest);
             return;
         }
-        // Sized once: no more wait than slots lie past the cursor.
-        let span = (highest.0 - cursor.0) as usize;
-        let mut items = Vec::with_capacity(cap.min(span));
-        items.extend(waiting);
-        let upto = items[items.len() - 1].0;
-        core.pipe.on_sent(peer, upto, ctx.now());
-        if items.len() < cap {
+        let items = round_of(count, uncommitted(&self.base, cursor.next()));
+        core.pipe.on_sent(peer, items[count - 1].0, ctx.now());
+        if count < cap {
             core.pipe.skip_to(peer, highest); // the round took all that waited
         }
-        core.pipe.note_pumped(items.len(), cap);
+        core.pipe.note_pumped(count, cap);
         let window_room = core.pipe.quorum_has_room(core.cfg.id, core.cfg.n);
-        self.send_accept(core, ctx, peer, items.into(), window_room);
+        self.send_accept(core, ctx, peer, items, window_room);
     }
 
     /// Figure 1 `Phase1a`: pick a fresh owned ballot and prepare.
@@ -611,14 +602,10 @@ impl PaxosRules {
         // retransmission below re-covers their instances, so the window
         // must not stay pinned by them.
         core.pipe.expire_stale(ctx.now(), engine::RETRY_INTERVAL);
-        let exec_index = self.base.exec_index;
-        let retransmit: Round = self
-            .base
-            .cells
-            .range(exec_index.next()..)
-            .filter(|(_, i)| !i.committed)
-            .filter_map(|(s, i)| i.cmd().cloned().map(|c| (s, c)))
-            .collect();
+        // Nothing uncommitted: every acceptor shares the empty round.
+        let from = self.base.exec_index.next();
+        let count = uncommitted(&self.base, from).count();
+        let retransmit = round_of(count, uncommitted(&self.base, from));
         // The heartbeat Accept doubles as the hint refresh: even an idle
         // cluster re-teaches acceptors the proposer's window occupancy.
         let window_room = core.pipe.quorum_has_room(core.cfg.id, core.cfg.n);
@@ -633,20 +620,44 @@ impl PaxosRules {
             let Some(from) = self.base.stalled_peer(core, ctx, peer, self.ballot) else {
                 continue;
             };
-            let replay: Round = self
-                .base
-                .cells
-                .range(from..)
-                .take(64)
-                .filter(|(_, i)| i.committed)
-                .filter_map(|(s, i)| i.cmd().cloned().map(|c| (s, c)))
-                .collect();
-            if !replay.is_empty() {
+            let committed = || {
+                let window = self.base.cells.range(from..).take(64);
+                window.filter(|(_, i)| i.committed && i.cmd().is_some())
+            };
+            let count = committed().count();
+            if count > 0 {
+                let replay = round_of(count, committed());
                 self.send_accept(core, ctx, peer, replay, window_room);
             }
         }
         core.arm_heartbeat(ctx);
     }
+}
+
+/// The uncommitted instances holding a value from `from` on: what a pump
+/// or a heartbeat re-sends.
+fn uncommitted(base: &PaxosBase, from: Slot) -> impl Iterator<Item = (Slot, &Cell)> {
+    let cells = base.cells.range(from..);
+    cells.filter(|(_, inst)| !inst.committed && inst.cmd().is_some())
+}
+
+/// The values of the first `count` of `cells` (each holding one) as a
+/// round in one allocation of exact size: `(0..count).map(..)` tells
+/// `Arc<[_]>` its length, where a filtered iterator is gathered in a
+/// `Vec` and then copied. The empty round is shared and allocates
+/// nothing.
+fn round_of<'a>(count: usize, mut cells: impl Iterator<Item = (Slot, &'a Cell)>) -> Round {
+    if count == 0 {
+        return Round::default();
+    }
+    let mut next = move || {
+        let (slot, inst) = cells.next().expect("as many cells as were counted");
+        (
+            slot,
+            inst.cmd().expect("a counted cell holds a value").clone(),
+        )
+    };
+    (0..count).map(|_| next()).collect()
 }
 
 impl ProtocolRules for PaxosRules {

@@ -185,6 +185,9 @@ pub struct RaftFamilyRules<F: Flavor> {
     /// [PQL] Local reads waiting for a conflicting write to apply:
     /// `(command, serve once last_applied ≥ slot)`.
     parked_reads: Vec<(Command, Slot)>,
+    /// [PQL] The parked reads an apply found due, on their way out: a
+    /// buffer kept from one apply to the next, empty between them.
+    due_reads: Vec<Command>,
     /// [PQL] Key ranges frozen by an in-log, possibly not-yet-applied
     /// `FreezeRange`: `(slot, lo, hi)`. A lease-local read of a covered
     /// key must wait for that slot to apply — the applied shard state
@@ -228,6 +231,7 @@ impl<F: Flavor> ReplicaEngine<RaftFamilyRules<F>> {
                 lease,
                 key_last_write: HashMap::new(),
                 parked_reads: Vec::new(),
+                due_reads: Vec::new(),
                 frozen_in_log: Vec::new(),
                 local_reads_served: 0,
             },
@@ -476,15 +480,13 @@ impl<F: Flavor> RaftFamilyRules<F> {
         if self.parked_reads.is_empty() {
             return;
         }
-        let ready: Vec<Command> = {
-            let applied = self.base.last_applied;
-            let (serve, keep): (Vec<_>, Vec<_>) = std::mem::take(&mut self.parked_reads)
-                .into_iter()
-                .partition(|(_, s)| *s <= applied);
-            self.parked_reads = keep;
-            serve.into_iter().map(|(c, _)| c).collect()
-        };
-        for cmd in ready {
+        // The due reads leave in parking order, the rest stay in theirs;
+        // neither list needs a new buffer.
+        let applied = self.base.last_applied;
+        let mut due = std::mem::take(&mut self.due_reads);
+        let served = self.parked_reads.extract_if(.., |(_, s)| *s <= applied);
+        due.extend(served.map(|(c, _)| c));
+        for cmd in due.drain(..) {
             // The key's range may have frozen while the read was parked
             // (the park target can be the freeze slot itself): once
             // applied, the shard state owns the answer and the read must
@@ -517,6 +519,7 @@ impl<F: Flavor> RaftFamilyRules<F> {
             core.pending.push(cmd);
             core.arm_batch(ctx);
         }
+        self.due_reads = due;
     }
 
     /// [PQL] Periodic lease renewal (grantors renew every 0.5 s).
@@ -634,7 +637,7 @@ impl<F: Flavor> RaftFamilyRules<F> {
                 } else {
                     (prev, prev_term, 0)
                 };
-                let entries = entries.iter().skip(overlap);
+                let entries = entries.iter_from(overlap);
                 let new_last = Slot(prev.0 + entries.len() as u64);
                 let (appended, written) =
                     match F::accept(&mut self.base, prev, prev_term, entries, term) {

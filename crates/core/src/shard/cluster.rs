@@ -1278,7 +1278,9 @@ mod tests {
                 EngineMsg::Forward {
                     group: 1,
                     header_bytes: 12,
-                    cmds: vec![Command::put(CmdId { client: 0, seq: 1 }, 1, vec![0; 8])],
+                    cmds: [Command::put(CmdId { client: 0, seq: 1 }, 1, vec![0; 8])]
+                        .into_iter()
+                        .collect(),
                 },
             ),
             (

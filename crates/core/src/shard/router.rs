@@ -108,6 +108,12 @@ impl ShardRouter {
         (self.starts[g], end)
     }
 
+    /// How many ownership segments the map holds ([`Self::segments`]'s
+    /// length, without building them).
+    pub fn segment_count(&self) -> usize {
+        self.segs.len()
+    }
+
     /// Current ownership segments `(start, end, group)`, in key order.
     pub fn segments(&self) -> Vec<(u64, u64, u32)> {
         self.segs
