@@ -35,6 +35,7 @@
 //! step, one transfer ack. A rules file holds what is left — elections
 //! and who proposes where, the execute loop, what a crash keeps of a log.
 
+pub(crate) mod conflicts;
 pub mod durability;
 pub(crate) mod paxos_family;
 pub mod pipeline;
@@ -51,7 +52,7 @@ pub use slots::SlotRing;
 pub(crate) use transfer::ack_snapshot;
 pub use transfer::ship_snapshot;
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use paxraft_sim::impl_actor_any;
 use paxraft_sim::sim::{Actor, ActorId, Ctx};
@@ -159,15 +160,9 @@ pub struct EngineCore {
     /// interleaves with a concurrent snapshot transfer from the same
     /// peer.
     pub range_asm: ChunkAssembler,
-    /// Migration versions the destination group confirmed installed
-    /// (volatile leader-side bookkeeping; stops the re-export loop).
-    pub mig_acked: BTreeSet<RouterVersion>,
-    /// When each pending migration was last exported (re-export pacing).
-    pub mig_last_export: HashMap<RouterVersion, SimTime>,
-    /// Export attempts per migration: each retry rotates the receiving
-    /// destination replica, so a crashed receiver cannot pin the
-    /// transfer.
-    pub mig_attempts: HashMap<RouterVersion, u64>,
+    /// How far this replica drove each migration's export, by version
+    /// (volatile leader-side bookkeeping).
+    exports: HashMap<RouterVersion, ExportProgress>,
     /// Range exports shipped (stats).
     pub mig_exports: u64,
     /// Range-export bytes shipped (stats).
@@ -183,6 +178,19 @@ pub struct EngineCore {
     pub load_sketch: [u64; crate::shard::autobalance::SKETCH_BUCKETS],
     /// Durability sequencing + fsync scheduling (disabled by default).
     pub dur: DurabilityState,
+}
+
+/// One migration's export as the source group's proposer drives it.
+#[derive(Debug, Default)]
+struct ExportProgress {
+    /// The destination group confirmed the install committed: stop
+    /// re-exporting.
+    acked: bool,
+    /// When it was last exported (re-export pacing).
+    last_at: Option<SimTime>,
+    /// Exports shipped: each retry rotates the receiving destination
+    /// replica, so a crashed receiver cannot pin the transfer.
+    attempts: u64,
 }
 
 impl EngineCore {
@@ -213,9 +221,7 @@ impl EngineCore {
             cross_group_dropped: 0,
             redirects_sent: 0,
             range_asm: ChunkAssembler::default(),
-            mig_acked: BTreeSet::new(),
-            mig_last_export: HashMap::new(),
-            mig_attempts: HashMap::new(),
+            exports: HashMap::new(),
             mig_exports: 0,
             mig_export_bytes: 0,
             mig_installs: 0,
@@ -309,6 +315,13 @@ impl EngineCore {
     /// This replica's bit in quorum bitmaps.
     pub fn me_bit(&self) -> u64 {
         types::me_bit(self.cfg.id)
+    }
+
+    /// Sends `msg` to every other replica of the group, a copy each.
+    pub fn broadcast(&self, ctx: &mut Ctx<Msg>, msg: Msg) {
+        for peer in self.cfg.others() {
+            ctx.send(self.cfg.peer(peer), msg.clone());
+        }
     }
 
     /// Arms a fresh randomized election timer. It supersedes the previous
@@ -922,8 +935,10 @@ pub(crate) fn apply_command(
             // retry (its install-done signal was lost) re-applies as a
             // session dedup hit but still lands here, forcing a fresh
             // export so the destination re-announces the install.
-            core.mig_acked.remove(&range.version);
-            core.mig_last_export.remove(&range.version);
+            if let Some(export) = core.exports.get_mut(&range.version) {
+                export.acked = false;
+                export.last_at = None;
+            }
         }
         Op::InstallRange(export) => {
             if newly_absorbed {
@@ -961,33 +976,23 @@ fn maybe_drive_migration<P: ProtocolRules>(
     core: &mut EngineCore,
     ctx: &mut Ctx<Msg>,
 ) {
-    if core.cfg.shard.is_none() {
+    if core.cfg.shard.is_none() || !rules.can_propose(core) {
         return;
     }
-    let has_pending = core
-        .kv
-        .shard_state()
-        .pending_exports()
-        .any(|f| !core.mig_acked.contains(&f.version));
-    if !has_pending || !rules.can_propose(core) {
-        return;
-    }
-    let pending: Vec<crate::shard::migration::FrozenRange> = core
-        .kv
-        .shard_state()
-        .pending_exports()
-        .filter(|f| !core.mig_acked.contains(&f.version))
-        .cloned()
-        .collect();
-    for f in pending {
-        let due = core
-            .mig_last_export
-            .get(&f.version)
-            .is_none_or(|&at| ctx.now().since(at.min(ctx.now())) >= RETRY_INTERVAL);
-        if !due {
+    let now = ctx.now();
+    for f in core.kv.shard_state().pending_exports() {
+        let progress = core.exports.entry(f.version).or_default();
+        let due = progress
+            .last_at
+            .is_none_or(|at| now.since(at.min(now)) >= RETRY_INTERVAL);
+        if progress.acked || !due {
             continue;
         }
-        core.mig_last_export.insert(f.version, ctx.now());
+        progress.last_at = Some(now);
+        // Retries rotate through the destination's replicas so a crashed
+        // receiver cannot pin the transfer.
+        let node = NodeId((core.cfg.id.0 + progress.attempts as u32) % core.cfg.n as u32);
+        progress.attempts += 1;
         let export = RangeExport {
             version: f.version,
             lo: f.lo,
@@ -1006,11 +1011,7 @@ fn maybe_drive_migration<P: ProtocolRules>(
         // Ship to the destination group's co-located replica (same
         // node) first; if that replica is not the destination leader,
         // the engine's ordinary forwarding moves the install command
-        // on. Retries rotate through the destination's other replicas
-        // so a crashed receiver cannot pin the transfer.
-        let attempt = core.mig_attempts.entry(f.version).or_insert(0);
-        let node = NodeId((core.cfg.id.0 + *attempt as u32) % core.cfg.n as u32);
-        *attempt += 1;
+        // on.
         let dest = core.cfg.group_actor(f.to_group, node);
         for (offset, data) in snapshot::chunks(&bytes, core.cfg.snapshot.chunk_bytes) {
             ctx.send(
@@ -1083,7 +1084,7 @@ impl<P: ProtocolRules> Actor<Msg> for ReplicaEngine<P> {
             Msg::Engine(EngineMsg::RangeAck { version, .. }) => {
                 // The destination confirmed the install committed: stop
                 // re-exporting this migration.
-                self.core.mig_acked.insert(version);
+                self.core.exports.entry(version).or_default().acked = true;
             }
             // `last_term` rides inside the encoded payload; the header
             // copy only matters for observability.
@@ -1196,9 +1197,7 @@ impl<P: ProtocolRules> Actor<Msg> for ReplicaEngine<P> {
         // absorbed bookkeeping itself is state-machine state and comes
         // back with the log / snapshot, re-arming the export pump.
         self.core.range_asm.clear();
-        self.core.mig_acked.clear();
-        self.core.mig_last_export.clear();
-        self.core.mig_attempts.clear();
+        self.core.exports.clear();
         // Unsynced durability writes are gone and their deferred acks
         // were never sent; `synced_seq` persists (it is the on-disk
         // state) so the rules' recovery below can truncate to it.

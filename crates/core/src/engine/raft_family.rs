@@ -180,16 +180,14 @@ impl RaftBase {
         self.role = Role::Candidate;
         core.leader_hint = None;
         self.votes = core.me_bit();
-        for peer in core.cfg.others() {
-            ctx.send(
-                core.cfg.peer(peer),
-                Msg::Raft(RaftMsg::RequestVote {
-                    term: self.current_term,
-                    last_idx: self.log.last_index(),
-                    last_term: self.log.last_term(),
-                }),
-            );
-        }
+        core.broadcast(
+            ctx,
+            Msg::Raft(RaftMsg::RequestVote {
+                term: self.current_term,
+                last_idx: self.log.last_index(),
+                last_term: self.log.last_term(),
+            }),
+        );
         self.arm_election(core, ctx);
     }
 

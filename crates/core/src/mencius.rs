@@ -121,16 +121,10 @@
 //! at once. When it does run, a slot above the cover is passed over on
 //! that one comparison, before its table entry is even looked up.
 //!
-//! **The conflict index** holds the retained writes *above the executed
-//! prefix* by key, beside an ordered set of the slots of the retained
-//! migration commands there, and the rule reads "no indexed write to
-//! this key, and no migration command, in `(exec_index, s)`". A key's
-//! writes sit in a hash map entry (the store's fixed-seed integer
-//! hasher): the one slot nearly every key has is held in place, and only
-//! a key with two or more at once — the hot key — spills to a sorted
-//! run, which the rule's range query reads with one binary search. The
-//! entry leaves with the key's last indexed write, so the map holds what
-//! is in flight, not every key ever written. Entries leave the index
+//! **The conflict index** (`engine/conflicts.rs`, shared with Raft*-PQL's
+//! local reads) holds the retained writes and migration commands *above
+//! the executed prefix*, and the rule reads "no indexed write to this key,
+//! and no migration command, in `(exec_index, s)`". Entries leave the index
 //! when their slot executes, is discarded, loses its value to a crash or
 //! has it replaced; that is garbage collection, never what makes a later
 //! slot ready — the range in the rule already ignores an executed entry
@@ -190,14 +184,12 @@
 //! The slot table and its bookkeeping are the family's `PaxosBase`,
 //! shared with MultiPaxos. Here is what makes it *Mencius*: ownership and
 //! skips, the per-peer streams, the execute loop with its skip inference,
-//! the respond pass and conflict index, the owner's suggestion times (a
+//! the respond pass and what it indexes, the owner's suggestion times (a
 //! ring of its own slots beside the table, so the shared cell stays
 //! 72 bytes), retransmission and the replay body, revocation, and what a
 //! crash keeps.
 
-use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::ops::Range;
 
 use paxraft_sim::sim::{ActorId, Ctx};
 use paxraft_sim::time::{SimDuration, SimTime};
@@ -205,9 +197,10 @@ use paxraft_sim::trace::SpanKind;
 
 use crate::config::ReplicaConfig;
 use crate::costs::CostModel;
+use crate::engine::conflicts::{ConflictIndex, Holds};
 use crate::engine::paxos_family::{ack_bit, merge_highest, Accepted, Cell, PaxosBase, Stored};
 use crate::engine::{self, EngineCore, ProtocolRules, ReplicaEngine, T_COORD};
-use crate::kv::{Command, IntMap, Key, Op};
+use crate::kv::{Command, Key, Op};
 use crate::msg::{
     Ack, Coord, MenciusMsg, Msg, Round, Slots, CHECKPOINT_ACK_HEADER, CHECKPOINT_CHUNK_HEADER,
 };
@@ -263,130 +256,6 @@ impl PeerStream {
             ack: None,
             ack_patience: SimDuration::ZERO,
         }
-    }
-}
-
-/// What an unapplied command holds back (module docs, "The conflict
-/// index"): a write, the early answers on its key; a migration command,
-/// every early answer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Holds {
-    Key(Key),
-    All,
-}
-
-impl Holds {
-    fn of(cmd: &Command) -> Option<Holds> {
-        match &cmd.op {
-            Op::Put { key, .. } => Some(Holds::Key(*key)),
-            op if op.is_migration() => Some(Holds::All),
-            _ => None,
-        }
-    }
-}
-
-/// The conflict index: the retained commands above the executed prefix
-/// that an early answer must not overtake.
-#[derive(Debug, Default)]
-struct ConflictIndex {
-    /// The slots of every write, by key.
-    writes: IntMap<Key, KeyWrites>,
-    /// The slot of every migration command.
-    migrations: BTreeSet<u64>,
-}
-
-/// The indexed write slots of one key: nearly every key has one, held
-/// in place; a key with two or more (the hot key) spills to a sorted run
-/// for as long as it has.
-#[derive(Debug)]
-enum KeyWrites {
-    One(u64),
-    Many(Vec<u64>),
-}
-
-impl ConflictIndex {
-    /// Indexing a command already indexed is a no-op.
-    fn insert(&mut self, s: Slot, holds: Holds) {
-        let key = match holds {
-            Holds::Key(key) => key,
-            Holds::All => {
-                self.migrations.insert(s.0);
-                return;
-            }
-        };
-        match self.writes.entry(key) {
-            Entry::Vacant(e) => {
-                e.insert(KeyWrites::One(s.0));
-            }
-            Entry::Occupied(mut e) => match e.get_mut() {
-                KeyWrites::One(x) if *x == s.0 => {}
-                KeyWrites::One(x) => {
-                    let run = if *x < s.0 {
-                        vec![*x, s.0]
-                    } else {
-                        vec![s.0, *x]
-                    };
-                    e.insert(KeyWrites::Many(run));
-                }
-                KeyWrites::Many(run) => {
-                    if let Err(i) = run.binary_search(&s.0) {
-                        run.insert(i, s.0);
-                    }
-                }
-            },
-        }
-    }
-
-    /// Returns whether `s` was indexed.
-    fn remove(&mut self, s: Slot, holds: Holds) -> bool {
-        let key = match holds {
-            Holds::Key(key) => key,
-            Holds::All => return self.migrations.remove(&s.0),
-        };
-        let Entry::Occupied(mut e) = self.writes.entry(key) else {
-            return false;
-        };
-        match e.get_mut() {
-            KeyWrites::One(x) if *x == s.0 => {
-                e.remove();
-            }
-            KeyWrites::One(_) => return false,
-            KeyWrites::Many(run) => {
-                let Ok(i) = run.binary_search(&s.0) else {
-                    return false;
-                };
-                run.remove(i);
-                if let [last] = run[..] {
-                    e.insert(KeyWrites::One(last));
-                }
-            }
-        }
-        true
-    }
-
-    /// Whether nothing indexed in the slots `between` holds back an
-    /// answer on `key` (`None`: a command without one).
-    fn clear(&self, between: Range<u64>, key: Option<Key>) -> bool {
-        let write_between = |key| match self.writes.get(&key) {
-            None => false,
-            Some(KeyWrites::One(x)) => between.contains(x),
-            Some(KeyWrites::Many(run)) => {
-                let first = run.partition_point(|&x| x < between.start);
-                run.get(first).is_some_and(|&x| x < between.end)
-            }
-        };
-        self.migrations.range(between.clone()).next().is_none()
-            && key.is_none_or(|key| !write_between(key))
-    }
-
-    /// Tests: every indexed write as `(key, slot)`.
-    #[cfg(test)]
-    fn indexed_writes(&self) -> BTreeSet<(Key, u64)> {
-        let slots = |(&key, w): (&Key, &KeyWrites)| match w {
-            KeyWrites::One(x) => vec![(key, *x)],
-            KeyWrites::Many(run) => run.iter().map(|&x| (key, x)).collect(),
-        };
-        self.writes.iter().flat_map(slots).collect()
     }
 }
 
@@ -608,12 +477,6 @@ impl MenciusRules {
             slot < self.known_upto[owner.0 as usize]
         };
         (known && held.is_none_or(|s| s.cmd().is_none())).then_some(&NOOP)
-    }
-
-    fn broadcast(&self, core: &EngineCore, ctx: &mut Ctx<Msg>, msg: MenciusMsg) {
-        for peer in core.cfg.others() {
-            ctx.send(core.cfg.peer(peer), Msg::Mencius(msg.clone()));
-        }
     }
 
     /// The next element of my stream to `peer`: accounts for my slots
@@ -1302,15 +1165,14 @@ impl MenciusRules {
             &mut op.accepted,
             self.accepted_in_range(core, owner, from, through),
         );
-        self.broadcast(
-            core,
+        core.broadcast(
             ctx,
-            MenciusMsg::Revoke {
+            Msg::Mencius(MenciusMsg::Revoke {
                 term: op.term,
                 owner,
                 from,
                 through,
-            },
+            }),
         );
         // Promise locally.
         self.promise_range(core, owner, from, through, op.term);
@@ -1577,13 +1439,12 @@ impl MenciusRules {
                     // The decision covers every slot of the owner in
                     // `[op.from, op.through]`, and nothing below it.
                     self.note_known(core, op.owner, op.from, op.through.next());
-                    self.broadcast(
-                        core,
+                    core.broadcast(
                         ctx,
-                        MenciusMsg::RevokeCommit {
+                        Msg::Mencius(MenciusMsg::RevokeCommit {
                             term: op.term,
                             items,
-                        },
+                        }),
                     );
                     self.try_execute(core, ctx);
                 }
@@ -2917,75 +2778,6 @@ mod tests {
             rep.rules.conflicts.indexed_writes().is_empty(),
             "nothing above the prefix"
         );
-    }
-
-    /// The conflict index against a plain ordered set of `(key, slot)`,
-    /// driven by one random script: inserts (repeats among them, and a
-    /// hot key that takes a quarter of them, while the cold keys hold
-    /// none, one or a few writes each), removes (of indexed pairs and of
-    /// pairs never indexed, the returned `bool` compared) and the respond
-    /// rule's range query over random ranges.
-    #[test]
-    fn the_conflict_index_answers_what_an_ordered_set_answers() {
-        const HOT: Key = 7;
-        let mut rng = paxraft_sim::rng::SimRng::new(43);
-        let mut index = ConflictIndex::default();
-        let mut reference: BTreeSet<(Key, u64)> = BTreeSet::new();
-        let mut spilled = 0;
-        for step in 0..20_000 {
-            let key = if rng.gen_bool(0.25) {
-                HOT
-            } else {
-                100 + rng.gen_range(2_000)
-            };
-            let slot = 1 + rng.gen_range(300);
-            let (key, slot) = match rng.gen_range(20) {
-                // Again a pair already indexed, if there is one.
-                0..=1 if !reference.is_empty() => *reference
-                    .iter()
-                    .nth(rng.gen_range(reference.len() as u64) as usize)
-                    .expect("in range"),
-                _ => (key, slot),
-            };
-            match rng.gen_range(20) {
-                0..=6 => {
-                    index.insert(Slot(slot), Holds::Key(key));
-                    reference.insert((key, slot));
-                }
-                // An indexed pair, or a random one (mostly never indexed).
-                7..=13 => {
-                    let (key, slot) = match reference
-                        .iter()
-                        .nth(rng.gen_range(reference.len() as u64 + 1) as usize)
-                    {
-                        Some(&pair) if rng.gen_bool(0.7) => pair,
-                        _ => (key, slot),
-                    };
-                    let was = reference.remove(&(key, slot));
-                    let removed = index.remove(Slot(slot), Holds::Key(key));
-                    assert_eq!(removed, was, "step {step}: remove ({key}, {slot})");
-                }
-                _ => {
-                    let start = rng.gen_range(310);
-                    let between = start..start + rng.gen_range(80);
-                    let pairs = (key, between.start)..(key, between.end);
-                    let clear = reference.range(pairs).next().is_none();
-                    let answer = index.clear(between.clone(), Some(key));
-                    assert_eq!(answer, clear, "step {step}: clear({between:?}, {key})");
-                }
-            }
-            spilled += u64::from(matches!(index.writes.get(&HOT), Some(KeyWrites::Many(_))));
-            if step % 64 == 0 {
-                assert_eq!(index.indexed_writes(), reference, "step {step}");
-            }
-        }
-        assert_eq!(index.indexed_writes(), reference);
-        assert!(spilled > 10_000, "the hot key held many writes: {spilled}");
-        // Removing everything empties the map: no key keeps an entry.
-        for (key, slot) in std::mem::take(&mut reference) {
-            assert!(index.remove(Slot(slot), Holds::Key(key)));
-        }
-        assert!(index.writes.is_empty());
     }
 
     /// Replica 0 checkpoints, accepts replica 1's uncommitted write to a

@@ -156,12 +156,6 @@ impl PaxosRules {
         core.arm_election(ctx, self.ballot == Term::ZERO);
     }
 
-    fn broadcast(&self, core: &EngineCore, ctx: &mut Ctx<Msg>, msg: PaxosMsg) {
-        for peer in core.cfg.others() {
-            ctx.send(core.cfg.peer(peer), Msg::Paxos(msg.clone()));
-        }
-    }
-
     /// Sends `peer` an `Accept` of `items` at this ballot, carrying the
     /// executed prefix as its `commit`.
     fn send_accept(
@@ -288,13 +282,12 @@ impl PaxosRules {
         let tail = self.log_tail();
         self.prepare_acks
             .insert(core.cfg.id, (mine, tail, self.base.floor()));
-        self.broadcast(
-            core,
+        core.broadcast(
             ctx,
-            PaxosMsg::Prepare {
+            Msg::Paxos(PaxosMsg::Prepare {
                 ballot: self.ballot,
                 from_slot,
-            },
+            }),
         );
         self.arm_election(core, ctx); // retry if this round stalls
     }

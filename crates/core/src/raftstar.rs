@@ -35,9 +35,11 @@
 //! attachment maps to `appendOK`, `Learn`'s holder-quorum check maps to
 //! `LeaderLearn` *including the leader's own grants* (the implicit
 //! `acceptOK`), and the added `LocalRead` action waits until every log
-//! entry touching the key is `≤ commitIndex` and applied. The local-read
-//! intercept rides the engine's [`ProtocolRules::try_serve_local`] hook,
-//! so it applies uniformly to direct and forwarded requests.
+//! entry touching the key has applied, read off the engine's conflict
+//! index (`engine/conflicts.rs`, Mencius's too) of the log above the
+//! applied prefix. The local-read intercept rides the engine's
+//! [`ProtocolRules::try_serve_local`] hook, so it applies uniformly to
+//! direct and forwarded requests.
 //!
 //! # Durability (group commit)
 //!
@@ -68,9 +70,10 @@ use paxraft_sim::sim::{ActorId, Ctx};
 use paxraft_sim::time::{SimDuration, SimTime};
 
 use crate::config::{ReadMode, ReplicaConfig};
+use crate::engine::conflicts::{ConflictIndex, Holds};
 use crate::engine::raft_family::{RaftBase, Role};
 use crate::engine::{self, EngineCore, ProtocolRules, ReplicaEngine, T_LEASE};
-use crate::kv::{Command, Key, Op};
+use crate::kv::{Command, Op};
 use crate::log::{Entry, Log};
 use crate::msg::{LeaseMsg, Msg, RaftMsg};
 use crate::pql::LeaseManager;
@@ -179,23 +182,17 @@ pub struct RaftFamilyRules<F: Flavor> {
     reported_holders: Vec<u64>,
     /// [PQL] Lease state (present in LeaderLease/QuorumLease modes).
     lease: Option<LeaseManager>,
-    /// [PQL] Highest log slot writing each key (conflict check for local
-    /// reads; conservative across overwrites).
-    key_last_write: HashMap<Key, Slot>,
+    /// [PQL] The log's commands above the applied prefix that hold back
+    /// a local read: a command enters when appended there and leaves when
+    /// it applies or an append rewrites it; rebuilt on a crash and on a
+    /// snapshot install.
+    conflicts: ConflictIndex,
     /// [PQL] Local reads waiting for a conflicting write to apply:
     /// `(command, serve once last_applied ≥ slot)`.
     parked_reads: Vec<(Command, Slot)>,
     /// [PQL] The parked reads an apply found due, on their way out: a
     /// buffer kept from one apply to the next, empty between them.
     due_reads: Vec<Command>,
-    /// [PQL] Key ranges frozen by an in-log, possibly not-yet-applied
-    /// `FreezeRange`: `(slot, lo, hi)`. A lease-local read of a covered
-    /// key must wait for that slot to apply — the applied shard state
-    /// then redirects it — or the lease holder would serve a copy that
-    /// is already migrating (writes land in the destination group from
-    /// the freeze on, which never consults this replica's lease).
-    /// Pruned as slots apply.
-    frozen_in_log: Vec<(Slot, Key, Key)>,
     /// [PQL] Reads served from the local copy (stats).
     local_reads_served: u64,
 }
@@ -229,10 +226,9 @@ impl<F: Flavor> ReplicaEngine<RaftFamilyRules<F>> {
                 vote_extras: HashMap::new(),
                 reported_holders: vec![0; n],
                 lease,
-                key_last_write: HashMap::new(),
+                conflicts: ConflictIndex::default(),
                 parked_reads: Vec::new(),
                 due_reads: Vec::new(),
-                frozen_in_log: Vec::new(),
                 local_reads_served: 0,
             },
         )
@@ -343,7 +339,7 @@ impl<F: Flavor> RaftFamilyRules<F> {
             self.base.log.append(e);
             idx = idx.next();
         }
-        self.index_writes_from(my_last.next());
+        self.index_slots(my_last.next(), self.base.log.last_index(), true);
         self.base.role = Role::Leader;
         core.leader_hint = Some(core.cfg.id);
         core.pipe.reset_for_leadership(self.base.log.last_index());
@@ -386,27 +382,30 @@ impl<F: Flavor> RaftFamilyRules<F> {
         self.lease.as_ref().map_or(0, |l| l.current_holders(now))
     }
 
-    /// [PQL] Records key→slot (and in-log freeze ranges) for entries
-    /// from `from` onward.
-    fn index_writes_from(&mut self, from: Slot) {
+    /// [PQL] Moves the commands of log slots `from..=to` into the
+    /// conflict index (`enter`) or out of it.
+    fn index_slots(&mut self, from: Slot, to: Slot, enter: bool) {
         if self.lease.is_none() {
             return;
         }
-        // Slots from `from` on are being (re)written — an append can
-        // overwrite an uncommitted suffix, so drop their old records
-        // and re-index from the log.
-        self.frozen_in_log.retain(|(s, _, _)| *s < from);
-        let mut s = from;
-        while let Some(e) = self.base.log.get(s) {
-            match &e.cmd.op {
-                Op::Put { key, .. } => {
-                    self.key_last_write.insert(*key, s);
-                }
-                Op::FreezeRange(range) => self.frozen_in_log.push((s, range.lo, range.hi)),
-                _ => {}
+        for s in (from.0..=to.0).map(Slot) {
+            let Some(holds) = self.base.log.get(s).and_then(|e| Holds::of(&e.cmd)) else {
+                continue;
+            };
+            if enter {
+                self.conflicts.insert(s, holds);
+            } else {
+                self.conflicts.remove(s, holds);
             }
-            s = s.next();
         }
+    }
+
+    /// [PQL] Indexes the log above the applied prefix afresh, after a
+    /// crash or a snapshot install moved that prefix.
+    fn reindex(&mut self) {
+        self.conflicts = ConflictIndex::default();
+        let from = self.base.last_applied.next();
+        self.index_slots(from, self.base.log.last_index(), true);
     }
 
     /// Figure 2b `LeaderLearn` — the f-th largest follower match, where
@@ -467,11 +466,10 @@ impl<F: Flavor> RaftFamilyRules<F> {
     }
 
     fn apply_committed(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
+        let from = self.base.last_applied.next();
         self.base.apply_loop(core, ctx);
-        // Applied freezes live in the shard state now; the in-log gate
-        // only needs the unapplied suffix.
-        let applied = self.base.last_applied;
-        self.frozen_in_log.retain(|(s, _, _)| *s > applied);
+        // [PQL] What applied holds back no read any more.
+        self.index_slots(from, self.base.last_applied, false);
         self.serve_parked_reads(core, ctx);
         self.base.maybe_compact(core, ctx);
     }
@@ -639,25 +637,29 @@ impl<F: Flavor> RaftFamilyRules<F> {
                 };
                 let entries = entries.iter_from(overlap);
                 let new_last = Slot(prev.0 + entries.len() as u64);
-                let (appended, written) =
-                    match F::accept(&mut self.base, prev, prev_term, entries, term) {
-                        Ok(wrote) => wrote,
-                        Err(last_idx) => {
-                            ctx.send(
-                                from,
-                                Msg::Raft(RaftMsg::AppendReject {
-                                    term: self.base.current_term,
-                                    last_idx,
-                                }),
-                            );
-                            return;
-                        }
-                    };
+                // [PQL] The suffix the append may rewrite leaves the
+                // conflict index, and what the log then holds re-enters.
+                let rewrite = prev.max(self.base.last_applied).next();
+                self.index_slots(rewrite, self.base.log.last_index(), false);
+                let accepted = F::accept(&mut self.base, prev, prev_term, entries, term);
+                self.index_slots(rewrite, self.base.log.last_index(), true);
+                let (appended, written) = match accepted {
+                    Ok(wrote) => wrote,
+                    Err(last_idx) => {
+                        ctx.send(
+                            from,
+                            Msg::Raft(RaftMsg::AppendReject {
+                                term: self.base.current_term,
+                                last_idx,
+                            }),
+                        );
+                        return;
+                    }
+                };
                 if appended > 0 {
                     self.base
                         .note_append_durable(core, ctx, written, appended, new_last);
                 }
-                self.index_writes_from(prev.next());
                 if commit > self.base.commit_index {
                     self.base.commit_index = Slot(commit.0.min(new_last.0));
                     self.apply_committed(core, ctx);
@@ -743,7 +745,7 @@ impl<F: Flavor> ProtocolRules for RaftFamilyRules<F> {
         // clamped by `durable_tail` until its fsync lands.
         self.base
             .note_append_durable(core, ctx, bytes, count, self.base.log.last_index());
-        self.index_writes_from(first_new);
+        self.index_slots(first_new, self.base.log.last_index(), true);
         self.base.broadcast_append(core, ctx);
     }
 
@@ -757,34 +759,14 @@ impl<F: Flavor> ProtocolRules for RaftFamilyRules<F> {
         let Op::Get { key } = &cmd.op else {
             return false;
         };
-        if !self.lease_serves(ctx.now()) {
+        let Some(lease) = self.lease.as_ref().filter(|_| self.lease_serves(ctx.now())) else {
             return false;
-        }
-        let lease_floor = self
-            .lease
-            .as_ref()
-            .map(|l| l.read_floor())
-            .unwrap_or(Slot::NONE);
-        // An in-log `FreezeRange` covering the key gates the read even
-        // though it is not a write to the key: from the freeze's slot
-        // on, writes to the range commit in the *destination* group
-        // without consulting this lease, so serving the local copy past
-        // it would be stale. Parking until the freeze applies routes
-        // the read through the applied shard state's redirect.
-        let freeze_gate = self
-            .frozen_in_log
-            .iter()
-            .filter(|(_, lo, hi)| (*lo..*hi).contains(key))
-            .map(|(s, _, _)| *s)
-            .max()
-            .unwrap_or(Slot::NONE);
-        let conflict = self
-            .key_last_write
-            .get(key)
-            .copied()
-            .unwrap_or(Slot::NONE)
-            .max(lease_floor)
-            .max(freeze_gate);
+        };
+        // An unapplied migration command holds the read back too: from a
+        // freeze's slot on, writes to the range commit in the destination
+        // group without consulting this lease. Once it applies, the shard
+        // state redirects the read.
+        let conflict = self.conflicts.last_holding(*key).max(lease.read_floor());
         if conflict > self.base.last_applied {
             // Figure 13 line 4: wait until the conflicting write commits
             // and applies locally — and, after a lease lapse, until the
@@ -867,9 +849,8 @@ impl<F: Flavor> ProtocolRules for RaftFamilyRules<F> {
         from: ActorId,
         snap: Snapshot,
     ) {
-        let first_new = snap.last_slot.next();
         if self.base.install_snapshot(core, ctx, snap) {
-            self.index_writes_from(first_new);
+            self.reindex();
             self.serve_parked_reads(core, ctx);
         }
         self.base.ack_snapshot(core, ctx, from);
@@ -905,14 +886,8 @@ impl<F: Flavor> ProtocolRules for RaftFamilyRules<F> {
         // must still honour them). Volatile: everything else, including
         // leases held.
         self.base.crash_reset(core, floor);
-        if core.dur.enabled() {
-            // crash_reset may have truncated an unsynced suffix the
-            // [PQL] key index still points into; rebuild it from the
-            // retained log.
-            self.key_last_write.clear();
-            self.frozen_in_log.clear();
-            self.index_writes_from(self.base.log.last_included().0.next());
-        }
+        // The retained log above the restored prefix applies again.
+        self.reindex();
         self.vote_extras.clear();
         self.parked_reads.clear();
         if let Some(lease) = &mut self.lease {
@@ -1186,6 +1161,178 @@ mod tests {
                 "{millis} ms lease renewed every {renew_every}: stall {stall}, round {round}"
             );
         }
+    }
+
+    /// `[PQL]` Asserts that every replica's conflict index holds exactly
+    /// the commands of its log above its applied prefix; returns how
+    /// many entries the replicas index between them.
+    fn assert_index_is_the_unapplied_log(
+        sim: &Simulation<Msg>,
+        replicas: &[ActorId],
+        case: &str,
+    ) -> usize {
+        let mut indexed = 0;
+        for &r in replicas {
+            let rep = sim.actor::<RaftStarReplica>(r);
+            let (mut writes, mut migrations) = (std::collections::BTreeSet::new(), 0);
+            let mut s = rep.rules.base.last_applied.next();
+            while let Some(e) = rep.log().get(s) {
+                match Holds::of(&e.cmd) {
+                    Some(Holds::Key(key)) => {
+                        writes.insert((key, s.0));
+                    }
+                    Some(Holds::All) => migrations += 1,
+                    None => {}
+                }
+                s = s.next();
+            }
+            let index = &rep.rules.conflicts;
+            assert_eq!(index.indexed_writes(), writes, "{case}: replica {r:?}");
+            // A key never written is held back by migration commands alone
+            // (these runs have none).
+            assert_eq!((migrations, index.last_holding(u64::MAX)), (0, Slot::NONE));
+            indexed += writes.len();
+        }
+        indexed
+    }
+
+    /// Runs `sim` for `d` in 5 ms steps, checking every replica's index
+    /// against its log after each; returns the most entries indexed at
+    /// one check.
+    fn run_checking(
+        sim: &mut Simulation<Msg>,
+        replicas: &[ActorId],
+        d: SimDuration,
+        case: &str,
+    ) -> usize {
+        let end = sim.now() + d;
+        let mut most = 0;
+        while sim.now() < end {
+            sim.run_for(SimDuration::from_millis(5));
+            most = most.max(assert_index_is_the_unapplied_log(sim, replicas, case));
+        }
+        most
+    }
+
+    /// Raft*-PQL's conflict index (`engine/conflicts.rs`) holds the log's
+    /// commands above the applied prefix and nothing else, checked every
+    /// 5 ms through three cases: writes to distinct keys from four
+    /// clients; a leader change whose log overwrites a follower's
+    /// uncommitted suffix (the stranded write leaves, the new leader's
+    /// entries enter); and a follower crash without durability, after
+    /// which its whole retained log is unapplied again. Once everything
+    /// has applied every index is empty, where the map it replaced kept
+    /// one entry per key ever written.
+    #[test]
+    fn the_pql_conflict_index_is_the_log_above_the_applied_prefix() {
+        let (mut sim, replicas, client) = star_cluster(5, ReadMode::QuorumLease);
+        let mut writers = vec![client];
+        for id in 1..5 {
+            let writer = Box::new(TestClient::new(id, replicas[0]));
+            writers.push(sim.add_actor(paxraft_sim::net::Region::Oregon, writer));
+        }
+        let answered = |sim: &Simulation<Msg>| -> usize {
+            let replies = |w: &ActorId| sim.actor::<TestClient>(*w).replies.len();
+            writers.iter().map(replies).sum()
+        };
+        let settle = |sim: &mut Simulation<Msg>, want: usize, case: &str| {
+            let deadline = sim.now() + SimDuration::from_secs(40);
+            while answered(sim) < want && sim.now() < deadline {
+                run_checking(sim, &replicas, SimDuration::from_millis(50), case);
+            }
+            assert_eq!(answered(sim), want, "{case}: every write answered");
+            run_checking(sim, &replicas, SimDuration::from_secs(1), case);
+            // What is left indexed once everything has applied.
+            assert_index_is_the_unapplied_log(sim, &replicas, case)
+        };
+        sim.run_for(SimDuration::from_secs(2)); // leases up
+
+        // Writes to distinct keys from four clients at once.
+        for (i, &w) in writers[..4].iter().enumerate() {
+            for k in 0..10 {
+                sim.actor_mut::<TestClient>(w)
+                    .enqueue_put(100 + 10 * i as u64 + k);
+            }
+        }
+        let case = "distinct keys";
+        assert!(run_checking(&mut sim, &replicas, SimDuration::from_millis(600), case) >= 4);
+        assert_eq!(settle(&mut sim, 40, case), 0);
+
+        // {0, 1, four writers} | {2, 3, 4, the fifth writer}: leader 0
+        // appends a write to follower 1 alone, where it cannot commit.
+        let case = "rewritten suffix";
+        let majority = [2, 3, 4, writers[4].0];
+        let groups = (0..sim.len()).map(|a| u32::from(majority.contains(&a)));
+        sim.partition_at(groups.collect(), sim.now() + SimDuration::from_millis(1));
+        sim.actor_mut::<TestClient>(client).enqueue_put(7);
+        run_checking(&mut sim, &replicas, SimDuration::from_millis(500), case);
+        let follower = sim.actor::<RaftStarReplica>(replicas[1]);
+        let stranded = follower.log().last_index();
+        let stranded_id = follower.log().get(stranded).expect("appended").cmd.id;
+        assert!(stranded > follower.commit_index());
+        assert!(follower
+            .rules
+            .conflicts
+            .indexed_writes()
+            .contains(&(7, stranded.0)));
+        // The majority side elects, commits writes of its own once the
+        // minority's leases lapse, and after the heal its leader's log
+        // overwrites follower 1's suffix.
+        let deadline = sim.now() + SimDuration::from_secs(20);
+        let leader = loop {
+            run_checking(&mut sim, &replicas, SimDuration::from_millis(50), case);
+            let leading = |r: &&ActorId| sim.actor::<RaftStarReplica>(**r).is_leader();
+            if let Some(&leader) = replicas[2..].iter().find(leading) {
+                break leader;
+            }
+            assert!(sim.now() < deadline, "{case}: the majority elects");
+        };
+        sim.actor_mut::<TestClient>(writers[4]).target = leader;
+        for k in 200..203 {
+            sim.actor_mut::<TestClient>(writers[4]).enqueue_put(k);
+        }
+        // The minority's stranded write stays indexed until the heal.
+        assert_eq!(settle(&mut sim, 43, case), 2);
+        sim.heal_at(sim.now() + SimDuration::from_millis(1));
+        sim.actor_mut::<TestClient>(client).target = leader;
+        assert_eq!(settle(&mut sim, 44, case), 0);
+        let follower = sim.actor::<RaftStarReplica>(replicas[1]);
+        let now_at = follower.log().get(stranded).expect("retained").cmd.id;
+        assert_ne!(
+            now_at, stranded_id,
+            "{case}: follower 1's suffix was rewritten"
+        );
+
+        // A follower crashes without durability while writes are in
+        // flight: restored to an empty store, its whole log is unapplied.
+        let case = "crash without durability";
+        for (i, &w) in writers[..4].iter().enumerate() {
+            sim.actor_mut::<TestClient>(w).target = leader;
+            for k in 0..5 {
+                sim.actor_mut::<TestClient>(w)
+                    .enqueue_put(300 + 10 * i as u64 + k);
+            }
+        }
+        run_checking(&mut sim, &replicas, SimDuration::from_millis(100), case);
+        let crashed = *replicas
+            .iter()
+            .find(|&&r| r != leader && r != replicas[0])
+            .unwrap();
+        sim.crash_at(crashed, sim.now() + SimDuration::from_millis(1));
+        run_checking(&mut sim, &replicas, SimDuration::from_millis(10), case);
+        let rep = sim.actor::<RaftStarReplica>(crashed);
+        assert_eq!(rep.applied_index(), Slot::NONE);
+        assert!(
+            rep.rules.conflicts.indexed_writes().len() > 40,
+            "{case}: the log re-enters"
+        );
+        sim.restart_at(crashed, sim.now() + SimDuration::from_millis(500));
+        assert_eq!(settle(&mut sim, 64, case), 0);
+        let keys = sim
+            .actor::<RaftStarReplica>(crashed)
+            .kv()
+            .export_range(0, u64::MAX);
+        assert!(keys.len() > 60, "{} keys written, none indexed", keys.len());
     }
 
     #[test]
