@@ -32,11 +32,13 @@
 //! (the instance table of MultiPaxos and Mencius with its store / tally /
 //! learn / durable / compact / install bookkeeping). The two meet in
 //! `transfer`: one snapshot shipper, one checkpoint step, one install
-//! step, one transfer ack. A rules file holds what is left — elections
-//! and who proposes where, the execute loop, what a crash keeps of a log.
+//! step, one transfer ack; and in `links`: one carrier rule for what
+//! waits on a link. A rules file holds what is left — elections and who
+//! proposes where, the execute loop, what a crash keeps of a log.
 
 pub(crate) mod conflicts;
 pub mod durability;
+mod links;
 pub(crate) mod paxos_family;
 pub mod pipeline;
 pub mod raft_family;
@@ -47,6 +49,8 @@ mod transfer;
 mod conformance;
 
 pub use durability::{DurabilityState, DurabilityStats};
+pub(crate) use links::Links;
+pub use links::Waiting;
 pub use pipeline::{PipelineConfig, PipelineStats, PipelineWindow};
 pub use slots::SlotRing;
 pub(crate) use transfer::ack_snapshot;
@@ -139,6 +143,9 @@ pub struct EngineCore {
     /// rounds and snapshot pacing; drives the adaptive batch cutter and
     /// the per-peer send gate.
     pub pipe: PipelineWindow,
+    /// When each link last carried what waits on it, and how long that
+    /// may wait (the carrier rule, [`Waiting`]).
+    pub(crate) links: Links,
     /// `(chunk, ack)` wire-header bytes of this protocol's snapshot
     /// spelling, resolved once from
     /// [`ProtocolRules::snapshot_wire_overhead`] (plus the group header
@@ -216,6 +223,7 @@ impl EngineCore {
             batch_flushes: 0,
             forwarded_cmds: 0,
             pipe,
+            links: Links::new(n),
             snap_wire,
             window_hint: None,
             cross_group_dropped: 0,
@@ -462,8 +470,21 @@ pub trait ProtocolRules: Sized + 'static {
     /// quorum contribution on local durability re-run their commit
     /// tally here — a leader's copy counts toward commitment only once
     /// it is fsynced, for the same reason a follower's ack waits.
-    fn on_durable(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
+    /// Returns whether something may now wait on an idle link.
+    fn on_durable(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) -> bool {
         let _ = (core, ctx);
+        false
+    }
+
+    /// What waits on the link to `peer` for a message to carry it.
+    fn waiting(&self, peer: NodeId) -> Waiting {
+        let _ = peer;
+        Waiting::default()
+    }
+
+    /// Sends `peer` alone what is `due` on its idle link.
+    fn send_alone(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, to: NodeId, due: Waiting) {
+        let _ = (core, ctx, to, due);
     }
 
     /// Handles one protocol message (everything the engine does not
@@ -1122,6 +1143,7 @@ impl<P: ProtocolRules> Actor<Msg> for ReplicaEngine<P> {
             }
             other => {
                 self.rules.on_msg(&mut self.core, ctx, from, other);
+                links::flush_idle_links(&mut self.rules, &mut self.core, ctx);
                 // Acknowledgements may have freed pipeline window room:
                 // ship a batch that accumulated while saturated without
                 // waiting for its timer.
@@ -1172,10 +1194,15 @@ impl<P: ProtocolRules> Actor<Msg> for ReplicaEngine<P> {
                 // waiting, then let the rules advance whatever the new
                 // durable watermark unblocks (leader commit tallies).
                 self.core.dur.maybe_issue(ctx);
-                self.rules.on_durable(&mut self.core, ctx);
+                if self.rules.on_durable(&mut self.core, ctx) {
+                    links::flush_idle_links(&mut self.rules, &mut self.core, ctx);
+                }
             }
             T_FSYNC_DELAY => self.core.dur.on_delay_fire(ctx),
-            kind => self.rules.on_timer(&mut self.core, ctx, kind, token),
+            kind => {
+                self.rules.on_timer(&mut self.core, ctx, kind, token);
+                links::flush_idle_links(&mut self.rules, &mut self.core, ctx);
+            }
         }
         maybe_drive_migration(&mut self.rules, &mut self.core, ctx);
     }

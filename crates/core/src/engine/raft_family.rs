@@ -300,12 +300,12 @@ impl RaftBase {
             let Some(entry) = self.log.get(next) else {
                 break;
             };
-            let cmd = entry.cmd.clone();
+            let id = entry.cmd.id;
             ctx.charge(core.cfg.costs.apply_per_cmd);
-            let reply = super::apply_command(core, ctx, &cmd, self.role == Role::Leader);
+            let reply = super::apply_command(core, ctx, &entry.cmd, self.role == Role::Leader);
             self.last_applied = next;
-            if self.role == Role::Leader && cmd.id.client != u32::MAX {
-                core.respond(ctx, cmd.id, reply);
+            if self.role == Role::Leader && id.client != u32::MAX {
+                core.respond(ctx, id, reply);
             }
         }
     }

@@ -54,29 +54,17 @@
 //! reports decided is stored even against a local revocation promise:
 //! learning is not accepting.
 //!
-//! **The carrier rule.** A commit decision is queued per peer, and an
+//! **What waits on a link.** Commit decisions are queued per peer, and an
 //! acceptor's ack is kept per owner — one per link, later acks to that
-//! owner at the same term merged into it. Both leave on the next message
-//! to that peer: the ack most often in the acceptor's own `Suggest` or in
-//! the notice its watermark move sends anyway. They get a message of
-//! their own only when the link is idle at the deployment's own
-//! timescale: nothing sent to that peer for longer than an eighth of a
-//! round trip — for a decision, the slot's own suggest-to-commit time;
-//! for an ack, the round trip last measured on the link, read off the
-//! round its own `Suggest` to that peer retired
-//! (`PipelineWindow::on_ack`). That is a fraction of a delay just paid,
-//! so the wait is never the larger part of anybody's latency (15-35 ms on
-//! the paper's WAN, well under a millisecond in one datacentre), where a
-//! fixed bound would be wrong for one of them. A decision goes alone in a
-//! `Commit`, an ack in a `Notice` (which takes the queued decisions
-//! along). The check runs at the end of every handler, the one that
-//! queued them included, and at the coordination tick; a timer per
-//! decision or ack would cost two events even when a carrier made it
-//! stale, and the tick alone (50 ms) is too coarse for low-load reads.
-//! The tick sends a keepalive `Notice` only to peers the data path sent
-//! nothing since the previous one. A carried ack is charged the
-//! `ack_process` its message of its own was; a notice that carries one
-//! costs that and nothing more.
+//! owner at the same term merged into it. Both ride the next stream
+//! element to that peer (the ack most often the acceptor's own `Suggest`
+//! or the notice its watermark move sends anyway), by the engine's
+//! carrier rule (`engine/links.rs`). On an idle link a decision goes alone
+//! in a `Commit`, an ack in a `Notice` that takes the queued decisions
+//! along. The coordination tick sends a keepalive `Notice` only to peers
+//! the data path sent nothing since the previous one. A carried ack is
+//! charged the `ack_process` its message of its own was; a notice that
+//! carries one costs that and nothing more.
 //!
 //! An ack held back by the fsync gate would leave out of stream order,
 //! so it is not a stream element: it goes in a `Notice` whose header
@@ -199,7 +187,7 @@ use crate::config::ReplicaConfig;
 use crate::costs::CostModel;
 use crate::engine::conflicts::{ConflictIndex, Holds};
 use crate::engine::paxos_family::{ack_bit, merge_highest, Accepted, Cell, PaxosBase, Stored};
-use crate::engine::{self, EngineCore, ProtocolRules, ReplicaEngine, T_COORD};
+use crate::engine::{self, EngineCore, Links, ProtocolRules, ReplicaEngine, Waiting, T_COORD};
 use crate::kv::{Command, Key, Op};
 use crate::msg::{
     Ack, Coord, MenciusMsg, Msg, Round, Slots, CHECKPOINT_ACK_HEADER, CHECKPOINT_CHUNK_HEADER,
@@ -230,19 +218,11 @@ struct PeerStream {
     /// The watermark last sent to this peer: the `from` of the next
     /// stream element.
     sent_upto: Slot,
-    /// When anything was last sent on this link.
-    last_sent: SimTime,
     /// Commit decisions for my slots waiting for a carrier.
     decisions: Slots,
-    /// How long `decisions` may wait for one: an eighth of the
-    /// suggest-to-commit time of the quickest slot among them.
-    patience: SimDuration,
     /// My acknowledgement of this peer's suggestions waiting for a
     /// carrier, merged per term.
     ack: Option<Ack>,
-    /// How long `ack` may wait for one: an eighth of the round trip
-    /// last measured on this link.
-    ack_patience: SimDuration,
 }
 
 impl PeerStream {
@@ -250,11 +230,8 @@ impl PeerStream {
     fn starting_at(at: Slot) -> Self {
         PeerStream {
             sent_upto: at,
-            last_sent: SimTime::ZERO,
             decisions: Slots::new(),
-            patience: SimDuration::ZERO,
             ack: None,
-            ack_patience: SimDuration::ZERO,
         }
     }
 }
@@ -369,11 +346,13 @@ pub struct MenciusRules {
     last_revoke_attempt: SimTime,
     /// Slots this replica skipped (stats).
     skips_issued: u64,
-    /// Acks that rode a message leaving anyway (a `Suggest`, a notice
-    /// for a skip, a keepalive or queued decisions).
-    acks_carried: u64,
-    /// Acks that left in a notice of their own.
+    /// Acks sent on my streams: in a notice of their own (`acks_alone`),
+    /// or riding a message leaving anyway (a `Suggest`, a notice for a
+    /// skip, a keepalive or queued decisions).
+    acks_sent: u64,
     acks_alone: u64,
+    /// Decisions that left in a `Commit` of their own.
+    commits_alone: u64,
     /// Revocation decisions recorded for a value the slot already held
     /// (stats): the one write this file still pays twice — a decision is
     /// written whether or not its value was held, and not writing it moves
@@ -423,8 +402,9 @@ impl MenciusReplica {
                 revoke: None,
                 last_revoke_attempt: SimTime::ZERO,
                 skips_issued: 0,
-                acks_carried: 0,
+                acks_sent: 0,
                 acks_alone: 0,
+                commits_alone: 0,
                 decision_rewrites: 0,
                 lost_own: BTreeSet::new(),
             },
@@ -484,10 +464,10 @@ impl MenciusRules {
     /// waiting ack along. Never between moving `next_own` over a round
     /// and sending that round's `Suggest`: the element would claim the
     /// round's slots as no-ops ahead of their values.
-    fn stamp(&mut self, peer: NodeId, now: SimTime) -> Coord {
+    fn stamp(&mut self, links: &mut Links, peer: NodeId, now: SimTime) -> Coord {
         let ack = self.carry_ack(peer);
         let st = &mut self.out[peer.0 as usize];
-        st.last_sent = now;
+        links.stamp(peer, now);
         Coord {
             from: std::mem::replace(&mut st.sent_upto, self.next_own),
             watermark: self.next_own,
@@ -497,29 +477,15 @@ impl MenciusRules {
         }
     }
 
-    /// Takes the ack waiting for `peer` onto a message that leaves anyway.
+    /// Takes the ack waiting for `peer` onto a message that leaves.
     fn carry_ack(&mut self, peer: NodeId) -> Option<Ack> {
         let ack = self.out[peer.0 as usize].ack.take();
-        self.acks_carried += u64::from(ack.is_some());
+        self.acks_sent += u64::from(ack.is_some());
         ack
     }
 
-    fn send_notice(&mut self, core: &EngineCore, ctx: &mut Ctx<Msg>, peer: NodeId) {
-        let coord = self.stamp(peer, ctx.now());
-        ctx.send(
-            core.cfg.peer(peer),
-            Msg::Mencius(MenciusMsg::Notice { coord }),
-        );
-    }
-
-    /// Sends the ack waiting for `peer` in a notice of its own.
-    fn send_ack_alone(&mut self, core: &EngineCore, ctx: &mut Ctx<Msg>, peer: NodeId) {
-        let ack = self.out[peer.0 as usize].ack.take();
-        self.acks_alone += 1;
-        let coord = Coord {
-            ack,
-            ..self.stamp(peer, ctx.now())
-        };
+    fn send_notice(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, peer: NodeId) {
+        let coord = self.stamp(&mut core.links, peer, ctx.now());
         ctx.send(
             core.cfg.peer(peer),
             Msg::Mencius(MenciusMsg::Notice { coord }),
@@ -529,14 +495,17 @@ impl MenciusRules {
     /// Queues my ack of `peer`'s slots on my stream to it, merged into
     /// the one waiting at the same term; one waiting at another term
     /// leaves first. It goes on the next message to `peer`, or alone
-    /// once the link idles ([`MenciusRules::flush_idle_links`]).
-    fn queue_ack(&mut self, core: &EngineCore, ctx: &mut Ctx<Msg>, peer: NodeId, ack: Ack) {
+    /// once the link idles (`engine/links.rs`).
+    fn queue_ack(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, peer: NodeId, ack: Ack) {
         match &mut self.out[peer.0 as usize].ack {
             Some(held) if held.term == ack.term => {
                 held.slots.extend(ack.slots.iter());
                 return;
             }
-            Some(_) => self.send_ack_alone(core, ctx, peer),
+            Some(_) => {
+                self.acks_alone += 1;
+                self.send_notice(core, ctx, peer);
+            }
             None => {}
         }
         self.out[peer.0 as usize].ack = Some(ack);
@@ -544,9 +513,15 @@ impl MenciusRules {
 
     /// Suggests `items` (my own slots, at `term`) to every peer, each
     /// copy carrying that peer's stream element.
-    fn send_suggest(&mut self, core: &EngineCore, ctx: &mut Ctx<Msg>, term: Term, items: Round) {
+    fn send_suggest(
+        &mut self,
+        core: &mut EngineCore,
+        ctx: &mut Ctx<Msg>,
+        term: Term,
+        items: Round,
+    ) {
         for peer in core.cfg.others() {
-            let coord = self.stamp(peer, ctx.now());
+            let coord = self.stamp(&mut core.links, peer, ctx.now());
             ctx.send(
                 core.cfg.peer(peer),
                 Msg::Mencius(MenciusMsg::Suggest {
@@ -709,7 +684,7 @@ impl MenciusRules {
             .and_then(|upto| core.pipe.on_ack(peer, upto));
         if let Some(at) = shipped {
             // The round trip my acks to this peer wait a fraction of.
-            self.out[peer.0 as usize].ack_patience = ctx.now().since(at) / 8;
+            core.links.acks_wait(peer, ctx.now().since(at));
         }
         self.tally_own(ctx, &ack.slots, ack.term, ack_bit(peer));
         self.queue_decisions(core, ctx.now());
@@ -880,11 +855,10 @@ impl MenciusRules {
         self.suggested.get(own_index(s, core.cfg.n))
     }
 
-    /// Queues the decisions made in this handler on every peer's stream:
-    /// they leave on the next message to that peer, or — at the end of
-    /// this handler already — in a `Commit` of their own where the link
-    /// is idle ([`MenciusRules::flush_idle_links`]).
-    fn queue_decisions(&mut self, core: &EngineCore, now: SimTime) {
+    /// Queues the decisions made in this handler on every peer's stream,
+    /// to wait a fraction of the quickest one's suggest-to-commit time
+    /// (`engine/links.rs`).
+    fn queue_decisions(&mut self, core: &mut EngineCore, now: SimTime) {
         if self.commit_buf.is_empty() {
             return;
         }
@@ -894,50 +868,13 @@ impl MenciusRules {
             .map(|&s| now.since(self.suggested_at(core, s).min(now)))
             .min()
             .unwrap_or(SimDuration::ZERO);
-        let patience = quickest / 8;
         for peer in core.cfg.others() {
             let st = &mut self.out[peer.0 as usize];
-            st.patience = if st.decisions.is_empty() {
-                patience
-            } else {
-                st.patience.min(patience)
-            };
+            core.links
+                .decisions_wait(peer, quickest, !st.decisions.is_empty());
             st.decisions.extend(self.commit_buf.iter().copied());
         }
         self.commit_buf.clear();
-    }
-
-    /// Sends what waits for a carrier on every link that has carried
-    /// nothing for longer than it may wait: a waiting ack in a notice of
-    /// its own (queued decisions ride it), queued decisions in a `Commit`
-    /// — or in a notice, when an ack waits on that link too. Run at the
-    /// end of every handler, the one that queued them included — no
-    /// timer per decision or ack (two events each, even when stale), and
-    /// not left to the coordination tick (which costs low-load reads its
-    /// full period).
-    fn flush_idle_links(&mut self, core: &EngineCore, ctx: &mut Ctx<Msg>) {
-        let now = ctx.now();
-        for peer in core.cfg.others() {
-            let st = &mut self.out[peer.0 as usize];
-            let idle = now.since(st.last_sent.min(now));
-            if st.ack.is_some() && idle > st.ack_patience {
-                self.send_ack_alone(core, ctx, peer);
-                continue;
-            }
-            if st.decisions.is_empty() || idle <= st.patience {
-                continue;
-            }
-            if st.ack.is_some() {
-                self.send_notice(core, ctx, peer);
-                continue;
-            }
-            st.last_sent = now;
-            let slots = std::mem::take(&mut st.decisions);
-            ctx.send(
-                core.cfg.peer(peer),
-                Msg::Mencius(MenciusMsg::Commit { slots }),
-            );
-        }
     }
 
     /// Retransmits my own suggested-but-unexecuted slots after
@@ -1058,8 +995,8 @@ impl MenciusRules {
                 continue;
             }
             let ack = self.carry_ack(peer);
+            core.links.stamp(peer, ctx.now());
             let st = &mut self.out[peer.0 as usize];
-            st.last_sent = ctx.now();
             let mut commits = std::mem::take(&mut st.decisions);
             commits.extend(items.iter().map(|(s, _)| *s));
             let coord = Coord {
@@ -1579,7 +1516,7 @@ impl ProtocolRules for MenciusRules {
         // Keepalive stream element (watermark, queued decisions, exec)
         // to every peer the data path sent nothing since the last tick.
         for peer in core.cfg.others() {
-            if self.out[peer.0 as usize].last_sent <= self.last_tick {
+            if core.links.last_sent(peer) <= self.last_tick {
                 self.send_notice(core, ctx, peer);
             }
         }
@@ -1588,14 +1525,12 @@ impl ProtocolRules for MenciusRules {
         self.replay_to_stalled_peers(core, ctx);
         self.maybe_revoke(core, ctx);
         self.try_execute(core, ctx);
-        self.flush_idle_links(core, ctx);
         ctx.set_timer(SKIP_HEARTBEAT, T_COORD);
     }
 
     fn on_msg(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, from: ActorId, msg: Msg) {
         if let Msg::Mencius(m) = msg {
             self.on_mencius(core, ctx, from, m);
-            self.flush_idle_links(core, ctx);
         }
     }
 
@@ -1603,18 +1538,44 @@ impl ProtocolRules for MenciusRules {
     /// withheld) ack bit to the suggestions the sync covered. Batches
     /// whose slots were since re-balloted (a `SuggestReject`, a
     /// revocation) simply fail the per-slot term check in `tally_own`.
-    fn on_durable(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
+    /// The idle links are checked after every fsync that counted a vote.
+    fn on_durable(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) -> bool {
         let before = self.commit_buf.len();
         let chosen = &mut self.commit_buf;
         let at_term = |term, slot: &Cell| slot.bal == term;
         let synced = core.dur.synced_seq();
         if !(self.base).tally_synced_votes(synced, at_term, |s| chosen.push(s)) {
-            return;
+            return false;
         }
         self.note_chosen_own(before);
         self.queue_decisions(core, ctx.now());
         self.try_execute(core, ctx);
-        self.flush_idle_links(core, ctx);
+        true
+    }
+
+    /// My queued decisions and my ack of the peer's suggestions wait on
+    /// my stream to it.
+    fn waiting(&self, peer: NodeId) -> Waiting {
+        let st = &self.out[peer.0 as usize];
+        let (decision, ack) = (!st.decisions.is_empty(), st.ack.is_some());
+        Waiting { decision, ack }
+    }
+
+    /// An ack due goes in a notice of its own, the decisions riding it;
+    /// decisions due go in a `Commit`, or in a notice when an ack waits.
+    fn send_alone(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, to: NodeId, due: Waiting) {
+        let st = &mut self.out[to.0 as usize];
+        if st.ack.is_some() {
+            self.acks_alone += u64::from(due.ack);
+            self.send_notice(core, ctx, to);
+        } else {
+            self.commits_alone += 1;
+            let slots = std::mem::take(&mut st.decisions);
+            ctx.send(
+                core.cfg.peer(to),
+                Msg::Mencius(MenciusMsg::Commit { slots }),
+            );
+        }
     }
 
     fn snapshot_chunk_fixed_cost(&self, costs: &CostModel) -> SimDuration {
@@ -1690,14 +1651,17 @@ impl ProtocolRules for MenciusRules {
         self.note_known(core, peer, Slot(1), upto.min(self.base.exec_index).next());
     }
 
-    /// The family's work-paid-once counters, and how acks reached the
-    /// owners: `acks_carried` on a message leaving anyway, `acks_alone`
-    /// in a notice of their own.
+    /// The family's work-paid-once counters, and how acks and decisions
+    /// reached the peers: `acks_carried` on a message leaving anyway,
+    /// `acks_alone` in a notice of their own, `commits_alone` in a
+    /// `Commit` of their own.
     fn record_metrics(&self, sample: &mut crate::telemetry::MetricSample) {
         self.base.record_metrics(sample);
         sample.record("decision_rewrites", self.decision_rewrites as f64);
-        sample.record("acks_carried", self.acks_carried as f64);
+        let carried = self.acks_sent - self.acks_alone;
+        sample.record("acks_carried", carried as f64);
         sample.record("acks_alone", self.acks_alone as f64);
+        sample.record("commits_alone", self.commits_alone as f64);
     }
 
     fn on_crash(&mut self, core: &mut EngineCore, floor: Slot) {
@@ -1731,6 +1695,7 @@ impl ProtocolRules for MenciusRules {
         for st in &mut self.out {
             *st = PeerStream::starting_at(self.next_own);
         }
+        core.links = Links::new(core.cfg.n);
         self.beyond_gap.fill(None);
         self.revoke = None;
         // The retained writes and migration commands above the restored

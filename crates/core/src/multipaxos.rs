@@ -19,15 +19,11 @@
 //!
 //! # Learning the way Raft commits
 //!
-//! Figure 3 maps Raft's `Append.commit` to the Paxos learn step, so the
-//! proposer does not broadcast a `Learn` per chosen batch. Every `Accept`
-//! carries its executed prefix as `commit`. A `Learn { ballot, commit }`
-//! goes alone only to an acceptor whose link carried nothing for longer
-//! than an eighth of the round trip that completed the last quorum — a
-//! fraction of a delay the decision has just paid, checked at the end of
-//! every handler (`PaxosRules::flush_idle_links`, Mencius's carrier rule).
-//! The heartbeat's `Accept` carries the commit too, so an idle acceptor
-//! hears it within one period.
+//! The decision is the executed prefix, and it travels by the engine's
+//! carrier rule (`engine/links.rs`): every `Accept`, the heartbeat's
+//! included, carries it as `commit`, and a `Learn { ballot, commit }` goes
+//! alone to an acceptor not told it yet whose link idles past an eighth
+//! of the round trip that completed the last quorum.
 //!
 //! A decision counts only at its ballot. The proposer at ballot `b`
 //! vouches for values accepted at `b` or above; a lagging acceptor may
@@ -59,12 +55,11 @@
 use std::collections::HashMap;
 
 use paxraft_sim::sim::{ActorId, Ctx};
-use paxraft_sim::time::{SimDuration, SimTime};
 use paxraft_sim::trace::SpanKind;
 
 use crate::config::ReplicaConfig;
 use crate::engine::paxos_family::{ack_bit, merge_highest, Accepted, Cell, PaxosBase, Stored};
-use crate::engine::{self, EngineCore, ProtocolRules, ReplicaEngine};
+use crate::engine::{self, EngineCore, ProtocolRules, ReplicaEngine, Waiting};
 use crate::kv::Command;
 use crate::msg::{Msg, PaxosMsg, Round, Slots, CHECKPOINT_ACK_HEADER, CHECKPOINT_CHUNK_HEADER};
 use crate::snapshot::Snapshot;
@@ -88,13 +83,8 @@ pub struct PaxosRules {
     /// Phase-1 replies: voter → (accepted entries, log tail, checkpoint
     /// floor).
     prepare_acks: HashMap<NodeId, (Vec<(Slot, Term, Command)>, Slot, Slot)>,
-    /// Per acceptor: the executed prefix last told it, and when. Every
-    /// message to it tells, so that is also when the link last carried
-    /// anything.
-    told: Vec<(Slot, SimTime)>,
-    /// How long a decision may wait for an `Accept` to carry it: an
-    /// eighth of the round trip that completed the last quorum.
-    patience: SimDuration,
+    /// Per acceptor: the executed prefix last told it.
+    told: Vec<Slot>,
     /// Acceptor: the highest commit point learnt; a later one is scanned
     /// only above it.
     learnt: Slot,
@@ -121,8 +111,7 @@ impl MultiPaxosReplica {
                 base: PaxosBase::new(n, me),
                 next_slot: Slot(1),
                 prepare_acks: HashMap::new(),
-                told: vec![(Slot::NONE, SimTime::ZERO); n],
-                patience: SimDuration::ZERO,
+                told: vec![Slot::NONE; n],
                 learnt: Slot::NONE,
                 commits_carried: 0,
                 learns_alone: 0,
@@ -160,16 +149,16 @@ impl PaxosRules {
     /// executed prefix as its `commit`.
     fn send_accept(
         &mut self,
-        core: &EngineCore,
+        core: &mut EngineCore,
         ctx: &mut Ctx<Msg>,
         peer: NodeId,
         items: Round,
         window_room: bool,
     ) {
         let commit = self.base.exec_index;
-        let told = &mut self.told[peer.0 as usize];
-        self.commits_carried += u64::from(commit > told.0);
-        *told = (commit, ctx.now());
+        let told = std::mem::replace(&mut self.told[peer.0 as usize], commit);
+        self.commits_carried += u64::from(commit > told);
+        core.links.stamp(peer, ctx.now());
         let accept = PaxosMsg::Accept {
             ballot: self.ballot,
             items,
@@ -177,31 +166,6 @@ impl PaxosRules {
             commit,
         };
         ctx.send(core.cfg.peer(peer), Msg::Paxos(accept));
-    }
-
-    /// Tells the executed prefix, in a `Learn` of its own, to every
-    /// acceptor not told it yet whose link has carried nothing for longer
-    /// than the patience. Run at the end of every handler, the one that
-    /// executed included: no timer per decision, and not left to the
-    /// heartbeat.
-    fn flush_idle_links(&mut self, core: &EngineCore, ctx: &mut Ctx<Msg>) {
-        if !self.phase1_succeeded {
-            return;
-        }
-        let (now, commit) = (ctx.now(), self.base.exec_index);
-        for peer in core.cfg.others() {
-            let told = &mut self.told[peer.0 as usize];
-            if told.0 >= commit || now.since(told.1.min(now)) <= self.patience {
-                continue;
-            }
-            *told = (commit, now);
-            self.learns_alone += 1;
-            let learn = PaxosMsg::Learn {
-                ballot: self.ballot,
-                commit,
-            };
-            ctx.send(core.cfg.peer(peer), Msg::Paxos(learn));
-        }
     }
 
     /// Acceptor: learns `(exec_index, commit]` on the word of the
@@ -372,9 +336,7 @@ impl PaxosRules {
         self.phase1_succeeded = true;
         core.leader_hint = Some(core.cfg.id);
         core.pipe.reset_for_leadership(Slot::NONE);
-        for (commit, _) in &mut self.told {
-            *commit = Slot::NONE;
-        }
+        self.told.fill(Slot::NONE);
         self.next_slot = Slot(end.0.max(self.log_tail().0) + 1);
         self.send_accept_round(core, ctx, &items);
         core.arm_heartbeat(ctx);
@@ -568,7 +530,10 @@ impl PaxosRules {
                         // This ack's round trip sets how long the decision
                         // may wait for a carrier.
                         if let Some(at) = shipped {
-                            self.patience = ctx.now().since(at) / 8;
+                            let rtt = ctx.now().since(at);
+                            for peer in core.cfg.others() {
+                                core.links.decisions_wait(peer, rtt, false);
+                            }
                         }
                         self.try_execute(core, ctx);
                     }
@@ -690,7 +655,6 @@ impl ProtocolRules for PaxosRules {
     fn on_msg(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, from: ActorId, msg: Msg) {
         if let Msg::Paxos(p) = msg {
             self.on_paxos(core, ctx, from, p);
-            self.flush_idle_links(core, ctx);
         }
     }
 
@@ -747,11 +711,11 @@ impl ProtocolRules for PaxosRules {
         self.base.note_peer_exec(node, upto);
     }
 
-    fn on_durable(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
+    fn on_durable(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) -> bool {
         // An fsync landed: the proposer's own accepted values up to the
         // durable watermark now count toward their quorums.
         if !self.phase1_succeeded {
-            return;
+            return false;
         }
         // A vote recorded under a superseded ballot no longer applies
         // (the bitmap was reseeded at the new ballot).
@@ -763,8 +727,27 @@ impl ProtocolRules for PaxosRules {
         // a write takes stays invisible (`Ctx::fsync_serial`).
         if chosen {
             self.try_execute(core, ctx);
-            self.flush_idle_links(core, ctx);
         }
+        chosen
+    }
+
+    /// The executed prefix waits on an acceptor's link until told it.
+    fn waiting(&self, peer: NodeId) -> Waiting {
+        Waiting {
+            decision: self.phase1_succeeded && self.told[peer.0 as usize] < self.base.exec_index,
+            ack: false,
+        }
+    }
+
+    /// Tells an idle acceptor the executed prefix in a `Learn`.
+    fn send_alone(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, to: NodeId, _: Waiting) {
+        let (ballot, commit) = (self.ballot, self.base.exec_index);
+        self.told[to.0 as usize] = commit;
+        self.learns_alone += 1;
+        ctx.send(
+            core.cfg.peer(to),
+            Msg::Paxos(PaxosMsg::Learn { ballot, commit }),
+        );
     }
 
     /// The family's work-paid-once counters, and how the executed prefix

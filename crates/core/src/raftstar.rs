@@ -873,12 +873,14 @@ impl<F: Flavor> ProtocolRules for RaftFamilyRules<F> {
         self.base.decorate_stats(stats);
     }
 
-    fn on_durable(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
+    fn on_durable(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) -> bool {
         // An fsync landed: absorb the new durable watermark and re-run
         // LeaderLearn — the leader's own contribution may have just
-        // become countable.
+        // become countable. The commit rides the next append: nothing
+        // waits on a link.
         self.base.absorb_synced(core);
         self.advance_commit(core, ctx);
+        false
     }
 
     fn on_crash(&mut self, core: &mut EngineCore, floor: Slot) {
