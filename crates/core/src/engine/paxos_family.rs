@@ -30,8 +30,35 @@
 //! execute loops, the crash policies, the replay bodies, who proposes
 //! where. A difference in the bookkeeping itself is an argument; one
 //! nothing can observe is noted on the method that unifies it.
+//!
+//! # Rounds
+//!
+//! Under Figure 3's map Raft's `Append` is a phase-2 accept over a range
+//! of instances, and a MultiPaxos round is paid for the way a Raft round
+//! is (`log.rs`, *Rounds*): its instances are an [`Instances`] view of
+//! the proposer's own table blocks, not a copy of their values.
+//! [`PaxosBase::round`] cuts one — a proposed batch, a phase 1's
+//! adoptions, a pump, a heartbeat's re-send, a stalled peer's replay —
+//! as the block its first instance lies in and, when the round runs on
+//! past that block's end, the next one, with the first slot and the
+//! length. Every acceptor it goes to shares it by reference count.
+//!
+//! A round stays what it was cut as because a [`Cell`]'s value changes
+//! only through `&mut`, which copies a block a round holds first
+//! (`engine::slots`, *Sharing*): a phase 1's re-proposal, a crash's drop
+//! and a compaction that stops inside the block copy it. What changes
+//! while the round is in flight — the ack tally, the decision, the write
+//! sequence, a promise — lives in `std::cell::Cell`s and changes in
+//! place, copying nothing. A round whose instances are not consecutive
+//! slots (a pump or a re-send past instances chosen out of order, a
+//! replay past a gap) or that runs over more than two blocks is copied
+//! instead, into one private block spanning it, its gaps empty.
+//! Mencius copies its rounds into a `msg::Round`: a view beside its
+//! stream element would make the largest message larger.
 
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
+use std::fmt;
 use std::ops::RangeBounds;
 
 use paxraft_sim::sim::Ctx;
@@ -42,6 +69,7 @@ use crate::snapshot::Snapshot;
 use crate::telemetry::MetricSample;
 use crate::types::{quorum, NodeId, Slot, Term};
 
+use super::slots::Block;
 use super::{transfer, EngineCore, SlotRing};
 
 /// One Paxos instance (Figure 1's `s.instances[i]`); the default is the
@@ -54,27 +82,35 @@ use super::{transfer, EngineCore, SlotRing};
 /// some cells need lives beside the table, in the rules file that needs
 /// it — Mencius keeps its owner's suggestion times in a ring of its own
 /// slots.
+///
+/// The value changes through `&mut` only; everything else is an
+/// [`InPlace`] and changes through `&`, in a block a round in flight
+/// shares too (module docs, *Rounds*). `std::cell::Cell` has its
+/// content's layout, so that costs no byte.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Cell {
     /// Highest ballot the value was accepted at, or the slot promised to
     /// (`instance.bal`).
-    pub(crate) bal: Term,
+    pub(crate) bal: InPlace<Term>,
     /// The accepted value (`instance.val`).
     cmd: Option<Command>,
     /// Whether the value is known chosen.
-    pub(crate) committed: bool,
+    pub(crate) committed: InPlace<bool>,
     /// Mencius: skipped no-op (own slots only; remote skips derive from
     /// watermarks).
-    pub(crate) skipped: bool,
+    pub(crate) skipped: InPlace<bool>,
     /// Mencius: whether the owner already answered the client.
-    pub(crate) responded: bool,
+    pub(crate) responded: InPlace<bool>,
     /// Proposer-side acknowledgement bitmap, one [`ack_bit`] per replica
     /// (`ReplicaConfig::validate` caps a cluster at 32).
-    pub(crate) acks: u32,
+    pub(crate) acks: InPlace<u32>,
     /// Durability: engine write sequence of the last value write (0 when
     /// durability is disabled).
-    wseq: u64,
+    wseq: InPlace<u64>,
 }
+
+/// What an instance changes in place, whoever shares its block.
+pub(crate) type InPlace<T> = std::cell::Cell<T>;
 
 /// A replica's bit in a cell's ack bitmap.
 pub(crate) fn ack_bit(node: NodeId) -> u32 {
@@ -93,7 +129,7 @@ impl Cell {
         *bytes += cmd.size_bytes();
         let replaced = self.cmd.replace(cmd);
         *bytes -= replaced.as_ref().map_or(0, Command::size_bytes);
-        self.bal = self.bal.max(bal);
+        self.bal.set(self.bal.get().max(bal));
         replaced
     }
 }
@@ -210,11 +246,25 @@ impl PaxosBase {
     /// A proposer's own write of `cmd` at its ballot, asking nothing: it
     /// numbers its instances above everything it executed and adopts
     /// values without counting them learnt. Returns the cell.
-    pub(crate) fn write(&mut self, slot: Slot, bal: Term, cmd: Command) -> &mut Cell {
-        let cell = self.cells.get_or_default(slot);
+    ///
+    /// A fresh instance fills its cell in place, in a tail block rounds
+    /// in flight hold too; a value written over a held instance (a phase
+    /// 1's adoption) copies such a block first (module docs, *Rounds*).
+    pub(crate) fn write(&mut self, slot: Slot, bal: Term, cmd: Command) -> &Cell {
         self.accept_writes += 1;
-        cell.put(&mut self.bytes, bal, cmd);
-        cell
+        if self.cells.get(slot).is_some() {
+            let cell = self.cells.get_mut(slot).expect("held");
+            cell.put(&mut self.bytes, bal, cmd);
+        } else {
+            self.bytes += cmd.size_bytes();
+            let cell = Cell {
+                bal: bal.into(),
+                cmd: Some(cmd),
+                ..Cell::default()
+            };
+            self.cells.insert(slot, cell);
+        }
+        self.cells.get(slot).expect("just written")
     }
 
     /// Stores a value accepted (or learnt) at `bal`. A slot already
@@ -232,21 +282,22 @@ impl PaxosBase {
             return Stored::BelowFloor;
         }
         let cell = self.cells.get_or_default(slot);
-        let again = cell.bal == bal && cell.cmd.as_ref() == Some(&cmd);
+        let again = cell.bal.get() == bal && cell.cmd.as_ref() == Some(&cmd);
         self.accept_duplicates += u64::from(again);
-        if cell.committed && cell.cmd.is_some() {
+        if cell.committed.get() && cell.cmd.is_some() {
             return Stored::Kept;
         }
         let stored = if again {
             Stored::Kept
         } else {
             self.accept_writes += 1;
+            let cell = self.cells.get_mut(slot).expect("filled");
             Stored::Written(cell.put(&mut self.bytes, bal, cmd))
         };
         let decided_at = self.committed_no_value.get(&slot.0);
         if decided_at.is_some_and(|at| bal >= *at) {
             self.committed_no_value.remove(&slot.0);
-            cell.committed = true;
+            self.cells.get(slot).expect("filled").committed.set(true);
         }
         stored
     }
@@ -265,10 +316,15 @@ impl PaxosBase {
             return;
         }
         core.durable_write(ctx, bytes, written.len());
-        let seq = core.dur.write_seq();
+        self.tag(written, core.dur.write_seq());
+    }
+
+    /// Tags the cells of `written` with the write sequence `seq`, in
+    /// place.
+    fn tag(&self, written: &Slots, seq: u64) {
         for s in written.iter() {
-            if let Some(cell) = self.cells.get_mut(s) {
-                cell.wseq = seq;
+            if let Some(cell) = self.cells.get(s) {
+                cell.wseq.set(seq);
             }
         }
     }
@@ -276,18 +332,24 @@ impl PaxosBase {
     /// [`Self::note_written`] for values this replica proposed at `bal`,
     /// with its own vote seeded absent: queues that vote until the write
     /// is fsynced ([`Self::drain_synced_votes`]).
-    pub(crate) fn note_proposed(
+    pub(crate) fn note_proposed<'a>(
         &mut self,
         core: &mut EngineCore,
         ctx: &mut Ctx<Msg>,
         bal: Term,
-        items: &[(Slot, Command)],
+        items: impl IntoIterator<Item = (Slot, &'a Command)>,
     ) {
-        if items.is_empty() || !core.dur.enabled() {
+        if !core.dur.enabled() {
             return;
         }
-        let slots: Slots = items.iter().map(|(s, _)| *s).collect();
-        let bytes = items.iter().map(|(_, c)| c.size_bytes()).sum();
+        let (mut slots, mut bytes) = (Slots::new(), 0);
+        for (s, cmd) in items {
+            slots.push(s);
+            bytes += cmd.size_bytes();
+        }
+        if slots.is_empty() {
+            return;
+        }
         self.note_written(core, ctx, &slots, bytes);
         let seq = core.dur.write_seq();
         debug_assert!(self.pending_self.last().is_none_or(|(s, ..)| *s < seq));
@@ -342,19 +404,20 @@ impl PaxosBase {
         mut quorum: impl FnMut(CmdId),
     ) {
         for slot in slots {
-            let Some(cell) = self.cells.get_mut(slot) else {
+            let Some(cell) = self.cells.get(slot) else {
                 continue;
             };
-            if cell.committed || !eligible(cell) {
+            if cell.committed.get() || !eligible(cell) {
                 continue;
             }
-            let fresh = cell.acks & bit == 0;
-            cell.acks |= bit;
-            let votes = cell.acks.count_ones() as usize;
+            let acks = cell.acks.get();
+            let fresh = acks & bit == 0;
+            cell.acks.set(acks | bit);
+            let votes = (acks | bit).count_ones() as usize;
             if votes >= self.quorum {
-                cell.committed = true;
+                cell.committed.set(true);
                 chosen(slot);
-            } else if fresh && votes + 1 == self.quorum && cell.acks & self.me == 0 {
+            } else if fresh && votes + 1 == self.quorum && acks & self.me == 0 {
                 if let Some(cmd) = cell.cmd.as_ref().filter(|c| c.id.client != u32::MAX) {
                     quorum(cmd.id);
                 }
@@ -381,9 +444,11 @@ impl PaxosBase {
             if slot <= self.compacted_through {
                 continue; // already executed and checkpointed
             }
-            match self.cells.get_mut(slot) {
-                Some(cell) if cell.committed => {}
-                Some(cell) if cell.cmd.is_some() && cell.bal >= at => cell.committed = true,
+            match self.cells.get(slot) {
+                Some(cell) if cell.committed.get() => {}
+                Some(cell) if cell.cmd.is_some() && cell.bal.get() >= at => {
+                    cell.committed.set(true)
+                }
                 _ => {
                     self.committed_no_value.insert(slot.0, at);
                 }
@@ -513,8 +578,49 @@ impl PaxosBase {
         &'a self,
         range: impl RangeBounds<Slot> + 'a,
     ) -> impl Iterator<Item = (Slot, Term, Command)> + 'a {
-        let held = |(s, cell): (Slot, &'a Cell)| Some((s, cell.bal, cell.cmd.clone()?));
+        let held = |(s, cell): (Slot, &'a Cell)| Some((s, cell.bal.get(), cell.cmd.clone()?));
         self.cells.range(range).filter_map(held)
+    }
+
+    /// The first `count` instances in `range` that hold a value and that
+    /// `carried` admits, as one round (module docs, *Rounds*): a view of
+    /// the table's own blocks when they are consecutive slots within two
+    /// blocks, else a private block of their values. Cutting a view
+    /// allocates nothing.
+    pub(crate) fn round(
+        &self,
+        range: impl RangeBounds<Slot>,
+        count: usize,
+        carried: impl Fn(&Cell) -> bool,
+    ) -> Instances {
+        let carried = |cell: &Cell| cell.cmd.is_some() && carried(cell);
+        let cells = self.cells.range(range).filter(|(_, c)| carried(c));
+        let mut cut = cells.take(count).map(|(s, _)| s);
+        let Some(first) = cut.next() else {
+            return Instances::default();
+        };
+        let (len, last) = cut.fold((1u64, first), |(n, _), s| (n + 1, s));
+        let span = last.0 - first.0 + 1;
+        let (head, from) = self.cells.block_at(first).expect("a held slot");
+        let in_head = (head.len() - from) as u64;
+        let next = match span.checked_sub(in_head) {
+            None | Some(0) => None,
+            Some(rest) => match self.cells.block_at(Slot(first.0 + in_head)) {
+                Some((next, 0)) if rest <= next.len() as u64 => Some(next.clone()),
+                _ => None,
+            },
+        };
+        if span != len || (span > in_head && next.is_none()) {
+            let held = |s| self.cells.get(s).filter(|c| carried(c)).and_then(Cell::cmd);
+            return Instances::copied(first, last, len as u32, held);
+        }
+        Instances {
+            blocks: [Some(head.clone()), next],
+            first,
+            from: from as u32,
+            span: span as u32,
+            len: len as u32,
+        }
     }
 
     /// Crash: forgets what only the running process knew (the peers'
@@ -532,16 +638,16 @@ impl PaxosBase {
         self.exec_index = floor;
         let mut dropped = Vec::new();
         for (s, cell) in self.cells.range_mut(floor.next()..) {
-            if cell.wseq <= synced {
+            if cell.wseq.get() <= synced {
                 continue;
             }
             let Some(cmd) = cell.cmd.take() else {
                 continue;
             };
             self.bytes -= cmd.size_bytes();
-            cell.acks = 0;
-            cell.wseq = 0;
-            let committed = std::mem::take(&mut cell.committed);
+            cell.acks.set(0);
+            cell.wseq.set(0);
+            let committed = cell.committed.take();
             if committed {
                 self.committed_no_value.insert(s.0, Term::ZERO);
             }
@@ -551,9 +657,120 @@ impl PaxosBase {
     }
 }
 
+/// One MultiPaxos round's instances (`engine/paxos_family.rs`,
+/// *Rounds*): up to two of the proposer's table blocks, shared, and the
+/// run of consecutive slots the round covers in them. A round that is
+/// not such a run has one private block of its own instead, spanning
+/// it, with its gaps empty. Whatever the table does after the cut, the
+/// round yields the values it was cut over.
+#[derive(Clone, Default)]
+pub struct Instances {
+    /// The block holding the first instance, and the next one when the
+    /// round runs on into it; neither for the empty round.
+    blocks: [Option<Block<Cell>>; 2],
+    /// The first instance's slot.
+    first: Slot,
+    /// The first instance's cell in `blocks[0]`.
+    from: u32,
+    /// Cells from there through the last instance's.
+    span: u32,
+    /// Instances in the round: `span` for a view, fewer for a private
+    /// block with gaps.
+    len: u32,
+}
+
+impl Instances {
+    /// Instances in the round.
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// True for the empty round (an idle heartbeat).
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The last instance's slot.
+    pub(crate) fn last(&self) -> Option<Slot> {
+        (self.len > 0).then(|| Slot(self.first.0 + u64::from(self.span) - 1))
+    }
+
+    /// The round's cells: those in the first block, then those in the
+    /// next.
+    fn cells(&self) -> (&[OnceCell<Cell>], &[OnceCell<Cell>]) {
+        let [head, next] = self
+            .blocks
+            .each_ref()
+            .map(|b| b.as_deref().unwrap_or_default());
+        let (from, span) = (self.from as usize, self.span as usize);
+        let in_head = span.min(head.len() - from);
+        (&head[from..from + in_head], &next[..span - in_head])
+    }
+
+    /// The `(instance, value)` pairs, in slot order.
+    pub fn iter(&self) -> impl Iterator<Item = (Slot, &Command)> + '_ {
+        let (head, next) = self.cells();
+        let slots = (self.first.0..).map(Slot);
+        let cells = head.iter().chain(next).zip(slots);
+        cells.filter_map(|(cell, s)| Some((s, cell.get()?.cmd()?)))
+    }
+
+    /// A private block over `first ..= last` holding the `len` values
+    /// `held` yields there, in one allocation: a mapped range tells
+    /// `Rc<[_]>` its length.
+    fn copied<'a>(
+        first: Slot,
+        last: Slot,
+        len: u32,
+        held: impl Fn(Slot) -> Option<&'a Command>,
+    ) -> Self {
+        let cell = |s| {
+            held(Slot(s)).map_or_else(OnceCell::new, |cmd| {
+                OnceCell::from(Cell {
+                    cmd: Some(cmd.clone()),
+                    ..Cell::default()
+                })
+            })
+        };
+        let block: Block<Cell> = (first.0..=last.0).map(cell).collect();
+        Instances {
+            span: block.len() as u32,
+            blocks: [Some(block), None],
+            first,
+            from: 0,
+            len,
+        }
+    }
+}
+
+/// A round of its own: a private block holding the pairs given, in
+/// ascending slot order (tests that hand an acceptor a scripted round).
+#[cfg(test)]
+impl FromIterator<(Slot, Command)> for Instances {
+    fn from_iter<I: IntoIterator<Item = (Slot, Command)>>(items: I) -> Self {
+        let items: Vec<(Slot, Command)> = items.into_iter().collect();
+        let (Some((first, _)), Some((last, _))) = (items.first(), items.last()) else {
+            return Instances::default();
+        };
+        debug_assert!(items.windows(2).all(|w| w[0].0 < w[1].0));
+        let held = |s| {
+            let at = items.binary_search_by_key(&s, |(s, _)| *s).ok()?;
+            Some(&items[at].1)
+        };
+        Instances::copied(*first, *last, items.len() as u32, held)
+    }
+}
+
+impl fmt::Debug for Instances {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::rc::Rc;
 
     fn put(seq: u64) -> Command {
         Command::put(CmdId { client: 1, seq }, seq, vec![0; 8])
@@ -573,13 +790,13 @@ mod tests {
         assert!(b.cells.get(Slot(4)).is_none(), "no placeholder cell");
         assert_eq!(b.store(Slot(4), Term(7), put(1)), Stored::Written(None));
         let cell = b.cells.get(Slot(4)).unwrap();
-        assert!(cell.committed && cell.cmd() == Some(&put(1)));
+        assert!(cell.committed.get() && cell.cmd() == Some(&put(1)));
         assert!(!b.learnt_without_value(Slot(4)));
         // A learn for a value already held commits on the spot.
         b.store(Slot(5), Term(7), put(2));
-        assert!(!b.cells.get(Slot(5)).unwrap().committed);
+        assert!(!b.cells.get(Slot(5)).unwrap().committed.get());
         b.learn([Slot(5)]);
-        assert!(b.cells.get(Slot(5)).unwrap().committed);
+        assert!(b.cells.get(Slot(5)).unwrap().committed.get());
         assert!(!b.learnt_without_value(Slot(5)));
     }
 
@@ -594,7 +811,7 @@ mod tests {
         b.store(Slot(2), Term(2), put(2));
         b.store(Slot(3), Term(3), put(3));
         b.learn_at((1..=4).map(Slot), Term(2));
-        let chosen = |b: &PaxosBase, s| b.cells.get(Slot(s)).is_some_and(|c| c.committed);
+        let chosen = |b: &PaxosBase, s| b.cells.get(Slot(s)).is_some_and(|c| c.committed.get());
         assert!(!chosen(&b, 1) && chosen(&b, 2) && chosen(&b, 3));
         assert!(b.learnt_without_value(Slot(1)) && b.learnt_without_value(Slot(4)));
         assert_eq!(b.store(Slot(1), Term(1), put(1)), Stored::Kept);
@@ -622,11 +839,11 @@ mod tests {
         b.learn([Slot(2)]);
         assert_eq!(b.store(Slot(2), Term(9), put(3)), Stored::Kept);
         let cell = b.cells.get(Slot(2)).unwrap();
-        assert_eq!((cell.cmd(), cell.bal), (Some(&put(2)), Term(5)));
+        assert_eq!((cell.cmd(), cell.bal.get()), (Some(&put(2)), Term(5)));
         // The ballot never moves back.
         b.store(Slot(3), Term(8), put(4));
         b.store(Slot(3), Term(6), put(5));
-        assert_eq!(b.cells.get(Slot(3)).unwrap().bal, Term(8));
+        assert_eq!(b.cells.get(Slot(3)).unwrap().bal.get(), Term(8));
     }
 
     /// An acceptor never writes a value twice: this command at this ballot
@@ -642,7 +859,7 @@ mod tests {
         assert_eq!(b.store(Slot(3), Term(4), put(1)), Stored::Kept);
         assert_eq!(b.bytes, bytes, "nothing re-accounted");
         assert_eq!((b.accept_writes, b.accept_duplicates), (1, 1));
-        assert!(!b.cells.get(Slot(3)).unwrap().committed);
+        assert!(!b.cells.get(Slot(3)).unwrap().committed.get());
         // A proposer adopted a value for a slot it had learnt chosen
         // without one (`write` asks nothing); the value arriving again
         // at that ballot is kept, and the cell is committed at last.
@@ -650,16 +867,16 @@ mod tests {
         b.write(Slot(5), Term(4), put(2));
         assert!(b.learnt_without_value(Slot(5)));
         assert_eq!(b.store(Slot(5), Term(4), put(2)), Stored::Kept);
-        assert!(b.cells.get(Slot(5)).unwrap().committed && !b.learnt_without_value(Slot(5)));
+        assert!(b.cells.get(Slot(5)).unwrap().committed.get() && !b.learnt_without_value(Slot(5)));
         // The same command at a higher ballot is a new accept.
         assert_eq!(
             b.store(Slot(3), Term(6), put(1)),
             Stored::Written(Some(put(1)))
         );
-        assert_eq!(b.cells.get(Slot(3)).unwrap().bal, Term(6));
+        assert_eq!(b.cells.get(Slot(3)).unwrap().bal.get(), Term(6));
         // A promise raises the ballot over the value; a different value
         // at the ballot the cell now shows is written, then held.
-        b.cells.get_mut(Slot(3)).unwrap().bal = Term(9);
+        b.cells.get(Slot(3)).unwrap().bal.set(Term(9));
         assert_eq!(
             b.store(Slot(3), Term(9), put(7)),
             Stored::Written(Some(put(1)))
@@ -680,15 +897,18 @@ mod tests {
     #[test]
     fn the_tally_skips_ineligible_cells_and_reports_each_choice_once() {
         let mut b = base();
-        b.write(Slot(1), Term(3), put(1)).acks = 0b001;
-        b.write(Slot(2), Term(4), put(2)).acks = 0b001;
-        let at = |t| move |c: &Cell| c.bal == Term(t);
+        b.write(Slot(1), Term(3), put(1)).acks.set(0b001);
+        b.write(Slot(2), Term(4), put(2)).acks.set(0b001);
+        let at = |t| move |c: &Cell| c.bal.get() == Term(t);
         let slots = [Slot(1), Slot(2), Slot(1), Slot(9)];
         let mut chosen = Vec::new();
         b.tally(slots, 0b010, at(3), |s| chosen.push(s), |_| {});
         assert_eq!(chosen, [Slot(1)]);
         let other = b.cells.get(Slot(2)).unwrap();
-        assert!(!other.committed && other.acks == 0b001, "bit not taken");
+        assert!(
+            !other.committed.get() && other.acks.get() == 0b001,
+            "bit not taken"
+        );
         // A later ack for the chosen slot chooses nothing again.
         b.tally([Slot(1)], 0b100, at(3), |s| chosen.push(s), |_| {});
         b.tally([Slot(2)], 0b100, at(4), |s| chosen.push(s), |_| {});
@@ -702,11 +922,11 @@ mod tests {
     #[test]
     fn the_tally_marks_a_quorum_that_waits_only_for_the_own_vote() {
         let mut b = PaxosBase::new(5, NodeId(0)); // quorum 3, own bit 0b00001
-        b.write(Slot(1), Term(2), put(1)).acks = 0;
-        b.write(Slot(2), Term(2), put(2)).acks = 0b00001;
+        b.write(Slot(1), Term(2), put(1)).acks.set(0);
+        b.write(Slot(2), Term(2), put(2)).acks.set(0b00001);
         let mut noop = put(3);
         noop.id.client = u32::MAX;
-        b.write(Slot(3), Term(2), noop).acks = 0;
+        b.write(Slot(3), Term(2), noop).acks.set(0);
         let mut marked = Vec::new();
         let mut tally = |b: &mut PaxosBase, slots: &[u64], bit| {
             let slots = slots.iter().map(|s| Slot(*s));
@@ -722,10 +942,10 @@ mod tests {
             "slot 1 once; slot 2 chose; the no-op is no client's"
         );
         assert!(
-            b.cells.get(Slot(1)).unwrap().committed,
+            b.cells.get(Slot(1)).unwrap().committed.get(),
             "three peers choose it"
         );
-        assert!(b.cells.get(Slot(2)).unwrap().committed);
+        assert!(b.cells.get(Slot(2)).unwrap().committed.get());
     }
 
     /// Synced self-votes drain in write-sequence order, each tallied with
@@ -734,7 +954,7 @@ mod tests {
     fn synced_self_votes_drain_in_write_order_and_the_rest_stay_queued() {
         let mut b = base();
         for s in [1, 4, 7, 10] {
-            b.write(Slot(s), Term(2), put(s)).acks = 0b010;
+            b.write(Slot(s), Term(2), put(s)).acks.set(0b010);
         }
         let run = |slots: &[u64]| slots.iter().map(|s| Slot(*s)).collect::<Slots>();
         b.pending_self = vec![
@@ -744,14 +964,14 @@ mod tests {
         ];
         let drain = |b: &mut PaxosBase, synced| {
             let mut votes = Vec::new();
-            let still = |bal, cell: &Cell| bal == cell.bal;
+            let still = |bal, cell: &Cell| bal == cell.bal.get();
             let any = b.tally_synced_votes(synced, still, |s| votes.push(s));
             (any, votes)
         };
         assert_eq!(drain(&mut b, 2), (false, vec![]));
         // Slot 1's vote was queued under a ballot the cell has left.
         assert_eq!(drain(&mut b, 5), (true, vec![Slot(4), Slot(7)]));
-        assert!(!b.cells.get(Slot(1)).unwrap().committed);
+        assert!(!b.cells.get(Slot(1)).unwrap().committed.get());
         assert_eq!(b.pending_self, [(8, Term(2), run(&[10]))]);
         b.forget_self_votes();
         assert_eq!(drain(&mut b, u64::MAX), (false, vec![]));
@@ -784,6 +1004,107 @@ mod tests {
         assert_eq!(b.cells.len(), 1);
     }
 
+    /// What a round yields: `(slot, key)` pairs.
+    fn pairs(round: &Instances) -> Vec<(u64, u64)> {
+        let key = |c: &Command| c.op.key().expect("a put");
+        round.iter().map(|(s, c)| (s.0, key(c))).collect()
+    }
+
+    /// Whether the table still holds the block `round` starts in.
+    fn shares(b: &PaxosBase, round: &Instances, slot: u64) -> bool {
+        let (held, _) = b.cells.block_at(Slot(slot)).expect("a block");
+        let cut = round.blocks.iter().flatten();
+        cut.into_iter().any(|block| Rc::ptr_eq(block, held))
+    }
+
+    /// The sharing contract (module docs, *Rounds*): a round cut across
+    /// a block edge yields its cut-time values whatever the proposer does
+    /// next. Acks, a decision, a write tag, a promise and a fresh
+    /// instance in the round's tail block change the table in place, in
+    /// the blocks the round holds; a compaction into the round's first
+    /// block, a phase 1 that re-proposes a slot of it and a crash's drop
+    /// copy the block they change first.
+    #[test]
+    fn a_round_yields_what_it_was_cut_over_whatever_the_table_does() {
+        let mut b = base(); // quorum 2, own bit 0b001
+        for s in 1..=300 {
+            b.write(Slot(s), Term(2), put(s));
+        }
+        let uncommitted = |c: &Cell| !c.committed.get();
+        let round = b.round(Slot(250)..=Slot(260), usize::MAX, uncommitted);
+        let cut: Vec<(u64, u64)> = (250..=260).map(|s| (s, s)).collect();
+        assert_eq!(pairs(&round), cut);
+        assert_eq!((round.len(), round.last()), (11, Some(Slot(260))));
+        assert!(shares(&b, &round, 250) && shares(&b, &round, 260), "a view");
+        // In place: an ack, a quorum, a learn, a write tag, a promise and
+        // the next instance, in the blocks the round holds.
+        let slots = || (250..=260).map(Slot);
+        let mut chosen = Vec::new();
+        b.tally(slots(), 0b010, |_| true, |s| chosen.push(s), |_| {});
+        assert!(chosen.is_empty());
+        b.tally(slots().take(3), 0b100, |_| true, |s| chosen.push(s), |_| {});
+        assert_eq!(chosen, [Slot(250), Slot(251), Slot(252)]);
+        b.learn_at([Slot(259)], Term(2));
+        b.tag(&slots().collect(), 7);
+        b.cells.get_or_default(Slot(256)).bal.set(Term(3));
+        b.write(Slot(301), Term(2), put(301));
+        assert!(
+            shares(&b, &round, 250) && shares(&b, &round, 260),
+            "nothing copied"
+        );
+        let cell = b.cells.get(Slot(259)).unwrap();
+        assert!(cell.committed.get() && cell.wseq.get() == 7);
+        assert_eq!(pairs(&round), cut);
+        // A compaction that stops inside the round's first block copies it.
+        b.exec_index = Slot(252);
+        assert_eq!(b.discard_through(Slot(252), |_, _| {}), 252);
+        assert!(!shares(&b, &round, 253), "the table's block is a copy");
+        assert_eq!(pairs(&round), cut);
+        // A phase 1 re-proposes slot 258 at a higher ballot: a copy too.
+        b.write(Slot(258), Term(5), put(999));
+        assert!(!shares(&b, &round, 258));
+        assert_eq!(b.cells.get(Slot(258)).unwrap().cmd(), Some(&put(999)));
+        assert_eq!(pairs(&round), cut);
+        // A crash drops what no fsync covered — slot 301 among them.
+        b.tag(&[Slot(301)].into_iter().collect(), 9);
+        assert_eq!(b.crash(Slot(252), 7), [(Slot(301), false)]);
+        assert_eq!(pairs(&round), cut);
+    }
+
+    /// A round that is not a run of consecutive slots inside two blocks
+    /// is one private block: instances chosen out of order leave gaps in
+    /// it, and a re-send of everything uncommitted may span three blocks.
+    /// Either yields what the table held at the cut.
+    #[test]
+    fn a_round_with_gaps_or_over_three_blocks_is_a_private_block() {
+        let mut b = base();
+        for s in 1..=700 {
+            b.write(Slot(s), Term(2), put(s));
+        }
+        for s in [12, 13, 20] {
+            b.cells.get(Slot(s)).unwrap().committed.set(true);
+        }
+        let uncommitted = |c: &Cell| !c.committed.get();
+        let gaps = b.round(Slot(10).., 12, uncommitted);
+        let want: Vec<(u64, u64)> = [10, 11, 14, 15, 16, 17, 18, 19, 21, 22, 23, 24]
+            .into_iter()
+            .map(|s| (s, s))
+            .collect();
+        assert_eq!(pairs(&gaps), want);
+        assert_eq!((gaps.len(), gaps.last()), (12, Some(Slot(24))));
+        assert!(!shares(&b, &gaps, 10), "copied");
+        let wide = b.round(Slot(100)..=Slot(650), usize::MAX, uncommitted);
+        assert_eq!(wide.len(), 551);
+        assert!(!shares(&b, &wide, 100));
+        b.write(Slot(300), Term(3), put(0));
+        assert!(pairs(&wide).into_iter().all(|(s, k)| s == k));
+        // Within two blocks a run is a view; nothing is the empty round.
+        let run = b.round(Slot(200)..=Slot(500), usize::MAX, uncommitted);
+        assert!(shares(&b, &run, 200));
+        let chosen = b.round(Slot(12)..=Slot(13), usize::MAX, uncommitted);
+        assert!(chosen.is_empty());
+    }
+
     /// The highest-ballot merge keeps the higher ballot regardless of
     /// arrival order.
     #[test]
@@ -809,8 +1130,8 @@ mod tests {
         let mut b = base();
         for (s, wseq) in [(1, 2), (2, 5), (3, 6)] {
             let cell = b.write(Slot(s), Term(1), put(s));
-            cell.acks = 0b011;
-            cell.wseq = wseq;
+            cell.acks.set(0b011);
+            cell.wseq.set(wseq);
         }
         b.learn([Slot(3)]);
         b.exec_index = Slot(1);
@@ -819,8 +1140,8 @@ mod tests {
         assert_eq!(b.bytes, put(1).size_bytes());
         assert!(b.cells.get(Slot(1)).unwrap().cmd().is_some());
         let lost = b.cells.get(Slot(3)).unwrap();
-        assert!(lost.cmd().is_none() && !lost.committed && lost.acks == 0);
-        assert_eq!(lost.bal, Term(1), "the promise survives");
+        assert!(lost.cmd().is_none() && !lost.committed.get() && lost.acks.get() == 0);
+        assert_eq!(lost.bal.get(), Term(1), "the promise survives");
         assert!(b.learnt_without_value(Slot(3)) && !b.learnt_without_value(Slot(2)));
     }
 }

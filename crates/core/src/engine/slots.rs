@@ -30,19 +30,28 @@
 //!
 //! A block is reference-counted ([`Block`]), so a reader can keep one
 //! past the call that found it: a Raft round is a view of the leader's
-//! own blocks ([`crate::log::View`]), however many peers it goes to. A
-//! kept block is a snapshot of the cells that were set when it was
-//! taken, because a set cell changes only through a block nobody else
-//! holds:
+//! own blocks ([`crate::log::View`]), and a MultiPaxos round a view of
+//! the proposer's ([`crate::msg::Instances`]), however many peers it
+//! goes to. A kept block is a snapshot of the cells that were set when
+//! it was taken, because a set cell changes only through a block nobody
+//! else holds:
 //!
-//! - filling an *empty* cell goes through the shared block, so the
-//!   leader appends into a tail block that rounds in flight point at —
-//!   they never read past the cells they were cut over;
+//! - filling an *empty* cell goes through the shared block, so a leader
+//!   appends, and a proposer numbers its next instances, into a tail
+//!   block that rounds in flight point at — they never read past the
+//!   cells they were cut over;
 //! - overwriting, taking or clearing a *set* cell goes through
 //!   `Rc::make_mut`, which first copies a block someone else holds.
 //!
-//! The Paxos family never hands a block out, so every write of its takes
-//! the unique path and copies nothing.
+//! What a `T` changes through `&T` is the exception, and the Paxos
+//! family's instance is built on it: a round reads only an instance's
+//! value, which changes through `&mut`, while the ballot, the ack
+//! bitmap, the flags and the write sequence are `std::cell::Cell`s that
+//! change in place, shared block or not. Tallying an ack, learning a
+//! decision, tagging a write for its fsync or raising a promise copies
+//! nothing; re-proposing a value, a crash's drop or a compaction that
+//! stops inside a block a round holds copies that block first. Mencius
+//! copies its rounds (`msg::Round`) and never hands a block out.
 
 use std::cell::OnceCell;
 use std::collections::VecDeque;
@@ -182,18 +191,19 @@ impl<T: Clone> SlotRing<T> {
         Some(std::mem::replace(old.expect("the cell is set"), entry))
     }
 
-    /// The entry at `slot`, created as `T::default()` if absent.
-    pub fn get_or_default(&mut self, slot: Slot) -> &mut T
+    /// The entry at `slot`, created as `T::default()` if absent — in
+    /// place, in a shared block too. What a holder of the block may see
+    /// change through it is only what `T` changes through `&T`.
+    pub fn get_or_default(&mut self, slot: Slot) -> &T
     where
         T: Default,
     {
         let (block, cell) = self.stretch_to(slot);
-        let cell = &mut own(&mut self.blocks[block])[cell];
+        let cell = &self.blocks[block][cell];
         if cell.get().is_none() {
             self.present += 1;
         }
-        cell.get_or_init(T::default);
-        cell.get_mut().expect("just filled")
+        cell.get_or_init(T::default)
     }
 
     /// Takes the entry at `slot` out, if present.
@@ -373,7 +383,8 @@ mod tests {
             match rng.gen_range(10) {
                 0..=3 => assert_eq!(ring.insert(Slot(slot), step), tree.insert(slot, step)),
                 4..=5 => {
-                    *ring.get_or_default(Slot(slot)) += 1;
+                    ring.get_or_default(Slot(slot));
+                    *ring.get_mut(Slot(slot)).expect("filled") += 1;
                     *tree.entry(slot).or_default() += 1;
                 }
                 6 => assert_eq!(ring.remove(Slot(slot)), tree.remove(&slot)),

@@ -1019,12 +1019,18 @@ mod tests {
         // that `Command`: a list rides in the operation's spare tags.
         assert_eq!(size_of::<crate::msg::Batch>(), 48);
         assert_eq!(size_of::<crate::msg::Coord>(), 80);
-        assert_eq!(size_of::<crate::msg::PaxosMsg>(), 48);
+        // An `Accept` carries a view of up to two table blocks and the
+        // run of slots it covers in them (`msg::Instances`).
+        assert_eq!(size_of::<crate::msg::PaxosMsg>(), 80);
         assert_eq!(size_of::<crate::msg::MenciusMsg>(), 104);
         // The Paxos-family instance, one for both rules files: the ack
         // bitmap and the flags share one word.
         use crate::engine::paxos_family::Cell;
         assert_eq!(size_of::<Cell>(), 72);
+        // Its ring cell: the ballot, flags and write sequence change in
+        // place (`std::cell::Cell`s hide their niches), and the value's
+        // niche still holds the `OnceCell`'s.
+        assert_eq!(size_of::<std::cell::OnceCell<Cell>>(), 72);
     }
 
     #[test]

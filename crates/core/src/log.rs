@@ -59,8 +59,9 @@
 //! # Rounds
 //!
 //! Under Figure 3's map an `Append` is a phase-2 accept over a range of
-//! instances, and like a Paxos round it is paid for once: its entries
-//! are a [`View`] of the leader's own blocks, not a copy of them. A view
+//! instances, and like a MultiPaxos round (a [`crate::msg::Instances`]
+//! view of the proposer's table) it is paid for once: its entries are a
+//! [`View`] of the leader's own blocks, not a copy of them. A view
 //! holds the block its first entry lies in and, when the round runs on
 //! past that block's end, the next one — both shared, so cutting a round
 //! for any peer at any cursor is a reference count, never an allocation

@@ -441,10 +441,10 @@ impl MenciusRules {
         let owner = MenciusReplica::owner_of(slot, core.cfg.n);
         let held = self.base.cells.get(slot);
         if let Some(s) = held {
-            if s.committed {
+            if s.committed.get() {
                 return s.cmd();
             }
-            if s.skipped {
+            if s.skipped.get() {
                 return Some(&NOOP);
             }
         }
@@ -589,7 +589,7 @@ impl MenciusRules {
         self.base.tally(
             slots.iter(),
             bit,
-            |slot| slot.bal == term,
+            |slot| slot.bal.get() == term,
             |s| chosen.push(s),
             |id| ctx.trace_span(SpanKind::Quorum, id.client, id.seq),
         );
@@ -618,7 +618,7 @@ impl MenciusRules {
         while s < new_own {
             let slot = self.base.cells.get_or_default(s);
             if slot.cmd().is_none() {
-                slot.skipped = true;
+                slot.skipped.set(true);
                 self.skips_issued += 1;
             }
             s = Slot(s.0 + core.cfg.n as u64);
@@ -751,15 +751,15 @@ impl MenciusRules {
         let Some(slot) = self.base.cells.get(s) else {
             return false;
         };
-        let Some(cmd) = slot.cmd().filter(|_| !slot.responded) else {
+        let Some(cmd) = slot.cmd().filter(|_| !slot.responded.get()) else {
             return false;
         };
-        if !slot.committed || !self.conflicts_applied(s, cmd.op.key()) {
+        if !slot.committed.get() || !self.conflicts_applied(s, cmd.op.key()) {
             return true;
         }
         let reply = core.kv.preview(&cmd.op);
         core.respond(ctx, cmd.id, reply);
-        self.base.cells.get_mut(s).expect("exists").responded = true;
+        self.base.cells.get(s).expect("exists").responded.set(true);
         false
     }
 
@@ -774,7 +774,7 @@ impl MenciusRules {
             let Some(slot) = self.base.cells.get(*s) else {
                 return false;
             };
-            let Some(cmd) = slot.cmd().filter(|_| !slot.responded) else {
+            let Some(cmd) = slot.cmd().filter(|_| !slot.responded.get()) else {
                 return false;
             };
             let covered = core
@@ -792,7 +792,7 @@ impl MenciusRules {
                 .is_none_or(|(c, _)| self.base.exec_index >= c);
             let exec = self.base.exec_index;
             let lost = self.lost_own.iter().any(|&x| exec.0 < x && x < s.0);
-            slot.committed && covered && applied && !lost
+            slot.committed.get() && covered && applied && !lost
         };
         self.await_respond.iter().copied().filter(ready).collect()
     }
@@ -907,7 +907,7 @@ impl MenciusRules {
             if taken >= 64 {
                 break;
             }
-            if MenciusReplica::owner_of(s, n) != me || slot.skipped {
+            if MenciusReplica::owner_of(s, n) != me || slot.skipped.get() {
                 continue;
             }
             let Some(cmd) = slot.cmd().cloned() else {
@@ -917,10 +917,10 @@ impl MenciusRules {
                 continue;
             }
             self.suggested.set(own_index(s, n), now);
-            if slot.committed {
+            if slot.committed.get() {
                 committed.push(s);
             }
-            by_term.entry(slot.bal).or_default().push((s, cmd));
+            by_term.entry(slot.bal.get()).or_default().push((s, cmd));
             taken += 1;
         }
         // The retransmitted slots are a subset by age, so these copies
@@ -982,11 +982,12 @@ impl MenciusRules {
                 let Some(cmd) = slot.cmd().cloned() else {
                     continue;
                 };
-                if !slot.committed || items.len() == 64 || term.is_some_and(|t| t != slot.bal) {
+                let bal = slot.bal.get();
+                if !slot.committed.get() || items.len() == 64 || term.is_some_and(|t| t != bal) {
                     upto = s;
                     break;
                 }
-                term = Some(slot.bal);
+                term = Some(bal);
                 items.push((s, cmd));
             }
             // A claim without values helps only a peer stuck on a slot
@@ -1143,8 +1144,8 @@ impl MenciusRules {
         let mut s = owned_at_or_after(owner, from, core.cfg.n);
         while s <= through {
             let slot = self.base.cells.get_or_default(s);
-            if term > slot.bal {
-                slot.bal = term;
+            if term > slot.bal.get() {
+                slot.bal.set(term);
             }
             s = Slot(s.0 + core.cfg.n as u64);
         }
@@ -1187,7 +1188,7 @@ impl MenciusRules {
                         // owner converges via Checkpoint, not re-accept.
                         continue;
                     }
-                    let bal = self.base.cells.get(s).map_or(Term::ZERO, |x| x.bal);
+                    let bal = self.base.cells.get(s).map_or(Term::ZERO, |x| x.bal.get());
                     // A value the owner reports decided is learnt, not
                     // accepted, and no promise stands against learning:
                     // at a slot its owner committed, the owner's value
@@ -1211,7 +1212,7 @@ impl MenciusRules {
                         reject_term = reject_term.max(bal);
                         // Decided here already (a revocation the owner
                         // missed): the refusal carries the decision.
-                        if let Some(x) = self.base.cells.get(s).filter(|x| x.committed) {
+                        if let Some(x) = self.base.cells.get(s).filter(|x| x.committed.get()) {
                             revoked.extend(x.cmd().cloned().map(|c| (s, c)));
                         }
                     }
@@ -1366,7 +1367,8 @@ impl MenciusRules {
                     let mut written_bytes = 0usize;
                     for (s, cmd) in &items {
                         if let Some(wrote) = self.accept_value(core, *s, op.term, cmd.clone()) {
-                            self.base.cells.get_mut(*s).expect("accepted").committed = true;
+                            let cell = self.base.cells.get(*s).expect("accepted");
+                            cell.committed.set(true);
                             self.decision_rewrites += u64::from(!wrote);
                             written.push(*s);
                             written_bytes += cmd.size_bytes();
@@ -1404,7 +1406,7 @@ impl MenciusRules {
                     // If our own in-flight command was no-oped, re-propose.
                     if owner == core.cfg.id {
                         if let Some(slot) = self.base.cells.get(s) {
-                            if !slot.responded {
+                            if !slot.responded.get() {
                                 if let Some(mine) = slot.cmd() {
                                     if *mine != cmd && !matches!(mine.op, Op::Noop) {
                                         core.pending.push(mine.clone());
@@ -1421,9 +1423,9 @@ impl MenciusRules {
                     }
                     let sz = cmd.size_bytes();
                     if let Some(wrote) = self.accept_value(core, s, term, cmd) {
-                        let slot = self.base.cells.get_mut(s).expect("accepted");
-                        if term >= slot.bal {
-                            slot.committed = true;
+                        let slot = self.base.cells.get(s).expect("accepted");
+                        if term >= slot.bal.get() {
+                            slot.committed.set(true);
                         }
                         self.decision_rewrites += u64::from(!wrote);
                         written.push(s);
@@ -1477,11 +1479,13 @@ impl ProtocolRules for MenciusRules {
         let self_ack = if core.dur.enabled() { 0 } else { me };
         for (s, cmd) in items.iter() {
             self.accept_value(core, *s, self.current_term, cmd.clone());
-            self.base.cells.get_mut(*s).expect("just accepted").acks = self_ack;
+            let cell = self.base.cells.get(*s).expect("just accepted");
+            cell.acks.set(self_ack);
             self.suggested.set(own_index(*s, core.cfg.n), ctx.now());
         }
+        let proposed = items.iter().map(|(s, c)| (*s, c));
         self.base
-            .note_proposed(core, ctx, self.current_term, &items);
+            .note_proposed(core, ctx, self.current_term, proposed);
         if let Some(upto) = items.iter().map(|(s, _)| *s).max() {
             for peer in core.cfg.others() {
                 core.pipe.on_sent(peer, upto, ctx.now());
@@ -1542,7 +1546,7 @@ impl ProtocolRules for MenciusRules {
     fn on_durable(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) -> bool {
         let before = self.commit_buf.len();
         let chosen = &mut self.commit_buf;
-        let at_term = |term, slot: &Cell| slot.bal == term;
+        let at_term = |term, slot: &Cell| slot.bal.get() == term;
         let synced = core.dur.synced_seq();
         if !(self.base).tally_synced_votes(synced, at_term, |s| chosen.push(s)) {
             return false;
@@ -1679,7 +1683,7 @@ impl ProtocolRules for MenciusRules {
         // in `bal` is free always-durable metadata — promises survive;
         // only value payloads rode the modeled disk.
         for (s, _) in self.base.crash(floor, core.dur.synced_seq()) {
-            let skipped = self.base.cells.get(s).is_some_and(|x| x.skipped);
+            let skipped = self.base.cells.get(s).is_some_and(|x| x.skipped.get());
             let mine = MenciusReplica::owner_of(s, core.cfg.n) == core.cfg.id;
             if mine && !skipped {
                 self.lost_own.insert(s.0);
@@ -1944,7 +1948,7 @@ mod tests {
         assert_eq!(replies[1].1, crate::kv::Reply::Value(None));
         let rep = sim.actor::<MenciusReplica>(ActorId(0));
         assert_eq!(rep.exec_index(), Slot(4), "slot 5 is not decided");
-        assert!(rep.rules.base.cells.get(Slot(10)).unwrap().committed);
+        assert!(rep.rules.base.cells.get(Slot(10)).unwrap().committed.get());
         sim.run_until(SimTime::from_millis(700));
         assert!(sim.actor::<MenciusReplica>(ActorId(0)).exec_index() >= Slot(10));
         let replies = &sim.actor::<TestClient>(client).replies;
@@ -1979,7 +1983,7 @@ mod tests {
         sim.run_until(SimTime::from_millis(450));
         let rep = sim.actor::<MenciusReplica>(ActorId(0));
         assert_eq!(rep.exec_index(), Slot(4), "the freeze is not decided");
-        assert!(rep.rules.base.cells.get(Slot(7)).unwrap().committed);
+        assert!(rep.rules.base.cells.get(Slot(7)).unwrap().committed.get());
         assert!(rep.rules.cover(&rep.core) >= Slot(7), "and covered");
         let replies = &sim.actor::<TestClient>(client).replies;
         assert_eq!(replies.len(), 1, "the write in slot 7 waits for the freeze");
@@ -2035,7 +2039,7 @@ mod tests {
         sim.run_until(SimTime::from_millis(400));
         let rep = sim.actor::<MenciusReplica>(ActorId(0));
         assert!(rep.rules.lost_own.contains(&1), "slot 1's value is gone");
-        assert!(rep.rules.base.cells.get(Slot(4)).unwrap().committed);
+        assert!(rep.rules.base.cells.get(Slot(4)).unwrap().committed.get());
         assert!(rep.rules.cover(&rep.core) >= Slot(4), "and covered");
         assert!(sim.actor::<TestClient>(reader).replies.is_empty());
         sim.run_until(SimTime::from_millis(600));
@@ -2717,7 +2721,7 @@ mod tests {
         let rep = sim.actor::<MenciusReplica>(ActorId(0));
         assert_eq!(sim.actor::<TestClient>(client).replies.len(), 1);
         assert!(
-            rep.rules.base.cells.get(Slot(7)).unwrap().committed,
+            rep.rules.base.cells.get(Slot(7)).unwrap().committed.get(),
             "the write to 105 is decided"
         );
         let indexed = rep.rules.conflicts.indexed_writes();
@@ -2783,8 +2787,8 @@ mod tests {
         assert!(floor.last_slot < Slot(11));
         assert_eq!(rep.exec_index(), Slot(10));
         assert!(
-            rep.rules.base.cells.get(Slot(13)).unwrap().committed
-                && !rep.rules.base.cells.get(Slot(13)).unwrap().responded
+            rep.rules.base.cells.get(Slot(13)).unwrap().committed.get()
+                && !rep.rules.base.cells.get(Slot(13)).unwrap().responded.get()
         );
         sim.crash_at(ActorId(0), SimTime::from_millis(2000));
         sim.restart_at(ActorId(0), SimTime::from_millis(2100));
@@ -2794,7 +2798,7 @@ mod tests {
         let rep = sim.actor::<MenciusReplica>(ActorId(0));
         assert_eq!(rep.exec_index(), Slot(10), "restored and re-executed");
         assert!(
-            rep.rules.base.cells.get(Slot(16)).unwrap().committed,
+            rep.rules.base.cells.get(Slot(16)).unwrap().committed.get(),
             "the retry is decided"
         );
         assert!(rep.rules.cover(&rep.core) >= Slot(16), "and covered");

@@ -22,6 +22,19 @@
 //! message, not this process's layout, and a range-encoded wire size
 //! would move every virtual number.
 //!
+//! # A round is a view of its sender's slot store
+//!
+//! A round is handed to every peer it goes to, so what it carries is
+//! shared, never copied per peer. A Raft `Append` carries a
+//! [`crate::log::View`] of the leader's log blocks and a MultiPaxos
+//! `Accept` an [`Instances`] view of the proposer's instance table: the
+//! one or two blocks the round lies in and the run of slots it covers,
+//! so cutting one — proposed, pumped, re-sent, replayed — allocates
+//! nothing (`engine/paxos_family.rs`, *Rounds*). A Mencius `Suggest`
+//! carries a [`Round`] collected once from the batch: a view beside its
+//! stream element would make the largest message larger. The size model
+//! charges what the pairs weigh, whichever way they are held.
+//!
 //! # A lone forwarded command rides in place
 //!
 //! Most follower forwards carry one command: the cutter ships a batch as
@@ -32,6 +45,7 @@
 
 use std::sync::Arc;
 
+pub use crate::engine::paxos_family::Instances;
 use crate::kv::{CmdId, Command, Reply};
 use crate::log::{Entry, View};
 use crate::types::{NodeId, Slot, Term};
@@ -382,8 +396,10 @@ impl IntoIterator for Batch {
     }
 }
 
-/// One replication round's payload, built once by its proposer and handed
-/// to every peer by reference count; an acceptor clones the values out.
+/// One Mencius round's payload, built once by its owner and handed to
+/// every peer by reference count; an acceptor clones the values out. A
+/// MultiPaxos round is a view of the proposer's table instead
+/// ([`Instances`]).
 pub type Round = Arc<[(Slot, Command)]>;
 
 /// MultiPaxos messages (Figure 1). Phase-2 messages batch multiple
@@ -419,8 +435,11 @@ pub enum PaxosMsg {
     Accept {
         /// Proposer's ballot.
         ballot: Term,
-        /// `(instance, value)` pairs.
-        items: Round,
+        /// The `(instance, value)` pairs: a view of the proposer's table
+        /// blocks as they were when the round was cut ([`Instances`]).
+        /// Cutting one copies no value, whichever acceptor and cursor it
+        /// is for; the wire size is the pairs'.
+        items: Instances,
         /// Whether the proposer's replication pipeline has window room
         /// for a quorum (piggybacked occupancy hint; the Paxos spelling
         /// of [`RaftMsg::Append::window_room`]). Rides in a reserved
@@ -871,7 +890,7 @@ mod tests {
         let accept = |items: Vec<(Slot, Command)>| {
             Msg::Paxos(PaxosMsg::Accept {
                 ballot: Term(1),
-                items: items.into(),
+                items: items.into_iter().collect(),
                 window_room: true,
                 commit: Slot(40),
             })
@@ -1069,13 +1088,13 @@ mod tests {
     fn batched_sizes_scale_with_items() {
         let one = Msg::Paxos(PaxosMsg::Accept {
             ballot: Term(1),
-            items: vec![(Slot(1), cmd(8))].into(),
+            items: [(Slot(1), cmd(8))].into_iter().collect(),
             window_room: true,
             commit: Slot::NONE,
         });
         let two = Msg::Paxos(PaxosMsg::Accept {
             ballot: Term(1),
-            items: vec![(Slot(1), cmd(8)), (Slot(2), cmd(8))].into(),
+            items: [(Slot(1), cmd(8)), (Slot(2), cmd(8))].into_iter().collect(),
             window_room: true,
             commit: Slot::NONE,
         });

@@ -61,7 +61,7 @@ use crate::config::ReplicaConfig;
 use crate::engine::paxos_family::{ack_bit, merge_highest, Accepted, Cell, PaxosBase, Stored};
 use crate::engine::{self, EngineCore, ProtocolRules, ReplicaEngine, Waiting};
 use crate::kv::Command;
-use crate::msg::{Msg, PaxosMsg, Round, Slots, CHECKPOINT_ACK_HEADER, CHECKPOINT_CHUNK_HEADER};
+use crate::msg::{Instances, Msg, PaxosMsg, Slots, CHECKPOINT_ACK_HEADER, CHECKPOINT_CHUNK_HEADER};
 use crate::snapshot::Snapshot;
 use crate::types::{NodeId, Slot, Term};
 
@@ -92,6 +92,10 @@ pub struct PaxosRules {
     commits_carried: u64,
     /// `Learn`s sent on their own, to an idle acceptor.
     learns_alone: u64,
+    /// Every round cut, beside the copy `round_of` gathers at the cut:
+    /// what the acceptors must be sent.
+    #[cfg(test)]
+    cuts: Vec<(Instances, crate::msg::Round)>,
 }
 
 impl MultiPaxosReplica {
@@ -115,6 +119,8 @@ impl MultiPaxosReplica {
                 learnt: Slot::NONE,
                 commits_carried: 0,
                 learns_alone: 0,
+                #[cfg(test)]
+                cuts: Vec::new(),
             },
         )
     }
@@ -132,7 +138,7 @@ impl MultiPaxosReplica {
     /// Chosen value at a slot, if committed (for agreement tests).
     pub fn committed_at(&self, slot: Slot) -> Option<&Command> {
         let inst = self.rules.base.cells.get(slot)?;
-        if inst.committed {
+        if inst.committed.get() {
             inst.cmd()
         } else {
             None
@@ -152,7 +158,7 @@ impl PaxosRules {
         core: &mut EngineCore,
         ctx: &mut Ctx<Msg>,
         peer: NodeId,
-        items: Round,
+        items: Instances,
         window_room: bool,
     ) {
         let commit = self.base.exec_index;
@@ -188,8 +194,8 @@ impl PaxosRules {
     /// acks free slots (with the heartbeat retransmission as the
     /// loss-recovery backstop). Commits only need a quorum, so a round
     /// skipped by a minority of slow acceptors commits undelayed.
-    fn send_accept_round(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, items: &Round) {
-        let Some(upto) = items.iter().map(|(s, _)| *s).max() else {
+    fn send_accept_round(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, items: &Instances) {
+        let Some(upto) = items.last() else {
             return;
         };
         for peer in core.cfg.others() {
@@ -217,14 +223,14 @@ impl PaxosRules {
             return;
         }
         let cap = core.pipe.round_cap(peer, highest, &core.dur).min(64);
-        let count = uncommitted(&self.base, cursor.next()).take(cap).count();
-        if count == 0 {
+        let items = self.cut(cursor.next().., cap, uncommitted);
+        let Some(upto) = items.last() else {
             // Everything past the cursor is committed; a commit covers it.
             core.pipe.skip_to(peer, highest);
             return;
-        }
-        let items = round_of(count, uncommitted(&self.base, cursor.next()));
-        core.pipe.on_sent(peer, items[count - 1].0, ctx.now());
+        };
+        let count = items.len();
+        core.pipe.on_sent(peer, upto, ctx.now());
         if count < cap {
             core.pipe.skip_to(peer, highest); // the round took all that waited
         }
@@ -258,7 +264,7 @@ impl PaxosRules {
 
     fn first_unchosen(&self) -> Slot {
         let mut s = self.base.exec_index.next();
-        while self.base.cells.get(s).is_some_and(|i| i.committed) {
+        while self.base.cells.get(s).is_some_and(|i| i.committed.get()) {
             s = s.next();
         }
         s
@@ -268,25 +274,54 @@ impl PaxosRules {
         self.base.cells.last_slot().unwrap_or(Slot::NONE)
     }
 
-    /// Figure 1 `Phase2a` on the proposer itself: writes a round of
-    /// values at its ballot. With durability on, its implicit acceptOK
-    /// counts only once the values are on disk (`on_durable` adds the bit
-    /// after the fsync); without it, the self-vote is immediate.
+    /// Figure 1 `Phase2a` on the proposer itself: writes `values` at its
+    /// ballot and cuts the round that carries them, every uncommitted
+    /// instance in `within`, which spans them. With durability on, its
+    /// implicit acceptOK counts only once the values are on disk
+    /// (`on_durable` adds the bit after the fsync); without it, the
+    /// self-vote is immediate.
     fn write_round(
         &mut self,
         core: &mut EngineCore,
         ctx: &mut Ctx<Msg>,
-        items: &[(Slot, Command)],
-    ) {
+        values: impl IntoIterator<Item = (Slot, Command)>,
+        within: std::ops::RangeInclusive<Slot>,
+    ) -> Instances {
         let me = ack_bit(core.cfg.id);
         let self_ack = if core.dur.enabled() { 0 } else { me };
-        for (slot, cmd) in items {
-            let cell = self.base.write(*slot, self.ballot, cmd.clone());
-            debug_assert_eq!(cell.bal, self.ballot, "no ballot exceeds the replica's");
-            cell.acks = self_ack;
+        for (slot, cmd) in values {
+            let cell = self.base.write(slot, self.ballot, cmd);
+            debug_assert_eq!(
+                cell.bal.get(),
+                self.ballot,
+                "no ballot exceeds the replica's"
+            );
+            cell.acks.set(self_ack);
         }
-        self.base.note_proposed(core, ctx, self.ballot, items);
+        let round = self.cut(within, usize::MAX, uncommitted);
+        self.base
+            .note_proposed(core, ctx, self.ballot, round.iter());
         self.base.note_log_size(core);
+        round
+    }
+
+    /// [`PaxosBase::round`], and under test the copy `round_of` gathers
+    /// from the same instances, kept beside it.
+    fn cut(
+        &mut self,
+        range: impl std::ops::RangeBounds<Slot> + Clone,
+        count: usize,
+        carried: fn(&Cell) -> bool,
+    ) -> Instances {
+        let round = self.base.round(range.clone(), count, carried);
+        #[cfg(test)]
+        {
+            let held = |(_, c): &(Slot, &Cell)| c.cmd().is_some() && carried(c);
+            let cells = self.base.cells.range(range).filter(held).take(count);
+            self.cuts
+                .push((round.clone(), round_of(round.len(), cells)));
+        }
+        round
     }
 
     /// Figure 1 `Phase1Succeed`: adopt safe values and go active.
@@ -320,17 +355,16 @@ impl PaxosRules {
             let entries = std::mem::take(entries).into_iter();
             merge_highest(&mut safe, entries.filter(|(slot, ..)| *slot >= start));
         }
-        let mut items = Vec::new();
+        let mut values = Vec::new();
         let mut s = start;
         while s <= end {
-            if !self.base.cells.get(s).is_some_and(|i| i.committed) {
+            if !self.base.cells.get(s).is_some_and(|i| i.committed.get()) {
                 let cmd = safe.remove(&s.0).map_or_else(Command::noop, |(_, c)| c);
-                items.push((s, cmd));
+                values.push((s, cmd));
             }
             s = s.next();
         }
-        let items = Round::from(items);
-        self.write_round(core, ctx, &items);
+        let items = self.write_round(core, ctx, values, start..=end);
         // A restarted proposer executes what it kept before it proposes.
         self.try_execute(core, ctx);
         self.phase1_succeeded = true;
@@ -349,7 +383,7 @@ impl PaxosRules {
     fn try_execute(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
         loop {
             let next = self.base.exec_index.next();
-            let Some(inst) = self.base.cells.get(next).filter(|i| i.committed) else {
+            let Some(inst) = self.base.cells.get(next).filter(|i| i.committed.get()) else {
                 break;
             };
             let cmd = inst.cmd().expect("committed instance has a value");
@@ -440,7 +474,6 @@ impl PaxosRules {
                     let mut written = Slots::new();
                     let mut written_bytes = 0usize;
                     for (slot, cmd) in items.iter() {
-                        let slot = *slot;
                         match self.base.store(slot, ballot, cmd.clone()) {
                             // Checkpointed away: the instance is chosen
                             // and executed here; a proposer asking about
@@ -456,7 +489,7 @@ impl PaxosRules {
                                     .base
                                     .cells
                                     .get(slot)
-                                    .is_some_and(|i| i.bal == ballot));
+                                    .is_some_and(|i| i.bal.get() == ballot));
                                 if durable {
                                     written_bytes += cmd.size_bytes();
                                     written.push(slot);
@@ -520,9 +553,10 @@ impl PaxosRules {
                     // ack whose `exec` trails it (the common case) has
                     // nothing to teach: its range is empty.
                     let ahead = self.base.exec_index.next()..=exec;
-                    for (_, inst) in self.base.cells.range_mut(ahead) {
-                        if !inst.committed && inst.cmd().is_some() && inst.bal == self.ballot {
-                            inst.committed = true;
+                    for (_, inst) in self.base.cells.range(ahead) {
+                        let held = inst.cmd().is_some() && inst.bal.get() == self.ballot;
+                        if !inst.committed.get() && held {
+                            inst.committed.set(true);
                             chosen = true;
                         }
                     }
@@ -562,8 +596,7 @@ impl PaxosRules {
         core.pipe.expire_stale(ctx.now(), engine::RETRY_INTERVAL);
         // Nothing uncommitted: every acceptor shares the empty round.
         let from = self.base.exec_index.next();
-        let count = uncommitted(&self.base, from).count();
-        let retransmit = round_of(count, uncommitted(&self.base, from));
+        let retransmit = self.cut(from.., usize::MAX, uncommitted);
         // The heartbeat Accept doubles as the hint refresh: even an idle
         // cluster re-teaches acceptors the proposer's window occupancy.
         let window_room = core.pipe.quorum_has_room(core.cfg.id, core.cfg.n);
@@ -578,13 +611,11 @@ impl PaxosRules {
             let Some(from) = self.base.stalled_peer(core, ctx, peer, self.ballot) else {
                 continue;
             };
-            let committed = || {
-                let window = self.base.cells.range(from..).take(64);
-                window.filter(|(_, i)| i.committed && i.cmd().is_some())
+            let Some((upto, _)) = self.base.cells.range(from..).take(64).last() else {
+                continue;
             };
-            let count = committed().count();
-            if count > 0 {
-                let replay = round_of(count, committed());
+            let replay = self.cut(from..=upto, usize::MAX, |i| i.committed.get());
+            if !replay.is_empty() {
                 self.send_accept(core, ctx, peer, replay, window_room);
             }
         }
@@ -592,21 +623,22 @@ impl PaxosRules {
     }
 }
 
-/// The uncommitted instances holding a value from `from` on: what a pump
-/// or a heartbeat re-sends.
-fn uncommitted(base: &PaxosBase, from: Slot) -> impl Iterator<Item = (Slot, &Cell)> {
-    let cells = base.cells.range(from..);
-    cells.filter(|(_, inst)| !inst.committed && inst.cmd().is_some())
+/// What a proposal, a pump or a heartbeat sends: the instances not
+/// chosen yet.
+fn uncommitted(inst: &Cell) -> bool {
+    !inst.committed.get()
 }
 
-/// The values of the first `count` of `cells` (each holding one) as a
-/// round in one allocation of exact size: `(0..count).map(..)` tells
-/// `Arc<[_]>` its length, where a filtered iterator is gathered in a
-/// `Vec` and then copied. The empty round is shared and allocates
-/// nothing.
-fn round_of<'a>(count: usize, mut cells: impl Iterator<Item = (Slot, &'a Cell)>) -> Round {
+/// The copy a round was before it was a view: the values of the first
+/// `count` of `cells` (each holding one), gathered into a `msg::Round`.
+/// Kept as the oracle that every view yields what it gathered.
+#[cfg(test)]
+fn round_of<'a>(
+    count: usize,
+    mut cells: impl Iterator<Item = (Slot, &'a Cell)>,
+) -> crate::msg::Round {
     if count == 0 {
-        return Round::default();
+        return crate::msg::Round::default();
     }
     let mut next = move || {
         let (slot, inst) = cells.next().expect("as many cells as were counted");
@@ -629,14 +661,13 @@ impl ProtocolRules for PaxosRules {
 
     /// Figure 1 `Phase2a`, batched.
     fn propose(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, cmds: &mut Vec<Command>) {
-        // The round's one allocation, straight from the batch. Fresh
-        // slots: past everything a quorum reported to phase 1.
-        let first = self.next_slot.0;
-        let numbered = cmds.drain(..).enumerate();
-        let items: Round = numbered.map(|(i, c)| (Slot(first + i as u64), c)).collect();
-        self.next_slot = Slot(first + items.len() as u64);
-        debug_assert!(items.iter().all(|(s, _)| self.base.cells.get(*s).is_none()));
-        self.write_round(core, ctx, &items);
+        // Fresh slots: past everything a quorum reported to phase 1.
+        // The round is a view of the cells the batch fills.
+        let first = self.next_slot;
+        self.next_slot = Slot(first.0 + cmds.len() as u64);
+        let numbered = (first.0..).map(Slot).zip(cmds.drain(..));
+        debug_assert!((first.0..self.next_slot.0).all(|s| self.base.cells.get(Slot(s)).is_none()));
+        let items = self.write_round(core, ctx, numbered, first..=Slot(self.next_slot.0 - 1));
         self.send_accept_round(core, ctx, &items);
     }
 
@@ -770,7 +801,7 @@ impl ProtocolRules for PaxosRules {
         // uncommitted one needs no placeholder.
         for (s, committed) in self.base.crash(floor, core.dur.synced_seq()) {
             if committed {
-                self.base.cells.get_mut(s).expect("kept").bal = Term::ZERO;
+                self.base.cells.get(s).expect("kept").bal.set(Term::ZERO);
             } else {
                 self.base.cells.remove(s);
             }
@@ -821,7 +852,7 @@ mod tests {
                 {
                     PaxosMsg::AcceptOk {
                         ballot,
-                        slots: items.iter().map(|(s, _)| *s).collect(),
+                        slots: items.iter().map(|(s, _)| s).collect(),
                         exec: self.exec,
                     }
                 }
@@ -893,8 +924,8 @@ mod tests {
             .cells
             .get(Slot(1))
             .unwrap();
-        assert!(inst.committed);
-        assert_eq!(inst.acks.count_ones(), 2, "no quorum of acks");
+        assert!(inst.committed.get());
+        assert_eq!(inst.acks.get().count_ones(), 2, "no quorum of acks");
     }
 
     /// A scripted proposer: sends its acceptor each message of `script`
@@ -1008,7 +1039,7 @@ mod tests {
         let (v, w) = (put(1, 5), put(2, 5));
         let accept = |ballot, cmd: &Command| PaxosMsg::Accept {
             ballot: Term(ballot),
-            items: vec![(Slot(1), cmd.clone())].into(),
+            items: [(Slot(1), cmd.clone())].into_iter().collect(),
             window_room: true,
             commit: Slot::NONE,
         };
@@ -1180,6 +1211,54 @@ mod tests {
         let rep = sim.actor::<MultiPaxosReplica>(r0);
         assert_eq!(rep.exec_index(), before, "executed on winning phase 1");
         assert_eq!(rep.kv().len(), 3);
+    }
+
+    /// Every round a proposer cut yields what the copy it replaced
+    /// gathered at the cut (`round_of`, kept as the oracle): a seeded
+    /// 5-replica WAN cluster with compaction every 64 instances, 5 %
+    /// loss, an acceptor crash and a proposer crash whose successor
+    /// re-proposes in phase 1. Each round is read after the run, so each
+    /// view also outlived whatever the tables did while it was held;
+    /// runs of consecutive slots (views) and rounds with gaps (private
+    /// blocks) both occur.
+    #[test]
+    fn every_round_yields_what_the_copy_it_replaced_gathered() {
+        use crate::harness::{Cluster, ProtocolKind};
+        use crate::snapshot::SnapshotConfig;
+        let mut cluster = Cluster::builder(ProtocolKind::MultiPaxos)
+            .clients_per_region(10)
+            .snapshot_config(SnapshotConfig::every(64))
+            .seed(42)
+            .build();
+        cluster.elect_leader();
+        let now = cluster.sim.now();
+        cluster.sim.set_drop_rate_at(0.05, now);
+        let replicas = cluster.replicas().to_vec();
+        let leader = replicas[cluster.leader().0 as usize];
+        let acceptor = replicas[(cluster.leader().0 as usize + 1) % replicas.len()];
+        let at = |ms| now + SimDuration::from_millis(ms);
+        cluster.sim.crash_at(acceptor, at(500));
+        cluster.sim.restart_at(acceptor, at(1_200));
+        cluster.sim.crash_at(leader, at(2_000));
+        cluster.sim.restart_at(leader, at(2_600));
+        cluster.advance(SimDuration::from_secs(5));
+        let (mut rounds, mut runs, mut gapped) = (0, 0, 0);
+        for r in replicas {
+            let rules = &cluster.sim.actor::<MultiPaxosReplica>(r).rules;
+            for (round, copy) in &rules.cuts {
+                let gathered = copy.iter().map(|(s, c)| (*s, c));
+                assert!(round.iter().eq(gathered), "{round:?} against {copy:?}");
+                let slots = || copy.iter().map(|(s, _)| s.0);
+                let run = slots().zip(slots().skip(1)).all(|(a, b)| b == a + 1);
+                rounds += usize::from(!copy.is_empty());
+                runs += usize::from(!copy.is_empty() && run);
+                gapped += usize::from(!run);
+            }
+        }
+        assert!(
+            runs > 400 && gapped >= 5,
+            "{rounds} rounds: {runs} runs, {gapped} with gaps"
+        );
     }
 
     #[test]
