@@ -34,32 +34,38 @@
 //! # Rounds
 //!
 //! Under Figure 3's map Raft's `Append` is a phase-2 accept over a range
-//! of instances, and a MultiPaxos round is paid for the way a Raft round
-//! is (`log.rs`, *Rounds*): its instances are an [`Instances`] view of
-//! the proposer's own table blocks, not a copy of their values.
-//! [`PaxosBase::round`] cuts one — a proposed batch, a phase 1's
-//! adoptions, a pump, a heartbeat's re-send, a stalled peer's replay —
-//! as the block its first instance lies in and, when the round runs on
-//! past that block's end, the next one, with the first slot and the
-//! length. Every acceptor it goes to shares it by reference count.
+//! of instances, and Appendix A.4's Mencius `Suggest` is an `Append` over
+//! the owner's slots; so a MultiPaxos or Mencius round is paid for the
+//! way a Raft round is (`log.rs`, *Rounds*): its instances are an
+//! [`Instances`] view of the sender's own table blocks, not a copy of
+//! their values. [`PaxosBase::round`] cuts one — a proposed batch, a
+//! phase 1's adoptions, a pump, a heartbeat's or an owner's re-send, a
+//! stalled peer's replay — as the block its first instance lies in and,
+//! when the round runs on past that block's end, the next one, with the
+//! first slot, the count and the stride: 1 for a MultiPaxos proposer's
+//! consecutive slots, `n` for a Mencius owner's every `n`th. Every
+//! acceptor it goes to shares it by reference count.
 //!
 //! A round stays what it was cut as because a [`Cell`]'s value changes
 //! only through `&mut`, which copies a block a round holds first
-//! (`engine::slots`, *Sharing*): a phase 1's re-proposal, a crash's drop
-//! and a compaction that stops inside the block copy it. What changes
-//! while the round is in flight — the ack tally, the decision, the write
-//! sequence, a promise — lives in `std::cell::Cell`s and changes in
-//! place, copying nothing. A round whose instances are not consecutive
-//! slots (a pump or a re-send past instances chosen out of order, a
-//! replay past a gap) or that runs over more than two blocks is copied
-//! instead, into one private block spanning it, its gaps empty.
-//! Mencius copies its rounds into a `msg::Round`: a view beside its
-//! stream element would make the largest message larger.
+//! (`engine::slots`, *Sharing*): a phase 1's re-proposal, a revocation's
+//! decision, a crash's drop and a compaction that stops inside the block
+//! copy it. A value put in an *empty* cell is filled in place, which is
+//! how a proposer numbers its next instances and how a Mencius owner
+//! stores its peers' values between its own, in a tail block its rounds
+//! hold. What changes while the round is in flight — the ack tally, the
+//! decision, the write sequence, a promise — lives in `std::cell::Cell`s
+//! and changes in place, copying nothing. A round whose instances are not
+//! a run `stride` apart (a pump or a re-send past instances chosen out of
+//! order, a retransmission of the slots that aged, a replay past a gap)
+//! or that runs over more than two blocks is copied instead: its
+//! `(slot, value)` pairs, in one allocation.
 
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::RangeBounds;
+use std::rc::Rc;
 
 use paxraft_sim::sim::Ctx;
 
@@ -69,7 +75,7 @@ use crate::snapshot::Snapshot;
 use crate::telemetry::MetricSample;
 use crate::types::{quorum, NodeId, Slot, Term};
 
-use super::slots::Block;
+use super::slots::WholeBlock;
 use super::{transfer, EngineCore, SlotRing};
 
 /// One Paxos instance (Figure 1's `s.instances[i]`); the default is the
@@ -224,6 +230,12 @@ impl PaxosBase {
         self.compacted_through
     }
 
+    /// Whether `slot` is above the checkpoint floor and holds no value:
+    /// [`Self::store`] writes there whatever it is given.
+    pub(crate) fn vacant(&self, slot: Slot) -> bool {
+        slot > self.compacted_through && self.cells.get(slot).is_none_or(|c| c.cmd.is_none())
+    }
+
     /// Whether `slot` was learnt chosen and still awaits its value.
     pub(crate) fn learnt_without_value(&self, slot: Slot) -> bool {
         self.committed_no_value.contains_key(&slot.0)
@@ -246,25 +258,29 @@ impl PaxosBase {
     /// A proposer's own write of `cmd` at its ballot, asking nothing: it
     /// numbers its instances above everything it executed and adopts
     /// values without counting them learnt. Returns the cell.
-    ///
-    /// A fresh instance fills its cell in place, in a tail block rounds
-    /// in flight hold too; a value written over a held instance (a phase
-    /// 1's adoption) copies such a block first (module docs, *Rounds*).
     pub(crate) fn write(&mut self, slot: Slot, bal: Term, cmd: Command) -> &Cell {
         self.accept_writes += 1;
-        if self.cells.get(slot).is_some() {
-            let cell = self.cells.get_mut(slot).expect("held");
-            cell.put(&mut self.bytes, bal, cmd);
-        } else {
-            self.bytes += cmd.size_bytes();
-            let cell = Cell {
-                bal: bal.into(),
-                cmd: Some(cmd),
-                ..Cell::default()
-            };
-            self.cells.insert(slot, cell);
-        }
+        self.put(slot, bal, cmd);
         self.cells.get(slot).expect("just written")
+    }
+
+    /// Puts `cmd` at `slot` at `bal`, returning the value it replaced. An
+    /// absent instance is filled whole, in place, in a tail block rounds
+    /// in flight hold too; a value written over a held instance (a phase
+    /// 1's adoption, a revocation's decision) copies such a block first
+    /// (module docs, *Rounds*).
+    fn put(&mut self, slot: Slot, bal: Term, cmd: Command) -> Option<Command> {
+        if let Some(cell) = self.cells.get_mut(slot) {
+            return cell.put(&mut self.bytes, bal, cmd);
+        }
+        self.bytes += cmd.size_bytes();
+        let cell = Cell {
+            bal: bal.into(),
+            cmd: Some(cmd),
+            ..Cell::default()
+        };
+        self.cells.insert(slot, cell);
+        None
     }
 
     /// Stores a value accepted (or learnt) at `bal`. A slot already
@@ -281,19 +297,24 @@ impl PaxosBase {
         if slot <= self.compacted_through {
             return Stored::BelowFloor;
         }
-        let cell = self.cells.get_or_default(slot);
-        let again = cell.bal.get() == bal && cell.cmd.as_ref() == Some(&cmd);
-        self.accept_duplicates += u64::from(again);
-        if cell.committed.get() && cell.cmd.is_some() {
-            return Stored::Kept;
+        if let Some(cell) = self.cells.get(slot) {
+            let again = cell.bal.get() == bal && cell.cmd.as_ref() == Some(&cmd);
+            self.accept_duplicates += u64::from(again);
+            if cell.committed.get() && cell.cmd.is_some() {
+                return Stored::Kept;
+            }
+            if again {
+                return self.promote(slot, bal, Stored::Kept);
+            }
         }
-        let stored = if again {
-            Stored::Kept
-        } else {
-            self.accept_writes += 1;
-            let cell = self.cells.get_mut(slot).expect("filled");
-            Stored::Written(cell.put(&mut self.bytes, bal, cmd))
-        };
+        self.accept_writes += 1;
+        let replaced = self.put(slot, bal, cmd);
+        self.promote(slot, bal, Stored::Written(replaced))
+    }
+
+    /// [`Self::store`]'s last step: a slot learnt chosen ahead of its
+    /// value is committed once a value `bal` vouches for is held.
+    fn promote(&mut self, slot: Slot, bal: Term, stored: Stored) -> Stored {
         let decided_at = self.committed_no_value.get(&slot.0);
         if decided_at.is_some_and(|at| bal >= *at) {
             self.committed_no_value.remove(&slot.0);
@@ -584,43 +605,54 @@ impl PaxosBase {
 
     /// The first `count` instances in `range` that hold a value and that
     /// `carried` admits, as one round (module docs, *Rounds*): a view of
-    /// the table's own blocks when they are consecutive slots within two
-    /// blocks, else a private block of their values. Cutting a view
-    /// allocates nothing.
+    /// the table's own blocks when they are a run of slots `stride` apart
+    /// (1 for MultiPaxos, `n` for a Mencius owner's) within two blocks,
+    /// else a copy of their values. Cutting a view allocates nothing.
     pub(crate) fn round(
         &self,
-        range: impl RangeBounds<Slot>,
+        range: impl RangeBounds<Slot> + Clone,
+        stride: u64,
         count: usize,
-        carried: impl Fn(&Cell) -> bool,
+        carried: impl Fn(Slot, &Cell) -> bool,
     ) -> Instances {
-        let carried = |cell: &Cell| cell.cmd.is_some() && carried(cell);
-        let cells = self.cells.range(range).filter(|(_, c)| carried(c));
-        let mut cut = cells.take(count).map(|(s, _)| s);
+        let carried = |s, cell: &Cell| cell.cmd.is_some() && carried(s, cell);
+        let held = || {
+            let cells = self.cells.range(range.clone());
+            cells.filter(|&(s, c)| carried(s, c)).take(count)
+        };
+        let mut cut = held().map(|(s, _)| s);
         let Some(first) = cut.next() else {
             return Instances::default();
         };
-        let (len, last) = cut.fold((1u64, first), |(n, _), s| (n + 1, s));
-        let span = last.0 - first.0 + 1;
-        let (head, from) = self.cells.block_at(first).expect("a held slot");
+        // How many, and whether each lies `stride` past the one before.
+        let (len, _, run) = cut.fold((1u64, first, true), |(n, prev, run), s| {
+            (n + 1, s, run && s.0 - prev.0 == stride)
+        });
+        if let Some(view) = run.then(|| self.view(first, len, stride)).flatten() {
+            return view;
+        }
+        // A mapped range tells `Rc<[_]>` its length: one allocation.
+        let mut pairs = held().map(|(s, c)| (s, c.cmd.clone().expect("carried")));
+        let copy = (0..len).map(|_| pairs.next().expect("as many as counted"));
+        Instances(Repr::Copied(Some(copy.collect())))
+    }
+
+    /// The run of `len` instances from `first`, `stride` apart, as a view
+    /// of the block `first` lies in and the next one, if they hold it.
+    fn view(&self, first: Slot, len: u64, stride: u64) -> Option<Instances> {
+        let (head, from) = self.cells.block_at(first)?;
+        let cells = (len - 1) * stride + 1;
         let in_head = (head.len() - from) as u64;
-        let next = match span.checked_sub(in_head) {
+        let next = match cells.checked_sub(in_head) {
             None | Some(0) => None,
-            Some(rest) => match self.cells.block_at(Slot(first.0 + in_head)) {
-                Some((next, 0)) if rest <= next.len() as u64 => Some(next.clone()),
-                _ => None,
+            Some(rest) => match self.cells.block_at(Slot(first.0 + in_head))? {
+                (next, 0) if rest <= next.len() as u64 => Some(next.clone().try_into().ok()?),
+                _ => return None,
             },
         };
-        if span != len || (span > in_head && next.is_none()) {
-            let held = |s| self.cells.get(s).filter(|c| carried(c)).and_then(Cell::cmd);
-            return Instances::copied(first, last, len as u32, held);
-        }
-        Instances {
-            blocks: [Some(head.clone()), next],
-            first,
-            from: from as u32,
-            span: span as u32,
-            len: len as u32,
-        }
+        let head = head.clone().try_into().ok()?;
+        let run = Run::new(first, len, stride)?;
+        Some(Instances(Repr::View { head, next, run }))
     }
 
     /// Crash: forgets what only the running process knew (the peers'
@@ -657,107 +689,172 @@ impl PaxosBase {
     }
 }
 
-/// One MultiPaxos round's instances (`engine/paxos_family.rs`,
-/// *Rounds*): up to two of the proposer's table blocks, shared, and the
-/// run of consecutive slots the round covers in them. A round that is
-/// not such a run has one private block of its own instead, spanning
-/// it, with its gaps empty. Whatever the table does after the cut, the
-/// round yields the values it was cut over.
+/// One round's instances (`engine/paxos_family.rs`, *Rounds*): a run of
+/// slots `stride` apart — consecutive for a MultiPaxos proposer, one
+/// Mencius owner's every `n`th — in up to two of the sender's table
+/// blocks, shared. A round that is not such a run is a copy of its
+/// `(slot, value)` pairs instead. Whatever the table does after the cut,
+/// the round yields the values it was cut over.
+///
+/// 24 bytes: every message of the simulator is as large as the largest,
+/// a `Suggest` carrying one of these, and is moved by value through its
+/// event queue. Table blocks are whole, so their pointers are thin, and a
+/// view's first slot, count and stride share one word.
 #[derive(Clone, Default)]
-pub struct Instances {
-    /// The block holding the first instance, and the next one when the
-    /// round runs on into it; neither for the empty round.
-    blocks: [Option<Block<Cell>>; 2],
-    /// The first instance's slot.
-    first: Slot,
-    /// The first instance's cell in `blocks[0]`.
-    from: u32,
-    /// Cells from there through the last instance's.
-    span: u32,
-    /// Instances in the round: `span` for a view, fewer for a private
-    /// block with gaps.
-    len: u32,
+pub struct Instances(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// A run in the table block its first instance lies in and, when it
+    /// goes on past that block's end, the next one. Table blocks start at
+    /// a multiple of their length, so where the first instance lies in
+    /// `head` follows from its slot.
+    View {
+        head: WholeBlock<Cell>,
+        next: Option<WholeBlock<Cell>>,
+        run: Run,
+    },
+    /// Anything else: the pairs, in slot order; none for the empty round.
+    Copied(Option<Rc<[(Slot, Command)]>>),
+}
+
+impl Default for Repr {
+    fn default() -> Self {
+        Repr::Copied(None)
+    }
+}
+
+/// A view's first slot (below 2^40), instance count (below 2^16: a view
+/// spans at most two blocks) and stride (below 2^8:
+/// `ReplicaConfig::validate` caps `n` at 32), in one word.
+#[derive(Clone, Copy)]
+struct Run(u64);
+
+impl Run {
+    fn new(first: Slot, len: u64, stride: u64) -> Option<Run> {
+        let fits = first.0 < 1 << 40 && len < 1 << 16 && stride < 1 << 8;
+        fits.then_some(Run(first.0 | len << 40 | stride << 56))
+    }
+
+    fn first(self) -> u64 {
+        self.0 & ((1 << 40) - 1)
+    }
+
+    fn len(self) -> u64 {
+        self.0 >> 40 & ((1 << 16) - 1)
+    }
+
+    fn stride(self) -> u64 {
+        self.0 >> 56
+    }
 }
 
 impl Instances {
     /// Instances in the round.
     pub fn len(&self) -> usize {
-        self.len as usize
+        match &self.0 {
+            Repr::View { run, .. } => run.len() as usize,
+            Repr::Copied(pairs) => pairs.as_deref().map_or(0, <[_]>::len),
+        }
     }
 
     /// True for the empty round (an idle heartbeat).
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// The last instance's slot.
     pub(crate) fn last(&self) -> Option<Slot> {
-        (self.len > 0).then(|| Slot(self.first.0 + u64::from(self.span) - 1))
+        match &self.0 {
+            Repr::View { run, .. } => Some(Slot(run.first() + (run.len() - 1) * run.stride())),
+            Repr::Copied(pairs) => pairs.as_deref()?.last().map(|(s, _)| *s),
+        }
     }
 
-    /// The round's cells: those in the first block, then those in the
-    /// next.
-    fn cells(&self) -> (&[OnceCell<Cell>], &[OnceCell<Cell>]) {
-        let [head, next] = self
-            .blocks
-            .each_ref()
-            .map(|b| b.as_deref().unwrap_or_default());
-        let (from, span) = (self.from as usize, self.span as usize);
-        let in_head = span.min(head.len() - from);
-        (&head[from..from + in_head], &next[..span - in_head])
+    /// Whether the round is a view of table blocks (tests).
+    #[cfg(test)]
+    pub(crate) fn is_view(&self) -> bool {
+        matches!(self.0, Repr::View { .. })
     }
 
     /// The `(instance, value)` pairs, in slot order.
-    pub fn iter(&self) -> impl Iterator<Item = (Slot, &Command)> + '_ {
-        let (head, next) = self.cells();
-        let slots = (self.first.0..).map(Slot);
-        let cells = head.iter().chain(next).zip(slots);
-        cells.filter_map(|(cell, s)| Some((s, cell.get()?.cmd()?)))
-    }
-
-    /// A private block over `first ..= last` holding the `len` values
-    /// `held` yields there, in one allocation: a mapped range tells
-    /// `Rc<[_]>` its length.
-    fn copied<'a>(
-        first: Slot,
-        last: Slot,
-        len: u32,
-        held: impl Fn(Slot) -> Option<&'a Command>,
-    ) -> Self {
-        let cell = |s| {
-            held(Slot(s)).map_or_else(OnceCell::new, |cmd| {
-                OnceCell::from(Cell {
-                    cmd: Some(cmd.clone()),
-                    ..Cell::default()
-                })
-            })
-        };
-        let block: Block<Cell> = (first.0..=last.0).map(cell).collect();
-        Instances {
-            span: block.len() as u32,
-            blocks: [Some(block), None],
-            first,
-            from: 0,
-            len,
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (Slot, &Command)> + '_ {
+        let none: &[OnceCell<Cell>] = &[];
+        match &self.0 {
+            Repr::View { head, next, run } => Pairs {
+                head: &head[..],
+                next: next.as_deref().map_or(none, |next| &next[..]),
+                // A table block starts at a multiple of its length.
+                at: (run.first() % head.len() as u64) as usize,
+                step: run.stride() as usize,
+                slot: run.first(),
+                left: run.len() as usize,
+                copied: [].iter(),
+            },
+            Repr::Copied(pairs) => Pairs {
+                head: none,
+                next: none,
+                at: 0,
+                step: 0,
+                slot: 0,
+                left: 0,
+                copied: pairs.as_deref().unwrap_or_default().iter(),
+            },
         }
     }
 }
 
-/// A round of its own: a private block holding the pairs given, in
-/// ascending slot order (tests that hand an acceptor a scripted round).
-#[cfg(test)]
+/// [`Instances::iter`]: a view's `left` instances, `step` cells apart
+/// from cell `at` of `head` on into `next`, or a copy's pairs.
+struct Pairs<'a> {
+    head: &'a [OnceCell<Cell>],
+    next: &'a [OnceCell<Cell>],
+    at: usize,
+    step: usize,
+    slot: u64,
+    left: usize,
+    copied: std::slice::Iter<'a, (Slot, Command)>,
+}
+
+impl<'a> Iterator for Pairs<'a> {
+    type Item = (Slot, &'a Command);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.left == 0 {
+            return self.copied.next().map(|(s, c)| (*s, c));
+        }
+        let cell = match self.head.get(self.at) {
+            Some(cell) => cell,
+            None => &self.next[self.at - self.head.len()],
+        };
+        // A view is cut over cells holding values, and a value in a
+        // shared block never changes (`engine::slots`, *Sharing*).
+        let cmd = cell
+            .get()
+            .and_then(Cell::cmd)
+            .expect("a view's cell holds its value");
+        let item = (Slot(self.slot), cmd);
+        self.left -= 1;
+        self.at += self.step;
+        self.slot += self.step as u64;
+        Some(item)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.left + self.copied.len();
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for Pairs<'_> {}
+
+/// A round of its own: a copy of the pairs given, in ascending slot order
+/// (a stand-in peer's scripted round, in tests).
 impl FromIterator<(Slot, Command)> for Instances {
     fn from_iter<I: IntoIterator<Item = (Slot, Command)>>(items: I) -> Self {
-        let items: Vec<(Slot, Command)> = items.into_iter().collect();
-        let (Some((first, _)), Some((last, _))) = (items.first(), items.last()) else {
-            return Instances::default();
-        };
+        let items: Rc<[(Slot, Command)]> = items.into_iter().collect();
         debug_assert!(items.windows(2).all(|w| w[0].0 < w[1].0));
-        let held = |s| {
-            let at = items.binary_search_by_key(&s, |(s, _)| *s).ok()?;
-            Some(&items[at].1)
-        };
-        Instances::copied(*first, *last, items.len() as u32, held)
+        Instances(Repr::Copied((!items.is_empty()).then_some(items)))
     }
 }
 
@@ -770,7 +867,6 @@ impl fmt::Debug for Instances {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::rc::Rc;
 
     fn put(seq: u64) -> Command {
         Command::put(CmdId { client: 1, seq }, seq, vec![0; 8])
@@ -1010,11 +1106,16 @@ mod tests {
         round.iter().map(|(s, c)| (s.0, key(c))).collect()
     }
 
-    /// Whether the table still holds the block `round` starts in.
+    /// Whether the table still holds the block `slot` lies in, and
+    /// `round` holds it too.
     fn shares(b: &PaxosBase, round: &Instances, slot: u64) -> bool {
         let (held, _) = b.cells.block_at(Slot(slot)).expect("a block");
-        let cut = round.blocks.iter().flatten();
-        cut.into_iter().any(|block| Rc::ptr_eq(block, held))
+        let Repr::View { head, next, .. } = &round.0 else {
+            return false;
+        };
+        let cut = std::iter::once(head).chain(next);
+        cut.into_iter()
+            .any(|block| std::ptr::eq(block.as_ptr(), held.as_ptr()))
     }
 
     /// The sharing contract (module docs, *Rounds*): a round cut across
@@ -1030,8 +1131,8 @@ mod tests {
         for s in 1..=300 {
             b.write(Slot(s), Term(2), put(s));
         }
-        let uncommitted = |c: &Cell| !c.committed.get();
-        let round = b.round(Slot(250)..=Slot(260), usize::MAX, uncommitted);
+        let uncommitted = |_, c: &Cell| !c.committed.get();
+        let round = b.round(Slot(250)..=Slot(260), 1, usize::MAX, uncommitted);
         let cut: Vec<(u64, u64)> = (250..=260).map(|s| (s, s)).collect();
         assert_eq!(pairs(&round), cut);
         assert_eq!((round.len(), round.last()), (11, Some(Slot(260))));
@@ -1072,9 +1173,9 @@ mod tests {
     }
 
     /// A round that is not a run of consecutive slots inside two blocks
-    /// is one private block: instances chosen out of order leave gaps in
-    /// it, and a re-send of everything uncommitted may span three blocks.
-    /// Either yields what the table held at the cut.
+    /// is a private copy of its pairs: instances chosen out of order
+    /// leave gaps in it, and a re-send of everything uncommitted may span
+    /// three blocks. Either yields what the table held at the cut.
     #[test]
     fn a_round_with_gaps_or_over_three_blocks_is_a_private_block() {
         let mut b = base();
@@ -1084,8 +1185,8 @@ mod tests {
         for s in [12, 13, 20] {
             b.cells.get(Slot(s)).unwrap().committed.set(true);
         }
-        let uncommitted = |c: &Cell| !c.committed.get();
-        let gaps = b.round(Slot(10).., 12, uncommitted);
+        let uncommitted = |_, c: &Cell| !c.committed.get();
+        let gaps = b.round(Slot(10).., 1, 12, uncommitted);
         let want: Vec<(u64, u64)> = [10, 11, 14, 15, 16, 17, 18, 19, 21, 22, 23, 24]
             .into_iter()
             .map(|s| (s, s))
@@ -1093,16 +1194,59 @@ mod tests {
         assert_eq!(pairs(&gaps), want);
         assert_eq!((gaps.len(), gaps.last()), (12, Some(Slot(24))));
         assert!(!shares(&b, &gaps, 10), "copied");
-        let wide = b.round(Slot(100)..=Slot(650), usize::MAX, uncommitted);
+        let wide = b.round(Slot(100)..=Slot(650), 1, usize::MAX, uncommitted);
         assert_eq!(wide.len(), 551);
         assert!(!shares(&b, &wide, 100));
         b.write(Slot(300), Term(3), put(0));
         assert!(pairs(&wide).into_iter().all(|(s, k)| s == k));
         // Within two blocks a run is a view; nothing is the empty round.
-        let run = b.round(Slot(200)..=Slot(500), usize::MAX, uncommitted);
+        let run = b.round(Slot(200)..=Slot(500), 1, usize::MAX, uncommitted);
         assert!(shares(&b, &run, 200));
-        let chosen = b.round(Slot(12)..=Slot(13), usize::MAX, uncommitted);
+        let chosen = b.round(Slot(12)..=Slot(13), 1, usize::MAX, uncommitted);
         assert!(chosen.is_empty());
+    }
+
+    /// A Mencius owner's round is a run of its own slots, `n` apart: a
+    /// view of the two blocks it lies in, whatever the table does next —
+    /// a peer's value stored between the owner's slots fills its empty
+    /// cell in place, copying nothing, and a revocation's no-op over one
+    /// of the round's slots copies the block first. A run with a gap, or
+    /// over three blocks, is a private copy.
+    #[test]
+    fn a_strided_round_is_a_view_of_one_owners_slots() {
+        let mut b = PaxosBase::new(5, NodeId(0));
+        let own = |s: u64| (s - 1) % 5 == 0;
+        for s in (1..=700).filter(|s| own(*s)) {
+            b.write(Slot(s), Term(2), put(s));
+        }
+        let mine = |s: Slot, c: &Cell| own(s.0) && !c.committed.get();
+        let round = b.round(Slot(201)..=Slot(500), 5, usize::MAX, mine);
+        let cut: Vec<(u64, u64)> = (201..=500).filter(|s| own(*s)).map(|s| (s, s)).collect();
+        assert_eq!(pairs(&round), cut);
+        assert_eq!((round.len(), round.last()), (60, Some(Slot(496))));
+        assert!(shares(&b, &round, 201) && shares(&b, &round, 496), "a view");
+        // A peer's value lands between the owner's slots, in place.
+        assert_eq!(b.store(Slot(202), Term(3), put(202)), Stored::Written(None));
+        assert!(shares(&b, &round, 201), "nothing copied");
+        assert_eq!(pairs(&round), cut);
+        // A revocation decides a no-op over slot 206: a copy.
+        let noop = Stored::Written(Some(put(206)));
+        assert_eq!(b.store(Slot(206), Term(9), Command::noop()), noop);
+        assert!(!shares(&b, &round, 201) && shares(&b, &round, 496));
+        assert_eq!(pairs(&round), cut);
+        // Slots 206 and 211 chosen: a run with gaps.
+        for s in [206, 211] {
+            b.cells.get(Slot(s)).unwrap().committed.set(true);
+        }
+        let gap = b.round(Slot(201)..=Slot(230), 5, usize::MAX, mine);
+        assert_eq!(
+            pairs(&gap),
+            [(201, 201), (216, 216), (221, 221), (226, 226)]
+        );
+        assert!(!gap.is_view());
+        let wide = b.round(Slot(211)..=Slot(700), 5, usize::MAX, mine);
+        assert!(!wide.is_view() && wide.len() == 97 && wide.last() == Some(Slot(696)));
+        assert!(pairs(&wide).iter().all(|&(s, k)| s == k && own(s)));
     }
 
     /// The highest-ballot merge keeps the higher ballot regardless of

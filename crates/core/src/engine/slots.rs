@@ -30,16 +30,17 @@
 //!
 //! A block is reference-counted ([`Block`]), so a reader can keep one
 //! past the call that found it: a Raft round is a view of the leader's
-//! own blocks ([`crate::log::View`]), and a MultiPaxos round a view of
-//! the proposer's ([`crate::msg::Instances`]), however many peers it
-//! goes to. A kept block is a snapshot of the cells that were set when
+//! own blocks ([`crate::log::View`]), and a MultiPaxos or Mencius round a
+//! view of the sender's ([`crate::msg::Instances`]), however many peers
+//! it goes to. A kept block is a snapshot of the cells that were set when
 //! it was taken, because a set cell changes only through a block nobody
 //! else holds:
 //!
 //! - filling an *empty* cell goes through the shared block, so a leader
-//!   appends, and a proposer numbers its next instances, into a tail
-//!   block that rounds in flight point at — they never read past the
-//!   cells they were cut over;
+//!   appends, a proposer numbers its next instances, and a Mencius owner
+//!   stores a peer's value between its own, into a tail block that rounds
+//!   in flight point at — they never read past the cells they were cut
+//!   over;
 //! - overwriting, taking or clearing a *set* cell goes through
 //!   `Rc::make_mut`, which first copies a block someone else holds.
 //!
@@ -49,9 +50,9 @@
 //! bitmap, the flags and the write sequence are `std::cell::Cell`s that
 //! change in place, shared block or not. Tallying an ack, learning a
 //! decision, tagging a write for its fsync or raising a promise copies
-//! nothing; re-proposing a value, a crash's drop or a compaction that
-//! stops inside a block a round holds copies that block first. Mencius
-//! copies its rounds (`msg::Round`) and never hands a block out.
+//! nothing; re-proposing a value, a revocation's decision, a crash's drop
+//! or a compaction that stops inside a block a round holds copies that
+//! block first.
 
 use std::cell::OnceCell;
 use std::collections::VecDeque;
@@ -66,6 +67,10 @@ const BLOCK: u64 = 256;
 /// A block of cells, shareable (module docs, *Sharing*). An empty cell
 /// is an absent slot.
 pub type Block<T> = Rc<[OnceCell<T>]>;
+
+/// A table's block held whole: its length is the table's, so a pointer
+/// to it is thin (a [`Block`] of that length converts with `try_into`).
+pub type WholeBlock<T> = Rc<[OnceCell<T>; BLOCK as usize]>;
 
 /// `block`'s cells to write: the block itself when nobody else holds it,
 /// else a copy of it put in its place (module docs, *Sharing*).

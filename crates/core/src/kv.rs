@@ -1011,18 +1011,22 @@ mod tests {
         // every cell of every log 72 B.
         assert_eq!(size_of::<std::cell::OnceCell<crate::log::Entry>>(), 64);
         // The largest message is a Mencius `Suggest`: term, round and a
-        // stream element that carries an ack (a term and a list of slots).
-        assert_eq!(size_of::<crate::msg::Msg>(), 104);
+        // stream element that carries an ack (a term and a list of
+        // slots). Its round is a 24 B view of the owner's table where it
+        // was a 16 B `Arc` of copied pairs: 8 B more per message, paid so
+        // that no round is copied (`engine/paxos_family.rs`, *Rounds*).
+        assert_eq!(size_of::<crate::msg::Msg>(), 112);
         // A list of slots sits where the `Vec<Slot>` it replaced sat.
         assert_eq!(size_of::<crate::msg::Slots>(), 24);
         // A forwarded batch holds one command in place, in the space of
         // that `Command`: a list rides in the operation's spare tags.
         assert_eq!(size_of::<crate::msg::Batch>(), 48);
         assert_eq!(size_of::<crate::msg::Coord>(), 80);
-        // An `Accept` carries a view of up to two table blocks and the
-        // run of slots it covers in them (`msg::Instances`).
-        assert_eq!(size_of::<crate::msg::PaxosMsg>(), 80);
-        assert_eq!(size_of::<crate::msg::MenciusMsg>(), 104);
+        // A round's instances: thin pointers to up to two whole table
+        // blocks and the run in one word, or a copy of the pairs.
+        assert_eq!(size_of::<crate::msg::Instances>(), 24);
+        assert_eq!(size_of::<crate::msg::PaxosMsg>(), 56);
+        assert_eq!(size_of::<crate::msg::MenciusMsg>(), 112);
         // The Paxos-family instance, one for both rules files: the ack
         // bitmap and the flags share one word.
         use crate::engine::paxos_family::Cell;

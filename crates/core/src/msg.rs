@@ -26,14 +26,14 @@
 //!
 //! A round is handed to every peer it goes to, so what it carries is
 //! shared, never copied per peer. A Raft `Append` carries a
-//! [`crate::log::View`] of the leader's log blocks and a MultiPaxos
-//! `Accept` an [`Instances`] view of the proposer's instance table: the
-//! one or two blocks the round lies in and the run of slots it covers,
-//! so cutting one — proposed, pumped, re-sent, replayed — allocates
-//! nothing (`engine/paxos_family.rs`, *Rounds*). A Mencius `Suggest`
-//! carries a [`Round`] collected once from the batch: a view beside its
-//! stream element would make the largest message larger. The size model
-//! charges what the pairs weigh, whichever way they are held.
+//! [`crate::log::View`] of the leader's log blocks; a MultiPaxos `Accept`
+//! and a Mencius `Suggest` carry an [`Instances`] view of the sender's
+//! instance table: the one or two blocks the round lies in and the run
+//! of slots it covers, consecutive for a MultiPaxos proposer and `n`
+//! apart for a Mencius owner. Cutting one — proposed, pumped, re-sent,
+//! replayed — allocates nothing (`engine/paxos_family.rs`, *Rounds*).
+//! The size model charges what the pairs weigh, whichever way they are
+//! held.
 //!
 //! # A lone forwarded command rides in place
 //!
@@ -42,8 +42,6 @@
 //! in the message itself and only a longer batch in a list, so forwarding
 //! a lone command allocates nothing and the follower keeps its buffer.
 //! The size model charges the same bytes either way.
-
-use std::sync::Arc;
 
 pub use crate::engine::paxos_family::Instances;
 use crate::kv::{CmdId, Command, Reply};
@@ -254,7 +252,10 @@ impl Slots {
                     1 if slot.0 > *first && step <= u32::MAX as u64 => *stride = step as u32,
                     n if n > 1 && n < u32::MAX && step == n as u64 * *stride as u64 => {}
                     _ => {
-                        let mut list: Vec<Slot> = self.iter().collect();
+                        // One allocation, with room to grow as a vector
+                        // that doubled would have.
+                        let mut list = Vec::with_capacity(2 * (self.len() + 1));
+                        list.extend(self.iter());
                         list.push(slot);
                         self.0 = Repr::List(list);
                         return;
@@ -395,12 +396,6 @@ impl IntoIterator for Batch {
         one.into_iter().chain(list)
     }
 }
-
-/// One Mencius round's payload, built once by its owner and handed to
-/// every peer by reference count; an acceptor clones the values out. A
-/// MultiPaxos round is a view of the proposer's table instead
-/// ([`Instances`]).
-pub type Round = Arc<[(Slot, Command)]>;
 
 /// MultiPaxos messages (Figure 1). Phase-2 messages batch multiple
 /// instances, matching the paper's note that MultiPaxos "optimizes
@@ -637,8 +632,10 @@ pub enum MenciusMsg {
     Suggest {
         /// Owner's current term.
         term: Term,
-        /// `(slot, command)` pairs; slots are the owner's (spaced `n`).
-        items: Round,
+        /// `(slot, command)` pairs; slots are the owner's (spaced `n`): a
+        /// view of the owner's table blocks as they were when the round
+        /// was cut ([`Instances`]), shared by every peer it goes to.
+        items: Instances,
         /// The owner's stream element; its range covers `items`.
         coord: Coord,
     },
@@ -1000,7 +997,7 @@ mod tests {
         let suggest = |d, a| {
             Msg::Mencius(MenciusMsg::Suggest {
                 term: Term(1),
-                items: vec![(Slot(4), cmd(8))].into(),
+                items: [(Slot(4), cmd(8))].into_iter().collect(),
                 coord: coord(d, a),
             })
             .size_bytes()

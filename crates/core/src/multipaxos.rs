@@ -95,7 +95,7 @@ pub struct PaxosRules {
     /// Every round cut, beside the copy `round_of` gathers at the cut:
     /// what the acceptors must be sent.
     #[cfg(test)]
-    cuts: Vec<(Instances, crate::msg::Round)>,
+    cuts: Vec<(Instances, Vec<(Slot, Command)>)>,
 }
 
 impl MultiPaxosReplica {
@@ -313,7 +313,7 @@ impl PaxosRules {
         count: usize,
         carried: fn(&Cell) -> bool,
     ) -> Instances {
-        let round = self.base.round(range.clone(), count, carried);
+        let round = self.base.round(range.clone(), 1, count, |_, c| carried(c));
         #[cfg(test)]
         {
             let held = |(_, c): &(Slot, &Cell)| c.cmd().is_some() && carried(c);
@@ -630,16 +630,13 @@ fn uncommitted(inst: &Cell) -> bool {
 }
 
 /// The copy a round was before it was a view: the values of the first
-/// `count` of `cells` (each holding one), gathered into a `msg::Round`.
-/// Kept as the oracle that every view yields what it gathered.
+/// `count` of `cells` (each holding one), gathered into a list. Kept as
+/// the oracle that every view yields what it gathered.
 #[cfg(test)]
 fn round_of<'a>(
     count: usize,
     mut cells: impl Iterator<Item = (Slot, &'a Cell)>,
-) -> crate::msg::Round {
-    if count == 0 {
-        return crate::msg::Round::default();
-    }
+) -> Vec<(Slot, Command)> {
     let mut next = move || {
         let (slot, inst) = cells.next().expect("as many cells as were counted");
         (

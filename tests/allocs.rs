@@ -9,7 +9,7 @@
 //! counts repeat to the third decimal run to run (`HashMap` hasher seeds
 //! move them by parts in 10^4).
 //!
-//! Four commits made the readings. The first built a round's payload
+//! Five commits made the readings. The first built a round's payload
 //! once, made a list of slots a run and handed buffers back (*before* and
 //! *after* read either side of it). Since the second, a Raft-family round
 //! is a view of the leader's log rather than a copy of it (`log.rs`,
@@ -19,30 +19,33 @@
 //! shared empty one, and Raft\*-PQL serves its parked reads in place
 //! (*in place* reads after it). Since the fourth, a MultiPaxos round is a
 //! view of the proposer's instance table (`engine/paxos_family.rs`,
-//! *Rounds*; *table* reads after it). The ceilings are 1.25 x the last
-//! reading.
+//! *Rounds*; *table* reads after it), and since the fifth a Mencius round
+//! is one of the owner's, a slot in `n`, and a list of slots that spills
+//! is sized with room to grow (*strided*). The ceilings are 1.25 x the
+//! last reading.
 //!
-//! | protocol                | before | after | copied | viewed | in place | table | ceiling |
-//! |-------------------------|-------:|------:|-------:|-------:|---------:|------:|--------:|
-//! | Raft                    |  3.334 | 1.232 |  1.244 |  0.373 |    0.225 | 0.225 |    0.28 |
-//! | Raft\*                  |  1.867 | 1.232 |  1.244 |  0.373 |    0.225 | 0.225 |    0.28 |
-//! | Raft\*-PQL              |  1.226 | 0.322 |  0.322 |  0.193 |    0.031 | 0.032 |    0.04 |
-//! | Raft, per-entry fsync   |      — |     — |  1.577 |  0.604 |    0.332 | 0.332 |    0.42 |
-//! | MultiPaxos              |  7.640 | 2.068 |  2.010 |  2.010 |    1.164 | 0.201 |    0.25 |
-//! | Mencius                 | 19.894 | 4.230 |  1.466 |  1.466 |    1.466 | 1.456 |    1.85 |
-//! | Mencius, saturated LAN  |      — |     — |  0.246 |  0.246 |    0.246 | 0.237 |    0.31 |
+//! | protocol                | before | after | copied | viewed | in place | table | strided | ceiling |
+//! |-------------------------|-------:|------:|-------:|-------:|---------:|------:|--------:|--------:|
+//! | Raft                    |  3.334 | 1.232 |  1.244 |  0.373 |    0.225 | 0.225 |   0.225 |    0.28 |
+//! | Raft\*                  |  1.867 | 1.232 |  1.244 |  0.373 |    0.225 | 0.225 |   0.225 |    0.28 |
+//! | Raft\*-PQL              |  1.226 | 0.322 |  0.322 |  0.193 |    0.031 | 0.032 |   0.032 |    0.04 |
+//! | Raft, per-entry fsync   |      — |     — |  1.577 |  0.604 |    0.332 | 0.332 |   0.332 |    0.42 |
+//! | MultiPaxos              |  7.640 | 2.068 |  2.010 |  2.010 |    1.164 | 0.201 |   0.201 |    0.25 |
+//! | Mencius                 | 19.894 | 4.230 |  1.466 |  1.466 |    1.466 | 1.456 |   0.296 |    0.37 |
+//! | Mencius, saturated LAN  |      — |     — |  0.246 |  0.246 |    0.246 | 0.237 |   0.050 |   0.063 |
 //!
 //! Every *before*, every Raft-family *copied* and every *viewed* reading
-//! but the Mencius rows' exceeds its ceiling, and so does MultiPaxos's *in
-//! place*. The load is light on purpose (10
+//! exceeds its ceiling, and so do MultiPaxos's *in place* and both
+//! Mencius rows' *table*. The load is light on purpose (10
 //! clients a region, batches of one or two), so per-message costs are not
 //! hidden by batching; the ledger's `wan-paper` cells at 50 clients a
 //! region read 0.1-0.5. What is left here: a forwarded batch of more than
 //! one command (one allocation of exact size, owned by the message that
-//! carries it), a MultiPaxos round whose instances are not consecutive
-//! slots (one private block), a log or table block per 256
-//! entries, and at this load Mencius's stalled-peer replay and decision
-//! lists whose slots are not evenly spaced. The per-entry fsync row runs
+//! carries it), a round whose instances are not a run (one private
+//! block: a MultiPaxos pump past instances chosen out of order, a Mencius
+//! retransmission of the slots that aged), a log or table block per 256
+//! slots, and at this load Mencius's ack and decision lists whose slots
+//! are not evenly spaced. The per-entry fsync row runs
 //! Raft with a 1 ms barrier per entry behind every ack, where the leader's
 //! pump cuts a round per freed window slot for one peer: each of those was
 //! a copy of its own.
@@ -52,31 +55,34 @@
 //! in flight for every client. Mencius's conflict index keeps those
 //! writes by key: as one ordered set of `(key, slot)` it read 0.779 there
 //! and 1.554 on the light row; as a hash entry per key, the slot in
-//! place, 0.246 and 1.466. Both Mencius ceilings are about 1.26 x the
-//! hash entry's reading (the light row's was 5.30 until then), and the
-//! ordered set's 0.779 fails the saturated one.
+//! place, 0.246 and 1.466, and the ordered set's 0.779 fails the
+//! saturated ceiling.
 //!
 //! The same allocator keeps a live-byte count per thread, which
 //! `a_log_holds_what_it_spans` reads: Raft's log holds what it spans.
 //! `a_completion_is_24_bytes` pins what a client keeps per operation,
 //! `a_state_copy_costs_one_allocation_per_table` what a checkpoint costs,
 //! and `a_round_is_a_view_of_the_log_not_a_copy` what cutting a round
-//! costs: nothing. Three tests count single handlers:
+//! costs: nothing. Four tests count single handlers:
 //! `a_lone_forwarded_command_allocates_nothing`,
-//! `an_idle_multipaxos_heartbeat_allocates_nothing` and
-//! `a_multipaxos_round_is_a_view_of_the_table_not_a_copy`, the twin of
-//! the Raft round's.
+//! `an_idle_multipaxos_heartbeat_allocates_nothing`, and
+//! `a_multipaxos_round_is_a_view_of_the_table_not_a_copy` and
+//! `a_mencius_round_is_a_view_of_the_table_not_a_copy`, the twins of the
+//! Raft round's.
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use paxraft::core::client::Completion;
 use paxraft::core::config::{DurabilityConfig, ReplicaConfig};
-use paxraft::core::engine::EngineCore;
+use paxraft::core::engine::{EngineCore, ProtocolRules, ReplicaEngine};
 use paxraft::core::harness::{Cluster, ClusterBuilder, ProtocolKind};
 use paxraft::core::kv::{CmdId, Command, KvStore};
 use paxraft::core::log::{Entry, Log};
-use paxraft::core::msg::{ClientMsg, EngineMsg, Msg, PaxosMsg, RaftMsg};
-use paxraft::core::multipaxos::MultiPaxosReplica;
+use paxraft::core::mencius::{MenciusReplica, MenciusRules};
+use paxraft::core::msg::{
+    Ack, ClientMsg, Coord, EngineMsg, MenciusMsg, Msg, PaxosMsg, RaftMsg, Slots,
+};
+use paxraft::core::multipaxos::{MultiPaxosReplica, PaxosRules};
 use paxraft::core::snapshot::Snapshot;
 use paxraft::core::types::{NodeId, Slot, Term};
 use paxraft::sim::net::{NetConfig, Region};
@@ -214,14 +220,14 @@ fn steady_state_allocations_per_operation_stay_under_their_ceilings() {
         (ProtocolKind::RaftStar, 0.28),
         (ProtocolKind::RaftStarPql, 0.04),
         (ProtocolKind::MultiPaxos, 0.25),
-        (ProtocolKind::RaftStarMencius, 1.85),
+        (ProtocolKind::RaftStarMencius, 0.37),
     ];
     let mut read: Vec<(&str, f64, f64)> = light
         .iter()
         .map(|&(protocol, ceiling)| (protocol.name(), light_wan(protocol), ceiling))
         .collect();
     read.push(("Raft, per-entry fsync", light_wan_per_entry_fsync(), 0.42));
-    read.push(("Mencius, saturated LAN", saturated_lan_mencius(), 0.31));
+    read.push(("Mencius, saturated LAN", saturated_lan_mencius(), 0.063));
     for &(name, per_op, _) in &read {
         println!("{name}: {per_op:.3} allocations per operation");
     }
@@ -557,47 +563,58 @@ impl Actor<Msg> for Puppet {
     paxraft::sim::impl_actor_any!();
 }
 
-/// What one handler of a [`Counted`] proposer did.
+/// What one handler of a [`Counted`] replica did.
 #[derive(Debug, Clone, Copy)]
 struct Handled {
     /// A timer fired (the heartbeat, the batch timer), not a message.
     timer: bool,
-    /// The message was an `AcceptOk`.
-    ack: bool,
+    /// The message was a peer's: an `AcceptOk` to a MultiPaxos proposer,
+    /// a `Suggest` to a Mencius owner.
+    peer: bool,
     /// Allocation calls the handler made.
     allocs: u64,
     /// Replication rounds it shipped through the window.
     rounds: u64,
 }
 
-/// A MultiPaxos replica whose handlers are counted.
-struct Counted {
-    inner: MultiPaxosReplica,
+/// A replica whose handlers are counted.
+struct Counted<P: ProtocolRules> {
+    inner: ReplicaEngine<P>,
     handled: Vec<Handled>,
 }
 
-impl Counted {
-    fn run(&mut self, timer: bool, ack: bool, f: impl FnOnce(&mut MultiPaxosReplica)) {
+impl<P: ProtocolRules> Counted<P> {
+    fn new(inner: ReplicaEngine<P>) -> Self {
+        Counted {
+            inner,
+            handled: Vec::new(),
+        }
+    }
+
+    fn run(&mut self, timer: bool, peer: bool, f: impl FnOnce(&mut ReplicaEngine<P>)) {
         let rounds = self.inner.pipeline_stats().rounds_sent;
         let ((), allocs) = counted(|| f(&mut self.inner));
         let rounds = self.inner.pipeline_stats().rounds_sent - rounds;
         self.handled.push(Handled {
             timer,
-            ack,
+            peer,
             allocs,
             rounds,
         });
     }
 }
 
-impl Actor<Msg> for Counted {
+impl<P: ProtocolRules> Actor<Msg> for Counted<P> {
     fn on_start(&mut self, ctx: &mut Ctx<Msg>) {
         self.inner.on_start(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<Msg>, from: ActorId, msg: Msg) {
-        let ack = matches!(msg, Msg::Paxos(PaxosMsg::AcceptOk { .. }));
-        self.run(false, ack, |inner| inner.on_message(ctx, from, msg));
+        let peer = matches!(
+            msg,
+            Msg::Paxos(PaxosMsg::AcceptOk { .. }) | Msg::Mencius(MenciusMsg::Suggest { .. })
+        );
+        self.run(false, peer, |inner| inner.on_message(ctx, from, msg));
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<Msg>, token: u64) {
@@ -617,10 +634,7 @@ fn paxos_proposer_among_puppets() -> Simulation<Msg> {
     cfg.peers = (0..N).map(ActorId).collect();
     cfg.client_base = N;
     cfg.initial_leader = Some(NodeId(0));
-    let proposer = Counted {
-        inner: MultiPaxosReplica::new(cfg),
-        handled: Vec::new(),
-    };
+    let proposer = Counted::new(MultiPaxosReplica::new(cfg));
     sim.add_actor(Region::Oregon, Box::new(proposer));
     for (i, region) in Region::ALL.into_iter().enumerate().skip(1) {
         let puppet = Puppet {
@@ -630,7 +644,7 @@ fn paxos_proposer_among_puppets() -> Simulation<Msg> {
         sim.add_actor(region, Box::new(puppet));
     }
     sim.run_for(SimDuration::from_secs(1));
-    let proposer = sim.actor_mut::<Counted>(ActorId(0));
+    let proposer = sim.actor_mut::<Counted<PaxosRules>>(ActorId(0));
     assert!(proposer.inner.is_leader(), "phase 1 won");
     proposer.handled.clear();
     sim
@@ -644,7 +658,7 @@ fn paxos_proposer_among_puppets() -> Simulation<Msg> {
 fn an_idle_multipaxos_heartbeat_allocates_nothing() {
     let mut sim = paxos_proposer_among_puppets();
     sim.run_for(SimDuration::from_secs(2));
-    let handled = &sim.actor::<Counted>(ActorId(0)).handled;
+    let handled = &sim.actor::<Counted<PaxosRules>>(ActorId(0)).handled;
     let beats = handled.iter().filter(|h| h.timer).count();
     assert!(beats >= 10, "{beats} heartbeats in two idle seconds");
     let made: u64 = handled.iter().map(|h| h.allocs).sum();
@@ -679,14 +693,16 @@ fn a_multipaxos_round_is_a_view_of_the_table_not_a_copy() {
         sim.run_for(SimDuration::from_secs(1));
     };
     write(&mut sim, 1..=40);
-    sim.actor_mut::<Counted>(ActorId(0)).handled.clear();
+    sim.actor_mut::<Counted<PaxosRules>>(ActorId(0))
+        .handled
+        .clear();
     write(&mut sim, 41..=240);
-    let proposer = sim.actor::<Counted>(ActorId(0));
+    let proposer = sim.actor::<Counted<PaxosRules>>(ActorId(0));
     // A heartbeat's re-send goes outside the window, so a timer that
     // shipped rounds through it was the batch timer's proposal.
     let handled = || proposer.handled.iter();
-    let proposed = handled().filter(|h| !h.ack && h.rounds > 0).count();
-    let pumped = handled().filter(|h| h.ack && h.rounds > 0).count();
+    let proposed = handled().filter(|h| !h.peer && h.rounds > 0).count();
+    let pumped = handled().filter(|h| h.peer && h.rounds > 0).count();
     let beats = handled().filter(|h| h.timer && h.rounds == 0).count();
     assert!(
         proposed >= 10 && pumped >= 10 && beats >= 5,
@@ -699,5 +715,145 @@ fn a_multipaxos_round_is_a_view_of_the_table_not_a_copy() {
     let largest = sim.actor::<Puppet>(ActorId(2)).largest;
     assert_eq!(largest, 240, "a heartbeat re-sends every instance");
     let made: Vec<&Handled> = proposer.handled.iter().filter(|h| h.allocs > 0).collect();
+    assert!(made.is_empty(), "handlers that allocated: {made:?}");
+}
+
+/// Replicas in the Mencius tests: the owner and two stand-ins.
+const MENCIUS_N: u64 = 3;
+
+/// A stand-in Mencius owner: keeps every message the real owner sends it,
+/// so each of its rounds stays in flight, acknowledges every round and
+/// reports everything executed. Node 2 accounts for all its own slots as
+/// no-ops; node 1 suggests a value of its own in its slot just below each
+/// round (in a block that round holds), accounting for its slots up to
+/// there, and its ack rides that `Suggest`.
+struct MenciusPuppet {
+    me: u64,
+    held: Vec<Msg>,
+}
+
+impl Actor<Msg> for MenciusPuppet {
+    fn on_message(&mut self, ctx: &mut Ctx<Msg>, from: ActorId, msg: Msg) {
+        if let Msg::Mencius(MenciusMsg::Suggest { term, items, .. }) = &msg {
+            let first = items.iter().next().map_or(0, |(s, _)| s.0);
+            let ack = Ack {
+                term: *term,
+                slots: items.iter().map(|(s, _)| s).collect(),
+            };
+            let coord = |watermark| Coord {
+                from: Slot(1),
+                watermark: Slot(watermark),
+                commits: Slots::new(),
+                exec: Slot(u64::MAX / 2),
+                ack: Some(ack),
+            };
+            let below = (first + self.me)
+                .checked_sub(MENCIUS_N)
+                .filter(|_| self.me == 1);
+            let reply = match below {
+                Some(slot) => {
+                    let cmd = Command::get(
+                        CmdId {
+                            client: 99,
+                            seq: slot,
+                        },
+                        slot,
+                    );
+                    MenciusMsg::Suggest {
+                        term: *term,
+                        items: [(Slot(slot), cmd)].into_iter().collect(),
+                        coord: coord(slot + 1),
+                    }
+                }
+                None if self.me == 1 => MenciusMsg::Notice { coord: coord(1) },
+                None => MenciusMsg::Notice {
+                    coord: coord(u64::MAX / 2),
+                },
+            };
+            ctx.send(from, Msg::Mencius(reply));
+        }
+        self.held.push(msg);
+    }
+
+    paxraft::sim::impl_actor_any!();
+}
+
+/// Takes the owner's answers to its client.
+struct Sink;
+
+impl Actor<Msg> for Sink {
+    fn on_message(&mut self, _ctx: &mut Ctx<Msg>, _from: ActorId, _msg: Msg) {}
+
+    paxraft::sim::impl_actor_any!();
+}
+
+/// A real Mencius owner (node 0, Oregon) between two stand-ins (Ohio,
+/// Ireland) and a client that takes its answers. Every handler of the
+/// owner is counted.
+fn mencius_owner_among_puppets() -> Simulation<Msg> {
+    let n = MENCIUS_N as usize;
+    let mut sim = Simulation::new(NetConfig::default(), 7);
+    let mut cfg = ReplicaConfig::wan_default(NodeId(0), n);
+    cfg.peers = (0..n).map(ActorId).collect();
+    cfg.client_base = n;
+    sim.add_actor(
+        Region::Oregon,
+        Box::new(Counted::new(MenciusReplica::new(cfg))),
+    );
+    for (me, region) in [(1, Region::Ohio), (2, Region::Ireland)] {
+        let held = Vec::new();
+        sim.add_actor(region, Box::new(MenciusPuppet { me, held }));
+    }
+    sim.add_actor(Region::Oregon, Box::new(Sink));
+    sim
+}
+
+/// A Mencius round is a view of the owner's instance table, one slot in
+/// `n` (`engine/paxos_family.rs`, *Rounds*), as a MultiPaxos round is of
+/// the proposer's: proposing a batch and suggesting it to both peers
+/// allocates nothing, and neither does storing a peer's value in a block
+/// the owner's rounds in flight hold (every round stays held: the
+/// stand-ins keep what they receive). Writes arrive a millisecond apart,
+/// so while the window waits for acks the batch timer cuts rounds of
+/// several. Sixty-five writes first take the table's first block and
+/// grow the owner's suggestion times, key table and window records; the
+/// 20 counted ones land in that block (own slot 253 of 256). A round
+/// copied into a private block was one allocation a round, and a peer's
+/// value stored through a write to a held block copied that block.
+#[test]
+fn a_mencius_round_is_a_view_of_the_table_not_a_copy() {
+    let mut sim = mencius_owner_among_puppets();
+    let write = |sim: &mut Simulation<Msg>, seqs: std::ops::RangeInclusive<u64>| {
+        let first = *seqs.start();
+        for seq in seqs {
+            let cmd = Command::put(CmdId { client: 0, seq }, seq, vec![0; 8]);
+            let at = SimDuration::from_millis(seq - first + 1);
+            sim.send_external(ActorId(0), Msg::Client(ClientMsg::Request { cmd }), at);
+        }
+        sim.run_for(SimDuration::from_secs(1));
+    };
+    write(&mut sim, 1..=65);
+    sim.actor_mut::<Counted<MenciusRules>>(ActorId(0))
+        .handled
+        .clear();
+    sim.actor_mut::<MenciusPuppet>(ActorId(2)).held.clear();
+    write(&mut sim, 66..=85);
+    let owner = sim.actor::<Counted<MenciusRules>>(ActorId(0));
+    let handled = || owner.handled.iter();
+    let proposed = handled().filter(|h| h.rounds > 0).count();
+    let stored = handled().filter(|h| h.peer).count();
+    assert!(
+        proposed >= 10 && stored >= 10,
+        "{proposed} proposed, {stored} peer values stored"
+    );
+    let rounds = sim.actor::<MenciusPuppet>(ActorId(2)).held.iter();
+    let largest = rounds
+        .filter_map(|m| match m {
+            Msg::Mencius(MenciusMsg::Suggest { items, .. }) => Some(items.len()),
+            _ => None,
+        })
+        .max();
+    assert!(largest > Some(1), "a batch of several: {largest:?}");
+    let made: Vec<&Handled> = handled().filter(|h| h.allocs > 0).collect();
     assert!(made.is_empty(), "handlers that allocated: {made:?}");
 }
