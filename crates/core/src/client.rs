@@ -252,13 +252,13 @@ impl Actor<Msg> for WorkloadClient {
             self.issue(ctx, cmd);
             return;
         }
-        if let Msg::Client(ClientMsg::RouterUpdate { router }) = &msg {
+        if let Msg::Client(ClientMsg::RouterUpdate { router }) = msg {
             // The rebalance coordinator published a bumped partition
             // map; adopt it if it is newer than ours.
             self.seen_version = self.seen_version.max(router.version());
             if let Some(s) = &mut self.shard {
                 if router.version() > s.router.version() {
-                    s.router = router.clone();
+                    s.router = router;
                     self.router_updates += 1;
                 }
             }

@@ -67,7 +67,7 @@ use crate::config::ReplicaConfig;
 use crate::costs::CostModel;
 use crate::kv::{CmdId, Command, KvStore, Op, Reply};
 use crate::msg::{
-    Batch, ClientMsg, EngineMsg, Msg, SHARD_GROUP_HEADER, SNAPSHOT_ACK_HEADER,
+    ClientMsg, EngineMsg, Msg, Outbox, SHARD_GROUP_HEADER, SNAPSHOT_ACK_HEADER,
     SNAPSHOT_CHUNK_HEADER,
 };
 use crate::shard::migration::{install_cmd_id, KeyOwnership, RangeExport, RouterVersion};
@@ -122,6 +122,8 @@ pub struct EngineCore {
     /// Commands buffered for the next batch flush (leader) or forward
     /// (follower).
     pub pending: Vec<Command>,
+    /// The block a follower moves a forwarded batch into (`msg::Outbox`).
+    outbox: Outbox,
     batch_armed: bool,
     /// Reassembles incoming snapshot chunks, keyed by sender.
     pub snap_asm: ChunkAssembler,
@@ -215,6 +217,7 @@ impl EngineCore {
             kv: KvStore::new(),
             leader_hint: None,
             pending: Vec::new(),
+            outbox: Outbox::default(),
             batch_armed: false,
             snap_asm: ChunkAssembler::default(),
             stable_snap: None,
@@ -392,10 +395,10 @@ impl EngineCore {
         if leader == self.cfg.id || self.pending.is_empty() {
             return;
         }
-        // A lone command rides in the message; a longer batch leaves as
-        // one copy of exact size. Either way `pending` keeps its buffer,
-        // so the batches to come never regrow it.
-        let cmds: Batch = self.pending.drain(..).collect();
+        // A lone command rides in the message; a longer batch is a view
+        // of the forward block it moved into. Either way `pending` keeps
+        // its buffer, so the batches to come never regrow it.
+        let cmds = self.outbox.cut(&mut self.pending);
         self.forwarded_cmds += cmds.len() as u64;
         if ctx.spans_enabled() {
             for c in cmds.iter() {
@@ -1208,11 +1211,13 @@ impl<P: ProtocolRules> Actor<Msg> for ReplicaEngine<P> {
     }
 
     fn on_crash(&mut self) {
-        // Shared volatile state: the pending batch, the batch timer, any
-        // in-flight transfer, the per-peer progress (rounds, cursors,
-        // transfer pacing) and the leader hint die with the process. What
-        // of its log each family keeps is the rules' concern.
+        // Shared volatile state: the pending batch and the block forwarded
+        // batches are cut from, the batch timer, any in-flight transfer,
+        // the per-peer progress (rounds, cursors, transfer pacing) and the
+        // leader hint die with the process. What of its log each family
+        // keeps is the rules' concern.
         self.core.pending.clear();
+        self.core.outbox = Outbox::default();
         // The election, heartbeat, batch and max-delay timers are keyed:
         // the simulator cancels them on the crash.
         self.core.batch_armed = false;

@@ -1019,7 +1019,8 @@ mod tests {
         // A list of slots sits where the `Vec<Slot>` it replaced sat.
         assert_eq!(size_of::<crate::msg::Slots>(), 24);
         // A forwarded batch holds one command in place, in the space of
-        // that `Command`: a list rides in the operation's spare tags.
+        // that `Command`: a list, or a view of the follower's forward
+        // block, rides in the operation's spare tags.
         assert_eq!(size_of::<crate::msg::Batch>(), 48);
         assert_eq!(size_of::<crate::msg::Coord>(), 80);
         // A round's instances: thin pointers to up to two whole table

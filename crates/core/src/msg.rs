@@ -35,19 +35,30 @@
 //! The size model charges what the pairs weigh, whichever way they are
 //! held.
 //!
-//! # A lone forwarded command rides in place
+//! # A forwarded batch is a view of the follower's block
 //!
-//! Most follower forwards carry one command: the cutter ships a batch as
-//! soon as the leader's window has room. [`Batch`] holds that one command
-//! in the message itself and only a longer batch in a list, so forwarding
-//! a lone command allocates nothing and the follower keeps its buffer.
-//! The size model charges the same bytes either way.
+//! A follower batches client requests and forwards them to the leader
+//! (Section 5). Most forwards carry one command: the cutter ships a batch
+//! as soon as the leader's window has room. [`Batch`] holds that one
+//! command in the message itself. A longer batch moves into the next free
+//! cells of a small block the follower keeps, one full batch long, and
+//! the message carries a view of those cells: the block is shareable by
+//! the rule `engine/slots.rs` states (*Sharing*), since the follower only
+//! ever fills empty cells and a batch reads only the cells it was cut
+//! over. A fresh block is taken when a batch does not fit the current
+//! one, so forwarding costs an allocation per block, not per batch, and
+//! the follower keeps its buffer. Only a batch longer than a block — the
+//! buffer outgrew it while no leader was known — is copied into a list.
+//! The leader takes the commands out in order, clones of a view's cells.
+//! The size model charges the same bytes however a batch is held.
 
 pub use crate::engine::paxos_family::Instances;
 use crate::kv::{CmdId, Command, Reply};
 use crate::log::{Entry, View};
 use crate::types::{NodeId, Slot, Term};
 use paxraft_sim::sim::Payload;
+use std::cell::OnceCell;
+use std::rc::Rc;
 
 /// Top-level message type carried by the simulated network.
 #[derive(Debug, Clone)]
@@ -91,7 +102,8 @@ pub enum EngineMsg {
         /// ([`SHARD_GROUP_HEADER`]) once a
         /// cluster runs more than one group and the id must travel.
         header_bytes: usize,
-        /// The batched commands (one is held in place).
+        /// The batched commands: one held in place, or a view of the
+        /// follower's forward block ([`Batch`]).
         cmds: Batch,
     },
     /// One chunk of a state snapshot, shipped when a peer's applied
@@ -341,9 +353,10 @@ impl FromIterator<Slot> for Slots {
     }
 }
 
-/// The commands one `Forward` carries (module docs, "A lone forwarded
-/// command rides in place"): one held in place, or a list. Reads as the
-/// slice of its commands, in order.
+/// The commands one `Forward` carries (module docs, "A forwarded batch
+/// is a view of the follower's block"): one held in place, a run of
+/// cells of the follower's forward block, or — longer than a block — a
+/// list.
 #[derive(Debug, Clone)]
 pub struct Batch(Cmds);
 
@@ -351,19 +364,50 @@ pub struct Batch(Cmds);
 enum Cmds {
     /// A lone command, in the message itself.
     One(Command),
+    /// `len` commands from cell `first` of a follower's forward block.
+    View { block: Cells, first: u32, len: u32 },
     /// Any other number, in order.
     List(Vec<Command>),
 }
 
-impl std::ops::Deref for Batch {
-    type Target = [Command];
+/// Cells in a follower's forward block: one full batch.
+const FORWARD_CELLS: usize = crate::engine::BATCH_MAX;
 
-    fn deref(&self) -> &[Command] {
+/// A follower's forward block, shareable (`engine/slots.rs`, *Sharing*):
+/// the follower fills its empty cells, and a batch cut from it reads
+/// only the cells it was cut over.
+type Cells = Rc<[OnceCell<Command>; FORWARD_CELLS]>;
+
+impl Batch {
+    /// How many commands.
+    pub fn len(&self) -> usize {
         match &self.0 {
-            Cmds::One(cmd) => std::slice::from_ref(cmd),
-            Cmds::List(list) => list,
+            Cmds::One(_) => 1,
+            Cmds::View { len, .. } => *len as usize,
+            Cmds::List(list) => list.len(),
         }
     }
+
+    /// Whether the batch carries no command.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The commands, in order.
+    pub fn iter(&self) -> impl Iterator<Item = &Command> {
+        let (cells, list): (&[OnceCell<Command>], &[Command]) = match &self.0 {
+            Cmds::One(cmd) => (&[], std::slice::from_ref(cmd)),
+            Cmds::View { block, first, len } => (&block[*first as usize..][..*len as usize], &[]),
+            Cmds::List(list) => (&[], list),
+        };
+        cells.iter().map(forwarded).chain(list)
+    }
+}
+
+/// A cell a batch was cut over: set before the cut, never cleared while
+/// the batch holds its block.
+fn forwarded(cell: &OnceCell<Command>) -> &Command {
+    cell.get().expect("a forwarded cell is set")
 }
 
 /// A lone command is held in place; more are collected in one allocation
@@ -386,14 +430,84 @@ impl FromIterator<Command> for Batch {
 
 impl IntoIterator for Batch {
     type Item = Command;
-    type IntoIter = std::iter::Chain<std::option::IntoIter<Command>, std::vec::IntoIter<Command>>;
+    type IntoIter = Commands;
 
-    fn into_iter(self) -> Self::IntoIter {
-        let (one, list) = match self.0 {
-            Cmds::One(cmd) => (Some(cmd), Vec::new()),
-            Cmds::List(list) => (None, list),
+    fn into_iter(self) -> Commands {
+        Commands(match self.0 {
+            Cmds::One(cmd) => Flow::One(Some(cmd)),
+            Cmds::View { block, first, len } => {
+                let cells = first as usize..(first + len) as usize;
+                Flow::View { block, cells }
+            }
+            Cmds::List(list) => Flow::List(list.into_iter()),
+        })
+    }
+}
+
+/// A [`Batch`]'s commands, in order: moved out of the message or its
+/// list, cloned out of a forward block (whose cells the follower's later
+/// batches share).
+pub struct Commands(Flow);
+
+enum Flow {
+    One(Option<Command>),
+    View {
+        block: Cells,
+        cells: std::ops::Range<usize>,
+    },
+    List(std::vec::IntoIter<Command>),
+}
+
+impl Iterator for Commands {
+    type Item = Command;
+
+    fn next(&mut self) -> Option<Command> {
+        match &mut self.0 {
+            Flow::One(cmd) => cmd.take(),
+            Flow::View { block, cells } => cells.next().map(|i| forwarded(&block[i]).clone()),
+            Flow::List(list) => list.next(),
+        }
+    }
+}
+
+/// A follower's forward block and how many of its cells are filled
+/// (module docs, "A forwarded batch is a view of the follower's block").
+/// Volatile: a crash drops it.
+#[derive(Debug, Default)]
+pub(crate) struct Outbox {
+    block: Option<Cells>,
+    used: usize,
+}
+
+impl Outbox {
+    /// `pending`'s commands as one batch, in order, leaving `pending`
+    /// empty with its buffer. A batch of two or more moves into the
+    /// block's next free cells and is a view of them; a fresh block is
+    /// taken only when it does not fit. A lone command rides in place,
+    /// and only a batch longer than a block is copied.
+    pub(crate) fn cut(&mut self, pending: &mut Vec<Command>) -> Batch {
+        let len = pending.len();
+        if !(2..=FORWARD_CELLS).contains(&len) {
+            return pending.drain(..).collect();
+        }
+        let block = match &self.block {
+            Some(block) if self.used + len <= FORWARD_CELLS => block,
+            _ => {
+                self.used = 0;
+                self.block
+                    .insert(Rc::new(std::array::from_fn(|_| OnceCell::new())))
+            }
         };
-        one.into_iter().chain(list)
+        let first = self.used;
+        for (cell, cmd) in block[first..].iter().zip(pending.drain(..)) {
+            assert!(cell.set(cmd).is_ok(), "a free cell is empty");
+        }
+        self.used += len;
+        Batch(Cmds::View {
+            block: Rc::clone(block),
+            first: first as u32,
+            len: len as u32,
+        })
     }
 }
 
@@ -1098,18 +1212,39 @@ mod tests {
         assert!(two.size_bytes() > one.size_bytes());
     }
 
-    /// A batch of 0, 1 or n commands costs on the wire what the
-    /// `Vec<Command>` it replaced cost, held in place or not, and gives
-    /// its commands back in order; one command is held in place.
+    fn command(seq: u64, bytes: usize) -> Command {
+        Command::put(CmdId { client: 3, seq }, seq, vec![0; bytes])
+    }
+
+    /// Which way a batch holds its commands.
+    fn shape(batch: &Batch) -> &'static str {
+        match batch.0 {
+            Cmds::One(_) => "one",
+            Cmds::View { .. } => "view",
+            Cmds::List(_) => "list",
+        }
+    }
+
+    /// A batch of any length costs on the wire what the `Vec<Command>` it
+    /// replaced cost, however it is held, and gives its commands back in
+    /// order, by reference and by value. One command is held in place, a
+    /// batch of up to a block's length is a view of the forward block,
+    /// and only an empty batch or a longer one is a list.
     #[test]
     fn a_batch_is_the_vec_it_replaces_on_the_wire_and_in_order() {
-        let command =
-            |seq: u64, bytes: usize| Command::put(CmdId { client: 3, seq }, seq, vec![0; bytes]);
-        for n in [0, 1, 2, 7] {
-            let cmds: Vec<Command> = (1..=n).map(|seq| command(seq, 8 << seq)).collect();
-            let batch: Batch = cmds.iter().cloned().collect();
-            assert_eq!(matches!(batch.0, Cmds::One(_)), n == 1, "{n} commands");
+        for n in [0, 1, 2, 7, 64, 65] {
+            let cmds: Vec<Command> = (1..=n).map(|seq| command(seq, 8 << (seq % 10))).collect();
+            let mut pending = cmds.clone();
+            let batch = Outbox::default().cut(&mut pending);
+            assert!(pending.is_empty() && pending.capacity() >= cmds.len());
+            let expected = match n {
+                1 => "one",
+                2..=64 => "view",
+                _ => "list",
+            };
+            assert_eq!(shape(&batch), expected, "{n} commands");
             assert_eq!(batch.len(), cmds.len());
+            assert_eq!(batch.is_empty(), n == 0);
             let vec_spelling = 8 + cmds.iter().map(Command::size_bytes).sum::<usize>();
             let forward = Msg::Engine(EngineMsg::Forward {
                 group: 0,
@@ -1118,9 +1253,41 @@ mod tests {
             });
             assert_eq!(forward.size_bytes(), vec_spelling, "{n} commands");
             let sent: Vec<CmdId> = cmds.iter().map(|c| c.id).collect();
+            assert!(batch.iter().map(|c| c.id).eq(sent.iter().copied()));
             let back: Vec<CmdId> = batch.into_iter().map(|c| c.id).collect();
             assert_eq!(back, sent, "{n} commands");
         }
+    }
+
+    /// Batches cut one after another share the follower's block until
+    /// one does not fit: twelve batches of five fill 60 of its 64 cells,
+    /// and the thirteenth takes a fresh block. Filling the later cells
+    /// changes nothing an earlier batch reads, and a block lives as long
+    /// as a batch holds it.
+    #[test]
+    fn forwarded_batches_share_a_block_until_one_does_not_fit() {
+        let mut outbox = Outbox::default();
+        let mut pending = Vec::new();
+        let batches: Vec<Batch> = (0..13u64)
+            .map(|b| {
+                pending.extend((1..=5).map(|i| command(5 * b + i, 8)));
+                outbox.cut(&mut pending)
+            })
+            .collect();
+        let block = |batch: &Batch| match &batch.0 {
+            Cmds::View { block, .. } => Rc::clone(block),
+            _ => unreachable!("a batch of five is a view"),
+        };
+        let first = block(&batches[0]);
+        assert!(batches[..12].iter().all(|b| Rc::ptr_eq(&block(b), &first)));
+        assert!(!Rc::ptr_eq(&block(&batches[12]), &first));
+        assert_eq!(Rc::strong_count(&first), 12 + 1, "the twelve and this");
+        for (b, batch) in batches.iter().enumerate() {
+            let seqs = 5 * b as u64 + 1..=5 * b as u64 + 5;
+            assert!(batch.iter().map(|c| c.id.seq).eq(seqs), "batch {b}");
+        }
+        drop(batches);
+        assert_eq!(Rc::strong_count(&first), 1);
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! The key-range partition map shared by clients and replicas.
 
+use std::rc::Rc;
+
 use crate::kv::Key;
 use crate::shard::migration::RouterVersion;
 use paxraft_workload::generator::{contiguous_split, WorkloadConfig};
@@ -16,7 +18,10 @@ use paxraft_workload::generator::{contiguous_split, WorkloadConfig};
 /// split a group may own several disjoint segments.
 ///
 /// Routers are cheap to clone and compare, so every client and every
-/// replica can carry one; two routers that applied the same moves agree
+/// replica can carry one: the two tables are shared (`Rc<[_]>`), so a
+/// clone — the coordinator's `RouterUpdate` to each client — is two
+/// reference counts, and only [`ShardRouter::apply_move`] builds a new
+/// segment list. Two routers that applied the same moves agree
 /// everywhere, and a *stale* router (an old version, or one built for a
 /// different group count) is exactly what the versioned
 /// [`crate::kv::Reply::WrongGroup`] redirect reconciles.
@@ -26,11 +31,11 @@ pub struct ShardRouter {
     /// `starts[g]` is the first key of group `g`'s build-time range
     /// (group 0 also owns the hot key below `starts[0]`). Immutable;
     /// [`ShardRouter::range`] reports this layout.
-    starts: Vec<u64>,
+    starts: Rc<[u64]>,
     /// Current ownership: `(start, group)` segments sorted by start,
     /// first start `0`, each covering up to the next start (the last up
-    /// to `records`). Migrations rewrite this.
-    segs: Vec<(u64, u32)>,
+    /// to `records`). Migrations replace this.
+    segs: Rc<[(u64, u32)]>,
     /// Map version: `0` at build time, bumped by every applied move.
     version: RouterVersion,
 }
@@ -49,7 +54,7 @@ impl ShardRouter {
         );
         // The generator's split arithmetic, so routing and key
         // generation can never drift apart.
-        let starts: Vec<u64> = (0..groups)
+        let starts: Rc<[u64]> = (0..groups)
             .map(|g| contiguous_split(records, groups, g).0)
             .collect();
         // Segment 0 starts at key 0 so the hot key rides with group 0's
@@ -65,7 +70,7 @@ impl ShardRouter {
         ShardRouter {
             records,
             starts,
-            segs,
+            segs: segs.into(),
             version: 0,
         }
     }
@@ -165,7 +170,7 @@ impl ShardRouter {
                 _ => segs.push((s, g)),
             }
         }
-        self.segs = segs;
+        self.segs = segs.into();
         self.version = version;
     }
 }
