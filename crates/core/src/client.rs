@@ -6,6 +6,18 @@
 //! and cool-down windows; optionally the client records a linearizability
 //! history for its operations.
 //!
+//! Blocks, not one growing list: a client keeps every answer for the
+//! whole run, and the closed-loop client answers one operation per round
+//! trip, so its records ([`WorkloadClient::completions`],
+//! [`WorkloadClient::history`]) are [`Blocks`] of fixed size, the rule
+//! the slot store follows (`engine/slots.rs`). A full block is never
+//! copied or regrown, and a new one is one allocation. A `Vec` per list
+//! that doubles took a growth step at every power of two, and at the
+//! ledger's loads, tens to hundreds of answers a client, those steps were
+//! about half of `wan-paper`'s allocation calls: the gates that count
+//! allocations per operation read the client's bookkeeping, not the
+//! replicas'.
+//!
 //! A client without a generator is *scripted*: it sends the requests
 //! injected into it ([`crate::shard::ShardedCluster::submit_and_wait`])
 //! under the same retry deadline and redirect rules, and keeps each
@@ -60,6 +72,76 @@ pub struct Completion {
     pub group: u32,
 }
 
+/// Completions a [`Blocks`] block holds: 3 KB, about the size of a
+/// follower's forward block.
+const COMPLETION_BLOCK: usize = 128;
+
+/// History records a [`Blocks`] block holds: only operations on the one
+/// recorded key land here, a small share of a client's answers, and a
+/// larger block is mostly empty room (16 raised `wan-paper`'s peak heap
+/// by 0.7 % more than 8, at seed 42).
+const HISTORY_BLOCK: usize = 8;
+
+/// A list kept in blocks of `B` records (module docs): pushing fills the
+/// last block, and a full one is followed by a fresh block of `B`, so a
+/// record never moves and only the short list of blocks grows by
+/// steps.
+#[derive(Debug)]
+pub struct Blocks<T, const B: usize> {
+    blocks: Vec<Vec<T>>,
+}
+
+impl<T, const B: usize> Default for Blocks<T, B> {
+    fn default() -> Self {
+        Blocks { blocks: Vec::new() }
+    }
+}
+
+impl<T, const B: usize> Blocks<T, B> {
+    /// Appends `item`, taking a fresh block when the last one is full.
+    pub fn push(&mut self, item: T) {
+        match self.blocks.last_mut() {
+            Some(block) if block.len() < B => block.push(item),
+            _ => {
+                let mut block = Vec::with_capacity(B);
+                block.push(item);
+                self.blocks.push(block);
+            }
+        }
+    }
+
+    /// The records, in the order they were pushed.
+    pub fn iter(&self) -> std::iter::Flatten<std::slice::Iter<'_, Vec<T>>> {
+        self.blocks.iter().flatten()
+    }
+
+    /// The record pushed last.
+    pub fn last(&self) -> Option<&T> {
+        self.blocks.last().and_then(|block| block.last())
+    }
+
+    /// How many records the list holds.
+    pub fn len(&self) -> usize {
+        self.blocks
+            .last()
+            .map_or(0, |last| (self.blocks.len() - 1) * B + last.len())
+    }
+
+    /// Whether the list holds no record.
+    pub fn is_empty(&self) -> bool {
+        self.blocks.is_empty()
+    }
+}
+
+impl<'a, T, const B: usize> IntoIterator for &'a Blocks<T, B> {
+    type Item = &'a T;
+    type IntoIter = std::iter::Flatten<std::slice::Iter<'a, Vec<T>>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
 /// A closed-loop workload client, or a scripted one (module docs).
 pub struct WorkloadClient {
     /// Logical client id.
@@ -73,13 +155,17 @@ pub struct WorkloadClient {
     /// A scripted client's reply to its last submission, once it has
     /// arrived.
     pub(crate) reply: Option<Reply>,
-    /// Completed operations (never trimmed; the harness filters windows).
-    pub completions: Vec<Completion>,
+    /// Completed operations, one per answer in the order answered (never
+    /// trimmed; the harness filters windows), in blocks of 128 (module
+    /// docs).
+    pub completions: Blocks<Completion, COMPLETION_BLOCK>,
     /// When `Some(key)`, record a linearizability history for that key
     /// (`None` disables recording).
     pub history_key: Option<Key>,
-    /// Recorded per-key history.
-    pub history: Vec<OpRecord>,
+    /// Recorded per-key history, in blocks of 8 (module docs); read it
+    /// through [`Self::history_records`], which adds the write still in
+    /// flight.
+    pub history: Blocks<OpRecord, HISTORY_BLOCK>,
     /// Sharded clusters: per-key routing over the replica groups
     /// (`None` = unsharded, every operation goes to [`Self::target`]).
     pub shard: Option<ClientRouting>,
@@ -154,9 +240,9 @@ impl WorkloadClient {
             seq: 0,
             inflight: None,
             reply: None,
-            completions: Vec::new(),
+            completions: Blocks::default(),
             history_key: None,
-            history: Vec::new(),
+            history: Blocks::default(),
             shard: None,
             redirects: 0,
             stale_redirects: 0,
@@ -211,7 +297,7 @@ impl WorkloadClient {
     /// (ordered after every completed read). An in-flight *read*
     /// constrains nothing and is dropped.
     pub fn history_records(&self) -> Vec<OpRecord> {
-        let mut out = self.history.clone();
+        let mut out: Vec<OpRecord> = self.history.iter().cloned().collect();
         if let Some(inflight) = &self.inflight {
             if self.history_key == Some(inflight.key) && inflight.kind() == OpKind::Write {
                 out.push(OpRecord {

@@ -69,7 +69,7 @@ use std::rc::Rc;
 
 use paxraft_sim::sim::Ctx;
 
-use crate::kv::{CmdId, Command};
+use crate::kv::{CmdId, Command, IntMap};
 use crate::msg::{Msg, Slots};
 use crate::snapshot::Snapshot;
 use crate::telemetry::MetricSample;
@@ -184,8 +184,10 @@ pub(crate) struct PaxosBase {
     bytes: usize,
     /// Slots learnt chosen before their value arrived, each with the
     /// ballot a value must have been accepted at (or above) to be the
-    /// chosen one ([`Self::learn_at`]).
-    committed_no_value: BTreeMap<u64, Term>,
+    /// chosen one ([`Self::learn_at`]). A hash map, not a tree: nothing
+    /// reads it in order, and it keeps emptying, which a tree pays for
+    /// with a fresh node at every refill.
+    committed_no_value: IntMap<u64, Term>,
     /// Durability: proposals whose *own* vote awaits the local fsync, as
     /// (write seq, ballot, slots) in write order.
     pending_self: Vec<(u64, Term, Slots)>,
@@ -214,7 +216,7 @@ impl PaxosBase {
             exec_index: Slot::NONE,
             compacted_through: Slot::NONE,
             bytes: 0,
-            committed_no_value: BTreeMap::new(),
+            committed_no_value: IntMap::default(),
             pending_self: Vec::new(),
             peer_exec: vec![Slot::NONE; n],
             peer_exec_prev: vec![Slot::NONE; n],
@@ -495,7 +497,7 @@ impl PaxosBase {
             *bytes -= cell.cmd.as_ref().map_or(0, Command::size_bytes);
             dropped(s, cell);
         });
-        self.committed_no_value = self.committed_no_value.split_off(&(upto.0 + 1));
+        self.committed_no_value.retain(|&s, _| s > upto.0);
         discarded
     }
 

@@ -45,11 +45,14 @@
 //! the message carries a view of those cells: the block is shareable by
 //! the rule `engine/slots.rs` states (*Sharing*), since the follower only
 //! ever fills empty cells and a batch reads only the cells it was cut
-//! over. A fresh block is taken when a batch does not fit the current
-//! one, so forwarding costs an allocation per block, not per batch, and
-//! the follower keeps its buffer. Only a batch longer than a block — the
-//! buffer outgrew it while no leader was known — is copied into a list.
-//! The leader takes the commands out in order, clones of a view's cells.
+//! over. When a batch does not fit the current block, the follower
+//! empties it and fills it again from its first cell if no view holds it
+//! any more (the leader has taken every batch out of it), and takes a
+//! fresh block otherwise, so forwarding costs at most an allocation per
+//! block, not per batch, and the follower keeps its buffer. Only a batch
+//! longer than a block — the buffer outgrew it while no leader was
+//! known — is copied into a list. The leader takes the commands out in
+//! order, clones of a view's cells.
 //! The size model charges the same bytes however a batch is held.
 
 pub use crate::engine::paxos_family::Instances;
@@ -482,22 +485,25 @@ pub(crate) struct Outbox {
 impl Outbox {
     /// `pending`'s commands as one batch, in order, leaving `pending`
     /// empty with its buffer. A batch of two or more moves into the
-    /// block's next free cells and is a view of them; a fresh block is
-    /// taken only when it does not fit. A lone command rides in place,
-    /// and only a batch longer than a block is copied.
+    /// block's next free cells and is a view of them. When it does not
+    /// fit, the block is emptied and refilled if no view holds it, and a
+    /// fresh block is taken otherwise. A lone command rides in place, and
+    /// only a batch longer than a block is copied.
     pub(crate) fn cut(&mut self, pending: &mut Vec<Command>) -> Batch {
         let len = pending.len();
         if !(2..=FORWARD_CELLS).contains(&len) {
             return pending.drain(..).collect();
         }
-        let block = match &self.block {
-            Some(block) if self.used + len <= FORWARD_CELLS => block,
-            _ => {
-                self.used = 0;
-                self.block
-                    .insert(Rc::new(std::array::from_fn(|_| OnceCell::new())))
+        if self.used + len > FORWARD_CELLS {
+            match self.block.as_mut().and_then(Rc::get_mut) {
+                Some(cells) => cells[..self.used].fill_with(OnceCell::new),
+                None => self.block = None,
             }
-        };
+            self.used = 0;
+        }
+        let block = self
+            .block
+            .get_or_insert_with(|| Rc::new(std::array::from_fn(|_| OnceCell::new())));
         let first = self.used;
         for (cell, cmd) in block[first..].iter().zip(pending.drain(..)) {
             assert!(cell.set(cmd).is_ok(), "a free cell is empty");
@@ -1288,6 +1294,40 @@ mod tests {
         }
         drop(batches);
         assert_eq!(Rc::strong_count(&first), 1);
+    }
+
+    /// A full block that no batch holds any more is emptied before it is
+    /// filled again: 36 batches of five, each dropped once read, fill it
+    /// three times over and each reads its own commands. Twelve batches
+    /// held when it fills keep it, so the next batch takes a fresh block
+    /// and the held ones still read theirs. (That the refill allocates
+    /// nothing is `tests/allocs.rs`'s to count.)
+    #[test]
+    fn a_full_block_no_batch_holds_is_refilled() {
+        let block = |batch: &Batch| match &batch.0 {
+            Cmds::View { block, .. } => Rc::as_ptr(block),
+            _ => unreachable!("a batch of five is a view"),
+        };
+        let mut outbox = Outbox::default();
+        let mut pending = Vec::new();
+        let mut cut = |b: u64| {
+            pending.extend((1..=5).map(|i| command(5 * b + i, 8)));
+            outbox.cut(&mut pending)
+        };
+        for b in 0..36 {
+            let seqs = 5 * b + 1..=5 * b + 5;
+            assert!(cut(b).into_iter().map(|c| c.id.seq).eq(seqs), "batch {b}");
+        }
+        let held: Vec<Batch> = (36..48).map(&mut cut).collect();
+        let next = cut(48);
+        let first = block(&held[0]);
+        assert!(held.iter().all(|b| block(b) == first));
+        assert_ne!(block(&next), first, "a held block is not refilled");
+        assert!(held
+            .into_iter()
+            .flatten()
+            .map(|c| c.id.seq)
+            .eq(36 * 5 + 1..=48 * 5));
     }
 
     #[test]
