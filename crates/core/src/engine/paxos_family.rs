@@ -490,7 +490,7 @@ impl PaxosBase {
     pub(crate) fn discard_through(
         &mut self,
         upto: Slot,
-        mut dropped: impl FnMut(Slot, Cell),
+        mut dropped: impl FnMut(Slot, &Cell),
     ) -> usize {
         let bytes = &mut self.bytes;
         let discarded = self.cells.drop_through(upto, |s, cell| {
@@ -519,7 +519,7 @@ impl PaxosBase {
         core: &mut EngineCore,
         ctx: &mut Ctx<Msg>,
         upto: Slot,
-        dropped: impl FnMut(Slot, Cell),
+        dropped: impl FnMut(Slot, &Cell),
     ) -> bool {
         if upto <= self.compacted_through {
             return false;
@@ -545,7 +545,7 @@ impl PaxosBase {
         core: &mut EngineCore,
         ctx: &mut Ctx<Msg>,
         snap: Snapshot,
-        dropped: impl FnMut(Slot, Cell),
+        dropped: impl FnMut(Slot, &Cell),
     ) -> Option<usize> {
         let covered = snap.last_slot;
         if covered <= self.exec_index {

@@ -468,13 +468,19 @@ impl RaftBase {
 mod tests {
     use super::*;
     use crate::config::{DurabilityConfig, ReplicaConfig};
+    use crate::engine::slots::Block;
+    use crate::engine::ReplicaEngine;
+    use crate::harness::{Cluster, ProtocolKind};
     use crate::kv::{CmdId, Command};
     use crate::log::Entry;
     use crate::msg::EngineMsg;
+    use crate::raft::Plain;
+    use crate::raftstar::{Flavor, RaftFamilyRules, Star};
     use paxraft_sim::impl_actor_any;
     use paxraft_sim::net::{NetConfig, Region};
     use paxraft_sim::sim::{Actor, Simulation};
     use paxraft_sim::time::{SimDuration, SimTime};
+    use std::rc::Rc;
 
     type Step = fn(&mut RaftBase, &mut EngineCore, &mut Ctx<Msg>);
 
@@ -610,5 +616,135 @@ mod tests {
         let steps = [fill_window_then_backlog as Step, one_ack];
         let [_, sized] = pumped_rounds(per_entry(), &steps);
         assert_eq!(sized, [38, 38, 38, 38, 38, 38, 38, 34]);
+    }
+
+    /// Replica `i` of a Raft-family cluster.
+    fn replica<F: Flavor>(cluster: &Cluster, i: usize) -> &ReplicaEngine<RaftFamilyRules<F>> {
+        cluster.sim.actor(ActorId(i))
+    }
+
+    /// Replica `i`'s log.
+    fn log<F: Flavor>(cluster: &Cluster, i: usize) -> &Log {
+        replica::<F>(cluster, i).log()
+    }
+
+    /// How many blocks of `follower`'s log are not blocks of `leader`'s.
+    fn unshared(follower: &Log, leader: &Log) -> usize {
+        let theirs = leader.blocks();
+        let shared = |b: &&Block<Entry>| theirs.iter().any(|(_, l)| Rc::ptr_eq(b, l));
+        follower
+            .blocks()
+            .into_iter()
+            .filter(|(_, b)| !shared(b))
+            .count()
+    }
+
+    /// Advances `cluster` by 100 ms steps until `done`, for at most a
+    /// minute of virtual time.
+    fn run_until(cluster: &mut Cluster, what: &str, done: impl Fn(&Cluster) -> bool) {
+        for _ in 0..600 {
+            if done(cluster) {
+                return;
+            }
+            cluster.advance(SimDuration::from_millis(100));
+        }
+        panic!("{what}: not within a minute");
+    }
+
+    /// Raft's Log Matching property, in memory (`log.rs`, *Storage*): on
+    /// a fault-free 5-replica LAN cluster every follower's log holds the
+    /// leader's own blocks, all but at most its first, over 2,000 entries
+    /// and more; after the leader crashes and a new one appends 512, each
+    /// survivor again shares all but one — the block it held partly
+    /// filled when the leadership started — and once the old leader is
+    /// back every replica holds the new leader's entries over the
+    /// committed prefix.
+    fn followers_hold_the_leaders_blocks<F: Flavor>(kind: ProtocolKind) {
+        const N: usize = 5;
+        let name = kind.name();
+        let mut cluster = Cluster::builder(kind)
+            .clients_per_region(4)
+            .net(NetConfig {
+                rtt_ms: [[1.0; 5]; 5],
+                ..NetConfig::default()
+            })
+            .seed(11)
+            .build();
+        cluster.elect_leader();
+        let leader = |c: &Cluster| {
+            (0..N).find(|&i| !c.sim.is_crashed(ActorId(i)) && replica::<F>(c, i).is_leader())
+        };
+        let first = leader(&cluster).expect("a leader");
+        run_until(&mut cluster, "2,000 entries everywhere", |c| {
+            (0..N).all(|i| log::<F>(c, i).last_index() >= Slot(2_000))
+        });
+        let lead = log::<F>(&cluster, first);
+        for i in (0..N).filter(|&i| i != first) {
+            let blocks = log::<F>(&cluster, i).blocks();
+            assert!(blocks.len() >= 8, "{name}: {} blocks", blocks.len());
+            let theirs = lead.blocks();
+            for (slot, block) in &blocks[1..] {
+                assert!(
+                    theirs.iter().any(|(_, l)| Rc::ptr_eq(block, l)),
+                    "{name}: follower {i}'s block at {slot} is a copy"
+                );
+            }
+        }
+
+        let now = cluster.sim.now();
+        cluster
+            .sim
+            .crash_at(ActorId(first), now + SimDuration::from_millis(1));
+        run_until(&mut cluster, "a new leader", |c| {
+            leader(c).is_some_and(|l| l != first)
+        });
+        let second = leader(&cluster).expect("a new leader");
+        let from = log::<F>(&cluster, second).last_index().0;
+        let survivors: Vec<usize> = (0..N).filter(|&i| i != first).collect();
+        run_until(&mut cluster, "512 entries from the new leader", |c| {
+            survivors
+                .iter()
+                .all(|&i| log::<F>(c, i).last_index().0 >= from + 512)
+        });
+        let lead = log::<F>(&cluster, second);
+        for &i in survivors.iter().filter(|&&i| i != second) {
+            let own = unshared(log::<F>(&cluster, i), lead);
+            assert!(
+                own <= 1,
+                "{name}: survivor {i} holds {own} blocks of its own"
+            );
+        }
+
+        let now = cluster.sim.now();
+        cluster
+            .sim
+            .restart_at(ActorId(first), now + SimDuration::from_millis(1));
+        run_until(&mut cluster, "the old leader catches up", |c| {
+            let commit = replica::<F>(c, second).commit_index();
+            log::<F>(c, first).last_index() >= commit
+        });
+        let commit = replica::<F>(&cluster, second).commit_index();
+        let lead = log::<F>(&cluster, second);
+        assert!(commit.0 >= from + 512, "{name}: committed through {commit}");
+        for i in 0..N {
+            for s in 1..=commit.0 {
+                let at = |log: &Log| log.get(Slot(s)).map(|e| (e.term, e.cmd.clone()));
+                assert_eq!(
+                    at(log::<F>(&cluster, i)),
+                    at(lead),
+                    "{name}: replica {i}, slot {s}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_raft_follower_holds_its_leaders_blocks() {
+        followers_hold_the_leaders_blocks::<Plain>(ProtocolKind::Raft);
+    }
+
+    #[test]
+    fn a_raftstar_follower_holds_its_leaders_blocks() {
+        followers_hold_the_leaders_blocks::<Star>(ProtocolKind::RaftStar);
     }
 }

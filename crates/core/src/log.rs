@@ -56,6 +56,22 @@
 //! reaches it and freed as compaction passes it, so the log holds what
 //! it spans; nothing is copied, and [`Log::replace_suffix`] overwrites.
 //!
+//! A follower's log holds its leader's blocks, not copies of them. Raft's
+//! Log Matching property says that where a follower's log matches the
+//! leader's it *is* the leader's log, and the ring lets it be so in
+//! memory: it owns only its span (`engine::slots`, *Sharing*), so two
+//! logs can hold one block, each over its own slots of it, and neither
+//! sees what the other writes beyond them. [`Log::replace_suffix`], the one
+//! write of both flavors' acceptors, takes a round's cells as they are
+//! where they lie in a block the log already holds at their place, or
+//! in the block that comes next when the log ends just before it: the
+//! span grows over them and nothing is written. What it still clones in
+//! is the rest of a block the log holds that is not the leader's — the
+//! partly filled block a follower holds when a leadership starts — and
+//! a round copied because it spans more than two blocks (*Rounds*). So
+//! a cluster stores its replicated log about once, whatever the number
+//! of replicas, and the follower allocates no block as it grows.
+//!
 //! # Rounds
 //!
 //! Under Figure 3's map an `Append` is a phase-2 accept over a range of
@@ -68,20 +84,25 @@
 //! or an entry copy — plus the range of cells it covers and the ballot
 //! mark it was cut under. Its entries come out cloned, each with the
 //! effective ballot it had at the cut, exactly what [`Log::suffix_from`]
-//! cloned then.
+//! cloned then; a follower that takes the cells themselves
+//! ([`Log::replace_suffix`]) reads their stored ballots only where its own
+//! mark does not cover them, which under Raft\* is nowhere, and under
+//! Raft, which keeps no mark, the stored ballot is the effective one.
 //!
 //! A view stays what it was cut as while the log moves on, because the
 //! ring changes a set cell only in a block nobody else holds
 //! (`engine::slots`, *Sharing*): the leader keeps appending into the
-//! tail block rounds in flight point at, while a truncation, a
-//! [`Log::replace_suffix`], a mark pulled back, a compaction that
-//! stops inside a block or a crash's truncation first copies a block a
-//! round still holds. A round longer than two blocks — a catch-up of
-//! hundreds of entries starting deep in a block — is copied instead,
-//! with its ballots written in, into one private block of its own.
+//! tail block that rounds in flight and its followers' logs point at,
+//! while a truncation, a [`Log::replace_suffix`], a mark pulled back, a
+//! compaction that stops inside a block or a crash's truncation first
+//! copies a block another holds — a follower's no less than the
+//! leader's. A round longer than two blocks — a catch-up of hundreds of
+//! entries starting deep in a block — is copied instead, with its
+//! ballots written in, into one private block of its own.
 
 use std::cell::OnceCell;
 use std::fmt;
+use std::ops::Range;
 
 use paxraft_workload::metrics::PeakGauge;
 
@@ -239,7 +260,16 @@ impl Log {
         self.bal_upto = self.bal_upto.min(slot.prev());
     }
 
-    /// **Raft\*.** Replaces the entries after `prev` with `entries`.
+    /// **The acceptor's write, both flavors'.** Replaces the entries
+    /// after `prev` with `round`'s past its first `skip`, and returns how
+    /// many those are and their bytes: what a copy of them costs, which
+    /// is what the caller charges. Cells of the round that lie in a
+    /// block this log holds at their place, or in the block next after
+    /// its end, are taken as they are and nothing is written for them;
+    /// the rest are cloned in, each with the ballot the round was cut
+    /// with (module docs, *Storage*). Raft\* replaces the whole suffix
+    /// after `prev`; Raft calls it past the entries it kept and the
+    /// suffix it truncated, so for Raft it only appends.
     ///
     /// # Panics
     ///
@@ -248,35 +278,59 @@ impl Log {
     /// length(ents)`), so reaching this state is a protocol bug — or if
     /// `prev` lies inside the compacted prefix (callers must skip the
     /// overlap first).
-    pub fn replace_suffix<I>(&mut self, prev: Slot, entries: I)
-    where
-        I: IntoIterator<Item = Entry>,
-        I::IntoIter: ExactSizeIterator,
-    {
-        let entries = entries.into_iter();
+    pub fn replace_suffix(&mut self, prev: Slot, round: &View, skip: usize) -> (usize, usize) {
+        let n = round.len().saturating_sub(skip);
         assert!(
             prev >= self.start,
             "replace_suffix reaches into the compacted prefix ({} < {})",
             prev,
             self.start
         );
-        let new_last = prev.0 + entries.len() as u64;
         assert!(
-            new_last >= self.last_index().0,
+            prev.0 + n as u64 >= self.last_index().0,
             "Raft* replace_suffix would shorten the log ({} < {})",
-            new_last,
+            prev.0 + n as u64,
             self.last_index().0
         );
-        // Overwritten in place, then extended: never shorter, so dense.
-        for (slot, e) in (prev.0 + 1..).map(Slot).zip(entries) {
-            self.bytes += e.size_bytes();
-            if let Some(old) = self.entries.insert(slot, e) {
-                self.bytes -= old.size_bytes();
-            }
-        }
         // The replacement carries its own ballots.
         self.bal_upto = self.bal_upto.min(prev);
+        let (mut at, mut taken, mut bytes) = (prev.next(), skip, 0);
+        for (block, cells) in round.runs(skip) {
+            let (count, end) = (cells.len(), self.last_index());
+            if self.entries.share(at, block, cells.clone()) {
+                for (slot, cell) in (at.0..).zip(&block[cells]) {
+                    let size = stored(cell).size_bytes();
+                    bytes += size;
+                    // Past the old end the entry is new to the log.
+                    if slot > end.0 {
+                        self.bytes += size;
+                    }
+                }
+            } else {
+                let entries = round.iter_from(taken).take(count);
+                for (slot, e) in (at.0..).map(Slot).zip(entries) {
+                    bytes += e.size_bytes();
+                    self.bytes += e.size_bytes();
+                    if let Some(old) = self.entries.insert(slot, e) {
+                        self.bytes -= old.size_bytes();
+                    }
+                }
+            }
+            at = Slot(at.0 + count as u64);
+            taken += count;
+        }
         self.note_peak();
+        (n, bytes)
+    }
+
+    /// How many of `round`'s entries past its first `skip` this log
+    /// already holds in order after `prev`: the same term at the same
+    /// slot (Raft's test for an entry it keeps).
+    pub fn holds(&self, prev: Slot, round: &View, skip: usize) -> usize {
+        (prev.0 + 1..)
+            .zip(round.runs(skip).flat_map(|(block, cells)| &block[cells]))
+            .take_while(|&(slot, cell)| self.term_at(Slot(slot)) == Some(stored(cell).term))
+            .count()
     }
 
     /// **Raft\*.** Sets the ballot of every entry up to and including
@@ -295,6 +349,20 @@ impl Log {
         }
         self.bal_upto = upto;
         self.bal_term = term;
+    }
+
+    /// The blocks holding the retained entries, each with the first of
+    /// them it holds (for the sharing tests).
+    #[cfg(test)]
+    pub(crate) fn blocks(&self) -> Vec<(Slot, &Block<Entry>)> {
+        let mut blocks = Vec::new();
+        let mut slot = self.first_index();
+        while slot <= self.last_index() {
+            let (block, cell) = self.entries.block_at(slot).expect("dense");
+            blocks.push((slot, block));
+            slot = Slot(slot.0 + (block.len() - cell) as u64);
+        }
+        blocks
     }
 
     /// The ballot mark `(bal_upto, bal_term)`, for the invariant tests.
@@ -473,6 +541,23 @@ impl View {
         (&head[from..from + in_head], &next[..len - in_head])
     }
 
+    /// The round's cells past its first `skip`, block by block: each
+    /// block with the range of its cells.
+    fn runs(&self, skip: usize) -> impl Iterator<Item = (&Block<Entry>, Range<usize>)> {
+        let (head, next) = self.cells();
+        let from = self.from as usize;
+        let skipped = skip.min(head.len());
+        let runs = [
+            from + skipped..from + head.len(),
+            (skip - skipped).min(next.len())..next.len(),
+        ];
+        self.blocks
+            .iter()
+            .zip(runs)
+            .filter(|(_, cells)| !cells.is_empty())
+            .filter_map(|(block, cells)| Some((block.as_ref()?, cells)))
+    }
+
     /// The entries, cloned, each with its effective ballot at the cut —
     /// what [`Log::suffix_from`] cloned then.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = Entry> + '_ {
@@ -550,6 +635,11 @@ mod tests {
         }
     }
 
+    /// A round of its own holding `entries`.
+    fn round(entries: Vec<Entry>) -> View {
+        entries.into_iter().collect()
+    }
+
     #[test]
     fn empty_log_sentinels() {
         let log = Log::new();
@@ -599,7 +689,7 @@ mod tests {
         let mut log = Log::new();
         log.append(entry(1, 1));
         log.append(entry(1, 2));
-        log.replace_suffix(Slot(1), vec![entry(2, 20), entry(2, 21)]);
+        log.replace_suffix(Slot(1), &round(vec![entry(2, 20), entry(2, 21)]), 0);
         assert_eq!(log.last_index(), Slot(3));
         assert_eq!(log.get(Slot(2)).unwrap().term, Term(2));
         assert_eq!(log.get(Slot(1)).unwrap().term, Term(1), "prefix untouched");
@@ -613,7 +703,7 @@ mod tests {
             log.append(entry(1, i));
         }
         // prev=1 with one entry would leave lastIndex 2 < 4.
-        log.replace_suffix(Slot(1), vec![entry(2, 9)]);
+        log.replace_suffix(Slot(1), &round(vec![entry(2, 9)]), 0);
     }
 
     #[test]
@@ -747,7 +837,7 @@ mod tests {
                         crossed[1] += u32::from(spans_edge(prev + 1, prev + ents.len() as u64));
                         eager.truncate((prev - start) as usize);
                         eager.extend(ents.iter().cloned());
-                        log.replace_suffix(Slot(prev), ents);
+                        log.replace_suffix(Slot(prev), &round(ents), 0);
                     }
                     3 if !eager.is_empty() => {
                         let slot = start + 1 + rng.gen_range(eager.len() as u64);
@@ -1010,7 +1100,7 @@ mod tests {
     fn replace_suffix_at_boundary_after_compaction() {
         let mut log = log_of(&[1, 1]);
         log.compact_to(Slot(2));
-        log.replace_suffix(Slot(2), vec![entry(3, 7), entry(3, 8)]);
+        log.replace_suffix(Slot(2), &round(vec![entry(3, 7), entry(3, 8)]), 0);
         assert_eq!(log.last_index(), Slot(4));
         assert_eq!(log.get(Slot(3)).unwrap().term, Term(3));
     }

@@ -238,7 +238,7 @@ impl PeerStream {
 
 /// What the base hands a discarded slot to: its command leaves the
 /// conflict index.
-fn unindex(conflicts: &mut ConflictIndex) -> impl FnMut(Slot, Cell) + '_ {
+fn unindex(conflicts: &mut ConflictIndex) -> impl FnMut(Slot, &Cell) + '_ {
     |s, slot| {
         if let Some(holds) = slot.cmd().and_then(Holds::of) {
             conflicts.remove(s, holds);

@@ -30,7 +30,7 @@
 
 use crate::engine::raft_family::RaftBase;
 use crate::engine::ReplicaEngine;
-use crate::log::{Entry, Log};
+use crate::log::{Entry, Log, View};
 use crate::raftstar::{Flavor, RaftFamilyRules};
 use crate::types::{Slot, Term};
 
@@ -53,39 +53,34 @@ impl Flavor for Plain {
         ((last_term, last_idx) >= (log.last_term(), log.last_index())).then(Vec::new)
     }
 
-    /// Raft conflict handling: truncate at the first mismatch, then
-    /// append what is missing, straight out of the shared round. Matching
-    /// existing entries are kept (and a longer non-conflicting log
-    /// survives); past the first append nothing is left to match.
+    /// Raft conflict handling: keep the entries the log already holds,
+    /// truncate at the first mismatch, then write what is missing
+    /// ([`Log::replace_suffix`]: the leader's cells themselves where the log
+    /// can hold them, a clone elsewhere). A longer non-conflicting log
+    /// survives; past the first entry it lacks nothing is left to match.
     fn accept(
         base: &mut RaftBase,
         prev: Slot,
         prev_term: Term,
-        entries: impl ExactSizeIterator<Item = Entry>,
+        round: &View,
+        skip: usize,
         _term: Term,
     ) -> Result<(usize, usize), Slot> {
         if !base.log.matches(prev, prev_term) {
             return Err(base.log.last_index().min(prev));
         }
-        let mut idx = prev;
-        let (mut appended, mut bytes) = (0, 0);
-        for e in entries {
-            idx = idx.next();
-            match base.log.term_at(idx) {
-                Some(t) if t == e.term => continue,
-                // The truncated suffix's durability no longer speaks for
-                // these indexes.
-                Some(_) => {
-                    base.note_rewrite_from(idx);
-                    base.log.truncate_from(idx);
-                }
-                None => {}
-            }
-            appended += 1;
-            bytes += e.size_bytes();
-            base.log.append(e);
+        let kept = base.log.holds(prev, round, skip);
+        if kept == round.len().saturating_sub(skip) {
+            return Ok((0, 0));
         }
-        Ok((appended, bytes))
+        let prev = Slot(prev.0 + kept as u64);
+        if base.log.last_index() > prev {
+            // The truncated suffix's durability no longer speaks for
+            // these indexes.
+            base.note_rewrite_from(prev.next());
+            base.log.truncate_from(prev.next());
+        }
+        Ok(base.log.replace_suffix(prev, round, skip + kept))
     }
 
     /// Section 5.4.2: only entries of the leader's own term commit by
@@ -145,7 +140,8 @@ mod tests {
         round: &[Entry],
         term: Term,
     ) -> Result<(usize, usize), Slot> {
-        F::accept(base, prev, prev_term, round.iter().cloned(), term)
+        let round: View = round.iter().cloned().collect();
+        F::accept(base, prev, prev_term, &round, 0, term)
     }
 
     fn config(mode: ReadMode) -> ReplicaConfig {

@@ -74,7 +74,7 @@ use crate::engine::conflicts::{ConflictIndex, Holds};
 use crate::engine::raft_family::{RaftBase, Role};
 use crate::engine::{self, EngineCore, ProtocolRules, ReplicaEngine, T_LEASE};
 use crate::kv::{Command, Op};
-use crate::log::{Entry, Log};
+use crate::log::{Entry, Log, View};
 use crate::msg::{LeaseMsg, Msg, RaftMsg};
 use crate::pql::LeaseManager;
 use crate::snapshot::{Snapshot, SnapshotStats};
@@ -98,17 +98,19 @@ pub trait Flavor: 'static {
 
     /// The append acceptance rule, past the checks both flavors share
     /// (stale term, follower step, overlap with the compacted prefix):
-    /// writes `entries` after `prev` and returns `(entries, bytes)`
-    /// written, or refuses with the tail index the leader backs off to.
-    /// A rewrite voids durability claims first
-    /// ([`RaftBase::note_rewrite_from`]). The entries come out of the
-    /// round's view ([`crate::log::View::iter`]) with the ballots they
-    /// were cut with.
+    /// writes the entries of `round` past its first `skip` after `prev`
+    /// and returns `(entries, bytes)` written, or refuses with the tail
+    /// index the leader backs off to. A rewrite voids durability claims
+    /// first ([`RaftBase::note_rewrite_from`]). Both flavors write through
+    /// [`Log::replace_suffix`], which keeps the leader's blocks rather than
+    /// copies of them wherever the follower's log can, and counts what it
+    /// keeps as written, so the costs charged are a copy's.
     fn accept(
         base: &mut RaftBase,
         prev: Slot,
         prev_term: Term,
-        entries: impl ExactSizeIterator<Item = Entry>,
+        round: &View,
+        skip: usize,
         term: Term,
     ) -> Result<(usize, usize), Slot>;
 
@@ -138,25 +140,26 @@ impl Flavor for Star {
 
     /// Figure 2b `RecieveAppend`: match on `prev` AND never let the log
     /// shrink (`lastIndex ≤ prev + length(ents)`); then the whole suffix
-    /// after `prev` is rewritten and every covered ballot becomes `term`.
+    /// after `prev` is the round's ([`Log::replace_suffix`] — the leader's
+    /// cells themselves where the log can hold them, a clone elsewhere)
+    /// and every covered ballot becomes `term`, so no stored ballot of
+    /// the suffix is ever read.
     fn accept(
         base: &mut RaftBase,
         prev: Slot,
         prev_term: Term,
-        entries: impl ExactSizeIterator<Item = Entry>,
+        round: &View,
+        skip: usize,
         term: Term,
     ) -> Result<(usize, usize), Slot> {
-        let n = entries.len();
-        let new_last = Slot(prev.0 + n as u64);
+        let new_last = Slot(prev.0 + round.len().saturating_sub(skip) as u64);
         if !base.log.matches(prev, prev_term) || new_last < base.log.last_index() {
             return Err(base.log.last_index());
         }
         base.note_rewrite_from(prev.next());
-        let mut bytes = 0;
-        base.log
-            .replace_suffix(prev, entries.inspect(|e| bytes += e.size_bytes()));
+        let wrote = base.log.replace_suffix(prev, round, skip);
         base.log.set_bal_upto(new_last, term);
-        Ok((n, bytes))
+        Ok(wrote)
     }
 
     /// `LeaderLearn` needs no entry-term check: an `appendOK` at `term`
@@ -635,13 +638,12 @@ impl<F: Flavor> RaftFamilyRules<F> {
                 } else {
                     (prev, prev_term, 0)
                 };
-                let entries = entries.iter_from(overlap);
-                let new_last = Slot(prev.0 + entries.len() as u64);
+                let new_last = Slot(prev.0 + (entries.len() - overlap) as u64);
                 // [PQL] The suffix the append may rewrite leaves the
                 // conflict index, and what the log then holds re-enters.
                 let rewrite = prev.max(self.base.last_applied).next();
                 self.index_slots(rewrite, self.base.log.last_index(), false);
-                let accepted = F::accept(&mut self.base, prev, prev_term, entries, term);
+                let accepted = F::accept(&mut self.base, prev, prev_term, &entries, overlap, term);
                 self.index_slots(rewrite, self.base.log.last_index(), true);
                 let (appended, written) = match accepted {
                     Ok(wrote) => wrote,
