@@ -72,8 +72,7 @@ pub struct Completion {
     pub group: u32,
 }
 
-/// Completions a [`Blocks`] block holds: 3 KB, about the size of a
-/// follower's forward block.
+/// Completions a [`Blocks`] block holds: 3 KB.
 const COMPLETION_BLOCK: usize = 128;
 
 /// History records a [`Blocks`] block holds: only operations on the one

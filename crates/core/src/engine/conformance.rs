@@ -1034,7 +1034,7 @@ fn full_forwarded_batch_is_flushed_immediately_regardless_of_leadership() {
             Box::new(TestClient::new(1, replicas[1])),
         );
         let sink_client = (sink.0 - replicas.len()) as u32;
-        let cmds: crate::msg::Batch = (1..=BATCH_MAX as u64)
+        let mut cmds: Vec<_> = (1..=BATCH_MAX as u64)
             .map(|seq| {
                 crate::kv::Command::put(
                     crate::kv::CmdId {
@@ -1046,6 +1046,7 @@ fn full_forwarded_batch_is_flushed_immediately_regardless_of_leadership() {
                 )
             })
             .collect();
+        let cmds = crate::msg::Outbox::default().cut(&mut cmds);
         sim.send_external(
             replicas[1],
             Msg::Engine(EngineMsg::Forward {
@@ -2289,7 +2290,7 @@ fn per_entry_fsync_below_capacity_commits_within_reach_of_group_commit() {
 }
 
 /// A deposed leader's rounds are what it cut, whatever its log holds
-/// when they land (`log::View`). Five replicas, the link between node 0
+/// when they land (`log::Log::round`). Five replicas, the link between node 0
 /// (Oregon) and node 4 (Seoul) slowed to half a second each way. Node 0
 /// leads, then is cut off with node 4 while {1, 2, 3} elect a leader of
 /// their own. Node 0, still leading in its old term, appends a write `x`

@@ -67,7 +67,7 @@ use crate::config::ReplicaConfig;
 use crate::costs::CostModel;
 use crate::kv::{CmdId, Command, KvStore, Op, Reply};
 use crate::msg::{
-    ClientMsg, EngineMsg, Msg, Outbox, SHARD_GROUP_HEADER, SNAPSHOT_ACK_HEADER,
+    Batch, ClientMsg, EngineMsg, Msg, Outbox, SHARD_GROUP_HEADER, SNAPSHOT_ACK_HEADER,
     SNAPSHOT_CHUNK_HEADER,
 };
 use crate::shard::migration::{install_cmd_id, KeyOwnership, RangeExport, RouterVersion};
@@ -122,7 +122,7 @@ pub struct EngineCore {
     /// Commands buffered for the next batch flush (leader) or forward
     /// (follower).
     pub pending: Vec<Command>,
-    /// The block a follower moves a forwarded batch into (`msg::Outbox`).
+    /// The table a follower moves a forwarded batch into (`msg::Outbox`).
     outbox: Outbox,
     batch_armed: bool,
     /// Reassembles incoming snapshot chunks, keyed by sender.
@@ -395,8 +395,8 @@ impl EngineCore {
         if leader == self.cfg.id || self.pending.is_empty() {
             return;
         }
-        // A lone command rides in the message; a longer batch is a view
-        // of the forward block it moved into. Either way `pending` keeps
+        // A lone command rides in the message; a longer batch is a run
+        // of the outbox it moved into. Either way `pending` keeps
         // its buffer, so the batches to come never regrow it.
         let cmds = self.outbox.cut(&mut self.pending);
         self.forwarded_cmds += cmds.len() as u64;
@@ -1079,8 +1079,15 @@ impl<P: ProtocolRules> Actor<Msg> for ReplicaEngine<P> {
             }
             Msg::Engine(EngineMsg::Forward { cmds, .. }) => {
                 ctx.charge(self.core.cfg.costs.forward_per_cmd * cmds.len() as u64);
-                for cmd in cmds {
-                    intake(&mut self.rules, &mut self.core, ctx, cmd);
+                match cmds {
+                    Batch::One(cmd) => {
+                        intake(&mut self.rules, &mut self.core, ctx, cmd);
+                    }
+                    Batch::Run(run) => {
+                        for (_, cmd) in run.iter() {
+                            intake(&mut self.rules, &mut self.core, ctx, cmd.clone());
+                        }
+                    }
                 }
                 cut_batch(&mut self.rules, &mut self.core, ctx);
             }

@@ -33,39 +33,17 @@
 //!
 //! # Rounds
 //!
-//! Under Figure 3's map Raft's `Append` is a phase-2 accept over a range
-//! of instances, and Appendix A.4's Mencius `Suggest` is an `Append` over
-//! the owner's slots; so a MultiPaxos or Mencius round is paid for the
-//! way a Raft round is (`log.rs`, *Rounds*): its instances are an
-//! [`Instances`] view of the sender's own table blocks, not a copy of
-//! their values. [`PaxosBase::round`] cuts one — a proposed batch, a
-//! phase 1's adoptions, a pump, a heartbeat's or an owner's re-send, a
-//! stalled peer's replay — as the block its first instance lies in and,
-//! when the round runs on past that block's end, the next one, with the
-//! first slot, the count and the stride: 1 for a MultiPaxos proposer's
-//! consecutive slots, `n` for a Mencius owner's every `n`th. Every
-//! acceptor it goes to shares it by reference count.
-//!
-//! A round stays what it was cut as because a [`Cell`]'s value changes
-//! only through `&mut`, which copies a block a round holds first
-//! (`engine::slots`, *Sharing*): a phase 1's re-proposal, a revocation's
-//! decision, a crash's drop and a compaction that stops inside the block
-//! copy it. A value put in an *empty* cell is filled in place, which is
-//! how a proposer numbers its next instances and how a Mencius owner
-//! stores its peers' values between its own, in a tail block its rounds
-//! hold. What changes while the round is in flight — the ack tally, the
-//! decision, the write sequence, a promise — lives in `std::cell::Cell`s
-//! and changes in place, copying nothing. A round whose instances are not
-//! a run `stride` apart (a pump or a re-send past instances chosen out of
-//! order, a retransmission of the slots that aged, a replay past a gap)
-//! or that runs over more than two blocks is copied instead: its
-//! `(slot, value)` pairs, in one allocation.
+//! A MultiPaxos or Mencius round is a run of the sender's own table, cut
+//! by `SlotRing::cut` like every round (`engine/slots.rs`, *Rounds*): a
+//! proposed batch, a phase 1's adoptions, a pump, a heartbeat's or an
+//! owner's re-send, a stalled peer's replay. It stays what it was cut as
+//! because a [`Cell`]'s value changes only through `&mut`, which copies a
+//! block a round holds first, while what changes while the round is in
+//! flight — the ack tally, the decision, the write sequence, a promise —
+//! lives in `std::cell::Cell`s and changes in place, copying nothing.
 
-use std::cell::OnceCell;
 use std::collections::BTreeMap;
-use std::fmt;
 use std::ops::RangeBounds;
-use std::rc::Rc;
 
 use paxraft_sim::sim::Ctx;
 
@@ -75,12 +53,13 @@ use crate::snapshot::Snapshot;
 use crate::telemetry::MetricSample;
 use crate::types::{quorum, NodeId, Slot, Term};
 
-use super::slots::WholeBlock;
+use super::slots::Run;
 use super::{transfer, EngineCore, SlotRing};
 
 /// One Paxos instance (Figure 1's `s.instances[i]`); the default is the
 /// empty instance, nothing accepted. The value and its write sequence
-/// change only through [`PaxosBase`], which accounts for them.
+/// change only through the family's base (`PaxosBase`), which accounts
+/// for them.
 ///
 /// 72 bytes under both rules files: the value, the ballot and the write
 /// sequence, with the ack bitmap and the three flags in one word (the
@@ -89,12 +68,12 @@ use super::{transfer, EngineCore, SlotRing};
 /// it — Mencius keeps its owner's suggestion times in a ring of its own
 /// slots.
 ///
-/// The value changes through `&mut` only; everything else is an
-/// [`InPlace`] and changes through `&`, in a block a round in flight
-/// shares too (module docs, *Rounds*). `std::cell::Cell` has its
-/// content's layout, so that costs no byte.
+/// The value changes through `&mut` only; everything else is a
+/// `std::cell::Cell` and changes through `&`, in a block a round in
+/// flight shares too (`engine/slots.rs`, *Sharing*). `std::cell::Cell`
+/// has its content's layout, so that costs no byte.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct Cell {
+pub struct Cell {
     /// Highest ballot the value was accepted at, or the slot promised to
     /// (`instance.bal`).
     pub(crate) bal: InPlace<Term>,
@@ -107,7 +86,7 @@ pub(crate) struct Cell {
     pub(crate) skipped: InPlace<bool>,
     /// Mencius: whether the owner already answered the client.
     pub(crate) responded: InPlace<bool>,
-    /// Proposer-side acknowledgement bitmap, one [`ack_bit`] per replica
+    /// Proposer-side acknowledgement bitmap, one bit per replica
     /// (`ReplicaConfig::validate` caps a cluster at 32).
     pub(crate) acks: InPlace<u32>,
     /// Durability: engine write sequence of the last value write (0 when
@@ -605,58 +584,6 @@ impl PaxosBase {
         self.cells.range(range).filter_map(held)
     }
 
-    /// The first `count` instances in `range` that hold a value and that
-    /// `carried` admits, as one round (module docs, *Rounds*): a view of
-    /// the table's own blocks when they are a run of slots `stride` apart
-    /// (1 for MultiPaxos, `n` for a Mencius owner's) within two blocks,
-    /// else a copy of their values. Cutting a view allocates nothing.
-    pub(crate) fn round(
-        &self,
-        range: impl RangeBounds<Slot> + Clone,
-        stride: u64,
-        count: usize,
-        carried: impl Fn(Slot, &Cell) -> bool,
-    ) -> Instances {
-        let carried = |s, cell: &Cell| cell.cmd.is_some() && carried(s, cell);
-        let held = || {
-            let cells = self.cells.range(range.clone());
-            cells.filter(|&(s, c)| carried(s, c)).take(count)
-        };
-        let mut cut = held().map(|(s, _)| s);
-        let Some(first) = cut.next() else {
-            return Instances::default();
-        };
-        // How many, and whether each lies `stride` past the one before.
-        let (len, _, run) = cut.fold((1u64, first, true), |(n, prev, run), s| {
-            (n + 1, s, run && s.0 - prev.0 == stride)
-        });
-        if let Some(view) = run.then(|| self.view(first, len, stride)).flatten() {
-            return view;
-        }
-        // A mapped range tells `Rc<[_]>` its length: one allocation.
-        let mut pairs = held().map(|(s, c)| (s, c.cmd.clone().expect("carried")));
-        let copy = (0..len).map(|_| pairs.next().expect("as many as counted"));
-        Instances(Repr::Copied(Some(copy.collect())))
-    }
-
-    /// The run of `len` instances from `first`, `stride` apart, as a view
-    /// of the block `first` lies in and the next one, if they hold it.
-    fn view(&self, first: Slot, len: u64, stride: u64) -> Option<Instances> {
-        let (head, from) = self.cells.block_at(first)?;
-        let cells = (len - 1) * stride + 1;
-        let in_head = (head.len() - from) as u64;
-        let next = match cells.checked_sub(in_head) {
-            None | Some(0) => None,
-            Some(rest) => match self.cells.block_at(Slot(first.0 + in_head))? {
-                (next, 0) if rest <= next.len() as u64 => Some(next.clone().try_into().ok()?),
-                _ => return None,
-            },
-        };
-        let head = head.clone().try_into().ok()?;
-        let run = Run::new(first, len, stride)?;
-        Some(Instances(Repr::View { head, next, run }))
-    }
-
     /// Crash: forgets what only the running process knew (the peers'
     /// reports, the queued own votes), restarts execution at `floor` and
     /// empties every cell above it whose value the fsync through write
@@ -691,178 +618,27 @@ impl PaxosBase {
     }
 }
 
-/// One round's instances (`engine/paxos_family.rs`, *Rounds*): a run of
-/// slots `stride` apart — consecutive for a MultiPaxos proposer, one
-/// Mencius owner's every `n`th — in up to two of the sender's table
-/// blocks, shared. A round that is not such a run is a copy of its
-/// `(slot, value)` pairs instead. Whatever the table does after the cut,
-/// the round yields the values it was cut over.
-///
-/// 24 bytes: every message of the simulator is as large as the largest,
-/// a `Suggest` carrying one of these, and is moved by value through its
-/// event queue. Table blocks are whole, so their pointers are thin, and a
-/// view's first slot, count and stride share one word.
-#[derive(Clone, Default)]
-pub struct Instances(Repr);
-
-#[derive(Clone)]
-enum Repr {
-    /// A run in the table block its first instance lies in and, when it
-    /// goes on past that block's end, the next one. Table blocks start at
-    /// a multiple of their length, so where the first instance lies in
-    /// `head` follows from its slot.
-    View {
-        head: WholeBlock<Cell>,
-        next: Option<WholeBlock<Cell>>,
-        run: Run,
-    },
-    /// Anything else: the pairs, in slot order; none for the empty round.
-    Copied(Option<Rc<[(Slot, Command)]>>),
-}
-
-impl Default for Repr {
-    fn default() -> Self {
-        Repr::Copied(None)
+impl Run<Cell> {
+    /// The `(instance, value)` pairs of a Paxos-family round, in slot
+    /// order: it is cut over instances that hold a value.
+    pub fn values<'a>(&'a self) -> impl ExactSizeIterator<Item = (Slot, &'a Command)> + 'a {
+        let value = |(slot, cell): (Slot, &'a Cell)| (slot, cell.cmd.as_ref().expect("a value"));
+        self.iter().map(value)
     }
 }
 
-/// A view's first slot (below 2^40), instance count (below 2^16: a view
-/// spans at most two blocks) and stride (below 2^8:
-/// `ReplicaConfig::validate` caps `n` at 32), in one word.
-#[derive(Clone, Copy)]
-struct Run(u64);
-
-impl Run {
-    fn new(first: Slot, len: u64, stride: u64) -> Option<Run> {
-        let fits = first.0 < 1 << 40 && len < 1 << 16 && stride < 1 << 8;
-        fits.then_some(Run(first.0 | len << 40 | stride << 56))
-    }
-
-    fn first(self) -> u64 {
-        self.0 & ((1 << 40) - 1)
-    }
-
-    fn len(self) -> u64 {
-        self.0 >> 40 & ((1 << 16) - 1)
-    }
-
-    fn stride(self) -> u64 {
-        self.0 >> 56
-    }
-}
-
-impl Instances {
-    /// Instances in the round.
-    pub fn len(&self) -> usize {
-        match &self.0 {
-            Repr::View { run, .. } => run.len() as usize,
-            Repr::Copied(pairs) => pairs.as_deref().map_or(0, <[_]>::len),
-        }
-    }
-
-    /// True for the empty round (an idle heartbeat).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The last instance's slot.
-    pub(crate) fn last(&self) -> Option<Slot> {
-        match &self.0 {
-            Repr::View { run, .. } => Some(Slot(run.first() + (run.len() - 1) * run.stride())),
-            Repr::Copied(pairs) => pairs.as_deref()?.last().map(|(s, _)| *s),
-        }
-    }
-
-    /// Whether the round is a view of table blocks (tests).
-    #[cfg(test)]
-    pub(crate) fn is_view(&self) -> bool {
-        matches!(self.0, Repr::View { .. })
-    }
-
-    /// The `(instance, value)` pairs, in slot order.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = (Slot, &Command)> + '_ {
-        let none: &[OnceCell<Cell>] = &[];
-        match &self.0 {
-            Repr::View { head, next, run } => Pairs {
-                head: &head[..],
-                next: next.as_deref().map_or(none, |next| &next[..]),
-                // A table block starts at a multiple of its length.
-                at: (run.first() % head.len() as u64) as usize,
-                step: run.stride() as usize,
-                slot: run.first(),
-                left: run.len() as usize,
-                copied: [].iter(),
-            },
-            Repr::Copied(pairs) => Pairs {
-                head: none,
-                next: none,
-                at: 0,
-                step: 0,
-                slot: 0,
-                left: 0,
-                copied: pairs.as_deref().unwrap_or_default().iter(),
-            },
-        }
-    }
-}
-
-/// [`Instances::iter`]: a view's `left` instances, `step` cells apart
-/// from cell `at` of `head` on into `next`, or a copy's pairs.
-struct Pairs<'a> {
-    head: &'a [OnceCell<Cell>],
-    next: &'a [OnceCell<Cell>],
-    at: usize,
-    step: usize,
-    slot: u64,
-    left: usize,
-    copied: std::slice::Iter<'a, (Slot, Command)>,
-}
-
-impl<'a> Iterator for Pairs<'a> {
-    type Item = (Slot, &'a Command);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.left == 0 {
-            return self.copied.next().map(|(s, c)| (*s, c));
-        }
-        let cell = match self.head.get(self.at) {
-            Some(cell) => cell,
-            None => &self.next[self.at - self.head.len()],
-        };
-        // A view is cut over cells holding values, and a value in a
-        // shared block never changes (`engine::slots`, *Sharing*).
-        let cmd = cell
-            .get()
-            .and_then(Cell::cmd)
-            .expect("a view's cell holds its value");
-        let item = (Slot(self.slot), cmd);
-        self.left -= 1;
-        self.at += self.step;
-        self.slot += self.step as u64;
-        Some(item)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.left + self.copied.len();
-        (left, Some(left))
-    }
-}
-
-impl ExactSizeIterator for Pairs<'_> {}
-
-/// A round of its own: a copy of the pairs given, in ascending slot order
-/// (a stand-in peer's scripted round, in tests).
-impl FromIterator<(Slot, Command)> for Instances {
+/// A round of its own: instances holding the values given, in ascending
+/// slot order (a stand-in peer's scripted round, in tests).
+impl FromIterator<(Slot, Command)> for Run<Cell> {
     fn from_iter<I: IntoIterator<Item = (Slot, Command)>>(items: I) -> Self {
-        let items: Rc<[(Slot, Command)]> = items.into_iter().collect();
-        debug_assert!(items.windows(2).all(|w| w[0].0 < w[1].0));
-        Instances(Repr::Copied((!items.is_empty()).then_some(items)))
-    }
-}
-
-impl fmt::Debug for Instances {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
+        let cell = |cmd| Cell {
+            cmd: Some(cmd),
+            ..Cell::default()
+        };
+        items
+            .into_iter()
+            .map(|(slot, cmd)| (slot, cell(cmd)))
+            .collect()
     }
 }
 
@@ -1103,21 +879,28 @@ mod tests {
     }
 
     /// What a round yields: `(slot, key)` pairs.
-    fn pairs(round: &Instances) -> Vec<(u64, u64)> {
+    fn pairs(round: &Run<Cell>) -> Vec<(u64, u64)> {
         let key = |c: &Command| c.op.key().expect("a put");
-        round.iter().map(|(s, c)| (s.0, key(c))).collect()
+        round.values().map(|(s, c)| (s.0, key(c))).collect()
     }
 
     /// Whether the table still holds the block `slot` lies in, and
     /// `round` holds it too.
-    fn shares(b: &PaxosBase, round: &Instances, slot: u64) -> bool {
-        let (held, _) = b.cells.block_at(Slot(slot)).expect("a block");
-        let Repr::View { head, next, .. } = &round.0 else {
-            return false;
-        };
-        let cut = std::iter::once(head).chain(next);
-        cut.into_iter()
-            .any(|block| std::ptr::eq(block.as_ptr(), held.as_ptr()))
+    fn shares(b: &PaxosBase, round: &Run<Cell>, slot: u64) -> bool {
+        round.holds(b.cells.block_at(Slot(slot)).expect("a block").0)
+    }
+
+    /// The first `count` instances in `range` holding a value that
+    /// `carried` admits, as one round.
+    fn cut_round(
+        b: &PaxosBase,
+        range: impl RangeBounds<Slot> + Clone,
+        stride: u64,
+        count: usize,
+        carried: impl Fn(Slot, &Cell) -> bool,
+    ) -> Run<Cell> {
+        let held = |s, c: &Cell| c.cmd().is_some() && carried(s, c);
+        b.cells.cut(range, stride, count, held)
     }
 
     /// The sharing contract (module docs, *Rounds*): a round cut across
@@ -1134,7 +917,7 @@ mod tests {
             b.write(Slot(s), Term(2), put(s));
         }
         let uncommitted = |_, c: &Cell| !c.committed.get();
-        let round = b.round(Slot(250)..=Slot(260), 1, usize::MAX, uncommitted);
+        let round = cut_round(&b, Slot(250)..=Slot(260), 1, usize::MAX, uncommitted);
         let cut: Vec<(u64, u64)> = (250..=260).map(|s| (s, s)).collect();
         assert_eq!(pairs(&round), cut);
         assert_eq!((round.len(), round.last()), (11, Some(Slot(260))));
@@ -1188,7 +971,7 @@ mod tests {
             b.cells.get(Slot(s)).unwrap().committed.set(true);
         }
         let uncommitted = |_, c: &Cell| !c.committed.get();
-        let gaps = b.round(Slot(10).., 1, 12, uncommitted);
+        let gaps = cut_round(&b, Slot(10).., 1, 12, uncommitted);
         let want: Vec<(u64, u64)> = [10, 11, 14, 15, 16, 17, 18, 19, 21, 22, 23, 24]
             .into_iter()
             .map(|s| (s, s))
@@ -1196,15 +979,15 @@ mod tests {
         assert_eq!(pairs(&gaps), want);
         assert_eq!((gaps.len(), gaps.last()), (12, Some(Slot(24))));
         assert!(!shares(&b, &gaps, 10), "copied");
-        let wide = b.round(Slot(100)..=Slot(650), 1, usize::MAX, uncommitted);
+        let wide = cut_round(&b, Slot(100)..=Slot(650), 1, usize::MAX, uncommitted);
         assert_eq!(wide.len(), 551);
         assert!(!shares(&b, &wide, 100));
         b.write(Slot(300), Term(3), put(0));
         assert!(pairs(&wide).into_iter().all(|(s, k)| s == k));
         // Within two blocks a run is a view; nothing is the empty round.
-        let run = b.round(Slot(200)..=Slot(500), 1, usize::MAX, uncommitted);
+        let run = cut_round(&b, Slot(200)..=Slot(500), 1, usize::MAX, uncommitted);
         assert!(shares(&b, &run, 200));
-        let chosen = b.round(Slot(12)..=Slot(13), 1, usize::MAX, uncommitted);
+        let chosen = cut_round(&b, Slot(12)..=Slot(13), 1, usize::MAX, uncommitted);
         assert!(chosen.is_empty());
     }
 
@@ -1222,7 +1005,7 @@ mod tests {
             b.write(Slot(s), Term(2), put(s));
         }
         let mine = |s: Slot, c: &Cell| own(s.0) && !c.committed.get();
-        let round = b.round(Slot(201)..=Slot(500), 5, usize::MAX, mine);
+        let round = cut_round(&b, Slot(201)..=Slot(500), 5, usize::MAX, mine);
         let cut: Vec<(u64, u64)> = (201..=500).filter(|s| own(*s)).map(|s| (s, s)).collect();
         assert_eq!(pairs(&round), cut);
         assert_eq!((round.len(), round.last()), (60, Some(Slot(496))));
@@ -1240,13 +1023,13 @@ mod tests {
         for s in [206, 211] {
             b.cells.get(Slot(s)).unwrap().committed.set(true);
         }
-        let gap = b.round(Slot(201)..=Slot(230), 5, usize::MAX, mine);
+        let gap = cut_round(&b, Slot(201)..=Slot(230), 5, usize::MAX, mine);
         assert_eq!(
             pairs(&gap),
             [(201, 201), (216, 216), (221, 221), (226, 226)]
         );
         assert!(!gap.is_view());
-        let wide = b.round(Slot(211)..=Slot(700), 5, usize::MAX, mine);
+        let wide = cut_round(&b, Slot(211)..=Slot(700), 5, usize::MAX, mine);
         assert!(!wide.is_view() && wide.len() == 97 && wide.last() == Some(Slot(696)));
         assert!(pairs(&wide).iter().all(|&(s, k)| s == k && own(s)));
     }

@@ -191,8 +191,8 @@ impl RaftBase {
         self.arm_election(core, ctx);
     }
 
-    /// Sends each follower its tailored suffix, a view of the log
-    /// ([`Log::view`]) after its cursor.
+    /// Sends each follower its tailored suffix, a run of the log
+    /// ([`Log::round`]) after its cursor.
     pub fn broadcast_append(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
         for peer in core.cfg.others() {
             self.send_round(core, ctx, peer, usize::MAX);
@@ -231,7 +231,7 @@ impl RaftBase {
             prev = transfer::ship_snapshot(core, ctx, peer, point, self.current_term)?;
         }
         let prev_term = self.log.term_at(prev).unwrap_or(Term::ZERO);
-        let entries = self.log.view(prev, cap);
+        let (entries, covered, bal_term) = self.log.round(prev, cap);
         // A round cut short by `cap` ends where its entries do.
         let tail = if entries.len() < cap {
             self.log.last_index()
@@ -251,6 +251,8 @@ impl RaftBase {
                 prev,
                 prev_term,
                 entries,
+                covered,
+                bal_term,
                 commit: self.commit_index,
                 window_room,
             }),
@@ -468,7 +470,6 @@ impl RaftBase {
 mod tests {
     use super::*;
     use crate::config::{DurabilityConfig, ReplicaConfig};
-    use crate::engine::slots::Block;
     use crate::engine::ReplicaEngine;
     use crate::harness::{Cluster, ProtocolKind};
     use crate::kv::{CmdId, Command};
@@ -480,7 +481,6 @@ mod tests {
     use paxraft_sim::net::{NetConfig, Region};
     use paxraft_sim::sim::{Actor, Simulation};
     use paxraft_sim::time::{SimDuration, SimTime};
-    use std::rc::Rc;
 
     type Step = fn(&mut RaftBase, &mut EngineCore, &mut Ctx<Msg>);
 
@@ -628,14 +628,19 @@ mod tests {
         replica::<F>(cluster, i).log()
     }
 
+    /// Where each block of `log` starts: its first slot, then every
+    /// block edge (`engine::slots`) up to its last.
+    fn block_starts(log: &Log) -> Vec<Slot> {
+        let (first, last) = (log.first_index().0, log.last_index().0);
+        let starts = (first..=last).filter(|s| *s == first || s % 256 == 0);
+        starts.map(Slot).collect()
+    }
+
     /// How many blocks of `follower`'s log are not blocks of `leader`'s.
     fn unshared(follower: &Log, leader: &Log) -> usize {
-        let theirs = leader.blocks();
-        let shared = |b: &&Block<Entry>| theirs.iter().any(|(_, l)| Rc::ptr_eq(b, l));
-        follower
-            .blocks()
-            .into_iter()
-            .filter(|(_, b)| !shared(b))
+        let starts = block_starts(follower).into_iter();
+        starts
+            .filter(|&s| !follower.shares_block_at(s, leader))
             .count()
     }
 
@@ -658,7 +663,8 @@ mod tests {
     /// survivor again shares all but one — the block it held partly
     /// filled when the leadership started — and once the old leader is
     /// back every replica holds the new leader's entries over the
-    /// committed prefix.
+    /// committed prefix, the old leader in blocks it shares but for those
+    /// it caught up into.
     fn followers_hold_the_leaders_blocks<F: Flavor>(kind: ProtocolKind) {
         const N: usize = 5;
         let name = kind.name();
@@ -680,12 +686,12 @@ mod tests {
         });
         let lead = log::<F>(&cluster, first);
         for i in (0..N).filter(|&i| i != first) {
-            let blocks = log::<F>(&cluster, i).blocks();
-            assert!(blocks.len() >= 8, "{name}: {} blocks", blocks.len());
-            let theirs = lead.blocks();
-            for (slot, block) in &blocks[1..] {
+            let follower = log::<F>(&cluster, i);
+            let starts = block_starts(follower);
+            assert!(starts.len() >= 8, "{name}: {} blocks", starts.len());
+            for slot in &starts[1..] {
                 assert!(
-                    theirs.iter().any(|(_, l)| Rc::ptr_eq(block, l)),
+                    follower.shares_block_at(*slot, lead),
                     "{name}: follower {i}'s block at {slot} is a copy"
                 );
             }
@@ -715,6 +721,7 @@ mod tests {
             );
         }
 
+        let restarted_at = log::<F>(&cluster, first).last_index().0;
         let now = cluster.sim.now();
         cluster
             .sim
@@ -726,6 +733,17 @@ mod tests {
         let commit = replica::<F>(&cluster, second).commit_index();
         let lead = log::<F>(&cluster, second);
         assert!(commit.0 >= from + 512, "{name}: committed through {commit}");
+        // The old leader, re-sent entries it held, keeps the blocks it
+        // shares: what it holds of its own is what it caught up past its
+        // log's end at the restart, and a partly filled block.
+        let old = log::<F>(&cluster, first);
+        let own = unshared(old, lead);
+        let above = (old.last_index().0 / 256).saturating_sub(restarted_at / 256);
+        assert!(
+            own as u64 <= above + 1,
+            "{name}: the restarted leader holds {own} blocks of its own of {}, {above} above {restarted_at}",
+            block_starts(old).len()
+        );
         for i in 0..N {
             for s in 1..=commit.0 {
                 let at = |log: &Log| log.get(Slot(s)).map(|e| (e.term, e.cmd.clone()));

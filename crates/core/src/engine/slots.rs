@@ -1,4 +1,4 @@
-//! The one slot store of both families.
+//! The one slot store of both families, and the one round type.
 //!
 //! Under the paper's Figure-3 map `entry.index ↔ instance.id`, Raft's log
 //! and the Paxos instance table are one structure: entries by slot,
@@ -8,8 +8,9 @@
 //! [`SlotRing`] is both: a `VecDeque` of fixed-size blocks of optional
 //! entries over the slots from the first one present to the last, so a
 //! lookup is two indexes instead of a tree descent and consecutive slots
-//! sit next to each other in memory. [`crate::log::Log`] and the Paxos
-//! family's base (`super::paxos_family::PaxosBase`) each keep one.
+//! sit next to each other in memory. [`crate::log::Log`], the Paxos
+//! family's base (`super::paxos_family::PaxosBase`) and a follower's
+//! forward outbox (`msg::Outbox`) each keep one.
 //!
 //! Blocks, not one growing buffer: the table takes a block when the span
 //! reaches it and frees it when the span leaves it, so what it holds is
@@ -28,23 +29,22 @@
 //!
 //! # Sharing
 //!
-//! A block is reference-counted ([`Block`]), so a reader can keep one
-//! past the call that found it, and another ring can hold it too: a Raft
-//! round is a view of the leader's own blocks ([`crate::log::View`]), a
-//! MultiPaxos or Mencius round a view of the sender's
-//! ([`crate::msg::Instances`]), and a Raft follower's log holds the very
-//! blocks its leader's does ([`SlotRing::share`]). What makes that safe
-//! is that a ring owns only its span: `get`, `len`, `last_slot`, `range`
-//! and `trim` read the cells from its lowest entry to its highest and
-//! nothing else, so a cell another holder sets beyond them is not an
-//! entry of this ring. And a set cell changes only in a block nobody
-//! else holds:
+//! A block is reference-counted, so a reader can keep one past the call
+//! that found it, and another ring can hold it too: a round is a [`Run`]
+//! of the sender's own blocks (*Rounds* below), and a Raft follower's log
+//! holds the very blocks its leader's does (`SlotRing::share`). What
+//! makes that safe is that a ring owns only its span: `get`, `len`,
+//! `last_slot`, `range` and `trim` read the cells from its lowest entry
+//! to its highest and nothing else, so a cell another holder sets beyond
+//! them is not an entry of this ring. And a set cell changes only in a
+//! block nobody else holds:
 //!
 //! - filling an *empty* cell goes through the shared block, so a leader
-//!   appends, a proposer numbers its next instances, and a Mencius owner
-//!   stores a peer's value between its own, into a tail block that rounds
-//!   in flight and its followers' logs point at — each of them reads only
-//!   the cells it was cut over or spans;
+//!   appends, a proposer numbers its next instances, a Mencius owner
+//!   stores a peer's value between its own, and a follower moves its next
+//!   forwarded batch, into a block that rounds in flight and its
+//!   followers' logs point at — each of them reads only the cells it was
+//!   cut over or spans;
 //! - writing a *set* cell — overwriting, taking or clearing one, or
 //!   filling one that another holder set beyond this ring's span — goes
 //!   through `Rc::make_mut`, which first copies a block someone else holds.
@@ -66,40 +66,79 @@
 //! block first. A Paxos-family table never shares a block with another
 //! table: it has holes, and only a dense ring can take another's cells
 //! as its own.
+//!
+//! # Rounds
+//!
+//! Under Figure 3's map a Raft `Append` is a phase-2 accept over a range
+//! of instances, a MultiPaxos `Accept` is one over the proposer's, and
+//! Appendix A.4's Mencius `Suggest` is an `Append` over one owner's
+//! slots. So every round of the four protocols, and a follower's
+//! forwarded batch too, is one [`Run`], cut by one method,
+//! [`SlotRing::cut`]: the first entries of a range that the caller's
+//! rule carries. When they are a run of slots `stride` apart — 1 for a
+//! log, a proposer's batch or a forwarded batch, `n` for a Mencius
+//! owner's every `n`th slot — that lie within two blocks, the run holds
+//! the block the first lies in and, when it goes on past that block's
+//! end, the next one, both shared, with the first slot, the count and
+//! the stride in one word. Cutting one for any peer at any cursor is a
+//! reference count, never an allocation or an entry copy, and every peer
+//! it goes to shares it. Anything else — a round past entries chosen out
+//! of order, a retransmission of the slots that aged, a catch-up longer
+//! than two blocks — is copied instead: its `(slot, entry)` pairs, in
+//! one allocation.
+//!
+//! A run stays what it was cut as while the ring moves on, by the rule
+//! above: appending, numbering the next instances or filling a peer's
+//! slot fills empty cells, in the blocks the run holds; a truncation, an
+//! overwrite, a compaction that stops inside a block, a crash's drop or a
+//! re-proposal copies the block first. What a round carries beside its
+//! entries belongs to the protocol, not to the store: Raft\*'s ballot
+//! mark rides next to the run in `RaftMsg::Append`, a Paxos round's
+//! ballot in its message.
 
 use std::cell::OnceCell;
 use std::collections::VecDeque;
+use std::fmt;
 use std::ops::{Bound, Range, RangeBounds};
 use std::rc::Rc;
 
 use crate::types::Slot;
 
-/// Cells per block: block `b` covers the slots `b * BLOCK .. (b + 1) * BLOCK`.
-const BLOCK: u64 = 256;
+/// Cells per block of a table that names no other length: block `b`
+/// covers the slots `b * 256 .. (b + 1) * 256`. A follower's forward
+/// outbox names a batch's length, 64: a block of 256 there held 9 KB more
+/// per forwarding follower, which the ledger's peak heap reads.
+const CELLS: usize = 256;
 
-/// A block of cells, shareable (module docs, *Sharing*). An empty cell
-/// is an absent slot.
-pub type Block<T> = Rc<[OnceCell<T>]>;
-
-/// A table's block held whole: its length is the table's, so a pointer
-/// to it is thin (a [`Block`] of that length converts with `try_into`).
-pub type WholeBlock<T> = Rc<[OnceCell<T>; BLOCK as usize]>;
+/// A block of `B` cells, shareable (module docs, *Sharing*). An empty
+/// cell is an absent slot. Its length is fixed, so a pointer to it is
+/// thin.
+pub(crate) type Block<T, const B: usize = CELLS> = Rc<[OnceCell<T>; B]>;
 
 /// `block`'s cells to write: the block itself when nobody else holds it,
 /// else a copy of it put in its place (module docs, *Sharing*).
-fn own<T: Clone>(block: &mut Block<T>) -> &mut [OnceCell<T>] {
-    Rc::make_mut(block)
+fn own<T: Clone, const B: usize>(block: &mut Block<T, B>) -> &mut [OnceCell<T>] {
+    &mut Rc::make_mut(block)[..]
+}
+
+/// A block of absent cells, built in place on the heap.
+fn absent<T, const B: usize>() -> Block<T, B> {
+    let cells: Rc<[OnceCell<T>]> = (0..B).map(|_| OnceCell::new()).collect();
+    cells
+        .try_into()
+        .unwrap_or_else(|_| unreachable!("a block of B cells"))
 }
 
 /// A map from [`Slot`] to `T`, dense over the slots it spans (module
 /// docs). Iteration is in slot order over the entries present.
 #[derive(Debug, Clone)]
-pub struct SlotRing<T> {
+pub struct SlotRing<T, const B: usize = CELLS> {
     /// The block number of `blocks[0]`.
     first_block: u64,
     /// Exactly the blocks from the one holding the first entry to the one
-    /// holding the last; none when the table is empty.
-    blocks: VecDeque<Block<T>>,
+    /// holding the last; none when the table is empty, but for the block
+    /// [`SlotRing::clear`] keeps.
+    blocks: VecDeque<Block<T, B>>,
     /// The lowest and the highest slot holding an entry (meaningless when
     /// the table is empty): the span. The table owns the cells in
     /// `lo..=hi` and no other; whatever a cell outside it holds is absent
@@ -110,7 +149,7 @@ pub struct SlotRing<T> {
     present: usize,
 }
 
-impl<T> Default for SlotRing<T> {
+impl<T, const B: usize> Default for SlotRing<T, B> {
     fn default() -> Self {
         SlotRing {
             first_block: 0,
@@ -122,7 +161,10 @@ impl<T> Default for SlotRing<T> {
     }
 }
 
-impl<T: Clone> SlotRing<T> {
+impl<T: Clone, const B: usize> SlotRing<T, B> {
+    /// Cells per block, counted in slots.
+    const BLOCK: u64 = B as u64;
+
     /// An empty table.
     pub fn new() -> Self {
         SlotRing::default()
@@ -146,16 +188,8 @@ impl<T: Clone> SlotRing<T> {
     /// Where `slot`'s cell is (block, then cell in it), if a block
     /// covers it.
     fn locate(&self, slot: Slot) -> Option<(usize, usize)> {
-        let block = (slot.0 / BLOCK).checked_sub(self.first_block)? as usize;
-        (block < self.blocks.len()).then_some((block, (slot.0 % BLOCK) as usize))
-    }
-
-    /// The block holding `slot` and `slot`'s cell in it. A holder of the
-    /// block sees the cells set now, whatever the table does later
-    /// (module docs, *Sharing*).
-    pub fn block_at(&self, slot: Slot) -> Option<(&Block<T>, usize)> {
-        let (block, cell) = self.locate(slot)?;
-        Some((&self.blocks[block], cell))
+        let block = (slot.0 / Self::BLOCK).checked_sub(self.first_block)? as usize;
+        (block < self.blocks.len()).then_some((block, (slot.0 % Self::BLOCK) as usize))
     }
 
     /// The entry at `slot`, if present.
@@ -183,12 +217,14 @@ impl<T: Clone> SlotRing<T> {
     /// whatever lies between) and returns where its cell is (block, then
     /// cell in it), which the caller fills.
     fn stretch_to(&mut self, slot: Slot) -> (usize, usize) {
-        let block = slot.0 / BLOCK;
-        if self.blocks.is_empty() {
+        let block = slot.0 / Self::BLOCK;
+        if self.present == 0 {
+            if block != self.first_block {
+                self.blocks.clear();
+            }
             self.first_block = block;
             (self.lo, self.hi) = (slot.0, slot.0);
         }
-        let absent = || (0..BLOCK).map(|_| OnceCell::new()).collect();
         while block < self.first_block {
             self.blocks.push_front(absent());
             self.first_block -= 1;
@@ -200,7 +236,7 @@ impl<T: Clone> SlotRing<T> {
         self.hi = self.hi.max(slot.0);
         (
             (block - self.first_block) as usize,
-            (slot.0 % BLOCK) as usize,
+            (slot.0 % Self::BLOCK) as usize,
         )
     }
 
@@ -255,6 +291,19 @@ impl<T: Clone> SlotRing<T> {
         Some(old)
     }
 
+    /// Discards every entry. When nobody else holds the table's first
+    /// block it stays, its cells emptied in place, for entries that come
+    /// back to its slots: that is how a follower refills its forward
+    /// outbox once no round holds it (`msg::Outbox`).
+    pub fn clear(&mut self) {
+        self.present = 0;
+        self.blocks.truncate(1);
+        match self.blocks.front_mut().and_then(Rc::get_mut) {
+            Some(cells) => cells.iter_mut().for_each(|cell| drop(cell.take())),
+            None => self.blocks.clear(),
+        }
+    }
+
     /// Makes the slots from `slot` on the table's as `block`'s `cells`
     /// hold them, when that writes no cell, and returns whether it did.
     /// It does when the cells are `slot`'s and the next ones, and the
@@ -266,15 +315,15 @@ impl<T: Clone> SlotRing<T> {
     /// For a table dense over its span (the log), and `block` a table's
     /// with `cells` set; a `slot` outside the span and not just past it
     /// is refused too.
-    pub fn share(&mut self, slot: Slot, block: &Block<T>, cells: Range<usize>) -> bool {
-        if cells.is_empty() || cells.start as u64 != slot.0 % BLOCK || block.len() != BLOCK as usize
-        {
+    pub(crate) fn share(&mut self, slot: Slot, block: &Block<T, B>, cells: Range<usize>) -> bool {
+        if cells.is_empty() || cells.start as u64 != slot.0 % Self::BLOCK {
             return false;
         }
         let last = slot.0 + cells.len() as u64 - 1;
         if self.present == 0 {
+            self.blocks.clear();
             self.blocks.push_back(block.clone());
-            self.first_block = slot.0 / BLOCK;
+            self.first_block = slot.0 / Self::BLOCK;
             (self.lo, self.hi, self.present) = (slot.0, last, cells.len());
             return true;
         }
@@ -319,16 +368,16 @@ impl<T: Clone> SlotRing<T> {
         let first = self.first_block;
         let mut dropped = 0;
         for b in self.blocks_in(start, end) {
-            let at = (first + b as u64) * BLOCK;
+            let at = (first + b as u64) * Self::BLOCK;
             let from = start.max(at);
-            let cells = (from - at) as usize..(end.min(at + BLOCK) - at) as usize;
+            let cells = (from - at) as usize..(end.min(at + Self::BLOCK) - at) as usize;
             for (i, cell) in self.blocks[b][cells.clone()].iter().enumerate() {
                 if let Some(entry) = cell.get() {
                     dropped += 1;
                     gone(Slot(from + i as u64), entry);
                 }
             }
-            let leaves = at.max(lo) >= start && (at + BLOCK).min(hi + 1) <= end;
+            let leaves = at.max(lo) >= start && (at + Self::BLOCK).min(hi + 1) <= end;
             if !leaves {
                 own(&mut self.blocks[b])[cells].iter_mut().for_each(|c| {
                     c.take();
@@ -360,12 +409,12 @@ impl<T: Clone> SlotRing<T> {
         while self.get(Slot(self.hi)).is_none() {
             self.hi -= 1;
         }
-        while self.first_block < self.lo / BLOCK {
+        while self.first_block < self.lo / Self::BLOCK {
             self.blocks.pop_front();
             self.first_block += 1;
         }
         self.blocks
-            .truncate((self.hi / BLOCK - self.first_block + 1) as usize);
+            .truncate((self.hi / Self::BLOCK - self.first_block + 1) as usize);
     }
 
     /// The slots `range` covers, clamped to the span, as `start..end`
@@ -393,7 +442,7 @@ impl<T: Clone> SlotRing<T> {
         if start == end {
             return 0..0;
         }
-        let index = |slot: u64| (slot / BLOCK - self.first_block) as usize;
+        let index = |slot: u64| (slot / Self::BLOCK - self.first_block) as usize;
         index(start)..index(end - 1) + 1
     }
 
@@ -424,9 +473,9 @@ impl<T: Clone> SlotRing<T> {
             .range(blocks)
             .enumerate()
             .flat_map(move |(b, block)| {
-                let at = (first + b as u64) * BLOCK;
+                let at = (first + b as u64) * Self::BLOCK;
                 let from = start.max(at);
-                block[(from - at) as usize..(end.min(at + BLOCK) - at) as usize]
+                block[(from - at) as usize..(end.min(at + Self::BLOCK) - at) as usize]
                     .iter()
                     .enumerate()
                     .filter_map(move |(i, cell)| Some((Slot(from + i as u64), cell.get()?)))
@@ -441,21 +490,331 @@ impl<T: Clone> SlotRing<T> {
         let (start, end) = self.slots_in(range);
         let first = self.first_block;
         self.blocks_mut_in(start, end).flat_map(move |(b, block)| {
-            let at = (first + b as u64) * BLOCK;
+            let at = (first + b as u64) * Self::BLOCK;
             let from = start.max(at);
-            block[(from - at) as usize..(end.min(at + BLOCK) - at) as usize]
+            block[(from - at) as usize..(end.min(at + Self::BLOCK) - at) as usize]
                 .iter_mut()
                 .enumerate()
                 .filter_map(move |(i, cell)| Some((Slot(from + i as u64), cell.get_mut()?)))
         })
     }
+
+    /// The one cut of every round (module docs, *Rounds*): the first
+    /// `count` entries in `range` that `carried` admits. A run of slots
+    /// `stride` apart within two blocks is a view of the table's own
+    /// blocks, which allocates nothing; anything else is a copy of its
+    /// pairs, in one allocation.
+    pub fn cut(
+        &self,
+        range: impl RangeBounds<Slot> + Clone,
+        stride: u64,
+        count: usize,
+        carried: impl Fn(Slot, &T) -> bool,
+    ) -> Run<T, B>
+    where
+        T: 'static,
+    {
+        let held = || {
+            let entries = self.range(range.clone());
+            entries.filter(|&(s, e)| carried(s, e)).take(count)
+        };
+        let mut slots = held().map(|(s, _)| s.0);
+        let Some(first) = slots.next() else {
+            return Run::default();
+        };
+        // How many, and whether each lies `stride` past the one before,
+        // no further than the block after the first one's.
+        let edge = (first / Self::BLOCK + 2) * Self::BLOCK;
+        let (mut len, mut prev, mut run) = (1, first, true);
+        for s in slots {
+            run &= s == prev + stride && s < edge;
+            (len, prev) = (len + 1, s);
+        }
+        let cut = match run.then(|| self.view(first, len, stride)).flatten() {
+            Some(view) => view,
+            None => {
+                // A mapped range tells `Rc<[_]>` its length: one allocation.
+                let mut pairs = held().map(|(s, e)| (s, e.clone()));
+                (0..len)
+                    .map(|_| pairs.next().expect("as many as counted"))
+                    .collect()
+            }
+        };
+        #[cfg(test)]
+        tests::record(|| tests::Cut {
+            run: cut.clone(),
+            held: held().map(|(s, e)| (s, e.clone())).collect(),
+            stride,
+        });
+        cut
+    }
+
+    /// The run of `len` entries from `first`, `stride` apart, as a view of
+    /// the block `first` lies in and, if the run reaches it, the next.
+    fn view(&self, first: u64, len: usize, stride: u64) -> Option<Run<T, B>> {
+        let (block, _) = self.locate(Slot(first))?;
+        let last = first + (len as u64 - 1) * stride;
+        let next =
+            (last / Self::BLOCK > first / Self::BLOCK).then(|| self.blocks[block + 1].clone());
+        Some(Run(Repr::View {
+            head: self.blocks[block].clone(),
+            next,
+            word: pack(first, len as u64, stride)?,
+        }))
+    }
+}
+
+/// One round's entries (module docs, *Rounds*): a run of slots `stride`
+/// apart in up to two of the sender's blocks, shared, or a copy of its
+/// `(slot, entry)` pairs. Whatever the table does after the cut, the run
+/// yields the entries it was cut over.
+///
+/// 24 bytes: every message of the simulator is as large as the largest,
+/// a `Suggest` carrying one of these, and is moved by value through its
+/// event queue. Blocks are whole, so their pointers are thin, and a
+/// view's first slot, count and stride share one word.
+#[derive(Clone)]
+pub struct Run<T, const B: usize = CELLS>(Repr<T, B>);
+
+#[derive(Clone)]
+enum Repr<T, const B: usize> {
+    /// The run in the block its first entry lies in and, when it goes on
+    /// past that block's end, the next one. A block starts at a multiple
+    /// of its length, so where the first entry lies in `head` follows
+    /// from its slot.
+    View {
+        head: Block<T, B>,
+        next: Option<Block<T, B>>,
+        word: u64,
+    },
+    /// Anything else: the pairs, in slot order; none for the empty round.
+    Copied(Option<Rc<[(Slot, T)]>>),
+}
+
+/// A view's first slot (below 2^40), count (below 2^16: a view spans at
+/// most two blocks) and stride (below 2^8: `ReplicaConfig::validate` caps
+/// `n` at 32), in one word.
+fn pack(first: u64, len: u64, stride: u64) -> Option<u64> {
+    let fits = first < 1 << 40 && len < 1 << 16 && stride < 1 << 8;
+    fits.then_some(first | len << 40 | stride << 56)
+}
+
+/// [`pack`]'s first slot, count and stride.
+fn unpack(word: u64) -> (u64, usize, u64) {
+    (
+        word & ((1 << 40) - 1),
+        (word >> 40 & 0xFFFF) as usize,
+        word >> 56,
+    )
+}
+
+impl<T, const B: usize> Default for Run<T, B> {
+    fn default() -> Self {
+        Run(Repr::Copied(None))
+    }
+}
+
+impl<T, const B: usize> Run<T, B> {
+    /// Cells per block, counted in slots.
+    const BLOCK: u64 = B as u64;
+
+    /// Entries in the round.
+    pub fn len(&self) -> usize {
+        match &self.0 {
+            Repr::View { word, .. } => unpack(*word).1,
+            Repr::Copied(pairs) => pairs.as_deref().map_or(0, <[_]>::len),
+        }
+    }
+
+    /// True for the empty round (an idle heartbeat).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The last entry's slot.
+    pub fn last(&self) -> Option<Slot> {
+        let len = self.len();
+        (len > 0).then(|| self.at(len - 1).0)
+    }
+
+    /// The `(slot, entry)` pairs, in slot order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (Slot, &T)> + '_ {
+        self.iter_from(0)
+    }
+
+    /// [`Run::iter`] past its first `skip` pairs; empty once `skip`
+    /// reaches the length.
+    pub(crate) fn iter_from(&self, skip: usize) -> impl ExactSizeIterator<Item = (Slot, &T)> + '_ {
+        (skip.min(self.len())..self.len()).map(|i| self.at(i))
+    }
+
+    /// The `i`th pair. A view covers cells that were set when it was cut,
+    /// and a shared cell that is set stays set (module docs, *Sharing*).
+    fn at(&self, i: usize) -> (Slot, &T) {
+        match &self.0 {
+            Repr::View { head, next, word } => {
+                let (first, _, stride) = unpack(*word);
+                let step = i as u64 * stride;
+                let cell = (first % Self::BLOCK + step) as usize;
+                let cell = match head.get(cell) {
+                    Some(cell) => cell,
+                    None => &next.as_ref().expect("the run goes on")[cell - B],
+                };
+                let entry = cell.get().expect("a run covers set cells");
+                (Slot(first + step), entry)
+            }
+            Repr::Copied(pairs) => {
+                let (slot, entry) = &pairs.as_deref().expect("a copy holds its pairs")[i];
+                (*slot, entry)
+            }
+        }
+    }
+
+    /// A run of consecutive slots past its first `skip`, block by block:
+    /// each block with the range of its cells; nothing for a copy or a
+    /// stride past 1 (`SlotRing::share` takes these).
+    pub(crate) fn blocks(&self, skip: usize) -> impl Iterator<Item = (&Block<T, B>, Range<usize>)> {
+        let (blocks, from, len) = match &self.0 {
+            Repr::View { head, next, word } if unpack(*word).2 == 1 => {
+                let (first, len, _) = unpack(*word);
+                (
+                    [Some(head), next.as_ref()],
+                    (first % Self::BLOCK) as usize,
+                    len,
+                )
+            }
+            _ => ([None, None], 0, 0),
+        };
+        let in_head = len.min(B - from);
+        let skipped = skip.min(in_head);
+        let cells = [
+            from + skipped..from + in_head,
+            (skip - skipped).min(len - in_head)..len - in_head,
+        ];
+        let runs = blocks.into_iter().zip(cells);
+        runs.filter_map(|(block, cells)| Some((block?, cells)).filter(|(_, c)| !c.is_empty()))
+    }
+}
+
+/// A round of its own: a copy of the pairs given, in ascending slot order
+/// (a forwarded batch longer than a block, or a test's scripted round).
+impl<T, const B: usize> FromIterator<(Slot, T)> for Run<T, B> {
+    fn from_iter<I: IntoIterator<Item = (Slot, T)>>(items: I) -> Self {
+        let items: Rc<[(Slot, T)]> = items.into_iter().collect();
+        debug_assert!(items.windows(2).all(|w| w[0].0 < w[1].0));
+        Run(Repr::Copied((!items.is_empty()).then_some(items)))
+    }
+}
+
+impl<T: fmt::Debug, const B: usize> fmt::Debug for Run<T, B> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use paxraft_sim::rng::SimRng;
     use std::collections::{BTreeMap, VecDeque};
+
+    /// Cells per block of the default table, counted in slots.
+    const BLOCK: u64 = CELLS as u64;
+
+    impl<T: Clone, const B: usize> SlotRing<T, B> {
+        /// The block holding `slot` and `slot`'s cell in it.
+        pub(crate) fn block_at(&self, slot: Slot) -> Option<(&Block<T, B>, usize)> {
+            let (block, cell) = self.locate(slot)?;
+            Some((&self.blocks[block], cell))
+        }
+    }
+
+    impl<T, const B: usize> Run<T, B> {
+        /// Whether the round is a view of table blocks.
+        pub(crate) fn is_view(&self) -> bool {
+            matches!(self.0, Repr::View { .. })
+        }
+
+        /// Whether the run holds `block`.
+        pub(crate) fn holds(&self, block: &Block<T, B>) -> bool {
+            match &self.0 {
+                Repr::View { head, next, .. } => {
+                    Rc::ptr_eq(head, block) || next.as_ref().is_some_and(|n| Rc::ptr_eq(n, block))
+                }
+                Repr::Copied(_) => false,
+            }
+        }
+    }
+
+    /// A round as the test recorder keeps it: the run, what the table held
+    /// over its slots at the cut, and the stride it was cut at.
+    pub(crate) struct Cut<T, const B: usize = CELLS> {
+        pub(crate) run: Run<T, B>,
+        pub(crate) held: Vec<(Slot, T)>,
+        pub(crate) stride: u64,
+    }
+
+    thread_local! {
+        /// The rounds [`SlotRing::cut`] made on this thread, while a test
+        /// records them ([`recording`]).
+        static CUTS: std::cell::RefCell<Option<Vec<Box<dyn std::any::Any>>>> =
+            const { std::cell::RefCell::new(None) };
+    }
+
+    impl<T, const B: usize> Cut<T, B> {
+        /// Checks the round against what the table held at the cut, compared
+        /// by `key`: it yields those entries, in ascending slot order, and is
+        /// a view exactly when they lie `stride` apart within two blocks.
+        /// Returns whether it is a view.
+        pub(crate) fn check<K: PartialEq + fmt::Debug>(&self, key: impl Fn(&T) -> K) -> bool {
+            let held: Vec<(Slot, K)> = self.held.iter().map(|(s, e)| (*s, key(e))).collect();
+            let yields: Vec<(Slot, K)> = self.run.iter().map(|(s, e)| (s, key(e))).collect();
+            assert_eq!(
+                yields, held,
+                "a round yields what the table held at the cut"
+            );
+            let slots: Vec<u64> = self.held.iter().map(|(s, _)| s.0).collect();
+            assert!(
+                slots.windows(2).all(|w| w[0] < w[1]),
+                "ascending: {slots:?}"
+            );
+            let view = spaced(&slots, self.stride, B as u64);
+            assert_eq!(
+                self.run.is_view(),
+                view,
+                "stride {}: {slots:?}",
+                self.stride
+            );
+            view
+        }
+    }
+
+    /// Whether `slots` are a run `stride` apart within two blocks: what a
+    /// cut holds as a view.
+    fn spaced(slots: &[u64], stride: u64, block: u64) -> bool {
+        let apart = slots.windows(2).all(|w| w[1] == w[0] + stride);
+        let within = |(first, last): (&u64, &u64)| last / block <= first / block + 1;
+        apart && slots.first().zip(slots.last()).is_some_and(within)
+    }
+
+    /// Keeps the cut `cut` makes, if a test is recording.
+    pub(super) fn record<T: 'static, const B: usize>(cut: impl FnOnce() -> Cut<T, B>) {
+        CUTS.with_borrow_mut(|cuts| {
+            if let Some(cuts) = cuts {
+                cuts.push(Box::new(cut()));
+            }
+        });
+    }
+
+    /// Runs `f` with every cut on this thread recorded: what `f` returned,
+    /// and the cuts of `T`s it made, in order.
+    pub(crate) fn recording<T: 'static, R>(f: impl FnOnce() -> R) -> (R, Vec<Cut<T>>) {
+        CUTS.set(Some(Vec::new()));
+        let out = f();
+        let cuts = CUTS.take().unwrap_or_default().into_iter();
+        let cuts = cuts.filter_map(|cut| cut.downcast::<Cut<T>>().ok());
+        (out, cuts.map(|cut| *cut).collect())
+    }
 
     /// The ring against the tree it replaced, under one random script of
     /// everything the rules files do with it. The window of slots in play
@@ -466,19 +825,49 @@ mod tests {
         against_btreemap(false);
     }
 
-    /// The same script while rounds hold the table's blocks, as a Paxos
-    /// family's rounds do: the table answers as the tree does, with holes,
-    /// `insert`, `remove` and `get_or_default`, and every block a round
-    /// holds keeps every cell that was set when it was taken. The rounds
-    /// draw from a random stream of their own, so the script is the one
-    /// above.
+    /// The property every round rests on (module docs, *Rounds*), under
+    /// the same script while runs are cut from the table and held: every
+    /// run yields what the table held over its slots at the cut, whatever
+    /// the table does afterwards — an overwrite, a removal (a crash's
+    /// drop), a compaction inside a block, a truncation, each of which
+    /// copies a block a run holds first — and it is a view exactly when
+    /// the entries it carries lie `stride` apart within two blocks, a
+    /// copy otherwise. Runs are cut at strides 1 and 5 at random cursors
+    /// and lengths, carrying every entry, one owner's slots of five, or
+    /// the entries whose values are not a multiple of 3 (gaps). The cuts
+    /// draw from a random stream of their own, so the script's draws are
+    /// the ones above.
     #[test]
-    fn ring_answers_what_a_btreemap_answers_while_rounds_hold_its_blocks() {
-        against_btreemap(true);
+    fn a_run_yields_what_the_table_held_at_the_cut() {
+        let tally = against_btreemap(true);
+        assert!(
+            tally.views.iter().all(|&n| n > 200) && tally.copies > 1_000,
+            "{tally:?}"
+        );
+        assert!(tally.outlived > 10_000, "{tally:?}");
     }
 
-    fn against_btreemap(rounds: bool) {
-        let mut held: VecDeque<(Block<u64>, Vec<Option<u64>>)> = VecDeque::new();
+    /// What the rounds of one run of [`against_btreemap`] exercised.
+    #[derive(Debug, Default)]
+    struct Tally {
+        /// Views at stride 1 within one block, across a block edge, and
+        /// at stride 5.
+        views: [u32; 3],
+        /// Runs copied (gaps, or more than two blocks).
+        copies: u32,
+        /// Checks of a held run whose slots the table no longer holds as
+        /// they were at the cut.
+        outlived: u32,
+    }
+
+    /// Runs each script holds and re-checks after every step.
+    const HELD: usize = 8;
+
+    fn against_btreemap(rounds: bool) -> Tally {
+        type Carried = fn(Slot, &u64) -> bool;
+        let carry: [Carried; 3] = [|_, _| true, |s, _| s.0 % 5 == 2, |_, x| x % 3 != 0];
+        let mut held: VecDeque<(Run<u64>, Vec<(Slot, u64)>)> = VecDeque::new();
+        let mut tally = Tally::default();
         let mut cuts = SimRng::new(0x40D5);
         let mut rng = SimRng::new(0x51075);
         let mut ring: SlotRing<u64> = SlotRing::new();
@@ -533,21 +922,62 @@ mod tests {
                     drops += 1;
                 }
             }
-            if rounds && cuts.gen_range(4) == 0 {
-                if let Some((block, _)) = ring.block_at(Slot(near)) {
-                    let cells = block.iter().map(|c| c.get().copied()).collect();
-                    held.push_back((block.clone(), cells));
-                    if held.len() > 8 {
-                        held.pop_front();
+            if rounds {
+                if cuts.gen_range(64) == 0 {
+                    // A truncation, as a Raft follower's or a crash's.
+                    let after = floor + 40 + cuts.gen_range(400);
+                    tree.split_off(&(after + 1));
+                    ring.truncate_after(Slot(after), |_, _| {});
+                }
+                if cuts.gen_range(4) == 0 {
+                    // A burst of consecutive slots, as a leader's batch.
+                    let at = floor + 16 + cuts.gen_range(48);
+                    for s in at..=at + cuts.gen_range(64) {
+                        assert_eq!(ring.insert(Slot(s), s ^ step), tree.insert(s, s ^ step));
                     }
+                }
+                let from = floor + cuts.gen_range(64);
+                let stride = [1, 5][cuts.gen_range(2) as usize];
+                let carried = carry[cuts.gen_range(3) as usize];
+                let count = match cuts.gen_range(3) {
+                    0 => 1 + cuts.gen_range(8) as usize,
+                    1 => 1 + cuts.gen_range(300) as usize,
+                    _ => usize::MAX,
+                };
+                let run = ring.cut(Slot(from).., stride, count, carried);
+                let at_cut: Vec<(Slot, u64)> = tree
+                    .range(from..)
+                    .map(|(&s, &x)| (Slot(s), x))
+                    .filter(|&(s, x)| carried(s, &x))
+                    .take(count)
+                    .collect();
+                let slots: Vec<u64> = at_cut.iter().map(|(s, _)| s.0).collect();
+                let view = spaced(&slots, stride, BLOCK);
+                assert_eq!(run.is_view(), view, "step {step}: {at_cut:?}");
+                let ends = slots.first().zip(slots.last());
+                match (view, stride, ends) {
+                    (false, ..) => tally.copies += u32::from(!at_cut.is_empty()),
+                    (true, 5, _) => tally.views[2] += 1,
+                    (true, _, Some((a, b))) => {
+                        tally.views[usize::from(a / BLOCK != b / BLOCK)] += 1
+                    }
+                    (true, ..) => {}
+                }
+                held.push_back((run, at_cut));
+                if held.len() > HELD {
+                    held.pop_front();
                 }
             }
-            for (block, cells) in &held {
-                for (cell, was) in block.iter().zip(cells) {
-                    if was.is_some() {
-                        assert_eq!(cell.get(), was.as_ref(), "a round's cell changed");
-                    }
-                }
+            for (run, at_cut) in &held {
+                assert_eq!(run.len(), at_cut.len(), "step {step}");
+                assert_eq!(run.last(), at_cut.last().map(|&(s, _)| s));
+                let yields = run.iter().map(|(s, &x)| (s, x));
+                assert!(yields.eq(at_cut.iter().copied()), "step {step}");
+                let k = step as usize % (at_cut.len() + 2);
+                let past = run.iter_from(k).map(|(s, &x)| (s, x));
+                assert!(past.eq(at_cut.iter().skip(k).copied()), "step {step}");
+                let now = at_cut.iter().map(|&(s, _)| tree.get(&s.0).copied());
+                tally.outlived += u32::from(!now.eq(at_cut.iter().map(|&(_, x)| Some(x))));
             }
             assert_eq!(ring.len(), tree.len());
             assert_eq!(ring.is_empty(), tree.is_empty());
@@ -586,6 +1016,7 @@ mod tests {
             gaps > 1_000 && drops > 4_000 && below > 100,
             "the script left gaps, discarded and reached below the span: {gaps}, {drops}, {below}"
         );
+        tally
     }
 
     /// What the table holds follows what it spans: no block outlives the
@@ -688,15 +1119,13 @@ mod tests {
         assert_eq!(a.len(), 310);
     }
 
-    /// What `share` refuses, changing nothing: a block of another length,
-    /// cells that are not the slot's, a block other than the one the ring
-    /// holds there, and one that does not start just past the ring's end.
+    /// What `share` refuses, changing nothing: cells that are not the
+    /// slot's, a block other than the one the ring holds there, and one
+    /// that does not start just past the ring's end.
     #[test]
     fn share_takes_only_a_block_that_writes_nothing() {
         let (a, mut b) = a_and_b();
         let before = entries(&b);
-        let short: Block<u64> = (0..10).map(OnceCell::from).collect();
-        assert!(!b.share(Slot(266), &short, 266 % 256..10));
         let (second, _) = a.block_at(Slot(256)).expect("held");
         assert!(!b.share(Slot(266), second, 11..20), "cells not the slot's");
         let mut c: SlotRing<u64> = SlotRing::new();

@@ -941,11 +941,18 @@ mod tests {
                 term: Term(1),
                 prev: Slot(0),
                 prev_term: Term(0),
-                entries: crate::log::View::from_iter([Entry {
-                    term: Term(1),
-                    bal: Term(1),
-                    cmd: cmd.clone(),
-                }]),
+                entries: [(
+                    Slot(1),
+                    Entry {
+                        term: Term(1),
+                        bal: Term(1),
+                        cmd: cmd.clone(),
+                    },
+                )]
+                .into_iter()
+                .collect(),
+                covered: 1,
+                bal_term: Term(1),
                 commit: Slot(0),
                 window_room: true,
             });
@@ -1012,25 +1019,32 @@ mod tests {
         assert_eq!(size_of::<std::cell::OnceCell<crate::log::Entry>>(), 64);
         // The largest message is a Mencius `Suggest`: term, round and a
         // stream element that carries an ack (a term and a list of
-        // slots). Its round is a 24 B view of the owner's table where it
+        // slots). Its round is a 24 B run of the owner's table where it
         // was a 16 B `Arc` of copied pairs: 8 B more per message, paid so
-        // that no round is copied (`engine/paxos_family.rs`, *Rounds*).
+        // that no round is copied (`engine/slots.rs`, *Rounds*).
         assert_eq!(size_of::<crate::msg::Msg>(), 112);
         // A list of slots sits where the `Vec<Slot>` it replaced sat.
         assert_eq!(size_of::<crate::msg::Slots>(), 24);
         // A forwarded batch holds one command in place, in the space of
-        // that `Command`: a list, or a view of the follower's forward
-        // block, rides in the operation's spare tags.
+        // that `Command`: a run of the follower's outbox rides in the
+        // operation's spare tags.
         assert_eq!(size_of::<crate::msg::Batch>(), 48);
         assert_eq!(size_of::<crate::msg::Coord>(), 80);
-        // A round's instances: thin pointers to up to two whole table
-        // blocks and the run in one word, or a copy of the pairs.
-        assert_eq!(size_of::<crate::msg::Instances>(), 24);
+        // Every round, of every protocol, and every forwarded batch of
+        // several: thin pointers to up to two whole blocks and the run in
+        // one word, or a copy of the pairs.
+        use crate::engine::paxos_family::Cell;
+        use crate::engine::slots::Run;
+        assert_eq!(size_of::<Run<crate::log::Entry>>(), 24);
+        assert_eq!(size_of::<Run<Cell>>(), 24);
+        assert_eq!(size_of::<Run<Command>>(), 24);
         assert_eq!(size_of::<crate::msg::PaxosMsg>(), 56);
         assert_eq!(size_of::<crate::msg::MenciusMsg>(), 112);
+        // An `Append`: the run and Raft*'s ballot mark beside it, where a
+        // 56 B view held both.
+        assert_eq!(size_of::<crate::msg::RaftMsg>(), 72);
         // The Paxos-family instance, one for both rules files: the ack
         // bitmap and the flags share one word.
-        use crate::engine::paxos_family::Cell;
         assert_eq!(size_of::<Cell>(), 72);
         // Its ring cell: the ballot, flags and write sequence change in
         // place (`std::cell::Cell`s hide their niches), and the value's

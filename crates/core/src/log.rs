@@ -20,11 +20,11 @@
 //! `crates/spec` Raft* spec and its refinement proof are untouched).
 //!
 //! Every way out of the log yields effective ballots: [`Log::bal_at`],
-//! [`Log::iter`], the entries cloned by [`Log::suffix_from`] (what Raft*
-//! vote replies carry) and the rounds cut by [`Log::view`] (what appends
-//! carry, *Rounds* below). [`Log::get`] hands out the stored entry for
-//! its `term` and `cmd`; its `bal` field is the effective ballot only
-//! past the mark, so ballot readers go through the four accessors
+//! [`Log::iter`] and the entries cloned by [`Log::suffix_from`] (what
+//! Raft* vote replies carry); a round cut by [`Log::round`] (what appends
+//! carry) comes with the mark over it. [`Log::get`] hands out the stored
+//! entry for its `term` and `cmd`; its `bal` field is the effective
+//! ballot only past the mark, so ballot readers go through the accessors
 //! above. Whatever removes or replaces entries
 //! ([`Log::truncate_from`], [`Log::replace_suffix`], [`Log::reset_to`])
 //! pulls the mark back with them, so it never exceeds
@@ -65,48 +65,28 @@
 //! write of both flavors' acceptors, takes a round's cells as they are
 //! where they lie in a block the log already holds at their place, or
 //! in the block that comes next when the log ends just before it: the
-//! span grows over them and nothing is written. What it still clones in
-//! is the rest of a block the log holds that is not the leader's — the
-//! partly filled block a follower holds when a leadership starts — and
-//! a round copied because it spans more than two blocks (*Rounds*). So
-//! a cluster stores its replicated log about once, whatever the number
-//! of replicas, and the follower allocates no block as it grows.
+//! span grows over them and nothing is written. Elsewhere it clones the
+//! round's entries in — into the rest of a block the log holds that is
+//! not the leader's (the partly filled block a follower holds when a
+//! leadership starts), or from a round copied because it spans more than
+//! two blocks — and leaves alone a cell that already holds the entry, so
+//! a replica re-sent what it has keeps the blocks it shares. So a cluster
+//! stores its replicated log about once, whatever the number of replicas,
+//! and the follower allocates no block as it grows.
+//!
+//! Either way the follower stores the leader's entries as the leader
+//! stores them, ballots included, and never the round's ballot mark: under
+//! Raft\* its own mark covers every entry of the round at once (Figure
+//! 2b), and Raft keeps no mark, so a stored ballot is the effective one.
 //!
 //! # Rounds
 //!
-//! Under Figure 3's map an `Append` is a phase-2 accept over a range of
-//! instances, and like a MultiPaxos round (a [`crate::msg::Instances`]
-//! view of the proposer's table) it is paid for once: its entries are a
-//! [`View`] of the leader's own blocks, not a copy of them. A view
-//! holds the block its first entry lies in and, when the round runs on
-//! past that block's end, the next one — both shared, so cutting a round
-//! for any peer at any cursor is a reference count, never an allocation
-//! or an entry copy — plus the range of cells it covers and the ballot
-//! mark it was cut under. Its entries come out cloned, each with the
-//! effective ballot it had at the cut, exactly what [`Log::suffix_from`]
-//! cloned then; a follower that takes the cells themselves
-//! ([`Log::replace_suffix`]) reads their stored ballots only where its own
-//! mark does not cover them, which under Raft\* is nowhere, and under
-//! Raft, which keeps no mark, the stored ballot is the effective one.
-//!
-//! A view stays what it was cut as while the log moves on, because the
-//! ring changes a set cell only in a block nobody else holds
-//! (`engine::slots`, *Sharing*): the leader keeps appending into the
-//! tail block that rounds in flight and its followers' logs point at,
-//! while a truncation, a [`Log::replace_suffix`], a mark pulled back, a
-//! compaction that stops inside a block or a crash's truncation first
-//! copies a block another holds — a follower's no less than the
-//! leader's. A round longer than two blocks — a catch-up of hundreds of
-//! entries starting deep in a block — is copied instead, with its
-//! ballots written in, into one private block of its own.
-
-use std::cell::OnceCell;
-use std::fmt;
-use std::ops::Range;
+//! An `Append` is a phase-2 accept over a range of instances, cut from
+//! the leader's own blocks like every round (`engine::slots`, *Rounds*).
 
 use paxraft_workload::metrics::PeakGauge;
 
-use crate::engine::slots::Block;
+use crate::engine::slots::Run;
 use crate::engine::SlotRing;
 use crate::kv::Command;
 use crate::types::{Slot, Term};
@@ -266,10 +246,11 @@ impl Log {
     /// is what the caller charges. Cells of the round that lie in a
     /// block this log holds at their place, or in the block next after
     /// its end, are taken as they are and nothing is written for them;
-    /// the rest are cloned in, each with the ballot the round was cut
-    /// with (module docs, *Storage*). Raft\* replaces the whole suffix
-    /// after `prev`; Raft calls it past the entries it kept and the
-    /// suffix it truncated, so for Raft it only appends.
+    /// the rest are cloned in as the leader stores them, but where the
+    /// log already holds the very entry (module docs, *Storage*). Raft\*
+    /// replaces the whole suffix after `prev`; Raft calls it past the
+    /// entries it kept and the suffix it truncated, so for Raft it only
+    /// appends.
     ///
     /// # Panics
     ///
@@ -278,7 +259,12 @@ impl Log {
     /// length(ents)`), so reaching this state is a protocol bug — or if
     /// `prev` lies inside the compacted prefix (callers must skip the
     /// overlap first).
-    pub fn replace_suffix(&mut self, prev: Slot, round: &View, skip: usize) -> (usize, usize) {
+    pub fn replace_suffix(
+        &mut self,
+        prev: Slot,
+        round: &Run<Entry>,
+        skip: usize,
+    ) -> (usize, usize) {
         let n = round.len().saturating_sub(skip);
         assert!(
             prev >= self.start,
@@ -295,11 +281,11 @@ impl Log {
         // The replacement carries its own ballots.
         self.bal_upto = self.bal_upto.min(prev);
         let (mut at, mut taken, mut bytes) = (prev.next(), skip, 0);
-        for (block, cells) in round.runs(skip) {
+        for (block, cells) in round.blocks(skip) {
             let (count, end) = (cells.len(), self.last_index());
             if self.entries.share(at, block, cells.clone()) {
                 for (slot, cell) in (at.0..).zip(&block[cells]) {
-                    let size = stored(cell).size_bytes();
+                    let size = cell.get().expect("a round covers set cells").size_bytes();
                     bytes += size;
                     // Past the old end the entry is new to the log.
                     if slot > end.0 {
@@ -307,29 +293,45 @@ impl Log {
                     }
                 }
             } else {
-                let entries = round.iter_from(taken).take(count);
-                for (slot, e) in (at.0..).map(Slot).zip(entries) {
-                    bytes += e.size_bytes();
-                    self.bytes += e.size_bytes();
-                    if let Some(old) = self.entries.insert(slot, e) {
-                        self.bytes -= old.size_bytes();
-                    }
-                }
+                bytes += self.clone_in(at, round.iter_from(taken).take(count));
             }
             at = Slot(at.0 + count as u64);
             taken += count;
         }
+        // A copied round's entries, which lie in no block.
+        bytes += self.clone_in(at, round.iter_from(taken));
         self.note_peak();
         (n, bytes)
+    }
+
+    /// Writes `entries` from `at` on, leaving alone a cell that already
+    /// holds the entry; returns their bytes.
+    fn clone_in<'a>(
+        &mut self,
+        at: Slot,
+        entries: impl Iterator<Item = (Slot, &'a Entry)>,
+    ) -> usize {
+        let mut bytes = 0;
+        for (slot, (_, e)) in (at.0..).map(Slot).zip(entries) {
+            bytes += e.size_bytes();
+            if self.get(slot) == Some(e) {
+                continue;
+            }
+            self.bytes += e.size_bytes();
+            if let Some(old) = self.entries.insert(slot, e.clone()) {
+                self.bytes -= old.size_bytes();
+            }
+        }
+        bytes
     }
 
     /// How many of `round`'s entries past its first `skip` this log
     /// already holds in order after `prev`: the same term at the same
     /// slot (Raft's test for an entry it keeps).
-    pub fn holds(&self, prev: Slot, round: &View, skip: usize) -> usize {
+    pub fn holds(&self, prev: Slot, round: &Run<Entry>, skip: usize) -> usize {
         (prev.0 + 1..)
-            .zip(round.runs(skip).flat_map(|(block, cells)| &block[cells]))
-            .take_while(|&(slot, cell)| self.term_at(Slot(slot)) == Some(stored(cell).term))
+            .zip(round.iter_from(skip))
+            .take_while(|&(slot, (_, e))| self.term_at(Slot(slot)) == Some(e.term))
             .count()
     }
 
@@ -351,81 +353,39 @@ impl Log {
         self.bal_term = term;
     }
 
-    /// The blocks holding the retained entries, each with the first of
-    /// them it holds (for the sharing tests).
-    #[cfg(test)]
-    pub(crate) fn blocks(&self) -> Vec<(Slot, &Block<Entry>)> {
-        let mut blocks = Vec::new();
-        let mut slot = self.first_index();
-        while slot <= self.last_index() {
-            let (block, cell) = self.entries.block_at(slot).expect("dense");
-            blocks.push((slot, block));
-            slot = Slot(slot.0 + (block.len() - cell) as u64);
-        }
-        blocks
-    }
-
-    /// The ballot mark `(bal_upto, bal_term)`, for the invariant tests.
-    #[cfg(test)]
-    pub(crate) fn bal_mark(&self) -> (Slot, Term) {
-        (self.bal_upto, self.bal_term)
-    }
-
-    /// Clones the retained entries strictly after `prev` (for
-    /// AppendEntries payloads and Raft* vote-reply extras), each with
-    /// its effective ballot in `bal`. A `prev` inside the compacted
+    /// Clones the retained entries strictly after `prev` (Raft*
+    /// vote-reply extras), each with its effective ballot in `bal`. A `prev` inside the compacted
     /// prefix yields everything retained — callers wanting the
     /// discarded part must ship a snapshot instead.
     pub fn suffix_from(&self, prev: Slot) -> Vec<Entry> {
-        self.suffix_iter(prev, usize::MAX).collect()
+        let first = prev.max(self.start).next();
+        let slots = (first.0..=self.last_index().0).map(Slot);
+        slots
+            .map(|slot| {
+                let e = self.get(slot).expect("the log is dense over its span");
+                Entry {
+                    bal: self.effective_bal(slot, e),
+                    ..e.clone()
+                }
+            })
+            .collect()
     }
 
     /// At most `max` retained entries strictly after `prev`, as the
-    /// payload of one replication round: a [`View`] of the blocks they
-    /// lie in, cut under the current ballot mark, so it yields what
-    /// [`Log::suffix_from`] clones at this moment, now and after any
-    /// later change to the log. Cutting one allocates nothing and copies
-    /// no entry, unless the round spans more than two blocks (module
-    /// docs, *Rounds*).
-    pub fn view(&self, prev: Slot, max: usize) -> View {
+    /// payload of one replication round (`engine::slots`, *Rounds*): a
+    /// run of the leader's own blocks, which yields what
+    /// [`Log::suffix_from`] clones at this moment, now and after any later
+    /// change to the log, but for the ballots. Those come as the mark over
+    /// the round: its first `covered` entries have effective ballot
+    /// `bal_term`, the rest their stored one. Cutting one allocates
+    /// nothing and copies no entry, unless the round spans more than two
+    /// blocks.
+    pub fn round(&self, prev: Slot, max: usize) -> (Run<Entry>, u32, Term) {
         let first = prev.max(self.start).next();
-        let n = max.min((self.last_index().0 + 1).saturating_sub(first.0) as usize);
-        if n == 0 {
-            return View::default();
-        }
-        let (head, from) = self
-            .entries
-            .block_at(first)
-            .expect("the log is dense over its span");
-        let in_head = head.len() - from;
-        let next = match n.checked_sub(in_head) {
-            None | Some(0) => None,
-            Some(rest) => match self.entries.block_at(Slot(first.0 + in_head as u64)) {
-                Some((next, 0)) if rest <= next.len() => Some(next.clone()),
-                _ => return self.suffix_iter(prev, max).collect(),
-            },
-        };
-        View {
-            blocks: [Some(head.clone()), next],
-            from: from as u32,
-            len: n as u32,
-            covered: (self.bal_upto.0 + 1).saturating_sub(first.0).min(n as u64) as u32,
-            bal_term: self.bal_term,
-        }
-    }
-
-    /// At most `max` retained entries strictly after `prev`, cloned with
-    /// their effective ballots. A mapped `Range<usize>` is `TrustedLen`,
-    /// so a [`View`]'s private block collects from it in one allocation.
-    fn suffix_iter(&self, prev: Slot, max: usize) -> impl ExactSizeIterator<Item = Entry> + '_ {
-        let first = prev.max(self.start).next();
-        let n = max.min((self.last_index().0 + 1).saturating_sub(first.0) as usize);
-        (0..n).map(move |i| {
-            let slot = Slot(first.0 + i as u64);
-            let e = self.get(slot).expect("the log is dense over its span");
-            let bal = self.effective_bal(slot, e);
-            Entry { bal, ..e.clone() }
-        })
+        let run = self.entries.cut(first.., 1, max, |_, _| true);
+        let covered = (self.bal_upto.0 + 1).saturating_sub(first.0);
+        let covered = covered.min(run.len() as u64) as u32;
+        (run, covered, self.bal_term)
     }
 
     /// Iterates retained entries as `(global slot, effective ballot,
@@ -497,128 +457,24 @@ impl Log {
     }
 }
 
-/// One replication round's entries (module docs, *Rounds*): up to two of
-/// the leader's log blocks, shared, the cells of the round in them, and
-/// the ballot mark the round was cut under. A round longer than two
-/// blocks has one private block of its own instead, its ballots written
-/// in. Whatever the leader's log does after the cut, a view yields the
-/// entries as they were at it.
-#[derive(Clone, Default)]
-pub struct View {
-    /// The block holding the first entry, and the next one when the
-    /// entries run on into it; neither for the empty round.
-    blocks: [Option<Block<Entry>>; 2],
-    /// The first entry's cell in `blocks[0]`.
-    from: u32,
-    /// Entries in the round.
-    len: u32,
-    /// The ballot mark at the cut: the first `covered` entries have
-    /// effective ballot `bal_term`, the rest their stored one.
-    covered: u32,
-    bal_term: Term,
-}
-
-impl View {
-    /// Entries in the round.
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// True for the empty round (a heartbeat).
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The round's cells: those in the first block, then those in the
-    /// next.
-    fn cells(&self) -> (&[OnceCell<Entry>], &[OnceCell<Entry>]) {
-        let [head, next] = self
-            .blocks
-            .each_ref()
-            .map(|b| b.as_deref().unwrap_or_default());
-        let (from, len) = (self.from as usize, self.len());
-        let in_head = len.min(head.len() - from);
-        (&head[from..from + in_head], &next[..len - in_head])
-    }
-
-    /// The round's cells past its first `skip`, block by block: each
-    /// block with the range of its cells.
-    fn runs(&self, skip: usize) -> impl Iterator<Item = (&Block<Entry>, Range<usize>)> {
-        let (head, next) = self.cells();
-        let from = self.from as usize;
-        let skipped = skip.min(head.len());
-        let runs = [
-            from + skipped..from + head.len(),
-            (skip - skipped).min(next.len())..next.len(),
-        ];
-        self.blocks
-            .iter()
-            .zip(runs)
-            .filter(|(_, cells)| !cells.is_empty())
-            .filter_map(|(block, cells)| Some((block.as_ref()?, cells)))
-    }
-
-    /// The entries, cloned, each with its effective ballot at the cut —
-    /// what [`Log::suffix_from`] cloned then.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = Entry> + '_ {
-        self.iter_from(0)
-    }
-
-    /// [`View::iter`] past its first `skip` entries, which it does not
-    /// clone (`iter().skip(k)` clones each entry it skips); empty once
-    /// `skip` reaches the length.
-    pub fn iter_from(&self, skip: usize) -> impl ExactSizeIterator<Item = Entry> + '_ {
-        let (head, next) = self.cells();
-        (skip.min(self.len())..self.len()).map(move |i| {
-            let e = stored(head.get(i).unwrap_or_else(|| &next[i - head.len()]));
-            let bal = if i < self.covered as usize {
-                self.bal_term
-            } else {
-                e.bal
-            };
-            Entry { bal, ..e.clone() }
-        })
-    }
-
-    /// Approximate wire size of the entries ([`Entry::size_bytes`]
-    /// summed).
-    pub fn size_bytes(&self) -> usize {
-        let (head, next) = self.cells();
-        head.iter()
-            .chain(next)
-            .map(|c| stored(c).size_bytes())
-            .sum()
-    }
-}
-
-/// The entry in a cell a view covers: it was set when the view was cut,
-/// and stays set (`engine::slots`, *Sharing*).
-fn stored(cell: &OnceCell<Entry>) -> &Entry {
-    cell.get().expect("a view covers set cells")
-}
-
-/// A round of its own: one private block holding the entries as given.
-impl FromIterator<Entry> for View {
-    fn from_iter<I: IntoIterator<Item = Entry>>(entries: I) -> Self {
-        let block: Block<Entry> = entries.into_iter().map(OnceCell::from).collect();
-        View {
-            len: block.len() as u32,
-            blocks: [Some(block), None],
-            ..View::default()
-        }
-    }
-}
-
-impl fmt::Debug for View {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kv::{CmdId, Command};
+
+    impl Log {
+        /// Whether slot `s` of this log and of `other` lie in one block
+        /// (for the sharing tests).
+        pub(crate) fn shares_block_at(&self, s: Slot, other: &Log) -> bool {
+            let at = |log: &Log| log.entries.block_at(s).map(|(block, _)| block.clone());
+            matches!((at(self), at(other)), (Some(a), Some(b)) if std::rc::Rc::ptr_eq(&a, &b))
+        }
+
+        /// The ballot mark `(bal_upto, bal_term)`, for the invariant tests.
+        pub(crate) fn bal_mark(&self) -> (Slot, Term) {
+            (self.bal_upto, self.bal_term)
+        }
+    }
 
     fn entry(term: u64, key: u64) -> Entry {
         Entry {
@@ -635,9 +491,29 @@ mod tests {
         }
     }
 
-    /// A round of its own holding `entries`.
-    fn round(entries: Vec<Entry>) -> View {
-        entries.into_iter().collect()
+    /// A round of its own holding `entries` (a copy: its slots are not
+    /// the log's).
+    fn round(entries: Vec<Entry>) -> Run<Entry> {
+        (1..).map(Slot).zip(entries).collect()
+    }
+
+    /// The entries of a round cut by [`Log::round`], each with its
+    /// effective ballot at the cut: Figure 2's `ents`.
+    fn with_ballots((run, covered, bal_term): &(Run<Entry>, u32, Term)) -> Vec<Entry> {
+        let bal = |i: usize, e: &Entry| {
+            if i < *covered as usize {
+                *bal_term
+            } else {
+                e.bal
+            }
+        };
+        let entries = run.iter().enumerate();
+        entries
+            .map(|(i, (_, e))| Entry {
+                bal: bal(i, e),
+                ..e.clone()
+            })
+            .collect()
     }
 
     #[test]
@@ -732,11 +608,11 @@ mod tests {
         assert_eq!(tail[0].cmd.op.key(), Some(2));
         assert!(log.suffix_from(Slot(9)).is_empty());
         assert_eq!(log.suffix_from(Slot::NONE).len(), 4);
-        let round: Vec<Entry> = log.view(Slot(1), 2).iter().collect();
+        let round = with_ballots(&log.round(Slot(1), 2));
         assert_eq!(round[..], log.suffix_from(Slot(1))[..2]);
-        assert_eq!(log.view(Slot(3), 2).len(), 1, "the log ends first");
-        assert!(log.view(Slot(1), 0).is_empty());
-        assert!(log.view(Slot(4), 2).is_empty());
+        assert_eq!(log.round(Slot(3), 2).0.len(), 1, "the log ends first");
+        assert!(log.round(Slot(1), 0).0.is_empty());
+        assert!(log.round(Slot(4), 2).0.is_empty());
     }
 
     #[test]
@@ -759,14 +635,14 @@ mod tests {
         crossed: [u32; 6],
         /// The most appends one case made.
         most_appends: u64,
-        /// Views cut over one block, over two, and into a private block.
+        /// Rounds cut over one block, over two, and copied.
         views: [u32; 3],
-        /// Checks of a held view whose slots the log no longer holds as
+        /// Checks of a held round whose slots the log no longer holds as
         /// they were at the cut.
         outlived: u32,
     }
 
-    /// Views each run holds and re-checks after every step.
+    /// Rounds each run holds and re-checks after every step.
     const HELD: usize = 16;
 
     /// One random script of every mutator against Figure 2 executed
@@ -774,9 +650,9 @@ mod tests {
     /// offset) that rewrites every covered `bal` in a loop. After each
     /// step the effective ballots out of `bal_at`, `iter` and
     /// `suffix_from` must equal the reference's stored ones, and the mark
-    /// must not pass the end. Each step also cuts a round ([`Log::view`])
+    /// must not pass the end. Each step also cuts a round ([`Log::round`])
     /// of random length at a random cursor, which must equal the clone
-    /// `suffix_iter` makes at the cut — and still equal it after every
+    /// `suffix_from` makes at the cut — and still equal it after every
     /// later step while the run holds it (the last [`HELD`]), whatever
     /// the log did to those slots since. An append step adds up to
     /// `burst` entries; with `near_edges` every case starts, and every
@@ -798,7 +674,8 @@ mod tests {
         };
         let mut tally = Tally::default();
         let crossed = &mut tally.crossed;
-        let mut held: VecDeque<(View, Vec<Entry>, Slot, String)> = VecDeque::new();
+        let mut held: VecDeque<((Run<Entry>, u32, Term), Vec<Entry>, Slot, String)> =
+            VecDeque::new();
         for case in 0..cases {
             let mut log = Log::new();
             // Reference: entries after `start`, ballots rewritten eagerly.
@@ -908,39 +785,26 @@ mod tests {
                     2 => rng.gen_range(4 * EDGE) as usize,
                     _ => usize::MAX,
                 };
-                let cut: Vec<Entry> = log.suffix_iter(Slot(prev), max).collect();
+                let cut: Vec<Entry> = log.suffix_from(Slot(prev)).into_iter().take(max).collect();
                 let upto = from.saturating_add(max).min(eager.len());
                 assert_eq!(cut, eager[from..upto], "{ctx}");
-                let view = log.view(Slot(prev), max);
-                if let Some(head) = &view.blocks[0] {
-                    let kind = match (head.len() as u64, &view.blocks[1]) {
-                        (EDGE, None) => 0,
-                        (EDGE, Some(_)) => 1,
+                let round = log.round(Slot(prev), max);
+                if !round.0.is_empty() {
+                    let kind = match round.0.blocks(0).count() {
+                        1 => 0,
+                        2 => 1,
                         _ => 2,
                     };
                     tally.views[kind] += 1;
                 }
-                held.push_back((view, cut, Slot(prev), ctx.clone()));
+                held.push_back((round, cut, Slot(prev), ctx.clone()));
                 if held.len() > HELD {
                     held.pop_front();
                 }
-                for (view, cut, prev, at) in &held {
-                    assert_eq!(view.len(), cut.len(), "{ctx}: the view cut at {at}");
-                    assert!(
-                        view.iter().eq(cut.iter().cloned()),
-                        "{ctx}: the view cut at {at}"
-                    );
-                    // Iterated from an offset, past the end included: the
-                    // offset comes from the step, so the script's draws
-                    // stay what they were.
-                    let k = step as usize % (cut.len() + 2);
-                    let past = view.iter_from(k);
-                    assert_eq!(past.len(), cut.len().saturating_sub(k), "{ctx}: from {k}");
-                    assert!(
-                        past.eq(cut.iter().skip(k).cloned()),
-                        "{ctx}: the view cut at {at}, from {k}"
-                    );
-                    let now = log.suffix_iter(*prev, cut.len());
+                for (round, cut, prev, at) in &held {
+                    assert_eq!(round.0.len(), cut.len(), "{ctx}: the round cut at {at}");
+                    assert_eq!(with_ballots(round), *cut, "{ctx}: the round cut at {at}");
+                    let now = log.suffix_from(*prev).into_iter().take(cut.len());
                     tally.outlived += u32::from(now.ne(cut.iter().cloned()));
                 }
             }
@@ -973,9 +837,9 @@ mod tests {
     }
 
     /// The same script with long bursts, so the log spans more than two
-    /// blocks and a long round takes the private copy.
+    /// blocks and a long round is copied.
     #[test]
-    fn views_stay_what_they_were_cut_as_over_long_logs() {
+    fn rounds_stay_what_they_were_cut_as_over_long_logs() {
         let tally = against_eager_rewrite(0x10C5, 16, 300, 128, true);
         assert!(tally.views.iter().all(|&n| n > 100), "{tally:?}");
         assert!(tally.outlived > 1_000, "{tally:?}");

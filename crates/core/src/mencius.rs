@@ -187,10 +187,11 @@ use crate::config::ReplicaConfig;
 use crate::costs::CostModel;
 use crate::engine::conflicts::{ConflictIndex, Holds};
 use crate::engine::paxos_family::{ack_bit, merge_highest, Accepted, Cell, PaxosBase, Stored};
+use crate::engine::slots::Run;
 use crate::engine::{self, EngineCore, Links, ProtocolRules, ReplicaEngine, Waiting, T_COORD};
 use crate::kv::{Command, Key, Op};
 use crate::msg::{
-    Ack, Coord, Instances, MenciusMsg, Msg, Slots, CHECKPOINT_ACK_HEADER, CHECKPOINT_CHUNK_HEADER,
+    Ack, Coord, MenciusMsg, Msg, Slots, CHECKPOINT_ACK_HEADER, CHECKPOINT_CHUNK_HEADER,
 };
 use crate::snapshot::Snapshot;
 use crate::types::{max_failures, NodeId, Slot, Term};
@@ -244,6 +245,11 @@ fn unindex(conflicts: &mut ConflictIndex) -> impl FnMut(Slot, &Cell) + '_ {
             conflicts.remove(s, holds);
         }
     }
+}
+
+/// What an owner's round carries: its own slots that hold a value.
+fn own(me: NodeId, n: usize) -> impl Fn(Slot, &Cell) -> bool {
+    move |s, slot| MenciusReplica::owner_of(s, n) == me && slot.cmd().is_some()
 }
 
 /// Own slot `s`'s number among its owner's slots, from zero.
@@ -339,10 +345,6 @@ pub struct MenciusRules {
     /// slots they answered.
     #[cfg(test)]
     oracle_checked: Option<(u64, u64)>,
-    /// Tests: when set, every round cut, beside the copy the builder
-    /// collected for it before rounds were views ([`MenciusRules::check_cut`]).
-    #[cfg(test)]
-    cuts: Option<Vec<(Instances, Vec<(Slot, Command)>)>>,
     /// Own slots committed in this handler, not yet queued per peer.
     commit_buf: Vec<Slot>,
     last_heard: Vec<SimTime>,
@@ -401,8 +403,6 @@ impl MenciusReplica {
                 respond_seen: None,
                 #[cfg(test)]
                 oracle_checked: None,
-                #[cfg(test)]
-                cuts: None,
                 commit_buf: Vec::new(),
                 last_heard: vec![SimTime::ZERO; n],
                 revoke: None,
@@ -524,7 +524,7 @@ impl MenciusRules {
         core: &mut EngineCore,
         ctx: &mut Ctx<Msg>,
         term: Term,
-        items: Instances,
+        items: Run<Cell>,
     ) {
         for peer in core.cfg.others() {
             let coord = self.stamp(&mut core.links, peer, ctx.now());
@@ -536,18 +536,6 @@ impl MenciusRules {
                     coord,
                 }),
             );
-        }
-    }
-
-    /// Tests: `round`, just cut, yields exactly the pairs the builder's
-    /// copy collected before rounds were views; kept beside it when
-    /// `cuts` is on, to be read again after the table moved on.
-    #[cfg(test)]
-    fn check_cut(&mut self, round: &Instances, copy: Vec<(Slot, Command)>) {
-        let collected = copy.iter().map(|(s, c)| (*s, c));
-        assert!(round.iter().eq(collected), "{round:?} against {copy:?}");
-        if let Some(cuts) = &mut self.cuts {
-            cuts.push((round.clone(), copy));
         }
     }
 
@@ -928,18 +916,11 @@ impl MenciusRules {
         let taken = held.filter(|&(s, slot)| due(self, s, slot));
         let mut committed = Slots::new();
         let mut last = None;
-        #[cfg(test)]
-        let mut by_term = std::collections::BTreeMap::<Term, Vec<(Slot, Command)>>::new();
         for (s, slot) in taken.take(64) {
             if slot.committed.get() {
                 committed.push(s);
             }
             last = Some(s);
-            #[cfg(test)]
-            by_term
-                .entry(slot.bal.get())
-                .or_default()
-                .push((s, slot.cmd().expect("due").clone()));
         }
         let Some(last) = last else {
             return;
@@ -962,16 +943,13 @@ impl MenciusRules {
             let at_term = |s, slot: &Cell| slot.bal.get() == term && due(self, s, slot);
             let items = self
                 .base
-                .round(unsent.clone(), n as u64, usize::MAX, at_term);
-            #[cfg(test)]
-            self.check_cut(&items, by_term.remove(&term).expect("a term taken"));
+                .cells
+                .cut(unsent.clone(), n as u64, usize::MAX, at_term);
             for (s, _) in items.iter() {
                 self.suggested.set(own_index(s, n), now);
             }
             self.send_suggest(core, ctx, term, items);
         }
-        #[cfg(test)]
-        assert!(by_term.is_empty(), "terms left unsent: {by_term:?}");
     }
 
     /// Per-peer catch-up: the MultiPaxos stall-gated replay ported to the
@@ -1012,8 +990,6 @@ impl MenciusRules {
             // claim stops there and the next round continues.
             let mut term = None;
             let mut count = 0;
-            #[cfg(test)]
-            let mut oracle = Vec::new();
             for (s, slot) in self.base.cells.range(from..upto) {
                 if MenciusReplica::owner_of(s, n) != me || slot.cmd().is_none() {
                     continue;
@@ -1025,18 +1001,16 @@ impl MenciusRules {
                 }
                 term = Some(bal);
                 count += 1;
-                #[cfg(test)]
-                oracle.push((s, slot.cmd().expect("held").clone()));
             }
             // A claim without values helps only a peer stuck on a slot
             // of mine (one I skipped, and the notice was lost).
             if from >= upto || count == 0 && MenciusReplica::owner_of(from, n) != me {
                 continue;
             }
-            let mine = |s, _: &Cell| MenciusReplica::owner_of(s, n) == me;
-            let items = self.base.round(from..upto, n as u64, usize::MAX, mine);
-            #[cfg(test)]
-            self.check_cut(&items, oracle);
+            let items = self
+                .base
+                .cells
+                .cut(from..upto, n as u64, usize::MAX, own(me, n));
             let ack = self.carry_ack(peer);
             core.links.stamp(peer, ctx.now());
             let st = &mut self.out[peer.0 as usize];
@@ -1204,7 +1178,7 @@ impl MenciusRules {
                 items,
                 mut coord,
             } => {
-                let bytes: usize = items.iter().map(|(_, c)| c.size_bytes()).sum();
+                let bytes: usize = items.values().map(|(_, c)| c.size_bytes()).sum();
                 ctx.charge(
                     core.cfg.costs.append_fixed
                         + (core.cfg.costs.append_per_cmd + core.cfg.costs.coord_per_cmd)
@@ -1219,7 +1193,7 @@ impl MenciusRules {
                 let mut max_slot = Slot::NONE;
                 let mut written = Slots::new();
                 let mut written_bytes = 0usize;
-                for (s, cmd) in items.iter() {
+                for (s, cmd) in items.values() {
                     if s <= self.base.floor() {
                         // Decided and checkpointed away; the lagging
                         // owner converges via Checkpoint, not re-accept.
@@ -1507,8 +1481,6 @@ impl ProtocolRules for MenciusRules {
         let first = self.next_own;
         self.next_own = Slot(first.0 + cmds.len() as u64 * n as u64);
         let slots = (first.0..self.next_own.0).step_by(n).map(Slot);
-        #[cfg(test)]
-        let oracle: Vec<(Slot, Command)> = slots.clone().zip(cmds.iter().cloned()).collect();
         // No slot of mine from `next_own` on holds a value (a revocation
         // that decides one moves `next_own` past it): each command moves
         // into its cell, and the round is cut from the table.
@@ -1516,12 +1488,10 @@ impl ProtocolRules for MenciusRules {
         for (s, cmd) in slots.zip(cmds.drain(..)) {
             self.accept_value(core, s, term, cmd);
         }
-        let mine = |s, _: &Cell| MenciusReplica::owner_of(s, n) == me;
         let items = self
             .base
-            .round(first..self.next_own, n as u64, usize::MAX, mine);
-        #[cfg(test)]
-        self.check_cut(&items, oracle);
+            .cells
+            .cut(first..self.next_own, n as u64, usize::MAX, own(me, n));
         // With durability on, the owner's implicit ack waits for its own
         // fsync (`on_durable` adds the bit); otherwise it is immediate.
         let self_ack = if core.dur.enabled() { 0 } else { ack_bit(me) };
@@ -1530,7 +1500,7 @@ impl ProtocolRules for MenciusRules {
             cell.acks.set(self_ack);
             self.suggested.set(own_index(s, n), ctx.now());
         }
-        self.base.note_proposed(core, ctx, term, items.iter());
+        self.base.note_proposed(core, ctx, term, items.values());
         if let Some(upto) = items.last() {
             for peer in core.cfg.others() {
                 core.pipe.on_sent(peer, upto, ctx.now());
@@ -1762,6 +1732,7 @@ impl ProtocolRules for MenciusRules {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::slots::tests::{recording, Cut};
     use crate::msg::EngineMsg;
     use crate::testutil::{drive_until, region_of, TestClient};
     use paxraft_sim::net::NetConfig;
@@ -2173,7 +2144,7 @@ mod tests {
             self
         }
 
-        fn suggests_seen(&self) -> impl Iterator<Item = (&Instances, &Coord)> {
+        fn suggests_seen(&self) -> impl Iterator<Item = (&Run<Cell>, &Coord)> {
             self.seen.iter().filter_map(|(_, m)| match m {
                 MenciusMsg::Suggest { items, coord, .. } => Some((items, coord)),
                 _ => None,
@@ -2533,7 +2504,7 @@ mod tests {
             for (_, m) in &sim.actor::<Puppet>(ActorId(puppet)).seen {
                 let (items, coord) = match m {
                     MenciusMsg::Suggest { items, coord, .. } => (items.clone(), coord),
-                    MenciusMsg::Notice { coord } => (Instances::default(), coord),
+                    MenciusMsg::Notice { coord } => (Run::default(), coord),
                     _ => continue,
                 };
                 for (s, _) in items.iter() {
@@ -2794,14 +2765,14 @@ mod tests {
         );
     }
 
-    /// A round replica 0 cut yields what its builder's copy collected at
-    /// the cut, after the table moved on under it: a revocation decides
-    /// a no-op over the write in slot 1 while both peers hold the round
-    /// that suggested it, and a crash before the first fsync drops every
-    /// value the rounds carry. Every round — the five writes, the first
-    /// one's re-proposal, the retransmissions (one round per term) and
-    /// the replays of the decided slot 1 to the stalled peers — is a view
-    /// of the table.
+    /// A round replica 0 cut yields what the table held at the cut,
+    /// after the table moved on under it: a revocation decides a no-op
+    /// over the write in slot 1 while both peers hold the round that
+    /// suggested it, and a crash before the first fsync drops every value
+    /// the rounds carry. Every round — the five writes, the first one's
+    /// re-proposal, the retransmissions (one round per term) and the
+    /// replays of the decided slot 1 to the stalled peers — is a view of
+    /// the table, read after all of that.
     #[test]
     fn a_round_in_flight_yields_what_it_was_cut_over_through_a_revocation_and_a_crash() {
         let revoked = MenciusMsg::RevokeCommit {
@@ -2820,23 +2791,12 @@ mod tests {
             cfg.durability = durability.clone();
         });
         sim.set_disk_config(durability.disk_config());
-        sim.actor_mut::<MenciusReplica>(ActorId(0)).rules.cuts = Some(Vec::new());
         let id = sim.actor::<TestClient>(client).client_id;
         let put = |seq| Command::put(crate::kv::CmdId { client: id, seq }, seq, vec![0; 8]);
         for seq in 1..=5 {
             let request = Msg::Client(crate::msg::ClientMsg::Request { cmd: put(seq) });
             sim.send_external(ActorId(0), request, SimDuration::from_millis(10));
         }
-        let rounds_hold = |sim: &Simulation<Msg>, slot: u64, cmd: &Command| {
-            let cuts = sim
-                .actor::<MenciusReplica>(ActorId(0))
-                .rules
-                .cuts
-                .iter()
-                .flatten();
-            let mut held = cuts.flat_map(|(round, _)| round.iter());
-            held.any(|(s, c)| s == Slot(slot) && c == cmd)
-        };
         let table = |sim: &Simulation<Msg>, slot| {
             let rep = sim.actor::<MenciusReplica>(ActorId(0));
             rep.rules
@@ -2846,27 +2806,29 @@ mod tests {
                 .and_then(Cell::cmd)
                 .cloned()
         };
-        sim.run_until(SimTime::from_millis(700));
-        assert_eq!(table(&sim, 1), Some(Command::noop()), "decided a no-op");
-        assert!(rounds_hold(&sim, 1, &put(1)), "the round keeps the write");
-        assert_eq!(table(&sim, 16), Some(put(1)), "re-proposed");
-        sim.crash_at(ActorId(0), SimTime::from_millis(750));
-        sim.restart_at(ActorId(0), SimTime::from_millis(800));
-        sim.run_until(SimTime::from_millis(900));
-        assert_eq!(table(&sim, 4), None, "the crash dropped the value");
-        assert!(rounds_hold(&sim, 4, &put(2)));
-        let rep = sim.actor::<MenciusReplica>(ActorId(0));
-        let cuts = rep.rules.cuts.as_ref().expect("kept");
-        for (round, copy) in cuts {
-            let collected = copy.iter().map(|(s, c)| (*s, c));
-            assert!(round.iter().eq(collected), "{round:?} against {copy:?}");
-            assert!(round.is_view(), "{round:?} is a copy");
-        }
+        let ((), cuts) = recording::<Cell, _>(|| {
+            sim.run_until(SimTime::from_millis(700));
+            assert_eq!(table(&sim, 1), Some(Command::noop()), "decided a no-op");
+            assert_eq!(table(&sim, 16), Some(put(1)), "re-proposed");
+            sim.crash_at(ActorId(0), SimTime::from_millis(750));
+            sim.restart_at(ActorId(0), SimTime::from_millis(800));
+            sim.run_until(SimTime::from_millis(900));
+            assert_eq!(table(&sim, 4), None, "the crash dropped the value");
+        });
+        assert!(
+            cuts.iter().all(|cut| cut.check(|c| c.cmd().cloned())),
+            "all views"
+        );
+        let holds = |slot, cmd: &Command| {
+            let mut held = cuts.iter().flat_map(|cut| cut.run.values());
+            held.any(|(s, c)| s == Slot(slot) && c == cmd)
+        };
+        assert!(holds(1, &put(1)), "a round keeps the write");
+        assert!(holds(4, &put(2)), "and the value the crash dropped");
         let cut = |slots: &[u64]| {
-            let cut = |(_, copy): &&(Instances, Vec<(Slot, Command)>)| {
-                copy.iter().map(|(s, _)| s.0).eq(slots.iter().copied())
-            };
-            cuts.iter().find(cut).is_some()
+            let held =
+                |cut: &&Cut<Cell>| cut.held.iter().map(|(s, _)| s.0).eq(slots.iter().copied());
+            cuts.iter().find(held).is_some()
         };
         assert!(
             cut(&[1]) && cut(&[16]) && cut(&[4, 7, 10, 13]),
@@ -2874,14 +2836,17 @@ mod tests {
         );
     }
 
-    /// Every round the owners cut yields what the copy it replaced
-    /// collected (kept as the oracle beside each cut), read after the run:
-    /// a seeded 5-replica WAN cluster with durability on, compaction every
-    /// 64 slots, 5 % loss and an owner crash long enough for the others
-    /// to revoke its slots. Proposals, retransmissions and stalled-peer
-    /// replays all occur; so do views and rounds copied for their gaps.
+    /// Which slots an owner cuts into a round (that each yields what the
+    /// table held at the cut is `engine/slots.rs`'s property), read after
+    /// the run: over a seeded 5-replica WAN cluster with durability on,
+    /// compaction every 64 slots, 5 % loss and an owner crash long enough
+    /// for the others to revoke its slots, every round holds one owner's
+    /// slots, in ascending order, accepted at one term (its message's),
+    /// and is a view exactly when they are `n` apart within two blocks.
+    /// Proposals, retransmissions and stalled-peer replays all occur; so
+    /// do views and rounds copied for their gaps.
     #[test]
-    fn every_round_yields_what_the_copy_it_replaced_collected() {
+    fn every_round_is_one_owners_slots_at_one_term() {
         use crate::harness::{Cluster, ProtocolKind};
         use crate::snapshot::SnapshotConfig;
         let mut cluster = Cluster::builder(ProtocolKind::RaftStarMencius)
@@ -2895,29 +2860,32 @@ mod tests {
             .seed(42)
             .build();
         let replicas = cluster.replicas().to_vec();
-        for &r in &replicas {
-            cluster.sim.actor_mut::<MenciusReplica>(r).rules.cuts = Some(Vec::new());
-        }
+        let n = replicas.len() as u64;
         let now = cluster.sim.now();
         cluster.sim.set_drop_rate_at(0.05, now);
         let at = |ms| now + SimDuration::from_millis(ms);
         cluster.sim.crash_at(replicas[3], at(1_000));
         cluster.sim.restart_at(replicas[3], at(4_500));
-        cluster.advance(SimDuration::from_secs(7));
-        let (mut rounds, mut views, mut copies) = (0, 0, 0);
-        for r in replicas {
-            let rules = &cluster.sim.actor::<MenciusReplica>(r).rules;
-            for (round, copy) in rules.cuts.iter().flatten() {
-                let collected = copy.iter().map(|(s, c)| (*s, c));
-                assert!(round.iter().eq(collected), "{round:?} against {copy:?}");
-                rounds += 1;
-                views += usize::from(round.is_view());
-                copies += usize::from(!round.is_view() && !round.is_empty());
-            }
+        let ((), cuts) = recording::<Cell, _>(|| cluster.advance(SimDuration::from_secs(7)));
+        let (mut views, mut copies) = (0, 0);
+        for cut in cuts.iter().filter(|cut| !cut.held.is_empty()) {
+            assert_eq!(cut.stride, n);
+            let (first, cell) = &cut.held[0];
+            let one =
+                |(s, c): &(Slot, Cell)| (s.0 - 1) % n == (first.0 - 1) % n && c.bal == cell.bal;
+            assert!(
+                cut.held.iter().all(one),
+                "one owner at one term: {:?}",
+                cut.run
+            );
+            let view = cut.check(|c| c.cmd().cloned());
+            views += usize::from(view);
+            copies += usize::from(!view);
         }
         assert!(
             views > 500 && copies >= 5,
-            "{rounds} rounds: {views} views, {copies} copies"
+            "{} rounds: {views} views, {copies} copies",
+            cuts.len()
         );
     }
 

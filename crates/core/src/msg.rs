@@ -22,46 +22,20 @@
 //! message, not this process's layout, and a range-encoded wire size
 //! would move every virtual number.
 //!
-//! # A round is a view of its sender's slot store
+//! # A round is a run of its sender's slot store
 //!
-//! A round is handed to every peer it goes to, so what it carries is
-//! shared, never copied per peer. A Raft `Append` carries a
-//! [`crate::log::View`] of the leader's log blocks; a MultiPaxos `Accept`
-//! and a Mencius `Suggest` carry an [`Instances`] view of the sender's
-//! instance table: the one or two blocks the round lies in and the run
-//! of slots it covers, consecutive for a MultiPaxos proposer and `n`
-//! apart for a Mencius owner. Cutting one — proposed, pumped, re-sent,
-//! replayed — allocates nothing (`engine/paxos_family.rs`, *Rounds*).
-//! The size model charges what the pairs weigh, whichever way they are
-//! held.
-//!
-//! # A forwarded batch is a view of the follower's block
-//!
-//! A follower batches client requests and forwards them to the leader
-//! (Section 5). Most forwards carry one command: the cutter ships a batch
-//! as soon as the leader's window has room. [`Batch`] holds that one
-//! command in the message itself. A longer batch moves into the next free
-//! cells of a small block the follower keeps, one full batch long, and
-//! the message carries a view of those cells: the block is shareable by
-//! the rule `engine/slots.rs` states (*Sharing*), since the follower only
-//! ever fills empty cells and a batch reads only the cells it was cut
-//! over. When a batch does not fit the current block, the follower
-//! empties it and fills it again from its first cell if no view holds it
-//! any more (the leader has taken every batch out of it), and takes a
-//! fresh block otherwise, so forwarding costs at most an allocation per
-//! block, not per batch, and the follower keeps its buffer. Only a batch
-//! longer than a block — the buffer outgrew it while no leader was
-//! known — is copied into a list. The leader takes the commands out in
-//! order, clones of a view's cells.
-//! The size model charges the same bytes however a batch is held.
+//! Every round — a Raft `Append`, a MultiPaxos `Accept`, a Mencius
+//! `Suggest` — and every forwarded batch of two or more commands is an
+//! [`crate::engine::slots::Run`] (`engine/slots.rs`, *Rounds*). The size
+//! model charges what the entries weigh, however they are held.
 
-pub use crate::engine::paxos_family::Instances;
+pub use crate::engine::paxos_family::Cell;
+use crate::engine::slots::Run;
+use crate::engine::SlotRing;
 use crate::kv::{CmdId, Command, Reply};
-use crate::log::{Entry, View};
+use crate::log::Entry;
 use crate::types::{NodeId, Slot, Term};
 use paxraft_sim::sim::Payload;
-use std::cell::OnceCell;
-use std::rc::Rc;
 
 /// Top-level message type carried by the simulated network.
 #[derive(Debug, Clone)]
@@ -105,8 +79,8 @@ pub enum EngineMsg {
         /// ([`SHARD_GROUP_HEADER`]) once a
         /// cluster runs more than one group and the id must travel.
         header_bytes: usize,
-        /// The batched commands: one held in place, or a view of the
-        /// follower's forward block ([`Batch`]).
+        /// The batched commands: one held in place, or a run of the
+        /// follower's forward outbox ([`Batch`]).
         cmds: Batch,
     },
     /// One chunk of a state snapshot, shipped when a peer's applied
@@ -356,38 +330,26 @@ impl FromIterator<Slot> for Slots {
     }
 }
 
-/// The commands one `Forward` carries (module docs, "A forwarded batch
-/// is a view of the follower's block"): one held in place, a run of
-/// cells of the follower's forward block, or — longer than a block — a
-/// list.
+/// The commands one `Forward` carries (Section 5's forwarding). Most
+/// carry one, held in the message itself: the cutter ships a batch as
+/// soon as the leader's window has room. A longer batch moves into the
+/// follower's outbox and is a run of it (module docs), or a copy when it
+/// is longer than a block (the buffer outgrew one while no leader was
+/// known). The leader takes the commands out in order, clones of a run's.
 #[derive(Debug, Clone)]
-pub struct Batch(Cmds);
-
-#[derive(Debug, Clone)]
-enum Cmds {
+pub enum Batch {
     /// A lone command, in the message itself.
     One(Command),
-    /// `len` commands from cell `first` of a follower's forward block.
-    View { block: Cells, first: u32, len: u32 },
     /// Any other number, in order.
-    List(Vec<Command>),
+    Run(Run<Command, FORWARD_CELLS>),
 }
-
-/// Cells in a follower's forward block: one full batch.
-const FORWARD_CELLS: usize = crate::engine::BATCH_MAX;
-
-/// A follower's forward block, shareable (`engine/slots.rs`, *Sharing*):
-/// the follower fills its empty cells, and a batch cut from it reads
-/// only the cells it was cut over.
-type Cells = Rc<[OnceCell<Command>; FORWARD_CELLS]>;
 
 impl Batch {
     /// How many commands.
     pub fn len(&self) -> usize {
-        match &self.0 {
-            Cmds::One(_) => 1,
-            Cmds::View { len, .. } => *len as usize,
-            Cmds::List(list) => list.len(),
+        match self {
+            Batch::One(_) => 1,
+            Batch::Run(run) => run.len(),
         }
     }
 
@@ -398,122 +360,55 @@ impl Batch {
 
     /// The commands, in order.
     pub fn iter(&self) -> impl Iterator<Item = &Command> {
-        let (cells, list): (&[OnceCell<Command>], &[Command]) = match &self.0 {
-            Cmds::One(cmd) => (&[], std::slice::from_ref(cmd)),
-            Cmds::View { block, first, len } => (&block[*first as usize..][..*len as usize], &[]),
-            Cmds::List(list) => (&[], list),
+        let (one, run) = match self {
+            Batch::One(cmd) => (Some(cmd), None),
+            Batch::Run(run) => (None, Some(run)),
         };
-        cells.iter().map(forwarded).chain(list)
+        let run = run
+            .into_iter()
+            .flat_map(|run| run.iter().map(|(_, cmd)| cmd));
+        one.into_iter().chain(run)
     }
 }
 
-/// A cell a batch was cut over: set before the cut, never cleared while
-/// the batch holds its block.
-fn forwarded(cell: &OnceCell<Command>) -> &Command {
-    cell.get().expect("a forwarded cell is set")
-}
-
-/// A lone command is held in place; more are collected in one allocation
-/// sized by the iterator's lower bound (exact for a `Vec::drain`).
-impl FromIterator<Command> for Batch {
-    fn from_iter<I: IntoIterator<Item = Command>>(cmds: I) -> Self {
-        let mut cmds = cmds.into_iter();
-        let Some(first) = cmds.next() else {
-            return Batch(Cmds::List(Vec::new()));
-        };
-        let Some(second) = cmds.next() else {
-            return Batch(Cmds::One(first));
-        };
-        let mut list = Vec::with_capacity(2 + cmds.size_hint().0);
-        list.extend([first, second]);
-        list.extend(cmds);
-        Batch(Cmds::List(list))
-    }
-}
-
-impl IntoIterator for Batch {
-    type Item = Command;
-    type IntoIter = Commands;
-
-    fn into_iter(self) -> Commands {
-        Commands(match self.0 {
-            Cmds::One(cmd) => Flow::One(Some(cmd)),
-            Cmds::View { block, first, len } => {
-                let cells = first as usize..(first + len) as usize;
-                Flow::View { block, cells }
-            }
-            Cmds::List(list) => Flow::List(list.into_iter()),
-        })
-    }
-}
-
-/// A [`Batch`]'s commands, in order: moved out of the message or its
-/// list, cloned out of a forward block (whose cells the follower's later
-/// batches share).
-pub struct Commands(Flow);
-
-enum Flow {
-    One(Option<Command>),
-    View {
-        block: Cells,
-        cells: std::ops::Range<usize>,
-    },
-    List(std::vec::IntoIter<Command>),
-}
-
-impl Iterator for Commands {
-    type Item = Command;
-
-    fn next(&mut self) -> Option<Command> {
-        match &mut self.0 {
-            Flow::One(cmd) => cmd.take(),
-            Flow::View { block, cells } => cells.next().map(|i| forwarded(&block[i]).clone()),
-            Flow::List(list) => list.next(),
-        }
-    }
-}
-
-/// A follower's forward block and how many of its cells are filled
-/// (module docs, "A forwarded batch is a view of the follower's block").
-/// Volatile: a crash drops it.
+/// A follower's forward outbox: a table of the commands it forwarded, one
+/// block of them at most, a full batch long. A batch fills the next empty cells and is a run
+/// of them; the leader's run shares the block, by the rule
+/// `engine/slots.rs` states (*Sharing*). When a batch does not fit, the
+/// outbox is emptied — in place if no run holds its block any more (the
+/// leader has taken every batch out of it), else by letting the block go
+/// to the runs — and filled from its first cell, so forwarding costs at
+/// most an allocation per block, not per batch. Volatile: a crash drops
+/// it.
 #[derive(Debug, Default)]
 pub(crate) struct Outbox {
-    block: Option<Cells>,
-    used: usize,
+    cells: SlotRing<Command, FORWARD_CELLS>,
 }
+
+/// Cells in a follower's forward block: one full batch.
+const FORWARD_CELLS: usize = crate::engine::BATCH_MAX;
 
 impl Outbox {
     /// `pending`'s commands as one batch, in order, leaving `pending`
-    /// empty with its buffer. A batch of two or more moves into the
-    /// block's next free cells and is a view of them. When it does not
-    /// fit, the block is emptied and refilled if no view holds it, and a
-    /// fresh block is taken otherwise. A lone command rides in place, and
-    /// only a batch longer than a block is copied.
+    /// empty with its buffer: a lone command in place, a run of the
+    /// outbox for up to a block of them, a copy past that.
     pub(crate) fn cut(&mut self, pending: &mut Vec<Command>) -> Batch {
-        let len = pending.len();
-        if !(2..=FORWARD_CELLS).contains(&len) {
-            return pending.drain(..).collect();
+        let len = pending.len() as u64;
+        if len == 1 {
+            return Batch::One(pending.pop().expect("one command"));
         }
-        if self.used + len > FORWARD_CELLS {
-            match self.block.as_mut().and_then(Rc::get_mut) {
-                Some(cells) => cells[..self.used].fill_with(OnceCell::new),
-                None => self.block = None,
-            }
-            self.used = 0;
+        if !(2..=FORWARD_CELLS as u64).contains(&len) {
+            return Batch::Run((0..).map(Slot).zip(pending.drain(..)).collect());
         }
-        let block = self
-            .block
-            .get_or_insert_with(|| Rc::new(std::array::from_fn(|_| OnceCell::new())));
-        let first = self.used;
-        for (cell, cmd) in block[first..].iter().zip(pending.drain(..)) {
-            assert!(cell.set(cmd).is_ok(), "a free cell is empty");
+        let mut first = self.cells.last_slot().map_or(0, |last| last.0 + 1);
+        if first + len > FORWARD_CELLS as u64 {
+            self.cells.clear();
+            first = 0;
         }
-        self.used += len;
-        Batch(Cmds::View {
-            block: Rc::clone(block),
-            first: first as u32,
-            len: len as u32,
-        })
+        for (slot, cmd) in (first..).zip(pending.drain(..)) {
+            self.cells.insert(Slot(slot), cmd);
+        }
+        Batch::Run(self.cells.cut(Slot(first).., 1, len as usize, |_, _| true))
     }
 }
 
@@ -550,11 +445,10 @@ pub enum PaxosMsg {
     Accept {
         /// Proposer's ballot.
         ballot: Term,
-        /// The `(instance, value)` pairs: a view of the proposer's table
-        /// blocks as they were when the round was cut ([`Instances`]).
-        /// Cutting one copies no value, whichever acceptor and cursor it
-        /// is for; the wire size is the pairs'.
-        items: Instances,
+        /// The instances, each holding its value: a run of the
+        /// proposer's table as it was when the round was cut (module
+        /// docs). The wire size is the `(instance, value)` pairs'.
+        items: Run<Cell>,
         /// Whether the proposer's replication pipeline has window room
         /// for a quorum (piggybacked occupancy hint; the Paxos spelling
         /// of [`RaftMsg::Append::window_room`]). Rides in a reserved
@@ -621,11 +515,19 @@ pub enum RaftMsg {
         prev: Slot,
         /// Term at `prev`.
         prev_term: Term,
-        /// The replicated suffix: a view of the leader's log blocks and
-        /// of its ballot mark as they were when the round was cut
-        /// ([`crate::log::View`]). Cutting one copies no entry, whichever
-        /// peer and cursor it is for; the wire size is the entries'.
-        entries: View,
+        /// The replicated suffix: a run of the leader's log as it was
+        /// when the round was cut (module docs). The wire size is the
+        /// entries'.
+        entries: Run<Entry>,
+        /// Raft\*'s ballot mark over `entries` at the cut (Figure 2's
+        /// `ents` carry their ballots): the first `covered` have ballot
+        /// `bal_term`, the rest the one they are stored with. It belongs
+        /// to the flavor, not to the store; a follower needs none of it
+        /// (`log.rs`, *Storage*). Rides in the entries' ballot fields on
+        /// the wire.
+        covered: u32,
+        /// The mark's ballot.
+        bal_term: Term,
         /// Leader's commit index.
         commit: Slot,
         /// Whether the leader's replication pipeline currently has window
@@ -752,10 +654,10 @@ pub enum MenciusMsg {
     Suggest {
         /// Owner's current term.
         term: Term,
-        /// `(slot, command)` pairs; slots are the owner's (spaced `n`): a
-        /// view of the owner's table blocks as they were when the round
-        /// was cut ([`Instances`]), shared by every peer it goes to.
-        items: Instances,
+        /// The owner's instances (slots spaced `n`), each holding its
+        /// value: a run of the owner's table as it was when the round was
+        /// cut (module docs), shared by every peer it goes to.
+        items: Run<Cell>,
         /// The owner's stream element; its range covers `items`.
         coord: Coord,
     },
@@ -838,6 +740,12 @@ fn entries_size(entries: &[Entry]) -> usize {
     entries.iter().map(Entry::size_bytes).sum()
 }
 
+/// A Paxos-family round's `(instance, value)` pairs: 8 B a slot and the
+/// value.
+fn values_size(items: &Run<Cell>) -> usize {
+    items.values().map(|(_, c)| 8 + c.size_bytes()).sum()
+}
+
 impl Payload for Msg {
     fn size_bytes(&self) -> usize {
         match self {
@@ -868,16 +776,16 @@ impl Payload for Msg {
                         .map(|(_, _, c)| 24 + c.size_bytes())
                         .sum::<usize>()
                 }
-                PaxosMsg::Accept { items, .. } => {
-                    24 + items.iter().map(|(_, c)| 8 + c.size_bytes()).sum::<usize>()
-                }
+                PaxosMsg::Accept { items, .. } => 24 + values_size(items),
                 PaxosMsg::AcceptOk { slots, .. } => 24 + 8 * slots.len(),
                 PaxosMsg::Learn { .. } => 24,
             },
             Msg::Raft(m) => match m {
                 RaftMsg::RequestVote { .. } => 32,
                 RaftMsg::Vote { extra, .. } => 24 + entries_size(extra),
-                RaftMsg::Append { entries, .. } => 40 + entries.size_bytes(),
+                RaftMsg::Append { entries, .. } => {
+                    40 + entries.iter().map(|(_, e)| e.size_bytes()).sum::<usize>()
+                }
                 RaftMsg::AppendOk { holders, .. } => 24 + 4 * holders.count_ones() as usize,
                 RaftMsg::AppendReject { .. } => 24,
             },
@@ -885,8 +793,7 @@ impl Payload for Msg {
             Msg::Lease(LeaseMsg::GrantAck { .. }) => 16,
             Msg::Mencius(m) => match m {
                 MenciusMsg::Suggest { items, coord, .. } => {
-                    24 + coord.size_bytes()
-                        + items.iter().map(|(_, c)| 8 + c.size_bytes()).sum::<usize>()
+                    24 + coord.size_bytes() + values_size(items)
                 }
                 MenciusMsg::SuggestReject { slots, .. } => 16 + 8 * slots.len(),
                 MenciusMsg::Notice { coord } => 8 + coord.size_bytes(),
@@ -1031,11 +938,18 @@ mod tests {
             term: Term(1),
             prev: Slot(0),
             prev_term: Term(0),
-            entries: View::from_iter([Entry {
-                term: Term(1),
-                bal: Term(1),
-                cmd: cmd(8),
-            }]),
+            entries: [(
+                Slot(1),
+                Entry {
+                    term: Term(1),
+                    bal: Term(1),
+                    cmd: cmd(8),
+                },
+            )]
+            .into_iter()
+            .collect(),
+            covered: 1,
+            bal_term: Term(1),
             commit: Slot(0),
             window_room: true,
         });
@@ -1043,11 +957,18 @@ mod tests {
             term: Term(1),
             prev: Slot(0),
             prev_term: Term(0),
-            entries: View::from_iter([Entry {
-                term: Term(1),
-                bal: Term(1),
-                cmd: cmd(4096),
-            }]),
+            entries: [(
+                Slot(1),
+                Entry {
+                    term: Term(1),
+                    bal: Term(1),
+                    cmd: cmd(4096),
+                },
+            )]
+            .into_iter()
+            .collect(),
+            covered: 1,
+            bal_term: Term(1),
             commit: Slot(0),
             window_room: true,
         });
@@ -1224,18 +1145,24 @@ mod tests {
 
     /// Which way a batch holds its commands.
     fn shape(batch: &Batch) -> &'static str {
-        match batch.0 {
-            Cmds::One(_) => "one",
-            Cmds::View { .. } => "view",
-            Cmds::List(_) => "list",
+        match batch {
+            Batch::One(_) => "one",
+            Batch::Run(run) if run.is_view() => "view",
+            Batch::Run(_) => "copy",
         }
+    }
+
+    /// Whether `batch` is a run of the outbox's block.
+    fn in_block(batch: &Batch, outbox: &Outbox) -> bool {
+        let (block, _) = outbox.cells.block_at(Slot(0)).expect("a block");
+        matches!(batch, Batch::Run(run) if run.holds(block))
     }
 
     /// A batch of any length costs on the wire what the `Vec<Command>` it
     /// replaced cost, however it is held, and gives its commands back in
-    /// order, by reference and by value. One command is held in place, a
-    /// batch of up to a block's length is a view of the forward block,
-    /// and only an empty batch or a longer one is a list.
+    /// order. One command is held in place, a batch of up to a block's
+    /// length is a run of the outbox, and only an empty batch or a longer
+    /// one is a copy.
     #[test]
     fn a_batch_is_the_vec_it_replaces_on_the_wire_and_in_order() {
         for n in [0, 1, 2, 7, 64, 65] {
@@ -1246,7 +1173,7 @@ mod tests {
             let expected = match n {
                 1 => "one",
                 2..=64 => "view",
-                _ => "list",
+                _ => "copy",
             };
             assert_eq!(shape(&batch), expected, "{n} commands");
             assert_eq!(batch.len(), cmds.len());
@@ -1259,75 +1186,78 @@ mod tests {
             });
             assert_eq!(forward.size_bytes(), vec_spelling, "{n} commands");
             let sent: Vec<CmdId> = cmds.iter().map(|c| c.id).collect();
-            assert!(batch.iter().map(|c| c.id).eq(sent.iter().copied()));
-            let back: Vec<CmdId> = batch.into_iter().map(|c| c.id).collect();
-            assert_eq!(back, sent, "{n} commands");
+            assert!(batch.iter().map(|c| c.id).eq(sent), "{n} commands");
         }
     }
 
     /// Batches cut one after another share the follower's block until
     /// one does not fit: twelve batches of five fill 60 of its 64 cells,
-    /// and the thirteenth takes a fresh block. Filling the later cells
-    /// changes nothing an earlier batch reads, and a block lives as long
-    /// as a batch holds it.
+    /// and the thirteenth takes a fresh block. Filling the later cells changes
+    /// nothing an earlier batch reads, and a block lives as long as a
+    /// batch holds it.
     #[test]
     fn forwarded_batches_share_a_block_until_one_does_not_fit() {
         let mut outbox = Outbox::default();
         let mut pending = Vec::new();
-        let batches: Vec<Batch> = (0..13u64)
-            .map(|b| {
-                pending.extend((1..=5).map(|i| command(5 * b + i, 8)));
-                outbox.cut(&mut pending)
-            })
-            .collect();
-        let block = |batch: &Batch| match &batch.0 {
-            Cmds::View { block, .. } => Rc::clone(block),
-            _ => unreachable!("a batch of five is a view"),
+        let mut cut = |b: u64, outbox: &mut Outbox| {
+            pending.extend((1..=5).map(|i| command(5 * b + i, 8)));
+            outbox.cut(&mut pending)
         };
-        let first = block(&batches[0]);
-        assert!(batches[..12].iter().all(|b| Rc::ptr_eq(&block(b), &first)));
-        assert!(!Rc::ptr_eq(&block(&batches[12]), &first));
-        assert_eq!(Rc::strong_count(&first), 12 + 1, "the twelve and this");
+        let mut batches: Vec<Batch> = (0..12).map(|b| cut(b, &mut outbox)).collect();
+        assert!(batches.iter().all(|b| in_block(b, &outbox)));
+        let (first, _) = outbox.cells.block_at(Slot(0)).expect("a block");
+        let first = first.clone();
+        assert_eq!(
+            std::rc::Rc::strong_count(&first),
+            12 + 2,
+            "the runs, the outbox, this"
+        );
+        batches.push(cut(12, &mut outbox));
+        assert!(in_block(&batches[12], &outbox) && !in_block(&batches[0], &outbox));
         for (b, batch) in batches.iter().enumerate() {
             let seqs = 5 * b as u64 + 1..=5 * b as u64 + 5;
             assert!(batch.iter().map(|c| c.id.seq).eq(seqs), "batch {b}");
         }
         drop(batches);
-        assert_eq!(Rc::strong_count(&first), 1);
+        assert_eq!(std::rc::Rc::strong_count(&first), 1);
     }
 
     /// A full block that no batch holds any more is emptied before it is
     /// filled again: 36 batches of five, each dropped once read, fill it
     /// three times over and each reads its own commands. Twelve batches
-    /// held when it fills keep it, so the next batch takes a fresh block
-    /// and the held ones still read theirs. (That the refill allocates
+    /// held when it fills keep it, so the next batch takes a fresh block and
+    /// the held ones still read theirs. (That the refill allocates
     /// nothing is `tests/allocs.rs`'s to count.)
     #[test]
     fn a_full_block_no_batch_holds_is_refilled() {
-        let block = |batch: &Batch| match &batch.0 {
-            Cmds::View { block, .. } => Rc::as_ptr(block),
-            _ => unreachable!("a batch of five is a view"),
-        };
         let mut outbox = Outbox::default();
         let mut pending = Vec::new();
-        let mut cut = |b: u64| {
+        let mut cut = |b: u64, outbox: &mut Outbox| {
             pending.extend((1..=5).map(|i| command(5 * b + i, 8)));
             outbox.cut(&mut pending)
         };
+        let block = |outbox: &Outbox| outbox.cells.block_at(Slot(0)).expect("a block").0.clone();
+        let mut kept = None;
         for b in 0..36 {
             let seqs = 5 * b + 1..=5 * b + 5;
-            assert!(cut(b).into_iter().map(|c| c.id.seq).eq(seqs), "batch {b}");
+            assert!(
+                cut(b, &mut outbox).iter().map(|c| c.id.seq).eq(seqs),
+                "batch {b}"
+            );
+            let now = std::rc::Rc::as_ptr(&block(&outbox));
+            assert_eq!(*kept.get_or_insert(now), now, "batch {b}");
         }
-        let held: Vec<Batch> = (36..48).map(&mut cut).collect();
-        let next = cut(48);
-        let first = block(&held[0]);
-        assert!(held.iter().all(|b| block(b) == first));
-        assert_ne!(block(&next), first, "a held block is not refilled");
-        assert!(held
-            .into_iter()
-            .flatten()
-            .map(|c| c.id.seq)
-            .eq(36 * 5 + 1..=48 * 5));
+        let kept = kept.expect("cut");
+        let held: Vec<Batch> = (36..48).map(|b| cut(b, &mut outbox)).collect();
+        let next = cut(48, &mut outbox);
+        assert!(in_block(&next, &outbox) && !in_block(&held[0], &outbox));
+        assert_ne!(
+            std::rc::Rc::as_ptr(&block(&outbox)),
+            kept,
+            "a held block is not refilled"
+        );
+        let seqs = held.iter().flat_map(Batch::iter).map(|c| c.id.seq);
+        assert!(seqs.eq(36 * 5 + 1..=48 * 5));
     }
 
     #[test]
@@ -1336,7 +1266,7 @@ mod tests {
             Msg::Engine(EngineMsg::Forward {
                 group: 1,
                 header_bytes,
-                cmds: [cmd(8)].into_iter().collect(),
+                cmds: Batch::One(cmd(8)),
             })
             .size_bytes()
         };

@@ -59,9 +59,10 @@ use paxraft_sim::trace::SpanKind;
 
 use crate::config::ReplicaConfig;
 use crate::engine::paxos_family::{ack_bit, merge_highest, Accepted, Cell, PaxosBase, Stored};
+use crate::engine::slots::Run;
 use crate::engine::{self, EngineCore, ProtocolRules, ReplicaEngine, Waiting};
 use crate::kv::Command;
-use crate::msg::{Instances, Msg, PaxosMsg, Slots, CHECKPOINT_ACK_HEADER, CHECKPOINT_CHUNK_HEADER};
+use crate::msg::{Msg, PaxosMsg, Slots, CHECKPOINT_ACK_HEADER, CHECKPOINT_CHUNK_HEADER};
 use crate::snapshot::Snapshot;
 use crate::types::{NodeId, Slot, Term};
 
@@ -92,10 +93,6 @@ pub struct PaxosRules {
     commits_carried: u64,
     /// `Learn`s sent on their own, to an idle acceptor.
     learns_alone: u64,
-    /// Every round cut, beside the copy `round_of` gathers at the cut:
-    /// what the acceptors must be sent.
-    #[cfg(test)]
-    cuts: Vec<(Instances, Vec<(Slot, Command)>)>,
 }
 
 impl MultiPaxosReplica {
@@ -119,8 +116,6 @@ impl MultiPaxosReplica {
                 learnt: Slot::NONE,
                 commits_carried: 0,
                 learns_alone: 0,
-                #[cfg(test)]
-                cuts: Vec::new(),
             },
         )
     }
@@ -158,7 +153,7 @@ impl PaxosRules {
         core: &mut EngineCore,
         ctx: &mut Ctx<Msg>,
         peer: NodeId,
-        items: Instances,
+        items: Run<Cell>,
         window_room: bool,
     ) {
         let commit = self.base.exec_index;
@@ -194,7 +189,7 @@ impl PaxosRules {
     /// acks free slots (with the heartbeat retransmission as the
     /// loss-recovery backstop). Commits only need a quorum, so a round
     /// skipped by a minority of slow acceptors commits undelayed.
-    fn send_accept_round(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, items: &Instances) {
+    fn send_accept_round(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, items: &Run<Cell>) {
         let Some(upto) = items.last() else {
             return;
         };
@@ -286,7 +281,7 @@ impl PaxosRules {
         ctx: &mut Ctx<Msg>,
         values: impl IntoIterator<Item = (Slot, Command)>,
         within: std::ops::RangeInclusive<Slot>,
-    ) -> Instances {
+    ) -> Run<Cell> {
         let me = ack_bit(core.cfg.id);
         let self_ack = if core.dur.enabled() { 0 } else { me };
         for (slot, cmd) in values {
@@ -300,28 +295,22 @@ impl PaxosRules {
         }
         let round = self.cut(within, usize::MAX, uncommitted);
         self.base
-            .note_proposed(core, ctx, self.ballot, round.iter());
+            .note_proposed(core, ctx, self.ballot, round.values());
         self.base.note_log_size(core);
         round
     }
 
-    /// [`PaxosBase::round`], and under test the copy `round_of` gathers
-    /// from the same instances, kept beside it.
+    /// The first `count` instances in `range` holding a value that
+    /// `carried` admits, as one round (`engine/slots.rs`, *Rounds*): a run
+    /// of consecutive slots is a view of the table.
     fn cut(
-        &mut self,
+        &self,
         range: impl std::ops::RangeBounds<Slot> + Clone,
         count: usize,
         carried: fn(&Cell) -> bool,
-    ) -> Instances {
-        let round = self.base.round(range.clone(), 1, count, |_, c| carried(c));
-        #[cfg(test)]
-        {
-            let held = |(_, c): &(Slot, &Cell)| c.cmd().is_some() && carried(c);
-            let cells = self.base.cells.range(range).filter(held).take(count);
-            self.cuts
-                .push((round.clone(), round_of(round.len(), cells)));
-        }
-        round
+    ) -> Run<Cell> {
+        let held = |_, c: &Cell| c.cmd().is_some() && carried(c);
+        self.base.cells.cut(range, 1, count, held)
     }
 
     /// Figure 1 `Phase1Succeed`: adopt safe values and go active.
@@ -462,7 +451,7 @@ impl PaxosRules {
                     }
                     core.leader_hint = Some(ballot.owner(core.cfg.n));
                     core.note_window_hint(window_room, ctx.now());
-                    let bytes: usize = items.iter().map(|(_, c)| c.size_bytes()).sum();
+                    let bytes: usize = items.values().map(|(_, c)| c.size_bytes()).sum();
                     ctx.charge(
                         core.cfg.costs.append_fixed
                             + core.cfg.costs.append_per_cmd * items.len() as u64
@@ -473,7 +462,7 @@ impl PaxosRules {
                     let mut below_floor = false;
                     let mut written = Slots::new();
                     let mut written_bytes = 0usize;
-                    for (slot, cmd) in items.iter() {
+                    for (slot, cmd) in items.values() {
                         match self.base.store(slot, ballot, cmd.clone()) {
                             // Checkpointed away: the instance is chosen
                             // and executed here; a proposer asking about
@@ -627,24 +616,6 @@ impl PaxosRules {
 /// chosen yet.
 fn uncommitted(inst: &Cell) -> bool {
     !inst.committed.get()
-}
-
-/// The copy a round was before it was a view: the values of the first
-/// `count` of `cells` (each holding one), gathered into a list. Kept as
-/// the oracle that every view yields what it gathered.
-#[cfg(test)]
-fn round_of<'a>(
-    count: usize,
-    mut cells: impl Iterator<Item = (Slot, &'a Cell)>,
-) -> Vec<(Slot, Command)> {
-    let mut next = move || {
-        let (slot, inst) = cells.next().expect("as many cells as were counted");
-        (
-            slot,
-            inst.cmd().expect("a counted cell holds a value").clone(),
-        )
-    };
-    (0..count).map(|_| next()).collect()
 }
 
 impl ProtocolRules for PaxosRules {
@@ -1210,16 +1181,18 @@ mod tests {
         assert_eq!(rep.kv().len(), 3);
     }
 
-    /// Every round a proposer cut yields what the copy it replaced
-    /// gathered at the cut (`round_of`, kept as the oracle): a seeded
-    /// 5-replica WAN cluster with compaction every 64 instances, 5 %
-    /// loss, an acceptor crash and a proposer crash whose successor
-    /// re-proposes in phase 1. Each round is read after the run, so each
-    /// view also outlived whatever the tables did while it was held;
-    /// runs of consecutive slots (views) and rounds with gaps (private
-    /// blocks) both occur.
+    /// Which instances a proposer cuts into a round (that each yields
+    /// what the table held at the cut is `engine/slots.rs`'s property):
+    /// over a seeded 5-replica WAN cluster with compaction every 64
+    /// instances, 5 % loss, an acceptor crash and a proposer crash whose
+    /// successor re-proposes in phase 1, every round the recorder kept
+    /// holds values in ascending slot order and is a view exactly when
+    /// they are consecutive within two blocks. Each is read after the
+    /// run, so each view also outlived whatever the tables did while it
+    /// was held; views and rounds with gaps (copies) both occur.
     #[test]
-    fn every_round_yields_what_the_copy_it_replaced_gathered() {
+    fn every_round_is_consecutive_instances_or_a_copy() {
+        use crate::engine::slots::tests::recording;
         use crate::harness::{Cluster, ProtocolKind};
         use crate::snapshot::SnapshotConfig;
         let mut cluster = Cluster::builder(ProtocolKind::MultiPaxos)
@@ -1238,23 +1211,18 @@ mod tests {
         cluster.sim.restart_at(acceptor, at(1_200));
         cluster.sim.crash_at(leader, at(2_000));
         cluster.sim.restart_at(leader, at(2_600));
-        cluster.advance(SimDuration::from_secs(5));
-        let (mut rounds, mut runs, mut gapped) = (0, 0, 0);
-        for r in replicas {
-            let rules = &cluster.sim.actor::<MultiPaxosReplica>(r).rules;
-            for (round, copy) in &rules.cuts {
-                let gathered = copy.iter().map(|(s, c)| (*s, c));
-                assert!(round.iter().eq(gathered), "{round:?} against {copy:?}");
-                let slots = || copy.iter().map(|(s, _)| s.0);
-                let run = slots().zip(slots().skip(1)).all(|(a, b)| b == a + 1);
-                rounds += usize::from(!copy.is_empty());
-                runs += usize::from(!copy.is_empty() && run);
-                gapped += usize::from(!run);
-            }
+        let ((), cuts) = recording::<Cell, _>(|| cluster.advance(SimDuration::from_secs(5)));
+        let (mut views, mut gapped) = (0, 0);
+        for cut in cuts.iter().filter(|cut| !cut.held.is_empty()) {
+            assert_eq!(cut.stride, 1);
+            let view = cut.check(|c| c.cmd().cloned());
+            views += usize::from(view);
+            gapped += usize::from(!view);
         }
         assert!(
-            runs > 400 && gapped >= 5,
-            "{rounds} rounds: {runs} runs, {gapped} with gaps"
+            views > 400 && gapped >= 5,
+            "{} rounds: {views} views, {gapped} with gaps",
+            cuts.len()
         );
     }
 

@@ -29,8 +29,9 @@
 //! changing any other behaviour.
 
 use crate::engine::raft_family::RaftBase;
+use crate::engine::slots::Run;
 use crate::engine::ReplicaEngine;
-use crate::log::{Entry, Log, View};
+use crate::log::{Entry, Log};
 use crate::raftstar::{Flavor, RaftFamilyRules};
 use crate::types::{Slot, Term};
 
@@ -62,7 +63,7 @@ impl Flavor for Plain {
         base: &mut RaftBase,
         prev: Slot,
         prev_term: Term,
-        round: &View,
+        round: &Run<Entry>,
         skip: usize,
         _term: Term,
     ) -> Result<(usize, usize), Slot> {
@@ -140,7 +141,10 @@ mod tests {
         round: &[Entry],
         term: Term,
     ) -> Result<(usize, usize), Slot> {
-        let round: View = round.iter().cloned().collect();
+        let round: Run<Entry> = (prev.0 + 1..)
+            .map(Slot)
+            .zip(round.iter().cloned())
+            .collect();
         F::accept(base, prev, prev_term, &round, 0, term)
     }
 

@@ -72,9 +72,10 @@ use paxraft_sim::time::{SimDuration, SimTime};
 use crate::config::{ReadMode, ReplicaConfig};
 use crate::engine::conflicts::{ConflictIndex, Holds};
 use crate::engine::raft_family::{RaftBase, Role};
+use crate::engine::slots::Run;
 use crate::engine::{self, EngineCore, ProtocolRules, ReplicaEngine, T_LEASE};
 use crate::kv::{Command, Op};
-use crate::log::{Entry, Log, View};
+use crate::log::{Entry, Log};
 use crate::msg::{LeaseMsg, Msg, RaftMsg};
 use crate::pql::LeaseManager;
 use crate::snapshot::{Snapshot, SnapshotStats};
@@ -109,7 +110,7 @@ pub trait Flavor: 'static {
         base: &mut RaftBase,
         prev: Slot,
         prev_term: Term,
-        round: &View,
+        round: &Run<Entry>,
         skip: usize,
         term: Term,
     ) -> Result<(usize, usize), Slot>;
@@ -148,7 +149,7 @@ impl Flavor for Star {
         base: &mut RaftBase,
         prev: Slot,
         prev_term: Term,
-        round: &View,
+        round: &Run<Entry>,
         skip: usize,
         term: Term,
     ) -> Result<(usize, usize), Slot> {
@@ -593,6 +594,7 @@ impl<F: Flavor> RaftFamilyRules<F> {
                 entries,
                 commit,
                 window_room,
+                ..
             } => {
                 if term < self.base.current_term {
                     ctx.send(
@@ -609,7 +611,7 @@ impl<F: Flavor> RaftFamilyRules<F> {
                 core.leader_hint = Some(term.owner(core.cfg.n));
                 core.note_window_hint(window_room, ctx.now());
                 self.base.arm_election(core, ctx);
-                let bytes = entries.size_bytes();
+                let bytes: usize = entries.iter().map(|(_, e)| e.size_bytes()).sum();
                 ctx.charge(
                     core.cfg.costs.append_fixed
                         + core.cfg.costs.append_per_cmd * entries.len().max(1) as u64

@@ -1278,9 +1278,11 @@ mod tests {
                 EngineMsg::Forward {
                     group: 1,
                     header_bytes: 12,
-                    cmds: [Command::put(CmdId { client: 0, seq: 1 }, 1, vec![0; 8])]
-                        .into_iter()
-                        .collect(),
+                    cmds: crate::msg::Batch::One(Command::put(
+                        CmdId { client: 0, seq: 1 },
+                        1,
+                        vec![0; 8],
+                    )),
                 },
             ),
             (

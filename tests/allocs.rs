@@ -9,7 +9,7 @@
 //! counts repeat to the third decimal run to run (`HashMap` hasher seeds
 //! move them by parts in 10^4).
 //!
-//! Eight commits made the readings. The first built a round's payload
+//! Nine commits made the readings. The first built a round's payload
 //! once, made a list of slots a run and handed buffers back (*before* and
 //! *after* read either side of it). Since the second, a Raft-family round
 //! is a view of the leader's log rather than a copy of it (`log.rs`,
@@ -32,19 +32,22 @@
 //! rows counted. Since the eighth, a Raft-family follower's log holds its
 //! leader's blocks rather than copies of them (`log.rs`, *Storage*;
 //! *shared* reads after it): a follower took a block per 256 slots of
-//! its own. The ceilings are 1.25 x the last reading, the sharded row's
-//! 1.3 x.
+//! its own. Since the ninth, every round and every forwarded batch of
+//! several is one `slots::Run` cut by `SlotRing::cut`, a follower's
+//! forward outbox is a 64-cell `SlotRing`, and a follower re-sent an
+//! entry it holds leaves its cell alone (*run* reads after it). The
+//! ceilings are 1.25 x the *shared* reading, the sharded row's 1.3 x.
 //!
-//! | protocol                | before | after | copied | viewed | in place | table | strided | block | client | shared | ceiling |
-//! |-------------------------|-------:|------:|-------:|-------:|---------:|------:|--------:|------:|-------:|-------:|--------:|
-//! | Raft                    |  3.334 | 1.232 |  1.244 |  0.373 |    0.225 | 0.225 |   0.225 | 0.148 |  0.034 |  0.020 |   0.026 |
-//! | Raft\*                  |  1.867 | 1.232 |  1.244 |  0.373 |    0.225 | 0.225 |   0.225 | 0.148 |  0.034 |  0.020 |   0.026 |
-//! | Raft\*-PQL              |  1.226 | 0.322 |  0.322 |  0.193 |    0.031 | 0.032 |   0.032 | 0.024 |  0.018 |  0.017 |   0.022 |
-//! | Raft, per-entry fsync   |      — |     — |  1.577 |  0.604 |    0.332 | 0.332 |   0.332 | 0.151 |  0.036 |  0.021 |   0.027 |
-//! | MultiPaxos              |  7.640 | 2.068 |  2.010 |  2.010 |    1.164 | 0.201 |   0.201 | 0.132 |  0.034 |  0.034 |   0.043 |
-//! | Mencius                 | 19.894 | 4.230 |  1.466 |  1.466 |    1.466 | 1.456 |   0.296 | 0.296 |  0.194 |  0.194 |    0.24 |
-//! | Mencius, saturated LAN  |      — |     — |  0.246 |  0.246 |    0.246 | 0.237 |   0.050 | 0.050 |  0.037 |  0.037 |   0.046 |
-//! | Raft, 4 groups, a migration |  — |     — |      — |      — |        — |     — |   0.392 | 0.203 |  0.121 |  0.092 |    0.12 |
+//! | protocol                | before | after | copied | viewed | in place | table | strided | block | client | shared |   run | ceiling |
+//! |-------------------------|-------:|------:|-------:|-------:|---------:|------:|--------:|------:|-------:|-------:|------:|--------:|
+//! | Raft                    |  3.334 | 1.232 |  1.244 |  0.373 |    0.225 | 0.225 |   0.225 | 0.148 |  0.034 |  0.020 | 0.020 |   0.026 |
+//! | Raft\*                  |  1.867 | 1.232 |  1.244 |  0.373 |    0.225 | 0.225 |   0.225 | 0.148 |  0.034 |  0.020 | 0.020 |   0.026 |
+//! | Raft\*-PQL              |  1.226 | 0.322 |  0.322 |  0.193 |    0.031 | 0.032 |   0.032 | 0.024 |  0.018 |  0.017 | 0.017 |   0.022 |
+//! | Raft, per-entry fsync   |      — |     — |  1.577 |  0.604 |    0.332 | 0.332 |   0.332 | 0.151 |  0.036 |  0.021 | 0.021 |   0.027 |
+//! | MultiPaxos              |  7.640 | 2.068 |  2.010 |  2.010 |    1.164 | 0.201 |   0.201 | 0.132 |  0.034 |  0.034 | 0.034 |   0.043 |
+//! | Mencius                 | 19.894 | 4.230 |  1.466 |  1.466 |    1.466 | 1.456 |   0.296 | 0.296 |  0.194 |  0.194 | 0.194 |    0.24 |
+//! | Mencius, saturated LAN  |      — |     — |  0.246 |  0.246 |    0.246 | 0.237 |   0.050 | 0.050 |  0.037 |  0.037 | 0.037 |   0.046 |
+//! | Raft, 4 groups, a migration |  — |     — |      — |      — |        — |     — |   0.392 | 0.203 |  0.121 |  0.092 | 0.093 |    0.12 |
 //!
 //! Every reading before *client* exceeds its ceiling. The load is
 //! light on purpose (10 clients a region, batches of one or two), so
@@ -498,7 +501,7 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, ALLOCS.with(Cell::get) - before)
 }
 
-/// A replication round is a view of the leader's log (`log.rs`,
+/// A replication round is a run of the leader's log (`engine/slots.rs`,
 /// *Rounds*): cutting one at any cursor and putting it in an `Append`
 /// costs no allocation — four rounds of a 10,000-entry log, one within a
 /// block, two across a block edge, one a single entry, and the empty
@@ -530,11 +533,14 @@ fn a_round_is_a_view_of_the_log_not_a_copy() {
     for (name, log) in [("Raft", &raft), ("Raft*", &star)] {
         let (appends, made) = counted(|| {
             ROUNDS.map(|(prev, cap)| {
+                let (entries, covered, bal_term) = log.round(Slot(prev), cap);
                 Msg::Raft(RaftMsg::Append {
                     term: Term(2),
                     prev: Slot(prev),
                     prev_term: Term(1),
-                    entries: log.view(Slot(prev), cap),
+                    entries,
+                    covered,
+                    bal_term,
                     commit: Slot(prev),
                     window_room: true,
                 })
@@ -547,28 +553,65 @@ fn a_round_is_a_view_of_the_log_not_a_copy() {
             ROUNDS.len()
         );
         for (append, (prev, cap)) in appends.iter().zip(ROUNDS) {
-            let Msg::Raft(RaftMsg::Append { entries, .. }) = append else {
-                unreachable!()
-            };
             let suffix = log.suffix_from(Slot(prev));
-            assert_eq!(entries.len(), cap.min(suffix.len()), "{name} after {prev}");
+            assert_eq!(
+                ballots(append).len(),
+                cap.min(suffix.len()),
+                "{name} after {prev}"
+            );
             assert!(
-                entries.iter().eq(suffix.into_iter().take(cap)),
+                ballots(append).into_iter().eq(suffix.into_iter().take(cap)),
                 "{name} after {prev}"
             );
         }
     }
     let covered = |log: &Log| {
-        log.view(Slot(9_730), usize::MAX)
-            .iter()
-            .filter(|e| e.bal == Term(2))
-            .count()
+        let (entries, covered, bal_term) = log.round(Slot(9_730), usize::MAX);
+        let append = Msg::Raft(RaftMsg::Append {
+            term: Term(2),
+            prev: Slot(9_730),
+            prev_term: Term(1),
+            entries,
+            covered,
+            bal_term,
+            commit: Slot(9_730),
+            window_room: true,
+        });
+        ballots(&append).iter().filter(|e| e.bal == Term(2)).count()
     };
     assert_eq!(
         (covered(&raft), covered(&star)),
         (0, 170),
         "the mark ends inside the round"
     );
+}
+
+/// An `Append`'s entries as Figure 2 states them: each with its ballot,
+/// the mark's where the mark covers it, its stored one past it.
+fn ballots(append: &Msg) -> Vec<Entry> {
+    let Msg::Raft(RaftMsg::Append {
+        entries,
+        covered,
+        bal_term,
+        ..
+    }) = append
+    else {
+        unreachable!("an append")
+    };
+    let bal = |i: usize, e: &Entry| {
+        if i < *covered as usize {
+            *bal_term
+        } else {
+            e.bal
+        }
+    };
+    let entries = entries.iter().enumerate();
+    entries
+        .map(|(i, (_, e))| Entry {
+            bal: bal(i, e),
+            ..e.clone()
+        })
+        .collect()
 }
 
 /// What one `forward_pending` did: its allocations, the largest of
@@ -603,8 +646,8 @@ impl Actor<Msg> for Forwarder {
 }
 
 /// Node 0: keeps the sequence numbers of each forwarded batch, in order,
-/// and, if `holds`, the batch itself, which keeps its view of the
-/// follower's forward block alive.
+/// and, if `holds`, the batch itself, which keeps its run of the
+/// follower's forward outbox alive.
 struct ForwardSink {
     holds: bool,
     batches: Vec<Vec<u64>>,
@@ -667,14 +710,13 @@ fn forwarding(
 const FORWARD_BLOCK: usize = 16 + BATCH_MAX * std::mem::size_of::<OnceCell<Command>>();
 
 /// Most forwards carry one command, and a lone command rides in its
-/// `Forward`; a longer batch moves into the follower's forward block and
-/// the `Forward` is a view of it (`msg.rs`, *A forwarded batch is a view
-/// of the follower's block*). To a leader that keeps every batch,
-/// forwarding allocates nothing but a fresh block when a batch does not
-/// fit the current one: batches of five fill twelve to a 64-cell block,
-/// so every twelfth forward takes one block and the others nothing. The
-/// follower's buffer is never regrown, and node 0 receives every
-/// command, in order.
+/// `Forward`; a longer batch moves into the follower's forward outbox and
+/// the `Forward` is a run of it (`msg.rs`, `Outbox`). To a leader that
+/// keeps every batch, forwarding allocates nothing but a fresh block when
+/// a batch does not fit the current one: batches of five fill twelve to
+/// a 64-cell block, so every twelfth forward takes one block and the
+/// others nothing. The follower's buffer is never regrown, and node 0
+/// receives every command, in order.
 #[test]
 fn a_lone_forwarded_command_allocates_nothing() {
     const COUNT: u64 = 200;
@@ -878,7 +920,7 @@ fn an_idle_multipaxos_heartbeat_allocates_nothing() {
 }
 
 /// A MultiPaxos round is a view of the proposer's instance table
-/// (`engine/paxos_family.rs`, *Rounds*), as a Raft round is of the
+/// (`engine/slots.rs`, *Rounds*), as a Raft round is of the
 /// leader's log: proposing a batch, pumping a backlog to one acceptor
 /// and re-sending every uncommitted instance on the heartbeat allocate
 /// nothing. Writes arrive a millisecond apart, so the acknowledging
@@ -1021,7 +1063,7 @@ fn mencius_owner_among_puppets() -> Simulation<Msg> {
 }
 
 /// A Mencius round is a view of the owner's instance table, one slot in
-/// `n` (`engine/paxos_family.rs`, *Rounds*), as a MultiPaxos round is of
+/// `n` (`engine/slots.rs`, *Rounds*), as a MultiPaxos round is of
 /// the proposer's: proposing a batch and suggesting it to both peers
 /// allocates nothing, and neither does storing a peer's value in a block
 /// the owner's rounds in flight hold (every round stays held: the

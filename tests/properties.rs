@@ -6,9 +6,10 @@
 //! from the deterministic [`SimRng`] instead. Runs are reproducible by
 //! construction, and assertion messages carry the failing case index.
 
+use paxraft::core::engine::slots::Run;
 use paxraft::core::engine::{PipelineConfig, PipelineWindow};
 use paxraft::core::kv::{CmdId, Command, KvStore};
-use paxraft::core::log::{Entry, Log, View};
+use paxraft::core::log::{Entry, Log};
 use paxraft::core::types::{quorum, NodeId, Slot, Term};
 use paxraft::sim::rng::SimRng;
 use paxraft::sim::time::{SimDuration, SimTime};
@@ -51,7 +52,7 @@ fn replace_suffix_preserves_prefix() {
         let before: Vec<_> = (1..=prev as u64)
             .map(|s| log.get(Slot(s)).cloned())
             .collect();
-        let round: View = suffix.iter().cloned().collect();
+        let round: Run<Entry> = (1..).map(Slot).zip(suffix.iter().cloned()).collect();
         log.replace_suffix(Slot(prev as u64), &round, 0);
         assert_eq!(log.len(), prev + suffix.len(), "case {case}");
         for (i, old) in before.into_iter().enumerate() {
