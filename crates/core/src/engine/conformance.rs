@@ -12,7 +12,8 @@
 //! per `Log`-backed Raft* configuration pins the outcome of leader
 //! changes that go through the vote-extras safe-value pick, and one row
 //! per Raft flavor lands a deposed leader's rounds after it rewrote the
-//! slots they were cut from.
+//! slots they were cut from. The lease rows run `engine/lease.rs`'s PQL
+//! on Raft\* and MultiPaxos, and its LL on Raft\* (MultiPaxos refuses LL).
 
 use paxraft_sim::sim::{ActorId, Simulation};
 use paxraft_sim::time::{SimDuration, SimTime};
@@ -2434,4 +2435,447 @@ fn a_deposed_leaders_rounds_in_flight_land_as_they_were_cut() {
     }
     scenario::<Plain>("Raft");
     scenario::<Star>("Raft*");
+}
+
+// ── Quorum leases on both families ─────────────────────────────────
+
+use crate::engine::conflicts::Holds;
+use crate::multipaxos::PaxosRules;
+use crate::raftstar::RaftStarRules;
+
+/// What the lease rows read off a replica of either family that runs
+/// `engine/lease.rs`: Raft\* and MultiPaxos, from their constructors.
+trait Leased: ProtocolRules {
+    fn make(cfg: ReplicaConfig) -> ReplicaEngine<Self>;
+    /// The commands held above the applied prefix, in slot order.
+    fn unapplied(rep: &ReplicaEngine<Self>) -> Vec<(Slot, &Command)>;
+    /// The command held at `slot`, if any.
+    fn held(rep: &ReplicaEngine<Self>, slot: Slot) -> Option<CmdId>;
+    /// Whether `slot` is known committed.
+    fn committed(rep: &ReplicaEngine<Self>, slot: Slot) -> bool;
+}
+
+impl Leased for RaftStarRules {
+    fn make(cfg: ReplicaConfig) -> ReplicaEngine<Self> {
+        RaftStarReplica::new(cfg)
+    }
+    fn unapplied(rep: &ReplicaEngine<Self>) -> Vec<(Slot, &Command)> {
+        let above = rep.applied_index().0 + 1..=rep.log().last_index().0;
+        above
+            .map(|s| (Slot(s), &rep.log().get(Slot(s)).expect("dense").cmd))
+            .collect()
+    }
+    fn held(rep: &ReplicaEngine<Self>, slot: Slot) -> Option<CmdId> {
+        rep.log().get(slot).map(|e| e.cmd.id)
+    }
+    fn committed(rep: &ReplicaEngine<Self>, slot: Slot) -> bool {
+        slot <= rep.commit_index()
+    }
+}
+
+impl Leased for PaxosRules {
+    fn make(cfg: ReplicaConfig) -> ReplicaEngine<Self> {
+        MultiPaxosReplica::new(cfg)
+    }
+    fn unapplied(rep: &ReplicaEngine<Self>) -> Vec<(Slot, &Command)> {
+        let above = rep.rules.cells().range(rep.exec_index().next()..);
+        above.filter_map(|(s, c)| Some((s, c.cmd()?))).collect()
+    }
+    fn held(rep: &ReplicaEngine<Self>, slot: Slot) -> Option<CmdId> {
+        Some(rep.rules.cells().get(slot)?.cmd()?.id)
+    }
+    fn committed(rep: &ReplicaEngine<Self>, slot: Slot) -> bool {
+        rep.committed_at(slot).is_some()
+    }
+}
+
+/// Runs a lease row under Raft\* and under MultiPaxos.
+macro_rules! for_both_families {
+    ($scenario:ident) => {
+        $scenario::<RaftStarRules>("Raft*");
+        $scenario::<PaxosRules>("MultiPaxos");
+    };
+}
+
+/// A cluster of `n` replicas of one family in a lease read `mode`, led by
+/// replica 0, and a client of replica 0.
+fn leased_cluster<P: Leased>(n: usize, mode: ReadMode) -> (Simulation<Msg>, Vec<ActorId>, ActorId) {
+    leased_cluster_with::<P>(n, mode, |_| {})
+}
+
+fn leased_cluster_with<P: Leased>(
+    n: usize,
+    mode: ReadMode,
+    tweak: impl Fn(&mut ReplicaConfig),
+) -> (Simulation<Msg>, Vec<ActorId>, ActorId) {
+    cluster_with(n, |mut cfg| {
+        cfg.initial_leader = Some(NodeId(0));
+        cfg.read_mode = mode;
+        tweak(&mut cfg);
+        Box::new(P::make(cfg))
+    })
+}
+
+#[test]
+fn quorum_lease_enables_follower_local_reads() {
+    fn scenario<P: Leased>(name: &str) {
+        let (mut sim, replicas, client) = leased_cluster::<P>(5, ReadMode::QuorumLease);
+        sim.run_for(SimDuration::from_secs(2)); // leases up
+        let follower = sim.actor::<ReplicaEngine<P>>(replicas[3]);
+        let lease = follower.core.lease.as_deref().expect("a lease");
+        assert!(
+            lease.serves(sim.now(), false),
+            "{name}: a quorum of grants held"
+        );
+        // Write through the leader first.
+        sim.actor_mut::<TestClient>(client).enqueue_put(5);
+        assert!(drive_until(&mut sim, SimTime::from_secs(10), |sim| {
+            sim.actor::<TestClient>(client).replies.len() == 1
+        }));
+        sim.run_for(SimDuration::from_secs(1)); // let commit reach followers
+                                                // Read from a follower: must be served locally.
+        sim.actor_mut::<TestClient>(client).target = replicas[3];
+        sim.actor_mut::<TestClient>(client).enqueue_get(5);
+        assert!(drive_until(&mut sim, SimTime::from_secs(5), |sim| {
+            sim.actor::<TestClient>(client).replies.len() == 2
+        }));
+        let served = sim
+            .actor::<ReplicaEngine<P>>(replicas[3])
+            .local_reads_served();
+        assert_eq!(served, 1, "{name}: follower served the read locally");
+        let c = sim.actor::<TestClient>(client);
+        assert!(
+            c.replies[1].1.value_id().is_some(),
+            "{name}: local read sees the write"
+        );
+    }
+    for_both_families!(scenario);
+}
+
+#[test]
+fn leader_lease_serves_reads_only_at_leader() {
+    fn scenario<P: Leased>(name: &str) {
+        let (mut sim, replicas, client) = leased_cluster::<P>(3, ReadMode::LeaderLease);
+        sim.run_for(SimDuration::from_secs(2));
+        sim.actor_mut::<TestClient>(client).enqueue_put(9);
+        sim.actor_mut::<TestClient>(client).enqueue_get(9);
+        assert!(drive_until(&mut sim, SimTime::from_secs(10), |sim| {
+            sim.actor::<TestClient>(client).replies.len() == 2
+        }));
+        let served = |r: ActorId| sim.actor::<ReplicaEngine<P>>(r).local_reads_served();
+        assert_eq!((served(replicas[0]), served(replicas[1])), (1, 0), "{name}");
+    }
+    // MultiPaxos refuses LL (`multipaxos_refuses_a_leader_lease`).
+    scenario::<RaftStarRules>("Raft*");
+}
+
+/// A write after a leaseholder crashes waits for the holder's last
+/// grant to lapse, and no longer. The grant was renewed at most
+/// `renew_every` before the crash, so the stall lies between
+/// `duration - renew_every` and `duration` plus one commit round (a
+/// write's latency while every holder is up). Section 5.1 runs 2 s
+/// leases renewed every 0.5 s; the other durations keep that ratio.
+#[test]
+fn pql_write_waits_for_crashed_holder_until_expiry() {
+    fn scenario<P: Leased>(name: &str) {
+        for millis in [500, 1_000, 2_000, 4_000] {
+            let duration = SimDuration::from_millis(millis);
+            let renew_every = duration / 4;
+            let (mut sim, replicas, client) =
+                leased_cluster_with::<P>(3, ReadMode::QuorumLease, |cfg| {
+                    cfg.lease = crate::config::LeaseConfig {
+                        duration,
+                        renew_every,
+                    };
+                });
+            sim.run_for(SimDuration::from_secs(2)); // leases up
+            let latency = |sim: &mut Simulation<Msg>, key: u64| {
+                let before = sim.now();
+                let done = sim.actor::<TestClient>(client).replies.len() + 1;
+                sim.actor_mut::<TestClient>(client).enqueue_put(key);
+                assert!(drive_until(
+                    sim,
+                    before + SimDuration::from_secs(10),
+                    |sim| { sim.actor::<TestClient>(client).replies.len() == done }
+                ));
+                sim.actor::<TestClient>(client).replies[done - 1]
+                    .2
+                    .since(before)
+            };
+            let round = latency(&mut sim, 1);
+            // Crash a follower that holds leases; the next write must wait
+            // for its grant to lapse but still completes.
+            sim.crash_at(replicas[2], sim.now() + SimDuration::from_millis(1));
+            let stall = latency(&mut sim, 2);
+            assert!(
+                stall >= duration - renew_every && stall <= duration + round,
+                "{name}: {millis} ms lease renewed every {renew_every}: stall {stall}, round {round}"
+            );
+        }
+    }
+    for_both_families!(scenario);
+}
+
+/// Asserts that every replica's conflict index holds exactly the
+/// commands it holds above its applied prefix; returns how many entries
+/// the replicas index between them.
+fn assert_index_is_the_unapplied_log<P: Leased>(
+    sim: &Simulation<Msg>,
+    replicas: &[ActorId],
+    case: &str,
+) -> usize {
+    let mut indexed = 0;
+    for &r in replicas {
+        let rep = sim.actor::<ReplicaEngine<P>>(r);
+        let (mut writes, mut migrations) = (std::collections::BTreeSet::new(), 0);
+        for (s, cmd) in P::unapplied(rep) {
+            match Holds::of(cmd) {
+                Some(Holds::Key(key)) => {
+                    writes.insert((key, s.0));
+                }
+                Some(Holds::All) => migrations += 1,
+                None => {}
+            }
+        }
+        let index = &rep.core.lease.as_deref().expect("a lease").conflicts;
+        assert_eq!(index.indexed_writes(), writes, "{case}: replica {r:?}");
+        // A key never written is held back by migration commands alone
+        // (these runs have none).
+        assert_eq!((migrations, index.last_holding(u64::MAX)), (0, Slot::NONE));
+        indexed += writes.len();
+    }
+    indexed
+}
+
+/// Runs `sim` for `d` in 5 ms steps, checking every replica's index
+/// against its log after each; returns the most entries indexed at one
+/// check.
+fn run_checking<P: Leased>(
+    sim: &mut Simulation<Msg>,
+    replicas: &[ActorId],
+    d: SimDuration,
+    case: &str,
+) -> usize {
+    let end = sim.now() + d;
+    let mut most = 0;
+    while sim.now() < end {
+        sim.run_for(SimDuration::from_millis(5));
+        most = most.max(assert_index_is_the_unapplied_log::<P>(sim, replicas, case));
+    }
+    most
+}
+
+/// The lease's conflict index (`engine/conflicts.rs`) holds the commands
+/// above the applied prefix — Raft\*'s log above `last_applied`,
+/// MultiPaxos's table above `exec_index` — and nothing else, checked
+/// every 5 ms through three cases: writes to distinct keys from four
+/// clients; a leader change whose log overwrites a follower's
+/// uncommitted suffix (the stranded write leaves, the new leader's
+/// entries enter); and a follower crash without durability, after which
+/// everything it holds is unapplied again. Once everything has applied
+/// every index is empty, where the map it replaced kept one entry per
+/// key ever written.
+#[test]
+fn the_pql_conflict_index_is_the_log_above_the_applied_prefix() {
+    fn scenario<P: Leased>(name: &str) {
+        let (mut sim, replicas, client) = leased_cluster::<P>(5, ReadMode::QuorumLease);
+        let mut writers = vec![client];
+        for id in 1..5 {
+            let writer = Box::new(TestClient::new(id, replicas[0]));
+            writers.push(sim.add_actor(paxraft_sim::net::Region::Oregon, writer));
+        }
+        let answered = |sim: &Simulation<Msg>| -> usize {
+            let replies = |w: &ActorId| sim.actor::<TestClient>(*w).replies.len();
+            writers.iter().map(replies).sum()
+        };
+        let settle = |sim: &mut Simulation<Msg>, want: usize, case: &str| {
+            let deadline = sim.now() + SimDuration::from_secs(40);
+            while answered(sim) < want && sim.now() < deadline {
+                run_checking::<P>(sim, &replicas, SimDuration::from_millis(50), case);
+            }
+            assert_eq!(answered(sim), want, "{case}: every write answered");
+            run_checking::<P>(sim, &replicas, SimDuration::from_secs(1), case);
+            // What is left indexed once everything has applied.
+            assert_index_is_the_unapplied_log::<P>(sim, &replicas, case)
+        };
+        sim.run_for(SimDuration::from_secs(2)); // leases up
+
+        // Writes to distinct keys from four clients at once.
+        for (i, &w) in writers[..4].iter().enumerate() {
+            for k in 0..10 {
+                sim.actor_mut::<TestClient>(w)
+                    .enqueue_put(100 + 10 * i as u64 + k);
+            }
+        }
+        let case = format!("{name}: distinct keys");
+        let most = run_checking::<P>(&mut sim, &replicas, SimDuration::from_millis(600), &case);
+        assert!(most >= 4, "{case}: {most} indexed at most");
+        assert_eq!(settle(&mut sim, 40, &case), 0);
+
+        // {0, 1, four writers} | {2, 3, 4, the fifth writer}: leader 0
+        // replicates a write to follower 1 alone, where it cannot commit.
+        let case = format!("{name}: rewritten suffix");
+        let majority = [2, 3, 4, writers[4].0];
+        let groups = (0..sim.len()).map(|a| u32::from(majority.contains(&a)));
+        sim.partition_at(groups.collect(), sim.now() + SimDuration::from_millis(1));
+        sim.actor_mut::<TestClient>(client).enqueue_put(7);
+        run_checking::<P>(&mut sim, &replicas, SimDuration::from_millis(500), &case);
+        let follower = sim.actor::<ReplicaEngine<P>>(replicas[1]);
+        let stranded = follower.rules.log_tail();
+        let stranded_id = P::held(follower, stranded).expect("replicated");
+        assert!(!P::committed(follower, stranded), "{case}");
+        let index = &follower.core.lease.as_deref().expect("a lease").conflicts;
+        assert!(index.indexed_writes().contains(&(7, stranded.0)), "{case}");
+        // The majority side elects, commits writes of its own once the
+        // minority's leases lapse, and after the heal its leader's log
+        // overwrites follower 1's suffix.
+        let deadline = sim.now() + SimDuration::from_secs(20);
+        let leader = loop {
+            run_checking::<P>(&mut sim, &replicas, SimDuration::from_millis(50), &case);
+            let leading = |r: &&ActorId| sim.actor::<ReplicaEngine<P>>(**r).is_leader();
+            if let Some(&leader) = replicas[2..].iter().find(leading) {
+                break leader;
+            }
+            assert!(sim.now() < deadline, "{case}: the majority elects");
+        };
+        sim.actor_mut::<TestClient>(writers[4]).target = leader;
+        for k in 200..203 {
+            sim.actor_mut::<TestClient>(writers[4]).enqueue_put(k);
+        }
+        // The minority's stranded write stays indexed until the heal.
+        assert_eq!(settle(&mut sim, 43, &case), 2, "{case}");
+        sim.heal_at(sim.now() + SimDuration::from_millis(1));
+        sim.actor_mut::<TestClient>(client).target = leader;
+        assert_eq!(settle(&mut sim, 44, &case), 0, "{case}");
+        let follower = sim.actor::<ReplicaEngine<P>>(replicas[1]);
+        let now_at = P::held(follower, stranded).expect("retained");
+        assert_ne!(
+            now_at, stranded_id,
+            "{case}: follower 1's suffix was rewritten"
+        );
+
+        // A follower crashes without durability while writes are in
+        // flight: restored to an empty store, all it holds is unapplied.
+        let case = format!("{name}: crash without durability");
+        for (i, &w) in writers[..4].iter().enumerate() {
+            sim.actor_mut::<TestClient>(w).target = leader;
+            for k in 0..5 {
+                sim.actor_mut::<TestClient>(w)
+                    .enqueue_put(300 + 10 * i as u64 + k);
+            }
+        }
+        run_checking::<P>(&mut sim, &replicas, SimDuration::from_millis(100), &case);
+        let crashed = *replicas
+            .iter()
+            .find(|&&r| r != leader && r != replicas[0])
+            .unwrap();
+        sim.crash_at(crashed, sim.now() + SimDuration::from_millis(1));
+        run_checking::<P>(&mut sim, &replicas, SimDuration::from_millis(10), &case);
+        let rep = sim.actor::<ReplicaEngine<P>>(crashed);
+        assert_eq!(rep.applied_index(), Slot::NONE, "{case}");
+        let index = &rep.core.lease.as_deref().expect("a lease").conflicts;
+        assert!(
+            index.indexed_writes().len() > 40,
+            "{case}: the log re-enters"
+        );
+        sim.restart_at(crashed, sim.now() + SimDuration::from_millis(500));
+        assert_eq!(settle(&mut sim, 64, &case), 0, "{case}");
+        let keys = sim
+            .actor::<ReplicaEngine<P>>(crashed)
+            .kv()
+            .export_range(0, u64::MAX);
+        assert!(
+            keys.len() > 60,
+            "{case}: {} keys written, none indexed",
+            keys.len()
+        );
+    }
+    for_both_families!(scenario);
+}
+
+#[test]
+fn conflicting_local_read_parks_until_write_applies() {
+    fn scenario<P: Leased>(name: &str) {
+        let (mut sim, replicas, client) = leased_cluster::<P>(5, ReadMode::QuorumLease);
+        sim.run_for(SimDuration::from_secs(2));
+        // Prime the key so the follower knows about it.
+        sim.actor_mut::<TestClient>(client).enqueue_put(3);
+        assert!(drive_until(&mut sim, SimTime::from_secs(10), |sim| {
+            sim.actor::<TestClient>(client).replies.len() == 1
+        }));
+        sim.run_for(SimDuration::from_secs(1));
+        // A second write to the key reaches the followers before it
+        // commits; a read at follower 1 arriving then parks behind it.
+        sim.actor_mut::<TestClient>(client).enqueue_put(3);
+        sim.run_for(SimDuration::from_millis(60)); // the round reaches followers
+        let mut reader = TestClient::new(1, replicas[1]);
+        reader.enqueue_get(3);
+        let reader_id = sim.add_actor(paxraft_sim::net::Region::Ohio, Box::new(reader));
+        assert!(drive_until(&mut sim, SimTime::from_secs(10), |sim| {
+            sim.actor::<TestClient>(reader_id).replies.len() == 1
+                && sim.actor::<TestClient>(client).replies.len() == 2
+        }));
+        // The read observes the second write (it parked behind it) —
+        // seq 2 of client 0.
+        let got = sim.actor::<TestClient>(reader_id).replies[0].1.value_id();
+        let second = CmdId { client: 0, seq: 2 }.as_value_id();
+        assert_eq!(
+            got,
+            Some(second),
+            "{name}: parked read observed the conflicting write"
+        );
+        let served = sim
+            .actor::<ReplicaEngine<P>>(replicas[1])
+            .local_reads_served();
+        assert_eq!(served, 1, "{name}: the read was served locally");
+    }
+    for_both_families!(scenario);
+}
+
+/// Wing–Gong over a hot key under 15 % message loss, for both families
+/// under PQL and for Raft\* under LL: five clients, one per replica,
+/// write and read one key while the lease read path serves what it can
+/// locally. Every recorded history is linearizable, and local reads did
+/// happen.
+#[test]
+fn lease_reads_on_a_hot_key_stay_linearizable_under_loss() {
+    use paxraft_workload::linearize::check_history;
+    const KEY: u64 = 7;
+    fn scenario<P: Leased>(name: &str, modes: &[ReadMode]) {
+        for &mode in modes {
+            let (mut sim, replicas, first) = leased_cluster::<P>(5, mode);
+            let mut clients = vec![first];
+            for (id, &r) in replicas.iter().enumerate().skip(1) {
+                let client = Box::new(TestClient::new(id as u32, r));
+                clients.push(sim.add_actor(crate::testutil::region_of(id), client));
+            }
+            sim.run_for(SimDuration::from_secs(2)); // leases up
+            sim.set_drop_rate_at(0.15, sim.now());
+            for &c in &clients {
+                for _ in 0..6 {
+                    sim.actor_mut::<TestClient>(c).enqueue_put(KEY);
+                    sim.actor_mut::<TestClient>(c).enqueue_get(KEY);
+                }
+            }
+            let done = |sim: &Simulation<Msg>| {
+                let replies = |c: &ActorId| sim.actor::<TestClient>(*c).replies.len();
+                clients.iter().all(|c| replies(c) == 12)
+            };
+            assert!(
+                drive_until(&mut sim, SimTime::from_secs(600), done),
+                "{name} {mode:?}: every operation answered"
+            );
+            let history: Vec<_> = clients
+                .iter()
+                .flat_map(|&c| sim.actor::<TestClient>(c).history(KEY))
+                .collect();
+            check_history(&history, 1 << 22)
+                .unwrap_or_else(|e| panic!("{name} {mode:?}: history not linearizable: {e}"));
+            let served = |r: &ActorId| sim.actor::<ReplicaEngine<P>>(*r).local_reads_served();
+            let local: u64 = replicas.iter().map(served).sum();
+            assert!(local > 0, "{name} {mode:?}: reads were served locally");
+        }
+    }
+    scenario::<RaftStarRules>("Raft*", &[ReadMode::QuorumLease, ReadMode::LeaderLease]);
+    scenario::<PaxosRules>("MultiPaxos", &[ReadMode::QuorumLease]);
 }

@@ -38,6 +38,7 @@
 
 pub(crate) mod conflicts;
 pub mod durability;
+pub(crate) mod lease;
 mod links;
 pub(crate) mod paxos_family;
 pub mod pipeline;
@@ -89,7 +90,7 @@ pub const T_ELECTION: u64 = 1 << 48;
 pub const T_HEARTBEAT: u64 = 2 << 48;
 /// Pending-batch flush deadline.
 pub const T_BATCH: u64 = 3 << 48;
-/// Lease renewal tick (Raft*-PQL / LL).
+/// Lease renewal tick (`engine/lease.rs`).
 pub const T_LEASE: u64 = 4 << 48;
 /// An fsync completion (low bits carry the covered write sequence).
 pub const T_FSYNC: u64 = 5 << 48;
@@ -187,6 +188,8 @@ pub struct EngineCore {
     pub load_sketch: [u64; crate::shard::autobalance::SKETCH_BUCKETS],
     /// Durability sequencing + fsync scheduling (disabled by default).
     pub dur: DurabilityState,
+    /// Quorum-lease state under a lease read mode (`engine/lease.rs`).
+    pub(crate) lease: Option<Box<lease::Lease>>,
 }
 
 /// One migration's export as the source group's proposer drives it.
@@ -213,6 +216,7 @@ impl EngineCore {
         let snap_wire = (SNAPSHOT_CHUNK_HEADER, SNAPSHOT_ACK_HEADER);
         let dur = DurabilityState::new(&cfg.durability);
         EngineCore {
+            lease: lease::Lease::new(&cfg),
             cfg,
             kv: KvStore::new(),
             leader_hint: None,
@@ -436,16 +440,10 @@ pub trait ProtocolRules: Sized + 'static {
     /// already charged the propose cost.
     fn propose(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, cmds: &mut Vec<Command>);
 
-    /// Serves a command without replication when a read optimization
-    /// applies (quorum-lease local reads). `true` consumes the command.
-    fn try_serve_local(
-        &mut self,
-        core: &mut EngineCore,
-        ctx: &mut Ctx<Msg>,
-        cmd: &Command,
-    ) -> bool {
-        let _ = (core, ctx, cmd);
-        false
+    /// The highest slot this replica holds a command at, which its lease
+    /// grants carry (`engine/lease.rs`).
+    fn log_tail(&self) -> Slot {
+        Slot::NONE
     }
 
     /// Arms the protocol's initial timers (election bootstrap, lease
@@ -463,7 +461,8 @@ pub trait ProtocolRules: Sized + 'static {
         let _ = (core, ctx);
     }
 
-    /// A protocol-specific timer kind fired ([`T_LEASE`], [`T_COORD`]).
+    /// A protocol-specific timer kind fired ([`T_COORD`]), or [`T_LEASE`]
+    /// after the engine renewed the leases (a lapsed holder gates no more).
     fn on_timer(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, kind: u64, token: u64) {
         let _ = (core, ctx, kind, token);
     }
@@ -626,6 +625,11 @@ impl<P: ProtocolRules> ReplicaEngine<P> {
     /// Fsync / deferred-ack counters (durability model).
     pub fn durability_stats(&self) -> DurabilityStats {
         self.core.dur.stats
+    }
+
+    /// Reads served from the local copy under a lease (stats).
+    pub fn local_reads_served(&self) -> u64 {
+        self.core.lease.as_deref().map_or(0, |l| l.served)
     }
 
     /// Registers this replica's named counters and gauges for the
@@ -893,8 +897,8 @@ fn nic_wait(ctx: &Ctx<Msg>) -> Option<SimDuration> {
 /// before it can touch this group's log or sessions (the client's
 /// partition map raced a config change, or the forwarding follower lags
 /// behind a freeze); charged like a response but counted as a redirect.
-/// A read the rules serve locally (lease) is answered; anything else is
-/// buffered for the batch cutter. Returns whether it was buffered.
+/// A lease read is answered or parked (`lease::read_at_local`); anything
+/// else is buffered for the batch cutter. Returns whether it was buffered.
 fn intake<P: ProtocolRules>(
     rules: &mut P,
     core: &mut EngineCore,
@@ -905,7 +909,7 @@ fn intake<P: ProtocolRules>(
         core.send_redirect(ctx, cmd.id, group, version);
         return false;
     }
-    if rules.try_serve_local(core, ctx, &cmd) {
+    if lease::read_at_local(rules, core, ctx, &cmd) {
         return false;
     }
     ctx.trace_span(
@@ -1056,6 +1060,9 @@ fn maybe_drive_migration<P: ProtocolRules>(
 impl<P: ProtocolRules> Actor<Msg> for ReplicaEngine<P> {
     fn on_start(&mut self, ctx: &mut Ctx<Msg>) {
         self.rules.on_start(&mut self.core, ctx);
+        if self.core.lease.is_some() {
+            ctx.set_timer(SimDuration::from_millis(1), T_LEASE); // the first renewal
+        }
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<Msg>, from: ActorId, msg: Msg) {
@@ -1152,7 +1159,10 @@ impl<P: ProtocolRules> Actor<Msg> for ReplicaEngine<P> {
                     .on_snapshot_ack(&mut self.core, ctx, from, seal, upto);
             }
             other => {
-                self.rules.on_msg(&mut self.core, ctx, from, other);
+                match other {
+                    Msg::Lease(m) => lease::on_msg(&mut self.core, ctx, from, m),
+                    other => self.rules.on_msg(&mut self.core, ctx, from, other),
+                }
                 links::flush_idle_links(&mut self.rules, &mut self.core, ctx);
                 // Acknowledgements may have freed pipeline window room:
                 // ship a batch that accumulated while saturated without
@@ -1210,6 +1220,9 @@ impl<P: ProtocolRules> Actor<Msg> for ReplicaEngine<P> {
             }
             T_FSYNC_DELAY => self.core.dur.on_delay_fire(ctx),
             kind => {
+                if kind == T_LEASE {
+                    lease::renew(&mut self.core, ctx, self.rules.log_tail());
+                }
                 self.rules.on_timer(&mut self.core, ctx, kind, token);
                 links::flush_idle_links(&mut self.rules, &mut self.core, ctx);
             }
@@ -1249,6 +1262,7 @@ impl<P: ProtocolRules> Actor<Msg> for ReplicaEngine<P> {
             self.core.kv.restore(&snap.kv);
             floor = snap.last_slot;
         }
+        lease::crash(&mut self.core);
         self.rules.on_crash(&mut self.core, floor);
     }
 

@@ -238,11 +238,10 @@ impl PaxosBase {
 
     /// A proposer's own write of `cmd` at its ballot, asking nothing: it
     /// numbers its instances above everything it executed and adopts
-    /// values without counting them learnt. Returns the cell.
-    pub(crate) fn write(&mut self, slot: Slot, bal: Term, cmd: Command) -> &Cell {
+    /// values without counting them learnt. Returns the value it replaced.
+    pub(crate) fn write(&mut self, slot: Slot, bal: Term, cmd: Command) -> Option<Command> {
         self.accept_writes += 1;
-        self.put(slot, bal, cmd);
-        self.cells.get(slot).expect("just written")
+        self.put(slot, bal, cmd)
     }
 
     /// Puts `cmd` at `slot` at `bal`, returning the value it replaced. An
@@ -366,15 +365,16 @@ impl PaxosBase {
         &mut self,
         synced: u64,
         eligible: impl Fn(Term, &Cell) -> bool,
+        admits: impl Fn(u32) -> bool,
         mut chosen: impl FnMut(Slot),
     ) -> bool {
         let covered = self
             .pending_self
             .partition_point(|(seq, ..)| *seq <= synced);
-        let mut votes = std::mem::take(&mut self.pending_self);
+        let (mut votes, admits) = (std::mem::take(&mut self.pending_self), &admits);
         for (_, bal, slots) in votes.drain(..covered) {
             let eligible = |cell: &Cell| eligible(bal, cell);
-            self.tally(slots.iter(), self.me, eligible, &mut chosen, |_| {});
+            self.tally(slots.iter(), self.me, eligible, admits, &mut chosen, |_| {});
         }
         self.pending_self = votes;
         covered > 0
@@ -388,8 +388,9 @@ impl PaxosBase {
     /// Adds the ack `bit` to each of `slots` not chosen yet that
     /// `eligible` admits (Mencius: still at the acked term; MultiPaxos
     /// checks its ballot once per message), and reports to `chosen` those
-    /// it completed a quorum for, now committed — each once. A cell
-    /// already chosen ignores the bit: its bitmap is never read again.
+    /// it completed a quorum for that `admits` (the lease gate over the
+    /// cell's acks, `engine/lease.rs`) too, now committed — each once. A
+    /// cell already chosen ignores the bit: its bitmap is never read again.
     ///
     /// `quorum` hears the client command of each cell whose peer acks the
     /// bit brings to a quorum but for this proposer's own vote, which
@@ -402,6 +403,7 @@ impl PaxosBase {
         slots: impl IntoIterator<Item = Slot>,
         bit: u32,
         eligible: impl Fn(&Cell) -> bool,
+        admits: impl Fn(u32) -> bool,
         mut chosen: impl FnMut(Slot),
         mut quorum: impl FnMut(CmdId),
     ) {
@@ -416,7 +418,7 @@ impl PaxosBase {
             let fresh = acks & bit == 0;
             cell.acks.set(acks | bit);
             let votes = (acks | bit).count_ones() as usize;
-            if votes >= self.quorum {
+            if votes >= self.quorum && admits(acks | bit) {
                 cell.committed.set(true);
                 chosen(slot);
             } else if fresh && votes + 1 == self.quorum && acks & self.me == 0 {
@@ -654,6 +656,12 @@ mod tests {
         PaxosBase::new(3, NodeId(0))
     }
 
+    /// Writes `cmd` at `slot` at `bal` as a proposer does; the cell.
+    fn written(b: &mut PaxosBase, slot: Slot, bal: Term, cmd: Command) -> &Cell {
+        b.write(slot, bal, cmd);
+        b.cells.get(slot).expect("just written")
+    }
+
     /// A `Learn` that arrives before its value promotes the cell when the
     /// value lands.
     #[test]
@@ -771,12 +779,12 @@ mod tests {
     #[test]
     fn the_tally_skips_ineligible_cells_and_reports_each_choice_once() {
         let mut b = base();
-        b.write(Slot(1), Term(3), put(1)).acks.set(0b001);
-        b.write(Slot(2), Term(4), put(2)).acks.set(0b001);
+        written(&mut b, Slot(1), Term(3), put(1)).acks.set(0b001);
+        written(&mut b, Slot(2), Term(4), put(2)).acks.set(0b001);
         let at = |t| move |c: &Cell| c.bal.get() == Term(t);
         let slots = [Slot(1), Slot(2), Slot(1), Slot(9)];
         let mut chosen = Vec::new();
-        b.tally(slots, 0b010, at(3), |s| chosen.push(s), |_| {});
+        b.tally(slots, 0b010, at(3), |_| true, |s| chosen.push(s), |_| {});
         assert_eq!(chosen, [Slot(1)]);
         let other = b.cells.get(Slot(2)).unwrap();
         assert!(
@@ -784,8 +792,22 @@ mod tests {
             "bit not taken"
         );
         // A later ack for the chosen slot chooses nothing again.
-        b.tally([Slot(1)], 0b100, at(3), |s| chosen.push(s), |_| {});
-        b.tally([Slot(2)], 0b100, at(4), |s| chosen.push(s), |_| {});
+        b.tally(
+            [Slot(1)],
+            0b100,
+            at(3),
+            |_| true,
+            |s| chosen.push(s),
+            |_| {},
+        );
+        b.tally(
+            [Slot(2)],
+            0b100,
+            at(4),
+            |_| true,
+            |s| chosen.push(s),
+            |_| {},
+        );
         assert_eq!(chosen, [Slot(1), Slot(2)]);
     }
 
@@ -796,15 +818,22 @@ mod tests {
     #[test]
     fn the_tally_marks_a_quorum_that_waits_only_for_the_own_vote() {
         let mut b = PaxosBase::new(5, NodeId(0)); // quorum 3, own bit 0b00001
-        b.write(Slot(1), Term(2), put(1)).acks.set(0);
-        b.write(Slot(2), Term(2), put(2)).acks.set(0b00001);
+        written(&mut b, Slot(1), Term(2), put(1)).acks.set(0);
+        written(&mut b, Slot(2), Term(2), put(2)).acks.set(0b00001);
         let mut noop = put(3);
         noop.id.client = u32::MAX;
-        b.write(Slot(3), Term(2), noop).acks.set(0);
+        written(&mut b, Slot(3), Term(2), noop).acks.set(0);
         let mut marked = Vec::new();
         let mut tally = |b: &mut PaxosBase, slots: &[u64], bit| {
             let slots = slots.iter().map(|s| Slot(*s));
-            b.tally(slots, bit, |_| true, |_| {}, |id| marked.push(id.seq));
+            b.tally(
+                slots,
+                bit,
+                |_| true,
+                |_| true,
+                |_| {},
+                |id| marked.push(id.seq),
+            );
         };
         tally(&mut b, &[1, 2, 3], 0b00010);
         tally(&mut b, &[1, 2, 3], 0b00100);
@@ -828,7 +857,7 @@ mod tests {
     fn synced_self_votes_drain_in_write_order_and_the_rest_stay_queued() {
         let mut b = base();
         for s in [1, 4, 7, 10] {
-            b.write(Slot(s), Term(2), put(s)).acks.set(0b010);
+            written(&mut b, Slot(s), Term(2), put(s)).acks.set(0b010);
         }
         let run = |slots: &[u64]| slots.iter().map(|s| Slot(*s)).collect::<Slots>();
         b.pending_self = vec![
@@ -839,7 +868,7 @@ mod tests {
         let drain = |b: &mut PaxosBase, synced| {
             let mut votes = Vec::new();
             let still = |bal, cell: &Cell| bal == cell.bal.get();
-            let any = b.tally_synced_votes(synced, still, |s| votes.push(s));
+            let any = b.tally_synced_votes(synced, still, |_| true, |s| votes.push(s));
             (any, votes)
         };
         assert_eq!(drain(&mut b, 2), (false, vec![]));
@@ -926,9 +955,23 @@ mod tests {
         // the next instance, in the blocks the round holds.
         let slots = || (250..=260).map(Slot);
         let mut chosen = Vec::new();
-        b.tally(slots(), 0b010, |_| true, |s| chosen.push(s), |_| {});
+        b.tally(
+            slots(),
+            0b010,
+            |_| true,
+            |_| true,
+            |s| chosen.push(s),
+            |_| {},
+        );
         assert!(chosen.is_empty());
-        b.tally(slots().take(3), 0b100, |_| true, |s| chosen.push(s), |_| {});
+        b.tally(
+            slots().take(3),
+            0b100,
+            |_| true,
+            |_| true,
+            |s| chosen.push(s),
+            |_| {},
+        );
         assert_eq!(chosen, [Slot(250), Slot(251), Slot(252)]);
         b.learn_at([Slot(259)], Term(2));
         b.tag(&slots().collect(), 7);
@@ -1058,7 +1101,7 @@ mod tests {
     fn a_crash_drops_exactly_the_unsynced_values() {
         let mut b = base();
         for (s, wseq) in [(1, 2), (2, 5), (3, 6)] {
-            let cell = b.write(Slot(s), Term(1), put(s));
+            let cell = written(&mut b, Slot(s), Term(1), put(s));
             cell.acks.set(0b011);
             cell.wseq.set(wseq);
         }

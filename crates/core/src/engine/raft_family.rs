@@ -21,7 +21,7 @@ use crate::msg::{Msg, RaftMsg};
 use crate::snapshot::{Snapshot, SnapshotStats};
 use crate::types::{NodeId, Slot, Term};
 
-use super::{transfer, EngineCore, RETRY_INTERVAL};
+use super::{lease, transfer, EngineCore, RETRY_INTERVAL};
 
 /// Raft roles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -231,7 +231,7 @@ impl RaftBase {
             prev = transfer::ship_snapshot(core, ctx, peer, point, self.current_term)?;
         }
         let prev_term = self.log.term_at(prev).unwrap_or(Term::ZERO);
-        let (entries, covered, bal_term) = self.log.round(prev, cap);
+        let entries = self.log.round(prev, cap);
         // A round cut short by `cap` ends where its entries do.
         let tail = if entries.len() < cap {
             self.log.last_index()
@@ -251,8 +251,6 @@ impl RaftBase {
                 prev,
                 prev_term,
                 entries,
-                covered,
-                bal_term,
                 commit: self.commit_index,
                 window_room,
             }),
@@ -295,8 +293,10 @@ impl RaftBase {
 
     /// Applies the committed prefix in order; the leader answers
     /// clients at apply time. Migration commands run their engine hooks
-    /// (`engine::apply_command`) here like everywhere else.
-    pub fn apply_loop(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
+    /// (`engine::apply_command`) here like everywhere else. What applied
+    /// holds back no lease read any more, and the reads parked behind it
+    /// are served (`engine/lease.rs`); then the log may compact.
+    pub fn apply_committed(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
         while self.last_applied < self.commit_index {
             let next = self.last_applied.next();
             let Some(entry) = self.log.get(next) else {
@@ -305,17 +305,20 @@ impl RaftBase {
             let id = entry.cmd.id;
             ctx.charge(core.cfg.costs.apply_per_cmd);
             let reply = super::apply_command(core, ctx, &entry.cmd, self.role == Role::Leader);
+            lease::index(core, [(next, &entry.cmd)], false);
             self.last_applied = next;
             if self.role == Role::Leader && id.client != u32::MAX {
                 core.respond(ctx, id, reply);
             }
         }
+        lease::serve_parked(core, ctx, self.last_applied, self.role == Role::Leader);
+        self.maybe_compact(core, ctx);
     }
 
     /// Compacts the applied log prefix once it crosses the configured
     /// threshold, snapshotting the state machine first (the snapshot is
     /// the durable replacement for the discarded entries).
-    pub fn maybe_compact(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
+    fn maybe_compact(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
         let floor = self.log.last_included().0;
         let applied_retained = (self.last_applied.0 - floor.0) as usize;
         if !core.cfg.snapshot.should_compact(applied_retained) {

@@ -951,8 +951,6 @@ mod tests {
                 )]
                 .into_iter()
                 .collect(),
-                covered: 1,
-                bal_term: Term(1),
                 commit: Slot(0),
                 window_room: true,
             });
@@ -1040,9 +1038,10 @@ mod tests {
         assert_eq!(size_of::<Run<Command>>(), 24);
         assert_eq!(size_of::<crate::msg::PaxosMsg>(), 56);
         assert_eq!(size_of::<crate::msg::MenciusMsg>(), 112);
-        // An `Append`: the run and Raft*'s ballot mark beside it, where a
-        // 56 B view held both.
-        assert_eq!(size_of::<crate::msg::RaftMsg>(), 72);
+        // An `Append`: the run beside `term`, `prev`, `prevTerm` and
+        // `commit` (Raft*'s ballots are its `term`; 72 B while it carried
+        // a ballot mark).
+        assert_eq!(size_of::<crate::msg::RaftMsg>(), 64);
         // The Paxos-family instance, one for both rules files: the ack
         // bitmap and the flags share one word.
         assert_eq!(size_of::<Cell>(), 72);

@@ -14,8 +14,9 @@
 //! - [`raftstar`] — Raft* (Section 3): vote replies carry extra entries,
 //!   the leader merges safe values, followers never truncate, and every
 //!   entry carries a ballot rewritten on append. Raft* refines MultiPaxos.
-//! - [`pql`] — Paxos Quorum Lease ported to Raft* (Raft*-PQL, Figure 8)
-//!   plus the Leader-Lease (LL) baseline of Section 5.1.
+//!   Paxos Quorum Lease (Raft*-PQL, Figure 8) and the Leader-Lease (LL)
+//!   baseline of Section 5.1 are the engine's (`engine/lease.rs`), run by
+//!   Raft* and MultiPaxos through `ReplicaConfig::read_mode`.
 //! - [`mencius`] — Mencius / Coordinated Paxos ported to Raft*
 //!   (Raft*-Mencius, Appendix A.4): round-robin slot ownership, skips,
 //!   and revocation.
@@ -36,7 +37,6 @@ pub mod log;
 pub mod mencius;
 pub mod msg;
 pub mod multipaxos;
-pub mod pql;
 pub mod raft;
 pub mod raftstar;
 pub mod shard;

@@ -375,17 +375,13 @@ impl Log {
     /// payload of one replication round (`engine::slots`, *Rounds*): a
     /// run of the leader's own blocks, which yields what
     /// [`Log::suffix_from`] clones at this moment, now and after any later
-    /// change to the log, but for the ballots. Those come as the mark over
-    /// the round: its first `covered` entries have effective ballot
-    /// `bal_term`, the rest their stored one. Cutting one allocates
-    /// nothing and copies no entry, unless the round spans more than two
-    /// blocks.
-    pub fn round(&self, prev: Slot, max: usize) -> (Run<Entry>, u32, Term) {
+    /// change to the log, but for the ballots — the stored ones, not the
+    /// mark's. Under Raft\* every ballot of a leader's log is its term,
+    /// which the `Append` carries. Cutting one allocates nothing and
+    /// copies no entry, unless the round spans more than two blocks.
+    pub fn round(&self, prev: Slot, max: usize) -> Run<Entry> {
         let first = prev.max(self.start).next();
-        let run = self.entries.cut(first.., 1, max, |_, _| true);
-        let covered = (self.bal_upto.0 + 1).saturating_sub(first.0);
-        let covered = covered.min(run.len() as u64) as u32;
-        (run, covered, self.bal_term)
+        self.entries.cut(first.., 1, max, |_, _| true)
     }
 
     /// Iterates retained entries as `(global slot, effective ballot,
@@ -497,23 +493,15 @@ mod tests {
         (1..).map(Slot).zip(entries).collect()
     }
 
-    /// The entries of a round cut by [`Log::round`], each with its
-    /// effective ballot at the cut: Figure 2's `ents`.
-    fn with_ballots((run, covered, bal_term): &(Run<Entry>, u32, Term)) -> Vec<Entry> {
-        let bal = |i: usize, e: &Entry| {
-            if i < *covered as usize {
-                *bal_term
-            } else {
-                e.bal
-            }
+    /// The entries of a round cut by [`Log::round`] as an `Append` at
+    /// `term` states them, Figure 2's `ents`: under Raft\* every ballot
+    /// of a leader's log is its term.
+    fn with_ballots(run: &Run<Entry>, term: Term) -> Vec<Entry> {
+        let bal = |e: &Entry| Entry {
+            bal: term,
+            ..e.clone()
         };
-        let entries = run.iter().enumerate();
-        entries
-            .map(|(i, (_, e))| Entry {
-                bal: bal(i, e),
-                ..e.clone()
-            })
-            .collect()
+        run.iter().map(|(_, e)| bal(e)).collect()
     }
 
     #[test]
@@ -608,11 +596,11 @@ mod tests {
         assert_eq!(tail[0].cmd.op.key(), Some(2));
         assert!(log.suffix_from(Slot(9)).is_empty());
         assert_eq!(log.suffix_from(Slot::NONE).len(), 4);
-        let round = with_ballots(&log.round(Slot(1), 2));
+        let round = with_ballots(&log.round(Slot(1), 2), Term(1));
         assert_eq!(round[..], log.suffix_from(Slot(1))[..2]);
-        assert_eq!(log.round(Slot(3), 2).0.len(), 1, "the log ends first");
-        assert!(log.round(Slot(1), 0).0.is_empty());
-        assert!(log.round(Slot(4), 2).0.is_empty());
+        assert_eq!(log.round(Slot(3), 2).len(), 1, "the log ends first");
+        assert!(log.round(Slot(1), 0).is_empty());
+        assert!(log.round(Slot(4), 2).is_empty());
     }
 
     #[test]
@@ -645,6 +633,15 @@ mod tests {
     /// Rounds each run holds and re-checks after every step.
     const HELD: usize = 16;
 
+    /// `entries` with every ballot zero.
+    fn zeroed(entries: Vec<Entry>) -> Vec<Entry> {
+        let zero = |e| Entry {
+            bal: Term::ZERO,
+            ..e
+        };
+        entries.into_iter().map(zero).collect()
+    }
+
     /// One random script of every mutator against Figure 2 executed
     /// literally: an eager reference log (a plain `Vec` plus a compaction
     /// offset) that rewrites every covered `bal` in a loop. After each
@@ -652,7 +649,8 @@ mod tests {
     /// `suffix_from` must equal the reference's stored ones, and the mark
     /// must not pass the end. Each step also cuts a round ([`Log::round`])
     /// of random length at a random cursor, which must equal the clone
-    /// `suffix_from` makes at the cut — and still equal it after every
+    /// `suffix_from` makes at the cut but for the ballots (an `Append`
+    /// states them as its term) — and still equal it after every
     /// later step while the run holds it (the last [`HELD`]), whatever
     /// the log did to those slots since. An append step adds up to
     /// `burst` entries; with `near_edges` every case starts, and every
@@ -674,8 +672,7 @@ mod tests {
         };
         let mut tally = Tally::default();
         let crossed = &mut tally.crossed;
-        let mut held: VecDeque<((Run<Entry>, u32, Term), Vec<Entry>, Slot, String)> =
-            VecDeque::new();
+        let mut held: VecDeque<(Run<Entry>, Vec<Entry>, Slot, String)> = VecDeque::new();
         for case in 0..cases {
             let mut log = Log::new();
             // Reference: entries after `start`, ballots rewritten eagerly.
@@ -788,9 +785,12 @@ mod tests {
                 let cut: Vec<Entry> = log.suffix_from(Slot(prev)).into_iter().take(max).collect();
                 let upto = from.saturating_add(max).min(eager.len());
                 assert_eq!(cut, eager[from..upto], "{ctx}");
+                // What a round carries but for the ballots, which the
+                // `Append` states as its term.
+                let cut = zeroed(cut);
                 let round = log.round(Slot(prev), max);
-                if !round.0.is_empty() {
-                    let kind = match round.0.blocks(0).count() {
+                if !round.is_empty() {
+                    let kind = match round.blocks(0).count() {
                         1 => 0,
                         2 => 1,
                         _ => 2,
@@ -802,10 +802,11 @@ mod tests {
                     held.pop_front();
                 }
                 for (round, cut, prev, at) in &held {
-                    assert_eq!(round.0.len(), cut.len(), "{ctx}: the round cut at {at}");
-                    assert_eq!(with_ballots(round), *cut, "{ctx}: the round cut at {at}");
-                    let now = log.suffix_from(*prev).into_iter().take(cut.len());
-                    tally.outlived += u32::from(now.ne(cut.iter().cloned()));
+                    assert_eq!(round.len(), cut.len(), "{ctx}: the round cut at {at}");
+                    let stated = with_ballots(round, Term::ZERO);
+                    assert_eq!(stated, *cut, "{ctx}: the round cut at {at}");
+                    let now = zeroed(log.suffix_from(*prev).into_iter().take(cut.len()).collect());
+                    tally.outlived += u32::from(now != *cut);
                 }
             }
             tally.most_appends = tally.most_appends.max(appends);

@@ -183,7 +183,7 @@ use paxraft_sim::sim::{ActorId, Ctx};
 use paxraft_sim::time::{SimDuration, SimTime};
 use paxraft_sim::trace::SpanKind;
 
-use crate::config::ReplicaConfig;
+use crate::config::{ReadMode, ReplicaConfig};
 use crate::costs::CostModel;
 use crate::engine::conflicts::{ConflictIndex, Holds};
 use crate::engine::paxos_family::{ack_bit, merge_highest, Accepted, Cell, PaxosBase, Stored};
@@ -380,9 +380,14 @@ impl MenciusReplica {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid.
+    /// Panics if the configuration is invalid, or asks for a lease read
+    /// mode: Figure 8's gate sits on one leader's `Learn`, but Mencius
+    /// commits each slot at its owner and a revoked one at its revoker.
     pub fn new(cfg: ReplicaConfig) -> Self {
         cfg.validate().expect("invalid replica config");
+        if cfg.read_mode != ReadMode::LogRead {
+            panic!("Mencius has no leader to gate a lease");
+        }
         let n = cfg.n;
         let me = cfg.id;
         ReplicaEngine::from_parts(
@@ -596,6 +601,7 @@ impl MenciusRules {
             slots.iter(),
             bit,
             |slot| slot.bal.get() == term,
+            |_| true,
             |s| chosen.push(s),
             |id| ctx.trace_span(SpanKind::Quorum, id.client, id.seq),
         );
@@ -1563,7 +1569,7 @@ impl ProtocolRules for MenciusRules {
         let chosen = &mut self.commit_buf;
         let at_term = |term, slot: &Cell| slot.bal.get() == term;
         let synced = core.dur.synced_seq();
-        if !(self.base).tally_synced_votes(synced, at_term, |s| chosen.push(s)) {
+        if !(self.base).tally_synced_votes(synced, at_term, |_| true, |s| chosen.push(s)) {
             return false;
         }
         self.note_chosen_own(before);

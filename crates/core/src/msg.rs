@@ -470,6 +470,9 @@ pub enum PaxosMsg {
         /// can spot laggards and choose between instance retransmission
         /// and a checkpoint ([`EngineMsg::SnapshotChunk`]).
         exec: Slot,
+        /// Replicas currently holding leases granted by the acceptor, one
+        /// bit per replica (Figure 8's Phase2b Δ; 0 without a lease).
+        holders: u64,
     },
     /// An `Accept`'s `commit` with no instances: sent only on a link that
     /// carried nothing for longer than the proposer lets a decision wait.
@@ -517,17 +520,11 @@ pub enum RaftMsg {
         prev_term: Term,
         /// The replicated suffix: a run of the leader's log as it was
         /// when the round was cut (module docs). The wire size is the
-        /// entries'.
+        /// entries'. Figure 2's `ents` carry their ballots: under Raft\*
+        /// each is the append's `term` (a leader rewrites the ballots of
+        /// its whole log at every append, `BecomeLeader` included), and a
+        /// follower needs none of them (`log.rs`, *Storage*).
         entries: Run<Entry>,
-        /// Raft\*'s ballot mark over `entries` at the cut (Figure 2's
-        /// `ents` carry their ballots): the first `covered` have ballot
-        /// `bal_term`, the rest the one they are stored with. It belongs
-        /// to the flavor, not to the store; a follower needs none of it
-        /// (`log.rs`, *Storage*). Rides in the entries' ballot fields on
-        /// the wire.
-        covered: u32,
-        /// The mark's ballot.
-        bal_term: Term,
         /// Leader's commit index.
         commit: Slot,
         /// Whether the leader's replication pipeline currently has window
@@ -777,7 +774,9 @@ impl Payload for Msg {
                         .sum::<usize>()
                 }
                 PaxosMsg::Accept { items, .. } => 24 + values_size(items),
-                PaxosMsg::AcceptOk { slots, .. } => 24 + 8 * slots.len(),
+                PaxosMsg::AcceptOk { slots, holders, .. } => {
+                    24 + 8 * slots.len() + 4 * holders.count_ones() as usize
+                }
                 PaxosMsg::Learn { .. } => 24,
             },
             Msg::Raft(m) => match m {
@@ -892,16 +891,19 @@ mod tests {
         spilled.extend((4..8).map(Slot));
         assert!(is_run(&run) && !is_run(&spilled));
         assert_eq!(run.len(), spilled.len());
-        let ok = |slots: Slots| {
+        let ok = |slots: Slots, holders: u64| {
             Msg::Paxos(PaxosMsg::AcceptOk {
                 ballot: Term(1),
                 slots,
                 exec: Slot(0),
+                holders,
             })
             .size_bytes()
         };
-        assert_eq!(ok(run.clone()), 24 + 8 * 6);
-        assert_eq!(ok(run), ok(spilled.clone()));
+        assert_eq!(ok(run.clone(), 0), 24 + 8 * 6);
+        assert_eq!(ok(run.clone(), 0), ok(spilled.clone(), 0));
+        // A lease's holders cost 4 B each, as on an `AppendOk`.
+        assert_eq!(ok(run, 0b10110), 24 + 8 * 6 + 4 * 3);
         let commit = Msg::Mencius(MenciusMsg::Commit { slots: spilled });
         assert_eq!(commit.size_bytes(), 8 + 8 * 6);
     }
@@ -948,8 +950,6 @@ mod tests {
             )]
             .into_iter()
             .collect(),
-            covered: 1,
-            bal_term: Term(1),
             commit: Slot(0),
             window_room: true,
         });
@@ -967,8 +967,6 @@ mod tests {
             )]
             .into_iter()
             .collect(),
-            covered: 1,
-            bal_term: Term(1),
             commit: Slot(0),
             window_room: true,
         });

@@ -17,6 +17,10 @@
 //! execute loop (the proposer answers the client; a restarted replica runs
 //! its chosen instances above the checkpoint again), and what a crash keeps.
 //!
+//! Under quorum leases the engine runs PQL (`engine/lease.rs`):
+//! `acceptOK` carries the holders, `Learn` passes the lease gate, and a
+//! value is indexed where it enters the table and leaves where it runs.
+//!
 //! # Learning the way Raft commits
 //!
 //! The decision is the executed prefix, and it travels by the engine's
@@ -57,10 +61,10 @@ use std::collections::HashMap;
 use paxraft_sim::sim::{ActorId, Ctx};
 use paxraft_sim::trace::SpanKind;
 
-use crate::config::ReplicaConfig;
+use crate::config::{ReadMode, ReplicaConfig};
 use crate::engine::paxos_family::{ack_bit, merge_highest, Accepted, Cell, PaxosBase, Stored};
 use crate::engine::slots::Run;
-use crate::engine::{self, EngineCore, ProtocolRules, ReplicaEngine, Waiting};
+use crate::engine::{self, lease, EngineCore, ProtocolRules, ReplicaEngine, Waiting, T_LEASE};
 use crate::kv::Command;
 use crate::msg::{Msg, PaxosMsg, Slots, CHECKPOINT_ACK_HEADER, CHECKPOINT_CHUNK_HEADER};
 use crate::snapshot::Snapshot;
@@ -96,13 +100,17 @@ pub struct PaxosRules {
 }
 
 impl MultiPaxosReplica {
-    /// Creates a replica.
+    /// Creates a replica; `cfg.read_mode` selects log reads or PQL.
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid.
+    /// Panics if the configuration is invalid, or asks for LL reads
+    /// (ROADMAP item 25: a deposed proposer's lease outlives its ballot).
     pub fn new(cfg: ReplicaConfig) -> Self {
         cfg.validate().expect("invalid replica config");
+        if cfg.read_mode == ReadMode::LeaderLease {
+            panic!("MultiPaxos runs PQL, not LL");
+        }
         let (n, me) = (cfg.n, cfg.id);
         ReplicaEngine::from_parts(
             EngineCore::new(cfg),
@@ -257,16 +265,19 @@ impl PaxosRules {
         self.arm_election(core, ctx); // retry if this round stalls
     }
 
+    /// Indexes the values held above the executed prefix afresh, after
+    /// a crash or a checkpoint install moved that prefix.
+    fn reindex(&self, core: &mut EngineCore) {
+        let above = self.base.cells.range(self.base.exec_index.next()..);
+        lease::reindex(core, above.filter_map(|(s, c)| Some((s, c.cmd()?))));
+    }
+
     fn first_unchosen(&self) -> Slot {
         let mut s = self.base.exec_index.next();
         while self.base.cells.get(s).is_some_and(|i| i.committed.get()) {
             s = s.next();
         }
         s
-    }
-
-    fn log_tail(&self) -> Slot {
-        self.base.cells.last_slot().unwrap_or(Slot::NONE)
     }
 
     /// Figure 1 `Phase2a` on the proposer itself: writes `values` at its
@@ -285,13 +296,16 @@ impl PaxosRules {
         let me = ack_bit(core.cfg.id);
         let self_ack = if core.dur.enabled() { 0 } else { me };
         for (slot, cmd) in values {
-            let cell = self.base.write(slot, self.ballot, cmd);
+            let replaced = self.base.write(slot, self.ballot, cmd);
+            let cell = self.base.cells.get(slot).expect("just written");
             debug_assert_eq!(
                 cell.bal.get(),
                 self.ballot,
                 "no ballot exceeds the replica's"
             );
             cell.acks.set(self_ack);
+            lease::index(core, replaced.as_ref().map(|c| (slot, c)), false);
+            lease::index(core, cell.cmd().map(|c| (slot, c)), true);
         }
         let round = self.cut(within, usize::MAX, uncommitted);
         self.base
@@ -378,11 +392,13 @@ impl PaxosRules {
             let cmd = inst.cmd().expect("committed instance has a value");
             ctx.charge(core.cfg.costs.apply_per_cmd);
             let reply = engine::apply_command(core, ctx, cmd, self.phase1_succeeded);
+            lease::index(core, [(next, cmd)], false);
             self.base.exec_index = next;
             if self.phase1_succeeded && cmd.id.client != u32::MAX {
                 core.respond(ctx, cmd.id, reply);
             }
         }
+        lease::serve_parked(core, ctx, self.base.exec_index, self.phase1_succeeded);
         if self.base.compaction_due(core) {
             let executed = self.base.exec_index;
             self.base.compact_through(core, ctx, executed, |_, _| {});
@@ -472,7 +488,9 @@ impl PaxosRules {
                                 continue;
                             }
                             Stored::Kept => {}
-                            Stored::Written(_) => {
+                            Stored::Written(replaced) => {
+                                lease::index(core, replaced.as_ref().map(|c| (slot, c)), false);
+                                lease::index(core, [(slot, cmd)], true);
                                 // No cell's ballot exceeds the replica's.
                                 debug_assert!(self
                                     .base
@@ -501,6 +519,7 @@ impl PaxosRules {
                         ballot,
                         slots,
                         exec: self.base.exec_index,
+                        holders: lease::holders(core, ctx.now()),
                     });
                     core.ack_after_sync(ctx, from, ok);
                     if below_floor {
@@ -514,6 +533,7 @@ impl PaxosRules {
                 ballot,
                 slots,
                 exec,
+                holders,
             } => {
                 // Figure 1 Learn.
                 let node = core.cfg.node_of(from);
@@ -521,11 +541,13 @@ impl PaxosRules {
                 let shipped = slots.max().and_then(|upto| core.pipe.on_ack(node, upto));
                 if ballot == self.ballot && self.phase1_succeeded {
                     ctx.charge(core.cfg.costs.ack_process);
-                    let mut chosen = false;
+                    lease::report(core, node, holders);
+                    let (now, mut chosen) = (ctx.now(), false);
                     self.base.tally(
                         slots.iter(),
                         ack_bit(node),
                         |_| true,
+                        |acks| lease::admits(core, acks, now),
                         |_| chosen = true,
                         |id| ctx.trace_span(SpanKind::Quorum, id.client, id.seq),
                     );
@@ -627,6 +649,10 @@ impl ProtocolRules for PaxosRules {
         self.base.exec_index
     }
 
+    fn log_tail(&self) -> Slot {
+        self.base.cells.last_slot().unwrap_or(Slot::NONE)
+    }
+
     /// Figure 1 `Phase2a`, batched.
     fn propose(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, cmds: &mut Vec<Command>) {
         // Fresh slots: past everything a quorum reported to phase 1.
@@ -649,6 +675,21 @@ impl ProtocolRules for PaxosRules {
 
     fn on_heartbeat(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
         self.heartbeat(core, ctx);
+    }
+
+    /// After a lease renewal, an expired holder may let an instance that
+    /// has its quorum through the gate: re-tally every open one.
+    fn on_timer(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, kind: u64, _token: u64) {
+        if kind == T_LEASE && self.phase1_succeeded {
+            let (now, mut chosen) = (ctx.now(), false);
+            let open = (self.base.exec_index.0 + 1..self.next_slot.0).map(Slot);
+            let admits = |acks| lease::admits(core, acks, now);
+            self.base
+                .tally(open, 0, |_| true, admits, |_| chosen = true, |_| {});
+            if chosen {
+                self.try_execute(core, ctx);
+            }
+        }
     }
 
     fn on_msg(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, from: ActorId, msg: Msg) {
@@ -684,6 +725,7 @@ impl ProtocolRules for PaxosRules {
     ) {
         let covered = snap.last_slot;
         if self.base.install(core, ctx, snap, |_, _| {}).is_some() {
+            self.reindex(core);
             if self.next_slot <= covered {
                 self.next_slot = covered.next();
             }
@@ -718,10 +760,10 @@ impl ProtocolRules for PaxosRules {
         }
         // A vote recorded under a superseded ballot no longer applies
         // (the bitmap was reseeded at the new ballot).
-        let (synced, ballot) = (core.dur.synced_seq(), self.ballot);
+        let (synced, ballot, now) = (core.dur.synced_seq(), self.ballot, ctx.now());
         let mut chosen = false;
-        self.base
-            .tally_synced_votes(synced, |bal, _| bal == ballot, |_| chosen = true);
+        let admits = |acks| lease::admits(core, acks, now);
+        (self.base).tally_synced_votes(synced, |bal, _| bal == ballot, admits, |_| chosen = true);
         // An fsync that chose nothing sends nothing: how many completions
         // a write takes stays invisible (`Ctx::fsync_serial`).
         if chosen {
@@ -774,6 +816,8 @@ impl ProtocolRules for PaxosRules {
                 self.base.cells.remove(s);
             }
         }
+        // The values kept above the restored prefix execute again.
+        self.reindex(core);
         self.phase1_succeeded = false;
         self.prepare_acks.clear();
     }
@@ -785,6 +829,13 @@ mod tests {
     use crate::testutil::{cluster_with, drive_until, TestClient};
     use paxraft_sim::sim::Simulation;
     use paxraft_sim::time::{SimDuration, SimTime};
+
+    impl PaxosRules {
+        /// The instance table, for the engine's lease rows.
+        pub(crate) fn cells(&self) -> &crate::engine::slots::SlotRing<Cell> {
+            &self.base.cells
+        }
+    }
 
     fn paxos_cluster(n: usize) -> (Simulation<Msg>, Vec<ActorId>, ActorId) {
         cluster_with(n, |cfg| {
@@ -822,6 +873,7 @@ mod tests {
                         ballot,
                         slots: items.iter().map(|(s, _)| s).collect(),
                         exec: self.exec,
+                        holders: 0,
                     }
                 }
                 _ => return,

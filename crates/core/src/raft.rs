@@ -99,7 +99,9 @@ mod tests {
     use super::*;
     use crate::config::{ReadMode, ReplicaConfig};
     use crate::kv::{CmdId, Command};
+    use crate::mencius::MenciusReplica;
     use crate::msg::Msg;
+    use crate::multipaxos::MultiPaxosReplica;
     use crate::raftstar::{RaftStarReplica, Star};
     use crate::testutil::{cluster_with, drive_until, TestClient};
     use crate::types::NodeId;
@@ -286,16 +288,41 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "Mencius has no leader to gate a lease")]
+    fn mencius_refuses_a_quorum_lease() {
+        MenciusReplica::new(config(ReadMode::QuorumLease));
+    }
+
+    #[test]
+    #[should_panic(expected = "Mencius has no leader to gate a lease")]
+    fn mencius_refuses_a_leader_lease() {
+        MenciusReplica::new(config(ReadMode::LeaderLease));
+    }
+
+    #[test]
+    #[should_panic(expected = "MultiPaxos runs PQL, not LL")]
+    fn multipaxos_refuses_a_leader_lease() {
+        MultiPaxosReplica::new(config(ReadMode::LeaderLease));
+    }
+
+    #[test]
     fn log_reads_build_no_lease_manager_under_either_flavor() {
         assert!(RaftReplica::new(config(ReadMode::LogRead))
-            .lease()
+            .core
+            .lease
             .is_none());
         assert!(RaftStarReplica::new(config(ReadMode::LogRead))
-            .lease()
+            .core
+            .lease
             .is_none());
         assert!(RaftStarReplica::new(config(ReadMode::LeaderLease))
-            .lease()
+            .core
+            .lease
             .is_some());
+        // MultiPaxos, where PQL was born, runs it (and refuses LL).
+        let paxos = |mode| MultiPaxosReplica::new(config(mode)).core.lease;
+        assert!(paxos(ReadMode::LogRead).is_none());
+        assert!(paxos(ReadMode::QuorumLease).is_some());
     }
 
     fn raft_cluster(n: usize) -> (Simulation<Msg>, Vec<ActorId>, ActorId) {

@@ -30,16 +30,10 @@
 //!    *reads* — the safe-value pick over vote-reply extras — arrive
 //!    through [`Log::suffix_from`], which hands out effective ballots.
 //!
-//! The `[PQL]`-marked blocks are the mechanical port of Paxos Quorum
-//! Lease under the refinement mapping (Figure 8): `Phase2b`'s holder
-//! attachment maps to `appendOK`, `Learn`'s holder-quorum check maps to
-//! `LeaderLearn` *including the leader's own grants* (the implicit
-//! `acceptOK`), and the added `LocalRead` action waits until every log
-//! entry touching the key has applied, read off the engine's conflict
-//! index (`engine/conflicts.rs`, Mencius's too) of the log above the
-//! applied prefix. The local-read intercept rides the engine's
-//! [`ProtocolRules::try_serve_local`] hook, so it applies uniformly to
-//! direct and forwarded requests.
+//! Quorum leases are the engine's (`engine/lease.rs`); Figure 8 maps onto
+//! this file as: `appendOK` carries the holders, `LeaderLearn` passes the
+//! lease gate over the followers' matches, and a command enters the
+//! lease's conflict index where it enters the log.
 //!
 //! # Durability (group commit)
 //!
@@ -67,17 +61,14 @@ use std::collections::HashMap;
 use std::marker::PhantomData;
 
 use paxraft_sim::sim::{ActorId, Ctx};
-use paxraft_sim::time::{SimDuration, SimTime};
 
-use crate::config::{ReadMode, ReplicaConfig};
-use crate::engine::conflicts::{ConflictIndex, Holds};
+use crate::config::ReplicaConfig;
 use crate::engine::raft_family::{RaftBase, Role};
 use crate::engine::slots::Run;
-use crate::engine::{self, EngineCore, ProtocolRules, ReplicaEngine, T_LEASE};
-use crate::kv::{Command, Op};
+use crate::engine::{self, lease, EngineCore, ProtocolRules, ReplicaEngine, T_LEASE};
+use crate::kv::Command;
 use crate::log::{Entry, Log};
-use crate::msg::{LeaseMsg, Msg, RaftMsg};
-use crate::pql::LeaseManager;
+use crate::msg::{Msg, RaftMsg};
 use crate::snapshot::{Snapshot, SnapshotStats};
 use crate::types::{max_failures, me_bit, quorum, NodeId, Slot, Term};
 
@@ -176,29 +167,12 @@ impl Flavor for Star {
 }
 
 /// The Raft family's [`ProtocolRules`]: Figure 2 with the [`Flavor`]'s
-/// four rules plugged in, the `[PQL]` read paths inert without a lease.
+/// four rules plugged in.
 pub struct RaftFamilyRules<F: Flavor> {
     flavor: PhantomData<F>,
     base: RaftBase,
     /// Raft*: extras received from voters, keyed by voter.
     vote_extras: HashMap<NodeId, (Slot, Vec<Entry>)>,
-    /// [PQL] Last lease-holder set reported by each follower's appendOK.
-    reported_holders: Vec<u64>,
-    /// [PQL] Lease state (present in LeaderLease/QuorumLease modes).
-    lease: Option<LeaseManager>,
-    /// [PQL] The log's commands above the applied prefix that hold back
-    /// a local read: a command enters when appended there and leaves when
-    /// it applies or an append rewrites it; rebuilt on a crash and on a
-    /// snapshot install.
-    conflicts: ConflictIndex,
-    /// [PQL] Local reads waiting for a conflicting write to apply:
-    /// `(command, serve once last_applied ≥ slot)`.
-    parked_reads: Vec<(Command, Slot)>,
-    /// [PQL] The parked reads an apply found due, on their way out: a
-    /// buffer kept from one apply to the next, empty between them.
-    due_reads: Vec<Command>,
-    /// [PQL] Reads served from the local copy (stats).
-    local_reads_served: u64,
 }
 
 impl<F: Flavor> ReplicaEngine<RaftFamilyRules<F>> {
@@ -212,28 +186,18 @@ impl<F: Flavor> ReplicaEngine<RaftFamilyRules<F>> {
     /// 8's holder gate is `Learn`'s, which commits on the count alone.
     pub fn new(cfg: ReplicaConfig) -> Self {
         cfg.validate().expect("invalid replica config");
-        let n = cfg.n;
-        let lease = match cfg.read_mode {
-            ReadMode::LogRead => None,
-            mode => Some(LeaseManager::new(cfg.lease.clone(), mode, n, cfg.id)),
-        };
+        let core = EngineCore::new(cfg);
         // The probe: a slot the log knows no term for, on a quorum.
         assert!(
-            lease.is_none() || F::commits(&Log::new(), Slot(1), Term::ZERO),
+            core.lease.is_none() || F::commits(&Log::new(), Slot(1), Term::ZERO),
             "lease reads port to Raft*, not to Raft's 5.4.2 commit rule: use RaftStarReplica"
         );
         ReplicaEngine::from_parts(
-            EngineCore::new(cfg),
+            core,
             RaftFamilyRules {
                 flavor: PhantomData,
                 base: RaftBase::default(),
                 vote_extras: HashMap::new(),
-                reported_holders: vec![0; n],
-                lease,
-                conflicts: ConflictIndex::default(),
-                parked_reads: Vec::new(),
-                due_reads: Vec::new(),
-                local_reads_served: 0,
             },
         )
     }
@@ -252,43 +216,6 @@ impl<F: Flavor> ReplicaEngine<RaftFamilyRules<F>> {
     pub fn commit_index(&self) -> Slot {
         self.rules.base.commit_index
     }
-
-    /// Lease state (tests).
-    pub fn lease(&self) -> Option<&LeaseManager> {
-        self.rules.lease.as_ref()
-    }
-
-    /// `[PQL]` Reads served from the local copy (stats).
-    pub fn local_reads_served(&self) -> u64 {
-        self.rules.local_reads_served
-    }
-}
-
-/// [PQL] Figure 8's holder gate on a commit target: shrinks `target`
-/// (never below `floor`) until every lease holder has matched it, where
-/// the holders are `granted` (the leader's own grants) united with what
-/// each of `followers` that matched the target last `reported` — holder
-/// sets as bitmasks, one bit per replica; the leader's own bit asks
-/// nothing of anybody.
-fn holder_gate(
-    mut target: Slot,
-    floor: Slot,
-    granted: u64,
-    reported: &[u64],
-    followers: impl Iterator<Item = NodeId> + Clone,
-    matched: impl Fn(NodeId) -> Slot,
-) -> Slot {
-    while target > floor {
-        let responders = followers.clone().filter(|p| matched(*p) >= target);
-        let holders = responders.fold(granted, |set, p| set | reported[p.0 as usize]);
-        let lagging = followers.clone().filter(|p| holders & me_bit(*p) != 0);
-        let limit = lagging.map(&matched).fold(target, Slot::min);
-        if limit >= target {
-            break;
-        }
-        target = limit;
-    }
-    target
 }
 
 impl<F: Flavor> RaftFamilyRules<F> {
@@ -343,7 +270,7 @@ impl<F: Flavor> RaftFamilyRules<F> {
             self.base.log.append(e);
             idx = idx.next();
         }
-        self.index_slots(my_last.next(), self.base.log.last_index(), true);
+        lease::index(core, self.commands(my_last.next()), true);
         self.base.role = Role::Leader;
         core.leader_hint = Some(core.cfg.id);
         core.pipe.reset_for_leadership(self.base.log.last_index());
@@ -370,51 +297,15 @@ impl<F: Flavor> RaftFamilyRules<F> {
         engine::flush_pending(self, core, ctx);
     }
 
-    /// [PQL] Whether the lease lets this replica read its own copy at
-    /// `now`: a quorum of grants held, and under LL only by the leader.
-    fn lease_serves(&self, now: SimTime) -> bool {
-        self.lease.as_ref().is_some_and(|l| match l.mode() {
-            ReadMode::QuorumLease => l.has_quorum_lease(now),
-            ReadMode::LeaderLease => self.base.role == Role::Leader && l.has_quorum_lease(now),
-            ReadMode::LogRead => false,
-        })
-    }
-
-    /// [PQL] The holders this replica granted, still valid at `now`: what
-    /// its appendOK attaches (Figure 8 Phase2b Δ).
-    fn granted_holders(&self, now: SimTime) -> u64 {
-        self.lease.as_ref().map_or(0, |l| l.current_holders(now))
-    }
-
-    /// [PQL] Moves the commands of log slots `from..=to` into the
-    /// conflict index (`enter`) or out of it.
-    fn index_slots(&mut self, from: Slot, to: Slot, enter: bool) {
-        if self.lease.is_none() {
-            return;
-        }
-        for s in (from.0..=to.0).map(Slot) {
-            let Some(holds) = self.base.log.get(s).and_then(|e| Holds::of(&e.cmd)) else {
-                continue;
-            };
-            if enter {
-                self.conflicts.insert(s, holds);
-            } else {
-                self.conflicts.remove(s, holds);
-            }
-        }
-    }
-
-    /// [PQL] Indexes the log above the applied prefix afresh, after a
-    /// crash or a snapshot install moved that prefix.
-    fn reindex(&mut self) {
-        self.conflicts = ConflictIndex::default();
-        let from = self.base.last_applied.next();
-        self.index_slots(from, self.base.log.last_index(), true);
+    /// The commands of log slots `from` on (the lease's conflict index).
+    fn commands(&self, from: Slot) -> impl Iterator<Item = (Slot, &Command)> {
+        let log = &self.base.log;
+        let held = move |s| Some((Slot(s), &log.get(Slot(s))?.cmd));
+        (from.0..=log.last_index().0).filter_map(held)
     }
 
     /// Figure 2b `LeaderLearn` — the f-th largest follower match, where
-    /// the flavor's commit rule allows it — with the [PQL] holder gate of
-    /// Figure 8.
+    /// the flavor's commit rule allows it — with Figure 8's lease gate.
     fn advance_commit(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
         if self.base.role != Role::Leader {
             return;
@@ -428,122 +319,23 @@ impl<F: Flavor> RaftFamilyRules<F> {
         // volatile copy could commit an entry that a leader crash erases
         // from the one replica a future election quorum might count on.
         let tally = core.pipe.kth_largest_match(f, core.cfg.id);
-        let mut target = tally.min(self.base.durable_tail(core));
-        let lease_gated = self
-            .lease
-            .as_ref()
-            .is_some_and(|l| l.mode() == ReadMode::QuorumLease);
-        // [PQL] holderSet = holders reported by the *responders* (the
-        // followers whose appendOKs form this commit's quorum) ∪ holders
-        // granted by the leader itself (the implicit appendOK). Every
-        // holder must have acknowledged up to the commit point. The loop
-        // shrinks the target until the holder condition holds; stale
-        // reports from non-responding (e.g. crashed) followers are never
-        // consulted, so an expired holder stops gating writes.
-        if let Some(lease) = self.lease.as_ref().filter(|_| lease_gated) {
-            let granted = lease.current_holders(ctx.now());
-            let matched = |p: NodeId| core.pipe.match_index(p);
-            let followers = core.cfg.others();
-            target = holder_gate(
-                target,
-                self.base.commit_index,
-                granted,
-                &self.reported_holders,
-                followers,
-                matched,
-            );
-        }
+        let target = tally.min(self.base.durable_tail(core));
+        // Every lease holder must have matched the commit point.
+        let gated = lease::gated(core, target, self.base.commit_index, ctx.now());
         // Span bookkeeping: the replication-quorum instant is the
         // pre-clamp tally — from there only the fsync holds commit back —
-        // except under the PQL holder gate, where the gate is part of
+        // except under the lease gate, where the gate is part of
         // consensus wait (booked to replication), so the quorum mark
         // follows the gated target instead.
         let term = self.base.current_term;
-        let mark = if lease_gated { target } else { tally };
+        let (target, mark) = gated.map_or((target, tally), |gated| (gated, gated));
         if F::commits(&self.base.log, mark, term) {
             self.base.note_quorum(ctx, mark);
         }
         if target > self.base.commit_index && F::commits(&self.base.log, target, term) {
             self.base.commit_index = target;
-            self.apply_committed(core, ctx);
+            self.base.apply_committed(core, ctx);
         }
-    }
-
-    fn apply_committed(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
-        let from = self.base.last_applied.next();
-        self.base.apply_loop(core, ctx);
-        // [PQL] What applied holds back no read any more.
-        self.index_slots(from, self.base.last_applied, false);
-        self.serve_parked_reads(core, ctx);
-        self.base.maybe_compact(core, ctx);
-    }
-
-    fn serve_parked_reads(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
-        if self.parked_reads.is_empty() {
-            return;
-        }
-        // The due reads leave in parking order, the rest stay in theirs;
-        // neither list needs a new buffer.
-        let applied = self.base.last_applied;
-        let mut due = std::mem::take(&mut self.due_reads);
-        let served = self.parked_reads.extract_if(.., |(_, s)| *s <= applied);
-        due.extend(served.map(|(c, _)| c));
-        for cmd in due.drain(..) {
-            // The key's range may have frozen while the read was parked
-            // (the park target can be the freeze slot itself): once
-            // applied, the shard state owns the answer and the read must
-            // chase the range to its new group, not read the local copy.
-            if let Some((group, version)) = core.misroute(&cmd.op) {
-                core.send_redirect(ctx, cmd.id, group, version);
-                continue;
-            }
-            // The conflict index was snapshotted at arrival (Figure 13
-            // line 4): the read linearizes right after that write, so it
-            // must NOT re-park behind newer writes — that would starve
-            // hot-key readers under a continuous write stream.
-            if self.lease_serves(ctx.now()) {
-                if let Op::Get { key } = &cmd.op {
-                    ctx.charge(core.cfg.costs.read_local);
-                    let reply = core.kv.read_local(*key);
-                    core.send_response(ctx, cmd.id, reply);
-                    self.local_reads_served += 1;
-                    continue;
-                }
-            }
-            // Lease lapsed while parked: fall back to replication.
-            ctx.trace_span(
-                paxraft_sim::trace::SpanKind::Enqueue {
-                    proposer: self.base.role == Role::Leader,
-                },
-                cmd.id.client,
-                cmd.id.seq,
-            );
-            core.pending.push(cmd);
-            core.arm_batch(ctx);
-        }
-        self.due_reads = due;
-    }
-
-    /// [PQL] Periodic lease renewal (grantors renew every 0.5 s).
-    fn lease_tick(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
-        let Some(lease) = &mut self.lease else { return };
-        ctx.charge(core.cfg.costs.lease_msg);
-        lease.self_grant(ctx.now());
-        let expiry = lease.grant_expiry(ctx.now());
-        let targets = lease.grant_targets(core.leader_hint);
-        let last_idx = self.base.log.last_index();
-        for t in targets {
-            ctx.send(
-                core.cfg.peer(t),
-                Msg::Lease(LeaseMsg::Grant {
-                    expires_ns: expiry.as_nanos(),
-                    last_idx,
-                }),
-            );
-        }
-        ctx.set_timer(core.cfg.lease.renew_every, T_LEASE);
-        // Expired holders may unblock commits.
-        self.advance_commit(core, ctx);
     }
 
     fn on_raft(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, from: ActorId, msg: RaftMsg) {
@@ -624,7 +416,7 @@ impl<F: Flavor> RaftFamilyRules<F> {
                 let (prev, prev_term, overlap) = if prev < floor {
                     let overlap = (floor.0 - prev.0) as usize;
                     if entries.len() <= overlap {
-                        let holders = self.granted_holders(ctx.now());
+                        let holders = lease::holders(core, ctx.now());
                         // Attests to log content: rides the
                         // ack-after-fsync path (immediate when nothing
                         // is unsynced).
@@ -641,12 +433,12 @@ impl<F: Flavor> RaftFamilyRules<F> {
                     (prev, prev_term, 0)
                 };
                 let new_last = Slot(prev.0 + (entries.len() - overlap) as u64);
-                // [PQL] The suffix the append may rewrite leaves the
-                // conflict index, and what the log then holds re-enters.
+                // The suffix the append may rewrite leaves the conflict
+                // index, and what the log then holds re-enters.
                 let rewrite = prev.max(self.base.last_applied).next();
-                self.index_slots(rewrite, self.base.log.last_index(), false);
+                lease::index(core, self.commands(rewrite), false);
                 let accepted = F::accept(&mut self.base, prev, prev_term, &entries, overlap, term);
-                self.index_slots(rewrite, self.base.log.last_index(), true);
+                lease::index(core, self.commands(rewrite), true);
                 let (appended, written) = match accepted {
                     Ok(wrote) => wrote,
                     Err(last_idx) => {
@@ -666,13 +458,13 @@ impl<F: Flavor> RaftFamilyRules<F> {
                 }
                 if commit > self.base.commit_index {
                     self.base.commit_index = Slot(commit.0.min(new_last.0));
-                    self.apply_committed(core, ctx);
+                    self.base.apply_committed(core, ctx);
                 }
-                // [PQL] Phase2b Δ: attach the holders we granted. The
-                // appendOK is a Paxos acceptOK for every covered
-                // instance — it leaves only after the fsync covering
-                // the suffix it vouches for (group commit batches it).
-                let holders = self.granted_holders(ctx.now());
+                // Phase2b Δ: attach the holders we granted. The appendOK
+                // is a Paxos acceptOK for every covered instance — it
+                // leaves only after the fsync covering the suffix it
+                // vouches for (group commit batches it).
+                let holders = lease::holders(core, ctx.now());
                 let ok = Msg::Raft(RaftMsg::AppendOk {
                     term: self.base.current_term,
                     last_idx: new_last,
@@ -690,10 +482,10 @@ impl<F: Flavor> RaftFamilyRules<F> {
                 } else if term == self.base.current_term && self.base.role == Role::Leader {
                     ctx.charge(core.cfg.costs.ack_process);
                     let peer = core.cfg.node_of(from);
-                    self.reported_holders[peer.0 as usize] = holders;
+                    lease::report(core, peer, holders);
                     core.pipe.on_ack(peer, last_idx);
                     // Advance on a match step — or on holder reports
-                    // alone, which may still unblock the PQL gate.
+                    // alone, which may still unblock the lease gate.
                     self.advance_commit(core, ctx);
                     // The freed window slot may have a backlog waiting.
                     self.base.pump(core, ctx, peer);
@@ -749,48 +541,16 @@ impl<F: Flavor> ProtocolRules for RaftFamilyRules<F> {
         // clamped by `durable_tail` until its fsync lands.
         self.base
             .note_append_durable(core, ctx, bytes, count, self.base.log.last_index());
-        self.index_slots(first_new, self.base.log.last_index(), true);
+        lease::index(core, self.commands(first_new), true);
         self.base.broadcast_append(core, ctx);
     }
 
-    /// `[PQL]` Figure 13 `LocalRead`: serve, park, or decline.
-    fn try_serve_local(
-        &mut self,
-        core: &mut EngineCore,
-        ctx: &mut Ctx<Msg>,
-        cmd: &Command,
-    ) -> bool {
-        let Op::Get { key } = &cmd.op else {
-            return false;
-        };
-        let Some(lease) = self.lease.as_ref().filter(|_| self.lease_serves(ctx.now())) else {
-            return false;
-        };
-        // An unapplied migration command holds the read back too: from a
-        // freeze's slot on, writes to the range commit in the destination
-        // group without consulting this lease. Once it applies, the shard
-        // state redirects the read.
-        let conflict = self.conflicts.last_holding(*key).max(lease.read_floor());
-        if conflict > self.base.last_applied {
-            // Figure 13 line 4: wait until the conflicting write commits
-            // and applies locally — and, after a lease lapse, until the
-            // replica has caught up to the grant's read floor (writes
-            // committed during the lapse never waited for us).
-            self.parked_reads.push((cmd.clone(), conflict));
-            return true;
-        }
-        ctx.charge(core.cfg.costs.read_local);
-        let reply = core.kv.read_local(*key);
-        core.send_response(ctx, cmd.id, reply);
-        self.local_reads_served += 1;
-        true
+    fn log_tail(&self) -> Slot {
+        self.base.log.last_index()
     }
 
     fn on_start(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
         self.base.arm_election(core, ctx);
-        if self.lease.is_some() {
-            ctx.set_timer(SimDuration::from_millis(1), T_LEASE);
-        }
     }
 
     fn on_election_timeout(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
@@ -801,33 +561,16 @@ impl<F: Flavor> ProtocolRules for RaftFamilyRules<F> {
         self.base.heartbeat(core, ctx);
     }
 
+    /// After a lease renewal, expired holders may unblock commits.
     fn on_timer(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, kind: u64, _token: u64) {
         if kind == T_LEASE {
-            self.lease_tick(core, ctx);
+            self.advance_commit(core, ctx);
         }
     }
 
     fn on_msg(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, from: ActorId, msg: Msg) {
-        match msg {
-            Msg::Raft(m) => self.on_raft(core, ctx, from, m),
-            Msg::Lease(LeaseMsg::Grant {
-                expires_ns,
-                last_idx,
-            }) => {
-                if let Some(lease) = &mut self.lease {
-                    ctx.charge(core.cfg.costs.lease_msg);
-                    let t = paxraft_sim::time::SimTime::from_nanos(expires_ns);
-                    lease.on_grant(core.cfg.node_of(from), t, last_idx, ctx.now());
-                    ctx.send(from, Msg::Lease(LeaseMsg::GrantAck { expires_ns }));
-                }
-            }
-            Msg::Lease(LeaseMsg::GrantAck { expires_ns }) => {
-                if let Some(lease) = &mut self.lease {
-                    let t = paxraft_sim::time::SimTime::from_nanos(expires_ns);
-                    lease.on_grant_ack(core.cfg.node_of(from), t);
-                }
-            }
-            _ => {}
+        if let Msg::Raft(m) = msg {
+            self.on_raft(core, ctx, from, m);
         }
     }
 
@@ -854,8 +597,9 @@ impl<F: Flavor> ProtocolRules for RaftFamilyRules<F> {
         snap: Snapshot,
     ) {
         if self.base.install_snapshot(core, ctx, snap) {
-            self.reindex();
-            self.serve_parked_reads(core, ctx);
+            lease::reindex(core, self.commands(self.base.last_applied.next()));
+            let leading = self.base.role == Role::Leader;
+            lease::serve_parked(core, ctx, self.base.last_applied, leading);
         }
         self.base.ack_snapshot(core, ctx, from);
     }
@@ -888,17 +632,11 @@ impl<F: Flavor> ProtocolRules for RaftFamilyRules<F> {
     }
 
     fn on_crash(&mut self, core: &mut EngineCore, floor: Slot) {
-        // Persistent: term, log, and grants *given* (a recovering grantor
-        // must still honour them). Volatile: everything else, including
-        // leases held.
+        // Persistent: term and log. Volatile: everything else.
         self.base.crash_reset(core, floor);
         // The retained log above the restored prefix applies again.
-        self.reindex();
+        lease::reindex(core, self.commands(self.base.last_applied.next()));
         self.vote_extras.clear();
-        self.parked_reads.clear();
-        if let Some(lease) = &mut self.lease {
-            lease.drop_held();
-        }
     }
 }
 
@@ -907,84 +645,67 @@ mod tests {
     use super::*;
     use crate::testutil::{cluster_with, drive_until, TestClient};
     use paxraft_sim::sim::Simulation;
-    use paxraft_sim::time::SimTime;
+    use paxraft_sim::time::{SimDuration, SimTime};
 
-    fn star_cluster(n: usize, mode: ReadMode) -> (Simulation<Msg>, Vec<ActorId>, ActorId) {
+    fn star_cluster(n: usize) -> (Simulation<Msg>, Vec<ActorId>, ActorId) {
         cluster_with(n, |mut cfg| {
             cfg.initial_leader = Some(NodeId(0));
-            cfg.read_mode = mode;
             Box::new(RaftStarReplica::new(cfg))
         })
     }
 
-    /// The holder gate as it was written before holder sets became
-    /// bitmasks: lists of node ids, united by scanning for membership.
-    fn holder_gate_by_list(
-        mut target: Slot,
-        floor: Slot,
-        me: NodeId,
-        granted: &[NodeId],
-        reported: &[Vec<NodeId>],
-        matched: &[Slot],
-    ) -> Slot {
-        let others = (0..matched.len() as u32).map(NodeId).filter(|p| *p != me);
-        while target > floor {
-            let mut holders = granted.to_vec();
-            for p in others.clone().filter(|p| matched[p.0 as usize] >= target) {
-                for h in &reported[p.0 as usize] {
-                    if !holders.contains(h) {
-                        holders.push(*h);
+    /// Figure 2's `ents` carry their ballots, and a Raft* `Append` states
+    /// every one as its `term`: `BecomeLeader` and each append rewrite
+    /// the ballots of the leader's whole log, so no mark travels. Every
+    /// round cut over a run with a leader change, read through
+    /// `slots::tests::recording`, is checked against the leader it was
+    /// cut from: each of its entries is the leader's at that slot, with
+    /// the leader's term as its effective ballot.
+    #[test]
+    fn every_entry_of_an_append_has_its_term_as_ballot() {
+        use crate::engine::slots::tests::recording;
+        let (mut sim, replicas, client) = star_cluster(5);
+        sim.actor_mut::<TestClient>(client).target = replicas[1];
+        let mut terms = std::collections::BTreeSet::new();
+        let mut run = |sim: &mut Simulation<Msg>, writes: usize| {
+            let deadline = sim.now() + SimDuration::from_secs(20);
+            while sim.actor::<TestClient>(client).replies.len() < writes {
+                assert!(sim.now() < deadline, "{writes} writes answered");
+                let step = || sim.run_for(SimDuration::from_millis(1));
+                let ((), cuts) = recording::<Entry, _>(step);
+                for cut in cuts.iter().filter(|cut| !cut.held.is_empty()) {
+                    let (first, entry) = &cut.held[0];
+                    let cut_from = |rep: &&RaftStarReplica| {
+                        let held = rep.log().get(*first);
+                        rep.is_leader() && held.is_some_and(|e| e.cmd.id == entry.cmd.id)
+                    };
+                    let mut leaders = replicas.iter().map(|&r| sim.actor::<RaftStarReplica>(r));
+                    let leader = leaders.find(cut_from).expect("a leader's round");
+                    let term = leader.current_term();
+                    for (s, e) in &cut.held {
+                        assert_eq!(leader.log().get(*s).map(|x| x.cmd.id), Some(e.cmd.id));
+                        assert_eq!(leader.log().bal_at(*s), Some(term), "slot {s} at {term}");
                     }
+                    terms.insert(term);
                 }
             }
-            let mut limit = target;
-            for h in holders.into_iter().filter(|h| *h != me) {
-                limit = limit.min(matched[h.0 as usize]);
-            }
-            if limit >= target {
-                break;
-            }
-            target = limit;
+        };
+        for k in 0..10 {
+            sim.actor_mut::<TestClient>(client).enqueue_put(k);
         }
-        target
-    }
-
-    /// The bitmask holder gate commits exactly what the list one did, on
-    /// random holder sets, match indexes and targets for 3, 5 and 7
-    /// replicas (the leader's own bit set or not, reports from followers
-    /// that did and did not reach the target).
-    #[test]
-    fn the_bitmask_holder_gate_equals_the_list_one() {
-        let mut rng = paxraft_sim::rng::SimRng::new(0x9a7e);
-        let mut gated = 0;
-        for case in 0..3_000u64 {
-            let n = [3, 5, 7][(case % 3) as usize];
-            let me = NodeId(rng.gen_range(n) as u32);
-            let set = |rng: &mut paxraft_sim::rng::SimRng| -> Vec<NodeId> {
-                let members = (0..n as u32).filter(|_| rng.gen_bool(0.4));
-                members.map(NodeId).collect()
-            };
-            let mask = |set: &[NodeId]| set.iter().fold(0, |m, h| m | me_bit(*h));
-            let granted = set(&mut rng);
-            let reported: Vec<Vec<NodeId>> = (0..n).map(|_| set(&mut rng)).collect();
-            let matched: Vec<Slot> = (0..n).map(|_| Slot(rng.gen_range(12))).collect();
-            let floor = Slot(rng.gen_range(6));
-            let target = Slot(rng.gen_range(14));
-            let by_list = holder_gate_by_list(target, floor, me, &granted, &reported, &matched);
-            let masks: Vec<u64> = reported.iter().map(|r| mask(r)).collect();
-            let followers = (0..n as u32).map(NodeId).filter(|p| *p != me);
-            let by_mask = holder_gate(target, floor, mask(&granted), &masks, followers, |p| {
-                matched[p.0 as usize]
-            });
-            assert_eq!(by_mask, by_list, "case {case}: n {n}, me {me}");
-            gated += u64::from(by_mask < target);
+        run(&mut sim, 10);
+        // The leader dies; the next one's rounds carry what it merged.
+        sim.crash_at(replicas[0], sim.now() + SimDuration::from_millis(1));
+        for k in 10..20 {
+            sim.actor_mut::<TestClient>(client).enqueue_put(k);
         }
-        assert!(gated > 300, "the gate shrank {gated} targets");
+        run(&mut sim, 20);
+        assert!(terms.len() >= 2, "rounds of two leaderships: {terms:?}");
     }
 
     #[test]
     fn logs_converge_with_uniform_ballots() {
-        let (mut sim, replicas, client) = star_cluster(3, ReadMode::LogRead);
+        let (mut sim, replicas, client) = star_cluster(3);
         for k in 0..10 {
             sim.actor_mut::<TestClient>(client).enqueue_put(k);
         }
@@ -1066,311 +787,6 @@ mod tests {
         assert!(
             c.replies[3].1.value_id().is_some(),
             "committed write survived leader change via vote extras"
-        );
-    }
-
-    #[test]
-    fn quorum_lease_enables_follower_local_reads() {
-        let (mut sim, replicas, client) = star_cluster(5, ReadMode::QuorumLease);
-        // Let leases establish.
-        sim.run_for(SimDuration::from_secs(2));
-        assert!(sim
-            .actor::<RaftStarReplica>(replicas[3])
-            .lease()
-            .unwrap()
-            .has_quorum_lease(sim.now()));
-        // Write through the leader first.
-        sim.actor_mut::<TestClient>(client).enqueue_put(5);
-        assert!(drive_until(&mut sim, SimTime::from_secs(10), |sim| {
-            sim.actor::<TestClient>(client).replies.len() == 1
-        }));
-        sim.run_for(SimDuration::from_secs(1)); // let commit reach followers
-                                                // Read from a follower: must be served locally.
-        sim.actor_mut::<TestClient>(client).target = replicas[3];
-        sim.actor_mut::<TestClient>(client).enqueue_get(5);
-        assert!(drive_until(&mut sim, SimTime::from_secs(5), |sim| {
-            sim.actor::<TestClient>(client).replies.len() == 2
-        }));
-        let served = sim
-            .actor::<RaftStarReplica>(replicas[3])
-            .local_reads_served();
-        assert_eq!(served, 1, "follower served the read locally");
-        let c = sim.actor::<TestClient>(client);
-        assert!(
-            c.replies[1].1.value_id().is_some(),
-            "local read sees the write"
-        );
-    }
-
-    #[test]
-    fn leader_lease_serves_reads_only_at_leader() {
-        let (mut sim, replicas, client) = star_cluster(3, ReadMode::LeaderLease);
-        sim.run_for(SimDuration::from_secs(2));
-        sim.actor_mut::<TestClient>(client).enqueue_put(9);
-        sim.actor_mut::<TestClient>(client).enqueue_get(9);
-        assert!(drive_until(&mut sim, SimTime::from_secs(10), |sim| {
-            sim.actor::<TestClient>(client).replies.len() == 2
-        }));
-        assert_eq!(
-            sim.actor::<RaftStarReplica>(replicas[0])
-                .local_reads_served(),
-            1
-        );
-        assert_eq!(
-            sim.actor::<RaftStarReplica>(replicas[1])
-                .local_reads_served(),
-            0
-        );
-    }
-
-    /// A write after a leaseholder crashes waits for the holder's last
-    /// grant to lapse, and no longer. The grant was renewed at most
-    /// `renew_every` before the crash, so the stall lies between
-    /// `duration - renew_every` and `duration` plus one commit round (a
-    /// write's latency while every holder is up). Section 5.1 runs 2 s
-    /// leases renewed every 0.5 s; the other durations keep that ratio.
-    #[test]
-    fn pql_write_waits_for_crashed_holder_until_expiry() {
-        for millis in [500, 1_000, 2_000, 4_000] {
-            let duration = SimDuration::from_millis(millis);
-            let renew_every = duration / 4;
-            let (mut sim, replicas, client) = cluster_with(3, |mut cfg| {
-                cfg.initial_leader = Some(NodeId(0));
-                cfg.read_mode = ReadMode::QuorumLease;
-                cfg.lease = crate::config::LeaseConfig {
-                    duration,
-                    renew_every,
-                };
-                Box::new(RaftStarReplica::new(cfg))
-            });
-            sim.run_for(SimDuration::from_secs(2)); // leases up
-            let latency = |sim: &mut Simulation<Msg>, key: u64| {
-                let before = sim.now();
-                let done = sim.actor::<TestClient>(client).replies.len() + 1;
-                sim.actor_mut::<TestClient>(client).enqueue_put(key);
-                assert!(drive_until(
-                    sim,
-                    before + SimDuration::from_secs(10),
-                    |sim| { sim.actor::<TestClient>(client).replies.len() == done }
-                ));
-                sim.actor::<TestClient>(client).replies[done - 1]
-                    .2
-                    .since(before)
-            };
-            let round = latency(&mut sim, 1);
-            // Crash a follower that holds leases; the next write must wait
-            // for its grant to lapse but still completes.
-            sim.crash_at(replicas[2], sim.now() + SimDuration::from_millis(1));
-            let stall = latency(&mut sim, 2);
-            assert!(
-                stall >= duration - renew_every && stall <= duration + round,
-                "{millis} ms lease renewed every {renew_every}: stall {stall}, round {round}"
-            );
-        }
-    }
-
-    /// `[PQL]` Asserts that every replica's conflict index holds exactly
-    /// the commands of its log above its applied prefix; returns how
-    /// many entries the replicas index between them.
-    fn assert_index_is_the_unapplied_log(
-        sim: &Simulation<Msg>,
-        replicas: &[ActorId],
-        case: &str,
-    ) -> usize {
-        let mut indexed = 0;
-        for &r in replicas {
-            let rep = sim.actor::<RaftStarReplica>(r);
-            let (mut writes, mut migrations) = (std::collections::BTreeSet::new(), 0);
-            let mut s = rep.rules.base.last_applied.next();
-            while let Some(e) = rep.log().get(s) {
-                match Holds::of(&e.cmd) {
-                    Some(Holds::Key(key)) => {
-                        writes.insert((key, s.0));
-                    }
-                    Some(Holds::All) => migrations += 1,
-                    None => {}
-                }
-                s = s.next();
-            }
-            let index = &rep.rules.conflicts;
-            assert_eq!(index.indexed_writes(), writes, "{case}: replica {r:?}");
-            // A key never written is held back by migration commands alone
-            // (these runs have none).
-            assert_eq!((migrations, index.last_holding(u64::MAX)), (0, Slot::NONE));
-            indexed += writes.len();
-        }
-        indexed
-    }
-
-    /// Runs `sim` for `d` in 5 ms steps, checking every replica's index
-    /// against its log after each; returns the most entries indexed at
-    /// one check.
-    fn run_checking(
-        sim: &mut Simulation<Msg>,
-        replicas: &[ActorId],
-        d: SimDuration,
-        case: &str,
-    ) -> usize {
-        let end = sim.now() + d;
-        let mut most = 0;
-        while sim.now() < end {
-            sim.run_for(SimDuration::from_millis(5));
-            most = most.max(assert_index_is_the_unapplied_log(sim, replicas, case));
-        }
-        most
-    }
-
-    /// Raft*-PQL's conflict index (`engine/conflicts.rs`) holds the log's
-    /// commands above the applied prefix and nothing else, checked every
-    /// 5 ms through three cases: writes to distinct keys from four
-    /// clients; a leader change whose log overwrites a follower's
-    /// uncommitted suffix (the stranded write leaves, the new leader's
-    /// entries enter); and a follower crash without durability, after
-    /// which its whole retained log is unapplied again. Once everything
-    /// has applied every index is empty, where the map it replaced kept
-    /// one entry per key ever written.
-    #[test]
-    fn the_pql_conflict_index_is_the_log_above_the_applied_prefix() {
-        let (mut sim, replicas, client) = star_cluster(5, ReadMode::QuorumLease);
-        let mut writers = vec![client];
-        for id in 1..5 {
-            let writer = Box::new(TestClient::new(id, replicas[0]));
-            writers.push(sim.add_actor(paxraft_sim::net::Region::Oregon, writer));
-        }
-        let answered = |sim: &Simulation<Msg>| -> usize {
-            let replies = |w: &ActorId| sim.actor::<TestClient>(*w).replies.len();
-            writers.iter().map(replies).sum()
-        };
-        let settle = |sim: &mut Simulation<Msg>, want: usize, case: &str| {
-            let deadline = sim.now() + SimDuration::from_secs(40);
-            while answered(sim) < want && sim.now() < deadline {
-                run_checking(sim, &replicas, SimDuration::from_millis(50), case);
-            }
-            assert_eq!(answered(sim), want, "{case}: every write answered");
-            run_checking(sim, &replicas, SimDuration::from_secs(1), case);
-            // What is left indexed once everything has applied.
-            assert_index_is_the_unapplied_log(sim, &replicas, case)
-        };
-        sim.run_for(SimDuration::from_secs(2)); // leases up
-
-        // Writes to distinct keys from four clients at once.
-        for (i, &w) in writers[..4].iter().enumerate() {
-            for k in 0..10 {
-                sim.actor_mut::<TestClient>(w)
-                    .enqueue_put(100 + 10 * i as u64 + k);
-            }
-        }
-        let case = "distinct keys";
-        assert!(run_checking(&mut sim, &replicas, SimDuration::from_millis(600), case) >= 4);
-        assert_eq!(settle(&mut sim, 40, case), 0);
-
-        // {0, 1, four writers} | {2, 3, 4, the fifth writer}: leader 0
-        // appends a write to follower 1 alone, where it cannot commit.
-        let case = "rewritten suffix";
-        let majority = [2, 3, 4, writers[4].0];
-        let groups = (0..sim.len()).map(|a| u32::from(majority.contains(&a)));
-        sim.partition_at(groups.collect(), sim.now() + SimDuration::from_millis(1));
-        sim.actor_mut::<TestClient>(client).enqueue_put(7);
-        run_checking(&mut sim, &replicas, SimDuration::from_millis(500), case);
-        let follower = sim.actor::<RaftStarReplica>(replicas[1]);
-        let stranded = follower.log().last_index();
-        let stranded_id = follower.log().get(stranded).expect("appended").cmd.id;
-        assert!(stranded > follower.commit_index());
-        assert!(follower
-            .rules
-            .conflicts
-            .indexed_writes()
-            .contains(&(7, stranded.0)));
-        // The majority side elects, commits writes of its own once the
-        // minority's leases lapse, and after the heal its leader's log
-        // overwrites follower 1's suffix.
-        let deadline = sim.now() + SimDuration::from_secs(20);
-        let leader = loop {
-            run_checking(&mut sim, &replicas, SimDuration::from_millis(50), case);
-            let leading = |r: &&ActorId| sim.actor::<RaftStarReplica>(**r).is_leader();
-            if let Some(&leader) = replicas[2..].iter().find(leading) {
-                break leader;
-            }
-            assert!(sim.now() < deadline, "{case}: the majority elects");
-        };
-        sim.actor_mut::<TestClient>(writers[4]).target = leader;
-        for k in 200..203 {
-            sim.actor_mut::<TestClient>(writers[4]).enqueue_put(k);
-        }
-        // The minority's stranded write stays indexed until the heal.
-        assert_eq!(settle(&mut sim, 43, case), 2);
-        sim.heal_at(sim.now() + SimDuration::from_millis(1));
-        sim.actor_mut::<TestClient>(client).target = leader;
-        assert_eq!(settle(&mut sim, 44, case), 0);
-        let follower = sim.actor::<RaftStarReplica>(replicas[1]);
-        let now_at = follower.log().get(stranded).expect("retained").cmd.id;
-        assert_ne!(
-            now_at, stranded_id,
-            "{case}: follower 1's suffix was rewritten"
-        );
-
-        // A follower crashes without durability while writes are in
-        // flight: restored to an empty store, its whole log is unapplied.
-        let case = "crash without durability";
-        for (i, &w) in writers[..4].iter().enumerate() {
-            sim.actor_mut::<TestClient>(w).target = leader;
-            for k in 0..5 {
-                sim.actor_mut::<TestClient>(w)
-                    .enqueue_put(300 + 10 * i as u64 + k);
-            }
-        }
-        run_checking(&mut sim, &replicas, SimDuration::from_millis(100), case);
-        let crashed = *replicas
-            .iter()
-            .find(|&&r| r != leader && r != replicas[0])
-            .unwrap();
-        sim.crash_at(crashed, sim.now() + SimDuration::from_millis(1));
-        run_checking(&mut sim, &replicas, SimDuration::from_millis(10), case);
-        let rep = sim.actor::<RaftStarReplica>(crashed);
-        assert_eq!(rep.applied_index(), Slot::NONE);
-        assert!(
-            rep.rules.conflicts.indexed_writes().len() > 40,
-            "{case}: the log re-enters"
-        );
-        sim.restart_at(crashed, sim.now() + SimDuration::from_millis(500));
-        assert_eq!(settle(&mut sim, 64, case), 0);
-        let keys = sim
-            .actor::<RaftStarReplica>(crashed)
-            .kv()
-            .export_range(0, u64::MAX);
-        assert!(keys.len() > 60, "{} keys written, none indexed", keys.len());
-    }
-
-    #[test]
-    fn conflicting_local_read_parks_until_write_applies() {
-        let (mut sim, replicas, client) = star_cluster(5, ReadMode::QuorumLease);
-        sim.run_for(SimDuration::from_secs(2));
-        // Prime the key so the follower knows about it.
-        sim.actor_mut::<TestClient>(client).enqueue_put(3);
-        assert!(drive_until(&mut sim, SimTime::from_secs(10), |sim| {
-            sim.actor::<TestClient>(client).replies.len() == 1
-        }));
-        sim.run_for(SimDuration::from_secs(1));
-        // Inject an uncommitted write by appending directly at a follower
-        // via a second client writing through the leader, and read from
-        // the follower immediately after the append lands but before
-        // commit: emulate by reading right after issuing the write.
-        sim.actor_mut::<TestClient>(client).enqueue_put(3);
-        sim.run_for(SimDuration::from_millis(60)); // append reaches followers
-        let mut reader = TestClient::new(1, replicas[1]);
-        reader.enqueue_get(3);
-        let reader_id = sim.add_actor(paxraft_sim::net::Region::Ohio, Box::new(reader));
-        assert!(drive_until(&mut sim, SimTime::from_secs(10), |sim| {
-            sim.actor::<TestClient>(reader_id).replies.len() == 1
-                && sim.actor::<TestClient>(client).replies.len() == 2
-        }));
-        // The read must observe the second write (it parked behind it) —
-        // seq 2 of client 0.
-        let got = sim.actor::<TestClient>(reader_id).replies[0].1.value_id();
-        assert_eq!(
-            got,
-            Some(crate::kv::CmdId { client: 0, seq: 2 }.as_value_id()),
-            "parked read observed the conflicting write"
         );
     }
 }

@@ -505,9 +505,10 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
 /// *Rounds*): cutting one at any cursor and putting it in an `Append`
 /// costs no allocation — four rounds of a 10,000-entry log, one within a
 /// block, two across a block edge, one a single entry, and the empty
-/// heartbeat — on a Raft log and on a Raft\* log whose ballot mark ends
-/// inside them. Each yields what `Log::suffix_from` clones: the entries
-/// with their effective ballots at the cut.
+/// heartbeat — on a Raft log at term 1 and on a Raft\* log whose ballots
+/// a leader at term 2 rewrote. Each yields what `Log::suffix_from`
+/// clones: the entries with their effective ballots at the cut, which
+/// the `Append` states as its term.
 #[test]
 fn a_round_is_a_view_of_the_log_not_a_copy() {
     const ENTRIES: u64 = 10_000;
@@ -529,18 +530,15 @@ fn a_round_is_a_view_of_the_log_not_a_copy() {
         });
     }
     let mut star = raft.clone();
-    star.set_bal_upto(Slot(9_900), Term(2));
-    for (name, log) in [("Raft", &raft), ("Raft*", &star)] {
+    star.set_bal_upto(Slot(ENTRIES), Term(2));
+    for (name, log, term) in [("Raft", &raft, Term(1)), ("Raft*", &star, Term(2))] {
         let (appends, made) = counted(|| {
             ROUNDS.map(|(prev, cap)| {
-                let (entries, covered, bal_term) = log.round(Slot(prev), cap);
                 Msg::Raft(RaftMsg::Append {
-                    term: Term(2),
+                    term,
                     prev: Slot(prev),
                     prev_term: Term(1),
-                    entries,
-                    covered,
-                    bal_term,
+                    entries: log.round(Slot(prev), cap),
                     commit: Slot(prev),
                     window_room: true,
                 })
@@ -565,53 +563,19 @@ fn a_round_is_a_view_of_the_log_not_a_copy() {
             );
         }
     }
-    let covered = |log: &Log| {
-        let (entries, covered, bal_term) = log.round(Slot(9_730), usize::MAX);
-        let append = Msg::Raft(RaftMsg::Append {
-            term: Term(2),
-            prev: Slot(9_730),
-            prev_term: Term(1),
-            entries,
-            covered,
-            bal_term,
-            commit: Slot(9_730),
-            window_room: true,
-        });
-        ballots(&append).iter().filter(|e| e.bal == Term(2)).count()
-    };
-    assert_eq!(
-        (covered(&raft), covered(&star)),
-        (0, 170),
-        "the mark ends inside the round"
-    );
 }
 
-/// An `Append`'s entries as Figure 2 states them: each with its ballot,
-/// the mark's where the mark covers it, its stored one past it.
+/// An `Append`'s entries as Figure 2 states them: each with the
+/// `Append`'s term as its ballot.
 fn ballots(append: &Msg) -> Vec<Entry> {
-    let Msg::Raft(RaftMsg::Append {
-        entries,
-        covered,
-        bal_term,
-        ..
-    }) = append
-    else {
+    let Msg::Raft(RaftMsg::Append { term, entries, .. }) = append else {
         unreachable!("an append")
     };
-    let bal = |i: usize, e: &Entry| {
-        if i < *covered as usize {
-            *bal_term
-        } else {
-            e.bal
-        }
+    let bal = |e: &Entry| Entry {
+        bal: *term,
+        ..e.clone()
     };
-    let entries = entries.iter().enumerate();
-    entries
-        .map(|(i, (_, e))| Entry {
-            bal: bal(i, e),
-            ..e.clone()
-        })
-        .collect()
+    entries.iter().map(|(_, e)| bal(e)).collect()
 }
 
 /// What one `forward_pending` did: its allocations, the largest of
@@ -805,6 +769,7 @@ impl Actor<Msg> for Puppet {
                     ballot,
                     slots: items.iter().map(|(s, _)| s).collect(),
                     exec: Slot::NONE,
+                    holders: 0,
                 }
             }
             _ => return,
