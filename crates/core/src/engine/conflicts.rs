@@ -1,12 +1,18 @@
 //! The conflict index: the read rule both of the paper's case studies
-//! need, written once. Raft*-PQL answers a read from its own copy only
-//! once every log entry touching the key has applied (Figure 13's
-//! `LocalRead`, line 4); Raft*-Mencius answers a command early only once
-//! no earlier write to its key and no migration command is left
-//! unapplied (Section 5.2's commutative regime). Both index the commands
-//! they hold above their applied prefix: Mencius asks whether anything in
-//! a range of slots holds an answer back (`ConflictIndex::clear`), PQL
-//! for the highest slot that does (`ConflictIndex::last_holding`).
+//! need, written once and kept in one place, the engine's
+//! `EngineCore::conflicts`. Raft*-PQL and MultiPaxos-PQL answer a read
+//! from their own copy only once every command touching the key has
+//! applied (Figure 13's `LocalRead`, line 4); Raft*-Mencius answers a
+//! command early only once no earlier write to its key and no migration
+//! command is left unapplied (Section 5.2's commutative regime). Both
+//! index the commands a replica holds above its applied prefix: Mencius
+//! asks whether anything in a range of slots holds an answer back
+//! (`ConflictIndex::clear`), the lease for the highest slot that does
+//! (`ConflictIndex::last_holding`).
+//!
+//! A replica keeps one under a lease read mode and under Mencius, kept
+//! where values enter and leave: by `PaxosBase`, and by the Raft family's
+//! rules type through `index` and `reindex`.
 
 use std::collections::hash_map::Entry;
 use std::collections::BTreeSet;
@@ -14,6 +20,8 @@ use std::ops::Range;
 
 use crate::kv::{Command, IntMap, Key, Op};
 use crate::types::Slot;
+
+use super::EngineCore;
 
 /// What an unapplied command holds back: a write, the answers on its
 /// key; a migration command, every answer.
@@ -59,11 +67,13 @@ enum KeyWrites {
 }
 
 impl ConflictIndex {
-    /// Indexing a command already indexed is a no-op.
-    pub(crate) fn insert(&mut self, s: Slot, holds: Holds) {
-        let key = match holds {
-            Holds::Key(key) => key,
-            Holds::All => {
+    /// Indexes `cmd` at `s`, if it holds an answer back; indexing it
+    /// again is a no-op.
+    pub(crate) fn enter(&mut self, s: Slot, cmd: &Command) {
+        let key = match Holds::of(cmd) {
+            None => return,
+            Some(Holds::Key(key)) => key,
+            Some(Holds::All) => {
                 self.migrations.insert(s.0);
                 return;
             }
@@ -88,11 +98,12 @@ impl ConflictIndex {
         }
     }
 
-    /// Returns whether `s` was indexed.
-    pub(crate) fn remove(&mut self, s: Slot, holds: Holds) -> bool {
-        let key = match holds {
-            Holds::Key(key) => key,
-            Holds::All => return self.migrations.remove(&s.0),
+    /// Takes `cmd` at `s` out of the index; returns whether it was in.
+    pub(crate) fn leave(&mut self, s: Slot, cmd: &Command) -> bool {
+        let key = match Holds::of(cmd) {
+            None => return false,
+            Some(Holds::Key(key)) => key,
+            Some(Holds::All) => return self.migrations.remove(&s.0),
         };
         let Entry::Occupied(mut e) = self.writes.entry(key) else {
             return false;
@@ -144,21 +155,65 @@ impl ConflictIndex {
         };
         Slot(write.max(self.migrations.last()).copied().unwrap_or(0))
     }
+}
 
-    /// Tests: every indexed write as `(key, slot)`.
-    #[cfg(test)]
-    pub(crate) fn indexed_writes(&self) -> BTreeSet<(Key, u64)> {
-        let slots = |(&key, w): (&Key, &KeyWrites)| match w {
-            KeyWrites::One(x) => vec![(key, *x)],
-            KeyWrites::Many(run) => run.iter().map(|&x| (key, x)).collect(),
-        };
-        self.writes.iter().flat_map(slots).collect()
+/// Moves commands written at their slots into the replica's conflict
+/// index (`add`) or out of it: applied, or written over. A replica that
+/// keeps no index does nothing.
+pub(crate) fn index<'a>(
+    core: &mut EngineCore,
+    cmds: impl IntoIterator<Item = (Slot, &'a Command)>,
+    add: bool,
+) {
+    if let Some(index) = core.conflicts.as_deref_mut() {
+        for (s, cmd) in cmds {
+            if add {
+                index.enter(s, cmd);
+            } else {
+                index.leave(s, cmd);
+            }
+        }
     }
+}
+
+/// Indexes `cmds`, what is held above the applied prefix, afresh, after
+/// a crash or a snapshot install moved that prefix.
+pub(crate) fn reindex<'a>(
+    core: &mut EngineCore,
+    cmds: impl IntoIterator<Item = (Slot, &'a Command)>,
+) {
+    if let Some(index) = core.conflicts.as_deref_mut() {
+        *index = ConflictIndex::default();
+    }
+    index(core, cmds, true);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ConflictIndex {
+        /// Every indexed write as `(key, slot)`.
+        pub(crate) fn indexed_writes(&self) -> BTreeSet<(Key, u64)> {
+            let slots = |(&key, w): (&Key, &KeyWrites)| match w {
+                KeyWrites::One(x) => vec![(key, *x)],
+                KeyWrites::Many(run) => run.iter().map(|&x| (key, x)).collect(),
+            };
+            self.writes.iter().flat_map(slots).collect()
+        }
+    }
+
+    /// A write to `key`.
+    fn write(key: Key) -> Command {
+        Command::put(crate::kv::CmdId { client: 0, seq: 1 }, key, Vec::new())
+    }
+
+    /// A migration command, which holds every answer back.
+    fn migration() -> Command {
+        let id = crate::kv::CmdId { client: 0, seq: 1 };
+        let op = Op::ReleaseRange { version: 1 };
+        Command { id, op }
+    }
 
     /// The conflict index against plain ordered sets of `(key, slot)` and
     /// of migration slots, driven by one random script: inserts (repeats
@@ -193,7 +248,7 @@ mod tests {
             };
             match rng.gen_range(40) {
                 0..=13 => {
-                    index.insert(Slot(slot), Holds::Key(key));
+                    index.enter(Slot(slot), &write(key));
                     reference.insert((key, slot));
                 }
                 // An indexed pair, or a random one (mostly never indexed).
@@ -206,19 +261,19 @@ mod tests {
                         _ => (key, slot),
                     };
                     let was = reference.remove(&(key, slot));
-                    let removed = index.remove(Slot(slot), Holds::Key(key));
+                    let removed = index.leave(Slot(slot), &write(key));
                     assert_eq!(removed, was, "step {step}: remove ({key}, {slot})");
                 }
                 // A migration command in, or one (indexed or not) out:
                 // few at a time, as a group runs one migration at once.
                 28 => {
-                    index.insert(Slot(slot), Holds::All);
+                    index.enter(Slot(slot), &migration());
                     migrations.insert(slot);
                 }
                 29..=30 => {
                     let slot = migrations.first().copied().unwrap_or(slot);
                     let was = migrations.remove(&slot);
-                    assert_eq!(index.remove(Slot(slot), Holds::All), was, "step {step}");
+                    assert_eq!(index.leave(Slot(slot), &migration()), was, "step {step}");
                 }
                 _ => {
                     let start = rng.gen_range(310);
@@ -250,10 +305,10 @@ mod tests {
         );
         // Removing everything empties the map: no key keeps an entry.
         for (key, slot) in std::mem::take(&mut reference) {
-            assert!(index.remove(Slot(slot), Holds::Key(key)));
+            assert!(index.leave(Slot(slot), &write(key)));
         }
         for slot in std::mem::take(&mut migrations) {
-            assert!(index.remove(Slot(slot), Holds::All));
+            assert!(index.leave(Slot(slot), &migration()));
         }
         assert!(index.writes.is_empty() && index.migrations.is_empty());
         assert_eq!(index.last_holding(HOT), Slot::NONE);

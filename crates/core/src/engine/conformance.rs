@@ -13,7 +13,9 @@
 //! changes that go through the vote-extras safe-value pick, and one row
 //! per Raft flavor lands a deposed leader's rounds after it rewrote the
 //! slots they were cut from. The lease rows run `engine/lease.rs`'s PQL
-//! on Raft\* and MultiPaxos, and its LL on Raft\* (MultiPaxos refuses LL).
+//! and LL on Raft\* and MultiPaxos, and the conflict-index rows check
+//! the engine's index against what Raft\*, MultiPaxos and Mencius hold
+//! above their applied prefix.
 
 use paxraft_sim::sim::{ActorId, Simulation};
 use paxraft_sim::time::{SimDuration, SimTime};
@@ -1365,7 +1367,10 @@ fn assert_ballot_mark_in_log<P: ProtocolRules>(name: &str, rep: &ReplicaEngine<P
 /// and applied index, every retained `(slot, term, ballot, command)` and
 /// the applied store; the pinned values were computed at the commit
 /// before the ballot mark replaced the eager rewrite loop, so the mark
-/// picks the same safe values and applies the same state.
+/// picks the same safe values and applies the same state. The Raft\*-LL
+/// pin was `0xb995_28e8_a1ce_4bb2` until the lease gate ran under LL too:
+/// each new leader now commits only once the lease its followers granted
+/// the old one has lapsed, so its writes apply later.
 #[test]
 fn raftstar_leader_changes_pick_the_pinned_safe_values() {
     fn star(sim: &Simulation<Msg>, id: ActorId) -> &RaftStarReplica {
@@ -1483,7 +1488,7 @@ fn raftstar_leader_changes_pick_the_pinned_safe_values() {
     for (name, mode, pinned) in [
         ("Raft*", ReadMode::LogRead, 0xc2e9_1a1f_ab74_b9c0u64),
         ("Raft*-PQL", ReadMode::QuorumLease, 0x639c_ba46_6776_82ed),
-        ("Raft*-LL", ReadMode::LeaderLease, 0xb995_28e8_a1ce_4bb2),
+        ("Raft*-LL", ReadMode::LeaderLease, 0xc9f7_2535_e904_ca92),
     ] {
         let got = scenario(name, mode);
         assert_eq!(got, pinned, "{name}: fingerprint {got:#x}");
@@ -2440,30 +2445,59 @@ fn a_deposed_leaders_rounds_in_flight_land_as_they_were_cut() {
 // ── Quorum leases on both families ─────────────────────────────────
 
 use crate::engine::conflicts::Holds;
+use crate::engine::paxos_family::Cell;
+use crate::engine::SlotRing;
+use crate::mencius::MenciusRules;
 use crate::multipaxos::PaxosRules;
 use crate::raftstar::RaftStarRules;
 
-/// What the lease rows read off a replica of either family that runs
-/// `engine/lease.rs`: Raft\* and MultiPaxos, from their constructors.
-trait Leased: ProtocolRules {
-    fn make(cfg: ReplicaConfig) -> ReplicaEngine<Self>;
+/// What the conflict-index rows read off a replica that keeps the
+/// engine's index: Raft\* and MultiPaxos under a lease, and Mencius.
+trait Indexed: ProtocolRules {
     /// The commands held above the applied prefix, in slot order.
     fn unapplied(rep: &ReplicaEngine<Self>) -> Vec<(Slot, &Command)>;
+}
+
+/// What the lease rows read off a replica of either family that runs
+/// `engine/lease.rs`: Raft\* and MultiPaxos, from their constructors.
+trait Leased: Indexed {
+    fn make(cfg: ReplicaConfig) -> ReplicaEngine<Self>;
     /// The command held at `slot`, if any.
     fn held(rep: &ReplicaEngine<Self>, slot: Slot) -> Option<CmdId>;
     /// Whether `slot` is known committed.
     fn committed(rep: &ReplicaEngine<Self>, slot: Slot) -> bool;
 }
 
-impl Leased for RaftStarRules {
-    fn make(cfg: ReplicaConfig) -> ReplicaEngine<Self> {
-        RaftStarReplica::new(cfg)
-    }
+impl Indexed for RaftStarRules {
     fn unapplied(rep: &ReplicaEngine<Self>) -> Vec<(Slot, &Command)> {
         let above = rep.applied_index().0 + 1..=rep.log().last_index().0;
         above
             .map(|s| (Slot(s), &rep.log().get(Slot(s)).expect("dense").cmd))
             .collect()
+    }
+}
+
+/// The values a Paxos-family table holds above its executed prefix.
+fn unapplied_cells(cells: &SlotRing<Cell>, exec: Slot) -> Vec<(Slot, &Command)> {
+    let above = cells.range(exec.next()..);
+    above.filter_map(|(s, c)| Some((s, c.cmd()?))).collect()
+}
+
+impl Indexed for PaxosRules {
+    fn unapplied(rep: &ReplicaEngine<Self>) -> Vec<(Slot, &Command)> {
+        unapplied_cells(rep.rules.cells(), rep.exec_index())
+    }
+}
+
+impl Indexed for MenciusRules {
+    fn unapplied(rep: &ReplicaEngine<Self>) -> Vec<(Slot, &Command)> {
+        unapplied_cells(rep.rules.cells(), rep.exec_index())
+    }
+}
+
+impl Leased for RaftStarRules {
+    fn make(cfg: ReplicaConfig) -> ReplicaEngine<Self> {
+        RaftStarReplica::new(cfg)
     }
     fn held(rep: &ReplicaEngine<Self>, slot: Slot) -> Option<CmdId> {
         rep.log().get(slot).map(|e| e.cmd.id)
@@ -2476,10 +2510,6 @@ impl Leased for RaftStarRules {
 impl Leased for PaxosRules {
     fn make(cfg: ReplicaConfig) -> ReplicaEngine<Self> {
         MultiPaxosReplica::new(cfg)
-    }
-    fn unapplied(rep: &ReplicaEngine<Self>) -> Vec<(Slot, &Command)> {
-        let above = rep.rules.cells().range(rep.exec_index().next()..);
-        above.filter_map(|(s, c)| Some((s, c.cmd()?))).collect()
     }
     fn held(rep: &ReplicaEngine<Self>, slot: Slot) -> Option<CmdId> {
         Some(rep.rules.cells().get(slot)?.cmd()?.id)
@@ -2565,8 +2595,7 @@ fn leader_lease_serves_reads_only_at_leader() {
         let served = |r: ActorId| sim.actor::<ReplicaEngine<P>>(r).local_reads_served();
         assert_eq!((served(replicas[0]), served(replicas[1])), (1, 0), "{name}");
     }
-    // MultiPaxos refuses LL (`multipaxos_refuses_a_leader_lease`).
-    scenario::<RaftStarRules>("Raft*");
+    for_both_families!(scenario);
 }
 
 /// A write after a leaseholder crashes waits for the holder's last
@@ -2619,7 +2648,7 @@ fn pql_write_waits_for_crashed_holder_until_expiry() {
 /// Asserts that every replica's conflict index holds exactly the
 /// commands it holds above its applied prefix; returns how many entries
 /// the replicas index between them.
-fn assert_index_is_the_unapplied_log<P: Leased>(
+fn assert_index_is_the_unapplied_log<P: Indexed>(
     sim: &Simulation<Msg>,
     replicas: &[ActorId],
     case: &str,
@@ -2637,7 +2666,7 @@ fn assert_index_is_the_unapplied_log<P: Leased>(
                 None => {}
             }
         }
-        let index = &rep.core.lease.as_deref().expect("a lease").conflicts;
+        let index = rep.core.conflicts.as_deref().expect("an index");
         assert_eq!(index.indexed_writes(), writes, "{case}: replica {r:?}");
         // A key never written is held back by migration commands alone
         // (these runs have none).
@@ -2650,7 +2679,7 @@ fn assert_index_is_the_unapplied_log<P: Leased>(
 /// Runs `sim` for `d` in 5 ms steps, checking every replica's index
 /// against its log after each; returns the most entries indexed at one
 /// check.
-fn run_checking<P: Leased>(
+fn run_checking<P: Indexed>(
     sim: &mut Simulation<Msg>,
     replicas: &[ActorId],
     d: SimDuration,
@@ -2724,7 +2753,7 @@ fn the_pql_conflict_index_is_the_log_above_the_applied_prefix() {
         let stranded = follower.rules.log_tail();
         let stranded_id = P::held(follower, stranded).expect("replicated");
         assert!(!P::committed(follower, stranded), "{case}");
-        let index = &follower.core.lease.as_deref().expect("a lease").conflicts;
+        let index = follower.core.conflicts.as_deref().expect("an index");
         assert!(index.indexed_writes().contains(&(7, stranded.0)), "{case}");
         // The majority side elects, commits writes of its own once the
         // minority's leases lapse, and after the heal its leader's log
@@ -2773,7 +2802,7 @@ fn the_pql_conflict_index_is_the_log_above_the_applied_prefix() {
         run_checking::<P>(&mut sim, &replicas, SimDuration::from_millis(10), &case);
         let rep = sim.actor::<ReplicaEngine<P>>(crashed);
         assert_eq!(rep.applied_index(), Slot::NONE, "{case}");
-        let index = &rep.core.lease.as_deref().expect("a lease").conflicts;
+        let index = rep.core.conflicts.as_deref().expect("an index");
         assert!(
             index.indexed_writes().len() > 40,
             "{case}: the log re-enters"
@@ -2789,6 +2818,213 @@ fn the_pql_conflict_index_is_the_log_above_the_applied_prefix() {
             "{case}: {} keys written, none indexed",
             keys.len()
         );
+    }
+    for_both_families!(scenario);
+}
+
+/// Mencius keeps the engine's conflict index for its respond pass, and
+/// the family's base keeps it as it keeps MultiPaxos's: checked every
+/// 5 ms against each replica's table above its executed prefix through
+/// writes from all five replicas, a revocation that decides a no-op over
+/// a `Put` a replica held (the value leaves the index when it is written
+/// over), and a crash with durability on that drops an owner's own
+/// unsynced slots, which its self-revocation decides again. Once
+/// everything has applied every index is empty.
+#[test]
+fn the_mencius_conflict_index_is_the_table_above_the_executed_prefix() {
+    type M = MenciusRules;
+    let durability = conformance_durability();
+    let (mut sim, replicas, first) = cluster_with(5, |mut cfg| {
+        cfg.mencius.revoke_timeout = SimDuration::from_secs(2);
+        cfg.durability = conformance_durability();
+        Box::new(MenciusReplica::new(cfg))
+    });
+    sim.set_disk_config(durability.disk_config());
+    let mut clients = vec![first];
+    for (id, &r) in replicas.iter().enumerate().skip(1) {
+        let client = Box::new(TestClient::new(id as u32, r));
+        clients.push(sim.add_actor(crate::testutil::region_of(id), client));
+    }
+    let sink = sim.add_actor(
+        crate::testutil::region_of(3),
+        Box::new(TestClient::new(5, replicas[3])),
+    );
+    let answered = |sim: &Simulation<Msg>| -> usize {
+        let replies = |c: &ActorId| sim.actor::<TestClient>(*c).replies.len();
+        clients.iter().map(replies).sum()
+    };
+    let settle = |sim: &mut Simulation<Msg>, want: usize, case: &str| {
+        let deadline = sim.now() + SimDuration::from_secs(60);
+        while answered(sim) < want && sim.now() < deadline {
+            run_checking::<M>(sim, &replicas, SimDuration::from_millis(50), case);
+        }
+        assert_eq!(answered(sim), want, "{case}: every write answered");
+        run_checking::<M>(sim, &replicas, SimDuration::from_secs(2), case);
+        assert_index_is_the_unapplied_log::<M>(sim, &replicas, case)
+    };
+    let table = |sim: &Simulation<Msg>, r: usize, s: Slot| {
+        let rep = sim.actor::<MenciusReplica>(replicas[r]);
+        rep.rules.cells().get(s).and_then(Cell::cmd).cloned()
+    };
+
+    // Every replica writes distinct keys and one hot key.
+    let case = "distinct and hot keys";
+    for (i, &c) in clients.iter().enumerate() {
+        for k in 0..8 {
+            let client = sim.actor_mut::<TestClient>(c);
+            client.enqueue_put(100 + 10 * i as u64 + k);
+            client.enqueue_put(7);
+        }
+    }
+    let most = run_checking::<M>(&mut sim, &replicas, SimDuration::from_millis(600), case);
+    assert!(most >= 5, "{case}: {most} indexed at most");
+    assert_eq!(settle(&mut sim, 80, case), 0);
+
+    // {0, 1, client 0} | the rest: owner 0's `Put 7` reaches replica 1
+    // alone, and owner 0 crashes. The other side revokes its slots with
+    // a quorum that never saw the write and decides a no-op there; after
+    // the heal replica 1's own revocation learns that no-op, written over
+    // the `Put` it held.
+    let case = "a no-op decided over a held write";
+    let side = [0, 1, first.0];
+    let groups = (0..sim.len()).map(|a| u32::from(!side.contains(&a)));
+    sim.partition_at(groups.collect(), sim.now() + SimDuration::from_millis(1));
+    sim.actor_mut::<TestClient>(first).enqueue_put(7);
+    run_checking::<M>(&mut sim, &replicas, SimDuration::from_millis(300), case);
+    let id = sim.actor::<TestClient>(first).sent.last().expect("sent").id;
+    let rep = sim.actor::<MenciusReplica>(replicas[1]);
+    let slot = {
+        let mut held = rep.rules.cells().range(Slot(1)..);
+        let written = held.rfind(|(_, c)| c.cmd().is_some_and(|c| c.id == id));
+        written.expect("replica 1 holds the write").0
+    };
+    let index = rep.core.conflicts.as_deref().expect("Mencius keeps one");
+    assert!(index.indexed_writes().contains(&(7, slot.0)), "{case}");
+    sim.crash_at(replicas[0], sim.now() + SimDuration::from_millis(1));
+    let deadline = sim.now() + SimDuration::from_secs(20);
+    while sim
+        .actor::<MenciusReplica>(replicas[2])
+        .decided_at(slot)
+        .is_none()
+    {
+        run_checking::<M>(&mut sim, &replicas, SimDuration::from_millis(50), case);
+        assert!(sim.now() < deadline, "{case}: the majority revokes");
+    }
+    let noop = Some(Command::noop());
+    assert_eq!(table(&sim, 2, slot), noop, "{case}: decided a no-op");
+    assert!(table(&sim, 1, slot).is_some_and(|c| c.id == id), "{case}");
+    sim.heal_at(sim.now() + SimDuration::from_millis(1));
+    sim.restart_at(replicas[0], sim.now() + SimDuration::from_millis(2));
+    while table(&sim, 1, slot) != noop {
+        run_checking::<M>(&mut sim, &replicas, SimDuration::from_millis(50), case);
+        assert!(sim.now() < deadline + SimDuration::from_secs(20), "{case}");
+    }
+    assert_eq!(settle(&mut sim, 81, case), 0);
+
+    // Owner 3 crashes with its first round of a burst written and not
+    // yet fsynced: the crash drops those own slots, and its self-revocation
+    // decides them again.
+    let case = "a crash dropping own slots";
+    let sink_id = sim.actor::<TestClient>(sink).client_id;
+    for seq in 1..=BATCH_MAX as u64 {
+        let cmd = Command::put(
+            CmdId {
+                client: sink_id,
+                seq,
+            },
+            200 + seq,
+            vec![0; 8],
+        );
+        let request = Msg::Client(ClientMsg::Request { cmd });
+        sim.send_external(replicas[3], request, SimDuration::ZERO);
+    }
+    sim.run_for(SimDuration::from_micros(100));
+    let rep = sim.actor::<MenciusReplica>(replicas[3]);
+    assert!(
+        rep.core.dur.write_seq() > rep.core.dur.synced_seq(),
+        "{case}"
+    );
+    let own = rep.rules.cells().range(Slot(1)..);
+    let proposed = own.filter(|(_, c)| c.cmd().is_some_and(|c| c.id.client == sink_id));
+    let proposed: Vec<Slot> = proposed.map(|(s, _)| s).collect();
+    assert!(!proposed.is_empty(), "{case}");
+    sim.crash_at(replicas[3], sim.now() + SimDuration::from_micros(10));
+    sim.run_for(SimDuration::from_micros(20));
+    assert!(
+        proposed.iter().all(|&s| table(&sim, 3, s).is_none()),
+        "{case}: the crash dropped the own slots"
+    );
+    assert_index_is_the_unapplied_log::<M>(&sim, &replicas, case);
+    sim.restart_at(replicas[3], sim.now() + SimDuration::from_millis(500));
+    run_checking::<M>(&mut sim, &replicas, SimDuration::from_secs(3), case);
+    assert!(
+        proposed.iter().all(|&s| table(&sim, 3, s).is_some()),
+        "{case}: decided again"
+    );
+    assert_eq!(settle(&mut sim, 81, case), 0);
+}
+
+/// Leader Lease serves no stale read: the LL leader and its client are
+/// cut off from the other four replicas, whose election timeout
+/// (400–500 ms) is far under the 2 s lease. A new leader commits a
+/// client's write to the key, and the old leader's client then reads it
+/// there. The old leader still holds the lease its
+/// followers granted it, so without the holder gate under LL it answers
+/// from its copy; with the gate the new leader commits only once that
+/// lease has lapsed, and the read is served fresh or not at all. Checked
+/// with Wing–Gong on Raft\* and MultiPaxos.
+#[test]
+fn a_deposed_leader_lease_serves_no_stale_read() {
+    use paxraft_workload::linearize::check_history;
+    const KEY: u64 = 7;
+    fn scenario<P: Leased>(name: &str) {
+        let (mut sim, replicas, old) = leased_cluster_with::<P>(5, ReadMode::LeaderLease, |cfg| {
+            if cfg.id != NodeId(0) {
+                cfg.election_min = SimDuration::from_millis(400);
+                cfg.election_max = SimDuration::from_millis(500);
+            }
+        });
+        let new = sim.add_actor(
+            crate::testutil::region_of(1),
+            Box::new(TestClient::new(1, replicas[1])),
+        );
+        let replies = |sim: &Simulation<Msg>, c: ActorId| sim.actor::<TestClient>(c).replies.len();
+        sim.run_for(SimDuration::from_secs(2)); // leases up
+        sim.actor_mut::<TestClient>(old).enqueue_put(KEY);
+        sim.actor_mut::<TestClient>(old).enqueue_get(KEY);
+        assert!(drive_until(&mut sim, SimTime::from_secs(10), |sim| {
+            replies(sim, old) == 2
+        }));
+        let served = |sim: &Simulation<Msg>| {
+            let lease = |r| sim.actor::<ReplicaEngine<P>>(r).local_reads_served();
+            lease(replicas[0])
+        };
+        assert_eq!(served(&sim), 1, "{name}: the leader reads locally");
+        let cut = [0, old.0];
+        let groups = (0..sim.len()).map(|a| u32::from(!cut.contains(&a)));
+        sim.partition_at(groups.collect(), sim.now() + SimDuration::from_millis(1));
+        let deadline = sim.now() + SimDuration::from_secs(10);
+        let leader = loop {
+            sim.run_for(SimDuration::from_millis(10));
+            let leading = |r: &&ActorId| sim.actor::<ReplicaEngine<P>>(**r).is_leader();
+            if let Some(&leader) = replicas[1..].iter().find(leading) {
+                break leader;
+            }
+            assert!(sim.now() < deadline, "{name}: the others elect");
+        };
+        sim.actor_mut::<TestClient>(new).target = leader;
+        sim.actor_mut::<TestClient>(new).enqueue_put(KEY);
+        assert!(
+            drive_until(&mut sim, deadline, |sim| replies(sim, new) == 1),
+            "{name}: a new leader commits"
+        );
+        sim.actor_mut::<TestClient>(old).enqueue_get(KEY);
+        sim.run_for(SimDuration::from_secs(3));
+        let history: Vec<_> = [old, new]
+            .iter()
+            .flat_map(|&c| sim.actor::<TestClient>(c).history(KEY))
+            .collect();
+        check_history(&history, 1 << 20).unwrap_or_else(|e| panic!("{name}: a stale read: {e}"));
     }
     for_both_families!(scenario);
 }
@@ -2833,16 +3069,15 @@ fn conflicting_local_read_parks_until_write_applies() {
 }
 
 /// Wing–Gong over a hot key under 15 % message loss, for both families
-/// under PQL and for Raft\* under LL: five clients, one per replica,
-/// write and read one key while the lease read path serves what it can
-/// locally. Every recorded history is linearizable, and local reads did
-/// happen.
+/// under PQL and under LL: five clients, one per replica, write and read
+/// one key while the lease read path serves what it can locally. Every
+/// recorded history is linearizable, and local reads did happen.
 #[test]
 fn lease_reads_on_a_hot_key_stay_linearizable_under_loss() {
     use paxraft_workload::linearize::check_history;
     const KEY: u64 = 7;
-    fn scenario<P: Leased>(name: &str, modes: &[ReadMode]) {
-        for &mode in modes {
+    fn scenario<P: Leased>(name: &str) {
+        for mode in [ReadMode::QuorumLease, ReadMode::LeaderLease] {
             let (mut sim, replicas, first) = leased_cluster::<P>(5, mode);
             let mut clients = vec![first];
             for (id, &r) in replicas.iter().enumerate().skip(1) {
@@ -2876,6 +3111,5 @@ fn lease_reads_on_a_hot_key_stay_linearizable_under_loss() {
             assert!(local > 0, "{name} {mode:?}: reads were served locally");
         }
     }
-    scenario::<RaftStarRules>("Raft*", &[ReadMode::QuorumLease, ReadMode::LeaderLease]);
-    scenario::<PaxosRules>("MultiPaxos", &[ReadMode::QuorumLease]);
+    for_both_families!(scenario);
 }

@@ -12,13 +12,15 @@
 //! | `Grant`, `Expire` | [`renew`] on the engine's `T_LEASE` tick, [`on_msg`] | its log tail, and a re-tally after the tick |
 //! | phase 2b's holders | [`holders`] | the ack that carries them, and [`report`] |
 //! | the `Propose`/`LeaderLearn` gate | `Lease::refused` | its tally: [`gated`] or [`admits`] |
-//! | `ReadAtLocal` | [`read_at_local`], at the engine's intake | — |
-//! | `Apply` | [`serve_parked`] | where commands enter and apply: [`index`] |
+//! | `ReadAtLocal` | [`read_at_local`], at the engine's intake, over the engine's conflict index | — |
+//! | `Apply` | [`serve_parked`] | where commands enter and apply (`engine/conflicts.rs`) |
 //!
 //! A replica reads its own copy under valid leases from a quorum, once
 //! what it holds on the key has applied (Figure 13); in return a leader
 //! commits only what **every lease holder** acknowledged. Under LL only
-//! the leader reads locally and nothing gates a commit.
+//! the leader reads locally, and the same gate holds a new leader's
+//! commits until every lease granted to an old one has lapsed: a voter
+//! that granted it reports the old leader as a holder.
 //!
 //! Grants are two-way: a grantor counts a replica as a *holder* only
 //! after the replica acknowledges the grant, so a crashed holder stops
@@ -35,7 +37,6 @@ use crate::kv::{Command, Op};
 use crate::msg::{LeaseMsg, Msg};
 use crate::types::{max_failures, me_bit, NodeId, Slot};
 
-use super::conflicts::{ConflictIndex, Holds};
 use super::{EngineCore, ProtocolRules, T_LEASE};
 
 /// One replica's lease state (present in the `LeaderLease` and
@@ -57,11 +58,6 @@ pub(crate) struct Lease {
     read_floor: Slot,
     /// The holder set each peer's last ack reported (phase 2b).
     reported: Vec<u64>,
-    /// The commands held above the applied prefix that hold back a
-    /// local read: a command enters when written there and leaves when
-    /// it applies or is written over; rebuilt on a crash and on a
-    /// snapshot install.
-    pub(crate) conflicts: ConflictIndex,
     /// Local reads waiting for a conflicting write to apply:
     /// `(command, serve once the applied prefix reaches slot)`.
     parked: Vec<(Command, Slot)>,
@@ -135,9 +131,6 @@ fn valid(expiries: &[SimTime], now: SimTime) -> u64 {
     expiries.iter().enumerate().map(bit).sum()
 }
 
-/// A command at its slot, as the conflict index takes it.
-pub(crate) type Held<'a> = (Slot, &'a Command);
-
 /// `Grant` and `Expire`, on the engine's `T_LEASE` tick: renews this
 /// replica's lease on itself, grants the targets a lease until one
 /// duration from now, carrying the grantor's log `tail` (the read floor
@@ -199,13 +192,13 @@ pub(crate) fn report(core: &mut EngineCore, peer: NodeId, holders: u64) {
     }
 }
 
-/// The gate on the Raft family's `LeaderLearn` (`None` unless quorum
-/// leases gate commits): shrinks the commit target `upto`, never below
-/// `floor`, while the gate refuses the followers matched through it. A
-/// follower that does not respond (a crashed one) is never consulted,
-/// so an expired holder stops gating writes.
+/// The gate on the Raft family's `LeaderLearn` (`None` without a lease):
+/// shrinks the commit target `upto`, never below `floor`, while the gate
+/// refuses the followers matched through it. A follower that does not
+/// respond (a crashed one) is never consulted, so an expired holder
+/// stops gating writes.
 pub(crate) fn gated(core: &EngineCore, mut upto: Slot, floor: Slot, now: SimTime) -> Option<Slot> {
-    let lease = gating(core)?;
+    let lease = core.lease.as_deref()?;
     let matched = |p: NodeId| core.pipe.match_index(p);
     let others = core.cfg.others();
     while upto > floor {
@@ -222,15 +215,10 @@ pub(crate) fn gated(core: &EngineCore, mut upto: Slot, floor: Slot, now: SimTime
 
 /// The gate on the Paxos family's `Learn`: whether an instance acked by
 /// `acks` (one bit per replica) is acked by every holder — always,
-/// unless quorum leases gate commits.
+/// without a lease.
 pub(crate) fn admits(core: &EngineCore, acks: u32, now: SimTime) -> bool {
-    gating(core).is_none_or(|l| l.refused(u64::from(acks), now) == 0)
-}
-
-/// The lease, when quorum leases gate commits.
-fn gating(core: &EngineCore) -> Option<&Lease> {
-    let lease = core.lease.as_deref()?;
-    lease.quorum.then_some(lease)
+    let lease = core.lease.as_deref();
+    lease.is_none_or(|l| l.refused(u64::from(acks), now) == 0)
 }
 
 /// Figure 13's `LocalRead`, at the engine's intake of a direct or a
@@ -254,7 +242,8 @@ pub(crate) fn read_at_local<P: ProtocolRules>(
     let (Op::Get { key }, Some(lease)) = (&cmd.op, serving) else {
         return false;
     };
-    let conflict = lease.conflicts.last_holding(*key).max(lease.read_floor);
+    let index = core.conflicts.as_deref().expect("a lease keeps one");
+    let conflict = index.last_holding(*key).max(lease.read_floor);
     if conflict > applied {
         lease.parked.push((cmd.clone(), conflict));
         return true;
@@ -306,34 +295,6 @@ pub(crate) fn serve_parked(core: &mut EngineCore, ctx: &mut Ctx<Msg>, upto: Slot
     }
     lease.due = due;
     core.lease = Some(lease);
-}
-
-/// Moves commands written at their slots into the conflict index
-/// (`add`) or out of it: applied, or written over.
-pub(crate) fn index<'a>(
-    core: &mut EngineCore,
-    cmds: impl IntoIterator<Item = Held<'a>>,
-    add: bool,
-) {
-    if let Some(lease) = core.lease.as_deref_mut() {
-        let holds = |(s, cmd): Held| Some((s, Holds::of(cmd)?));
-        for (s, holds) in cmds.into_iter().filter_map(holds) {
-            if add {
-                lease.conflicts.insert(s, holds);
-            } else {
-                lease.conflicts.remove(s, holds);
-            }
-        }
-    }
-}
-
-/// Indexes `cmds`, what is held above the applied prefix, afresh, after
-/// a crash or a snapshot install moved that prefix.
-pub(crate) fn reindex<'a>(core: &mut EngineCore, cmds: impl IntoIterator<Item = Held<'a>>) {
-    if let Some(lease) = core.lease.as_deref_mut() {
-        lease.conflicts = ConflictIndex::default();
-    }
-    index(core, cmds, true);
 }
 
 /// Crash: a holder loses the leases it held and its parked reads; the

@@ -57,6 +57,8 @@ pub use slots::SlotRing;
 pub(crate) use transfer::ack_snapshot;
 pub use transfer::ship_snapshot;
 
+use conflicts::ConflictIndex;
+
 use std::collections::HashMap;
 
 use paxraft_sim::impl_actor_any;
@@ -64,7 +66,7 @@ use paxraft_sim::sim::{Actor, ActorId, Ctx};
 use paxraft_sim::time::{SimDuration, SimTime};
 use paxraft_sim::trace::SpanKind;
 
-use crate::config::ReplicaConfig;
+use crate::config::{ReadMode, ReplicaConfig};
 use crate::costs::CostModel;
 use crate::kv::{CmdId, Command, KvStore, Op, Reply};
 use crate::msg::{
@@ -190,6 +192,10 @@ pub struct EngineCore {
     pub dur: DurabilityState,
     /// Quorum-lease state under a lease read mode (`engine/lease.rs`).
     pub(crate) lease: Option<Box<lease::Lease>>,
+    /// The commands held above the applied prefix that hold an early
+    /// answer back (`engine/conflicts.rs`): kept under a lease read mode
+    /// and under Mencius, absent otherwise.
+    pub(crate) conflicts: Option<Box<ConflictIndex>>,
 }
 
 /// One migration's export as the source group's proposer drives it.
@@ -217,6 +223,7 @@ impl EngineCore {
         let dur = DurabilityState::new(&cfg.durability);
         EngineCore {
             lease: lease::Lease::new(&cfg),
+            conflicts: (cfg.read_mode != ReadMode::LogRead).then(Box::default),
             cfg,
             kv: KvStore::new(),
             leader_hint: None,

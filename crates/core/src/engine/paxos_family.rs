@@ -3,25 +3,40 @@
 //! [`super::raft_family::RaftBase`].
 //!
 //! Both keep one Paxos instance per slot and do the same things to it:
-//! store an accepted value over a checkpoint floor, tally acks into a
-//! quorum, learn a decision (possibly before its value, and for a held
-//! value only if it was accepted at the deciding ballot or above), tag
-//! what they write for the fsync that will cover it and withhold the
+//! take a value in one way — the proposer's write
+//! ([`PaxosBase::propose`]) or phase 2b over a received run, a
+//! revocation's decision among them ([`PaxosBase::accept`]) — tally acks
+//! into a quorum, learn a decision (possibly before its value, and for a
+//! held value only if it was accepted at the deciding ballot or above),
+//! tag what they write for the fsync that will cover it and withhold the
 //! proposer's own vote until then, compact behind a checkpoint, install a
 //! peer's, notice a peer whose executed prefix stalled, report and merge
 //! accepted values for a phase 1, and drop what never reached the disk in
-//! a crash.
+//! a crash. Where a value enters, is replaced, executes, is discarded or
+//! is dropped, the base also keeps the engine's conflict index
+//! (`engine/conflicts.rs`) right, when the replica keeps one.
+//!
+//! # Durability
+//!
+//! An ack is an acceptor's promise that the values it names survive a
+//! crash (Paxos's acceptor persistence), so it leaves through
+//! `EngineCore::ack_after_sync`, after the fsync covering them; the
+//! proposer's own vote waits the same way ([`PaxosBase::propose`],
+//! counted by the rules' `on_durable`). A crash drops exactly the values
+//! no fsync covered ([`PaxosBase::crash`]): unsynced, they counted toward
+//! no quorum, and a chosen one is re-fetched. Ballots and promises are
+//! always-durable metadata, like Raft's terms.
 //!
 //! # What `store` answers
 //!
-//! An acceptor never writes a value twice. [`PaxosBase::store`] answers
-//! [`Stored::BelowFloor`] for a slot the checkpoint covers,
+//! An acceptor never writes a value twice. `PaxosBase::store` answers
 //! [`Stored::Kept`] for a cell that already holds the value — chosen, or
 //! *this command at this ballot*, which is what every retransmission and
-//! replay delivers — and [`Stored::Written`] otherwise. Only `Written`
-//! reaches the device; a `Kept` slot is still acknowledged, and the ack
-//! still waits for the first write's barrier. The test is on the command
-//! as well as the ballot: a Mencius revocation promise raises a cell's
+//! replay delivers — and [`Stored::Written`] otherwise; a slot the
+//! checkpoint covers never reaches it. Only `Written` reaches the device
+//! in phase 2b; a `Kept` slot is still acknowledged, and the ack still
+//! waits for the first write's barrier. The test is on the command as
+//! well as the ballot: a Mencius revocation promise raises a cell's
 //! ballot above the one its value was accepted at, so a different value
 //! can arrive at the ballot the cell shows, and that one is written.
 //! `accept_duplicates` counts the arrivals `Kept` for being held already.
@@ -53,6 +68,7 @@ use crate::snapshot::Snapshot;
 use crate::telemetry::MetricSample;
 use crate::types::{quorum, NodeId, Slot, Term};
 
+use super::conflicts::{self, Holds};
 use super::slots::Run;
 use super::{transfer, EngineCore, SlotRing};
 
@@ -119,17 +135,31 @@ impl Cell {
     }
 }
 
-/// What [`PaxosBase::store`] did with a value.
+/// What `PaxosBase::store` did with a value.
 #[derive(Debug, PartialEq)]
 pub(crate) enum Stored {
-    /// Nothing: the slot is at or below the checkpoint floor — decided,
-    /// executed, discarded; re-creating it would corrupt that prefix.
-    BelowFloor,
     /// Nothing: the slot already holds the value — chosen, or accepted at
     /// this very ballot.
     Kept,
     /// Written, over the value inside (if any).
     Written(Option<Command>),
+}
+
+/// What [`PaxosBase::accept`] did with a received run.
+#[derive(Debug, Default)]
+pub(crate) struct Received {
+    /// The slots stored, written or held already: what the ack names.
+    pub(crate) acked: Slots,
+    /// The slots the eligibility rule refused.
+    pub(crate) refused: Vec<Slot>,
+    /// Whether a slot lay at or below the checkpoint floor — decided,
+    /// executed, discarded; re-creating it would corrupt that prefix.
+    pub(crate) below_floor: bool,
+    /// How many of `acked` held the value already.
+    pub(crate) kept: u64,
+    /// Whether a value written over left the conflict index: a write that
+    /// will never apply, so the answers it held back get a fresh look.
+    pub(crate) released: bool,
 }
 
 /// Highest-ballot accepted value per slot, as a phase 1 collects it.
@@ -212,7 +242,7 @@ impl PaxosBase {
     }
 
     /// Whether `slot` is above the checkpoint floor and holds no value:
-    /// [`Self::store`] writes there whatever it is given.
+    /// a write there replaces nothing.
     pub(crate) fn vacant(&self, slot: Slot) -> bool {
         slot > self.compacted_through && self.cells.get(slot).is_none_or(|c| c.cmd.is_none())
     }
@@ -230,16 +260,141 @@ impl PaxosBase {
         sample.record("accept_duplicates", self.accept_duplicates as f64);
     }
 
-    /// Folds the table's size into the reported peaks — a running
-    /// maximum, so the caller decides when (MultiPaxos: per message).
-    pub(crate) fn note_log_size(&self, core: &mut EngineCore) {
+    /// Folds the table's size into the reported peaks, a running maximum.
+    fn note_log_size(&self, core: &mut EngineCore) {
         core.snap_stats.note_log_size(self.cells.len(), self.bytes);
+    }
+
+    /// Figure 1's `Phase2a` on the proposer itself: writes `values`, in
+    /// ascending slot order, at its ballot `bal`, and cuts the round that
+    /// carries them: the instances from the first value to the last,
+    /// `stride` apart, that `carried` admits. Its own ack is seeded absent
+    /// while durability is on: the round is one device write, and the
+    /// vote is queued until the fsync covering it
+    /// ([`Self::tally_synced_votes`]). The table's size is sampled once,
+    /// after the writes.
+    pub(crate) fn propose(
+        &mut self,
+        core: &mut EngineCore,
+        ctx: &mut Ctx<Msg>,
+        bal: Term,
+        values: impl IntoIterator<Item = (Slot, Command)>,
+        stride: u64,
+        carried: impl Fn(Slot, &Cell) -> bool,
+    ) -> Run<Cell> {
+        let own = if core.dur.enabled() { 0 } else { self.me };
+        let mut span = None;
+        for (slot, cmd) in values {
+            let replaced = self.write(slot, bal, cmd);
+            let cell = self.cells.get(slot).expect("just written");
+            debug_assert_eq!(
+                cell.bal.get(),
+                bal,
+                "no cell's ballot exceeds its proposer's"
+            );
+            cell.acks.set(own);
+            self.index_write(core, slot, replaced.as_ref());
+            span = Some(span.map_or((slot, slot), |(first, _)| (first, slot)));
+        }
+        let (first, last) = span.unwrap_or((Slot(1), Slot::NONE));
+        let held = |s, c: &Cell| c.cmd.is_some() && carried(s, c);
+        let round = self.cells.cut(first..=last, stride, usize::MAX, held);
+        if core.dur.enabled() && !round.is_empty() {
+            let slots: Slots = round.iter().map(|(s, _)| s).collect();
+            let bytes = round.values().map(|(_, cmd)| cmd.size_bytes()).sum();
+            self.note_written(core, ctx, &slots, bytes);
+            let seq = core.dur.write_seq();
+            debug_assert!(self.pending_self.last().is_none_or(|(s, ..)| *s < seq));
+            self.pending_self.push((seq, bal, slots));
+        }
+        self.note_log_size(core);
+        round
+    }
+
+    /// Phase 2b over a run received at ballot `bal` (Figure 1's
+    /// `Phase2b`, a Mencius `Suggest`): stores each value above the
+    /// checkpoint floor that `eligible` admits (module docs, *What `store`
+    /// answers*), keeps the conflict index right, samples the table's
+    /// size after each arrival stored, and charges the values written as
+    /// one device write, tagging their cells for the fsync that covers
+    /// them. A `decision`'s record (a Mencius revocation's) is written
+    /// whether or not its value was held: each value stored is charged.
+    pub(crate) fn accept<'a>(
+        &mut self,
+        core: &mut EngineCore,
+        ctx: &mut Ctx<Msg>,
+        bal: Term,
+        values: impl IntoIterator<Item = (Slot, &'a Command)>,
+        eligible: impl Fn(&Self, Slot) -> bool,
+        decision: bool,
+    ) -> Received {
+        let durable = core.dur.enabled();
+        let (mut got, mut written, mut bytes) = (Received::default(), Slots::new(), 0);
+        for (slot, cmd) in values {
+            if slot <= self.compacted_through {
+                got.below_floor = true;
+                continue;
+            }
+            if !eligible(self, slot) {
+                got.refused.push(slot);
+                continue;
+            }
+            let charged = match self.store(slot, bal, cmd.clone()) {
+                Stored::Kept => {
+                    got.kept += 1;
+                    decision
+                }
+                Stored::Written(replaced) => {
+                    got.released |= self.index_write(core, slot, replaced.as_ref());
+                    true
+                }
+            };
+            if durable && charged {
+                written.push(slot);
+                bytes += cmd.size_bytes();
+            }
+            // The reported peaks are maxima over these samples.
+            self.note_log_size(core);
+            got.acked.push(slot);
+        }
+        self.note_written(core, ctx, &written, bytes);
+        got
+    }
+
+    /// Keeps the conflict index right where the value at `slot` was just
+    /// written over `replaced`: a value above the executed prefix enters,
+    /// and the one it replaced leaves unless it held the same answers
+    /// back. Returns whether the replaced value left.
+    fn index_write(&self, core: &mut EngineCore, slot: Slot, replaced: Option<&Command>) -> bool {
+        let Some(index) = core.conflicts.as_deref_mut() else {
+            return false;
+        };
+        let cmd = self.cells.get(slot).and_then(Cell::cmd).expect("written");
+        let holds = Holds::of(cmd).filter(|_| slot > self.exec_index);
+        let stale = replaced.filter(|old| Holds::of(old) != holds);
+        let released = stale.is_some_and(|old| index.leave(slot, old));
+        if holds.is_some() {
+            index.enter(slot, cmd);
+        }
+        released
+    }
+
+    /// Execution reached `slot`, the next one: its value holds no answer
+    /// back any more.
+    pub(crate) fn executed(&mut self, core: &mut EngineCore, slot: Slot) {
+        debug_assert_eq!(slot, self.exec_index.next());
+        if let Some(index) = core.conflicts.as_deref_mut() {
+            if let Some(cmd) = self.cells.get(slot).and_then(Cell::cmd) {
+                index.leave(slot, cmd);
+            }
+        }
+        self.exec_index = slot;
     }
 
     /// A proposer's own write of `cmd` at its ballot, asking nothing: it
     /// numbers its instances above everything it executed and adopts
     /// values without counting them learnt. Returns the value it replaced.
-    pub(crate) fn write(&mut self, slot: Slot, bal: Term, cmd: Command) -> Option<Command> {
+    fn write(&mut self, slot: Slot, bal: Term, cmd: Command) -> Option<Command> {
         self.accept_writes += 1;
         self.put(slot, bal, cmd)
     }
@@ -263,20 +418,18 @@ impl PaxosBase {
         None
     }
 
-    /// Stores a value accepted (or learnt) at `bal`. A slot already
-    /// committed with a value keeps it (the decided value is unique, so
-    /// what arrives is at worst a duplicate and must never rewrite), and
-    /// so does one holding this command at this ballot (module docs); a
-    /// slot learnt chosen ahead of its value is committed now, if `bal` is
-    /// one the decision vouches for ([`Self::learn_at`]). The cell's
-    /// ballot becomes the higher of `bal` and its own: Mencius stores a
-    /// decided value even under a higher revocation promise, and for
-    /// MultiPaxos that is always `bal` (no cell's ballot exceeds the
+    /// Stores a value accepted (or learnt) at `bal` above the checkpoint
+    /// floor. A slot already committed with a value keeps it (the decided
+    /// value is unique, so what arrives is at worst a duplicate and must
+    /// never rewrite), and so does one holding this command at this ballot
+    /// (module docs); a slot learnt chosen ahead of its value is committed
+    /// now, if `bal` is one the decision vouches for ([`Self::learn_at`]).
+    /// The cell's ballot becomes the higher of `bal` and its own: Mencius
+    /// stores a decided value even under a higher revocation promise, and
+    /// for MultiPaxos that is always `bal` (no cell's ballot exceeds the
     /// replica's, and an `Accept` below that is refused).
-    pub(crate) fn store(&mut self, slot: Slot, bal: Term, cmd: Command) -> Stored {
-        if slot <= self.compacted_through {
-            return Stored::BelowFloor;
-        }
+    fn store(&mut self, slot: Slot, bal: Term, cmd: Command) -> Stored {
+        debug_assert!(slot > self.compacted_through);
         if let Some(cell) = self.cells.get(slot) {
             let again = cell.bal.get() == bal && cell.cmd.as_ref() == Some(&cmd);
             self.accept_duplicates += u64::from(again);
@@ -306,7 +459,7 @@ impl PaxosBase {
     /// Durability: charges the disk write for freshly written values and
     /// tags their cells with the write sequence, so a crash before the
     /// covering fsync drops exactly them.
-    pub(crate) fn note_written(
+    fn note_written(
         &mut self,
         core: &mut EngineCore,
         ctx: &mut Ctx<Msg>,
@@ -328,33 +481,6 @@ impl PaxosBase {
                 cell.wseq.set(seq);
             }
         }
-    }
-
-    /// [`Self::note_written`] for values this replica proposed at `bal`,
-    /// with its own vote seeded absent: queues that vote until the write
-    /// is fsynced ([`Self::drain_synced_votes`]).
-    pub(crate) fn note_proposed<'a>(
-        &mut self,
-        core: &mut EngineCore,
-        ctx: &mut Ctx<Msg>,
-        bal: Term,
-        items: impl IntoIterator<Item = (Slot, &'a Command)>,
-    ) {
-        if !core.dur.enabled() {
-            return;
-        }
-        let (mut slots, mut bytes) = (Slots::new(), 0);
-        for (s, cmd) in items {
-            slots.push(s);
-            bytes += cmd.size_bytes();
-        }
-        if slots.is_empty() {
-            return;
-        }
-        self.note_written(core, ctx, &slots, bytes);
-        let seq = core.dur.write_seq();
-        debug_assert!(self.pending_self.last().is_none_or(|(s, ..)| *s < seq));
-        self.pending_self.push((seq, bal, slots));
     }
 
     /// Tallies the queued own votes the fsync through write `synced`
@@ -394,7 +520,7 @@ impl PaxosBase {
     ///
     /// `quorum` hears the client command of each cell whose peer acks the
     /// bit brings to a quorum but for this proposer's own vote, which
-    /// waits for its fsync ([`Self::note_proposed`]): from then on only
+    /// waits for its fsync ([`Self::propose`]): from then on only
     /// the local fsync holds the choice back. That is the boundary
     /// `RaftBase::note_quorum` marks, between the replication and fsync
     /// stages of a command's latency (`SpanKind::Quorum`).
@@ -467,16 +593,12 @@ impl PaxosBase {
     }
 
     /// Drops instance state at or below `upto` (now held by a
-    /// checkpoint), handing each cell to `dropped`; returns how many went.
-    pub(crate) fn discard_through(
-        &mut self,
-        upto: Slot,
-        mut dropped: impl FnMut(Slot, &Cell),
-    ) -> usize {
+    /// checkpoint); returns how many instances went. What executed there
+    /// left the conflict index already.
+    fn discard_through(&mut self, upto: Slot) -> usize {
         let bytes = &mut self.bytes;
-        let discarded = self.cells.drop_through(upto, |s, cell| {
+        let discarded = self.cells.drop_through(upto, |_, cell| {
             *bytes -= cell.cmd.as_ref().map_or(0, Command::size_bytes);
-            dropped(s, cell);
         });
         self.committed_no_value.retain(|&s, _| s > upto.0);
         discarded
@@ -500,7 +622,6 @@ impl PaxosBase {
         core: &mut EngineCore,
         ctx: &mut Ctx<Msg>,
         upto: Slot,
-        dropped: impl FnMut(Slot, &Cell),
     ) -> bool {
         if upto <= self.compacted_through {
             return false;
@@ -510,7 +631,7 @@ impl PaxosBase {
             return false;
         }
         transfer::checkpoint(core, ctx, (self.exec_index, Term::ZERO));
-        let discarded = self.discard_through(upto, dropped);
+        let discarded = self.discard_through(upto);
         self.compacted_through = upto;
         core.snap_stats.entries_discarded += discarded as u64;
         true
@@ -519,23 +640,31 @@ impl PaxosBase {
     /// Installs a checkpoint that is ahead of the executed prefix:
     /// restores the state machine, moves the prefix and the floor to it
     /// and discards what it covers — returning how many instances that
-    /// was, `None` for a stale checkpoint. The caller adjusts its own
-    /// cursors, executes, and acknowledges either way.
+    /// was, `None` for a stale checkpoint. The values it covers above the
+    /// old prefix will never execute here: they leave the conflict index.
+    /// The caller adjusts its own cursors, executes, and acknowledges
+    /// either way.
     pub(crate) fn install(
         &mut self,
         core: &mut EngineCore,
         ctx: &mut Ctx<Msg>,
         snap: Snapshot,
-        dropped: impl FnMut(Slot, &Cell),
     ) -> Option<usize> {
         let covered = snap.last_slot;
         if covered <= self.exec_index {
             return None;
         }
         transfer::install(core, ctx, snap);
+        if let Some(index) = core.conflicts.as_deref_mut() {
+            for (s, cell) in self.cells.range(self.exec_index.next()..=covered) {
+                if let Some(cmd) = cell.cmd() {
+                    index.leave(s, cmd);
+                }
+            }
+        }
         self.exec_index = covered;
         self.compacted_through = self.compacted_through.max(covered);
-        Some(self.discard_through(covered, dropped))
+        Some(self.discard_through(covered))
     }
 
     /// Ships `peer` the state at the executed prefix, sealed with `seal`.
@@ -588,13 +717,16 @@ impl PaxosBase {
 
     /// Crash: forgets what only the running process knew (the peers'
     /// reports, the queued own votes), restarts execution at `floor` and
-    /// empties every cell above it whose value the fsync through write
-    /// `synced` did not cover. Its ack (or the proposer's own queued vote)
-    /// was withheld until that fsync, so it counted toward no quorum and no
-    /// chosen state is lost; a *committed* cell degrades to
-    /// learnt-without-value and is re-fetched. Returns each emptied slot
-    /// and whether it was committed (none, with durability disabled).
-    pub(crate) fn crash(&mut self, floor: Slot, synced: u64) -> Vec<(Slot, bool)> {
+    /// empties every cell above it whose value no fsync covered. Its ack
+    /// (or the proposer's own queued vote) was withheld until that fsync,
+    /// so it counted toward no quorum and no chosen state is lost; a
+    /// *committed* cell degrades to learnt-without-value and is
+    /// re-fetched. The values kept above `floor` execute again, and hold
+    /// answers back until they have: the conflict index is rebuilt from
+    /// them. Returns each emptied slot and whether it was committed
+    /// (none, with durability disabled).
+    pub(crate) fn crash(&mut self, core: &mut EngineCore, floor: Slot) -> Vec<(Slot, bool)> {
+        let synced = core.dur.synced_seq();
         self.peer_exec.fill(Slot::NONE);
         self.peer_exec_prev.fill(Slot::NONE);
         self.pending_self.clear();
@@ -616,6 +748,8 @@ impl PaxosBase {
             }
             dropped.push((s, committed));
         }
+        let kept = self.cells.range(floor.next()..);
+        conflicts::reindex(core, kept.filter_map(|(s, cell)| Some((s, cell.cmd()?))));
         dropped
     }
 }
@@ -654,6 +788,13 @@ mod tests {
 
     fn base() -> PaxosBase {
         PaxosBase::new(3, NodeId(0))
+    }
+
+    /// An engine core whose device has synced every write through `seq`.
+    fn core_synced_through(seq: u64) -> EngineCore {
+        let mut core = EngineCore::new(crate::config::ReplicaConfig::wan_default(NodeId(0), 3));
+        core.dur.on_fsync_complete(seq);
+        core
     }
 
     /// Writes `cmd` at `slot` at `bal` as a proposer does; the cell.
@@ -774,6 +915,81 @@ mod tests {
         assert_eq!((b.accept_writes, b.accept_duplicates), (4, 4));
     }
 
+    /// An acceptor that is nothing but the family's base over an engine
+    /// core: when the run starts it takes `run` at ballot 5 through phase
+    /// 2b, refusing slot 7, and keeps what phase 2b reported.
+    struct Acceptor {
+        core: EngineCore,
+        base: PaxosBase,
+        run: Run<Cell>,
+        got: Option<Received>,
+    }
+
+    impl paxraft_sim::sim::Actor<Msg> for Acceptor {
+        fn on_start(&mut self, ctx: &mut Ctx<Msg>) {
+            let eligible = |_: &PaxosBase, s| s != Slot(7);
+            let values = self.run.values();
+            let got = (self.base).accept(&mut self.core, ctx, Term(5), values, eligible, false);
+            self.got = Some(got);
+        }
+        fn on_message(&mut self, _: &mut Ctx<Msg>, _: paxraft_sim::sim::ActorId, _: Msg) {}
+        paxraft_sim::impl_actor_any!();
+    }
+
+    /// Phase 2b over one run holding a slot below the checkpoint floor, a
+    /// value the acceptor holds already, a refused slot and two new
+    /// values: the ack names the held and the written slots, only the
+    /// written ones are tagged and charged — as one device write of their
+    /// bytes — and they alone count as value writes.
+    #[test]
+    fn phase_2b_tags_and_charges_only_the_values_it_writes_as_one_write() {
+        use crate::config::{DurabilityConfig, ReplicaConfig};
+        let durability = DurabilityConfig::group_commit(
+            paxraft_sim::time::SimDuration::from_millis(1),
+            8,
+            paxraft_sim::time::SimDuration::from_millis(2),
+        );
+        let mut cfg = ReplicaConfig::wan_default(NodeId(1), 3);
+        cfg.durability = durability.clone();
+        let mut base = PaxosBase::new(3, NodeId(1));
+        base.compacted_through = Slot(2);
+        assert_eq!(base.store(Slot(4), Term(5), put(4)), Stored::Written(None));
+        let run = [2, 4, 5, 6, 7]
+            .map(|s| (Slot(s), put(s)))
+            .into_iter()
+            .collect();
+        let acceptor = Acceptor {
+            core: EngineCore::new(cfg),
+            base,
+            run,
+            got: None,
+        };
+        let mut sim = paxraft_sim::sim::Simulation::new(Default::default(), 1);
+        sim.set_disk_config(durability.disk_config());
+        let me = sim.add_actor(paxraft_sim::net::Region::Oregon, Box::new(acceptor));
+        sim.run_until(paxraft_sim::time::SimTime::from_micros(10));
+        let acceptor = sim.actor::<Acceptor>(me);
+        let got = acceptor.got.as_ref().expect("ran");
+        assert_eq!(got.acked.iter().collect::<Vec<_>>(), [4, 5, 6].map(Slot));
+        assert_eq!(
+            (got.refused.as_slice(), got.below_floor),
+            ([Slot(7)].as_slice(), true)
+        );
+        assert_eq!((got.kept, got.released), (1, false));
+        let tag = |s| acceptor.base.cells.get(Slot(s)).map(|c| c.wseq.get());
+        assert_eq!(
+            [2, 4, 5, 6, 7].map(tag),
+            [None, Some(0), Some(1), Some(1), None]
+        );
+        assert_eq!(acceptor.core.dur.write_seq(), 1, "one device write");
+        let bytes = (put(5).size_bytes() + put(6).size_bytes()) as u64;
+        assert_eq!(sim.disk_stats_at(me).bytes_written, bytes);
+        assert_eq!(
+            (acceptor.base.accept_writes, acceptor.base.accept_duplicates),
+            (3, 1)
+        );
+    }
+
     /// The tally ignores a cell the eligibility rule rejects, and returns
     /// each slot chosen exactly once.
     #[test]
@@ -880,28 +1096,20 @@ mod tests {
         assert_eq!(drain(&mut b, u64::MAX), (false, vec![]));
     }
 
-    /// `discard_through` hands every dropped cell to the callback, prunes
-    /// `committed_no_value` and returns the count.
+    /// `discard_through` drops every cell through the slot it is given,
+    /// the payload bytes with them, prunes `committed_no_value` and
+    /// returns the count.
     #[test]
-    fn discard_hands_over_every_dropped_cell_and_prunes_learnt_slots() {
+    fn discard_drops_every_cell_through_its_slot_and_prunes_learnt_slots() {
         let mut b = base();
         for s in [1, 2, 4, 6] {
             b.store(Slot(s), Term(1), put(s));
         }
         b.cells.get_or_default(Slot(3)); // a promise, no value
         b.learn([Slot(5), Slot(7)]);
-        let mut seen = Vec::new();
-        let n = b.discard_through(Slot(5), |s, cell| seen.push((s, cell.cmd().cloned())));
-        assert_eq!(n, 4);
-        assert_eq!(
-            seen,
-            [
-                (Slot(1), Some(put(1))),
-                (Slot(2), Some(put(2))),
-                (Slot(3), None),
-                (Slot(4), Some(put(4)))
-            ]
-        );
+        assert_eq!(b.discard_through(Slot(5)), 4);
+        assert!((1..=5).all(|s| b.cells.get(Slot(s)).is_none()));
+        assert_eq!(b.cells.get(Slot(6)).and_then(Cell::cmd), Some(&put(6)));
         assert_eq!(b.bytes, put(6).size_bytes());
         assert!(!b.learnt_without_value(Slot(5)) && b.learnt_without_value(Slot(7)));
         assert_eq!(b.cells.len(), 1);
@@ -986,7 +1194,7 @@ mod tests {
         assert_eq!(pairs(&round), cut);
         // A compaction that stops inside the round's first block copies it.
         b.exec_index = Slot(252);
-        assert_eq!(b.discard_through(Slot(252), |_, _| {}), 252);
+        assert_eq!(b.discard_through(Slot(252)), 252);
         assert!(!shares(&b, &round, 253), "the table's block is a copy");
         assert_eq!(pairs(&round), cut);
         // A phase 1 re-proposes slot 258 at a higher ballot: a copy too.
@@ -996,7 +1204,8 @@ mod tests {
         assert_eq!(pairs(&round), cut);
         // A crash drops what no fsync covered — slot 301 among them.
         b.tag(&[Slot(301)].into_iter().collect(), 9);
-        assert_eq!(b.crash(Slot(252), 7), [(Slot(301), false)]);
+        let mut core = core_synced_through(7);
+        assert_eq!(b.crash(&mut core, Slot(252)), [(Slot(301), false)]);
         assert_eq!(pairs(&round), cut);
     }
 
@@ -1107,7 +1316,11 @@ mod tests {
         }
         b.learn([Slot(3)]);
         b.exec_index = Slot(1);
-        assert_eq!(b.crash(Slot::NONE, 4), [(Slot(2), false), (Slot(3), true)]);
+        let mut core = core_synced_through(4);
+        assert_eq!(
+            b.crash(&mut core, Slot::NONE),
+            [(Slot(2), false), (Slot(3), true)]
+        );
         assert_eq!(b.exec_index, Slot::NONE, "execution restarts at the floor");
         assert_eq!(b.bytes, put(1).size_bytes());
         assert!(b.cells.get(Slot(1)).unwrap().cmd().is_some());

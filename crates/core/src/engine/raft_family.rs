@@ -21,7 +21,7 @@ use crate::msg::{Msg, RaftMsg};
 use crate::snapshot::{Snapshot, SnapshotStats};
 use crate::types::{NodeId, Slot, Term};
 
-use super::{lease, transfer, EngineCore, RETRY_INTERVAL};
+use super::{conflicts, lease, transfer, EngineCore, RETRY_INTERVAL};
 
 /// Raft roles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -294,8 +294,9 @@ impl RaftBase {
     /// Applies the committed prefix in order; the leader answers
     /// clients at apply time. Migration commands run their engine hooks
     /// (`engine::apply_command`) here like everywhere else. What applied
-    /// holds back no lease read any more, and the reads parked behind it
-    /// are served (`engine/lease.rs`); then the log may compact.
+    /// leaves the conflict index and holds back no lease read any more,
+    /// and the reads parked behind it are served (`engine/lease.rs`);
+    /// then the log may compact.
     pub fn apply_committed(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
         while self.last_applied < self.commit_index {
             let next = self.last_applied.next();
@@ -305,7 +306,7 @@ impl RaftBase {
             let id = entry.cmd.id;
             ctx.charge(core.cfg.costs.apply_per_cmd);
             let reply = super::apply_command(core, ctx, &entry.cmd, self.role == Role::Leader);
-            lease::index(core, [(next, &entry.cmd)], false);
+            conflicts::index(core, [(next, &entry.cmd)], false);
             self.last_applied = next;
             if self.role == Role::Leader && id.client != u32::MAX {
                 core.respond(ctx, id, reply);

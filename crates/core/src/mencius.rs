@@ -109,19 +109,18 @@
 //! at once. When it does run, a slot above the cover is passed over on
 //! that one comparison, before its table entry is even looked up.
 //!
-//! **The conflict index** (`engine/conflicts.rs`, shared with Raft*-PQL's
-//! local reads) holds the retained writes and migration commands *above
-//! the executed prefix*, and the rule reads "no indexed write to this key,
-//! and no migration command, in `(exec_index, s)`". Entries leave the index
-//! when their slot executes, is discarded, loses its value to a crash or
-//! has it replaced; that is garbage collection, never what makes a later
-//! slot ready — the range in the rule already ignores an executed entry
-//! — with one exception: a *replaced* value (a revocation deciding a
-//! no-op over a `Put k`) is a write that will never apply, so it must
-//! leave the index or it would hold back every later answer on `k` for
-//! as long as it stayed, and the answers it held get a fresh pass. A
-//! crash re-executes from the checkpoint, so `on_crash` rebuilds the
-//! index from the retained slots above it.
+//! **The conflict index** (`engine/conflicts.rs`, the engine's, which the
+//! lease's local reads consult too) holds the retained writes and
+//! migration commands *above the executed prefix*, and the rule reads "no
+//! indexed write to this key, and no migration command, in
+//! `(exec_index, s)`". The family's base keeps it: entries leave when
+//! their slot executes, is discarded, loses its value to a crash or has
+//! it replaced. That is garbage collection, never what makes a later slot
+//! ready — the range in the rule already ignores an executed entry — with
+//! one exception: a *replaced* value (a revocation deciding a no-op over
+//! a `Put k`) is a write that will never apply, so it leaves the index or
+//! it would hold back every later answer on `k` for as long as it stayed,
+//! and the answers it held get a fresh pass (`MenciusRules::note_stored`).
 //!
 //! Crashed owners are handled by *revocation*: after a silence timeout a
 //! peer raises a ballot above the owner's, collects accepted values for
@@ -137,17 +136,12 @@
 //!
 //! # Durability (group commit)
 //!
-//! Same invariant as the other three protocols: an ack is an acceptor's
-//! promise that the accepted values survive a crash, so one whose values
-//! are not yet synced is routed through [`EngineCore::ack_after_sync`]
-//! (one that finds every write synced joins the stream); the owner's *own*
-//! implicit ack is likewise gated on its local fsync (the engine's
-//! `on_durable` hook adds the bit, `PaxosBase::note_proposed`).
-//! Crash-restart drops accepted values whose write never synced. A
-//! multi-leader wrinkle: peers cannot revoke a slot whose owner is
-//! alive, so an owner that loses its *own* unsynced suggestions would
-//! stall the cluster (peers hold the value and wait forever for a
-//! commit only the owner can produce). Worse, the skip inference
+//! The family's (`engine/paxos_family.rs`, *Durability*); an ack that
+//! finds every write synced joins the stream. A multi-leader wrinkle:
+//! peers cannot revoke a slot whose owner is alive, so an owner that
+//! loses its *own* unsynced suggestions would stall the cluster (peers
+//! hold the value and wait forever for a commit only the owner can
+//! produce). Worse, the skip inference
 //! ("own slot below my watermark with no value was skipped") would
 //! silently read the dropped slot as a decided no-op — while a
 //! revocation during the downtime may have *decided the original
@@ -161,21 +155,18 @@
 //! owner recovery path, reused for self-recovery — safe by the same
 //! ballot argument, and live because the affected clients were never
 //! answered and retry through the dedup sessions.
-//! `RevokeOk` stays immediate: it reports promises (ballot raises),
-//! and ballots — like terms — are modeled as free always-durable
-//! metadata that survives [`ProtocolRules::on_crash`]; over-persisting
-//! a promise only ever *restricts* what the acceptor may later accept,
-//! so it can never manufacture a quorum for lost state.
+//! `RevokeOk` stays immediate: it reports promises, and over-persisting
+//! a promise only ever *restricts* what the acceptor may later accept.
 //!
 //! # What this file holds
 //!
 //! The slot table and its bookkeeping are the family's `PaxosBase`,
-//! shared with MultiPaxos. Here is what makes it *Mencius*: ownership and
-//! skips, the per-peer streams, the execute loop with its skip inference,
-//! the respond pass and what it indexes, the owner's suggestion times (a
-//! ring of its own slots beside the table, so the shared cell stays
-//! 72 bytes), retransmission and the replay body, revocation, and what a
-//! crash keeps.
+//! shared with MultiPaxos, and so is the way a value enters it. Here is
+//! what makes it *Mencius*: ownership and skips, the per-peer streams,
+//! the execute loop with its skip inference, the respond pass, the
+//! owner's suggestion times (a ring of its own slots beside the table,
+//! so the shared cell stays 72 bytes), retransmission and the replay
+//! body, revocation, and what a crash keeps.
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -185,8 +176,7 @@ use paxraft_sim::trace::SpanKind;
 
 use crate::config::{ReadMode, ReplicaConfig};
 use crate::costs::CostModel;
-use crate::engine::conflicts::{ConflictIndex, Holds};
-use crate::engine::paxos_family::{ack_bit, merge_highest, Accepted, Cell, PaxosBase, Stored};
+use crate::engine::paxos_family::{ack_bit, merge_highest, Accepted, Cell, PaxosBase, Received};
 use crate::engine::slots::Run;
 use crate::engine::{self, EngineCore, Links, ProtocolRules, ReplicaEngine, Waiting, T_COORD};
 use crate::kv::{Command, Key, Op};
@@ -233,16 +223,6 @@ impl PeerStream {
             sent_upto: at,
             decisions: Slots::new(),
             ack: None,
-        }
-    }
-}
-
-/// What the base hands a discarded slot to: its command leaves the
-/// conflict index.
-fn unindex(conflicts: &mut ConflictIndex) -> impl FnMut(Slot, &Cell) + '_ {
-    |s, slot| {
-        if let Some(holds) = slot.cmd().and_then(Holds::of) {
-            conflicts.remove(s, holds);
         }
     }
 }
@@ -327,9 +307,6 @@ pub struct MenciusRules {
     /// When the coordination tick last ran: peers sent nothing since get
     /// a keepalive `Notice`.
     last_tick: SimTime,
-    /// Every retained write and migration command above the executed
-    /// prefix (module docs, "The conflict index").
-    conflicts: ConflictIndex,
     /// When I last (re)suggested each own slot: paces the
     /// retransmission and sizes a decision's patience. Dropped with the
     /// cells a checkpoint discards, kept through a crash like them.
@@ -390,8 +367,11 @@ impl MenciusReplica {
         }
         let n = cfg.n;
         let me = cfg.id;
+        let mut core = EngineCore::new(cfg);
+        // The respond pass reads the conflict index (module docs).
+        core.conflicts = Some(Box::default());
         ReplicaEngine::from_parts(
-            EngineCore::new(cfg),
+            core,
             MenciusRules {
                 current_term: Term::encode(1, me, n),
                 next_own: Slot(me.0 as u64 + 1),
@@ -402,7 +382,6 @@ impl MenciusReplica {
                     .collect(),
                 last_tick: SimTime::ZERO,
                 base: PaxosBase::new(n, me),
-                conflicts: ConflictIndex::default(),
                 suggested: SuggestTimes::default(),
                 await_respond: Vec::new(),
                 respond_seen: None,
@@ -544,51 +523,21 @@ impl MenciusRules {
         }
     }
 
-    /// Stores an accepted value ([`PaxosBase::store`]) and indexes its
-    /// key. Returns whether it wrote: `None` (nothing stored) for slots at
-    /// or below the checkpoint floor, `Some(false)` for a slot that
-    /// already holds the value — committed (e.g. a partitioned owner's
-    /// stale retransmission racing a revocation that already decided the
-    /// slot as a no-op), or accepted at this very term.
-    fn accept_value(
-        &mut self,
-        core: &mut EngineCore,
-        s: Slot,
-        term: Term,
-        cmd: Command,
-    ) -> Option<bool> {
-        let indexed = Holds::of(&cmd).filter(|_| s > self.base.exec_index);
-        let replaced = match self.base.store(s, term, cmd) {
-            Stored::BelowFloor => return None,
-            Stored::Kept => {
-                // An arrival samples the table's size whether or not it
-                // is written (the reported peaks are maxima over these
-                // samples, and the fault fingerprints pin them).
-                self.base.note_log_size(core);
-                return Some(false);
+    /// What a stored run changes for the respond pass: a value written
+    /// over that left the conflict index, and a value landing in a
+    /// crash-dropped own slot (our own recovery decision, or a
+    /// revocation's, supersedes the loss marker), give the answers they
+    /// held back a fresh look.
+    fn note_stored(&mut self, got: &Received) {
+        let mut fresh = got.released;
+        if !self.lost_own.is_empty() {
+            for s in got.acked.iter() {
+                fresh |= self.lost_own.remove(&s.0);
             }
-            Stored::Written(replaced) => replaced,
-        };
-        // A value replaced (a revocation deciding a no-op over a
-        // `Put k`) leaves the index with it, or every later answer on
-        // `k` would wait on a write that is never applied; the answers
-        // it held back get a fresh look.
-        let stale = replaced.as_ref().and_then(Holds::of);
-        let stale = stale.filter(|h| Some(*h) != indexed);
-        if stale.is_some_and(|h| self.conflicts.remove(s, h)) {
+        }
+        if fresh {
             self.respond_seen = None;
         }
-        if let Some(holds) = indexed {
-            self.conflicts.insert(s, holds);
-        }
-        // A value landing in a crash-dropped own slot (our own recovery
-        // decision, or a revocation's) supersedes the loss marker, and
-        // the answers it held get a fresh look.
-        if self.lost_own.remove(&s.0) {
-            self.respond_seen = None;
-        }
-        self.base.note_log_size(core);
-        Some(true)
     }
 
     /// Commit tally for own slots that just gained an ack bit (a peer's
@@ -717,13 +666,14 @@ impl MenciusRules {
     /// `key` and every earlier migration command has applied — nothing
     /// indexed for it in `(exec_index, s)` — and no own slot there lost
     /// its value to a crash (what it held is unknown until re-decided).
-    fn conflicts_applied(&self, s: Slot, key: Option<Key>) -> bool {
+    fn conflicts_applied(&self, core: &EngineCore, s: Slot, key: Option<Key>) -> bool {
         let exec = self.base.exec_index;
         if exec >= s {
             return true;
         }
         let between = exec.0 + 1..s.0;
-        self.conflicts.clear(between.clone(), key) && self.lost_own.range(between).next().is_none()
+        let index = core.conflicts.as_deref().expect("Mencius keeps the index");
+        index.clear(between.clone(), key) && self.lost_own.range(between).next().is_none()
     }
 
     /// Answers clients for own slots whose respond condition now holds
@@ -766,47 +716,13 @@ impl MenciusRules {
         let Some(cmd) = slot.cmd().filter(|_| !slot.responded.get()) else {
             return false;
         };
-        if !slot.committed.get() || !self.conflicts_applied(s, cmd.op.key()) {
+        if !slot.committed.get() || !self.conflicts_applied(core, s, cmd.op.key()) {
             return true;
         }
         let reply = core.kv.preview(&cmd.op);
         core.respond(ctx, cmd.id, reply);
         self.base.cells.get(s).expect("exists").responded.set(true);
         false
-    }
-
-    /// Tests: the slots a respond pass must answer, by the rule as it was
-    /// first written — coverage asked of every peer for every slot, and
-    /// the conflict part read off the whole retained history instead of
-    /// an index: the latest earlier write to the key, and the latest
-    /// earlier migration command, has applied.
-    #[cfg(test)]
-    fn oracle_ready(&self, core: &EngineCore) -> Vec<Slot> {
-        let ready = |s: &Slot| {
-            let Some(slot) = self.base.cells.get(*s) else {
-                return false;
-            };
-            let Some(cmd) = slot.cmd().filter(|_| !slot.responded.get()) else {
-                return false;
-            };
-            let covered = core
-                .cfg
-                .others()
-                .all(|o| self.known_upto[o.0 as usize] >= *s);
-            let key = cmd.op.key();
-            let holds = |h| h == Holds::All || key.is_some_and(|k| h == Holds::Key(k));
-            let applied = self
-                .base
-                .cells
-                .range(..*s)
-                .rev()
-                .find(|(_, x)| x.cmd().and_then(Holds::of).is_some_and(holds))
-                .is_none_or(|(c, _)| self.base.exec_index >= c);
-            let exec = self.base.exec_index;
-            let lost = self.lost_own.iter().any(|&x| exec.0 < x && x < s.0);
-            slot.committed.get() && covered && applied && !lost
-        };
-        self.await_respond.iter().copied().filter(ready).collect()
     }
 
     /// Applies the decided prefix in slot order.
@@ -816,7 +732,6 @@ impl MenciusRules {
             let Some(cmd) = self.decided_at(core, next) else {
                 break;
             };
-            let holds = Holds::of(cmd);
             if !matches!(cmd.op, Op::Noop) {
                 ctx.charge(core.cfg.costs.apply_per_cmd);
                 // The slot owner plays the proposer role for the
@@ -824,10 +739,7 @@ impl MenciusRules {
                 let mine = MenciusReplica::owner_of(next, core.cfg.n) == core.cfg.id;
                 engine::apply_command(core, ctx, cmd, mine);
             }
-            self.base.exec_index = next;
-            if let Some(holds) = holds {
-                self.conflicts.remove(next, holds);
-            }
+            self.base.executed(core, next);
         }
         self.try_respond(core, ctx);
         self.maybe_compact(core, ctx);
@@ -847,8 +759,7 @@ impl MenciusRules {
                 upto = s.prev();
             }
         }
-        let unindex = unindex(&mut self.conflicts);
-        if self.base.compact_through(core, ctx, upto, unindex) {
+        if self.base.compact_through(core, ctx, upto) {
             self.lost_own = self.lost_own.split_off(&(upto.0 + 1));
             self.forget_suggested_through(core, upto);
         }
@@ -1191,53 +1102,33 @@ impl MenciusRules {
                             * items.len().max(1) as u64
                         + core.cfg.costs.size_cost(bytes),
                 );
-                let durable = core.dur.enabled();
-                let mut acked = Slots::new();
-                let mut rejected = Vec::new();
-                let mut revoked = Vec::new();
-                let mut reject_term = Term::ZERO;
-                let mut max_slot = Slot::NONE;
-                let mut written = Slots::new();
-                let mut written_bytes = 0usize;
-                for (s, cmd) in items.values() {
-                    if s <= self.base.floor() {
-                        // Decided and checkpointed away; the lagging
-                        // owner converges via Checkpoint, not re-accept.
-                        continue;
-                    }
-                    let bal = self.base.cells.get(s).map_or(Term::ZERO, |x| x.bal.get());
-                    // A value the owner reports decided is learnt, not
-                    // accepted, and no promise stands against learning:
-                    // at a slot its owner committed, the owner's value
-                    // is the only one any ballot can decide.
-                    let decided = coord.commits.contains(s) || self.base.learnt_without_value(s);
-                    if term >= bal || decided {
-                        // A value the slot already holds (a duplicate
-                        // from a retransmission or replay) is not
-                        // written: nothing new reaches the disk.
-                        let wrote = self.accept_value(core, s, term, cmd.clone());
-                        if durable && wrote == Some(true) {
-                            written.push(s);
-                            written_bytes += cmd.size_bytes();
-                        }
-                        acked.push(s);
-                        if s > max_slot {
-                            max_slot = s;
-                        }
-                    } else {
-                        rejected.push(s);
-                        reject_term = reject_term.max(bal);
-                        // Decided here already (a revocation the owner
-                        // missed): the refusal carries the decision.
-                        if let Some(x) = self.base.cells.get(s).filter(|x| x.committed.get()) {
-                            revoked.extend(x.cmd().cloned().map(|c| (s, c)));
-                        }
+                // A slot checkpointed away was decided; the lagging owner
+                // converges via Checkpoint, not re-accept. A value the
+                // owner reports decided is learnt, not accepted, and no
+                // promise stands against learning: at a slot its owner
+                // committed, the owner's value is the only one any ballot
+                // can decide. A value the slot already holds (a duplicate
+                // from a retransmission or replay) is not written.
+                let eligible = |base: &PaxosBase, s| {
+                    let bal = base.cells.get(s).map_or(Term::ZERO, |x| x.bal.get());
+                    term >= bal || coord.commits.contains(s) || base.learnt_without_value(s)
+                };
+                let got = (self.base).accept(core, ctx, term, items.values(), eligible, false);
+                self.note_stored(&got);
+                let max_slot = got.acked.max().unwrap_or(Slot::NONE);
+                let (mut reject_term, mut revoked) = (Term::ZERO, Vec::new());
+                for &s in &got.refused {
+                    let x = self.base.cells.get(s).expect("refused under a promise");
+                    reject_term = reject_term.max(x.bal.get());
+                    // Decided here already (a revocation the owner
+                    // missed): the refusal carries the decision.
+                    if x.committed.get() {
+                        revoked.extend(x.cmd().cloned().map(|c| (s, c)));
                     }
                 }
-                self.base.note_written(core, ctx, &written, written_bytes);
                 // A refused slot is not accounted for here: the claim
                 // stops short of it.
-                if let Some(&refused) = rejected.iter().min() {
+                if let Some(&refused) = got.refused.iter().min() {
                     coord.watermark = coord.watermark.min(refused);
                 }
                 self.absorb(core, ctx, peer, coord);
@@ -1249,8 +1140,11 @@ impl MenciusRules {
                 // A held ack would leave out of stream order, so it is
                 // not a stream element; one that need not wait joins my
                 // stream to the suggester.
-                if !acked.is_empty() {
-                    let ack = Ack { term, slots: acked };
+                if !got.acked.is_empty() {
+                    let ack = Ack {
+                        term,
+                        slots: got.acked,
+                    };
                     if core.dur.write_seq() > core.dur.synced_seq() {
                         let coord = Coord {
                             ack: Some(ack),
@@ -1270,11 +1164,11 @@ impl MenciusRules {
                         self.send_notice(core, ctx, p);
                     }
                 }
-                if !rejected.is_empty() {
+                if !got.refused.is_empty() {
                     ctx.send(
                         from,
                         Msg::Mencius(MenciusMsg::SuggestReject {
-                            slots: rejected,
+                            slots: got.refused,
                             term: reject_term,
                         }),
                     );
@@ -1363,35 +1257,23 @@ impl MenciusRules {
                 };
                 if finished {
                     let op = self.revoke.take().expect("checked");
-                    let mut items = Vec::new();
-                    let mut s = owned_at_or_after(op.owner, op.from, core.cfg.n);
-                    while s <= op.through {
-                        let cmd = op
-                            .accepted
-                            .get(&s.0)
-                            .map(|(_, c)| c.clone())
-                            .unwrap_or_else(Command::noop);
-                        items.push((s, cmd));
-                        s = Slot(s.0 + core.cfg.n as u64);
-                    }
+                    let first = owned_at_or_after(op.owner, op.from, core.cfg.n);
+                    let owned = (first.0..=op.through.0).step_by(core.cfg.n).map(Slot);
+                    let accepted = |s: Slot| op.accepted.get(&s.0).map(|(_, c)| c.clone());
+                    let decided = |s| (s, accepted(s).unwrap_or_else(Command::noop));
+                    let items: Vec<(Slot, Command)> = owned.map(decided).collect();
                     // Decide locally and broadcast. The decided values
-                    // are a local disk write too (the decision's record,
-                    // written whether or not the value was held); if a
-                    // crash drops them before the fsync, the slots
+                    // are a local disk write too (the decision's record);
+                    // if a crash drops them before the fsync, the slots
                     // degrade to committed-without-value and a fresh
                     // revocation re-decides them.
-                    let mut written = Slots::new();
-                    let mut written_bytes = 0usize;
-                    for (s, cmd) in &items {
-                        if let Some(wrote) = self.accept_value(core, *s, op.term, cmd.clone()) {
-                            let cell = self.base.cells.get(*s).expect("accepted");
-                            cell.committed.set(true);
-                            self.decision_rewrites += u64::from(!wrote);
-                            written.push(*s);
-                            written_bytes += cmd.size_bytes();
-                        }
+                    let values = items.iter().map(|(s, cmd)| (*s, cmd));
+                    let got = (self.base).accept(core, ctx, op.term, values, |_, _| true, true);
+                    for s in got.acked.iter() {
+                        self.base.cells.get(s).expect("decided").committed.set(true);
                     }
-                    self.base.note_written(core, ctx, &written, written_bytes);
+                    self.decision_rewrites += got.kept;
+                    self.note_stored(&got);
                     // The decision covers every slot of the owner in
                     // `[op.from, op.through]`, and nothing below it.
                     self.note_known(core, op.owner, op.from, op.through.next());
@@ -1413,43 +1295,33 @@ impl MenciusRules {
                     .first()
                     .map(|(first, _)| (*first, items[items.len() - 1].0.next()));
                 let mut reproposed = false;
-                let mut written = Slots::new();
-                let mut written_bytes = 0usize;
-                for (s, cmd) in items {
-                    if s <= self.base.floor() {
-                        continue; // already executed and checkpointed
-                    }
-                    let owner = MenciusReplica::owner_of(s, core.cfg.n);
+                let mine = |s: &Slot| {
+                    *s > self.base.floor()
+                        && MenciusReplica::owner_of(*s, core.cfg.n) == core.cfg.id
+                };
+                for (s, cmd) in items.iter().filter(|(s, _)| mine(s)) {
                     // If our own in-flight command was no-oped, re-propose.
-                    if owner == core.cfg.id {
-                        if let Some(slot) = self.base.cells.get(s) {
-                            if !slot.responded.get() {
-                                if let Some(mine) = slot.cmd() {
-                                    if *mine != cmd && !matches!(mine.op, Op::Noop) {
-                                        core.pending.push(mine.clone());
-                                        reproposed = true;
-                                    }
-                                }
-                            }
-                        }
-                        // Our future proposals must clear the range.
-                        let above = owned_at_or_after(owner, s.next(), core.cfg.n);
-                        if above > self.next_own {
-                            self.next_own = above;
+                    let held = self.base.cells.get(*s).filter(|slot| !slot.responded.get());
+                    if let Some(held) = held.and_then(Cell::cmd) {
+                        if held != cmd && !matches!(held.op, Op::Noop) {
+                            core.pending.push(held.clone());
+                            reproposed = true;
                         }
                     }
-                    let sz = cmd.size_bytes();
-                    if let Some(wrote) = self.accept_value(core, s, term, cmd) {
-                        let slot = self.base.cells.get(s).expect("accepted");
-                        if term >= slot.bal.get() {
-                            slot.committed.set(true);
-                        }
-                        self.decision_rewrites += u64::from(!wrote);
-                        written.push(s);
-                        written_bytes += sz;
+                    // Our future proposals must clear the range.
+                    let above = owned_at_or_after(core.cfg.id, s.next(), core.cfg.n);
+                    self.next_own = self.next_own.max(above);
+                }
+                let values = items.iter().map(|(s, cmd)| (*s, cmd));
+                let got = (self.base).accept(core, ctx, term, values, |_, _| true, true);
+                for s in got.acked.iter() {
+                    let slot = self.base.cells.get(s).expect("decided");
+                    if term >= slot.bal.get() {
+                        slot.committed.set(true);
                     }
                 }
-                self.base.note_written(core, ctx, &written, written_bytes);
+                self.decision_rewrites += got.kept;
+                self.note_stored(&got);
                 if let Some((from, upto)) = decided {
                     let owner = MenciusReplica::owner_of(from, core.cfg.n);
                     self.note_known(core, owner, from, upto);
@@ -1491,22 +1363,13 @@ impl ProtocolRules for MenciusRules {
         // that decides one moves `next_own` past it): each command moves
         // into its cell, and the round is cut from the table.
         debug_assert!(slots.clone().all(|s| self.base.vacant(s)));
-        for (s, cmd) in slots.zip(cmds.drain(..)) {
-            self.accept_value(core, s, term, cmd);
-        }
+        let values = slots.zip(cmds.drain(..));
         let items = self
             .base
-            .cells
-            .cut(first..self.next_own, n as u64, usize::MAX, own(me, n));
-        // With durability on, the owner's implicit ack waits for its own
-        // fsync (`on_durable` adds the bit); otherwise it is immediate.
-        let self_ack = if core.dur.enabled() { 0 } else { ack_bit(me) };
+            .propose(core, ctx, term, values, n as u64, own(me, n));
         for (s, _) in items.iter() {
-            let cell = self.base.cells.get(s).expect("just accepted");
-            cell.acks.set(self_ack);
             self.suggested.set(own_index(s, n), ctx.now());
         }
-        self.base.note_proposed(core, ctx, term, items.values());
         if let Some(upto) = items.last() {
             for peer in core.cfg.others() {
                 core.pipe.on_sent(peer, upto, ctx.now());
@@ -1635,8 +1498,7 @@ impl ProtocolRules for MenciusRules {
         snap: Snapshot,
     ) {
         let covered = snap.last_slot;
-        let unindex = unindex(&mut self.conflicts);
-        if let Some(discarded) = self.base.install(core, ctx, snap, unindex) {
+        if let Some(discarded) = self.base.install(core, ctx, snap) {
             // Mencius alone counts what an *install* drops as discarded
             // (`PARITY_pr13.txt` row 18 pins the sum).
             core.snap_stats.entries_discarded += discarded as u64;
@@ -1703,7 +1565,7 @@ impl ProtocolRules for MenciusRules {
         // and the skip inference would read it as a no-op. The ballot
         // in `bal` is free always-durable metadata — promises survive;
         // only value payloads rode the modeled disk.
-        for (s, _) in self.base.crash(floor, core.dur.synced_seq()) {
+        for (s, _) in self.base.crash(core, floor) {
             let skipped = self.base.cells.get(s).is_some_and(|x| x.skipped.get());
             let mine = MenciusReplica::owner_of(s, core.cfg.n) == core.cfg.id;
             if mine && !skipped {
@@ -1723,15 +1585,7 @@ impl ProtocolRules for MenciusRules {
         core.links = Links::new(core.cfg.n);
         self.beyond_gap.fill(None);
         self.revoke = None;
-        // The retained writes and migration commands above the restored
-        // prefix run again, and hold back the answers behind them until
-        // they have. My suggestion times stay, as the cells do.
-        self.conflicts = ConflictIndex::default();
-        for (s, slot) in self.base.cells.range(floor.next()..) {
-            if let Some(holds) = slot.cmd().and_then(Holds::of) {
-                self.conflicts.insert(s, holds);
-            }
-        }
+        // My suggestion times stay, as the cells do.
     }
 }
 
@@ -1744,6 +1598,47 @@ mod tests {
     use paxraft_sim::net::NetConfig;
     use paxraft_sim::sim::Simulation;
     use paxraft_sim::time::SimTime;
+
+    impl MenciusRules {
+        /// The slots a respond pass must answer, by the rule as it was
+        /// first written — coverage asked of every peer for every slot, and
+        /// the conflict part read off the whole retained history instead of
+        /// an index: the latest earlier write to the key, and the latest
+        /// earlier migration command, has applied.
+        pub(super) fn oracle_ready(&self, core: &EngineCore) -> Vec<Slot> {
+            use crate::engine::conflicts::Holds;
+            let ready = |s: &Slot| {
+                let Some(slot) = self.base.cells.get(*s) else {
+                    return false;
+                };
+                let Some(cmd) = slot.cmd().filter(|_| !slot.responded.get()) else {
+                    return false;
+                };
+                let covered = core
+                    .cfg
+                    .others()
+                    .all(|o| self.known_upto[o.0 as usize] >= *s);
+                let key = cmd.op.key();
+                let holds = |h| h == Holds::All || key.is_some_and(|k| h == Holds::Key(k));
+                let applied = self
+                    .base
+                    .cells
+                    .range(..*s)
+                    .rev()
+                    .find(|(_, x)| x.cmd().and_then(Holds::of).is_some_and(holds))
+                    .is_none_or(|(c, _)| self.base.exec_index >= c);
+                let exec = self.base.exec_index;
+                let lost = self.lost_own.iter().any(|&x| exec.0 < x && x < s.0);
+                slot.committed.get() && covered && applied && !lost
+            };
+            self.await_respond.iter().copied().filter(ready).collect()
+        }
+
+        /// The slot table, for the engine's conflict-index rows.
+        pub(crate) fn cells(&self) -> &crate::engine::slots::SlotRing<Cell> {
+            &self.base.cells
+        }
+    }
 
     /// n replicas plus one TestClient per replica (client i → replica i).
     fn mencius_cluster(n: usize) -> (Simulation<Msg>, Vec<ActorId>, Vec<ActorId>) {
@@ -2706,6 +2601,12 @@ mod tests {
         }
     }
 
+    /// Every write the replica's conflict index holds, as `(key, slot)`.
+    fn indexed_writes(rep: &MenciusReplica) -> std::collections::BTreeSet<(u64, u64)> {
+        let index = rep.core.conflicts.as_deref().expect("Mencius keeps one");
+        index.indexed_writes()
+    }
+
     /// A revocation decides a no-op over a slot that held `Put k` here.
     /// The slot leaves the conflict index right then — execution is still
     /// blocked below it — and a later own write to `k` is answered once
@@ -2746,7 +2647,7 @@ mod tests {
             rep.rules.base.cells.get(Slot(7)).unwrap().committed.get(),
             "the write to 105 is decided"
         );
-        let indexed = rep.rules.conflicts.indexed_writes();
+        let indexed = indexed_writes(rep);
         assert!(indexed.contains(&(105, 5)));
         assert!(indexed.contains(&(105, 7)));
         // The revocation's decision reaches replica 0 (Ireland is 62 ms
@@ -2755,7 +2656,7 @@ mod tests {
         let rep = sim.actor::<MenciusReplica>(ActorId(0));
         assert_eq!(rep.decided_at(Slot(5)), Some(&Command::noop()));
         assert_eq!(rep.exec_index(), Slot(1), "slot 2 still blocks execution");
-        let indexed = rep.rules.conflicts.indexed_writes();
+        let indexed = indexed_writes(rep);
         assert!(!indexed.contains(&(105, 5)), "un-indexed");
         assert!(indexed.contains(&(105, 7)));
         assert_eq!(sim.actor::<TestClient>(client).replies.len(), 1);
@@ -2765,10 +2666,7 @@ mod tests {
         let rep = sim.actor::<MenciusReplica>(ActorId(0));
         assert_eq!(rep.exec_index(), Slot(7));
         assert_eq!(sim.actor::<TestClient>(client).replies.len(), 2);
-        assert!(
-            rep.rules.conflicts.indexed_writes().is_empty(),
-            "nothing above the prefix"
-        );
+        assert!(indexed_writes(rep).is_empty(), "nothing above the prefix");
     }
 
     /// A round replica 0 cut yields what the table held at the cut,

@@ -17,9 +17,9 @@
 //! execute loop (the proposer answers the client; a restarted replica runs
 //! its chosen instances above the checkpoint again), and what a crash keeps.
 //!
-//! Under quorum leases the engine runs PQL (`engine/lease.rs`):
-//! `acceptOK` carries the holders, `Learn` passes the lease gate, and a
-//! value is indexed where it enters the table and leaves where it runs.
+//! Under a lease read mode the engine runs PQL or LL (`engine/lease.rs`):
+//! `acceptOK` carries the holders and `Learn` passes the lease gate; the
+//! family's base keeps the conflict index the local reads consult.
 //!
 //! # Learning the way Raft commits
 //!
@@ -38,35 +38,21 @@
 //!
 //! # Durability (group commit)
 //!
-//! With a [`crate::config::DurabilityConfig`] enabled, an accepted value
-//! is charged as a disk write and its `acceptOK` is routed through
-//! [`EngineCore::ack_after_sync`]: a Phase2b vote is a promise that the
-//! accepted value survives a crash (Paxos's acceptor-persistence
-//! requirement), so it may not outrun the fsync covering it. The
-//! proposer's *own* implicit acceptOK gets the same treatment — with
-//! durability on, a freshly proposed instance seeds an empty ack bitmap
-//! and the self-vote is added by the engine's `on_durable` hook only
-//! once the local write is fsynced (`PaxosBase::note_proposed`).
-//! Crash-restart drops accepted values whose write never synced
-//! (`PaxosBase::crash`): unsynced and unacked they contributed
-//! to no quorum, so dropping them cannot lose chosen state — a
-//! *committed* instance that loses its value this way degrades to
-//! learnt-without-value and is re-fetched. Ballot promises
-//! are modeled like Raft terms: a tiny always-durable metadata write
-//! (ballots survive crashes), so `prepareOK` defers only behind
-//! outstanding *value* writes.
+//! The family's (`engine/paxos_family.rs`, *Durability*). A `prepareOK`
+//! reports accepted values, so it defers behind outstanding value writes
+//! to keep the report crash-stable.
 
 use std::collections::HashMap;
 
 use paxraft_sim::sim::{ActorId, Ctx};
 use paxraft_sim::trace::SpanKind;
 
-use crate::config::{ReadMode, ReplicaConfig};
-use crate::engine::paxos_family::{ack_bit, merge_highest, Accepted, Cell, PaxosBase, Stored};
+use crate::config::ReplicaConfig;
+use crate::engine::paxos_family::{ack_bit, merge_highest, Accepted, Cell, PaxosBase};
 use crate::engine::slots::Run;
 use crate::engine::{self, lease, EngineCore, ProtocolRules, ReplicaEngine, Waiting, T_LEASE};
 use crate::kv::Command;
-use crate::msg::{Msg, PaxosMsg, Slots, CHECKPOINT_ACK_HEADER, CHECKPOINT_CHUNK_HEADER};
+use crate::msg::{Msg, PaxosMsg, CHECKPOINT_ACK_HEADER, CHECKPOINT_CHUNK_HEADER};
 use crate::snapshot::Snapshot;
 use crate::types::{NodeId, Slot, Term};
 
@@ -100,17 +86,13 @@ pub struct PaxosRules {
 }
 
 impl MultiPaxosReplica {
-    /// Creates a replica; `cfg.read_mode` selects log reads or PQL.
+    /// Creates a replica; `cfg.read_mode` selects log reads, PQL or LL.
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid, or asks for LL reads
-    /// (ROADMAP item 25: a deposed proposer's lease outlives its ballot).
+    /// Panics if the configuration is invalid.
     pub fn new(cfg: ReplicaConfig) -> Self {
         cfg.validate().expect("invalid replica config");
-        if cfg.read_mode == ReadMode::LeaderLease {
-            panic!("MultiPaxos runs PQL, not LL");
-        }
         let (n, me) = (cfg.n, cfg.id);
         ReplicaEngine::from_parts(
             EngineCore::new(cfg),
@@ -265,53 +247,12 @@ impl PaxosRules {
         self.arm_election(core, ctx); // retry if this round stalls
     }
 
-    /// Indexes the values held above the executed prefix afresh, after
-    /// a crash or a checkpoint install moved that prefix.
-    fn reindex(&self, core: &mut EngineCore) {
-        let above = self.base.cells.range(self.base.exec_index.next()..);
-        lease::reindex(core, above.filter_map(|(s, c)| Some((s, c.cmd()?))));
-    }
-
     fn first_unchosen(&self) -> Slot {
         let mut s = self.base.exec_index.next();
         while self.base.cells.get(s).is_some_and(|i| i.committed.get()) {
             s = s.next();
         }
         s
-    }
-
-    /// Figure 1 `Phase2a` on the proposer itself: writes `values` at its
-    /// ballot and cuts the round that carries them, every uncommitted
-    /// instance in `within`, which spans them. With durability on, its
-    /// implicit acceptOK counts only once the values are on disk
-    /// (`on_durable` adds the bit after the fsync); without it, the
-    /// self-vote is immediate.
-    fn write_round(
-        &mut self,
-        core: &mut EngineCore,
-        ctx: &mut Ctx<Msg>,
-        values: impl IntoIterator<Item = (Slot, Command)>,
-        within: std::ops::RangeInclusive<Slot>,
-    ) -> Run<Cell> {
-        let me = ack_bit(core.cfg.id);
-        let self_ack = if core.dur.enabled() { 0 } else { me };
-        for (slot, cmd) in values {
-            let replaced = self.base.write(slot, self.ballot, cmd);
-            let cell = self.base.cells.get(slot).expect("just written");
-            debug_assert_eq!(
-                cell.bal.get(),
-                self.ballot,
-                "no ballot exceeds the replica's"
-            );
-            cell.acks.set(self_ack);
-            lease::index(core, replaced.as_ref().map(|c| (slot, c)), false);
-            lease::index(core, cell.cmd().map(|c| (slot, c)), true);
-        }
-        let round = self.cut(within, usize::MAX, uncommitted);
-        self.base
-            .note_proposed(core, ctx, self.ballot, round.values());
-        self.base.note_log_size(core);
-        round
     }
 
     /// The first `count` instances in `range` holding a value that
@@ -358,16 +299,12 @@ impl PaxosRules {
             let entries = std::mem::take(entries).into_iter();
             merge_highest(&mut safe, entries.filter(|(slot, ..)| *slot >= start));
         }
-        let mut values = Vec::new();
-        let mut s = start;
-        while s <= end {
-            if !self.base.cells.get(s).is_some_and(|i| i.committed.get()) {
-                let cmd = safe.remove(&s.0).map_or_else(Command::noop, |(_, c)| c);
-                values.push((s, cmd));
-            }
-            s = s.next();
-        }
-        let items = self.write_round(core, ctx, values, start..=end);
+        let chosen = |s: &Slot| self.base.cells.get(*s).is_some_and(|i| i.committed.get());
+        let open = (start.0..=end.0).map(Slot).filter(|s| !chosen(s));
+        let adopt = |s: Slot| (s, safe.remove(&s.0).map_or_else(Command::noop, |(_, c)| c));
+        let values: Vec<(Slot, Command)> = open.map(adopt).collect();
+        // Figure 1 `Phase2a` over the adopted values and the gaps' no-ops.
+        let items = (self.base).propose(core, ctx, self.ballot, values, 1, |_, i| uncommitted(i));
         // A restarted proposer executes what it kept before it proposes.
         self.try_execute(core, ctx);
         self.phase1_succeeded = true;
@@ -392,16 +329,16 @@ impl PaxosRules {
             let cmd = inst.cmd().expect("committed instance has a value");
             ctx.charge(core.cfg.costs.apply_per_cmd);
             let reply = engine::apply_command(core, ctx, cmd, self.phase1_succeeded);
-            lease::index(core, [(next, cmd)], false);
-            self.base.exec_index = next;
-            if self.phase1_succeeded && cmd.id.client != u32::MAX {
-                core.respond(ctx, cmd.id, reply);
+            let id = cmd.id;
+            self.base.executed(core, next);
+            if self.phase1_succeeded && id.client != u32::MAX {
+                core.respond(ctx, id, reply);
             }
         }
         lease::serve_parked(core, ctx, self.base.exec_index, self.phase1_succeeded);
         if self.base.compaction_due(core) {
             let executed = self.base.exec_index;
-            self.base.compact_through(core, ctx, executed, |_, _| {});
+            self.base.compact_through(core, ctx, executed);
         }
     }
 
@@ -473,43 +410,14 @@ impl PaxosRules {
                             + core.cfg.costs.append_per_cmd * items.len() as u64
                             + core.cfg.costs.size_cost(bytes),
                     );
-                    let durable = core.dur.enabled();
-                    let mut slots = Slots::new();
-                    let mut below_floor = false;
-                    let mut written = Slots::new();
-                    let mut written_bytes = 0usize;
-                    for (slot, cmd) in items.values() {
-                        match self.base.store(slot, ballot, cmd.clone()) {
-                            // Checkpointed away: the instance is chosen
-                            // and executed here; a proposer asking about
-                            // it is behind our floor.
-                            Stored::BelowFloor => {
-                                below_floor = true;
-                                continue;
-                            }
-                            Stored::Kept => {}
-                            Stored::Written(replaced) => {
-                                lease::index(core, replaced.as_ref().map(|c| (slot, c)), false);
-                                lease::index(core, [(slot, cmd)], true);
-                                // No cell's ballot exceeds the replica's.
-                                debug_assert!(self
-                                    .base
-                                    .cells
-                                    .get(slot)
-                                    .is_some_and(|i| i.bal.get() == ballot));
-                                if durable {
-                                    written_bytes += cmd.size_bytes();
-                                    written.push(slot);
-                                }
-                            }
-                        }
-                        slots.push(slot);
-                    }
-                    // The freshly accepted values are one disk write;
-                    // tag their instances so a crash before the
-                    // covering fsync drops exactly them.
-                    self.base.note_written(core, ctx, &written, written_bytes);
-                    self.base.note_log_size(core);
+                    // The ballot was checked for the whole message, and
+                    // the freshly accepted values are one disk write.
+                    let got =
+                        (self.base).accept(core, ctx, ballot, items.values(), |_, _| true, false);
+                    // No cell's ballot exceeds the replica's.
+                    let cell = |s| self.base.cells.get(s).expect("acked");
+                    let at = |s| cell(s).committed.get() || cell(s).bal.get() == ballot;
+                    debug_assert!(got.acked.iter().all(at));
                     self.arm_election(core, ctx); // accepts double as heartbeats
                     self.learn_commit(ballot, commit);
                     // Phase2b promises the accepted values survive a
@@ -517,12 +425,15 @@ impl PaxosRules {
                     // covering them (group commit batches the fsync).
                     let ok = Msg::Paxos(PaxosMsg::AcceptOk {
                         ballot,
-                        slots,
+                        slots: got.acked,
                         exec: self.base.exec_index,
                         holders: lease::holders(core, ctx.now()),
                     });
                     core.ack_after_sync(ctx, from, ok);
-                    if below_floor {
+                    // Checkpointed away: the instance is chosen and
+                    // executed here; a proposer asking about it is behind
+                    // our floor.
+                    if got.below_floor {
                         let proposer = core.cfg.node_of(from);
                         self.base.ship_checkpoint(core, ctx, proposer, self.ballot);
                     }
@@ -661,7 +572,7 @@ impl ProtocolRules for PaxosRules {
         self.next_slot = Slot(first.0 + cmds.len() as u64);
         let numbered = (first.0..).map(Slot).zip(cmds.drain(..));
         debug_assert!((first.0..self.next_slot.0).all(|s| self.base.cells.get(Slot(s)).is_none()));
-        let items = self.write_round(core, ctx, numbered, first..=Slot(self.next_slot.0 - 1));
+        let items = (self.base).propose(core, ctx, self.ballot, numbered, 1, |_, i| uncommitted(i));
         self.send_accept_round(core, ctx, &items);
     }
 
@@ -724,8 +635,7 @@ impl ProtocolRules for PaxosRules {
         snap: Snapshot,
     ) {
         let covered = snap.last_slot;
-        if self.base.install(core, ctx, snap, |_, _| {}).is_some() {
-            self.reindex(core);
+        if self.base.install(core, ctx, snap).is_some() {
             if self.next_slot <= covered {
                 self.next_slot = covered.next();
             }
@@ -809,15 +719,13 @@ impl ProtocolRules for PaxosRules {
         // replay or a checkpoint. An instance that lost its value
         // accepted nothing, so its ballot goes with it, and a fully empty
         // uncommitted one needs no placeholder.
-        for (s, committed) in self.base.crash(floor, core.dur.synced_seq()) {
+        for (s, committed) in self.base.crash(core, floor) {
             if committed {
                 self.base.cells.get(s).expect("kept").bal.set(Term::ZERO);
             } else {
                 self.base.cells.remove(s);
             }
         }
-        // The values kept above the restored prefix execute again.
-        self.reindex(core);
         self.phase1_succeeded = false;
         self.prepare_acks.clear();
     }

@@ -300,12 +300,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "MultiPaxos runs PQL, not LL")]
-    fn multipaxos_refuses_a_leader_lease() {
-        MultiPaxosReplica::new(config(ReadMode::LeaderLease));
-    }
-
-    #[test]
     fn log_reads_build_no_lease_manager_under_either_flavor() {
         assert!(RaftReplica::new(config(ReadMode::LogRead))
             .core
@@ -319,10 +313,18 @@ mod tests {
             .core
             .lease
             .is_some());
-        // MultiPaxos, where PQL was born, runs it (and refuses LL).
-        let paxos = |mode| MultiPaxosReplica::new(config(mode)).core.lease;
-        assert!(paxos(ReadMode::LogRead).is_none());
-        assert!(paxos(ReadMode::QuorumLease).is_some());
+        // MultiPaxos, where PQL was born, runs both lease modes. A lease
+        // keeps the conflict index; log reads keep none, and Mencius keeps
+        // one for its respond pass.
+        let paxos = |mode| MultiPaxosReplica::new(config(mode)).core;
+        let core = paxos(ReadMode::LogRead);
+        assert!(core.lease.is_none() && core.conflicts.is_none());
+        for mode in [ReadMode::QuorumLease, ReadMode::LeaderLease] {
+            let core = paxos(mode);
+            assert!(core.lease.is_some() && core.conflicts.is_some(), "{mode:?}");
+        }
+        let mencius = MenciusReplica::new(config(ReadMode::LogRead)).core;
+        assert!(mencius.lease.is_none() && mencius.conflicts.is_some());
     }
 
     fn raft_cluster(n: usize) -> (Simulation<Msg>, Vec<ActorId>, ActorId) {

@@ -33,7 +33,8 @@
 //! Quorum leases are the engine's (`engine/lease.rs`); Figure 8 maps onto
 //! this file as: `appendOK` carries the holders, `LeaderLearn` passes the
 //! lease gate over the followers' matches, and a command enters the
-//! lease's conflict index where it enters the log.
+//! engine's conflict index (`engine/conflicts.rs`) where it enters the
+//! log.
 //!
 //! # Durability (group commit)
 //!
@@ -65,7 +66,7 @@ use paxraft_sim::sim::{ActorId, Ctx};
 use crate::config::ReplicaConfig;
 use crate::engine::raft_family::{RaftBase, Role};
 use crate::engine::slots::Run;
-use crate::engine::{self, lease, EngineCore, ProtocolRules, ReplicaEngine, T_LEASE};
+use crate::engine::{self, conflicts, lease, EngineCore, ProtocolRules, ReplicaEngine, T_LEASE};
 use crate::kv::Command;
 use crate::log::{Entry, Log};
 use crate::msg::{Msg, RaftMsg};
@@ -270,7 +271,7 @@ impl<F: Flavor> RaftFamilyRules<F> {
             self.base.log.append(e);
             idx = idx.next();
         }
-        lease::index(core, self.commands(my_last.next()), true);
+        conflicts::index(core, self.commands(my_last.next()), true);
         self.base.role = Role::Leader;
         core.leader_hint = Some(core.cfg.id);
         core.pipe.reset_for_leadership(self.base.log.last_index());
@@ -297,7 +298,7 @@ impl<F: Flavor> RaftFamilyRules<F> {
         engine::flush_pending(self, core, ctx);
     }
 
-    /// The commands of log slots `from` on (the lease's conflict index).
+    /// The commands of log slots `from` on (the conflict index).
     fn commands(&self, from: Slot) -> impl Iterator<Item = (Slot, &Command)> {
         let log = &self.base.log;
         let held = move |s| Some((Slot(s), &log.get(Slot(s))?.cmd));
@@ -436,9 +437,9 @@ impl<F: Flavor> RaftFamilyRules<F> {
                 // The suffix the append may rewrite leaves the conflict
                 // index, and what the log then holds re-enters.
                 let rewrite = prev.max(self.base.last_applied).next();
-                lease::index(core, self.commands(rewrite), false);
+                conflicts::index(core, self.commands(rewrite), false);
                 let accepted = F::accept(&mut self.base, prev, prev_term, &entries, overlap, term);
-                lease::index(core, self.commands(rewrite), true);
+                conflicts::index(core, self.commands(rewrite), true);
                 let (appended, written) = match accepted {
                     Ok(wrote) => wrote,
                     Err(last_idx) => {
@@ -541,7 +542,7 @@ impl<F: Flavor> ProtocolRules for RaftFamilyRules<F> {
         // clamped by `durable_tail` until its fsync lands.
         self.base
             .note_append_durable(core, ctx, bytes, count, self.base.log.last_index());
-        lease::index(core, self.commands(first_new), true);
+        conflicts::index(core, self.commands(first_new), true);
         self.base.broadcast_append(core, ctx);
     }
 
@@ -597,7 +598,7 @@ impl<F: Flavor> ProtocolRules for RaftFamilyRules<F> {
         snap: Snapshot,
     ) {
         if self.base.install_snapshot(core, ctx, snap) {
-            lease::reindex(core, self.commands(self.base.last_applied.next()));
+            conflicts::reindex(core, self.commands(self.base.last_applied.next()));
             let leading = self.base.role == Role::Leader;
             lease::serve_parked(core, ctx, self.base.last_applied, leading);
         }
@@ -635,7 +636,7 @@ impl<F: Flavor> ProtocolRules for RaftFamilyRules<F> {
         // Persistent: term and log. Volatile: everything else.
         self.base.crash_reset(core, floor);
         // The retained log above the restored prefix applies again.
-        lease::reindex(core, self.commands(self.base.last_applied.next()));
+        conflicts::reindex(core, self.commands(self.base.last_applied.next()));
         self.vote_extras.clear();
     }
 }
