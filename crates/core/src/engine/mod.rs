@@ -32,15 +32,19 @@
 //! (the instance table of MultiPaxos and Mencius with its store / tally /
 //! learn / durable / compact / install bookkeeping). The two meet in
 //! `transfer`: one snapshot shipper, one checkpoint step, one install
-//! step, one transfer ack; and in `links`: one carrier rule for what
-//! waits on a link. A rules file holds what is left — elections and who
-//! proposes where, the execute loop, what a crash keeps of a log.
+//! step, one transfer ack; in `phase1`: one grant tally and one
+//! safe-value pick, for a Raft\* candidacy, a MultiPaxos phase 1 and a
+//! Mencius revocation alike; and in `links`: one carrier rule for what
+//! waits on a link. A rules file holds what is left — who may win an
+//! election and who proposes where, what a phase 1's winner does with
+//! what it adopts, the execute loop, what a crash keeps of a log.
 
 pub(crate) mod conflicts;
 pub mod durability;
 pub(crate) mod lease;
 mod links;
 pub(crate) mod paxos_family;
+pub(crate) mod phase1;
 pub mod pipeline;
 pub mod raft_family;
 pub mod slots;

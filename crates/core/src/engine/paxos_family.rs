@@ -10,11 +10,11 @@
 //! held value only if it was accepted at the deciding ballot or above),
 //! tag what they write for the fsync that will cover it and withhold the
 //! proposer's own vote until then, compact behind a checkpoint, install a
-//! peer's, notice a peer whose executed prefix stalled, report and merge
-//! accepted values for a phase 1, and drop what never reached the disk in
-//! a crash. Where a value enters, is replaced, executes, is discarded or
-//! is dropped, the base also keeps the engine's conflict index
-//! (`engine/conflicts.rs`) right, when the replica keeps one.
+//! peer's, notice a peer whose executed prefix stalled, report accepted
+//! values to a phase 1 (`engine/phase1.rs`), and drop what never reached
+//! the disk in a crash. Where a value enters, is replaced, executes, is
+//! discarded or is dropped, the base also keeps the engine's conflict
+//! index (`engine/conflicts.rs`) right, when the replica keeps one.
 //!
 //! # Durability
 //!
@@ -57,7 +57,6 @@
 //! flight — the ack tally, the decision, the write sequence, a promise —
 //! lives in `std::cell::Cell`s and changes in place, copying nothing.
 
-use std::collections::BTreeMap;
 use std::ops::RangeBounds;
 
 use paxraft_sim::sim::Ctx;
@@ -160,22 +159,6 @@ pub(crate) struct Received {
     /// Whether a value written over left the conflict index: a write that
     /// will never apply, so the answers it held back get a fresh look.
     pub(crate) released: bool,
-}
-
-/// Highest-ballot accepted value per slot, as a phase 1 collects it.
-pub(crate) type Accepted = BTreeMap<u64, (Term, Command)>;
-
-/// Folds one phase-1 report into `safe`: per slot the value accepted at
-/// the highest ballot wins, whichever report arrives first (`safeEntry`).
-pub(crate) fn merge_highest(
-    safe: &mut Accepted,
-    report: impl IntoIterator<Item = (Slot, Term, Command)>,
-) {
-    for (slot, bal, cmd) in report {
-        if safe.get(&slot.0).is_none_or(|(held, _)| *held < bal) {
-            safe.insert(slot.0, (bal, cmd));
-        }
-    }
 }
 
 /// Instance state common to MultiPaxos and Mencius: one type, not one
@@ -705,8 +688,8 @@ impl PaxosBase {
         Some(reported.next())
     }
 
-    /// The phase-1 report: every value accepted in `range`, with the
-    /// ballot it was accepted at.
+    /// The phase-1 report (`engine/phase1.rs`): every value accepted in
+    /// `range`, with the ballot it was accepted at.
     pub(crate) fn accepted<'a>(
         &'a self,
         range: impl RangeBounds<Slot> + 'a,
@@ -1284,23 +1267,6 @@ mod tests {
         let wide = cut_round(&b, Slot(211)..=Slot(700), 5, usize::MAX, mine);
         assert!(!wide.is_view() && wide.len() == 97 && wide.last() == Some(Slot(696)));
         assert!(pairs(&wide).iter().all(|&(s, k)| s == k && own(s)));
-    }
-
-    /// The highest-ballot merge keeps the higher ballot regardless of
-    /// arrival order.
-    #[test]
-    fn the_merge_keeps_the_higher_ballot_in_either_arrival_order() {
-        let low = vec![(Slot(3), Term(2), put(1)), (Slot(4), Term(2), put(2))];
-        let high = vec![(Slot(3), Term(5), put(9))];
-        let mut a = Accepted::new();
-        merge_highest(&mut a, low.clone());
-        merge_highest(&mut a, high.clone());
-        let mut b = Accepted::new();
-        merge_highest(&mut b, high);
-        merge_highest(&mut b, low);
-        assert_eq!(a, b);
-        assert_eq!(a[&3], (Term(5), put(9)));
-        assert_eq!(a[&4], (Term(2), put(2)));
     }
 
     /// A crash drops exactly the values no fsync covered: their acks go,

@@ -6,8 +6,9 @@
 //! election/heartbeat shape and the same snapshot install/ack handling;
 //! they differ only in the append acceptance rule (truncate vs
 //! no-shrink + ballot rewrite), the vote rule (plain up-to-date check vs
-//! extras), and the commit rule (§5.4.2 term check vs f-th largest
-//! match, optionally PQL-gated) — the four functions of [`crate::raftstar::Flavor`]. [`RaftBase`] holds
+//! extras, tallied with the votes in `engine/phase1.rs`), and the commit
+//! rule (§5.4.2 term check vs f-th largest match, optionally PQL-gated) —
+//! the four functions of [`crate::raftstar::Flavor`]. [`RaftBase`] holds
 //! the shared state and plumbing, [`crate::raftstar::RaftFamilyRules`]
 //! the shared message handling, so a fix to either is written once.
 
@@ -21,6 +22,7 @@ use crate::msg::{Msg, RaftMsg};
 use crate::snapshot::{Snapshot, SnapshotStats};
 use crate::types::{NodeId, Slot, Term};
 
+use super::phase1::Phase1;
 use super::{conflicts, lease, transfer, EngineCore, RETRY_INTERVAL};
 
 /// Raft roles.
@@ -49,8 +51,8 @@ pub struct RaftBase {
     pub commit_index: Slot,
     /// Highest applied slot.
     pub last_applied: Slot,
-    /// Vote bitmap for the current candidacy.
-    pub votes: u64,
+    /// The current candidacy's phase 1: the votes and their extras.
+    pub(crate) candidacy: Phase1,
     /// Highest log index covered by a *completed* fsync. Only this
     /// prefix survives a crash when durability is enabled; it also
     /// bounds how far this replica's own copy counts toward commitment
@@ -179,7 +181,8 @@ impl RaftBase {
         self.current_term = self.current_term.next_for(core.cfg.id, core.cfg.n);
         self.role = Role::Candidate;
         core.leader_hint = None;
-        self.votes = core.me_bit();
+        self.candidacy = Phase1::default();
+        (self.candidacy).grant(core.cfg.id, [], self.log.last_index(), Slot::NONE);
         core.broadcast(
             ctx,
             Msg::Raft(RaftMsg::RequestVote {
@@ -462,7 +465,7 @@ impl RaftBase {
             self.pending_sync.clear();
         }
         self.role = Role::Follower;
-        self.votes = 0;
+        self.candidacy = Phase1::default();
         // Span bookkeeping restarts at the recovered floor too.
         self.last_applied = floor;
         self.commit_index = floor;

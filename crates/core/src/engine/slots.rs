@@ -865,8 +865,10 @@ pub(crate) mod tests {
 
     fn against_btreemap(rounds: bool) -> Tally {
         type Carried = fn(Slot, &u64) -> bool;
+        /// A run held, with what it yielded when cut.
+        type Held = (Run<u64>, Vec<(Slot, u64)>);
         let carry: [Carried; 3] = [|_, _| true, |s, _| s.0 % 5 == 2, |_, x| x % 3 != 0];
-        let mut held: VecDeque<(Run<u64>, Vec<(Slot, u64)>)> = VecDeque::new();
+        let mut held: VecDeque<Held> = VecDeque::new();
         let mut tally = Tally::default();
         let mut cuts = SimRng::new(0x40D5);
         let mut rng = SimRng::new(0x51075);
@@ -1152,7 +1154,9 @@ pub(crate) mod tests {
     #[test]
     fn writing_a_set_cell_of_a_shared_block_copies_it_first() {
         type Step = fn(&mut SlotRing<u64>);
-        let steps: [(&str, Step, u64, &[(u64, u64)]); 5] = [
+        /// A step's name, the step, the block it copies and what `b` reads.
+        type Row = (&'static str, Step, u64, &'static [(u64, u64)]);
+        let steps: [Row; 5] = [
             (
                 "truncate, then append",
                 |b| {

@@ -123,16 +123,18 @@
 //! and the answers it held get a fresh pass (`MenciusRules::note_stored`).
 //!
 //! Crashed owners are handled by *revocation*: after a silence timeout a
-//! peer raises a ballot above the owner's, collects accepted values for
-//! the owner's undecided range (phase-1), re-proposes what was accepted
-//! and no-ops the rest (Appendix A.3's recovery leader). A partitioned
-//! replica suspects owners that are alive, so an owner can find its
-//! suggestion refused (`SuggestReject`) by an acceptor that promised the
-//! slot away. The refusal decides nothing — the rest of the quorum may
-//! still accept, or the revocation decides the slot, possibly as the
-//! very value suggested — so the owner leaves the slot alone; a refusing
-//! acceptor that already holds the decision sends it along, and an owner
-//! that promised its own range away proposes above it.
+//! peer raises a ballot above the owner's, runs phase 1
+//! (`engine/phase1.rs`) over the owner's undecided range, re-proposes
+//! what was accepted and no-ops the rest (Appendix A.3's recovery
+//! leader), at a fresh ballot each `revoke_timeout` until a quorum
+//! answers. A partitioned replica suspects owners that are alive, so an
+//! owner can find its suggestion refused (`SuggestReject`) by an acceptor
+//! that promised the slot away. The refusal decides nothing — the rest of
+//! the quorum may still accept, or the revocation decides the slot,
+//! possibly as the very value suggested — so the owner leaves the slot
+//! alone; a refusing acceptor that already holds the decision sends it
+//! along, and an owner that promised its own range away proposes above
+//! it.
 //!
 //! # Durability (group commit)
 //!
@@ -176,7 +178,8 @@ use paxraft_sim::trace::SpanKind;
 
 use crate::config::{ReadMode, ReplicaConfig};
 use crate::costs::CostModel;
-use crate::engine::paxos_family::{ack_bit, merge_highest, Accepted, Cell, PaxosBase, Received};
+use crate::engine::paxos_family::{ack_bit, Cell, PaxosBase, Received};
+use crate::engine::phase1::Phase1;
 use crate::engine::slots::Run;
 use crate::engine::{self, EngineCore, Links, ProtocolRules, ReplicaEngine, Waiting, T_COORD};
 use crate::kv::{Command, Key, Op};
@@ -184,7 +187,7 @@ use crate::msg::{
     Ack, Coord, MenciusMsg, Msg, Slots, CHECKPOINT_ACK_HEADER, CHECKPOINT_CHUNK_HEADER,
 };
 use crate::snapshot::Snapshot;
-use crate::types::{max_failures, NodeId, Slot, Term};
+use crate::types::{NodeId, Slot, Term};
 
 /// Idle watermark broadcast period: the coordination tick (keeps lagging
 /// owners from delaying everyone and doubles as a failure-detector
@@ -198,9 +201,8 @@ struct RevokeOp {
     owner: NodeId,
     from: Slot,
     through: Slot,
-    acks: u64,
-    /// Highest-ballot accepted values reported for the range.
-    accepted: Accepted,
+    /// The `RevokeOk`s, this replica's own report among them.
+    phase1: Phase1,
 }
 
 /// My outgoing stream to one peer (module docs, "Per-peer streams").
@@ -968,11 +970,8 @@ impl MenciusRules {
             // A revocation whose `RevokeOk`s never arrive (e.g. our
             // ballot was stale and peers silently ignored it) would
             // otherwise pin recovery shut forever; retry with a fresh
-            // ballot. Only reachable with durability on — the default
-            // configuration keeps the original fire-once behavior.
-            if !core.dur.enabled()
-                || now.since(self.last_revoke_attempt.min(now)) < core.cfg.mencius.revoke_timeout
-            {
+            // ballot, as a stalled election does.
+            if now.since(self.last_revoke_attempt.min(now)) < core.cfg.mencius.revoke_timeout {
                 return;
             }
             self.revoke = None;
@@ -1025,13 +1024,12 @@ impl MenciusRules {
             owner,
             from,
             through,
-            acks: core.me_bit(),
-            accepted: Accepted::new(),
+            phase1: Phase1::default(),
         };
-        merge_highest(
-            &mut op.accepted,
-            self.accepted_in_range(core, owner, from, through),
-        );
+        let owned =
+            |(s, ..): &(Slot, Term, Command)| MenciusReplica::owner_of(*s, core.cfg.n) == owner;
+        let mine = self.base.accepted(from..=through).filter(owned);
+        op.phase1.grant(core.cfg.id, mine, Slot::NONE, Slot::NONE);
         core.broadcast(
             ctx,
             Msg::Mencius(MenciusMsg::Revoke {
@@ -1044,20 +1042,6 @@ impl MenciusRules {
         // Promise locally.
         self.promise_range(core, owner, from, through, op.term);
         self.revoke = Some(op);
-    }
-
-    /// The phase-1 report for a revocation: what this replica accepted
-    /// in `owner`'s slots of the range.
-    fn accepted_in_range(
-        &self,
-        core: &EngineCore,
-        owner: NodeId,
-        from: Slot,
-        through: Slot,
-    ) -> Vec<(Slot, Term, Command)> {
-        let owned = |s: Slot| MenciusReplica::owner_of(s, core.cfg.n) == owner;
-        let held = self.base.accepted(from..=through);
-        held.filter(|(s, ..)| owned(*s)).collect()
     }
 
     /// Raises the ballot on `owner`'s undecided slots in the range so the
@@ -1220,8 +1204,13 @@ impl MenciusRules {
                 through,
             } => {
                 if term > self.current_term {
-                    // Promise: raise ballots on the revoked range.
-                    let accepted = self.accepted_in_range(core, owner, rfrom, through);
+                    // Promise: raise ballots on the revoked range, and
+                    // report what this replica accepted in its owner's
+                    // slots there.
+                    let owned = |(s, ..): &(Slot, Term, Command)| {
+                        MenciusReplica::owner_of(*s, core.cfg.n) == owner
+                    };
+                    let accepted = self.base.accepted(rfrom..=through).filter(owned).collect();
                     self.promise_range(core, owner, rfrom, through, term);
                     if owner == core.cfg.id {
                         // Having promised my own range away, I must not
@@ -1244,24 +1233,16 @@ impl MenciusRules {
                 owner,
                 accepted,
             } => {
-                let finished = {
-                    let Some(op) = self.revoke.as_mut() else {
-                        return;
-                    };
-                    if op.term != term || op.owner != owner {
-                        return;
-                    }
-                    op.acks |= 1 << peer.0;
-                    merge_highest(&mut op.accepted, accepted);
-                    op.acks.count_ones() as usize >= max_failures(core.cfg.n) + 1
+                let ours = |op: &&mut RevokeOp| op.term == term && op.owner == owner;
+                let Some(op) = self.revoke.as_mut().filter(ours) else {
+                    return;
                 };
-                if finished {
-                    let op = self.revoke.take().expect("checked");
+                op.phase1.grant(peer, accepted, Slot::NONE, Slot::NONE);
+                if op.phase1.won(core.cfg.n) {
+                    let mut op = self.revoke.take().expect("checked");
                     let first = owned_at_or_after(op.owner, op.from, core.cfg.n);
                     let owned = (first.0..=op.through.0).step_by(core.cfg.n).map(Slot);
-                    let accepted = |s: Slot| op.accepted.get(&s.0).map(|(_, c)| c.clone());
-                    let decided = |s| (s, accepted(s).unwrap_or_else(Command::noop));
-                    let items: Vec<(Slot, Command)> = owned.map(decided).collect();
+                    let items: Vec<(Slot, Command)> = op.phase1.adopt(owned).collect();
                     // Decide locally and broadcast. The decided values
                     // are a local disk write too (the decision's record);
                     // if a crash drops them before the fsync, the slots
@@ -2531,6 +2512,33 @@ mod tests {
         assert!(told, "the owner learns its slot was decided a no-op");
         let rep = sim.actor::<MenciusReplica>(ActorId(0));
         assert_eq!(rep.decided_at(Slot(2)), Some(&Command::noop()));
+    }
+
+    /// A revocation no peer answers is retried at a fresh ballot after
+    /// `revoke_timeout`, with durability off as with it on: both peers
+    /// ack replica 0's first suggestion and then fall silent, so Ohio's
+    /// slot 2 blocks execution and its revocation never gets a quorum.
+    #[test]
+    fn an_unanswered_revocation_is_retried_at_a_rising_term() {
+        let p1 = Puppet::new(1, Coord::empty(Slot(2), Slot::NONE), Vec::new());
+        let p2 = Puppet::new(1, Coord::empty(Slot(3), Slot::NONE), Vec::new());
+        let (mut sim, client) = replica_among_puppets_with(p1, p2, |cfg| {
+            cfg.mencius.revoke_timeout = SimDuration::from_secs(1);
+        });
+        sim.actor_mut::<TestClient>(client).enqueue_put(1);
+        sim.run_until(SimTime::from_secs(6));
+        assert_eq!(
+            sim.actor::<MenciusReplica>(ActorId(0)).exec_index(),
+            Slot(1)
+        );
+        let terms: Vec<Term> = (sim.actor::<Puppet>(ActorId(1)).seen.iter())
+            .filter_map(|(_, m)| match m {
+                MenciusMsg::Revoke { term, owner, .. } if *owner == NodeId(1) => Some(*term),
+                _ => None,
+            })
+            .collect();
+        assert!(terms.len() >= 2, "revoked at {terms:?}");
+        assert!(terms.windows(2).all(|w| w[0] < w[1]), "{terms:?}");
     }
 
     fn notice(from: u64, upto: u64, commits: &[u64]) -> MenciusMsg {

@@ -11,7 +11,7 @@
 //! Batching, forwarding, client dedup and checkpoint transfer are
 //! engine-provided, and the instance table with its bookkeeping is the
 //! family's `PaxosBase`, shared with Mencius. This file holds what makes
-//! it *single-leader* Paxos: ballots and phase 1 with its value adoption,
+//! it *single-leader* Paxos: ballots and phase 1 over `engine/phase1.rs`,
 //! the proposer's numbering and send cursors, the Accept rounds with the
 //! commit they carry, the heartbeat's retransmission and replay, the
 //! execute loop (the proposer answers the client; a restarted replica runs
@@ -42,13 +42,12 @@
 //! reports accepted values, so it defers behind outstanding value writes
 //! to keep the report crash-stable.
 
-use std::collections::HashMap;
-
 use paxraft_sim::sim::{ActorId, Ctx};
 use paxraft_sim::trace::SpanKind;
 
 use crate::config::ReplicaConfig;
-use crate::engine::paxos_family::{ack_bit, merge_highest, Accepted, Cell, PaxosBase};
+use crate::engine::paxos_family::{ack_bit, Cell, PaxosBase};
+use crate::engine::phase1::Phase1;
 use crate::engine::slots::Run;
 use crate::engine::{self, lease, EngineCore, ProtocolRules, ReplicaEngine, Waiting, T_LEASE};
 use crate::kv::Command;
@@ -71,9 +70,8 @@ pub struct PaxosRules {
     base: PaxosBase,
     /// Leader's next unused instance id.
     next_slot: Slot,
-    /// Phase-1 replies: voter → (accepted entries, log tail, checkpoint
-    /// floor).
-    prepare_acks: HashMap<NodeId, (Vec<(Slot, Term, Command)>, Slot, Slot)>,
+    /// The campaign's `PrepareOk`s, this replica's own among them.
+    phase1: Phase1,
     /// Per acceptor: the executed prefix last told it.
     told: Vec<Slot>,
     /// Acceptor: the highest commit point learnt; a later one is scanned
@@ -101,7 +99,7 @@ impl MultiPaxosReplica {
                 phase1_succeeded: false,
                 base: PaxosBase::new(n, me),
                 next_slot: Slot(1),
-                prepare_acks: HashMap::new(),
+                phase1: Phase1::default(),
                 told: vec![Slot::NONE; n],
                 learnt: Slot::NONE,
                 commits_carried: 0,
@@ -228,15 +226,13 @@ impl PaxosRules {
     fn start_phase1(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
         self.ballot = self.ballot.next_for(core.cfg.id, core.cfg.n);
         self.phase1_succeeded = false;
-        self.prepare_acks.clear();
         // Self-votes recorded under the old ballot no longer apply.
         self.base.forget_self_votes();
         let from_slot = self.first_unchosen();
         // Record our own accepted instances as an implicit Phase1b reply.
-        let mine = self.base.accepted(from_slot..).collect();
-        let tail = self.log_tail();
-        self.prepare_acks
-            .insert(core.cfg.id, (mine, tail, self.base.floor()));
+        self.phase1 = Phase1::default();
+        let (tail, floor) = (self.log_tail(), self.base.floor());
+        (self.phase1).grant(core.cfg.id, self.base.accepted(from_slot..), tail, floor);
         core.broadcast(
             ctx,
             Msg::Paxos(PaxosMsg::Prepare {
@@ -268,41 +264,24 @@ impl PaxosRules {
         self.base.cells.cut(range, 1, count, held)
     }
 
-    /// Figure 1 `Phase1Succeed`: adopt safe values and go active.
+    /// Figure 1 `Phase1Succeed`: adopt safe values (`engine/phase1.rs`)
+    /// and go active.
     fn try_phase1_succeed(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
-        if self.phase1_succeeded || self.prepare_acks.len() < crate::types::quorum(core.cfg.n) {
+        if self.phase1_succeeded || !self.phase1.won(core.cfg.n) {
             return;
         }
+        // The replies are spent: none is read again after success.
+        let mut phase1 = std::mem::take(&mut self.phase1);
         // Never fill slots at or below a replying acceptor's checkpoint
         // floor: those instances are chosen but unreportable (the
         // acceptor discarded them after execution), so a no-op fill
         // would overwrite a chosen value. The acceptor ships us its
         // checkpoint alongside the PrepareOk; execution of the covered
         // prefix resumes once it installs.
-        let max_floor = self
-            .prepare_acks
-            .values()
-            .map(|(_, _, floor)| *floor)
-            .max()
-            .unwrap_or(Slot::NONE);
-        let start = self.first_unchosen().max(max_floor.next());
-        let end = self
-            .prepare_acks
-            .values()
-            .map(|(_, tail, _)| *tail)
-            .max()
-            .unwrap_or(Slot::NONE);
-        // safeEntry: highest accepted ballot per instance; Noop for gaps.
-        // (The replies are spent: none is read again after success.)
-        let mut safe = Accepted::new();
-        for (entries, _, _) in self.prepare_acks.values_mut() {
-            let entries = std::mem::take(entries).into_iter();
-            merge_highest(&mut safe, entries.filter(|(slot, ..)| *slot >= start));
-        }
+        let (start, end) = (self.first_unchosen().max(phase1.floor.next()), phase1.tail);
         let chosen = |s: &Slot| self.base.cells.get(*s).is_some_and(|i| i.committed.get());
         let open = (start.0..=end.0).map(Slot).filter(|s| !chosen(s));
-        let adopt = |s: Slot| (s, safe.remove(&s.0).map_or_else(Command::noop, |(_, c)| c));
-        let values: Vec<(Slot, Command)> = open.map(adopt).collect();
+        let values: Vec<(Slot, Command)> = phase1.adopt(open).collect();
         // Figure 1 `Phase2a` over the adopted values and the gaps' no-ops.
         let items = (self.base).propose(core, ctx, self.ballot, values, 1, |_, i| uncommitted(i));
         // A restarted proposer executes what it kept before it proposes.
@@ -386,7 +365,7 @@ impl PaxosRules {
             } => {
                 if ballot == self.ballot && !self.phase1_succeeded {
                     let node = core.cfg.node_of(from);
-                    self.prepare_acks.insert(node, (entries, log_tail, floor));
+                    self.phase1.grant(node, entries, log_tail, floor);
                     self.try_phase1_succeed(core, ctx);
                 }
             }
@@ -642,7 +621,7 @@ impl ProtocolRules for PaxosRules {
             // A mid-campaign phase-1 picture is stale now; the armed
             // election timer retries with a fresh ballot.
             if !self.phase1_succeeded {
-                self.prepare_acks.clear();
+                self.phase1 = Phase1::default();
             }
             self.try_execute(core, ctx);
         }
@@ -727,7 +706,7 @@ impl ProtocolRules for PaxosRules {
             }
         }
         self.phase1_succeeded = false;
-        self.prepare_acks.clear();
+        self.phase1 = Phase1::default();
     }
 }
 

@@ -13,10 +13,11 @@
 //! 1. **No erasing.** A voter attaches the entries it has *beyond* the
 //!    candidate's log to its `requestVoteOK` (`extra`), and the new
 //!    leader extends its log with the safe value (highest ballot) per
-//!    index. An acceptor rejects an append whose result would be shorter
-//!    than its own log (`lastIndex ≤ prev + length(ents)`), so follower
-//!    logs are only ever overwritten or extended — the state transition
-//!    maps onto Paxos `Accept`, never onto an impossible "un-accept".
+//!    index, as every phase 1 picks it (`engine/phase1.rs`). An acceptor
+//!    rejects an append whose result would be shorter than its own log
+//!    (`lastIndex ≤ prev + length(ents)`), so follower logs are only ever
+//!    overwritten or extended — the state transition maps onto Paxos
+//!    `Accept`, never onto an impossible "un-accept".
 //! 2. **Ballot rewriting.** Every entry carries a `bal` field; each
 //!    accepted append makes `bal = term` for the whole covered prefix,
 //!    so an `appendOK` at term `t` is a Paxos `acceptOK` at ballot `t`
@@ -26,9 +27,8 @@
 //!    [`Log`]'s ballot mark — [`Log::set_bal_upto`] records "every slot
 //!    `≤ upto` has ballot `t`" in two words instead of looping over the
 //!    log, which is the same state Figure 2 specifies and the same
-//!    refinement mapping (`log.rs` module docs). The ballots this file
-//!    *reads* — the safe-value pick over vote-reply extras — arrive
-//!    through [`Log::suffix_from`], which hands out effective ballots.
+//!    refinement mapping (`log.rs` module docs). The extras' ballots
+//!    leave a voter through [`Log::suffix_from`]: effective ballots.
 //!
 //! Quorum leases are the engine's (`engine/lease.rs`); Figure 8 maps onto
 //! this file as: `appendOK` carries the holders, `LeaderLearn` passes the
@@ -58,7 +58,6 @@
 //! `prev` ([`Log::set_bal_upto`]) is content-preserving and free like
 //! the term metadata, so only entry payloads ride the modeled disk.
 
-use std::collections::HashMap;
 use std::marker::PhantomData;
 
 use paxraft_sim::sim::{ActorId, Ctx};
@@ -71,7 +70,7 @@ use crate::kv::Command;
 use crate::log::{Entry, Log};
 use crate::msg::{Msg, RaftMsg};
 use crate::snapshot::{Snapshot, SnapshotStats};
-use crate::types::{max_failures, me_bit, quorum, NodeId, Slot, Term};
+use crate::types::{max_failures, Slot, Term};
 
 /// A Raft* replica, optionally running the ported PQL or LL read path:
 /// the shared engine running [`RaftStarRules`].
@@ -172,8 +171,6 @@ impl Flavor for Star {
 pub struct RaftFamilyRules<F: Flavor> {
     flavor: PhantomData<F>,
     base: RaftBase,
-    /// Raft*: extras received from voters, keyed by voter.
-    vote_extras: HashMap<NodeId, (Slot, Vec<Entry>)>,
 }
 
 impl<F: Flavor> ReplicaEngine<RaftFamilyRules<F>> {
@@ -198,7 +195,6 @@ impl<F: Flavor> ReplicaEngine<RaftFamilyRules<F>> {
             RaftFamilyRules {
                 flavor: PhantomData,
                 base: RaftBase::default(),
-                vote_extras: HashMap::new(),
             },
         )
     }
@@ -222,54 +218,31 @@ impl<F: Flavor> ReplicaEngine<RaftFamilyRules<F>> {
 impl<F: Flavor> RaftFamilyRules<F> {
     /// Figure 2a `RequestVote`.
     fn start_election(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
-        self.vote_extras.clear();
         self.base.begin_election(core, ctx);
         self.try_become_leader(core, ctx);
     }
 
-    /// Figure 2a `BecomeLeader`: merge the safe entries from voter extras
-    /// (highest `bal` per index), rewriting their term and ballot to the
-    /// new term. Raft's voters send none, so it merges nothing.
+    /// Figure 2a `BecomeLeader`: append the safe entries the voters'
+    /// extras hold past our log (`engine/phase1.rs`), their term and
+    /// ballot rewritten to the new term. Raft's voters send none, so it
+    /// adopts nothing.
     fn try_become_leader(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
-        if self.base.role != Role::Candidate
-            || (self.base.votes.count_ones() as usize) < quorum(core.cfg.n)
-        {
+        if self.base.role != Role::Candidate || !self.base.candidacy.won(core.cfg.n) {
             return;
         }
-        let my_last = self.base.log.last_index();
-        let max_end = self
-            .vote_extras
-            .values()
-            .map(|(start, ents)| Slot(start.0 + ents.len() as u64).prev())
-            .max()
-            .unwrap_or(Slot::NONE);
-        let mut merged_bytes = 0usize;
-        let mut merged = 0usize;
-        let mut idx = my_last.next();
-        while idx <= max_end {
-            let mut best: Option<&Entry> = None;
-            for (start, ents) in self.vote_extras.values() {
-                if idx.0 >= start.0 {
-                    if let Some(e) = ents.get((idx.0 - start.0) as usize) {
-                        // Extras left the voter through `suffix_from`:
-                        // `bal` is the voter's effective ballot.
-                        if best.map(|b| e.bal > b.bal).unwrap_or(true) {
-                            best = Some(e);
-                        }
-                    }
-                }
-            }
-            let cmd = best.map(|e| e.cmd.clone()).unwrap_or_else(Command::noop);
+        let (my_last, term) = (self.base.log.last_index(), self.base.current_term);
+        let (mut merged_bytes, mut merged) = (0, 0);
+        let safe = (my_last.0 + 1..=self.base.candidacy.tail.0).map(Slot);
+        for (_, cmd) in self.base.candidacy.adopt(safe) {
             // Figure 2a lines 25-27: bal and term become currentTerm.
             let e = Entry {
-                term: self.base.current_term,
-                bal: self.base.current_term,
+                term,
+                bal: term,
                 cmd,
             };
             merged_bytes += e.size_bytes();
             merged += 1;
             self.base.log.append(e);
-            idx = idx.next();
         }
         conflicts::index(core, self.commands(my_last.next()), true);
         self.base.role = Role::Leader;
@@ -280,14 +253,14 @@ impl<F: Flavor> RaftFamilyRules<F> {
         // Section-5.4.2 restriction. Followers are optimistically assumed
         // to hold our pre-existing log.
         let noop = Entry {
-            term: self.base.current_term,
-            bal: self.base.current_term,
+            term,
+            bal: term,
             cmd: Command::noop(),
         };
         merged_bytes += noop.size_bytes();
         merged += 1;
         self.base.log.append(noop);
-        F::rewrite_ballots(&mut self.base.log, self.base.current_term);
+        F::rewrite_ballots(&mut self.base.log, term);
         // The merged extras and the no-op are new log content on this
         // node's disk (the ballot rewrite of older entries is free
         // metadata — see the module docs).
@@ -374,9 +347,12 @@ impl<F: Flavor> RaftFamilyRules<F> {
                     && granted
                     && self.base.role == Role::Candidate
                 {
+                    // `bal` is the voter's effective ballot (`suffix_from`).
+                    let tail = Slot(extra_start.0 + extra.len() as u64).prev();
+                    let report = (extra_start.0..).map(Slot).zip(extra);
+                    let report = report.map(|(s, e)| (s, e.bal, e.cmd));
                     let voter = core.cfg.node_of(from);
-                    self.base.votes |= me_bit(voter);
-                    self.vote_extras.insert(voter, (extra_start, extra));
+                    self.base.candidacy.grant(voter, report, tail, Slot::NONE);
                     self.try_become_leader(core, ctx);
                 }
             }
@@ -637,7 +613,6 @@ impl<F: Flavor> ProtocolRules for RaftFamilyRules<F> {
         self.base.crash_reset(core, floor);
         // The retained log above the restored prefix applies again.
         conflicts::reindex(core, self.commands(self.base.last_applied.next()));
-        self.vote_extras.clear();
     }
 }
 
@@ -645,6 +620,7 @@ impl<F: Flavor> ProtocolRules for RaftFamilyRules<F> {
 mod tests {
     use super::*;
     use crate::testutil::{cluster_with, drive_until, TestClient};
+    use crate::types::NodeId;
     use paxraft_sim::sim::Simulation;
     use paxraft_sim::time::{SimDuration, SimTime};
 
