@@ -25,7 +25,7 @@
 //! counted by the rules' `on_durable`). A crash drops exactly the values
 //! no fsync covered ([`PaxosBase::crash`]): unsynced, they counted toward
 //! no quorum, and a chosen one is re-fetched. Ballots and promises are
-//! always-durable metadata, like Raft's terms.
+//! always-durable metadata, like Raft's terms, and no promise is a cell's.
 //!
 //! # What `store` answers
 //!
@@ -35,11 +35,8 @@
 //! replay delivers — and [`Stored::Written`] otherwise; a slot the
 //! checkpoint covers never reaches it. Only `Written` reaches the device
 //! in phase 2b; a `Kept` slot is still acknowledged, and the ack still
-//! waits for the first write's barrier. The test is on the command as
-//! well as the ballot: a Mencius revocation promise raises a cell's
-//! ballot above the one its value was accepted at, so a different value
-//! can arrive at the ballot the cell shows, and that one is written.
-//! `accept_duplicates` counts the arrivals `Kept` for being held already.
+//! waits for the first write's barrier. `accept_duplicates` counts the
+//! arrivals `Kept` for being held already.
 //!
 //! What differs stays in the rules files and is never a branch here: the
 //! execute loops, the crash policies, the replay bodies, who proposes
@@ -52,10 +49,10 @@
 //! by `SlotRing::cut` like every round (`engine/slots.rs`, *Rounds*): a
 //! proposed batch, a phase 1's adoptions, a pump, a heartbeat's or an
 //! owner's re-send, a stalled peer's replay. It stays what it was cut as
-//! because a [`Cell`]'s value changes only through `&mut`, which copies a
-//! block a round holds first, while what changes while the round is in
-//! flight — the ack tally, the decision, the write sequence, a promise —
-//! lives in `std::cell::Cell`s and changes in place, copying nothing.
+//! because a [`Cell`]'s value and ballot change only through `&mut`, which
+//! copies a block a round holds first, while what changes while the round
+//! is in flight — the ack tally, the decision, the write sequence — lives
+//! in `std::cell::Cell`s and changes in place, copying nothing.
 
 use std::ops::RangeBounds;
 
@@ -83,15 +80,15 @@ use super::{transfer, EngineCore, SlotRing};
 /// it — Mencius keeps its owner's suggestion times in a ring of its own
 /// slots.
 ///
-/// The value changes through `&mut` only; everything else is a
-/// `std::cell::Cell` and changes through `&`, in a block a round in
+/// The value and its ballot change through `&mut` only; everything else
+/// is a `std::cell::Cell` and changes through `&`, in a block a round in
 /// flight shares too (`engine/slots.rs`, *Sharing*). `std::cell::Cell`
 /// has its content's layout, so that costs no byte.
 #[derive(Debug, Clone, Default)]
 pub struct Cell {
-    /// Highest ballot the value was accepted at, or the slot promised to
-    /// (`instance.bal`).
-    pub(crate) bal: InPlace<Term>,
+    /// Highest ballot the value was accepted at (the spec's `abal`), zero
+    /// while it holds none; a promise is the rules file's, never here.
+    bal: Term,
     /// The accepted value (`instance.val`).
     cmd: Option<Command>,
     /// Whether the value is known chosen.
@@ -123,13 +120,18 @@ impl Cell {
         self.cmd.as_ref()
     }
 
+    /// The ballot the value was accepted at.
+    pub(crate) fn bal(&self) -> Term {
+        self.bal
+    }
+
     /// Writes `cmd` at `bal`, keeping `bytes` (the table's retained
     /// payload) right; returns the value it replaced.
     fn put(&mut self, bytes: &mut usize, bal: Term, cmd: Command) -> Option<Command> {
         *bytes += cmd.size_bytes();
         let replaced = self.cmd.replace(cmd);
         *bytes -= replaced.as_ref().map_or(0, Command::size_bytes);
-        self.bal.set(self.bal.get().max(bal));
+        self.bal = self.bal.max(bal);
         replaced
     }
 }
@@ -270,11 +272,7 @@ impl PaxosBase {
         for (slot, cmd) in values {
             let replaced = self.write(slot, bal, cmd);
             let cell = self.cells.get(slot).expect("just written");
-            debug_assert_eq!(
-                cell.bal.get(),
-                bal,
-                "no cell's ballot exceeds its proposer's"
-            );
+            debug_assert_eq!(cell.bal, bal, "no cell's ballot exceeds its proposer's");
             cell.acks.set(own);
             self.index_write(core, slot, replaced.as_ref());
             span = Some(span.map_or((slot, slot), |(first, _)| (first, slot)));
@@ -393,7 +391,7 @@ impl PaxosBase {
         }
         self.bytes += cmd.size_bytes();
         let cell = Cell {
-            bal: bal.into(),
+            bal,
             cmd: Some(cmd),
             ..Cell::default()
         };
@@ -407,14 +405,14 @@ impl PaxosBase {
     /// never rewrite), and so does one holding this command at this ballot
     /// (module docs); a slot learnt chosen ahead of its value is committed
     /// now, if `bal` is one the decision vouches for ([`Self::learn_at`]).
-    /// The cell's ballot becomes the higher of `bal` and its own: Mencius
-    /// stores a decided value even under a higher revocation promise, and
-    /// for MultiPaxos that is always `bal` (no cell's ballot exceeds the
+    /// The cell's ballot becomes the higher of `bal` and its own: a value
+    /// Mencius learns decided below it is the one accepted there, and for
+    /// MultiPaxos it is always `bal` (no cell's ballot exceeds the
     /// replica's, and an `Accept` below that is refused).
     fn store(&mut self, slot: Slot, bal: Term, cmd: Command) -> Stored {
         debug_assert!(slot > self.compacted_through);
         if let Some(cell) = self.cells.get(slot) {
-            let again = cell.bal.get() == bal && cell.cmd.as_ref() == Some(&cmd);
+            let again = cell.bal == bal && cell.cmd.as_ref() == Some(&cmd);
             self.accept_duplicates += u64::from(again);
             if cell.committed.get() && cell.cmd.is_some() {
                 return Stored::Kept;
@@ -559,9 +557,7 @@ impl PaxosBase {
             }
             match self.cells.get(slot) {
                 Some(cell) if cell.committed.get() => {}
-                Some(cell) if cell.cmd.is_some() && cell.bal.get() >= at => {
-                    cell.committed.set(true)
-                }
+                Some(cell) if cell.cmd.is_some() && cell.bal >= at => cell.committed.set(true),
                 _ => {
                     self.committed_no_value.insert(slot.0, at);
                 }
@@ -694,20 +690,20 @@ impl PaxosBase {
         &'a self,
         range: impl RangeBounds<Slot> + 'a,
     ) -> impl Iterator<Item = (Slot, Term, Command)> + 'a {
-        let held = |(s, cell): (Slot, &'a Cell)| Some((s, cell.bal.get(), cell.cmd.clone()?));
+        let held = |(s, cell): (Slot, &'a Cell)| Some((s, cell.bal, cell.cmd.clone()?));
         self.cells.range(range).filter_map(held)
     }
 
     /// Crash: forgets what only the running process knew (the peers'
     /// reports, the queued own votes), restarts execution at `floor` and
-    /// empties every cell above it whose value no fsync covered. Its ack
-    /// (or the proposer's own queued vote) was withheld until that fsync,
-    /// so it counted toward no quorum and no chosen state is lost; a
-    /// *committed* cell degrades to learnt-without-value and is
-    /// re-fetched. The values kept above `floor` execute again, and hold
-    /// answers back until they have: the conflict index is rebuilt from
-    /// them. Returns each emptied slot and whether it was committed
-    /// (none, with durability disabled).
+    /// empties every cell above it whose value no fsync covered, its
+    /// ballot too. Its ack (or the proposer's own queued vote) was
+    /// withheld until that fsync, so it counted toward no quorum and no
+    /// chosen state is lost; a *committed* cell degrades to
+    /// learnt-without-value and is re-fetched. The values kept above
+    /// `floor` execute again, and hold answers back until they have: the
+    /// conflict index is rebuilt from them. Returns each emptied slot and
+    /// whether it was committed (none, with durability disabled).
     pub(crate) fn crash(&mut self, core: &mut EngineCore, floor: Slot) -> Vec<(Slot, bool)> {
         let synced = core.dur.synced_seq();
         self.peer_exec.fill(Slot::NONE);
@@ -723,6 +719,7 @@ impl PaxosBase {
                 continue;
             };
             self.bytes -= cmd.size_bytes();
+            cell.bal = Term::ZERO;
             cell.acks.set(0);
             cell.wseq.set(0);
             let committed = cell.committed.take();
@@ -845,18 +842,17 @@ mod tests {
         b.learn([Slot(2)]);
         assert_eq!(b.store(Slot(2), Term(9), put(3)), Stored::Kept);
         let cell = b.cells.get(Slot(2)).unwrap();
-        assert_eq!((cell.cmd(), cell.bal.get()), (Some(&put(2)), Term(5)));
+        assert_eq!((cell.cmd(), cell.bal), (Some(&put(2)), Term(5)));
         // The ballot never moves back.
         b.store(Slot(3), Term(8), put(4));
         b.store(Slot(3), Term(6), put(5));
-        assert_eq!(b.cells.get(Slot(3)).unwrap().bal.get(), Term(8));
+        assert_eq!(b.cells.get(Slot(3)).unwrap().bal, Term(8));
     }
 
     /// An acceptor never writes a value twice: this command at this ballot
     /// is kept — nothing re-accounted, a learn that ran ahead still
-    /// promotes — while a higher ballot writes, and so does a different
-    /// command at the ballot the cell shows (a Mencius promise raised it
-    /// over an older value).
+    /// promotes — while a higher ballot writes, the same command or
+    /// another.
     #[test]
     fn a_value_held_at_this_ballot_is_kept_and_anything_else_is_written() {
         let mut b = base();
@@ -879,10 +875,8 @@ mod tests {
             b.store(Slot(3), Term(6), put(1)),
             Stored::Written(Some(put(1)))
         );
-        assert_eq!(b.cells.get(Slot(3)).unwrap().bal.get(), Term(6));
-        // A promise raises the ballot over the value; a different value
-        // at the ballot the cell now shows is written, then held.
-        b.cells.get(Slot(3)).unwrap().bal.set(Term(9));
+        assert_eq!(b.cells.get(Slot(3)).unwrap().bal, Term(6));
+        // A different value at a higher ballot is written, then held.
         assert_eq!(
             b.store(Slot(3), Term(9), put(7)),
             Stored::Written(Some(put(1)))
@@ -980,7 +974,7 @@ mod tests {
         let mut b = base();
         written(&mut b, Slot(1), Term(3), put(1)).acks.set(0b001);
         written(&mut b, Slot(2), Term(4), put(2)).acks.set(0b001);
-        let at = |t| move |c: &Cell| c.bal.get() == Term(t);
+        let at = |t| move |c: &Cell| c.bal == Term(t);
         let slots = [Slot(1), Slot(2), Slot(1), Slot(9)];
         let mut chosen = Vec::new();
         b.tally(slots, 0b010, at(3), |_| true, |s| chosen.push(s), |_| {});
@@ -1066,7 +1060,7 @@ mod tests {
         ];
         let drain = |b: &mut PaxosBase, synced| {
             let mut votes = Vec::new();
-            let still = |bal, cell: &Cell| bal == cell.bal.get();
+            let still = |bal, cell: &Cell| bal == cell.bal;
             let any = b.tally_synced_votes(synced, still, |_| true, |s| votes.push(s));
             (any, votes)
         };
@@ -1088,7 +1082,7 @@ mod tests {
         for s in [1, 2, 4, 6] {
             b.store(Slot(s), Term(1), put(s));
         }
-        b.cells.get_or_default(Slot(3)); // a promise, no value
+        b.cells.get_or_default(Slot(3)); // a skip, no value
         b.learn([Slot(5), Slot(7)]);
         assert_eq!(b.discard_through(Slot(5)), 4);
         assert!((1..=5).all(|s| b.cells.get(Slot(s)).is_none()));
@@ -1125,8 +1119,8 @@ mod tests {
 
     /// The sharing contract (module docs, *Rounds*): a round cut across
     /// a block edge yields its cut-time values whatever the proposer does
-    /// next. Acks, a decision, a write tag, a promise and a fresh
-    /// instance in the round's tail block change the table in place, in
+    /// next. Acks, a decision, a write tag and a fresh instance in the
+    /// round's tail block change the table in place, in
     /// the blocks the round holds; a compaction into the round's first
     /// block, a phase 1 that re-proposes a slot of it and a crash's drop
     /// copy the block they change first.
@@ -1142,8 +1136,8 @@ mod tests {
         assert_eq!(pairs(&round), cut);
         assert_eq!((round.len(), round.last()), (11, Some(Slot(260))));
         assert!(shares(&b, &round, 250) && shares(&b, &round, 260), "a view");
-        // In place: an ack, a quorum, a learn, a write tag, a promise and
-        // the next instance, in the blocks the round holds.
+        // In place: an ack, a quorum, a learn, a write tag and the next
+        // instance, in the blocks the round holds.
         let slots = || (250..=260).map(Slot);
         let mut chosen = Vec::new();
         b.tally(
@@ -1166,7 +1160,6 @@ mod tests {
         assert_eq!(chosen, [Slot(250), Slot(251), Slot(252)]);
         b.learn_at([Slot(259)], Term(2));
         b.tag(&slots().collect(), 7);
-        b.cells.get_or_default(Slot(256)).bal.set(Term(3));
         b.write(Slot(301), Term(2), put(301));
         assert!(
             shares(&b, &round, 250) && shares(&b, &round, 260),
@@ -1269,8 +1262,8 @@ mod tests {
         assert!(pairs(&wide).iter().all(|&(s, k)| s == k && own(s)));
     }
 
-    /// A crash drops exactly the values no fsync covered: their acks go,
-    /// a committed one degrades to learnt-without-value, and the report
+    /// A crash drops exactly the values no fsync covered: their ballots and
+    /// acks go, a committed one degrades to learnt-without-value, and the report
     /// says which was which. Execution restarts at the floor it is given.
     #[test]
     fn a_crash_drops_exactly_the_unsynced_values() {
@@ -1292,7 +1285,7 @@ mod tests {
         assert!(b.cells.get(Slot(1)).unwrap().cmd().is_some());
         let lost = b.cells.get(Slot(3)).unwrap();
         assert!(lost.cmd().is_none() && !lost.committed.get() && lost.acks.get() == 0);
-        assert_eq!(lost.bal.get(), Term(1), "the promise survives");
+        assert_eq!(lost.bal, Term::ZERO, "an empty cell accepted nothing");
         assert!(b.learnt_without_value(Slot(3)) && !b.learnt_without_value(Slot(2)));
     }
 }

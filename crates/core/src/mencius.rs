@@ -136,6 +136,10 @@
 //! along, and an owner that promised its own range away proposes above
 //! it.
 //!
+//! A revocation's promise is kept as MultiPaxos keeps its ballot: one
+//! record per owner (`Promise`), never in a cell, whose ballot is the one
+//! its value was accepted at. A revoker runs above every promise it gave.
+//!
 //! # Durability (group commit)
 //!
 //! The family's (`engine/paxos_family.rs`, *Durability*); an ack that
@@ -157,8 +161,9 @@
 //! owner recovery path, reused for self-recovery — safe by the same
 //! ballot argument, and live because the affected clients were never
 //! answered and retry through the dedup sessions.
-//! `RevokeOk` stays immediate: it reports promises, and over-persisting
-//! a promise only ever *restricts* what the acceptor may later accept.
+//! `RevokeOk` stays immediate: its promise is always-durable metadata,
+//! and over-persisting or widening a promise only ever *restricts* what
+//! the acceptor may later accept.
 //!
 //! # What this file holds
 //!
@@ -168,7 +173,7 @@
 //! the execute loop with its skip inference, the respond pass, the
 //! owner's suggestion times (a ring of its own slots beside the table,
 //! so the shared cell stays 72 bytes), retransmission and the replay
-//! body, revocation, and what a crash keeps.
+//! body, revocation and its promises, and what a crash keeps.
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -203,6 +208,41 @@ struct RevokeOp {
     through: Slot,
     /// The `RevokeOk`s, this replica's own report among them.
     phase1: Phase1,
+}
+
+/// A revocation promise over one owner's slots: no suggestion below
+/// `term` is accepted in `from..=through`. A later promise widens it to
+/// the union; a wider promise only restricts what the acceptor accepts.
+#[derive(Debug, Clone, Copy)]
+struct Promise {
+    term: Term,
+    from: Slot,
+    through: Slot,
+}
+
+impl Promise {
+    /// Nothing promised: term zero over no slot.
+    const NONE: Promise = Promise {
+        term: Term::ZERO,
+        from: Slot(u64::MAX),
+        through: Slot::NONE,
+    };
+
+    /// Widens this promise with `term` over `from..=through`.
+    fn give(&mut self, term: Term, from: Slot, through: Slot) {
+        self.term = self.term.max(term);
+        self.from = self.from.min(from);
+        self.through = self.through.max(through);
+    }
+}
+
+/// What slot `s` is promised at, given each owner's promise: the one
+/// covering it or the ballot its value was accepted at, whichever is higher.
+fn promised_at(promises: &[Promise], base: &PaxosBase, s: Slot) -> Term {
+    let p = promises[MenciusReplica::owner_of(s, promises.len()).0 as usize];
+    let accepted = base.cells.get(s).map_or(Term::ZERO, Cell::bal);
+    let covering = (p.from..=p.through).contains(&s).then_some(p.term);
+    covering.map_or(accepted, |t| t.max(accepted))
 }
 
 /// My outgoing stream to one peer (module docs, "Per-peer streams").
@@ -295,6 +335,8 @@ pub struct MenciusRules {
     /// The slot table and its bookkeeping (the executed prefix and the
     /// peers' reports of theirs included).
     base: PaxosBase,
+    /// The revocation promises this replica gave, one per owner.
+    promises: Vec<Promise>,
     /// My next unused owned slot; doubles as my skip watermark.
     next_own: Slot,
     /// Exclusive bound of *known* slots per peer owner: every slot of
@@ -384,6 +426,7 @@ impl MenciusReplica {
                     .collect(),
                 last_tick: SimTime::ZERO,
                 base: PaxosBase::new(n, me),
+                promises: vec![Promise::NONE; n],
                 suggested: SuggestTimes::default(),
                 await_respond: Vec::new(),
                 respond_seen: None,
@@ -544,14 +587,15 @@ impl MenciusRules {
 
     /// Commit tally for own slots that just gained an ack bit (a peer's
     /// ack, or this owner's own post-fsync vote). An ack counts only for
-    /// a slot still at the term it acknowledges.
+    /// a slot still at the term it acknowledges, a promise given since or
+    /// not: an acceptor that promised above it refuses a suggestion at it.
     fn tally_own(&mut self, ctx: &mut Ctx<Msg>, slots: &Slots, term: Term, bit: u32) {
         let before = self.commit_buf.len();
         let chosen = &mut self.commit_buf;
         self.base.tally(
             slots.iter(),
             bit,
-            |slot| slot.bal.get() == term,
+            |slot| slot.bal() == term,
             |_| true,
             |s| chosen.push(s),
             |id| ctx.trace_span(SpanKind::Quorum, id.client, id.seq),
@@ -812,13 +856,12 @@ impl MenciusRules {
     /// slot nor execute it, which blocks the respond condition's coverage
     /// check cluster-wide.
     ///
-    /// Each slot is re-sent at its *original* accepted term (`bal`), not
-    /// `current_term`: ack counting matches acks against the slot's
-    /// ballot, and a term that advanced in between (a revocation attempt
-    /// on some third owner, a `SuggestReject`) would both orphan the
-    /// acks and let a stale value ride over a revocation-raised ballot.
-    /// Slots suggested at different terms therefore go out in separate
-    /// per-term rounds.
+    /// Each slot is re-sent at the term it was accepted at (its cell's
+    /// ballot), not `current_term`: ack counting matches acks against the
+    /// slot's ballot, and a term that advanced in between (a revocation
+    /// attempt on some third owner, a `SuggestReject`) would orphan the
+    /// acks. Slots suggested at different terms therefore go out in
+    /// separate per-term rounds.
     fn retransmit_own_unexecuted(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
         let now = ctx.now();
         let (me, n) = (core.cfg.id, core.cfg.n);
@@ -856,10 +899,10 @@ impl MenciusRules {
         let lowest = |rules: &Self| {
             let held = rules.base.cells.range(unsent.clone());
             let unsent = held.filter(|&(s, slot)| due(rules, s, slot));
-            unsent.map(|(_, slot)| slot.bal.get()).min()
+            unsent.map(|(_, slot)| slot.bal()).min()
         };
         while let Some(term) = lowest(self) {
-            let at_term = |s, slot: &Cell| slot.bal.get() == term && due(self, s, slot);
+            let at_term = |s, slot: &Cell| slot.bal() == term && due(self, s, slot);
             let items = self
                 .base
                 .cells
@@ -913,7 +956,7 @@ impl MenciusRules {
                 if MenciusReplica::owner_of(s, n) != me || slot.cmd().is_none() {
                     continue;
                 }
-                let bal = slot.bal.get();
+                let bal = slot.bal();
                 if !slot.committed.get() || count == 64 || term.is_some_and(|t| t != bal) {
                     upto = s;
                     break;
@@ -965,17 +1008,15 @@ impl MenciusRules {
     /// re-decided by the same phase-1 — immediately, no silence
     /// required, since we know first-hand the write is gone.
     fn maybe_revoke(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
-        let now = ctx.now();
-        if self.revoke.is_some() {
-            // A revocation whose `RevokeOk`s never arrive (e.g. our
-            // ballot was stale and peers silently ignored it) would
-            // otherwise pin recovery shut forever; retry with a fresh
-            // ballot, as a stalled election does.
-            if now.since(self.last_revoke_attempt.min(now)) < core.cfg.mencius.revoke_timeout {
-                return;
-            }
-            self.revoke = None;
+        let (now, timeout) = (ctx.now(), core.cfg.mencius.revoke_timeout);
+        if now.since(self.last_revoke_attempt.min(now)) < timeout {
+            return;
         }
+        // A revocation whose `RevokeOk`s never arrive (e.g. our ballot
+        // was stale and peers silently ignored it) would otherwise pin
+        // recovery shut forever; retry with a fresh ballot, as a stalled
+        // election does.
+        self.revoke = None;
         let next = self.base.exec_index.next();
         if self.decided_at(core, next).is_some() {
             return; // not blocked
@@ -988,26 +1029,22 @@ impl MenciusRules {
             // stops at the last dropped slot: anything above it
             // (including post-restart suggestions) is live and stays
             // on the normal quorum path.
-            if !self.lost_own.contains(&next.0)
-                || now.since(self.last_revoke_attempt.min(now)) < core.cfg.mencius.revoke_timeout
-            {
+            if !self.lost_own.contains(&next.0) {
                 return;
             }
             Slot(*self.lost_own.iter().next_back().expect("checked non-empty"))
         } else {
-            let silent = now.since(self.last_heard[owner.0 as usize].min(now));
-            if silent < core.cfg.mencius.revoke_timeout
-                || now.since(self.last_revoke_attempt.min(now)) < core.cfg.mencius.revoke_timeout
-            {
+            if now.since(self.last_heard[owner.0 as usize].min(now)) < timeout {
                 return;
             }
             Slot(self.horizon().0 + core.cfg.n as u64)
         };
-        self.start_revocation(core, ctx, owner, next, through, now);
+        self.start_revocation(core, ctx, owner, next, through);
     }
 
-    /// Phase-1 of revocation: bump the ballot, collect accepted values
-    /// for `owner`'s slots in the range, promise locally, broadcast.
+    /// Phase-1 of revocation: bump the ballot above every promise this
+    /// replica gave, collect accepted values for `owner`'s slots in the
+    /// range, promise locally, broadcast.
     fn start_revocation(
         &mut self,
         core: &mut EngineCore,
@@ -1015,10 +1052,11 @@ impl MenciusRules {
         owner: NodeId,
         from: Slot,
         through: Slot,
-        now: SimTime,
     ) {
-        self.last_revoke_attempt = now;
-        self.current_term = self.current_term.next_for(core.cfg.id, core.cfg.n);
+        self.last_revoke_attempt = ctx.now();
+        let promised = self.promises.iter().map(|p| p.term);
+        let above = promised.fold(self.current_term, Term::max);
+        self.current_term = above.next_for(core.cfg.id, core.cfg.n);
         let mut op = RevokeOp {
             term: self.current_term,
             owner,
@@ -1039,29 +1077,8 @@ impl MenciusRules {
                 through,
             }),
         );
-        // Promise locally.
-        self.promise_range(core, owner, from, through, op.term);
+        self.promises[owner.0 as usize].give(op.term, from, through);
         self.revoke = Some(op);
-    }
-
-    /// Raises the ballot on `owner`'s undecided slots in the range so the
-    /// (possibly alive) owner can no longer commit there.
-    fn promise_range(
-        &mut self,
-        core: &EngineCore,
-        owner: NodeId,
-        from: Slot,
-        through: Slot,
-        term: Term,
-    ) {
-        let mut s = owned_at_or_after(owner, from, core.cfg.n);
-        while s <= through {
-            let slot = self.base.cells.get_or_default(s);
-            if term > slot.bal.get() {
-                slot.bal.set(term);
-            }
-            s = Slot(s.0 + core.cfg.n as u64);
-        }
     }
 
     fn on_mencius(
@@ -1093,22 +1110,22 @@ impl MenciusRules {
                 // committed, the owner's value is the only one any ballot
                 // can decide. A value the slot already holds (a duplicate
                 // from a retransmission or replay) is not written.
+                let promises = &self.promises;
                 let eligible = |base: &PaxosBase, s| {
-                    let bal = base.cells.get(s).map_or(Term::ZERO, |x| x.bal.get());
-                    term >= bal || coord.commits.contains(s) || base.learnt_without_value(s)
+                    term >= promised_at(promises, base, s)
+                        || coord.commits.contains(s)
+                        || base.learnt_without_value(s)
                 };
                 let got = (self.base).accept(core, ctx, term, items.values(), eligible, false);
                 self.note_stored(&got);
                 let max_slot = got.acked.max().unwrap_or(Slot::NONE);
                 let (mut reject_term, mut revoked) = (Term::ZERO, Vec::new());
                 for &s in &got.refused {
-                    let x = self.base.cells.get(s).expect("refused under a promise");
-                    reject_term = reject_term.max(x.bal.get());
+                    reject_term = reject_term.max(promised_at(&self.promises, &self.base, s));
                     // Decided here already (a revocation the owner
                     // missed): the refusal carries the decision.
-                    if x.committed.get() {
-                        revoked.extend(x.cmd().cloned().map(|c| (s, c)));
-                    }
+                    let decided = self.base.cells.get(s).filter(|x| x.committed.get());
+                    revoked.extend(decided.and_then(Cell::cmd).map(|c| (s, c.clone())));
                 }
                 // A refused slot is not accounted for here: the claim
                 // stops short of it.
@@ -1178,10 +1195,7 @@ impl MenciusRules {
                 // toward the rejecting peer are dead.
                 core.pipe.on_regress(peer);
                 if term > self.current_term {
-                    self.current_term = self.current_term.next_for(core.cfg.id, core.cfg.n);
-                    while self.current_term < term {
-                        self.current_term = self.current_term.next_for(core.cfg.id, core.cfg.n);
-                    }
+                    self.current_term = Term(term.0 - 1).next_for(core.cfg.id, core.cfg.n);
                 }
             }
             MenciusMsg::Notice { coord } => {
@@ -1203,15 +1217,13 @@ impl MenciusRules {
                 from: rfrom,
                 through,
             } => {
-                if term > self.current_term {
-                    // Promise: raise ballots on the revoked range, and
-                    // report what this replica accepted in its owner's
-                    // slots there.
+                if term > self.current_term.max(self.promises[owner.0 as usize].term) {
+                    // Promise the range; report what was accepted in it.
                     let owned = |(s, ..): &(Slot, Term, Command)| {
                         MenciusReplica::owner_of(*s, core.cfg.n) == owner
                     };
                     let accepted = self.base.accepted(rfrom..=through).filter(owned).collect();
-                    self.promise_range(core, owner, rfrom, through, term);
+                    self.promises[owner.0 as usize].give(term, rfrom, through);
                     if owner == core.cfg.id {
                         // Having promised my own range away, I must not
                         // suggest in it: my proposals clear the range.
@@ -1269,12 +1281,6 @@ impl MenciusRules {
                 }
             }
             MenciusMsg::RevokeCommit { term, items } => {
-                // The items are every slot of one owner in a range: a
-                // claim about exactly that range, noted once the values
-                // are stored.
-                let decided = items
-                    .first()
-                    .map(|(first, _)| (*first, items[items.len() - 1].0.next()));
                 let mut reproposed = false;
                 let mine = |s: &Slot| {
                     *s > self.base.floor()
@@ -1296,16 +1302,17 @@ impl MenciusRules {
                 let values = items.iter().map(|(s, cmd)| (*s, cmd));
                 let got = (self.base).accept(core, ctx, term, values, |_, _| true, true);
                 for s in got.acked.iter() {
-                    let slot = self.base.cells.get(s).expect("decided");
-                    if term >= slot.bal.get() {
-                        slot.committed.set(true);
+                    if term >= promised_at(&self.promises, &self.base, s) {
+                        self.base.cells.get(s).expect("decided").committed.set(true);
                     }
                 }
                 self.decision_rewrites += got.kept;
                 self.note_stored(&got);
-                if let Some((from, upto)) = decided {
-                    let owner = MenciusReplica::owner_of(from, core.cfg.n);
-                    self.note_known(core, owner, from, upto);
+                // The items are every slot of one owner in a range: a
+                // claim about exactly that range, noted once they are stored.
+                if let Some(((from, _), (last, _))) = items.first().zip(items.last()) {
+                    let owner = MenciusReplica::owner_of(*from, core.cfg.n);
+                    self.note_known(core, owner, *from, last.next());
                 }
                 if reproposed {
                     core.arm_batch(ctx);
@@ -1367,10 +1374,9 @@ impl ProtocolRules for MenciusRules {
         // our *own* range (module docs). Kicked here rather than waiting
         // for the revoke timeout — we know first-hand the writes are
         // gone. `maybe_revoke` retries if this round stalls.
-        if !self.lost_own.is_empty() && self.revoke.is_none() {
-            let from = Slot(*self.lost_own.iter().next().expect("non-empty"));
-            let through = Slot(*self.lost_own.iter().next_back().expect("non-empty"));
-            self.start_revocation(core, ctx, core.cfg.id, from, through, ctx.now());
+        let lost = self.lost_own.first().zip(self.lost_own.last());
+        if let (Some((&from, &through)), None) = (lost, &self.revoke) {
+            self.start_revocation(core, ctx, core.cfg.id, Slot(from), Slot(through));
         }
     }
 
@@ -1404,14 +1410,14 @@ impl ProtocolRules for MenciusRules {
     }
 
     /// A local fsync completed: add this owner's own (previously
-    /// withheld) ack bit to the suggestions the sync covered. Batches
-    /// whose slots were since re-balloted (a `SuggestReject`, a
-    /// revocation) simply fail the per-slot term check in `tally_own`.
+    /// withheld) ack bit to the suggestions the sync covered. Slots a
+    /// revocation has since decided at a higher ballot simply fail the
+    /// per-slot term check, as in `tally_own`.
     /// The idle links are checked after every fsync that counted a vote.
     fn on_durable(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) -> bool {
         let before = self.commit_buf.len();
         let chosen = &mut self.commit_buf;
-        let at_term = |term, slot: &Cell| slot.bal.get() == term;
+        let at_term = |term, slot: &Cell| slot.bal() == term;
         let synced = core.dur.synced_seq();
         if !(self.base).tally_synced_votes(synced, at_term, |_| true, |s| chosen.push(s)) {
             return false;
@@ -1490,9 +1496,7 @@ impl ProtocolRules for MenciusRules {
                 self.note_known(core, NodeId(o), Slot(1), covered.next());
             }
             let above = owned_at_or_after(core.cfg.id, covered.next(), core.cfg.n);
-            if above > self.next_own {
-                self.next_own = above;
-            }
+            self.next_own = self.next_own.max(above);
             // Own in-flight slots inside the covered range were decided
             // without us (revoked to no-ops); their clients re-submit
             // and the restored sessions deduplicate.
@@ -1533,19 +1537,21 @@ impl ProtocolRules for MenciusRules {
     }
 
     fn on_crash(&mut self, core: &mut EngineCore, floor: Slot) {
-        // Stable storage: slots (accepted values, ballots, commits) and
-        // current_term. Volatile: pending work and respond queues.
+        // Stable storage: slots (accepted values, ballots, commits),
+        // current_term and the promises. Volatile: pending work and
+        // respond queues.
         //
         // Durability: accepted values whose write never fsynced are
         // gone. Their ack (or this owner's own pending self-vote) was
         // withheld by the ack-after-fsync invariant, so they contributed
-        // to no quorum and dropping them cannot lose chosen state. A committed slot losing its value degrades to
+        // to no quorum and dropping them cannot lose chosen state. A
+        // committed slot losing its value degrades to
         // committed-without-value (re-fetched from the owner's replay);
         // an *own* slot goes to `lost_own` for phase-1 self-recovery
         // (module docs) — committed or not: no owner replays it to me,
-        // and the skip inference would read it as a no-op. The ballot
-        // in `bal` is free always-durable metadata — promises survive;
-        // only value payloads rode the modeled disk.
+        // and the skip inference would read it as a no-op. The promises
+        // are free always-durable metadata; only value payloads rode the
+        // modeled disk.
         for (s, _) in self.base.crash(core, floor) {
             let skipped = self.base.cells.get(s).is_some_and(|x| x.skipped.get());
             let mine = MenciusReplica::owner_of(s, core.cfg.n) == core.cfg.id;
@@ -2001,11 +2007,13 @@ mod tests {
     /// it, acknowledges the first `acks` suggestions (every ack carrying
     /// `ack_coord`), and plays `script` — messages for replica 0, each
     /// sent a given time after the first suggestion arrives (zero delay:
-    /// in that handler, ahead of the ack).
+    /// in that handler, ahead of the ack). With `revoke_ok` set it answers
+    /// every `Revoke` with a `RevokeOk` reporting those values.
     struct Puppet {
         acks: usize,
         ack_coord: Coord,
         script: Vec<(SimDuration, Msg)>,
+        revoke_ok: Option<Vec<(Slot, Term, Command)>>,
         seen: Vec<(SimTime, MenciusMsg)>,
     }
 
@@ -2016,8 +2024,15 @@ mod tests {
                 acks,
                 ack_coord,
                 script: script.collect(),
+                revoke_ok: None,
                 seen: Vec::new(),
             }
+        }
+
+        /// Answers every `Revoke` reporting `accepted`.
+        fn answering_revokes(mut self, accepted: Vec<(Slot, Term, Command)>) -> Self {
+            self.revoke_ok = Some(accepted);
+            self
         }
 
         /// Adds an engine-level message (a checkpoint chunk) to the script.
@@ -2038,6 +2053,16 @@ mod tests {
         fn on_message(&mut self, ctx: &mut Ctx<Msg>, from: ActorId, msg: Msg) {
             let Msg::Mencius(m) = msg else { return };
             self.seen.push((ctx.now(), m.clone()));
+            if let (MenciusMsg::Revoke { term, owner, .. }, Some(accepted)) = (&m, &self.revoke_ok)
+            {
+                let (term, owner, accepted) = (*term, *owner, accepted.clone());
+                let ok = MenciusMsg::RevokeOk {
+                    term,
+                    owner,
+                    accepted,
+                };
+                ctx.send(from, Msg::Mencius(ok));
+            }
             let MenciusMsg::Suggest { term, items, .. } = m else {
                 return;
             };
@@ -2541,6 +2566,96 @@ mod tests {
         assert!(terms.windows(2).all(|w| w[0] < w[1]), "{terms:?}");
     }
 
+    /// Ohio's puppet suggests `Put 102` in its slot 2 at `Term(4)` and
+    /// falls silent. Ireland's acks everything, has replica 0 promise
+    /// owner 1's slots 2 through 20 to a revocation at `Term(17)`, and
+    /// answers every `Revoke` with a no-op accepted in slot 2 at 17.
+    /// Replica 0 revokes owner 1 after a second of its silence.
+    fn owner_1_promised_away_at_17() -> Simulation<Msg> {
+        let slot_2 = Coord {
+            from: Slot(2),
+            ..skipped_below(5)
+        };
+        let script = vec![(SimDuration::ZERO, suggest_from(1, &[2], slot_2))];
+        let p1 = Puppet::new(0, Coord::empty(Slot(2), Slot::NONE), script);
+        let revoke = MenciusMsg::Revoke {
+            term: Term(17),
+            owner: NodeId(1),
+            from: Slot(2),
+            through: Slot(20),
+        };
+        let p2 = Puppet::new(
+            usize::MAX,
+            skipped_below(1000),
+            vec![(SimDuration::ZERO, revoke)],
+        )
+        .answering_revokes(vec![(Slot(2), Term(17), Command::noop())]);
+        let (mut sim, client) = replica_among_puppets_with(p1, p2, |cfg| {
+            cfg.mencius.revoke_timeout = SimDuration::from_secs(1);
+        });
+        sim.actor_mut::<TestClient>(client).enqueue_put(1);
+        sim.run_until(SimTime::from_secs(2));
+        sim
+    }
+
+    /// A revocation's own phase-1 report gives the ballot a value was
+    /// accepted at, not the promise made over it since: replica 0 holds
+    /// `Put 102` at 4 under a promise at 17, so Ireland's no-op accepted
+    /// at 17 is the value its revocation of owner 1 decides.
+    #[test]
+    fn a_revocation_reports_the_accepted_ballot_not_the_promise() {
+        let sim = owner_1_promised_away_at_17();
+        let rep = sim.actor::<MenciusReplica>(ActorId(0));
+        assert_eq!(rep.decided_at(Slot(2)), Some(&Command::noop()));
+    }
+
+    /// A promise bounds the promiser: replica 0 promised owner 1's slots
+    /// at 17, so its own revocation of owner 1 runs above 17.
+    #[test]
+    fn a_revocation_runs_above_every_promise_its_revoker_gave() {
+        let sim = owner_1_promised_away_at_17();
+        let terms: Vec<Term> = (sim.actor::<Puppet>(ActorId(1)).seen.iter())
+            .filter_map(|(_, m)| match m {
+                MenciusMsg::Revoke { term, .. } => Some(*term),
+                _ => None,
+            })
+            .collect();
+        assert!(!terms.is_empty(), "owner 1 was revoked");
+        assert!(terms.iter().all(|&t| t > Term(17)), "revoked at {terms:?}");
+    }
+
+    /// An owner that promised its own range to a revoker at 17 re-sends
+    /// its undecided slot 1 at the term it proposed it at, 3: ballot 17
+    /// is the revoker's, and two proposers at one ballot is what ballot
+    /// ownership rules out.
+    #[test]
+    fn an_undecided_own_slot_is_re_sent_at_the_term_it_was_proposed_at() {
+        let revoke = MenciusMsg::Revoke {
+            term: Term(17),
+            owner: NodeId(0),
+            from: Slot(1),
+            through: Slot(10),
+        };
+        let p1 = Puppet::new(0, Coord::empty(Slot(2), Slot::NONE), Vec::new());
+        let script = vec![(SimDuration::ZERO, revoke)];
+        let p2 = Puppet::new(0, Coord::empty(Slot(3), Slot::NONE), script);
+        let (mut sim, client) = replica_among_puppets(p1, p2);
+        sim.actor_mut::<TestClient>(client).enqueue_put(1);
+        sim.run_until(SimTime::from_secs(2));
+        let sent: Vec<(SimTime, Term)> = (sim.actor::<Puppet>(ActorId(1)).seen.iter())
+            .filter_map(|(at, m)| match m {
+                MenciusMsg::Suggest { term, items, .. }
+                    if items.iter().any(|(s, _)| s == Slot(1)) =>
+                {
+                    Some((*at, *term))
+                }
+                _ => None,
+            })
+            .collect();
+        assert!(sent.len() >= 3, "the suggestion and its re-sends: {sent:?}");
+        assert!(sent.iter().all(|&(_, t)| t == Term(3)), "{sent:?}");
+    }
+
     fn notice(from: u64, upto: u64, commits: &[u64]) -> MenciusMsg {
         MenciusMsg::Notice {
             coord: Coord {
@@ -2784,7 +2899,7 @@ mod tests {
             assert_eq!(cut.stride, n);
             let (first, cell) = &cut.held[0];
             let one =
-                |(s, c): &(Slot, Cell)| (s.0 - 1) % n == (first.0 - 1) % n && c.bal == cell.bal;
+                |(s, c): &(Slot, Cell)| (s.0 - 1) % n == (first.0 - 1) % n && c.bal() == cell.bal();
             assert!(
                 cut.held.iter().all(one),
                 "one owner at one term: {:?}",

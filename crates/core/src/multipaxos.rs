@@ -395,7 +395,7 @@ impl PaxosRules {
                         (self.base).accept(core, ctx, ballot, items.values(), |_, _| true, false);
                     // No cell's ballot exceeds the replica's.
                     let cell = |s| self.base.cells.get(s).expect("acked");
-                    let at = |s| cell(s).committed.get() || cell(s).bal.get() == ballot;
+                    let at = |s| cell(s).committed.get() || cell(s).bal() == ballot;
                     debug_assert!(got.acked.iter().all(at));
                     self.arm_election(core, ctx); // accepts double as heartbeats
                     self.learn_commit(ballot, commit);
@@ -455,7 +455,7 @@ impl PaxosRules {
                     // nothing to teach: its range is empty.
                     let ahead = self.base.exec_index.next()..=exec;
                     for (_, inst) in self.base.cells.range(ahead) {
-                        let held = inst.cmd().is_some() && inst.bal.get() == self.ballot;
+                        let held = inst.cmd().is_some() && inst.bal() == self.ballot;
                         if !inst.committed.get() && held {
                             inst.committed.set(true);
                             chosen = true;
@@ -695,15 +695,11 @@ impl ProtocolRules for PaxosRules {
         // and execution do not. With durability enabled, accepted values
         // whose write never fsynced are gone (`PaxosBase::crash`); what a
         // committed instance lost is re-fetched from the proposer's
-        // replay or a checkpoint. An instance that lost its value
-        // accepted nothing, so its ballot goes with it, and a fully empty
-        // uncommitted one needs no placeholder.
-        for (s, committed) in self.base.crash(core, floor) {
-            if committed {
-                self.base.cells.get(s).expect("kept").bal.set(Term::ZERO);
-            } else {
-                self.base.cells.remove(s);
-            }
+        // replay or a checkpoint. An instance that lost its value lost
+        // its ballot with it (it accepted nothing), and an uncommitted one
+        // needs no placeholder: the promise is the replica's `ballot`.
+        for (s, _) in self.base.crash(core, floor).into_iter().filter(|d| !d.1) {
+            self.base.cells.remove(s);
         }
         self.phase1_succeeded = false;
         self.phase1 = Phase1::default();
