@@ -3,18 +3,17 @@
 //! [`super::raft_family::RaftBase`].
 //!
 //! Both keep one Paxos instance per slot and do the same things to it:
-//! take a value in one way — the proposer's write
-//! ([`PaxosBase::propose`]) or phase 2b over a received run, a
-//! revocation's decision among them ([`PaxosBase::accept`]) — tally acks
-//! into a quorum, learn a decision (possibly before its value, and for a
-//! held value only if it was accepted at the deciding ballot or above),
-//! tag what they write for the fsync that will cover it and withhold the
-//! proposer's own vote until then, compact behind a checkpoint, install a
-//! peer's, notice a peer whose executed prefix stalled, report accepted
-//! values to a phase 1 (`engine/phase1.rs`), and drop what never reached
-//! the disk in a crash. Where a value enters, is replaced, executes, is
-//! discarded or is dropped, the base also keeps the engine's conflict
-//! index (`engine/conflicts.rs`) right, when the replica keeps one.
+//! take a value — the proposer's write ([`PaxosBase::propose`]), phase 2b
+//! over a received run ([`PaxosBase::accept`]) or a revocation's decision
+//! ([`PaxosBase::decide`]) — tally acks into a quorum, learn a decision
+//! (possibly before its value, and for a held value only if it was
+//! accepted at the deciding ballot or above), tag what they write for the
+//! fsync that will cover it and withhold the proposer's own vote until
+//! then, compact behind a checkpoint, install a peer's, notice a peer
+//! whose executed prefix stalled, report accepted values to a phase 1
+//! (`engine/phase1.rs`), and drop what never reached the disk in a crash.
+//! Wherever a value enters or leaves, the base keeps the engine's
+//! conflict index (`engine/conflicts.rs`) right, when there is one.
 //!
 //! # Durability
 //!
@@ -31,12 +30,10 @@
 //!
 //! An acceptor never writes a value twice. `PaxosBase::store` answers
 //! [`Stored::Kept`] for a cell that already holds the value — chosen, or
-//! *this command at this ballot*, which is what every retransmission and
-//! replay delivers — and [`Stored::Written`] otherwise; a slot the
-//! checkpoint covers never reaches it. Only `Written` reaches the device
-//! in phase 2b; a `Kept` slot is still acknowledged, and the ack still
-//! waits for the first write's barrier. `accept_duplicates` counts the
-//! arrivals `Kept` for being held already.
+//! *this command at this ballot*, as every retransmission and replay
+//! delivers — and [`Stored::Written`] otherwise. Only `Written` reaches
+//! the device in phase 2b; a `Kept` slot is still acknowledged, after the
+//! first write's barrier. `accept_duplicates` counts the `Kept` arrivals.
 //!
 //! What differs stays in the rules files and is never a branch here: the
 //! execute loops, the crash policies, the replay bodies, who proposes
@@ -48,12 +45,21 @@
 //! A MultiPaxos or Mencius round is a run of the sender's own table, cut
 //! by `SlotRing::cut` like every round (`engine/slots.rs`, *Rounds*): a
 //! proposed batch, a phase 1's adoptions, a pump, a heartbeat's or an
-//! owner's re-send, a stalled peer's replay. It stays what it was cut as
-//! because a [`Cell`]'s value and ballot change only through `&mut`, which
-//! copies a block a round holds first, while what changes while the round
-//! is in flight — the ack tally, the decision, the write sequence — lives
-//! in `std::cell::Cell`s and changes in place, copying nothing.
+//! owner's re-send, a stalled peer's replay. It stays what it was cut as:
+//! a [`Cell`], the value and the ballot it was accepted at, changes only
+//! through `&mut`, which copies a block a round holds first. What one
+//! replica keeps of an instance in flight — the ack tally, the decision,
+//! the write sequence — sits beside the table, in `PaxosBase`'s `flight`
+//! ring; Mencius keeps what its owner knows of its own slots in its own.
+//!
+//! So an acceptor holds its proposer's blocks, as a Raft follower holds
+//! its leader's (`log.rs`, *Storage*): phase 2b takes them by
+//! `SlotRing::share`, writing nothing, and clones in what it cannot take,
+//! charging what a copy costs either way. A write to a held block — a
+//! phase 1's adoption, a re-proposal at a higher ballot, a crash's drop —
+//! copies it first.
 
+use std::collections::VecDeque;
 use std::ops::RangeBounds;
 
 use paxraft_sim::sim::Ctx;
@@ -68,22 +74,12 @@ use super::conflicts::{self, Holds};
 use super::slots::Run;
 use super::{transfer, EngineCore, SlotRing};
 
-/// One Paxos instance (Figure 1's `s.instances[i]`); the default is the
-/// empty instance, nothing accepted. The value and its write sequence
-/// change only through the family's base (`PaxosBase`), which accounts
-/// for them.
-///
-/// 72 bytes under both rules files: the value, the ballot and the write
-/// sequence, with the ack bitmap and the three flags in one word (the
-/// Mencius owner's two flags cost MultiPaxos nothing there). What only
-/// some cells need lives beside the table, in the rules file that needs
-/// it — Mencius keeps its owner's suggestion times in a ring of its own
-/// slots.
-///
-/// The value and its ballot change through `&mut` only; everything else
-/// is a `std::cell::Cell` and changes through `&`, in a block a round in
-/// flight shares too (`engine/slots.rs`, *Sharing*). `std::cell::Cell`
-/// has its content's layout, so that costs no byte.
+/// One Paxos instance as every replica holding it sees it (Figure 1's
+/// `s.instances[i]`): the value and the ballot it was accepted at, the
+/// shape of `log::Entry`; the default accepted nothing. It changes only
+/// through `&mut`, in `PaxosBase`, so an acceptor's block can be its
+/// proposer's (module docs, *Rounds*): 56 bytes, where it was 72 with one
+/// replica's own state in it (`Local`).
 #[derive(Debug, Clone, Default)]
 pub struct Cell {
     /// Highest ballot the value was accepted at (the spec's `abal`), zero
@@ -91,23 +87,20 @@ pub struct Cell {
     bal: Term,
     /// The accepted value (`instance.val`).
     cmd: Option<Command>,
-    /// Whether the value is known chosen.
-    pub(crate) committed: InPlace<bool>,
-    /// Mencius: skipped no-op (own slots only; remote skips derive from
-    /// watermarks).
-    pub(crate) skipped: InPlace<bool>,
-    /// Mencius: whether the owner already answered the client.
-    pub(crate) responded: InPlace<bool>,
-    /// Proposer-side acknowledgement bitmap, one bit per replica
-    /// (`ReplicaConfig::validate` caps a cluster at 32).
-    pub(crate) acks: InPlace<u32>,
-    /// Durability: engine write sequence of the last value write (0 when
-    /// durability is disabled).
-    wseq: InPlace<u64>,
 }
 
-/// What an instance changes in place, whoever shares its block.
-pub(crate) type InPlace<T> = std::cell::Cell<T>;
+/// One replica's own state of an instance in flight (module docs, *Rounds*).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Local {
+    /// Whether the value is known chosen.
+    committed: bool,
+    /// Proposer-side acknowledgement bitmap, one bit per replica
+    /// (`ReplicaConfig::validate` caps a cluster at 32).
+    acks: u32,
+    /// Durability: engine write sequence of the last value write (0 when
+    /// durability is disabled).
+    wseq: u64,
+}
 
 /// A replica's bit in a cell's ack bitmap.
 pub(crate) fn ack_bit(node: NodeId) -> u32 {
@@ -146,7 +139,7 @@ pub(crate) enum Stored {
     Written(Option<Command>),
 }
 
-/// What [`PaxosBase::accept`] did with a received run.
+/// What phase 2b ([`PaxosBase::accept`], `decide`) did with its values.
 #[derive(Debug, Default)]
 pub(crate) struct Received {
     /// The slots stored, written or held already: what the ack names.
@@ -163,12 +156,38 @@ pub(crate) struct Received {
     pub(crate) released: bool,
 }
 
+/// Phase 2b at ballot `bal`: the report, and the values the device is
+/// asked to write (every one stored, for a `decision`'s record).
+#[derive(Default)]
+struct Phase2b {
+    bal: Term,
+    decision: bool,
+    got: Received,
+    written: Slots,
+    bytes: usize,
+}
+
+impl Phase2b {
+    fn at(bal: Term, decision: bool) -> Self {
+        Phase2b {
+            bal,
+            decision,
+            ..Phase2b::default()
+        }
+    }
+}
+
 /// Instance state common to MultiPaxos and Mencius: one type, not one
 /// per protocol — what only one of them keeps per slot sits in its rules
-/// file, beside the table (the Mencius owner's suggestion times).
+/// file, beside the table (the Mencius owner's own slots).
 pub(crate) struct PaxosBase {
     /// The instances, from the checkpoint floor up.
     pub(crate) cells: SlotRing<Cell>,
+    /// This replica's own state of its instances from `flight_from` up, a
+    /// ring with a block's room and then the largest span it needed. Every
+    /// instance below executed with its value synced: chosen if valued.
+    flight: VecDeque<Local>,
+    flight_from: u64,
     /// All instances at or below this are applied.
     pub(crate) exec_index: Slot,
     /// Checkpoint floor: instances at or below it were discarded after
@@ -178,9 +197,8 @@ pub(crate) struct PaxosBase {
     bytes: usize,
     /// Slots learnt chosen before their value arrived, each with the
     /// ballot a value must have been accepted at (or above) to be the
-    /// chosen one ([`Self::learn_at`]). A hash map, not a tree: nothing
-    /// reads it in order, and it keeps emptying, which a tree pays for
-    /// with a fresh node at every refill.
+    /// chosen one ([`Self::learn_at`]). A hash map: a tree that keeps
+    /// emptying pays a fresh node at every refill.
     committed_no_value: IntMap<u64, Term>,
     /// Durability: proposals whose *own* vote awaits the local fsync, as
     /// (write seq, ballot, slots) in write order.
@@ -207,6 +225,8 @@ impl PaxosBase {
     pub(crate) fn new(n: usize, me: NodeId) -> Self {
         PaxosBase {
             cells: SlotRing::new(),
+            flight: VecDeque::with_capacity(256),
+            flight_from: 1,
             exec_index: Slot::NONE,
             compacted_through: Slot::NONE,
             bytes: 0,
@@ -230,6 +250,42 @@ impl PaxosBase {
     /// a write there replaces nothing.
     pub(crate) fn vacant(&self, slot: Slot) -> bool {
         slot > self.compacted_through && self.cells.get(slot).is_none_or(|c| c.cmd.is_none())
+    }
+
+    /// This replica's own state of the instance at `slot`.
+    fn local(&self, slot: Slot) -> Local {
+        let Some(i) = slot.0.checked_sub(self.flight_from) else {
+            let committed = self.cells.get(slot).is_some_and(|c| c.cmd.is_some());
+            return Local {
+                committed,
+                ..Local::default()
+            };
+        };
+        self.flight.get(i as usize).copied().unwrap_or_default()
+    }
+
+    /// [`Self::local`], to write: `flight` stretches to `slot`.
+    fn local_mut(&mut self, slot: Slot) -> &mut Local {
+        while slot.0 < self.flight_from {
+            let below = self.local(Slot(self.flight_from - 1));
+            self.flight.push_front(below);
+            self.flight_from -= 1;
+        }
+        let i = (slot.0 - self.flight_from) as usize;
+        if i >= self.flight.len() {
+            self.flight.resize(i + 1, Local::default());
+        }
+        &mut self.flight[i]
+    }
+
+    /// Whether the instance at `slot` is known chosen.
+    pub(crate) fn committed(&self, slot: Slot) -> bool {
+        self.local(slot).committed
+    }
+
+    /// Marks the instance at `slot`, which holds a value, chosen.
+    pub(crate) fn commit(&mut self, slot: Slot) {
+        self.local_mut(slot).committed = true;
     }
 
     /// Whether `slot` was learnt chosen and still awaits its value.
@@ -265,7 +321,7 @@ impl PaxosBase {
         bal: Term,
         values: impl IntoIterator<Item = (Slot, Command)>,
         stride: u64,
-        carried: impl Fn(Slot, &Cell) -> bool,
+        carried: impl Fn(&Self, Slot, &Cell) -> bool,
     ) -> Run<Cell> {
         let own = if core.dur.enabled() { 0 } else { self.me };
         let mut span = None;
@@ -273,12 +329,12 @@ impl PaxosBase {
             let replaced = self.write(slot, bal, cmd);
             let cell = self.cells.get(slot).expect("just written");
             debug_assert_eq!(cell.bal, bal, "no cell's ballot exceeds its proposer's");
-            cell.acks.set(own);
+            self.local_mut(slot).acks = own;
             self.index_write(core, slot, replaced.as_ref());
             span = Some(span.map_or((slot, slot), |(first, _)| (first, slot)));
         }
         let (first, last) = span.unwrap_or((Slot(1), Slot::NONE));
-        let held = |s, c: &Cell| c.cmd.is_some() && carried(s, c);
+        let held = |s, c: &Cell| c.cmd.is_some() && carried(self, s, c);
         let round = self.cells.cut(first..=last, stride, usize::MAX, held);
         if core.dur.enabled() && !round.is_empty() {
             let slots: Slots = round.iter().map(|(s, _)| s).collect();
@@ -293,53 +349,104 @@ impl PaxosBase {
     }
 
     /// Phase 2b over a run received at ballot `bal` (Figure 1's
-    /// `Phase2b`, a Mencius `Suggest`): stores each value above the
-    /// checkpoint floor that `eligible` admits (module docs, *What `store`
-    /// answers*), keeps the conflict index right, samples the table's
-    /// size after each arrival stored, and charges the values written as
-    /// one device write, tagging their cells for the fsync that covers
-    /// them. A `decision`'s record (a Mencius revocation's) is written
-    /// whether or not its value was held: each value stored is charged.
-    pub(crate) fn accept<'a>(
+    /// `Phase2b`, a Mencius `Suggest`): stores each value above the floor
+    /// that `eligible` admits (module docs, *What `store` answers*) and
+    /// charges the values written as one device write. A block of the
+    /// proposer's whose values were all proposed at `bal` and admitted is
+    /// taken as it is (`SlotRing::share`) and filed as a copy would be.
+    pub(crate) fn accept(
+        &mut self,
+        core: &mut EngineCore,
+        ctx: &mut Ctx<Msg>,
+        bal: Term,
+        round: &Run<Cell>,
+        eligible: impl Fn(&Self, Slot) -> bool,
+    ) -> Received {
+        let floor = self.compacted_through;
+        let mut taken = round.iter().take_while(|&(s, _)| s <= floor).count();
+        let mut p = Phase2b::at(bal, false);
+        p.got.below_floor = taken > 0;
+        for (block, cells) in round.blocks(taken) {
+            let (from, count, held) = (taken, cells.len(), self.cells.last_slot());
+            let part = || round.iter_from(from).take(count);
+            let at = part().next().expect("a run covers set cells").0;
+            let whole = part().all(|(s, c)| c.bal == bal && eligible(self, s));
+            let shared = whole && self.cells.share(at, block, cells);
+            taken += count;
+            for (s, cmd) in part().map(value) {
+                let fresh = shared && held.is_none_or(|h| s > h);
+                self.arrive(core, &mut p, s, cmd, &eligible, fresh);
+            }
+        }
+        for (s, cmd) in round.iter_from(taken).map(value) {
+            self.arrive(core, &mut p, s, cmd, &eligible, false);
+        }
+        self.note_written(core, ctx, &p.written, p.bytes);
+        p.got
+    }
+
+    /// A decision's record (a Mencius revocation's) at ballot `bal`: phase
+    /// 2b over `values` that admits them all and charges each value
+    /// stored, held already or not.
+    pub(crate) fn decide<'a>(
         &mut self,
         core: &mut EngineCore,
         ctx: &mut Ctx<Msg>,
         bal: Term,
         values: impl IntoIterator<Item = (Slot, &'a Command)>,
-        eligible: impl Fn(&Self, Slot) -> bool,
-        decision: bool,
     ) -> Received {
-        let durable = core.dur.enabled();
-        let (mut got, mut written, mut bytes) = (Received::default(), Slots::new(), 0);
-        for (slot, cmd) in values {
-            if slot <= self.compacted_through {
-                got.below_floor = true;
-                continue;
-            }
-            if !eligible(self, slot) {
-                got.refused.push(slot);
-                continue;
-            }
-            let charged = match self.store(slot, bal, cmd.clone()) {
-                Stored::Kept => {
-                    got.kept += 1;
-                    decision
-                }
-                Stored::Written(replaced) => {
-                    got.released |= self.index_write(core, slot, replaced.as_ref());
-                    true
-                }
-            };
-            if durable && charged {
-                written.push(slot);
-                bytes += cmd.size_bytes();
-            }
-            // The reported peaks are maxima over these samples.
-            self.note_log_size(core);
-            got.acked.push(slot);
+        let mut p = Phase2b::at(bal, true);
+        for (s, cmd) in values {
+            self.arrive(core, &mut p, s, cmd, &|_, _| true, false);
         }
-        self.note_written(core, ctx, &written, bytes);
-        got
+        self.note_written(core, ctx, &p.written, p.bytes);
+        p.got
+    }
+
+    /// One value of phase 2b arriving at `slot`: reported below the floor
+    /// or refused by `eligible`, else stored — `fresh` when it has just
+    /// entered the table by `SlotRing::share` — and filed: the conflict
+    /// index, the charge, the size sample (the reported peaks are maxima
+    /// over these) and the ack.
+    fn arrive(
+        &mut self,
+        core: &mut EngineCore,
+        p: &mut Phase2b,
+        slot: Slot,
+        cmd: &Command,
+        eligible: &impl Fn(&Self, Slot) -> bool,
+        fresh: bool,
+    ) {
+        if slot <= self.compacted_through {
+            p.got.below_floor = true;
+            return;
+        } else if !eligible(self, slot) {
+            p.got.refused.push(slot);
+            return;
+        }
+        let stored = if fresh {
+            self.accept_writes += 1;
+            self.bytes += cmd.size_bytes();
+            self.promote(slot, p.bal, Stored::Written(None))
+        } else {
+            self.store(slot, p.bal, cmd)
+        };
+        let charged = match stored {
+            Stored::Kept => {
+                p.got.kept += 1;
+                p.decision
+            }
+            Stored::Written(replaced) => {
+                p.got.released |= self.index_write(core, slot, replaced.as_ref());
+                true
+            }
+        };
+        if core.dur.enabled() && charged {
+            p.written.push(slot);
+            p.bytes += cmd.size_bytes();
+        }
+        self.note_log_size(core);
+        p.got.acked.push(slot);
     }
 
     /// Keeps the conflict index right where the value at `slot` was just
@@ -361,7 +468,8 @@ impl PaxosBase {
     }
 
     /// Execution reached `slot`, the next one: its value holds no answer
-    /// back any more.
+    /// back any more, and the instances executed with their values synced
+    /// leave `flight`.
     pub(crate) fn executed(&mut self, core: &mut EngineCore, slot: Slot) {
         debug_assert_eq!(slot, self.exec_index.next());
         if let Some(index) = core.conflicts.as_deref_mut() {
@@ -370,6 +478,11 @@ impl PaxosBase {
             }
         }
         self.exec_index = slot;
+        let synced = core.dur.synced_seq();
+        while self.flight_from <= slot.0 && self.flight.front().is_none_or(|l| l.wseq <= synced) {
+            self.flight.pop_front();
+            self.flight_from += 1;
+        }
     }
 
     /// A proposer's own write of `cmd` at its ballot, asking nothing: it
@@ -382,9 +495,9 @@ impl PaxosBase {
 
     /// Puts `cmd` at `slot` at `bal`, returning the value it replaced. An
     /// absent instance is filled whole, in place, in a tail block rounds
-    /// in flight hold too; a value written over a held instance (a phase
-    /// 1's adoption, a revocation's decision) copies such a block first
-    /// (module docs, *Rounds*).
+    /// in flight or another table hold too; a value written over a held
+    /// instance (a phase 1's adoption, a revocation's decision) copies
+    /// such a block first (module docs, *Rounds*).
     fn put(&mut self, slot: Slot, bal: Term, cmd: Command) -> Option<Command> {
         if let Some(cell) = self.cells.get_mut(slot) {
             return cell.put(&mut self.bytes, bal, cmd);
@@ -393,28 +506,24 @@ impl PaxosBase {
         let cell = Cell {
             bal,
             cmd: Some(cmd),
-            ..Cell::default()
         };
         self.cells.insert(slot, cell);
         None
     }
 
     /// Stores a value accepted (or learnt) at `bal` above the checkpoint
-    /// floor. A slot already committed with a value keeps it (the decided
-    /// value is unique, so what arrives is at worst a duplicate and must
-    /// never rewrite), and so does one holding this command at this ballot
-    /// (module docs); a slot learnt chosen ahead of its value is committed
-    /// now, if `bal` is one the decision vouches for ([`Self::learn_at`]).
-    /// The cell's ballot becomes the higher of `bal` and its own: a value
-    /// Mencius learns decided below it is the one accepted there, and for
-    /// MultiPaxos it is always `bal` (no cell's ballot exceeds the
-    /// replica's, and an `Accept` below that is refused).
-    fn store(&mut self, slot: Slot, bal: Term, cmd: Command) -> Stored {
+    /// floor. A slot committed with a value keeps it, and so does one
+    /// holding this command at this ballot (module docs); a slot learnt
+    /// chosen ahead of its value is committed now, if `bal` is one the
+    /// decision vouches for ([`Self::learn_at`]). The cell's ballot becomes
+    /// the higher of `bal` and its own (for MultiPaxos always `bal`).
+    fn store(&mut self, slot: Slot, bal: Term, cmd: &Command) -> Stored {
         debug_assert!(slot > self.compacted_through);
         if let Some(cell) = self.cells.get(slot) {
-            let again = cell.bal == bal && cell.cmd.as_ref() == Some(&cmd);
+            let again = cell.bal == bal && cell.cmd.as_ref() == Some(cmd);
+            let chosen = cell.cmd.is_some() && self.committed(slot);
             self.accept_duplicates += u64::from(again);
-            if cell.committed.get() && cell.cmd.is_some() {
+            if chosen {
                 return Stored::Kept;
             }
             if again {
@@ -422,7 +531,7 @@ impl PaxosBase {
             }
         }
         self.accept_writes += 1;
-        let replaced = self.put(slot, bal, cmd);
+        let replaced = self.put(slot, bal, cmd.clone());
         self.promote(slot, bal, Stored::Written(replaced))
     }
 
@@ -432,13 +541,13 @@ impl PaxosBase {
         let decided_at = self.committed_no_value.get(&slot.0);
         if decided_at.is_some_and(|at| bal >= *at) {
             self.committed_no_value.remove(&slot.0);
-            self.cells.get(slot).expect("filled").committed.set(true);
+            self.commit(slot);
         }
         stored
     }
 
     /// Durability: charges the disk write for freshly written values and
-    /// tags their cells with the write sequence, so a crash before the
+    /// tags them with the write sequence, so a crash before the
     /// covering fsync drops exactly them.
     fn note_written(
         &mut self,
@@ -454,12 +563,11 @@ impl PaxosBase {
         self.tag(written, core.dur.write_seq());
     }
 
-    /// Tags the cells of `written` with the write sequence `seq`, in
-    /// place.
-    fn tag(&self, written: &Slots, seq: u64) {
+    /// Tags the instances of `written` with the write sequence `seq`.
+    fn tag(&mut self, written: &Slots, seq: u64) {
         for s in written.iter() {
-            if let Some(cell) = self.cells.get(s) {
-                cell.wseq.set(seq);
+            if self.cells.get(s).is_some() {
+                self.local_mut(s).wseq = seq;
             }
         }
     }
@@ -495,16 +603,13 @@ impl PaxosBase {
     /// Adds the ack `bit` to each of `slots` not chosen yet that
     /// `eligible` admits (Mencius: still at the acked term; MultiPaxos
     /// checks its ballot once per message), and reports to `chosen` those
-    /// it completed a quorum for that `admits` (the lease gate over the
-    /// cell's acks, `engine/lease.rs`) too, now committed — each once. A
-    /// cell already chosen ignores the bit: its bitmap is never read again.
+    /// it completed a quorum for that `admits` (the lease gate,
+    /// `engine/lease.rs`) too, now committed — each once.
     ///
-    /// `quorum` hears the client command of each cell whose peer acks the
-    /// bit brings to a quorum but for this proposer's own vote, which
-    /// waits for its fsync ([`Self::propose`]): from then on only
-    /// the local fsync holds the choice back. That is the boundary
-    /// `RaftBase::note_quorum` marks, between the replication and fsync
-    /// stages of a command's latency (`SpanKind::Quorum`).
+    /// `quorum` hears the client command of each cell the bit brings to a
+    /// quorum but for this proposer's own vote, which waits for its fsync
+    /// ([`Self::propose`]): the boundary `RaftBase::note_quorum` marks
+    /// between the replication and fsync stages (`SpanKind::Quorum`).
     pub(crate) fn tally(
         &mut self,
         slots: impl IntoIterator<Item = Slot>,
@@ -518,20 +623,20 @@ impl PaxosBase {
             let Some(cell) = self.cells.get(slot) else {
                 continue;
             };
-            if cell.committed.get() || !eligible(cell) {
+            if self.committed(slot) || !eligible(cell) {
                 continue;
             }
-            let acks = cell.acks.get();
+            let (id, needed, me) = (cell.cmd.as_ref().map(|c| c.id), self.quorum, self.me);
+            let local = self.local_mut(slot);
+            let acks = local.acks;
             let fresh = acks & bit == 0;
-            cell.acks.set(acks | bit);
+            local.acks = acks | bit;
             let votes = (acks | bit).count_ones() as usize;
-            if votes >= self.quorum && admits(acks | bit) {
-                cell.committed.set(true);
+            if votes >= needed && admits(acks | bit) {
+                local.committed = true;
                 chosen(slot);
-            } else if fresh && votes + 1 == self.quorum && acks & self.me == 0 {
-                if let Some(cmd) = cell.cmd.as_ref().filter(|c| c.id.client != u32::MAX) {
-                    quorum(cmd.id);
-                }
+            } else if fresh && votes + 1 == needed && acks & me == 0 {
+                id.filter(|id| id.client != u32::MAX).map(&mut quorum);
             }
         }
     }
@@ -543,21 +648,19 @@ impl PaxosBase {
     }
 
     /// Marks slots chosen on the word of the proposer at ballot `at`,
-    /// which executed them. What it executed was chosen at `at` or below,
-    /// and Paxos makes every proposal from the ballot a value was chosen
-    /// at upwards carry that value; a value accepted *below* `at` — a
-    /// stale proposal a lagging acceptor still holds — may be anything.
-    /// So a held value counts only if it was accepted at `at` or above. A
-    /// slot without one is remembered with `at` and committed when such a
-    /// value arrives ([`Self::store`]).
+    /// which executed them: Paxos makes every proposal from the ballot a
+    /// value was chosen at carry it, so a held value counts only if it was
+    /// accepted at `at` or above — below, it is a stale proposal. A slot
+    /// without one is remembered with `at` until one arrives
+    /// ([`Self::store`]).
     pub(crate) fn learn_at(&mut self, slots: impl IntoIterator<Item = Slot>, at: Term) {
         for slot in slots {
             if slot <= self.compacted_through {
                 continue; // already executed and checkpointed
             }
             match self.cells.get(slot) {
-                Some(cell) if cell.committed.get() => {}
-                Some(cell) if cell.cmd.is_some() && cell.bal >= at => cell.committed.set(true),
+                Some(_) if self.committed(slot) => {}
+                Some(cell) if cell.cmd.is_some() && cell.bal >= at => self.commit(slot),
                 _ => {
                     self.committed_no_value.insert(slot.0, at);
                 }
@@ -579,6 +682,9 @@ impl PaxosBase {
         let discarded = self.cells.drop_through(upto, |_, cell| {
             *bytes -= cell.cmd.as_ref().map_or(0, Command::size_bytes);
         });
+        let gone = (upto.0 + 1).saturating_sub(self.flight_from) as usize;
+        self.flight.drain(..gone.min(self.flight.len()));
+        self.flight_from = self.flight_from.max(upto.0 + 1);
         self.committed_no_value.retain(|&s, _| s > upto.0);
         discarded
     }
@@ -616,13 +722,11 @@ impl PaxosBase {
         true
     }
 
-    /// Installs a checkpoint that is ahead of the executed prefix:
-    /// restores the state machine, moves the prefix and the floor to it
-    /// and discards what it covers — returning how many instances that
-    /// was, `None` for a stale checkpoint. The values it covers above the
-    /// old prefix will never execute here: they leave the conflict index.
-    /// The caller adjusts its own cursors, executes, and acknowledges
-    /// either way.
+    /// Installs a checkpoint ahead of the executed prefix: restores the
+    /// state machine, moves the prefix and the floor to it and discards
+    /// what it covers (never to execute here: it leaves the conflict
+    /// index) — returning how many instances that was, `None` for a stale
+    /// checkpoint. The caller adjusts its cursors, executes and acks.
     pub(crate) fn install(
         &mut self,
         core: &mut EngineCore,
@@ -657,11 +761,9 @@ impl PaxosBase {
         transfer::ship_snapshot(core, ctx, peer, (self.exec_index, Term::ZERO), seal);
     }
 
-    /// The stalled-peer check for one peer, once per tick inside the
-    /// caller's loop over peers. A healthy peer's report always trails by
-    /// a WAN round-trip, so only one behind this replica that *did not
-    /// move* since the previous check marks a gap in its instances. Below
-    /// the checkpoint floor those are gone and the peer is shipped the
+    /// The stalled-peer check for one peer, once per tick: a report behind
+    /// this replica's that *did not move* since the previous check marks a
+    /// gap in the peer's instances. Below the floor the peer is shipped the
     /// checkpoint; otherwise the slot its replay starts at is returned.
     pub(crate) fn stalled_peer(
         &mut self,
@@ -697,13 +799,11 @@ impl PaxosBase {
     /// Crash: forgets what only the running process knew (the peers'
     /// reports, the queued own votes), restarts execution at `floor` and
     /// empties every cell above it whose value no fsync covered, its
-    /// ballot too. Its ack (or the proposer's own queued vote) was
-    /// withheld until that fsync, so it counted toward no quorum and no
-    /// chosen state is lost; a *committed* cell degrades to
-    /// learnt-without-value and is re-fetched. The values kept above
-    /// `floor` execute again, and hold answers back until they have: the
-    /// conflict index is rebuilt from them. Returns each emptied slot and
-    /// whether it was committed (none, with durability disabled).
+    /// ballot too, copying a block another holds first. Its ack was
+    /// withheld until that fsync, so no chosen state is lost; a
+    /// *committed* cell degrades to learnt-without-value. The conflict
+    /// index is rebuilt from the values kept above `floor`. Returns each
+    /// emptied slot and whether it was committed.
     pub(crate) fn crash(&mut self, core: &mut EngineCore, floor: Slot) -> Vec<(Slot, bool)> {
         let synced = core.dur.synced_seq();
         self.peer_exec.fill(Slot::NONE);
@@ -711,18 +811,17 @@ impl PaxosBase {
         self.pending_self.clear();
         self.exec_index = floor;
         let mut dropped = Vec::new();
-        for (s, cell) in self.cells.range_mut(floor.next()..) {
-            if cell.wseq.get() <= synced {
+        for (i, local) in self.flight.iter_mut().enumerate() {
+            let s = Slot(self.flight_from + i as u64);
+            if s <= floor || local.wseq <= synced {
                 continue;
             }
-            let Some(cmd) = cell.cmd.take() else {
+            let Some(cell) = self.cells.get(s).filter(|c| c.cmd.is_some()) else {
                 continue;
             };
-            self.bytes -= cmd.size_bytes();
-            cell.bal = Term::ZERO;
-            cell.acks.set(0);
-            cell.wseq.set(0);
-            let committed = cell.committed.take();
+            self.bytes -= cell.cmd.as_ref().map_or(0, Command::size_bytes);
+            *self.cells.get_mut(s).expect("held") = Cell::default();
+            let committed = std::mem::take(local).committed;
             if committed {
                 self.committed_no_value.insert(s.0, Term::ZERO);
             }
@@ -734,11 +833,16 @@ impl PaxosBase {
     }
 }
 
+/// A round's `(instance, value)` pair: it is cut over instances that hold
+/// a value.
+fn value((slot, cell): (Slot, &Cell)) -> (Slot, &Command) {
+    (slot, cell.cmd.as_ref().expect("a value"))
+}
+
 impl Run<Cell> {
     /// The `(instance, value)` pairs of a Paxos-family round, in slot
-    /// order: it is cut over instances that hold a value.
-    pub fn values<'a>(&'a self) -> impl ExactSizeIterator<Item = (Slot, &'a Command)> + 'a {
-        let value = |(slot, cell): (Slot, &'a Cell)| (slot, cell.cmd.as_ref().expect("a value"));
+    /// order.
+    pub fn values(&self) -> impl ExactSizeIterator<Item = (Slot, &Command)> + '_ {
         self.iter().map(value)
     }
 }
@@ -777,10 +881,23 @@ mod tests {
         core
     }
 
-    /// Writes `cmd` at `slot` at `bal` as a proposer does; the cell.
-    fn written(b: &mut PaxosBase, slot: Slot, bal: Term, cmd: Command) -> &Cell {
+    impl PaxosBase {
+        /// The instance at `slot`'s ack bitmap.
+        pub(crate) fn acks(&self, slot: Slot) -> u32 {
+            self.local(slot).acks
+        }
+
+        /// The instance at `slot`'s write sequence.
+        pub(crate) fn wseq(&self, slot: Slot) -> u64 {
+            self.local(slot).wseq
+        }
+    }
+
+    /// Writes `cmd` at `slot` at `bal` as a proposer does, with the ack
+    /// bitmap `acks`.
+    fn written(b: &mut PaxosBase, slot: Slot, bal: Term, cmd: Command, acks: u32) {
         b.write(slot, bal, cmd);
-        b.cells.get(slot).expect("just written")
+        b.local_mut(slot).acks = acks;
     }
 
     /// A `Learn` that arrives before its value promotes the cell when the
@@ -791,15 +908,15 @@ mod tests {
         b.learn([Slot(4)]);
         assert!(b.learnt_without_value(Slot(4)));
         assert!(b.cells.get(Slot(4)).is_none(), "no placeholder cell");
-        assert_eq!(b.store(Slot(4), Term(7), put(1)), Stored::Written(None));
+        assert_eq!(b.store(Slot(4), Term(7), &put(1)), Stored::Written(None));
         let cell = b.cells.get(Slot(4)).unwrap();
-        assert!(cell.committed.get() && cell.cmd() == Some(&put(1)));
+        assert!(b.committed(Slot(4)) && cell.cmd() == Some(&put(1)));
         assert!(!b.learnt_without_value(Slot(4)));
         // A learn for a value already held commits on the spot.
-        b.store(Slot(5), Term(7), put(2));
-        assert!(!b.cells.get(Slot(5)).unwrap().committed.get());
+        b.store(Slot(5), Term(7), &put(2));
+        assert!(!b.committed(Slot(5)));
         b.learn([Slot(5)]);
-        assert!(b.cells.get(Slot(5)).unwrap().committed.get());
+        assert!(b.committed(Slot(5)));
         assert!(!b.learnt_without_value(Slot(5)));
     }
 
@@ -810,21 +927,21 @@ mod tests {
     #[test]
     fn a_decision_commits_only_a_value_held_at_its_ballot_or_above() {
         let mut b = base();
-        b.store(Slot(1), Term(1), put(1));
-        b.store(Slot(2), Term(2), put(2));
-        b.store(Slot(3), Term(3), put(3));
+        b.store(Slot(1), Term(1), &put(1));
+        b.store(Slot(2), Term(2), &put(2));
+        b.store(Slot(3), Term(3), &put(3));
         b.learn_at((1..=4).map(Slot), Term(2));
-        let chosen = |b: &PaxosBase, s| b.cells.get(Slot(s)).is_some_and(|c| c.committed.get());
+        let chosen = |b: &PaxosBase, s| b.committed(Slot(s));
         assert!(!chosen(&b, 1) && chosen(&b, 2) && chosen(&b, 3));
         assert!(b.learnt_without_value(Slot(1)) && b.learnt_without_value(Slot(4)));
-        assert_eq!(b.store(Slot(1), Term(1), put(1)), Stored::Kept);
+        assert_eq!(b.store(Slot(1), Term(1), &put(1)), Stored::Kept);
         assert!(!chosen(&b, 1), "the stale value again is still not chosen");
         assert_eq!(
-            b.store(Slot(1), Term(2), put(9)),
+            b.store(Slot(1), Term(2), &put(9)),
             Stored::Written(Some(put(1)))
         );
         assert!(chosen(&b, 1) && !b.learnt_without_value(Slot(1)));
-        b.store(Slot(4), Term(5), put(4));
+        b.store(Slot(4), Term(5), &put(4));
         assert!(chosen(&b, 4), "a later ballot's value qualifies too");
     }
 
@@ -833,19 +950,19 @@ mod tests {
     #[test]
     fn a_committed_value_is_kept_and_an_uncommitted_one_replaced() {
         let mut b = base();
-        b.store(Slot(2), Term(3), put(1));
+        b.store(Slot(2), Term(3), &put(1));
         assert_eq!(
-            b.store(Slot(2), Term(5), put(2)),
+            b.store(Slot(2), Term(5), &put(2)),
             Stored::Written(Some(put(1)))
         );
         assert_eq!(b.bytes, put(2).size_bytes(), "bytes follow the value");
         b.learn([Slot(2)]);
-        assert_eq!(b.store(Slot(2), Term(9), put(3)), Stored::Kept);
+        assert_eq!(b.store(Slot(2), Term(9), &put(3)), Stored::Kept);
         let cell = b.cells.get(Slot(2)).unwrap();
         assert_eq!((cell.cmd(), cell.bal), (Some(&put(2)), Term(5)));
         // The ballot never moves back.
-        b.store(Slot(3), Term(8), put(4));
-        b.store(Slot(3), Term(6), put(5));
+        b.store(Slot(3), Term(8), &put(4));
+        b.store(Slot(3), Term(6), &put(5));
         assert_eq!(b.cells.get(Slot(3)).unwrap().bal, Term(8));
     }
 
@@ -856,39 +973,39 @@ mod tests {
     #[test]
     fn a_value_held_at_this_ballot_is_kept_and_anything_else_is_written() {
         let mut b = base();
-        assert_eq!(b.store(Slot(3), Term(4), put(1)), Stored::Written(None));
+        assert_eq!(b.store(Slot(3), Term(4), &put(1)), Stored::Written(None));
         let bytes = b.bytes;
-        assert_eq!(b.store(Slot(3), Term(4), put(1)), Stored::Kept);
+        assert_eq!(b.store(Slot(3), Term(4), &put(1)), Stored::Kept);
         assert_eq!(b.bytes, bytes, "nothing re-accounted");
         assert_eq!((b.accept_writes, b.accept_duplicates), (1, 1));
-        assert!(!b.cells.get(Slot(3)).unwrap().committed.get());
+        assert!(!b.committed(Slot(3)));
         // A proposer adopted a value for a slot it had learnt chosen
         // without one (`write` asks nothing); the value arriving again
         // at that ballot is kept, and the cell is committed at last.
         b.learn([Slot(5)]);
         b.write(Slot(5), Term(4), put(2));
         assert!(b.learnt_without_value(Slot(5)));
-        assert_eq!(b.store(Slot(5), Term(4), put(2)), Stored::Kept);
-        assert!(b.cells.get(Slot(5)).unwrap().committed.get() && !b.learnt_without_value(Slot(5)));
+        assert_eq!(b.store(Slot(5), Term(4), &put(2)), Stored::Kept);
+        assert!(b.committed(Slot(5)) && !b.learnt_without_value(Slot(5)));
         // The same command at a higher ballot is a new accept.
         assert_eq!(
-            b.store(Slot(3), Term(6), put(1)),
+            b.store(Slot(3), Term(6), &put(1)),
             Stored::Written(Some(put(1)))
         );
         assert_eq!(b.cells.get(Slot(3)).unwrap().bal, Term(6));
         // A different value at a higher ballot is written, then held.
         assert_eq!(
-            b.store(Slot(3), Term(9), put(7)),
+            b.store(Slot(3), Term(9), &put(7)),
             Stored::Written(Some(put(1)))
         );
-        assert_eq!(b.store(Slot(3), Term(9), put(7)), Stored::Kept);
+        assert_eq!(b.store(Slot(3), Term(9), &put(7)), Stored::Kept);
         assert_eq!(b.bytes, put(7).size_bytes() + put(2).size_bytes());
         assert_eq!((b.accept_writes, b.accept_duplicates), (4, 3));
         // A chosen value is kept whatever arrives, and an arrival at its
         // own ballot still counts as a duplicate.
         b.learn([Slot(3)]);
-        assert_eq!(b.store(Slot(3), Term(9), put(7)), Stored::Kept);
-        assert_eq!(b.store(Slot(3), Term(11), put(8)), Stored::Kept);
+        assert_eq!(b.store(Slot(3), Term(9), &put(7)), Stored::Kept);
+        assert_eq!(b.store(Slot(3), Term(11), &put(8)), Stored::Kept);
         assert_eq!((b.accept_writes, b.accept_duplicates), (4, 4));
     }
 
@@ -905,8 +1022,7 @@ mod tests {
     impl paxraft_sim::sim::Actor<Msg> for Acceptor {
         fn on_start(&mut self, ctx: &mut Ctx<Msg>) {
             let eligible = |_: &PaxosBase, s| s != Slot(7);
-            let values = self.run.values();
-            let got = (self.base).accept(&mut self.core, ctx, Term(5), values, eligible, false);
+            let got = (self.base).accept(&mut self.core, ctx, Term(5), &self.run, eligible);
             self.got = Some(got);
         }
         fn on_message(&mut self, _: &mut Ctx<Msg>, _: paxraft_sim::sim::ActorId, _: Msg) {}
@@ -930,7 +1046,7 @@ mod tests {
         cfg.durability = durability.clone();
         let mut base = PaxosBase::new(3, NodeId(1));
         base.compacted_through = Slot(2);
-        assert_eq!(base.store(Slot(4), Term(5), put(4)), Stored::Written(None));
+        assert_eq!(base.store(Slot(4), Term(5), &put(4)), Stored::Written(None));
         let run = [2, 4, 5, 6, 7]
             .map(|s| (Slot(s), put(s)))
             .into_iter()
@@ -953,7 +1069,8 @@ mod tests {
             ([Slot(7)].as_slice(), true)
         );
         assert_eq!((got.kept, got.released), (1, false));
-        let tag = |s| acceptor.base.cells.get(Slot(s)).map(|c| c.wseq.get());
+        let base = &acceptor.base;
+        let tag = |s| base.cells.get(Slot(s)).map(|_| base.wseq(Slot(s)));
         assert_eq!(
             [2, 4, 5, 6, 7].map(tag),
             [None, Some(0), Some(1), Some(1), None]
@@ -972,16 +1089,15 @@ mod tests {
     #[test]
     fn the_tally_skips_ineligible_cells_and_reports_each_choice_once() {
         let mut b = base();
-        written(&mut b, Slot(1), Term(3), put(1)).acks.set(0b001);
-        written(&mut b, Slot(2), Term(4), put(2)).acks.set(0b001);
+        written(&mut b, Slot(1), Term(3), put(1), 0b001);
+        written(&mut b, Slot(2), Term(4), put(2), 0b001);
         let at = |t| move |c: &Cell| c.bal == Term(t);
         let slots = [Slot(1), Slot(2), Slot(1), Slot(9)];
         let mut chosen = Vec::new();
         b.tally(slots, 0b010, at(3), |_| true, |s| chosen.push(s), |_| {});
         assert_eq!(chosen, [Slot(1)]);
-        let other = b.cells.get(Slot(2)).unwrap();
         assert!(
-            !other.committed.get() && other.acks.get() == 0b001,
+            !b.committed(Slot(2)) && b.acks(Slot(2)) == 0b001,
             "bit not taken"
         );
         // A later ack for the chosen slot chooses nothing again.
@@ -1011,11 +1127,11 @@ mod tests {
     #[test]
     fn the_tally_marks_a_quorum_that_waits_only_for_the_own_vote() {
         let mut b = PaxosBase::new(5, NodeId(0)); // quorum 3, own bit 0b00001
-        written(&mut b, Slot(1), Term(2), put(1)).acks.set(0);
-        written(&mut b, Slot(2), Term(2), put(2)).acks.set(0b00001);
+        written(&mut b, Slot(1), Term(2), put(1), 0);
+        written(&mut b, Slot(2), Term(2), put(2), 0b00001);
         let mut noop = put(3);
         noop.id.client = u32::MAX;
-        written(&mut b, Slot(3), Term(2), noop).acks.set(0);
+        written(&mut b, Slot(3), Term(2), noop, 0);
         let mut marked = Vec::new();
         let mut tally = |b: &mut PaxosBase, slots: &[u64], bit| {
             let slots = slots.iter().map(|s| Slot(*s));
@@ -1037,11 +1153,8 @@ mod tests {
             [1],
             "slot 1 once; slot 2 chose; the no-op is no client's"
         );
-        assert!(
-            b.cells.get(Slot(1)).unwrap().committed.get(),
-            "three peers choose it"
-        );
-        assert!(b.cells.get(Slot(2)).unwrap().committed.get());
+        assert!(b.committed(Slot(1)), "three peers choose it");
+        assert!(b.committed(Slot(2)));
     }
 
     /// Synced self-votes drain in write-sequence order, each tallied with
@@ -1050,7 +1163,7 @@ mod tests {
     fn synced_self_votes_drain_in_write_order_and_the_rest_stay_queued() {
         let mut b = base();
         for s in [1, 4, 7, 10] {
-            written(&mut b, Slot(s), Term(2), put(s)).acks.set(0b010);
+            written(&mut b, Slot(s), Term(2), put(s), 0b010);
         }
         let run = |slots: &[u64]| slots.iter().map(|s| Slot(*s)).collect::<Slots>();
         b.pending_self = vec![
@@ -1067,7 +1180,7 @@ mod tests {
         assert_eq!(drain(&mut b, 2), (false, vec![]));
         // Slot 1's vote was queued under a ballot the cell has left.
         assert_eq!(drain(&mut b, 5), (true, vec![Slot(4), Slot(7)]));
-        assert!(!b.cells.get(Slot(1)).unwrap().committed.get());
+        assert!(!b.committed(Slot(1)));
         assert_eq!(b.pending_self, [(8, Term(2), run(&[10]))]);
         b.forget_self_votes();
         assert_eq!(drain(&mut b, u64::MAX), (false, vec![]));
@@ -1080,7 +1193,7 @@ mod tests {
     fn discard_drops_every_cell_through_its_slot_and_prunes_learnt_slots() {
         let mut b = base();
         for s in [1, 2, 4, 6] {
-            b.store(Slot(s), Term(1), put(s));
+            b.store(Slot(s), Term(1), &put(s));
         }
         b.cells.get_or_default(Slot(3)); // a skip, no value
         b.learn([Slot(5), Slot(7)]);
@@ -1111,26 +1224,29 @@ mod tests {
         range: impl RangeBounds<Slot> + Clone,
         stride: u64,
         count: usize,
-        carried: impl Fn(Slot, &Cell) -> bool,
+        carried: impl Fn(&PaxosBase, Slot) -> bool,
     ) -> Run<Cell> {
-        let held = |s, c: &Cell| c.cmd().is_some() && carried(s, c);
+        let held = |s, c: &Cell| c.cmd().is_some() && carried(b, s);
         b.cells.cut(range, stride, count, held)
+    }
+
+    /// What a proposal or a re-send carries: the instances not chosen.
+    fn uncommitted(b: &PaxosBase, s: Slot) -> bool {
+        !b.committed(s)
     }
 
     /// The sharing contract (module docs, *Rounds*): a round cut across
     /// a block edge yields its cut-time values whatever the proposer does
-    /// next. Acks, a decision, a write tag and a fresh instance in the
-    /// round's tail block change the table in place, in
-    /// the blocks the round holds; a compaction into the round's first
-    /// block, a phase 1 that re-proposes a slot of it and a crash's drop
-    /// copy the block they change first.
+    /// next. Acks, a decision and a write tag touch no block, and a fresh
+    /// instance fills the round's tail block in place; a compaction into
+    /// the round's first block, a phase 1 that re-proposes a slot of it
+    /// and a crash's drop copy the block they change first.
     #[test]
     fn a_round_yields_what_it_was_cut_over_whatever_the_table_does() {
         let mut b = base(); // quorum 2, own bit 0b001
         for s in 1..=300 {
             b.write(Slot(s), Term(2), put(s));
         }
-        let uncommitted = |_, c: &Cell| !c.committed.get();
         let round = cut_round(&b, Slot(250)..=Slot(260), 1, usize::MAX, uncommitted);
         let cut: Vec<(u64, u64)> = (250..=260).map(|s| (s, s)).collect();
         assert_eq!(pairs(&round), cut);
@@ -1166,7 +1282,7 @@ mod tests {
             "nothing copied"
         );
         let cell = b.cells.get(Slot(259)).unwrap();
-        assert!(cell.committed.get() && cell.wseq.get() == 7);
+        assert!(cell.cmd().is_some() && b.committed(Slot(259)) && b.wseq(Slot(259)) == 7);
         assert_eq!(pairs(&round), cut);
         // A compaction that stops inside the round's first block copies it.
         b.exec_index = Slot(252);
@@ -1196,9 +1312,8 @@ mod tests {
             b.write(Slot(s), Term(2), put(s));
         }
         for s in [12, 13, 20] {
-            b.cells.get(Slot(s)).unwrap().committed.set(true);
+            b.commit(Slot(s));
         }
-        let uncommitted = |_, c: &Cell| !c.committed.get();
         let gaps = cut_round(&b, Slot(10).., 1, 12, uncommitted);
         let want: Vec<(u64, u64)> = [10, 11, 14, 15, 16, 17, 18, 19, 21, 22, 23, 24]
             .into_iter()
@@ -1232,24 +1347,27 @@ mod tests {
         for s in (1..=700).filter(|s| own(*s)) {
             b.write(Slot(s), Term(2), put(s));
         }
-        let mine = |s: Slot, c: &Cell| own(s.0) && !c.committed.get();
+        let mine = |b: &PaxosBase, s: Slot| own(s.0) && !b.committed(s);
         let round = cut_round(&b, Slot(201)..=Slot(500), 5, usize::MAX, mine);
         let cut: Vec<(u64, u64)> = (201..=500).filter(|s| own(*s)).map(|s| (s, s)).collect();
         assert_eq!(pairs(&round), cut);
         assert_eq!((round.len(), round.last()), (60, Some(Slot(496))));
         assert!(shares(&b, &round, 201) && shares(&b, &round, 496), "a view");
         // A peer's value lands between the owner's slots, in place.
-        assert_eq!(b.store(Slot(202), Term(3), put(202)), Stored::Written(None));
+        assert_eq!(
+            b.store(Slot(202), Term(3), &put(202)),
+            Stored::Written(None)
+        );
         assert!(shares(&b, &round, 201), "nothing copied");
         assert_eq!(pairs(&round), cut);
         // A revocation decides a no-op over slot 206: a copy.
         let noop = Stored::Written(Some(put(206)));
-        assert_eq!(b.store(Slot(206), Term(9), Command::noop()), noop);
+        assert_eq!(b.store(Slot(206), Term(9), &Command::noop()), noop);
         assert!(!shares(&b, &round, 201) && shares(&b, &round, 496));
         assert_eq!(pairs(&round), cut);
         // Slots 206 and 211 chosen: a run with gaps.
         for s in [206, 211] {
-            b.cells.get(Slot(s)).unwrap().committed.set(true);
+            b.commit(Slot(s));
         }
         let gap = cut_round(&b, Slot(201)..=Slot(230), 5, usize::MAX, mine);
         assert_eq!(
@@ -1269,9 +1387,8 @@ mod tests {
     fn a_crash_drops_exactly_the_unsynced_values() {
         let mut b = base();
         for (s, wseq) in [(1, 2), (2, 5), (3, 6)] {
-            let cell = written(&mut b, Slot(s), Term(1), put(s));
-            cell.acks.set(0b011);
-            cell.wseq.set(wseq);
+            written(&mut b, Slot(s), Term(1), put(s), 0b011);
+            b.local_mut(Slot(s)).wseq = wseq;
         }
         b.learn([Slot(3)]);
         b.exec_index = Slot(1);
@@ -1284,7 +1401,7 @@ mod tests {
         assert_eq!(b.bytes, put(1).size_bytes());
         assert!(b.cells.get(Slot(1)).unwrap().cmd().is_some());
         let lost = b.cells.get(Slot(3)).unwrap();
-        assert!(lost.cmd().is_none() && !lost.committed.get() && lost.acks.get() == 0);
+        assert!(lost.cmd().is_none() && !b.committed(Slot(3)) && b.acks(Slot(3)) == 0);
         assert_eq!(lost.bal, Term::ZERO, "an empty cell accepted nothing");
         assert!(b.learnt_without_value(Slot(3)) && !b.learnt_without_value(Slot(2)));
     }

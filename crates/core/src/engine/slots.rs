@@ -32,22 +32,28 @@
 //! A block is reference-counted, so a reader can keep one past the call
 //! that found it, and another ring can hold it too: a round is a [`Run`]
 //! of the sender's own blocks (*Rounds* below), and a Raft follower's log
-//! holds the very blocks its leader's does (`SlotRing::share`). What
-//! makes that safe is that a ring owns only its span: `get`, `len`,
-//! `last_slot`, `range` and `trim` read the cells from its lowest entry
-//! to its highest and nothing else, so a cell another holder sets beyond
-//! them is not an entry of this ring. And a set cell changes only in a
-//! block nobody else holds:
+//! or a MultiPaxos acceptor's table holds the very blocks its leader's or
+//! proposer's does (`SlotRing::share`). What makes that safe is that a
+//! ring owns only its span: `get`, `len`, `last_slot`, `range` and `trim`
+//! read the cells from its lowest entry to its highest and nothing else,
+//! so a cell another holder sets beyond them is not an entry of this
+//! ring. And a set cell changes only in a block nobody else holds:
 //!
 //! - filling an *empty* cell goes through the shared block, so a leader
 //!   appends, a proposer numbers its next instances, a Mencius owner
 //!   stores a peer's value between its own, and a follower moves its next
-//!   forwarded batch, into a block that rounds in flight and its
-//!   followers' logs point at — each of them reads only the cells it was
-//!   cut over or spans;
+//!   forwarded batch, into a block that rounds in flight and other rings
+//!   point at — each of them reads only the cells it was cut over or
+//!   spans;
 //! - writing a *set* cell — overwriting, taking or clearing one, or
 //!   filling one that another holder set beyond this ring's span — goes
 //!   through `Rc::make_mut`, which first copies a block someone else holds.
+//!
+//! The first rule needs an empty cell to lie outside every other ring's
+//! span, so no ring has a hole in its span of a block another ring holds:
+//! a run lends its blocks to another ring only when cut from a ring with
+//! no hole in its span (`Run::blocks`), and a ring that lent or took a
+//! block copies it before stretching its span past a gap in it.
 //!
 //! So a kept block is a snapshot of the cells that were set when it was
 //! taken, and two rings that hold one block at one place hold the same
@@ -55,45 +61,26 @@
 //! the span takes them out of a block the span still reaches (copying it
 //! first if shared); a block the span leaves is let go as it is.
 //!
-//! What a `T` changes through `&T` is the exception, and the Paxos
-//! family's instance is built on it: a round reads only an instance's
-//! value, which changes through `&mut`, while the ballot, the ack
-//! bitmap, the flags and the write sequence are `std::cell::Cell`s that
-//! change in place, shared block or not. Tallying an ack, learning a
-//! decision, tagging a write for its fsync or raising a promise copies
-//! nothing; re-proposing a value, a revocation's decision, a crash's drop
-//! or a compaction that stops inside a block a round holds copies that
-//! block first. A Paxos-family table never shares a block with another
-//! table: it has holes, and only a dense ring can take another's cells
-//! as its own.
-//!
 //! # Rounds
 //!
 //! Under Figure 3's map a Raft `Append` is a phase-2 accept over a range
 //! of instances, a MultiPaxos `Accept` is one over the proposer's, and
 //! Appendix A.4's Mencius `Suggest` is an `Append` over one owner's
 //! slots. So every round of the four protocols, and a follower's
-//! forwarded batch too, is one [`Run`], cut by one method,
-//! [`SlotRing::cut`]: the first entries of a range that the caller's
-//! rule carries. When they are a run of slots `stride` apart — 1 for a
-//! log, a proposer's batch or a forwarded batch, `n` for a Mencius
-//! owner's every `n`th slot — that lie within two blocks, the run holds
-//! the block the first lies in and, when it goes on past that block's
-//! end, the next one, both shared, with the first slot, the count and
-//! the stride in one word. Cutting one for any peer at any cursor is a
-//! reference count, never an allocation or an entry copy, and every peer
-//! it goes to shares it. Anything else — a round past entries chosen out
-//! of order, a retransmission of the slots that aged, a catch-up longer
-//! than two blocks — is copied instead: its `(slot, entry)` pairs, in
-//! one allocation.
+//! forwarded batch too, is one [`Run`], cut by [`SlotRing::cut`]: the
+//! first entries of a range that the caller's rule carries. When they are
+//! a run of slots `stride` apart — 1 for a log, a proposer's batch or a
+//! forwarded batch, `n` for a Mencius owner's — within two blocks, the
+//! run holds those blocks, shared, with the first slot, the count and the
+//! stride in one word: cutting one for any peer is a reference count,
+//! never an allocation or an entry copy. Anything else — a round past
+//! entries chosen out of order, a retransmission of the slots that aged,
+//! a catch-up longer than two blocks — is a copy of its `(slot, entry)`
+//! pairs, in one allocation.
 //!
-//! A run stays what it was cut as while the ring moves on, by the rule
-//! above: appending, numbering the next instances or filling a peer's
-//! slot fills empty cells, in the blocks the run holds; a truncation, an
-//! overwrite, a compaction that stops inside a block, a crash's drop or a
-//! re-proposal copies the block first. What a round carries beside its
-//! entries belongs to the protocol, not to the store: Raft\*'s ballot
-//! mark rides next to the run in `RaftMsg::Append`, a Paxos round's
+//! A run stays what it was cut as while the ring moves on, by the rules
+//! above. What a round carries beside its entries is the protocol's:
+//! Raft\*'s ballot mark rides in `RaftMsg::Append`, a Paxos round's
 //! ballot in its message.
 
 use std::cell::OnceCell;
@@ -145,8 +132,12 @@ pub struct SlotRing<T, const B: usize = CELLS> {
     /// here (module docs, *Sharing*).
     lo: u64,
     hi: u64,
-    /// Cells of the span that hold an entry.
-    present: usize,
+    /// Cells of the span that hold an entry: 32 bits, so `lent` fits beside.
+    present: u32,
+    /// Whether another ring may hold a block of this one: it took one by
+    /// [`SlotRing::share`], or cut a run another may take (module docs,
+    /// *Sharing*).
+    lent: std::cell::Cell<bool>,
 }
 
 impl<T, const B: usize> Default for SlotRing<T, B> {
@@ -157,6 +148,7 @@ impl<T, const B: usize> Default for SlotRing<T, B> {
             lo: 0,
             hi: 0,
             present: 0,
+            lent: Default::default(),
         }
     }
 }
@@ -172,7 +164,7 @@ impl<T: Clone, const B: usize> SlotRing<T, B> {
 
     /// Entries present (absent slots inside the span do not count).
     pub fn len(&self) -> usize {
-        self.present
+        self.present as usize
     }
 
     /// True when no entry is present.
@@ -224,6 +216,8 @@ impl<T: Clone, const B: usize> SlotRing<T, B> {
             }
             self.first_block = block;
             (self.lo, self.hi) = (slot.0, slot.0);
+        } else if self.lent.get() {
+            self.vacate(slot.0);
         }
         while block < self.first_block {
             self.blocks.push_front(absent());
@@ -238,6 +232,25 @@ impl<T: Clone, const B: usize> SlotRing<T, B> {
             (block - self.first_block) as usize,
             (slot.0 % Self::BLOCK) as usize,
         )
+    }
+
+    /// Before the span stretches to `slot`: the cells between it and the
+    /// span, in the block at the span's end, become absent in a block of
+    /// the ring's own — a hole in a block two rings hold is a cell either
+    /// may fill in place (module docs, *Sharing*).
+    fn vacate(&mut self, slot: u64) {
+        let (gap, edge) = match slot {
+            s if s > self.hi + 1 => (self.hi + 1..s, self.hi),
+            s if s + 1 < self.lo => (s + 1..self.lo, self.lo),
+            _ => return,
+        };
+        let (block, cell) = self.locate(Slot(edge)).expect("the span's end is held");
+        let at = edge - cell as u64;
+        let (from, to) = (gap.start.max(at) - at, gap.end.min(at + Self::BLOCK) - at);
+        if from < to {
+            let cells = &mut own(&mut self.blocks[block])[from as usize..to as usize];
+            cells.iter_mut().for_each(|c| drop(c.take()));
+        }
     }
 
     /// Puts `entry` at `slot`, returning the entry it replaced. An empty
@@ -312,9 +325,9 @@ impl<T: Clone, const B: usize> SlotRing<T, B> {
     /// its next. The span then runs through the last of the slots at
     /// least (module docs, *Sharing*).
     ///
-    /// For a table dense over its span (the log), and `block` a table's
-    /// with `cells` set; a `slot` outside the span and not just past it
-    /// is refused too.
+    /// For `block` and `cells` from `Run::blocks`, whose cells are set
+    /// and whose ring has no hole in its span; a `slot` outside the span
+    /// and not just past it is refused too.
     pub(crate) fn share(&mut self, slot: Slot, block: &Block<T, B>, cells: Range<usize>) -> bool {
         if cells.is_empty() || cells.start as u64 != slot.0 % Self::BLOCK {
             return false;
@@ -324,7 +337,8 @@ impl<T: Clone, const B: usize> SlotRing<T, B> {
             self.blocks.clear();
             self.blocks.push_back(block.clone());
             self.first_block = slot.0 / Self::BLOCK;
-            (self.lo, self.hi, self.present) = (slot.0, last, cells.len());
+            (self.lo, self.hi, self.present) = (slot.0, last, cells.len() as u32);
+            self.lent.set(true);
             return true;
         }
         if !(self.lo..=self.hi + 1).contains(&slot.0) {
@@ -338,9 +352,10 @@ impl<T: Clone, const B: usize> SlotRing<T, B> {
             _ => return false,
         }
         if last > self.hi {
-            self.present += (last - self.hi) as usize;
+            self.present += (last - self.hi) as u32;
             self.hi = last;
         }
+        self.lent.set(true);
         true
     }
 
@@ -384,7 +399,7 @@ impl<T: Clone, const B: usize> SlotRing<T, B> {
                 });
             }
         }
-        self.present -= dropped;
+        self.present -= dropped as u32;
         if self.present > 0 {
             if start == lo {
                 self.lo = end;
@@ -556,10 +571,14 @@ impl<T: Clone, const B: usize> SlotRing<T, B> {
         let last = first + (len as u64 - 1) * stride;
         let next =
             (last / Self::BLOCK > first / Self::BLOCK).then(|| self.blocks[block + 1].clone());
+        // Module docs, *Sharing*.
+        let lendable = stride == 1 && self.present as u64 == self.hi - self.lo + 1;
+        let word = pack(first, len as u64, stride, lendable)?;
+        self.lent.set(self.lent.get() | lendable);
         Some(Run(Repr::View {
             head: self.blocks[block].clone(),
             next,
-            word: pack(first, len as u64, stride)?,
+            word,
         }))
     }
 }
@@ -592,11 +611,11 @@ enum Repr<T, const B: usize> {
 }
 
 /// A view's first slot (below 2^40), count (below 2^16: a view spans at
-/// most two blocks) and stride (below 2^8: `ReplicaConfig::validate` caps
-/// `n` at 32), in one word.
-fn pack(first: u64, len: u64, stride: u64) -> Option<u64> {
-    let fits = first < 1 << 40 && len < 1 << 16 && stride < 1 << 8;
-    fits.then_some(first | len << 40 | stride << 56)
+/// most two blocks), stride (below 2^7: `ReplicaConfig::validate` caps
+/// `n` at 32) and whether another ring may take its blocks, in one word.
+fn pack(first: u64, len: u64, stride: u64, lendable: bool) -> Option<u64> {
+    let fits = first < 1 << 40 && len < 1 << 16 && stride < 1 << 7;
+    fits.then_some(first | len << 40 | stride << 56 | u64::from(lendable) << 63)
 }
 
 /// [`pack`]'s first slot, count and stride.
@@ -604,7 +623,7 @@ fn unpack(word: u64) -> (u64, usize, u64) {
     (
         word & ((1 << 40) - 1),
         (word >> 40 & 0xFFFF) as usize,
-        word >> 56,
+        word >> 56 & 0x7F,
     )
 }
 
@@ -670,12 +689,13 @@ impl<T, const B: usize> Run<T, B> {
         }
     }
 
-    /// A run of consecutive slots past its first `skip`, block by block:
-    /// each block with the range of its cells; nothing for a copy or a
-    /// stride past 1 (`SlotRing::share` takes these).
+    /// A run another ring may take the blocks of past its first `skip`,
+    /// block by block: each block with the range of its cells; nothing
+    /// for a copy, a stride past 1 or a ring with a hole in its span
+    /// (`SlotRing::share` takes these).
     pub(crate) fn blocks(&self, skip: usize) -> impl Iterator<Item = (&Block<T, B>, Range<usize>)> {
         let (blocks, from, len) = match &self.0 {
-            Repr::View { head, next, word } if unpack(*word).2 == 1 => {
+            Repr::View { head, next, word } if *word >> 63 == 1 => {
                 let (first, len, _) = unpack(*word);
                 (
                     [Some(head), next.as_ref()],
@@ -1144,6 +1164,36 @@ pub(crate) mod tests {
         assert!(b.share(Slot(266), second, 10..45), "what `a` filled since");
         assert_eq!(b.last_slot(), Some(Slot(300)));
         assert_eq!(b.len(), 300);
+    }
+
+    /// A ring that took a block, or lent one, copies it before its span
+    /// stretches past a gap in it: the cells the other holder set there
+    /// read as absent, and neither ring's span has a hole in a block both
+    /// hold, so a cell either fills in place is beyond the other's span.
+    /// A view of a ring with a hole in its span lends no block.
+    #[test]
+    fn a_gap_copies_a_shared_block_and_a_ring_with_a_hole_lends_none() {
+        let (a, mut b) = a_and_b();
+        assert_eq!(b.insert(Slot(270), 7), None);
+        assert!(
+            !shared(&a, &b, 256) && shared(&a, &b, 1),
+            "the gap's block is copied"
+        );
+        let tail: Vec<(u64, u64)> = b.range(Slot(260)..).map(|(s, &x)| (s.0, x)).collect();
+        let want: Vec<(u64, u64)> = (260..=265).map(|s| (s, s)).chain([(270, 7)]).collect();
+        assert_eq!((tail, b.len()), (want, 266));
+        assert_eq!(
+            (a.get(Slot(268)), a.get(Slot(270))),
+            (Some(&268), Some(&270))
+        );
+        let mut c: SlotRing<u64> = SlotRing::new();
+        for s in (1..=20).filter(|&s| s != 11) {
+            c.insert(Slot(s), s);
+        }
+        let view = |c: &SlotRing<u64>| c.cut(Slot(12).., 1, usize::MAX, |_, _| true);
+        assert!(view(&c).is_view() && view(&c).blocks(0).next().is_none());
+        c.insert(Slot(11), 11);
+        assert_eq!(view(&c).blocks(0).count(), 1, "no hole: it lends");
     }
 
     /// Every write of a set cell of a shared block — a truncation and the

@@ -1042,13 +1042,17 @@ mod tests {
         // `commit` (Raft*'s ballots are its `term`; 72 B while it carried
         // a ballot mark).
         assert_eq!(size_of::<crate::msg::RaftMsg>(), 64);
-        // The Paxos-family instance, one for both rules files: the ack
-        // bitmap and the flags share one word.
-        assert_eq!(size_of::<Cell>(), 72);
-        // Its ring cell: the ballot, flags and write sequence change in
-        // place (`std::cell::Cell`s hide their niches), and the value's
-        // niche still holds the `OnceCell`'s.
-        assert_eq!(size_of::<std::cell::OnceCell<Cell>>(), 72);
+        // The Paxos-family instance, one for both rules files, as every
+        // replica holding it sees it: the value and its ballot, the shape
+        // of a log entry. Its ring cell keeps the value's niche, so a slot
+        // of a table's blocks, which an acceptor shares with its proposer,
+        // is 56 B.
+        assert_eq!(size_of::<Cell>(), 56);
+        assert_eq!(size_of::<std::cell::OnceCell<Cell>>(), 56);
+        // What one replica keeps of an instance in flight, beside the
+        // table: the ack bitmap, the decision and the write sequence. The
+        // instance with them was 72 B a slot in every replica's table.
+        assert_eq!(size_of::<crate::engine::paxos_family::Local>(), 16);
     }
 
     #[test]

@@ -3,177 +3,129 @@
 //! [`ReplicaEngine`].
 //!
 //! Every replica is the *default leader* of the slots `s` with
-//! `(s - 1) mod n == id`. A client sends requests to its nearest replica,
-//! which proposes them in its own slots (`Suggest`, the `isDefault`
-//! append) — under the engine, Mencius is simply the protocol whose
-//! `can_propose` is always true, so client batches are never forwarded.
-//! Replicas that fall behind *skip* their unused slots ("each replica
-//! keeps committing skip to keep the system moving forward"). A skipped
-//! slot is a no-op from the default leader, so by the coordinated-Paxos
-//! property it is executable without waiting for a commit round.
+//! `(s - 1) mod n == id`, and proposes its nearest clients' requests in
+//! them (`Suggest`, the `isDefault` append): Mencius is the protocol whose
+//! `can_propose` is always true, so batches are never forwarded. A replica
+//! that falls behind *skips* its unused slots ("each replica keeps
+//! committing skip to keep the system moving forward"); a skip is a no-op
+//! from the default leader, executable without a commit round.
 //!
 //! # Per-peer streams
 //!
-//! Everything a replica has to tell a peer about its *own* slots — which
-//! are skipped, which committed, how far it has executed — and its reply
-//! to the peer's suggestions travels as one stream per peer, and every
-//! regular message to that peer (`Suggest`, `Notice`) is an element of
-//! it, carrying a [`Coord`]. Raft's `Append` has always carried `commit`;
-//! a `Commit` message of its own is the same fact spelled as a separate
-//! learn message, and this is that optimisation ported across the
-//! mapping. Appendix A.3 already piggybacks the skip on the reply to a
-//! `Suggest`; here the reply (the `acceptOK`, an [`Ack`]) is itself an
-//! element of the acceptor's stream to the owner.
+//! What a replica tells a peer about its *own* slots — which are skipped,
+//! which committed, how far it has executed — and its reply to the peer's
+//! suggestions travel as one stream per peer: every regular message to
+//! that peer (`Suggest`, `Notice`) is an element of it, carrying a
+//! [`Coord`]. That is Raft's `Append` carrying `commit`, ported across the
+//! mapping; Appendix A.3 already piggybacks the skip on the reply to a
+//! `Suggest`, and here the reply (an [`Ack`]) is itself an element of the
+//! acceptor's stream to the owner.
 //!
-//! **The stream.** `from` is the watermark last sent *to that peer*,
-//! `watermark` the current one: the element accounts for every owner
-//! slot in `[from, watermark)` — suggested in this very message, or a
-//! no-op. Values only ever leave in the `Suggest` whose range covers
-//! them, so any later message may carry the next element — but nothing
-//! may be stamped between moving the watermark over a new round and
-//! sending that round's `Suggest`: the element would claim the round's
-//! slots as no-ops ahead of their values, and a peer executing in between
-//! would apply a no-op where the owner applies the write.
+//! **The stream.** An element accounts for every owner slot in
+//! `[from, watermark)` — `from` the watermark last sent *to that peer* —
+//! as suggested in this very message or a no-op. Values leave only in the
+//! `Suggest` whose range covers them, so nothing may be stamped between
+//! moving the watermark over a new round and sending that round's
+//! `Suggest`: a peer executing in between would apply a no-op where the
+//! owner applies the write.
 //!
-//! **The gap rule.** The simulator's links keep order but lose messages
-//! (`drop_rate`, partitions), so a watermark alone proves nothing: a
-//! lost `Suggest` followed by any later watermark would turn a committed
-//! write into a no-op at that replica. A receiver therefore advances
+//! **The gap rule.** Links keep order but lose messages, so a watermark
+//! alone proves nothing: a lost `Suggest` followed by any later watermark
+//! would turn a committed write into a no-op. A receiver advances
 //! `known_upto[owner]` only when the element joins what it already knows
-//! (`MenciusRules::note_known`, the one place the bound moves). A gap
-//! leaves it where it is and execution blocks on the first unknown slot
-//! instead of diverging; what arrives beyond the gap is kept as one run
-//! of elements continuing each other. The owner, seeing that peer's
-//! executed prefix stall, replays its decided values above that prefix
-//! under a range that starts right there and ends at its first value
-//! still in flight (`MenciusRules::replay_to_stalled_peers`) — complete
-//! for the range it claims, and once it reaches the kept run the whole
-//! gap is healed. Whoever else vouches for a range (a revocation's
-//! decision, an installed checkpoint) goes through the same check, and
-//! a slot this replica refuses is not accounted for. A value the owner
-//! reports decided is stored even against a local revocation promise:
-//! learning is not accepting.
+//! (`MenciusRules::note_known`, the one place the bound moves); a gap
+//! leaves it, execution blocks on the first unknown slot, and what
+//! arrives beyond the gap is kept as one run. The owner, seeing that
+//! peer's executed prefix stall, replays its decided values above it under
+//! a claim that ends at its first value still in flight
+//! (`MenciusRules::replay_to_stalled_peers`); once that reaches the kept
+//! run the gap is healed. A revocation's decision and an installed
+//! checkpoint vouch for ranges through the same check, and a slot this
+//! replica refuses is not accounted for. A value the owner reports decided
+//! is stored even against a local revocation promise: learning is not
+//! accepting.
 //!
 //! **What waits on a link.** Commit decisions are queued per peer, and an
-//! acceptor's ack is kept per owner — one per link, later acks to that
-//! owner at the same term merged into it. Both ride the next stream
-//! element to that peer (the ack most often the acceptor's own `Suggest`
-//! or the notice its watermark move sends anyway), by the engine's
-//! carrier rule (`engine/links.rs`). On an idle link a decision goes alone
-//! in a `Commit`, an ack in a `Notice` that takes the queued decisions
-//! along. The coordination tick sends a keepalive `Notice` only to peers
-//! the data path sent nothing since the previous one. A carried ack is
-//! charged the `ack_process` its message of its own was; a notice that
-//! carries one costs that and nothing more.
-//!
-//! An ack held back by the fsync gate would leave out of stream order,
-//! so it is not a stream element: it goes in a `Notice` whose header
-//! claims nothing, and the skip goes to that peer in a notice like to
-//! everybody else.
+//! acceptor's ack per owner, later acks at the same term merged into it.
+//! Both ride the next stream element to that peer by the engine's carrier
+//! rule (`engine/links.rs`); on an idle link a decision goes alone in a
+//! `Commit`, an ack in a `Notice` that takes the decisions along, and the
+//! coordination tick sends a keepalive `Notice` only to a peer sent
+//! nothing since the previous tick. A carried ack costs the `ack_process`
+//! its message of its own did. An ack the fsync gate holds back would
+//! leave out of stream order, so it goes in a `Notice` whose header claims
+//! nothing.
 //!
 //! # Responses and recovery
 //!
 //! Responses follow the paper's two regimes (Section 5.2):
-//! - **commutative (low conflict)**: a command is answered once its
-//!   slot commits and every other owner's slots below it are *known*
+//! - **commutative (low conflict)**: a command is answered once its slot
+//!   commits and every other owner's slots below it are *known*
 //!   (suggested or skipped) — nothing earlier can conflict;
-//! - **conflicting**: it additionally waits until every earlier write to
-//!   its key has applied, which requires learning the other servers'
-//!   commit decisions on previous entries — the extra latency Figure
-//!   10c/d shows for Mencius-100%.
+//! - **conflicting**: it also waits until every earlier write to its key
+//!   has applied, the extra latency Figure 10c/d shows for Mencius-100%.
 //!
-//! Reads follow the same rule as writes (Mencius's own: a command may
-//! finish out of order when it commutes with every earlier unexecuted
-//! one, and a read of `k` commutes with everything but writes to `k`).
-//! Execution runs in slot order, so when nothing before a read's slot
-//! that writes its key is left unapplied, the state machine already holds
-//! the value the read returns at its slot: it is answered from there
-//! (`KvStore::preview`), not once in-order execution reaches the slot —
-//! which waits for the farthest owner's decision on every slot below.
-//! Linearizable for the reason the write rule is: a command
+//! Reads follow the same rule (a read of `k` commutes with everything but
+//! writes to `k`) and are answered from the state machine
+//! (`KvStore::preview`) once nothing before their slot that writes their
+//! key is unapplied: execution runs in slot order, so it already holds the
+//! value the read returns there. Linearizable as writes are: a command
 //! answered at slot `w` had every other owner's slots below `w` known, so
-//! one invoked after that answer lands above `w`. Two things hold back
-//! every early answer, whatever its key: an unapplied migration command
-//! (a `FreezeRange` bounces the keys it moves, so the answer is only
-//! known once it has applied — then it is the redirect), and an own slot
-//! whose value a crash dropped (what it held is unknown until it is
-//! decided again).
+//! one invoked after lands above `w`. An unapplied migration command (a
+//! `FreezeRange` bounces the keys it moves) and an own slot whose value a
+//! crash dropped hold back every early answer.
 //!
-//! **The respond pass** (`MenciusRules::try_respond`) runs at the end of
-//! every execute step, i.e. on nearly every message, so what it costs
-//! must not grow with what is waiting. The coverage part is one number
-//! for all waiting slots — the smallest `known_upto` among the peers —
-//! and the pass depends on nothing but that *cover*, on `exec_index`,
-//! and on which slots are queued: when none of the three changed since
-//! the last pass, no waiting slot can have become ready, and it returns
-//! at once. When it does run, a slot above the cover is passed over on
-//! that one comparison, before its table entry is even looked up.
+//! **The respond pass** (`MenciusRules::try_respond`) runs after every
+//! execute step, so its cost must not grow with what waits: it depends
+//! only on the *cover* (the smallest `known_upto` among the peers), on
+//! `exec_index` and on which slots are queued, returns at once when none
+//! of them changed, and passes over a slot above the cover on that one
+//! comparison.
 //!
-//! **The conflict index** (`engine/conflicts.rs`, the engine's, which the
-//! lease's local reads consult too) holds the retained writes and
-//! migration commands *above the executed prefix*, and the rule reads "no
-//! indexed write to this key, and no migration command, in
-//! `(exec_index, s)`". The family's base keeps it: entries leave when
-//! their slot executes, is discarded, loses its value to a crash or has
-//! it replaced. That is garbage collection, never what makes a later slot
-//! ready — the range in the rule already ignores an executed entry — with
-//! one exception: a *replaced* value (a revocation deciding a no-op over
-//! a `Put k`) is a write that will never apply, so it leaves the index or
-//! it would hold back every later answer on `k` for as long as it stayed,
-//! and the answers it held get a fresh pass (`MenciusRules::note_stored`).
+//! **The conflict index** (`engine/conflicts.rs`), which the family's base
+//! keeps, holds the retained writes and migration commands *above the
+//! executed prefix*, and the rule reads "no indexed write to this key, and
+//! no migration command, in `(exec_index, s)`". A *replaced* value (a
+//! revocation deciding a no-op over a `Put k`) will never apply, so it
+//! leaves the index and the answers it held get a fresh pass
+//! (`MenciusRules::note_stored`).
 //!
-//! Crashed owners are handled by *revocation*: after a silence timeout a
-//! peer raises a ballot above the owner's, runs phase 1
-//! (`engine/phase1.rs`) over the owner's undecided range, re-proposes
-//! what was accepted and no-ops the rest (Appendix A.3's recovery
-//! leader), at a fresh ballot each `revoke_timeout` until a quorum
-//! answers. A partitioned replica suspects owners that are alive, so an
-//! owner can find its suggestion refused (`SuggestReject`) by an acceptor
-//! that promised the slot away. The refusal decides nothing — the rest of
-//! the quorum may still accept, or the revocation decides the slot,
-//! possibly as the very value suggested — so the owner leaves the slot
-//! alone; a refusing acceptor that already holds the decision sends it
-//! along, and an owner that promised its own range away proposes above
-//! it.
-//!
-//! A revocation's promise is kept as MultiPaxos keeps its ballot: one
-//! record per owner (`Promise`), never in a cell, whose ballot is the one
-//! its value was accepted at. A revoker runs above every promise it gave.
+//! Crashed owners are *revoked*: after a silence timeout a peer raises a
+//! ballot above the owner's, runs phase 1 (`engine/phase1.rs`) over the
+//! owner's undecided range and re-proposes what was accepted, no-opping
+//! the rest (Appendix A.3's recovery leader), at a fresh ballot each
+//! `revoke_timeout` until a quorum answers. An owner a partitioned peer
+//! suspects may find its suggestion refused (`SuggestReject`): that
+//! decides nothing, so it leaves the slot alone; a refusing acceptor that
+//! holds the decision sends it along, and an owner that promised its own
+//! range away proposes above it. A revocation's promise is kept as
+//! MultiPaxos keeps its ballot: one record per owner (`Promise`), never in
+//! a cell; a revoker runs above every promise it gave.
 //!
 //! # Durability (group commit)
 //!
 //! The family's (`engine/paxos_family.rs`, *Durability*); an ack that
-//! finds every write synced joins the stream. A multi-leader wrinkle:
-//! peers cannot revoke a slot whose owner is alive, so an owner that
-//! loses its *own* unsynced suggestions would stall the cluster (peers
-//! hold the value and wait forever for a commit only the owner can
-//! produce). Worse, the skip inference
-//! ("own slot below my watermark with no value was skipped") would
-//! silently read the dropped slot as a decided no-op — while a
-//! revocation during the downtime may have *decided the original
-//! value* from the peers' copies, without the owner's vote. Dropped
-//! own slots therefore go to `MenciusRules::lost_own`, which (a)
-//! suppresses the skip inference so execution blocks instead of
-//! diverging, and (b) makes the restart hook run the ordinary
-//! revocation phase-1 against the owner's *own* range: collect
-//! accepted values from a quorum at a bumped ballot, re-decide what
-//! anyone accepted and no-op the rest. That is exactly the crashed-
-//! owner recovery path, reused for self-recovery — safe by the same
-//! ballot argument, and live because the affected clients were never
-//! answered and retry through the dedup sessions.
-//! `RevokeOk` stays immediate: its promise is always-durable metadata,
-//! and over-persisting or widening a promise only ever *restricts* what
-//! the acceptor may later accept.
+//! finds every write synced joins the stream. Peers cannot revoke a live
+//! owner's slot, so an owner that lost its *own* unsynced suggestions in a
+//! crash would stall them, and its skip inference would read a dropped
+//! slot as a decided no-op — while a revocation during the downtime may
+//! have decided the original value from the peers' copies. Dropped own
+//! slots therefore go to `MenciusRules::lost_own`, which suppresses the
+//! skip inference (execution blocks instead of diverging) and has the
+//! restart run the ordinary revocation phase 1 against the owner's own
+//! range: the crashed-owner recovery, safe by the same ballot argument and
+//! live because the affected clients, never answered, retry. `RevokeOk`
+//! stays immediate: a promise is always-durable metadata, and widening one
+//! only restricts what the acceptor may accept.
 //!
 //! # What this file holds
 //!
-//! The slot table and its bookkeeping are the family's `PaxosBase`,
-//! shared with MultiPaxos, and so is the way a value enters it. Here is
-//! what makes it *Mencius*: ownership and skips, the per-peer streams,
-//! the execute loop with its skip inference, the respond pass, the
-//! owner's suggestion times (a ring of its own slots beside the table,
-//! so the shared cell stays 72 bytes), retransmission and the replay
-//! body, revocation and its promises, and what a crash keeps.
+//! The slot table, its bookkeeping and the way a value enters it are the
+//! family's `PaxosBase`. Here is what makes it *Mencius*: ownership and
+//! skips, the per-peer streams, the execute loop with its skip inference,
+//! the respond pass, what the owner alone knows of its own slots
+//! (`OwnSlots`), retransmission and the replay body, revocation and its
+//! promises, and what a crash keeps.
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -279,39 +231,55 @@ fn own_index(s: Slot, n: usize) -> u64 {
     (s.0 - 1) / n as u64
 }
 
-/// When the owner last (re)suggested each of its slots, dense over their
-/// `own_index`: `times[i]` is own slot number `first + i`, and a slot no
-/// entry covers reads as never.
-#[derive(Debug, Default)]
-struct SuggestTimes {
-    first: u64,
-    times: VecDeque<SimTime>,
+/// What the owner alone knows of one of its slots: when it last
+/// (re)suggested it (never, for one skipped or decided by a revocation),
+/// and whether it skipped it (a peer's skips derive from its watermark).
+#[derive(Debug, Clone, Copy, Default)]
+struct Own {
+    suggested: SimTime,
+    skipped: bool,
 }
 
-impl SuggestTimes {
-    fn get(&self, i: u64) -> SimTime {
-        let at = i
+/// The owner's [`Own`] state of its slots, dense over their `own_index`
+/// from `first` (a slot no entry covers reads as default). It lives as
+/// long as the table keeps the slots — dropped with the cells a checkpoint
+/// discards, kept through a crash like them: 16 bytes an own slot, where
+/// the skip rode in every cell of every replica.
+#[derive(Debug, Default)]
+struct OwnSlots {
+    first: u64,
+    slots: VecDeque<Own>,
+}
+
+impl OwnSlots {
+    fn get(&self, i: u64) -> Own {
+        let own = i
             .checked_sub(self.first)
-            .and_then(|k| self.times.get(k as usize));
-        at.copied().unwrap_or(SimTime::ZERO)
+            .and_then(|k| self.slots.get(k as usize));
+        own.copied().unwrap_or_default()
     }
 
-    /// Sets own slot number `i`'s time; one already dropped stays so.
-    fn set(&mut self, i: u64, at: SimTime) {
-        let Some(k) = i.checked_sub(self.first) else {
-            return;
-        };
-        let k = k as usize;
-        if k >= self.times.len() {
-            self.times.resize(k + 1, SimTime::ZERO);
+    /// Own slot number `i`'s state, to write; `None` for one already
+    /// dropped, which stays so.
+    fn get_mut(&mut self, i: u64) -> Option<&mut Own> {
+        let k = i.checked_sub(self.first)? as usize;
+        if k >= self.slots.len() {
+            self.slots.resize(k + 1, Own::default());
         }
-        self.times[k] = at;
+        Some(&mut self.slots[k])
+    }
+
+    /// Notes own slot number `i` (re)suggested at `at`.
+    fn suggested(&mut self, i: u64, at: SimTime) {
+        if let Some(own) = self.get_mut(i) {
+            own.suggested = at;
+        }
     }
 
     /// Drops every own slot numbered below `i`.
     fn drop_below(&mut self, i: u64) {
-        let gone = i.saturating_sub(self.first).min(self.times.len() as u64);
-        self.times.drain(..gone as usize);
+        let gone = i.saturating_sub(self.first).min(self.slots.len() as u64);
+        self.slots.drain(..gone as usize);
         self.first = self.first.max(i);
     }
 }
@@ -351,10 +319,10 @@ pub struct MenciusRules {
     /// When the coordination tick last ran: peers sent nothing since get
     /// a keepalive `Notice`.
     last_tick: SimTime,
-    /// When I last (re)suggested each own slot: paces the
-    /// retransmission and sizes a decision's patience. Dropped with the
-    /// cells a checkpoint discards, kept through a crash like them.
-    suggested: SuggestTimes,
+    /// What I alone know of my own slots: when I last (re)suggested each
+    /// (paces the retransmission and sizes a decision's patience), and
+    /// which I skipped.
+    mine: OwnSlots,
     /// Own committed slots waiting for the respond condition.
     await_respond: Vec<Slot>,
     /// The `(cover, exec_index)` the last respond pass ran with; `None`
@@ -381,18 +349,12 @@ pub struct MenciusRules {
     /// Decisions that left in a `Commit` of their own.
     commits_alone: u64,
     /// Revocation decisions recorded for a value the slot already held
-    /// (stats): the one write this file still pays twice — a decision is
-    /// written whether or not its value was held, and not writing it moves
-    /// the durability-on fault fingerprint, so it is counted here and
-    /// left to the revocation rewrite (ROADMAP item 1).
+    /// (stats): a decision is written whether or not its value was held,
+    /// the one write paid twice (ROADMAP item 1).
     decision_rewrites: u64,
-    /// Durability: own slots whose unsynced value a crash dropped.
-    /// The stalled-peer replay stops its range claim short of them;
-    /// membership suppresses the skip inference in `decided_at` (the
-    /// empty slot must not read as a decided no-op — a revocation
-    /// during our downtime may have decided the original value from
-    /// the peers' copies), and `on_start` re-decides the range with a
-    /// phase-1 self-revocation. Entries leave the set as values land.
+    /// Durability: own slots whose unsynced value a crash dropped (module
+    /// docs): no skip inference there, no replay claim past them, and a
+    /// self-revocation at `on_start`. Entries leave as values land.
     lost_own: BTreeSet<u64>,
 }
 
@@ -427,7 +389,7 @@ impl MenciusReplica {
                 last_tick: SimTime::ZERO,
                 base: PaxosBase::new(n, me),
                 promises: vec![Promise::NONE; n],
-                suggested: SuggestTimes::default(),
+                mine: OwnSlots::default(),
                 await_respond: Vec::new(),
                 respond_seen: None,
                 #[cfg(test)]
@@ -473,13 +435,13 @@ static NOOP: Command = Command::noop();
 
 impl MenciusRules {
     fn decided_at(&self, core: &EngineCore, slot: Slot) -> Option<&Command> {
-        let owner = MenciusReplica::owner_of(slot, core.cfg.n);
+        let (owner, n) = (MenciusReplica::owner_of(slot, core.cfg.n), core.cfg.n);
         let held = self.base.cells.get(slot);
         if let Some(s) = held {
-            if s.committed.get() {
+            if self.base.committed(slot) {
                 return s.cmd();
             }
-            if s.skipped.get() {
+            if owner == core.cfg.id && self.mine.get(own_index(slot, n)).skipped {
                 return Some(&NOOP);
             }
         }
@@ -570,9 +532,7 @@ impl MenciusRules {
 
     /// What a stored run changes for the respond pass: a value written
     /// over that left the conflict index, and a value landing in a
-    /// crash-dropped own slot (our own recovery decision, or a
-    /// revocation's, supersedes the loss marker), give the answers they
-    /// held back a fresh look.
+    /// crash-dropped own slot, give the answers they held back a fresh look.
     fn note_stored(&mut self, got: &Received) {
         let mut fresh = got.released;
         if !self.lost_own.is_empty() {
@@ -625,7 +585,8 @@ impl MenciusRules {
         while s < new_own {
             let slot = self.base.cells.get_or_default(s);
             if slot.cmd().is_none() {
-                slot.skipped.set(true);
+                let own = self.mine.get_mut(own_index(s, core.cfg.n));
+                own.expect("above the floor").skipped = true;
                 self.skips_issued += 1;
             }
             s = Slot(s.0 + core.cfg.n as u64);
@@ -634,17 +595,13 @@ impl MenciusRules {
         true
     }
 
-    /// The one place `known_upto` moves. The caller vouches that every
-    /// slot of `owner` in `[from, upto)` is accounted for (its value
-    /// stored here, or a no-op); the bound advances only when that range
-    /// joins what is already known — the old bound or the executed
-    /// prefix, whichever reaches further — i.e. no slot of `owner` lies
-    /// between that and `from`. A gap means a message was lost: the
-    /// bound stays, execution blocks on the first unknown slot, and the
-    /// owner's stalled-peer replay (which starts its claim right above
-    /// the executed prefix we report) repairs it. What was heard beyond
-    /// the gap is kept as one run of elements continuing each other, so
-    /// a repair that reaches the run heals all of it.
+    /// The one place `known_upto` moves (module docs, *The gap rule*). The
+    /// caller vouches that every slot of `owner` in `[from, upto)` is
+    /// accounted for (stored here, or a no-op); the bound advances only
+    /// when no slot of `owner` lies between what is known — the old bound
+    /// or the executed prefix, whichever reaches further — and `from`.
+    /// What was heard beyond a gap is kept as one run, healed whole by a
+    /// repair that reaches it.
     fn note_known(&mut self, core: &EngineCore, owner: NodeId, from: Slot, upto: Slot) {
         if owner == core.cfg.id {
             return;
@@ -748,26 +705,19 @@ impl MenciusRules {
         }
     }
 
-    /// One covered slot of the respond pass: answers its client if the
-    /// rest of the condition holds — committed, and nothing unapplied
-    /// before it that the answer depends on. Reads and writes alike:
-    /// execution runs in slot order, so nothing above `s` has applied
-    /// and the state machine already answers what applying `s` will, the
-    /// value a read returns included. Returns whether the slot stays
-    /// queued.
+    /// One covered slot of the respond pass: answers its client from the
+    /// state machine if the rest of the condition holds — committed, and
+    /// nothing unapplied before it that the answer depends on. Returns
+    /// whether the slot stays queued.
     fn still_waits(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, s: Slot) -> bool {
-        let Some(slot) = self.base.cells.get(s) else {
+        let Some(cmd) = self.base.cells.get(s).and_then(Cell::cmd) else {
             return false;
         };
-        let Some(cmd) = slot.cmd().filter(|_| !slot.responded.get()) else {
-            return false;
-        };
-        if !slot.committed.get() || !self.conflicts_applied(core, s, cmd.op.key()) {
+        if !self.base.committed(s) || !self.conflicts_applied(core, s, cmd.op.key()) {
             return true;
         }
         let reply = core.kv.preview(&cmd.op);
         core.respond(ctx, cmd.id, reply);
-        self.base.cells.get(s).expect("exists").responded.set(true);
         false
     }
 
@@ -792,9 +742,8 @@ impl MenciusRules {
     }
 
     /// Checkpoints and discards the executed slot prefix once it crosses
-    /// the configured threshold ([`PaxosBase::compact_through`]) — short
-    /// of own slots still awaiting a client response, which are never
-    /// discarded.
+    /// the threshold ([`PaxosBase::compact_through`]), short of own slots
+    /// still awaiting a client response.
     fn maybe_compact(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
         if !self.base.compaction_due(core) {
             return;
@@ -815,13 +764,13 @@ impl MenciusRules {
     /// checkpoint just discarded.
     fn forget_suggested_through(&mut self, core: &EngineCore, upto: Slot) {
         let above = owned_at_or_after(core.cfg.id, upto.next(), core.cfg.n);
-        self.suggested.drop_below(own_index(above, core.cfg.n));
+        self.mine.drop_below(own_index(above, core.cfg.n));
     }
 
     /// When I last (re)suggested own slot `s` (zero for one I never
     /// suggested: skipped, or decided by a revocation).
     fn suggested_at(&self, core: &EngineCore, s: Slot) -> SimTime {
-        self.suggested.get(own_index(s, core.cfg.n))
+        self.mine.get(own_index(s, core.cfg.n)).suggested
     }
 
     /// Queues the decisions made in this handler on every peer's stream,
@@ -848,28 +797,20 @@ impl MenciusRules {
 
     /// Retransmits my own suggested-but-unexecuted slots after
     /// [`engine::RETRY_INTERVAL`] of silence — the MultiPaxos heartbeat's
-    /// uncommitted-instance retransmission in the Mencius spelling. A
-    /// `Suggest` or the element carrying its ack lost on the wire
-    /// otherwise stalls the slot until the client gives up and retries;
-    /// committed slots are included because a peer that missed the
-    /// original suggestion can neither advance its watermark past the
-    /// slot nor execute it, which blocks the respond condition's coverage
-    /// check cluster-wide.
-    ///
-    /// Each slot is re-sent at the term it was accepted at (its cell's
-    /// ballot), not `current_term`: ack counting matches acks against the
-    /// slot's ballot, and a term that advanced in between (a revocation
-    /// attempt on some third owner, a `SuggestReject`) would orphan the
-    /// acks. Slots suggested at different terms therefore go out in
-    /// separate per-term rounds.
+    /// retransmission in the Mencius spelling — committed ones included: a
+    /// peer that missed the suggestion can neither execute the slot nor
+    /// move its watermark past it, which blocks every respond pass's
+    /// coverage. Each slot goes at the term it was accepted at (its cell's
+    /// ballot), not `current_term`, as the acks are counted against it:
+    /// one round per term.
     fn retransmit_own_unexecuted(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
         let now = ctx.now();
         let (me, n) = (core.cfg.id, core.cfg.n);
         // An own value suggested longer than a retry interval ago.
         let due = |rules: &Self, s: Slot, slot: &Cell| {
-            let at = rules.suggested.get(own_index(s, n));
-            let idle = now.since(at.min(now)) > engine::RETRY_INTERVAL;
-            let mine = MenciusReplica::owner_of(s, n) == me && !slot.skipped.get();
+            let own = rules.mine.get(own_index(s, n));
+            let idle = now.since(own.suggested.min(now)) > engine::RETRY_INTERVAL;
+            let mine = MenciusReplica::owner_of(s, n) == me && !own.skipped;
             mine && slot.cmd().is_some() && idle
         };
         // The first 64 due slots: where they end, and those already chosen.
@@ -878,8 +819,8 @@ impl MenciusRules {
         let taken = held.filter(|&(s, slot)| due(self, s, slot));
         let mut committed = Slots::new();
         let mut last = None;
-        for (s, slot) in taken.take(64) {
-            if slot.committed.get() {
+        for (s, _) in taken.take(64) {
+            if self.base.committed(s) {
                 committed.push(s);
             }
             last = Some(s);
@@ -908,28 +849,20 @@ impl MenciusRules {
                 .cells
                 .cut(unsent.clone(), n as u64, usize::MAX, at_term);
             for (s, _) in items.iter() {
-                self.suggested.set(own_index(s, n), now);
+                self.mine.suggested(own_index(s, n), now);
             }
             self.send_suggest(core, ctx, term, items);
         }
     }
 
-    /// Per-peer catch-up: the MultiPaxos stall-gated replay ported to the
-    /// Mencius spelling. A message lost on the wire leaves the peer a gap
-    /// in my stream it can never fill itself (unlike a crashed owner's
-    /// slots, a live owner's slots are never revoked), so each owner
-    /// replays its *own* decided slots to peers whose executed prefix
-    /// stalled between two coordination ticks: the values above that
-    /// prefix, with their decisions, under a range claim that starts
-    /// right there — so it joins whatever the peer already knows — and
-    /// ends at the first value still uncommitted (or the 64th, to bound
-    /// the burst), so the replay is complete for the range it claims.
-    /// An in-flight value is not re-sent on a mere stall (prefixes trail
-    /// a far owner's commits all the time); what the peer heard beyond
-    /// the gap it kept, so reaching that is enough. A peer below the
-    /// checkpoint floor gets the state instead — it can never learn the
-    /// dropped decisions from us ([`PaxosBase::stalled_peer`]; the
-    /// multi-leader checkpoint carries no seal).
+    /// Per-peer catch-up, the MultiPaxos stall-gated replay in the Mencius
+    /// spelling (module docs, *The gap rule*): to each peer whose executed
+    /// prefix stalled between two coordination ticks, my *own* decided
+    /// values above it, with their decisions, under a claim that starts
+    /// right there and ends at the first value still uncommitted (or the
+    /// 64th), complete for the range it claims. A peer below the
+    /// checkpoint floor gets the state instead ([`PaxosBase::stalled_peer`];
+    /// the multi-leader checkpoint carries no seal).
     fn replay_to_stalled_peers(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
         let (me, n) = (core.cfg.id, core.cfg.n);
         for peer in core.cfg.others() {
@@ -957,7 +890,7 @@ impl MenciusRules {
                     continue;
                 }
                 let bal = slot.bal();
-                if !slot.committed.get() || count == 64 || term.is_some_and(|t| t != bal) {
+                if !self.base.committed(s) || count == 64 || term.is_some_and(|t| t != bal) {
                     upto = s;
                     break;
                 }
@@ -1002,20 +935,15 @@ impl MenciusRules {
     }
 
     /// Starts revocation of `owner`'s undecided slots when they block
-    /// execution and the owner has been silent. With durability on,
-    /// also covers *self*-recovery: a crash-dropped own slot
-    /// (`lost_own`) blocks execution just like a crashed peer's, and is
-    /// re-decided by the same phase-1 — immediately, no silence
-    /// required, since we know first-hand the write is gone.
+    /// execution and the owner has been silent — or, for a crash-dropped
+    /// own slot (`lost_own`), at once: the self-recovery of module docs.
     fn maybe_revoke(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
         let (now, timeout) = (ctx.now(), core.cfg.mencius.revoke_timeout);
         if now.since(self.last_revoke_attempt.min(now)) < timeout {
             return;
         }
-        // A revocation whose `RevokeOk`s never arrive (e.g. our ballot
-        // was stale and peers silently ignored it) would otherwise pin
-        // recovery shut forever; retry with a fresh ballot, as a stalled
-        // election does.
+        // A revocation whose `RevokeOk`s never arrive is retried with a
+        // fresh ballot, as a stalled election is.
         self.revoke = None;
         let next = self.base.exec_index.next();
         if self.decided_at(core, next).is_some() {
@@ -1023,12 +951,8 @@ impl MenciusRules {
         }
         let owner = MenciusReplica::owner_of(next, core.cfg.n);
         let through = if owner == core.cfg.id {
-            // Our own slot: flush/batch handles it — unless its value
-            // was crash-dropped, which only a self-revocation can
-            // re-decide (peers never revoke a live owner). The range
-            // stops at the last dropped slot: anything above it
-            // (including post-restart suggestions) is live and stays
-            // on the normal quorum path.
+            // Our own slot is the batch's, unless a crash dropped its
+            // value: a self-revocation up to the last slot dropped.
             if !self.lost_own.contains(&next.0) {
                 return;
             }
@@ -1103,20 +1027,16 @@ impl MenciusRules {
                             * items.len().max(1) as u64
                         + core.cfg.costs.size_cost(bytes),
                 );
-                // A slot checkpointed away was decided; the lagging owner
-                // converges via Checkpoint, not re-accept. A value the
-                // owner reports decided is learnt, not accepted, and no
-                // promise stands against learning: at a slot its owner
-                // committed, the owner's value is the only one any ballot
-                // can decide. A value the slot already holds (a duplicate
-                // from a retransmission or replay) is not written.
+                // A value the owner reports decided is learnt, not
+                // accepted: no promise stands against it, as at a slot
+                // its owner committed no ballot can decide another.
                 let promises = &self.promises;
                 let eligible = |base: &PaxosBase, s| {
                     term >= promised_at(promises, base, s)
                         || coord.commits.contains(s)
                         || base.learnt_without_value(s)
                 };
-                let got = (self.base).accept(core, ctx, term, items.values(), eligible, false);
+                let got = (self.base).accept(core, ctx, term, &items, eligible);
                 self.note_stored(&got);
                 let max_slot = got.acked.max().unwrap_or(Slot::NONE);
                 let (mut reject_term, mut revoked) = (Term::ZERO, Vec::new());
@@ -1124,7 +1044,7 @@ impl MenciusRules {
                     reject_term = reject_term.max(promised_at(&self.promises, &self.base, s));
                     // Decided here already (a revocation the owner
                     // missed): the refusal carries the decision.
-                    let decided = self.base.cells.get(s).filter(|x| x.committed.get());
+                    let decided = self.base.cells.get(s).filter(|_| self.base.committed(s));
                     revoked.extend(decided.and_then(Cell::cmd).map(|c| (s, c.clone())));
                 }
                 // A refused slot is not accounted for here: the claim
@@ -1261,9 +1181,9 @@ impl MenciusRules {
                     // degrade to committed-without-value and a fresh
                     // revocation re-decides them.
                     let values = items.iter().map(|(s, cmd)| (*s, cmd));
-                    let got = (self.base).accept(core, ctx, op.term, values, |_, _| true, true);
+                    let got = (self.base).decide(core, ctx, op.term, values);
                     for s in got.acked.iter() {
-                        self.base.cells.get(s).expect("decided").committed.set(true);
+                        self.base.commit(s);
                     }
                     self.decision_rewrites += got.kept;
                     self.note_stored(&got);
@@ -1287,9 +1207,9 @@ impl MenciusRules {
                         && MenciusReplica::owner_of(*s, core.cfg.n) == core.cfg.id
                 };
                 for (s, cmd) in items.iter().filter(|(s, _)| mine(s)) {
-                    // If our own in-flight command was no-oped, re-propose.
-                    let held = self.base.cells.get(*s).filter(|slot| !slot.responded.get());
-                    if let Some(held) = held.and_then(Cell::cmd) {
+                    // If our own in-flight command was no-oped, re-propose
+                    // it (an answered one is the decided value).
+                    if let Some(held) = self.base.cells.get(*s).and_then(Cell::cmd) {
                         if held != cmd && !matches!(held.op, Op::Noop) {
                             core.pending.push(held.clone());
                             reproposed = true;
@@ -1300,10 +1220,10 @@ impl MenciusRules {
                     self.next_own = self.next_own.max(above);
                 }
                 let values = items.iter().map(|(s, cmd)| (*s, cmd));
-                let got = (self.base).accept(core, ctx, term, values, |_, _| true, true);
+                let got = (self.base).decide(core, ctx, term, values);
                 for s in got.acked.iter() {
                     if term >= promised_at(&self.promises, &self.base, s) {
-                        self.base.cells.get(s).expect("decided").committed.set(true);
+                        self.base.commit(s);
                     }
                 }
                 self.decision_rewrites += got.kept;
@@ -1352,11 +1272,10 @@ impl ProtocolRules for MenciusRules {
         // into its cell, and the round is cut from the table.
         debug_assert!(slots.clone().all(|s| self.base.vacant(s)));
         let values = slots.zip(cmds.drain(..));
-        let items = self
-            .base
-            .propose(core, ctx, term, values, n as u64, own(me, n));
+        let own = own(me, n);
+        let items = (self.base).propose(core, ctx, term, values, n as u64, |_, s, c| own(s, c));
         for (s, _) in items.iter() {
-            self.suggested.set(own_index(s, n), ctx.now());
+            self.mine.suggested(own_index(s, n), ctx.now());
         }
         if let Some(upto) = items.last() {
             for peer in core.cfg.others() {
@@ -1537,24 +1456,14 @@ impl ProtocolRules for MenciusRules {
     }
 
     fn on_crash(&mut self, core: &mut EngineCore, floor: Slot) {
-        // Stable storage: slots (accepted values, ballots, commits),
-        // current_term and the promises. Volatile: pending work and
-        // respond queues.
-        //
-        // Durability: accepted values whose write never fsynced are
-        // gone. Their ack (or this owner's own pending self-vote) was
-        // withheld by the ack-after-fsync invariant, so they contributed
-        // to no quorum and dropping them cannot lose chosen state. A
-        // committed slot losing its value degrades to
-        // committed-without-value (re-fetched from the owner's replay);
-        // an *own* slot goes to `lost_own` for phase-1 self-recovery
-        // (module docs) — committed or not: no owner replays it to me,
-        // and the skip inference would read it as a no-op. The promises
-        // are free always-durable metadata; only value payloads rode the
-        // modeled disk.
+        // Stable: the slots, current_term and the promises; volatile: the
+        // pending work and respond queues. A value no fsync covered is
+        // gone (`PaxosBase::crash`); an *own* one, committed or not, goes
+        // to `lost_own` for the self-revocation (module docs).
         for (s, _) in self.base.crash(core, floor) {
-            let skipped = self.base.cells.get(s).is_some_and(|x| x.skipped.get());
             let mine = MenciusReplica::owner_of(s, core.cfg.n) == core.cfg.id;
+            let skipped =
+                self.base.cells.get(s).is_some() && self.mine.get(own_index(s, core.cfg.n)).skipped;
             if mine && !skipped {
                 self.lost_own.insert(s.0);
             }
@@ -1572,7 +1481,7 @@ impl ProtocolRules for MenciusRules {
         core.links = Links::new(core.cfg.n);
         self.beyond_gap.fill(None);
         self.revoke = None;
-        // My suggestion times stay, as the cells do.
+        // What I know of my own slots stays, as the cells do.
     }
 }
 
@@ -1598,7 +1507,7 @@ mod tests {
                 let Some(slot) = self.base.cells.get(*s) else {
                     return false;
                 };
-                let Some(cmd) = slot.cmd().filter(|_| !slot.responded.get()) else {
+                let Some(cmd) = slot.cmd() else {
                     return false;
                 };
                 let covered = core
@@ -1616,7 +1525,7 @@ mod tests {
                     .is_none_or(|(c, _)| self.base.exec_index >= c);
                 let exec = self.base.exec_index;
                 let lost = self.lost_own.iter().any(|&x| exec.0 < x && x < s.0);
-                slot.committed.get() && covered && applied && !lost
+                self.base.committed(*s) && covered && applied && !lost
             };
             self.await_respond.iter().copied().filter(ready).collect()
         }
@@ -1647,26 +1556,29 @@ mod tests {
         (sim, replicas, clients)
     }
 
-    /// The suggestion-time ring reads a slot never set, or dropped, as
-    /// never; a drop past its end leaves it starting there.
+    /// The ring of own slots reads a slot never set, or dropped, as never
+    /// suggested or skipped; a drop past its end leaves it
+    /// starting there.
     #[test]
     fn suggestion_times_read_what_was_set_and_forget_what_was_dropped() {
-        let (mut t, at) = (SuggestTimes::default(), SimTime::from_millis);
-        t.set(3, at(5));
-        assert_eq!(
-            (t.get(3), t.get(0), t.get(9)),
-            (at(5), SimTime::ZERO, SimTime::ZERO)
-        );
-        t.set(1, at(7));
+        let (mut t, at) = (OwnSlots::default(), SimTime::from_millis);
+        let set = OwnSlots::suggested;
+        let times = |t: &OwnSlots, i: [u64; 3]| i.map(|i| t.get(i).suggested);
+        set(&mut t, 3, at(5));
+        assert_eq!(times(&t, [3, 0, 9]), [at(5), SimTime::ZERO, SimTime::ZERO]);
+        set(&mut t, 1, at(7));
         t.drop_below(2);
-        assert_eq!((t.get(1), t.get(3)), (SimTime::ZERO, at(5)));
+        assert_eq!(times(&t, [1, 3, 2]), [SimTime::ZERO, at(5), SimTime::ZERO]);
         t.drop_below(10);
-        t.set(4, at(1));
-        t.set(12, at(2));
+        set(&mut t, 4, at(1));
+        set(&mut t, 12, at(2));
+        t.get_mut(12).expect("kept").skipped = true;
         assert_eq!(
-            (t.get(4), t.get(12), t.times.len()),
-            (SimTime::ZERO, at(2), 3)
+            times(&t, [4, 12, 11]),
+            [SimTime::ZERO, at(2), SimTime::ZERO]
         );
+        assert!(t.get(12).skipped && !t.get(11).skipped);
+        assert_eq!(t.slots.len(), 3);
     }
 
     #[test]
@@ -1852,7 +1764,7 @@ mod tests {
         assert_eq!(replies[1].1, crate::kv::Reply::Value(None));
         let rep = sim.actor::<MenciusReplica>(ActorId(0));
         assert_eq!(rep.exec_index(), Slot(4), "slot 5 is not decided");
-        assert!(rep.rules.base.cells.get(Slot(10)).unwrap().committed.get());
+        assert!(rep.rules.base.committed(Slot(10)));
         sim.run_until(SimTime::from_millis(700));
         assert!(sim.actor::<MenciusReplica>(ActorId(0)).exec_index() >= Slot(10));
         let replies = &sim.actor::<TestClient>(client).replies;
@@ -1887,7 +1799,7 @@ mod tests {
         sim.run_until(SimTime::from_millis(450));
         let rep = sim.actor::<MenciusReplica>(ActorId(0));
         assert_eq!(rep.exec_index(), Slot(4), "the freeze is not decided");
-        assert!(rep.rules.base.cells.get(Slot(7)).unwrap().committed.get());
+        assert!(rep.rules.base.committed(Slot(7)));
         assert!(rep.rules.cover(&rep.core) >= Slot(7), "and covered");
         let replies = &sim.actor::<TestClient>(client).replies;
         assert_eq!(replies.len(), 1, "the write in slot 7 waits for the freeze");
@@ -1943,7 +1855,7 @@ mod tests {
         sim.run_until(SimTime::from_millis(400));
         let rep = sim.actor::<MenciusReplica>(ActorId(0));
         assert!(rep.rules.lost_own.contains(&1), "slot 1's value is gone");
-        assert!(rep.rules.base.cells.get(Slot(4)).unwrap().committed.get());
+        assert!(rep.rules.base.committed(Slot(4)));
         assert!(rep.rules.cover(&rep.core) >= Slot(4), "and covered");
         assert!(sim.actor::<TestClient>(reader).replies.is_empty());
         sim.run_until(SimTime::from_millis(600));
@@ -2767,7 +2679,7 @@ mod tests {
         let rep = sim.actor::<MenciusReplica>(ActorId(0));
         assert_eq!(sim.actor::<TestClient>(client).replies.len(), 1);
         assert!(
-            rep.rules.base.cells.get(Slot(7)).unwrap().committed.get(),
+            rep.rules.base.committed(Slot(7)),
             "the write to 105 is decided"
         );
         let indexed = indexed_writes(rep);
@@ -2953,10 +2865,8 @@ mod tests {
         let floor = rep.core.stable_snap.as_ref().expect("checkpointed");
         assert!(floor.last_slot < Slot(11));
         assert_eq!(rep.exec_index(), Slot(10));
-        assert!(
-            rep.rules.base.cells.get(Slot(13)).unwrap().committed.get()
-                && !rep.rules.base.cells.get(Slot(13)).unwrap().responded.get()
-        );
+        let rules = &rep.rules;
+        assert!(rules.base.committed(Slot(13)) && rules.await_respond.contains(&Slot(13)));
         sim.crash_at(ActorId(0), SimTime::from_millis(2000));
         sim.restart_at(ActorId(0), SimTime::from_millis(2100));
         // The client retries after 5 s; the retry lands in slot 16, is
@@ -2964,10 +2874,7 @@ mod tests {
         sim.run_until(SimTime::from_secs(8));
         let rep = sim.actor::<MenciusReplica>(ActorId(0));
         assert_eq!(rep.exec_index(), Slot(10), "restored and re-executed");
-        assert!(
-            rep.rules.base.cells.get(Slot(16)).unwrap().committed.get(),
-            "the retry is decided"
-        );
+        assert!(rep.rules.base.committed(Slot(16)), "the retry is decided");
         assert!(rep.rules.cover(&rep.core) >= Slot(16), "and covered");
         assert_eq!(
             sim.actor::<TestClient>(client).replies.len(),

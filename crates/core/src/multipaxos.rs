@@ -120,12 +120,8 @@ impl MultiPaxosReplica {
 
     /// Chosen value at a slot, if committed (for agreement tests).
     pub fn committed_at(&self, slot: Slot) -> Option<&Command> {
-        let inst = self.rules.base.cells.get(slot)?;
-        if inst.committed.get() {
-            inst.cmd()
-        } else {
-            None
-        }
+        let base = &self.rules.base;
+        base.cells.get(slot).filter(|_| base.committed(slot))?.cmd()
     }
 }
 
@@ -159,9 +155,7 @@ impl PaxosRules {
 
     /// Acceptor: learns `(exec_index, commit]` on the word of the
     /// proposer at `ballot`, above what an earlier commit covered and up
-    /// to the highest instance held — a slot not heard of yet is learnt
-    /// with the `Accept` that brings it, whose `commit` covers it or a
-    /// later one will.
+    /// to the highest instance held (a later `commit` covers the rest).
     fn learn_commit(&mut self, ballot: Term, commit: Slot) {
         let from = self.learnt.max(self.base.exec_index).next();
         let upto = commit.min(self.log_tail());
@@ -171,12 +165,10 @@ impl PaxosRules {
         }
     }
 
-    /// Ships one pipelined Accept round: every acceptor whose window has
-    /// room gets the batch now; a saturated acceptor is skipped and
-    /// receives the backlog from [`PaxosRules::pump_accepts`] as its
-    /// acks free slots (with the heartbeat retransmission as the
-    /// loss-recovery backstop). Commits only need a quorum, so a round
-    /// skipped by a minority of slow acceptors commits undelayed.
+    /// Ships one pipelined Accept round to every acceptor whose window has
+    /// room; a saturated one gets the backlog from
+    /// [`PaxosRules::pump_accepts`] as its acks free slots. A quorum
+    /// suffices, so a round a slow minority skips commits undelayed.
     fn send_accept_round(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, items: &Run<Cell>) {
         let Some(upto) = items.last() else {
             return;
@@ -191,14 +183,11 @@ impl PaxosRules {
         }
     }
 
-    /// Ships `peer` the uncommitted instances that accumulated past its
-    /// send cursor ([`crate::engine::PipelineWindow::sent_through`]:
-    /// instances above it were cut into rounds its full window made it
-    /// skip) while its window was full. Called after one of its
-    /// acknowledgements frees a slot — the MultiPaxos spelling of the
-    /// Raft family's backlog pump, one round per ack of at most 64
-    /// instances or the window's share
-    /// ([`crate::engine::pipeline::PipelineWindow::round_cap`]).
+    /// Ships `peer` the uncommitted instances past its send cursor
+    /// ([`crate::engine::PipelineWindow::sent_through`]) that its full
+    /// window made it skip, once one of its acks frees a slot: the Raft
+    /// family's backlog pump, one round per ack of at most 64 instances or
+    /// the window's share ([`crate::engine::pipeline::PipelineWindow::round_cap`]).
     fn pump_accepts(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, peer: NodeId) {
         let highest = Slot(self.next_slot.0.saturating_sub(1));
         let cursor = core.pipe.sent_through(peer);
@@ -206,7 +195,7 @@ impl PaxosRules {
             return;
         }
         let cap = core.pipe.round_cap(peer, highest, &core.dur).min(64);
-        let items = self.cut(cursor.next().., cap, uncommitted);
+        let items = self.cut(cursor.next().., cap, false);
         let Some(upto) = items.last() else {
             // Everything past the cursor is committed; a commit covers it.
             core.pipe.skip_to(peer, highest);
@@ -245,22 +234,22 @@ impl PaxosRules {
 
     fn first_unchosen(&self) -> Slot {
         let mut s = self.base.exec_index.next();
-        while self.base.cells.get(s).is_some_and(|i| i.committed.get()) {
+        while self.base.committed(s) {
             s = s.next();
         }
         s
     }
 
-    /// The first `count` instances in `range` holding a value that
-    /// `carried` admits, as one round (`engine/slots.rs`, *Rounds*): a run
-    /// of consecutive slots is a view of the table.
+    /// The first `count` instances in `range` holding a value chosen or
+    /// not, as `committed` says, as one round (`engine/slots.rs`,
+    /// *Rounds*): a run of consecutive slots is a view of the table.
     fn cut(
         &self,
         range: impl std::ops::RangeBounds<Slot> + Clone,
         count: usize,
-        carried: fn(&Cell) -> bool,
+        committed: bool,
     ) -> Run<Cell> {
-        let held = |_, c: &Cell| c.cmd().is_some() && carried(c);
+        let held = |s, c: &Cell| c.cmd().is_some() && self.base.committed(s) == committed;
         self.base.cells.cut(range, 1, count, held)
     }
 
@@ -272,18 +261,15 @@ impl PaxosRules {
         }
         // The replies are spent: none is read again after success.
         let mut phase1 = std::mem::take(&mut self.phase1);
-        // Never fill slots at or below a replying acceptor's checkpoint
-        // floor: those instances are chosen but unreportable (the
-        // acceptor discarded them after execution), so a no-op fill
-        // would overwrite a chosen value. The acceptor ships us its
-        // checkpoint alongside the PrepareOk; execution of the covered
-        // prefix resumes once it installs.
+        // Never fill slots at or below a replying acceptor's floor: they
+        // are chosen but unreportable, and its checkpoint is on the way.
         let (start, end) = (self.first_unchosen().max(phase1.floor.next()), phase1.tail);
-        let chosen = |s: &Slot| self.base.cells.get(*s).is_some_and(|i| i.committed.get());
-        let open = (start.0..=end.0).map(Slot).filter(|s| !chosen(s));
+        let open = (start.0..=end.0)
+            .map(Slot)
+            .filter(|&s| !self.base.committed(s));
         let values: Vec<(Slot, Command)> = phase1.adopt(open).collect();
         // Figure 1 `Phase2a` over the adopted values and the gaps' no-ops.
-        let items = (self.base).propose(core, ctx, self.ballot, values, 1, |_, i| uncommitted(i));
+        let items = (self.base).propose(core, ctx, self.ballot, values, 1, uncommitted);
         // A restarted proposer executes what it kept before it proposes.
         self.try_execute(core, ctx);
         self.phase1_succeeded = true;
@@ -302,10 +288,11 @@ impl PaxosRules {
     fn try_execute(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
         loop {
             let next = self.base.exec_index.next();
-            let Some(inst) = self.base.cells.get(next).filter(|i| i.committed.get()) else {
+            if !self.base.committed(next) {
                 break;
-            };
-            let cmd = inst.cmd().expect("committed instance has a value");
+            }
+            let cmd = self.base.cells.get(next).and_then(Cell::cmd);
+            let cmd = cmd.expect("committed instance has a value");
             ctx.charge(core.cfg.costs.apply_per_cmd);
             let reply = engine::apply_command(core, ctx, cmd, self.phase1_succeeded);
             let id = cmd.id;
@@ -336,11 +323,8 @@ impl PaxosRules {
                     self.phase1_succeeded = false;
                     core.leader_hint = Some(ballot.owner(core.cfg.n));
                     self.arm_election(core, ctx);
-                    // The promise itself is free always-durable metadata
-                    // (see the module docs), but the reply reports
-                    // accepted *values*; deferring it behind any
-                    // outstanding value write keeps the report's
-                    // contents crash-stable.
+                    // The reply reports accepted *values*: it waits for
+                    // any outstanding value write (module docs).
                     let ok = Msg::Paxos(PaxosMsg::PrepareOk {
                         ballot,
                         entries: self.base.accepted(from_slot..).collect(),
@@ -348,9 +332,7 @@ impl PaxosRules {
                         floor: self.base.floor(),
                     });
                     core.ack_after_sync(ctx, from, ok);
-                    // The candidate asks for instances we checkpointed
-                    // away: ship the checkpoint so it can execute the
-                    // covered prefix it will never see as entries.
+                    // Instances we checkpointed away go as the checkpoint.
                     if from_slot <= self.base.floor() {
                         let candidate = core.cfg.node_of(from);
                         self.base.ship_checkpoint(core, ctx, candidate, self.ballot);
@@ -391,17 +373,14 @@ impl PaxosRules {
                     );
                     // The ballot was checked for the whole message, and
                     // the freshly accepted values are one disk write.
-                    let got =
-                        (self.base).accept(core, ctx, ballot, items.values(), |_, _| true, false);
+                    let got = (self.base).accept(core, ctx, ballot, &items, |_, _| true);
                     // No cell's ballot exceeds the replica's.
                     let cell = |s| self.base.cells.get(s).expect("acked");
-                    let at = |s| cell(s).committed.get() || cell(s).bal() == ballot;
+                    let at = |s| self.base.committed(s) || cell(s).bal() == ballot;
                     debug_assert!(got.acked.iter().all(at));
                     self.arm_election(core, ctx); // accepts double as heartbeats
                     self.learn_commit(ballot, commit);
-                    // Phase2b promises the accepted values survive a
-                    // crash: the acceptOK leaves only after the fsync
-                    // covering them (group commit batches the fsync).
+                    // The acceptOK leaves after the fsync covering them.
                     let ok = Msg::Paxos(PaxosMsg::AcceptOk {
                         ballot,
                         slots: got.acked,
@@ -409,9 +388,7 @@ impl PaxosRules {
                         holders: lease::holders(core, ctx.now()),
                     });
                     core.ack_after_sync(ctx, from, ok);
-                    // Checkpointed away: the instance is chosen and
-                    // executed here; a proposer asking about it is behind
-                    // our floor.
+                    // A proposer asking below our floor gets the checkpoint.
                     if got.below_floor {
                         let proposer = core.cfg.node_of(from);
                         self.base.ship_checkpoint(core, ctx, proposer, self.ballot);
@@ -441,23 +418,17 @@ impl PaxosRules {
                         |_| chosen = true,
                         |id| ctx.trace_span(SpanKind::Quorum, id.client, id.seq),
                     );
-                    // An acceptor's executed prefix is chosen globally.
-                    // Instances we proposed at our own ballot (i.e.
-                    // after a successful phase 1) need no quorum count
-                    // there: their value agrees with the chosen one by
-                    // the phase-1 safety argument. Stale-ballot values
-                    // may differ from what was chosen, so they must
-                    // wait for a Learn or checkpoint instead. Only
-                    // `(exec_index, exec]` can hold such an instance:
-                    // `try_execute` and checkpoint install leave nothing
-                    // uncommitted at or below our own `exec_index`. An
-                    // ack whose `exec` trails it (the common case) has
-                    // nothing to teach: its range is empty.
-                    let ahead = self.base.exec_index.next()..=exec;
-                    for (_, inst) in self.base.cells.range(ahead) {
-                        let held = inst.cmd().is_some() && inst.bal() == self.ballot;
-                        if !inst.committed.get() && held {
-                            inst.committed.set(true);
+                    // An acceptor's executed prefix is chosen: what we
+                    // hold there at our own ballot is the chosen value by
+                    // phase 1's safety argument (a stale-ballot value
+                    // waits for a Learn or a checkpoint). Only
+                    // `(exec_index, exec]` can hold such an instance, and
+                    // an ack trailing our own prefix teaches nothing.
+                    let ahead = self.base.exec_index.0 + 1..=exec.min(self.log_tail()).0;
+                    for s in ahead.map(Slot) {
+                        let at = |i: &Cell| i.cmd().is_some() && i.bal() == self.ballot;
+                        if self.base.cells.get(s).is_some_and(at) && !self.base.committed(s) {
+                            self.base.commit(s);
                             chosen = true;
                         }
                     }
@@ -491,23 +462,19 @@ impl PaxosRules {
         if !self.phase1_succeeded {
             return;
         }
-        // Rounds whose acks never came are presumed lost; the heartbeat
-        // retransmission below re-covers their instances, so the window
-        // must not stay pinned by them.
+        // Rounds whose acks never came are lost; the re-send covers them.
         core.pipe.expire_stale(ctx.now(), engine::RETRY_INTERVAL);
         // Nothing uncommitted: every acceptor shares the empty round.
         let from = self.base.exec_index.next();
-        let retransmit = self.cut(from.., usize::MAX, uncommitted);
+        let retransmit = self.cut(from.., usize::MAX, false);
         // The heartbeat Accept doubles as the hint refresh: even an idle
         // cluster re-teaches acceptors the proposer's window occupancy.
         let window_room = core.pipe.quorum_has_room(core.cfg.id, core.cfg.n);
         for peer in core.cfg.others() {
             self.send_accept(core, ctx, peer, retransmit.clone(), window_room);
         }
-        // Per-acceptor catch-up of *stalled* acceptors (behind the floor
-        // by checkpoint), 64 instances per round to bound the burst. The
-        // replay is an Accept at this ballot, so its `commit` chooses the
-        // values it brings.
+        // Catch-up of *stalled* acceptors, 64 instances a round (below
+        // the floor, by checkpoint): an Accept whose `commit` chooses them.
         for peer in core.cfg.others() {
             let Some(from) = self.base.stalled_peer(core, ctx, peer, self.ballot) else {
                 continue;
@@ -515,7 +482,7 @@ impl PaxosRules {
             let Some((upto, _)) = self.base.cells.range(from..).take(64).last() else {
                 continue;
             };
-            let replay = self.cut(from..=upto, usize::MAX, |i| i.committed.get());
+            let replay = self.cut(from..=upto, usize::MAX, true);
             if !replay.is_empty() {
                 self.send_accept(core, ctx, peer, replay, window_room);
             }
@@ -524,10 +491,9 @@ impl PaxosRules {
     }
 }
 
-/// What a proposal, a pump or a heartbeat sends: the instances not
-/// chosen yet.
-fn uncommitted(inst: &Cell) -> bool {
-    !inst.committed.get()
+/// What a proposal carries: the instances not chosen yet.
+fn uncommitted(base: &PaxosBase, s: Slot, _: &Cell) -> bool {
+    !base.committed(s)
 }
 
 impl ProtocolRules for PaxosRules {
@@ -551,7 +517,7 @@ impl ProtocolRules for PaxosRules {
         self.next_slot = Slot(first.0 + cmds.len() as u64);
         let numbered = (first.0..).map(Slot).zip(cmds.drain(..));
         debug_assert!((first.0..self.next_slot.0).all(|s| self.base.cells.get(Slot(s)).is_none()));
-        let items = (self.base).propose(core, ctx, self.ballot, numbered, 1, |_, i| uncommitted(i));
+        let items = (self.base).propose(core, ctx, self.ballot, numbered, 1, uncommitted);
         self.send_accept_round(core, ctx, &items);
     }
 
@@ -690,14 +656,10 @@ impl ProtocolRules for PaxosRules {
     }
 
     fn on_crash(&mut self, core: &mut EngineCore, floor: Slot) {
-        // Model a restart with stable storage: ballot, *fsynced*
-        // accepted values and commit flags persist; volatile leadership
-        // and execution do not. With durability enabled, accepted values
-        // whose write never fsynced are gone (`PaxosBase::crash`); what a
-        // committed instance lost is re-fetched from the proposer's
-        // replay or a checkpoint. An instance that lost its value lost
-        // its ballot with it (it accepted nothing), and an uncommitted one
-        // needs no placeholder: the promise is the replica's `ballot`.
+        // Stable: the ballot, the *fsynced* values and the decisions;
+        // volatile: leadership and execution. A value no fsync covered is
+        // gone (`PaxosBase::crash`), and an uncommitted instance that lost
+        // it needs no placeholder: the promise is the replica's `ballot`.
         for (s, _) in self.base.crash(core, floor).into_iter().filter(|d| !d.1) {
             self.base.cells.remove(s);
         }
@@ -820,15 +782,10 @@ mod tests {
         assert!(drive_until(&mut sim, SimTime::from_secs(10), |sim| {
             sim.actor::<TestClient>(client).replies.len() == 1
         }));
-        let inst = sim
-            .actor::<MultiPaxosReplica>(proposer)
-            .rules
-            .base
-            .cells
-            .get(Slot(1))
-            .unwrap();
-        assert!(inst.committed.get());
-        assert_eq!(inst.acks.get().count_ones(), 2, "no quorum of acks");
+        // Two votes of the three a quorum needs: the proposer's and the
+        // one acceptor's that acknowledges.
+        let base = &sim.actor::<MultiPaxosReplica>(proposer).rules.base;
+        assert!(base.committed(Slot(1)) && base.exec_index == Slot(1));
     }
 
     /// A scripted proposer: sends its acceptor each message of `script`
@@ -1159,6 +1116,197 @@ mod tests {
             "{} rounds: {views} views, {gapped} with gaps",
             cuts.len()
         );
+    }
+
+    /// Replica `i` of a MultiPaxos cluster.
+    fn paxos(cluster: &crate::harness::Cluster, i: usize) -> &MultiPaxosReplica {
+        cluster.sim.actor(ActorId(i))
+    }
+
+    /// Where each block of `rep`'s table starts: its first slot, then
+    /// every block edge (`engine/slots.rs`) up to its last.
+    fn block_starts(rep: &MultiPaxosReplica) -> Vec<Slot> {
+        let cells = &rep.rules.base.cells;
+        let (Some((first, _)), Some(last)) = (cells.range(..).next(), cells.last_slot()) else {
+            return Vec::new();
+        };
+        let starts = (first.0..=last.0).filter(|s| *s == first.0 || s % 256 == 0);
+        starts.map(Slot).collect()
+    }
+
+    /// Whether `a` holds the very block `b` holds at `slot`.
+    fn shares_block_at(a: &MultiPaxosReplica, b: &MultiPaxosReplica, slot: Slot) -> bool {
+        let at = |r: &MultiPaxosReplica| {
+            let block = r.rules.base.cells.block_at(slot);
+            block.map(|(block, _)| block.clone())
+        };
+        matches!((at(a), at(b)), (Some(x), Some(y)) if std::rc::Rc::ptr_eq(&x, &y))
+    }
+
+    /// A 5-replica MultiPaxos cluster on a 1 ms LAN, its leader elected.
+    fn lan_cluster(durability: crate::config::DurabilityConfig) -> crate::harness::Cluster {
+        use crate::harness::{Cluster, ProtocolKind};
+        let mut cluster = Cluster::builder(ProtocolKind::MultiPaxos)
+            .clients_per_region(4)
+            .net(paxraft_sim::net::NetConfig {
+                rtt_ms: [[1.0; 5]; 5],
+                ..Default::default()
+            })
+            .durability_config(durability)
+            .seed(11)
+            .build();
+        cluster.elect_leader();
+        cluster
+    }
+
+    /// Advances `cluster` by 100 ms steps until `done`, for at most a
+    /// minute of virtual time.
+    fn advance_until(
+        cluster: &mut crate::harness::Cluster,
+        what: &str,
+        done: impl Fn(&crate::harness::Cluster) -> bool,
+    ) {
+        for _ in 0..600 {
+            if done(cluster) {
+                return;
+            }
+            cluster.advance(SimDuration::from_millis(100));
+        }
+        panic!("{what}: not within a minute");
+    }
+
+    /// The live replica of `cluster` whose phase 1 has won, if any.
+    fn proposer(cluster: &crate::harness::Cluster) -> Option<usize> {
+        (0..5).find(|&i| !cluster.sim.is_crashed(ActorId(i)) && paxos(cluster, i).is_leader())
+    }
+
+    /// Every instance `rep` holds a value at, with its ballot.
+    fn held(rep: &MultiPaxosReplica) -> Vec<(Slot, Term, Command)> {
+        let cells = rep.rules.base.cells.range(..);
+        cells
+            .filter_map(|(s, c)| Some((s, c.bal(), c.cmd()?.clone())))
+            .collect()
+    }
+
+    /// A Raft follower's log holds its leader's blocks (`log.rs`,
+    /// *Storage*), and through Figure 3's map so does an acceptor's table
+    /// its proposer's (`engine/paxos_family.rs`, *Rounds*). On a
+    /// fault-free 5-replica LAN cluster every acceptor holds the
+    /// proposer's own blocks, all but at most its first, over 2,000
+    /// instances and more. After the proposer crashes, the new one's phase
+    /// 1 re-proposes what was open at a higher ballot, copying the blocks
+    /// it writes, and each survivor shares every block of the new
+    /// proposer's next 512 instances but at most one — the block it held
+    /// partly filled when the leadership started. Every round cut
+    /// meanwhile is read after the run and yields what it was cut over,
+    /// ballots included: no instance of a round in flight changed.
+    ///
+    /// With durability on, an acceptor's crash drops exactly the values
+    /// its device had not synced, in copies of the blocks it shared, and
+    /// leaves every instance of the proposer's as it was.
+    #[test]
+    fn a_multipaxos_acceptor_holds_its_proposers_blocks() {
+        use crate::config::DurabilityConfig;
+        use crate::engine::slots::tests::recording;
+        let ((), cuts) = recording::<Cell, _>(|| {
+            let mut cluster = lan_cluster(DurabilityConfig::default());
+            let first = proposer(&cluster).expect("a proposer");
+            advance_until(&mut cluster, "2,000 instances everywhere", |c| {
+                (0..5).all(|i| paxos(c, i).rules.log_tail() >= Slot(2_000))
+            });
+            let lead = paxos(&cluster, first);
+            for i in (0..5).filter(|&i| i != first) {
+                let starts = block_starts(paxos(&cluster, i));
+                assert!(starts.len() >= 8, "{} blocks", starts.len());
+                for &slot in &starts[1..] {
+                    let shared = shares_block_at(paxos(&cluster, i), lead, slot);
+                    assert!(shared, "acceptor {i}'s block at {slot} is a copy");
+                }
+            }
+
+            let (old, now) = (lead.ballot(), cluster.sim.now());
+            let crash = now + SimDuration::from_millis(1);
+            cluster.sim.crash_at(ActorId(first), crash);
+            advance_until(&mut cluster, "a new proposer", |c| {
+                proposer(c).is_some_and(|p| p != first)
+            });
+            let second = proposer(&cluster).expect("a new proposer");
+            let (ballot, from) = (
+                paxos(&cluster, second).ballot(),
+                paxos(&cluster, second).rules.next_slot,
+            );
+            assert!(ballot > old);
+            let survivors: Vec<usize> = (0..5).filter(|&i| i != first).collect();
+            advance_until(&mut cluster, "512 instances from the new proposer", |c| {
+                survivors
+                    .iter()
+                    .all(|&i| paxos(c, i).rules.log_tail().0 >= from.0 + 512)
+            });
+            let lead = paxos(&cluster, second);
+            let mut rewritten = 0;
+            for &i in survivors.iter().filter(|&&i| i != second) {
+                let rep = paxos(&cluster, i);
+                let above = block_starts(rep)
+                    .into_iter()
+                    .filter(|s| s.0 >= from.0 / 256 * 256);
+                let own = above.filter(|&s| !shares_block_at(rep, lead, s)).count();
+                assert!(own <= 1, "survivor {i} holds {own} blocks of its own");
+                let again = held(rep)
+                    .into_iter()
+                    .filter(|&(s, bal, _)| s < from && bal == ballot);
+                rewritten += again.count();
+            }
+            assert!(rewritten > 0, "phase 1 re-proposed what was open");
+            let executed = (0..5).map(|i| paxos(&cluster, i).exec_index()).min();
+            for s in 1..=executed.expect("five").0 {
+                let chosen = |i| paxos(&cluster, i).committed_at(Slot(s)).cloned();
+                assert!((1..5).all(|i| chosen(i) == chosen(0)), "slot {s}");
+            }
+        });
+        let views = cuts.iter().filter(|cut| !cut.held.is_empty());
+        let views = views.filter(|cut| cut.check(|c| (c.bal(), c.cmd().cloned())));
+        assert!(views.count() > 100, "{} rounds", cuts.len());
+
+        let durability = DurabilityConfig::group_commit(
+            SimDuration::from_millis(1),
+            8,
+            SimDuration::from_millis(2),
+        );
+        let mut cluster = lan_cluster(durability);
+        advance_until(&mut cluster, "2,000 durable instances everywhere", |c| {
+            (0..5).all(|i| paxos(c, i).rules.log_tail() >= Slot(2_000))
+        });
+        let lead = proposer(&cluster).expect("a proposer");
+        let acceptor = (lead + 1) % 5;
+        let (rep, chief) = (paxos(&cluster, acceptor), paxos(&cluster, lead));
+        let synced = rep.core.dur.synced_seq();
+        let unsynced = |s: Slot| rep.rules.base.wseq(s) > synced;
+        let (kept, lost): (Vec<_>, Vec<_>) = held(rep).into_iter().partition(|e| !unsynced(e.0));
+        assert!(!lost.is_empty(), "values in flight to the device");
+        let shared = block_starts(rep)
+            .into_iter()
+            .filter(|&s| shares_block_at(rep, chief, s));
+        assert!(
+            shared.count() >= 4,
+            "the acceptor holds the proposer's blocks"
+        );
+        let proposed = held(chief);
+        cluster.sim.crash_at(ActorId(acceptor), cluster.sim.now());
+        cluster.sim.run_for(SimDuration::from_micros(1));
+        let (rep, chief) = (paxos(&cluster, acceptor), paxos(&cluster, lead));
+        let after = held(rep);
+        assert_eq!(after, kept, "exactly the unsynced values went");
+        let cells = &chief.rules.base.cells;
+        for (s, bal, cmd) in proposed {
+            let cell = cells.get(s).expect("the proposer's");
+            assert_eq!((cell.bal(), cell.cmd()), (bal, Some(&cmd)), "slot {s}");
+        }
+        for (s, ..) in lost {
+            assert!(
+                !shares_block_at(rep, chief, s),
+                "slot {s}'s block was copied"
+            );
+        }
     }
 
     #[test]
