@@ -1542,10 +1542,7 @@ fn crash_inside_a_per_entry_write_recovers_to_the_write_before_it() {
 /// cells — accepted into an empty one, or replacing another — plus the
 /// snapshot records it wrote. A value written again at the ballot it is
 /// held at breaks it. Holds trivially for the Raft family, which exports
-/// no `accept_writes`. One write is still paid twice and is counted
-/// instead of hidden: Mencius records a revocation's decision whether or
-/// not the slot held the value (`decision_rewrites`; the restarted owner's
-/// self-revocation does it here), which is ROADMAP item 1's to remove.
+/// no `accept_writes`.
 fn assert_no_value_written_twice(
     name: &str,
     sim: &Simulation<Msg>,
@@ -1557,8 +1554,7 @@ fn assert_no_value_written_twice(
         return;
     };
     let snaps = handle.snap_stats();
-    let rewrites = sample.get("decision_rewrites") as u64;
-    let owed = put as u64 + rewrites + snaps.compactions + snaps.snapshots_installed;
+    let owed = put as u64 + snaps.compactions + snaps.snapshots_installed;
     let barriers = sim.disk_stats_at(r).fsyncs;
     assert!(
         barriers <= owed,
@@ -1869,8 +1865,10 @@ fn durability_enabled_fixed_seed_runs_are_deterministic() {
 /// heartbeat's retransmissions stopped being disk writes, so the fsync
 /// counters and, through the acks that no longer wait behind them, the
 /// schedule moved. Mencius already kept such values out of its writes.
-/// The row pins behaviour, not a new safety claim: Mencius revocation
-/// against a live owner is known-unsafe (ROADMAP item 1). The four
+/// The row pins behaviour, not a new safety claim: a Mencius revocation
+/// decides on a quorum of accepts at its ballot, but the ballot-free
+/// decisions an owner sends in `Coord::commits` are checked only by
+/// ROADMAP item 26's spec step. The four
 /// Raft-family values were computed at the commit before Raft and Raft*
 /// became one rules type under two flavors (`raftstar.rs`), so the shared
 /// handler votes, accepts, commits and recovers as the two forks did.
@@ -1952,6 +1950,28 @@ fn durability_enabled_fixed_seed_runs_are_deterministic() {
 /// 1–16 of the same script every seed runs to the end on both commits;
 /// the change takes fewer events on 10, ends earlier on 11, and the
 /// median event count goes 69,604 → 67,969. The other five rows did not
+/// move.
+///
+/// The Mencius row was re-pinned again (from `0xf487_c0e8_d42d_8c44`,
+/// 50,553 events, 102.4 s) when a revocation became a Paxos instance:
+/// the revoker that wins phase 1 suggests its pick as a round at its
+/// ballot and decides on a quorum of acks, a round trip later, with two
+/// more messages that 10 % loss can cost the attempt (a retry after
+/// `revoke_timeout`). Bisected: with acceptors skipping their own slots
+/// below a revocation's round, as below an owner's suggestion, the row
+/// read `0x1147_594d_87c2_93e8`, 78,377 events, 179.1 s — each such skip
+/// pushed the acceptor's next proposals past the revoked range, to wait
+/// for the next revocation; skipping below an owner's own suggestion
+/// only gives the pin. The rules that came with the accept round (an
+/// owner takes no other replica's value into its own slots, a crash
+/// lowers `known_upto` to another owner's dropped value, a revoker runs
+/// above every ballot it accepted and sends no round once its own
+/// acceptor went above its ballot, a refused slot clamps only the
+/// suggester's claim) each left the row as it was when taken out alone.
+/// The script ends at 129.4 s. Over seeds 1–16 of the same script every
+/// seed runs to the end on both commits; the change takes fewer events
+/// on 8, ends earlier on 7, and the median event count goes 67,969 →
+/// 68,279 (median end 142.0 → 147.0 s). The other five rows did not
 /// move.
 #[test]
 fn every_protocol_fault_run_matches_the_parents_fingerprint() {
@@ -2111,7 +2131,7 @@ fn every_protocol_fault_run_matches_the_parents_fingerprint() {
         (
             "Mencius",
             scenario("Mencius", MenciusReplica::new),
-            (0xf487_c0e8_d42d_8c44, 50_553),
+            (0xe422_c9ef_668c_3066, 60_561),
         ),
     ] {
         assert_eq!(state, pinned.0, "{name}: state fingerprint {state:#x}");

@@ -3,17 +3,18 @@
 //! [`super::raft_family::RaftBase`].
 //!
 //! Both keep one Paxos instance per slot and do the same things to it:
-//! take a value — the proposer's write ([`PaxosBase::propose`]), phase 2b
-//! over a received run ([`PaxosBase::accept`]) or a revocation's decision
-//! ([`PaxosBase::decide`]) — tally acks into a quorum, learn a decision
-//! (possibly before its value, and for a held value only if it was
-//! accepted at the deciding ballot or above), tag what they write for the
-//! fsync that will cover it and withhold the proposer's own vote until
-//! then, compact behind a checkpoint, install a peer's, notice a peer
-//! whose executed prefix stalled, report accepted values to a phase 1
-//! (`engine/phase1.rs`), and drop what never reached the disk in a crash.
-//! Wherever a value enters or leaves, the base keeps the engine's
-//! conflict index (`engine/conflicts.rs`) right, when there is one.
+//! take a value — the proposer's write ([`PaxosBase::propose`]) or phase
+//! 2b over a received run ([`PaxosBase::accept`]) — tally acks into a
+//! quorum (the one way a value is chosen, a Mencius revocation's too),
+//! learn a decision (possibly before its value, and for a held value only
+//! if it was accepted at the deciding ballot or above), tag what they
+//! write for the fsync that will cover it and withhold the proposer's own
+//! vote until then, compact behind a checkpoint, install a peer's, notice
+//! a peer whose executed prefix stalled, report accepted values to a
+//! phase 1 (`engine/phase1.rs`), and drop what never reached the disk in
+//! a crash. Wherever a value enters or leaves, the base keeps the
+//! engine's conflict index (`engine/conflicts.rs`) right, when there is
+//! one.
 //!
 //! # Durability
 //!
@@ -139,7 +140,7 @@ pub(crate) enum Stored {
     Written(Option<Command>),
 }
 
-/// What phase 2b ([`PaxosBase::accept`], `decide`) did with its values.
+/// What phase 2b ([`PaxosBase::accept`]) did with its values.
 #[derive(Debug, Default)]
 pub(crate) struct Received {
     /// The slots stored, written or held already: what the ack names.
@@ -149,32 +150,17 @@ pub(crate) struct Received {
     /// Whether a slot lay at or below the checkpoint floor — decided,
     /// executed, discarded; re-creating it would corrupt that prefix.
     pub(crate) below_floor: bool,
-    /// How many of `acked` held the value already.
-    pub(crate) kept: u64,
     /// Whether a value written over left the conflict index: a write that
     /// will never apply, so the answers it held back get a fresh look.
     pub(crate) released: bool,
 }
 
-/// Phase 2b at ballot `bal`: the report, and the values the device is
-/// asked to write (every one stored, for a `decision`'s record).
+/// Phase 2b's report, and the values the device is asked to write.
 #[derive(Default)]
 struct Phase2b {
-    bal: Term,
-    decision: bool,
     got: Received,
     written: Slots,
     bytes: usize,
-}
-
-impl Phase2b {
-    fn at(bal: Term, decision: bool) -> Self {
-        Phase2b {
-            bal,
-            decision,
-            ..Phase2b::default()
-        }
-    }
 }
 
 /// Instance state common to MultiPaxos and Mencius: one type, not one
@@ -364,7 +350,7 @@ impl PaxosBase {
     ) -> Received {
         let floor = self.compacted_through;
         let mut taken = round.iter().take_while(|&(s, _)| s <= floor).count();
-        let mut p = Phase2b::at(bal, false);
+        let mut p = Phase2b::default();
         p.got.below_floor = taken > 0;
         for (block, cells) in round.blocks(taken) {
             let (from, count, held) = (taken, cells.len(), self.cells.last_slot());
@@ -375,45 +361,27 @@ impl PaxosBase {
             taken += count;
             for (s, cmd) in part().map(value) {
                 let fresh = shared && held.is_none_or(|h| s > h);
-                self.arrive(core, &mut p, s, cmd, &eligible, fresh);
+                self.arrive(core, &mut p, bal, (s, cmd), &eligible, fresh);
             }
         }
-        for (s, cmd) in round.iter_from(taken).map(value) {
-            self.arrive(core, &mut p, s, cmd, &eligible, false);
+        for pair in round.iter_from(taken).map(value) {
+            self.arrive(core, &mut p, bal, pair, &eligible, false);
         }
         self.note_written(core, ctx, &p.written, p.bytes);
         p.got
     }
 
-    /// A decision's record (a Mencius revocation's) at ballot `bal`: phase
-    /// 2b over `values` that admits them all and charges each value
-    /// stored, held already or not.
-    pub(crate) fn decide<'a>(
-        &mut self,
-        core: &mut EngineCore,
-        ctx: &mut Ctx<Msg>,
-        bal: Term,
-        values: impl IntoIterator<Item = (Slot, &'a Command)>,
-    ) -> Received {
-        let mut p = Phase2b::at(bal, true);
-        for (s, cmd) in values {
-            self.arrive(core, &mut p, s, cmd, &|_, _| true, false);
-        }
-        self.note_written(core, ctx, &p.written, p.bytes);
-        p.got
-    }
-
-    /// One value of phase 2b arriving at `slot`: reported below the floor
-    /// or refused by `eligible`, else stored — `fresh` when it has just
-    /// entered the table by `SlotRing::share` — and filed: the conflict
-    /// index, the charge, the size sample (the reported peaks are maxima
-    /// over these) and the ack.
+    /// One value of phase 2b at `bal` arriving at `slot`: reported below
+    /// the floor or refused by `eligible`, else stored — `fresh` when it
+    /// has just entered the table by `SlotRing::share` — and filed: the
+    /// conflict index, the charge, the size sample (the reported peaks are
+    /// maxima over these) and the ack.
     fn arrive(
         &mut self,
         core: &mut EngineCore,
         p: &mut Phase2b,
-        slot: Slot,
-        cmd: &Command,
+        bal: Term,
+        (slot, cmd): (Slot, &Command),
         eligible: &impl Fn(&Self, Slot) -> bool,
         fresh: bool,
     ) {
@@ -427,23 +395,16 @@ impl PaxosBase {
         let stored = if fresh {
             self.accept_writes += 1;
             self.bytes += cmd.size_bytes();
-            self.promote(slot, p.bal, Stored::Written(None))
+            self.promote(slot, bal, Stored::Written(None))
         } else {
-            self.store(slot, p.bal, cmd)
+            self.store(slot, bal, cmd)
         };
-        let charged = match stored {
-            Stored::Kept => {
-                p.got.kept += 1;
-                p.decision
+        if let Stored::Written(replaced) = stored {
+            p.got.released |= self.index_write(core, slot, replaced.as_ref());
+            if core.dur.enabled() {
+                p.written.push(slot);
+                p.bytes += cmd.size_bytes();
             }
-            Stored::Written(replaced) => {
-                p.got.released |= self.index_write(core, slot, replaced.as_ref());
-                true
-            }
-        };
-        if core.dur.enabled() && charged {
-            p.written.push(slot);
-            p.bytes += cmd.size_bytes();
         }
         self.note_log_size(core);
         p.got.acked.push(slot);
@@ -496,8 +457,8 @@ impl PaxosBase {
     /// Puts `cmd` at `slot` at `bal`, returning the value it replaced. An
     /// absent instance is filled whole, in place, in a tail block rounds
     /// in flight or another table hold too; a value written over a held
-    /// instance (a phase 1's adoption, a revocation's decision) copies
-    /// such a block first (module docs, *Rounds*).
+    /// instance (a phase 1's adoption, a learnt decision) copies such a
+    /// block first (module docs, *Rounds*).
     fn put(&mut self, slot: Slot, bal: Term, cmd: Command) -> Option<Command> {
         if let Some(cell) = self.cells.get_mut(slot) {
             return cell.put(&mut self.bytes, bal, cmd);
@@ -641,18 +602,13 @@ impl PaxosBase {
         }
     }
 
-    /// Marks slots chosen on an owner's word (a Mencius `Commit`): the
-    /// value the slot holds, or the next to arrive, is the chosen one.
-    pub(crate) fn learn(&mut self, slots: impl IntoIterator<Item = Slot>) {
-        self.learn_at(slots, Term::ZERO);
-    }
-
-    /// Marks slots chosen on the word of the proposer at ballot `at`,
-    /// which executed them: Paxos makes every proposal from the ballot a
-    /// value was chosen at carry it, so a held value counts only if it was
-    /// accepted at `at` or above — below, it is a stale proposal. A slot
-    /// without one is remembered with `at` until one arrives
-    /// ([`Self::store`]).
+    /// Marks slots chosen on the word of the proposer at ballot `at`:
+    /// Paxos makes every proposal from the ballot a value was chosen at
+    /// carry it, so a held value counts only if it was accepted at `at` or
+    /// above — below, it is a stale proposal. A slot without one is
+    /// remembered with `at` until one arrives ([`Self::store`]). A Mencius
+    /// owner's word carries no ballot (`Term::ZERO`): the value the slot
+    /// holds, or the next to arrive, is the chosen one.
     pub(crate) fn learn_at(&mut self, slots: impl IntoIterator<Item = Slot>, at: Term) {
         for slot in slots {
             if slot <= self.compacted_through {
@@ -905,7 +861,7 @@ mod tests {
     #[test]
     fn a_learn_ahead_of_its_value_commits_the_cell_when_the_value_lands() {
         let mut b = base();
-        b.learn([Slot(4)]);
+        b.learn_at([Slot(4)], Term::ZERO);
         assert!(b.learnt_without_value(Slot(4)));
         assert!(b.cells.get(Slot(4)).is_none(), "no placeholder cell");
         assert_eq!(b.store(Slot(4), Term(7), &put(1)), Stored::Written(None));
@@ -915,7 +871,7 @@ mod tests {
         // A learn for a value already held commits on the spot.
         b.store(Slot(5), Term(7), &put(2));
         assert!(!b.committed(Slot(5)));
-        b.learn([Slot(5)]);
+        b.learn_at([Slot(5)], Term::ZERO);
         assert!(b.committed(Slot(5)));
         assert!(!b.learnt_without_value(Slot(5)));
     }
@@ -956,7 +912,7 @@ mod tests {
             Stored::Written(Some(put(1)))
         );
         assert_eq!(b.bytes, put(2).size_bytes(), "bytes follow the value");
-        b.learn([Slot(2)]);
+        b.learn_at([Slot(2)], Term::ZERO);
         assert_eq!(b.store(Slot(2), Term(9), &put(3)), Stored::Kept);
         let cell = b.cells.get(Slot(2)).unwrap();
         assert_eq!((cell.cmd(), cell.bal), (Some(&put(2)), Term(5)));
@@ -982,7 +938,7 @@ mod tests {
         // A proposer adopted a value for a slot it had learnt chosen
         // without one (`write` asks nothing); the value arriving again
         // at that ballot is kept, and the cell is committed at last.
-        b.learn([Slot(5)]);
+        b.learn_at([Slot(5)], Term::ZERO);
         b.write(Slot(5), Term(4), put(2));
         assert!(b.learnt_without_value(Slot(5)));
         assert_eq!(b.store(Slot(5), Term(4), &put(2)), Stored::Kept);
@@ -1003,7 +959,7 @@ mod tests {
         assert_eq!((b.accept_writes, b.accept_duplicates), (4, 3));
         // A chosen value is kept whatever arrives, and an arrival at its
         // own ballot still counts as a duplicate.
-        b.learn([Slot(3)]);
+        b.learn_at([Slot(3)], Term::ZERO);
         assert_eq!(b.store(Slot(3), Term(9), &put(7)), Stored::Kept);
         assert_eq!(b.store(Slot(3), Term(11), &put(8)), Stored::Kept);
         assert_eq!((b.accept_writes, b.accept_duplicates), (4, 4));
@@ -1068,7 +1024,7 @@ mod tests {
             (got.refused.as_slice(), got.below_floor),
             ([Slot(7)].as_slice(), true)
         );
-        assert_eq!((got.kept, got.released), (1, false));
+        assert_eq!((acceptor.base.accept_duplicates, got.released), (1, false));
         let base = &acceptor.base;
         let tag = |s| base.cells.get(Slot(s)).map(|_| base.wseq(Slot(s)));
         assert_eq!(
@@ -1196,7 +1152,7 @@ mod tests {
             b.store(Slot(s), Term(1), &put(s));
         }
         b.cells.get_or_default(Slot(3)); // a skip, no value
-        b.learn([Slot(5), Slot(7)]);
+        b.learn_at([Slot(5), Slot(7)], Term::ZERO);
         assert_eq!(b.discard_through(Slot(5)), 4);
         assert!((1..=5).all(|s| b.cells.get(Slot(s)).is_none()));
         assert_eq!(b.cells.get(Slot(6)).and_then(Cell::cmd), Some(&put(6)));
@@ -1360,7 +1316,7 @@ mod tests {
         );
         assert!(shares(&b, &round, 201), "nothing copied");
         assert_eq!(pairs(&round), cut);
-        // A revocation decides a no-op over slot 206: a copy.
+        // A revocation's no-op lands over slot 206: a copy.
         let noop = Stored::Written(Some(put(206)));
         assert_eq!(b.store(Slot(206), Term(9), &Command::noop()), noop);
         assert!(!shares(&b, &round, 201) && shares(&b, &round, 496));
@@ -1390,7 +1346,7 @@ mod tests {
             written(&mut b, Slot(s), Term(1), put(s), 0b011);
             b.local_mut(Slot(s)).wseq = wseq;
         }
-        b.learn([Slot(3)]);
+        b.learn_at([Slot(3)], Term::ZERO);
         b.exec_index = Slot(1);
         let mut core = core_synced_through(4);
         assert_eq!(

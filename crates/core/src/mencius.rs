@@ -33,7 +33,7 @@
 //! alone proves nothing: a lost `Suggest` followed by any later watermark
 //! would turn a committed write into a no-op. A receiver advances
 //! `known_upto[owner]` only when the element joins what it already knows
-//! (`MenciusRules::note_known`, the one place the bound moves); a gap
+//! (`MenciusRules::note_known`, the one place the bound advances); a gap
 //! leaves it, execution blocks on the first unknown slot, and what
 //! arrives beyond the gap is kept as one run. The owner, seeing that
 //! peer's executed prefix stall, replays its decided values above it under
@@ -93,14 +93,18 @@
 //! Crashed owners are *revoked*: after a silence timeout a peer raises a
 //! ballot above the owner's, runs phase 1 (`engine/phase1.rs`) over the
 //! owner's undecided range and re-proposes what was accepted, no-opping
-//! the rest (Appendix A.3's recovery leader), at a fresh ballot each
-//! `revoke_timeout` until a quorum answers. An owner a partitioned peer
-//! suspects may find its suggestion refused (`SuggestReject`): that
-//! decides nothing, so it leaves the slot alone; a refusing acceptor that
-//! holds the decision sends it along, and an owner that promised its own
-//! range away proposes above it. A revocation's promise is kept as
-//! MultiPaxos keeps its ballot: one record per owner (`Promise`), never in
-//! a cell; a revoker runs above every promise it gave.
+//! the rest (Appendix A.3's recovery leader), in a suggestion's round at
+//! its ballot. A quorum of acks decides it, announced with that ballot in
+//! `RevokeCommit`, never in a stream's ballot-free `commits`; the owner,
+//! whose own slots take no other replica's value, re-proposes a value the
+//! decision replaced. Undecided by `revoke_timeout`, it is retried at a
+//! fresh ballot. An owner a partitioned peer suspects may find its
+//! suggestion refused (`SuggestReject`): that decides nothing, so it
+//! leaves the slot alone; a refusing acceptor that holds the decision
+//! sends it along, and an owner that promised its own range away proposes
+//! above it. A revocation's promise is kept as MultiPaxos keeps its
+//! ballot: one record per owner (`Promise`), never in a cell; a revoker
+//! runs above every promise it gave and every ballot it accepted.
 //!
 //! # Durability (group commit)
 //!
@@ -116,7 +120,9 @@
 //! range: the crashed-owner recovery, safe by the same ballot argument and
 //! live because the affected clients, never answered, retry. `RevokeOk`
 //! stays immediate: a promise is always-durable metadata, and widening one
-//! only restricts what the acceptor may accept.
+//! only restricts what the acceptor may accept. Another owner's dropped
+//! value is no skip either: the crash lowers that owner's `known_upto` to
+//! it, a gap its stalled-peer replay heals.
 //!
 //! # What this file holds
 //!
@@ -151,15 +157,25 @@ use crate::types::{NodeId, Slot, Term};
 /// keepalive).
 const SKIP_HEARTBEAT: SimDuration = SimDuration::from_millis(50);
 
-/// An in-flight revocation of a crashed owner's slots.
+/// An in-flight revocation of a crashed owner's slots: phase 1, then the
+/// accept round of what it picked.
 #[derive(Debug)]
 struct RevokeOp {
     term: Term,
     owner: NodeId,
     from: Slot,
     through: Slot,
-    /// The `RevokeOk`s, this replica's own report among them.
-    phase1: Phase1,
+    /// The `RevokeOk`s, this replica's own report among them; `None` once
+    /// a quorum granted and the round is out.
+    phase1: Option<Phase1>,
+}
+
+impl RevokeOp {
+    /// The owner's slots the revocation covers: its round.
+    fn slots(&self, n: usize) -> impl Iterator<Item = Slot> + Clone {
+        let first = owned_at_or_after(self.owner, self.from, n);
+        (first.0..=self.through.0).step_by(n).map(Slot)
+    }
 }
 
 /// A revocation promise over one owner's slots: no suggestion below
@@ -308,8 +324,9 @@ pub struct MenciusRules {
     /// My next unused owned slot; doubles as my skip watermark.
     next_own: Slot,
     /// Exclusive bound of *known* slots per peer owner: every slot of
-    /// theirs below this is suggested-or-skipped. Moves only through
-    /// [`MenciusRules::note_known`].
+    /// theirs below this is suggested-or-skipped. Advances only through
+    /// [`MenciusRules::note_known`]; a crash lowers it to a value it
+    /// dropped.
     known_upto: Vec<Slot>,
     /// Per peer owner: the run `[from, upto)` of its stream heard beyond
     /// a gap, waiting for a repair to reach it.
@@ -348,10 +365,6 @@ pub struct MenciusRules {
     acks_alone: u64,
     /// Decisions that left in a `Commit` of their own.
     commits_alone: u64,
-    /// Revocation decisions recorded for a value the slot already held
-    /// (stats): a decision is written whether or not its value was held,
-    /// the one write paid twice (ROADMAP item 1).
-    decision_rewrites: u64,
     /// Durability: own slots whose unsynced value a crash dropped (module
     /// docs): no skip inference there, no replay claim past them, and a
     /// self-revocation at `on_start`. Entries leave as values land.
@@ -402,7 +415,6 @@ impl MenciusReplica {
                 acks_sent: 0,
                 acks_alone: 0,
                 commits_alone: 0,
-                decision_rewrites: 0,
                 lost_own: BTreeSet::new(),
             },
         )
@@ -545,32 +557,45 @@ impl MenciusRules {
         }
     }
 
-    /// Commit tally for own slots that just gained an ack bit (a peer's
-    /// ack, or this owner's own post-fsync vote). An ack counts only for
-    /// a slot still at the term it acknowledges, a promise given since or
-    /// not: an acceptor that promised above it refuses a suggestion at it.
-    fn tally_own(&mut self, ctx: &mut Ctx<Msg>, slots: &Slots, term: Term, bit: u32) {
-        let before = self.commit_buf.len();
-        let chosen = &mut self.commit_buf;
-        self.base.tally(
-            slots.iter(),
-            bit,
-            |slot| slot.bal() == term,
-            |_| true,
-            |s| chosen.push(s),
-            |id| ctx.trace_span(SpanKind::Quorum, id.client, id.seq),
-        );
-        self.note_chosen_own(before);
-    }
-
-    /// Own slots chosen since `commit_buf` was `before` long now await
-    /// their respond condition.
-    fn note_chosen_own(&mut self, before: usize) {
-        if self.commit_buf.len() > before {
-            self.await_respond
-                .extend_from_slice(&self.commit_buf[before..]);
+    /// Files the slots chosen since `commit_buf` was `before` long. My own
+    /// suggestions await their respond condition, and their decisions a
+    /// carrier. A revocation's slot — another owner's, an own one a crash
+    /// emptied, or any in the round of the revocation in flight — is
+    /// decided here alone: once its whole round is, the revocation ends,
+    /// the owner's range is known here, and `RevokeCommit` tells every
+    /// peer the decision with its ballot.
+    fn note_chosen(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, before: usize) {
+        let (me, n) = (core.cfg.id, core.cfg.n);
+        let round = self.revoke.as_ref().filter(|op| op.phase1.is_none());
+        let in_round = |s| round.is_some_and(|op| op.slots(n).any(|r| r == s));
+        let mut kept = before;
+        for i in before..self.commit_buf.len() {
+            let s = self.commit_buf[i];
+            let lost = self.lost_own.remove(&s.0);
+            if !lost && MenciusReplica::owner_of(s, n) == me && !in_round(s) {
+                self.commit_buf[kept] = s;
+                kept += 1;
+            }
+        }
+        let revoked = kept < self.commit_buf.len();
+        self.commit_buf.truncate(kept);
+        self.await_respond
+            .extend_from_slice(&self.commit_buf[before..]);
+        if kept > before || revoked {
             self.respond_seen = None;
         }
+        let base = &self.base;
+        let done =
+            |op: &mut RevokeOp| op.phase1.is_none() && op.slots(n).all(|s| base.committed(s));
+        let Some(op) = self.revoke.take_if(|op| revoked && done(op)) else {
+            return;
+        };
+        let (term, owned) = (op.term, own(op.owner, n));
+        let items = (self.base.cells).cut(op.from..=op.through, n as u64, usize::MAX, owned);
+        // The decision covers every slot of the owner in `[op.from,
+        // op.through]`, and nothing below it.
+        self.note_known(core, op.owner, op.from, op.through.next());
+        core.broadcast(ctx, Msg::Mencius(MenciusMsg::RevokeCommit { term, items }));
     }
 
     /// Advances my own watermark to cover everything below `target`,
@@ -595,7 +620,7 @@ impl MenciusRules {
         true
     }
 
-    /// The one place `known_upto` moves (module docs, *The gap rule*). The
+    /// The one place `known_upto` advances (module docs, *The gap rule*). The
     /// caller vouches that every slot of `owner` in `[from, upto)` is
     /// accounted for (stored here, or a no-op); the bound advances only
     /// when no slot of `owner` lies between what is known — the old bound
@@ -635,7 +660,7 @@ impl MenciusRules {
         self.note_known(core, peer, coord.from, coord.watermark);
         // Decided on their owner's word; a decision says nothing about
         // the owner's other slots.
-        self.base.learn(coord.commits.iter());
+        self.base.learn_at(coord.commits.iter(), Term::ZERO);
         self.base.note_peer_exec(peer, coord.exec);
         let Some(ack) = coord.ack else {
             return;
@@ -650,7 +675,19 @@ impl MenciusRules {
             // The round trip my acks to this peer wait a fraction of.
             core.links.acks_wait(peer, ctx.now().since(at));
         }
-        self.tally_own(ctx, &ack.slots, ack.term, ack_bit(peer));
+        // An ack counts only for a slot I suggested (my own, or a
+        // revocation's round) still at the term it acknowledges, a promise
+        // given since or not: an acceptor that promised above refuses it.
+        let (before, chosen) = (self.commit_buf.len(), &mut self.commit_buf);
+        self.base.tally(
+            ack.slots.iter(),
+            ack_bit(peer),
+            |slot| slot.bal() == ack.term,
+            |_| true,
+            |s| chosen.push(s),
+            |id| ctx.trace_span(SpanKind::Quorum, id.client, id.seq),
+        );
+        self.note_chosen(core, ctx, before);
         self.queue_decisions(core, ctx.now());
     }
 
@@ -767,12 +804,6 @@ impl MenciusRules {
         self.mine.drop_below(own_index(above, core.cfg.n));
     }
 
-    /// When I last (re)suggested own slot `s` (zero for one I never
-    /// suggested: skipped, or decided by a revocation).
-    fn suggested_at(&self, core: &EngineCore, s: Slot) -> SimTime {
-        self.mine.get(own_index(s, core.cfg.n)).suggested
-    }
-
     /// Queues the decisions made in this handler on every peer's stream,
     /// to wait a fraction of the quickest one's suggest-to-commit time
     /// (`engine/links.rs`).
@@ -780,10 +811,12 @@ impl MenciusRules {
         if self.commit_buf.is_empty() {
             return;
         }
+        // When each was last (re)suggested.
+        let suggested = |s| self.mine.get(own_index(s, core.cfg.n)).suggested;
         let quickest = self
             .commit_buf
             .iter()
-            .map(|&s| now.since(self.suggested_at(core, s).min(now)))
+            .map(|&s| now.since(suggested(s).min(now)))
             .min()
             .unwrap_or(SimDuration::ZERO);
         for peer in core.cfg.others() {
@@ -942,8 +975,8 @@ impl MenciusRules {
         if now.since(self.last_revoke_attempt.min(now)) < timeout {
             return;
         }
-        // A revocation whose `RevokeOk`s never arrive is retried with a
-        // fresh ballot, as a stalled election is.
+        // A revocation whose `RevokeOk`s or acks never arrive is retried
+        // with a fresh ballot, as a stalled election is.
         self.revoke = None;
         let next = self.base.exec_index.next();
         if self.decided_at(core, next).is_some() {
@@ -966,9 +999,9 @@ impl MenciusRules {
         self.start_revocation(core, ctx, owner, next, through);
     }
 
-    /// Phase-1 of revocation: bump the ballot above every promise this
-    /// replica gave, collect accepted values for `owner`'s slots in the
-    /// range, promise locally, broadcast.
+    /// Phase-1 of revocation: collect accepted values for `owner`'s slots
+    /// in the range, bump the ballot above every promise this replica gave
+    /// and every ballot it accepted them at, promise locally, broadcast.
     fn start_revocation(
         &mut self,
         core: &mut EngineCore,
@@ -978,20 +1011,22 @@ impl MenciusRules {
         through: Slot,
     ) {
         self.last_revoke_attempt = ctx.now();
+        let owned =
+            |(s, ..): &(Slot, Term, Command)| MenciusReplica::owner_of(*s, core.cfg.n) == owner;
+        let mine: Vec<_> = self.base.accepted(from..=through).filter(owned).collect();
         let promised = self.promises.iter().map(|p| p.term);
-        let above = promised.fold(self.current_term, Term::max);
+        let accepted = mine.iter().map(|&(_, bal, _)| bal);
+        let above = promised.chain(accepted).fold(self.current_term, Term::max);
         self.current_term = above.next_for(core.cfg.id, core.cfg.n);
-        let mut op = RevokeOp {
+        let mut phase1 = Phase1::default();
+        phase1.grant(core.cfg.id, mine, Slot::NONE, Slot::NONE);
+        let op = RevokeOp {
             term: self.current_term,
             owner,
             from,
             through,
-            phase1: Phase1::default(),
+            phase1: Some(phase1),
         };
-        let owned =
-            |(s, ..): &(Slot, Term, Command)| MenciusReplica::owner_of(*s, core.cfg.n) == owner;
-        let mine = self.base.accepted(from..=through).filter(owned);
-        op.phase1.grant(core.cfg.id, mine, Slot::NONE, Slot::NONE);
         core.broadcast(
             ctx,
             Msg::Mencius(MenciusMsg::Revoke {
@@ -1029,31 +1064,39 @@ impl MenciusRules {
                 );
                 // A value the owner reports decided is learnt, not
                 // accepted: no promise stands against it, as at a slot
-                // its owner committed no ballot can decide another.
-                let promises = &self.promises;
+                // its owner committed no ballot can decide another. A
+                // revocation's value in one of my own slots is not taken
+                // either: my table keeps what I proposed there until the
+                // decision arrives, and re-proposes it if it was replaced.
+                let (promises, n, me) = (&self.promises, core.cfg.n, core.cfg.id);
                 let eligible = |base: &PaxosBase, s| {
-                    term >= promised_at(promises, base, s)
+                    (term >= promised_at(promises, base, s) && MenciusReplica::owner_of(s, n) != me)
                         || coord.commits.contains(s)
                         || base.learnt_without_value(s)
                 };
                 let got = (self.base).accept(core, ctx, term, &items, eligible);
                 self.note_stored(&got);
-                let max_slot = got.acked.max().unwrap_or(Slot::NONE);
-                let (mut reject_term, mut revoked) = (Term::ZERO, Vec::new());
-                for &s in &got.refused {
-                    reject_term = reject_term.max(promised_at(&self.promises, &self.base, s));
-                    // Decided here already (a revocation the owner
-                    // missed): the refusal carries the decision.
-                    let decided = self.base.cells.get(s).filter(|_| self.base.committed(s));
-                    revoked.extend(decided.and_then(Cell::cmd).map(|c| (s, c.clone())));
-                }
-                // A refused slot is not accounted for here: the claim
-                // stops short of it.
-                if let Some(&refused) = got.refused.iter().min() {
+                // A round is one owner's slots; a revocation's, another's.
+                let sender = |s: &Slot| MenciusReplica::owner_of(*s, n) == peer;
+                let max_slot = got.acked.max().filter(sender).unwrap_or(Slot::NONE);
+                let promised = |&s: &Slot| promised_at(&self.promises, &self.base, s);
+                // Decided here already (a revocation the suggester
+                // missed): the refusal carries the decision.
+                let decided = |&s: &Slot| {
+                    let cell = self.base.cells.get(s).filter(|_| self.base.committed(s));
+                    Some((s, cell?.cmd()?.clone()))
+                };
+                let refusal = got.refused.iter().map(promised).max().map(|term| {
+                    let revoked: Run<Cell> = got.refused.iter().filter_map(decided).collect();
+                    (term, revoked)
+                });
+                // A refused slot of the suggester's is not accounted for
+                // here: the claim stops short of it.
+                if let Some(&refused) = got.refused.iter().filter(|s| sender(s)).min() {
                     coord.watermark = coord.watermark.min(refused);
                 }
                 self.absorb(core, ctx, peer, coord);
-                // Skip my own unused slots below the suggestion.
+                // Skip my own unused slots below the owner's suggestion.
                 let skipped = self.skip_to(core, max_slot);
                 // The ack is the acceptor's promise that these values
                 // survive a crash: it leaves only after the covering
@@ -1085,28 +1128,23 @@ impl MenciusRules {
                         self.send_notice(core, ctx, p);
                     }
                 }
-                if !got.refused.is_empty() {
+                if let Some((term, items)) = refusal {
                     ctx.send(
                         from,
                         Msg::Mencius(MenciusMsg::SuggestReject {
                             slots: got.refused,
-                            term: reject_term,
+                            term,
                         }),
                     );
-                }
-                if !revoked.is_empty() {
-                    ctx.send(
-                        from,
-                        Msg::Mencius(MenciusMsg::RevokeCommit {
-                            term: reject_term,
-                            items: revoked,
-                        }),
-                    );
+                    if !items.is_empty() {
+                        ctx.send(from, Msg::Mencius(MenciusMsg::RevokeCommit { term, items }));
+                    }
                 }
                 self.try_execute(core, ctx);
             }
             MenciusMsg::SuggestReject { term, .. } => {
-                // One acceptor promised these slots to a revocation.
+                // One acceptor promised these slots to a revocation (or,
+                // for a revocation's round, owns them).
                 // That decides nothing: the other acceptors may still
                 // complete the quorum, or the revocation decides the
                 // slots — as no-ops or as the very values we suggested —
@@ -1128,7 +1166,7 @@ impl MenciusRules {
             }
             MenciusMsg::Commit { slots } => {
                 ctx.charge(core.cfg.costs.coord_msg);
-                self.base.learn(slots.iter());
+                self.base.learn_at(slots.iter(), Term::ZERO);
                 self.try_execute(core, ctx);
             }
             MenciusMsg::Revoke {
@@ -1165,40 +1203,36 @@ impl MenciusRules {
                 owner,
                 accepted,
             } => {
+                let n = core.cfg.n;
                 let ours = |op: &&mut RevokeOp| op.term == term && op.owner == owner;
                 let Some(op) = self.revoke.as_mut().filter(ours) else {
                     return;
                 };
-                op.phase1.grant(peer, accepted, Slot::NONE, Slot::NONE);
-                if op.phase1.won(core.cfg.n) {
-                    let mut op = self.revoke.take().expect("checked");
-                    let first = owned_at_or_after(op.owner, op.from, core.cfg.n);
-                    let owned = (first.0..=op.through.0).step_by(core.cfg.n).map(Slot);
-                    let items: Vec<(Slot, Command)> = op.phase1.adopt(owned).collect();
-                    // Decide locally and broadcast. The decided values
-                    // are a local disk write too (the decision's record);
-                    // if a crash drops them before the fsync, the slots
-                    // degrade to committed-without-value and a fresh
-                    // revocation re-decides them.
-                    let values = items.iter().map(|(s, cmd)| (*s, cmd));
-                    let got = (self.base).decide(core, ctx, op.term, values);
-                    for s in got.acked.iter() {
-                        self.base.commit(s);
-                    }
-                    self.decision_rewrites += got.kept;
-                    self.note_stored(&got);
-                    // The decision covers every slot of the owner in
-                    // `[op.from, op.through]`, and nothing below it.
-                    self.note_known(core, op.owner, op.from, op.through.next());
-                    core.broadcast(
-                        ctx,
-                        Msg::Mencius(MenciusMsg::RevokeCommit {
-                            term: op.term,
-                            items,
-                        }),
-                    );
-                    self.try_execute(core, ctx);
+                let Some(phase1) = op.phase1.as_mut() else {
+                    return; // won already: the round is out
+                };
+                phase1.grant(peer, accepted, Slot::NONE, Slot::NONE);
+                if !phase1.won(n) {
+                    return;
                 }
+                // My own acceptor went above the ballot since (a higher
+                // revocation's promise or value): it would refuse the
+                // round, so none goes out; `maybe_revoke` retries.
+                let above = |s| promised_at(&self.promises, &self.base, s) > op.term;
+                if op.slots(n).any(above) {
+                    self.revoke = None;
+                    return;
+                }
+                // Phase 2 is a suggestion's: what phase 1 picked goes into
+                // the owner's slots at the revocation's ballot, cut as an
+                // owner's round, and is chosen by a quorum of acks
+                // (`absorb`, `note_chosen`).
+                let mut phase1 = op.phase1.take().expect("checked");
+                let (term, owned) = (op.term, own(op.owner, n));
+                let values = phase1.adopt(op.slots(n));
+                let carried = |_: &PaxosBase, s, c: &Cell| owned(s, c);
+                let round = (self.base).propose(core, ctx, term, values, n as u64, carried);
+                self.send_suggest(core, ctx, term, round);
             }
             MenciusMsg::RevokeCommit { term, items } => {
                 let mut reproposed = false;
@@ -1206,10 +1240,10 @@ impl MenciusRules {
                     *s > self.base.floor()
                         && MenciusReplica::owner_of(*s, core.cfg.n) == core.cfg.id
                 };
-                for (s, cmd) in items.iter().filter(|(s, _)| mine(s)) {
+                for (s, cmd) in items.values().filter(|(s, _)| mine(s)) {
                     // If our own in-flight command was no-oped, re-propose
                     // it (an answered one is the decided value).
-                    if let Some(held) = self.base.cells.get(*s).and_then(Cell::cmd) {
+                    if let Some(held) = self.base.cells.get(s).and_then(Cell::cmd) {
                         if held != cmd && !matches!(held.op, Op::Noop) {
                             core.pending.push(held.clone());
                             reproposed = true;
@@ -1219,20 +1253,16 @@ impl MenciusRules {
                     let above = owned_at_or_after(core.cfg.id, s.next(), core.cfg.n);
                     self.next_own = self.next_own.max(above);
                 }
-                let values = items.iter().map(|(s, cmd)| (*s, cmd));
-                let got = (self.base).decide(core, ctx, term, values);
-                for s in got.acked.iter() {
-                    if term >= promised_at(&self.promises, &self.base, s) {
-                        self.base.commit(s);
-                    }
-                }
-                self.decision_rewrites += got.kept;
+                // A decision is learnt, not accepted: every value is
+                // stored, and chosen at the ballot the decision carries.
+                let got = (self.base).accept(core, ctx, term, &items, |_, _| true);
+                self.base.learn_at(got.acked.iter(), term);
                 self.note_stored(&got);
                 // The items are every slot of one owner in a range: a
                 // claim about exactly that range, noted once they are stored.
-                if let Some(((from, _), (last, _))) = items.first().zip(items.last()) {
-                    let owner = MenciusReplica::owner_of(*from, core.cfg.n);
-                    self.note_known(core, owner, *from, last.next());
+                if let Some(((from, _), last)) = items.iter().next().zip(items.last()) {
+                    let owner = MenciusReplica::owner_of(from, core.cfg.n);
+                    self.note_known(core, owner, from, last.next());
                 }
                 if reproposed {
                     core.arm_batch(ctx);
@@ -1328,10 +1358,10 @@ impl ProtocolRules for MenciusRules {
         }
     }
 
-    /// A local fsync completed: add this owner's own (previously
-    /// withheld) ack bit to the suggestions the sync covered. Slots a
-    /// revocation has since decided at a higher ballot simply fail the
-    /// per-slot term check, as in `tally_own`.
+    /// A local fsync completed: add my own (previously withheld) ack bit
+    /// to the suggestions the sync covered, a revocation's round among
+    /// them. Slots a revocation has since decided at a higher ballot
+    /// simply fail the per-slot term check, as in `absorb`.
     /// The idle links are checked after every fsync that counted a vote.
     fn on_durable(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) -> bool {
         let before = self.commit_buf.len();
@@ -1341,7 +1371,7 @@ impl ProtocolRules for MenciusRules {
         if !(self.base).tally_synced_votes(synced, at_term, |_| true, |s| chosen.push(s)) {
             return false;
         }
-        self.note_chosen_own(before);
+        self.note_chosen(core, ctx, before);
         self.queue_decisions(core, ctx.now());
         self.try_execute(core, ctx);
         true
@@ -1448,7 +1478,6 @@ impl ProtocolRules for MenciusRules {
     /// `Commit` of their own.
     fn record_metrics(&self, sample: &mut crate::telemetry::MetricSample) {
         self.base.record_metrics(sample);
-        sample.record("decision_rewrites", self.decision_rewrites as f64);
         let carried = self.acks_sent - self.acks_alone;
         sample.record("acks_carried", carried as f64);
         sample.record("acks_alone", self.acks_alone as f64);
@@ -1459,12 +1488,15 @@ impl ProtocolRules for MenciusRules {
         // Stable: the slots, current_term and the promises; volatile: the
         // pending work and respond queues. A value no fsync covered is
         // gone (`PaxosBase::crash`); an *own* one, committed or not, goes
-        // to `lost_own` for the self-revocation (module docs).
+        // to `lost_own` for the self-revocation (module docs), and another
+        // owner's is unknown again: empty, it is no skip.
+        let n = core.cfg.n;
         for (s, _) in self.base.crash(core, floor) {
-            let mine = MenciusReplica::owner_of(s, core.cfg.n) == core.cfg.id;
-            let skipped =
-                self.base.cells.get(s).is_some() && self.mine.get(own_index(s, core.cfg.n)).skipped;
-            if mine && !skipped {
+            let owner = MenciusReplica::owner_of(s, n);
+            if owner != core.cfg.id {
+                let known = &mut self.known_upto[owner.0 as usize];
+                *known = (*known).min(s);
+            } else if !self.mine.get(own_index(s, n)).skipped {
                 self.lost_own.insert(s.0);
             }
         }
@@ -1913,6 +1945,70 @@ mod tests {
             rep.kv().read_local(7).value_id(),
             Some(put.id.as_value_id())
         );
+    }
+
+    /// Owner 1's `Put 102` in slot 2 reaches replica 0 and a later element
+    /// of owner 1's stream claims past it; replica 0 crashes before the
+    /// fsync that would have kept the value, and restarts. The slot is
+    /// empty and was accounted for, but it is no skip: replica 0 must not
+    /// execute a no-op where the owner executed the write. Execution waits
+    /// there until owner 1's replay brings the value again.
+    #[test]
+    fn a_crash_dropped_value_of_another_owner_is_not_read_as_a_skip() {
+        let put = Command::put(crate::kv::CmdId { client: 0, seq: 1 }, 7, vec![0; 8]);
+        let slot_2 = Coord {
+            from: Slot(2),
+            ..skipped_below(5)
+        };
+        let replay = Coord {
+            from: Slot(2),
+            commits: Slots::from_iter([Slot(2)]),
+            ..skipped_below(8)
+        };
+        let ms = SimDuration::from_millis;
+        let script = vec![
+            (SimDuration::ZERO, suggest_from(1, &[2], slot_2)),
+            (ms(5), notice(5, 8, &[])),
+            (ms(900), suggest_from(1, &[2], replay)),
+        ];
+        // Replica 0's own slot 1 is dropped too; its self-revocation
+        // decides it again from Ohio's copy.
+        let accepted = vec![(Slot(1), Term::encode(1, NodeId(0), 3), put)];
+        let p1 = Puppet::new(usize::MAX, Coord::empty(Slot(8), Slot::NONE), script)
+            .answering_revokes(accepted);
+        let p2 = Puppet::new(usize::MAX, skipped_below(1000), Vec::new());
+        // An fsync takes longer than the run up to the crash.
+        let durability = crate::config::DurabilityConfig::group_commit(
+            SimDuration::from_secs(1),
+            64,
+            SimDuration::from_millis(1),
+        );
+        let (mut sim, client) = replica_among_puppets_with(p1, p2, |cfg| {
+            cfg.durability = durability.clone();
+            cfg.mencius.revoke_timeout = SimDuration::from_secs(5);
+        });
+        sim.set_disk_config(durability.disk_config());
+        sim.actor_mut::<TestClient>(client).enqueue_put(7);
+        sim.crash_at(ActorId(0), SimTime::from_millis(200));
+        sim.restart_at(ActorId(0), SimTime::from_millis(300));
+        sim.run_until(SimTime::from_millis(199));
+        let rep = sim.actor::<MenciusReplica>(ActorId(0));
+        assert_eq!(rep.rules.known_upto[1], Slot(8), "slot 2 accounted for");
+        assert!(rep
+            .rules
+            .base
+            .cells
+            .get(Slot(2))
+            .is_some_and(|c| c.cmd().is_some()));
+        sim.run_until(SimTime::from_millis(700));
+        let rep = sim.actor::<MenciusReplica>(ActorId(0));
+        assert_eq!(rep.decided_at(Slot(2)), None, "not a skip");
+        assert_eq!(rep.exec_index(), Slot(1), "execution waits at slot 2");
+        sim.run_until(SimTime::from_millis(1300));
+        let rep = sim.actor::<MenciusReplica>(ActorId(0));
+        assert_eq!(rep.decided_at(Slot(2)).map(|c| c.id.seq), Some(2));
+        assert!(rep.exec_index() >= Slot(3), "the replay healed the gap");
+        assert!(rep.kv().read_local(102).value_id().is_some());
     }
 
     /// A scripted peer among real replicas: records what replica 0 sends
@@ -2417,7 +2513,7 @@ mod tests {
     fn a_refusal_of_a_decided_slot_carries_the_decision() {
         let revoked = MenciusMsg::RevokeCommit {
             term: Term::encode(3, NodeId(2), 3),
-            items: vec![(Slot(2), Command::noop())],
+            items: [(Slot(2), Command::noop())].into_iter().collect(),
         };
         let late = Coord {
             from: Slot(2),
@@ -2442,7 +2538,7 @@ mod tests {
             .iter()
             .any(|(_, m)| match m {
                 MenciusMsg::RevokeCommit { items, .. } => {
-                    items.len() == 1 && items[0].0 == Slot(2) && items[0].1 == Command::noop()
+                    items.values().eq([(Slot(2), &Command::noop())])
                 }
                 _ => false,
             });
@@ -2534,6 +2630,55 @@ mod tests {
             .collect();
         assert!(!terms.is_empty(), "owner 1 was revoked");
         assert!(terms.iter().all(|&t| t > Term(17)), "revoked at {terms:?}");
+    }
+
+    /// Replica 0 revokes owner 1, silent since it acked replica 0's first
+    /// suggestion, and both puppets grant the revocation's phase 1.
+    /// Phase 1 decides nothing: with neither puppet acking the round that
+    /// follows, owner 1's slot 2 stays undecided, execution stays behind
+    /// it and no `RevokeCommit` leaves. With Ireland's puppet acking, the
+    /// slot is decided a no-op, and the decision leaves a round trip after
+    /// the round did: on the ack.
+    #[test]
+    fn a_revocation_decides_nothing_until_a_quorum_accepts_at_its_ballot() {
+        let run = |acks| {
+            let p1 = Puppet::new(1, Coord::empty(Slot(2), Slot::NONE), Vec::new());
+            let p2 = Puppet::new(acks, skipped_below(1000), Vec::new());
+            let (p1, p2) = (p1.answering_revokes(vec![]), p2.answering_revokes(vec![]));
+            let (mut sim, client) = replica_among_puppets_with(p1, p2, |cfg| {
+                cfg.mencius.revoke_timeout = SimDuration::from_secs(1);
+            });
+            sim.actor_mut::<TestClient>(client).enqueue_put(1);
+            sim.run_until(SimTime::from_millis(1800));
+            sim
+        };
+        // When Ireland's puppet saw the round over slot 2, and the decision.
+        let seen = |sim: &Simulation<Msg>| {
+            let seen = sim.actor::<Puppet>(ActorId(2)).seen.iter();
+            let at = |want: fn(&MenciusMsg) -> bool| seen.clone().find(|(_, m)| want(m));
+            let round = at(
+                |m| matches!(m, MenciusMsg::Suggest { items, .. } if items.iter().any(|(s, _)| s == Slot(2))),
+            );
+            let decision = at(|m| matches!(m, MenciusMsg::RevokeCommit { .. }));
+            (round.map(|(t, _)| *t), decision.map(|(t, _)| *t))
+        };
+        let unacked = run(1);
+        let rep = unacked.actor::<MenciusReplica>(ActorId(0));
+        assert_eq!(rep.decided_at(Slot(2)), None, "phase 1 decides nothing");
+        assert_eq!(rep.exec_index(), Slot(1));
+        let (round, decision) = seen(&unacked);
+        assert!(
+            round.is_some() && decision.is_none(),
+            "{round:?} {decision:?}"
+        );
+        let acked = run(usize::MAX);
+        let rep = acked.actor::<MenciusReplica>(ActorId(0));
+        assert_eq!(rep.decided_at(Slot(2)), Some(&Command::noop()));
+        let (Some(round), Some(decision)) = seen(&acked) else {
+            panic!("round and decision seen");
+        };
+        let rtt = SimDuration::from_millis(100);
+        assert!(decision.since(round) > rtt, "{round:?} {decision:?}");
     }
 
     /// An owner that promised its own range to a revoker at 17 re-sends
@@ -2657,7 +2802,7 @@ mod tests {
         };
         let revoked = MenciusMsg::RevokeCommit {
             term: Term::encode(3, NodeId(2), 3),
-            items: vec![(Slot(5), Command::noop())],
+            items: [(Slot(5), Command::noop())].into_iter().collect(),
         };
         let p1 = Puppet::new(
             usize::MAX,
@@ -2716,7 +2861,7 @@ mod tests {
     fn a_round_in_flight_yields_what_it_was_cut_over_through_a_revocation_and_a_crash() {
         let revoked = MenciusMsg::RevokeCommit {
             term: Term::encode(3, NodeId(2), 3),
-            items: vec![(Slot(1), Command::noop())],
+            items: [(Slot(1), Command::noop())].into_iter().collect(),
         };
         let script = vec![(SimDuration::from_millis(50), revoked)];
         let p1 = Puppet::new(0, skipped_below(1000), script);

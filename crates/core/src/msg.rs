@@ -673,8 +673,8 @@ pub enum MenciusMsg {
         /// Slots now committed.
         slots: Slots,
     },
-    /// An acceptor refuses a `Suggest` whose term is below a slot's
-    /// (revocation-raised) ballot; the owner re-proposes elsewhere.
+    /// An acceptor refuses a `Suggest` whose term is below the promise
+    /// covering a slot; the owner re-proposes elsewhere.
     SuggestReject {
         /// The refused slots.
         slots: Vec<Slot>,
@@ -704,13 +704,13 @@ pub enum MenciusMsg {
         /// Accepted `(slot, ballot, value)` triples in the range.
         accepted: Vec<(Slot, Term, Command)>,
     },
-    /// Revocation phase-2: decide the revoked slots (no-ops or recovered
-    /// values).
+    /// The decision, sent once a quorum accepted the revoker's round (or
+    /// by an acceptor refusing a suggestion for slots it holds decided).
     RevokeCommit {
         /// Revocation ballot.
         term: Term,
-        /// Decided `(slot, command)` pairs for the revoked range.
-        items: Vec<(Slot, Command)>,
+        /// The decided instances, each holding its value.
+        items: Run<Cell>,
     },
 }
 
@@ -804,9 +804,7 @@ impl Payload for Msg {
                         .map(|(_, _, c)| 16 + c.size_bytes())
                         .sum::<usize>()
                 }
-                MenciusMsg::RevokeCommit { items, .. } => {
-                    16 + items.iter().map(|(_, c)| 8 + c.size_bytes()).sum::<usize>()
-                }
+                MenciusMsg::RevokeCommit { items, .. } => 16 + values_size(items),
             },
         }
     }
