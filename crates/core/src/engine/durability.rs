@@ -3,14 +3,14 @@
 //! once and inherited by all four protocols.
 //!
 //! The invariant this module enforces is protocol-independent: *an
-//! acknowledgement must never precede durability of what it attests
-//! to*. A Raft `AppendOk`, a Paxos `AcceptOk`/`PrepareOk`, a Mencius
-//! acceptor's ack and a snapshot ack all claim "I hold this state"; if the
-//! claimant crashes and restarts without the state, a quorum that
-//! counted the claim can lose a committed entry. So every durability
-//! write is tagged with a monotone sequence number, every attesting ack
-//! is deferred until the fsync covering its sequence completes, and the
-//! crash path discards whatever the last completed fsync did not cover.
+//! acknowledgement must never precede durability of what it attests to*. A
+//! Raft `AppendOk`, a Paxos `AcceptOk`/`PrepareOk` (a Mencius revocation's
+//! too), a Mencius acceptor's ack and a snapshot ack all claim "I hold this
+//! state"; if the claimant crashes and restarts without the state, a quorum
+//! that counted the claim can lose a committed entry. So every durability
+//! write is tagged with a monotone sequence number, every attesting ack is
+//! deferred until the fsync covering its sequence completes, and the crash
+//! path discards whatever the last completed fsync did not cover.
 //!
 //! Two policies schedule the fsyncs ([`FsyncPolicy`]):
 //!

@@ -18,7 +18,7 @@
 //!
 //! The rules stamp a link where a message carries what waits — every
 //! `Accept` and `Learn`, every Mencius stream element and `Commit` — and
-//! nowhere else: a `Prepare` or a `Revoke` carries nothing that waits.
+//! nowhere else: a `Prepare` carries nothing that waits.
 
 use paxraft_sim::sim::Ctx;
 use paxraft_sim::time::{SimDuration, SimTime};

@@ -10,11 +10,12 @@
 //! if it was accepted at the deciding ballot or above), tag what they
 //! write for the fsync that will cover it and withhold the proposer's own
 //! vote until then, compact behind a checkpoint, install a peer's, notice
-//! a peer whose executed prefix stalled, report accepted values to a
-//! phase 1 (`engine/phase1.rs`), and drop what never reached the disk in
-//! a crash. Wherever a value enters or leaves, the base keeps the
-//! engine's conflict index (`engine/conflicts.rs`) right, when there is
-//! one.
+//! a peer whose executed prefix stalled, open and answer a phase 1
+//! (`engine/phase1.rs`: one `Prepare`/`PrepareOk` exchange for
+//! MultiPaxos's election and a Mencius revocation, which asks about one
+//! owner's slots), and drop what never reached the disk in a crash.
+//! Wherever a value enters or leaves, the base keeps the engine's conflict
+//! index (`engine/conflicts.rs`) right, when there is one.
 //!
 //! # Durability
 //!
@@ -22,10 +23,12 @@
 //! crash (Paxos's acceptor persistence), so it leaves through
 //! `EngineCore::ack_after_sync`, after the fsync covering them; the
 //! proposer's own vote waits the same way ([`PaxosBase::propose`],
-//! counted by the rules' `on_durable`). A crash drops exactly the values
-//! no fsync covered ([`PaxosBase::crash`]): unsynced, they counted toward
-//! no quorum, and a chosen one is re-fetched. Ballots and promises are
-//! always-durable metadata, like Raft's terms, and no promise is a cell's.
+//! counted by the rules' `on_durable`), and so does a `PrepareOk`, which
+//! reports values ([`PaxosBase::answer_phase1`]). A crash drops exactly
+//! the values no fsync covered ([`PaxosBase::crash`]): unsynced, they
+//! counted toward no quorum, and a chosen one is re-fetched. Ballots and
+//! promises are always-durable metadata, like Raft's terms, and no
+//! promise is a cell's.
 //!
 //! # What `store` answers
 //!
@@ -61,17 +64,17 @@
 //! copies it first.
 
 use std::collections::VecDeque;
-use std::ops::RangeBounds;
 
-use paxraft_sim::sim::Ctx;
+use paxraft_sim::sim::{ActorId, Ctx};
 
 use crate::kv::{CmdId, Command, IntMap};
-use crate::msg::{Msg, Slots};
+use crate::msg::{Msg, PaxosMsg, Slots};
 use crate::snapshot::Snapshot;
 use crate::telemetry::MetricSample;
 use crate::types::{quorum, NodeId, Slot, Term};
 
 use super::conflicts::{self, Holds};
+use super::phase1::Phase1;
 use super::slots::Run;
 use super::{transfer, EngineCore, SlotRing};
 
@@ -742,14 +745,66 @@ impl PaxosBase {
         Some(reported.next())
     }
 
-    /// The phase-1 report (`engine/phase1.rs`): every value accepted in
-    /// `range`, with the ballot it was accepted at.
-    pub(crate) fn accepted<'a>(
-        &'a self,
-        range: impl RangeBounds<Slot> + 'a,
-    ) -> impl Iterator<Item = (Slot, Term, Command)> + 'a {
-        let held = |(s, cell): (Slot, &'a Cell)| Some((s, cell.bal, cell.cmd.clone()?));
-        self.cells.range(range).filter_map(held)
+    /// Phase 1a (`engine/phase1.rs`): asks every peer to promise `ballot`
+    /// over `range` (`PaxosMsg::Prepare`) and returns the phase 1 with this
+    /// replica's own report granted.
+    pub(crate) fn open_phase1(
+        &self,
+        core: &mut EngineCore,
+        ctx: &mut Ctx<Msg>,
+        ballot: Term,
+        range: (Slot, Option<(NodeId, Slot)>),
+    ) -> Phase1 {
+        let mut phase1 = Phase1::default();
+        phase1.grant(core.cfg.id, self.report(range), self.tail(), self.floor());
+        core.broadcast(ctx, Msg::Paxos(PaxosMsg::Prepare { ballot, range }));
+        phase1
+    }
+
+    /// Phase 1b, the rules having granted `ballot` over `range`: tells `to`
+    /// the values accepted there, the log tail and the floor, after their
+    /// fsync. A range from at or below the floor, chosen but unreportable
+    /// there, draws the checkpoint too, sealed with `seal`.
+    pub(crate) fn answer_phase1(
+        &self,
+        core: &mut EngineCore,
+        ctx: &mut Ctx<Msg>,
+        to: ActorId,
+        ballot: Term,
+        range: (Slot, Option<(NodeId, Slot)>),
+        seal: Term,
+    ) {
+        let ok = PaxosMsg::PrepareOk {
+            ballot,
+            entries: self.report(range).collect(),
+            log_tail: self.tail(),
+            floor: self.floor(),
+        };
+        core.ack_after_sync(ctx, to, Msg::Paxos(ok));
+        if range.0 <= self.floor() {
+            self.ship_checkpoint(core, ctx, core.cfg.node_of(to), seal);
+        }
+    }
+
+    /// The phase-1 report over a `Prepare`'s range: every value accepted
+    /// there (one owner's alone, for a revocation) with its ballot.
+    fn report(
+        &self,
+        (from, owner): (Slot, Option<(NodeId, Slot)>),
+    ) -> impl Iterator<Item = (Slot, Term, Command)> + '_ {
+        let (n, through) = (
+            self.peer_exec.len() as u64,
+            owner.map_or(Slot(u64::MAX), |o| o.1),
+        );
+        let asked = move |s: Slot| owner.is_none_or(|(o, _)| (s.0 - 1) % n == u64::from(o.0));
+        let held = |(s, cell): (Slot, &Cell)| Some((s, cell.bal, cell.cmd.clone()?));
+        let range = self.cells.range(from..=through);
+        range.filter(move |&(s, _)| asked(s)).filter_map(held)
+    }
+
+    /// The highest instance held.
+    pub(crate) fn tail(&self) -> Slot {
+        self.cells.last_slot().unwrap_or(Slot::NONE)
     }
 
     /// Crash: forgets what only the running process knew (the peers'
@@ -1177,7 +1232,7 @@ mod tests {
     /// `carried` admits, as one round.
     fn cut_round(
         b: &PaxosBase,
-        range: impl RangeBounds<Slot> + Clone,
+        range: impl std::ops::RangeBounds<Slot> + Clone,
         stride: u64,
         count: usize,
         carried: impl Fn(&PaxosBase, Slot) -> bool,

@@ -1,8 +1,12 @@
 //! Phase 1, written once: Raft\*'s `RequestVote`/`BecomeLeader` (Figure
 //! 2a), MultiPaxos's `Phase1b`/`Phase1Succeed` (Figure 1) and a Mencius
-//! revocation (Appendix A.3) count grants and adopt values the same way.
-//! Who may grant — the flavor's vote rule, a ballot, a per-slot promise —
-//! and what the winner does with what it adopts stay in the rules files.
+//! revocation (Appendix A.3), MultiPaxos's phase 1 over one owner's
+//! slots, count grants and adopt values the same way, and a winner fills
+//! nothing at or below a reported floor ([`Phase1::first_open`]).
+//! `PaxosBase` opens and answers the Paxos family's `Prepare`s. Who may
+//! grant — the flavor's vote rule, MultiPaxos's ballot, Mencius's term
+//! and the owner's promise — and what the winner proposes stay in the
+//! rules files.
 
 use std::collections::BTreeMap;
 
@@ -46,6 +50,15 @@ impl Phase1 {
     /// Whether a majority of an `n`-replica cluster granted.
     pub(crate) fn won(&self, n: usize) -> bool {
         self.grants.count_ones() as usize >= quorum(n)
+    }
+
+    /// The first slot from `from` on, `stride` apart from it, that a
+    /// winner may fill: above the highest floor reported. At or below it
+    /// every instance is chosen but no longer reportable, and the
+    /// reporter's checkpoint is on its way.
+    pub(crate) fn first_open(&self, from: Slot, stride: u64) -> Slot {
+        let behind = self.floor.next().0.saturating_sub(from.0);
+        Slot(from.0 + behind.div_ceil(stride) * stride)
     }
 
     /// Figure 1's `safeEntry` over `slots`: the highest-ballot value each
@@ -119,6 +132,36 @@ mod tests {
             [(1, 0), (2, 2), (3, 0), (4, 4), (5, 0)]
         );
         assert_eq!(adopted(&mut p, [2, 4]), [(2, 0), (4, 0)]);
+    }
+
+    /// A winner fills nothing at or below the highest floor reported, in
+    /// either range shape: MultiPaxos's, stride 1 from the first unchosen
+    /// slot, and a revocation's, one owner's slots of five. A range that
+    /// starts above the floor keeps its start.
+    #[test]
+    fn a_winner_fills_nothing_at_or_below_a_reported_floor() {
+        let reported = || {
+            let mut p = Phase1::default();
+            let report = [(Slot(4), Term(1), put(4)), (Slot(7), Term(1), put(7))];
+            p.grant(NodeId(0), report, Slot(9), Slot(2));
+            p.grant(NodeId(1), [], Slot(3), Slot(5));
+            p
+        };
+        let winner = |from: u64, stride: u64| {
+            let mut p = reported();
+            let first = p.first_open(Slot(from), stride);
+            let slots: Vec<u64> = (first.0..=12).step_by(stride as usize).collect();
+            adopted(&mut p, slots)
+        };
+        assert_eq!(
+            winner(3, 1),
+            [(6, 0), (7, 7), (8, 0), (9, 0), (10, 0), (11, 0), (12, 0)]
+        );
+        assert_eq!(winner(2, 5), [(7, 7), (12, 0)]);
+        assert_eq!(winner(1, 5), [(6, 0), (11, 0)]);
+        assert_eq!(winner(9, 1)[0], (9, 0));
+        assert_eq!(winner(7, 5), [(7, 7), (12, 0)]);
+        assert_eq!(reported().first_open(Slot(6), 5), Slot(6));
     }
 
     /// The per-index loop Raft\*'s `BecomeLeader` ran over vote extras,

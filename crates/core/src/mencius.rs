@@ -91,14 +91,16 @@
 //! (`MenciusRules::note_stored`).
 //!
 //! Crashed owners are *revoked*: after a silence timeout a peer raises a
-//! ballot above the owner's, runs phase 1 (`engine/phase1.rs`) over the
-//! owner's undecided range and re-proposes what was accepted, no-opping
-//! the rest (Appendix A.3's recovery leader), in a suggestion's round at
-//! its ballot. A quorum of acks decides it, announced with that ballot in
-//! `RevokeCommit`, never in a stream's ballot-free `commits`; the owner,
-//! whose own slots take no other replica's value, re-proposes a value the
-//! decision replaced. Undecided by `revoke_timeout`, it is retried at a
-//! fresh ballot. An owner a partitioned peer suspects may find its
+//! ballot above the owner's, runs MultiPaxos's phase 1 over the owner's
+//! undecided range (a `Prepare` naming the owner, `engine/phase1.rs`) and
+//! re-proposes what was accepted, no-opping the rest but nothing at or
+//! below a reported floor (Appendix A.3's recovery leader), in a
+//! suggestion's round at its ballot. A quorum of acks decides it,
+//! announced with that ballot in `RevokeCommit`, never in a stream's
+//! ballot-free `commits`; the owner, whose own slots take no other
+//! replica's value, re-proposes a value the decision replaced. Undecided
+//! by `revoke_timeout`, or ended by an installed checkpoint, it is retried
+//! at a fresh ballot. An owner a partitioned peer suspects may find its
 //! suggestion refused (`SuggestReject`): that decides nothing, so it
 //! leaves the slot alone; a refusing acceptor that holds the decision
 //! sends it along, and an owner that promised its own range away proposes
@@ -118,11 +120,11 @@
 //! skip inference (execution blocks instead of diverging) and has the
 //! restart run the ordinary revocation phase 1 against the owner's own
 //! range: the crashed-owner recovery, safe by the same ballot argument and
-//! live because the affected clients, never answered, retry. `RevokeOk`
-//! stays immediate: a promise is always-durable metadata, and widening one
-//! only restricts what the acceptor may accept. Another owner's dropped
-//! value is no skip either: the crash lowers that owner's `known_upto` to
-//! it, a gap its stalled-peer replay heals.
+//! live because the affected clients, never answered, retry. A
+//! `PrepareOk` reports values, so it waits for their fsync, as
+//! MultiPaxos's does. Another owner's dropped value is no skip either:
+//! the crash lowers that owner's `known_upto` to it, a gap its
+//! stalled-peer replay heals.
 //!
 //! # What this file holds
 //!
@@ -147,7 +149,7 @@ use crate::engine::slots::Run;
 use crate::engine::{self, EngineCore, Links, ProtocolRules, ReplicaEngine, Waiting, T_COORD};
 use crate::kv::{Command, Key, Op};
 use crate::msg::{
-    Ack, Coord, MenciusMsg, Msg, Slots, CHECKPOINT_ACK_HEADER, CHECKPOINT_CHUNK_HEADER,
+    Ack, Coord, MenciusMsg, Msg, PaxosMsg, Slots, CHECKPOINT_ACK_HEADER, CHECKPOINT_CHUNK_HEADER,
 };
 use crate::snapshot::Snapshot;
 use crate::types::{NodeId, Slot, Term};
@@ -165,7 +167,7 @@ struct RevokeOp {
     owner: NodeId,
     from: Slot,
     through: Slot,
-    /// The `RevokeOk`s, this replica's own report among them; `None` once
+    /// The `PrepareOk`s, this replica's own report among them; `None` once
     /// a quorum granted and the round is out.
     phase1: Option<Phase1>,
 }
@@ -846,29 +848,19 @@ impl MenciusRules {
             let mine = MenciusReplica::owner_of(s, n) == me && !own.skipped;
             mine && slot.cmd().is_some() && idle
         };
-        // The first 64 due slots: where they end, and those already chosen.
+        // Where the first 64 due slots end.
         let unexecuted = self.base.exec_index.next()..;
         let held = self.base.cells.range(unexecuted.clone());
         let taken = held.filter(|&(s, slot)| due(self, s, slot));
-        let mut committed = Slots::new();
-        let mut last = None;
-        for (s, _) in taken.take(64) {
-            if self.base.committed(s) {
-                committed.push(s);
-            }
-            last = Some(s);
-        }
-        let Some(last) = last else {
+        let Some((last, _)) = taken.take(64).last() else {
             return;
         };
         // The retransmitted slots are a subset by age, so these copies
         // claim nothing about them: each is an ordinary stream element
         // (the range since the last one holds no values — those left in
-        // their own `Suggest`). The decisions ride along.
-        for peer in core.cfg.others() {
-            self.out[peer.0 as usize].decisions.extend(committed.iter());
-        }
-        // One round per term, lowest first; a slot re-sent is due no more.
+        // their own `Suggest`). One round per term, lowest first; a slot
+        // re-sent is due no more. Decisions ride their values' round: one
+        // ahead of a value a revocation replaced would commit the old one.
         let unsent = unexecuted.start..=last;
         let lowest = |rules: &Self| {
             let held = rules.base.cells.range(unsent.clone());
@@ -881,6 +873,11 @@ impl MenciusRules {
                 .base
                 .cells
                 .cut(unsent.clone(), n as u64, usize::MAX, at_term);
+            let chosen = items.iter().map(|(s, _)| s);
+            let decided: Slots = chosen.filter(|&s| self.base.committed(s)).collect();
+            for peer in core.cfg.others() {
+                self.out[peer.0 as usize].decisions.extend(decided.iter());
+            }
             for (s, _) in items.iter() {
                 self.mine.suggested(own_index(s, n), now);
             }
@@ -975,7 +972,7 @@ impl MenciusRules {
         if now.since(self.last_revoke_attempt.min(now)) < timeout {
             return;
         }
-        // A revocation whose `RevokeOk`s or acks never arrive is retried
+        // A revocation whose `PrepareOk`s or acks never arrive is retried
         // with a fresh ballot, as a stalled election is.
         self.revoke = None;
         let next = self.base.exec_index.next();
@@ -999,9 +996,9 @@ impl MenciusRules {
         self.start_revocation(core, ctx, owner, next, through);
     }
 
-    /// Phase-1 of revocation: collect accepted values for `owner`'s slots
-    /// in the range, bump the ballot above every promise this replica gave
-    /// and every ballot it accepted them at, promise locally, broadcast.
+    /// Phase 1a of a revocation of `owner`'s slots in `from..=through`, at
+    /// a term above every promise this replica gave and every ballot it
+    /// accepted them at; it promises the range itself.
     fn start_revocation(
         &mut self,
         core: &mut EngineCore,
@@ -1011,33 +1008,22 @@ impl MenciusRules {
         through: Slot,
     ) {
         self.last_revoke_attempt = ctx.now();
-        let owned =
-            |(s, ..): &(Slot, Term, Command)| MenciusReplica::owner_of(*s, core.cfg.n) == owner;
-        let mine: Vec<_> = self.base.accepted(from..=through).filter(owned).collect();
+        let n = core.cfg.n;
+        let slots = (owned_at_or_after(owner, from, n).0..=through.0).step_by(n);
+        let accepted = slots.map(|s| self.base.cells.get(Slot(s)).map_or(Term::ZERO, Cell::bal));
         let promised = self.promises.iter().map(|p| p.term);
-        let accepted = mine.iter().map(|&(_, bal, _)| bal);
         let above = promised.chain(accepted).fold(self.current_term, Term::max);
-        self.current_term = above.next_for(core.cfg.id, core.cfg.n);
-        let mut phase1 = Phase1::default();
-        phase1.grant(core.cfg.id, mine, Slot::NONE, Slot::NONE);
-        let op = RevokeOp {
-            term: self.current_term,
+        let term = above.next_for(core.cfg.id, n);
+        self.current_term = term;
+        let phase1 = (self.base).open_phase1(core, ctx, term, (from, Some((owner, through))));
+        self.promises[owner.0 as usize].give(term, from, through);
+        self.revoke = Some(RevokeOp {
+            term,
             owner,
             from,
             through,
             phase1: Some(phase1),
-        };
-        core.broadcast(
-            ctx,
-            Msg::Mencius(MenciusMsg::Revoke {
-                term: op.term,
-                owner,
-                from,
-                through,
-            }),
-        );
-        self.promises[owner.0 as usize].give(op.term, from, through);
-        self.revoke = Some(op);
+        });
     }
 
     fn on_mencius(
@@ -1048,7 +1034,6 @@ impl MenciusRules {
         msg: MenciusMsg,
     ) {
         let peer = core.cfg.node_of(from);
-        self.last_heard[peer.0 as usize] = ctx.now();
         match msg {
             MenciusMsg::Suggest {
                 term,
@@ -1169,71 +1154,6 @@ impl MenciusRules {
                 self.base.learn_at(slots.iter(), Term::ZERO);
                 self.try_execute(core, ctx);
             }
-            MenciusMsg::Revoke {
-                term,
-                owner,
-                from: rfrom,
-                through,
-            } => {
-                if term > self.current_term.max(self.promises[owner.0 as usize].term) {
-                    // Promise the range; report what was accepted in it.
-                    let owned = |(s, ..): &(Slot, Term, Command)| {
-                        MenciusReplica::owner_of(*s, core.cfg.n) == owner
-                    };
-                    let accepted = self.base.accepted(rfrom..=through).filter(owned).collect();
-                    self.promises[owner.0 as usize].give(term, rfrom, through);
-                    if owner == core.cfg.id {
-                        // Having promised my own range away, I must not
-                        // suggest in it: my proposals clear the range.
-                        let above = owned_at_or_after(owner, through.next(), core.cfg.n);
-                        self.next_own = self.next_own.max(above);
-                    }
-                    ctx.send(
-                        from,
-                        Msg::Mencius(MenciusMsg::RevokeOk {
-                            term,
-                            owner,
-                            accepted,
-                        }),
-                    );
-                }
-            }
-            MenciusMsg::RevokeOk {
-                term,
-                owner,
-                accepted,
-            } => {
-                let n = core.cfg.n;
-                let ours = |op: &&mut RevokeOp| op.term == term && op.owner == owner;
-                let Some(op) = self.revoke.as_mut().filter(ours) else {
-                    return;
-                };
-                let Some(phase1) = op.phase1.as_mut() else {
-                    return; // won already: the round is out
-                };
-                phase1.grant(peer, accepted, Slot::NONE, Slot::NONE);
-                if !phase1.won(n) {
-                    return;
-                }
-                // My own acceptor went above the ballot since (a higher
-                // revocation's promise or value): it would refuse the
-                // round, so none goes out; `maybe_revoke` retries.
-                let above = |s| promised_at(&self.promises, &self.base, s) > op.term;
-                if op.slots(n).any(above) {
-                    self.revoke = None;
-                    return;
-                }
-                // Phase 2 is a suggestion's: what phase 1 picked goes into
-                // the owner's slots at the revocation's ballot, cut as an
-                // owner's round, and is chosen by a quorum of acks
-                // (`absorb`, `note_chosen`).
-                let mut phase1 = op.phase1.take().expect("checked");
-                let (term, owned) = (op.term, own(op.owner, n));
-                let values = phase1.adopt(op.slots(n));
-                let carried = |_: &PaxosBase, s, c: &Cell| owned(s, c);
-                let round = (self.base).propose(core, ctx, term, values, n as u64, carried);
-                self.send_suggest(core, ctx, term, round);
-            }
             MenciusMsg::RevokeCommit { term, items } => {
                 let mut reproposed = false;
                 let mine = |s: &Slot| {
@@ -1352,9 +1272,66 @@ impl ProtocolRules for MenciusRules {
         ctx.set_timer(SKIP_HEARTBEAT, T_COORD);
     }
 
+    /// A peer's message, a revocation's phase 1 among them: MultiPaxos's
+    /// exchange (`engine/phase1.rs`). A `Prepare` over one owner's slots is
+    /// granted above my term and that owner's promise; a `PrepareOk` counts
+    /// for the revocation in flight, matched by its ballot alone (a ballot
+    /// names its proposer), and its winner suggests what it picked.
     fn on_msg(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, from: ActorId, msg: Msg) {
-        if let Msg::Mencius(m) = msg {
-            self.on_mencius(core, ctx, from, m);
+        let (peer, n) = (core.cfg.node_of(from), core.cfg.n);
+        self.last_heard[peer.0 as usize] = ctx.now();
+        match msg {
+            Msg::Mencius(m) => self.on_mencius(core, ctx, from, m),
+            Msg::Paxos(PaxosMsg::Prepare {
+                ballot,
+                range: range @ (from_slot, Some((owner, through))),
+            }) if ballot > self.current_term.max(self.promises[owner.0 as usize].term) => {
+                self.promises[owner.0 as usize].give(ballot, from_slot, through);
+                if owner == core.cfg.id {
+                    // Having promised my own range away, I must not
+                    // suggest in it: my proposals clear the range.
+                    let above = owned_at_or_after(owner, through.next(), n);
+                    self.next_own = self.next_own.max(above);
+                }
+                // The multi-leader checkpoint carries no seal.
+                (self.base).answer_phase1(core, ctx, from, ballot, range, Term::ZERO);
+            }
+            Msg::Paxos(PaxosMsg::PrepareOk {
+                ballot,
+                entries,
+                log_tail,
+                floor,
+            }) => {
+                let Some(op) = self.revoke.as_mut().filter(|op| op.term == ballot) else {
+                    return;
+                };
+                let Some(phase1) = op.phase1.as_mut() else {
+                    return; // won already: the round is out
+                };
+                phase1.grant(peer, entries, log_tail, floor);
+                if !phase1.won(n) {
+                    return;
+                }
+                op.from = phase1.first_open(owned_at_or_after(op.owner, op.from, n), n as u64);
+                // Nothing is left above the reported floors, or my own
+                // acceptor went above the ballot since (a higher
+                // revocation's promise or value) and would refuse the
+                // round: none goes out, and `maybe_revoke` retries.
+                let above = |s| promised_at(&self.promises, &self.base, s) > op.term;
+                if op.slots(n).next().is_none() || op.slots(n).any(above) {
+                    self.revoke = None;
+                    return;
+                }
+                // Phase 2 is a suggestion's, chosen by a quorum of acks
+                // (`absorb`, `note_chosen`).
+                let mut phase1 = op.phase1.take().expect("checked");
+                let (term, owned) = (op.term, own(op.owner, n));
+                let values = phase1.adopt(op.slots(n));
+                let carried = |_: &PaxosBase, s, c: &Cell| owned(s, c);
+                let round = (self.base).propose(core, ctx, term, values, n as u64, carried);
+                self.send_suggest(core, ctx, term, round);
+            }
+            _ => {}
         }
     }
 
@@ -1450,6 +1427,9 @@ impl ProtocolRules for MenciusRules {
             // without us (revoked to no-ops); their clients re-submit
             // and the restored sessions deduplicate.
             self.await_respond.retain(|&s| s > covered);
+            // A revocation in flight asked below the new floor: it ends
+            // (`maybe_revoke` retries if execution still blocks).
+            self.revoke = None;
             self.try_execute(core, ctx);
         }
         engine::ack_snapshot(core, ctx, from, Term::ZERO, self.base.exec_index);
@@ -1854,16 +1834,14 @@ mod tests {
     #[test]
     fn a_read_waits_for_an_own_slot_a_crash_emptied() {
         let put = Command::put(crate::kv::CmdId { client: 0, seq: 1 }, 7, vec![0; 8]);
-        let recovered = MenciusMsg::RevokeOk {
-            term: Term::encode(2, NodeId(0), 3),
-            owner: NodeId(0),
-            accepted: vec![(Slot(1), Term::encode(1, NodeId(0), 3), put.clone())],
+        let recovered = PaxosMsg::PrepareOk {
+            ballot: Term::encode(2, NodeId(0), 3),
+            entries: vec![(Slot(1), Term::encode(1, NodeId(0), 3), put.clone())],
+            log_tail: Slot(1),
+            floor: Slot::NONE,
         };
-        let p1 = Puppet::new(
-            usize::MAX,
-            skipped_below(1000),
-            vec![(SimDuration::from_millis(400), recovered)],
-        );
+        let p1 = Puppet::new(usize::MAX, skipped_below(1000), Vec::new())
+            .also(SimDuration::from_millis(400), Msg::Paxos(recovered));
         let p2 = Puppet::new(usize::MAX, skipped_below(1000), Vec::new());
         // An fsync takes longer than the run up to the crash, so the
         // owner's write is still unsynced when it comes.
@@ -1906,16 +1884,14 @@ mod tests {
     #[test]
     fn an_own_slot_chosen_before_a_crash_emptied_it_is_not_read_as_skipped() {
         let put = Command::put(crate::kv::CmdId { client: 0, seq: 1 }, 7, vec![0; 8]);
-        let recovered = MenciusMsg::RevokeOk {
-            term: Term::encode(2, NodeId(0), 3),
-            owner: NodeId(0),
-            accepted: vec![(Slot(1), Term::encode(1, NodeId(0), 3), put.clone())],
+        let recovered = PaxosMsg::PrepareOk {
+            ballot: Term::encode(2, NodeId(0), 3),
+            entries: vec![(Slot(1), Term::encode(1, NodeId(0), 3), put.clone())],
+            log_tail: Slot(1),
+            floor: Slot::NONE,
         };
-        let p1 = Puppet::new(
-            usize::MAX,
-            skipped_below(1000),
-            vec![(SimDuration::from_millis(500), recovered)],
-        );
+        let p1 = Puppet::new(usize::MAX, skipped_below(1000), Vec::new())
+            .also(SimDuration::from_millis(500), Msg::Paxos(recovered));
         let p2 = Puppet::new(usize::MAX, skipped_below(1000), Vec::new());
         // An fsync takes longer than the run up to the crash, so the
         // owner's write is still unsynced when it comes.
@@ -1975,7 +1951,7 @@ mod tests {
         // decides it again from Ohio's copy.
         let accepted = vec![(Slot(1), Term::encode(1, NodeId(0), 3), put)];
         let p1 = Puppet::new(usize::MAX, Coord::empty(Slot(8), Slot::NONE), script)
-            .answering_revokes(accepted);
+            .answering_prepares(accepted, Slot::NONE);
         let p2 = Puppet::new(usize::MAX, skipped_below(1000), Vec::new());
         // An fsync takes longer than the run up to the crash.
         let durability = crate::config::DurabilityConfig::group_commit(
@@ -2015,14 +1991,18 @@ mod tests {
     /// it, acknowledges the first `acks` suggestions (every ack carrying
     /// `ack_coord`), and plays `script` — messages for replica 0, each
     /// sent a given time after the first suggestion arrives (zero delay:
-    /// in that handler, ahead of the ack). With `revoke_ok` set it answers
-    /// every `Revoke` with a `RevokeOk` reporting those values.
+    /// in that handler, ahead of the ack). With `prepare_ok` set it answers
+    /// every `Prepare` with a `PrepareOk` reporting those values and
+    /// `floor`. What is not a Mencius message (a `Prepare`, a checkpoint
+    /// chunk) it keeps in `other`.
     struct Puppet {
         acks: usize,
         ack_coord: Coord,
         script: Vec<(SimDuration, Msg)>,
-        revoke_ok: Option<Vec<(Slot, Term, Command)>>,
+        prepare_ok: Option<Vec<(Slot, Term, Command)>>,
+        floor: Slot,
         seen: Vec<(SimTime, MenciusMsg)>,
+        other: Vec<(SimTime, Msg)>,
     }
 
     impl Puppet {
@@ -2032,21 +2012,36 @@ mod tests {
                 acks,
                 ack_coord,
                 script: script.collect(),
-                revoke_ok: None,
+                prepare_ok: None,
+                floor: Slot::NONE,
                 seen: Vec::new(),
+                other: Vec::new(),
             }
         }
 
-        /// Answers every `Revoke` reporting `accepted`.
-        fn answering_revokes(mut self, accepted: Vec<(Slot, Term, Command)>) -> Self {
-            self.revoke_ok = Some(accepted);
+        /// Answers every `Prepare` reporting `accepted` and `floor`.
+        fn answering_prepares(mut self, accepted: Vec<(Slot, Term, Command)>, floor: Slot) -> Self {
+            (self.prepare_ok, self.floor) = (Some(accepted), floor);
             self
         }
 
-        /// Adds an engine-level message (a checkpoint chunk) to the script.
-        fn also(mut self, delay: SimDuration, msg: EngineMsg) -> Self {
-            self.script.push((delay, Msg::Engine(msg)));
+        /// Adds a message that is not a Mencius one (a `Prepare`, a
+        /// checkpoint chunk) to the script.
+        fn also(mut self, delay: SimDuration, msg: Msg) -> Self {
+            self.script.push((delay, msg));
             self
+        }
+
+        /// The ballots of the `Prepare`s seen over `owner`'s slots.
+        fn prepares_seen(&self, owner: NodeId) -> Vec<Term> {
+            let asked = |(_, m): &(SimTime, Msg)| match m {
+                Msg::Paxos(PaxosMsg::Prepare {
+                    ballot,
+                    range: (_, Some((o, _))),
+                }) => (*o == owner).then_some(*ballot),
+                _ => None,
+            };
+            self.other.iter().filter_map(asked).collect()
         }
 
         fn suggests_seen(&self) -> impl Iterator<Item = (&Run<Cell>, &Coord)> {
@@ -2059,18 +2054,27 @@ mod tests {
 
     impl paxraft_sim::sim::Actor<Msg> for Puppet {
         fn on_message(&mut self, ctx: &mut Ctx<Msg>, from: ActorId, msg: Msg) {
-            let Msg::Mencius(m) = msg else { return };
+            let m = match msg {
+                Msg::Mencius(m) => m,
+                other => {
+                    let asked = match &other {
+                        Msg::Paxos(PaxosMsg::Prepare { ballot, .. }) => Some(*ballot),
+                        _ => None,
+                    };
+                    if let (Some(ballot), Some(entries)) = (asked, &self.prepare_ok) {
+                        let ok = PaxosMsg::PrepareOk {
+                            ballot,
+                            entries: entries.clone(),
+                            log_tail: Slot::NONE,
+                            floor: self.floor,
+                        };
+                        ctx.send(from, Msg::Paxos(ok));
+                    }
+                    self.other.push((ctx.now(), other));
+                    return;
+                }
+            };
             self.seen.push((ctx.now(), m.clone()));
-            if let (MenciusMsg::Revoke { term, owner, .. }, Some(accepted)) = (&m, &self.revoke_ok)
-            {
-                let (term, owner, accepted) = (*term, *owner, accepted.clone());
-                let ok = MenciusMsg::RevokeOk {
-                    term,
-                    owner,
-                    accepted,
-                };
-                ctx.send(from, Msg::Mencius(ok));
-            }
             let MenciusMsg::Suggest { term, items, .. } = m else {
                 return;
             };
@@ -2119,13 +2123,22 @@ mod tests {
         p2: Puppet,
         adjust: impl Fn(&mut ReplicaConfig),
     ) -> (Simulation<Msg>, ActorId) {
-        let mut puppets = vec![p2, p1];
-        let (mut sim, _, client) = crate::testutil::cluster_with(3, |mut cfg| match cfg.id {
+        replica_among(vec![p1, p2], adjust)
+    }
+
+    /// The same among any number of puppets, replicas 1, 2, … in order.
+    fn replica_among(
+        puppets: Vec<Puppet>,
+        adjust: impl Fn(&mut ReplicaConfig),
+    ) -> (Simulation<Msg>, ActorId) {
+        let n = puppets.len() + 1;
+        let mut puppets = puppets.into_iter();
+        let (mut sim, _, client) = crate::testutil::cluster_with(n, |mut cfg| match cfg.id {
             NodeId(0) => {
                 adjust(&mut cfg);
                 Box::new(MenciusReplica::new(cfg))
             }
-            _ => Box::new(puppets.pop().expect("two puppets")),
+            _ => Box::new(puppets.next().expect("a puppet per peer")),
         });
         sim.actor_mut::<MenciusReplica>(ActorId(0))
             .rules
@@ -2143,6 +2156,13 @@ mod tests {
             exec: Slot::NONE,
             ack: None,
         }
+    }
+
+    /// A revocation's `Prepare` at `ballot` over `owner`'s slots in
+    /// `from..=through`.
+    fn prepare(ballot: Term, owner: u32, from: u64, through: u64) -> Msg {
+        let range = (Slot(from), Some((NodeId(owner), Slot(through))));
+        Msg::Paxos(PaxosMsg::Prepare { ballot, range })
     }
 
     fn suggest_from(owner: u32, slots: &[u64], coord: Coord) -> MenciusMsg {
@@ -2564,12 +2584,7 @@ mod tests {
             sim.actor::<MenciusReplica>(ActorId(0)).exec_index(),
             Slot(1)
         );
-        let terms: Vec<Term> = (sim.actor::<Puppet>(ActorId(1)).seen.iter())
-            .filter_map(|(_, m)| match m {
-                MenciusMsg::Revoke { term, owner, .. } if *owner == NodeId(1) => Some(*term),
-                _ => None,
-            })
-            .collect();
+        let terms = sim.actor::<Puppet>(ActorId(1)).prepares_seen(NodeId(1));
         assert!(terms.len() >= 2, "revoked at {terms:?}");
         assert!(terms.windows(2).all(|w| w[0] < w[1]), "{terms:?}");
     }
@@ -2577,7 +2592,7 @@ mod tests {
     /// Ohio's puppet suggests `Put 102` in its slot 2 at `Term(4)` and
     /// falls silent. Ireland's acks everything, has replica 0 promise
     /// owner 1's slots 2 through 20 to a revocation at `Term(17)`, and
-    /// answers every `Revoke` with a no-op accepted in slot 2 at 17.
+    /// answers every `Prepare` with a no-op accepted in slot 2 at 17.
     /// Replica 0 revokes owner 1 after a second of its silence.
     fn owner_1_promised_away_at_17() -> Simulation<Msg> {
         let slot_2 = Coord {
@@ -2586,18 +2601,9 @@ mod tests {
         };
         let script = vec![(SimDuration::ZERO, suggest_from(1, &[2], slot_2))];
         let p1 = Puppet::new(0, Coord::empty(Slot(2), Slot::NONE), script);
-        let revoke = MenciusMsg::Revoke {
-            term: Term(17),
-            owner: NodeId(1),
-            from: Slot(2),
-            through: Slot(20),
-        };
-        let p2 = Puppet::new(
-            usize::MAX,
-            skipped_below(1000),
-            vec![(SimDuration::ZERO, revoke)],
-        )
-        .answering_revokes(vec![(Slot(2), Term(17), Command::noop())]);
+        let p2 = Puppet::new(usize::MAX, skipped_below(1000), Vec::new())
+            .also(SimDuration::ZERO, prepare(Term(17), 1, 2, 20))
+            .answering_prepares(vec![(Slot(2), Term(17), Command::noop())], Slot::NONE);
         let (mut sim, client) = replica_among_puppets_with(p1, p2, |cfg| {
             cfg.mencius.revoke_timeout = SimDuration::from_secs(1);
         });
@@ -2622,12 +2628,7 @@ mod tests {
     #[test]
     fn a_revocation_runs_above_every_promise_its_revoker_gave() {
         let sim = owner_1_promised_away_at_17();
-        let terms: Vec<Term> = (sim.actor::<Puppet>(ActorId(1)).seen.iter())
-            .filter_map(|(_, m)| match m {
-                MenciusMsg::Revoke { term, .. } => Some(*term),
-                _ => None,
-            })
-            .collect();
+        let terms = sim.actor::<Puppet>(ActorId(1)).prepares_seen(NodeId(1));
         assert!(!terms.is_empty(), "owner 1 was revoked");
         assert!(terms.iter().all(|&t| t > Term(17)), "revoked at {terms:?}");
     }
@@ -2644,7 +2645,8 @@ mod tests {
         let run = |acks| {
             let p1 = Puppet::new(1, Coord::empty(Slot(2), Slot::NONE), Vec::new());
             let p2 = Puppet::new(acks, skipped_below(1000), Vec::new());
-            let (p1, p2) = (p1.answering_revokes(vec![]), p2.answering_revokes(vec![]));
+            let grant = |p: Puppet| p.answering_prepares(vec![], Slot::NONE);
+            let (p1, p2) = (grant(p1), grant(p2));
             let (mut sim, client) = replica_among_puppets_with(p1, p2, |cfg| {
                 cfg.mencius.revoke_timeout = SimDuration::from_secs(1);
             });
@@ -2681,21 +2683,177 @@ mod tests {
         assert!(decision.since(round) > rtt, "{round:?} {decision:?}");
     }
 
+    /// Replica 0 executes and compacts behind its puppets' acks (a
+    /// checkpoint every 16 slots). Then Ireland's puppet asks it to promise
+    /// owner 1's slots from 2, below its floor: the `PrepareOk` reports
+    /// the floor, and the checkpoint follows it in answer. The puppets
+    /// report an executed prefix at or above replica 0's, so the
+    /// stalled-peer check ships nothing before.
+    #[test]
+    fn an_acceptor_asked_below_its_floor_ships_its_checkpoint_and_reports_it() {
+        let level = || Coord {
+            exec: Slot(1000),
+            ..skipped_below(1000)
+        };
+        let asked = SimDuration::from_secs(3);
+        let p1 = Puppet::new(usize::MAX, level(), Vec::new());
+        let p2 =
+            Puppet::new(usize::MAX, level(), Vec::new()).also(asked, prepare(Term(17), 1, 2, 40));
+        let (mut sim, client) = replica_among_puppets_with(p1, p2, |cfg| {
+            cfg.snapshot = crate::snapshot::SnapshotConfig::every(16);
+        });
+        for key in 0..20 {
+            sim.actor_mut::<TestClient>(client).enqueue_put(key);
+        }
+        sim.run_until(SimTime::from_secs(4));
+        let floor = sim.actor::<MenciusReplica>(ActorId(0)).rules.base.floor();
+        assert!(floor >= Slot(2), "compacted past slot 2: {floor:?}");
+        let other = &sim.actor::<Puppet>(ActorId(2)).other;
+        let reported = other.iter().find_map(|(at, m)| match m {
+            Msg::Paxos(PaxosMsg::PrepareOk { ballot, floor, .. }) => Some((*at, *ballot, *floor)),
+            _ => None,
+        });
+        let Some((answered, ballot, reported)) = reported else {
+            panic!("the Prepare is answered");
+        };
+        assert_eq!((ballot, reported), (Term(17), floor));
+        let chunks: Vec<SimTime> = (other.iter())
+            .filter(|(_, m)| matches!(m, Msg::Engine(EngineMsg::SnapshotChunk { .. })))
+            .map(|(at, _)| *at)
+            .collect();
+        assert!(!chunks.is_empty(), "the checkpoint answers the Prepare");
+        assert!(chunks.iter().all(|&at| at >= answered), "{chunks:?}");
+    }
+
+    /// Replica 0 revokes owner 1, silent since it acked replica 0's first
+    /// suggestion, and Ireland's puppet grants with a floor at slot 8. The
+    /// revocation's round leaves owner 1's slots 2, 5 and 8 alone — chosen
+    /// at that acceptor, whose checkpoint is on its way — and starts at 11.
+    #[test]
+    fn a_revocation_fills_nothing_at_or_below_a_reported_floor() {
+        let p1 = Puppet::new(1, Coord::empty(Slot(2), Slot::NONE), Vec::new());
+        let p2 = Puppet::new(usize::MAX, skipped_below(1000), Vec::new())
+            .answering_prepares(vec![(Slot(5), Term(4), Command::noop())], Slot(8));
+        let (mut sim, client) = replica_among_puppets_with(p1, p2, |cfg| {
+            cfg.mencius.revoke_timeout = SimDuration::from_secs(1);
+        });
+        sim.actor_mut::<TestClient>(client).enqueue_put(1);
+        sim.run_until(SimTime::from_millis(1800));
+        let revoked = (sim.actor::<Puppet>(ActorId(2)).suggests_seen())
+            .map(|(items, _)| items)
+            .find(|items| items.iter().any(|(s, _)| s == Slot(11)));
+        let revoked = revoked.expect("the revocation's round");
+        let slots: Vec<Slot> = revoked.iter().map(|(s, _)| s).collect();
+        assert_eq!(slots[0], Slot(11), "{slots:?}");
+        let owner = |s: &Slot| MenciusReplica::owner_of(*s, 3) == NodeId(1);
+        assert!(slots.iter().all(owner), "{slots:?}");
+    }
+
+    /// Replica 0 revokes owner 1, silent since it acked replica 0's first
+    /// suggestion, and no peer answers the `Prepare`. Ireland's puppet then
+    /// ships a checkpoint through slot 5: installed, it ends the
+    /// revocation in flight, whose range now lies partly below the floor
+    /// (`maybe_revoke` retries).
+    #[test]
+    fn a_checkpoint_installed_mid_revocation_ends_it() {
+        let checkpoint = Snapshot {
+            last_slot: Slot(5),
+            last_term: Term::ZERO,
+            kv: Default::default(),
+        };
+        let data = checkpoint.encode();
+        let chunk = EngineMsg::SnapshotChunk {
+            group: 0,
+            seal: Term::ZERO,
+            last_slot: checkpoint.last_slot,
+            last_term: Term::ZERO,
+            offset: 0,
+            total: data.len(),
+            header_bytes: 0,
+            data,
+        };
+        let p1 = Puppet::new(1, Coord::empty(Slot(2), Slot::NONE), Vec::new());
+        let p2 = Puppet::new(usize::MAX, skipped_below(1000), Vec::new())
+            .also(SimDuration::from_millis(1300), Msg::Engine(chunk));
+        let (mut sim, client) = replica_among_puppets_with(p1, p2, |cfg| {
+            cfg.mencius.revoke_timeout = SimDuration::from_secs(1);
+        });
+        sim.actor_mut::<TestClient>(client).enqueue_put(1);
+        sim.run_until(SimTime::from_millis(1250));
+        let rep = sim.actor::<MenciusReplica>(ActorId(0));
+        assert!(rep.rules.revoke.is_some(), "owner 1 is being revoked");
+        assert_eq!(rep.exec_index(), Slot(1));
+        sim.run_until(SimTime::from_millis(1800));
+        let rep = sim.actor::<MenciusReplica>(ActorId(0));
+        assert_eq!(rep.core.snap_stats.snapshots_installed, 1);
+        assert!(rep.exec_index() >= Slot(5));
+        assert!(rep.rules.revoke.is_none(), "the install ended it");
+    }
+
+    /// Replica 0 suggests two writes, own slots 1 and 6, that nobody acks;
+    /// Ohio's puppet then decides slot 6 a no-op at `Term(17)`, a
+    /// revocation's decision. When the two slots are re-sent, each at the
+    /// term it holds, a peer told slot 6 is decided must have been sent
+    /// its value at 17 in that message or before: a learner holding the
+    /// write would commit it on a ballot-free decision.
+    #[test]
+    fn a_decision_never_reaches_a_peer_ahead_of_its_value() {
+        let (t, ms) = (Term(17), SimDuration::from_millis);
+        let decided = MenciusMsg::RevokeCommit {
+            term: t,
+            items: [(Slot(6), Command::noop())].into_iter().collect(),
+        };
+        let quiet = |o: u64| Coord::empty(Slot(o + 1), Slot::NONE);
+        let mut puppets = vec![Puppet::new(0, quiet(1), vec![(ms(100), decided)])];
+        puppets.extend((2..5).map(|o| Puppet::new(0, quiet(o), Vec::new())));
+        let (mut sim, _) = replica_among(puppets, |_| ());
+        for seq in 1..=2 {
+            let id = crate::kv::CmdId { client: 0, seq };
+            let cmd = Command::put(id, seq, vec![0; 8]);
+            sim.send_external(
+                ActorId(0),
+                Msg::Client(crate::msg::ClientMsg::Request { cmd }),
+                SimDuration::ZERO,
+            );
+        }
+        sim.run_until(SimTime::from_millis(1500));
+        let rep = sim.actor::<MenciusReplica>(ActorId(0));
+        assert_eq!(rep.decided_at(Slot(6)), Some(&Command::noop()));
+        for puppet in 1..5 {
+            let seen = &sim.actor::<Puppet>(ActorId(puppet)).seen;
+            let told = |m: &MenciusMsg| match m {
+                MenciusMsg::Suggest { coord, .. } | MenciusMsg::Notice { coord } => {
+                    coord.commits.contains(Slot(6))
+                }
+                MenciusMsg::Commit { slots } => slots.contains(Slot(6)),
+                _ => false,
+            };
+            let valued = |m: &MenciusMsg| match m {
+                MenciusMsg::Suggest { term, items, .. } => {
+                    *term == t && items.iter().any(|(s, _)| s == Slot(6))
+                }
+                _ => false,
+            };
+            let first = seen.iter().position(|(_, m)| told(m));
+            let first = first.unwrap_or_else(|| panic!("puppet {puppet} is told slot 6"));
+            let before = seen[..=first].iter().any(|(_, m)| valued(m));
+            assert!(
+                before,
+                "puppet {puppet}: decided at {:?} ahead of its value",
+                seen[first].0
+            );
+        }
+    }
+
     /// An owner that promised its own range to a revoker at 17 re-sends
     /// its undecided slot 1 at the term it proposed it at, 3: ballot 17
     /// is the revoker's, and two proposers at one ballot is what ballot
     /// ownership rules out.
     #[test]
     fn an_undecided_own_slot_is_re_sent_at_the_term_it_was_proposed_at() {
-        let revoke = MenciusMsg::Revoke {
-            term: Term(17),
-            owner: NodeId(0),
-            from: Slot(1),
-            through: Slot(10),
-        };
         let p1 = Puppet::new(0, Coord::empty(Slot(2), Slot::NONE), Vec::new());
-        let script = vec![(SimDuration::ZERO, revoke)];
-        let p2 = Puppet::new(0, Coord::empty(Slot(3), Slot::NONE), script);
+        let p2 = Puppet::new(0, Coord::empty(Slot(3), Slot::NONE), Vec::new())
+            .also(SimDuration::ZERO, prepare(Term(17), 0, 1, 10));
         let (mut sim, client) = replica_among_puppets(p1, p2);
         sim.actor_mut::<TestClient>(client).enqueue_put(1);
         sim.run_until(SimTime::from_secs(2));
@@ -3061,7 +3219,7 @@ mod tests {
             vec![(SimDuration::from_millis(700), notice(6, 9, &[]))],
         );
         let p2 = Puppet::new(usize::MAX, skipped_below(1000), Vec::new())
-            .also(SimDuration::from_millis(400), chunk);
+            .also(SimDuration::from_millis(400), Msg::Engine(chunk));
         let (mut sim, first) = replica_among_puppets(p1, p2);
         let second = sim.add_actor(region_of(0), Box::new(TestClient::new(1, ActorId(0))));
         sim.actor_mut::<TestClient>(first).enqueue_put(1);

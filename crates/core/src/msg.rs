@@ -417,19 +417,24 @@ impl Outbox {
 /// performance by batching".
 #[derive(Debug, Clone)]
 pub enum PaxosMsg {
-    /// Phase1a: `<"prepare", ballot, unchosen>`.
+    /// Phase1a: `<"prepare", ballot, unchosen>` — MultiPaxos's
+    /// election, and a Mencius revocation (Appendix A.3), which is the
+    /// same phase 1 over one owner's instances.
     Prepare {
         /// Proposer's ballot.
         ballot: Term,
-        /// Smallest unchosen instance id.
-        from_slot: Slot,
+        /// `(from, None)`: every instance from `from`, the smallest
+        /// unchosen. `(from, Some((owner, through)))`, a revocation's:
+        /// that owner's instances in `from..=through`, 16 B more.
+        range: (Slot, Option<(NodeId, Slot)>),
     },
-    /// Phase1b: `<"prepareOK", ballot, instances ≥ unchosen>`.
+    /// Phase1b: `<"prepareOK", ballot, instances ≥ unchosen>`, to either
+    /// use of a `Prepare`.
     PrepareOk {
         /// Echoed ballot.
         ballot: Term,
-        /// Accepted `(slot, accepted-ballot, value)` triples at or after
-        /// the requested slot — excluding anything checkpointed away.
+        /// Accepted `(slot, accepted-ballot, value)` triples in the range
+        /// asked about — excluding anything checkpointed away.
         entries: Vec<(Slot, Term, Command)>,
         /// The acceptor's highest used slot.
         log_tail: Slot,
@@ -681,29 +686,6 @@ pub enum MenciusMsg {
         /// The ballot the acceptor holds for them.
         term: Term,
     },
-    /// Revocation phase-1: take over a crashed owner's slot range with a
-    /// higher ballot.
-    Revoke {
-        /// Revoker's ballot (unique, > any seen).
-        term: Term,
-        /// The suspected-dead owner.
-        owner: NodeId,
-        /// Revoke owner-slots in `(from, through]`... inclusive range
-        /// start (exclusive of already-decided slots).
-        from: Slot,
-        /// Last slot of the revoked range.
-        through: Slot,
-    },
-    /// Revocation phase-1 reply: promise plus any accepted values in the
-    /// range that must be re-proposed rather than no-oped.
-    RevokeOk {
-        /// Echoed revocation ballot.
-        term: Term,
-        /// The owner whose slots are revoked.
-        owner: NodeId,
-        /// Accepted `(slot, ballot, value)` triples in the range.
-        accepted: Vec<(Slot, Term, Command)>,
-    },
     /// The decision, sent once a quorum accepted the revoker's round (or
     /// by an acceptor refusing a suggestion for slots it holds decided).
     RevokeCommit {
@@ -766,7 +748,7 @@ impl Payload for Msg {
                 EngineMsg::RangeAck { header_bytes, .. } => *header_bytes,
             },
             Msg::Paxos(m) => match m {
-                PaxosMsg::Prepare { .. } => 24,
+                PaxosMsg::Prepare { range, .. } => 24 + 16 * usize::from(range.1.is_some()),
                 PaxosMsg::PrepareOk { entries, .. } => {
                     24 + entries
                         .iter()
@@ -797,13 +779,6 @@ impl Payload for Msg {
                 MenciusMsg::SuggestReject { slots, .. } => 16 + 8 * slots.len(),
                 MenciusMsg::Notice { coord } => 8 + coord.size_bytes(),
                 MenciusMsg::Commit { slots } => 8 + 8 * slots.len(),
-                MenciusMsg::Revoke { .. } => 40,
-                MenciusMsg::RevokeOk { accepted, .. } => {
-                    24 + accepted
-                        .iter()
-                        .map(|(_, _, c)| 16 + c.size_bytes())
-                        .sum::<usize>()
-                }
                 MenciusMsg::RevokeCommit { items, .. } => 16 + values_size(items),
             },
         }

@@ -11,11 +11,13 @@
 //! Batching, forwarding, client dedup and checkpoint transfer are
 //! engine-provided, and the instance table with its bookkeeping is the
 //! family's `PaxosBase`, shared with Mencius. This file holds what makes
-//! it *single-leader* Paxos: ballots and phase 1 over `engine/phase1.rs`,
-//! the proposer's numbering and send cursors, the Accept rounds with the
-//! commit they carry, the heartbeat's retransmission and replay, the
-//! execute loop (the proposer answers the client; a restarted replica runs
-//! its chosen instances above the checkpoint again), and what a crash keeps.
+//! it *single-leader* Paxos: ballots, who may grant a phase 1 and what its
+//! winner proposes (the exchange is the family's, a Mencius revocation's
+//! too: `engine/phase1.rs`), the proposer's numbering and send cursors,
+//! the Accept rounds with the commit they carry, the heartbeat's
+//! retransmission and replay, the execute loop (the proposer answers the
+//! client; a restarted replica runs its chosen instances above the
+//! checkpoint again), and what a crash keeps.
 //!
 //! Under a lease read mode the engine runs PQL or LL (`engine/lease.rs`):
 //! `acceptOK` carries the holders and `Learn` passes the lease gate; the
@@ -38,9 +40,8 @@
 //!
 //! # Durability (group commit)
 //!
-//! The family's (`engine/paxos_family.rs`, *Durability*). A `prepareOK`
-//! reports accepted values, so it defers behind outstanding value writes
-//! to keep the report crash-stable.
+//! The family's (`engine/paxos_family.rs`, *Durability*), a `prepareOK`
+//! included: it reports accepted values.
 
 use paxraft_sim::sim::{ActorId, Ctx};
 use paxraft_sim::trace::SpanKind;
@@ -217,18 +218,8 @@ impl PaxosRules {
         self.phase1_succeeded = false;
         // Self-votes recorded under the old ballot no longer apply.
         self.base.forget_self_votes();
-        let from_slot = self.first_unchosen();
-        // Record our own accepted instances as an implicit Phase1b reply.
-        self.phase1 = Phase1::default();
-        let (tail, floor) = (self.log_tail(), self.base.floor());
-        (self.phase1).grant(core.cfg.id, self.base.accepted(from_slot..), tail, floor);
-        core.broadcast(
-            ctx,
-            Msg::Paxos(PaxosMsg::Prepare {
-                ballot: self.ballot,
-                from_slot,
-            }),
-        );
+        let range = (self.first_unchosen(), None);
+        self.phase1 = (self.base).open_phase1(core, ctx, self.ballot, range);
         self.arm_election(core, ctx); // retry if this round stalls
     }
 
@@ -261,9 +252,7 @@ impl PaxosRules {
         }
         // The replies are spent: none is read again after success.
         let mut phase1 = std::mem::take(&mut self.phase1);
-        // Never fill slots at or below a replying acceptor's floor: they
-        // are chosen but unreportable, and its checkpoint is on the way.
-        let (start, end) = (self.first_unchosen().max(phase1.floor.next()), phase1.tail);
+        let (start, end) = (phase1.first_open(self.first_unchosen(), 1), phase1.tail);
         let open = (start.0..=end.0)
             .map(Slot)
             .filter(|&s| !self.base.committed(s));
@@ -316,27 +305,14 @@ impl PaxosRules {
         msg: PaxosMsg,
     ) {
         match msg {
-            PaxosMsg::Prepare { ballot, from_slot } => {
+            PaxosMsg::Prepare { ballot, range } => {
                 // Figure 1 Phase1b.
                 if ballot > self.ballot {
                     self.ballot = ballot;
                     self.phase1_succeeded = false;
                     core.leader_hint = Some(ballot.owner(core.cfg.n));
                     self.arm_election(core, ctx);
-                    // The reply reports accepted *values*: it waits for
-                    // any outstanding value write (module docs).
-                    let ok = Msg::Paxos(PaxosMsg::PrepareOk {
-                        ballot,
-                        entries: self.base.accepted(from_slot..).collect(),
-                        log_tail: self.log_tail(),
-                        floor: self.base.floor(),
-                    });
-                    core.ack_after_sync(ctx, from, ok);
-                    // Instances we checkpointed away go as the checkpoint.
-                    if from_slot <= self.base.floor() {
-                        let candidate = core.cfg.node_of(from);
-                        self.base.ship_checkpoint(core, ctx, candidate, self.ballot);
-                    }
+                    (self.base).answer_phase1(core, ctx, from, ballot, range, ballot);
                 }
             }
             PaxosMsg::PrepareOk {
@@ -506,7 +482,7 @@ impl ProtocolRules for PaxosRules {
     }
 
     fn log_tail(&self) -> Slot {
-        self.base.cells.last_slot().unwrap_or(Slot::NONE)
+        self.base.tail()
     }
 
     /// Figure 1 `Phase2a`, batched.

@@ -18,7 +18,7 @@ LIMIT as the code shrinks; raising it is a decision to write down.
 import pathlib
 import sys
 
-LIMIT = 22_119
+LIMIT = 22_118
 LIBRARY_SRC = ("crates/core/src", "crates/sim/src", "crates/spec/src", "crates/workload/src")
 LEFT_OUT = ("crates/core/src/engine/conformance.rs", "crates/core/src/testutil.rs")
 
